@@ -25,8 +25,8 @@
 // With -accels the accelerator fleet is overridden by an explicit —
 // possibly heterogeneous — device list (the paper's title configuration):
 // "-accels gpu:2,fpga:1" trains on dual EPYC + 2× A5000 + 1× U250, each
-// device behind its kind-native link, with FPGA shares executing through
-// the §IV-C dataflow kernels.
+// device behind its kind-native link, with FPGA shares charged the §IV-C
+// dataflow kernels' cycle account.
 //
 // Usage:
 //

@@ -1,7 +1,7 @@
 // Heterogeneous fleet demo: the paper's title configuration — CPU + GPU +
 // FPGA trainers on one node — executed for real. A mixed fleet trains a
-// scaled ogbn-products instance with the FPGA share running through the
-// §IV-C dataflow kernels (scatter-gather + systolic), then the analytic
+// scaled ogbn-products instance with the FPGA share charged the §IV-C
+// dataflow's (scatter-gather + systolic) cycle account, then the analytic
 // fleet ablation shows why the hybrid mix beats every homogeneous fleet of
 // the same device budget.
 //

@@ -2,10 +2,12 @@
 // a scatter-gather feature-aggregation engine with a Feature Duplicator that
 // exploits source-sorted edges to fetch each vertex feature exactly once,
 // a systolic-array MLP for the update stage, and an FPGA resource model
-// reproducing Table IV. The simulators are functional (they compute real
-// aggregation results, cross-checked against the reference implementation)
-// and cycle-approximate (they report memory traffic and cycle counts used by
-// the performance model).
+// reproducing Table IV. The simulators are cycle-approximate — Backend.Account
+// derives the dataflow's memory traffic and cycle counts from a mini-batch's
+// structure alone, which is what the training clock and the performance model
+// charge — and functional: Backend.Forward also computes the real aggregation
+// and update results, for the FPGA serving workers that use the logits, and
+// is cross-checked against the reference implementation in tests.
 package accel
 
 import (
@@ -40,13 +42,32 @@ type ScatterGatherResult struct {
 	ReuseFactor    float64 // edges per fetch — the Dout(v) reuse of §IV-C
 }
 
+// chargeRun accounts one source run of the stream — run consecutive edges
+// sharing a source — into res: the Feature Duplicator fetches the feature row
+// once (memory time of one row; the first fetch also pays the latency, later
+// ones overlap it), then the run's edges retire NumPEs per cycle. It is the
+// engine's whole cycle/traffic model: RunScatterGather feeds it the runs of
+// the edge list it executes, Backend.Account the out-degrees of a block's
+// sources, which are the runs of the source-sorted stream.
+func (cfg ScatterGatherConfig) chargeRun(res *ScatterGatherResult, run int) {
+	featBytes := int64(cfg.FeatWidth) * 4
+	res.FeatureFetches++
+	res.TrafficBytes += featBytes
+	if res.FeatureFetches == 1 {
+		res.Cycles += int64(cfg.FetchLatency)
+	}
+	res.Cycles += (featBytes+int64(cfg.BytesPerCycle)-1)/int64(cfg.BytesPerCycle) +
+		int64((run+cfg.NumPEs-1)/cfg.NumPEs)
+	res.EdgesProcessed += run
+}
+
 // RunScatterGather simulates the aggregation kernel on an edge list over
 // local indices: out[dst] += w[i]·features[src]. Edges should be sorted by
-// source (Block.SortedEdgesBySource/...Into, or the weight-aligned
-// backendScratch.sortedWeightedEdges the training loop uses) to realise
-// feature reuse; unsorted input is processed correctly but fetches once per
-// source *run*, exactly
-// like the hardware, demonstrating the O(|E|)→O(|V0|) traffic reduction.
+// source (graph.SortEdgesBySource, or the weight-aligned counting sort
+// Backend.Forward applies to a sampled block) to realise feature reuse;
+// unsorted input is processed correctly but fetches once per source *run*,
+// exactly like the hardware, demonstrating the O(|E|)→O(|V0|) traffic
+// reduction.
 //
 // The Feature Duplicator broadcasts each fetched feature to all S-PEs;
 // consecutive edges sharing the source consume the resident feature. Cycle
@@ -64,47 +85,39 @@ func RunScatterGather(cfg ScatterGatherConfig, edges []graph.Edge, weights []flo
 	if weights != nil && len(weights) != len(edges) {
 		return ScatterGatherResult{}, fmt.Errorf("accel: %d weights for %d edges", len(weights), len(edges))
 	}
-	var res ScatterGatherResult
-	res.EdgesProcessed = len(edges)
-	featBytes := int64(cfg.FeatWidth) * 4
-	fetchCycles := int64((int(featBytes) + cfg.BytesPerCycle - 1) / cfg.BytesPerCycle)
+	return scatterGather(cfg, edges, weights, features, out.Data, out.Cols, 0), nil
+}
 
-	resident := int32(-1)
+// scatterGather is the engine behind RunScatterGather over a strided output
+// (destination d accumulates into out[d*stride+off:][:FeatWidth]), so
+// GraphSAGE aggregates straight into the right half of its concatenated
+// update input. Arguments are already validated.
+func scatterGather(cfg ScatterGatherConfig, edges []graph.Edge, weights []float32,
+	features *tensor.Matrix, out []float32, stride, off int) ScatterGatherResult {
+	var res ScatterGatherResult
+	f := cfg.FeatWidth
 	run := 0 // consecutive edges using the resident feature
-	flushRun := func() {
-		if run > 0 {
-			res.Cycles += int64((run + cfg.NumPEs - 1) / cfg.NumPEs)
-			run = 0
-		}
-	}
 	for i, e := range edges {
-		if e.Src != resident {
-			flushRun()
-			// Feature Duplicator fetches and broadcasts a new source feature.
-			res.FeatureFetches++
-			res.TrafficBytes += featBytes
-			if res.FeatureFetches == 1 {
-				res.Cycles += int64(cfg.FetchLatency)
-			}
-			res.Cycles += fetchCycles
-			resident = e.Src
+		if i > 0 && e.Src != edges[i-1].Src {
+			cfg.chargeRun(&res, run)
+			run = 0
 		}
 		run++
 		// Functional datapath: S-PE scales, routing network delivers to the
-		// destination's G-PE accumulator.
+		// destination's G-PE accumulator. AxpyRow keeps multiply and add
+		// unfused, so every SIMD tier matches the scalar loop bit for bit.
 		w := float32(1)
 		if weights != nil {
 			w = weights[i]
 		}
-		src := features.Row(int(e.Src))
-		dst := out.Row(int(e.Dst))
-		for j, v := range src {
-			dst[j] += w * v
-		}
+		o := int(e.Dst)*stride + off
+		tensor.AxpyRow(out[o:o+f], features.Row(int(e.Src)), w)
 	}
-	flushRun()
+	if run > 0 {
+		cfg.chargeRun(&res, run)
+	}
 	if res.FeatureFetches > 0 {
 		res.ReuseFactor = float64(res.EdgesProcessed) / float64(res.FeatureFetches)
 	}
-	return res, nil
+	return res
 }

@@ -30,6 +30,13 @@ type SystolicResult struct {
 	Sec    float64
 }
 
+// cycles is the array's cost of one invocation of macs multiply-accumulates:
+// MACs/m sustained throughput (rounded up) plus the fill cost.
+func (c SystolicConfig) cycles(macs int64) int64 {
+	m := int64(c.NumMACs)
+	return (macs+m-1)/m + int64(c.FillCost)
+}
+
 // RunSystolic computes out = in·w + bias functionally (bias may be nil) and
 // returns the cycle estimate: MACs/m sustained throughput plus fill cost —
 // the paper's Eq. 12 with an explicit pipeline-flush term (§VI-C names
@@ -44,10 +51,7 @@ func RunSystolic(cfg SystolicConfig, out, in, w, bias *tensor.Matrix) (SystolicR
 		tensor.AddBias(out, bias)
 	}
 	macs := int64(in.Rows) * int64(in.Cols) * int64(w.Cols)
-	cycles := macs/int64(cfg.NumMACs) + int64(cfg.FillCost)
-	if macs%int64(cfg.NumMACs) != 0 {
-		cycles++
-	}
+	cycles := cfg.cycles(macs)
 	return SystolicResult{
 		MACs:   macs,
 		Cycles: cycles,

@@ -374,8 +374,8 @@ func ServeThroughput(seed uint64) (*ServeReport, error) {
 	report.E2EVirtualRPS = st.ThroughputRPS
 	// The allocation comparison isolates the dispatch path (what the replay
 	// below reconstructs and what TestServingSteadyStateZeroAlloc gates), so
-	// it runs on the CPU pool: the FPGA dataflow kernels allocate in their
-	// numeric compute, which the replay excludes from both sides. After is
+	// it runs on the CPU pool, whose numeric compute the replay excludes
+	// from both sides. After is
 	// the marginal allocations of the extra requests the full run serves
 	// over a quarter-length run — both pay the same one-time construction,
 	// so the difference is the steady-state dispatch path alone.

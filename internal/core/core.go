@@ -110,7 +110,7 @@ type EpochStats struct {
 
 	// FPGA aggregates the dataflow trainers' hardware accounting over the
 	// epoch: scatter-gather and systolic cycles, external feature traffic,
-	// and measured kernel seconds. All zero when no FPGA trainer executed.
+	// and kernel seconds. All zero when no FPGA trainer executed.
 	FPGA accel.ForwardStats
 }
 

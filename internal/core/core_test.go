@@ -488,7 +488,7 @@ func mixedPlatform(t *testing.T) hw.Platform {
 }
 
 // The executed mixed fleet: the engine must build one backend per device
-// kind, the FPGA trainer must actually run the §IV-C dataflow kernels (its
+// kind, the FPGA trainer must charge the §IV-C dataflow kernels (their
 // hardware counters appear in the epoch stats), and the whole fleet must
 // stay in synchronous-SGD lock-step while converging.
 func TestMixedFleetExecutesFPGABackend(t *testing.T) {
@@ -572,7 +572,7 @@ func TestMixedFleetLossBandEquivalence(t *testing.T) {
 	}
 }
 
-// The FPGA trainer's clock charge must come from the measured kernels:
+// The FPGA trainer's clock charge must come from the kernels' account:
 // an epoch's FPGA.Sec (plus analytic backward and overheads) is what the
 // per-device stage saw, so it must be positive yet below the epoch's
 // virtual time.

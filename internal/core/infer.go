@@ -242,9 +242,9 @@ func (p *InferencePipeline) RunBatch(targets []int32) (*InferResult, error) {
 		st.Trans = p.pm.TransferTimeDev(p.cfg.Device-1, sz)
 		if p.backend != nil {
 			// FPGA worker: the forward executes through the scatter-gather +
-			// systolic dataflow and the *measured* kernel time — not the
-			// analytic Eq. 10 — is what the clock is charged (the serving
-			// counterpart of the fpgaTrainer; serving has no backward half).
+			// systolic dataflow and the kernels' cycle account — not the
+			// analytic Eq. 10 — is what the clock is charged (the account
+			// the fpgaTrainer charges too; serving has no backward half).
 			logits, stats, err := p.backend.Forward(p.cfg.Model, mb, x)
 			if err != nil {
 				return nil, fmt.Errorf("core: fpga serving worker: %w", err)

@@ -17,7 +17,7 @@ import (
 // everything around it — share splitting, feature staging, the DONE/ACK
 // gradient protocol and the weight update — so backends compose freely: a
 // CPU trainer, a generic accelerator trainer, and the FPGA dataflow trainer
-// that executes the §IV-C scatter-gather + systolic kernels live side by
+// that charges the §IV-C scatter-gather + systolic kernels live side by
 // side in one fleet.
 type Trainer interface {
 	// Device returns the hardware this trainer runs on.
@@ -39,7 +39,7 @@ type StepResult struct {
 	Acc     float64
 	PropSec float64
 	// FPGA carries the dataflow kernels' hardware accounting when the step
-	// executed on the FPGA backend (nil otherwise).
+	// was charged to the FPGA backend (nil otherwise).
 	FPGA *accel.ForwardStats
 }
 
@@ -141,18 +141,18 @@ func (t *accelTrainer) Step(mb *sampler.MiniBatch, x *tensor.Matrix) (*StepResul
 	return &t.sc.res, nil
 }
 
-// fpgaTrainer drives the paper's §IV-C hardware dataflow (Fig. 6): the
-// forward pass executes through the scatter-gather engine (source-sorted
-// edges, O(|V0|) external traffic) and the systolic array, and the measured
-// kernel cycles — not the analytic Eq. 10 — are what the virtual clock is
-// charged for the forward half. The backward half (which the dataflow
-// kernel does not implement) stays analytically priced. Gradients come from
-// the replica's reference backward: the kernels are functionally equivalent
-// to the reference forward up to float reassociation (asserted in
-// internal/accel's tests and at fleet level in core's tests), and using one
-// numeric path for every trainer is what keeps the whole fleet's
-// synchronous SGD bit-exact. The price is a second numeric forward per step
-// — a deliberate trade in a simulator whose wall-clock is not the product.
+// fpgaTrainer charges the paper's §IV-C hardware dataflow (Fig. 6) for the
+// forward half of its step: the scatter-gather engine's fetch and retire
+// cycles (source-sorted edges, O(|V0|) external traffic) and the systolic
+// array's update cycles, accounted on the blocks this step really sampled —
+// not the analytic Eq. 10 — are what the virtual clock sees. The account is
+// a function of the blocks' structure alone, so no kernel executes here: the
+// numeric dataflow runs where its output is used (the FPGA serving workers)
+// and is pinned against the reference forward in internal/accel's tests and,
+// on this trainer's own replica, in core's. The backward half (which the
+// dataflow kernel does not implement) stays analytically priced. Gradients
+// come from the replica's reference step like every other trainer's, which
+// is what keeps the whole fleet's synchronous SGD bit-exact.
 type fpgaTrainer struct {
 	e       *Engine
 	idx     int
@@ -165,7 +165,7 @@ func (t *fpgaTrainer) Device() hw.Device { return t.dev }
 
 func (t *fpgaTrainer) Step(mb *sampler.MiniBatch, x *tensor.Matrix) (*StepResult, error) {
 	e := t.e
-	_, stats, err := t.backend.Forward(e.replicas[t.idx], mb, x)
+	stats, err := t.backend.Account(e.replicas[t.idx].Cfg, mb)
 	if err != nil {
 		return nil, fmt.Errorf("core: fpga trainer %d: %w", t.idx, err)
 	}

@@ -29,7 +29,12 @@ const (
 	Load                   // T_Load
 	TrainCPU               // T_TC
 	Accel                  // T_Accel = max(T_Tran, T_TA), bundled per Algorithm 1 line 1
+
+	numStages = iota
 )
+
+// stageTimes holds Algorithm 1's five inputs, indexed by Stage.
+type stageTimes [numStages]float64
 
 // String names the stage.
 func (s Stage) String() string {
@@ -88,12 +93,12 @@ func New(cores int) *Engine {
 }
 
 // times extracts Algorithm 1's five inputs from the measured stage times.
-func times(st perfmodel.StageTimes) map[Stage]float64 {
+func times(st perfmodel.StageTimes) stageTimes {
 	tAccel := st.Trans
 	if st.TrainAcc > tAccel {
 		tAccel = st.TrainAcc
 	}
-	return map[Stage]float64{
+	return stageTimes{
 		SampCPU:   st.SampCPU,
 		SampAccel: st.SampAccel,
 		Load:      st.Load,
@@ -102,24 +107,25 @@ func times(st perfmodel.StageTimes) map[Stage]float64 {
 	}
 }
 
-// rank returns the *present* (non-zero) stages ordered slowest-first, and
-// the fastest present CPU task. Absent stages (e.g. T_SA when accelerators
-// do not sample) never appear as bottleneck or fastest.
-func rank(ts map[Stage]float64) (order []Stage, fastestCPU Stage) {
-	for _, s := range []Stage{SampCPU, SampAccel, Load, TrainCPU, Accel} {
+// rank returns the *present* (non-zero) stages ordered slowest-first in
+// order[:n], and the fastest present CPU task. Absent stages (e.g. T_SA when
+// accelerators do not sample) never appear as bottleneck or fastest.
+func rank(ts *stageTimes) (order [numStages]Stage, n int, fastestCPU Stage) {
+	for s := Stage(0); s < numStages; s++ {
 		if ts[s] > 0 {
-			order = append(order, s)
+			order[n] = s
+			n++
 		}
 	}
 	// Insertion sort by time descending (≤5 elements).
-	for i := 1; i < len(order); i++ {
+	for i := 1; i < n; i++ {
 		for j := i; j > 0 && ts[order[j]] > ts[order[j-1]]; j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
 	fastestCPU = SampCPU
 	best := -1.0
-	for _, s := range []Stage{SampCPU, Load, TrainCPU} {
+	for _, s := range [...]Stage{SampCPU, Load, TrainCPU} {
 		t := ts[s]
 		if t <= 0 {
 			continue
@@ -129,7 +135,7 @@ func rank(ts map[Stage]float64) (order []Stage, fastestCPU Stage) {
 			fastestCPU = s
 		}
 	}
-	return order, fastestCPU
+	return order, n, fastestCPU
 }
 
 // Adjust implements Algorithm 1 for one iteration, extended with the
@@ -143,21 +149,21 @@ func (e *Engine) Adjust(_ int, st perfmodel.StageTimes, a perfmodel.Assignment) 
 		ts[Accel] = st.TrainAcc
 	}
 	out := a.Clone()
-	e.adjustGlobal(&out, st, ts)
+	e.adjustGlobal(&out, st, &ts)
 	e.balanceAccels(&out, st.PerAccel)
 	return out
 }
 
 // adjustGlobal is the original Algorithm 1 step over the five aggregated
 // stage times.
-func (e *Engine) adjustGlobal(out *perfmodel.Assignment, st perfmodel.StageTimes, ts map[Stage]float64) {
-	order, fastestCPU := rank(ts)
-	if len(order) < 2 {
+func (e *Engine) adjustGlobal(out *perfmodel.Assignment, st perfmodel.StageTimes, ts *stageTimes) {
+	order, n, fastestCPU := rank(ts)
+	if n < 2 {
 		return
 	}
 	bottleneck := order[0]
-	fastest := order[len(order)-1]
-	second := order[len(order)-2]
+	fastest := order[n-1]
+	second := order[n-2]
 
 	// Hysteresis: when the bottleneck barely exceeds the runner-up, any move
 	// just swaps the two and the pipeline oscillates; the bottleneck time —
@@ -252,7 +258,7 @@ func (e *Engine) balanceAccels(a *perfmodel.Assignment, per []perfmodel.DeviceSt
 // accelerator share. Solving  t_cpu − Δ·c_cpu = t_acc + Δ·c_acc  for Δ lands
 // at the crossover instead of hopping over it, so the engine settles rather
 // than oscillates.
-func (e *Engine) balanceTraining(a *perfmodel.Assignment, ts map[Stage]float64, dir int, proportional bool) {
+func (e *Engine) balanceTraining(a *perfmodel.Assignment, ts *stageTimes, dir int, proportional bool) {
 	nAcc := len(a.AccelBatch)
 	if nAcc == 0 {
 		return
@@ -305,7 +311,7 @@ func (e *Engine) balanceTraining(a *perfmodel.Assignment, ts map[Stage]float64, 
 
 // balanceSampling is balance_work over the sampling split.
 // dir = +1 moves sampling work CPU→accelerators, −1 the reverse.
-func (e *Engine) balanceSampling(a *perfmodel.Assignment, ts map[Stage]float64, dir int) {
+func (e *Engine) balanceSampling(a *perfmodel.Assignment, ts *stageTimes, dir int) {
 	step := 0.1 * e.Gain * 2
 	frac := a.AccelSampleFrac + float64(dir)*step
 	if frac < 0 {
@@ -364,6 +370,8 @@ func (e *Engine) balanceThread(a *perfmodel.Assignment, from, to Stage) {
 // delta as long as |delta| does not exceed the fleet total (which callers
 // guarantee), and by the fleet total otherwise.
 func distribute(shares []int, delta int) {
+	// The apportioning weights of fleets up to this size stay on the stack.
+	const stackFleet = 8
 	n := len(shares)
 	if n == 0 || delta == 0 {
 		return
@@ -383,9 +391,9 @@ func distribute(shares []int, delta int) {
 				delta--
 			}
 		}
-		weights := make([]float64, n)
-		for i, s := range shares {
-			weights[i] = float64(s)
+		weights := make([]float64, 0, stackFleet)
+		for _, s := range shares {
+			weights = append(weights, float64(s))
 		}
 		for i, p := range perfmodel.Apportion(delta, weights) {
 			shares[i] += p
@@ -393,9 +401,9 @@ func distribute(shares []int, delta int) {
 		return
 	}
 	total := 0
-	weights := make([]float64, n)
-	for i, s := range shares {
-		weights[i] = float64(s)
+	weights := make([]float64, 0, stackFleet)
+	for _, s := range shares {
+		weights = append(weights, float64(s))
 		total += s
 	}
 	mag := -delta

@@ -456,3 +456,32 @@ func TestDRMRecoversFromBadMapping(t *testing.T) {
 		t.Fatalf("DRM stuck far from optimum: tuned %v, optimal %v", tuned, optimal)
 	}
 }
+
+// Adjust's bookkeeping (stage vector, ranking, apportioning weights) lives
+// in fixed arrays: the returned assignment's clone is its only allocation on
+// the hysteresis no-op, a thread move and a sampling move alike, and a work
+// move adds only perfmodel.Apportion's two result slices.
+func TestAdjustAllocatesOnlyTheClone(t *testing.T) {
+	a := baseAssign()
+	clone := testing.AllocsPerRun(100, func() { _ = a.Clone() })
+	for _, tc := range []struct {
+		name  string
+		st    perfmodel.StageTimes
+		extra float64
+	}{
+		{"balanced", perfmodel.StageTimes{SampCPU: 1, Load: 1, Trans: 1, TrainCPU: 1, TrainAcc: 1}, 0},
+		{"thread-move", perfmodel.StageTimes{SampCPU: 0.5, Load: 3, Trans: 1, TrainAcc: 1, TrainCPU: 1}, 0},
+		{"sampling-move", perfmodel.StageTimes{SampCPU: 3, SampAccel: 0.1, Load: 1, Trans: 0.5, TrainAcc: 0.8, TrainCPU: 1}, 0},
+		{"work-move", perfmodel.StageTimes{SampCPU: 0.5, Load: 1, Trans: 1, TrainAcc: 3, TrainCPU: 1}, 2},
+	} {
+		e := New(128)
+		got := testing.AllocsPerRun(100, func() { e.Adjust(0, tc.st, a) })
+		if got != clone+tc.extra {
+			t.Errorf("%s: Adjust allocated %.0f times per call, want Assignment.Clone's %.0f + %.0f",
+				tc.name, got, clone, tc.extra)
+		}
+		if tc.extra > 0 && e.MovesWork == 0 {
+			t.Errorf("%s: no work move happened", tc.name)
+		}
+	}
+}

@@ -6,7 +6,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -153,22 +155,14 @@ func (g *Graph) EdgeList() []Edge {
 // scatter-gather kernel requires: edges with the same source are consecutive
 // so a fetched feature is reused Dout(v) times (paper §IV-C).
 func SortEdgesBySource(edges []Edge) []Edge {
-	out := make([]Edge, len(edges))
-	copy(out, edges)
-	return SortEdgesBySourceInPlace(out)
-}
-
-// SortEdgesBySourceInPlace sorts edges by source (stable within a source by
-// destination) without copying — the reuse-friendly form for per-mini-batch
-// callers that own a scratch buffer. Returns edges for convenience.
-func SortEdgesBySourceInPlace(edges []Edge) []Edge {
-	sort.SliceStable(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
+	out := slices.Clone(edges)
+	slices.SortStableFunc(out, func(a, b Edge) int {
+		if a.Src != b.Src {
+			return cmp.Compare(a.Src, b.Src)
 		}
-		return edges[i].Dst < edges[j].Dst
+		return cmp.Compare(a.Dst, b.Dst)
 	})
-	return edges
+	return out
 }
 
 // CountSourceRuns returns the number of maximal runs of consecutive edges

@@ -75,31 +75,6 @@ func FullGraphBlock(g *graph.Graph) (*Block, error) {
 	return &Block{Src: ids, Dst: ids, RowPtr: rowPtr, Col: g.ColIdx}, nil
 }
 
-// SortedEdgesBySource returns the block's edges (in local indices) ordered by
-// source, the layout the accelerator scatter-gather kernel consumes.
-func (b *Block) SortedEdgesBySource() []graph.Edge {
-	return b.SortedEdgesBySourceInto(nil)
-}
-
-// SortedEdgesBySourceInto is SortedEdgesBySource into a reused buffer: the
-// buffer grows to the largest block seen and then stops allocating. buf may
-// be nil or any capacity; the filled, sorted slice is returned. (The FPGA
-// training backend needs the per-edge weights aligned with this order, so
-// it applies the same reuse pattern to a weighted edge list instead — see
-// accel.backendScratch.sortedWeightedEdges.)
-func (b *Block) SortedEdgesBySourceInto(buf []graph.Edge) []graph.Edge {
-	if cap(buf) < len(b.Col) {
-		buf = make([]graph.Edge, 0, len(b.Col))
-	}
-	buf = buf[:0]
-	for d := 0; d < len(b.Dst); d++ {
-		for _, s := range b.Col[b.RowPtr[d]:b.RowPtr[d+1]] {
-			buf = append(buf, graph.Edge{Src: s, Dst: int32(d)})
-		}
-	}
-	return graph.SortEdgesBySourceInPlace(buf)
-}
-
 // MiniBatch is an L-layer computational graph. Blocks[0] is the input-most
 // layer (its Src is V0, the vertices whose raw features are gathered);
 // Blocks[L-1].Dst are the target vertices VL.

@@ -180,21 +180,6 @@ func TestSampleDeterministic(t *testing.T) {
 	}
 }
 
-func TestSortedEdgesBySource(t *testing.T) {
-	g := testGraph(t, 300, 3000, 11)
-	s, _ := New(g, []int{8}, nil)
-	mb, _ := s.Sample([]int32{5, 6, 7, 8, 9}, tensor.NewRNG(12))
-	edges := mb.Blocks[0].SortedEdgesBySource()
-	if len(edges) != mb.Blocks[0].NumEdges() {
-		t.Fatal("edge count changed by sort")
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i].Src < edges[i-1].Src {
-			t.Fatal("not sorted by source")
-		}
-	}
-}
-
 func TestBatcherCoversEpoch(t *testing.T) {
 	train := []int32{0, 1, 2, 3, 4, 5, 6}
 	b, err := NewBatcher(train, 3, tensor.NewRNG(13))
@@ -370,32 +355,6 @@ func TestZeroFanoutIsExact(t *testing.T) {
 			if got, want := int(b.RowPtr[d+1]-b.RowPtr[d]), g.Degree(v); got != want {
 				t.Fatalf("layer %d vertex %d: %d sampled of %d neighbors", l, v, got, want)
 			}
-		}
-	}
-}
-
-// TestSortedEdgesBySourceIntoReusesBuffer pins the reuse contract of the
-// Into variant: a buffer of sufficient capacity is refilled in place and the
-// result matches the allocating form.
-func TestSortedEdgesBySourceIntoReusesBuffer(t *testing.T) {
-	b := &Block{
-		Src:    []int32{0, 1, 2, 3},
-		Dst:    []int32{0, 1},
-		RowPtr: []int32{0, 2, 4},
-		Col:    []int32{3, 1, 2, 3},
-	}
-	want := b.SortedEdgesBySource()
-	buf := make([]graph.Edge, 0, 16)
-	got := b.SortedEdgesBySourceInto(buf)
-	if &got[0:cap(got)][cap(got)-1] != &buf[0:cap(buf)][cap(buf)-1] {
-		t.Fatal("Into variant did not reuse the provided buffer")
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d edges, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("edge %d: got %v want %v", i, got[i], want[i])
 		}
 	}
 }
