@@ -1,0 +1,184 @@
+package gnn
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/sampler"
+	"repro/internal/tensor"
+)
+
+// backwardOracle is BackwardWS as it stood before the backward pass was cut
+// off at the first layer's weights, kept verbatim as the reference the
+// shipped pass is pinned against: at every layer — including l == 0 — it
+// forms dDense, clears a |Src|×fin dh, and scatters through the block, so it
+// also computes ∂L/∂X of the input features that nothing consumes.
+func backwardOracle(m *Model, ws *tensor.Workspace, st *ForwardState, dLogits *tensor.Matrix, grads *Gradients) {
+	L := m.Cfg.Layers()
+	dz := ws.Get(dLogits.Rows, dLogits.Cols)
+	copy(dz.Data, dLogits.Data)
+	for l := L - 1; l >= 0; l-- {
+		b := st.mb.Blocks[l]
+		if st.masks[l] != nil {
+			tensor.ReLUBackward(dz, st.masks[l])
+		}
+		tensor.TMatMul(grads.Weights[l], st.aggs[l], dz)
+		grads.Biases[l].Zero()
+		tensor.BiasGrad(grads.Biases[l], dz)
+		dDense := ws.Get(dz.Rows, m.Cfg.inDim(l))
+		tensor.MatMulT(dDense, dz, m.Params.Weights[l])
+
+		fin := m.Cfg.Dims[l]
+		dh := ws.GetZero(len(b.Src), fin)
+		nb := &st.nbs[l]
+		if m.Cfg.Kind == SAGE {
+			dSelf := &st.view
+			dSelf.Rows, dSelf.Cols, dSelf.Data = dz.Rows, fin, dh.Data[:dz.Rows*fin]
+			dMean := ws.Get(dz.Rows, fin)
+			tensor.SplitCols(dSelf, dMean, dDense)
+			nb.AggregateBackward(dh, dMean)
+		} else {
+			nb.AggregateBackward(dh, dDense)
+		}
+		dz = dh
+	}
+}
+
+// chainedBatch generates an L-layer mini-batch of ragged blocks (zero-degree
+// destinations, duplicate edges, self loops, shared sources — see
+// raggedBlock) wired the way the sampler wires them: block l's destinations
+// are block l+1's sources. maxDeg[l] == 0 makes block l edgeless.
+func chainedBatch(rng *tensor.RNG, targets int, maxDeg []int, classes int) *sampler.MiniBatch {
+	L := len(maxDeg)
+	mb := &sampler.MiniBatch{Blocks: make([]*sampler.Block, L), Labels: make([]int32, targets)}
+	nDst := targets
+	for l := L - 1; l >= 0; l-- {
+		mb.Blocks[l] = raggedBlock(rng, nDst, rng.Intn(2*nDst+1), maxDeg[l])
+		nDst = len(mb.Blocks[l].Src)
+	}
+	mb.Targets = mb.Blocks[L-1].Dst
+	for i := range mb.Labels {
+		mb.Labels[i] = int32(rng.Intn(classes))
+	}
+	return mb
+}
+
+// oracleStep is TrainStepWS with backwardOracle in place of BackwardWS.
+func oracleStep(t *testing.T, m *Model, ws *tensor.Workspace, mb *sampler.MiniBatch, x *tensor.Matrix, grads *Gradients) {
+	t.Helper()
+	st := &ForwardState{}
+	if err := m.ForwardWS(ws, st, mb, x); err != nil {
+		t.Fatal(err)
+	}
+	dLogits := ws.Get(st.Logits.Rows, st.Logits.Cols)
+	tensor.SoftmaxCrossEntropy(dLogits, st.Logits, mb.Labels)
+	backwardOracle(m, ws, st, dLogits, grads)
+}
+
+func requireBitwise(t *testing.T, what string, got, want *tensor.Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, v := range got.Data {
+		if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("%s: element %d is %x (%g), oracle has %x (%g)", what, i,
+				math.Float32bits(v), v, math.Float32bits(want.Data[i]), want.Data[i])
+		}
+	}
+}
+
+// TestBackwardOracleBitwise is the gate on ending the backward pass at the
+// first layer's weights: over every model kind, 1–3 layers, kernel
+// parallelism 1|4 and every SIMD tier the CPU has, on generated mini-batches
+// (incl. a one-layer model, zero-degree destinations and edgeless blocks in
+// every position), each parameter gradient must equal the full-depth
+// oracle's bit for bit — the skipped layer-0 work fed nothing.
+func TestBackwardOracleBitwise(t *testing.T) {
+	shapes := []struct {
+		dims   []int
+		maxDeg []int
+	}{
+		{[]int{7, 4}, []int{5}},       // one layer: backward is TMatMul + BiasGrad only
+		{[]int{7, 4}, []int{0}},       // one layer, no edges
+		{[]int{9, 8, 5}, []int{6, 3}}, // the paper's depth
+		{[]int{9, 8, 5}, []int{0, 4}}, // edgeless input block
+		{[]int{9, 8, 5}, []int{4, 0}}, // edgeless output block
+		{[]int{5, 12, 6, 3}, []int{3, 2, 4}},
+		{[]int{5, 12, 6, 3}, []int{2, 0, 3}}, // edgeless middle block
+	}
+	prevLvl, prevPar := tensor.ActiveSIMDLevel(), tensor.Parallelism()
+	t.Cleanup(func() {
+		tensor.SetSIMDLevel(prevLvl)
+		tensor.SetParallelism(prevPar)
+	})
+	for lvl := tensor.SIMDGeneric; lvl <= tensor.DetectedSIMDLevel(); lvl++ {
+		if _, err := tensor.SetSIMDLevel(lvl); err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 4} {
+			tensor.SetParallelism(par)
+			for _, kind := range allKinds {
+				for si, sh := range shapes {
+					name := fmt.Sprintf("%v/par%d/%v/shape%d", lvl, par, kind, si)
+					rng := tensor.NewRNG(uint64(1000*int(kind) + si))
+					mb := chainedBatch(rng, 11+3*si, sh.maxDeg, sh.dims[len(sh.dims)-1])
+					x := tensor.New(len(mb.InputNodes()), sh.dims[0])
+					tensor.NormalInit(x, 1, rng)
+					m, err := NewModel(Config{Kind: kind, Dims: sh.dims, GINEps: 0.1}, rng)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := NewGradients(m.Params)
+					oracleStep(t, m, tensor.NewWorkspace(), mb, x, want)
+					got := NewGradients(m.Params)
+					for i := range got.Weights { // every element must be overwritten
+						got.Weights[i].Fill(float32(math.NaN()))
+						got.Biases[i].Fill(float32(math.NaN()))
+					}
+					if _, _, err := m.TrainStepWS(tensor.NewWorkspace(), &ForwardState{}, mb, x, got); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for l := range want.Weights {
+						requireBitwise(t, fmt.Sprintf("%s: Weights[%d]", name, l), got.Weights[l], want.Weights[l])
+						requireBitwise(t, fmt.Sprintf("%s: Biases[%d]", name, l), got.Biases[l], want.Biases[l])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBackwardOracleWorkspaceFootprint pins the memory half of the cut: a
+// training step no longer borrows the |V0|×f0 input-gradient buffer (nor the
+// layer-0 dDense/dMean), so its arena retains at least that much less than
+// the oracle's, and a second, warm step borrows nothing new.
+func TestBackwardOracleWorkspaceFootprint(t *testing.T) {
+	prev := tensor.SetParallelism(1) // keep the oracle's transposed lists out of the arithmetic
+	defer tensor.SetParallelism(prev)
+	for _, kind := range allKinds {
+		dims := []int{24, 8, 5}
+		fx := makeFixture(t, dims, 16, 21)
+		m, err := NewModel(Config{Kind: kind, Dims: dims}, tensor.NewRNG(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		grads := NewGradients(m.Params)
+		oracleWS := tensor.NewWorkspace()
+		oracleStep(t, m, oracleWS, fx.mb, fx.x, grads)
+
+		inputGrad := int64(len(fx.mb.Blocks[0].Src)) * int64(dims[0]) * 4
+		ws, st := tensor.NewWorkspace(), &ForwardState{}
+		for iter := 0; iter < 2; iter++ {
+			ws.Reset()
+			if _, _, err := m.TrainStepWS(ws, st, fx.mb, fx.x, grads); err != nil {
+				t.Fatal(err)
+			}
+			if saved := oracleWS.Bytes() - ws.Bytes(); saved < inputGrad {
+				t.Fatalf("%v iter %d: arena holds %d B, oracle %d B: saved %d B < the %d B input-gradient buffer",
+					kind, iter, ws.Bytes(), oracleWS.Bytes(), saved, inputGrad)
+			}
+		}
+	}
+}

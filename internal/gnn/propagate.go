@@ -152,9 +152,11 @@ func fillIdentity(idx []int32) []int32 {
 	return idx
 }
 
-// Backward propagates dLogits (gradient of the loss w.r.t. the logits)
-// through all layers and returns parameter gradients. It mirrors forward
-// propagation in reverse, as the paper describes (§II-B).
+// Backward returns the parameter gradients — every layer's weights and
+// biases — for dLogits (gradient of the loss w.r.t. the logits). It mirrors
+// forward propagation in reverse, as the paper describes (§II-B), and ends
+// at the first layer's weights: ∂L/∂X of the input features has no consumer
+// and is never formed, so the input block's aggregate has no backward.
 func (m *Model) Backward(st *ForwardState, dLogits *tensor.Matrix) (*Gradients, error) {
 	grads := NewGradients(m.Params)
 	if err := m.BackwardWS(tensor.NewWorkspace(), st, dLogits, grads); err != nil {
@@ -163,8 +165,8 @@ func (m *Model) Backward(st *ForwardState, dLogits *tensor.Matrix) (*Gradients, 
 	return grads, nil
 }
 
-// BackwardWS is Backward into caller-owned gradients (every element
-// overwritten) with all intermediates borrowed from ws — the
+// BackwardWS is Backward into caller-owned gradients (parameters only,
+// every element overwritten) with all intermediates borrowed from ws — the
 // zero-allocation form. st must come from a matching ForwardWS whose
 // buffers are still live; dLogits is not mutated.
 func (m *Model) BackwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tensor.Matrix, grads *Gradients) error {
@@ -176,7 +178,6 @@ func (m *Model) BackwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tens
 	dz := ws.Get(dLogits.Rows, dLogits.Cols)
 	copy(dz.Data, dLogits.Data)
 	for l := L - 1; l >= 0; l-- {
-		b := st.mb.Blocks[l]
 		if st.masks[l] != nil {
 			tensor.ReLUBackward(dz, st.masks[l])
 		}
@@ -184,12 +185,15 @@ func (m *Model) BackwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tens
 		tensor.TMatMul(grads.Weights[l], st.aggs[l], dz)
 		grads.Biases[l].Zero()
 		tensor.BiasGrad(grads.Biases[l], dz)
+		if l == 0 {
+			break // nothing trainable below: no dDense GEMM, |V0|×f0 clear or scatter
+		}
 		dDense := ws.Get(dz.Rows, m.Cfg.inDim(l))
 		tensor.MatMulT(dDense, dz, m.Params.Weights[l])
 
 		// Aggregation backward into the layer input.
 		fin := m.Cfg.Dims[l]
-		dh := ws.GetZero(len(b.Src), fin)
+		dh := ws.GetZero(len(st.mb.Blocks[l].Src), fin)
 		nb := &st.nbs[l]
 		if m.Cfg.Kind == SAGE {
 			// The self half of dDense lands directly on the Dst-prefix rows

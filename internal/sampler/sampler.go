@@ -120,7 +120,7 @@ type Sampler struct {
 	gen     uint32
 	visited []uint32
 	local   []int32
-	scratch []int32 // reservoir buffer, sized max(Fanouts)
+	scratch []int32 // one destination's drawn neighbors then their positions, sized 2·max(Fanouts)
 }
 
 // New creates a sampler. Fanouts must be non-negative; 0 means "no sampling,
@@ -142,8 +142,8 @@ func New(g *graph.Graph, fanouts []int, labels []int32) (*Sampler, error) {
 
 // Sample draws one mini-batch for the given target vertices. Sampling per
 // destination is without replacement: if a vertex has degree ≤ fanout all
-// neighbors are taken, otherwise a uniform `fanout`-subset is drawn
-// (reservoir sampling). Deterministic given rng state.
+// neighbors are taken, otherwise a uniform `fanout`-subset is drawn with
+// `fanout` rng draws, whatever the degree. Deterministic given rng state.
 func (s *Sampler) Sample(targets []int32, rng *tensor.RNG) (*MiniBatch, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("sampler: empty target set")
@@ -183,7 +183,7 @@ func (s *Sampler) sampleLayer(frontier []int32, fanout int, rng *tensor.RNG) *Bl
 	}
 	rowPtr := make([]int32, len(dst)+1)
 	col := make([]int32, 0, len(dst)*max(fanout, 1))
-	scratch := make([]int32, fanout)
+	scratch := make([]int32, 2*fanout)
 	for i, v := range dst {
 		nbrs := s.G.Neighbors(v)
 		chosen := nbrs // fanout 0: exact neighborhood, no sampling
@@ -248,7 +248,7 @@ func (s *Sampler) SampleInto(mb *MiniBatch, targets []int32, rng *tensor.RNG) er
 	return nil
 }
 
-// ensureScratch lazily builds the O(|V|) lookup arrays and the reservoir
+// ensureScratch lazily builds the O(|V|) lookup arrays and the subset-draw
 // buffer SampleInto needs.
 func (s *Sampler) ensureScratch() {
 	if s.visited == nil {
@@ -261,8 +261,8 @@ func (s *Sampler) ensureScratch() {
 			maxF = f
 		}
 	}
-	if len(s.scratch) < maxF {
-		s.scratch = make([]int32, maxF)
+	if len(s.scratch) < 2*maxF {
+		s.scratch = make([]int32, 2*maxF)
 	}
 }
 
@@ -291,7 +291,7 @@ func (s *Sampler) sampleLayerInto(blk *Block, frontier []int32, fanout int, rng 
 		nbrs := s.G.Neighbors(v)
 		chosen := nbrs // fanout 0: exact neighborhood, no sampling
 		if fanout > 0 {
-			chosen = sampleWithoutReplacement(nbrs, fanout, s.scratch[:fanout], rng)
+			chosen = sampleWithoutReplacement(nbrs, fanout, s.scratch, rng)
 		}
 		for _, u := range chosen {
 			li := s.local[u]
@@ -310,19 +310,32 @@ func (s *Sampler) sampleLayerInto(blk *Block, frontier []int32, fanout int, rng 
 	blk.Dst = blk.Src[:nDst]
 }
 
-// nbrs chosen uniformly. When len(nbrs) > k it uses reservoir sampling into
-// scratch (len ≥ k) to avoid copying the full neighbor list.
+// sampleWithoutReplacement returns nbrs itself, consuming no rng draws, when
+// len(nbrs) ≤ k; otherwise a uniform k-subset of its *positions* by Floyd's
+// algorithm, in exactly k rng draws and O(k²) compares whatever the degree
+// (k is a fanout, ≤ 25 in this tree, so the chosen positions are searched
+// linearly). Positions, not values: a vertex listed m times (a multi-edge) is
+// m times as likely to be drawn, and may be drawn more than once. scratch
+// (len ≥ 2k) holds the result, valid until the next call, then the positions.
 func sampleWithoutReplacement(nbrs []int32, k int, scratch []int32, rng *tensor.RNG) []int32 {
-	if len(nbrs) <= k {
+	n := len(nbrs)
+	if n <= k {
 		return nbrs
 	}
-	res := scratch[:k]
-	copy(res, nbrs[:k])
-	for i := k; i < len(nbrs); i++ {
-		j := rng.Intn(i + 1)
-		if j < k {
-			res[j] = nbrs[i]
+	res, pos := scratch[:k], scratch[k:2*k]
+	for i := range res {
+		// Position j = n−k+i enters the candidate range this round: draw t
+		// from [0, j] and, if t is already chosen, take j instead.
+		j := n - k + i
+		t := int32(rng.Intn(j + 1))
+		for _, p := range pos[:i] {
+			if p == t {
+				t = int32(j)
+				break
+			}
 		}
+		pos[i] = t
+		res[i] = nbrs[t]
 	}
 	return res
 }

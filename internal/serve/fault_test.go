@@ -50,22 +50,28 @@ func serveSig(st *Stats) string {
 	return b.String()
 }
 
-// goldenServeSig is serveSig of the golden config captured from the tree
-// BEFORE the fault machinery existed (commit 0ffc7c3): a mixed FPGA+CPU-peer
+// goldenServeSig is serveSig of the golden config: a mixed FPGA+CPU-peer
 // pool under the three-cohort workload with class metering, priority
 // formation, cache evictions, and admission rejects all active. Any
 // fault-free arithmetic drift — a changed multiply, a reordered comparison,
 // a new code path taken with an empty schedule — shows up here as a bit
-// difference.
+// difference. First captured from the tree BEFORE the fault machinery existed
+// (commit 0ffc7c3) and held across it; re-recorded in PR 13 (on 4a91e8d)
+// because the sampler now draws its uniform k-subsets with Floyd's algorithm
+// instead of Algorithm R, so every computed batch touches different (equally
+// likely) neighbours: the service times — and through them latencies, eps and
+// busy seconds — moved in the sixth significant digit, while every count,
+// the makespan, rps, batch formation, fairness and every routing decision
+// are what they were.
 const goldenServeSig = "offered=3000 served=2830 rejected=170 batches=490 computed=790 hits=2040 evict=276\n" +
-	"lat mean=0x1.b8d0af58a9347p-12 p50=0x1.13ba5d174e9p-12 p95=0x1.0896b2c5154b8p-10 p99=0x1.5388241f315ep-10 max=0x1.9930da2b7a58p-10\n" +
-	"makespan=0x1.fde59e65bc067p-03 rps=0x1.633582f141112p+13 eps=0x1.e61722f997e36p+15 meanbatch=0x1.71a1f58d0fac7p+02 svc=0x1.287b5aef4393fp-11 jain=0x1.f970260df9ad2p-01\n" +
-	"class0 off=943 srv=943 rej=0 mean=0x1.3b2c0e2bba397p-12 p50=0x1.0624dd2f1aap-12 p99=0x1.b3613a66bf22p-11 max=0x1.06dde5763608p-10\n" +
-	"class1 off=1297 srv=1297 rej=0 mean=0x1.d661c273d74f9p-12 p50=0x1.8d214a50d1cp-12 p99=0x1.64dffee2351p-10 max=0x1.9884b1fe26a8p-10\n" +
-	"class2 off=760 srv=590 rej=170 mean=0x1.20513869781e1p-11 p50=0x1.28b7ffa4abf8p-11 p99=0x1.6e62f61f069cp-10 max=0x1.9930da2b7a58p-10\n" +
-	"dev0 kind=FPGA batches=5 req=17 busy=0x1.ed24a750fc3c4p-09\n" +
-	"dev1 kind=FPGA batches=5 req=16 busy=0x1.ecf8b8ae7bf1dp-09\n" +
-	"dev2 kind=CPU batches=356 req=757 busy=0x1.9877e68214bccp-03\n" +
+	"lat mean=0x1.b8d0b7bced357p-12 p50=0x1.13ba5d174e9p-12 p95=0x1.0899880695508p-10 p99=0x1.538a921fdc32p-10 max=0x1.992f7d55ae0cp-10\n" +
+	"makespan=0x1.fde59e65bc067p-03 rps=0x1.633582f141112p+13 eps=0x1.e84169cfb0477p+15 meanbatch=0x1.71a1f58d0fac7p+02 svc=0x1.287b8586d41c1p-11 jain=0x1.f970260df9ad2p-01\n" +
+	"class0 off=943 srv=943 rej=0 mean=0x1.3b2c21d2f2dc5p-12 p50=0x1.0624dd2f1aap-12 p99=0x1.b35dabb684cep-11 max=0x1.06e427f4ea08p-10\n" +
+	"class1 off=1297 srv=1297 rej=0 mean=0x1.d661b466ca342p-12 p50=0x1.8d214a50d1cp-12 p99=0x1.64dff3b5b07p-10 max=0x1.9884907898c8p-10\n" +
+	"class2 off=760 srv=590 rej=170 mean=0x1.20514c46a90d6p-11 p50=0x1.28b7ffa4abf8p-11 p99=0x1.6e6181313c54p-10 max=0x1.992f7d55ae0cp-10\n" +
+	"dev0 kind=FPGA batches=5 req=17 busy=0x1.ed25d368730c1p-09\n" +
+	"dev1 kind=FPGA batches=5 req=16 busy=0x1.ecf68e4f5454ap-09\n" +
+	"dev2 kind=CPU batches=356 req=757 busy=0x1.9878275fe4229p-03\n" +
 	"routes=222202222222222222222222222212222222222222222222222222222202222222222222212222222222220222212222222222222222222222222222222222222202222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222212222222222222222222222222222222222222222222222222222222222222222220222122222\n"
 
 // goldenServeConfig is the golden's exact configuration (do not retune:
