@@ -89,8 +89,8 @@ type runSpec struct {
 	SIMD tensor.SIMDLevel
 	// Pipeline is the parsed -pipeline epoch schedule (serial|prefetch).
 	Pipeline core.PipelineMode
-	// Workload is the parsed -serve-workload cohort spec (nil = legacy
-	// single stream).
+	// Workload is the parsed -serve-workload cohort spec (nil = the
+	// one-cohort -serve-rate/-serve-zipf stream).
 	Workload *serve.WorkloadSpec
 	// Formation is the normalized -serve-formation policy name.
 	Formation string

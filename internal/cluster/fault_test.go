@@ -55,8 +55,7 @@ func mustParse(t *testing.T, spec string) *fault.Schedule {
 // The tentpole invariant, training plane: with no cluster fault events every
 // code path is byte-identical to the pre-fault build — nil schedule, empty
 // schedule, and a schedule holding only serving-plane events all reproduce
-// the pinned golden bit for bit (the legacy fixed-membership ring runs
-// verbatim; the dynamic machinery is never armed).
+// the pinned golden bit for bit.
 func TestEmptyClusterFaultByteIdentity(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -74,9 +73,6 @@ func TestEmptyClusterFaultByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.ring.dynamic {
-				t.Fatal("membership machinery armed without cluster fault events")
-			}
 			if got := trainSig(t, m, 2); got != goldenTrainSig {
 				t.Fatalf("fault-free run diverged from golden:\ngot:\n%swant:\n%s", got, goldenTrainSig)
 			}
@@ -91,7 +87,7 @@ func TestEmptyClusterFaultByteIdentity(t *testing.T) {
 	}
 }
 
-// simulateRing replays allReduceDyn's arithmetic sequentially: same chunk
+// simulateRing replays allReduce's arithmetic sequentially: same chunk
 // geometry, same own+received fold order, same float32 precision, same final
 // 1/m scale. pre is indexed by position in view; the return value is what
 // every position's vector must hold after the reduce, bit for bit.

@@ -59,9 +59,9 @@ type MultiNodeConfig struct {
 	// training plane, keyed by cumulative ring round (see fault.Parse):
 	// "fail,node=R,at=iter:K" leaves the ring gracefully before round K and
 	// the survivors re-ring and continue; "crash,node=R,at=iter:K" aborts
-	// the whole fleet (the legacy abort path); "degrade,link,..." scales the
-	// inter-node link over a round window. Nil or a schedule with no cluster
-	// events leaves every code path byte-identical to a fault-free build.
+	// the whole fleet; "degrade,link,..." scales the inter-node link over a
+	// round window. Nil or a schedule with no cluster events is the fault-free
+	// run: the same ring, with a membership view that never shrinks.
 	Faults *fault.Schedule
 }
 
@@ -79,13 +79,11 @@ func (c MultiNodeConfig) Validate() error {
 	if c.Node.Sync != nil || c.Node.Locator != nil {
 		return fmt.Errorf("cluster: Node.Sync/Locator are owned by the coordinator")
 	}
-	if c.Faults.HasCluster() {
-		if err := c.Faults.Validate(); err != nil {
-			return err
-		}
-		if mx := c.Faults.MaxNode(); mx >= c.Nodes {
-			return fmt.Errorf("cluster: fault schedule targets node %d, fleet has %d nodes", mx, c.Nodes)
-		}
+	if err := c.Faults.Validate(); err != nil {
+		return err
+	}
+	if mx := c.Faults.MaxNode(); mx >= c.Nodes {
+		return fmt.Errorf("cluster: fault schedule targets node %d, fleet has %d nodes", mx, c.Nodes)
 	}
 	if len(c.Plats) != 0 {
 		if len(c.Plats) != c.Nodes {
@@ -161,11 +159,7 @@ func NewMultiNode(cfg MultiNodeConfig) (*MultiNode, error) {
 		}
 	}
 
-	rg := newRing(cfg.Nodes, cfg.Net)
-	faulted := cfg.Faults.HasCluster()
-	if faulted {
-		rg.enableMembership(cfg.Faults.LinkFactor)
-	}
+	rg := newRing(cfg.Nodes, cfg.Net, cfg.Faults)
 	engines := make([]*core.Engine, cfg.Nodes)
 	syncs := make([]*nodeSync, cfg.Nodes)
 	for i := range engines {
@@ -178,12 +172,8 @@ func NewMultiNode(cfg MultiNodeConfig) (*MultiNode, error) {
 			Features: data.Features, Labels: data.Labels,
 			TrainIdx: shards[i][:minSize],
 		}
-		sync := &nodeSync{rank: i, ring: rg, failIter: -1, crashIter: -1}
-		if faulted {
-			sync.dynamic = true
-			sync.failIter = cfg.Faults.NodeFailIter(i)
-			sync.crashIter = cfg.Faults.NodeCrashIter(i)
-		}
+		sync := &nodeSync{rank: i, ring: rg,
+			failIter: cfg.Faults.NodeFailIter(i), crashIter: cfg.Faults.NodeCrashIter(i)}
 		syncs[i] = sync
 		nodeCfg.Sync = sync
 		featByte := 4.0

@@ -13,9 +13,14 @@ import (
 )
 
 // The ring all-reduce must compute the exact element-wise average, for any
-// node count and vector length (including vectors shorter than the ring).
+// node count and vector length (including vectors shorter than the ring),
+// and match the sequential ring oracle bit for bit.
 func TestRingAllReduceAverages(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 7} {
+	for _, n := range []int{1, 2, 3, 4, 5, 7} {
+		view := make([]int, n)
+		for r := range view {
+			view[r] = r
+		}
 		for _, m := range []int{1, 3, 64, 1000} {
 			vecs := make([][]float32, n)
 			want := make([]float32, m)
@@ -26,7 +31,8 @@ func TestRingAllReduceAverages(t *testing.T) {
 					want[i] += vecs[r][i] / float32(n)
 				}
 			}
-			rg := newRing(n, hw.Ethernet100G())
+			oracle := simulateRing(vecs, view)
+			rg := newRing(n, hw.Ethernet100G(), nil)
 			var wg sync.WaitGroup
 			secs := make([]float64, n)
 			for r := 0; r < n; r++ {
@@ -34,7 +40,7 @@ func TestRingAllReduceAverages(t *testing.T) {
 				go func(r int) {
 					defer wg.Done()
 					var err error
-					secs[r], err = rg.allReduce(r, vecs[r])
+					secs[r], err = rg.allReduce(r, 0, vecs[r])
 					if err != nil {
 						t.Errorf("rank %d: %v", r, err)
 					}
@@ -46,6 +52,10 @@ func TestRingAllReduceAverages(t *testing.T) {
 					if math.Abs(float64(vecs[r][i]-want[i])) > 1e-3 {
 						t.Fatalf("n=%d m=%d rank %d elem %d: got %v want %v",
 							n, m, r, i, vecs[r][i], want[i])
+					}
+					if vecs[r][i] != oracle[r][i] {
+						t.Fatalf("n=%d m=%d rank %d elem %d: got %x, sequential oracle %x",
+							n, m, r, i, vecs[r][i], oracle[r][i])
 					}
 				}
 				if n > 1 && secs[r] <= 0 {
@@ -61,22 +71,43 @@ func TestRingAllReduceAverages(t *testing.T) {
 
 // A dead peer must unblock the survivors with errRingAborted instead of
 // deadlocking them — the failure mode of a fleet whose node dies mid-epoch.
+// Survivors can be parked in either of two places: the membership barrier
+// (the peer never entered the round) or a chunk receive (the peer entered,
+// then died before sending).
 func TestRingAbortReleasesSurvivors(t *testing.T) {
 	const n = 4
-	rg := newRing(n, hw.Ethernet100G())
-	errs := make(chan error, n-1)
-	for r := 1; r < n; r++ {
-		go func(r int) {
-			vec := make([]float32, 64)
-			_, err := rg.allReduce(r, vec)
-			errs <- err
-		}(r)
+	cases := map[string]func(rg *ring){
+		"in-barrier": func(rg *ring) { rg.fail() },
+		"mid-round": func(rg *ring) {
+			if _, err := rg.enter(); err != nil {
+				t.Errorf("rank 0 entering the round: %v", err)
+			}
+			rg.fail()
+		},
 	}
-	rg.fail() // rank 0 dies instead of joining
-	for i := 0; i < n-1; i++ {
-		if err := <-errs; err != errRingAborted {
-			t.Fatalf("survivor got %v, want errRingAborted", err)
-		}
+	for name, rank0 := range cases {
+		t.Run(name, func(t *testing.T) {
+			rg := newRing(n, hw.Ethernet100G(), nil)
+			errs := make(chan error, n-1)
+			for r := 1; r < n; r++ {
+				go func(r int) {
+					vec := make([]float32, 64)
+					_, err := rg.allReduce(r, 0, vec)
+					errs <- err
+				}(r)
+			}
+			done := make(chan struct{})
+			go func() { // rank 0 dies instead of reducing
+				defer close(done)
+				rank0(rg)
+			}()
+			for i := 0; i < n-1; i++ {
+				if err := <-errs; err != errRingAborted {
+					t.Errorf("survivor got %v, want errRingAborted", err)
+				}
+			}
+			<-done
+		})
 	}
 }
 

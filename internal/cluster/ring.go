@@ -5,19 +5,29 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/fault"
 	"repro/internal/gnn"
 	"repro/internal/hw"
 )
 
 // ring is the executed counterpart of perfmodel.RingAllReduceSec: a chunked
 // ring all-reduce over in-process channels. Each node goroutine calls
-// allReduce once per training iteration; the 2·(n−1) message steps move real
+// allReduce once per training iteration; the 2·(m−1) message steps move real
 // gradient chunks between neighbours, and each step charges the inter-node
 // link's transfer time on the caller's virtual clock.
+//
+// Membership can shrink (survivor re-ring). Ranks synchronise on a round
+// barrier: a rank that fail-stops leaves at a round boundary, the survivors
+// rebuild the ring over the live ranks and continue. The barrier is exact —
+// a round advances iff every live rank has entered it — so a departure can
+// never strand a message in an inbox: every message sent in round k is
+// consumed in round k. A fault-free fleet is the same ring with a view that
+// never shrinks.
 type ring struct {
-	n     int
 	link  hw.Link
-	inbox []chan []float32 // inbox[r] receives from rank (r−1+n)%n
+	inbox []chan []float32 // inbox[r] receives from its predecessor in the view
+	// faults scripts link degradation by ring round (nil-safe: never degraded).
+	faults *fault.Schedule
 
 	// abort unblocks every rank when one node dies mid-epoch: without it a
 	// single failure would leave the survivors waiting forever on a message
@@ -25,15 +35,6 @@ type ring struct {
 	abort     chan struct{}
 	abortOnce sync.Once
 
-	// Dynamic membership (survivor re-ring), installed by enableMembership
-	// only when a fault schedule scripts cluster events; without it the ring
-	// runs the legacy fixed-membership allReduce verbatim. Ranks synchronise
-	// on a round barrier: a rank that fail-stops leaves at a round boundary,
-	// the survivors rebuild the ring over the live ranks and continue. The
-	// barrier is exact — a round advances iff every live rank has entered it
-	// — so a departure can never strand a message in an inbox: every message
-	// sent in round k is consumed in round k.
-	dynamic bool
 	mu      sync.Mutex
 	cond    *sync.Cond
 	alive   []bool
@@ -42,49 +43,34 @@ type ring struct {
 	round   int
 	view    []int // live ranks, ascending — the round's ring order
 	aborted bool
-	// degrade maps a ring round to the link-degradation factor scripted for
-	// it (1 = healthy); nil means never degraded.
-	degrade func(iter int) float64
 }
 
 // errRingAborted surfaces on the surviving ranks after fail().
 var errRingAborted = errors.New("cluster: ring all-reduce aborted (a peer node failed)")
 
-func newRing(n int, link hw.Link) *ring {
-	r := &ring{n: n, link: link, inbox: make([]chan []float32, n),
-		abort: make(chan struct{})}
+func newRing(n int, link hw.Link, faults *fault.Schedule) *ring {
+	r := &ring{link: link, faults: faults,
+		inbox: make([]chan []float32, n), abort: make(chan struct{}),
+		alive: make([]bool, n), liveN: n, view: make([]int, 0, n)}
+	r.cond = sync.NewCond(&r.mu)
 	for i := range r.inbox {
 		r.inbox[i] = make(chan []float32, 1)
+		r.alive[i] = true
 	}
+	r.rebuildView()
 	return r
 }
 
-// fail permanently aborts the ring, releasing every blocked rank — including
-// ranks waiting on the membership barrier.
+// fail permanently aborts the ring, releasing every blocked rank — those
+// waiting on a chunk and those waiting on the membership barrier.
 func (r *ring) fail() {
 	r.abortOnce.Do(func() {
 		close(r.abort)
-		if r.dynamic {
-			r.mu.Lock()
-			r.aborted = true
-			r.cond.Broadcast()
-			r.mu.Unlock()
-		}
+		r.mu.Lock()
+		r.aborted = true
+		r.cond.Broadcast()
+		r.mu.Unlock()
 	})
-}
-
-// enableMembership arms the survivor re-ring before any goroutine runs.
-func (r *ring) enableMembership(degrade func(iter int) float64) {
-	r.dynamic = true
-	r.cond = sync.NewCond(&r.mu)
-	r.alive = make([]bool, r.n)
-	for i := range r.alive {
-		r.alive[i] = true
-	}
-	r.liveN = r.n
-	r.view = make([]int, 0, r.n)
-	r.rebuildView()
-	r.degrade = degrade
 }
 
 // rebuildView recomputes the live-rank ring order (callers hold mu).
@@ -157,81 +143,20 @@ func chunkBounds(m, n, c int) (int, int) {
 
 func mod(a, n int) int { return ((a % n) + n) % n }
 
-// allReduce averages vec element-wise across all n ranks, in place, and
-// returns the virtual network seconds this rank spent. All n ranks must call
-// it concurrently, once per round, with equal-length vectors.
+// allReduce averages vec element-wise across the live ranks, in place, and
+// returns the virtual network seconds this rank spent. Every live rank must
+// call it concurrently, once per round, with equal-length vectors. iter is
+// the global ring round, consulted for scripted link degradation.
 //
-// Scatter-reduce: at step s, rank r sends chunk (r−s) mod n to rank r+1 and
-// folds the received chunk (r−s−1) mod n into its own copy; after n−1 steps
-// rank r owns the fully reduced chunk (r+1) mod n. All-gather: n−1 more
-// steps circulate the reduced chunks until every rank holds all of them.
-func (r *ring) allReduce(rank int, vec []float32) (float64, error) {
-	n := r.n
-	if n <= 1 {
-		return 0, nil
-	}
-	next := r.inbox[mod(rank+1, n)]
-	self := r.inbox[rank]
-	var sec float64
-	send := func(c int) error {
-		lo, hi := chunkBounds(len(vec), n, c)
-		msg := append([]float32(nil), vec[lo:hi]...)
-		select {
-		case next <- msg:
-		case <-r.abort:
-			return errRingAborted
-		}
-		sec += r.link.TransferSec(float64(len(msg)) * 4)
-		return nil
-	}
-	recv := func() ([]float32, error) {
-		select {
-		case got := <-self:
-			return got, nil
-		case <-r.abort:
-			return nil, errRingAborted
-		}
-	}
-	for step := 0; step < n-1; step++ { // scatter-reduce
-		if err := send(mod(rank-step, n)); err != nil {
-			return sec, err
-		}
-		got, err := recv()
-		if err != nil {
-			return sec, err
-		}
-		lo, _ := chunkBounds(len(vec), n, mod(rank-step-1, n))
-		for i, v := range got {
-			vec[lo+i] += v
-		}
-	}
-	for step := 0; step < n-1; step++ { // all-gather
-		if err := send(mod(rank-step+1, n)); err != nil {
-			return sec, err
-		}
-		got, err := recv()
-		if err != nil {
-			return sec, err
-		}
-		lo, _ := chunkBounds(len(vec), n, mod(rank-step, n))
-		copy(vec[lo:], got)
-	}
-	inv := 1 / float32(n)
-	for i := range vec {
-		vec[i] *= inv
-	}
-	return sec, nil
-}
-
-// allReduceDyn is allReduce over the current membership view: the same
-// chunked scatter-reduce + all-gather, but with m = live ranks, chunk
-// geometry over positions in the view instead of raw ranks, and the final
-// scale 1/m — which is exactly the survivor rescale: after a fail-stop the
-// mean is taken over the m nodes that actually contributed gradients. With
-// the full fleet alive the view is [0..n), positions equal ranks, and the
-// arithmetic is allReduce's bit for bit. iter is the global ring round,
-// consulted for scripted link degradation.
-func (r *ring) allReduceDyn(rank, iter int, vec []float32) (float64, error) {
+// The round's membership view fixes the geometry: m = live ranks, chunks and
+// neighbours by position in the view. Scatter-reduce: at step s, position p
+// sends chunk (p−s) mod m to position p+1 and folds the received chunk
+// (p−s−1) mod m into its own copy; after m−1 steps position p owns the fully
+// reduced chunk (p+1) mod m. All-gather: m−1 more steps circulate the
+// reduced chunks until every rank holds all of them. The final scale 1/m is
+// exactly the survivor rescale: after a fail-stop the mean is taken over the
+// m nodes that actually contributed gradients.
+func (r *ring) allReduce(rank, iter int, vec []float32) (float64, error) {
 	view, err := r.enter()
 	if err != nil {
 		return 0, err
@@ -247,10 +172,7 @@ func (r *ring) allReduceDyn(rank, iter int, vec []float32) (float64, error) {
 			break
 		}
 	}
-	link := r.link
-	if r.degrade != nil {
-		link = link.Degraded(r.degrade(iter))
-	}
+	link := r.link.Degraded(r.faults.LinkFactor(iter))
 	next := r.inbox[view[mod(pos+1, m)]]
 	self := r.inbox[rank]
 	var sec float64
@@ -336,17 +258,14 @@ func unflattenGrads(vec []float32, g *gnn.Gradients) {
 var errNodeFailStop = errors.New("cluster: node fail-stop (scripted)")
 
 // nodeSync is the core.GradientSync of one shard: it bridges the node's
-// local gradient average into the cross-node ring. With a fault schedule
-// (dynamic set) it counts ring rounds across epochs and executes the rank's
-// scripted fate: a fail-stop leaves the membership before the round, a crash
-// errors outright (aborting the ring), and reductions go through the
-// survivor-aware allReduceDyn. Without a schedule it is the legacy bridge
-// verbatim.
+// local gradient average into the cross-node ring. It counts ring rounds
+// across epochs and executes the rank's scripted fate: a fail-stop leaves the
+// membership before the round, a crash errors outright (aborting the ring),
+// and every other round reduces over whoever is still alive.
 type nodeSync struct {
 	rank int
 	ring *ring
 
-	dynamic   bool
 	iter      int // cumulative ring rounds across epochs, from 0
 	failIter  int // leave before this round (-1 = never)
 	crashIter int // crash at this round (-1 = never)
@@ -356,15 +275,6 @@ type nodeSync struct {
 }
 
 func (s *nodeSync) Reduce(local *gnn.Gradients) (*gnn.Gradients, float64, error) {
-	if !s.dynamic {
-		vec := flattenGrads(local)
-		sec, err := s.ring.allReduce(s.rank, vec)
-		if err != nil {
-			return nil, sec, err
-		}
-		unflattenGrads(vec, local)
-		return local, sec, nil
-	}
 	iter := s.iter
 	s.iter++
 	if s.crashIter >= 0 && iter == s.crashIter {
@@ -378,7 +288,7 @@ func (s *nodeSync) Reduce(local *gnn.Gradients) (*gnn.Gradients, float64, error)
 	if s.tap != nil {
 		s.tap(s.rank, iter, vec, false)
 	}
-	sec, err := s.ring.allReduceDyn(s.rank, iter, vec)
+	sec, err := s.ring.allReduce(s.rank, iter, vec)
 	if err != nil {
 		return nil, sec, err
 	}

@@ -6,8 +6,10 @@
 // degradation over an iteration window). The package is a leaf: it knows
 // nothing about serve or cluster, it only describes *when* and *where*
 // things break. Everything is driven by virtual time (seconds for serving,
-// iteration indices for training), so a given schedule replays bit-exactly
-// and an empty schedule leaves every consumer on its unmodified code path.
+// iteration indices for training), so a given schedule replays bit-exactly.
+// Every query is nil-safe and answers "never"/"healthy" when nothing is
+// scripted, so an empty schedule is the fault-free run: consumers run the
+// same code either way.
 package fault
 
 import (
@@ -25,8 +27,8 @@ const (
 	// survivors re-form and continue.
 	FailStop Kind = iota
 	// Crash is the training-only hard failure: the node's engine errors out
-	// at iteration AtIter and the ring aborts — the legacy terminal path,
-	// kept scripted so the abort/error-aggregation machinery stays tested.
+	// at iteration AtIter and the ring aborts — the terminal path, scripted
+	// so the abort/error-aggregation machinery stays tested.
 	Crash
 	// Stall freezes a serving worker over [FromSec, ToSec): batches that
 	// would start inside the window start at its end instead.
@@ -79,9 +81,7 @@ type Schedule struct {
 	Events []Event
 }
 
-// Empty reports whether the schedule carries no events (nil-safe). Consumers
-// gate every fault code path on this, so an empty schedule is byte-identical
-// to no schedule at all.
+// Empty reports whether the schedule carries no events (nil-safe).
 func (s *Schedule) Empty() bool { return s == nil || len(s.Events) == 0 }
 
 // HasServing reports whether any event targets a serving worker.

@@ -39,21 +39,17 @@ type ServingLoad struct {
 	RatePerSec float64 // offered load λ (accepted requests per second)
 	MaxBatch   int     // dynamic batcher's size cap
 	WindowSec  float64 // dynamic batcher's max-wait deadline
-	Workers    int     // serving workers (pipelines) draining batches
 	// ComputeFrac is the fraction of requests that miss the embedding cache
 	// and need the full sample→propagate pipeline (1 = cold cache). The
 	// cache hit rate itself depends on the request popularity distribution
 	// and cache capacity; it is measured by the serving runtime and fed
 	// back here.
 	ComputeFrac float64
-	// Devices binds each worker to a device: 0 is the host CPU peer, i > 0
-	// is Plat.Accels[i-1] (the core.InferConfig.Device convention). When
-	// empty, Workers and Accel resolve the pool the legacy way: accelerator
-	// workers round-robin over the fleet, or CPU workers otherwise.
+	// Devices is the worker pool, one entry per serving worker (pipeline)
+	// draining batches, naming the device it is bound to: 0 is the host CPU
+	// peer, i > 0 is Plat.Accels[i-1] (the core.InferConfig.Device
+	// convention).
 	Devices []int
-	// Accel selects accelerator workers when Devices is empty (features
-	// cross PCIe, as in hybrid training); false serves on the CPU.
-	Accel bool
 	// SampThreads/LoadThreads are the CPU threads charged for sampling and
 	// gathering; zero defaults to a quarter of the cores each.
 	SampThreads, LoadThreads int
@@ -195,26 +191,6 @@ func (m *Model) ServingBatchStage(device, computed, sampThreads, loadThreads int
 	return st, nil
 }
 
-// servingDevices resolves a load's worker→device bindings.
-func (m *Model) servingDevices(l ServingLoad) ([]int, error) {
-	if len(l.Devices) > 0 {
-		for _, d := range l.Devices {
-			if d < 0 || d > len(m.Plat.Accels) {
-				return nil, fmt.Errorf("perfmodel: serving device %d outside [0,%d]",
-					d, len(m.Plat.Accels))
-			}
-		}
-		return l.Devices, nil
-	}
-	devices := make([]int, l.Workers)
-	if l.Accel {
-		for i := range devices {
-			devices[i] = i%len(m.Plat.Accels) + 1
-		}
-	}
-	return devices, nil
-}
-
 // PredictServing evaluates the serving equations for a load on this
 // platform + workload: per-device stage vectors for every pool worker,
 // combined into pool capacity, service time, and first-order latency.
@@ -228,18 +204,17 @@ func (m *Model) PredictServing(l ServingLoad) (ServingPrediction, error) {
 	if l.WindowSec < 0 {
 		return ServingPrediction{}, fmt.Errorf("perfmodel: negative batch window %v", l.WindowSec)
 	}
-	if len(l.Devices) == 0 && l.Workers <= 0 {
-		return ServingPrediction{}, fmt.Errorf("perfmodel: non-positive worker count %d", l.Workers)
+	if len(l.Devices) == 0 {
+		return ServingPrediction{}, fmt.Errorf("perfmodel: serving load binds no worker devices")
+	}
+	for _, d := range l.Devices {
+		if d < 0 || d > len(m.Plat.Accels) {
+			return ServingPrediction{}, fmt.Errorf("perfmodel: serving device %d outside [0,%d]",
+				d, len(m.Plat.Accels))
+		}
 	}
 	if l.ComputeFrac < 0 || l.ComputeFrac > 1 {
 		return ServingPrediction{}, fmt.Errorf("perfmodel: compute fraction %v outside [0,1]", l.ComputeFrac)
-	}
-	if l.Accel && len(m.Plat.Accels) == 0 {
-		return ServingPrediction{}, fmt.Errorf("perfmodel: accelerator serving on %s, which has none", m.Plat.Name)
-	}
-	devices, err := m.servingDevices(l)
-	if err != nil {
-		return ServingPrediction{}, err
 	}
 
 	var p ServingPrediction
@@ -254,8 +229,8 @@ func (m *Model) PredictServing(l ServingLoad) (ServingPrediction, error) {
 		computed = max(1, int(math.Round(p.Computed)))
 	}
 
-	p.PerDevice = make([]ServingDevicePrediction, len(devices))
-	for i, d := range devices {
+	p.PerDevice = make([]ServingDevicePrediction, len(l.Devices))
+	for i, d := range l.Devices {
 		st, err := m.ServingBatchStage(d, computed, l.SampThreads, l.LoadThreads)
 		if err != nil {
 			return ServingPrediction{}, err
@@ -282,7 +257,7 @@ func (m *Model) PredictServing(l ServingLoad) (ServingPrediction, error) {
 	for _, dp := range p.PerDevice {
 		p.ServiceSec += dp.CapacityRPS / p.CapacityRPS * dp.ServiceSec
 	}
-	p.CycleSec = float64(len(devices)) * p.BatchSize / p.CapacityRPS
+	p.CycleSec = float64(len(l.Devices)) * p.BatchSize / p.CapacityRPS
 	p.Utilization = l.RatePerSec / p.CapacityRPS
 	p.ThroughputRPS = math.Min(l.RatePerSec, p.CapacityRPS)
 

@@ -19,12 +19,12 @@ func servingModel(t *testing.T) *Model {
 
 func TestPredictServingValidation(t *testing.T) {
 	m := servingModel(t)
-	base := ServingLoad{RatePerSec: 1000, MaxBatch: 32, WindowSec: 1e-3, Workers: 2, ComputeFrac: 1, Accel: true}
+	base := ServingLoad{RatePerSec: 1000, MaxBatch: 32, WindowSec: 1e-3, ComputeFrac: 1, Devices: []int{1, 2}}
 	for name, mutate := range map[string]func(*ServingLoad){
 		"rate":    func(l *ServingLoad) { l.RatePerSec = 0 },
 		"batch":   func(l *ServingLoad) { l.MaxBatch = 0 },
 		"window":  func(l *ServingLoad) { l.WindowSec = -1 },
-		"workers": func(l *ServingLoad) { l.Workers = 0 },
+		"workers": func(l *ServingLoad) { l.Devices = nil },
 		"frac":    func(l *ServingLoad) { l.ComputeFrac = 1.5 },
 	} {
 		l := base
@@ -46,7 +46,7 @@ func TestPredictServingBatchFormation(t *testing.T) {
 	m := servingModel(t)
 	// Window-closed: λ·w = 1000 · 1ms = 1 → batch ≈ 2, far below the cap.
 	p, err := m.PredictServing(ServingLoad{RatePerSec: 1000, MaxBatch: 64, WindowSec: 1e-3,
-		Workers: 1, ComputeFrac: 1, Accel: true})
+		ComputeFrac: 1, Devices: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestPredictServingBatchFormation(t *testing.T) {
 	}
 	// Size-closed: λ·w ≫ B.
 	p, err = m.PredictServing(ServingLoad{RatePerSec: 1e6, MaxBatch: 64, WindowSec: 1e-3,
-		Workers: 1, ComputeFrac: 1, Accel: true})
+		ComputeFrac: 1, Devices: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestPredictServingMonotonicity(t *testing.T) {
 	m := servingModel(t)
 	at := func(window float64, frac float64) ServingPrediction {
 		p, err := m.PredictServing(ServingLoad{RatePerSec: 2000, MaxBatch: 256, WindowSec: window,
-			Workers: 2, ComputeFrac: frac, Accel: true})
+			ComputeFrac: frac, Devices: []int{1, 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,25 +97,13 @@ func TestPredictServingMonotonicity(t *testing.T) {
 	}
 }
 
-// Explicit device bindings must reproduce the legacy Workers+Accel mapping
-// exactly on a homogeneous fleet — the analytic half of the routing
-// refactor's regression guard.
-func TestPredictServingDevicesMatchLegacy(t *testing.T) {
+// Two workers bound to identical devices are priced identically.
+func TestPredictServingHomogeneousDevices(t *testing.T) {
 	m := servingModel(t)
-	legacy := ServingLoad{RatePerSec: 2000, MaxBatch: 64, WindowSec: 1e-3,
-		Workers: 2, ComputeFrac: 0.8, Accel: true}
-	bound := legacy
-	bound.Devices = []int{1, 2}
-	a, err := m.PredictServing(legacy)
+	a, err := m.PredictServing(ServingLoad{RatePerSec: 2000, MaxBatch: 64, WindowSec: 1e-3,
+		ComputeFrac: 0.8, Devices: []int{1, 2}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	b, err := m.PredictServing(bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ServiceSec != b.ServiceSec || a.CapacityRPS != b.CapacityRPS || a.P99Sec != b.P99Sec {
-		t.Fatalf("explicit bindings diverge from legacy mapping:\n%+v\n%+v", a, b)
 	}
 	if len(a.PerDevice) != 2 || a.PerDevice[0].ServiceSec != a.PerDevice[1].ServiceSec {
 		t.Fatalf("homogeneous per-device vectors differ: %+v", a.PerDevice)
@@ -195,7 +183,7 @@ func TestServingBatchStageValidation(t *testing.T) {
 func TestPredictServingOverloadDiverges(t *testing.T) {
 	m := servingModel(t)
 	p, err := m.PredictServing(ServingLoad{RatePerSec: 1e9, MaxBatch: 8, WindowSec: 0,
-		Workers: 1, ComputeFrac: 1, Accel: true})
+		ComputeFrac: 1, Devices: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,16 +107,13 @@ type Sampler struct {
 	Fanouts []int
 	Labels  []int32
 
-	// SampleInto's reusable lookup state (built lazily on first use). The
-	// global→local vertex map is a pair of O(|V|) arrays stamped with a
-	// per-layer generation instead of the per-call map Sample allocates:
-	// visited[v] == gen marks v as present in the current layer with local
-	// index local[v]. Bumping gen invalidates every entry in O(1); on the
-	// (once per 4 billion layers) wrap the stamps are cleared. A Sampler
-	// whose SampleInto is used is therefore NOT safe for concurrent
-	// sampling — concurrent paths (serving worker fleets) either use the
-	// allocating Sample or own a Sampler each, mirroring the Workspace
-	// arena's ownership discipline.
+	// Reusable lookup state (built lazily on first use). The global→local
+	// vertex map is a pair of O(|V|) arrays stamped with a per-layer
+	// generation: visited[v] == gen marks v as present in the current layer
+	// with local index local[v]. Bumping gen invalidates every entry in
+	// O(1); on the (once per 4 billion layers) wrap the stamps are cleared.
+	// A Sampler is therefore NOT safe for concurrent sampling: one Sampler
+	// per goroutine, mirroring the Workspace arena's ownership discipline.
 	gen     uint32
 	visited []uint32
 	local   []int32
@@ -140,78 +137,26 @@ func New(g *graph.Graph, fanouts []int, labels []int32) (*Sampler, error) {
 	return &Sampler{G: g, Fanouts: fanouts, Labels: labels}, nil
 }
 
-// Sample draws one mini-batch for the given target vertices. Sampling per
-// destination is without replacement: if a vertex has degree ≤ fanout all
-// neighbors are taken, otherwise a uniform `fanout`-subset is drawn with
-// `fanout` rng draws, whatever the degree. Deterministic given rng state.
+// Sample draws one mini-batch for the given target vertices into fresh
+// storage — the convenience form of SampleInto, with the same rng
+// consumption.
 func (s *Sampler) Sample(targets []int32, rng *tensor.RNG) (*MiniBatch, error) {
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("sampler: empty target set")
-	}
-	for _, v := range targets {
-		if v < 0 || int(v) >= s.G.NumVertices {
-			return nil, fmt.Errorf("sampler: target %d out of range", v)
-		}
-	}
-	L := len(s.Fanouts)
-	blocks := make([]*Block, L)
-	frontier := append([]int32(nil), targets...)
-	// Sample from the output layer inward: block L-1 first.
-	for l := L - 1; l >= 0; l-- {
-		blk := s.sampleLayer(frontier, s.Fanouts[l], rng)
-		blocks[l] = blk
-		frontier = blk.Src
-	}
-	mb := &MiniBatch{Blocks: blocks, Targets: append([]int32(nil), targets...)}
-	if s.Labels != nil {
-		mb.Labels = make([]int32, len(targets))
-		for i, v := range targets {
-			mb.Labels[i] = s.Labels[v]
-		}
+	mb := &MiniBatch{}
+	if err := s.SampleInto(mb, targets, rng); err != nil {
+		return nil, err
 	}
 	return mb, nil
 }
 
-// sampleLayer builds one block: for each dst in frontier, sample up to
-// fanout in-neighbors.
-func (s *Sampler) sampleLayer(frontier []int32, fanout int, rng *tensor.RNG) *Block {
-	dst := frontier
-	src := append([]int32(nil), dst...)
-	local := make(map[int32]int32, len(dst)*2)
-	for i, v := range dst {
-		local[v] = int32(i)
-	}
-	rowPtr := make([]int32, len(dst)+1)
-	col := make([]int32, 0, len(dst)*max(fanout, 1))
-	scratch := make([]int32, 2*fanout)
-	for i, v := range dst {
-		nbrs := s.G.Neighbors(v)
-		chosen := nbrs // fanout 0: exact neighborhood, no sampling
-		if fanout > 0 {
-			chosen = sampleWithoutReplacement(nbrs, fanout, scratch, rng)
-		}
-		for _, u := range chosen {
-			li, ok := local[u]
-			if !ok {
-				li = int32(len(src))
-				src = append(src, u)
-				local[u] = li
-			}
-			col = append(col, li)
-		}
-		rowPtr[i+1] = int32(len(col))
-	}
-	return &Block{Src: src, Dst: dst, RowPtr: rowPtr, Col: col}
-}
-
-// SampleInto is Sample into caller-retained storage: the mini-batch's
-// blocks, targets and labels are rebuilt in place, reusing their backing
-// arrays, so a warm sampler+batch pair samples with zero allocations. The
-// rng consumption is identical to Sample — given the same rng state both
-// produce bitwise-identical mini-batches — so trajectories recorded with
-// one are reproducible with the other. mb must not be in use elsewhere
-// (the serving pipeline and the training engine each retain their own).
-// Not safe for concurrent use; see the Sampler field docs.
+// SampleInto draws one mini-batch for the given target vertices into
+// caller-retained storage: the mini-batch's blocks, targets and labels are
+// rebuilt in place, reusing their backing arrays, so a warm sampler+batch
+// pair samples with zero allocations. Sampling per destination is without
+// replacement: if a vertex has degree ≤ fanout all neighbors are taken,
+// otherwise a uniform `fanout`-subset is drawn with `fanout` rng draws,
+// whatever the degree. Deterministic given rng state. mb must not be in use
+// elsewhere (the serving pipeline and the training engine each retain their
+// own). Not safe for concurrent use; see the Sampler field docs.
 func (s *Sampler) SampleInto(mb *MiniBatch, targets []int32, rng *tensor.RNG) error {
 	if len(targets) == 0 {
 		return fmt.Errorf("sampler: empty target set")
@@ -266,11 +211,10 @@ func (s *Sampler) ensureScratch() {
 	}
 }
 
-// sampleLayerInto is sampleLayer into reused block storage, with the
-// per-layer map replaced by the sampler's generation-stamped arrays. The
-// iteration order — and so the rng draw order and the local index
-// assignment (last write wins for duplicate destinations, first
-// occurrence wins for shared sources) — matches sampleLayer exactly.
+// sampleLayerInto builds one block in reused storage: for each dst in
+// frontier, sample up to fanout in-neighbors, mapping global to local
+// indices through the sampler's generation-stamped arrays (last write wins
+// for duplicate destinations, first occurrence wins for shared sources).
 func (s *Sampler) sampleLayerInto(blk *Block, frontier []int32, fanout int, rng *tensor.RNG) {
 	nDst := len(frontier)
 	blk.Src = append(blk.Src[:0], frontier...)

@@ -1,6 +1,7 @@
 package sampler
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -387,9 +388,72 @@ func mbEqual(t *testing.T, a, b *MiniBatch) {
 	eq32("Labels", a.Labels, b.Labels)
 }
 
-// SampleInto must consume the rng exactly like Sample and produce a
-// bitwise-identical mini-batch — including when the batch is reused across
-// calls with different targets and fanout-0 (take-all) layers.
+// sampleRef is the allocating, map-based sampler that Sampler.Sample shipped
+// as before it became a wrapper over SampleInto, kept verbatim as the oracle
+// the stamp-array implementation is compared against.
+func sampleRef(s *Sampler, targets []int32, rng *tensor.RNG) (*MiniBatch, error) {
+	if len(targets) == 0 {
+		return nil, fmt.Errorf("sampler: empty target set")
+	}
+	for _, v := range targets {
+		if v < 0 || int(v) >= s.G.NumVertices {
+			return nil, fmt.Errorf("sampler: target %d out of range", v)
+		}
+	}
+	L := len(s.Fanouts)
+	blocks := make([]*Block, L)
+	frontier := append([]int32(nil), targets...)
+	// Sample from the output layer inward: block L-1 first.
+	for l := L - 1; l >= 0; l-- {
+		blk := sampleLayerRef(s, frontier, s.Fanouts[l], rng)
+		blocks[l] = blk
+		frontier = blk.Src
+	}
+	mb := &MiniBatch{Blocks: blocks, Targets: append([]int32(nil), targets...)}
+	if s.Labels != nil {
+		mb.Labels = make([]int32, len(targets))
+		for i, v := range targets {
+			mb.Labels[i] = s.Labels[v]
+		}
+	}
+	return mb, nil
+}
+
+// sampleLayerRef builds one block: for each dst in frontier, sample up to
+// fanout in-neighbors.
+func sampleLayerRef(s *Sampler, frontier []int32, fanout int, rng *tensor.RNG) *Block {
+	dst := frontier
+	src := append([]int32(nil), dst...)
+	local := make(map[int32]int32, len(dst)*2)
+	for i, v := range dst {
+		local[v] = int32(i)
+	}
+	rowPtr := make([]int32, len(dst)+1)
+	col := make([]int32, 0, len(dst)*max(fanout, 1))
+	scratch := make([]int32, 2*fanout)
+	for i, v := range dst {
+		nbrs := s.G.Neighbors(v)
+		chosen := nbrs // fanout 0: exact neighborhood, no sampling
+		if fanout > 0 {
+			chosen = sampleWithoutReplacement(nbrs, fanout, scratch, rng)
+		}
+		for _, u := range chosen {
+			li, ok := local[u]
+			if !ok {
+				li = int32(len(src))
+				src = append(src, u)
+				local[u] = li
+			}
+			col = append(col, li)
+		}
+		rowPtr[i+1] = int32(len(col))
+	}
+	return &Block{Src: src, Dst: dst, RowPtr: rowPtr, Col: col}
+}
+
+// SampleInto must consume the rng exactly like the map-based reference and
+// produce a bitwise-identical mini-batch — including when the batch is reused
+// across calls with different targets and fanout-0 (take-all) layers.
 func TestSampleIntoMatchesSample(t *testing.T) {
 	g := testGraph(t, 400, 4000, 20)
 	labels := make([]int32, 400)
@@ -410,7 +474,7 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 			for i := range targets {
 				targets[i] = int32((i*13 + round*31) % 400)
 			}
-			mb1, err := s1.Sample(targets, rng1)
+			mb1, err := sampleRef(s1, targets, rng1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -439,7 +503,7 @@ func TestSampleIntoSharesRNGStream(t *testing.T) {
 	mb := &MiniBatch{}
 	targets := []int32{5, 60, 155, 250}
 	for step := 0; step < 6; step++ {
-		want, err := sRef.Sample(targets, rngRef)
+		want, err := sampleRef(sRef, targets, rngRef)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,7 +119,7 @@ func TestAdmitClassGlobalRejectKeepsToken(t *testing.T) {
 		t.Fatal("admit above capacity")
 	}
 	// ...so once capacity frees, the same class admits on that token alone.
-	a.Dispatched([]float64{0.5})
+	a.DispatchedKind(hw.CPU, []float64{0.5})
 	if !a.AdmitClass(1, ClassStandard) {
 		t.Fatal("class refused after capacity freed despite unspent token")
 	}

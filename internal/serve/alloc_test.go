@@ -31,13 +31,14 @@ func TestServingSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	next := 0
 	feed := func(n int) {
-		for i := 0; i < n; i++ {
-			r, _ := s.stream.Next()
+		for _, r := range s.arrivals[next : next+n] {
 			if err := s.offer(r); err != nil {
 				t.Fatal(err)
 			}
 		}
+		next += n
 	}
 	// Warm every arena to its roof: sampled neighborhood sizes vary batch to
 	// batch, so the workspace, batcher, and admission heap must all have

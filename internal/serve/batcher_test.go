@@ -76,7 +76,7 @@ func TestAdmissionControllerBounds(t *testing.T) {
 		t.Fatal("admission above capacity accepted")
 	}
 	// Both waiting requests dispatch, completing at t=1 and t=2.
-	a.Dispatched([]float64{1, 2})
+	a.DispatchedKind(hw.CPU, []float64{1, 2})
 	if a.Admit(0.5) {
 		t.Fatal("admitted while both still in flight")
 	}
@@ -99,7 +99,7 @@ func TestAdmissionOutOfOrderCompletions(t *testing.T) {
 		}
 	}
 	// Completions pushed out of order: 5, 1, 3.
-	a.Dispatched([]float64{5, 1, 3})
+	a.DispatchedKind(hw.CPU, []float64{5, 1, 3})
 	if a.Outstanding() != 3 {
 		t.Fatalf("outstanding %d after dispatch, want 3", a.Outstanding())
 	}
@@ -141,7 +141,7 @@ func TestAdmissionDrainToZeroCycles(t *testing.T) {
 		for i := range completions {
 			completions[i] = now + float64(capacity-i)
 		}
-		a.Dispatched(completions)
+		a.DispatchedKind(hw.CPU, completions)
 		if a.Outstanding() != capacity {
 			t.Fatalf("cycle %d: outstanding %d after dispatch", cycle, a.Outstanding())
 		}
@@ -150,7 +150,7 @@ func TestAdmissionDrainToZeroCycles(t *testing.T) {
 			if !a.Admit(now + float64(k) + 0.5) {
 				t.Fatalf("cycle %d: completion %d did not free a slot", cycle, k)
 			}
-			a.Dispatched([]float64{now + float64(k) + 0.6}) // drain immediately
+			a.DispatchedKind(hw.CPU, []float64{now + float64(k) + 0.6}) // drain immediately
 		}
 		now += float64(capacity) + 10 // everything completes; back to zero
 		if !a.Admit(now) {
@@ -159,8 +159,8 @@ func TestAdmissionDrainToZeroCycles(t *testing.T) {
 		if got := a.Outstanding(); got != 1 { // only the probe admit remains
 			t.Fatalf("cycle %d: outstanding %d after drain, want 1", cycle, got)
 		}
-		a.Dispatched([]float64{now}) // probe completes instantly
-		now++                        // next cycle's Admit pops it
+		a.DispatchedKind(hw.CPU, []float64{now}) // probe completes instantly
+		now++                                    // next cycle's Admit pops it
 	}
 }
 
@@ -172,26 +172,29 @@ func TestAdmissionDispatchClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Admit(0)
-	a.Dispatched([]float64{1, 2, 3}) // 3 completions, 1 waiting
+	a.DispatchedKind(hw.CPU, []float64{1, 2, 3}) // 3 completions, 1 waiting
 	if a.Outstanding() != 3 {
 		t.Fatalf("outstanding %d, want the 3 in-flight", a.Outstanding())
 	}
 	if got := a.KindInflight(hw.CPU); got != 3 {
-		t.Fatalf("legacy Dispatched landed on %d CPU in-flight, want 3", got)
+		t.Fatalf("dispatch landed on %d CPU in-flight, want 3", got)
 	}
 }
 
 func TestRequestStreamOrderingAndSkew(t *testing.T) {
 	rng := tensor.NewRNG(3)
-	s, err := NewRequestStream(1000, 500, 1.2, rng)
+	s, err := newPoissonStream(1000, 500, 1.2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRequestStream(0, 500, 1, rng); err == nil {
+	if _, err := newPoissonStream(0, 500, 1, rng); err == nil {
 		t.Fatal("expected error for zero vertices")
 	}
-	if _, err := NewRequestStream(10, 0, 1, rng); err == nil {
+	if _, err := newPoissonStream(10, 0, 1, rng); err == nil {
 		t.Fatal("expected error for zero rate")
+	}
+	if _, err := newPoissonStream(10, 500, -1, rng); err == nil {
+		t.Fatal("expected error for a negative Zipf exponent")
 	}
 	prev := -1.0
 	low := 0

@@ -14,9 +14,9 @@ type faultWindow struct{ from, to, factor float64 }
 // schedule: pure lookups in virtual time (a worker's liveness, stall and
 // straggler adjustments are functions of (worker, time), so routing needs no
 // event ordering), plus the ordered fail-stop list the server applies to the
-// admission plane as arrivals pass each fail time. A server only carries a
-// fleetHealth when the schedule has serving events — with none, every hot
-// path stays on its pre-fault branch.
+// admission plane as arrivals pass each fail time. Every server carries one:
+// a nil, empty or training-only schedule yields no windows and fail times of
+// +Inf, and the fault-free run is that view flowing through the same code.
 type fleetHealth struct {
 	failAt []float64 // per pool worker: fail-stop time, +Inf when never
 	stalls [][]faultWindow
@@ -43,6 +43,9 @@ func newFleetHealth(sched *fault.Schedule, workers int) (*fleetHealth, error) {
 	}
 	for i := range h.failAt {
 		h.failAt[i] = math.Inf(1)
+	}
+	if sched == nil {
+		return h, nil
 	}
 	for _, e := range sched.Events {
 		if e.Worker < 0 {

@@ -91,13 +91,18 @@ func goldenServeConfig(ds *datagen.Dataset, m *gnn.Model) Config {
 	}
 }
 
-// TestEmptyFaultScheduleByteIdentity is the PR's non-negotiable invariant:
-// with no serving faults scripted — nil schedule, empty schedule, or a
-// schedule holding only training events — a run is byte-identical to the
+// TestEmptyFaultScheduleByteIdentity is the fault plane's non-negotiable
+// invariant: with no serving fault that fires — nil schedule, empty schedule,
+// a schedule holding only training events, or a fail-stop scripted for long
+// after the last completion — a run is byte-identical to the
 // pre-fault-machinery tree, and every fault counter stays zero.
 func TestEmptyFaultScheduleByteIdentity(t *testing.T) {
 	ds, m := testSetup(t)
 	clusterOnly, err := fault.Parse("fail,node=2,at=iter:5;degrade,link,from=iter:0,to=iter:3,factor=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	neverFires, err := fault.Parse("fail,worker=1,at=2.5") // golden makespan ≈ 0.249 s
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +113,7 @@ func TestEmptyFaultScheduleByteIdentity(t *testing.T) {
 		{"nil-schedule", nil},
 		{"empty-schedule", &fault.Schedule{}},
 		{"cluster-only-schedule", clusterOnly},
+		{"never-fires-schedule", neverFires},
 	}
 	for _, c := range cases {
 		cfg := goldenServeConfig(ds, m)

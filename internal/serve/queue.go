@@ -3,10 +3,8 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/hw"
-	"repro/internal/tensor"
 )
 
 // AdmissionController bounds the number of outstanding requests (waiting in
@@ -179,16 +177,8 @@ func (a *AdmissionController) Admit(now float64) bool {
 	return true
 }
 
-// Dispatched moves n waiting requests to in-flight with the given virtual
-// completion times (one per request), attributed to the host CPU kind —
-// the single-kind legacy entry point; heterogeneous pools use
-// DispatchedKind.
-func (a *AdmissionController) Dispatched(completions []float64) {
-	a.DispatchedKind(hw.CPU, completions)
-}
-
-// DispatchedKind moves n waiting requests to in-flight on the given device
-// kind with their virtual completion times.
+// DispatchedKind moves len(completions) waiting requests to in-flight on the
+// given device kind with their virtual completion times (one per request).
 func (a *AdmissionController) DispatchedKind(kind hw.Kind, completions []float64) {
 	a.waiting -= len(completions)
 	if a.waiting < 0 {
@@ -280,48 +270,4 @@ func (h *completionHeap) drain(now float64) {
 	for len(*h) > 0 && (*h)[0] <= now {
 		h.popMin()
 	}
-}
-
-// RequestStream generates the synthetic open-loop workload: Poisson arrivals
-// (exponential inter-arrival times at the offered rate) over vertices drawn
-// from a Zipf popularity distribution — the skew that makes an embedding
-// cache earn its keep. Exponent 0 degenerates to uniform popularity.
-type RequestStream struct {
-	rate float64
-	cdf  []float64 // cumulative popularity over vertex IDs
-	// rng is held behind the uniformSource seam so the degenerate-draw
-	// regression test can script the u == 0 draw a SplitMix64 stream will
-	// essentially never produce.
-	rng  uniformSource
-	now  float64
-	next int
-}
-
-// NewRequestStream builds a stream over numVertices vertices.
-func NewRequestStream(numVertices int, ratePerSec, zipfExponent float64, rng *tensor.RNG) (*RequestStream, error) {
-	if numVertices <= 0 {
-		return nil, fmt.Errorf("serve: non-positive vertex count %d", numVertices)
-	}
-	if ratePerSec <= 0 {
-		return nil, fmt.Errorf("serve: non-positive request rate %v", ratePerSec)
-	}
-	if zipfExponent < 0 {
-		return nil, fmt.Errorf("serve: negative Zipf exponent %v", zipfExponent)
-	}
-	return &RequestStream{rate: ratePerSec, cdf: zipfCDF(numVertices, zipfExponent), rng: rng}, nil
-}
-
-// Next returns the next request; arrivals are strictly ordered in time.
-// The inter-arrival draw goes through positiveUniform: Float64 spans [0, 1),
-// so the degenerate draw to guard is u == 0 (a zero gap that would stall the
-// virtual clock), not the unreachable u → 1 end the old guard watched.
-func (s *RequestStream) Next() Request {
-	s.now += expGap(s.rng, s.rate)
-	v := sort.SearchFloat64s(s.cdf, s.rng.Float64())
-	if v >= len(s.cdf) {
-		v = len(s.cdf) - 1
-	}
-	r := Request{ID: s.next, Vertex: int32(v), Arrival: s.now, Class: ClassStandard}
-	s.next++
-	return r
 }

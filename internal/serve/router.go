@@ -95,8 +95,7 @@ type RoutePolicy interface {
 }
 
 // newRoutePolicy builds the named policy over a worker pool (name must be
-// canonical — run ParsePolicy first). health is nil for fault-free runs, and
-// every policy then routes exactly as before the fault machinery existed.
+// canonical — run ParsePolicy first).
 func newRoutePolicy(name string, pool []*worker, admission *AdmissionController, health *fleetHealth) (RoutePolicy, error) {
 	base := policyBase{pool: pool, admission: admission, health: health}
 	switch name {
@@ -124,35 +123,29 @@ type policyBase struct {
 	pool      []*worker
 	admission *AdmissionController
 	// health is the fault schedule's per-worker liveness/stall/straggler
-	// view; nil (no serving faults scripted) keeps every policy on the exact
-	// pre-fault arithmetic. Fail-stopped workers are excluded from every
-	// policy's candidate set, and predictions are fault-adjusted.
+	// view: fail-stopped workers are excluded from every policy's candidate
+	// set, and predictions are fault-adjusted.
 	health *fleetHealth
 }
 
-// excluded reports whether worker i is off the candidate list at time t —
-// only ever true under a fault schedule.
+// excluded reports whether worker i is off the candidate list at time t
+// (fail-stopped at or before t).
 func (b *policyBase) excluded(i int, t float64) bool {
-	return b.health != nil && !b.health.alive(i, t)
+	return !b.health.alive(i, t)
 }
 
 // predictedDone returns worker w's predicted completion for req — the
-// routing arithmetic every policy shares, fault-adjusted when a health view
-// is present (a start in a stall window is pushed past it, a straggler's
-// service is inflated) and bit-identical to the legacy expression otherwise.
+// routing arithmetic every policy shares, fault-adjusted: a start in a stall
+// window is pushed past it and a straggler's service is inflated (outside
+// every window the factor is 1 and the multiply is bit-exact).
 func (b *policyBase) predictedDone(w *worker, req *RouteRequest) (pred, avail float64, err error) {
 	svc, err := w.serviceSec(req.Computed)
 	if err != nil {
 		return 0, 0, err
 	}
 	avail = w.pipe.AvailableAt()
-	start := math.Max(req.CloseAt, avail)
-	if b.health != nil {
-		var f float64
-		start, f = b.health.adjust(w.idx, start)
-		svc *= f
-	}
-	return start + svc, avail, nil
+	start, f := b.health.adjust(w.idx, math.Max(req.CloseAt, avail))
+	return start + svc*f, avail, nil
 }
 
 // peerIndex returns the pool index of the CPU peer when a small batch

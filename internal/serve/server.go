@@ -54,13 +54,14 @@ type Config struct {
 	// Workload replaces the single Poisson stream with the multi-cohort
 	// engine: named cohorts with Poisson/Gamma/Weibull inter-arrivals,
 	// diurnal rate envelopes, per-cohort Zipf skew and SLO class, merged
-	// into one deterministic arrival stream. Nil keeps the legacy stream
-	// built from RatePerSec/ZipfExponent.
+	// into one deterministic arrival stream. Nil generates the one-cohort
+	// stream described by RatePerSec/ZipfExponent.
 	Workload *WorkloadSpec
-	// Replay serves a recorded arrival trace instead of generating arrivals
+	// Replay serves a recorded arrival trace instead of generating one
 	// (mutually exclusive with Workload): the run consumes
-	// min(NumRequests, len(trace)) requests, and two replays of the same
-	// trace produce byte-identical Stats.
+	// min(NumRequests, len(trace)) requests. Every run is a trace replay —
+	// without Replay the trace is the one GenerateTrace(cfg) returns — so
+	// two runs over the same trace produce byte-identical Stats.
 	Replay *Trace
 
 	// Serving knobs.
@@ -114,8 +115,8 @@ type Config struct {
 	// fault.Parse): fail-stops drain and exclude workers and retighten
 	// admission to the surviving capacity, stall windows delay batch starts,
 	// and straggler windows inflate service times. Nil or a schedule with no
-	// serving events leaves every code path byte-identical to a fault-free
-	// build.
+	// serving events is the fault-free run: the same code with no windows and
+	// no fail times.
 	Faults *fault.Schedule
 	// RetryBudget bounds per-batch re-dispatch attempts when the routed
 	// worker is predicted to fail-stop mid-service (0 → 2, negative → no
@@ -168,27 +169,15 @@ func workerBindings(cfg Config) []int {
 	return b
 }
 
-// server is one serving run's assembled state: the pool, stream, batcher,
-// admission controller, cache, and routing policy, plus every scratch
-// buffer the dispatch path reuses. Its steady state (offer → batch close →
-// route → complete) performs zero heap allocations once warm.
-// arrivalSource abstracts where a run's requests come from: the legacy
-// Poisson stream, the multi-cohort workload engine, or a recorded trace.
-// Next reports false when a bounded source (a trace) is exhausted.
-type arrivalSource interface {
-	Next() (Request, bool)
-}
-
-// streamSource adapts the unbounded legacy RequestStream.
-type streamSource struct{ s *RequestStream }
-
-func (ss streamSource) Next() (Request, bool) { return ss.s.Next(), true }
-
+// server is one serving run's assembled state: the pool, arrival trace,
+// batcher, admission controller, cache, and routing policy, plus every
+// scratch buffer the dispatch path reuses. Its steady state (offer → batch
+// close → route → complete) performs zero heap allocations once warm.
 type server struct {
 	cfg       Config
 	pool      []*worker
 	bindings  []int
-	stream    arrivalSource
+	arrivals  []Request // the run's requests: the replayed or just-generated trace
 	batcher   *DynamicBatcher
 	admission *AdmissionController
 	cache     *ShardedCache
@@ -202,8 +191,8 @@ type server struct {
 	batchReqSum     int
 	computedBatches int
 
-	// Fault-injection state: health is nil without serving faults, and every
-	// hot path then takes its pre-fault branch.
+	// Fault-injection state: health is the schedule's per-worker view (no
+	// windows and no fail times when nothing is scripted).
 	health      *fleetHealth
 	retryBudget int
 	recoveryEnd float64 // latest re-dispatched completion (recovery metric)
@@ -284,19 +273,21 @@ func newServer(cfg Config) (*server, error) {
 			}
 		}
 	}
-	stream, err := newArrivalSource(cfg, rng.Split())
-	if err != nil {
-		return nil, err
-	}
-	var health *fleetHealth
-	if cfg.Faults.HasServing() {
-		if err := cfg.Faults.Validate(); err != nil {
-			return nil, err
-		}
-		health, err = newFleetHealth(cfg.Faults, len(pool))
+	var arrivals []Request
+	if cfg.Replay != nil {
+		arrivals = cfg.Replay.Requests[:min(cfg.NumRequests, len(cfg.Replay.Requests))]
+	} else {
+		arrivals, err = generateArrivals(cfg)
 		if err != nil {
 			return nil, err
 		}
+	}
+	if err := cfg.Faults.Validate(); err != nil {
+		return nil, err
+	}
+	health, err := newFleetHealth(cfg.Faults, len(pool))
+	if err != nil {
+		return nil, err
 	}
 	retryBudget := cfg.RetryBudget
 	switch {
@@ -354,7 +345,7 @@ func newServer(cfg Config) (*server, error) {
 		cfg:       cfg,
 		pool:      pool,
 		bindings:  bindings,
-		stream:    stream,
+		arrivals:  arrivals,
 		batcher:   batcher,
 		admission: admission,
 		cache:     NewShardedCache(cfg.CacheSize, cfg.CacheShards, dims[len(dims)-1]),
@@ -383,33 +374,15 @@ func newServer(cfg Config) (*server, error) {
 	return s, nil
 }
 
-// streamRNG derives the arrival stream's RNG exactly as newServer does
-// (one Uint64 per pool worker, then a split), so GenerateTrace's arrivals
-// match the arrivals a run of the same Config would generate.
+// streamRNG derives the arrival stream's RNG from cfg.Seed: the seed stream
+// after newServer's per-worker pipeline seeds (one Uint64 per pool worker),
+// split once.
 func streamRNG(cfg Config) *tensor.RNG {
 	rng := tensor.NewRNG(cfg.Seed)
 	for range workerBindings(cfg) {
 		rng.Uint64()
 	}
 	return rng.Split()
-}
-
-// newArrivalSource builds cfg's arrival stream: a recorded trace when
-// Replay is set, the multi-cohort workload engine when Workload is set,
-// and the legacy single Poisson/Zipf stream otherwise.
-func newArrivalSource(cfg Config, rng *tensor.RNG) (arrivalSource, error) {
-	switch {
-	case cfg.Replay != nil:
-		return &traceSource{reqs: cfg.Replay.Requests}, nil
-	case cfg.Workload != nil:
-		return NewWorkloadStream(cfg.Workload, cfg.Data.Graph.NumVertices, rng)
-	default:
-		s, err := NewRequestStream(cfg.Data.Graph.NumVertices, cfg.RatePerSec, cfg.ZipfExponent, rng)
-		if err != nil {
-			return nil, err
-		}
-		return streamSource{s}, nil
-	}
 }
 
 // serveReq records one answered request at its virtual completion time;
@@ -468,12 +441,11 @@ func (s *server) dispatch(batch []Request, closeAt float64) error {
 
 	kind := hw.CPU
 	if len(s.order) > 0 {
-		// Route, then (under a fault schedule) check whether the chosen
-		// worker is predicted to fail-stop before the batch completes — a
-		// batch in flight on a dying worker is lost and re-routed at the
-		// fail time plus a deadline-aware backoff, up to the retry budget.
-		// With no schedule the loop runs exactly once and the arithmetic is
-		// the pre-fault dispatch byte for byte.
+		// Route, then check whether the chosen worker is predicted to
+		// fail-stop before the batch completes — a batch in flight on a
+		// dying worker is lost and re-routed at the fail time plus a
+		// deadline-aware backoff, up to the retry budget. A worker that
+		// never fails has fail time +Inf, so the loop runs exactly once.
 		routeAt := closeAt
 		attempt := 0
 		shed := false
@@ -497,9 +469,6 @@ func (s *server) dispatch(batch []Request, closeAt float64) error {
 			}
 			if wi < 0 { // every worker fail-stopped: nothing can serve this batch
 				shed = true
-				break
-			}
-			if s.health == nil {
 				break
 			}
 			w := s.pool[wi]
@@ -532,23 +501,17 @@ func (s *server) dispatch(batch []Request, closeAt float64) error {
 		if err != nil {
 			return err
 		}
+		// Apply the scripted stall/straggler windows to the executed batch
+		// exactly as routing predicted them: a stalled start is pushed past
+		// the window, a straggler's stages are inflated.
 		ready := routeAt
-		stage := res.Stage
-		if s.health != nil {
-			// Apply the scripted stall/straggler windows to the executed
-			// batch exactly as routing predicted them: a stalled start is
-			// pushed past the window, a straggler's stages are inflated.
-			start := math.Max(routeAt, w.pipe.AvailableAt())
-			adjStart, f := s.health.adjust(wi, start)
-			if adjStart > start {
-				ready = adjStart
-			}
-			if f != 1 {
-				stage = stage.Scaled(f)
-			}
-			res.Stage = stage
+		start := math.Max(routeAt, w.pipe.AvailableAt())
+		adjStart, f := s.health.adjust(wi, start)
+		if adjStart > start {
+			ready = adjStart
 		}
-		done := w.pipe.CompleteAfter(ready, stage)
+		res.Stage = res.Stage.Scaled(f)
+		done := w.pipe.CompleteAfter(ready, res.Stage)
 		if attempt > 0 {
 			s.stats.Redispatched++
 			if done > s.recoveryEnd {
@@ -674,9 +637,7 @@ func (s *server) applyFailures(now float64) {
 // offer feeds one arrival through deadline-expiry, admission, and batching —
 // the event loop's body, exposed for the zero-alloc gate and benchmarks.
 func (s *server) offer(r Request) error {
-	if s.health != nil {
-		s.applyFailures(r.Arrival)
-	}
+	s.applyFailures(r.Arrival)
 	s.stats.Offered++
 	if r.Class < NumClasses {
 		s.stats.PerClass[r.Class].Offered++
@@ -690,7 +651,7 @@ func (s *server) offer(r Request) error {
 			return err
 		}
 	}
-	if s.health != nil && s.admission.ShedClass(r.Class) {
+	if s.admission.ShedClass(r.Class) {
 		// Degraded-mode admission: shed the classes the surviving capacity
 		// can no longer afford, bulk before interactive.
 		s.stats.Shed++
@@ -754,7 +715,7 @@ func (s *server) finish() (*Stats, error) {
 			stats.PerClass[c].SLOSec = s.sloTargets[c]
 		}
 	}
-	if s.health != nil && !math.IsInf(s.health.firstFailSec, 1) {
+	if !math.IsInf(s.health.firstFailSec, 1) {
 		if s.recoveryEnd > s.health.firstFailSec {
 			stats.RecoverySec = s.recoveryEnd - s.health.firstFailSec
 		}
@@ -791,11 +752,7 @@ func Run(cfg Config) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < cfg.NumRequests; i++ {
-		r, ok := s.stream.Next()
-		if !ok { // bounded source (trace replay) exhausted
-			break
-		}
+	for _, r := range s.arrivals {
 		if err := s.offer(r); err != nil {
 			return nil, err
 		}
@@ -832,10 +789,8 @@ func servingLoad(cfg Config, bindings []int, computeFrac float64) perfmodel.Serv
 		RatePerSec:  cfg.RatePerSec,
 		MaxBatch:    cfg.MaxBatch,
 		WindowSec:   cfg.WindowSec,
-		Workers:     len(bindings),
 		Devices:     bindings,
 		ComputeFrac: computeFrac,
-		Accel:       len(cfg.Plat.Accels) > 0,
 	}
 }
 

@@ -21,10 +21,11 @@ type Trace struct {
 // syntax, which round-trips float64 exactly.
 const traceHeader = "hyscale-serve-trace v1"
 
-// GenerateTrace materializes cfg's arrival stream (workload or legacy) into
-// a trace of NumRequests arrivals. The stream RNG is derived exactly as a
-// run derives it, so serving cfg directly and replaying its generated trace
-// produce identical Stats.
+// GenerateTrace materializes cfg's arrival stream (Workload, or the single
+// RatePerSec/ZipfExponent stream) into a trace of NumRequests arrivals. A
+// run of cfg serves exactly these requests — it calls the same
+// generateArrivals — so serving cfg directly and replaying its generated
+// trace are the same run.
 func GenerateTrace(cfg Config) (*Trace, error) {
 	if cfg.NumRequests <= 0 {
 		return nil, fmt.Errorf("serve: non-positive request count %d", cfg.NumRequests)
@@ -32,19 +33,33 @@ func GenerateTrace(cfg Config) (*Trace, error) {
 	if cfg.Replay != nil {
 		return nil, fmt.Errorf("serve: GenerateTrace on a replay config")
 	}
-	src, err := newArrivalSource(cfg, streamRNG(cfg))
+	reqs, err := generateArrivals(cfg)
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{Requests: make([]Request, 0, cfg.NumRequests)}
-	for i := 0; i < cfg.NumRequests; i++ {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		t.Requests = append(t.Requests, r)
+	return &Trace{Requests: reqs}, nil
+}
+
+// generateArrivals draws cfg's NumRequests arrivals from its configured
+// stream: the multi-cohort workload when Workload is set, the single Poisson
+// stream otherwise.
+func generateArrivals(cfg Config) ([]Request, error) {
+	var w *WorkloadStream
+	var err error
+	numVertices, rng := cfg.Data.Graph.NumVertices, streamRNG(cfg)
+	if cfg.Workload != nil {
+		w, err = NewWorkloadStream(cfg.Workload, numVertices, rng)
+	} else {
+		w, err = newPoissonStream(numVertices, cfg.RatePerSec, cfg.ZipfExponent, rng)
 	}
-	return t, nil
+	if err != nil {
+		return nil, err
+	}
+	reqs := make([]Request, cfg.NumRequests)
+	for i := range reqs {
+		reqs[i] = w.Next()
+	}
+	return reqs, nil
 }
 
 // WriteTrace serializes a trace; the encoding is deterministic, so equal
@@ -105,20 +120,4 @@ func ReadTrace(rd io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("serve: trace header promises %d requests, found %d", n, len(t.Requests))
 	}
 	return t, nil
-}
-
-// traceSource replays a recorded trace as an arrival source; it is bounded,
-// reporting exhaustion after the last recorded request.
-type traceSource struct {
-	reqs []Request
-	i    int
-}
-
-func (t *traceSource) Next() (Request, bool) {
-	if t.i >= len(t.reqs) {
-		return Request{}, false
-	}
-	r := t.reqs[t.i]
-	t.i++
-	return r, true
 }

@@ -247,16 +247,19 @@ func parsePhases(s string) ([]RatePhase, error) {
 	return phases, nil
 }
 
-// uniformSource is the uniform-draw dependency of the arrival samplers —
-// *tensor.RNG in production; the degenerate-draw regression tests script it.
-type uniformSource interface{ Float64() float64 }
+// arrivalRNG is the random-draw dependency of the arrival samplers —
+// *tensor.RNG in production; the degenerate-draw regression test scripts it.
+type arrivalRNG interface {
+	Float64() float64
+	NormFloat64() float64
+}
 
 // positiveUniform draws from (0, 1). Float64 spans [0, 1): the u == 0 draw
 // is legal there but would map to a zero exponential gap (-log(1-0) = 0),
 // stalling the virtual clock and violating the strictly-ordered-arrivals
 // contract, so it is redrawn. (The u → 1 end needs no guard — Float64 never
 // returns 1.)
-func positiveUniform(rng uniformSource) float64 {
+func positiveUniform(rng arrivalRNG) float64 {
 	u := rng.Float64()
 	for u == 0 {
 		u = rng.Float64()
@@ -265,20 +268,20 @@ func positiveUniform(rng uniformSource) float64 {
 }
 
 // expGap draws an exponential inter-arrival gap with mean 1/rate.
-func expGap(rng uniformSource, rate float64) float64 {
+func expGap(rng arrivalRNG, rate float64) float64 {
 	return -math.Log(1-positiveUniform(rng)) / rate
 }
 
 // gammaGap draws a Gamma-distributed gap with the given shape and mean
 // 1/rate (scale 1/(shape·rate)).
-func gammaGap(rng *tensor.RNG, shape, rate float64) float64 {
+func gammaGap(rng arrivalRNG, shape, rate float64) float64 {
 	return gammaSample(rng, shape) / (shape * rate)
 }
 
 // gammaSample draws Gamma(shape, 1) by Marsaglia–Tsang squeeze-rejection;
 // shape < 1 uses the boost Gamma(k) = Gamma(k+1)·U^(1/k). Deterministic
 // given the RNG stream — rejection just consumes more draws.
-func gammaSample(rng *tensor.RNG, shape float64) float64 {
+func gammaSample(rng arrivalRNG, shape float64) float64 {
 	if shape < 1 {
 		u := positiveUniform(rng)
 		return gammaSample(rng, shape+1) * math.Pow(u, 1/shape)
@@ -304,20 +307,33 @@ func gammaSample(rng *tensor.RNG, shape float64) float64 {
 
 // weibullGap draws a Weibull-distributed gap with the given shape and mean
 // 1/rate (scale 1/(rate·Γ(1+1/shape)), by inversion).
-func weibullGap(rng *tensor.RNG, shape, rate float64) float64 {
+func weibullGap(rng arrivalRNG, shape, rate float64) float64 {
 	scale := 1 / (rate * math.Gamma(1+1/shape))
 	return scale * math.Pow(-math.Log(1-positiveUniform(rng)), 1/shape)
 }
 
-// cohortStream generates one cohort's arrivals on its own split RNG stream,
-// holding the next arrival peeked for the merge.
+// cohortStream generates one cohort's arrivals on its own RNG stream, holding
+// the next arrival peeked for the merge.
 type cohortStream struct {
 	c      Cohort
-	rng    *tensor.RNG
+	rng    arrivalRNG
 	cdf    []float64 // cohort's Zipf popularity CDF
 	period float64   // Σ phase durations (0 = constant rate)
 	nextAt float64
 	nextV  int32
+}
+
+// init binds the stream to its cohort, popularity CDF and RNG, and draws the
+// first arrival.
+func (cs *cohortStream) init(c Cohort, numVertices int, rng arrivalRNG) {
+	if c.Shape == 0 {
+		c.Shape = 1
+	}
+	cs.c, cs.rng, cs.cdf = c, rng, zipfCDF(numVertices, c.Zipf)
+	for _, p := range c.Phases {
+		cs.period += p.DurationSec
+	}
+	cs.advance()
 }
 
 // rateAt returns the cohort's offered rate at virtual time t under its
@@ -379,24 +395,33 @@ func NewWorkloadStream(spec *WorkloadSpec, numVertices int, rng *tensor.RNG) (*W
 	}
 	w := &WorkloadStream{cohorts: make([]cohortStream, len(spec.Cohorts))}
 	for i, c := range spec.Cohorts {
-		if c.Shape == 0 {
-			c.Shape = 1
-		}
-		cs := &w.cohorts[i]
-		cs.c = c
-		cs.rng = rng.Split()
-		cs.cdf = zipfCDF(numVertices, c.Zipf)
-		for _, p := range c.Phases {
-			cs.period += p.DurationSec
-		}
-		cs.advance()
+		w.cohorts[i].init(c, numVertices, rng.Split())
 	}
 	return w, nil
 }
 
-// Next returns the next merged arrival; the bool is always true (the
-// generated stream is unbounded).
-func (w *WorkloadStream) Next() (Request, bool) {
+// newPoissonStream builds the Config.RatePerSec/ZipfExponent stream — the
+// synthetic open-loop workload: Poisson arrivals over vertices drawn from a
+// Zipf popularity distribution (exponent 0 is uniform), the skew that makes
+// an embedding cache earn its keep. It is a one-cohort WorkloadStream (class
+// standard, cohort 0) that draws from rng directly instead of a split.
+func newPoissonStream(numVertices int, ratePerSec, zipfExponent float64, rng arrivalRNG) (*WorkloadStream, error) {
+	if numVertices <= 0 {
+		return nil, fmt.Errorf("serve: non-positive vertex count %d", numVertices)
+	}
+	if ratePerSec <= 0 {
+		return nil, fmt.Errorf("serve: non-positive request rate %v", ratePerSec)
+	}
+	if zipfExponent < 0 {
+		return nil, fmt.Errorf("serve: negative Zipf exponent %v", zipfExponent)
+	}
+	w := &WorkloadStream{cohorts: make([]cohortStream, 1)}
+	w.cohorts[0].init(Cohort{Class: ClassStandard, RatePerSec: ratePerSec, Zipf: zipfExponent}, numVertices, rng)
+	return w, nil
+}
+
+// Next returns the next merged arrival (the stream is unbounded).
+func (w *WorkloadStream) Next() Request {
 	best := 0
 	for i := 1; i < len(w.cohorts); i++ {
 		if w.cohorts[i].nextAt < w.cohorts[best].nextAt {
@@ -413,7 +438,7 @@ func (w *WorkloadStream) Next() (Request, bool) {
 	}
 	w.nextID++
 	cs.advance()
-	return r, true
+	return r
 }
 
 // zipfCDF builds the cumulative Zipf(θ) popularity over vertex IDs

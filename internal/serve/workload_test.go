@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/hw"
 	"repro/internal/tensor"
 )
 
@@ -17,6 +19,8 @@ type scriptedUniform struct {
 	draws []float64
 	i     int
 }
+
+func (s *scriptedUniform) NormFloat64() float64 { panic("scriptedUniform: no normal draws scripted") }
 
 func (s *scriptedUniform) Float64() float64 {
 	if s.i >= len(s.draws) {
@@ -34,12 +38,11 @@ func (s *scriptedUniform) Float64() float64 {
 // positive.
 func TestRequestStreamRedrawsZeroUniform(t *testing.T) {
 	const rate = 1000.0
-	s, err := NewRequestStream(10, rate, 0, tensor.NewRNG(1))
+	// Two u == 0 draws, then 0.5 for the gap; 0.3 picks the vertex.
+	s, err := newPoissonStream(10, rate, 0, &scriptedUniform{draws: []float64{0, 0, 0.5, 0.3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two u == 0 draws, then 0.5 for the gap; 0.3 picks the vertex.
-	s.rng = &scriptedUniform{draws: []float64{0, 0, 0.5, 0.3}}
 	r := s.Next()
 	if r.Arrival <= 0 {
 		t.Fatalf("first arrival %v not strictly positive: the u == 0 draw was not redrawn", r.Arrival)
@@ -48,7 +51,7 @@ func TestRequestStreamRedrawsZeroUniform(t *testing.T) {
 		t.Fatalf("arrival = %v, want the gap from the first positive draw %v", r.Arrival, want)
 	}
 	if r.Class != ClassStandard {
-		t.Fatalf("legacy stream class = %v, want standard", r.Class)
+		t.Fatalf("single-stream class = %v, want standard", r.Class)
 	}
 	prev := r.Arrival
 	for i := 0; i < 100; i++ {
@@ -57,6 +60,82 @@ func TestRequestStreamRedrawsZeroUniform(t *testing.T) {
 			t.Fatalf("arrivals not strictly increasing: %v after %v", r.Arrival, prev)
 		}
 		prev = r.Arrival
+	}
+}
+
+// arrivalSig renders requests one per line as "ID Vertex Arrival(%x) Class
+// Cohort" — the trace line format, so two signatures match only when every
+// arrival matches bit for bit.
+func arrivalSig(reqs []Request) string {
+	var b strings.Builder
+	for _, r := range reqs {
+		fmt.Fprintf(&b, "%d %d %x %d %d\n", r.ID, r.Vertex, r.Arrival, r.Class, r.Cohort)
+	}
+	return b.String()
+}
+
+// goldenStreamArrivals is the first 16 requests of the RatePerSec/ZipfExponent
+// stream over 1000 vertices at 500 req/s, Zipf 1.2, seed 3;
+// goldenTraceArrivals is the first 16 of GenerateTrace on the golden serve
+// config with no Workload (12000 req/s, Zipf 1.1). Both were recorded from
+// the stand-alone RequestStream type at c72ae29, before the single-stream
+// path became a one-cohort WorkloadStream: that fold must not move a bit.
+const goldenStreamArrivals = "0 13 0x1.3bdeefeca4051p-09 1 0\n" +
+	"1 0 0x1.4fb441e303c4fp-09 1 0\n" +
+	"2 0 0x1.2c64c8ef64b8ap-08 1 0\n" +
+	"3 5 0x1.2617fc56b8de4p-07 1 0\n" +
+	"4 27 0x1.b5e11a991418p-07 1 0\n" +
+	"5 5 0x1.03b755d6b0ec5p-06 1 0\n" +
+	"6 32 0x1.1122409e2ba38p-06 1 0\n" +
+	"7 1 0x1.45b0c763552a7p-06 1 0\n" +
+	"8 0 0x1.49491658b9f3ep-06 1 0\n" +
+	"9 88 0x1.6657654891c7ep-06 1 0\n" +
+	"10 21 0x1.c04368da6eb75p-06 1 0\n" +
+	"11 14 0x1.c736818a4073p-06 1 0\n" +
+	"12 0 0x1.07ca89cadd3d3p-05 1 0\n" +
+	"13 17 0x1.09e72a71499efp-05 1 0\n" +
+	"14 26 0x1.2b933c0837114p-05 1 0\n" +
+	"15 0 0x1.40b3fb0f97338p-05 1 0\n"
+
+const goldenTraceArrivals = "0 1 0x1.89be5b30378cbp-13 1 0\n" +
+	"1 3 0x1.91cf00fb9951cp-13 1 0\n" +
+	"2 537 0x1.c3868201f66efp-13 1 0\n" +
+	"3 36 0x1.1e64e78356e07p-12 1 0\n" +
+	"4 0 0x1.3cd6d44d04dafp-12 1 0\n" +
+	"5 134 0x1.abbf78380871cp-12 1 0\n" +
+	"6 1129 0x1.bca1a4bb38839p-12 1 0\n" +
+	"7 1191 0x1.cfa26efbfaaap-12 1 0\n" +
+	"8 1 0x1.f2171f57b9ad7p-12 1 0\n" +
+	"9 0 0x1.1a3d4b7fda742p-11 1 0\n" +
+	"10 2 0x1.28c2e8f2db7ebp-11 1 0\n" +
+	"11 58 0x1.b5f9374802eadp-11 1 0\n" +
+	"12 13 0x1.e3605a75ae288p-11 1 0\n" +
+	"13 2 0x1.f36a1ceee4c95p-11 1 0\n" +
+	"14 1 0x1.1c993999d17bep-10 1 0\n" +
+	"15 0 0x1.4201e44e4861cp-10 1 0\n"
+
+func TestSingleStreamArrivalGolden(t *testing.T) {
+	s, err := newPoissonStream(1000, 500, 1.2, tensor.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]Request, 16)
+	for i := range reqs {
+		reqs[i] = s.Next()
+	}
+	if got := arrivalSig(reqs); got != goldenStreamArrivals {
+		t.Errorf("stream arrivals drifted:\ngot:\n%swant:\n%s", got, goldenStreamArrivals)
+	}
+	ds, m := testSetup(t)
+	cfg := goldenServeConfig(ds, m)
+	cfg.Workload = nil
+	cfg.ZipfExponent = 1.1
+	tr, err := GenerateTrace(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := arrivalSig(tr.Requests[:16]); got != goldenTraceArrivals {
+		t.Errorf("generated trace arrivals drifted:\ngot:\n%swant:\n%s", got, goldenTraceArrivals)
 	}
 }
 
@@ -124,8 +203,7 @@ func TestWorkloadStreamDeterministicAndOrdered(t *testing.T) {
 	prev := 0.0
 	cohortPrev := make([]float64, len(spec.Cohorts))
 	for i := 0; i < 3000; i++ {
-		ra, _ := a.Next()
-		rb, _ := b.Next()
+		ra, rb := a.Next(), b.Next()
 		if ra != rb {
 			t.Fatalf("request %d diverged across same-seed streams: %+v vs %+v", i, ra, rb)
 		}
@@ -199,7 +277,7 @@ func TestDiurnalPhaseEnvelope(t *testing.T) {
 	}
 	hot, cold := 0, 0
 	for i := 0; i < 6000; i++ {
-		r, _ := w.Next()
+		r := w.Next()
 		if math.Mod(r.Arrival, 1.0) < 0.5 {
 			hot++
 		} else {
@@ -384,7 +462,7 @@ func TestClassTokenBucket(t *testing.T) {
 	if b.AdmitClass(0, ClassBulk) {
 		t.Fatal("admitted past global capacity")
 	}
-	b.Dispatched([]float64{0.1}) // completes at t=0.1, freeing capacity
+	b.DispatchedKind(hw.CPU, []float64{0.1}) // completes at t=0.1, freeing capacity
 	if !b.AdmitClass(0.2, ClassBulk) {
 		t.Fatal("token was consumed by the global reject")
 	}
