@@ -72,66 +72,6 @@ func BenchmarkExtHetero(b *testing.B) { benchExperiment(b, "ext-hetero") }
 // equal device budget.
 func BenchmarkExtServeHetero(b *testing.B) { benchExperiment(b, "ext-serve-hetero") }
 
-// BenchmarkKernels runs the numeric-core before/after suite (blocked GEMMs
-// vs the retained reference kernels, parallel vs serial backward scatter,
-// workspace vs allocating step paths) and reports the headline metrics. The
-// same suite serializes to BENCH_kernels.json via
-// `go run ./cmd/experiments -kernels-json BENCH_kernels.json`.
-func BenchmarkKernels(b *testing.B) {
-	b.ReportAllocs()
-	var report *bench.KernelsReport
-	var err error
-	for i := 0; i < b.N; i++ {
-		report, err = bench.Kernels(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, k := range report.Kernels {
-		switch k.Kernel {
-		case "MatMul":
-			if k.Shape == "1024x128·128x128" {
-				b.ReportMetric(k.OptimizedGFLOPS, "matmul-GFLOPS")
-				b.ReportMetric(k.Speedup, "matmul-speedup")
-			}
-		case "AggregateBackward":
-			b.ReportMetric(k.Speedup, "scatter-speedup")
-		case "TrainStep":
-			b.ReportMetric(k.OptimizedAllocs, "trainstep-allocs")
-		case "ServingBatch":
-			b.ReportMetric(k.OptimizedAllocs, "servebatch-allocs")
-		case "Epoch(serial→prefetch)":
-			b.ReportMetric(k.OverlapRatio, "epoch-overlap-ratio")
-		}
-	}
-}
-
-// BenchmarkServeThroughput runs the serving data-plane before/after suite
-// (legacy single-lock LRU vs the lock-striped sharded cache under
-// concurrency, the dispatch memo map→slice change, end-to-end wall-clock
-// throughput and allocs/request, per-policy hit/latency/regret profiles)
-// and reports the headline metrics. The same suite serializes to
-// BENCH_serve.json via `go run ./cmd/experiments -serve-json BENCH_serve.json`.
-func BenchmarkServeThroughput(b *testing.B) {
-	b.ReportAllocs()
-	var report *bench.ServeReport
-	var err error
-	for i := 0; i < b.N; i++ {
-		report, err = bench.ServeThroughput(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range report.Cache {
-		if r.Cache == "sharded" && r.Shards == 4 && !r.Batched {
-			b.ReportMetric(r.SpeedupVsLegacy, "cache4-speedup")
-		}
-	}
-	b.ReportMetric(report.E2EWallRPS, "e2e-wall-rps")
-	b.ReportMetric(report.AllocsPerRequestAfter, "allocs/request")
-	b.ReportMetric(report.AffinityHitDelta, "affinity-hit-delta")
-}
-
 // BenchmarkExtServeSLO runs the SLO-class workload comparison: a recorded
 // three-cohort trace (Poisson/Gamma/Weibull arrivals, diurnal envelope,
 // per-class SLOs) replayed under every batch-formation policy, reporting the

@@ -23,31 +23,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	kernelsJSON := flag.String("kernels-json", "", "run the kernel before/after suite and record it at this path (e.g. BENCH_kernels.json), then exit")
-	serveJSON := flag.String("serve-json", "", "run the serving data-plane suite and record it at this path (e.g. BENCH_serve.json), then exit")
 	flag.Parse()
-
-	if *serveJSON != "" {
-		report, err := bench.WriteServeJSON(*serveJSON, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		fmt.Println(bench.ServeTable(report))
-		fmt.Println("wrote", *serveJSON)
-		return
-	}
-
-	if *kernelsJSON != "" {
-		report, err := bench.WriteKernelsJSON(*kernelsJSON, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		fmt.Println(bench.KernelsTable(report))
-		fmt.Println("wrote", *kernelsJSON)
-		return
-	}
 
 	if *list {
 		for _, n := range bench.Names() {

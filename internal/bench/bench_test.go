@@ -63,6 +63,33 @@ func TestByNameAndNames(t *testing.T) {
 	}
 }
 
+// TestAllRunsEveryRegisteredExperiment pins All to the registry: one table
+// per Names() entry, in that order, none of them a duplicate or untitled.
+func TestAllRunsEveryRegisteredExperiment(t *testing.T) {
+	names := Names()
+	tables, err := All(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != len(names) {
+		t.Fatalf("All returned %d tables for %d names", len(tables), len(names))
+	}
+	seen := map[string]string{}
+	for i, tb := range tables {
+		want, err := ByName(names[i], 1)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		if tb.Title == "" || tb.Title != want.Title {
+			t.Fatalf("table %d has title %q, want %s's %q", i, tb.Title, names[i], want.Title)
+		}
+		if prev, dup := seen[tb.Title]; dup {
+			t.Fatalf("%s and %s share the title %q", prev, names[i], tb.Title)
+		}
+		seen[tb.Title] = names[i]
+	}
+}
+
 func TestTable2MatchesPaper(t *testing.T) {
 	tb := Table2()
 	if len(tb.Rows) != 3 {

@@ -322,116 +322,60 @@ func geomean(xs []float64) float64 {
 	return math.Pow(p, 1/float64(len(xs)))
 }
 
-// All runs every experiment and returns the tables in paper order.
+// experiments is the registry every entry point derives from: the paper's
+// artifacts in paper order, then the extensions.
+var experiments = []struct {
+	name string
+	run  func(seed uint64) (*Table, error)
+}{
+	{"table2", func(uint64) (*Table, error) { return Table2(), nil }},
+	{"table3", func(uint64) (*Table, error) { return Table3(), nil }},
+	{"table4", func(uint64) (*Table, error) { return Table4() }},
+	{"fig8", Fig8},
+	{"fig9", func(uint64) (*Table, error) { return Fig9() }},
+	{"fig10", Fig10},
+	{"table6", Table6},
+	{"table7", Table7},
+	{"fig11", Fig11},
+	{"throughput", Throughput},
+	{"ext-quant", ExtQuant},
+	{"ext-cluster", func(uint64) (*Table, error) { return ExtCluster() }},
+	{"ext-multinode", ExtMultiNodeExec},
+	{"ext-hetero", ExtHetero},
+	{"ext-serve", ExtServe},
+	{"ext-serve-hetero", ExtServeHetero},
+	{"ext-serve-slo", ExtServeSLO},
+	{"ext-serve-fault", ExtServeFault},
+}
+
+// All runs every experiment and returns the tables in Names() order.
 func All(seed uint64) ([]*Table, error) {
-	t4, err := Table4()
-	if err != nil {
-		return nil, err
+	tables := make([]*Table, 0, len(experiments))
+	for _, e := range experiments {
+		t, err := e.run(seed)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", e.name, err)
+		}
+		tables = append(tables, t)
 	}
-	f8, err := Fig8(seed)
-	if err != nil {
-		return nil, err
-	}
-	f9, err := Fig9()
-	if err != nil {
-		return nil, err
-	}
-	f10, err := Fig10(seed)
-	if err != nil {
-		return nil, err
-	}
-	t6, err := Table6(seed)
-	if err != nil {
-		return nil, err
-	}
-	t7, err := Table7(seed)
-	if err != nil {
-		return nil, err
-	}
-	f11, err := Fig11(seed)
-	if err != nil {
-		return nil, err
-	}
-	eq, err := ExtQuant(seed)
-	if err != nil {
-		return nil, err
-	}
-	ec, err := ExtCluster()
-	if err != nil {
-		return nil, err
-	}
-	em, err := ExtMultiNodeExec(seed)
-	if err != nil {
-		return nil, err
-	}
-	eh, err := ExtHetero(seed)
-	if err != nil {
-		return nil, err
-	}
-	es, err := ExtServe(seed)
-	if err != nil {
-		return nil, err
-	}
-	esh, err := ExtServeHetero(seed)
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{Table2(), Table3(), t4, f8, f9, f10, t6, t7, f11, eq, ec, em, eh, es, esh}, nil
+	return tables, nil
 }
 
 // ByName returns a single experiment's table by its short identifier.
 func ByName(name string, seed uint64) (*Table, error) {
-	switch name {
-	case "table2":
-		return Table2(), nil
-	case "table3":
-		return Table3(), nil
-	case "table4":
-		return Table4()
-	case "fig8":
-		return Fig8(seed)
-	case "fig9":
-		return Fig9()
-	case "fig10":
-		return Fig10(seed)
-	case "table6":
-		return Table6(seed)
-	case "table7":
-		return Table7(seed)
-	case "fig11":
-		return Fig11(seed)
-	case "ext-quant":
-		return ExtQuant(seed)
-	case "ext-cluster":
-		return ExtCluster()
-	case "ext-multinode":
-		return ExtMultiNodeExec(seed)
-	case "ext-hetero":
-		return ExtHetero(seed)
-	case "ext-serve":
-		return ExtServe(seed)
-	case "ext-serve-hetero":
-		return ExtServeHetero(seed)
-	case "ext-kernels":
-		return ExtKernels(seed)
-	case "ext-serve-slo":
-		return ExtServeSLO(seed)
-	case "ext-serve-fault":
-		return ExtServeFault(seed)
-	case "ext-serve-throughput":
-		return ExtServeThroughput(seed)
-	case "throughput":
-		return Throughput(seed)
-	default:
-		return nil, fmt.Errorf("bench: unknown experiment %q (see Names())", name)
+	for _, e := range experiments {
+		if e.name == name {
+			return e.run(seed)
+		}
 	}
+	return nil, fmt.Errorf("bench: unknown experiment %q (see Names())", name)
 }
 
-// Names lists all experiment identifiers: the paper's artifacts in paper
-// order, then the extensions.
+// Names lists all experiment identifiers in registry order.
 func Names() []string {
-	return []string{"table2", "table3", "table4", "fig8", "fig9", "fig10",
-		"table6", "table7", "fig11", "throughput", "ext-quant", "ext-cluster",
-		"ext-multinode", "ext-hetero", "ext-serve", "ext-serve-hetero",
-		"ext-serve-slo", "ext-serve-fault", "ext-kernels", "ext-serve-throughput"}
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return names
 }

@@ -17,33 +17,34 @@ import (
 
 // ServeFaultVariant is one replay of the recorded trace.
 type ServeFaultVariant struct {
-	Name           string  `json:"name"`
-	Served         int     `json:"served"`
-	Rejected       int     `json:"rejected"`
-	Shed           int     `json:"shed"`
-	Retries        int     `json:"retries"`
-	Redispatched   int     `json:"redispatched"`
-	FailedWorkers  int     `json:"failed_workers"`
-	DeadlineMisses int     `json:"deadline_misses"`
-	P99Ms          float64 `json:"p99_ms"`
+	Name           string
+	Served         int
+	Rejected       int
+	Shed           int
+	Retries        int
+	Redispatched   int
+	FailedWorkers  int
+	DeadlineMisses int
+	P99Ms          float64
 	// FaultWindow* cover requests completing at or after the first failure
 	// (zero in the fault-free replay).
-	FaultWindowServed int     `json:"fault_window_served"`
-	FaultWindowP99Ms  float64 `json:"fault_window_p99_ms"`
-	RecoveryMs        float64 `json:"recovery_ms"`
+	FaultWindowServed int
+	FaultWindowP99Ms  float64
+	RecoveryMs        float64
 }
 
-// ServeFaultReport is the fault section of BENCH_serve.json.
+// ServeFaultReport is the fault-free vs faulted replay pair behind
+// ext-serve-fault.
 type ServeFaultReport struct {
-	CapacityRPS float64 `json:"capacity_rps"`
-	OfferedRPS  float64 `json:"offered_rps"`
-	Requests    int     `json:"requests"`
-	FaultSpec   string  `json:"fault_spec"`
-	FailAtSec   float64 `json:"fail_at_sec"`
-	SLOTargets  string  `json:"slo_targets"`
+	CapacityRPS float64
+	OfferedRPS  float64
+	Requests    int
+	FaultSpec   string
+	FailAtSec   float64
+	SLOTargets  string
 
-	Baseline ServeFaultVariant `json:"baseline"`
-	Faulted  ServeFaultVariant `json:"faulted"`
+	Baseline ServeFaultVariant
+	Faulted  ServeFaultVariant
 }
 
 // serveFaultSLO is the per-class deadline spec both replays account against.

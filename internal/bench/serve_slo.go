@@ -14,29 +14,29 @@ import (
 
 // ServeSLORow is one (formation, class) cell of the replayed comparison.
 type ServeSLORow struct {
-	Formation string  `json:"formation"`
-	Class     string  `json:"class"`
-	Offered   int     `json:"offered"`
-	Served    int     `json:"served"`
-	Rejected  int     `json:"rejected"`
-	P50Ms     float64 `json:"p50_ms"`
-	P99Ms     float64 `json:"p99_ms"`
+	Formation string
+	Class     string
+	Offered   int
+	Served    int
+	Rejected  int
+	P50Ms     float64
+	P99Ms     float64
 }
 
-// ServeSLOReport is the per-class serving section of BENCH_serve.json.
+// ServeSLOReport is the replayed per-class comparison behind ext-serve-slo.
 type ServeSLOReport struct {
-	CapacityRPS float64 `json:"capacity_rps"` // analytic all-miss capacity
-	OfferedRPS  float64 `json:"offered_rps"`  // Σ cohort base rates (0.6 × capacity)
-	Requests    int     `json:"requests"`     // trace length replayed per formation
+	CapacityRPS float64 // analytic all-miss capacity
+	OfferedRPS  float64 // Σ cohort base rates (0.6 × capacity)
+	Requests    int     // trace length replayed per formation
 
-	Rows []ServeSLORow      `json:"rows"`
-	Jain map[string]float64 `json:"jain_by_formation"`
+	Rows []ServeSLORow
+	Jain map[string]float64 // Jain fairness index by formation
 
 	// InteractiveP99DeltaMs is the fcfs interactive p99 minus the
 	// priority-fcfs interactive p99 on the identical trace — positive means
 	// the class-weighted windows improved the latency-sensitive class's
 	// tail. Recorded whichever way it lands.
-	InteractiveP99DeltaMs float64 `json:"interactive_p99_delta_ms_fcfs_minus_priority"`
+	InteractiveP99DeltaMs float64
 }
 
 // sloFormations is the comparison order (fcfs first: it is the baseline).

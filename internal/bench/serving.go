@@ -11,6 +11,23 @@ import (
 	"repro/internal/tensor"
 )
 
+// serveFixture materializes the products-serve dataset and model shared by
+// every serving experiment.
+func serveFixture(seed uint64) (*datagen.Dataset, *gnn.Model, error) {
+	rng := tensor.NewRNG(seed)
+	spec := datagen.Spec{Name: "products-serve", NumVertices: 3000, NumEdges: 24000,
+		FeatDims: []int{100, 64, 16}, TrainNodes: 1500}
+	ds, err := datagen.Materialize(spec, 0.5, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	model, err := gnn.NewModel(gnn.Config{Kind: gnn.SAGE, Dims: spec.FeatDims}, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ds, model, nil
+}
+
 // ExtServe exercises the online-serving extension end to end: an open-loop
 // Zipf request stream against the serving stack (admission → dynamic batcher
 // → embedding cache → accelerator worker pool), executed on the virtual
@@ -28,14 +45,7 @@ func ExtServe(seed uint64) (*Table, error) {
 		Header: []string{"Sweep", "Rate(r/s)", "Win(ms)", "Cache", "Batch", "Hit%",
 			"p50(ms)", "p99(ms)", "RPS", "Svc exec(ms)", "Svc pred(ms)", "Err%"},
 	}
-	rng := tensor.NewRNG(seed)
-	spec := datagen.Spec{Name: "products-serve", NumVertices: 3000, NumEdges: 24000,
-		FeatDims: []int{100, 64, 16}, TrainNodes: 1500}
-	ds, err := datagen.Materialize(spec, 0.5, rng)
-	if err != nil {
-		return nil, err
-	}
-	model, err := gnn.NewModel(gnn.Config{Kind: gnn.SAGE, Dims: spec.FeatDims}, rng)
+	ds, model, err := serveFixture(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -105,14 +115,7 @@ func ExtServeHetero(seed uint64) (*Table, error) {
 		Header: []string{"Load", "Fleet", "Rate(r/s)", "Hit%", "mean(ms)", "p50(ms)",
 			"p99(ms)", "RPS", "Svc exec(ms)", "Svc pred(ms)", "Err%", "Batches C/G/F"},
 	}
-	rng := tensor.NewRNG(seed)
-	spec := datagen.Spec{Name: "products-serve", NumVertices: 3000, NumEdges: 24000,
-		FeatDims: []int{100, 64, 16}, TrainNodes: 1500}
-	ds, err := datagen.Materialize(spec, 0.5, rng)
-	if err != nil {
-		return nil, err
-	}
-	model, err := gnn.NewModel(gnn.Config{Kind: gnn.SAGE, Dims: spec.FeatDims}, rng)
+	ds, model, err := serveFixture(seed)
 	if err != nil {
 		return nil, err
 	}

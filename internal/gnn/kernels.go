@@ -1,6 +1,6 @@
 // Layer-propagation kernels: the aggregate-over-neighbor-set and dense-update
 // primitives shared by every execution path in the system — sampled training
-// (Forward/Backward), exact full-graph inference (InferFullGraph), and
+// (ForwardWS/BackwardWS), exact full-graph inference (InferFullGraph), and
 // sampled mini-batch inference (InferMiniBatch). A Neighborhood captures the
 // message structure of one bipartite layer with its aggregation coefficients
 // pre-resolved for the model kind (GCN/SAGE/GIN), so callers compose layers

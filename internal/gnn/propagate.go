@@ -93,7 +93,7 @@ func EdgeWeightsInto(cfg Config, b *sampler.Block, edgeW, selfW []float32) ([]fl
 
 // Forward runs the L-layer forward pass. x holds the gathered input features
 // for mb.InputNodes() (|V0| × f0) and is not mutated. The returned state
-// feeds Backward; state.Logits holds the output-layer pre-softmax scores.
+// feeds BackwardWS; state.Logits holds the output-layer pre-softmax scores.
 func (m *Model) Forward(mb *sampler.MiniBatch, x *tensor.Matrix) (*ForwardState, error) {
 	st := &ForwardState{}
 	if err := m.ForwardWS(tensor.NewWorkspace(), st, mb, x); err != nil {
@@ -152,23 +152,15 @@ func fillIdentity(idx []int32) []int32 {
 	return idx
 }
 
-// Backward returns the parameter gradients — every layer's weights and
-// biases — for dLogits (gradient of the loss w.r.t. the logits). It mirrors
-// forward propagation in reverse, as the paper describes (§II-B), and ends
-// at the first layer's weights: ∂L/∂X of the input features has no consumer
-// and is never formed, so the input block's aggregate has no backward.
-func (m *Model) Backward(st *ForwardState, dLogits *tensor.Matrix) (*Gradients, error) {
-	grads := NewGradients(m.Params)
-	if err := m.BackwardWS(tensor.NewWorkspace(), st, dLogits, grads); err != nil {
-		return nil, err
-	}
-	return grads, nil
-}
-
-// BackwardWS is Backward into caller-owned gradients (parameters only,
-// every element overwritten) with all intermediates borrowed from ws — the
-// zero-allocation form. st must come from a matching ForwardWS whose
-// buffers are still live; dLogits is not mutated.
+// BackwardWS computes the parameter gradients — every layer's weights and
+// biases — for dLogits (gradient of the loss w.r.t. the logits) into
+// caller-owned grads (every element overwritten), with all intermediates
+// borrowed from ws — the zero-allocation form. It mirrors forward
+// propagation in reverse, as the paper describes (§II-B), and ends at the
+// first layer's weights: ∂L/∂X of the input features has no consumer and is
+// never formed, so the input block's aggregate has no backward. st must come
+// from a matching ForwardWS whose buffers are still live; dLogits is not
+// mutated.
 func (m *Model) BackwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tensor.Matrix, grads *Gradients) error {
 	L := m.Cfg.Layers()
 	if dLogits.Rows != st.Logits.Rows || dLogits.Cols != st.Logits.Cols {

@@ -61,11 +61,11 @@ type cacheShard struct {
 
 // ShardedCache is the serving tier's embedding cache: hash(CacheKey)
 // lock-stripes entries over power-of-two shards, each an allocation-free LRU
-// (see cacheShard). A 1-shard cache reproduces the legacy EmbeddingCache's
-// hit/miss/eviction counters and resident set exactly on any trace —
-// property-tested against it — and with N shards only the *eviction victim*
-// choice differs (per-shard rather than global LRU order), so shard count
-// never changes which keys are resident until evictions begin.
+// (see cacheShard). A 1-shard cache reproduces the global-LRU oracle's
+// (cache_legacy_test.go) hit/miss/eviction counters and resident set exactly
+// on any trace — property-tested against it — and with N shards only the
+// *eviction victim* choice differs (per-shard rather than global LRU order),
+// so shard count never changes which keys are resident until evictions begin.
 //
 // Ownership: Put and PutMany COPY the embedding into the shard arena
 // (truncated at the cache's stride); the caller keeps its buffer and may
@@ -83,7 +83,7 @@ type ShardedCache struct {
 // most stride floats each, striped over the given shard count (rounded down
 // to a power of two, clamped to [1, capacity]; 0 picks 1). Capacity 0
 // disables caching: every Get misses and Put is a no-op, exactly like the
-// legacy cache.
+// LRU oracle.
 func NewShardedCache(capacity, shards, stride int) *ShardedCache {
 	if capacity < 0 {
 		capacity = 0
@@ -221,8 +221,8 @@ func (s *cacheShard) view(i int32, stride int) []float32 {
 	return s.arena[base : base+int(s.entries[i].embLen)]
 }
 
-// get is the locked lookup: counters and LRU touch exactly mirror the legacy
-// cache's Get.
+// get is the locked lookup: counters and LRU touch exactly mirror the LRU
+// oracle's Get.
 func (s *cacheShard) get(k CacheKey, stride int) (emb []float32, readyAt float64, ok bool) {
 	_, idx := s.find(k)
 	if idx < 0 {
@@ -239,7 +239,7 @@ func (s *cacheShard) get(k CacheKey, stride int) (emb []float32, readyAt float64
 
 // put is the locked insert/refresh: the embedding is copied into the arena
 // (truncated at stride), and eviction picks the shard's LRU tail — for a
-// 1-shard cache, exactly the legacy policy.
+// 1-shard cache, exactly the LRU oracle's policy.
 func (s *cacheShard) put(k CacheKey, emb []float32, readyAt float64, stride int) {
 	slot, idx := s.find(k)
 	if idx >= 0 { // refresh in place

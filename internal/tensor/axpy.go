@@ -56,14 +56,6 @@ func axpyRow4(c0, c1, c2, c3, b []float32, a0, a1, a2, a3 float32) {
 	}
 }
 
-// AxpyRow4 is the exported form of axpyRow4 — the four-row register tile
-// with the highest flop:byte ratio in the package (8 flops per element of
-// b, five rows hot). The bench roofline harness uses it over L1-resident
-// rows as the machine's achievable FMA-free peak-FLOPS probe.
-func AxpyRow4(c0, c1, c2, c3, b []float32, a0, a1, a2, a3 float32) {
-	axpyRow4(c0, c1, c2, c3, b, a0, a1, a2, a3)
-}
-
 // ScaleRowInto computes dst[j] = s·src[j] over len(src) elements — the
 // scale-initialise pass of the gnn aggregation kernel (out = SelfW·h before
 // the neighbor AxpyRows accumulate on top), exported for the same reason as

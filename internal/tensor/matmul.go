@@ -9,13 +9,13 @@
 // re-read all of B once per output row.
 //
 // Every kernel accumulates each output element over k in ascending order
-// starting from zero — exactly the order of the reference triple loops — so
-// the blocked results are bit-identical to MatMulRef/MatMulTRef/TMatMulRef
-// (float32 addition is not associative; preserving the order is what makes
-// the exact-equality property tests possible and keeps every execution
-// backend in the repository numerically in lock-step with the pre-blocking
-// kernels). The SIMD lanes span the row (j) dimension, which never reorders
-// a single element's accumulation.
+// starting from zero — exactly the order of the reference triple loops kept
+// test-side in oracle_test.go — so the blocked results are bit-identical to
+// them (float32 addition is not associative; preserving the order is what
+// makes the exact-equality property tests possible and keeps every
+// execution backend in the repository numerically in lock-step with the
+// pre-blocking kernels). The SIMD lanes span the row (j) dimension, which
+// never reorders a single element's accumulation.
 package tensor
 
 import (
@@ -43,7 +43,8 @@ func getPack(n int) (*[]float32, []float32) {
 
 // MatMul computes C = A·B. A is m×k, B is k×n, C is m×n. C must be
 // pre-allocated; it is overwritten. The result is bit-identical to
-// MatMulRef for every input (see the package comment on ordering).
+// the reference triple loop for every input (see the package comment on
+// ordering).
 func MatMul(c, a, b *Matrix) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shapes %dx%d · %dx%d -> %dx%d",
@@ -139,8 +140,8 @@ func matMulRange(c, a, b *Matrix, lo, hi int) {
 // MatMulT computes C = A·Bᵀ. A is m×k, B is n×k, C is m×n. B is transposed
 // once into a pooled scratch panel (B is weight-sized on every call site —
 // far smaller than the m×k·n work) and the blocked core does the rest.
-// Bit-identical to MatMulTRef: both accumulate each element over the shared
-// dimension in ascending order.
+// Bit-identical to its reference triple loop: both accumulate each element
+// over the shared dimension in ascending order.
 func MatMulT(c, a, b *Matrix) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulT shapes %dx%d · (%dx%d)T -> %dx%d",
@@ -172,8 +173,9 @@ func MatMulT(c, a, b *Matrix) {
 // worker owns a contiguous range of C rows — which stay cache-resident, C
 // being at most weight-sized — and streams A and B top to bottom exactly
 // once, four C rows per loaded B row. The pre-blocking kernel instead
-// re-read all of A and B for every C row. Bit-identical to TMatMulRef: each
-// element still accumulates over the shared (row) index in ascending order.
+// re-read all of A and B for every C row. Bit-identical to its reference
+// triple loop: each element still accumulates over the shared (row) index in
+// ascending order.
 // A here is a post-ReLU activation matrix on the training path, so the
 // row-granular zero skip (see matMulCore) pays off.
 func TMatMul(c, a, b *Matrix) {
@@ -229,94 +231,4 @@ func tMatMulRange(c, a, b *Matrix, lo, hi int) {
 			}
 		}
 	}
-}
-
-// --- Reference kernels -----------------------------------------------------
-//
-// The pre-blocking triple loops, retained as the correctness oracles for the
-// exact-equality property tests and the "before" side of the kernel
-// benchmarks (BENCH_kernels.json). Not for hot-path use.
-
-// MatMulRef is the reference C = A·B: the naive (i, k, j) triple loop with
-// no blocking, no SIMD and no sparsity skip.
-func MatMulRef(c, a, b *Matrix) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulRef shapes %dx%d · %dx%d -> %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	n := b.Cols
-	parallelRows(a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := c.Data[i*n : (i+1)*n]
-			for j := range ci {
-				ci[j] = 0
-			}
-			ai := a.Data[i*a.Cols : (i+1)*a.Cols]
-			for kk, av := range ai {
-				bk := b.Data[kk*n : (kk+1)*n]
-				for j, bv := range bk {
-					ci[j] += av * bv
-				}
-			}
-		}
-	})
-}
-
-// MatMulTRef is the reference C = A·Bᵀ: one inner product per element.
-func MatMulTRef(c, a, b *Matrix) {
-	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTRef shapes %dx%d · (%dx%d)T -> %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	k := a.Cols
-	parallelRows(a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.Data[i*k : (i+1)*k]
-			ci := c.Data[i*c.Cols : (i+1)*c.Cols]
-			for j := 0; j < b.Rows; j++ {
-				bj := b.Data[j*k : (j+1)*k]
-				var sum float32
-				for t, av := range ai {
-					sum += av * bj[t]
-				}
-				ci[j] = sum
-			}
-		}
-	})
-}
-
-// TMatMulRef is the reference C = Aᵀ·B: per C row, a full sweep of A's
-// column and all of B.
-func TMatMulRef(c, a, b *Matrix) {
-	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: TMatMulRef shapes (%dx%d)T · %dx%d -> %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	n := b.Cols
-	parallelRows(c.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := c.Data[i*n : (i+1)*n]
-			for j := range ci {
-				ci[j] = 0
-			}
-			for kk := 0; kk < a.Rows; kk++ {
-				av := a.Data[kk*a.Cols+i]
-				bk := b.Data[kk*n : (kk+1)*n]
-				for j, bv := range bk {
-					ci[j] += av * bv
-				}
-			}
-		}
-	})
-}
-
-// Transpose returns Aᵀ as a new matrix.
-func Transpose(a *Matrix) *Matrix {
-	out := New(a.Cols, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			out.Data[j*a.Rows+i] = a.Data[i*a.Cols+j]
-		}
-	}
-	return out
 }

@@ -303,17 +303,6 @@ func GatherRows(dst, src *Matrix, idx []int32) {
 	parallelRows(len(idx), func(lo, hi int) { gatherRowsRange(dst, src, idx, lo, hi) })
 }
 
-// GatherRowsSerial is the single-threaded reference gather — the oracle the
-// parallel GatherRows is pinned against bitwise. Destination rows are
-// disjoint, so the worker split cannot change a bit; the regression test
-// keeps that true as the kernel evolves.
-func GatherRowsSerial(dst, src *Matrix, idx []int32) {
-	if dst.Rows != len(idx) || dst.Cols != src.Cols {
-		panic("tensor: GatherRowsSerial shape mismatch")
-	}
-	gatherRowsRange(dst, src, idx, 0, len(idx))
-}
-
 func gatherRowsRange(dst, src *Matrix, idx []int32, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		copyRow(dst.Row(i), src.Row(int(idx[i])))

@@ -1,0 +1,101 @@
+// The pre-blocking triple loops and the single-threaded gather: the
+// correctness oracles the exact-equality property tests pin the shipped
+// kernels against. They live test-side because no shipped code calls them.
+package tensor
+
+import "fmt"
+
+// MatMulRef is the reference C = A·B: the naive (i, k, j) triple loop with
+// no blocking, no SIMD and no sparsity skip.
+func MatMulRef(c, a, b *Matrix) {
+	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulRef shapes %dx%d · %dx%d -> %dx%d",
+			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
+	}
+	n := b.Cols
+	parallelRows(a.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ci := c.Data[i*n : (i+1)*n]
+			for j := range ci {
+				ci[j] = 0
+			}
+			ai := a.Data[i*a.Cols : (i+1)*a.Cols]
+			for kk, av := range ai {
+				bk := b.Data[kk*n : (kk+1)*n]
+				for j, bv := range bk {
+					ci[j] += av * bv
+				}
+			}
+		}
+	})
+}
+
+// MatMulTRef is the reference C = A·Bᵀ: one inner product per element.
+func MatMulTRef(c, a, b *Matrix) {
+	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulTRef shapes %dx%d · (%dx%d)T -> %dx%d",
+			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
+	}
+	k := a.Cols
+	parallelRows(a.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ai := a.Data[i*k : (i+1)*k]
+			ci := c.Data[i*c.Cols : (i+1)*c.Cols]
+			for j := 0; j < b.Rows; j++ {
+				bj := b.Data[j*k : (j+1)*k]
+				var sum float32
+				for t, av := range ai {
+					sum += av * bj[t]
+				}
+				ci[j] = sum
+			}
+		}
+	})
+}
+
+// TMatMulRef is the reference C = Aᵀ·B: per C row, a full sweep of A's
+// column and all of B.
+func TMatMulRef(c, a, b *Matrix) {
+	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: TMatMulRef shapes (%dx%d)T · %dx%d -> %dx%d",
+			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
+	}
+	n := b.Cols
+	parallelRows(c.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ci := c.Data[i*n : (i+1)*n]
+			for j := range ci {
+				ci[j] = 0
+			}
+			for kk := 0; kk < a.Rows; kk++ {
+				av := a.Data[kk*a.Cols+i]
+				bk := b.Data[kk*n : (kk+1)*n]
+				for j, bv := range bk {
+					ci[j] += av * bv
+				}
+			}
+		}
+	})
+}
+
+// Transpose returns Aᵀ as a new matrix.
+func Transpose(a *Matrix) *Matrix {
+	out := New(a.Cols, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < a.Cols; j++ {
+			out.Data[j*a.Rows+i] = a.Data[i*a.Cols+j]
+		}
+	}
+	return out
+}
+
+// GatherRowsSerial is the single-threaded reference gather — the oracle the
+// parallel GatherRows is pinned against bitwise. Destination rows are
+// disjoint, so the worker split cannot change a bit; the regression test
+// keeps that true as the kernel evolves.
+func GatherRowsSerial(dst, src *Matrix, idx []int32) {
+	if dst.Rows != len(idx) || dst.Cols != src.Cols {
+		panic("tensor: GatherRowsSerial shape mismatch")
+	}
+	gatherRowsRange(dst, src, idx, 0, len(idx))
+}
