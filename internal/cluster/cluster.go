@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/gnn"
 	"repro/internal/hw"
 	"repro/internal/perfmodel"
 )
@@ -71,12 +70,12 @@ func EpochTime(cfg Config) (*Breakdown, error) {
 		return nil, err
 	}
 	assign := m.InitialAssignment(true)
-	local := m.IterTime(assign)
+	st := m.Stages(assign)
+	local := st.Bottleneck()
 
 	// Remote features: cut × (1 − 1/nodes) of every node's per-iteration
 	// input rows cross its NIC (both requests in and responses out share it;
 	// charge the response volume).
-	var remote float64
 	if cfg.Nodes > 1 {
 		var rows float64
 		if assign.CPUBatch > 0 {
@@ -91,36 +90,23 @@ func EpochTime(cfg Config) (*Breakdown, error) {
 		// The NIC carries the same wire format as PCIe (int8 when the
 		// quantized-transfer extension is on); RemoteFetchSec defaults to
 		// float32 when the workload leaves TransferBytesPerFeat zero.
-		remote = perfmodel.RemoteFetchSec(cfg.Net, rows*frac,
+		st.NetFetch = perfmodel.RemoteFetchSec(cfg.Net, rows*frac,
 			cfg.Work.Spec.FeatDims[0], cfg.Work.TransferBytesPerFeat)
 	}
 
 	// Global sync: ring all-reduce moves 2×(n−1)/n of the model per node.
-	gsync := perfmodel.RingAllReduceSec(cfg.Net, modelBytes(cfg.Work), cfg.Nodes)
+	st.NetSync = perfmodel.RingAllReduceSec(cfg.Net, cfg.Work.ModelBytes(), cfg.Nodes)
 
-	iter := math.Max(local, remote) + gsync
+	// Remote fetches are one more overlapped stage, the all-reduce a serial
+	// tail: Eq. 6 with the network charges filled in.
+	iter := st.Bottleneck()
 	totalBatch := float64(assign.TotalBatch() * cfg.Nodes)
 	iters := int(math.Ceil(float64(cfg.Work.Spec.TrainNodes) / totalBatch))
 	return &Breakdown{
-		LocalIter: local, RemoteFetch: remote, GlobalSync: gsync,
+		LocalIter: local, RemoteFetch: st.NetFetch, GlobalSync: st.NetSync,
 		IterTime: iter, Iterations: iters,
 		EpochSec: float64(iters) * iter,
 	}, nil
-}
-
-// modelBytes is the weight footprint of the workload's model (Eq. 13
-// numerator).
-func modelBytes(w perfmodel.Workload) float64 {
-	dims := w.Spec.FeatDims
-	var params float64
-	for l := 0; l < w.Spec.Layers(); l++ {
-		fin := float64(dims[l])
-		if w.Model == gnn.SAGE { // concat doubles the update input
-			fin *= 2
-		}
-		params += fin*float64(dims[l+1]) + float64(dims[l+1])
-	}
-	return params * 4
 }
 
 // PredictedSlowdown converts an analytic Breakdown into the multi-node
@@ -135,7 +121,9 @@ func PredictedSlowdown(b *Breakdown, localIterSec float64) float64 {
 	if localIterSec <= 0 {
 		return math.NaN()
 	}
-	return (math.Max(localIterSec, b.RemoteFetch) + b.GlobalSync) / localIterSec
+	// The measured local iteration stands in as the one local stage.
+	st := perfmodel.StageTimes{TrainCPU: localIterSec, NetFetch: b.RemoteFetch, NetSync: b.GlobalSync}
+	return st.Bottleneck() / localIterSec
 }
 
 // Scaling sweeps node counts and returns epoch times, for the

@@ -10,9 +10,11 @@
 //
 //   - a virtual clock — each pipeline stage is charged the duration the
 //     device models (internal/hw, via internal/perfmodel's primitives) assign
-//     to the actually-sampled mini-batches, advanced with the same max-plus
-//     pipeline recurrence the paper's Fig. 7 depicts. Epoch times and MTEPS
-//     reported by the engine are virtual-clock readings.
+//     to the actually-sampled mini-batches, and perfmodel.Pipeline — the
+//     max-plus pipeline recurrence the paper's Fig. 7 depicts, stated once
+//     for the runtime, the simulator and the serving price list — composes
+//     them. Epoch times and MTEPS reported by the engine are virtual-clock
+//     readings.
 //
 // The Dynamic Resource Management engine (internal/drm) observes the
 // virtual stage times each iteration and re-balances work and threads,
@@ -22,7 +24,6 @@
 // multi-node fleet (internal/cluster.MultiNode):
 //
 //   - engine.go — construction, validation, replica fleet, accessors;
-//   - clock.go — the Clock interface and the max-plus PipelineClock;
 //   - stages.go — the StageExecutor interface and the hybrid pipeline
 //     executor (sampling, loading/transfer, concurrent trainers, DONE/ACK);
 //   - sync.go — the GradientSync boundary between the local all-reduce and

@@ -28,7 +28,7 @@ type Engine struct {
 	rng      *tensor.RNG
 	epoch    int
 
-	clock   Clock
+	clock   perfmodel.Pipeline
 	exec    StageExecutor
 	gsync   GradientSync
 	locator FeatureLocator
@@ -146,13 +146,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg: cfg, pm: pm, smp: smp, saint: saint, batcher: batcher,
 		replicas: replicas, opts: opts, rng: rng,
 		assign:  pm.InitialAssignment(cfg.Hybrid),
+		clock:   perfmodel.Pipeline{TFP: cfg.TFP, Networked: cfg.networked()},
 		gsync:   cfg.Sync,
 		locator: cfg.Locator,
 	}
 	if e.gsync == nil {
 		e.gsync = localSync{}
 	}
-	e.clock = NewPipelineClock(cfg.TFP, cfg.networked())
 	e.trainers = newTrainers(e)
 	e.exec = &hybridExecutor{e: e}
 	if cfg.DRM {

@@ -5,7 +5,7 @@ import "runtime"
 // Epoch orchestration: the top layer of the runtime. RunEpoch owns the
 // iteration loop and nothing else — it asks the batcher for targets, the
 // StageExecutor for execution, GradientSync for the global gradient, applies
-// the update to every replica, advances the Clock, and lets DRM react. Each
+// the update to every replica, advances the clock, and lets DRM react. Each
 // of those layers is swappable without touching this loop.
 //
 // Two execution modes share this orchestration (Config.Pipeline): the serial

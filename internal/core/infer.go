@@ -59,7 +59,7 @@ type InferResult struct {
 // same gnn layer kernels as training — or, on an FPGA-bound worker, through
 // the accel dataflow kernels, whose measured cycles are what the clock is
 // charged; virtual time is charged by the same perfmodel primitives and
-// composed by the same max-plus PipelineClock, so serving latency and
+// composed by the same max-plus perfmodel.Pipeline, so serving latency and
 // training throughput are priced on one clock.
 type InferencePipeline struct {
 	cfg     InferConfig
@@ -67,7 +67,7 @@ type InferencePipeline struct {
 	backend *accel.Backend // non-nil iff the bound device is FPGA-kind
 	pm      *perfmodel.Model
 	smp     *sampler.Sampler
-	clock   *PipelineClock
+	clock   perfmodel.Pipeline
 	rng     *tensor.RNG
 	// ws is the worker's numeric arena: the gathered feature block and every
 	// propagation intermediate of a batch borrow from it, and RunBatch resets
@@ -136,7 +136,7 @@ func NewInferencePipeline(cfg InferConfig) (*InferencePipeline, error) {
 		dev:   cfg.Plat.CPU,
 		pm:    pm,
 		smp:   smp,
-		clock: NewPipelineClock(true, false),
+		clock: perfmodel.Pipeline{TFP: true},
 		rng:   tensor.NewRNG(cfg.Seed),
 		ws:    tensor.NewWorkspace(),
 	}

@@ -6,7 +6,7 @@ import "fmt"
 // worker runs prepare for iteration i+1 — sampling, feature gather/staging,
 // transfer pricing — while the trainer fleet computes iteration i, over a
 // depth-2 ring of iteration slots. This turns the two-stage feature
-// prefetching the virtual PipelineClock has always *charged* into executed
+// prefetching the virtual pipeline clock has always *charged* into executed
 // behavior: the wall-clock iteration tends to max(prepare, compute) instead
 // of their sum.
 //

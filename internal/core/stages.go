@@ -52,10 +52,6 @@ type IterResult struct {
 	FPGA accel.ForwardStats
 }
 
-// Overheads charged by the runtime's virtual clock (shared with the analytic
-// serving model; mirrors pipesim).
-const runtimeBarrierSec = perfmodel.RuntimeBarrierSec
-
 // iterSlot is one ring entry of the iteration scratch: everything prepare
 // writes and compute reads for a single in-flight iteration. The serial path
 // uses one slot; the software-pipelined loop owns two, so prepare(i+1) can

@@ -14,6 +14,8 @@ package fault
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -182,8 +184,14 @@ func (s *Schedule) LinkFactor(iter int) float64 {
 	return f
 }
 
-// Validate checks every event's shape: targets present, windows ordered,
-// factors ≥ 1, and at most one fail-stop or crash per target.
+// finiteAtLeast reports whether v is a finite number ≥ min (NaN and ±Inf are
+// not: a comparison alone lets both through).
+func finiteAtLeast(v, min float64) bool { return v >= min && !math.IsInf(v, 1) }
+
+// Validate checks every event's shape: exactly the target its kind takes,
+// times in the unit of its plane (virtual seconds for serving workers,
+// iterations for training), windows ordered, every number finite, factors
+// ≥ 1, and at most one fail-stop or crash per target.
 func (s *Schedule) Validate() error {
 	if s == nil {
 		return nil
@@ -194,9 +202,15 @@ func (s *Schedule) Validate() error {
 		switch e.Kind {
 		case FailStop:
 			switch {
+			case e.Worker >= 0 && e.Node >= 0:
+				return fmt.Errorf("fault: event %d: fail names two targets (worker=%d and node=%d)", i, e.Worker, e.Node)
 			case e.Worker >= 0:
-				if e.AtSec < 0 {
-					return fmt.Errorf("fault: event %d: fail worker=%d at negative time %v", i, e.Worker, e.AtSec)
+				if e.AtIter >= 0 {
+					return fmt.Errorf("fault: event %d: fail worker=%d is timed in virtual seconds (at=T), not at=iter:%d",
+						i, e.Worker, e.AtIter)
+				}
+				if !finiteAtLeast(e.AtSec, 0) {
+					return fmt.Errorf("fault: event %d: fail worker=%d needs a finite at ≥ 0 (got %v)", i, e.Worker, e.AtSec)
 				}
 				if seenWorkerFail[e.Worker] {
 					return fmt.Errorf("fault: event %d: worker %d fail-stops twice", i, e.Worker)
@@ -214,7 +228,7 @@ func (s *Schedule) Validate() error {
 				return fmt.Errorf("fault: event %d: fail needs worker= or node=", i)
 			}
 		case Crash:
-			if e.Node < 0 {
+			if e.Node < 0 || e.Worker >= 0 {
 				return fmt.Errorf("fault: event %d: crash targets training nodes (node=)", i)
 			}
 			if e.AtIter < 0 {
@@ -225,23 +239,30 @@ func (s *Schedule) Validate() error {
 			}
 			seenNodeEnd[e.Node] = true
 		case Stall, Slow:
-			if e.Worker < 0 {
+			if e.Worker < 0 || e.Node >= 0 {
 				return fmt.Errorf("fault: event %d: %s targets serving workers (worker=)", i, e.Kind)
 			}
-			if !(e.FromSec >= 0 && e.ToSec > e.FromSec) {
-				return fmt.Errorf("fault: event %d: %s worker=%d needs 0 ≤ from < to (got [%v,%v))",
+			if e.FromIter >= 0 || e.ToIter >= 0 {
+				return fmt.Errorf("fault: event %d: %s worker=%d window is in virtual seconds, not iter:K",
+					i, e.Kind, e.Worker)
+			}
+			if !(finiteAtLeast(e.FromSec, 0) && finiteAtLeast(e.ToSec, 0) && e.ToSec > e.FromSec) {
+				return fmt.Errorf("fault: event %d: %s worker=%d needs finite 0 ≤ from < to (got [%v,%v))",
 					i, e.Kind, e.Worker, e.FromSec, e.ToSec)
 			}
-			if e.Kind == Slow && e.Factor < 1 {
-				return fmt.Errorf("fault: event %d: slow factor %v < 1", i, e.Factor)
+			if e.Kind == Slow && !finiteAtLeast(e.Factor, 1) {
+				return fmt.Errorf("fault: event %d: slow factor %v < 1 or not finite", i, e.Factor)
 			}
 		case LinkDegrade:
+			if e.Worker >= 0 || e.Node >= 0 {
+				return fmt.Errorf("fault: event %d: degrade targets the ring link, not worker=/node=", i)
+			}
 			if !(e.FromIter >= 0 && e.ToIter > e.FromIter) {
 				return fmt.Errorf("fault: event %d: degrade link needs 0 ≤ from < to iterations (got [%d,%d))",
 					i, e.FromIter, e.ToIter)
 			}
-			if e.Factor < 1 {
-				return fmt.Errorf("fault: event %d: degrade factor %v < 1", i, e.Factor)
+			if !finiteAtLeast(e.Factor, 1) {
+				return fmt.Errorf("fault: event %d: degrade factor %v < 1 or not finite", i, e.Factor)
 			}
 		default:
 			return fmt.Errorf("fault: event %d: unknown kind %d", i, int(e.Kind))
@@ -301,7 +322,9 @@ func (s *Schedule) String() string {
 //	degrade,link,from=iter:2,to=iter:6,factor=4  ring link at 1/4 bandwidth
 //
 // An empty spec returns an empty (non-nil) schedule. Iteration indices are
-// cumulative across epochs and count ring rounds from 0.
+// cumulative across epochs and count ring rounds from 0. An event carries
+// exactly its kind's fields, each once — nothing is defaulted and nothing is
+// dropped, so Parse(s.String()) equals s for every schedule Parse returns.
 func Parse(spec string) (*Schedule, error) {
 	s := &Schedule{}
 	spec = strings.TrimSpace(spec)
@@ -330,14 +353,23 @@ func Parse(spec string) (*Schedule, error) {
 			return nil, fmt.Errorf("fault: %q: unknown event kind %q (want fail, crash, stall, slow, or degrade)",
 				entry, fields[0])
 		}
+		seen := map[string]bool{}
 		for _, f := range fields[1:] {
 			f = strings.TrimSpace(f)
-			if f == "link" { // bare target marker for degrade
+			if f == "link" && e.Kind == LinkDegrade { // bare target marker
 				continue
 			}
 			key, val, ok := strings.Cut(f, "=")
 			if !ok {
 				return nil, fmt.Errorf("fault: %q: field %q is not key=value", entry, f)
+			}
+			if seen[key] {
+				return nil, fmt.Errorf("fault: %q: field %q given twice", entry, key)
+			}
+			seen[key] = true
+			if key != "worker" && key != "node" && !slices.Contains(kindFields[e.Kind], key) {
+				return nil, fmt.Errorf("fault: %q: unknown field %q for a %s event (beyond its target it takes %s)",
+					entry, key, e.Kind, strings.Join(kindFields[e.Kind], ", "))
 			}
 			var err error
 			switch key {
@@ -353,11 +385,14 @@ func Parse(spec string) (*Schedule, error) {
 				err = parseWhen(val, &e.ToSec, &e.ToIter)
 			case "factor":
 				e.Factor, err = strconv.ParseFloat(val, 64)
-			default:
-				return nil, fmt.Errorf("fault: %q: unknown field %q", entry, key)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("fault: %q: bad %s: %w", entry, key, err)
+			}
+		}
+		for _, key := range kindFields[e.Kind] {
+			if !seen[key] {
+				return nil, fmt.Errorf("fault: %q: a %s event needs %s=", entry, e.Kind, key)
 			}
 		}
 		s.Events = append(s.Events, e)
@@ -366,6 +401,16 @@ func Parse(spec string) (*Schedule, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// kindFields lists the fields, beyond its worker=/node= target, that each
+// kind's events carry, all required. Validate owns which target a kind takes.
+var kindFields = [...][]string{
+	FailStop:    {"at"},
+	Crash:       {"at"},
+	Stall:       {"from", "to"},
+	Slow:        {"from", "to", "factor"},
+	LinkDegrade: {"from", "to", "factor"},
 }
 
 // parseIndex parses a non-negative target index.

@@ -228,11 +228,3 @@ func DistDGLNode() Platform {
 
 // Ethernet100G is the inter-node link for the distributed comparators.
 func Ethernet100G() Link { return Link{Name: "100GbE", PeakGBs: 12.5, Eff: 0.60, LatencyUs: 30} }
-
-// Ethernet25G is a commodity-cluster NIC — the pessimistic interconnect for
-// the multi-node extension's sensitivity sweeps.
-func Ethernet25G() Link { return Link{Name: "25GbE", PeakGBs: 3.125, Eff: 0.60, LatencyUs: 30} }
-
-// InfinibandHDR is a 200 Gb/s HDR InfiniBand link with RDMA-class latency —
-// the optimistic interconnect for the multi-node extension.
-func InfinibandHDR() Link { return Link{Name: "IB-HDR200", PeakGBs: 25, Eff: 0.85, LatencyUs: 5} }

@@ -48,6 +48,22 @@ func (w Workload) Validate() error {
 	return nil
 }
 
+// ModelBytes is the float32 weight footprint of the workload's model (the
+// Eq. 13 numerator): per layer fin×fout weights plus fout biases, fin doubled
+// by GraphSAGE's concat.
+func (w Workload) ModelBytes() float64 {
+	dims := w.Spec.FeatDims
+	var params float64
+	for l := 0; l < w.Spec.Layers(); l++ {
+		fin := float64(dims[l])
+		if w.Model == gnn.SAGE {
+			fin *= 2
+		}
+		params += fin*float64(dims[l+1]) + float64(dims[l+1])
+	}
+	return params * 4
+}
+
 // Sizes holds the expected sampled-set sizes per mini-batch target count.
 // Index 0 is the input-most layer; VL[L] is the target count.
 type Sizes struct {
@@ -558,22 +574,13 @@ func (m *Model) TrainTimeAccel(a Assignment) float64 {
 // Every device must receive the averaged gradient, so a mixed fleet is gated
 // by its slowest link.
 func (m *Model) SyncTime() float64 {
-	dims := m.Work.Spec.FeatDims
-	var params float64
-	for l := 0; l < m.Work.Spec.Layers(); l++ {
-		fin := float64(dims[l])
-		if m.Work.Model == gnn.SAGE {
-			fin *= 2
-		}
-		params += fin*float64(dims[l+1]) + float64(dims[l+1])
-	}
 	bw := m.Plat.PCIe.EffGBs()
 	for i := range m.Plat.Accels {
 		if l := m.Plat.AccelLink(i).EffGBs(); l < bw {
 			bw = l
 		}
 	}
-	return 2 * params * 4 / (bw * 1e9)
+	return 2 * m.Work.ModelBytes() / (bw * 1e9)
 }
 
 // AccelStages evaluates Eq. 8 and Eq. 10 per accelerator for an assignment:

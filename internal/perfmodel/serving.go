@@ -114,21 +114,15 @@ func ServingOverheads(dev hw.Device, t float64) float64 {
 }
 
 // ServingServiceSec is the serial service time of one batch's stage vector:
-// the stage sum plus the runtime's per-stage barriers (sampling, loading,
-// transfer, propagation under TFP). It is the quantity the serving runtime
-// measures per batch and the router adds to a worker's availability.
-func ServingServiceSec(st StageTimes) float64 {
-	return st.SampCPU + st.Load + st.Trans +
-		math.Max(st.TrainCPU, st.TrainAcc) + 4*RuntimeBarrierSec
-}
+// one batch through an idle serving pipeline, which is the Pipeline{TFP: true}
+// shape — sampling, loading, transfer and propagation as four stages on a
+// single node. It is the quantity the serving runtime measures per batch and
+// the router adds to a worker's availability.
+func ServingServiceSec(st StageTimes) float64 { return Pipeline{TFP: true}.Serial(st) }
 
 // servingCycleSec is one worker's steady-state batch cadence: its slowest
-// stage plus one barrier.
-func servingCycleSec(st StageTimes) float64 {
-	prop := math.Max(st.TrainCPU, st.TrainAcc)
-	return math.Max(math.Max(st.SampCPU, st.Load),
-		math.Max(st.Trans, prop)) + RuntimeBarrierSec
-}
+// stage.
+func servingCycleSec(st StageTimes) float64 { return Pipeline{TFP: true}.Steady(st) }
 
 // ServingBatchStage prices one closed serving batch of `computed`
 // cache-missing targets on a single bound worker device — the per-device

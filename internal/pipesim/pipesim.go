@@ -1,15 +1,16 @@
 // Package pipesim is the execution simulator for HyScale-GNN's 4-stage
 // training pipeline (paper Fig. 4/7): Sampling → Feature Loading → Data
-// Transfer → GNN Propagation. It advances a max-plus recurrence over
-// iterations — stage s of iteration i starts when stage s−1 of iteration i
-// and stage s of iteration i−1 have both finished — which models both the
-// pipeline fill and the steady state.
+// Transfer → GNN Propagation. Every simulated iteration's stage vector goes
+// through perfmodel.Pipeline — the same max-plus composition, barriers
+// included, the executing engine's virtual clock runs on — which models both
+// the pipeline fill and the steady state.
 //
-// Unlike the analytic model (internal/perfmodel), the simulator charges the
+// Unlike the analytic model (perfmodel.EpochTime), the simulator charges the
 // overheads §VI-C identifies as model error: accelerator kernel-launch
-// latency, dataflow pipeline flushing, per-iteration runtime coordination
-// (barriers/handshakes), and measurement noise. The gap between the two is
-// exactly the paper's Fig. 8 "predicted vs actual" experiment.
+// latency, dataflow pipeline flushing, per-stage runtime coordination
+// (barriers/handshakes, inside Pipeline), and measurement noise. The gap
+// between the two is exactly the paper's Fig. 8 "predicted vs actual"
+// experiment.
 package pipesim
 
 import (
@@ -27,11 +28,6 @@ type Mode struct {
 	Hybrid bool // CPU trainer participates (vs. accelerator-only)
 	DRM    bool // dynamic resource management adjusts the mapping at runtime
 	TFP    bool // two-stage feature prefetching (split Load / Transfer stages)
-	// NoOverlap disables inter-stage pipelining entirely: each iteration is
-	// sample → load → transfer → train, strictly sequential. Used for the
-	// PyG-style multi-GPU baseline, which trains through a synchronous
-	// dataloader loop.
-	NoOverlap bool
 }
 
 // Controller adjusts the task mapping between iterations; the DRM engine
@@ -60,25 +56,15 @@ type Config struct {
 	InitialAssign *perfmodel.Assignment
 }
 
-// Overhead constants the analytic model omits (paper §VI-C). The
-// accelerator-side overheads (kernel launches, pipeline flush, framework
-// cost) live in perfmodel.DeviceOverheads, shared with the executing
-// runtime, and are charged per device here.
-const (
-	// runtimeBarrierUs is the per-iteration cost of the protocol handshakes
-	// (DONE/ACK, condition variables) and Go/pthread scheduling.
-	runtimeBarrierUs = 120.0
-)
-
 // Result reports a simulated epoch.
 type Result struct {
 	EpochSec    float64
 	IterSec     []float64 // completion-time deltas per iteration
-	MeanStages  perfmodel.StageTimes
 	FinalAssign perfmodel.Assignment
 	MTEPS       float64
-	// Trace holds the per-iteration stage times (after overheads/noise),
-	// the raw series behind the figures; feed it to trace.Recorder for CSV.
+	// Trace holds the per-iteration stage times (after overheads/noise,
+	// before the pipeline's barriers), the raw series behind the figures;
+	// feed it to trace.Recorder for CSV.
 	Trace []perfmodel.StageTimes
 }
 
@@ -107,42 +93,18 @@ func Run(cfg Config) (*Result, error) {
 	}
 	rng := tensor.NewRNG(cfg.Seed)
 
-	numStages := 3 // samp, prefetch(load+trans), prop
-	if cfg.Mode.TFP {
-		numStages = 4 // samp, load, trans, prop
-	}
-	prevDone := make([]float64, numStages)
+	pipe := perfmodel.Pipeline{TFP: cfg.Mode.TFP}
 	res := &Result{IterSec: make([]float64, 0, iters)}
-	var sum perfmodel.StageTimes
 	var totalEdges float64
-	var lastFinish float64
 
 	for i := 0; i < iters; i++ {
 		st := m.Stages(assign)
-		applyOverheads(&st, m.Plat, assign, rng, noiseStd)
-		sum = addStages(sum, st)
+		applyOverheads(&st, m.Plat, rng, noiseStd)
 		res.Trace = append(res.Trace, st)
 
-		stages := stageVector(st, cfg.Mode.TFP)
-		if cfg.Mode.NoOverlap {
-			var t float64
-			for _, s := range stages {
-				t += s
-			}
-			lastFinish += t
-			res.IterSec = append(res.IterSec, t)
-		} else {
-			done := make([]float64, numStages)
-			prev := 0.0
-			for s := 0; s < numStages; s++ {
-				start := math.Max(prev, prevDone[s])
-				done[s] = start + stages[s]
-				prev = done[s]
-			}
-			res.IterSec = append(res.IterSec, done[numStages-1]-lastFinish)
-			lastFinish = done[numStages-1]
-			prevDone = done
-		}
+		before := pipe.Now()
+		pipe.Advance(st)
+		res.IterSec = append(res.IterSec, pipe.Now()-before)
 
 		if assign.CPUBatch > 0 {
 			totalEdges += m.Work.EdgesPerBatch(assign.CPUBatch)
@@ -156,20 +118,19 @@ func Run(cfg Config) (*Result, error) {
 			assign = cfg.Ctrl.Adjust(i, st, assign)
 		}
 	}
-	res.EpochSec = lastFinish
+	res.EpochSec = pipe.Now()
 	res.FinalAssign = assign
-	res.MeanStages = scaleStages(sum, 1/float64(iters))
 	if res.EpochSec > 0 {
 		res.MTEPS = totalEdges / res.EpochSec / 1e6
 	}
 	return res, nil
 }
 
-// applyOverheads adds the simulator-only costs to the analytic stage times.
-func applyOverheads(st *perfmodel.StageTimes, plat hw.Platform, a perfmodel.Assignment,
-	rng *tensor.RNG, noiseStd float64) {
-	barrier := runtimeBarrierUs * 1e-6
-
+// applyOverheads adds the device-stack costs and measurement noise to the
+// analytic stage times. The accelerator-side overheads (kernel launches,
+// pipeline flush, framework cost) are perfmodel.DeviceOverheads, shared with
+// the executing runtime, charged per device.
+func applyOverheads(st *perfmodel.StageTimes, plat hw.Platform, rng *tensor.RNG, noiseStd float64) {
 	// Accelerator trainers: framework overhead + kernel launches + flush,
 	// charged per device through the per-device stage vector — a mixed fleet
 	// pays each device's own stack, not the first device's. (For homogeneous
@@ -200,73 +161,15 @@ func applyOverheads(st *perfmodel.StageTimes, plat hw.Platform, a perfmodel.Assi
 		return t * f, f
 	}
 	noise := func(t float64) float64 { n, _ := noiseF(t); return n }
-	st.SampCPU = noise(st.SampCPU) + barrier
+	st.SampCPU = noise(st.SampCPU)
 	st.SampAccel = noise(st.SampAccel)
-	st.Load = noise(st.Load) + barrier
+	st.Load = noise(st.Load)
 	var fTrans, fTrain float64
 	st.Trans, fTrans = noiseF(st.Trans)
-	st.Trans += barrier
 	st.TrainCPU = noise(st.TrainCPU)
 	st.TrainAcc, fTrain = noiseF(st.TrainAcc)
-	st.TrainAcc += barrier
 	for i := range st.PerAccel {
-		if st.PerAccel[i].Trans > 0 {
-			st.PerAccel[i].Trans = st.PerAccel[i].Trans*fTrans + barrier
-		}
-		if st.PerAccel[i].Train > 0 {
-			st.PerAccel[i].Train = st.PerAccel[i].Train*fTrain + barrier
-		}
+		st.PerAccel[i].Trans *= fTrans
+		st.PerAccel[i].Train *= fTrain
 	}
-}
-
-// stageVector flattens StageTimes into the pipeline's stage sequence.
-func stageVector(st perfmodel.StageTimes, tfp bool) []float64 {
-	samp := math.Max(st.SampCPU, st.SampAccel)
-	prop := math.Max(st.TrainCPU, st.TrainAcc) + st.Sync
-	if tfp {
-		return []float64{samp, st.Load, st.Trans, prop}
-	}
-	return []float64{samp, st.Load + st.Trans, prop}
-}
-
-func addStages(a, b perfmodel.StageTimes) perfmodel.StageTimes {
-	out := perfmodel.StageTimes{
-		SampCPU:   a.SampCPU + b.SampCPU,
-		SampAccel: a.SampAccel + b.SampAccel,
-		Load:      a.Load + b.Load,
-		Trans:     a.Trans + b.Trans,
-		TrainCPU:  a.TrainCPU + b.TrainCPU,
-		TrainAcc:  a.TrainAcc + b.TrainAcc,
-		Sync:      a.Sync + b.Sync,
-	}
-	if len(b.PerAccel) > 0 {
-		out.PerAccel = make([]perfmodel.DeviceStage, len(b.PerAccel))
-		for i, d := range b.PerAccel {
-			out.PerAccel[i] = d
-			if i < len(a.PerAccel) {
-				out.PerAccel[i].Trans += a.PerAccel[i].Trans
-				out.PerAccel[i].Train += a.PerAccel[i].Train
-			}
-		}
-	}
-	return out
-}
-
-func scaleStages(a perfmodel.StageTimes, s float64) perfmodel.StageTimes {
-	out := perfmodel.StageTimes{
-		SampCPU:   a.SampCPU * s,
-		SampAccel: a.SampAccel * s,
-		Load:      a.Load * s,
-		Trans:     a.Trans * s,
-		TrainCPU:  a.TrainCPU * s,
-		TrainAcc:  a.TrainAcc * s,
-		Sync:      a.Sync * s,
-	}
-	if len(a.PerAccel) > 0 {
-		out.PerAccel = make([]perfmodel.DeviceStage, len(a.PerAccel))
-		for i, d := range a.PerAccel {
-			out.PerAccel[i] = perfmodel.DeviceStage{Trans: d.Trans * s, Train: d.Train * s}
-		}
-	}
-	return out
 }

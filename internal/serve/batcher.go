@@ -234,9 +234,6 @@ func (b *DynamicBatcher) SetFormation(name string, svc func(size int) float64) e
 // Formation returns the active formation policy's name.
 func (b *DynamicBatcher) Formation() string { return b.formation.Name() }
 
-// SmallCut returns the per-kind split threshold (0 = split disabled).
-func (b *DynamicBatcher) SmallCut() int { return b.smallCut }
-
 // Small reports whether a closed batch with `computed` cache-missing targets
 // falls under the per-kind split cut.
 func (b *DynamicBatcher) Small(computed int) bool {

@@ -431,6 +431,3 @@ func (c *ShardedCache) Shards() int { return len(c.shards) }
 
 // Capacity returns the total entry capacity.
 func (c *ShardedCache) Capacity() int { return c.capacity }
-
-// Stride returns the per-entry arena stride (max embedding length).
-func (c *ShardedCache) Stride() int { return c.stride }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/tensor"
@@ -124,4 +125,73 @@ func TestBatcherInvariantsRandomized(t *testing.T) {
 		}
 		driveBatcher(t, maxBatch, window, ops)
 	}
+}
+
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// Whatever ParseWorkloadSpec accepts validates and carries only finite
+// numbers; whatever it rejects, it rejects with an error, not a panic. Seeds:
+// the doc-comment example and the inputs the parser used to accept.
+func FuzzParseWorkloadSpec(f *testing.F) {
+	for _, seed := range []string{
+		"web,rate=4000,class=interactive,zipf=1.1,phases=0.3s@2x+0.3s@0.5x;etl,rate=1500,dist=weibull,shape=0.7,class=bulk",
+		"api,rate=2000,dist=gamma,shape=0.5; ;",
+		"web,rate=NaN", "web,rate=+Inf", "web,rate=100,shape=NaN", "web,rate=100,zipf=NaN",
+		"web,rate=100,phases=NaNs@1x", "web,rate=10,rate=20", "web,rate=1e308,phases=1e-320@1e308",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseWorkloadSpec(s)
+		if err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("ParseWorkloadSpec(%q) accepted a spec Validate rejects: %v", s, err)
+		}
+		for _, c := range spec.Cohorts {
+			ok := finite(c.RatePerSec, c.Shape, c.Zipf)
+			for _, p := range c.Phases {
+				ok = ok && finite(p.DurationSec, p.Mult)
+			}
+			if !ok {
+				t.Fatalf("ParseWorkloadSpec(%q) accepted a non-finite number: %+v", s, c)
+			}
+		}
+	})
+}
+
+// Whatever ParseSLOTargets accepts is what newServer accepts: in-range
+// classes, each once, with finite positive targets.
+func FuzzParseSLOTargets(f *testing.F) {
+	for _, seed := range []string{
+		"interactive=2,standard=10,bulk=50", " bulk = 5 ", "",
+		"interactive=2abc", "interactive=NaN", "interactive=+Inf", "bulk=5e-324",
+		"interactive=2,interactive=3", "standard=1e308",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		targets, err := ParseSLOTargets(s)
+		if err != nil {
+			return
+		}
+		var seen [NumClasses]bool
+		for _, tg := range targets {
+			if tg.Class >= NumClasses || seen[tg.Class] {
+				t.Fatalf("ParseSLOTargets(%q) accepted class %d out of range or twice: %+v", s, tg.Class, targets)
+			}
+			seen[tg.Class] = true
+			if !finite(tg.TargetSec) || tg.TargetSec <= 0 {
+				t.Fatalf("ParseSLOTargets(%q) accepted target %v", s, tg.TargetSec)
+			}
+		}
+	})
 }

@@ -8,7 +8,7 @@
 // dispatches every closed batch — by default to the worker with the
 // earliest predicted completion, using the per-device perfmodel serving
 // stage vectors — while charging sample → gather → transfer → propagate on
-// the same virtual PipelineClock and perfmodel price list as training. The
+// the same max-plus perfmodel.Pipeline and perfmodel price list as training. The
 // run is an event-driven open-loop simulation (the BLIS-style shape):
 // arrivals, batch deadlines, and batch completions are totally ordered in
 // virtual time, so every run is deterministic for a given seed.

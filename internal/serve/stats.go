@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/hw"
@@ -49,13 +50,15 @@ type ClassSLO struct {
 
 // ParseSLOTargets parses a per-class latency-target spec of the form
 // "interactive=2,standard=10,bulk=50" — values in milliseconds, classes named
-// as in ParseClass. An empty spec returns nil (no deadline accounting).
+// as in ParseClass, each at most once. An empty spec returns nil (no deadline
+// accounting).
 func ParseSLOTargets(spec string) ([]ClassSLO, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return nil, nil
 	}
 	var out []ClassSLO
+	var seen [NumClasses]bool
 	for _, part := range strings.Split(spec, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
@@ -65,9 +68,15 @@ func ParseSLOTargets(spec string) ([]ClassSLO, error) {
 		if err != nil {
 			return nil, err
 		}
-		var ms float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(val), "%g", &ms); err != nil || ms <= 0 {
-			return nil, fmt.Errorf("serve: SLO target %q needs a positive millisecond value", part)
+		if seen[class] {
+			return nil, fmt.Errorf("serve: SLO target for class %s given twice", class)
+		}
+		seen[class] = true
+		// The whole token must be the number: Sscanf("%g") stops at the first
+		// byte it cannot use and would read "2abc" as 2.
+		ms, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
+		if err != nil || !finitePositive(ms*1e-3) {
+			return nil, fmt.Errorf("serve: SLO target %q needs a finite positive millisecond value", part)
 		}
 		out = append(out, ClassSLO{Class: class, TargetSec: ms * 1e-3})
 	}

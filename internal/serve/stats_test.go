@@ -1,6 +1,10 @@
 package serve
 
-import "testing"
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
 
 // Regression for the floor-biased percentile: the old rank int(p·(n-1))
 // truncated toward the optimistic side, so small-sample tails under-read —
@@ -66,5 +70,34 @@ func TestJainFairness(t *testing.T) {
 	u.summarizePerClass(nil, nil)
 	if u.JainFairness != 0.5 {
 		t.Fatalf("one class starved of two: Jain = %v, want 0.5", u.JainFairness)
+	}
+}
+
+func TestParseSLOTargets(t *testing.T) {
+	got, err := ParseSLOTargets(" interactive=2, standard=10 ,bulk=50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []ClassSLO{{ClassInteractive, 2e-3}, {ClassStandard, 10e-3}, {ClassBulk, 50e-3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parsed %+v, want %+v", got, want)
+	}
+	if got, err := ParseSLOTargets("  "); got != nil || err != nil {
+		t.Fatalf("empty spec: %v, %v", got, err)
+	}
+	for _, c := range []struct{ spec, wantSub string }{
+		{"interactive", "not class=millis"},
+		{"vip=2", "unknown SLO class"},
+		{"interactive=0", `"interactive=0" needs a finite positive`},
+		{"interactive=-1", "needs a finite positive"},
+		{"interactive=2abc", `"interactive=2abc" needs a finite positive`}, // Sscanf read this as 2
+		{"interactive=NaN", "needs a finite positive"},
+		{"interactive=+Inf", "needs a finite positive"},
+		{"bulk=5e-324", "needs a finite positive"}, // underflows to a zero-second target
+		{"interactive=2,interactive=3", "class interactive given twice"},
+	} {
+		if _, err := ParseSLOTargets(c.spec); err == nil || !strings.Contains(err.Error(), c.wantSub) {
+			t.Errorf("ParseSLOTargets(%q) error %v, want substring %q", c.spec, err, c.wantSub)
+		}
 	}
 }

@@ -125,6 +125,12 @@ type WorkloadSpec struct {
 	Cohorts []Cohort
 }
 
+// finiteAtLeast reports whether v is a finite number ≥ min, finitePositive
+// whether it is a finite number > 0 — NaN and ±Inf are neither, though a
+// bare comparison lets them through.
+func finiteAtLeast(v, min float64) bool { return v >= min && !math.IsInf(v, 1) }
+func finitePositive(v float64) bool     { return v > 0 && !math.IsInf(v, 1) }
+
 // Validate checks the spec.
 func (w *WorkloadSpec) Validate() error {
 	if len(w.Cohorts) == 0 {
@@ -142,24 +148,24 @@ func (w *WorkloadSpec) Validate() error {
 			return fmt.Errorf("serve: duplicate cohort name %q", c.Name)
 		}
 		seen[c.Name] = true
-		if c.RatePerSec <= 0 {
-			return fmt.Errorf("serve: cohort %q: non-positive rate %v", c.Name, c.RatePerSec)
+		if !finitePositive(c.RatePerSec) {
+			return fmt.Errorf("serve: cohort %q: rate %v is not a finite positive number", c.Name, c.RatePerSec)
 		}
-		if c.Shape < 0 {
-			return fmt.Errorf("serve: cohort %q: negative shape %v", c.Name, c.Shape)
+		if !finiteAtLeast(c.Shape, 0) {
+			return fmt.Errorf("serve: cohort %q: shape %v is not a finite non-negative number", c.Name, c.Shape)
 		}
-		if c.Zipf < 0 {
-			return fmt.Errorf("serve: cohort %q: negative Zipf exponent %v", c.Name, c.Zipf)
+		if !finiteAtLeast(c.Zipf, 0) {
+			return fmt.Errorf("serve: cohort %q: Zipf exponent %v is not a finite non-negative number", c.Name, c.Zipf)
 		}
 		if c.Class >= NumClasses {
 			return fmt.Errorf("serve: cohort %q: class %d out of range", c.Name, c.Class)
 		}
 		for j, p := range c.Phases {
-			if p.DurationSec <= 0 {
-				return fmt.Errorf("serve: cohort %q phase %d: non-positive duration %v", c.Name, j, p.DurationSec)
+			if !finitePositive(p.DurationSec) {
+				return fmt.Errorf("serve: cohort %q phase %d: duration %v is not a finite positive number", c.Name, j, p.DurationSec)
 			}
-			if p.Mult <= 0 {
-				return fmt.Errorf("serve: cohort %q phase %d: non-positive rate multiplier %v", c.Name, j, p.Mult)
+			if !finitePositive(p.Mult) {
+				return fmt.Errorf("serve: cohort %q phase %d: rate multiplier %v is not a finite positive number", c.Name, j, p.Mult)
 			}
 		}
 	}
@@ -192,11 +198,16 @@ func ParseWorkloadSpec(s string) (*WorkloadSpec, error) {
 		if strings.Contains(c.Name, "=") {
 			return nil, fmt.Errorf("serve: cohort %q: first field must be the name", part)
 		}
+		seen := map[string]bool{}
 		for _, f := range fields[1:] {
 			key, val, ok := strings.Cut(strings.TrimSpace(f), "=")
 			if !ok {
 				return nil, fmt.Errorf("serve: cohort %q: field %q is not key=value", c.Name, f)
 			}
+			if seen[key] {
+				return nil, fmt.Errorf("serve: cohort %q: key %q given twice", c.Name, key)
+			}
+			seen[key] = true
 			var err error
 			switch key {
 			case "class":

@@ -178,6 +178,23 @@ func TestParseWorkloadSpec(t *testing.T) {
 			t.Errorf("spec %q accepted, want error", bad)
 		}
 	}
+	// Non-finite numbers pass a bare `<= 0`, and a repeated key used to let
+	// the last one win silently; each is rejected naming the field.
+	for _, c := range []struct{ spec, wantSub string }{
+		{"web,rate=NaN", "rate NaN"},
+		{"web,rate=+Inf", "rate +Inf"},
+		{"web,rate=100,shape=NaN", "shape NaN"},
+		{"web,rate=100,shape=Inf", "shape +Inf"},
+		{"web,rate=100,zipf=NaN", "Zipf exponent NaN"},
+		{"web,rate=100,phases=NaNs@1x", "duration NaN"},
+		{"web,rate=100,phases=Infs@1x", "duration +Inf"},
+		{"web,rate=100,phases=1s@NaNx", "rate multiplier NaN"},
+		{"web,rate=10,rate=20", `key "rate" given twice`},
+	} {
+		if _, err := ParseWorkloadSpec(c.spec); err == nil || !strings.Contains(err.Error(), c.wantSub) {
+			t.Errorf("ParseWorkloadSpec(%q) error %v, want substring %q", c.spec, err, c.wantSub)
+		}
+	}
 }
 
 // The merged stream is a pure function of (spec, numVertices, seed): two
