@@ -148,7 +148,7 @@ func buildConfig(o options) (*runSpec, error) {
 		return nil, fmt.Errorf("-epochs %d: negative", o.epochs)
 	}
 	if o.tensorPar < 0 {
-		return nil, fmt.Errorf("-tensor-par %d: negative (0 means one goroutine per CPU)", o.tensorPar)
+		return nil, fmt.Errorf("-tensor-par %d: negative (0 means up to one goroutine per CPU)", o.tensorPar)
 	}
 	lvl, err := tensor.ParseSIMDLevel(o.simd)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/gnn"
 	"repro/internal/tensor"
 )
@@ -81,21 +82,35 @@ func TestPipelinedBitwiseIdenticalToSerial(t *testing.T) {
 
 // The same invariant must hold on the CPU-only fleet (the serial fast path
 // inside compute) and with tensor parallelism enabled — the prefetch worker
-// and ParallelRows workers coexist.
+// and ParallelRows workers coexist. The default test batch is far below
+// tensor's fan-out grain, so this one trains a model and batch big enough
+// that compute's GEMMs really split (asserted on the output layer's, whose
+// shape the config alone fixes; every other layer's is larger).
 func TestPipelinedBitwiseIdenticalSingleTrainer(t *testing.T) {
 	prev := tensor.SetParallelism(4)
 	defer tensor.SetParallelism(prev)
+	dims := []int{96, 144, 16}
+	spec := datagen.Spec{Name: "core-fanout", NumVertices: 4500, NumEdges: 300000, FeatDims: dims}
+	ds, err := datagen.Materialize(spec, 0.9, tensor.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	base := func() Config {
 		cfg := baseConfig(t)
 		cfg.Plat.Accels = nil
 		cfg.DRM = false
+		cfg.Data, cfg.Model.Dims = ds, dims
+		cfg.BatchSize, cfg.Fanouts = 2048, []int{40, 40}
 		return cfg
 	}
+	if cfg := base(); tensor.FanOut(cfg.BatchSize, 2*dims[1]*dims[2]) <= 1 {
+		t.Fatalf("a %d-target batch's output GEMM is below the fan-out grain; no ParallelRows worker would run", cfg.BatchSize)
+	}
 	serial := base()
-	ss, ps := trainEpochs(t, serial, 3)
+	ss, ps := trainEpochs(t, serial, 2)
 	prefetch := base()
 	prefetch.Pipeline = PipelinePrefetch
-	sp, pp := trainEpochs(t, prefetch, 3)
+	sp, pp := trainEpochs(t, prefetch, 2)
 	requireSameTrajectory(t, "single-trainer serial vs prefetch", ss, sp, ps, pp)
 }
 

@@ -7,18 +7,23 @@ import (
 )
 
 // Single-trainer loop (no synchronizer concurrency): parallelism must not
-// change a single bit of the training trajectory.
+// change a single bit of the training trajectory. The mini-batch (2048
+// targets, ≈ 3.4k layer-0 destinations, ≈ 67k + 32k sampled edges) is sized so
+// the parallel legs really chunk their kernels — requireStepFansOut checks.
 func TestDeterminismAcrossParallelism(t *testing.T) {
+	dims := []int{96, 144, 16}
+	fx := makeSizedFixture(t, dims, 2048, 77, fixtureSize{vertices: 4500, edges: 300000, fanout: 40, stride: 1})
 	run := func(par int) *Parameters {
 		prev := tensor.SetParallelism(par)
 		defer tensor.SetParallelism(prev)
-		dims := []int{8, 16, 5}
-		fx := makeFixture(t, dims, 32, 77)
 		m, err := NewModel(Config{Kind: SAGE, Dims: dims}, tensor.NewRNG(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 10; i++ {
+		if par > 1 {
+			requireStepFansOut(t, m.Cfg, fx.mb)
+		}
+		for i := 0; i < 3; i++ {
 			g, _, _, err := m.TrainStep(fx.mb, fx.x)
 			if err != nil {
 				t.Fatal(err)
@@ -31,10 +36,12 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 		return m.Params
 	}
 	p1 := run(1)
-	p4 := run(4)
-	for l := range p1.Weights {
-		if !p1.Weights[l].Equal(p4.Weights[l]) || !p1.Biases[l].Equal(p4.Biases[l]) {
-			t.Fatalf("layer %d: parallelism changed the training trajectory", l)
+	for _, par := range []int{3, 4} {
+		p := run(par)
+		for l := range p1.Weights {
+			if !p1.Weights[l].Equal(p.Weights[l]) || !p1.Biases[l].Equal(p.Biases[l]) {
+				t.Fatalf("layer %d: parallelism %d changed the training trajectory", l, par)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -16,17 +17,25 @@ type fixture struct {
 	x  *tensor.Matrix
 }
 
+// fixtureSize is the graph a fixture samples from and how it samples it.
+type fixtureSize struct{ vertices, edges, fanout, stride int }
+
 func makeFixture(t *testing.T, dims []int, batch int, seed uint64) *fixture {
 	t.Helper()
+	return makeSizedFixture(t, dims, batch, seed, fixtureSize{vertices: 400, edges: 2400, fanout: 4, stride: 3})
+}
+
+func makeSizedFixture(t *testing.T, dims []int, batch int, seed uint64, sz fixtureSize) *fixture {
+	t.Helper()
 	rng := tensor.NewRNG(seed)
-	spec := datagen.Spec{Name: "fix", NumVertices: 400, NumEdges: 2400, FeatDims: dims}
+	spec := datagen.Spec{Name: "fix", NumVertices: int64(sz.vertices), NumEdges: int64(sz.edges), FeatDims: dims}
 	ds, err := datagen.Materialize(spec, 1.0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fanouts := make([]int, len(dims)-1)
 	for i := range fanouts {
-		fanouts[i] = 4
+		fanouts[i] = sz.fanout
 	}
 	s, err := sampler.New(ds.Graph, fanouts, ds.Labels)
 	if err != nil {
@@ -34,7 +43,7 @@ func makeFixture(t *testing.T, dims []int, batch int, seed uint64) *fixture {
 	}
 	targets := make([]int32, batch)
 	for i := range targets {
-		targets[i] = int32(i * 3)
+		targets[i] = int32(i * sz.stride)
 	}
 	mb, err := s.Sample(targets, rng)
 	if err != nil {
@@ -43,6 +52,34 @@ func makeFixture(t *testing.T, dims []int, batch int, seed uint64) *fixture {
 	x := tensor.New(len(mb.InputNodes()), dims[0])
 	tensor.GatherRows(x, ds.Features, mb.InputNodes())
 	return &fixture{ds: ds, mb: mb, x: x}
+}
+
+// requireFansOut fails unless a kernel over rows rows of workPerRow
+// element-operations splits at the current parallelism — what keeps a
+// parallel-vs-serial test from quietly comparing the caller path with itself
+// once its input, or the grain, changes.
+func requireFansOut(t *testing.T, what string, rows, workPerRow int) {
+	t.Helper()
+	if tensor.FanOut(rows, workPerRow) <= 1 {
+		t.Fatalf("%s: %d rows × %d work is below the fan-out grain at parallelism %d; the parallel leg would test nothing",
+			what, rows, workPerRow, tensor.Parallelism())
+	}
+}
+
+// requireStepFansOut requires a training step of cfg over mb to split every
+// layer's aggregation and GEMMs (MatMul, MatMulT and TMatMul share one m·k·n)
+// and every scatter the backward pass runs (layers ≥ 1).
+func requireStepFansOut(t *testing.T, cfg Config, mb *sampler.MiniBatch) {
+	t.Helper()
+	for l, b := range mb.Blocks {
+		nb := NewNeighborhood(cfg, b)
+		nd, ns, fin := len(b.Dst), len(b.Src), cfg.Dims[l]
+		requireFansOut(t, fmt.Sprintf("layer %d aggregate", l), nd, nb.workPerRow(nd, fin))
+		requireFansOut(t, fmt.Sprintf("layer %d GEMM", l), nd, cfg.inDim(l)*cfg.Dims[l+1])
+		if l > 0 {
+			requireFansOut(t, fmt.Sprintf("layer %d scatter", l), ns, nb.workPerRow(ns, fin))
+		}
+	}
 }
 
 func TestNewModelValidation(t *testing.T) {

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/datagen"
@@ -134,15 +135,22 @@ func TestEvaluateEmptySet(t *testing.T) {
 
 // The parallel per-vertex aggregation must produce exactly what the serial
 // path produces: each destination row is computed by one worker, so the
-// summation order within a row is unchanged.
+// summation order within a row is unchanged. The graph is dense enough that
+// every layer's aggregation sits above the fan-out grain (asserted), and the
+// parallel legs are set explicitly — an uneven three-way split and four —
+// instead of inheriting whatever core count the host has.
 func TestInferFullGraphParallelMatchesSerial(t *testing.T) {
+	rng := tensor.NewRNG(6)
+	spec := datagen.Spec{Name: "par", NumVertices: 4500, NumEdges: 300000, FeatDims: []int{32, 24, 5}}
+	ds, err := datagen.Materialize(spec, 1.0, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, err := sampler.FullGraphBlock(ds.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, kind := range []Kind{GCN, SAGE, GIN} {
-		rng := tensor.NewRNG(6)
-		spec := datagen.Spec{Name: "par", NumVertices: 400, NumEdges: 2400, FeatDims: []int{12, 10, 5}}
-		ds, err := datagen.Materialize(spec, 1.0, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
 		m, _ := NewModel(Config{Kind: kind, Dims: spec.FeatDims}, rng)
 		prev := tensor.SetParallelism(1)
 		serial, err := m.InferFullGraph(ds.Graph, ds.Features)
@@ -150,13 +158,22 @@ func TestInferFullGraphParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := m.InferFullGraph(ds.Graph, ds.Features)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !serial.Equal(parallel) {
-			t.Fatalf("%v: parallel inference diverged from serial (max diff %g)",
-				kind, serial.MaxAbsDiff(parallel))
+		nb := NewNeighborhood(m.Cfg, blk)
+		for _, par := range []int{3, 4} {
+			prev := tensor.SetParallelism(par)
+			for l := 0; l < m.Cfg.Layers(); l++ {
+				rows := len(blk.Dst)
+				requireFansOut(t, fmt.Sprintf("%v layer %d aggregation", kind, l), rows, nb.workPerRow(rows, m.Cfg.Dims[l]))
+			}
+			parallel, err := m.InferFullGraph(ds.Graph, ds.Features)
+			tensor.SetParallelism(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !serial.Equal(parallel) {
+				t.Fatalf("%v par=%d: parallel inference diverged from serial (max diff %g)",
+					kind, par, serial.MaxAbsDiff(parallel))
+			}
 		}
 	}
 }

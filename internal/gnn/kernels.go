@@ -87,15 +87,27 @@ func (nb *Neighborhood) Aggregate(out, h *tensor.Matrix) {
 // straight into the mean half of its [self ‖ mean] dense input instead of
 // paying a separate ConcatCols pass.
 func (nb *Neighborhood) aggregateInto(out *tensor.Matrix, colOff int, h *tensor.Matrix) {
-	if tensor.Parallelism() <= 1 {
-		aggregateRange(nb.Block, nb.EdgeW, nb.SelfW, out, colOff, h, 0, len(nb.Block.Dst))
+	rows := len(nb.Block.Dst)
+	work := nb.workPerRow(rows, h.Cols)
+	if tensor.FanOut(rows, work) <= 1 {
+		aggregateRange(nb.Block, nb.EdgeW, nb.SelfW, out, colOff, h, 0, rows)
 		return
 	}
 	// The closure captures the neighborhood's fields, not the neighborhood
 	// itself, so stack-allocated Neighborhood values (the serving hot path)
 	// never escape.
 	b, edgeW, selfW := nb.Block, nb.EdgeW, nb.SelfW
-	tensor.ParallelRows(len(b.Dst), func(lo, hi int) { aggregateRange(b, edgeW, selfW, out, colOff, h, lo, hi) })
+	tensor.ParallelRows(rows, work, func(lo, hi int) { aggregateRange(b, edgeW, selfW, out, colOff, h, lo, hi) })
+}
+
+// workPerRow is the fan-out work estimate both aggregation directions pass
+// to tensor.FanOut: one cols-wide row update per edge and per destination's
+// self term, averaged over the rows the kernel is split by.
+func (nb *Neighborhood) workPerRow(rows, cols int) int {
+	if rows == 0 {
+		return 0
+	}
+	return (nb.Block.NumEdges() + len(nb.Block.Dst)) * cols / rows
 }
 
 func aggregateRange(b *sampler.Block, edgeW, selfW []float32, out *tensor.Matrix, colOff int, h *tensor.Matrix, lo, hi int) {
@@ -128,17 +140,18 @@ func aggregateRange(b *sampler.Block, edgeW, selfW []float32, out *tensor.Matrix
 // AggregateBackwardSerial at any worker count — the property the gnn test
 // suite pins with exact equality. (The alternative — destination-range
 // workers with privatized dh partials merged afterwards — cannot be exact:
-// merging partial sums reassociates float32 addition.) With one worker the
-// serial scatter is used directly, skipping the transpose build.
+// merging partial sums reassociates float32 addition.) A scatter too small
+// to fan out takes the serial scatter directly, skipping the transpose build.
 func (nb *Neighborhood) AggregateBackward(dh, dAgg *tensor.Matrix) {
-	if tensor.Parallelism() <= 1 {
+	rows, cols := len(nb.Block.Src), dh.Cols
+	work := nb.workPerRow(rows, cols)
+	if tensor.FanOut(rows, work) <= 1 {
 		nb.AggregateBackwardSerial(dh, dAgg)
 		return
 	}
 	nb.buildTranspose()
-	cols := dh.Cols
 	tPtr, tDst, tW := nb.tPtr, nb.tDst, nb.tW
-	tensor.ParallelRows(len(nb.Block.Src), func(lo, hi int) {
+	tensor.ParallelRows(rows, work, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			drow := dh.Row(s)
 			for t := tPtr[s]; t < tPtr[s+1]; t++ {
@@ -151,7 +164,7 @@ func (nb *Neighborhood) AggregateBackward(dh, dAgg *tensor.Matrix) {
 
 // AggregateBackwardSerial is the destination-major serial scatter — the
 // pre-parallelisation kernel, retained as the exact-equality oracle and the
-// single-worker fast path (it needs no transpose build).
+// below-the-grain fast path (it needs no transpose build).
 func (nb *Neighborhood) AggregateBackwardSerial(dh, dAgg *tensor.Matrix) {
 	b := nb.Block
 	cols := dh.Cols

@@ -91,22 +91,28 @@ func requireBitwise(t *testing.T, what string, got, want *tensor.Matrix) {
 
 // TestBackwardOracleBitwise is the gate on ending the backward pass at the
 // first layer's weights: over every model kind, 1–3 layers, kernel
-// parallelism 1|4 and every SIMD tier the CPU has, on generated mini-batches
+// parallelism 1|3|4 and every SIMD tier the CPU has, on generated mini-batches
 // (incl. a one-layer model, zero-degree destinations and edgeless blocks in
 // every position), each parameter gradient must equal the full-depth
-// oracle's bit for bit — the skipped layer-0 work fed nothing.
+// oracle's bit for bit — the skipped layer-0 work fed nothing. The small
+// shapes run on the caller at any parallelism; the last one is sized above
+// the fan-out grain (asserted) so the parallel legs compare the chunked
+// kernels and the transposed scatter, and runs on those legs only, at the
+// top SIMD tier (row chunking does not depend on the lane width).
 func TestBackwardOracleBitwise(t *testing.T) {
 	shapes := []struct {
-		dims   []int
-		maxDeg []int
+		dims    []int
+		maxDeg  []int
+		targets int
 	}{
-		{[]int{7, 4}, []int{5}},       // one layer: backward is TMatMul + BiasGrad only
-		{[]int{7, 4}, []int{0}},       // one layer, no edges
-		{[]int{9, 8, 5}, []int{6, 3}}, // the paper's depth
-		{[]int{9, 8, 5}, []int{0, 4}}, // edgeless input block
-		{[]int{9, 8, 5}, []int{4, 0}}, // edgeless output block
-		{[]int{5, 12, 6, 3}, []int{3, 2, 4}},
-		{[]int{5, 12, 6, 3}, []int{2, 0, 3}}, // edgeless middle block
+		{[]int{7, 4}, []int{5}, 11},       // one layer: backward is TMatMul + BiasGrad only
+		{[]int{7, 4}, []int{0}, 14},       // one layer, no edges
+		{[]int{9, 8, 5}, []int{6, 3}, 17}, // the paper's depth
+		{[]int{9, 8, 5}, []int{0, 4}, 20}, // edgeless input block
+		{[]int{9, 8, 5}, []int{4, 0}, 23}, // edgeless output block
+		{[]int{5, 12, 6, 3}, []int{3, 2, 4}, 26},
+		{[]int{5, 12, 6, 3}, []int{2, 0, 3}, 29}, // edgeless middle block
+		{[]int{96, 96, 32}, []int{60, 80}, 1600}, // above the fan-out grain
 	}
 	prevLvl, prevPar := tensor.ActiveSIMDLevel(), tensor.Parallelism()
 	t.Cleanup(func() {
@@ -117,18 +123,25 @@ func TestBackwardOracleBitwise(t *testing.T) {
 		if _, err := tensor.SetSIMDLevel(lvl); err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range []int{1, 4} {
+		for _, par := range []int{1, 3, 4} {
 			tensor.SetParallelism(par)
 			for _, kind := range allKinds {
 				for si, sh := range shapes {
+					fansOut := si == len(shapes)-1
+					if fansOut && (par == 1 || lvl != tensor.DetectedSIMDLevel()) {
+						continue
+					}
 					name := fmt.Sprintf("%v/par%d/%v/shape%d", lvl, par, kind, si)
 					rng := tensor.NewRNG(uint64(1000*int(kind) + si))
-					mb := chainedBatch(rng, 11+3*si, sh.maxDeg, sh.dims[len(sh.dims)-1])
+					mb := chainedBatch(rng, sh.targets, sh.maxDeg, sh.dims[len(sh.dims)-1])
 					x := tensor.New(len(mb.InputNodes()), sh.dims[0])
 					tensor.NormalInit(x, 1, rng)
 					m, err := NewModel(Config{Kind: kind, Dims: sh.dims, GINEps: 0.1}, rng)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if fansOut {
+						requireStepFansOut(t, m.Cfg, mb)
 					}
 					want := NewGradients(m.Params)
 					oracleStep(t, m, tensor.NewWorkspace(), mb, x, want)

@@ -36,31 +36,49 @@ func raggedBlock(rng *tensor.RNG, nDst, extraSrc, maxDeg int) *sampler.Block {
 	return b
 }
 
+// fanOutBlock is a raggedBlock big enough that both aggregation directions
+// sit three fan-out grains up at ≥ 250 columns (≈ 2k destinations, ≈ 28k
+// edges), so parallelism 3 and up splits them into three uneven chunks.
+func fanOutBlock(rng *tensor.RNG) *sampler.Block {
+	return raggedBlock(rng, 2000+rng.Intn(30), rng.Intn(2000), 28)
+}
+
+// requireScatterFansOut requires AggregateBackward over nb at cols columns to
+// take the transposed-gather path at the current parallelism.
+func requireScatterFansOut(t *testing.T, nb *Neighborhood, cols int) {
+	t.Helper()
+	rows := len(nb.Block.Src)
+	requireFansOut(t, "scatter", rows, nb.workPerRow(rows, cols))
+}
+
 // TestAggregateBackwardParallelExactlyMatchesSerial is the correctness gate
 // for the parallel backward scatter: across all model kinds and ragged
 // blocks, the transposed-gather parallel path must equal the serial
 // destination-major scatter bit for bit (not approximately — the transpose
 // preserves each source's accumulation order exactly), at several worker
-// counts, including workers ≫ rows.
+// counts, including an uneven split (3) and workers ≫ chunks (64). Every
+// block is sized above the fan-out grain and asserted to be, or the parallel
+// legs would run the serial scatter against itself.
 func TestAggregateBackwardParallelExactlyMatchesSerial(t *testing.T) {
 	rng := tensor.NewRNG(99)
 	for _, kind := range allKinds {
-		for trial := 0; trial < 20; trial++ {
-			b := raggedBlock(rng, 1+rng.Intn(30), rng.Intn(40), 6)
+		for trial := 0; trial < 2; trial++ {
+			b := fanOutBlock(rng)
 			if err := b.Validate(); err != nil {
 				t.Fatalf("%v trial %d: bad fixture: %v", kind, trial, err)
 			}
 			cfg := Config{Kind: kind, Dims: []int{5, 3}, GINEps: 0.3}
 			nb := NewNeighborhood(cfg, b)
-			cols := 1 + rng.Intn(9) // odd widths exercise the SIMD tails
+			cols := 250 + rng.Intn(9) // odd widths exercise the SIMD tails
 			dAgg := tensor.New(len(b.Dst), cols)
 			tensor.NormalInit(dAgg, 1, rng)
 
 			want := tensor.New(len(b.Src), cols)
 			nb.AggregateBackwardSerial(want, dAgg)
 
-			for _, par := range []int{2, 4, 64} {
+			for _, par := range []int{2, 3, 4, 64} {
 				prev := tensor.SetParallelism(par)
+				requireScatterFansOut(t, nb, cols)
 				got := tensor.New(len(b.Src), cols)
 				// Fresh neighborhood per parallelism level so the transpose
 				// build itself is covered each time.
@@ -75,26 +93,29 @@ func TestAggregateBackwardParallelExactlyMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestAggregateBackwardSerialFallback covers the single-worker dispatch in
-// AggregateBackward (no transpose build).
+// TestAggregateBackwardSerialFallback covers the below-the-grain dispatch in
+// AggregateBackward: whatever the parallelism, a scatter too small to fan out
+// is the serial scatter and builds no transpose.
 func TestAggregateBackwardSerialFallback(t *testing.T) {
-	prev := tensor.SetParallelism(1)
-	defer tensor.SetParallelism(prev)
-	rng := tensor.NewRNG(5)
-	b := raggedBlock(rng, 12, 9, 4)
-	cfg := Config{Kind: GCN, Dims: []int{4, 2}}
-	nb := NewNeighborhood(cfg, b)
-	dAgg := tensor.New(len(b.Dst), 4)
-	tensor.NormalInit(dAgg, 1, rng)
-	got := tensor.New(len(b.Src), 4)
-	nb.AggregateBackward(got, dAgg)
-	want := tensor.New(len(b.Src), 4)
-	nb.AggregateBackwardSerial(want, dAgg)
-	if !got.Equal(want) {
-		t.Fatal("single-worker AggregateBackward must equal the serial scatter")
-	}
-	if nb.tPtr != nil {
-		t.Fatal("single-worker path should not build the transpose")
+	for _, par := range []int{1, 4} {
+		prev := tensor.SetParallelism(par)
+		rng := tensor.NewRNG(5)
+		b := raggedBlock(rng, 12, 9, 4)
+		cfg := Config{Kind: GCN, Dims: []int{4, 2}}
+		nb := NewNeighborhood(cfg, b)
+		dAgg := tensor.New(len(b.Dst), 4)
+		tensor.NormalInit(dAgg, 1, rng)
+		got := tensor.New(len(b.Src), 4)
+		nb.AggregateBackward(got, dAgg)
+		tensor.SetParallelism(prev)
+		want := tensor.New(len(b.Src), 4)
+		nb.AggregateBackwardSerial(want, dAgg)
+		if !got.Equal(want) {
+			t.Fatalf("par=%d: below-the-grain AggregateBackward must equal the serial scatter", par)
+		}
+		if nb.tPtr != nil {
+			t.Fatalf("par=%d: below-the-grain path should not build the transpose", par)
+		}
 	}
 }
 
@@ -148,62 +169,92 @@ func TestWSPathsMatchLegacy(t *testing.T) {
 }
 
 // TestTrainStepWSZeroAllocs is the training-side allocation gate: once the
-// arena has grown, a steady-state TrainStepWS allocates nothing. Measured at
-// kernel parallelism 1 — AllocsPerRun pins GOMAXPROCS to 1, and goroutine
-// fan-out (not the numeric path) would otherwise be the only allocator.
+// arena has grown, a steady-state TrainStepWS allocates nothing — at kernel
+// parallelism 1 and, the batch being far below the fan-out grain, at 4 too
+// (no goroutine, closure or transposed scatter list for kernels this small).
 func TestTrainStepWSZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation bypasses sync.Pool; allocation counts are nondeterministic")
 	}
-	prev := tensor.SetParallelism(1)
-	defer tensor.SetParallelism(prev)
-	for _, kind := range allKinds {
-		dims := []int{6, 8, 5}
-		fx := makeFixture(t, dims, 16, 17)
-		m, err := NewModel(Config{Kind: kind, Dims: dims}, tensor.NewRNG(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := tensor.NewWorkspace()
-		st := &ForwardState{}
-		grads := NewGradients(m.Params)
-		step := func() {
-			ws.Reset()
-			if _, _, err := m.TrainStepWS(ws, st, fx.mb, fx.x, grads); err != nil {
+	for _, par := range []int{1, 4} {
+		prev := tensor.SetParallelism(par)
+		for _, kind := range allKinds {
+			dims := []int{6, 8, 5}
+			fx := makeFixture(t, dims, 16, 17)
+			m, err := NewModel(Config{Kind: kind, Dims: dims}, tensor.NewRNG(2))
+			if err != nil {
 				t.Fatal(err)
 			}
+			ws := tensor.NewWorkspace()
+			st := &ForwardState{}
+			grads := NewGradients(m.Params)
+			step := func() {
+				ws.Reset()
+				if _, _, err := m.TrainStepWS(ws, st, fx.mb, fx.x, grads); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step() // grow the arena
+			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+				t.Fatalf("%v par=%d: steady-state TrainStepWS allocated %v times per run", kind, par, allocs)
+			}
 		}
-		step() // grow the arena
-		if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-			t.Fatalf("%v: steady-state TrainStepWS allocated %v times per run", kind, allocs)
-		}
+		tensor.SetParallelism(prev)
 	}
 }
 
-// TestInferMiniBatchWSZeroAllocs is the serving-side allocation gate.
+// TestInferMiniBatchWSZeroAllocs is the serving-side allocation gate, at
+// kernel parallelism 1 and 4 alike: a serving batch is below the grain.
 func TestInferMiniBatchWSZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation bypasses sync.Pool; allocation counts are nondeterministic")
 	}
-	prev := tensor.SetParallelism(1)
-	defer tensor.SetParallelism(prev)
-	for _, kind := range allKinds {
-		dims := []int{6, 8, 5}
-		fx := makeFixture(t, dims, 16, 23)
-		m, err := NewModel(Config{Kind: kind, Dims: dims}, tensor.NewRNG(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := tensor.NewWorkspace()
-		batch := func() {
-			ws.Reset()
-			if _, err := m.InferMiniBatchWS(ws, fx.mb, fx.x); err != nil {
+	for _, par := range []int{1, 4} {
+		prev := tensor.SetParallelism(par)
+		for _, kind := range allKinds {
+			dims := []int{6, 8, 5}
+			fx := makeFixture(t, dims, 16, 23)
+			m, err := NewModel(Config{Kind: kind, Dims: dims}, tensor.NewRNG(2))
+			if err != nil {
 				t.Fatal(err)
 			}
+			ws := tensor.NewWorkspace()
+			batch := func() {
+				ws.Reset()
+				if _, err := m.InferMiniBatchWS(ws, fx.mb, fx.x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batch()
+			if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
+				t.Fatalf("%v par=%d: steady-state InferMiniBatchWS allocated %v times per run", kind, par, allocs)
+			}
 		}
-		batch()
-		if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
-			t.Fatalf("%v: steady-state InferMiniBatchWS allocated %v times per run", kind, allocs)
+		tensor.SetParallelism(prev)
+	}
+}
+
+// TestSmallKernelZeroAlloc is the per-kernel form of the two gates above:
+// on a 32-target block at paper-width features, Aggregate and
+// AggregateBackward run on the caller at parallelism 4 and allocate nothing
+// (the scatter builds no transposed list).
+func TestSmallKernelZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation bypasses sync.Pool; allocation counts are nondeterministic")
+	}
+	prev := tensor.SetParallelism(4)
+	defer tensor.SetParallelism(prev)
+	const cols = 100
+	b := makeFixture(t, []int{cols, 8, 5}, 32, 29).mb.Blocks[1]
+	for _, kind := range allKinds {
+		nb := NewNeighborhood(Config{Kind: kind, Dims: []int{cols, 8, 5}}, b)
+		h, out := tensor.New(len(b.Src), cols), tensor.New(len(b.Dst), cols)
+		tensor.NormalInit(h, 1, tensor.NewRNG(1))
+		if allocs := testing.AllocsPerRun(20, func() { nb.Aggregate(out, h) }); allocs != 0 {
+			t.Errorf("%v: Aggregate over %d targets at parallelism 4 allocated %v times per call", kind, len(b.Dst), allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { nb.AggregateBackward(h, out) }); allocs != 0 {
+			t.Errorf("%v: AggregateBackward over %d targets at parallelism 4 allocated %v times per call", kind, len(b.Dst), allocs)
 		}
 	}
 }
@@ -247,19 +298,25 @@ func TestEdgeWeightsIntoReuse(t *testing.T) {
 func TestNeighborhoodResetInvalidatesTranspose(t *testing.T) {
 	rng := tensor.NewRNG(41)
 	cfg := Config{Kind: GCN, Dims: []int{5, 3}}
-	b := raggedBlock(rng, 12, 10, 5)
+	b := fanOutBlock(rng)
 	nb := NewNeighborhood(cfg, b)
 
-	cols := 7
+	cols := 257
 	dAgg := tensor.New(len(b.Dst), cols)
 	tensor.NormalInit(dAgg, 1, rng)
 
 	prev := tensor.SetParallelism(4)
 	defer tensor.SetParallelism(prev)
 
-	// First backward builds and caches the transpose.
+	// First backward builds and caches the transpose — the serial scatter a
+	// small block takes never would, and the test would pass with Reset
+	// deleted.
+	requireScatterFansOut(t, nb, cols)
 	got := tensor.New(len(b.Src), cols)
 	nb.AggregateBackward(got, dAgg)
+	if nb.tPtr == nil {
+		t.Fatal("the fanned-out backward did not cache a transpose")
+	}
 
 	// Mutate the block in place: rewire every destination's first edge to
 	// source 0. Without invalidation the cached transpose still scatters to
@@ -286,12 +343,15 @@ func TestNeighborhoodResetInvalidatesTranspose(t *testing.T) {
 
 	// And init (the ForwardState re-bind path) must invalidate too.
 	nb.AggregateBackward(tensor.New(len(b.Src), cols), dAgg) // re-cache
-	b2 := raggedBlock(rng, 12, 10, 5)
+	b2 := fanOutBlock(rng)
 	nb.init(cfg, b2, nil)
+	requireScatterFansOut(t, nb, cols)
+	dAgg2 := tensor.New(len(b2.Dst), cols)
+	tensor.NormalInit(dAgg2, 1, rng)
 	got3 := tensor.New(len(b2.Src), cols)
-	nb.AggregateBackward(got3, dAgg)
+	nb.AggregateBackward(got3, dAgg2)
 	want3 := tensor.New(len(b2.Src), cols)
-	NewNeighborhood(cfg, b2).AggregateBackwardSerial(want3, dAgg)
+	NewNeighborhood(cfg, b2).AggregateBackwardSerial(want3, dAgg2)
 	if !got3.Equal(want3) {
 		t.Fatal("init re-bind did not invalidate the cached transpose")
 	}

@@ -70,13 +70,14 @@ func matMulCore(c, a, b *Matrix) {
 		return
 	}
 	// The row-range body is a named function and the closure literal sits on
-	// the parallel branch only: serial execution (the zero-allocation gates
-	// run there) never materialises a heap closure.
-	if Parallelism() <= 1 {
+	// the fan-out branch only: a kernel that runs on the caller (every one
+	// the zero-allocation gates cover) never materialises a heap closure.
+	work := b.Rows * b.Cols
+	if FanOut(a.Rows, work) <= 1 {
 		matMulRange(c, a, b, 0, a.Rows)
 		return
 	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulRange(c, a, b, lo, hi) })
+	ParallelRows(a.Rows, work, func(lo, hi int) { matMulRange(c, a, b, lo, hi) })
 }
 
 // matMulRange computes rows [lo, hi) of C = A·B.
@@ -155,11 +156,10 @@ func MatMulT(c, a, b *Matrix) {
 			buf[t*n+j] = v
 		}
 	}
-	// At parallelism 1 the range kernel is called directly with a
-	// stack-scoped header; the parallel branch builds its own header, which
-	// escapes into the worker closure (and may allocate — the parallel path
-	// allocates goroutines anyway; the zero-allocation gates run serial).
-	if Parallelism() <= 1 {
+	// Below the fan-out grain the range kernel is called directly with a
+	// stack-scoped header; only the fan-out branch builds a header that
+	// escapes into the worker closure.
+	if FanOut(a.Rows, k*n) <= 1 {
 		bt := Matrix{Rows: k, Cols: n, Data: buf}
 		matMulRange(c, a, &bt, 0, a.Rows)
 	} else {
@@ -183,11 +183,12 @@ func TMatMul(c, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: TMatMul shapes (%dx%d)T · %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-	if Parallelism() <= 1 {
+	work := a.Rows * b.Cols
+	if FanOut(c.Rows, work) <= 1 {
 		tMatMulRange(c, a, b, 0, c.Rows)
 		return
 	}
-	parallelRows(c.Rows, func(lo, hi int) { tMatMulRange(c, a, b, lo, hi) })
+	ParallelRows(c.Rows, work, func(lo, hi int) { tMatMulRange(c, a, b, lo, hi) })
 }
 
 // tMatMulRange computes rows [lo, hi) of C = Aᵀ·B.

@@ -6,9 +6,10 @@ import "testing"
 // into a (exercising the row-granular sparsity skip) and covering every
 // remainder-tile case (rows % 4, cols % SIMD width).
 func randomOperands(rng *RNG) (a, b *Matrix) {
-	m := 1 + rng.Intn(37)
-	k := 1 + rng.Intn(70)
-	n := 1 + rng.Intn(37)
+	return operands(rng, 1+rng.Intn(37), 1+rng.Intn(70), 1+rng.Intn(37))
+}
+
+func operands(rng *RNG, m, k, n int) (a, b *Matrix) {
 	a = New(m, k)
 	NormalInit(a, 1, rng)
 	b = New(k, n)
@@ -26,13 +27,25 @@ func randomOperands(rng *RNG) (a, b *Matrix) {
 // accumulates each output element over the shared dimension in ascending
 // order (SIMD lanes span independent output elements), the results must be
 // bit-identical — not merely close — across random ragged shapes, sparsity
-// patterns, and both serial and parallel execution.
+// patterns, and both serial and parallel execution. The small trials all run
+// on the caller whatever the parallelism; the last two of each parallel leg
+// are sized above the fan-out grain, so parallelism 3 and 4 really chunk.
 func TestBlockedMatMulExactlyMatchesReference(t *testing.T) {
-	for _, par := range []int{1, 4} {
+	for _, par := range []int{1, 3, 4} {
 		prev := SetParallelism(par)
 		rng := NewRNG(42)
-		for trial := 0; trial < 300; trial++ {
-			a, b := randomOperands(rng)
+		trials := 300
+		if par > 1 {
+			trials += 2
+		}
+		for trial := 0; trial < trials; trial++ {
+			var a, b *Matrix
+			if trial < 300 {
+				a, b = randomOperands(rng)
+			} else {
+				a, b = operands(rng, 600+rng.Intn(37), 100+rng.Intn(70), 100+rng.Intn(37))
+				requireFanOut(t, "MatMul/MatMulT/TMatMul", a.Rows, a.Cols*b.Cols)
+			}
 			m, n := a.Rows, b.Cols
 			got, want := New(m, n), New(m, n)
 

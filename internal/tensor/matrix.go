@@ -7,10 +7,10 @@
 // assembly on amd64, dispatched at runtime between AVX2 (8 lanes) and the
 // SSE baseline (axpy_avx2_amd64.s, axpy_amd64.s; a pure-Go fallback serves
 // other architectures). Every dispatch level is bit-identical — see simd.go
-// for detection and the SetSIMDLevel/TENSOR_SIMD overrides. Parallel
-// kernels split work across goroutines by row blocks; the degree of
-// parallelism is controlled by SetParallelism and defaults to
-// runtime.NumCPU().
+// for detection and the SetSIMDLevel/TENSOR_SIMD overrides. Row-parallel
+// kernels size their fan-out by the work in the call (FanOut): a kernel below
+// the work grain runs on the caller, a larger one splits into contiguous row
+// blocks across at most SetParallelism goroutines (default runtime.NumCPU()).
 package tensor
 
 import (
@@ -21,11 +21,13 @@ import (
 	"sync/atomic"
 )
 
-// parallelism is the number of worker goroutines used by parallel kernels.
+// parallelism is the upper bound on a kernel's fan-out.
 var parallelism int64 = int64(runtime.NumCPU())
 
-// SetParallelism sets the number of goroutines used by parallel kernels.
-// Values below 1 are clamped to 1. It returns the previous setting.
+// SetParallelism sets the upper bound on a kernel's fan-out; how many
+// goroutines a call really uses is FanOut's decision, and kernels below the
+// work grain run on the caller whatever the bound. Values below 1 are
+// clamped to 1. It returns the previous setting.
 func SetParallelism(n int) int {
 	if n < 1 {
 		n = 1
@@ -33,7 +35,7 @@ func SetParallelism(n int) int {
 	return int(atomic.SwapInt64(&parallelism, int64(n)))
 }
 
-// Parallelism reports the current kernel parallelism.
+// Parallelism reports the current upper bound on a kernel's fan-out.
 func Parallelism() int { return int(atomic.LoadInt64(&parallelism)) }
 
 // Matrix is a dense row-major float32 matrix.
@@ -152,27 +154,42 @@ func (m *Matrix) String() string {
 	return s + "]"
 }
 
-// ParallelRows runs fn over [0, rows) split into contiguous chunks across
-// worker goroutines, honouring SetParallelism. fn receives [lo, hi). It is
-// the row-parallel helper behind every parallel kernel in this package,
-// exported so row-sharded loops elsewhere (e.g. per-vertex GNN aggregation)
-// use the same worker policy instead of rolling their own.
-func ParallelRows(rows int, fn func(lo, hi int)) { parallelRows(rows, fn) }
+// fanoutGrain is the least work, in float32 element-operations, worth a
+// goroutine of its own: ≈ 0.1–0.4 ms of single-core kernel time, a few times
+// what spawning a goroutine and waking a parked thread to run it costs. The
+// README ("Sizing kernel fan-out") records the scan that placed it.
+const fanoutGrain = 1 << 21
 
-// parallelRows runs fn over [0, rows) split into contiguous chunks across
-// worker goroutines. fn receives [lo, hi).
-func parallelRows(rows int, fn func(lo, hi int)) {
+// FanOut returns how many goroutines a row-parallel kernel over rows rows of
+// workPerRow element-operations each is split across:
+// min(Parallelism(), rows, rows·workPerRow/fanoutGrain). A result ≤ 1 means
+// the kernel runs on the caller; call sites test it before building the
+// closure ParallelRows takes, so those calls allocate nothing.
+func FanOut(rows, workPerRow int) int {
 	p := Parallelism()
 	if p > rows {
 		p = rows
 	}
-	if p <= 1 || rows == 0 {
+	if g := int64(rows) * int64(workPerRow) / fanoutGrain; g < int64(p) {
+		p = int(g)
+	}
+	return p
+}
+
+// ParallelRows runs fn over [0, rows) split into FanOut(rows, workPerRow)
+// contiguous chunks; fn receives [lo, hi). The caller runs the first chunk
+// itself and goroutines run the rest, so a degree of 1 or less is a plain
+// call of fn(0, rows). It is the one fan-out helper behind every
+// row-parallel kernel, here and in gnn's per-vertex aggregation.
+func ParallelRows(rows, workPerRow int, fn func(lo, hi int)) {
+	p := FanOut(rows, workPerRow)
+	if p <= 1 {
 		fn(0, rows)
 		return
 	}
 	chunk := (rows + p - 1) / p
 	var wg sync.WaitGroup
-	for lo := 0; lo < rows; lo += chunk {
+	for lo := chunk; lo < rows; lo += chunk {
 		hi := lo + chunk
 		if hi > rows {
 			hi = rows
@@ -183,5 +200,6 @@ func parallelRows(rows int, fn func(lo, hi int)) {
 			fn(lo, hi)
 		}(lo, hi)
 	}
+	fn(0, chunk)
 	wg.Wait()
 }

@@ -43,11 +43,11 @@ func AddBias(m *Matrix, bias *Matrix) {
 	if bias.Rows != 1 || bias.Cols != m.Cols {
 		panic("tensor: AddBias wants 1xN bias matching m.Cols")
 	}
-	if Parallelism() <= 1 {
+	if FanOut(m.Rows, m.Cols) <= 1 {
 		addBiasRange(m, bias, 0, m.Rows)
 		return
 	}
-	parallelRows(m.Rows, func(lo, hi int) { addBiasRange(m, bias, lo, hi) })
+	ParallelRows(m.Rows, m.Cols, func(lo, hi int) { addBiasRange(m, bias, lo, hi) })
 }
 
 func addBiasRange(m, bias *Matrix, lo, hi int) {
@@ -125,11 +125,11 @@ func AddBiasReLU(m, bias, mask *Matrix) {
 	if mask.Rows != m.Rows || mask.Cols != m.Cols {
 		panic("tensor: AddBiasReLU mask shape mismatch")
 	}
-	if Parallelism() <= 1 {
+	if FanOut(m.Rows, m.Cols) <= 1 {
 		addBiasReLURange(m, bias, mask, 0, m.Rows)
 		return
 	}
-	parallelRows(m.Rows, func(lo, hi int) { addBiasReLURange(m, bias, mask, lo, hi) })
+	ParallelRows(m.Rows, m.Cols, func(lo, hi int) { addBiasReLURange(m, bias, mask, lo, hi) })
 }
 
 func addBiasReLURange(m, bias, mask *Matrix, lo, hi int) {
@@ -268,12 +268,10 @@ func ConcatCols(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Rows || dst.Cols != a.Cols+b.Cols {
 		panic("tensor: ConcatCols shape mismatch")
 	}
-	parallelRows(a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			copy(dst.Row(i)[:a.Cols], a.Row(i))
-			copy(dst.Row(i)[a.Cols:], b.Row(i))
-		}
-	})
+	for i := 0; i < a.Rows; i++ {
+		copy(dst.Row(i)[:a.Cols], a.Row(i))
+		copy(dst.Row(i)[a.Cols:], b.Row(i))
+	}
 }
 
 // SplitCols splits dst = [a | b] back into its halves (inverse of ConcatCols),
@@ -288,6 +286,13 @@ func SplitCols(a, b, src *Matrix) {
 	}
 }
 
+// gatherWork prices one gathered float in the element-operations FanOut
+// counts: a row copied from a random offset of a feature table misses the
+// cache and costs about four in-cache multiply-adds per float. Without it
+// the training-sized gathers (1–2 M floats) run on the caller and the traced
+// tensor.gather_ms_per_iter reads ≈ 50 % higher.
+const gatherWork = 4
+
 // GatherRows copies rows idx of src into dst (dst is len(idx)×src.Cols).
 // Rows split across ParallelRows workers, each copying with the SIMD
 // copyRow kernel — the feature-staging gather is the largest memcpy in the
@@ -296,11 +301,11 @@ func GatherRows(dst, src *Matrix, idx []int32) {
 	if dst.Rows != len(idx) || dst.Cols != src.Cols {
 		panic("tensor: GatherRows shape mismatch")
 	}
-	if Parallelism() <= 1 {
+	if FanOut(len(idx), gatherWork*src.Cols) <= 1 {
 		gatherRowsRange(dst, src, idx, 0, len(idx))
 		return
 	}
-	parallelRows(len(idx), func(lo, hi int) { gatherRowsRange(dst, src, idx, lo, hi) })
+	ParallelRows(len(idx), gatherWork*src.Cols, func(lo, hi int) { gatherRowsRange(dst, src, idx, lo, hi) })
 }
 
 func gatherRowsRange(dst, src *Matrix, idx []int32, lo, hi int) {
@@ -317,11 +322,11 @@ func GatherRowsAt(dst *Matrix, dstCol int, src *Matrix, idx []int32) {
 	if dst.Rows != len(idx) || dstCol < 0 || dstCol+src.Cols > dst.Cols {
 		panic("tensor: GatherRowsAt shape mismatch")
 	}
-	if Parallelism() <= 1 {
+	if FanOut(len(idx), gatherWork*src.Cols) <= 1 {
 		gatherRowsAtRange(dst, dstCol, src, idx, 0, len(idx))
 		return
 	}
-	parallelRows(len(idx), func(lo, hi int) { gatherRowsAtRange(dst, dstCol, src, idx, lo, hi) })
+	ParallelRows(len(idx), gatherWork*src.Cols, func(lo, hi int) { gatherRowsAtRange(dst, dstCol, src, idx, lo, hi) })
 }
 
 func gatherRowsAtRange(dst *Matrix, dstCol int, src *Matrix, idx []int32, lo, hi int) {

@@ -13,7 +13,7 @@ func MatMulRef(c, a, b *Matrix) {
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	n := b.Cols
-	parallelRows(a.Rows, func(lo, hi int) {
+	ParallelRows(a.Rows, a.Cols*n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ci := c.Data[i*n : (i+1)*n]
 			for j := range ci {
@@ -37,7 +37,7 @@ func MatMulTRef(c, a, b *Matrix) {
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	k := a.Cols
-	parallelRows(a.Rows, func(lo, hi int) {
+	ParallelRows(a.Rows, k*b.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ai := a.Data[i*k : (i+1)*k]
 			ci := c.Data[i*c.Cols : (i+1)*c.Cols]
@@ -61,7 +61,7 @@ func TMatMulRef(c, a, b *Matrix) {
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	n := b.Cols
-	parallelRows(c.Rows, func(lo, hi int) {
+	ParallelRows(c.Rows, a.Rows*n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ci := c.Data[i*n : (i+1)*n]
 			for j := range ci {

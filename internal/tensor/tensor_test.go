@@ -80,15 +80,17 @@ func TestMatMulMatchesNaive(t *testing.T) {
 
 func TestMatMulParallelMatchesSerial(t *testing.T) {
 	rng := NewRNG(2)
-	a := randomMatrix(37, 19, rng)
-	b := randomMatrix(19, 11, rng)
-	c1 := New(37, 11)
-	c2 := New(37, 11)
+	const m, k, n = 1037, 119, 111 // 6.5 fan-out grains: 6 uneven chunks at parallelism 8
+	a := randomMatrix(m, k, rng)
+	b := randomMatrix(k, n, rng)
+	c1 := New(m, n)
+	c2 := New(m, n)
 	old := SetParallelism(1)
+	defer SetParallelism(old)
 	MatMul(c1, a, b)
 	SetParallelism(8)
+	requireFanOut(t, "MatMul", m, k*n)
 	MatMul(c2, a, b)
-	SetParallelism(old)
 	if !c1.Equal(c2) {
 		t.Fatal("parallel MatMul differs from serial")
 	}
