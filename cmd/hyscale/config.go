@@ -57,7 +57,6 @@ type options struct {
 	serveCache    int
 	serveZipf     float64
 	serveShards   int
-	servePolicy   string
 	routeTrace    bool
 	// serveWorkload is the -serve-workload cohort spec (see
 	// serve.ParseWorkloadSpec); empty keeps the single Poisson/Zipf stream.
@@ -225,9 +224,6 @@ func buildConfig(o options) (*runSpec, error) {
 		if o.serveShards < 0 {
 			return nil, fmt.Errorf("-serve-shards %d: negative", o.serveShards)
 		}
-		if _, err := serve.ParsePolicy(o.servePolicy); err != nil {
-			return nil, fmt.Errorf("-serve-policy %q: %w", o.servePolicy, err)
-		}
 		formation, err := serve.ParseFormation(o.serveFormation)
 		if err != nil {
 			return nil, fmt.Errorf("-serve-formation %q: %w", o.serveFormation, err)
@@ -338,7 +334,6 @@ func (r *runSpec) serveConfig(ds *datagen.Dataset, model *gnn.Model) serve.Confi
 		QueueCap:         r.opts.serveQueue,
 		CacheSize:        r.opts.serveCache,
 		CacheShards:      r.opts.serveShards,
-		Policy:           r.opts.servePolicy,
 		RouteTrace:       r.opts.routeTrace,
 		QuantizeTransfer: r.opts.quantize,
 		Seed:             r.opts.seed,

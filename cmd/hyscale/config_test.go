@@ -19,7 +19,7 @@ func validOptions() options {
 		hybrid: true, tfp: true, drm: true, pipeline: "serial", nodes: 1,
 		serveRate: 5000, serveRequests: 20000, serveBatch: 32,
 		serveWindowUs: 500, serveWorkers: 2, serveQueue: 1024,
-		serveCache: 4096, serveZipf: 1.1, serveShards: 1, servePolicy: "earliest",
+		serveCache: 4096, serveZipf: 1.1, serveShards: 1,
 	}
 }
 
@@ -174,7 +174,6 @@ func TestBuildConfigRejectsBadValues(t *testing.T) {
 		"serve-zipf":     {func(o *options) { o.serveMode = true; o.serveZipf = -0.5 }, "-serve-zipf"},
 		"serve-small":    {func(o *options) { o.serveMode = true; o.serveSmall = -1 }, "-serve-small"},
 		"serve-shards":   {func(o *options) { o.serveMode = true; o.serveShards = -1 }, "-serve-shards"},
-		"serve-policy":   {func(o *options) { o.serveMode = true; o.servePolicy = "roulette" }, "-serve-policy"},
 		"small-no-peer":  {func(o *options) { o.serveMode = true; o.serveSmall = 4 }, "-serve-cpu-peer"},
 		"multinode-0ep":  {func(o *options) { o.nodes = 2; o.epochs = 0 }, "multi-node"},
 	}
@@ -208,7 +207,6 @@ func TestConfigConstructors(t *testing.T) {
 	o.servePeer = true
 	o.serveSmall = 4
 	o.serveShards = 4
-	o.servePolicy = "affinity"
 	o.routeTrace = true
 	r, err := buildConfig(o)
 	if err != nil {
@@ -229,7 +227,7 @@ func TestConfigConstructors(t *testing.T) {
 	if !sc.CPUPeer || sc.SmallBatchCut != 4 {
 		t.Fatalf("serve fleet flags lost: %+v", sc)
 	}
-	if sc.CacheShards != 4 || sc.Policy != "affinity" || !sc.RouteTrace {
+	if sc.CacheShards != 4 || !sc.RouteTrace {
 		t.Fatalf("serve data-plane flags lost: %+v", sc)
 	}
 	if sc.ModelVersion != 1+o.epochs {

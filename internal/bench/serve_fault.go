@@ -8,7 +8,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/fault"
 	"repro/internal/hw"
@@ -64,10 +63,6 @@ func ServeFault(seed uint64) (*ServeFaultReport, error) {
 		MaxBatch: 32, WindowSec: 2e-3, Workers: 2,
 		QueueCap: 512, CacheSize: 2048, CacheShards: 4, Seed: seed,
 		Formation: serve.FormationPriority,
-		// Least-loaded routes by pipe availability, not predicted completion,
-		// so it keeps feeding a braking worker — exercising the re-dispatch
-		// path instead of letting the predictive router dodge the fault.
-		Policy: serve.PolicyLeastLoaded,
 	}
 	cfg.SLOTargets, err = serve.ParseSLOTargets(serveFaultSLO)
 	if err != nil {
@@ -94,59 +89,70 @@ func ServeFault(seed uint64) (*ServeFaultReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Kill worker 1 (half the accelerator pool) 40% into the offered load's
-	// nominal makespan — deep enough that the pool is in steady state, early
-	// enough that most of the trace runs degraded. The worker brakes (stalls)
-	// for 10ms before dying, the common fail-stop signature: batches routed
-	// into the stall predict completions past the fail time and are
-	// re-dispatched to the survivor.
-	failAt := 0.4 * float64(cfg.NumRequests) / rate
-	spec := fmt.Sprintf("stall,worker=1,from=%g,to=%g;fail,worker=1,at=%g",
-		math.Max(0, failAt-0.01), failAt, failAt)
-	sched, err := fault.Parse(spec)
+	report := &ServeFaultReport{
+		CapacityRPS: pred.CapacityRPS, OfferedRPS: rate,
+		Requests: len(trace.Requests), SLOTargets: serveFaultSLO,
+	}
+	cfg.Workload, cfg.Replay = nil, trace
+	cfg.RouteTrace = true // the fault-free replay's decisions place the failure
+	baseline, err := serve.Run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	report := &ServeFaultReport{
-		CapacityRPS: pred.CapacityRPS, OfferedRPS: rate,
-		Requests: len(trace.Requests), FaultSpec: spec, FailAtSec: failAt,
-		SLOTargets: serveFaultSLO,
-	}
-	run := func(name string, faults *fault.Schedule) (ServeFaultVariant, error) {
-		rcfg := cfg
-		rcfg.Workload = nil
-		rcfg.Replay = trace
-		rcfg.Faults = faults
-		st, err := serve.Run(rcfg)
-		if err != nil {
-			return ServeFaultVariant{}, err
+	// Kill worker 1 (half the accelerator pool) 40% into the run — deep enough
+	// that the pool is in steady state, early enough that most of the trace
+	// runs degraded — and at a moment it provably has a batch in service: the
+	// midpoint of the first batch the fault-free replay starts on it after
+	// that point. Up to the failure both replays are the same run, so the
+	// router places that batch there again, its predicted completion crosses
+	// the fail time, and it must re-dispatch to the survivor. (At 0.6×
+	// capacity a fail time picked blind mostly finds the worker idle, and
+	// nothing is lost.)
+	report.FailAtSec = -1
+	for _, d := range baseline.RouteTrace {
+		if d.Worker == 1 && d.CloseAt >= 0.4*baseline.MakespanSec {
+			report.FailAtSec = d.PredictedDoneSec - d.PredictedServiceSec/2
+			break
 		}
-		if st.Offered != st.Served+st.Rejected+st.Shed {
-			return ServeFaultVariant{}, fmt.Errorf(
+	}
+	if report.FailAtSec < 0 {
+		return nil, fmt.Errorf("bench: worker 1 starts no batch in the last 60%% of the fault-free replay")
+	}
+	report.FaultSpec = fmt.Sprintf("fail,worker=1,at=%g", report.FailAtSec)
+	if cfg.Faults, err = fault.Parse(report.FaultSpec); err != nil {
+		return nil, err
+	}
+	cfg.RouteTrace = false
+	faulted, err := serve.Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	report.Baseline = serveFaultVariant("baseline", baseline)
+	report.Faulted = serveFaultVariant("faulted", faulted)
+	for _, v := range []ServeFaultVariant{report.Baseline, report.Faulted} {
+		if report.Requests != v.Served+v.Rejected+v.Shed {
+			return nil, fmt.Errorf(
 				"bench: %s replay lost requests: offered %d != served %d + rejected %d + shed %d",
-				name, st.Offered, st.Served, st.Rejected, st.Shed)
+				v.Name, report.Requests, v.Served, v.Rejected, v.Shed)
 		}
-		return ServeFaultVariant{
-			Name: name, Served: st.Served, Rejected: st.Rejected, Shed: st.Shed,
-			Retries: st.Retries, Redispatched: st.Redispatched,
-			FailedWorkers: st.FailedWorkers, DeadlineMisses: st.DeadlineMisses,
-			P99Ms:             1e3 * st.P99Sec,
-			FaultWindowServed: st.FaultWindowServed,
-			FaultWindowP99Ms:  1e3 * st.FaultWindowP99Sec,
-			RecoveryMs:        1e3 * st.RecoverySec,
-		}, nil
-	}
-	if report.Baseline, err = run("baseline", nil); err != nil {
-		return nil, err
-	}
-	if report.Faulted, err = run("faulted", sched); err != nil {
-		return nil, err
 	}
 	if report.Faulted.FailedWorkers != 1 {
 		return nil, fmt.Errorf("bench: faulted replay lost %d workers, scripted 1",
 			report.Faulted.FailedWorkers)
 	}
 	return report, nil
+}
+
+func serveFaultVariant(name string, st *serve.Stats) ServeFaultVariant {
+	return ServeFaultVariant{
+		Name: name, Served: st.Served, Rejected: st.Rejected, Shed: st.Shed,
+		Retries: st.Retries, Redispatched: st.Redispatched,
+		FailedWorkers: st.FailedWorkers, DeadlineMisses: st.DeadlineMisses,
+		P99Ms:             1e3 * st.P99Sec,
+		FaultWindowServed: st.FaultWindowServed,
+		FaultWindowP99Ms:  1e3 * st.FaultWindowP99Sec,
+		RecoveryMs:        1e3 * st.RecoverySec,
+	}
 }
 
 // ExtServeFault renders the fault-injection comparison as a table.

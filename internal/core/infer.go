@@ -74,11 +74,10 @@ type InferencePipeline struct {
 	// it at batch entry — so the steady-state numeric path of a serving
 	// worker allocates nothing once the arena has grown to the largest batch.
 	ws *tensor.Workspace
-	// mb/rows/sizes are RunBatch's retained sampling and pricing scratch,
-	// rebuilt in place per batch (the same reuse discipline as ws; results
-	// that borrow them are valid until the next RunBatch).
+	// mb/sizes are RunBatch's retained sampling and pricing scratch, rebuilt
+	// in place per batch (the same reuse discipline as ws; results that
+	// borrow them are valid until the next RunBatch).
 	mb    sampler.MiniBatch
-	rows  []float64
 	sizes perfmodel.Sizes
 	// res is RunBatch's retained result (the contract already scopes a
 	// result's validity to the next RunBatch, so the header is reused too —
@@ -216,62 +215,37 @@ func (p *InferencePipeline) RunBatch(targets []int32) (*InferResult, error) {
 	mb := &p.mb
 	x := p.ws.Get(len(mb.InputNodes()), p.cfg.Data.Features.Cols)
 	tensor.GatherRows(x, p.cfg.Data.Features, mb.InputNodes())
-	sz := sizesInto(&p.sizes, mb)
-	st := perfmodel.StageTimes{
-		SampCPU: p.pm.SampleTimeCPUEdges(float64(mb.EdgesTraversed()), p.cfg.SampThreads),
-	}
 	res := &p.res
 	*res = InferResult{
 		Targets:   mb.Targets,
 		Edges:     float64(mb.EdgesTraversed()),
 		InputRows: len(mb.InputNodes()),
 	}
-	if p.cfg.Device > 0 {
-		if p.rows == nil {
-			p.rows = make([]float64, len(p.cfg.Plat.Accels))
-		}
-		rows := p.rows
-		for i := range rows {
-			rows[i] = 0
-		}
-		rows[p.cfg.Device-1] = sz.VL[0]
-		st.Load = p.pm.LoadTimeForDeviceRows(rows, p.cfg.LoadThreads)
-		if p.cfg.QuantizeTransfer {
-			tensor.QuantizeRoundTrip(x) // inject the real int8 loss
-		}
-		st.Trans = p.pm.TransferTimeDev(p.cfg.Device-1, sz)
-		if p.backend != nil {
-			// FPGA worker: the forward executes through the scatter-gather +
-			// systolic dataflow and the kernels' cycle account — not the
-			// analytic Eq. 10 — is what the clock is charged (the account
-			// the fpgaTrainer charges too; serving has no backward half).
-			logits, stats, err := p.backend.Forward(p.cfg.Model, mb, x)
-			if err != nil {
-				return nil, fmt.Errorf("core: fpga serving worker: %w", err)
-			}
-			st.TrainAcc = perfmodel.ServingOverheads(p.dev, stats.Sec)
-			res.Logits = logits
-			res.FPGA = stats
-		} else {
-			st.TrainAcc = perfmodel.ServingOverheads(p.dev, p.pm.PropForwardFor(p.dev, sz, 1))
-		}
-	} else {
-		st.Load = p.pm.LoadTimeForRows(sz.VL[0], p.cfg.LoadThreads)
-		cores := p.cfg.Plat.TotalCPUCores()
-		share := float64(cores-p.cfg.SampThreads-p.cfg.LoadThreads) / float64(cores)
-		if share <= 0 {
-			share = 0.5
-		}
-		st.TrainCPU = perfmodel.ServingOverheads(p.dev, p.pm.PropForwardFor(p.dev, sz, share))
+	if p.cfg.Device > 0 && p.cfg.QuantizeTransfer {
+		tensor.QuantizeRoundTrip(x) // inject the real int8 loss
 	}
-	if res.Logits == nil {
+	forwardSec := -1.0 // priced analytically unless the device times itself
+	if p.backend != nil {
+		// FPGA worker: the forward executes through the scatter-gather +
+		// systolic dataflow and the kernels' cycle account — not the
+		// analytic Eq. 10 — is what the clock is charged (the account
+		// the fpgaTrainer charges too; serving has no backward half).
+		logits, stats, err := p.backend.Forward(p.cfg.Model, mb, x)
+		if err != nil {
+			return nil, fmt.Errorf("core: fpga serving worker: %w", err)
+		}
+		forwardSec = stats.Sec
+		res.Logits = logits
+		res.FPGA = stats
+	} else {
 		logits, err := p.cfg.Model.InferMiniBatchWS(p.ws, mb, x)
 		if err != nil {
 			return nil, err
 		}
 		res.Logits = logits
 	}
-	res.Stage = st
+	res.Stage = p.pm.ServingStageFor(p.cfg.Device, sizesInto(&p.sizes, mb), res.Edges,
+		p.cfg.SampThreads, p.cfg.LoadThreads, forwardSec)
 	return res, nil
 }
 

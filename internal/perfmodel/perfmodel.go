@@ -360,6 +360,16 @@ func (m *Model) LoadTimeForDeviceRows(rows []float64, threads int) float64 {
 	return math.Max(frameworkSec, m.LoadTimeForRows(nativeRows, threads))
 }
 
+// loadTimeForDevice is LoadTimeForDeviceRows when every row feeds the one
+// accelerator i — bit for bit: the other devices' zero rows add nothing to
+// the sums and max(x, 0) is exact for x ≥ 0.
+func (m *Model) loadTimeForDevice(i int, rows float64, threads int) float64 {
+	if rows > 0 && m.Profile.LoaderGBs <= 0 && m.Plat.Accels[i].LoaderGBs > 0 {
+		return rows * (float64(m.Work.Spec.FeatDims[0]) * 4) / (m.Plat.Accels[i].LoaderGBs * 1e9)
+	}
+	return m.LoadTimeForRows(rows, threads)
+}
+
 // LoadTimeForRows is Eq. 7 for an explicit feature-row count.
 func (m *Model) LoadTimeForRows(rows float64, threads int) float64 {
 	if rows <= 0 {

@@ -399,6 +399,28 @@ func TestLoadTimeSplitsLoaderStacks(t *testing.T) {
 	}
 }
 
+// The one-device loader the serving price list uses must be the per-device
+// split over a one-hot row vector, bit for bit — on both loader stacks, under
+// a Profile override, with starved threads and with no rows at all.
+func TestLoadTimeForDeviceMatchesOneHotRows(t *testing.T) {
+	for _, profile := range []SoftwareProfile{NativeProfile(), TorchProfile()} {
+		m := heteroModel(t, hw.GPU, hw.FPGA)
+		m.Profile = profile
+		for dev := range m.Plat.Accels {
+			for _, rows := range []float64{0, 1, 37, 50000, 123456.5} {
+				for _, threads := range []int{0, 1, 16, 64} {
+					oneHot := make([]float64, len(m.Plat.Accels))
+					oneHot[dev] = rows
+					want := m.LoadTimeForDeviceRows(oneHot, threads)
+					if got := m.loadTimeForDevice(dev, rows, threads); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("device %d, %v rows, %d threads: %x, one-hot rows give %x", dev, rows, threads, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // The homogeneous CPU-FPGA path must be bit-identical to the pre-split
 // loader model (calibrated figures depend on it).
 func TestLoadTimeNativeFleetUnchanged(t *testing.T) {

@@ -127,12 +127,8 @@ func servingCycleSec(st StageTimes) float64 { return Pipeline{TFP: true}.Steady(
 // ServingBatchStage prices one closed serving batch of `computed`
 // cache-missing targets on a single bound worker device — the per-device
 // stage vector of the kind-aware router and of PredictServing's pool
-// aggregation. Device 0 is the host CPU peer (propagation on the trainer's
-// core share, no PCIe); device i > 0 is Plat.Accels[i-1], whose features
-// cross its own host link and, for framework-driven devices
-// (Device.LoaderGBs), load through that stack. FPGA devices are priced by
-// the dataflow kernels' analytic cycle mirror; everything else by the
-// forward half of Eq. 10. All propagation carries ServingOverheads.
+// aggregation: ServingStageFor at the expected sampled-set sizes, with the
+// forward priced analytically.
 func (m *Model) ServingBatchStage(device, computed, sampThreads, loadThreads int) (StageTimes, error) {
 	if device < 0 || device > len(m.Plat.Accels) {
 		return StageTimes{}, fmt.Errorf("perfmodel: serving device %d outside [0,%d]",
@@ -141,8 +137,7 @@ func (m *Model) ServingBatchStage(device, computed, sampThreads, loadThreads int
 	if computed <= 0 {
 		return StageTimes{}, nil
 	}
-	cores := m.Plat.TotalCPUCores()
-	quarter := cores / 4
+	quarter := m.Plat.TotalCPUCores() / 4
 	if sampThreads <= 0 {
 		sampThreads = max(1, quarter)
 	}
@@ -154,35 +149,51 @@ func (m *Model) ServingBatchStage(device, computed, sampThreads, loadThreads int
 	for _, e := range sz.EL {
 		edges += e
 	}
+	return m.ServingStageFor(device, sz, edges, sampThreads, loadThreads, -1), nil
+}
+
+// ServingStageFor is the serving price list: the stage vector of one batch
+// with sampled-set sizes sz and `edges` traversed sampling edges on a bound
+// worker device, charged to sampThreads/loadThreads CPU threads. The router
+// predicts with it at the expected sizes (ServingBatchStage) and the
+// executing worker charges it at the sizes it actually sampled, so the two
+// cannot drift apart. Device 0 is the host CPU peer (propagation on the
+// trainer's core share, no PCIe); device i > 0 is Plat.Accels[i-1], whose
+// features cross its own host link and, for framework-driven devices
+// (Device.LoaderGBs), load through that stack. forwardSec is the raw forward
+// time when the device timed its own kernels (the FPGA dataflow backend's
+// cycle account); negative prices the forward analytically — FPGA devices by
+// the dataflow kernels' cycle mirror, everything else by the forward half of
+// Eq. 10. All propagation carries ServingOverheads.
+func (m *Model) ServingStageFor(device int, sz Sizes, edges float64, sampThreads, loadThreads int, forwardSec float64) StageTimes {
 	st := StageTimes{SampCPU: m.SampleTimeCPUEdges(edges, sampThreads)}
 	if device == 0 {
 		st.Load = m.LoadTimeForRows(sz.VL[0], loadThreads)
+		cores := m.Plat.TotalCPUCores()
 		share := float64(cores-sampThreads-loadThreads) / float64(cores)
 		if share <= 0 {
 			share = 0.5
 		}
 		st.TrainCPU = ServingOverheads(m.Plat.CPU, m.PropForwardFor(m.Plat.CPU, sz, share))
-		return st, nil
+		return st
 	}
 	dev := m.Plat.Accels[device-1]
-	rows := make([]float64, len(m.Plat.Accels))
-	rows[device-1] = sz.VL[0]
-	st.Load = m.LoadTimeForDeviceRows(rows, loadThreads)
+	st.Load = m.loadTimeForDevice(device-1, sz.VL[0], loadThreads)
 	st.Trans = m.TransferTimeDev(device-1, sz)
-	if dev.Kind == hw.FPGA {
+	if forwardSec < 0 && dev.Kind == hw.FPGA {
 		// Like every other perfmodel equation, the estimate prices the
 		// workload's Spec.FeatDims (the convention throughout: served model
 		// dims equal the spec's layer dims, enforced for the input layer at
 		// pipeline construction). Spec-derived sizes and dims always agree
 		// in length, so the estimate's short-vector guard cannot trip here.
 		bk := accel.U250Backend(m.Work.Spec.FeatDims[0])
-		fwd := bk.EstimateForwardSec(gnn.Config{Kind: m.Work.Model, Dims: m.Work.Spec.FeatDims},
+		forwardSec = bk.EstimateForwardSec(gnn.Config{Kind: m.Work.Model, Dims: m.Work.Spec.FeatDims},
 			sz.VL, sz.EL)
-		st.TrainAcc = ServingOverheads(dev, fwd)
-	} else {
-		st.TrainAcc = ServingOverheads(dev, m.PropForwardFor(dev, sz, 1))
+	} else if forwardSec < 0 {
+		forwardSec = m.PropForwardFor(dev, sz, 1)
 	}
-	return st, nil
+	st.TrainAcc = ServingOverheads(dev, forwardSec)
+	return st
 }
 
 // PredictServing evaluates the serving equations for a load on this

@@ -96,10 +96,6 @@ func (h *fleetHealth) adjust(wi int, start float64) (float64, float64) {
 	return start, f
 }
 
-// failedBy returns worker wi's fail-stop time (+Inf when the schedule never
-// kills it).
-func (h *fleetHealth) failTime(wi int) float64 { return h.failAt[wi] }
-
 // popFailures advances the applied-failure cursor past every fail-stop at or
 // before now, returning how many newly applied (the server reacts by
 // retightening admission to the surviving capacity).

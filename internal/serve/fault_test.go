@@ -267,6 +267,55 @@ func TestWorkerFailStopFailover(t *testing.T) {
 	}
 }
 
+// TestRouteTraceRowsMatchRoutes: the route trace holds exactly one row per
+// executed batch — the decision that stuck — also when placing a batch took
+// several attempts (a predicted mid-service loss re-routes it) or failed (a
+// shed batch executes nowhere). Row i is batch i, names the worker Routes[i]
+// ran it on, and predicts a completion that worker lives to see.
+func TestRouteTraceRowsMatchRoutes(t *testing.T) {
+	ds, m := testSetup(t)
+	for _, c := range []struct {
+		name        string
+		retryBudget int
+		wantRedisp  bool
+	}{
+		{"re-dispatch", 0, true}, // default budget: lost batches land on a survivor
+		{"shed", -1, false},      // no retries: a lost batch is shed
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg, sched := faultServeConfig(t, ds, m)
+			cfg.RouteTrace = true
+			cfg.RetryBudget = c.retryBudget
+			st, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Retries == 0 || (st.Redispatched > 0) != c.wantRedisp {
+				t.Fatalf("drill did not fire: retries %d, redispatched %d", st.Retries, st.Redispatched)
+			}
+			if len(st.RouteTrace) != len(st.Routes) {
+				t.Fatalf("%d trace rows for %d executed batches (%d retries)",
+					len(st.RouteTrace), len(st.Routes), st.Retries)
+			}
+			failAt := map[int]float64{}
+			for _, e := range sched.Events {
+				if e.Kind == fault.FailStop {
+					failAt[e.Worker] = e.AtSec
+				}
+			}
+			for i, d := range st.RouteTrace {
+				if d.Batch != i || d.Worker != st.Routes[i] {
+					t.Fatalf("row %d: batch %d on worker %d, Routes[%d] = %d", i, d.Batch, d.Worker, i, st.Routes[i])
+				}
+				if ft, dies := failAt[d.Worker]; dies && d.PredictedDoneSec > ft {
+					t.Fatalf("row %d: worker %d predicted done %.6fs, past its fail-stop at %.6fs",
+						i, d.Worker, d.PredictedDoneSec, ft)
+				}
+			}
+		})
+	}
+}
+
 // TestStallAndStragglerWindows pins the transient-fault model: a stall or
 // straggler window inflates the affected span's completions but leaves the
 // run fault-counter-clean (no worker died, nothing shed or re-dispatched),

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -25,19 +26,17 @@ func heteroServeConfig(t *testing.T) Config {
 	return cfg
 }
 
-// Routing-policy regression: the earliest-completion plugin is the default,
-// and naming it explicitly must be byte-identical to leaving Policy empty —
-// the extraction of the router into a plugin changed nothing about what the
-// default router does (its behavior itself is pinned against the
-// least-loaded baseline by TestRoutedMatchesLegacyOnHomogeneousPool and by
-// every pre-existing serve test).
+// Config.Policy is vestigial (benchmark/serve.go still sets it): leaving it
+// empty and naming the one router must be byte-identical, and every other
+// value — the two removed policies included — is rejected with an error that
+// names the field.
 func TestDefaultPolicyIsEarliest(t *testing.T) {
 	cfg := heteroServeConfig(t)
 	def, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Policy = "earliest-completion" // ParsePolicy synonym, too
+	cfg.Policy = PolicyEarliest
 	named, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -45,60 +44,60 @@ func TestDefaultPolicyIsEarliest(t *testing.T) {
 	if !reflect.DeepEqual(def, named) {
 		t.Fatalf("default policy diverged from explicit earliest:\n%+v\n%+v", def, named)
 	}
-	if _, err := ParsePolicy("route-o-matic"); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, name := range []string{"affinity", "least-loaded", "route-o-matic"} {
+		cfg.Policy = name
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "Config.Policy") ||
+			!strings.Contains(err.Error(), name) {
+			t.Fatalf("Policy %q: want an error naming Config.Policy and the value, got %v", name, err)
+		}
 	}
 }
 
-// The serve-policy matrix: across {1,4} cache shards × {earliest,affinity}
-// policies at a fixed seed, every run must be (a) deterministic — two
-// identical runs produce byte-identical Stats — and (b) shard-invariant:
-// with a cache large enough that no shard ever evicts, residency is a pure
-// membership property, so hit/miss sequences — and therefore the whole run
-// — cannot depend on how keys were partitioned. (Under eviction pressure,
-// per-shard LRU legitimately differs from global LRU; the 1-shard ≡ legacy
-// property test pins that regime instead.)
+// The shard matrix: across {1,4} cache shards at a fixed seed, every run must
+// be (a) deterministic — two identical runs produce byte-identical Stats —
+// and (b) shard-invariant: with a cache large enough that no shard ever
+// evicts, residency is a pure membership property, so hit/miss sequences —
+// and therefore the whole run — cannot depend on how keys were partitioned.
+// (Under eviction pressure, per-shard LRU legitimately differs from global
+// LRU; the 1-shard ≡ legacy property test pins that regime instead.)
 func TestServePolicyMatrix(t *testing.T) {
-	for _, policy := range []string{PolicyEarliest, PolicyAffinity} {
-		var ref *Stats
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards%d", policy, shards), func(t *testing.T) {
-				cfg := heteroServeConfig(t)
-				cfg.Policy = policy
-				cfg.CacheShards = shards
-				cfg.CacheSize = 8192 // > vertex count: no evictions possible
-				a, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("%s/%d shards: same seed, different stats:\n%v\n%v", policy, shards, a, b)
-				}
-				if a.Evictions != 0 {
-					t.Fatalf("eviction-free setup evicted %d times", a.Evictions)
-				}
-				if len(a.Routes) == 0 {
-					t.Fatal("no computed batches routed")
-				}
-				if ref == nil {
-					ref = a
-				} else if !reflect.DeepEqual(ref, a) {
-					t.Fatalf("%s: stats changed across shard counts:\n%v\n%v", policy, ref, a)
-				}
-			})
-		}
+	var ref *Stats
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%s/shards%d", PolicyEarliest, shards), func(t *testing.T) {
+			cfg := heteroServeConfig(t)
+			cfg.CacheShards = shards
+			cfg.CacheSize = 8192 // > vertex count: no evictions possible
+			a, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%d shards: same seed, different stats:\n%v\n%v", shards, a, b)
+			}
+			if a.Evictions != 0 {
+				t.Fatalf("eviction-free setup evicted %d times", a.Evictions)
+			}
+			if len(a.Routes) == 0 {
+				t.Fatal("no computed batches routed")
+			}
+			if ref == nil {
+				ref = a
+			} else if !reflect.DeepEqual(ref, a) {
+				t.Fatalf("stats changed across shard counts:\n%v\n%v", ref, a)
+			}
+		})
 	}
 }
 
 // Decision traces must be complete and honest: one row per computed batch,
 // the chosen worker matching Stats.Routes, a counterfactual for every pool
-// worker — and for the earliest policy, the choice must actually BE the
-// argmin of the recorded counterfactuals (no non-saturated alternative was
-// predicted to finish sooner), except for small batches steered to the peer.
+// worker — and the choice must actually BE the argmin of the recorded
+// counterfactuals (no non-saturated alternative was predicted to finish
+// sooner), except for small batches steered to the peer.
 func TestRouteTraceCounterfactuals(t *testing.T) {
 	cfg := heteroServeConfig(t)
 	cfg.RouteTrace = true
@@ -114,7 +113,7 @@ func TestRouteTraceCounterfactuals(t *testing.T) {
 		if d.Batch != i || d.Worker != st.Routes[i] {
 			t.Fatalf("row %d: batch %d worker %d, Routes says %d", i, d.Batch, d.Worker, st.Routes[i])
 		}
-		if d.Policy != PolicyEarliest || d.Computed <= 0 {
+		if d.Computed <= 0 {
 			t.Fatalf("row %d malformed: %+v", i, d)
 		}
 		if len(d.Alternatives) != pool {
@@ -142,46 +141,5 @@ func TestRouteTraceCounterfactuals(t *testing.T) {
 	}
 	if s := st.TraceString(3); s == "" {
 		t.Fatal("empty trace rendering")
-	}
-}
-
-// The affinity policy's invariant, checked through its own traces: among
-// non-saturated workers the chosen one always has the maximal recency-sketch
-// score (ties broken by predicted completion), and with a recurring hot set
-// the sketch must actually light up (some decision sees positive affinity).
-// Cache off so hot vertices keep recurring as computed targets.
-func TestAffinityPolicyFollowsSketch(t *testing.T) {
-	cfg := heteroServeConfig(t)
-	cfg.Policy = PolicyAffinity
-	cfg.CacheSize = 0
-	cfg.RouteTrace = true
-	st, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.RouteTrace) == 0 {
-		t.Fatal("no decisions traced")
-	}
-	sawAffinity := false
-	for i, d := range st.RouteTrace {
-		if d.SmallToPeer {
-			continue
-		}
-		chosen := d.Alternatives[d.Worker]
-		if chosen.Affinity > 0 {
-			sawAffinity = true
-		}
-		if chosen.Saturated {
-			continue
-		}
-		for _, a := range d.Alternatives {
-			if !a.Saturated && a.Affinity > chosen.Affinity {
-				t.Fatalf("row %d: chose worker %d with affinity %d over worker %d with %d",
-					i, d.Worker, chosen.Affinity, a.Worker, a.Affinity)
-			}
-		}
-	}
-	if !sawAffinity {
-		t.Fatal("recency sketch never scored a batch — Observe feedback not wired")
 	}
 }

@@ -4,14 +4,14 @@
 // LRU embedding cache keyed by vertex and model version, and a fleet of
 // per-device workers — each core.InferencePipeline bound to one hw.Device
 // (the host CPU peer, a GPU, or an FPGA running the §IV-C dataflow kernels)
-// the way training's Trainer backends are. A pluggable routing policy
-// dispatches every closed batch — by default to the worker with the
-// earliest predicted completion, using the per-device perfmodel serving
-// stage vectors — while charging sample → gather → transfer → propagate on
-// the same max-plus perfmodel.Pipeline and perfmodel price list as training. The
-// run is an event-driven open-loop simulation (the BLIS-style shape):
-// arrivals, batch deadlines, and batch completions are totally ordered in
-// virtual time, so every run is deterministic for a given seed.
+// the way training's Trainer backends are. The router dispatches every closed
+// batch to the worker with the earliest predicted completion, using the
+// per-device perfmodel serving stage vectors, while charging sample → gather
+// → transfer → propagate on the same max-plus perfmodel.Pipeline and
+// perfmodel price list as training. The run is an event-driven open-loop
+// simulation (the BLIS-style shape): arrivals, batch deadlines, and batch
+// completions are totally ordered in virtual time, so every run is
+// deterministic for a given seed.
 //
 // The event loop is allocation-free in steady state (gated by
 // TestServingSteadyStateZeroAlloc): batches ping-pong between two retained
@@ -100,10 +100,9 @@ type Config struct {
 	// resident (and run Stats are identical across shard counts).
 	CacheShards int
 
-	// Policy names the routing policy: "earliest" (default), "least-loaded"
-	// (the pre-PR-4 legacy router, kept as the regression baseline), or
-	// "affinity" (cache-affinity scoring with predicted-completion
-	// tie-break). See ParsePolicy for accepted spellings.
+	// Policy is vestigial: there is one router, and the field accepts only ""
+	// or PolicyEarliest (anything else is an error). It stays until a
+	// benchmark PR drops the line of benchmark/serve.go that sets it.
 	Policy string
 	// RouteTrace records a RouteDecision row per computed batch in
 	// Stats.RouteTrace — the chosen worker plus the counterfactual
@@ -136,14 +135,7 @@ type Config struct {
 // size cap bounds; the server prefills 1..MaxBatch at construction).
 type worker struct {
 	pipe  *core.InferencePipeline
-	idx   int // position in the pool
 	stats DeviceStats
-}
-
-// serviceSec returns the memoized per-device predicted service time for a
-// batch of `computed` cache-missing targets.
-func (w *worker) serviceSec(computed int) (float64, error) {
-	return w.pipe.ServiceSec(computed)
 }
 
 // workerBindings resolves the pool's device bindings in
@@ -170,9 +162,9 @@ func workerBindings(cfg Config) []int {
 }
 
 // server is one serving run's assembled state: the pool, arrival trace,
-// batcher, admission controller, cache, and routing policy, plus every
-// scratch buffer the dispatch path reuses. Its steady state (offer → batch
-// close → route → complete) performs zero heap allocations once warm.
+// batcher, admission controller, cache, and router, plus every scratch buffer
+// the dispatch path reuses. Its steady state (offer → batch close → route →
+// complete) performs zero heap allocations once warm.
 type server struct {
 	cfg       Config
 	pool      []*worker
@@ -181,7 +173,7 @@ type server struct {
 	batcher   *DynamicBatcher
 	admission *AdmissionController
 	cache     *ShardedCache
-	policy    RoutePolicy
+	router    router
 
 	stats           *Stats
 	latencies       []float64
@@ -208,17 +200,13 @@ type server struct {
 	putEmbs [][]float32 // PutMany values (arena-copied by the cache)
 	// Completion times are split by who answered: cache hits are served by
 	// the host, computed requests by the routed worker — the split is what
-	// keeps hit completions off an accelerator's in-flight share.
+	// keeps hit completions off an accelerator's in-flight (SetKindCap) share.
 	hitDone  []float64
 	compDone []float64
 	// vertexGen dedups a batch's missing vertices without a map: slot v
 	// holds the generation of the last batch that saw v.
 	vertexGen []uint32
 	gen       uint32
-	// routeReq is the reused routing request: passing a stack literal's
-	// address through the RoutePolicy interface would escape (one heap
-	// allocation per computed batch).
-	routeReq RouteRequest
 }
 
 // newServer validates cfg and assembles a run (the entry point Run and the
@@ -239,11 +227,10 @@ func newServer(cfg Config) (*server, error) {
 	if cfg.Workload != nil && cfg.Replay != nil {
 		return nil, fmt.Errorf("serve: Workload and Replay are mutually exclusive")
 	}
-	policyName, err := ParsePolicy(cfg.Policy)
-	if err != nil {
-		return nil, err
+	if cfg.Policy != "" && cfg.Policy != PolicyEarliest {
+		return nil, fmt.Errorf("serve: Config.Policy %q: the one router is %q (\"affinity\" and \"least-loaded\" were removed)",
+			cfg.Policy, PolicyEarliest)
 	}
-	cfg.Policy = policyName
 	formation, err := ParseFormation(cfg.Formation)
 	if err != nil {
 		return nil, err
@@ -262,7 +249,7 @@ func newServer(cfg Config) (*server, error) {
 		if err != nil {
 			return nil, err
 		}
-		pool[i] = &worker{pipe: p, idx: i, stats: DeviceStats{
+		pool[i] = &worker{pipe: p, stats: DeviceStats{
 			Name: p.Device().Name, Kind: p.Device().Kind, Device: device,
 		}}
 		// Prefill the service-time memo for every batch size the router can
@@ -336,10 +323,6 @@ func newServer(cfg Config) (*server, error) {
 			return nil, err
 		}
 	}
-	policy, err := newRoutePolicy(cfg.Policy, pool, admission, health)
-	if err != nil {
-		return nil, err
-	}
 	dims := cfg.Model.Cfg.Dims
 	s := &server{
 		cfg:       cfg,
@@ -349,7 +332,7 @@ func newServer(cfg Config) (*server, error) {
 		batcher:   batcher,
 		admission: admission,
 		cache:     NewShardedCache(cfg.CacheSize, cfg.CacheShards, dims[len(dims)-1]),
-		policy:    policy,
+		router:    router{pool: pool, admission: admission, health: health},
 
 		stats:      &Stats{Routes: make([]int, 0, cfg.NumRequests)},
 		latencies:  make([]float64, 0, cfg.NumRequests),
@@ -405,16 +388,39 @@ func (s *server) serveReq(r Request, done float64, computed bool) {
 	}
 }
 
-// dispatch runs one closed batch through cache → route → compute → publish.
+// dispatch runs one closed batch through its stages: lookup → place → execute
+// → complete.
 func (s *server) dispatch(batch []Request, closeAt float64) error {
 	s.stats.Batches++
 	s.batchReqSum += len(batch)
-	s.hitDone, s.compDone = s.hitDone[:0], s.compDone[:0]
+	hit := s.lookup(batch, closeAt)
+	if len(s.order) == 0 { // the cache answered every request
+		s.release(hw.CPU)
+		return nil
+	}
+	p, lost, err := s.place(batch, hit, closeAt)
+	if err != nil {
+		return err
+	}
+	if p.worker < 0 {
+		s.shedBatch(batch, hit)
+		return nil
+	}
+	res, done, err := s.execute(p)
+	if err != nil {
+		return err
+	}
+	s.complete(batch, hit, p.worker, res, done, lost > 0)
+	return nil
+}
 
-	// Cache pass, batched: one lock round-trip per touched shard. Hits are
-	// answered when their entry is ready (an in-flight entry behaves as a
-	// future); misses are coalesced per vertex via the generation stamp and
-	// sent to the pool.
+// lookup is the batch's cache pass, batched: one lock round-trip per touched
+// shard. Hits are answered when their entry is ready (an in-flight entry
+// behaves as a future); misses are coalesced per vertex via the generation
+// stamp into s.order, the targets the pool must compute. It returns the
+// per-request hit flags.
+func (s *server) lookup(batch []Request, closeAt float64) []bool {
+	s.hitDone, s.compDone = s.hitDone[:0], s.compDone[:0]
 	s.gen++
 	if s.gen == 0 { // generation wrapped: invalidate every stamp
 		for i := range s.vertexGen {
@@ -438,122 +444,111 @@ func (s *server) dispatch(batch []Request, closeAt float64) error {
 			s.order = append(s.order, r.Vertex)
 		}
 	}
+	return hit
+}
 
-	kind := hw.CPU
-	if len(s.order) > 0 {
-		// Route, then check whether the chosen worker is predicted to
-		// fail-stop before the batch completes — a batch in flight on a
-		// dying worker is lost and re-routed at the fail time plus a
-		// deadline-aware backoff, up to the retry budget. A worker that
-		// never fails has fail time +Inf, so the loop runs exactly once.
-		routeAt := closeAt
-		attempt := 0
-		shed := false
-		var wi int
-		for {
-			s.routeReq = RouteRequest{
-				Computed: len(s.order),
-				CloseAt:  routeAt,
-				Small:    s.batcher.Small(len(s.order)),
-				Targets:  s.order,
-			}
-			var dec *RouteDecision
-			if s.cfg.RouteTrace {
-				s.stats.RouteTrace = append(s.stats.RouteTrace, RouteDecision{Batch: len(s.stats.Routes)})
-				dec = &s.stats.RouteTrace[len(s.stats.RouteTrace)-1]
-			}
-			var err error
-			wi, err = s.policy.Route(&s.routeReq, dec)
-			if err != nil {
-				return err
-			}
-			if wi < 0 { // every worker fail-stopped: nothing can serve this batch
-				shed = true
-				break
-			}
-			w := s.pool[wi]
-			svc, err := w.serviceSec(len(s.order))
-			if err != nil {
-				return err
-			}
-			start, f := s.health.adjust(wi, math.Max(routeAt, w.pipe.AvailableAt()))
-			if ft := s.health.failTime(wi); start+svc*f > ft {
-				// Predicted to die mid-service: the batch re-dispatches after
-				// the failure (the loss is observed at the fail time).
-				s.stats.Retries++
-				attempt++
-				if attempt > s.retryBudget {
-					shed = true
-					break
-				}
-				routeAt = ft + s.retryBackoff(attempt, batch, hit, ft)
-				continue
-			}
+// place routes s.order, then checks whether the chosen worker is predicted to
+// fail-stop before the batch completes — a batch in flight on a dying worker
+// is lost and re-routed at the fail time plus a deadline-aware backoff, up to
+// the retry budget. A worker that never fails has fail time +Inf, so the loop
+// runs exactly once. It returns the prediction that stuck (worker -1: shed
+// the batch) and how many attempts were lost on the way. The route trace
+// keeps one row per executed batch — the decision that stuck — and none for a
+// shed one.
+func (s *server) place(batch []Request, hit []bool, closeAt float64) (prediction, int, error) {
+	var dec *RouteDecision
+	if s.cfg.RouteTrace {
+		s.stats.RouteTrace = append(s.stats.RouteTrace, RouteDecision{Batch: len(s.stats.Routes)})
+		dec = &s.stats.RouteTrace[len(s.stats.RouteTrace)-1]
+	}
+	small := s.batcher.Small(len(s.order))
+	routeAt := closeAt
+	lost := 0
+	for {
+		p, err := s.router.route(len(s.order), routeAt, small, dec)
+		if err != nil {
+			return prediction{}, 0, err
+		}
+		if p.worker < 0 { // every worker fail-stopped: nothing can serve this batch
 			break
 		}
-		if shed {
-			s.shedBatch(batch, hit)
-			s.admission.DispatchedKind(hw.CPU, s.hitDone)
-			return nil
+		ft := s.health.failAt[p.worker]
+		if p.done <= ft {
+			return p, lost, nil
 		}
-		w := s.pool[wi]
-		res, err := w.pipe.RunBatch(s.order)
-		if err != nil {
-			return err
+		// Predicted to die mid-service: the batch re-dispatches after the
+		// failure (the loss is observed at the fail time).
+		s.stats.Retries++
+		lost++
+		if lost > s.retryBudget {
+			break
 		}
-		// Apply the scripted stall/straggler windows to the executed batch
-		// exactly as routing predicted them: a stalled start is pushed past
-		// the window, a straggler's stages are inflated.
-		ready := routeAt
-		start := math.Max(routeAt, w.pipe.AvailableAt())
-		adjStart, f := s.health.adjust(wi, start)
-		if adjStart > start {
-			ready = adjStart
-		}
-		res.Stage = res.Stage.Scaled(f)
-		done := w.pipe.CompleteAfter(ready, res.Stage)
-		if attempt > 0 {
-			s.stats.Redispatched++
-			if done > s.recoveryEnd {
-				s.recoveryEnd = done
-			}
-		}
-		kind = w.pipe.Device().Kind
-		s.putKeys, s.putEmbs = s.putKeys[:0], s.putEmbs[:0]
-		for i, v := range s.order {
-			s.putKeys = append(s.putKeys, CacheKey{Vertex: v, Version: s.cfg.ModelVersion})
-			s.putEmbs = append(s.putEmbs, res.Logits.Row(i))
-		}
-		// PutMany copies each row into the shard arena, so the views into
-		// the worker's workspace are not retained past this call.
-		s.cache.PutMany(s.putKeys, s.putEmbs, done)
-		served := 0
-		for i, r := range batch {
-			if hit[i] {
-				continue
-			}
-			s.serveReq(r, done, true)
-			s.stats.Computed++
-			served++
-		}
-		svc := perfmodel.ServingServiceSec(res.Stage)
-		s.stats.MeanServiceSec += svc
-		s.computedBatches++
-		s.stats.EdgesPerSec += res.Edges // normalized by makespan in finish
-		w.stats.Batches++
-		w.stats.Requests += served
-		w.stats.BusySec += svc
-		s.stats.Routes = append(s.stats.Routes, wi)
-		s.policy.Observe(wi, s.order)
+		routeAt = ft + s.retryBackoff(lost, batch, hit, ft)
 	}
-	// Cache hits are answered by the host: only the computed requests'
-	// completions occupy the routed kind's in-flight share. (The old code
-	// pushed every completion — hits included — onto the computed batch's
-	// kind heap, so a hit-heavy batch routed to an FPGA counted requests
-	// the cache had already answered against the FPGA's SetKindCap share.)
+	if dec != nil {
+		s.stats.RouteTrace = s.stats.RouteTrace[:len(s.stats.RouteTrace)-1]
+	}
+	return prediction{worker: -1}, lost, nil
+}
+
+// execute runs s.order on the placed worker and charges its clock, applying
+// the scripted stall/straggler windows exactly as routing predicted them: a
+// stalled start enters the pipeline past the window, a straggler's stages are
+// inflated. It returns the batch result and its virtual completion time.
+func (s *server) execute(p prediction) (*core.InferResult, float64, error) {
+	w := s.pool[p.worker]
+	res, err := w.pipe.RunBatch(s.order)
+	if err != nil {
+		return nil, 0, err
+	}
+	res.Stage = res.Stage.Scaled(p.factor)
+	return res, w.pipe.CompleteAfter(p.ready, res.Stage), nil
+}
+
+// complete publishes a batch worker wi executed: its embeddings enter the
+// cache, its computed requests are answered at done, and the run, device and
+// admission counters take its share.
+func (s *server) complete(batch []Request, hit []bool, wi int, res *core.InferResult, done float64, redispatched bool) {
+	if redispatched {
+		s.stats.Redispatched++
+		if done > s.recoveryEnd {
+			s.recoveryEnd = done
+		}
+	}
+	s.putKeys, s.putEmbs = s.putKeys[:0], s.putEmbs[:0]
+	for i, v := range s.order {
+		s.putKeys = append(s.putKeys, CacheKey{Vertex: v, Version: s.cfg.ModelVersion})
+		s.putEmbs = append(s.putEmbs, res.Logits.Row(i))
+	}
+	// PutMany copies each row into the shard arena, so the views into
+	// the worker's workspace are not retained past this call.
+	s.cache.PutMany(s.putKeys, s.putEmbs, done)
+	served := 0
+	for i, r := range batch {
+		if hit[i] {
+			continue
+		}
+		s.serveReq(r, done, true)
+		s.stats.Computed++
+		served++
+	}
+	svc := perfmodel.ServingServiceSec(res.Stage)
+	s.stats.MeanServiceSec += svc
+	s.computedBatches++
+	s.stats.EdgesPerSec += res.Edges // normalized by makespan in finish
+	w := s.pool[wi]
+	w.stats.Batches++
+	w.stats.Requests += served
+	w.stats.BusySec += svc
+	s.stats.Routes = append(s.stats.Routes, wi)
+	s.release(w.pipe.Device().Kind)
+}
+
+// release moves the batch's answered requests from waiting to in-flight: the
+// cache hits on the host, the computed requests on the kind that ran them.
+func (s *server) release(kind hw.Kind) {
 	s.admission.DispatchedKind(hw.CPU, s.hitDone)
 	s.admission.DispatchedKind(kind, s.compDone)
-	return nil
 }
 
 // shedBatch abandons a batch's cache-missing requests (no live worker, or
@@ -573,6 +568,7 @@ func (s *server) shedBatch(batch []Request, hit []bool) {
 		}
 	}
 	s.admission.Cancel(n)
+	s.release(hw.CPU)
 }
 
 // retryBackoff returns the wait after a predicted mid-service worker loss
@@ -736,12 +732,27 @@ func (s *server) finish() (*Stats, error) {
 	for _, w := range s.pool {
 		stats.PerDevice = append(stats.PerDevice, w.stats)
 	}
-	pred, err := s.pool[0].pipe.Model().PredictServing(servingLoad(s.cfg, s.bindings, 1-stats.HitRate))
-	if err != nil {
-		return nil, err
+	// Price the prediction at the load the run actually served, not at
+	// Config.RatePerSec: a Workload or Replay run never reads that field.
+	if rate := offeredRate(s.arrivals); rate > 0 {
+		pred, err := s.pool[0].pipe.Model().PredictServing(servingLoad(s.cfg, s.bindings, rate, 1-stats.HitRate))
+		if err != nil {
+			return nil, err
+		}
+		stats.Prediction = pred
 	}
-	stats.Prediction = pred
 	return stats, nil
+}
+
+// offeredRate is the measured offered load of an arrival stream: its clock
+// starts at 0, so n arrivals the last of which lands at t offered n/t
+// requests per second — one rule for generated, cohort and replayed streams.
+// 0 when the stream spans no time and so has no rate.
+func offeredRate(arrivals []Request) float64 {
+	if len(arrivals) == 0 || arrivals[len(arrivals)-1].Arrival <= 0 {
+		return 0
+	}
+	return float64(len(arrivals)) / arrivals[len(arrivals)-1].Arrival
 }
 
 // Run drives the full open-loop stream through the serving stack and
@@ -783,10 +794,11 @@ func setKindCaps(a *AdmissionController, pool []*worker, queueCap int) {
 	}
 }
 
-// servingLoad maps a Config onto the analytic model's load description.
-func servingLoad(cfg Config, bindings []int, computeFrac float64) perfmodel.ServingLoad {
+// servingLoad maps a Config onto the analytic model's load description at the
+// given offered rate.
+func servingLoad(cfg Config, bindings []int, ratePerSec, computeFrac float64) perfmodel.ServingLoad {
 	return perfmodel.ServingLoad{
-		RatePerSec:  cfg.RatePerSec,
+		RatePerSec:  ratePerSec,
 		MaxBatch:    cfg.MaxBatch,
 		WindowSec:   cfg.WindowSec,
 		Devices:     bindings,
@@ -808,5 +820,5 @@ func Predict(cfg Config, computeFrac float64) (perfmodel.ServingPrediction, erro
 	if err != nil {
 		return perfmodel.ServingPrediction{}, err
 	}
-	return p.Model().PredictServing(servingLoad(cfg, bindings, computeFrac))
+	return p.Model().PredictServing(servingLoad(cfg, bindings, cfg.RatePerSec, computeFrac))
 }

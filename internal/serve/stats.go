@@ -134,7 +134,8 @@ type Stats struct {
 	Routes []int
 
 	// RouteTrace holds one decision row per computed batch when
-	// Config.RouteTrace is set: the chosen worker plus the counterfactual
+	// Config.RouteTrace is set — RouteTrace[i] is the decision that put
+	// Routes[i] on its worker: the chosen worker plus the counterfactual
 	// predicted completion of every alternative (nil otherwise).
 	RouteTrace []RouteDecision
 
@@ -164,7 +165,9 @@ type Stats struct {
 	FaultWindowP99Sec float64
 
 	// Prediction is the analytic serving model evaluated at this run's
-	// operating point, with ComputeFrac set to the measured miss rate.
+	// operating point: the offered rate of the arrivals it served (count over
+	// the last arrival time) and the measured miss rate as ComputeFrac. Zero
+	// when the arrivals span no time.
 	Prediction perfmodel.ServingPrediction
 }
 
@@ -220,8 +223,9 @@ func (s *Stats) String() string {
 
 // TraceString renders up to limit decision rows (limit ≤ 0 means all) plus
 // a counterfactual summary: the mean regret — chosen predicted completion
-// minus the best non-saturated alternative's — which is 0 by construction
-// for the earliest policy and prices what any other policy trades away.
+// minus the best non-saturated alternative's — which is 0 wherever the router
+// took the earliest completion and prices what the small-batch steer to the
+// CPU peer trades away.
 func (s *Stats) TraceString(limit int) string {
 	if len(s.RouteTrace) == 0 {
 		return "no route trace recorded (enable Config.RouteTrace)"
@@ -245,8 +249,8 @@ func (s *Stats) TraceString(limit int) string {
 		if i >= limit {
 			continue
 		}
-		fmt.Fprintf(&b, "batch %d [%s] close %.4fs computed %d -> worker %d pred %.3fms done %.4fs",
-			d.Batch, d.Policy, d.CloseAt, d.Computed, d.Worker,
+		fmt.Fprintf(&b, "batch %d close %.4fs computed %d -> worker %d pred %.3fms done %.4fs",
+			d.Batch, d.CloseAt, d.Computed, d.Worker,
 			1e3*d.PredictedServiceSec, d.PredictedDoneSec)
 		if d.SmallToPeer {
 			b.WriteString(" (small->peer)")
@@ -254,9 +258,6 @@ func (s *Stats) TraceString(limit int) string {
 		b.WriteString("\n  alts:")
 		for _, a := range d.Alternatives {
 			fmt.Fprintf(&b, " %d[%s]=%.4fs", a.Worker, a.Kind, a.PredictedDoneSec)
-			if a.Affinity > 0 {
-				fmt.Fprintf(&b, "(aff %d)", a.Affinity)
-			}
 			if a.Saturated {
 				b.WriteString("(sat)")
 			}

@@ -395,6 +395,38 @@ func TestTraceReplayByteIdentical(t *testing.T) {
 	}
 }
 
+// A replay run never reads Config.RatePerSec — the trace is the arrival
+// process — so no part of its Stats may depend on the field, the analytic
+// Prediction included (it is priced at the trace's own offered rate), and a
+// replay config that leaves the field zero is a valid run.
+func TestReplayIgnoresRatePerSec(t *testing.T) {
+	cfg := workloadConfig(t)
+	tr, err := GenerateTrace(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workload, cfg.Replay = nil, tr
+	var ref *Stats
+	for _, rate := range []float64{cfg.RatePerSec, 0, 10 * cfg.RatePerSec} {
+		cfg.RatePerSec = rate
+		st, err := Run(cfg)
+		if err != nil {
+			t.Errorf("replay with RatePerSec = %v: %v", rate, err)
+			continue
+		}
+		if ref == nil {
+			ref = st
+		} else if !reflect.DeepEqual(ref, st) {
+			t.Errorf("replay Stats depend on RatePerSec = %v: utilisation %v, was %v",
+				rate, st.Prediction.Utilization, ref.Prediction.Utilization)
+		}
+	}
+	want := float64(len(tr.Requests)) / tr.Requests[len(tr.Requests)-1].Arrival
+	if got := ref.Prediction.Utilization * ref.Prediction.CapacityRPS; math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("prediction priced at %.3f req/s, the trace offered %.3f", got, want)
+	}
+}
+
 // End-to-end over three cohorts: the per-class ledger balances, all three
 // classes are active, and the fairness index is well-formed and printed.
 func TestWorkloadEndToEnd(t *testing.T) {
