@@ -257,9 +257,15 @@ func buildConfig(o options) (*runSpec, error) {
 	return r, nil
 }
 
+// maxAccels bounds the -accels fleet: paper Fig. 9 stops at 16 accelerators
+// (and saturates near 12), so 64 leaves what-if room while a typo
+// ("gpu:2000000000") no longer sizes a replica and a batch share per device.
+const maxAccels = 64
+
 // parseAccelSpec parses the -accels fleet specification: a comma-separated
 // list of kind[:count] entries, e.g. "gpu:2,fpga:1" or "fpga". Device order
-// follows the spec. Unknown kinds and non-positive counts are rejected.
+// follows the spec. Unknown kinds, non-positive counts and fleets past
+// maxAccels are rejected before anything is sized from them.
 func parseAccelSpec(s string) ([]hw.Kind, error) {
 	var kinds []hw.Kind
 	for _, entry := range strings.Split(s, ",") {
@@ -275,6 +281,9 @@ func parseAccelSpec(s string) ([]hw.Kind, error) {
 				return nil, fmt.Errorf("-accels %q: bad device count %q", s, countStr)
 			}
 			count = n
+		}
+		if count > maxAccels-len(kinds) {
+			return nil, fmt.Errorf("-accels %q: more than %d devices", s, maxAccels)
 		}
 		var k hw.Kind
 		switch strings.ToLower(name) {

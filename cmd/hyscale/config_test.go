@@ -133,6 +133,9 @@ func TestBuildConfigAccelsRejectsBadSpecs(t *testing.T) {
 		"gpu:x":      "count", // non-numeric count
 		"gpu:2,,":    "empty", // empty entry
 		"gpu:2:fpga": "count", // malformed separator use
+
+		"gpu:2000000000": "more than 64", // rejected before two billion kinds are appended
+		"gpu:40,fpga:25": "more than 64", // the cap is on the fleet, not the entry
 	}
 	for spec, want := range cases {
 		o := validOptions()
@@ -145,6 +148,32 @@ func TestBuildConfigAccelsRejectsBadSpecs(t *testing.T) {
 			t.Fatalf("-accels %q: error %q does not mention %q", spec, err, want)
 		}
 	}
+}
+
+// Whatever parseAccelSpec accepts is a fleet hw.HeteroPlatform can build:
+// at least one device, at most maxAccels, GPU and FPGA kinds only. Whatever
+// it rejects, it rejects with an error — before sizing anything from it.
+func FuzzParseAccelSpec(f *testing.F) {
+	for _, seed := range []string{
+		"gpu:2,fpga:1", "FPGA", " gpu : 1 ", "gpu:64", "gpu:65", "gpu:2000000000",
+		"gpu:40,fpga:25", "gpu:-1", "gpu:2,,", "gpu:2:fpga", "tpu", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		kinds, err := parseAccelSpec(s)
+		if err != nil {
+			return
+		}
+		if len(kinds) < 1 || len(kinds) > maxAccels {
+			t.Fatalf("parseAccelSpec(%q) accepted a fleet of %d devices", s, len(kinds))
+		}
+		for _, k := range kinds {
+			if k != hw.GPU && k != hw.FPGA {
+				t.Fatalf("parseAccelSpec(%q) accepted kind %v", s, k)
+			}
+		}
+	})
 }
 
 // Every bad value must come back as an error mentioning the culprit — never

@@ -10,11 +10,13 @@
 //
 //   - a virtual clock — each pipeline stage is charged the duration the
 //     device models (internal/hw, via internal/perfmodel's primitives) assign
-//     to the actually-sampled mini-batches, and perfmodel.Pipeline — the
-//     max-plus pipeline recurrence the paper's Fig. 7 depicts, stated once
-//     for the runtime, the simulator and the serving price list — composes
-//     them. Epoch times and MTEPS reported by the engine are virtual-clock
-//     readings.
+//     to the actually-sampled mini-batches. Every stage, propagation
+//     included, is priced in prepare from the sampled-set sizes and one
+//     task-mapping snapshot (paper §V: none of it depends on the weights),
+//     and perfmodel.Pipeline — the max-plus pipeline recurrence the paper's
+//     Fig. 7 depicts, stated once for the runtime, the simulator and the
+//     serving price list — composes them. Epoch times and MTEPS reported by
+//     the engine are virtual-clock readings.
 //
 // The Dynamic Resource Management engine (internal/drm) observes the
 // virtual stage times each iteration and re-balances work and threads,
@@ -25,7 +27,11 @@
 //
 //   - engine.go — construction, validation, replica fleet, accessors;
 //   - stages.go — the StageExecutor interface and the hybrid pipeline
-//     executor (sampling, loading/transfer, concurrent trainers, DONE/ACK);
+//     executor: prepare (sampling, loading/transfer, the iteration's whole
+//     stage vector) and compute (concurrent trainers, DONE/ACK — numerics
+//     only);
+//   - trainers.go — what a trainer is beyond its replica: the step scratch
+//     and propSec, the one per-device-kind propagation price;
 //   - sync.go — the GradientSync boundary between the local all-reduce and
 //     the globally applied gradient, and the FeatureLocator that prices
 //     remote feature rows;

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/accel"
 	"repro/internal/drm"
 	"repro/internal/gnn"
+	"repro/internal/hw"
 	"repro/internal/optim"
 	"repro/internal/perfmodel"
 	"repro/internal/sampler"
@@ -21,8 +23,11 @@ type Engine struct {
 	smp      *sampler.Sampler
 	saint    *sampler.SaintSampler // non-nil when Config.UseSaint
 	batcher  *sampler.Batcher
-	replicas []*gnn.Model // replica 0 = CPU trainer, 1..n = accelerators
-	trainers []Trainer    // device backends, aligned with replicas
+	replicas []*gnn.Model  // replica 0 = CPU trainer, 1..n = accelerators
+	scratch  []stepScratch // per-trainer numeric scratch, aligned with replicas
+	// backends is aligned with Plat.Accels: the §IV-C dataflow account of
+	// each FPGA-kind device, nil for every other kind. Only prepare calls it.
+	backends []*accel.Backend
 	opts     []*optim.SGD
 	assign   perfmodel.Assignment
 	rng      *tensor.RNG
@@ -39,7 +44,7 @@ type Engine struct {
 	// arenas, per-accelerator stage vectors, the result struct). Serial
 	// execution uses slot 0 only; the software-pipelined epoch loop uses a
 	// depth-2 ring so prepare(i+1) fills one slot while the trainers still
-	// read the other. Together with the trainers' stepScratch the slots make
+	// read the other. Together with the per-trainer stepScratch the slots make
 	// the whole steady-state training iteration — sample, gather, price,
 	// propagate — allocation-free (gated by a test).
 	slots [pipelineDepth]*iterSlot
@@ -142,9 +147,17 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 		opts[i] = opt
 	}
+	backends := make([]*accel.Backend, len(cfg.Plat.Accels))
+	for i, dev := range cfg.Plat.Accels {
+		if dev.Kind == hw.FPGA {
+			bk := accel.U250Backend(cfg.Model.Dims[0])
+			backends[i] = &bk
+		}
+	}
 	e := &Engine{
 		cfg: cfg, pm: pm, smp: smp, saint: saint, batcher: batcher,
-		replicas: replicas, opts: opts, rng: rng,
+		replicas: replicas, scratch: make([]stepScratch, nTrainers), backends: backends,
+		opts: opts, rng: rng,
 		assign:  pm.InitialAssignment(cfg.Hybrid),
 		clock:   perfmodel.Pipeline{TFP: cfg.TFP, Networked: cfg.networked()},
 		gsync:   cfg.Sync,
@@ -153,7 +166,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if e.gsync == nil {
 		e.gsync = localSync{}
 	}
-	e.trainers = newTrainers(e)
 	e.exec = &hybridExecutor{e: e}
 	if cfg.DRM {
 		e.drmEng = drm.New(cfg.Plat.TotalCPUCores())
@@ -164,10 +176,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 // Assignment returns the current task mapping (after any DRM moves).
 func (e *Engine) Assignment() perfmodel.Assignment { return e.assign.Clone() }
-
-// Trainers returns the fleet's device backends (index 0 is the CPU trainer,
-// i+1 drives Plat.Accels[i]) — introspection for tests and tooling.
-func (e *Engine) Trainers() []Trainer { return e.trainers }
 
 // Params returns trainer 0's parameters (all replicas are identical; the
 // invariant is checked by ReplicasInSync).

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/accel"
 	"repro/internal/hw"
 	"repro/internal/tensor"
 )
@@ -69,8 +70,9 @@ func TestFPGAGoldenEpochStats(t *testing.T) {
 	}
 }
 
-// A warm fpgaTrainer.Step — structural account, reference train step,
-// pricing — runs on trainer- and backend-owned scratch only.
+// A warm FPGA trainer step — propSec's structural account and pricing on the
+// slot, then the reference train step — runs on slot-, backend- and
+// trainer-owned scratch only.
 func TestFPGATrainerStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation gate is skipped under -race")
@@ -81,9 +83,8 @@ func TestFPGATrainerStepZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, ok := e.Trainers()[1].(*fpgaTrainer)
-	if !ok {
-		t.Fatalf("trainer 1 is %T, want FPGA dataflow", e.Trainers()[1])
+	if e.backends[0] == nil {
+		t.Fatal("accelerator 0 of the CPU+FPGA platform has no dataflow backend")
 	}
 	mb, err := e.smp.Sample(e.cfg.Data.TrainIdx[:64], e.rng)
 	if err != nil {
@@ -91,15 +92,20 @@ func TestFPGATrainerStepZeroAlloc(t *testing.T) {
 	}
 	x := tensor.New(len(mb.InputNodes()), e.cfg.Model.Dims[0])
 	tensor.GatherRows(x, e.cfg.Data.Features, mb.InputNodes())
+	s := e.slot(0)
 	step := func() {
-		res, err := ft.Step(mb, x)
-		if err != nil || res.FPGA == nil || res.FPGA.AggCycles <= 0 {
-			t.Fatalf("step: %v, account %+v", err, res.FPGA)
+		s.fpga = accel.ForwardStats{}
+		sec, err := e.propSec(s, 1, mb, sizesInto(&s.sizes, mb))
+		if err != nil || sec <= 0 || s.fpga.AggCycles <= 0 {
+			t.Fatalf("propSec: %v sec, err %v, account %+v", sec, err, s.fpga)
+		}
+		if _, _, _, err := e.scratch[1].step(e.replicas[1], mb, x); err != nil {
+			t.Fatal(err)
 		}
 	}
 	step() // warm
 	if a := testing.AllocsPerRun(10, step); a != 0 {
-		t.Fatalf("fpgaTrainer.Step allocated %.1f times per step, want 0", a)
+		t.Fatalf("FPGA trainer step allocated %.1f times per step, want 0", a)
 	}
 }
 

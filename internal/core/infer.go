@@ -55,7 +55,7 @@ type InferResult struct {
 // InferencePipeline is the serving-side counterpart of the training
 // StageExecutor: one worker's sample → gather → transfer → propagate
 // pipeline over the shared runtime layers, bound to one device the way a
-// training Trainer backend is. Real numeric propagation runs through the
+// training replica is. Real numeric propagation runs through the
 // same gnn layer kernels as training — or, on an FPGA-bound worker, through
 // the accel dataflow kernels, whose measured cycles are what the clock is
 // charged; virtual time is charged by the same perfmodel primitives and
@@ -229,7 +229,7 @@ func (p *InferencePipeline) RunBatch(targets []int32) (*InferResult, error) {
 		// FPGA worker: the forward executes through the scatter-gather +
 		// systolic dataflow and the kernels' cycle account — not the
 		// analytic Eq. 10 — is what the clock is charged (the account
-		// the fpgaTrainer charges too; serving has no backward half).
+		// training's propSec charges too; serving has no backward half).
 		logits, stats, err := p.backend.Forward(p.cfg.Model, mb, x)
 		if err != nil {
 			return nil, fmt.Errorf("core: fpga serving worker: %w", err)

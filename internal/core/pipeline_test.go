@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/gnn"
+	"repro/internal/perfmodel"
 	"repro/internal/tensor"
 )
 
@@ -248,5 +249,93 @@ func TestParsePipelineMode(t *testing.T) {
 	}
 	if _, err := ParsePipelineMode("overlapped"); err == nil {
 		t.Fatal("expected error for unknown mode")
+	}
+}
+
+// snapshotRecorder wraps the hybrid executor on the pipelined schedule: at
+// prepare time it records what the CPU trainer's propagation must cost under
+// the snapshot that split the iteration's shares, and at compute time it
+// checks the iteration's stage vector against that. Entries are per slot, so
+// the prefetch worker and the orchestrating goroutine never share one.
+type snapshotRecorder struct {
+	*hybridExecutor
+	wantSec     [pipelineDepth]float64
+	snapThreads [pipelineDepth]int
+	checked     int // iterations with a CPU share
+	moved       int // of those, snapshots a balance_thread move had outdated by compute time
+}
+
+func (r *snapshotRecorder) slotIndex(s *iterSlot) int {
+	for k, sl := range r.e.slots {
+		if sl == s {
+			return k
+		}
+	}
+	return -1
+}
+
+func (r *snapshotRecorder) prepare(s *iterSlot, targets []int32) error {
+	if err := r.hybridExecutor.prepare(s, targets); err != nil {
+		return err
+	}
+	if mb := s.batches[0]; mb != nil {
+		e, k := r.e, r.slotIndex(s)
+		var sz perfmodel.Sizes
+		share := float64(s.assign.TrainThreads) / float64(e.cfg.Plat.TotalCPUCores())
+		r.wantSec[k] = e.pm.PropWithOverheads(e.cfg.Plat.CPU, sizesInto(&sz, mb), share)
+		r.snapThreads[k] = s.assign.TrainThreads
+	}
+	return nil
+}
+
+func (r *snapshotRecorder) compute(s *iterSlot) (*IterResult, error) {
+	res, err := r.hybridExecutor.compute(s)
+	if err != nil || s.batches[0] == nil {
+		return res, err
+	}
+	k := r.slotIndex(s)
+	r.checked++
+	if r.snapThreads[k] != r.e.assign.TrainThreads {
+		r.moved++
+	}
+	if got, want := res.Stage.TrainCPU, r.wantSec[k]; got != want {
+		// An error, not t.Fatal: the epoch loop must drain its worker.
+		return nil, fmt.Errorf("iteration %d: TrainCPU %x, but the snapshot that split its shares (%d train threads; live mapping now %d) prices it %x",
+			r.checked, got, r.snapThreads[k], r.e.assign.TrainThreads, want)
+	}
+	return res, nil
+}
+
+// One iteration is priced under one mapping. On the lagged schedule the slot
+// snapshot is taken before DRM reacts to the previous iteration, so by the
+// time compute(i) runs the live mapping may have moved on; the CPU trainer's
+// Stage-4 price must still be the snapshot's — the mapping that split the
+// shares and priced sampling and loading of the same iteration — on the
+// worker-backed schedule and on its synchronous twin alike.
+func TestPipelinedIterationPricedUnderOneSnapshot(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
+			cfg := baseConfig(t) // DRM on
+			cfg.Pipeline = PipelinePrefetch
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &snapshotRecorder{hybridExecutor: e.exec.(*hybridExecutor)}
+			e.exec = rec
+			run := e.runEpochOracle
+			if async {
+				run = e.runEpochAsync
+			}
+			for ep := 0; ep < 3; ep++ {
+				if _, err := run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if e.drmEng.MovesThread == 0 || rec.moved == 0 {
+				t.Fatalf("no balance_thread move landed between a snapshot and its compute (%d thread moves, %d of %d iterations outdated): the test exercised nothing",
+					e.drmEng.MovesThread, rec.moved, rec.checked)
+			}
+		})
 	}
 }

@@ -19,18 +19,21 @@ import (
 // globally averaged gradient.
 //
 // The iteration splits into two halves along the paper's Fig. 4/5 boundary:
-// prepare (Stages 1–3: sampling, feature gather/staging, transfer pricing)
-// depends only on the batcher/RNG stream and the assignment snapshot in its
-// slot — never on model weights — while compute (Stage 4: propagation +
-// local gradient reduction) consumes a prepared slot. RunIteration is
-// prepare followed immediately by compute on one slot (serial execution);
-// the software-pipelined epoch loop (pipeline.go) instead runs prepare for
+// prepare (sampling, feature gather/staging, and the price of every stage —
+// propagation included, since §V prices it from the sampled-set sizes and
+// the task mapping alone) depends only on the batcher/RNG stream and the
+// assignment snapshot in its slot — never on model weights — while compute
+// (Stage 4's numerics: propagation + local gradient reduction) consumes a
+// prepared slot and prices nothing. RunIteration is prepare followed
+// immediately by compute on one slot (serial execution); the
+// software-pipelined epoch loop (pipeline.go) instead runs prepare for
 // iteration i+1 while compute for iteration i is still in flight, over a
 // depth-2 ring of slots.
 type StageExecutor interface {
 	RunIteration(targets []int32) (*IterResult, error)
 	// prepare runs Stages 1–3 for one global mini-batch into the slot's
-	// retained scratch, reading the assignment snapshot the slot carries.
+	// retained scratch and prices the whole iteration, reading the
+	// assignment snapshot the slot carries.
 	prepare(s *iterSlot, targets []int32) error
 	// compute runs Stage 4 over a prepared slot and assembles the iteration
 	// result (owned by the slot, valid until its next prepare).
@@ -74,8 +77,10 @@ type iterSlot struct {
 	sizes   perfmodel.Sizes
 	res     IterResult
 
-	// prepare's outputs, consumed by compute.
+	// prepare's outputs, consumed by compute: the iteration's complete stage
+	// vector and FPGA dataflow account, priced under assign.
 	st         perfmodel.StageTimes
+	fpga       accel.ForwardStats
 	edges      float64
 	remoteRows int
 }
@@ -100,14 +105,17 @@ func (x *hybridExecutor) RunIteration(targets []int32) (*IterResult, error) {
 	return x.compute(s)
 }
 
-// prepare runs Stages 1–3 — sampling, feature gather/staging, transfer and
-// load pricing — into the slot. It touches only the slot's scratch, the
-// sampler/RNG stream (callers serialize prepares), and read-only engine
-// state (features, pricing model, locator); never the replicas or trainers,
-// which is what lets it overlap a sibling slot's compute.
+// prepare runs Stages 1–3 — sampling, feature gather/staging — into the slot
+// and prices every stage of the iteration, Stage 4 included, from the
+// mini-batches it just sampled and the slot's assignment snapshot. It touches
+// only the slot's scratch, the sampler/RNG stream and the FPGA backends'
+// accounting scratch (callers serialize prepares), and read-only engine
+// state (features, pricing model, locator); never the replicas or their
+// numeric scratch, which is what lets it overlap a sibling slot's compute.
 func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 	e := x.e
 	s.st = perfmodel.StageTimes{}
+	s.fpga = accel.ForwardStats{}
 	s.edges = 0
 	s.remoteRows = 0
 	shares := e.deviceShareInto(s, targets)
@@ -142,7 +150,7 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 			batches[i] = mb
 		} else {
 			// Slot-retained mini-batch, rebuilt in place: trainer i reads
-			// it until its Step returns, within the slot's iteration —
+			// it until its step returns, within the slot's iteration —
 			// exactly the storage's lifetime.
 			if err := e.smp.SampleInto(s.mbs[i], share, e.rng); err != nil {
 				return err
@@ -164,11 +172,11 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 		Sync:      e.pm.SyncTime(),
 	}
 
-	// --- Stage 2+3: Feature Loading and Data Transfer for accelerators.
-	// Both are priced per device: each accelerator's share crosses its own
-	// host link (Eq. 8 over AccelLink(i)), and its feature rows ride its
-	// stack's loader (framework vs native, overlapped — see
-	// perfmodel.LoadTimeForDeviceRows).
+	// --- Stage 2+3: Feature Loading and Data Transfer for accelerators, and
+	// the price of Stage 4. All are priced per device: each accelerator's
+	// share crosses its own host link (Eq. 8 over AccelLink(i)), its feature
+	// rows ride its stack's loader (framework vs native, overlapped — see
+	// perfmodel.LoadTimeForDeviceRows), and its propagation is propSec's.
 	nAcc := len(e.cfg.Plat.Accels)
 	feats := s.feats
 	for i := range feats {
@@ -199,23 +207,28 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 			continue
 		}
 		// Per-slot staging arena: the gathered feature block is reused across
-		// iterations (trainer i reads it until its Step returns, within the
+		// iterations (trainer i reads it until its step returns, within the
 		// slot's iteration — exactly the buffer's lifetime).
 		s.ws[i].Reset()
 		x := s.ws[i].Get(len(mb.InputNodes()), e.cfg.Model.Dims[0])
 		tensor.GatherRows(x, e.cfg.Data.Features, mb.InputNodes())
 		feats[i] = x
-		if i > 0 { // accelerator share crosses DRAM + its host link
+		sz := sizesInto(&s.sizes, mb)
+		prop, err := e.propSec(s, i, mb, sz)
+		if err != nil {
+			return err
+		}
+		if i == 0 {
+			st.TrainCPU = prop
+		} else { // accelerator share crosses DRAM + its host link
 			if e.cfg.QuantizeTransfer {
 				tensor.QuantizeRoundTrip(x) // inject the real int8 loss
 			}
-			sz := sizesInto(&s.sizes, mb)
 			loadRows[i-1] = sz.VL[0]
 			tt := e.pm.TransferTimeDev(i-1, sz)
-			st.PerAccel[i-1].Trans = tt
-			if tt > st.Trans {
-				st.Trans = tt
-			}
+			st.PerAccel[i-1] = perfmodel.DeviceStage{Trans: tt, Train: prop}
+			st.Trans = max(st.Trans, tt)
+			st.TrainAcc = max(st.TrainAcc, prop)
 		}
 		// Rows owned by remote shards cross the interconnect, whichever
 		// trainer consumes them (the CPU trainer's in-place reads included).
@@ -231,50 +244,38 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 	return nil
 }
 
-// compute runs Stage 4 — GNN propagation on all trainers concurrently plus
-// the local gradient all-reduce — over a prepared slot, and assembles the
-// iteration result.
+// compute runs Stage 4's numerics — GNN propagation on all trainers
+// concurrently plus the local gradient all-reduce — over a prepared slot, and
+// assembles the iteration result. The stage vector and the FPGA account are
+// prepare's, passed through untouched: compute prices nothing and never
+// calls a backend, which the prefetch worker may be using for the next
+// iteration.
 func (x *hybridExecutor) compute(s *iterSlot) (*IterResult, error) {
 	e := x.e
 	out := &s.res
-	*out = IterResult{}
-	out.Edges = s.edges
-	out.RemoteRows = s.remoteRows
-	st := s.st
+	*out = IterResult{Stage: s.st, FPGA: s.fpga, Edges: s.edges, RemoteRows: s.remoteRows}
 	batches, feats := s.batches, s.feats
 
-	// A single active trainer — the CPU-only and benchmark shape — takes a
-	// serial fast path instead: the weighted all-reduce over one participant
-	// is the identity (its weight is exactly 1), so the trainer's own mean
-	// gradient IS the round's broadcast average bit for bit, and skipping
-	// the goroutine + channel + DONE/ACK machinery leaves the whole
-	// iteration allocation-free.
+	// A single active trainer — the CPU-only shape — takes a serial fast
+	// path instead: the weighted all-reduce over one participant is the
+	// identity (its weight is exactly 1), so the trainer's own mean gradient
+	// IS the round's broadcast average bit for bit, and skipping the
+	// goroutine + channel + DONE/ACK machinery leaves the whole iteration
+	// allocation-free.
 	if countActive(batches) == 1 {
 		for i, mb := range batches {
 			if mb == nil {
 				continue
 			}
-			step, err := e.trainers[i].Step(mb, feats[i])
+			grads, loss, acc, err := e.scratch[i].step(e.replicas[i], mb, feats[i])
 			if err != nil {
 				return nil, err
 			}
-			out.LossSum += step.Loss * float64(len(mb.Targets))
-			out.Correct += step.Acc * float64(len(mb.Targets))
+			out.LossSum += loss * float64(len(mb.Targets))
+			out.Correct += acc * float64(len(mb.Targets))
 			out.Targets += len(mb.Targets)
-			out.Grad = step.Grads
-			if i == 0 {
-				st.TrainCPU = step.PropSec
-			} else {
-				st.PerAccel[i-1].Train = step.PropSec
-				if step.PropSec > st.TrainAcc {
-					st.TrainAcc = step.PropSec
-				}
-			}
-			if step.FPGA != nil {
-				out.FPGA.Add(*step.FPGA)
-			}
+			out.Grad = grads
 		}
-		out.Stage = st
 		return out, nil
 	}
 	sync_, err := optim.NewSynchronizer(countActive(batches))
@@ -316,23 +317,12 @@ func (x *hybridExecutor) compute(s *iterSlot) (*IterResult, error) {
 		if res.err != nil {
 			return nil, res.err
 		}
-		out.LossSum += res.loss * float64(res.targets)
-		out.Correct += res.correct
-		out.Targets += res.targets
+		n := len(batches[i].Targets)
+		out.LossSum += res.loss * float64(n)
+		out.Correct += res.acc * float64(n)
+		out.Targets += n
 		out.Grad = res.avg
-		if res.idx == 0 {
-			st.TrainCPU = res.propSec
-		} else {
-			st.PerAccel[res.idx-1].Train = res.propSec
-			if res.propSec > st.TrainAcc {
-				st.TrainAcc = res.propSec
-			}
-		}
-		if res.fpga != nil {
-			out.FPGA.Add(*res.fpga)
-		}
 	}
-	out.Stage = st
 	return out, nil
 }
 
@@ -379,24 +369,13 @@ func (e *Engine) deviceShareInto(s *iterSlot, targets []int32) [][]int32 {
 
 // trainerResult carries one trainer's output back to the coordinator.
 type trainerResult struct {
-	idx     int
-	avg     *gnn.Gradients // broadcast result of the all-reduce
-	loss    float64
-	correct float64
-	targets int
-	propSec float64             // virtual propagation time on this device
-	fpga    *accel.ForwardStats // dataflow accounting (FPGA trainers only)
-	err     error
+	avg       *gnn.Gradients // broadcast result of the all-reduce
+	loss, acc float64        // the share's mean loss and accuracy
+	err       error
 }
 
-// actualSizes converts a sampled mini-batch into perfmodel.Sizes.
-func actualSizes(mb *sampler.MiniBatch) perfmodel.Sizes {
-	var s perfmodel.Sizes
-	return sizesInto(&s, mb)
-}
-
-// sizesInto is actualSizes into reused backing arrays — the hot paths'
-// variant. The returned value shares the scratch's slices and is valid
+// sizesInto converts a sampled mini-batch into perfmodel.Sizes over reused
+// backing arrays. The returned value shares the scratch's slices and is valid
 // until the next call with the same scratch.
 func sizesInto(s *perfmodel.Sizes, mb *sampler.MiniBatch) perfmodel.Sizes {
 	L := len(mb.Blocks)
@@ -414,17 +393,15 @@ func sizesInto(s *perfmodel.Sizes, mb *sampler.MiniBatch) perfmodel.Sizes {
 	return *s
 }
 
-// runTrainer executes one trainer's share through its device backend:
-// forward/backward on the Trainer, gradient scaling for the weighted
-// all-reduce, and DONE/ACK via the synchronizer (rank is the trainer's dense
-// index among this iteration's active trainers — the all-reduce sums in rank
-// order). The returned propSec is the backend's virtual device time.
+// runTrainer executes one trainer's share: forward/backward on its replica,
+// gradient scaling for the weighted all-reduce, and DONE/ACK via the
+// synchronizer (rank is the trainer's dense index among this iteration's
+// active trainers — the all-reduce sums in rank order).
 func (e *Engine) runTrainer(idx, rank int, mb *sampler.MiniBatch, x *tensor.Matrix,
 	totalTargets int, sync_ *optim.Synchronizer) trainerResult {
-	res := trainerResult{idx: idx, targets: len(mb.Targets)}
-	step, err := e.trainers[idx].Step(mb, x)
+	grads, loss, acc, err := e.scratch[idx].step(e.replicas[idx], mb, x)
+	res := trainerResult{loss: loss, acc: acc, err: err}
 	if err != nil {
-		res.err = err
 		// Keep the DONE/ACK protocol alive: the synchronizer was sized for
 		// every active trainer, so a silent exit here would block the
 		// siblings forever. Submit a zero gradient; the coordinator sees
@@ -432,18 +409,13 @@ func (e *Engine) runTrainer(idx, rank int, mb *sampler.MiniBatch, x *tensor.Matr
 		sync_.Submit(rank, gnn.NewGradients(e.replicas[idx].Params))
 		return res
 	}
-	res.loss = step.Loss
-	res.correct = step.Acc * float64(len(mb.Targets))
-	res.propSec = step.PropSec
-	res.fpga = step.FPGA
-
 	// Weighted averaging: each trainer's mean-gradient is rescaled so the
 	// synchronizer's equal-weight average equals the global-batch mean.
 	// The weight *update* is applied by the coordinator to every replica
 	// (even share-less ones) once the round's average is known.
 	scale := float32(len(mb.Targets)) * float32(sync_.N()) / float32(totalTargets)
-	step.Grads.Scale(scale)
-	res.avg = sync_.Submit(rank, step.Grads) // blocks until all trainers are DONE
+	grads.Scale(scale)
+	res.avg = sync_.Submit(rank, grads) // blocks until all trainers are DONE
 	return res
 }
 

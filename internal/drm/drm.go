@@ -175,27 +175,27 @@ func (e *Engine) adjustGlobal(out *perfmodel.Assignment, st perfmodel.StageTimes
 
 	switch bottleneck {
 	case SampAccel: // line 11: shift sampling work back toward the CPU
-		e.balanceSampling(out, ts, -1)
+		e.balanceSampling(out, -1)
 	case Accel: // line 13: shift training work toward the CPU
-		e.balanceTraining(out, ts, -1, true)
+		e.balanceTraining(out, ts, -1)
 	case Load: // line 15
 		if e.FusedPrefetch && st.Trans > st.Load {
 			// The fused prefetch stage is transfer-dominated: shedding
 			// accelerator work shrinks both halves; more loader threads
 			// would not help the PCIe half.
-			e.balanceTraining(out, ts, -1, true)
+			e.balanceTraining(out, ts, -1)
 		} else {
 			e.balanceThread(out, fastestCPU, Load)
 		}
 	case SampCPU: // lines 17–24
 		if fastest == SampAccel || (fastest == Accel && second == SampAccel) {
-			e.balanceSampling(out, ts, +1)
+			e.balanceSampling(out, +1)
 		} else {
 			e.balanceThread(out, fastestCPU, SampCPU)
 		}
 	case TrainCPU: // lines 25–32
 		if fastest == Accel || (fastest == SampAccel && second == Accel) {
-			e.balanceTraining(out, ts, +1, true)
+			e.balanceTraining(out, ts, +1)
 		} else {
 			e.balanceThread(out, fastestCPU, TrainCPU)
 		}
@@ -258,7 +258,7 @@ func (e *Engine) balanceAccels(a *perfmodel.Assignment, per []perfmodel.DeviceSt
 // accelerator share. Solving  t_cpu − Δ·c_cpu = t_acc + Δ·c_acc  for Δ lands
 // at the crossover instead of hopping over it, so the engine settles rather
 // than oscillates.
-func (e *Engine) balanceTraining(a *perfmodel.Assignment, ts *stageTimes, dir int, proportional bool) {
+func (e *Engine) balanceTraining(a *perfmodel.Assignment, ts *stageTimes, dir int) {
 	nAcc := len(a.AccelBatch)
 	if nAcc == 0 {
 		return
@@ -274,7 +274,7 @@ func (e *Engine) balanceTraining(a *perfmodel.Assignment, ts *stageTimes, dir in
 		accSide = ts[Load]
 	}
 	var move int
-	if proportional && cpuSide > 0 && accSide > 0 && a.CPUBatch > 0 && accTotal > 0 {
+	if cpuSide > 0 && accSide > 0 && a.CPUBatch > 0 && accTotal > 0 {
 		cCPU := cpuSide / float64(a.CPUBatch)
 		cAcc := accSide / float64(accTotal)
 		move = int(e.Gain * (accSide - cpuSide) / (cCPU + cAcc) * float64(-dir))
@@ -311,7 +311,7 @@ func (e *Engine) balanceTraining(a *perfmodel.Assignment, ts *stageTimes, dir in
 
 // balanceSampling is balance_work over the sampling split.
 // dir = +1 moves sampling work CPU→accelerators, −1 the reverse.
-func (e *Engine) balanceSampling(a *perfmodel.Assignment, ts *stageTimes, dir int) {
+func (e *Engine) balanceSampling(a *perfmodel.Assignment, dir int) {
 	step := 0.1 * e.Gain * 2
 	frac := a.AccelSampleFrac + float64(dir)*step
 	if frac < 0 {

@@ -366,7 +366,7 @@ func TestDRMConvergesUnequalDevices(t *testing.T) {
 		SampThreads: 43, LoadThreads: 43, TrainThreads: 42,
 	}
 	ratio := func(a perfmodel.Assignment) float64 {
-		per := m.AccelStages(a)
+		per := m.Stages(a).PerAccel
 		lo, hi := math.Inf(1), 0.0
 		for _, d := range per {
 			if d.Busy() <= 0 {

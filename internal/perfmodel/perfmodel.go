@@ -268,17 +268,8 @@ const loadSaturationThreads = 32
 // "the limiting factor of scalability is the CPU memory bandwidth").
 const loaderDRAMShare = 0.30
 
-// SamplingTime returns T_SC for sampling `batches` mini-batches of the given
-// total target count on `threads` CPU threads.
-func (m *Model) SamplingTimeCPU(totalTargets int, threads int) float64 {
-	if totalTargets == 0 || threads <= 0 {
-		return 0
-	}
-	edges := m.Work.EdgesPerBatch(totalTargets)
-	return m.SampleTimeCPUEdges(edges, threads)
-}
-
-// SampleTimeCPUEdges is the CPU sampling cost for an explicit edge count.
+// SampleTimeCPUEdges is T_SC: the CPU sampling cost of an explicit edge count
+// on `threads` sampler threads.
 func (m *Model) SampleTimeCPUEdges(edges float64, threads int) float64 {
 	if edges <= 0 || threads <= 0 {
 		return 0
@@ -290,8 +281,8 @@ func (m *Model) SampleTimeCPUEdges(edges float64, threads int) float64 {
 	return edges * sampleNsPerEdge * factor * 1e-9 / float64(threads)
 }
 
-// SampleTimeAccelEdges is the accelerator sampling cost for an explicit
-// edge count.
+// SampleTimeAccelEdges is T_SA: one accelerator's cost of sampling an
+// explicit edge count itself.
 func (m *Model) SampleTimeAccelEdges(edges float64) float64 {
 	if edges <= 0 {
 		return 0
@@ -299,36 +290,10 @@ func (m *Model) SampleTimeAccelEdges(edges float64) float64 {
 	return edges * accelSampleNsPerEdge * 1e-9
 }
 
-// SamplingTimeAccel returns T_SA for one accelerator sampling its own batch.
-func (m *Model) SamplingTimeAccel(batch int) float64 {
-	if batch == 0 {
-		return 0
-	}
-	return m.Work.EdgesPerBatch(batch) * accelSampleNsPerEdge * 1e-9
-}
-
-// LoadTime returns T_Load (Eq. 7): the Feature Loader gathers Σ_i |V0_i|
-// feature rows from CPU DRAM. Achieved bandwidth scales with thread count up
-// to saturation. Rows bound for devices driven by a framework loader
-// (Device.LoaderGBs) go through that stack instead; see LoadTimeForDeviceRows.
-//
-// The CPU trainer reads features in place; no explicit load stage is needed
-// for its share (it still costs gather bandwidth, charged in TrainCPU).
-func (m *Model) LoadTime(a Assignment) float64 {
-	rows := make([]float64, len(m.Plat.Accels))
-	for i, b := range a.AccelBatch {
-		if i >= len(rows) {
-			break
-		}
-		if b > 0 {
-			rows[i] = m.Work.SizesFor(b).VL[0]
-		}
-	}
-	return m.LoadTimeForDeviceRows(rows, a.LoadThreads)
-}
-
-// LoadTimeForDeviceRows is Eq. 7 over explicit per-accelerator feature-row
-// counts (rows[i] feeds Plat.Accels[i]). Two loader stacks exist: devices
+// LoadTimeForDeviceRows is T_Load (Eq. 7) over explicit per-accelerator
+// feature-row counts (rows[i] feeds Plat.Accels[i]): the Feature Loader
+// gathers Σ_i rows[i] rows from CPU DRAM, at a bandwidth that scales with the
+// thread count up to saturation. Two loader stacks exist: devices
 // with LoaderGBs > 0 are fed by their host framework's gather — a single
 // process whose work serializes across all such devices — while the rest go
 // through the native threaded loader. The two stacks run concurrently, so
@@ -388,22 +353,6 @@ func (m *Model) LoadTimeForRows(rows float64, threads int) float64 {
 	return bytes / (bw * scale)
 }
 
-// TransferTime returns T_Tran (Eq. 8) for the busiest accelerator: feature
-// sub-matrix plus mini-batch topology over each device's private link.
-func (m *Model) TransferTime(a Assignment) float64 {
-	var worst float64
-	for i, b := range a.AccelBatch {
-		if b == 0 {
-			continue
-		}
-		t := m.TransferTimeDev(i, m.Work.SizesFor(b))
-		if t > worst {
-			worst = t
-		}
-	}
-	return worst
-}
-
 // TransferTimeFor is Eq. 8 for explicit sampled-set sizes: the feature
 // sub-matrix plus the mini-batch topology crossing the platform's default
 // PCIe link. Use TransferTimeDev when the fleet carries per-device links.
@@ -431,29 +380,21 @@ func (m *Model) transferSec(link hw.Link, s Sizes) float64 {
 	return link.TransferSec(bytes)
 }
 
-// propTime returns forward+backward time on a device for a batch (Eq. 10),
-// using Eq. 11 for aggregation (traffic/bandwidth) and Eq. 12 for update
-// (MACs/compute rate). For pipelined devices ⊕ = max, else ⊕ = Σ.
-// cpuShare scales CPU resources when only a fraction of cores train.
-func (m *Model) propTime(dev hw.Device, batch int, cpuShare float64) float64 {
-	if batch == 0 {
-		return 0
-	}
-	return m.PropTimeFor(dev, m.Work.SizesFor(batch), cpuShare)
-}
-
-// cpuTrainerBackendEff is the fraction of the CPU's (already derated)
+// cpuTrainBackendEff is the fraction of the CPU's (already derated)
 // compute and bandwidth the CPU *trainer* achieves. The trainer runs a
 // software GNN stack (libtorch/MKL in the paper's implementation) whose
 // GNN-sized GEMMs and scattered aggregations fall well short of platform
 // peak. Calibrated so the hybrid-over-accelerator-only gain lands in the
 // paper's ablation band (Fig. 11: hybrid static ≤ 1.13×): the CPU
 // contributes a modest slice, not half the fleet.
-const cpuTrainerBackendEff = 0.30
+const cpuTrainBackendEff = 0.30
 
-// PropTimeFor is propTime over explicit sampled-set sizes — used by the
-// runtime to charge virtual device time for the mini-batches it actually
-// sampled rather than their expectation.
+// PropTimeFor returns forward+backward time on a device (Eq. 10) for explicit
+// sampled-set sizes — the expectation (SizesFor) on the analytic side, the
+// mini-batches actually sampled in the runtime — using Eq. 11 for aggregation
+// (traffic/bandwidth) and Eq. 12 for update (MACs/compute rate). For
+// pipelined devices ⊕ = max, else ⊕ = Σ. cpuShare scales CPU resources when
+// only a fraction of cores train.
 func (m *Model) PropTimeFor(dev hw.Device, s Sizes, cpuShare float64) float64 {
 	fwd, bwd := m.propFwdBwd(dev, s, cpuShare)
 	return fwd + bwd
@@ -482,7 +423,7 @@ func (m *Model) propFwdBwd(dev hw.Device, s Sizes, cpuShare float64) (float64, f
 	gather := dev.GatherGBs() * 1e9
 	stream := dev.StreamGBs() * 1e9
 	if dev.Kind == hw.CPU {
-		scale := float64(m.Plat.Sockets) * cpuShare * cpuTrainerBackendEff
+		scale := float64(m.Plat.Sockets) * cpuShare * cpuTrainBackendEff
 		flops *= scale
 		gather *= scale
 		stream *= scale
@@ -556,30 +497,6 @@ func DeviceOverheads(dev hw.Device, t float64) float64 {
 		KernelsPerIteration*dev.KernelLaunchUs*1e-6
 }
 
-// TrainTimeCPU returns T_TC for the CPU trainer under the assignment.
-func (m *Model) TrainTimeCPU(a Assignment) float64 {
-	if a.CPUBatch == 0 || a.TrainThreads == 0 {
-		return 0
-	}
-	share := float64(a.TrainThreads) / float64(m.Plat.TotalCPUCores())
-	return m.propTime(m.Plat.CPU, a.CPUBatch, share)
-}
-
-// TrainTimeAccel returns T_TA for the busiest accelerator.
-func (m *Model) TrainTimeAccel(a Assignment) float64 {
-	var worst float64
-	for i, b := range a.AccelBatch {
-		if i >= len(m.Plat.Accels) {
-			break
-		}
-		t := m.propTime(m.Plat.Accels[i], b, 1)
-		if t > worst {
-			worst = t
-		}
-	}
-	return worst
-}
-
 // SyncTime returns T_sync (Eq. 13): the model crosses the host link twice.
 // Every device must receive the averaged gradient, so a mixed fleet is gated
 // by its slowest link.
@@ -593,35 +510,43 @@ func (m *Model) SyncTime() float64 {
 	return 2 * m.Work.ModelBytes() / (bw * 1e9)
 }
 
-// AccelStages evaluates Eq. 8 and Eq. 10 per accelerator for an assignment:
-// device i's own-link transfer time and propagation time for its share.
-func (m *Model) AccelStages(a Assignment) []DeviceStage {
-	if len(m.Plat.Accels) == 0 {
-		return nil
+// Stages evaluates every stage time of one iteration under an assignment,
+// each share priced at the sampler's expected sizes (SizesFor): T_Tran
+// (Eq. 8) and T_TA (Eq. 10) per accelerator in PerAccel, the busiest
+// device's in Trans / TrainAcc (links are private and devices run
+// concurrently, so neither adds up across the fleet); T_Load (Eq. 7) over the
+// accelerator shares' input rows — the CPU trainer reads features in place,
+// and the gather bandwidth that costs is charged in TrainCPU; T_TC (Eq. 10)
+// on the TrainThreads slice of the cores; T_SC / T_SA for one batch of
+// TotalBatch targets split by AccelSampleFrac.
+func (m *Model) Stages(a Assignment) StageTimes {
+	nAcc := len(m.Plat.Accels)
+	st := StageTimes{Sync: m.SyncTime()}
+	if nAcc > 0 {
+		st.PerAccel = make([]DeviceStage, nAcc)
 	}
-	out := make([]DeviceStage, len(m.Plat.Accels))
+	rows := make([]float64, nAcc)
 	for i, b := range a.AccelBatch {
-		if i >= len(out) || b <= 0 {
+		if b <= 0 {
 			continue
 		}
 		s := m.Work.SizesFor(b)
-		out[i] = DeviceStage{
-			Trans: m.TransferTimeDev(i, s),
-			Train: m.propTime(m.Plat.Accels[i], b, 1),
+		tt := m.TransferTimeDev(i, s)
+		st.Trans = max(st.Trans, tt)
+		if i >= nAcc {
+			// A share past the fleet's last device has nothing to load for or
+			// train on; its transfer over the default link is all that counts.
+			continue
 		}
+		rows[i] = s.VL[0]
+		train := m.PropTimeFor(m.Plat.Accels[i], s, 1)
+		st.PerAccel[i] = DeviceStage{Trans: tt, Train: train}
+		st.TrainAcc = max(st.TrainAcc, train)
 	}
-	return out
-}
-
-// Stages evaluates all stage times for an assignment.
-func (m *Model) Stages(a Assignment) StageTimes {
-	st := StageTimes{
-		Load:     m.LoadTime(a),
-		Trans:    m.TransferTime(a),
-		TrainCPU: m.TrainTimeCPU(a),
-		TrainAcc: m.TrainTimeAccel(a),
-		Sync:     m.SyncTime(),
-		PerAccel: m.AccelStages(a),
+	st.Load = m.LoadTimeForDeviceRows(rows, a.LoadThreads)
+	if a.CPUBatch != 0 && a.TrainThreads != 0 {
+		share := float64(a.TrainThreads) / float64(m.Plat.TotalCPUCores())
+		st.TrainCPU = m.PropTimeFor(m.Plat.CPU, m.Work.SizesFor(a.CPUBatch), share)
 	}
 	total := a.TotalBatch()
 	frac := a.AccelSampleFrac
@@ -631,15 +556,14 @@ func (m *Model) Stages(a Assignment) StageTimes {
 	if frac > 1 {
 		frac = 1
 	}
-	nAcc := len(m.Plat.Accels)
 	if nAcc == 0 {
 		frac = 0
 	}
 	cpuTargets := int(float64(total) * (1 - frac))
-	st.SampCPU = m.SamplingTimeCPU(cpuTargets, a.SampThreads)
+	st.SampCPU = m.SampleTimeCPUEdges(m.Work.EdgesPerBatch(cpuTargets), a.SampThreads)
 	if frac > 0 {
 		perAccel := (total - cpuTargets + nAcc - 1) / nAcc
-		st.SampAccel = m.SamplingTimeAccel(perAccel)
+		st.SampAccel = m.SampleTimeAccelEdges(m.Work.EdgesPerBatch(perAccel))
 	}
 	return st
 }
@@ -690,8 +614,8 @@ func (m *Model) ThroughputMTEPS(a Assignment) float64 {
 // mapping.
 func (m *Model) DeviceRate(i int) float64 {
 	b := m.Work.BatchSize
-	t := math.Max(m.propTime(m.Plat.Accels[i], b, 1),
-		m.TransferTimeDev(i, m.Work.SizesFor(b)))
+	s := m.Work.SizesFor(b)
+	t := math.Max(m.PropTimeFor(m.Plat.Accels[i], s, 1), m.TransferTimeDev(i, s))
 	if t <= 0 {
 		return 0
 	}

@@ -73,18 +73,18 @@ func TestAssignmentTotalAndClone(t *testing.T) {
 
 func TestSamplingTimeScalesWithThreads(t *testing.T) {
 	m := fpgaModel(t, datagen.OGBNProducts, gnn.GCN)
-	t1 := m.SamplingTimeCPU(4096, 1)
-	t32 := m.SamplingTimeCPU(4096, 32)
+	t1 := m.SampleTimeCPUEdges(m.Work.EdgesPerBatch(4096), 1)
+	t32 := m.SampleTimeCPUEdges(m.Work.EdgesPerBatch(4096), 32)
 	if math.Abs(t1/t32-32) > 1e-6 {
 		t.Fatalf("sampling not linear in threads: %v / %v", t1, t32)
 	}
-	if m.SamplingTimeCPU(0, 8) != 0 || m.SamplingTimeCPU(100, 0) != 0 {
+	if m.SampleTimeCPUEdges(m.Work.EdgesPerBatch(0), 8) != 0 || m.SampleTimeCPUEdges(m.Work.EdgesPerBatch(100), 0) != 0 {
 		t.Fatal("degenerate sampling times should be 0")
 	}
-	if m.SamplingTimeAccel(0) != 0 {
+	if m.SampleTimeAccelEdges(m.Work.EdgesPerBatch(0)) != 0 {
 		t.Fatal("zero-batch accel sampling should be 0")
 	}
-	if m.SamplingTimeAccel(1024) <= 0 {
+	if m.SampleTimeAccelEdges(m.Work.EdgesPerBatch(1024)) <= 0 {
 		t.Fatal("accel sampling time should be positive")
 	}
 }
@@ -92,7 +92,7 @@ func TestSamplingTimeScalesWithThreads(t *testing.T) {
 func TestLoadTimeEq7(t *testing.T) {
 	m := fpgaModel(t, datagen.OGBNPapers100M, gnn.GCN)
 	a := Assignment{AccelBatch: []int{1024}, LoadThreads: 32}
-	got := m.LoadTime(a)
+	got := m.Stages(a).Load
 	// Eq. 7: |V0|·f0·4 / BW, with the loader's DRAM share as the bandwidth.
 	rows := m.Work.SizesFor(1024).VL[0]
 	want := rows * 128 * 4 / (m.Plat.CPUMemBWGBs() * 0.30 * 1e9)
@@ -102,17 +102,17 @@ func TestLoadTimeEq7(t *testing.T) {
 	// Halving threads below saturation doubles time.
 	a16 := a
 	a16.LoadThreads = 16
-	if math.Abs(m.LoadTime(a16)/got-2) > 1e-6 {
+	if math.Abs(m.Stages(a16).Load/got-2) > 1e-6 {
 		t.Fatal("load time should scale inversely with threads below saturation")
 	}
 	// More threads than saturation: no further speedup.
 	a64 := a
 	a64.LoadThreads = 64
-	if m.LoadTime(a64) != got {
+	if m.Stages(a64).Load != got {
 		t.Fatal("load time should saturate")
 	}
 	// No accelerator work: no load stage.
-	if m.LoadTime(Assignment{LoadThreads: 32}) != 0 {
+	if m.Stages(Assignment{LoadThreads: 32}).Load != 0 {
 		t.Fatal("load with no accel batch should be 0")
 	}
 }
@@ -122,15 +122,15 @@ func TestTransferTimeEq8(t *testing.T) {
 	a := Assignment{AccelBatch: []int{512, 512, 512, 512}}
 	single := Assignment{AccelBatch: []int{512}}
 	// Links are private: 4 equal accelerators cost the same as 1.
-	if math.Abs(m.TransferTime(a)-m.TransferTime(single)) > 1e-12 {
+	if math.Abs(m.Stages(a).Trans-m.Stages(single).Trans) > 1e-12 {
 		t.Fatal("parallel PCIe links should not add up")
 	}
 	// Larger batch → strictly more transfer time.
 	big := Assignment{AccelBatch: []int{1024}}
-	if m.TransferTime(big) <= m.TransferTime(single) {
+	if m.Stages(big).Trans <= m.Stages(single).Trans {
 		t.Fatal("transfer time should grow with batch")
 	}
-	if m.TransferTime(Assignment{}) != 0 {
+	if m.Stages(Assignment{}).Trans != 0 {
 		t.Fatal("no accel → no transfer")
 	}
 }
@@ -141,14 +141,14 @@ func TestTrainTimePipeliningAdvantage(t *testing.T) {
 	plat := hw.CPUFPGAPlatform()
 	m, _ := New(plat, DefaultWorkload(datagen.OGBNPapers100M, gnn.GCN))
 	a := Assignment{AccelBatch: []int{1024}}
-	piped := m.TrainTimeAccel(a)
+	piped := m.Stages(a).TrainAcc
 
 	plat2 := hw.CPUFPGAPlatform()
 	for i := range plat2.Accels {
 		plat2.Accels[i].Pipelined = false
 	}
 	m2, _ := New(plat2, DefaultWorkload(datagen.OGBNPapers100M, gnn.GCN))
-	seq := m2.TrainTimeAccel(a)
+	seq := m2.Stages(a).TrainAcc
 	if piped >= seq {
 		t.Fatalf("pipelined %v should beat sequential %v", piped, seq)
 	}
@@ -157,13 +157,13 @@ func TestTrainTimePipeliningAdvantage(t *testing.T) {
 func TestTrainTimeCPUScalesWithThreads(t *testing.T) {
 	m := fpgaModel(t, datagen.OGBNProducts, gnn.GCN)
 	a := Assignment{CPUBatch: 1024, TrainThreads: 64}
-	t64 := m.TrainTimeCPU(a)
+	t64 := m.Stages(a).TrainCPU
 	a.TrainThreads = 32
-	t32 := m.TrainTimeCPU(a)
+	t32 := m.Stages(a).TrainCPU
 	if math.Abs(t32/t64-2) > 1e-6 {
 		t.Fatalf("CPU training should scale with threads: %v vs %v", t32, t64)
 	}
-	if m.TrainTimeCPU(Assignment{CPUBatch: 0, TrainThreads: 8}) != 0 {
+	if m.Stages(Assignment{CPUBatch: 0, TrainThreads: 8}).TrainCPU != 0 {
 		t.Fatal("no CPU batch → no CPU training time")
 	}
 }
@@ -174,7 +174,7 @@ func TestSAGECostsMoreThanGCN(t *testing.T) {
 	gcn := fpgaModel(t, datagen.OGBNPapers100M, gnn.GCN)
 	sage := fpgaModel(t, datagen.OGBNPapers100M, gnn.SAGE)
 	a := Assignment{AccelBatch: []int{1024}}
-	if sage.TrainTimeAccel(a) <= gcn.TrainTimeAccel(a) {
+	if sage.Stages(a).TrainAcc <= gcn.Stages(a).TrainAcc {
 		t.Fatal("SAGE propagation should cost more than GCN")
 	}
 	if sage.SyncTime() <= gcn.SyncTime() {
@@ -298,9 +298,9 @@ func TestSoftwareProfiles(t *testing.T) {
 	}
 
 	m.Profile = PyGBaselineProfile()
-	pygSamp := m.SamplingTimeCPU(4096, 32)
+	pygSamp := m.SampleTimeCPUEdges(m.Work.EdgesPerBatch(4096), 32)
 	m.Profile = NativeProfile()
-	natSamp := m.SamplingTimeCPU(4096, 32)
+	natSamp := m.SampleTimeCPUEdges(m.Work.EdgesPerBatch(4096), 32)
 	if pygSamp <= natSamp {
 		t.Fatal("PyG dataloader sampling should cost more than native")
 	}
@@ -368,7 +368,7 @@ func TestTransferTimeDevUsesOwnLink(t *testing.T) {
 	}
 	// Equal shares: the aggregate is the slow link's time, not the default's.
 	a := Assignment{AccelBatch: []int{1024, 1024}}
-	if got := m.TransferTime(a); math.Abs(got-fpga) > 1e-15 {
+	if got := m.Stages(a).Trans; math.Abs(got-fpga) > 1e-15 {
 		t.Fatalf("TransferTime = %v, want slowest device's %v", got, fpga)
 	}
 }
@@ -432,7 +432,7 @@ func TestLoadTimeNativeFleetUnchanged(t *testing.T) {
 			rows += m.Work.SizesFor(b).VL[0]
 		}
 	}
-	if got, want := m.LoadTime(a), m.LoadTimeForRows(rows, 32); math.Abs(got-want) > want*1e-12 {
+	if got, want := m.Stages(a).Load, m.LoadTimeForRows(rows, 32); math.Abs(got-want) > want*1e-12 {
 		t.Fatalf("native LoadTime = %v, want %v", got, want)
 	}
 }

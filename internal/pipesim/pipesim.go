@@ -146,7 +146,7 @@ func applyOverheads(st *perfmodel.StageTimes, plat hw.Platform, rng *tensor.RNG,
 	}
 	// CPU trainer: host framework overhead.
 	if st.TrainCPU > 0 {
-		st.TrainCPU += plat.CPU.FrameworkOverheadMs * 1e-3
+		st.TrainCPU = perfmodel.DeviceOverheads(plat.CPU, st.TrainCPU)
 	}
 	// One multiplicative noise draw per stage per iteration: the whole stage
 	// jitters together (a slow iteration is slow for every device), so the

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -192,6 +194,51 @@ func FuzzParseSLOTargets(f *testing.F) {
 			if !finite(tg.TargetSec) || tg.TargetSec <= 0 {
 				t.Fatalf("ParseSLOTargets(%q) accepted target %v", s, tg.TargetSec)
 			}
+		}
+	})
+}
+
+// Whatever ReadTrace accepts is a stream the server can trust — every arrival
+// finite, non-negative and in order, every class in range — and it is a fixed
+// point of the encoding: written out and read back, it writes the same bytes.
+// Whatever it rejects, it rejects with an error, not a panic or an
+// allocation sized by the header. Seeds: a valid trace and the inputs the
+// reader used to mishandle.
+func FuzzReadTrace(f *testing.F) {
+	for _, seed := range []string{
+		" n=2\n0 1 0x1p-10 0 0\n1 7 0x1.8p-9 2 3\n", " n=0\n",
+		" n=-1\n", " n=4611686018427387904\n0 1 0x1p-10 0 0\n",
+		" n=1\n0 1 NaN 0 0\n", " n=1\n0 1 +Inf 0 0\n", " n=1\n0 1 -0x1p-1 0 0\n",
+		" n=3\n0 1 0x1p-3 0 0\n1 1 NaN 0 0\n2 1 -0x1p-1 0 0\n",
+		" n=1\n0 1073741824 0x1p-10 0 0\n", " n=1\n0 1 0x1p-10 7 0\n", " n=1\n0 1 0x1p-10 0 256\n",
+	} {
+		f.Add(traceHeader + seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tr, err := ReadTrace(strings.NewReader(s))
+		if err != nil {
+			return
+		}
+		prev := 0.0
+		for _, r := range tr.Requests {
+			if !finite(r.Arrival) || r.Arrival < prev || r.Class >= NumClasses {
+				t.Fatalf("ReadTrace accepted request %+v after arrival %v", r, prev)
+			}
+			prev = r.Arrival
+		}
+		var first, second bytes.Buffer
+		if err := WriteTrace(&first, tr); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadTrace(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadTrace rejected WriteTrace's output: %v\n%s", err, first.Bytes())
+		}
+		if err := WriteTrace(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("trace did not round-trip byte for byte:\n%s\nbecame\n%s", first.Bytes(), second.Bytes())
 		}
 	})
 }

@@ -263,6 +263,13 @@ func newServer(cfg Config) (*server, error) {
 	var arrivals []Request
 	if cfg.Replay != nil {
 		arrivals = cfg.Replay.Requests[:min(cfg.NumRequests, len(cfg.Replay.Requests))]
+		// A trace is outside input and ReadTrace cannot know the graph.
+		for _, r := range arrivals {
+			if r.Vertex < 0 || int(r.Vertex) >= cfg.Data.Graph.NumVertices {
+				return nil, fmt.Errorf("serve: replayed request %d asks for vertex %d, outside the graph's %d vertices",
+					r.ID, r.Vertex, cfg.Data.Graph.NumVertices)
+			}
+		}
 	} else {
 		arrivals, err = generateArrivals(cfg)
 		if err != nil {

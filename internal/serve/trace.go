@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -74,8 +75,10 @@ func WriteTrace(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-// ReadTrace parses a serialized trace, validating arrival ordering and
-// class range so a replayed trace upholds the stream contracts.
+// ReadTrace parses a serialized trace, validating the header's count, that
+// arrivals are finite, non-negative and non-decreasing, and the class range,
+// so a replayed trace upholds the stream contracts. (Vertices are checked
+// against the graph they are served on, in Run.)
 func ReadTrace(rd io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -83,11 +86,12 @@ func ReadTrace(rd io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("serve: empty trace")
 	}
 	var n int
-	if _, err := fmt.Sscanf(sc.Text(), traceHeader+" n=%d", &n); err != nil {
+	if _, err := fmt.Sscanf(sc.Text(), traceHeader+" n=%d", &n); err != nil || n < 0 {
 		return nil, fmt.Errorf("serve: bad trace header %q", sc.Text())
 	}
-	t := &Trace{Requests: make([]Request, 0, n)}
-	prev := -1.0
+	// Reserve on the header's word only up to a point; a longer trace grows.
+	t := &Trace{Requests: make([]Request, 0, min(n, 1<<16))}
+	prev := 0.0
 	for sc.Scan() {
 		var r Request
 		var arrival string
@@ -99,6 +103,9 @@ func ReadTrace(rd io.Reader) (*Trace, error) {
 		a, err := strconv.ParseFloat(arrival, 64)
 		if err != nil {
 			return nil, fmt.Errorf("serve: bad arrival %q: %v", arrival, err)
+		}
+		if math.IsNaN(a) || math.IsInf(a, 0) || a < 0 {
+			return nil, fmt.Errorf("serve: request %d: arrival %v is not a finite, non-negative time", r.ID, a)
 		}
 		if a < prev {
 			return nil, fmt.Errorf("serve: trace arrivals out of order at request %d", r.ID)
