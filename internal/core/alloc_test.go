@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/hw"
 	"repro/internal/tensor"
 )
 
@@ -11,43 +12,59 @@ import (
 // allocation-free once warm. This is the end-to-end gate over the reuse
 // discipline that is otherwise enforced piecewise (sampler.SampleInto,
 // gnn.TrainStepWS, the workspace arenas): any new per-iteration make/clone
-// anywhere in the loop fails it.
+// anywhere in the loop fails it. A single trainer takes the serial fast path
+// and allocates nothing at all; the five-trainer fleet every benchmark
+// workload trains with (CPU + 4 accelerators, FPGA accounting included) runs
+// each share on a goroutine of its own, and those five spawns are all it may
+// allocate — synchronizer, broadcast gradient and result slots are retained.
 func TestTrainingIterationZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation gate is skipped under -race")
 	}
 	prev := tensor.SetParallelism(1)
 	defer tensor.SetParallelism(prev)
-	cfg := baseConfig(t)
-	cfg.Plat.Accels = nil // one CPU trainer: the serial fast path
-	cfg.DRM = false
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := e.batcher.Next()
-	iterate := func() {
-		res, err := e.exec.RunIteration(targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The epoch loop's update path, verbatim (minus DRM).
-		global, _, err := e.gsync.Reduce(res.Grad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range e.replicas {
-			e.opts[i].Step(e.replicas[i].Params, global)
-		}
-		e.clock.Advance(res.Stage)
-	}
-	// Warm every arena to steady state: the rng advances each iteration, so
-	// sampled sizes vary and the retained storage must grow to its roof.
-	for i := 0; i < 60; i++ {
-		iterate()
-	}
-	if a := testing.AllocsPerRun(20, iterate); a != 0 {
-		t.Fatalf("training iteration allocated %.1f times per run, want 0", a)
+	for _, leg := range []struct {
+		name   string
+		accels int
+		spawns float64 // goroutines an iteration starts
+	}{{"one trainer", 0, 0}, {"five trainers", 4, 5}} {
+		t.Run(leg.name, func(t *testing.T) {
+			cfg := baseConfig(t)
+			cfg.Plat = hw.CPUFPGAPlatform()
+			cfg.Plat.Accels = cfg.Plat.Accels[:leg.accels]
+			cfg.DRM = false
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			targets := e.batcher.Next()
+			iterate := func() {
+				res, err := e.exec.RunIteration(targets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The epoch loop's update path, verbatim (minus DRM).
+				global, _, err := e.gsync.Reduce(res.Grad)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range e.replicas {
+					e.opts[i].Step(e.replicas[i].Params, global)
+				}
+				e.clock.Advance(res.Stage)
+			}
+			// Warm every arena to steady state: the rng advances each iteration, so
+			// sampled sizes vary and the retained storage must grow to its roof.
+			for i := 0; i < 60; i++ {
+				iterate()
+			}
+			if n := countActive(e.slot(0).batches); n != leg.accels+1 {
+				t.Fatalf("%d trainers have a share, want %d", n, leg.accels+1)
+			}
+			if a := testing.AllocsPerRun(20, iterate); a > leg.spawns {
+				t.Fatalf("training iteration allocated %.1f times per run, want at most its %v goroutine spawns", a, leg.spawns)
+			}
+		})
 	}
 }
 

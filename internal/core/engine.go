@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/accel"
 	"repro/internal/drm"
@@ -48,6 +49,14 @@ type Engine struct {
 	// the whole steady-state training iteration — sample, gather, price,
 	// propagate — allocation-free (gated by a test).
 	slots [pipelineDepth]*iterSlot
+
+	// allreduce, trainerRes and trainers are the multi-trainer round's
+	// scaffolding — the local all-reduce, the per-trainer result slots and
+	// the join — retained across iterations so a round allocates nothing but
+	// its goroutines. Only compute touches them, and computes never overlap.
+	allreduce  *optim.Synchronizer
+	trainerRes []trainerResult
+	trainers   sync.WaitGroup
 
 	// prefetch is the per-engine channel pair the pipelined epoch loop's
 	// prepare worker lives on, created on first pipelined epoch and reused

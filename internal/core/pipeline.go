@@ -117,18 +117,19 @@ func (e *Engine) runPipelined(iters int, stats *EpochStats, acc *epochAccum, asy
 		return nil
 	}
 	var p *prefetcher
+	inflight := false
 	if async {
 		p = e.startPrefetch()
-		defer p.stop()
-	}
-	inflight := false
-	// drain settles an in-flight prepare before an error return, so the
-	// deferred stop cannot deadlock against a worker blocked on done.
-	drain := func() {
-		if inflight {
-			_ = p.wait()
-			inflight = false
-		}
+		// Settle an in-flight prepare before stopping the worker, on every
+		// way out — error return or a panic unwinding through compute: the
+		// worker blocks handing its result back, and a stop sent to it then
+		// would hang instead of letting the failure surface.
+		defer func() {
+			if inflight {
+				_ = p.wait()
+			}
+			p.stop()
+		}()
 	}
 	// In the synchronous variant the issue point only *captures* the
 	// prepare's inputs — the targets and the assignment snapshot, which fix
@@ -186,11 +187,9 @@ func (e *Engine) runPipelined(iters int, stats *EpochStats, acc *epochAccum, asy
 		}
 		res, err := e.exec.compute(cur)
 		if err != nil {
-			drain()
 			return err
 		}
 		if err := e.consumeIteration(it, res, stats, acc); err != nil {
-			drain()
 			return err
 		}
 	}

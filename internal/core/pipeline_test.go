@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/gnn"
@@ -337,5 +338,51 @@ func TestPipelinedIterationPricedUnderOneSnapshot(t *testing.T) {
 					e.drmEng.MovesThread, rec.moved, rec.checked)
 			}
 		})
+	}
+}
+
+// panicExecutor is the hybrid executor with a compute that panics at one
+// iteration, as a failed t.Fatal inside a wrapped compute does.
+type panicExecutor struct {
+	*hybridExecutor
+	at, iter int
+}
+
+func (p *panicExecutor) compute(s *iterSlot) (*IterResult, error) {
+	if p.iter == p.at {
+		panic("compute failed")
+	}
+	p.iter++
+	return p.hybridExecutor.compute(s)
+}
+
+// A panic inside compute on the worker-backed schedule must surface. At
+// iteration 1 the worker holds prepare(2)'s result and blocks handing it
+// back, so an unwinding runPipelined that just sent the stop sentinel would
+// hang on it — and the panic with it. The deferred path settles the in-flight
+// prepare first. The worker is forced so the GOMAXPROCS=1 leg hands off too.
+func TestPipelinedComputePanicSurfaces(t *testing.T) {
+	cfg := baseConfig(t)
+	cfg.Pipeline = PipelinePrefetch
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if iters := e.batcher.BatchesPerEpoch(); iters < 3 {
+		t.Fatalf("%d iterations per epoch: nothing is in flight at iteration 1", iters)
+	}
+	e.exec = &panicExecutor{hybridExecutor: e.exec.(*hybridExecutor), at: 1}
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		_, _ = e.runEpochAsync()
+	}()
+	select {
+	case r := <-recovered:
+		if r != "compute failed" {
+			t.Fatalf("epoch ended with %v, want compute's panic", r)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("compute's panic did not surface within a second: the epoch hangs stopping its prefetch worker")
 	}
 }

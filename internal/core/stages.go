@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/accel"
 	"repro/internal/gnn"
 	"repro/internal/optim"
@@ -278,9 +276,17 @@ func (x *hybridExecutor) compute(s *iterSlot) (*IterResult, error) {
 		}
 		return out, nil
 	}
-	sync_, err := optim.NewSynchronizer(countActive(batches))
-	if err != nil {
-		return nil, err
+	// The round's scaffolding is the engine's, retained across iterations;
+	// the synchronizer is sized for the trainers with a share, which changes
+	// only when DRM empties or refills one.
+	if n := countActive(batches); e.allreduce == nil || e.allreduce.N() != n {
+		var err error
+		if e.allreduce, err = optim.NewSynchronizer(n); err != nil {
+			return nil, err
+		}
+	}
+	if len(e.trainerRes) != len(batches) {
+		e.trainerRes = make([]trainerResult, len(batches))
 	}
 	totalTargets := 0
 	for _, mb := range batches {
@@ -293,27 +299,22 @@ func (x *hybridExecutor) compute(s *iterSlot) (*IterResult, error) {
 	// channel-arrival order would make the reported epoch statistics depend
 	// on goroutine scheduling (the all-reduce itself is rank-ordered inside
 	// the Synchronizer for the same reason).
-	resByIdx := make([]trainerResult, len(batches))
-	var wg sync.WaitGroup
 	rank := 0
 	for i, mb := range batches {
 		if mb == nil {
 			continue
 		}
-		wg.Add(1)
-		go func(i, rank int, mb *sampler.MiniBatch, x *tensor.Matrix) {
-			defer wg.Done()
-			resByIdx[i] = e.runTrainer(i, rank, mb, x, totalTargets, sync_)
-		}(i, rank, mb, feats[i])
+		e.trainers.Add(1)
+		go e.runTrainer(i, rank, mb, feats[i], totalTargets)
 		rank++
 	}
-	wg.Wait()
+	e.trainers.Wait()
 
 	for i := range batches {
 		if batches[i] == nil {
 			continue
 		}
-		res := &resByIdx[i]
+		res := &e.trainerRes[i]
 		if res.err != nil {
 			return nil, res.err
 		}
@@ -393,21 +394,24 @@ func sizesInto(s *perfmodel.Sizes, mb *sampler.MiniBatch) perfmodel.Sizes {
 	return *s
 }
 
-// runTrainer executes one trainer's share: forward/backward on its replica,
-// gradient scaling for the weighted all-reduce, and DONE/ACK via the
-// synchronizer (rank is the trainer's dense index among this iteration's
-// active trainers — the all-reduce sums in rank order).
-func (e *Engine) runTrainer(idx, rank int, mb *sampler.MiniBatch, x *tensor.Matrix,
-	totalTargets int, sync_ *optim.Synchronizer) trainerResult {
+// runTrainer executes one trainer's share on a goroutine of its own:
+// forward/backward on its replica, gradient scaling for the weighted
+// all-reduce, and DONE/ACK via the engine's synchronizer (rank is the
+// trainer's dense index among this iteration's active trainers — the
+// all-reduce sums in rank order). The outcome lands in the trainer's result
+// slot.
+func (e *Engine) runTrainer(idx, rank int, mb *sampler.MiniBatch, x *tensor.Matrix, totalTargets int) {
+	defer e.trainers.Done()
+	sync_, res := e.allreduce, &e.trainerRes[idx]
 	grads, loss, acc, err := e.scratch[idx].step(e.replicas[idx], mb, x)
-	res := trainerResult{loss: loss, acc: acc, err: err}
+	*res = trainerResult{loss: loss, acc: acc, err: err}
 	if err != nil {
 		// Keep the DONE/ACK protocol alive: the synchronizer was sized for
 		// every active trainer, so a silent exit here would block the
 		// siblings forever. Submit a zero gradient; the coordinator sees
 		// res.err and discards the round.
 		sync_.Submit(rank, gnn.NewGradients(e.replicas[idx].Params))
-		return res
+		return
 	}
 	// Weighted averaging: each trainer's mean-gradient is rescaled so the
 	// synchronizer's equal-weight average equals the global-batch mean.
@@ -416,7 +420,6 @@ func (e *Engine) runTrainer(idx, rank int, mb *sampler.MiniBatch, x *tensor.Matr
 	scale := float32(len(mb.Targets)) * float32(sync_.N()) / float32(totalTargets)
 	grads.Scale(scale)
 	res.avg = sync_.Submit(rank, grads) // blocks until all trainers are DONE
-	return res
 }
 
 func countActive(batches []*sampler.MiniBatch) int {

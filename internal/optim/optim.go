@@ -60,7 +60,7 @@ type Synchronizer struct {
 	cond  *sync.Cond
 	done  int              // the paper's DONE counter
 	slots []*gnn.Gradients // pending gradients, indexed by trainer rank
-	avg   *gnn.Gradients
+	avg   *gnn.Gradients   // the broadcast buffer, allocated by the first round and reused after
 	round uint64
 }
 
@@ -83,8 +83,10 @@ func (s *Synchronizer) N() int { return s.n }
 // in RANK order, not arrival order — floating-point addition is not
 // associative, so reducing in a scheduling-dependent order would make the
 // trained weights nondeterministic under GOMAXPROCS > 1. The returned
-// gradients are shared — callers must not mutate them. Weighted averaging
-// for unequal batch sizes is the caller's concern: submit gradients
+// gradients are shared and are the synchronizer's own buffer, which the next
+// round overwrites — callers must not mutate them, and must be done with them
+// before their next Submit (no round can complete without it). Weighted
+// averaging for unequal batch sizes is the caller's concern: submit gradients
 // pre-scaled by batchSize/totalBatchSize and the "average" here becomes the
 // correct weighted mean.
 func (s *Synchronizer) Submit(rank int, g *gnn.Gradients) *gnn.Gradients {
@@ -95,16 +97,22 @@ func (s *Synchronizer) Submit(rank int, g *gnn.Gradients) *gnn.Gradients {
 	s.done++ // paper Listing 1: DONE++
 	if s.done == s.n {
 		// Last arrival plays the Synchronizer role: gather, average, broadcast.
-		avg := s.slots[0].Clone()
-		for _, other := range s.slots[1:] {
-			avg.Axpy(1, other)
+		if s.avg == nil {
+			s.avg = s.slots[0].Clone()
+		} else {
+			for l, w := range s.slots[0].Weights {
+				copy(s.avg.Weights[l].Data, w.Data)
+				copy(s.avg.Biases[l].Data, s.slots[0].Biases[l].Data)
+			}
 		}
-		avg.Scale(1 / float32(s.n))
-		s.avg = avg
+		for _, other := range s.slots[1:] {
+			s.avg.Axpy(1, other)
+		}
+		s.avg.Scale(1 / float32(s.n))
 		s.done = 0
 		s.round++
 		s.cond.Broadcast()
-		return avg
+		return s.avg
 	}
 	for s.round == myRound {
 		s.cond.Wait()

@@ -1,19 +1,23 @@
 package tensor
 
-// Row-update primitives: the innermost loops of every GEMM and aggregation
-// kernel in this package are "c += a·b" row updates over contiguous
-// float32 slices. On amd64 they dispatch through the runtime SIMD level
-// (simd.go) to AVX2 (8 lanes) or SSE (4 lanes, the architecture baseline)
-// assembly, with multiply and add kept as separate instructions: fusing them
-// (FMA) would change rounding and break the bit-exact equivalence with the
-// reference kernels that the property tests pin down. Vectorising across the
-// row (j) never reorders the per-element accumulation over k, so SIMD here
-// is exactness-preserving at every level.
+// Row-update primitives: "c += a·b" over contiguous float32 rows. They are the
+// inner loop of gnn's aggregation at every dispatch level, and of the GEMMs
+// below AVX2 and off amd64, where a strip of C is updated one B row at a time
+// (gemmStrip in matmul.go; on AVX2 the GEMMs keep their C tile in registers
+// instead, gemm_avx2_amd64.s). On amd64 they dispatch through the runtime SIMD
+// level (simd.go) to AVX2 (8 lanes) or SSE (4 lanes, the architecture
+// baseline) assembly.
+//
+// Why no FMA, here and in the GEMM tile: multiply and add stay separate
+// instructions because fusing them would round once where the reference
+// kernels round twice, and break the bit-exact equivalence the property tests
+// pin down. Vectorising across the row (j) never reorders the per-element
+// accumulation over k, so SIMD here is exactness-preserving at every level.
 
 // AxpyRow computes dst[j] += alpha·src[j] over len(src) elements (dst must
-// be at least as long). It is the shared inner loop of the dense kernels and
-// the gnn aggregation scatter; exported so the propagation layers use the
-// same SIMD path as the GEMMs.
+// be at least as long). It is the inner loop of the gnn aggregation scatter
+// and of the GEMMs' portable strip; exported so the propagation layers share
+// its SIMD forms.
 func AxpyRow(dst, src []float32, alpha float32) {
 	n := len(src)
 	dst = dst[:n]
@@ -28,31 +32,6 @@ func AxpyRow(dst, src []float32, alpha float32) {
 	}
 	for j := q; j < n; j++ {
 		dst[j] += alpha * src[j]
-	}
-}
-
-// axpyRow4 computes c0..c3[j] += a0..a3·b[j]: four row updates sharing one
-// load of b, the 4-row register tile of the blocked GEMMs.
-func axpyRow4(c0, c1, c2, c3, b []float32, a0, a1, a2, a3 float32) {
-	n := len(b)
-	c0, c1, c2, c3 = c0[:n], c1[:n], c2[:n], c3[:n]
-	q := 0
-	if n >= 8 {
-		switch {
-		case haveAVX2Asm && simdAtLeast(SIMDAVX2):
-			q = n &^ 7
-			axpyRow4AVX2Asm(c0[:q], c1[:q], c2[:q], c3[:q], b[:q], a0, a1, a2, a3)
-		case haveAxpyAsm && simdAtLeast(SIMDSSE):
-			q = n &^ 7
-			axpyRow4Asm(c0[:q], c1[:q], c2[:q], c3[:q], b[:q], a0, a1, a2, a3)
-		}
-	}
-	for j := q; j < n; j++ {
-		bv := b[j]
-		c0[j] += a0 * bv
-		c1[j] += a1 * bv
-		c2[j] += a2 * bv
-		c3[j] += a3 * bv
 	}
 }
 

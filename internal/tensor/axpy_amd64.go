@@ -2,10 +2,11 @@
 
 package tensor
 
-// SSE row-update kernels (axpy_amd64.s). SSE is part of the amd64 baseline,
-// so these are always safe to call; whether they (or the AVX2 forms in
-// axpy_avx2_amd64.s, which do need runtime detection — see simd_amd64.go)
-// actually run is decided by the dispatch level in simd.go.
+// The SSE row-update kernel (axpy_amd64.s) — the only SSE form left; the GEMMs
+// have none of their own. SSE is part of the amd64 baseline, so it is always
+// safe to call; whether it (or the AVX2 form in axpy_avx2_amd64.s, which does
+// need runtime detection — see simd_amd64.go) actually runs is decided by the
+// dispatch level in simd.go.
 const haveAxpyAsm = true
 
 // axpyRowAsm computes dst[j] += alpha·src[j]. len(dst) == len(src), a
@@ -13,9 +14,3 @@ const haveAxpyAsm = true
 //
 //go:noescape
 func axpyRowAsm(dst, src []float32, alpha float32)
-
-// axpyRow4Asm computes c0..c3[j] += a0..a3·b[j]. All slices share one
-// length, a positive multiple of 8, guaranteed by the wrapper.
-//
-//go:noescape
-func axpyRow4Asm(c0, c1, c2, c3, b []float32, a0, a1, a2, a3 float32)

@@ -1,4 +1,4 @@
-// SSE row-update kernels. Multiply and add are deliberately separate
+// The SSE row-update kernel. Multiply and add are deliberately separate
 // instructions (MULPS + ADDPS, never FMA): a fused multiply-add rounds once
 // where the reference kernels round twice, and the exact-equality property
 // tests require bit-identical results. Lanes are independent output
@@ -41,79 +41,4 @@ loop16:
 	ADDQ   $64, DI
 	SUBQ   $16, CX
 	JG     loop16
-	RET
-
-// func axpyRow4Asm(c0, c1, c2, c3, b []float32, a0, a1, a2, a3 float32)
-// c0..c3[j] += a0..a3*b[j]; len is a positive multiple of 8.
-TEXT ·axpyRow4Asm(SB), NOSPLIT, $0-136
-	MOVQ  c0_base+0(FP), DI
-	MOVQ  c1_base+24(FP), R8
-	MOVQ  c2_base+48(FP), R9
-	MOVQ  c3_base+72(FP), R10
-	MOVQ  b_base+96(FP), SI
-	MOVQ  b_len+104(FP), CX
-	MOVSS a0+120(FP), X0
-	SHUFPS $0x00, X0, X0
-	MOVSS a1+124(FP), X1
-	SHUFPS $0x00, X1, X1
-	MOVSS a2+128(FP), X2
-	SHUFPS $0x00, X2, X2
-	MOVSS a3+132(FP), X3
-	SHUFPS $0x00, X3, X3
-
-loop8:
-	MOVUPS (SI), X4
-	MOVUPS 16(SI), X5
-
-	MOVAPS X4, X6
-	MULPS  X0, X6
-	MOVUPS (DI), X7
-	ADDPS  X6, X7
-	MOVUPS X7, (DI)
-	MOVAPS X5, X6
-	MULPS  X0, X6
-	MOVUPS 16(DI), X7
-	ADDPS  X6, X7
-	MOVUPS X7, 16(DI)
-
-	MOVAPS X4, X6
-	MULPS  X1, X6
-	MOVUPS (R8), X7
-	ADDPS  X6, X7
-	MOVUPS X7, (R8)
-	MOVAPS X5, X6
-	MULPS  X1, X6
-	MOVUPS 16(R8), X7
-	ADDPS  X6, X7
-	MOVUPS X7, 16(R8)
-
-	MOVAPS X4, X6
-	MULPS  X2, X6
-	MOVUPS (R9), X7
-	ADDPS  X6, X7
-	MOVUPS X7, (R9)
-	MOVAPS X5, X6
-	MULPS  X2, X6
-	MOVUPS 16(R9), X7
-	ADDPS  X6, X7
-	MOVUPS X7, 16(R9)
-
-	MOVAPS X4, X6
-	MULPS  X3, X6
-	MOVUPS (R10), X7
-	ADDPS  X6, X7
-	MOVUPS X7, (R10)
-	MOVAPS X5, X6
-	MULPS  X3, X6
-	MOVUPS 16(R10), X7
-	ADDPS  X6, X7
-	MOVUPS X7, 16(R10)
-
-	ADDQ $32, SI
-	ADDQ $32, DI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	SUBQ $8, CX
-	JG   loop8
 	RET

@@ -62,51 +62,6 @@ done:
 	VZEROUPPER
 	RET
 
-// func axpyRow4AVX2Asm(c0, c1, c2, c3, b []float32, a0, a1, a2, a3 float32)
-// c0..c3[j] += a0..a3*b[j]: the 4-row register tile of the blocked GEMMs,
-// one load of b shared by four row updates.
-TEXT ·axpyRow4AVX2Asm(SB), NOSPLIT, $0-136
-	MOVQ         c0_base+0(FP), DI
-	MOVQ         c1_base+24(FP), R8
-	MOVQ         c2_base+48(FP), R9
-	MOVQ         c3_base+72(FP), R10
-	MOVQ         b_base+96(FP), SI
-	MOVQ         b_len+104(FP), CX
-	VBROADCASTSS a0+120(FP), Y0
-	VBROADCASTSS a1+124(FP), Y1
-	VBROADCASTSS a2+128(FP), Y2
-	VBROADCASTSS a3+132(FP), Y3
-
-loop8:
-	VMOVUPS (SI), Y4
-
-	VMULPS  Y0, Y4, Y5
-	VADDPS  (DI), Y5, Y5
-	VMOVUPS Y5, (DI)
-
-	VMULPS  Y1, Y4, Y5
-	VADDPS  (R8), Y5, Y5
-	VMOVUPS Y5, (R8)
-
-	VMULPS  Y2, Y4, Y5
-	VADDPS  (R9), Y5, Y5
-	VMOVUPS Y5, (R9)
-
-	VMULPS  Y3, Y4, Y5
-	VADDPS  (R10), Y5, Y5
-	VMOVUPS Y5, (R10)
-
-	ADDQ $32, SI
-	ADDQ $32, DI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	SUBQ $8, CX
-	JG   loop8
-
-	VZEROUPPER
-	RET
-
 // func scaleRowAVX2Asm(dst, src []float32, s float32)
 // dst[j] = s*src[j]: the aggregation kernel's scale-initialise pass.
 TEXT ·scaleRowAVX2Asm(SB), NOSPLIT, $0-52

@@ -8,7 +8,3 @@ const haveAxpyAsm = false
 func axpyRowAsm(dst, src []float32, alpha float32) {
 	panic("tensor: axpyRowAsm without assembly support")
 }
-
-func axpyRow4Asm(c0, c1, c2, c3, b []float32, a0, a1, a2, a3 float32) {
-	panic("tensor: axpyRow4Asm without assembly support")
-}

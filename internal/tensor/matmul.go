@@ -1,21 +1,36 @@
 // Dense matrix-multiply kernels. The three GEMM variants the GNN hot path
 // needs (C = A·B for the dense update, C = A·Bᵀ for its input gradient,
-// C = Aᵀ·B for the weight gradient) share one cache-blocked core: a
-// row-parallel sweep of 4-row register tiles whose inner loop is the SIMD
-// row update axpyRow4 (one load of a B row feeds four C rows), with the
-// shared k dimension processed in L2-sized chunks so B stays cache-resident
-// and C rows stay in L1 across the sweep. MatMulT packs Bᵀ once (a
-// weight-sized transpose) and reuses the same core; the pre-blocking kernel
-// re-read all of B once per output row.
+// C = Aᵀ·B for the weight gradient) are one kernel: gemmRange, a row-parallel
+// sweep of 4-row strips of C over chunks of the shared k dimension. What
+// tells the variants apart is how A is addressed — element (i, t) lives at
+// a[i·ars + t·aks], so MatMul passes strides (k, 1) and TMatMul (1, m) —
+// and MatMulT packs Bᵀ once (a weight-sized transpose) to become a MatMul.
 //
-// Every kernel accumulates each output element over k in ascending order
-// starting from zero — exactly the order of the reference triple loops kept
-// test-side in oracle_test.go — so the blocked results are bit-identical to
+// On AVX2 a strip is swept in register tiles (gemm_avx2_amd64.s): a 4×16
+// block of C stays in eight YMM accumulators while a whole k-chunk streams
+// past — one B row load and four A broadcasts per step — and touches memory
+// once per chunk, the output-stationary order of the paper's update unit
+// (§IV-C). Below AVX2, and off amd64, a strip is row updates through AxpyRow.
+//
+// Chunking keeps the streamed operands cache-resident while every strip of a
+// worker's range sweeps them: MatMul consumes mmKC rows of B at a time,
+// TMatMul tmKC rows of A and B. Between chunks the tile goes back to C, so
+// every kernel still accumulates each output element over k in ascending
+// order starting from +0 — exactly the order of the reference triple loops
+// kept test-side in oracle_test.go — and the results are bit-identical to
 // them (float32 addition is not associative; preserving the order is what
-// makes the exact-equality property tests possible and keeps every
-// execution backend in the repository numerically in lock-step with the
-// pre-blocking kernels). The SIMD lanes span the row (j) dimension, which
-// never reorders a single element's accumulation.
+// makes the exact-equality property tests possible and keeps every execution
+// backend in the repository numerically in lock-step). SIMD lanes span the
+// row (j) dimension, which never reorders a single element's accumulation,
+// and multiply and add are never fused (see axpy.go).
+//
+// No level skips zeros of A. It would change nothing for finite B — an
+// accumulator that starts at +0 can never become −0 under round-to-nearest,
+// so adding a·b = ±0 leaves it as it was — and for a non-finite B element
+// 0·b is NaN in the reference loops, so only the kernel that does not skip
+// equals them on every input. Nor would a skip pay: at row granularity it
+// measured 6–15 % on a half-zero post-ReLU A, against 2–4× from keeping the
+// tile in registers, whose k loop has no room for a branch.
 package tensor
 
 import (
@@ -23,11 +38,17 @@ import (
 	"sync"
 )
 
-// mmKC is the k-chunk: B rows are consumed mmKC at a time so the chunk
-// (mmKC·n floats) stays L2-resident while every 4-row tile of the worker's
-// range sweeps it. C accumulates in memory across chunks, which keeps the
-// per-element k order intact.
+// mmKC is MatMul's k-chunk: B rows are consumed mmKC at a time so the chunk
+// (mmKC·n floats) stays L2-resident while every strip of the worker's range
+// sweeps it, and a strip's four A rows (4·mmKC floats) stay in L1 across its
+// column tiles.
 const mmKC = 1024
+
+// tmKC is TMatMul's k-chunk. Its A is walked down a column, a cache line per
+// step of which one tile uses 16 bytes, so the chunk is sized for those lines
+// (tmKC·64 bytes) to stay in L1 until the neighbouring strips have used the
+// rest of them, next to an L2-resident tmKC·n slab of B.
+const tmKC = 256
 
 // packPool recycles MatMulT's Bᵀ scratch so steady-state callers (the
 // zero-allocation training and serving loops) never allocate.
@@ -50,97 +71,12 @@ func MatMul(c, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMul shapes %dx%d · %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-	matMulCore(c, a, b)
-}
-
-// matMulCore runs the blocked C = A·B sweep (shapes already validated).
-//
-// Sparsity: the pre-blocking kernel skipped zero elements of A with a
-// per-element branch, which pessimized dense inputs — the branch mispredicts
-// on ~50%-zero ReLU activations and costs more than the multiply it saves.
-// The blocked structure moves that decision to row-update granularity: one
-// predictable compare per (4-row, B-row) tile step, amortized over the full
-// row width, taking the fused 4-row SIMD update when all four A values are
-// live (the overwhelmingly common dense case) and skipping or issuing
-// single-row updates otherwise. Dense inputs pay ~1 compare per 2n flops;
-// genuinely sparse inputs still skip their zero rows.
-func matMulCore(c, a, b *Matrix) {
-	if b.Rows == 0 {
-		c.Zero()
-		return
-	}
-	// The row-range body is a named function and the closure literal sits on
-	// the fan-out branch only: a kernel that runs on the caller (every one
-	// the zero-allocation gates cover) never materialises a heap closure.
-	work := b.Rows * b.Cols
-	if FanOut(a.Rows, work) <= 1 {
-		matMulRange(c, a, b, 0, a.Rows)
-		return
-	}
-	ParallelRows(a.Rows, work, func(lo, hi int) { matMulRange(c, a, b, lo, hi) })
-}
-
-// matMulRange computes rows [lo, hi) of C = A·B.
-func matMulRange(c, a, b *Matrix, lo, hi int) {
-	k, n := b.Rows, b.Cols
-	for i := lo; i < hi; i++ {
-		ci := c.Data[i*n : (i+1)*n]
-		for j := range ci {
-			ci[j] = 0
-		}
-	}
-	for kk0 := 0; kk0 < k; kk0 += mmKC {
-		kc := k - kk0
-		if kc > mmKC {
-			kc = mmKC
-		}
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			c0 := c.Data[i*n : i*n+n]
-			c1 := c.Data[(i+1)*n : (i+2)*n][:n]
-			c2 := c.Data[(i+2)*n : (i+3)*n][:n]
-			c3 := c.Data[(i+3)*n : (i+4)*n][:n]
-			a0 := a.Data[i*k+kk0 : i*k+kk0+kc]
-			a1 := a.Data[(i+1)*k+kk0 : (i+1)*k+kk0+kc][:kc]
-			a2 := a.Data[(i+2)*k+kk0 : (i+2)*k+kk0+kc][:kc]
-			a3 := a.Data[(i+3)*k+kk0 : (i+3)*k+kk0+kc][:kc]
-			for t := 0; t < kc; t++ {
-				brow := b.Data[(kk0+t)*n : (kk0+t)*n+n]
-				av0, av1, av2, av3 := a0[t], a1[t], a2[t], a3[t]
-				if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
-					axpyRow4(c0, c1, c2, c3, brow, av0, av1, av2, av3)
-					continue
-				}
-				if av0 != 0 {
-					AxpyRow(c0, brow, av0)
-				}
-				if av1 != 0 {
-					AxpyRow(c1, brow, av1)
-				}
-				if av2 != 0 {
-					AxpyRow(c2, brow, av2)
-				}
-				if av3 != 0 {
-					AxpyRow(c3, brow, av3)
-				}
-			}
-		}
-		for ; i < hi; i++ {
-			ci := c.Data[i*n : i*n+n]
-			ai := a.Data[i*k+kk0 : i*k+kk0+kc]
-			for t, av := range ai {
-				if av == 0 {
-					continue
-				}
-				AxpyRow(ci, b.Data[(kk0+t)*n:(kk0+t)*n+n], av)
-			}
-		}
-	}
+	gemm(c, a.Data, a.Cols, 1, b.Data, a.Cols, mmKC)
 }
 
 // MatMulT computes C = A·Bᵀ. A is m×k, B is n×k, C is m×n. B is transposed
 // once into a pooled scratch panel (B is weight-sized on every call site —
-// far smaller than the m×k·n work) and the blocked core does the rest.
+// far smaller than the m×k·n work) and the shared kernel does the rest.
 // Bit-identical to its reference triple loop: both accumulate each element
 // over the shared dimension in ascending order.
 func MatMulT(c, a, b *Matrix) {
@@ -156,80 +92,67 @@ func MatMulT(c, a, b *Matrix) {
 			buf[t*n+j] = v
 		}
 	}
-	// Below the fan-out grain the range kernel is called directly with a
-	// stack-scoped header; only the fan-out branch builds a header that
-	// escapes into the worker closure.
-	if FanOut(a.Rows, k*n) <= 1 {
-		bt := Matrix{Rows: k, Cols: n, Data: buf}
-		matMulRange(c, a, &bt, 0, a.Rows)
-	} else {
-		matMulCore(c, a, &Matrix{Rows: k, Cols: n, Data: buf})
-	}
+	gemm(c, a.Data, k, 1, buf, k, mmKC)
 	packPool.Put(pp)
 }
 
 // TMatMul computes C = Aᵀ·B. A is R×m, B is R×n, C is m×n. Used for weight
 // gradients (C = Xᵀ·dY), where R (the batch extent) dwarfs m and n. Each
-// worker owns a contiguous range of C rows — which stay cache-resident, C
-// being at most weight-sized — and streams A and B top to bottom exactly
-// once, four C rows per loaded B row. The pre-blocking kernel instead
-// re-read all of A and B for every C row. Bit-identical to its reference
-// triple loop: each element still accumulates over the shared (row) index in
-// ascending order.
-// A here is a post-ReLU activation matrix on the training path, so the
-// row-granular zero skip (see matMulCore) pays off.
+// worker owns a contiguous range of C rows and streams A and B top to
+// bottom once per chunk; C is at most weight-sized and is read and written
+// once per chunk. Bit-identical to its reference triple loop: each element
+// still accumulates over the shared (row) index in ascending order.
 func TMatMul(c, a, b *Matrix) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: TMatMul shapes (%dx%d)T · %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-	work := a.Rows * b.Cols
-	if FanOut(c.Rows, work) <= 1 {
-		tMatMulRange(c, a, b, 0, c.Rows)
-		return
-	}
-	ParallelRows(c.Rows, work, func(lo, hi int) { tMatMulRange(c, a, b, lo, hi) })
+	gemm(c, a.Data, 1, a.Cols, b.Data, a.Rows, tmKC)
 }
 
-// tMatMulRange computes rows [lo, hi) of C = Aᵀ·B.
-func tMatMulRange(c, a, b *Matrix, lo, hi int) {
-	m, n, rows := a.Cols, b.Cols, a.Rows
-	for i := lo; i < hi; i++ {
-		ci := c.Data[i*n : (i+1)*n]
-		for j := range ci {
-			ci[j] = 0
+// gemm computes C[i][j] = Σ_t a[i·ars + t·aks] · b[t·n + j] over t in [0, k),
+// fanning C's rows out by the work a row costs (shapes already validated).
+func gemm(c *Matrix, a []float32, ars, aks int, b []float32, k, chunk int) {
+	// The row-range body is a named function and the closure literal sits on
+	// the fan-out branch only: a kernel that runs on the caller (every one
+	// the zero-allocation gates cover) never materialises a heap closure.
+	work := k * c.Cols
+	if FanOut(c.Rows, work) <= 1 {
+		gemmRange(c, a, ars, aks, b, k, chunk, 0, c.Rows)
+		return
+	}
+	ParallelRows(c.Rows, work, func(lo, hi int) { gemmRange(c, a, ars, aks, b, k, chunk, lo, hi) })
+}
+
+// gemmRange computes rows [lo, hi) of gemm's C.
+func gemmRange(c *Matrix, a []float32, ars, aks int, b []float32, k, chunk, lo, hi int) {
+	n := c.Cols
+	clear(c.Data[lo*n : hi*n])
+	if n == 0 {
+		return
+	}
+	for k0 := 0; k0 < k; k0 += chunk {
+		kc := min(chunk, k-k0)
+		bk := b[k0*n : (k0+kc)*n]
+		for i := lo; i < hi; i += 4 {
+			rows := min(4, hi-i)
+			gemmStrip(c.Data[i*n:(i+rows)*n], a[i*ars+k0*aks:], bk, n, ars, aks, kc, rows)
 		}
 	}
-	for kk := 0; kk < rows; kk++ {
-		arow := a.Data[kk*m+lo : kk*m+hi]
-		brow := b.Data[kk*n : kk*n+n]
-		i := 0
-		for ; i+4 <= len(arow); i += 4 {
-			av0, av1, av2, av3 := arow[i], arow[i+1], arow[i+2], arow[i+3]
-			base := (lo + i) * n
-			if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
-				axpyRow4(c.Data[base:base+n], c.Data[base+n:base+2*n],
-					c.Data[base+2*n:base+3*n], c.Data[base+3*n:base+4*n],
-					brow, av0, av1, av2, av3)
-				continue
-			}
-			if av0 != 0 {
-				AxpyRow(c.Data[base:base+n], brow, av0)
-			}
-			if av1 != 0 {
-				AxpyRow(c.Data[base+n:base+2*n], brow, av1)
-			}
-			if av2 != 0 {
-				AxpyRow(c.Data[base+2*n:base+3*n], brow, av2)
-			}
-			if av3 != 0 {
-				AxpyRow(c.Data[base+3*n:base+4*n], brow, av3)
-			}
-		}
-		for ; i < len(arow); i++ {
-			if av := arow[i]; av != 0 {
-				AxpyRow(c.Data[(lo+i)*n:(lo+i+1)*n], brow, av)
-			}
+}
+
+// gemmStrip adds one k-chunk into a strip of rows ≤ 4 rows of C:
+// c[r·n + j] += Σ_t a[r·ars + t·aks] · b[t·n + j] over t in [0, kc). c, a and
+// b start at the strip's first row, the chunk's first k and column 0.
+func gemmStrip(c, a, b []float32, n, ars, aks, kc, rows int) {
+	if haveAVX2Asm && simdAtLeast(SIMDAVX2) {
+		gemmStripAVX2(c, a, b, n, ars, aks, kc, rows)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		cr := c[r*n : r*n+n]
+		for t := 0; t < kc; t++ {
+			AxpyRow(cr, b[t*n:t*n+n], a[r*ars+t*aks])
 		}
 	}
 }

@@ -128,33 +128,3 @@ func TestAxpyRowMatchesScalar(t *testing.T) {
 		}
 	}
 }
-
-func TestAxpyRow4MatchesScalar(t *testing.T) {
-	rng := NewRNG(12)
-	for _, n := range []int{1, 4, 8, 9, 31, 32, 100} {
-		b := make([]float32, n)
-		cs := make([][]float32, 4)
-		want := make([][]float32, 4)
-		as := make([]float32, 4)
-		for r := range cs {
-			cs[r] = make([]float32, n)
-			want[r] = make([]float32, n)
-			as[r] = float32(rng.NormFloat64())
-		}
-		for j := 0; j < n; j++ {
-			b[j] = float32(rng.NormFloat64())
-			for r := range cs {
-				cs[r][j] = float32(rng.NormFloat64())
-				want[r][j] = cs[r][j] + as[r]*b[j]
-			}
-		}
-		axpyRow4(cs[0], cs[1], cs[2], cs[3], b, as[0], as[1], as[2], as[3])
-		for r := range cs {
-			for j := 0; j < n; j++ {
-				if cs[r][j] != want[r][j] {
-					t.Fatalf("n=%d row %d col %d: %v want %v", n, r, j, cs[r][j], want[r][j])
-				}
-			}
-		}
-	}
-}

@@ -55,11 +55,6 @@ func detectSIMD() SIMDLevel {
 //go:noescape
 func axpyRowAVX2Asm(dst, src []float32, alpha float32)
 
-// axpyRow4AVX2Asm computes c0..c3[j] += a0..a3·b[j].
-//
-//go:noescape
-func axpyRow4AVX2Asm(c0, c1, c2, c3, b []float32, a0, a1, a2, a3 float32)
-
 // scaleRowAVX2Asm computes dst[j] = s·src[j].
 //
 //go:noescape
@@ -91,3 +86,41 @@ func rowMaxAVX2Asm(src []float32) float32
 //
 //go:noescape
 func subScalarAVX2Asm(dst, src []float32, s float32)
+
+// The GEMM micro-kernel (gemm_avx2_amd64.s): each form adds
+// Σ_t a[r·ars + t·aks] · b[t·n + j] over t in [0, kc) into c[r·n + j] for the
+// rows ≤ 4 rows and its 16, 8 or w ≤ 8 columns of the tile that starts at
+// c[0], holding the tile in registers throughout. They take no lengths: the
+// caller proves the extents.
+//
+//go:noescape
+func gemmTile16AVX2Asm(c, a, b []float32, n, ars, aks, kc, rows int)
+
+//go:noescape
+func gemmTile8AVX2Asm(c, a, b []float32, n, ars, aks, kc, rows int)
+
+//go:noescape
+func gemmTileMaskAVX2Asm(c, a, b []float32, n, ars, aks, kc, rows, w int)
+
+// gemmStripAVX2 is gemmStrip in register tiles: the strip's n columns are
+// covered by 16-wide tiles, then an 8-wide one, then a masked one for the
+// last n mod 8 (47 = 16 + 16 + 8 + 7), so no tile reads or writes a column
+// past n. The three index expressions are the last elements any tile of the
+// strip touches: an extent that does not fit its slice panics here, in Go,
+// before the assembly runs.
+func gemmStripAVX2(c, a, b []float32, n, ars, aks, kc, rows int) {
+	_ = c[rows*n-1]
+	_ = a[(rows-1)*ars+(kc-1)*aks]
+	_ = b[kc*n-1]
+	j := 0
+	for ; j+16 <= n; j += 16 {
+		gemmTile16AVX2Asm(c[j:], a, b[j:], n, ars, aks, kc, rows)
+	}
+	if j+8 <= n {
+		gemmTile8AVX2Asm(c[j:], a, b[j:], n, ars, aks, kc, rows)
+		j += 8
+	}
+	if j < n {
+		gemmTileMaskAVX2Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, n-j)
+	}
+}

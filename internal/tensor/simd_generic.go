@@ -13,8 +13,8 @@ func axpyRowAVX2Asm(dst, src []float32, alpha float32) {
 	panic("tensor: axpyRowAVX2Asm without assembly support")
 }
 
-func axpyRow4AVX2Asm(c0, c1, c2, c3, b []float32, a0, a1, a2, a3 float32) {
-	panic("tensor: axpyRow4AVX2Asm without assembly support")
+func gemmStripAVX2(c, a, b []float32, n, ars, aks, kc, rows int) {
+	panic("tensor: gemmStripAVX2 without assembly support")
 }
 
 func scaleRowAVX2Asm(dst, src []float32, s float32) {

@@ -66,43 +66,6 @@ func TestAxpyRowExactAcrossSIMDLevels(t *testing.T) {
 	}
 }
 
-func TestAxpyRow4ExactAcrossSIMDLevels(t *testing.T) {
-	prevPar := SetParallelism(1)
-	defer SetParallelism(prevPar)
-	rng := NewRNG(12)
-	for _, n := range raggedLens {
-		b := randSlice(rng, n)
-		rows := [4][]float32{randSlice(rng, n), randSlice(rng, n), randSlice(rng, n), randSlice(rng, n)}
-		a := [4]float32{}
-		for i := range a {
-			a[i] = float32(rng.NormFloat64())
-		}
-		want := [4][]float32{}
-		for i := range want {
-			want[i] = append([]float32(nil), rows[i]...)
-			for j := range want[i] {
-				want[i][j] += a[i] * b[j]
-			}
-		}
-		for _, l := range availableLevels() {
-			withSIMD(t, l, func() {
-				got := [4][]float32{}
-				for i := range got {
-					got[i] = append([]float32(nil), rows[i]...)
-				}
-				axpyRow4(got[0], got[1], got[2], got[3], b, a[0], a[1], a[2], a[3])
-				for i := range got {
-					for j := range got[i] {
-						if got[i][j] != want[i][j] {
-							t.Fatalf("axpyRow4 n=%d level=%v row %d: got[%d]=%x want %x", n, l, i, j, got[i][j], want[i][j])
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
 func TestScaleRowIntoExactAcrossSIMDLevels(t *testing.T) {
 	prevPar := SetParallelism(1)
 	defer SetParallelism(prevPar)
