@@ -300,6 +300,7 @@ func TestBuildConfigSIMD(t *testing.T) {
 		{"generic", tensor.SIMDGeneric},
 		{"sse", tensor.SIMDSSE},
 		{"AVX2", tensor.SIMDAVX2},
+		{"avx512", tensor.SIMDAVX512},
 	} {
 		o := validOptions()
 		o.simd = tc.in

@@ -67,7 +67,7 @@ func main() {
 	noTFP := flag.Bool("no-tfp", false, "disable two-stage feature prefetching")
 	noDRM := flag.Bool("no-drm", false, "disable dynamic resource management")
 	flag.IntVar(&o.tensorPar, "tensor-par", 0, "upper bound on the goroutines one tensor kernel call (GEMM, aggregation, gather) fans out to — kernels below the work grain run on the caller; 0 = one per CPU")
-	flag.StringVar(&o.simd, "simd", "auto", "SIMD dispatch level for the tensor kernels: auto | generic | sse | avx2 (every level is bit-identical; levels above the CPU's capability are rejected)")
+	flag.StringVar(&o.simd, "simd", "auto", "SIMD dispatch level for the tensor kernels: auto | generic | sse | avx2 | avx512 (every level is bit-identical; avx512 widens the GEMM tile only; levels above the CPU's capability are rejected)")
 	flag.BoolVar(&o.quantize, "quantize", false, "int8-quantize features on the PCIe link (§VIII extension)")
 	flag.BoolVar(&o.saint, "saint", false, "use GraphSAINT random-walk sampling instead of neighbor sampling")
 	flag.StringVar(&o.pipeline, "pipeline", "serial", "epoch execution schedule: serial | prefetch (prefetch overlaps iteration i+1's sampling/gather with iteration i's propagation; bit-identical trajectory)")

@@ -69,6 +69,48 @@ func TestRingAllReduceAverages(t *testing.T) {
 	}
 }
 
+// A ring round reuses its wire format: each rank's flat gradient vector stays
+// on its nodeSync and consumed chunks go back to the senders through the
+// ring's free list, so once the first round has sized them a round allocates
+// nothing. The second rank lives on one goroutine for the whole test, so the
+// count is the round's own (AllocsPerRun counts every goroutine's mallocs).
+func TestRingWarmRoundZeroAlloc(t *testing.T) {
+	rg := newRing(2, hw.Ethernet100G(), nil)
+	params := gnn.NewParameters(gnn.Config{Kind: gnn.SAGE, Dims: []int{16, 16, 5}}, tensor.NewRNG(3))
+	syncs := [2]*nodeSync{}
+	grads := [2]*gnn.Gradients{}
+	for r := range syncs {
+		syncs[r] = &nodeSync{rank: r, ring: rg, failIter: -1, crashIter: -1}
+		grads[r] = gnn.NewGradients(params)
+		grads[r].Weights[0].Fill(float32(r + 1))
+	}
+	reduce := func(r int) {
+		if _, _, err := syncs[r].Reduce(grads[r]); err != nil {
+			t.Errorf("rank %d: %v", r, err)
+		}
+	}
+	start, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		for range start {
+			reduce(1)
+			done <- struct{}{}
+		}
+	}()
+	defer close(start)
+	round := func() {
+		start <- struct{}{}
+		reduce(0)
+		<-done
+	}
+	round() // sizes the flat vectors and the message buffers
+	if got, want := grads[0].Weights[0].Data[0], float32(1.5); got != want {
+		t.Fatalf("two-rank mean of 1 and 2 = %v, want %v", got, want)
+	}
+	if a := testing.AllocsPerRun(50, round); a != 0 {
+		t.Fatalf("a warm two-rank ring round allocates %v times, want 0", a)
+	}
+}
+
 // A dead peer must unblock the survivors with errRingAborted instead of
 // deadlocking them — the failure mode of a fleet whose node dies mid-epoch.
 // Survivors can be parked in either of two places: the membership barrier

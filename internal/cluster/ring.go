@@ -26,6 +26,11 @@ import (
 type ring struct {
 	link  hw.Link
 	inbox []chan []float32 // inbox[r] receives from its predecessor in the view
+	// free recycles message buffers: a receiver hands a chunk back once it has
+	// folded or copied it, a sender takes one before it allocates. A rank
+	// alternates take and hand-back, so at most one buffer per rank is out at
+	// any time and a list of that many slots never drops one in steady state.
+	free chan []float32
 	// faults scripts link degradation by ring round (nil-safe: never degraded).
 	faults *fault.Schedule
 
@@ -50,7 +55,7 @@ var errRingAborted = errors.New("cluster: ring all-reduce aborted (a peer node f
 
 func newRing(n int, link hw.Link, faults *fault.Schedule) *ring {
 	r := &ring{link: link, faults: faults,
-		inbox: make([]chan []float32, n), abort: make(chan struct{}),
+		inbox: make([]chan []float32, n), free: make(chan []float32, n), abort: make(chan struct{}),
 		alive: make([]bool, n), liveN: n, view: make([]int, 0, n)}
 	r.cond = sync.NewCond(&r.mu)
 	for i := range r.inbox {
@@ -143,6 +148,28 @@ func chunkBounds(m, n, c int) (int, int) {
 
 func mod(a, n int) int { return ((a % n) + n) % n }
 
+// takeMsg returns a message buffer of length n: a recycled one when the free
+// list has one that fits, else a fresh one with room for the round's largest
+// chunk (so it fits every chunk of this view once recycled).
+func (r *ring) takeMsg(n, maxChunk int) []float32 {
+	select {
+	case buf := <-r.free:
+		if cap(buf) >= n {
+			return buf[:n]
+		}
+	default:
+	}
+	return make([]float32, n, maxChunk)
+}
+
+// giveMsg hands a consumed message back to the senders.
+func (r *ring) giveMsg(buf []float32) {
+	select {
+	case r.free <- buf:
+	default:
+	}
+}
+
 // allReduce averages vec element-wise across the live ranks, in place, and
 // returns the virtual network seconds this rank spent. Every live rank must
 // call it concurrently, once per round, with equal-length vectors. iter is
@@ -175,10 +202,12 @@ func (r *ring) allReduce(rank, iter int, vec []float32) (float64, error) {
 	link := r.link.Degraded(r.faults.LinkFactor(iter))
 	next := r.inbox[view[mod(pos+1, m)]]
 	self := r.inbox[rank]
+	maxChunk := (len(vec) + m - 1) / m
 	var sec float64
 	send := func(c int) error {
 		lo, hi := chunkBounds(len(vec), m, c)
-		msg := append([]float32(nil), vec[lo:hi]...)
+		msg := r.takeMsg(hi-lo, maxChunk)
+		copy(msg, vec[lo:hi])
 		select {
 		case next <- msg:
 		case <-r.abort:
@@ -207,6 +236,7 @@ func (r *ring) allReduce(rank, iter int, vec []float32) (float64, error) {
 		for i, v := range got {
 			vec[lo+i] += v
 		}
+		r.giveMsg(got)
 	}
 	for step := 0; step < m-1; step++ { // all-gather
 		if err := send(mod(pos-step+1, m)); err != nil {
@@ -218,6 +248,7 @@ func (r *ring) allReduce(rank, iter int, vec []float32) (float64, error) {
 		}
 		lo, _ := chunkBounds(len(vec), m, mod(pos-step, m))
 		copy(vec[lo:], got)
+		r.giveMsg(got)
 	}
 	inv := 1 / float32(m)
 	for i := range vec {
@@ -227,13 +258,16 @@ func (r *ring) allReduce(rank, iter int, vec []float32) (float64, error) {
 }
 
 // flattenGrads copies a gradient set into one contiguous vector (the wire
-// format of the ring).
-func flattenGrads(g *gnn.Gradients) []float32 {
+// format of the ring), reusing vec's storage when it is large enough.
+func flattenGrads(vec []float32, g *gnn.Gradients) []float32 {
 	size := 0
 	for i := range g.Weights {
 		size += len(g.Weights[i].Data) + len(g.Biases[i].Data)
 	}
-	vec := make([]float32, 0, size)
+	if cap(vec) < size {
+		vec = make([]float32, 0, size)
+	}
+	vec = vec[:0]
 	for i := range g.Weights {
 		vec = append(vec, g.Weights[i].Data...)
 		vec = append(vec, g.Biases[i].Data...)
@@ -265,6 +299,7 @@ var errNodeFailStop = errors.New("cluster: node fail-stop (scripted)")
 type nodeSync struct {
 	rank int
 	ring *ring
+	vec  []float32 // the flat gradient vector, kept across rounds
 
 	iter      int // cumulative ring rounds across epochs, from 0
 	failIter  int // leave before this round (-1 = never)
@@ -284,7 +319,8 @@ func (s *nodeSync) Reduce(local *gnn.Gradients) (*gnn.Gradients, float64, error)
 		s.ring.leave(s.rank)
 		return nil, 0, fmt.Errorf("rank %d at iteration %d: %w", s.rank, iter, errNodeFailStop)
 	}
-	vec := flattenGrads(local)
+	s.vec = flattenGrads(s.vec, local)
+	vec := s.vec
 	if s.tap != nil {
 		s.tap(s.rank, iter, vec, false)
 	}

@@ -4,7 +4,9 @@
 // whose vertex/edge counts and feature dimensions either match the paper's
 // Table III exactly (full-scale *specs*, used only by the analytic timing
 // models) or are scaled-down instances (used by the real numeric training
-// path and the tests). See DESIGN.md §2 for the substitution argument.
+// path and the tests). The substitution is safe on both sides: the timing
+// models read a spec's counts, fan-outs and dimensions and never an edge
+// list, and the numeric path needs only a skewed-degree graph to sample from.
 package datagen
 
 import (

@@ -101,8 +101,8 @@ func TestPlatformAggregates(t *testing.T) {
 	}
 }
 
-// Table VII normalization checks: platform totals must reproduce the
-// paper's sec×TFLOPS ratios (derived in DESIGN.md).
+// Table VII normalization checks: platform totals times node counts must
+// reproduce the TFLOPS figures behind the paper's sec×TFLOPS column.
 func TestComparatorPlatformTFLOPS(t *testing.T) {
 	cases := []struct {
 		p     Platform

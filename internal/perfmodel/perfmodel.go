@@ -72,7 +72,7 @@ type Sizes struct {
 }
 
 // SizesFor returns expected |V_l|, |E_l| for a mini-batch with `batch`
-// targets (sampler expectation model, DESIGN.md §2).
+// targets (the sampler's expectation model, sampler.ExpectedSizes).
 func (w Workload) SizesFor(batch int) Sizes {
 	avgDeg := float64(w.Spec.NumEdges) / float64(w.Spec.NumVertices)
 	vl, el := sampler.ExpectedSizes(float64(w.Spec.NumVertices), avgDeg, batch, w.Fanouts)

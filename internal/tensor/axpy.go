@@ -3,8 +3,8 @@ package tensor
 // Row-update primitives: "c += a·b" over contiguous float32 rows. They are the
 // inner loop of gnn's aggregation at every dispatch level, and of the GEMMs
 // below AVX2 and off amd64, where a strip of C is updated one B row at a time
-// (gemmStrip in matmul.go; on AVX2 the GEMMs keep their C tile in registers
-// instead, gemm_avx2_amd64.s). On amd64 they dispatch through the runtime SIMD
+// (gemmStrip in matmul.go; from AVX2 up the GEMMs keep their C tile in
+// registers instead, gemm_amd64.s). On amd64 they dispatch through the runtime SIMD
 // level (simd.go) to AVX2 (8 lanes) or SSE (4 lanes, the architecture
 // baseline) assembly.
 //

@@ -82,6 +82,52 @@ loop8:
 	VZEROUPPER
 	RET
 
+// func mulRowAVX2Asm(dst, src []float32)
+// dst[j] *= src[j]: the ReLU backward pass (src is the 0/1 mask). dst is the
+// first source operand, as in the scalar loop's MULSS.
+TEXT ·mulRowAVX2Asm(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+
+	CMPQ CX, $32
+	JL   loop8
+
+loop32:
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMULPS  (SI), Y0, Y0
+	VMULPS  32(SI), Y1, Y1
+	VMULPS  64(SI), Y2, Y2
+	VMULPS  96(SI), Y3, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $32, CX
+	CMPQ    CX, $32
+	JGE     loop32
+
+	TESTQ CX, CX
+	JZ    done
+
+loop8:
+	VMOVUPS (DI), Y0
+	VMULPS  (SI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JG      loop8
+
+done:
+	VZEROUPPER
+	RET
+
 // func addBiasReLUAVX2Asm(row, bias, mask []float32)
 // v = row[j]+bias[j]; row[j] = v>0 ? v : 0; mask[j] = v>0 ? 1 : 0.
 // The mask is VCMPPS (ordered greater-than) AND'ed with the value and with

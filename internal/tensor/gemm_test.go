@@ -65,14 +65,15 @@ func gemmCheck(a, b *Matrix) func(t *testing.T, what string) {
 }
 
 // TestGemmTileEdgesExact walks every edge of the register tile — each row
-// remainder, each column form (16-wide, 8-wide, masked) alone and combined,
-// and k on both sides of a chunk boundary — at every dispatch level, plus
-// shapes large enough that parallelism 4 really splits the rows.
+// remainder, each column form (two vectors, one vector, masked — 16 / 8 / ≤ 8
+// columns on YMM, 32 / 16 / ≤ 16 on ZMM) alone and combined, and k on both
+// sides of a chunk boundary — at every dispatch level, plus shapes large
+// enough that parallelism 4 really splits the rows.
 func TestGemmTileEdgesExact(t *testing.T) {
-	ns := []int{1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 47, 100, 128, 256}
+	ns := []int{1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 47, 48, 49, 63, 64, 65, 100, 128, 172, 256}
 	ks := []int{0, 1, 3, mmKC - 1, mmKC, mmKC + 5}
 	if raceEnabled { // the instrumented reference loops are the cost; keep one of each kind
-		ns = []int{1, 9, 24, 47, 128}
+		ns = []int{1, 9, 24, 47, 49, 128}
 		ks = []int{0, 3, mmKC + 5}
 	}
 	var shapes [][3]int
@@ -141,8 +142,6 @@ func TestGemmRangeChunksAndRaggedRanges(t *testing.T) {
 // under a skip. −0 rides along: products and sums of signed zeros must land
 // on the reference's sign.
 func TestGemmNonFiniteMatchesReference(t *testing.T) {
-	inf := float32(math.Inf(1))
-	specials := []float32{inf, -inf, float32(math.NaN()), float32(negZero()), 0}
 	// scatter overwrites about a quarter of m with specials, and zeroes the
 	// elements of other that each one meets in some product.
 	scatter := func(rng *RNG, m, other *Matrix, otherIdx func(i int) int) {
@@ -156,7 +155,10 @@ func TestGemmNonFiniteMatchesReference(t *testing.T) {
 		}
 	}
 	rng := NewRNG(22)
-	for _, sh := range [][3]int{{4, 8, 16}, {7, 13, 47}, {9, 40, 8}, {3, 5, 7}, {32, 64, 31}} {
+	// The last two end in a narrow masked tile that is not C's last strip: the
+	// tail's dead lanes multiply a zero-filled B by A's ±Inf / NaN, and a dead
+	// lane stored would poison the next strip's first columns.
+	for _, sh := range [][3]int{{4, 8, 16}, {7, 13, 47}, {9, 40, 8}, {3, 5, 7}, {32, 64, 31}, {6, 9, 49}, {9, 5, 172}} {
 		m, k, n := sh[0], sh[1], sh[2]
 		a, b := randomMatrix(m, k, rng), randomMatrix(k, n, rng)
 		// b's special at (t, j) meets a(i, t) for every i: zero one of them.
@@ -170,17 +172,18 @@ func TestGemmNonFiniteMatchesReference(t *testing.T) {
 
 // TestGemmWritesOnlyItsRows is the out-of-bounds canary for the two places
 // the micro-kernel could write where it must not: the masked store of the
-// last n mod 8 columns and the strip of fewer than four rows, whose missing
-// rows are computed (on row 0's A) but must never be stored. C sits inside a
-// larger buffer of sentinels, A and B end exactly at their capacity, and the
-// rows of C outside [lo, hi) hold a second sentinel.
+// last columns (n mod 8 on YMM, n mod 16 on ZMM — from one live lane to all
+// but one, alone and after each full-width form) and the strip of fewer than
+// four rows, whose missing rows are computed (on row 0's A) but must never be
+// stored. C sits inside a larger buffer of sentinels, A and B end exactly at
+// their capacity, and the rows of C outside [lo, hi) hold a second sentinel.
 func TestGemmWritesOnlyItsRows(t *testing.T) {
 	const pad = 64
 	guard, outside := math.Float32frombits(0xdeadbeef), math.Float32frombits(0xfeedface)
 	forEachLevelAndParallelism(t, func(l SIMDLevel, par int) {
 		rng := NewRNG(23)
 		for _, m := range []int{1, 2, 3, 5, 6, 7} {
-			for _, n := range []int{1, 7, 9, 15, 17, 23, 47} {
+			for _, n := range []int{1, 7, 9, 15, 17, 23, 31, 33, 47, 48, 49, 63} {
 				for _, k := range []int{1, 5} {
 					a, b := randomMatrix(m, k, rng), randomMatrix(k, n, rng)
 					at := Transpose(a)

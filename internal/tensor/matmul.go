@@ -6,11 +6,14 @@
 // a[i·ars + t·aks], so MatMul passes strides (k, 1) and TMatMul (1, m) —
 // and MatMulT packs Bᵀ once (a weight-sized transpose) to become a MatMul.
 //
-// On AVX2 a strip is swept in register tiles (gemm_avx2_amd64.s): a 4×16
-// block of C stays in eight YMM accumulators while a whole k-chunk streams
-// past — one B row load and four A broadcasts per step — and touches memory
-// once per chunk, the output-stationary order of the paper's update unit
-// (§IV-C). Below AVX2, and off amd64, a strip is row updates through AxpyRow.
+// From AVX2 up a strip is swept in register tiles (gemm_amd64.s): a block of
+// four C rows stays in eight vector accumulators while a whole k-chunk
+// streams past — one B row load and four A broadcasts per step — and touches
+// memory once per chunk, the output-stationary order of the paper's update
+// unit (§IV-C). The tile is one assembly body instantiated at the two widths
+// the dispatch ladder detects: 4×16 on YMM registers at the avx2 level, 4×32
+// on ZMM registers at avx512. Below AVX2, and off amd64, a strip is row
+// updates through AxpyRow.
 //
 // Chunking keeps the streamed operands cache-resident while every strip of a
 // worker's range sweeps them: MatMul consumes mmKC rows of B at a time,
@@ -145,9 +148,15 @@ func gemmRange(c *Matrix, a []float32, ars, aks int, b []float32, k, chunk, lo, 
 // c[r·n + j] += Σ_t a[r·ars + t·aks] · b[t·n + j] over t in [0, kc). c, a and
 // b start at the strip's first row, the chunk's first k and column 0.
 func gemmStrip(c, a, b []float32, n, ars, aks, kc, rows int) {
-	if haveAVX2Asm && simdAtLeast(SIMDAVX2) {
-		gemmStripAVX2(c, a, b, n, ars, aks, kc, rows)
-		return
+	if haveAVX2Asm {
+		switch l := ActiveSIMDLevel(); {
+		case l >= SIMDAVX512:
+			gemmStripAVX512(c, a, b, n, ars, aks, kc, rows)
+			return
+		case l >= SIMDAVX2:
+			gemmStripAVX2(c, a, b, n, ars, aks, kc, rows)
+			return
+		}
 	}
 	for r := 0; r < rows; r++ {
 		cr := c[r*n : r*n+n]

@@ -64,11 +64,10 @@ func BiasGrad(grad, dy *Matrix) {
 	if grad.Rows != 1 || grad.Cols != dy.Cols {
 		panic("tensor: BiasGrad shape mismatch")
 	}
+	// 1·v is exact, so this is the plain column sum in row order at the
+	// active SIMD level.
 	for i := 0; i < dy.Rows; i++ {
-		row := dy.Row(i)
-		for j, v := range row {
-			grad.Data[j] += v
-		}
+		AxpyRow(grad.Data, dy.Row(i), 1)
 	}
 }
 
@@ -163,10 +162,22 @@ func ReLUBackward(dy, mask *Matrix) {
 	if dy.Rows != mask.Rows || dy.Cols != mask.Cols {
 		panic("tensor: ReLUBackward shape mismatch")
 	}
-	for i := range dy.Data {
-		dy.Data[i] *= mask.Data[i]
+	// The matrices are contiguous, so the whole tensor is one flat pass; an
+	// IEEE product is the same at any vector width.
+	d, md := dy.Data, mask.Data[:len(dy.Data)]
+	q := 0
+	if haveAVX2Asm && len(d) >= 8 && simdAtLeast(SIMDAVX2) {
+		q = len(d) &^ 7
+		mulRowAVX2Asm(d[:q], md[:q])
+	}
+	for i := q; i < len(d); i++ {
+		d[i] *= md[i]
 	}
 }
+
+// softmaxStage is the widest logits row SoftmaxCrossEntropy stages on its
+// stack.
+const softmaxStage = 192
 
 // SoftmaxCrossEntropy computes mean softmax cross-entropy loss over rows of
 // logits against integer labels, and writes dLogits = (softmax − onehot)/rows
@@ -184,6 +195,15 @@ func SoftmaxCrossEntropy(grad, logits *Matrix, labels []int32) (loss float64, co
 		return 0, 0
 	}
 	inv := float32(1.0 / float64(n))
+	// Each row's exponentials are evaluated once, for the sum, and staged
+	// here for the gradient pass. The class counts this repo trains (47, 172)
+	// fit the stack array, so steady-state training allocates nothing.
+	var stage [softmaxStage]float64
+	exps := stage[:]
+	if logits.Cols > len(stage) {
+		exps = make([]float64, logits.Cols)
+	}
+	exps = exps[:logits.Cols]
 	var totalLoss float64
 	for i := 0; i < n; i++ {
 		row := logits.Row(i)
@@ -197,8 +217,10 @@ func SoftmaxCrossEntropy(grad, logits *Matrix, labels []int32) (loss float64, co
 		// costs no extra buffer.
 		subScalarInto(grow, row, maxv)
 		var sum float64
-		for _, v := range grow {
-			sum += math.Exp(float64(v))
+		for j, v := range grow {
+			e := math.Exp(float64(v))
+			exps[j] = e
+			sum += e
 		}
 		logSum := math.Log(sum)
 		lbl := int(labels[i])
@@ -209,8 +231,8 @@ func SoftmaxCrossEntropy(grad, logits *Matrix, labels []int32) (loss float64, co
 		if argmax == lbl {
 			correct++
 		}
-		for j, v := range grow {
-			p := float32(math.Exp(float64(v)) / sum)
+		for j, e := range exps {
+			p := float32(e / sum)
 			if j == lbl {
 				p -= 1
 			}

@@ -3,7 +3,10 @@
 // kernels against. They live test-side because no shipped code calls them.
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // MatMulRef is the reference C = A·B: the naive (i, k, j) triple loop with
 // no blocking, no SIMD and no sparsity skip.
@@ -98,4 +101,38 @@ func GatherRowsSerial(dst, src *Matrix, idx []int32) {
 		panic("tensor: GatherRowsSerial shape mismatch")
 	}
 	gatherRowsRange(dst, src, idx, 0, len(idx))
+}
+
+// softmaxCrossEntropyRef is the reference loss and gradient: per row a scalar
+// max scan and shift, and every exponential evaluated where it is used — once
+// for the sum and once more for the gradient.
+func softmaxCrossEntropyRef(grad, logits *Matrix, labels []int32) (loss float64, correct int) {
+	n := logits.Rows
+	inv := float32(1.0 / float64(n))
+	for i := 0; i < n; i++ {
+		row, grow := logits.Row(i), grad.Row(i)
+		maxv, argmax := row[0], 0
+		for j, v := range row {
+			if v > maxv {
+				maxv, argmax = v, j
+			}
+		}
+		var sum float64
+		for _, v := range row {
+			sum += math.Exp(float64(v - maxv))
+		}
+		lbl := int(labels[i])
+		loss += math.Log(sum) - float64(row[lbl]-maxv)
+		if argmax == lbl {
+			correct++
+		}
+		for j, v := range row {
+			p := float32(math.Exp(float64(v-maxv)) / sum)
+			if j == lbl {
+				p -= 1
+			}
+			grow[j] = p * inv
+		}
+	}
+	return loss / float64(n), correct
 }

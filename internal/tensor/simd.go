@@ -1,20 +1,24 @@
 package tensor
 
-// Runtime SIMD dispatch. The row-update and fused element-wise kernels come
-// in up to three forms — pure Go ("generic"), 128-bit SSE, and 256-bit AVX2
-// — selected once per call through an atomic level variable. The CPU's
-// capabilities are probed once at init (CPUID on amd64; see simd_amd64.go)
-// and fix the ceiling: SetSIMDLevel can lower the active level (forcing the
-// fallback paths for tests and the -simd flag) but never raise it above what
-// the hardware supports. The TENSOR_SIMD environment variable applies the
-// same override at process start, clamped to the detected ceiling so a CI
-// matrix can request "avx2" on any runner and get "as wide as available".
+// Runtime SIMD dispatch. The kernels come in up to four forms — pure Go
+// ("generic"), 128-bit SSE, 256-bit AVX2 and 512-bit AVX-512 — selected once
+// per call through an atomic level variable. The top rung adds one thing:
+// the GEMM register tile (gemm_amd64.s) runs on ZMM registers, 4×32 instead
+// of 4×16. Only the tile uses it — it is the one compute-bound kernel; the
+// row-update and fused element-wise kernels are memory-bound and keep their
+// AVX2 form at that level. The CPU's capabilities are probed once at init
+// (CPUID on amd64; see simd_amd64.go) and fix the ceiling: SetSIMDLevel can
+// lower the active level (forcing the fallback paths for tests and the -simd
+// flag) but never raise it above what the hardware supports. The TENSOR_SIMD
+// environment variable applies the same override at process start, clamped to
+// the detected ceiling so a CI matrix can request "avx512" on any runner and
+// get "as wide as available".
 //
-// Every level computes bit-identical results: the AVX2 kernels keep multiply
-// and add unfused (VMULPS + VADDPS, never FMA — fusing rounds once where the
-// scalar reference rounds twice) and vectorise only across independent
-// output elements, so no element's accumulation order changes. The property
-// tests in simd_test.go pin exact equality across all levels.
+// Every level computes bit-identical results: the vector kernels keep
+// multiply and add unfused (VMULPS + VADDPS, never FMA — fusing rounds once
+// where the scalar reference rounds twice) and vectorise only across
+// independent output elements, so no element's accumulation order changes.
+// The property tests in simd_test.go pin exact equality across all levels.
 
 import (
 	"fmt"
@@ -36,9 +40,13 @@ const (
 	// SIMDAVX2 uses the 256-bit AVX2 kernels (amd64 with AVX2 + OS YMM
 	// state support).
 	SIMDAVX2
+	// SIMDAVX512 additionally runs the GEMM register tile on 512-bit
+	// registers (amd64 with AVX512F + OS opmask/ZMM state support).
+	SIMDAVX512
 )
 
-// String returns the level's flag spelling ("generic", "sse", "avx2").
+// String returns the level's flag spelling ("generic", "sse", "avx2",
+// "avx512").
 func (l SIMDLevel) String() string {
 	switch l {
 	case SIMDGeneric:
@@ -47,6 +55,8 @@ func (l SIMDLevel) String() string {
 		return "sse"
 	case SIMDAVX2:
 		return "avx2"
+	case SIMDAVX512:
+		return "avx512"
 	}
 	return fmt.Sprintf("SIMDLevel(%d)", int32(l))
 }
@@ -81,7 +91,7 @@ func ActiveSIMDLevel() SIMDLevel { return SIMDLevel(atomic.LoadInt32(&activeSIMD
 // above the detected hardware ceiling are rejected — the caller asked for
 // instructions this CPU cannot execute.
 func SetSIMDLevel(l SIMDLevel) (SIMDLevel, error) {
-	if l < SIMDGeneric || l > SIMDAVX2 {
+	if l < SIMDGeneric || l > SIMDAVX512 {
 		return ActiveSIMDLevel(), fmt.Errorf("tensor: unknown SIMD level %d", int32(l))
 	}
 	if l > detectedSIMD {
@@ -102,8 +112,10 @@ func ParseSIMDLevel(s string) (SIMDLevel, error) {
 		return SIMDSSE, nil
 	case "avx2":
 		return SIMDAVX2, nil
+	case "avx512":
+		return SIMDAVX512, nil
 	}
-	return SIMDGeneric, fmt.Errorf("tensor: unknown SIMD level %q (want auto, generic, sse or avx2)", s)
+	return SIMDGeneric, fmt.Errorf("tensor: unknown SIMD level %q (want auto, generic, sse, avx2 or avx512)", s)
 }
 
 // simdAtLeast reports whether the active level includes l — the dispatch

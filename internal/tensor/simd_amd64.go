@@ -2,12 +2,15 @@
 
 package tensor
 
-// CPU feature detection and the AVX2 kernel declarations for amd64. The
+// CPU feature detection and the vector kernel declarations for amd64. The
 // probe is hand-rolled CPUID/XGETBV assembly (simd_amd64.s) rather than a
 // dependency: AVX2 is usable only when the CPU advertises it (leaf 7 EBX bit
 // 5), the AVX foundation is present (leaf 1 ECX bit 28), and the OS has
 // enabled XMM+YMM state saving (OSXSAVE + XCR0 bits 1–2) — the standard
-// three-step check.
+// three-step check. AVX-512 needs two more facts on top: the foundation
+// subset (leaf 7 EBX bit 16 — the 512-bit tile uses AVX512F instructions
+// only) and OS support for the opmask and both halves of the ZMM state (XCR0
+// bits 5–7).
 
 // haveAVX2Asm gates compilation of AVX2 call sites; whether the calls are
 // *taken* is the runtime level's job (the active level can only reach
@@ -43,7 +46,12 @@ func detectSIMD() SIMDLevel {
 	if ebx7&avx2Bit == 0 {
 		return SIMDSSE
 	}
-	return SIMDAVX2
+	const avx512fBit = 1 << 16
+	const zmmState = 0xe0 // opmask (bit 5) + ZMM_Hi256 (bit 6) + Hi16_ZMM (bit 7)
+	if ebx7&avx512fBit == 0 || xcr0&zmmState != zmmState {
+		return SIMDAVX2
+	}
+	return SIMDAVX512
 }
 
 // AVX2 kernels (axpy_avx2_amd64.s). All slice lengths are positive
@@ -59,6 +67,11 @@ func axpyRowAVX2Asm(dst, src []float32, alpha float32)
 //
 //go:noescape
 func scaleRowAVX2Asm(dst, src []float32, s float32)
+
+// mulRowAVX2Asm computes dst[j] *= src[j] — the ReLUBackward inner loop.
+//
+//go:noescape
+func mulRowAVX2Asm(dst, src []float32)
 
 // addBiasReLUAVX2Asm computes row[j] = relu(row[j]+bias[j]) and mask[j] =
 // 1 where the sum was positive, else 0 — the fused AddBiasReLU inner loop.
@@ -87,11 +100,12 @@ func rowMaxAVX2Asm(src []float32) float32
 //go:noescape
 func subScalarAVX2Asm(dst, src []float32, s float32)
 
-// The GEMM micro-kernel (gemm_avx2_amd64.s): each form adds
+// The GEMM micro-kernel (gemm_amd64.s): each form adds
 // Σ_t a[r·ars + t·aks] · b[t·n + j] over t in [0, kc) into c[r·n + j] for the
-// rows ≤ 4 rows and its 16, 8 or w ≤ 8 columns of the tile that starts at
-// c[0], holding the tile in registers throughout. They take no lengths: the
-// caller proves the extents.
+// rows ≤ 4 rows and its columns of the tile that starts at c[0] — 16, 8 or
+// w ≤ 8 of them in YMM registers, 32, 16 or w ≤ 16 in ZMM registers — holding
+// the tile in registers throughout. They take no lengths: the caller proves
+// the extents.
 //
 //go:noescape
 func gemmTile16AVX2Asm(c, a, b []float32, n, ars, aks, kc, rows int)
@@ -101,6 +115,15 @@ func gemmTile8AVX2Asm(c, a, b []float32, n, ars, aks, kc, rows int)
 
 //go:noescape
 func gemmTileMaskAVX2Asm(c, a, b []float32, n, ars, aks, kc, rows, w int)
+
+//go:noescape
+func gemmTile32AVX512Asm(c, a, b []float32, n, ars, aks, kc, rows int)
+
+//go:noescape
+func gemmTile16AVX512Asm(c, a, b []float32, n, ars, aks, kc, rows int)
+
+//go:noescape
+func gemmTileMaskAVX512Asm(c, a, b []float32, n, ars, aks, kc, rows, w int)
 
 // gemmStripAVX2 is gemmStrip in register tiles: the strip's n columns are
 // covered by 16-wide tiles, then an 8-wide one, then a masked one for the
@@ -122,5 +145,25 @@ func gemmStripAVX2(c, a, b []float32, n, ars, aks, kc, rows int) {
 	}
 	if j < n {
 		gemmTileMaskAVX2Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, n-j)
+	}
+}
+
+// gemmStripAVX512 is gemmStripAVX2 at twice the width: 32-wide tiles, then a
+// 16-wide one, then one of the last n mod 16 columns under an opmask
+// (47 = 32 + 15, 172 = 5·32 + 12), behind the same three extent proofs.
+func gemmStripAVX512(c, a, b []float32, n, ars, aks, kc, rows int) {
+	_ = c[rows*n-1]
+	_ = a[(rows-1)*ars+(kc-1)*aks]
+	_ = b[kc*n-1]
+	j := 0
+	for ; j+32 <= n; j += 32 {
+		gemmTile32AVX512Asm(c[j:], a, b[j:], n, ars, aks, kc, rows)
+	}
+	if j+16 <= n {
+		gemmTile16AVX512Asm(c[j:], a, b[j:], n, ars, aks, kc, rows)
+		j += 16
+	}
+	if j < n {
+		gemmTileMaskAVX512Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, n-j)
 	}
 }

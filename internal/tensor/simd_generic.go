@@ -17,8 +17,16 @@ func gemmStripAVX2(c, a, b []float32, n, ars, aks, kc, rows int) {
 	panic("tensor: gemmStripAVX2 without assembly support")
 }
 
+func gemmStripAVX512(c, a, b []float32, n, ars, aks, kc, rows int) {
+	panic("tensor: gemmStripAVX512 without assembly support")
+}
+
 func scaleRowAVX2Asm(dst, src []float32, s float32) {
 	panic("tensor: scaleRowAVX2Asm without assembly support")
+}
+
+func mulRowAVX2Asm(dst, src []float32) {
+	panic("tensor: mulRowAVX2Asm without assembly support")
 }
 
 func addBiasReLUAVX2Asm(row, bias, mask []float32) {

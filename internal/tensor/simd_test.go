@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 )
 
@@ -187,6 +188,76 @@ func TestAddBiasReLUExactAcrossSIMDLevels(t *testing.T) {
 	}
 }
 
+// specials are the values a kernel must carry through every vector width
+// exactly as the scalar loops do: ±Inf, NaN and both zeros.
+var specials = []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), float32(negZero()), 0}
+
+// specialValues overwrites about a quarter of n ordinary values with specials.
+func specialValues(rng *RNG, n int) []float32 {
+	s := randSlice(rng, n)
+	for i := range s {
+		if rng.Intn(4) == 0 {
+			s[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return s
+}
+
+func TestReLUBackwardExactAcrossSIMDLevels(t *testing.T) {
+	prevPar := SetParallelism(1)
+	defer SetParallelism(prevPar)
+	rng := NewRNG(24)
+	for _, n := range raggedLens {
+		dy0 := FromSlice(3, n, specialValues(rng, 3*n))
+		mask := New(3, n)
+		for i := range mask.Data {
+			mask.Data[i] = float32(rng.Intn(2))
+		}
+		want := make([]float32, 3*n)
+		for i := range want {
+			want[i] = dy0.Data[i] * mask.Data[i]
+		}
+		for _, l := range availableLevels() {
+			withSIMD(t, l, func() {
+				dy := dy0.Clone()
+				ReLUBackward(dy, mask)
+				if i, ok := sameBits(dy.Data, want); !ok {
+					t.Fatalf("ReLUBackward n=%d level=%v: got[%d]=%x want %x", n, l, i,
+						math.Float32bits(dy.Data[i]), math.Float32bits(want[i]))
+				}
+			})
+		}
+	}
+}
+
+func TestBiasGradExactAcrossSIMDLevels(t *testing.T) {
+	prevPar := SetParallelism(1)
+	defer SetParallelism(prevPar)
+	rng := NewRNG(25)
+	for _, n := range raggedLens {
+		dy := FromSlice(5, n, specialValues(rng, 5*n))
+		dy.Data[0] = float32(negZero()) // −0 + −0 must stay −0
+		grad0 := FromSlice(1, n, randSlice(rng, n))
+		grad0.Data[0] = float32(negZero())
+		want := append([]float32(nil), grad0.Data...)
+		for i := 0; i < dy.Rows; i++ {
+			for j, v := range dy.Row(i) {
+				want[j] += v
+			}
+		}
+		for _, l := range availableLevels() {
+			withSIMD(t, l, func() {
+				grad := grad0.Clone()
+				BiasGrad(grad, dy)
+				if j, ok := sameBits(grad.Data, want); !ok {
+					t.Fatalf("BiasGrad n=%d level=%v: got[%d]=%x want %x", n, l, j,
+						math.Float32bits(grad.Data[j]), math.Float32bits(want[j]))
+				}
+			})
+		}
+	}
+}
+
 func TestGatherRowsAtExactAcrossSIMDLevels(t *testing.T) {
 	prevPar := SetParallelism(1)
 	defer SetParallelism(prevPar)
@@ -244,6 +315,30 @@ func TestSoftmaxCrossEntropyExactAcrossSIMDLevels(t *testing.T) {
 	}
 }
 
+// TestSoftmaxCrossEntropyMatchesReference pins the staged exponentials to the
+// evaluate-twice reference bit for bit, at the class counts the repo trains
+// and on both sides of the stack stage's length (above it the stage is a
+// per-call slice).
+func TestSoftmaxCrossEntropyMatchesReference(t *testing.T) {
+	rng := NewRNG(26)
+	for _, n := range []int{1, 47, 172, softmaxStage, softmaxStage + 1, 300} {
+		rows := 6
+		logits := FromSlice(rows, n, randSlice(rng, rows*n))
+		labels := make([]int32, rows)
+		for i := range labels {
+			labels[i] = int32(rng.Intn(n))
+		}
+		want := New(rows, n)
+		wantLoss, wantCorrect := softmaxCrossEntropyRef(want, logits, labels)
+		got := New(rows, n)
+		loss, correct := SoftmaxCrossEntropy(got, logits, labels)
+		if i, ok := sameBits(got.Data, want.Data); !ok || loss != wantLoss || correct != wantCorrect {
+			t.Fatalf("SoftmaxCrossEntropy n=%d: loss %v vs %v, correct %d vs %d, grad[%d] %x vs %x", n,
+				loss, wantLoss, correct, wantCorrect, i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+		}
+	}
+}
+
 // TestMatMulExactAcrossSIMDLevels pins the whole blocked-GEMM stack against
 // the *Ref oracles at every dispatch level (the per-kernel tests above pin
 // the row updates; this pins their composition under blocking).
@@ -293,9 +388,9 @@ func TestSetSIMDLevelValidation(t *testing.T) {
 	if _, err := SetSIMDLevel(SIMDLevel(-1)); err == nil {
 		t.Fatal("SetSIMDLevel(-1) should fail")
 	}
-	if DetectedSIMDLevel() < SIMDAVX2 {
-		if _, err := SetSIMDLevel(SIMDAVX2); err == nil {
-			t.Fatal("SetSIMDLevel above the hardware ceiling should fail")
+	if above := DetectedSIMDLevel() + 1; above <= SIMDAVX512 {
+		if _, err := SetSIMDLevel(above); err == nil {
+			t.Fatalf("SetSIMDLevel(%v), one above the hardware ceiling, should fail", above)
 		}
 	}
 	prev, err := SetSIMDLevel(SIMDGeneric)
@@ -321,7 +416,7 @@ func TestParseSIMDLevel(t *testing.T) {
 		{"generic", SIMDGeneric, true},
 		{"SSE", SIMDSSE, true},
 		{" avx2 ", SIMDAVX2, true},
-		{"avx512", 0, false},
+		{"AVX512", SIMDAVX512, true},
 		{"fast", 0, false},
 	}
 	for _, c := range cases {
@@ -333,7 +428,7 @@ func TestParseSIMDLevel(t *testing.T) {
 			t.Fatalf("ParseSIMDLevel(%q) should fail", c.in)
 		}
 	}
-	for _, l := range []SIMDLevel{SIMDGeneric, SIMDSSE, SIMDAVX2} {
+	for _, l := range []SIMDLevel{SIMDGeneric, SIMDSSE, SIMDAVX2, SIMDAVX512} {
 		back, err := ParseSIMDLevel(l.String())
 		if err != nil || back != l {
 			t.Fatalf("round-trip %v: got %v, %v", l, back, err)
