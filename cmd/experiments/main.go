@@ -8,6 +8,7 @@
 //	experiments -exp fig10     # one experiment
 //	experiments -list          # list experiment names
 //	experiments -seed 7        # change the simulation seed
+//	experiments -exp ext-serve -cpuprofile cpu.prof   # profile the run
 package main
 
 import (
@@ -16,6 +17,7 @@ import (
 	"os"
 
 	"repro/internal/bench"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -23,6 +25,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiments run to this file, for go tool pprof")
 	flag.Parse()
 
 	if *list {
@@ -31,28 +34,35 @@ func main() {
 		}
 		return
 	}
-	render := func(t *bench.Table) {
-		if *csv {
+	err := trace.WithCPUProfile(*cpuProfile, func() error { return run(*exp, *seed, *csv) })
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
+
+// run regenerates one experiment, or all of them, and prints the tables.
+func run(exp string, seed uint64, csv bool) error {
+	var tables []*bench.Table
+	if exp == "all" {
+		all, err := bench.All(seed)
+		if err != nil {
+			return err
+		}
+		tables = all
+	} else {
+		t, err := bench.ByName(exp, seed)
+		if err != nil {
+			return err
+		}
+		tables = []*bench.Table{t}
+	}
+	for _, t := range tables {
+		if csv {
 			fmt.Print(t.CSV())
 		} else {
 			fmt.Println(t)
 		}
 	}
-	if *exp == "all" {
-		tables, err := bench.All(*seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		for _, t := range tables {
-			render(t)
-		}
-		return
-	}
-	t, err := bench.ByName(*exp, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	render(t)
+	return nil
 }

@@ -37,6 +37,9 @@ type options struct {
 	pipeline  string
 	nodes     int
 	trace     string
+	// cpuProfile is the -cpuprofile path; run profiles everything after the
+	// dataset is materialized.
+	cpuProfile string
 	// faults is the -faults deterministic fault schedule (see fault.Parse);
 	// empty runs fault-free (byte-identical to a build without the fault
 	// plane).

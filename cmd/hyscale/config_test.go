@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -409,5 +411,31 @@ func TestBuildConfigFaultFlags(t *testing.T) {
 		if _, err := buildConfig(b); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
+	}
+}
+
+// -cpuprofile: an unwritable path is a clean error naming the flag (after
+// set-up, before any training) and a writable one leaves a non-empty profile
+// behind.
+func TestRunCPUProfile(t *testing.T) {
+	o := validOptions()
+	o.scale, o.epochs = 20000, 1
+	dir := t.TempDir()
+
+	o.cpuProfile = filepath.Join(dir, "missing", "cpu.prof")
+	if err := run(o); err == nil || !strings.Contains(err.Error(), "-cpuprofile") {
+		t.Fatalf("unwritable -cpuprofile path: err = %v, want one naming the flag", err)
+	}
+
+	o.cpuProfile = filepath.Join(dir, "cpu.prof")
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(o.cpuProfile); err != nil || fi.Size() == 0 {
+		t.Fatalf("profile not written: %v, %v", fi, err)
+	}
+	// The profiler must be stopped again: a second start fails otherwise.
+	if err := run(o); err != nil {
+		t.Fatalf("second profiled run: %v", err)
 	}
 }

@@ -17,6 +17,8 @@ import (
 // workload trains with (CPU + 4 accelerators, FPGA accounting included) runs
 // each share on a goroutine of its own, and those five spawns are all it may
 // allocate — synchronizer, broadcast gradient and result slots are retained.
+// With DRM on the iteration ends in drm.Engine.Adjust, which rewrites the
+// mapping in storage the engine owns: the bound is still the five spawns.
 func TestTrainingIterationZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation gate is skipped under -race")
@@ -27,23 +29,25 @@ func TestTrainingIterationZeroAlloc(t *testing.T) {
 		name   string
 		accels int
 		spawns float64 // goroutines an iteration starts
-	}{{"one trainer", 0, 0}, {"five trainers", 4, 5}} {
+		drm    bool
+	}{{"one trainer", 0, 0, false}, {"five trainers", 4, 5, false}, {"five trainers, DRM on", 4, 5, true}} {
 		t.Run(leg.name, func(t *testing.T) {
 			cfg := baseConfig(t)
 			cfg.Plat = hw.CPUFPGAPlatform()
 			cfg.Plat.Accels = cfg.Plat.Accels[:leg.accels]
-			cfg.DRM = false
+			cfg.DRM = leg.drm
 			e, err := NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			targets := e.batcher.Next()
+			it := 0
 			iterate := func() {
 				res, err := e.exec.RunIteration(targets)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The epoch loop's update path, verbatim (minus DRM).
+				// The epoch loop's update path, verbatim.
 				global, _, err := e.gsync.Reduce(res.Grad)
 				if err != nil {
 					t.Fatal(err)
@@ -52,6 +56,10 @@ func TestTrainingIterationZeroAlloc(t *testing.T) {
 					e.opts[i].Step(e.replicas[i].Params, global)
 				}
 				e.clock.Advance(res.Stage)
+				if e.drmEng != nil {
+					e.assign = e.drmEng.Adjust(it, res.Stage, e.assign)
+				}
+				it++
 			}
 			// Warm every arena to steady state: the rng advances each iteration, so
 			// sampled sizes vary and the retained storage must grow to its roof.
@@ -63,6 +71,9 @@ func TestTrainingIterationZeroAlloc(t *testing.T) {
 			}
 			if a := testing.AllocsPerRun(20, iterate); a > leg.spawns {
 				t.Fatalf("training iteration allocated %.1f times per run, want at most its %v goroutine spawns", a, leg.spawns)
+			}
+			if leg.drm && e.drmEng.MovesWork+e.drmEng.MovesThread == 0 {
+				t.Fatal("DRM never moved: the leg did not exercise Adjust's rewrite")
 			}
 		})
 	}

@@ -82,6 +82,13 @@ type Engine struct {
 	// Moves counts applied adjustments, by kind, for introspection.
 	MovesWork   int
 	MovesThread int
+
+	// next is the storage of the assignment Adjust returns, and parts /
+	// weights / fracs the scratch of a work move's apportioning, so a
+	// steady-state Adjust allocates nothing.
+	next           perfmodel.Assignment
+	parts          []int
+	weights, fracs []float64
 }
 
 // New returns an engine with the defaults used throughout the experiments.
@@ -142,16 +149,21 @@ func rank(ts *stageTimes) (order [numStages]Stage, n int, fastestCPU Stage) {
 // intra-fleet move: after the CPU↔accelerator balancing of the original
 // algorithm, per-device stage measurements (when provided) rebalance the
 // shares of *unequal* accelerators against each other.
+//
+// a is not modified — unless it is the previous call's result: the returned
+// assignment's AccelBatch is storage the engine owns and rewrites on the next
+// call (feeding a result straight back in, as the epoch loop does, is the
+// intended use). A caller that keeps a result across calls Clones it.
 func (e *Engine) Adjust(_ int, st perfmodel.StageTimes, a perfmodel.Assignment) perfmodel.Assignment {
 	ts := times(st)
 	if e.FusedPrefetch {
 		ts[Load] = st.Load + st.Trans
 		ts[Accel] = st.TrainAcc
 	}
-	out := a.Clone()
-	e.adjustGlobal(&out, st, &ts)
-	e.balanceAccels(&out, st.PerAccel)
-	return out
+	a.CloneInto(&e.next)
+	e.adjustGlobal(&e.next, st, &ts)
+	e.balanceAccels(&e.next, st.PerAccel)
+	return e.next
 }
 
 // adjustGlobal is the original Algorithm 1 step over the five aggregated
@@ -295,7 +307,7 @@ func (e *Engine) balanceTraining(a *perfmodel.Assignment, ts *stageTimes, dir in
 			return
 		}
 		a.CPUBatch -= move
-		distribute(a.AccelBatch, move)
+		e.distribute(a.AccelBatch, move)
 	} else { // accelerators → CPU
 		if accTotal-move < e.MinBatch*nAcc {
 			move = accTotal - e.MinBatch*nAcc
@@ -304,7 +316,7 @@ func (e *Engine) balanceTraining(a *perfmodel.Assignment, ts *stageTimes, dir in
 			return
 		}
 		a.CPUBatch += move
-		distribute(a.AccelBatch, -move)
+		e.distribute(a.AccelBatch, -move)
 	}
 	e.MovesWork++
 }
@@ -368,14 +380,17 @@ func (e *Engine) balanceThread(a *perfmodel.Assignment, from, to Stage) {
 // proportional mapping every iteration. Negative deltas shed proportionally
 // and never push a share below zero; the shares' sum changes by exactly
 // delta as long as |delta| does not exceed the fleet total (which callers
-// guarantee), and by the fleet total otherwise.
-func distribute(shares []int, delta int) {
-	// The apportioning weights of fleets up to this size stay on the stack.
-	const stackFleet = 8
+// guarantee), and by the fleet total otherwise. The apportioning runs in the
+// engine's scratch.
+func (e *Engine) distribute(shares []int, delta int) {
 	n := len(shares)
 	if n == 0 || delta == 0 {
 		return
 	}
+	if cap(e.parts) < n {
+		e.parts, e.weights, e.fracs = make([]int, n), make([]float64, n), make([]float64, n)
+	}
+	weights := e.weights[:n]
 	if delta > 0 {
 		// Revive starved devices first: a share that hit zero would
 		// otherwise have zero growth weight forever (and no measurements
@@ -391,26 +406,24 @@ func distribute(shares []int, delta int) {
 				delta--
 			}
 		}
-		weights := make([]float64, 0, stackFleet)
-		for _, s := range shares {
-			weights = append(weights, float64(s))
+		for i, s := range shares {
+			weights[i] = float64(s)
 		}
-		for i, p := range perfmodel.Apportion(delta, weights) {
+		for i, p := range perfmodel.ApportionInto(e.parts, e.fracs, delta, weights) {
 			shares[i] += p
 		}
 		return
 	}
 	total := 0
-	weights := make([]float64, 0, stackFleet)
-	for _, s := range shares {
-		weights = append(weights, float64(s))
+	for i, s := range shares {
+		weights[i] = float64(s)
 		total += s
 	}
 	mag := -delta
 	if mag > total {
 		mag = total
 	}
-	parts := perfmodel.Apportion(mag, weights)
+	parts := perfmodel.ApportionInto(e.parts, e.fracs, mag, weights)
 	// Shedding: cap each removal at the share itself, then drain any
 	// leftover from the largest remaining shares.
 	left := 0

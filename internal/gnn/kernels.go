@@ -123,9 +123,10 @@ func aggregateRange(b *sampler.Block, edgeW, selfW []float32, out *tensor.Matrix
 				orow[j] = 0
 			}
 		}
-		for e := b.RowPtr[d]; e < b.RowPtr[d+1]; e++ {
-			tensor.AxpyRow(orow, h.Data[int(b.Col[e])*cols:int(b.Col[e])*cols+cols], edgeW[e])
-		}
+		// The destination's whole edge list in one call: the row stays in
+		// registers while its neighbours stream past (tensor.AggregateRow).
+		e0, e1 := b.RowPtr[d], b.RowPtr[d+1]
+		tensor.AggregateRow(orow, h.Data, cols, b.Col[e0:e1], edgeW[e0:e1])
 	}
 }
 
@@ -152,19 +153,19 @@ func (nb *Neighborhood) AggregateBackward(dh, dAgg *tensor.Matrix) {
 	nb.buildTranspose()
 	tPtr, tDst, tW := nb.tPtr, nb.tDst, nb.tW
 	tensor.ParallelRows(rows, work, func(lo, hi int) {
+		// Source-major, so each dh row is stationary over its contribution
+		// list exactly as a destination is in aggregateRange.
 		for s := lo; s < hi; s++ {
-			drow := dh.Row(s)
-			for t := tPtr[s]; t < tPtr[s+1]; t++ {
-				grow := dAgg.Data[int(tDst[t])*cols : int(tDst[t])*cols+cols]
-				tensor.AxpyRow(drow, grow, tW[t])
-			}
+			tensor.AggregateRow(dh.Row(s), dAgg.Data, cols, tDst[tPtr[s]:tPtr[s+1]], tW[tPtr[s]:tPtr[s+1]])
 		}
 	})
 }
 
 // AggregateBackwardSerial is the destination-major serial scatter — the
 // pre-parallelisation kernel, retained as the exact-equality oracle and the
-// below-the-grain fast path (it needs no transpose build).
+// below-the-grain fast path (it needs no transpose build). A scatter has no
+// stationary row — consecutive edges write different dh rows — so it stays a
+// loop of AxpyRow calls.
 func (nb *Neighborhood) AggregateBackwardSerial(dh, dAgg *tensor.Matrix) {
 	b := nb.Block
 	cols := dh.Cols

@@ -629,8 +629,19 @@ func (m *Model) DeviceRate(i int) float64 {
 // heterogeneous work moves.
 func Apportion(total int, weights []float64) []int {
 	n := len(weights)
-	out := make([]int, n)
+	return ApportionInto(make([]int, n), make([]float64, n), total, weights)
+}
+
+// ApportionInto is Apportion into caller-owned storage, for callers that
+// apportion every iteration: the shares land in out[:len(weights)], which is
+// returned, and fracs (as long) is scratch. Both are fully overwritten.
+func ApportionInto(out []int, fracs []float64, total int, weights []float64) []int {
+	n := len(weights)
+	out, fracs = out[:n], fracs[:n]
 	if n == 0 || total <= 0 {
+		for i := range out {
+			out[i] = 0
+		}
 		return out
 	}
 	var sum float64
@@ -648,7 +659,6 @@ func Apportion(total int, weights []float64) []int {
 		denom = float64(n)
 	}
 	assigned := 0
-	fracs := make([]float64, n)
 	for i := range out {
 		exact := float64(total) * weight(i) / denom
 		out[i] = int(exact)

@@ -32,7 +32,8 @@ type Mode struct {
 
 // Controller adjusts the task mapping between iterations; the DRM engine
 // implements it. Adjust receives the stage times measured in iteration i and
-// returns the assignment for iteration i+1.
+// returns the assignment for iteration i+1, which may live in storage the
+// controller reuses on its next call.
 type Controller interface {
 	Adjust(iter int, measured perfmodel.StageTimes, a perfmodel.Assignment) perfmodel.Assignment
 }
@@ -119,7 +120,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	res.EpochSec = pipe.Now()
-	res.FinalAssign = assign
+	res.FinalAssign = assign.Clone() // the controller may own assign's storage
 	if res.EpochSec > 0 {
 		res.MTEPS = totalEdges / res.EpochSec / 1e6
 	}

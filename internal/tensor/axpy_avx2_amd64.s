@@ -189,46 +189,6 @@ loop8:
 	VZEROUPPER
 	RET
 
-// func copyRowAVX2Asm(dst, src []float32)
-// dst[j] = src[j]: the row-gather copy.
-TEXT ·copyRowAVX2Asm(SB), NOSPLIT, $0-48
-	MOVQ dst_base+0(FP), DI
-	MOVQ src_base+24(FP), SI
-	MOVQ src_len+32(FP), CX
-
-	CMPQ CX, $32
-	JL   loop8
-
-loop32:
-	VMOVUPS (SI), Y0
-	VMOVUPS 32(SI), Y1
-	VMOVUPS 64(SI), Y2
-	VMOVUPS 96(SI), Y3
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	ADDQ    $128, SI
-	ADDQ    $128, DI
-	SUBQ    $32, CX
-	CMPQ    CX, $32
-	JGE     loop32
-
-	TESTQ CX, CX
-	JZ    done
-
-loop8:
-	VMOVUPS (SI), Y0
-	VMOVUPS Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JG      loop8
-
-done:
-	VZEROUPPER
-	RET
-
 // func rowMaxAVX2Asm(src []float32) float32
 // Returns max(src). Selection, not arithmetic: the maximum *value* is
 // order-independent, and the Go wrapper canonicalises the returned bit

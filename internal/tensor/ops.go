@@ -208,18 +208,19 @@ func SoftmaxCrossEntropy(grad, logits *Matrix, labels []int32) (loss float64, co
 	for i := 0; i < n; i++ {
 		row := logits.Row(i)
 		grow := grad.Row(i)
-		// Numerically stable softmax. The row max and the shift go through
-		// SIMD (selection and a single float32 subtract are exact at any
-		// width); exp and the float64 sum/log stay scalar.
+		// Numerically stable softmax. The row max, the shift and the
+		// exponentials go through SIMD (selection and a single float32
+		// subtract are exact at any width; expRow is math.Exp lane by lane);
+		// the float64 sum stays a scalar loop in ascending j — its order is
+		// part of the result — and so does the log.
 		maxv, argmax := rowMax(row)
 		// Stage the shifted logits v−maxv into the grad row: it is scratch
 		// until the final pass overwrites it in place, so the wide shift
 		// costs no extra buffer.
 		subScalarInto(grow, row, maxv)
+		expRow(exps, grow)
 		var sum float64
-		for j, v := range grow {
-			e := math.Exp(float64(v))
-			exps[j] = e
+		for _, e := range exps {
 			sum += e
 		}
 		logSum := math.Log(sum)
@@ -231,15 +232,59 @@ func SoftmaxCrossEntropy(grad, logits *Matrix, labels []int32) (loss float64, co
 		if argmax == lbl {
 			correct++
 		}
-		for j, e := range exps {
-			p := float32(e / sum)
-			if j == lbl {
-				p -= 1
-			}
-			grow[j] = p * inv
-		}
+		// grow[j] = float32(e/sum)·inv in one sweep; the label's element,
+		// the only one with the −1, is patched by the scalar expression.
+		softmaxGradRow(grow, exps, sum, inv)
+		grow[lbl] = (float32(exps[lbl]/sum) - 1) * inv
 	}
 	return totalLoss / float64(n), correct
+}
+
+// expLo and expHi bound the arguments expRowFMAAsm evaluates itself: inside
+// them math.Exp runs straight through its polynomial path; outside (or on
+// NaN) it branches to its denormal, overflow and non-finite exits, which the
+// kernel leaves to math.Exp.
+const (
+	expLo = -708
+	expHi = 709
+)
+
+// expRow computes dst[j] = math.Exp(float64(src[j])) over len(src) elements,
+// bit for bit at every level: from AVX2 up, on a CPU with FMA — where
+// math.Exp itself is the fused routine — expRowFMAAsm runs the same routine
+// four lanes at a time; everywhere else this is the scalar loop.
+func expRow(dst []float64, src []float32) {
+	n := len(src)
+	dst = dst[:n]
+	q := 0
+	if haveAVX2Asm && cpuFMA && n >= 4 && simdAtLeast(SIMDAVX2) {
+		q = n &^ 3
+		if !expRowFMAAsm(dst[:q], src[:q]) {
+			for j, v := range src[:q] {
+				if !(v >= expLo && v <= expHi) {
+					dst[j] = math.Exp(float64(v))
+				}
+			}
+		}
+	}
+	for j := q; j < n; j++ {
+		dst[j] = math.Exp(float64(src[j]))
+	}
+}
+
+// softmaxGradRow computes grad[j] = float32(exps[j]/sum)·inv over len(exps)
+// elements: divide, narrow, multiply, each correctly rounded at any width.
+func softmaxGradRow(grad []float32, exps []float64, sum float64, inv float32) {
+	n := len(exps)
+	grad = grad[:n]
+	q := 0
+	if haveAVX2Asm && n >= 4 && simdAtLeast(SIMDAVX2) {
+		q = n &^ 3
+		softmaxGradAVX2Asm(grad[:q], exps[:q], sum, inv)
+	}
+	for j := q; j < n; j++ {
+		grad[j] = float32(exps[j]/sum) * inv
+	}
 }
 
 // rowMax returns the maximum of row (len ≥ 1) and the index of its first
@@ -316,24 +361,18 @@ func SplitCols(a, b, src *Matrix) {
 const gatherWork = 4
 
 // GatherRows copies rows idx of src into dst (dst is len(idx)×src.Cols).
-// Rows split across ParallelRows workers, each copying with the SIMD
-// copyRow kernel — the feature-staging gather is the largest memcpy in the
-// pipeline's Stage 2.
+// Rows split across ParallelRows workers, each one call into the gather
+// kernel for its range — the feature-staging gather is the largest memcpy in
+// the pipeline's Stage 2.
 func GatherRows(dst, src *Matrix, idx []int32) {
 	if dst.Rows != len(idx) || dst.Cols != src.Cols {
 		panic("tensor: GatherRows shape mismatch")
 	}
 	if FanOut(len(idx), gatherWork*src.Cols) <= 1 {
-		gatherRowsRange(dst, src, idx, 0, len(idx))
+		gatherRange(dst, 0, src, idx, 0, len(idx))
 		return
 	}
-	ParallelRows(len(idx), gatherWork*src.Cols, func(lo, hi int) { gatherRowsRange(dst, src, idx, lo, hi) })
-}
-
-func gatherRowsRange(dst, src *Matrix, idx []int32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		copyRow(dst.Row(i), src.Row(int(idx[i])))
-	}
+	ParallelRows(len(idx), gatherWork*src.Cols, func(lo, hi int) { gatherRange(dst, 0, src, idx, lo, hi) })
 }
 
 // GatherRowsAt copies rows idx of src into the column band
@@ -345,16 +384,30 @@ func GatherRowsAt(dst *Matrix, dstCol int, src *Matrix, idx []int32) {
 		panic("tensor: GatherRowsAt shape mismatch")
 	}
 	if FanOut(len(idx), gatherWork*src.Cols) <= 1 {
-		gatherRowsAtRange(dst, dstCol, src, idx, 0, len(idx))
+		gatherRange(dst, dstCol, src, idx, 0, len(idx))
 		return
 	}
-	ParallelRows(len(idx), gatherWork*src.Cols, func(lo, hi int) { gatherRowsAtRange(dst, dstCol, src, idx, lo, hi) })
+	ParallelRows(len(idx), gatherWork*src.Cols, func(lo, hi int) { gatherRange(dst, dstCol, src, idx, lo, hi) })
 }
 
-func gatherRowsAtRange(dst *Matrix, dstCol int, src *Matrix, idx []int32, lo, hi int) {
+// gatherRange copies rows idx[lo:hi] of src into the column band
+// [dstCol, dstCol+src.Cols) of rows [lo, hi) of dst. From AVX2 up it is one
+// call into gatherRowsAVX2Asm, which walks the index list itself and
+// prefetches eight rows ahead of the one it copies (gather_amd64.s); the
+// kernel trusts its extents, so every index is checked against src.Rows and
+// both matrices are re-sliced to what it will touch first. Rows narrower than
+// one vector, the lower levels and other architectures copy row by row.
+func gatherRange(dst *Matrix, dstCol int, src *Matrix, idx []int32, lo, hi int) {
 	w := src.Cols
+	if haveAVX2Asm && w >= 8 && lo < hi && simdAtLeast(SIMDAVX2) {
+		part := idx[lo:hi]
+		checkRowIndices("gather", part, src.Rows)
+		band := dst.Data[lo*dst.Cols+dstCol : (hi-1)*dst.Cols+dstCol+w]
+		gatherRowsAVX2Asm(band, dst.Cols, src.Data[:src.Rows*w], w, part)
+		return
+	}
 	for i := lo; i < hi; i++ {
-		copyRow(dst.Row(i)[dstCol:dstCol+w], src.Row(int(idx[i])))
+		copy(dst.Row(i)[dstCol:dstCol+w], src.Row(int(idx[i])))
 	}
 }
 

@@ -92,15 +92,18 @@ func Transpose(a *Matrix) *Matrix {
 	return out
 }
 
-// GatherRowsSerial is the single-threaded reference gather — the oracle the
-// parallel GatherRows is pinned against bitwise. Destination rows are
-// disjoint, so the worker split cannot change a bit; the regression test
-// keeps that true as the kernel evolves.
+// GatherRowsSerial is the single-threaded reference gather — a plain loop of
+// row copies, the oracle the parallel GatherRows and its index-driven kernel
+// are pinned against bitwise. Destination rows are disjoint, so the worker
+// split cannot change a bit; the regression test keeps that true as the
+// kernel evolves.
 func GatherRowsSerial(dst, src *Matrix, idx []int32) {
 	if dst.Rows != len(idx) || dst.Cols != src.Cols {
 		panic("tensor: GatherRowsSerial shape mismatch")
 	}
-	gatherRowsRange(dst, src, idx, 0, len(idx))
+	for i, s := range idx {
+		copy(dst.Row(i), src.Row(int(s)))
+	}
 }
 
 // softmaxCrossEntropyRef is the reference loss and gradient: per row a scalar

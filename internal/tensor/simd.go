@@ -5,8 +5,9 @@ package tensor
 // per call through an atomic level variable. The top rung adds one thing:
 // the GEMM register tile (gemm_amd64.s) runs on ZMM registers, 4×32 instead
 // of 4×16. Only the tile uses it — it is the one compute-bound kernel; the
-// row-update and fused element-wise kernels are memory-bound and keep their
-// AVX2 form at that level. The CPU's capabilities are probed once at init
+// row kernels (exp, aggregation, gather) and the fused element-wise kernels
+// keep their AVX2 form at that level (the row kernels measured equal at both
+// widths). The CPU's capabilities are probed once at init
 // (CPUID on amd64; see simd_amd64.go) and fix the ceiling: SetSIMDLevel can
 // lower the active level (forcing the fallback paths for tests and the -simd
 // flag) but never raise it above what the hardware supports. The TENSOR_SIMD
@@ -18,6 +19,8 @@ package tensor
 // multiply and add unfused (VMULPS + VADDPS, never FMA — fusing rounds once
 // where the scalar reference rounds twice) and vectorise only across
 // independent output elements, so no element's accumulation order changes.
+// The one kernel that fuses is the exp under the loss, which reproduces the
+// FMAs math.Exp itself executes (exp_amd64.s).
 // The property tests in simd_test.go pin exact equality across all levels.
 
 import (
@@ -61,8 +64,10 @@ func (l SIMDLevel) String() string {
 	return fmt.Sprintf("SIMDLevel(%d)", int32(l))
 }
 
-// detectedSIMD is the hardware ceiling, fixed at init by the per-arch probe.
-var detectedSIMD = detectSIMD()
+// detectedSIMD is the hardware ceiling, fixed at init by the per-arch probe;
+// cpuFMA says whether that CPU also fuses multiply-adds, which only the exp
+// kernel uses (expRow in ops.go).
+var detectedSIMD, cpuFMA = detectSIMD()
 
 // activeSIMD is the level the kernels dispatch on (atomic: hot paths read it
 // lock-free while tests and the CLI flip it).

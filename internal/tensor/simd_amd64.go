@@ -24,34 +24,39 @@ func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 
 // detectSIMD probes the CPU once at package init. SSE2 is part of the amd64
-// baseline, so SSE is the floor on this architecture.
-func detectSIMD() SIMDLevel {
+// baseline, so SSE is the floor on this architecture. fma reports FMA3 (leaf 1
+// ECX bit 12) on a CPU that reached the AVX2 rung — with the AVX and OS-state
+// checks above it, the condition under which package math runs the FMA path
+// of its Exp, which is the path expRowFMAAsm reproduces.
+func detectSIMD() (level SIMDLevel, fma bool) {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
 	if maxLeaf < 7 {
-		return SIMDSSE
+		return SIMDSSE, false
 	}
 	_, _, ecx1, _ := cpuidAsm(1, 0)
 	const osxsaveBit = 1 << 27
 	const avxBit = 1 << 28
 	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return SIMDSSE
+		return SIMDSSE, false
 	}
 	xcr0, _ := xgetbvAsm()
 	const ymmState = 0x6 // XMM (bit 1) + YMM (bit 2) enabled by the OS
 	if xcr0&ymmState != ymmState {
-		return SIMDSSE
+		return SIMDSSE, false
 	}
 	_, ebx7, _, _ := cpuidAsm(7, 0)
 	const avx2Bit = 1 << 5
 	if ebx7&avx2Bit == 0 {
-		return SIMDSSE
+		return SIMDSSE, false
 	}
+	const fmaBit = 1 << 12
+	fma = ecx1&fmaBit != 0
 	const avx512fBit = 1 << 16
 	const zmmState = 0xe0 // opmask (bit 5) + ZMM_Hi256 (bit 6) + Hi16_ZMM (bit 7)
 	if ebx7&avx512fBit == 0 || xcr0&zmmState != zmmState {
-		return SIMDAVX2
+		return SIMDAVX2, fma
 	}
-	return SIMDAVX512
+	return SIMDAVX512, fma
 }
 
 // AVX2 kernels (axpy_avx2_amd64.s). All slice lengths are positive
@@ -85,11 +90,6 @@ func addBiasReLUAVX2Asm(row, bias, mask []float32)
 //go:noescape
 func reluMaskAVX2Asm(data, mask []float32)
 
-// copyRowAVX2Asm copies src into dst.
-//
-//go:noescape
-func copyRowAVX2Asm(dst, src []float32)
-
 // rowMaxAVX2Asm returns the maximum element of src (len ≥ 8, multiple of 8).
 //
 //go:noescape
@@ -99,6 +99,40 @@ func rowMaxAVX2Asm(src []float32) float32
 //
 //go:noescape
 func subScalarAVX2Asm(dst, src []float32, s float32)
+
+// The row kernels: each is a Go loop around a per-element kernel with the loop
+// moved inside the assembly. All three are 256-bit forms that run at the avx2
+// and avx512 rungs alike, and take no bounds on trust: the Go wrappers prove
+// every extent (and every index) before the call.
+
+// expRowFMAAsm computes dst[j] = exp(float64(src[j])) four lanes at a time by
+// the FMA path of math.Exp (exp_amd64.s). len(src) is a positive multiple of
+// 4 and len(dst) ≥ len(src). It reports whether every lane was inside
+// [expLo, expHi]; a lane outside (or NaN) holds garbage the caller replaces.
+//
+//go:noescape
+func expRowFMAAsm(dst []float64, src []float32) (inRange bool)
+
+// softmaxGradAVX2Asm computes grad[j] = float32(exps[j]/sum)·inv. len(exps)
+// is a positive multiple of 4 and len(grad) ≥ len(exps).
+//
+//go:noescape
+func softmaxGradAVX2Asm(grad []float32, exps []float64, sum float64, inv float32)
+
+// aggregateRowAVX2Asm computes out[j] += Σ_e w[e]·h[idx[e]·cols + j] over
+// j < cols in edge order (aggregate_amd64.s). len(idx) ≥ 1, len(w) ≥
+// len(idx), len(out) ≥ cols ≥ 1 and every idx[e]·cols + cols ≤ len(h).
+//
+//go:noescape
+func aggregateRowAVX2Asm(out, h []float32, cols int, idx []int32, w []float32)
+
+// gatherRowsAVX2Asm copies row idx[i] of src (cols floats per row, cols ≥ 8)
+// to dst[i·dstStride:][:cols] for every i (gather_amd64.s). len(idx) ≥ 1,
+// every idx[i]·cols + cols ≤ len(src) and (len(idx)−1)·dstStride + cols ≤
+// len(dst).
+//
+//go:noescape
+func gatherRowsAVX2Asm(dst []float32, dstStride int, src []float32, cols int, idx []int32)
 
 // The GEMM micro-kernel (gemm_amd64.s): each form adds
 // Σ_t a[r·ars + t·aks] · b[t·n + j] over t in [0, kc) into c[r·n + j] for the

@@ -7,7 +7,7 @@ package tensor
 // call site).
 const haveAVX2Asm = false
 
-func detectSIMD() SIMDLevel { return SIMDGeneric }
+func detectSIMD() (SIMDLevel, bool) { return SIMDGeneric, false }
 
 func axpyRowAVX2Asm(dst, src []float32, alpha float32) {
 	panic("tensor: axpyRowAVX2Asm without assembly support")
@@ -37,8 +37,20 @@ func reluMaskAVX2Asm(data, mask []float32) {
 	panic("tensor: reluMaskAVX2Asm without assembly support")
 }
 
-func copyRowAVX2Asm(dst, src []float32) {
-	panic("tensor: copyRowAVX2Asm without assembly support")
+func expRowFMAAsm(dst []float64, src []float32) bool {
+	panic("tensor: expRowFMAAsm without assembly support")
+}
+
+func softmaxGradAVX2Asm(grad []float32, exps []float64, sum float64, inv float32) {
+	panic("tensor: softmaxGradAVX2Asm without assembly support")
+}
+
+func aggregateRowAVX2Asm(out, h []float32, cols int, idx []int32, w []float32) {
+	panic("tensor: aggregateRowAVX2Asm without assembly support")
+}
+
+func gatherRowsAVX2Asm(dst []float32, dstStride int, src []float32, cols int, idx []int32) {
+	panic("tensor: gatherRowsAVX2Asm without assembly support")
 }
 
 func rowMaxAVX2Asm(src []float32) float32 {

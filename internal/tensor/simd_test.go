@@ -92,26 +92,6 @@ func TestScaleRowIntoExactAcrossSIMDLevels(t *testing.T) {
 	}
 }
 
-func TestCopyRowExactAcrossSIMDLevels(t *testing.T) {
-	prevPar := SetParallelism(1)
-	defer SetParallelism(prevPar)
-	rng := NewRNG(14)
-	for _, n := range raggedLens {
-		src := randSlice(rng, n)
-		for _, l := range availableLevels() {
-			withSIMD(t, l, func() {
-				got := make([]float32, n)
-				copyRow(got, src)
-				for j := range src {
-					if got[j] != src[j] {
-						t.Fatalf("copyRow n=%d level=%v: got[%d]=%x want %x", n, l, j, got[j], src[j])
-					}
-				}
-			})
-		}
-	}
-}
-
 // reluEdgeValues exercises the sign-boundary cases the AVX2 compare+AND
 // masking must reproduce exactly: negative zero stays a zero output with a
 // zero mask, as in the scalar branch.
