@@ -9,6 +9,7 @@
 //	experiments -list          # list experiment names
 //	experiments -seed 7        # change the simulation seed
 //	experiments -exp ext-serve -cpuprofile cpu.prof   # profile the run
+//	experiments -exp ext-serve -memprofile mem.prof   # heap profile at its end
 package main
 
 import (
@@ -26,6 +27,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment names and exit")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiments run to this file, for go tool pprof")
+	memProfile := flag.String("memprofile", "", "write a heap profile, taken when the experiments run ends, to this file, for go tool pprof")
 	flag.Parse()
 
 	if *list {
@@ -34,7 +36,9 @@ func main() {
 		}
 		return
 	}
-	err := trace.WithCPUProfile(*cpuProfile, func() error { return run(*exp, *seed, *csv) })
+	err := trace.WithCPUProfile(*cpuProfile, func() error {
+		return trace.WithHeapProfile(*memProfile, func() error { return run(*exp, *seed, *csv) })
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)

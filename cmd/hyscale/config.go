@@ -40,6 +40,9 @@ type options struct {
 	// cpuProfile is the -cpuprofile path; run profiles everything after the
 	// dataset is materialized.
 	cpuProfile string
+	// memProfile is the -memprofile path; run writes a heap profile there
+	// when the training and serving planes have finished.
+	memProfile string
 	// faults is the -faults deterministic fault schedule (see fault.Parse);
 	// empty runs fault-free (byte-identical to a build without the fault
 	// plane).

@@ -439,3 +439,36 @@ func TestRunCPUProfile(t *testing.T) {
 		t.Fatalf("second profiled run: %v", err)
 	}
 }
+
+// -memprofile: an unwritable path is a clean error naming the flag before any
+// training, a writable one leaves a non-empty heap profile behind, and no flag
+// leaves nothing.
+func TestRunMemProfile(t *testing.T) {
+	o := validOptions()
+	o.scale, o.epochs = 20000, 1
+	dir := t.TempDir()
+
+	o.memProfile = filepath.Join(dir, "missing", "mem.prof")
+	if err := run(o); err == nil || !strings.Contains(err.Error(), "-memprofile") {
+		t.Fatalf("unwritable -memprofile path: err = %v, want one naming the flag", err)
+	}
+
+	o.memProfile = filepath.Join(dir, "mem.prof")
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(o.memProfile); err != nil || fi.Size() == 0 {
+		t.Fatalf("profile not written: %v, %v", fi, err)
+	}
+
+	o.memProfile = ""
+	if err := os.Remove(filepath.Join(dir, "mem.prof")); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("a run without -memprofile left %v behind", left)
+	}
+}

@@ -73,6 +73,7 @@ func main() {
 	flag.StringVar(&o.pipeline, "pipeline", "serial", "epoch execution schedule: serial | prefetch (prefetch overlaps iteration i+1's sampling/gather with iteration i's propagation; bit-identical trajectory)")
 	flag.IntVar(&o.nodes, "nodes", 1, "execute a multi-node run with this many partitioned shards")
 	flag.StringVar(&o.trace, "trace", "", "write per-epoch CSV telemetry to this file")
+	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile, taken when the run ends (go tool pprof -sample_index=alloc_space attributes everything it allocated), to this file")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run (training and serving, after the dataset is materialized) to this file, for go tool pprof")
 	flag.BoolVar(&o.serveMode, "serve", false, "after training, serve an open-loop request stream with the trained model")
 	flag.Float64Var(&o.serveRate, "serve-rate", 5000, "serving: offered load in requests/second")
@@ -120,10 +121,13 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	return trace.WithCPUProfile(o.cpuProfile, func() error { return runPlanes(o, r, ds) })
+	return trace.WithCPUProfile(o.cpuProfile, func() error {
+		return trace.WithHeapProfile(o.memProfile, func() error { return runPlanes(o, r, ds) })
+	})
 }
 
-// runPlanes is everything after set-up — the part -cpuprofile covers: the
+// runPlanes is everything after set-up — the part -cpuprofile covers, and the
+// part whose end -memprofile records: the
 // training run (single- or multi-node) and, under -serve, the request stream.
 func runPlanes(o options, r *runSpec, ds *datagen.Dataset) error {
 	coreCfg := r.coreConfig(ds)

@@ -196,7 +196,7 @@ func (bk *Backend) Forward(m *gnn.Model, mb *sampler.MiniBatch, x *tensor.Matrix
 			return nil, nil, err
 		}
 		if l < len(mb.Blocks)-1 {
-			tensor.ReLUInto(z, bk.ws.Get(z.Rows, z.Cols)) // the mask is unused
+			tensor.ReLUInto(z)
 		}
 		h = z
 	}

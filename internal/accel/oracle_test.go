@@ -118,7 +118,7 @@ func forwardOracle(bk *Backend, m *gnn.Model, mb *sampler.MiniBatch, x *tensor.M
 		}
 		stats.UpdateCycles += upd
 		if l < L-1 {
-			tensor.ReLU(z)
+			tensor.ReLUInto(z)
 		}
 		h = z
 	}

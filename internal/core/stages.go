@@ -395,8 +395,8 @@ func sizesInto(s *perfmodel.Sizes, mb *sampler.MiniBatch) perfmodel.Sizes {
 }
 
 // runTrainer executes one trainer's share on a goroutine of its own:
-// forward/backward on its replica, gradient scaling for the weighted
-// all-reduce, and DONE/ACK via the engine's synchronizer (rank is the
+// forward/backward on its replica, its weight in the weighted all-reduce,
+// and DONE/ACK via the engine's synchronizer (rank is the
 // trainer's dense index among this iteration's active trainers — the
 // all-reduce sums in rank order). The outcome lands in the trainer's result
 // slot.
@@ -410,16 +410,15 @@ func (e *Engine) runTrainer(idx, rank int, mb *sampler.MiniBatch, x *tensor.Matr
 		// every active trainer, so a silent exit here would block the
 		// siblings forever. Submit a zero gradient; the coordinator sees
 		// res.err and discards the round.
-		sync_.Submit(rank, gnn.NewGradients(e.replicas[idx].Params))
+		sync_.Submit(rank, gnn.NewGradients(e.replicas[idx].Params), 0)
 		return
 	}
-	// Weighted averaging: each trainer's mean-gradient is rescaled so the
-	// synchronizer's equal-weight average equals the global-batch mean.
+	// Weighted averaging: each trainer's mean-gradient enters the sum at a
+	// weight that makes the synchronizer's average the global-batch mean.
 	// The weight *update* is applied by the coordinator to every replica
 	// (even share-less ones) once the round's average is known.
 	scale := float32(len(mb.Targets)) * float32(sync_.N()) / float32(totalTargets)
-	grads.Scale(scale)
-	res.avg = sync_.Submit(rank, grads) // blocks until all trainers are DONE
+	res.avg = sync_.Submit(rank, grads, scale) // blocks until all trainers are DONE
 }
 
 func countActive(batches []*sampler.MiniBatch) int {

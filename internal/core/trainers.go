@@ -29,7 +29,8 @@ type stepScratch struct {
 // step runs one allocation-free training step of m over the scratch. The
 // returned gradients are m's mean gradient, unscaled, owned by the scratch
 // and valid until the next step: the coordinator consumes them within the
-// iteration (scale, all-reduce), which is exactly their lifetime.
+// iteration (the weighted all-reduce reads them), which is exactly their
+// lifetime.
 func (s *stepScratch) step(m *gnn.Model, mb *sampler.MiniBatch, x *tensor.Matrix) (*gnn.Gradients, float64, float64, error) {
 	if s.ws == nil {
 		s.ws = tensor.NewWorkspace()

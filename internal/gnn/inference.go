@@ -31,7 +31,7 @@ func (m *Model) InferFullGraph(g *graph.Graph, x *tensor.Matrix) (*tensor.Matrix
 	nb := NewNeighborhood(m.Cfg, blk)
 	h := x
 	for l := 0; l < m.Cfg.Layers(); l++ {
-		z, _, _, err := m.PropagateLayer(l, nb, h)
+		z, _, err := m.PropagateLayer(l, nb, h)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +66,7 @@ func (m *Model) InferMiniBatchWS(ws *tensor.Workspace, mb *sampler.MiniBatch, x 
 	var nb Neighborhood
 	for l := 0; l < L; l++ {
 		nb.init(m.Cfg, mb.Blocks[l], ws)
-		z, _, _, err := m.propagateLayer(l, &nb, h, ws)
+		z, _, err := m.propagateLayer(l, &nb, h, ws)
 		if err != nil {
 			return nil, err
 		}

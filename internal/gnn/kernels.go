@@ -238,11 +238,12 @@ func (nb *Neighborhood) buildTranspose() {
 // PropagateLayer runs layer l over a neighborhood: aggregation, SAGE's
 // self-concatenation when applicable, the dense update, and the hidden-layer
 // ReLU. h holds the layer input over the neighborhood's sources. It returns
-// the layer output z (|Dst| × Dims[l+1]), the dense-update input (retained
-// by training for the backward pass), and the ReLU mask (nil for the output
-// layer). Buffers are freshly allocated; the zero-allocation paths use the
-// workspace-backed propagateLayer directly.
-func (m *Model) PropagateLayer(l int, nb *Neighborhood, h *tensor.Matrix) (z, dense, mask *tensor.Matrix, err error) {
+// the layer output z (|Dst| × Dims[l+1], post-ReLU for a hidden layer — which
+// is also the only record of the activation the backward pass needs) and the
+// dense-update input (retained by training for the backward pass). Buffers are
+// freshly allocated; the zero-allocation paths use the workspace-backed
+// propagateLayer directly.
+func (m *Model) PropagateLayer(l int, nb *Neighborhood, h *tensor.Matrix) (z, dense *tensor.Matrix, err error) {
 	return m.propagateLayer(l, nb, h, nil)
 }
 
@@ -251,20 +252,20 @@ func (m *Model) PropagateLayer(l int, nb *Neighborhood, h *tensor.Matrix) (z, de
 // output; ws is plumbed directly rather than through allocator closures,
 // which the zero-allocation gates would count). The layer makes one pass per
 // memory touch: SAGE aggregates directly into the mean half of the dense
-// input and gathers self features into the other, and bias + ReLU + mask
-// are fused into a single sweep of the dense-update output.
+// input and gathers self features into the other, and bias + ReLU are fused
+// into a single sweep of the dense-update output.
 func (m *Model) propagateLayer(l int, nb *Neighborhood, h *tensor.Matrix,
-	ws *tensor.Workspace) (z, dense, mask *tensor.Matrix, err error) {
+	ws *tensor.Workspace) (z, dense *tensor.Matrix, err error) {
 	L := m.Cfg.Layers()
 	if l < 0 || l >= L {
-		return nil, nil, nil, fmt.Errorf("gnn: layer %d outside [0,%d)", l, L)
+		return nil, nil, fmt.Errorf("gnn: layer %d outside [0,%d)", l, L)
 	}
 	fin := m.Cfg.Dims[l]
 	if h.Cols != fin {
-		return nil, nil, nil, fmt.Errorf("gnn: layer %d input %d-dim, want %d", l, h.Cols, fin)
+		return nil, nil, fmt.Errorf("gnn: layer %d input %d-dim, want %d", l, h.Cols, fin)
 	}
 	if h.Rows != len(nb.Block.Src) {
-		return nil, nil, nil, fmt.Errorf("gnn: layer %d input has %d rows for %d sources",
+		return nil, nil, fmt.Errorf("gnn: layer %d input has %d rows for %d sources",
 			l, h.Rows, len(nb.Block.Src))
 	}
 	get := func(r, c int) *tensor.Matrix {
@@ -291,10 +292,9 @@ func (m *Model) propagateLayer(l int, nb *Neighborhood, h *tensor.Matrix,
 	z = get(nd, m.Cfg.Dims[l+1])
 	tensor.MatMul(z, dense, m.Params.Weights[l])
 	if l < L-1 {
-		mask = get(nd, m.Cfg.Dims[l+1])
-		tensor.AddBiasReLU(z, m.Params.Biases[l], mask)
+		tensor.AddBiasReLU(z, m.Params.Biases[l])
 	} else {
 		tensor.AddBias(z, m.Params.Biases[l])
 	}
-	return z, dense, mask, nil
+	return z, dense, nil
 }

@@ -13,15 +13,24 @@ import (
 // off at the first layer's weights, kept verbatim as the reference the
 // shipped pass is pinned against: at every layer — including l == 0 — it
 // forms dDense, clears a |Src|×fin dh, and scatters through the block, so it
-// also computes ∂L/∂X of the input features that nothing consumes.
+// also computes ∂L/∂X of the input features that nothing consumes. Its ReLU
+// backward is the one the forward pass used to feed with a stored mask: the
+// 0/1 matrix is rebuilt here from the retained activation and multiplied in
+// element by element, which is what tensor.ReLUBackward must equal.
 func backwardOracle(m *Model, ws *tensor.Workspace, st *ForwardState, dLogits *tensor.Matrix, grads *Gradients) {
 	L := m.Cfg.Layers()
 	dz := ws.Get(dLogits.Rows, dLogits.Cols)
 	copy(dz.Data, dLogits.Data)
 	for l := L - 1; l >= 0; l-- {
 		b := st.mb.Blocks[l]
-		if st.masks[l] != nil {
-			tensor.ReLUBackward(dz, st.masks[l])
+		if l < L-1 {
+			for i, out := range st.inputs[l+1].Data {
+				var mask float32
+				if out > 0 {
+					mask = 1
+				}
+				dz.Data[i] *= mask
+			}
 		}
 		tensor.TMatMul(grads.Weights[l], st.aggs[l], dz)
 		grads.Biases[l].Zero()
@@ -163,12 +172,56 @@ func TestBackwardOracleBitwise(t *testing.T) {
 	}
 }
 
-// TestBackwardOracleWorkspaceFootprint pins the memory half of the cut: a
-// training step no longer borrows the |V0|×f0 input-gradient buffer (nor the
-// layer-0 dDense/dMean), so its arena retains at least that much less than
-// the oracle's, and a second, warm step borrows nothing new.
+// stepBorrows lists what one training step borrows from its arena, as
+// element counts per slab, over layers [from, L) of the backward pass — from
+// is 1 for the shipped step and 0 for the oracle, whose extra three buffers
+// (layer-0 dDense, the |V0|×f0 input gradient, SAGE's layer-0 dMean) are the
+// memory the cut saved.
+func stepBorrows(m *Model, mb *sampler.MiniBatch, from int) (f32, i32 []int) {
+	L := m.Cfg.Layers()
+	for l := 0; l < L; l++ {
+		b := mb.Blocks[l]
+		nd := len(b.Dst)
+		f32 = append(f32, b.NumEdges(), nd, nd*m.Cfg.inDim(l), nd*m.Cfg.Dims[l+1]) // EdgeW, SelfW, dense, z
+		if m.Cfg.Kind == SAGE {
+			i32 = append(i32, nd) // self indices
+		}
+	}
+	logits := len(mb.Targets) * m.Cfg.Dims[L]
+	f32 = append(f32, logits, logits) // dLogits, dz
+	for l := L - 1; l >= from; l-- {
+		b := mb.Blocks[l]
+		nd := len(b.Dst)
+		f32 = append(f32, nd*m.Cfg.inDim(l), len(b.Src)*m.Cfg.Dims[l]) // dDense, dh
+		if m.Cfg.Kind == SAGE {
+			f32 = append(f32, nd*m.Cfg.Dims[l]) // dMean
+		}
+	}
+	return f32, i32
+}
+
+// arenaHolding is the footprint an arena retains after a cycle that borrowed
+// exactly these buffers.
+func arenaHolding(f32, i32 []int) int64 {
+	ws := tensor.NewWorkspace()
+	for _, n := range f32 {
+		ws.F32(n)
+	}
+	for _, n := range i32 {
+		ws.I32(n)
+	}
+	ws.Reset()
+	return ws.Bytes()
+}
+
+// TestBackwardOracleWorkspaceFootprint pins the memory half of the cut, and of
+// dropping the ReLU masks, on exact bytes: after a training step its arena
+// retains precisely what a cycle of the buffers stepBorrows lists retains —
+// no |V0|×f0 input-gradient buffer, no layer-0 dDense/dMean, no mask per
+// hidden layer — the oracle's retains precisely that plus the layer-0 three,
+// and a second, warm step changes nothing.
 func TestBackwardOracleWorkspaceFootprint(t *testing.T) {
-	prev := tensor.SetParallelism(1) // keep the oracle's transposed lists out of the arithmetic
+	prev := tensor.SetParallelism(1) // keep the transposed scatter lists out of the arithmetic
 	defer tensor.SetParallelism(prev)
 	for _, kind := range allKinds {
 		dims := []int{24, 8, 5}
@@ -180,17 +233,24 @@ func TestBackwardOracleWorkspaceFootprint(t *testing.T) {
 		grads := NewGradients(m.Params)
 		oracleWS := tensor.NewWorkspace()
 		oracleStep(t, m, oracleWS, fx.mb, fx.x, grads)
+		oracleWS.Reset()
+		if got, want := oracleWS.Bytes(), arenaHolding(stepBorrows(m, fx.mb, 0)); got != want {
+			t.Fatalf("%v: the oracle's arena holds %d B, its buffers come to %d B", kind, got, want)
+		}
 
-		inputGrad := int64(len(fx.mb.Blocks[0].Src)) * int64(dims[0]) * 4
+		want := arenaHolding(stepBorrows(m, fx.mb, 1))
+		if inputGrad := int64(len(fx.mb.Blocks[0].Src)) * int64(dims[0]) * 4; oracleWS.Bytes()-want < inputGrad {
+			t.Fatalf("%v: %d B against the oracle's %d B saves less than the %d B input-gradient buffer",
+				kind, want, oracleWS.Bytes(), inputGrad)
+		}
 		ws, st := tensor.NewWorkspace(), &ForwardState{}
 		for iter := 0; iter < 2; iter++ {
-			ws.Reset()
 			if _, _, err := m.TrainStepWS(ws, st, fx.mb, fx.x, grads); err != nil {
 				t.Fatal(err)
 			}
-			if saved := oracleWS.Bytes() - ws.Bytes(); saved < inputGrad {
-				t.Fatalf("%v iter %d: arena holds %d B, oracle %d B: saved %d B < the %d B input-gradient buffer",
-					kind, iter, ws.Bytes(), oracleWS.Bytes(), saved, inputGrad)
+			ws.Reset()
+			if got := ws.Bytes(); got != want {
+				t.Fatalf("%v iter %d: arena holds %d B, the step's buffers come to %d B", kind, iter, got, want)
 			}
 		}
 	}

@@ -11,12 +11,13 @@ import (
 // ForwardState retains per-layer activations needed by the backward pass.
 // A state is reusable: passing the same state to ForwardWS across iterations
 // reuses its layer slices and neighborhood structs, so steady-state training
-// holds it (together with a Workspace) to run allocation-free.
+// holds it (together with a Workspace) to run allocation-free. No ReLU mask is
+// kept: hidden layer l's post-ReLU output is inputs[l+1], and the activation's
+// derivative is 1 exactly where that is > 0 (tensor.ReLUBackward).
 type ForwardState struct {
 	mb     *sampler.MiniBatch
 	inputs []*tensor.Matrix // H over Blocks[l].Src, layer input
 	aggs   []*tensor.Matrix // aggregated (GCN) / concatenated (SAGE) input to the dense update
-	masks  []*tensor.Matrix // ReLU masks (nil for the output layer)
 	nbs    []Neighborhood   // per-layer message structure, reused across iterations
 	view   tensor.Matrix    // scratch header for the SAGE dh-prefix view
 	Logits *tensor.Matrix   // |targets| × fL
@@ -120,7 +121,6 @@ func (m *Model) ForwardWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.Mi
 	if len(st.inputs) != L {
 		st.inputs = make([]*tensor.Matrix, L)
 		st.aggs = make([]*tensor.Matrix, L)
-		st.masks = make([]*tensor.Matrix, L)
 		st.nbs = make([]Neighborhood, L)
 	}
 	h := x
@@ -128,12 +128,11 @@ func (m *Model) ForwardWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.Mi
 		st.inputs[l] = h
 		nb := &st.nbs[l]
 		nb.init(m.Cfg, mb.Blocks[l], ws)
-		z, dense, mask, err := m.propagateLayer(l, nb, h, ws)
+		z, dense, err := m.propagateLayer(l, nb, h, ws)
 		if err != nil {
 			return err
 		}
 		st.aggs[l] = dense
-		st.masks[l] = mask
 		h = z
 	}
 	st.Logits = h
@@ -170,8 +169,10 @@ func (m *Model) BackwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tens
 	dz := ws.Get(dLogits.Rows, dLogits.Cols)
 	copy(dz.Data, dLogits.Data)
 	for l := L - 1; l >= 0; l-- {
-		if st.masks[l] != nil {
-			tensor.ReLUBackward(dz, st.masks[l])
+		if l < L-1 {
+			// dz is the gradient at hidden layer l's post-ReLU output, which
+			// the forward pass retained as the next layer's input.
+			tensor.ReLUBackward(dz, st.inputs[l+1])
 		}
 		// Dense update backward: z = dense·W + bias.
 		tensor.TMatMul(grads.Weights[l], st.aggs[l], dz)

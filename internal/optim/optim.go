@@ -55,13 +55,14 @@ func (o *SGD) Step(params *gnn.Parameters, grads *gnn.Gradients) {
 // condition variable); when DONE reaches n the synchronizer averages and the
 // averaged gradients are broadcast to all waiters.
 type Synchronizer struct {
-	n     int
-	mu    sync.Mutex
-	cond  *sync.Cond
-	done  int              // the paper's DONE counter
-	slots []*gnn.Gradients // pending gradients, indexed by trainer rank
-	avg   *gnn.Gradients   // the broadcast buffer, allocated by the first round and reused after
-	round uint64
+	n      int
+	mu     sync.Mutex
+	cond   *sync.Cond
+	done   int              // the paper's DONE counter
+	slots  []*gnn.Gradients // pending gradients, indexed by trainer rank
+	scales []float32        // the weight each rank submitted with
+	avg    *gnn.Gradients   // the broadcast buffer, allocated by the first round and reused after
+	round  uint64
 }
 
 // NewSynchronizer creates a synchronizer for n trainers.
@@ -69,7 +70,7 @@ func NewSynchronizer(n int) (*Synchronizer, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("optim: synchronizer needs n > 0, got %d", n)
 	}
-	s := &Synchronizer{n: n, slots: make([]*gnn.Gradients, n)}
+	s := &Synchronizer{n: n, slots: make([]*gnn.Gradients, n), scales: make([]float32, n)}
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
 }
@@ -78,35 +79,33 @@ func NewSynchronizer(n int) (*Synchronizer, error) {
 func (s *Synchronizer) N() int { return s.n }
 
 // Submit delivers trainer rank's gradients (ranks are 0..n-1, one per
-// trainer) and blocks until all n trainers of the current round have
-// submitted; it then returns the element-wise average. The average is summed
-// in RANK order, not arrival order — floating-point addition is not
-// associative, so reducing in a scheduling-dependent order would make the
-// trained weights nondeterministic under GOMAXPROCS > 1. The returned
-// gradients are shared and are the synchronizer's own buffer, which the next
-// round overwrites — callers must not mutate them, and must be done with them
-// before their next Submit (no round can complete without it). Weighted
-// averaging for unequal batch sizes is the caller's concern: submit gradients
-// pre-scaled by batchSize/totalBatchSize and the "average" here becomes the
-// correct weighted mean.
-func (s *Synchronizer) Submit(rank int, g *gnn.Gradients) *gnn.Gradients {
+// trainer) with the weight they enter the sum at, and blocks until all n
+// trainers of the current round have submitted; it then returns
+// (Σ_r scale_r·g_r)/n. The terms are added in RANK order, not arrival order —
+// floating-point addition is not associative, so reducing in a
+// scheduling-dependent order would make the trained weights nondeterministic
+// under GOMAXPROCS > 1. Weighting is what makes unequal batch sizes right:
+// with scale_r = n·batch_r/totalBatch the "average" is the global-batch mean.
+// g is only read. The returned gradients are shared and are the
+// synchronizer's own buffer, which the next round overwrites — callers must
+// not mutate them, and must be done with them before their next Submit (no
+// round can complete without it).
+func (s *Synchronizer) Submit(rank int, g *gnn.Gradients, scale float32) *gnn.Gradients {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	myRound := s.round
-	s.slots[rank] = g
+	s.slots[rank], s.scales[rank] = g, scale
 	s.done++ // paper Listing 1: DONE++
 	if s.done == s.n {
 		// Last arrival plays the Synchronizer role: gather, average, broadcast.
 		if s.avg == nil {
 			s.avg = s.slots[0].Clone()
-		} else {
-			for l, w := range s.slots[0].Weights {
-				copy(s.avg.Weights[l].Data, w.Data)
-				copy(s.avg.Biases[l].Data, s.slots[0].Biases[l].Data)
-			}
 		}
-		for _, other := range s.slots[1:] {
-			s.avg.Axpy(1, other)
+		for l := range s.avg.Weights {
+			for r, g := range s.slots {
+				accumulate(s.avg.Weights[l].Data, g.Weights[l].Data, s.scales[r], r == 0)
+				accumulate(s.avg.Biases[l].Data, g.Biases[l].Data, s.scales[r], r == 0)
+			}
 		}
 		s.avg.Scale(1 / float32(s.n))
 		s.done = 0
@@ -118,6 +117,24 @@ func (s *Synchronizer) Submit(rank int, g *gnn.Gradients) *gnn.Gradients {
 		s.cond.Wait()
 	}
 	return s.avg
+}
+
+// accumulate adds scale·src into dst — or, for a sum's first term, stores it.
+// The product is rounded to float32 before it is added: the explicit
+// conversion forbids a fused multiply-add on the architectures that have one,
+// so the bits are those of scaling each trainer's gradient in place and then
+// summing the scaled copies, the three passes this replaces.
+func accumulate(dst, src []float32, scale float32, first bool) {
+	src = src[:len(dst)]
+	if first {
+		for i, v := range src {
+			dst[i] = float32(scale * v)
+		}
+		return
+	}
+	for i, v := range src {
+		dst[i] += float32(scale * v)
+	}
 }
 
 // WeightedAllReduce averages gradients with explicit weights (e.g. per-device

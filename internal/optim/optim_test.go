@@ -79,7 +79,7 @@ func TestSynchronizerAverages(t *testing.T) {
 			defer wg.Done()
 			g := gnn.NewGradients(m.Params)
 			g.Weights[0].Fill(float32(i + 1)) // 1,2,3,4 -> avg 2.5
-			results[i] = sync_.Submit(i, g)
+			results[i] = sync_.Submit(i, g, 1)
 		}(i)
 	}
 	wg.Wait()
@@ -106,7 +106,7 @@ func TestSynchronizerMultipleRounds(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				g := gnn.NewGradients(m.Params)
 				g.Weights[0].Fill(float32(r * 3)) // all trainers agree per round
-				avg := s.Submit(i, g)
+				avg := s.Submit(i, g, 1)
 				if got := avg.Weights[0].At(0, 0); got != float32(r*3) {
 					errs <- "wrong round average"
 				}
@@ -117,6 +117,83 @@ func TestSynchronizerMultipleRounds(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
+	}
+}
+
+// TestSynchronizerWeightedSumBitwise pins Submit's fused weighting to what it
+// replaced — every trainer scaling its gradient in place, then the
+// synchronizer's copy / Axpy(1, ·) / Scale(1/n) — bit for bit (NaN payloads
+// included), for 1–5 ranks with unequal shares and gradients that carry −0,
+// NaN, ±Inf and denormals, over two rounds on one synchronizer (the second
+// reuses the broadcast buffer).
+func TestSynchronizerWeightedSumBitwise(t *testing.T) {
+	m := tinyModel(t, 6)
+	negZero := float32(math.Copysign(0, -1))
+	pool := []float32{negZero, 0, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(1), -math.Float32frombits(0x007fffff)}
+	rng := tensor.NewRNG(9)
+	fill := func(d []float32) {
+		for i := range d {
+			d[i] = float32(rng.NormFloat64())
+			if rng.Intn(5) == 0 {
+				d[i] = pool[rng.Intn(len(pool))]
+			}
+		}
+	}
+	for n := 1; n <= 5; n++ {
+		s, err := NewSynchronizer(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			grads, scales, total := make([]*gnn.Gradients, n), make([]float32, n), 0
+			shares := make([]int, n)
+			for r := range shares {
+				shares[r] = 1 + rng.Intn(300)
+				total += shares[r]
+			}
+			for r := range grads {
+				grads[r] = gnn.NewGradients(m.Params)
+				for l := range grads[r].Weights {
+					fill(grads[r].Weights[l].Data)
+					fill(grads[r].Biases[l].Data)
+				}
+				scales[r] = float32(shares[r]) * float32(n) / float32(total)
+			}
+			// The oracle: scale each rank's copy, then sum the copies in rank order.
+			want := grads[0].Clone()
+			want.Scale(scales[0])
+			for r := 1; r < n; r++ {
+				scaled := grads[r].Clone()
+				scaled.Scale(scales[r])
+				want.Axpy(1, scaled)
+			}
+			want.Scale(1 / float32(n))
+
+			var wg sync.WaitGroup
+			var got *gnn.Gradients
+			for r := n - 1; r >= 0; r-- { // arrival order is not rank order
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					avg := s.Submit(r, grads[r], scales[r])
+					if r == 0 {
+						got = avg
+					}
+				}(r)
+			}
+			wg.Wait()
+			for l := range want.Weights {
+				for _, pair := range [][2]*tensor.Matrix{{got.Weights[l], want.Weights[l]}, {got.Biases[l], want.Biases[l]}} {
+					for i, v := range pair[0].Data {
+						if math.Float32bits(v) != math.Float32bits(pair[1].Data[i]) {
+							t.Fatalf("n=%d round %d layer %d element %d: %x, scale-then-submit gives %x",
+								n, round, l, i, math.Float32bits(v), math.Float32bits(pair[1].Data[i]))
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -82,43 +82,54 @@ loop8:
 	VZEROUPPER
 	RET
 
-// func mulRowAVX2Asm(dst, src []float32)
-// dst[j] *= src[j]: the ReLU backward pass (src is the 0/1 mask). dst is the
-// first source operand, as in the scalar loop's MULSS.
-TEXT ·mulRowAVX2Asm(SB), NOSPLIT, $0-48
-	MOVQ dst_base+0(FP), DI
-	MOVQ src_base+24(FP), SI
-	MOVQ src_len+32(FP), CX
+// func reluBackwardAVX2Asm(dz, act []float32)
+// dz[j] *= act[j] > 0 ? 1 : 0: the ReLU backward pass against the layer's
+// post-activation output. The 0/1 factor is formed in-register — VCMPPS
+// (ordered greater-than) AND'ed with a broadcast 1.0 — and multiplied in by
+// the VMULPS, dz as the first source operand like the scalar loop's MULSS, so
+// -0, ±Inf and NaN gradients give the bits a product with a stored mask gave.
+TEXT ·reluBackwardAVX2Asm(SB), NOSPLIT, $0-48
+	MOVQ dz_base+0(FP), DI
+	MOVQ act_base+24(FP), SI
+	MOVQ act_len+32(FP), CX
 
-	CMPQ CX, $32
+	VXORPS   Y0, Y0, Y0  // 0.0
+	VPCMPEQD Y1, Y1, Y1  // all ones →
+	VPSRLD   $25, Y1, Y1 // 0x0000007F per lane →
+	VPSLLD   $23, Y1, Y1 // 0x3F800000 = 1.0f per lane
+
+	CMPQ CX, $16
 	JL   loop8
 
-loop32:
-	VMOVUPS (DI), Y0
-	VMOVUPS 32(DI), Y1
-	VMOVUPS 64(DI), Y2
-	VMOVUPS 96(DI), Y3
-	VMULPS  (SI), Y0, Y0
-	VMULPS  32(SI), Y1, Y1
-	VMULPS  64(SI), Y2, Y2
-	VMULPS  96(SI), Y3, Y3
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	ADDQ    $128, SI
-	ADDQ    $128, DI
-	SUBQ    $32, CX
-	CMPQ    CX, $32
-	JGE     loop32
+loop16:
+	VMOVUPS (SI), Y2
+	VMOVUPS 32(SI), Y3
+	VCMPPS  $0x1E, Y0, Y2, Y2 // act > 0 (GT_OQ)
+	VCMPPS  $0x1E, Y0, Y3, Y3
+	VANDPS  Y1, Y2, Y2        // 1.0 where positive, else 0.0
+	VANDPS  Y1, Y3, Y3
+	VMOVUPS (DI), Y4
+	VMOVUPS 32(DI), Y5
+	VMULPS  Y2, Y4, Y4
+	VMULPS  Y3, Y5, Y5
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $16, CX
+	CMPQ    CX, $16
+	JGE     loop16
 
 	TESTQ CX, CX
 	JZ    done
 
 loop8:
-	VMOVUPS (DI), Y0
-	VMULPS  (SI), Y0, Y0
-	VMOVUPS Y0, (DI)
+	VMOVUPS (SI), Y2
+	VCMPPS  $0x1E, Y0, Y2, Y2
+	VANDPS  Y1, Y2, Y2
+	VMOVUPS (DI), Y4
+	VMULPS  Y2, Y4, Y4
+	VMOVUPS Y4, (DI)
 	ADDQ    $32, SI
 	ADDQ    $32, DI
 	SUBQ    $8, CX
@@ -128,61 +139,45 @@ done:
 	VZEROUPPER
 	RET
 
-// func addBiasReLUAVX2Asm(row, bias, mask []float32)
-// v = row[j]+bias[j]; row[j] = v>0 ? v : 0; mask[j] = v>0 ? 1 : 0.
-// The mask is VCMPPS (ordered greater-than) AND'ed with the value and with
-// a broadcast 1.0 — not VMAXPS — so v = -0.0 and v = NaN land exactly where
-// the scalar branch puts them (+0.0, mask 0).
-TEXT ·addBiasReLUAVX2Asm(SB), NOSPLIT, $0-72
+// func addBiasReLUAVX2Asm(row, bias []float32)
+// v = row[j]+bias[j]; row[j] = v>0 ? v : 0. VCMPPS (ordered greater-than)
+// AND'ed with the value — not VMAXPS — so v = -0.0 and v = NaN land exactly
+// where the scalar branch puts them (+0.0).
+TEXT ·addBiasReLUAVX2Asm(SB), NOSPLIT, $0-48
 	MOVQ row_base+0(FP), DI
 	MOVQ bias_base+24(FP), SI
-	MOVQ mask_base+48(FP), DX
 	MOVQ row_len+8(FP), CX
 
-	VXORPS   Y0, Y0, Y0  // 0.0
-	VPCMPEQD Y1, Y1, Y1  // all ones →
-	VPSRLD   $25, Y1, Y1 // 0x0000007F per lane →
-	VPSLLD   $23, Y1, Y1 // 0x3F800000 = 1.0f per lane
+	VXORPS Y0, Y0, Y0 // 0.0
 
 loop8:
 	VMOVUPS (DI), Y2
 	VADDPS  (SI), Y2, Y2       // v = row + bias
-	VCMPPS  $0x1E, Y0, Y2, Y3  // mask bits: v > 0 (GT_OQ)
-	VANDPS  Y3, Y2, Y4         // v where positive, else +0.0
-	VMOVUPS Y4, (DI)
-	VANDPS  Y3, Y1, Y4         // 1.0 where positive, else 0.0
-	VMOVUPS Y4, (DX)
+	VCMPPS  $0x1E, Y0, Y2, Y3  // v > 0 (GT_OQ)
+	VANDPS  Y3, Y2, Y2         // v where positive, else +0.0
+	VMOVUPS Y2, (DI)
 	ADDQ    $32, DI
 	ADDQ    $32, SI
-	ADDQ    $32, DX
 	SUBQ    $8, CX
 	JG      loop8
 
 	VZEROUPPER
 	RET
 
-// func reluMaskAVX2Asm(data, mask []float32)
-// data[j] = relu(data[j]); mask[j] = 1 where positive, else 0. Same masking
-// scheme as addBiasReLUAVX2Asm.
-TEXT ·reluMaskAVX2Asm(SB), NOSPLIT, $0-48
+// func reluAVX2Asm(data []float32)
+// data[j] = relu(data[j]), by the masking scheme of addBiasReLUAVX2Asm.
+TEXT ·reluAVX2Asm(SB), NOSPLIT, $0-24
 	MOVQ data_base+0(FP), DI
-	MOVQ mask_base+24(FP), DX
 	MOVQ data_len+8(FP), CX
 
-	VXORPS   Y0, Y0, Y0  // 0.0
-	VPCMPEQD Y1, Y1, Y1  // 1.0f per lane, as in addBiasReLUAVX2Asm
-	VPSRLD   $25, Y1, Y1
-	VPSLLD   $23, Y1, Y1
+	VXORPS Y0, Y0, Y0 // 0.0
 
 loop8:
 	VMOVUPS (DI), Y2
 	VCMPPS  $0x1E, Y0, Y2, Y3
-	VANDPS  Y3, Y2, Y4
-	VMOVUPS Y4, (DI)
-	VANDPS  Y3, Y1, Y4
-	VMOVUPS Y4, (DX)
+	VANDPS  Y3, Y2, Y2
+	VMOVUPS Y2, (DI)
 	ADDQ    $32, DI
-	ADDQ    $32, DX
 	SUBQ    $8, CX
 	JG      loop8
 

@@ -142,7 +142,7 @@ func TestBiasKernelsFanOutExact(t *testing.T) {
 	requireFanOut(t, "AddBias/AddBiasReLU", rows, cols)
 	in := func(i, j int) float32 { return float32((i*31+j*17)%257-128) * 0.25 }
 	bias := randomMatrix(1, cols, NewRNG(19))
-	z, mask := New(rows, cols), New(rows, cols)
+	z := New(rows, cols)
 	for _, fused := range []bool{false, true} {
 		for i := 0; i < rows; i++ {
 			for j := range z.Row(i) {
@@ -150,17 +150,17 @@ func TestBiasKernelsFanOutExact(t *testing.T) {
 			}
 		}
 		if fused {
-			AddBiasReLU(z, bias, mask)
+			AddBiasReLU(z, bias)
 		} else {
 			AddBias(z, bias)
 		}
 		for i := 0; i < rows; i++ {
 			for j, got := range z.Row(i) {
-				want, wantMask := in(i, j)+bias.Data[j], float32(1)
+				want := in(i, j) + bias.Data[j]
 				if fused && !(want > 0) {
-					want, wantMask = 0, 0
+					want = 0
 				}
-				if got != want || (fused && mask.At(i, j) != wantMask) {
+				if got != want {
 					t.Fatalf("fused=%v: element (%d,%d) is %v, want %v", fused, i, j, got, want)
 				}
 			}
@@ -182,7 +182,7 @@ func TestSmallKernelZeroAlloc(t *testing.T) {
 	a, b := randomMatrix(32, 256, rng), randomMatrix(256, 47, rng)
 	bt, at := Transpose(b), Transpose(a)
 	c := New(32, 47)
-	bias, mask := randomMatrix(1, 47, rng), New(32, 47)
+	bias := randomMatrix(1, 47, rng)
 	src, dst, pad, dstAt := randomMatrix(500, 100, rng), New(64, 100), New(64, 20), New(64, 120)
 	idx := make([]int32, 64)
 	for i := range idx {
@@ -196,7 +196,7 @@ func TestSmallKernelZeroAlloc(t *testing.T) {
 		{"MatMulT 32x256x47", func() { MatMulT(c, a, bt) }},
 		{"TMatMul 32x256x47", func() { TMatMul(c, at, b) }},
 		{"AddBias 32x47", func() { AddBias(c, bias) }},
-		{"AddBiasReLU 32x47", func() { AddBiasReLU(c, bias, mask) }},
+		{"AddBiasReLU 32x47", func() { AddBiasReLU(c, bias) }},
 		{"GatherRows 64x100", func() { GatherRows(dst, src, idx) }},
 		{"GatherRowsAt 64x100", func() { GatherRowsAt(dstAt, 20, src, idx) }},
 		{"ConcatCols 64x100|20", func() { ConcatCols(dstAt, dst, pad) }},

@@ -1,9 +1,12 @@
 // The GEMM micro-kernel: a 4-row C tile held in vector accumulators for a
-// whole k-chunk. Each form loads its tile from C once, runs all kc steps
-// inside the loop below — per step one row of the B panel is loaded and each
-// C row's A element is broadcast and multiplied in — and stores the tile
-// once, so C traffic is paid per chunk instead of per k step (the
-// output-stationary order of the paper's update unit, §IV-C).
+// whole k-chunk. Each form loads its tile from C once — or, for the first
+// chunk of a product (zero ≠ 0), starts it from zeroed registers, so C is
+// write-only there and nobody clears it beforehand: "+0, then ascending k"
+// either way — runs all kc steps inside the loop below — per step one row of
+// the B panel is loaded and each C row's A element is broadcast and
+// multiplied in — and stores the tile once, so C traffic is paid per chunk
+// instead of per k step (the output-stationary order of the paper's update
+// unit, §IV-C).
 //
 // A is addressed by two strides: row r of the tile reads a[r·ars + t·aks] at
 // step t. MatMul passes (k, 1), TMatMul (1, m); the kernel cannot tell them
@@ -71,12 +74,16 @@
 	CMOVQLT AX, CX; \
 	CMPQ R13, $2; \
 	CMOVQLT AX, BX; \
+	ZERO(V0); \
+	ZERO(V1); \
 	ZERO(V2); \
 	ZERO(V3); \
 	ZERO(V4); \
 	ZERO(V5); \
 	ZERO(V6); \
 	ZERO(V7); \
+	CMPQ zero+112(FP), $0; \
+	JNE  loaded; \
 	LD(0(DI), V0); \
 	HI(LD(VB(DI), V1)); \
 	CMPQ R13, $2; \
@@ -162,18 +169,18 @@ DATA tileMask<>+48(SB)/8, $0
 DATA tileMask<>+56(SB)/8, $0
 GLOBL tileMask<>(SB), RODATA|NOPTR, $64
 
-// func gemmTile16AVX2Asm(c, a, b []float32, n, ars, aks, kc, rows int)
-TEXT ·gemmTile16AVX2Asm(SB), NOSPLIT, $0-112
+// func gemmTile16AVX2Asm(c, a, b []float32, n, ars, aks, kc, rows, zero int)
+TEXT ·gemmTile16AVX2Asm(SB), NOSPLIT, $0-120
 	TILE(LDU, STU, WIDE)
 
-// func gemmTile8AVX2Asm(c, a, b []float32, n, ars, aks, kc, rows int)
-TEXT ·gemmTile8AVX2Asm(SB), NOSPLIT, $0-112
+// func gemmTile8AVX2Asm(c, a, b []float32, n, ars, aks, kc, rows, zero int)
+TEXT ·gemmTile8AVX2Asm(SB), NOSPLIT, $0-120
 	TILE(LDU, STU, NARROW)
 
-// func gemmTileMaskAVX2Asm(c, a, b []float32, n, ars, aks, kc, rows, w int)
+// func gemmTileMaskAVX2Asm(c, a, b []float32, n, ars, aks, kc, rows, zero, w int)
 // 1 ≤ w ≤ 8 columns.
-TEXT ·gemmTileMaskAVX2Asm(SB), NOSPLIT, $0-120
-	MOVQ    w+112(FP), R13
+TEXT ·gemmTileMaskAVX2Asm(SB), NOSPLIT, $0-128
+	MOVQ    w+120(FP), R13
 	LEAQ    tileMask<>+32(SB), R11
 	SHLQ    $2, R13
 	SUBQ    R13, R11
@@ -221,18 +228,18 @@ TEXT ·gemmTileMaskAVX2Asm(SB), NOSPLIT, $0-120
 #define LDM(m, v) VMOVUPS.Z m, K1, v
 #define STM(v, m) VMOVUPS v, K1, m
 
-// func gemmTile32AVX512Asm(c, a, b []float32, n, ars, aks, kc, rows int)
-TEXT ·gemmTile32AVX512Asm(SB), NOSPLIT, $0-112
+// func gemmTile32AVX512Asm(c, a, b []float32, n, ars, aks, kc, rows, zero int)
+TEXT ·gemmTile32AVX512Asm(SB), NOSPLIT, $0-120
 	TILE(LDU, STU, WIDE)
 
-// func gemmTile16AVX512Asm(c, a, b []float32, n, ars, aks, kc, rows int)
-TEXT ·gemmTile16AVX512Asm(SB), NOSPLIT, $0-112
+// func gemmTile16AVX512Asm(c, a, b []float32, n, ars, aks, kc, rows, zero int)
+TEXT ·gemmTile16AVX512Asm(SB), NOSPLIT, $0-120
 	TILE(LDU, STU, NARROW)
 
-// func gemmTileMaskAVX512Asm(c, a, b []float32, n, ars, aks, kc, rows, w int)
+// func gemmTileMaskAVX512Asm(c, a, b []float32, n, ars, aks, kc, rows, zero, w int)
 // 1 ≤ w ≤ 16 columns: K1 = the low w lanes.
-TEXT ·gemmTileMaskAVX512Asm(SB), NOSPLIT, $0-120
-	MOVQ  w+112(FP), CX
+TEXT ·gemmTileMaskAVX512Asm(SB), NOSPLIT, $0-128
+	MOVQ  w+120(FP), CX
 	MOVL  $1, R13
 	SHLL  CX, R13
 	DECL  R13

@@ -34,7 +34,9 @@ func forEachLevelAndParallelism(t *testing.T, fn func(l SIMDLevel, par int)) {
 // gemmCheck computes the three reference products of one (m, k, n) once —
 // a is m×k, b is k×n, and TMatMul is fed aᵀ so all three kernels compute the
 // same product — and returns a check that runs the kernels at the current
-// level and parallelism and compares each with its reference bit for bit.
+// level and parallelism and compares each with its reference bit for bit. C
+// goes in dirty — all NaN, then all 0xdeadbeef: from AVX2 up nothing clears it
+// and the first k-chunk's tiles must overwrite every element, whatever it held.
 func gemmCheck(a, b *Matrix) func(t *testing.T, what string) {
 	m, n := a.Rows, b.Cols
 	bt, at := Transpose(b), Transpose(a)
@@ -54,11 +56,13 @@ func gemmCheck(a, b *Matrix) func(t *testing.T, what string) {
 	return func(t *testing.T, what string) {
 		t.Helper()
 		for _, kern := range kernels {
-			got.Fill(3) // the kernels overwrite C
-			kern.run()
-			if i, ok := sameBits(got.Data, kern.want.Data); !ok {
-				t.Fatalf("%s: %s %dx%dx%d differs from its reference at (%d,%d): %x want %x", what, kern.name,
-					m, a.Cols, n, i/n, i%n, math.Float32bits(got.Data[i]), math.Float32bits(kern.want.Data[i]))
+			for _, dirt := range []float32{float32(math.NaN()), math.Float32frombits(0xdeadbeef)} {
+				got.Fill(dirt)
+				kern.run()
+				if i, ok := sameBits(got.Data, kern.want.Data); !ok {
+					t.Fatalf("%s: %s %dx%dx%d differs from its reference at (%d,%d): %x want %x", what, kern.name,
+						m, a.Cols, n, i/n, i%n, math.Float32bits(got.Data[i]), math.Float32bits(kern.want.Data[i]))
+				}
 			}
 		}
 	}
@@ -66,15 +70,16 @@ func gemmCheck(a, b *Matrix) func(t *testing.T, what string) {
 
 // TestGemmTileEdgesExact walks every edge of the register tile — each row
 // remainder, each column form (two vectors, one vector, masked — 16 / 8 / ≤ 8
-// columns on YMM, 32 / 16 / ≤ 16 on ZMM) alone and combined, and k on both
-// sides of a chunk boundary — at every dispatch level, plus shapes large
-// enough that parallelism 4 really splits the rows.
+// columns on YMM, 32 / 16 / ≤ 16 on ZMM) alone and combined, and k spanning
+// none, one, two and three chunks of every kernel (on both sides of the first
+// boundary) — at every dispatch level, plus shapes large enough that
+// parallelism 4 really splits the rows.
 func TestGemmTileEdgesExact(t *testing.T) {
 	ns := []int{1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 47, 48, 49, 63, 64, 65, 100, 128, 172, 256}
-	ks := []int{0, 1, 3, mmKC - 1, mmKC, mmKC + 5}
+	ks := []int{0, 1, 3, tmKC + 1, 2*tmKC + 1, mmKC - 1, mmKC, mmKC + 5, 2*mmKC + 1}
 	if raceEnabled { // the instrumented reference loops are the cost; keep one of each kind
 		ns = []int{1, 9, 24, 47, 49, 128}
-		ks = []int{0, 3, mmKC + 5}
+		ks = []int{0, 3, 2*tmKC + 1, mmKC + 5, 2*mmKC + 1}
 	}
 	var shapes [][3]int
 	for m := 4; m < 8; m++ {

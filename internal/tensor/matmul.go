@@ -17,7 +17,8 @@
 //
 // Chunking keeps the streamed operands cache-resident while every strip of a
 // worker's range sweeps them: MatMul consumes mmKC rows of B at a time,
-// TMatMul tmKC rows of A and B. Between chunks the tile goes back to C, so
+// TMatMul tmKC rows of A and B. Between chunks the tile goes back to C (the
+// first chunk starts it from zeroed registers, so C needs no clearing pass), so
 // every kernel still accumulates each output element over k in ascending
 // order starting from +0 — exactly the order of the reference triple loops
 // kept test-side in oracle_test.go — and the results are bit-identical to
@@ -127,34 +128,47 @@ func gemm(c *Matrix, a []float32, ars, aks int, b []float32, k, chunk int) {
 	ParallelRows(c.Rows, work, func(lo, hi int) { gemmRange(c, a, ars, aks, b, k, chunk, lo, hi) })
 }
 
-// gemmRange computes rows [lo, hi) of gemm's C.
+// gemmRange computes rows [lo, hi) of gemm's C. From AVX2 up nobody clears C:
+// the first k-chunk's tiles start from zeroed registers and overwrite it, the
+// later ones load what the chunk before stored. The portable strip accumulates
+// into C at every chunk, so there — and for an empty k, which runs no chunk —
+// the range is cleared first.
 func gemmRange(c *Matrix, a []float32, ars, aks int, b []float32, k, chunk, lo, hi int) {
 	n := c.Cols
-	clear(c.Data[lo*n : hi*n])
 	if n == 0 {
 		return
 	}
+	level := ActiveSIMDLevel()
+	if !haveAVX2Asm || level < SIMDAVX2 || k == 0 {
+		clear(c.Data[lo*n : hi*n])
+	}
 	for k0 := 0; k0 < k; k0 += chunk {
 		kc := min(chunk, k-k0)
+		zero := 0
+		if k0 == 0 {
+			zero = 1
+		}
 		bk := b[k0*n : (k0+kc)*n]
 		for i := lo; i < hi; i += 4 {
 			rows := min(4, hi-i)
-			gemmStrip(c.Data[i*n:(i+rows)*n], a[i*ars+k0*aks:], bk, n, ars, aks, kc, rows)
+			gemmStrip(level, c.Data[i*n:(i+rows)*n], a[i*ars+k0*aks:], bk, n, ars, aks, kc, rows, zero)
 		}
 	}
 }
 
-// gemmStrip adds one k-chunk into a strip of rows ≤ 4 rows of C:
-// c[r·n + j] += Σ_t a[r·ars + t·aks] · b[t·n + j] over t in [0, kc). c, a and
-// b start at the strip's first row, the chunk's first k and column 0.
-func gemmStrip(c, a, b []float32, n, ars, aks, kc, rows int) {
+// gemmStrip computes one k-chunk's share of a strip of rows ≤ 4 rows of C at
+// the given dispatch level: c[r·n + j] += Σ_t a[r·ars + t·aks] · b[t·n + j]
+// over t in [0, kc), where zero ≠ 0 (the tiled levels' first chunk) makes the
+// += an = onto +0. c, a and b start at the strip's first row, the chunk's
+// first k and column 0.
+func gemmStrip(level SIMDLevel, c, a, b []float32, n, ars, aks, kc, rows, zero int) {
 	if haveAVX2Asm {
-		switch l := ActiveSIMDLevel(); {
-		case l >= SIMDAVX512:
-			gemmStripAVX512(c, a, b, n, ars, aks, kc, rows)
+		switch {
+		case level >= SIMDAVX512:
+			gemmStripAVX512(c, a, b, n, ars, aks, kc, rows, zero)
 			return
-		case l >= SIMDAVX2:
-			gemmStripAVX2(c, a, b, n, ars, aks, kc, rows)
+		case level >= SIMDAVX2:
+			gemmStripAVX2(c, a, b, n, ars, aks, kc, rows, zero)
 			return
 		}
 	}

@@ -71,67 +71,42 @@ func BiasGrad(grad, dy *Matrix) {
 	}
 }
 
-// ReLU applies max(0, x) in place and returns a mask matrix with 1 where the
-// input was positive (for the backward pass). Allocating wrapper around
-// ReLUInto for callers outside the zero-allocation loops.
-func ReLU(m *Matrix) *Matrix {
-	mask := New(m.Rows, m.Cols)
-	ReLUInto(m, mask)
-	return mask
-}
-
-// ReLUInto applies max(0, x) in place and writes the backward-pass mask (1
-// where the input was positive, else 0) into the caller-provided mask, which
-// is fully overwritten — workspace buffers need no pre-zeroing.
-func ReLUInto(m, mask *Matrix) {
-	if mask.Rows != m.Rows || mask.Cols != m.Cols {
-		panic("tensor: ReLUInto mask shape mismatch")
-	}
-	md := mask.Data[:len(m.Data)]
+// ReLUInto applies max(0, x) to m in place. It keeps no backward mask: the
+// mask is a pure function of the output (out > 0 exactly where the input was
+// — a NaN or −0 input writes +0), and ReLUBackward reads it off that.
+func ReLUInto(m *Matrix) {
 	n := len(m.Data)
 	q := 0
 	if haveAVX2Asm && n >= 8 && simdAtLeast(SIMDAVX2) {
 		// The matrix is contiguous, so the whole tensor is one flat pass.
 		q = n &^ 7
-		reluMaskAVX2Asm(m.Data[:q], md[:q])
+		reluAVX2Asm(m.Data[:q])
 	}
-	reluMaskScalar(m.Data[q:], md[q:])
-}
-
-// reluMaskScalar is the scalar ReLU+mask loop, shared by the generic path
-// and the AVX2 tail. The AVX2 kernel mirrors this branch exactly (compare,
-// then AND): v = -0.0 and v = NaN write +0.0 with mask 0 on both paths.
-func reluMaskScalar(data, mask []float32) {
-	for i, v := range data {
-		if v > 0 {
-			mask[i] = 1
-		} else {
-			data[i] = 0
-			mask[i] = 0
+	// The AVX2 kernel mirrors this branch exactly (compare, then AND):
+	// v = -0.0 and v = NaN write +0.0 on both paths.
+	for i, v := range m.Data[q:] {
+		if !(v > 0) {
+			m.Data[q+i] = 0
 		}
 	}
 }
 
 // AddBiasReLU fuses AddBias + ReLUInto into one pass over m: every row gets
-// the 1×n bias added, activations are clamped at zero in place, and the
-// backward mask is written into the caller-provided mask (fully
-// overwritten). One memory pass instead of the three the unfused sequence
-// (matmul store, bias read-modify-write, relu read-modify-write) costs.
-func AddBiasReLU(m, bias, mask *Matrix) {
+// the 1×n bias added and is clamped at zero in place. One memory pass instead
+// of the three the unfused sequence (matmul store, bias read-modify-write,
+// relu read-modify-write) costs, and — like ReLUInto — no mask stream.
+func AddBiasReLU(m, bias *Matrix) {
 	if bias.Rows != 1 || bias.Cols != m.Cols {
 		panic("tensor: AddBiasReLU wants 1xN bias matching m.Cols")
 	}
-	if mask.Rows != m.Rows || mask.Cols != m.Cols {
-		panic("tensor: AddBiasReLU mask shape mismatch")
-	}
 	if FanOut(m.Rows, m.Cols) <= 1 {
-		addBiasReLURange(m, bias, mask, 0, m.Rows)
+		addBiasReLURange(m, bias, 0, m.Rows)
 		return
 	}
-	ParallelRows(m.Rows, m.Cols, func(lo, hi int) { addBiasReLURange(m, bias, mask, lo, hi) })
+	ParallelRows(m.Rows, m.Cols, func(lo, hi int) { addBiasReLURange(m, bias, lo, hi) })
 }
 
-func addBiasReLURange(m, bias, mask *Matrix, lo, hi int) {
+func addBiasReLURange(m, bias *Matrix, lo, hi int) {
 	bd := bias.Data
 	n := len(bd)
 	q := 0
@@ -140,38 +115,41 @@ func addBiasReLURange(m, bias, mask *Matrix, lo, hi int) {
 	}
 	for i := lo; i < hi; i++ {
 		row := m.Row(i)
-		mrow := mask.Row(i)[:len(row)]
 		if q > 0 {
-			addBiasReLUAVX2Asm(row[:q], bd[:q], mrow[:q])
+			addBiasReLUAVX2Asm(row[:q], bd[:q])
 		}
 		for j := q; j < n; j++ {
 			v := row[j] + bd[j]
-			if v > 0 {
-				row[j] = v
-				mrow[j] = 1
-			} else {
-				row[j] = 0
-				mrow[j] = 0
+			if !(v > 0) {
+				v = 0
 			}
+			row[j] = v
 		}
 	}
 }
 
-// ReLUBackward multiplies dy by the ReLU mask in place.
-func ReLUBackward(dy, mask *Matrix) {
-	if dy.Rows != mask.Rows || dy.Cols != mask.Cols {
+// ReLUBackward multiplies dz in place by the ReLU derivative at act, the
+// layer's post-activation output: dz[i] *= 1 where act[i] > 0, else 0. The
+// factor is the value the forward pass used to store as a mask, so −0, ±Inf
+// and NaN gradients give the same product bits (−x·0 = −0, ±Inf·0 = NaN).
+func ReLUBackward(dz, act *Matrix) {
+	if dz.Rows != act.Rows || dz.Cols != act.Cols {
 		panic("tensor: ReLUBackward shape mismatch")
 	}
 	// The matrices are contiguous, so the whole tensor is one flat pass; an
 	// IEEE product is the same at any vector width.
-	d, md := dy.Data, mask.Data[:len(dy.Data)]
+	d, a := dz.Data, act.Data[:len(dz.Data)]
 	q := 0
 	if haveAVX2Asm && len(d) >= 8 && simdAtLeast(SIMDAVX2) {
 		q = len(d) &^ 7
-		mulRowAVX2Asm(d[:q], md[:q])
+		reluBackwardAVX2Asm(d[:q], a[:q])
 	}
 	for i := q; i < len(d); i++ {
-		d[i] *= md[i]
+		var mask float32
+		if a[i] > 0 {
+			mask = 1
+		}
+		d[i] *= mask
 	}
 }
 

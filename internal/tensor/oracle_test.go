@@ -8,6 +8,21 @@ import (
 	"math"
 )
 
+// reluMaskOracle is ReLU as it stood while the forward pass stored a backward
+// mask: it clamps m in place and returns 1 where the input was positive, else
+// 0 — the factor ReLUBackward now reads off the clamped output.
+func reluMaskOracle(m *Matrix) *Matrix {
+	mask := New(m.Rows, m.Cols)
+	for i, v := range m.Data {
+		if v > 0 {
+			mask.Data[i] = 1
+		} else {
+			m.Data[i] = 0
+		}
+	}
+	return mask
+}
+
 // MatMulRef is the reference C = A·B: the naive (i, k, j) triple loop with
 // no blocking, no SIMD and no sparsity skip.
 func MatMulRef(c, a, b *Matrix) {

@@ -73,22 +73,22 @@ func axpyRowAVX2Asm(dst, src []float32, alpha float32)
 //go:noescape
 func scaleRowAVX2Asm(dst, src []float32, s float32)
 
-// mulRowAVX2Asm computes dst[j] *= src[j] — the ReLUBackward inner loop.
+// reluBackwardAVX2Asm computes dz[j] *= 1 where act[j] > 0, else 0 — the
+// ReLUBackward inner loop.
 //
 //go:noescape
-func mulRowAVX2Asm(dst, src []float32)
+func reluBackwardAVX2Asm(dz, act []float32)
 
-// addBiasReLUAVX2Asm computes row[j] = relu(row[j]+bias[j]) and mask[j] =
-// 1 where the sum was positive, else 0 — the fused AddBiasReLU inner loop.
+// addBiasReLUAVX2Asm computes row[j] = relu(row[j]+bias[j]) — the fused
+// AddBiasReLU inner loop.
 //
 //go:noescape
-func addBiasReLUAVX2Asm(row, bias, mask []float32)
+func addBiasReLUAVX2Asm(row, bias []float32)
 
-// reluMaskAVX2Asm computes data[j] = relu(data[j]) and mask[j] = 1 where the
-// input was positive, else 0 — the ReLUInto inner loop.
+// reluAVX2Asm computes data[j] = relu(data[j]) — the ReLUInto inner loop.
 //
 //go:noescape
-func reluMaskAVX2Asm(data, mask []float32)
+func reluAVX2Asm(data []float32)
 
 // rowMaxAVX2Asm returns the maximum element of src (len ≥ 8, multiple of 8).
 //
@@ -135,29 +135,31 @@ func aggregateRowAVX2Asm(out, h []float32, cols int, idx []int32, w []float32)
 func gatherRowsAVX2Asm(dst []float32, dstStride int, src []float32, cols int, idx []int32)
 
 // The GEMM micro-kernel (gemm_amd64.s): each form adds
-// Σ_t a[r·ars + t·aks] · b[t·n + j] over t in [0, kc) into c[r·n + j] for the
-// rows ≤ 4 rows and its columns of the tile that starts at c[0] — 16, 8 or
-// w ≤ 8 of them in YMM registers, 32, 16 or w ≤ 16 in ZMM registers — holding
-// the tile in registers throughout. They take no lengths: the caller proves
-// the extents.
+// Σ_t a[r·ars + t·aks] · b[t·n + j] over t in [0, kc) into c[r·n + j] — or,
+// with zero ≠ 0, stores that sum started from +0 without reading c, which is
+// how a product's first k-chunk spares C a clearing pass — for the rows ≤ 4
+// rows and its columns of the tile that starts at c[0]: 16, 8 or w ≤ 8 of
+// them in YMM registers, 32, 16 or w ≤ 16 in ZMM registers, holding the tile
+// in registers throughout. They take no lengths: the caller proves the
+// extents.
 //
 //go:noescape
-func gemmTile16AVX2Asm(c, a, b []float32, n, ars, aks, kc, rows int)
+func gemmTile16AVX2Asm(c, a, b []float32, n, ars, aks, kc, rows, zero int)
 
 //go:noescape
-func gemmTile8AVX2Asm(c, a, b []float32, n, ars, aks, kc, rows int)
+func gemmTile8AVX2Asm(c, a, b []float32, n, ars, aks, kc, rows, zero int)
 
 //go:noescape
-func gemmTileMaskAVX2Asm(c, a, b []float32, n, ars, aks, kc, rows, w int)
+func gemmTileMaskAVX2Asm(c, a, b []float32, n, ars, aks, kc, rows, zero, w int)
 
 //go:noescape
-func gemmTile32AVX512Asm(c, a, b []float32, n, ars, aks, kc, rows int)
+func gemmTile32AVX512Asm(c, a, b []float32, n, ars, aks, kc, rows, zero int)
 
 //go:noescape
-func gemmTile16AVX512Asm(c, a, b []float32, n, ars, aks, kc, rows int)
+func gemmTile16AVX512Asm(c, a, b []float32, n, ars, aks, kc, rows, zero int)
 
 //go:noescape
-func gemmTileMaskAVX512Asm(c, a, b []float32, n, ars, aks, kc, rows, w int)
+func gemmTileMaskAVX512Asm(c, a, b []float32, n, ars, aks, kc, rows, zero, w int)
 
 // gemmStripAVX2 is gemmStrip in register tiles: the strip's n columns are
 // covered by 16-wide tiles, then an 8-wide one, then a masked one for the
@@ -165,39 +167,39 @@ func gemmTileMaskAVX512Asm(c, a, b []float32, n, ars, aks, kc, rows, w int)
 // past n. The three index expressions are the last elements any tile of the
 // strip touches: an extent that does not fit its slice panics here, in Go,
 // before the assembly runs.
-func gemmStripAVX2(c, a, b []float32, n, ars, aks, kc, rows int) {
+func gemmStripAVX2(c, a, b []float32, n, ars, aks, kc, rows, zero int) {
 	_ = c[rows*n-1]
 	_ = a[(rows-1)*ars+(kc-1)*aks]
 	_ = b[kc*n-1]
 	j := 0
 	for ; j+16 <= n; j += 16 {
-		gemmTile16AVX2Asm(c[j:], a, b[j:], n, ars, aks, kc, rows)
+		gemmTile16AVX2Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, zero)
 	}
 	if j+8 <= n {
-		gemmTile8AVX2Asm(c[j:], a, b[j:], n, ars, aks, kc, rows)
+		gemmTile8AVX2Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, zero)
 		j += 8
 	}
 	if j < n {
-		gemmTileMaskAVX2Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, n-j)
+		gemmTileMaskAVX2Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, zero, n-j)
 	}
 }
 
 // gemmStripAVX512 is gemmStripAVX2 at twice the width: 32-wide tiles, then a
 // 16-wide one, then one of the last n mod 16 columns under an opmask
 // (47 = 32 + 15, 172 = 5·32 + 12), behind the same three extent proofs.
-func gemmStripAVX512(c, a, b []float32, n, ars, aks, kc, rows int) {
+func gemmStripAVX512(c, a, b []float32, n, ars, aks, kc, rows, zero int) {
 	_ = c[rows*n-1]
 	_ = a[(rows-1)*ars+(kc-1)*aks]
 	_ = b[kc*n-1]
 	j := 0
 	for ; j+32 <= n; j += 32 {
-		gemmTile32AVX512Asm(c[j:], a, b[j:], n, ars, aks, kc, rows)
+		gemmTile32AVX512Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, zero)
 	}
 	if j+16 <= n {
-		gemmTile16AVX512Asm(c[j:], a, b[j:], n, ars, aks, kc, rows)
+		gemmTile16AVX512Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, zero)
 		j += 16
 	}
 	if j < n {
-		gemmTileMaskAVX512Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, n-j)
+		gemmTileMaskAVX512Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, zero, n-j)
 	}
 }

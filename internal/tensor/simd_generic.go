@@ -13,11 +13,11 @@ func axpyRowAVX2Asm(dst, src []float32, alpha float32) {
 	panic("tensor: axpyRowAVX2Asm without assembly support")
 }
 
-func gemmStripAVX2(c, a, b []float32, n, ars, aks, kc, rows int) {
+func gemmStripAVX2(c, a, b []float32, n, ars, aks, kc, rows, zero int) {
 	panic("tensor: gemmStripAVX2 without assembly support")
 }
 
-func gemmStripAVX512(c, a, b []float32, n, ars, aks, kc, rows int) {
+func gemmStripAVX512(c, a, b []float32, n, ars, aks, kc, rows, zero int) {
 	panic("tensor: gemmStripAVX512 without assembly support")
 }
 
@@ -25,16 +25,16 @@ func scaleRowAVX2Asm(dst, src []float32, s float32) {
 	panic("tensor: scaleRowAVX2Asm without assembly support")
 }
 
-func mulRowAVX2Asm(dst, src []float32) {
-	panic("tensor: mulRowAVX2Asm without assembly support")
+func reluBackwardAVX2Asm(dz, act []float32) {
+	panic("tensor: reluBackwardAVX2Asm without assembly support")
 }
 
-func addBiasReLUAVX2Asm(row, bias, mask []float32) {
+func addBiasReLUAVX2Asm(row, bias []float32) {
 	panic("tensor: addBiasReLUAVX2Asm without assembly support")
 }
 
-func reluMaskAVX2Asm(data, mask []float32) {
-	panic("tensor: reluMaskAVX2Asm without assembly support")
+func reluAVX2Asm(data []float32) {
+	panic("tensor: reluAVX2Asm without assembly support")
 }
 
 func expRowFMAAsm(dst []float64, src []float32) bool {

@@ -121,21 +121,16 @@ func TestReLUIntoExactAcrossSIMDLevels(t *testing.T) {
 	defer SetParallelism(prevPar)
 	rng := NewRNG(15)
 	for _, n := range raggedLens {
-		data := reluEdgeValues(rng, 3*n)
-		m0 := FromSlice(3, n, data)
-		var wantM, wantMask *Matrix
+		m0 := FromSlice(3, n, reluEdgeValues(rng, 3*n))
+		want := m0.Clone()
+		reluMaskOracle(want)
 		for _, l := range availableLevels() {
 			withSIMD(t, l, func() {
 				m := m0.Clone()
-				mask := New(3, n)
-				mask.Fill(7) // mask must be fully overwritten
-				ReLUInto(m, mask)
-				if wantM == nil {
-					wantM, wantMask = m, mask
-					return
-				}
-				if !m.Equal(wantM) || !mask.Equal(wantMask) {
-					t.Fatalf("ReLUInto n=%d level=%v diverges from generic", n, l)
+				ReLUInto(m)
+				if i, ok := sameBits(m.Data, want.Data); !ok {
+					t.Fatalf("ReLUInto n=%d level=%v: element %d is %x, the scalar clamp gives %x", n, l, i,
+						math.Float32bits(m.Data[i]), math.Float32bits(want.Data[i]))
 				}
 			})
 		}
@@ -149,19 +144,16 @@ func TestAddBiasReLUExactAcrossSIMDLevels(t *testing.T) {
 	for _, n := range raggedLens {
 		m0 := FromSlice(4, n, reluEdgeValues(rng, 4*n))
 		bias := FromSlice(1, n, randSlice(rng, n))
-		var wantM, wantMask *Matrix
+		want := m0.Clone()
+		AddBias(want, bias)
+		reluMaskOracle(want)
 		for _, l := range availableLevels() {
 			withSIMD(t, l, func() {
 				m := m0.Clone()
-				mask := New(4, n)
-				mask.Fill(7)
-				AddBiasReLU(m, bias, mask)
-				if wantM == nil {
-					wantM, wantMask = m, mask
-					return
-				}
-				if !m.Equal(wantM) || !mask.Equal(wantMask) {
-					t.Fatalf("AddBiasReLU n=%d level=%v diverges from generic", n, l)
+				AddBiasReLU(m, bias)
+				if i, ok := sameBits(m.Data, want.Data); !ok {
+					t.Fatalf("AddBiasReLU n=%d level=%v: element %d is %x, add-then-clamp gives %x", n, l, i,
+						math.Float32bits(m.Data[i]), math.Float32bits(want.Data[i]))
 				}
 			})
 		}
@@ -183,27 +175,52 @@ func specialValues(rng *RNG, n int) []float32 {
 	return s
 }
 
+// TestReLUBackwardExactAcrossSIMDLevels pins the mask-free backward pass to
+// the product with a stored mask it replaced, strictly bit for bit (NaN
+// payloads and the sign of a zero product included): the activation is what
+// the forward pass leaves (the clamp of a pre-activation drawn from a pool
+// with ±0, ±Inf, NaN and denormals — its mask is the oracle's) and, second,
+// raw pool values no forward pass produces, whose mask is act > 0 by
+// definition. Lengths cover every vector body and tail.
 func TestReLUBackwardExactAcrossSIMDLevels(t *testing.T) {
-	prevPar := SetParallelism(1)
-	defer SetParallelism(prevPar)
+	denorm := math.Float32frombits(1)
+	pool := append([]float32{denorm, -denorm, math.Float32frombits(0x007fffff), 1, -1, 3e38, -3e38}, specials...)
+	draw := func(rng *RNG, n int) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = pool[rng.Intn(len(pool))]
+		}
+		return s
+	}
 	rng := NewRNG(24)
-	for _, n := range raggedLens {
-		dy0 := FromSlice(3, n, specialValues(rng, 3*n))
-		mask := New(3, n)
-		for i := range mask.Data {
-			mask.Data[i] = float32(rng.Intn(2))
-		}
-		want := make([]float32, 3*n)
-		for i := range want {
-			want[i] = dy0.Data[i] * mask.Data[i]
-		}
-		for _, l := range availableLevels() {
-			withSIMD(t, l, func() {
-				dy := dy0.Clone()
-				ReLUBackward(dy, mask)
-				if i, ok := sameBits(dy.Data, want); !ok {
-					t.Fatalf("ReLUBackward n=%d level=%v: got[%d]=%x want %x", n, l, i,
-						math.Float32bits(dy.Data[i]), math.Float32bits(want[i]))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 47, 256} {
+		for _, clamped := range []bool{true, false} {
+			dz0 := FromSlice(1, n, draw(rng, n))
+			act := FromSlice(1, n, draw(rng, n))
+			var mask *Matrix
+			if clamped {
+				mask = reluMaskOracle(act)
+			} else {
+				mask = New(1, n)
+				for i, v := range act.Data {
+					if v > 0 {
+						mask.Data[i] = 1
+					}
+				}
+			}
+			want := make([]float32, n)
+			for i := range want {
+				want[i] = dz0.Data[i] * mask.Data[i]
+			}
+			forEachLevelAndParallelism(t, func(l SIMDLevel, par int) {
+				dz := dz0.Clone()
+				ReLUBackward(dz, act)
+				for i := range want {
+					if math.Float32bits(dz.Data[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("ReLUBackward n=%d clamped=%v level=%v par=%d: dz=%x act=%x gives %x, dz·mask is %x",
+							n, clamped, l, par, math.Float32bits(dz0.Data[i]), math.Float32bits(act.Data[i]),
+							math.Float32bits(dz.Data[i]), math.Float32bits(want[i]))
+					}
 				}
 			})
 		}

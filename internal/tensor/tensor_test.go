@@ -174,7 +174,7 @@ func TestAddBiasAndBiasGrad(t *testing.T) {
 
 func TestReLUAndBackward(t *testing.T) {
 	m := FromSlice(1, 4, []float32{-1, 0, 2, -3})
-	mask := ReLU(m)
+	ReLUInto(m)
 	want := []float32{0, 0, 2, 0}
 	for i, v := range want {
 		if m.Data[i] != v {
@@ -182,7 +182,7 @@ func TestReLUAndBackward(t *testing.T) {
 		}
 	}
 	dy := FromSlice(1, 4, []float32{5, 5, 5, 5})
-	ReLUBackward(dy, mask)
+	ReLUBackward(dy, m)
 	wantDy := []float32{0, 0, 5, 0}
 	for i, v := range wantDy {
 		if dy.Data[i] != v {
