@@ -17,8 +17,9 @@ import (
 // workload trains with (CPU + 4 accelerators, FPGA accounting included) runs
 // each share on a goroutine of its own, and those five spawns are all it may
 // allocate — synchronizer, broadcast gradient and result slots are retained.
-// With DRM on the iteration ends in drm.Engine.Adjust, which rewrites the
-// mapping in storage the engine owns: the bound is still the five spawns.
+// With DRM on, drm.Engine.Adjust runs between prepare and compute and
+// rewrites the mapping in storage the engine owns: the bound is still the
+// five spawns.
 func TestTrainingIterationZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation gate is skipped under -race")
@@ -41,23 +42,24 @@ func TestTrainingIterationZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			targets := e.batcher.Next()
+			var stats EpochStats
+			var acc epochAccum
 			it := 0
+			// The epoch loop's inline iteration, on fixed targets.
 			iterate := func() {
-				res, err := e.exec.RunIteration(targets)
-				if err != nil {
+				s := e.slot(0)
+				if err := e.exec.prepare(s, targets); err != nil {
 					t.Fatal(err)
 				}
-				// The epoch loop's update path, verbatim.
-				global, _, err := e.gsync.Reduce(res.Grad)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range e.replicas {
-					e.opts[i].Step(e.replicas[i].Params, global)
-				}
-				e.clock.Advance(res.Stage)
 				if e.drmEng != nil {
-					e.assign = e.drmEng.Adjust(it, res.Stage, e.assign)
+					e.assign = e.drmEng.Adjust(it, s.st, e.assign)
+				}
+				res, err := e.exec.compute(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.consumeIteration(res, &stats, &acc); err != nil {
+					t.Fatal(err)
 				}
 				it++
 			}
@@ -81,10 +83,10 @@ func TestTrainingIterationZeroAlloc(t *testing.T) {
 
 // The pipelined steady state must be allocation-free too: with a live
 // prefetch worker, one iteration is wait-for-prepared-slot, issue the next
-// prepare (assignment snapshot + channel hand-off), compute, reduce, step,
-// advance — none of which may allocate once the depth-2 ring is warm. The
-// worker's own prepare allocations count against the gate (AllocsPerRun
-// reads global malloc counters), so this covers both sides of the overlap.
+// prepare (a channel hand-off), compute, reduce, step, advance — none of
+// which may allocate once the depth-2 ring is warm. The worker's own prepare
+// allocations count against the gate (AllocsPerRun reads global malloc
+// counters), so this covers both sides of the overlap.
 func TestTrainingIterationZeroAllocPipelined(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation gate is skipped under -race")
@@ -103,32 +105,24 @@ func TestTrainingIterationZeroAllocPipelined(t *testing.T) {
 	p := e.startPrefetch()
 
 	// Fill the pipeline: prepare slot 0 on the worker.
-	s0 := e.slot(0)
-	e.assign.CloneInto(&s0.assign)
-	p.issue(s0, targets)
+	p.issue(prepReq{e.slot(0), targets})
 
+	var stats EpochStats
+	var acc epochAccum
 	it := 0
 	iterate := func() {
 		cur := e.slot(it % pipelineDepth)
 		if err := p.wait(); err != nil {
 			t.Fatal(err)
 		}
-		nxt := e.slot((it + 1) % pipelineDepth)
-		e.assign.CloneInto(&nxt.assign)
-		p.issue(nxt, targets)
+		p.issue(prepReq{e.slot((it + 1) % pipelineDepth), targets})
 		res, err := e.exec.compute(cur)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The epoch loop's update path, verbatim (minus DRM).
-		global, _, err := e.gsync.Reduce(res.Grad)
-		if err != nil {
+		if err := e.consumeIteration(res, &stats, &acc); err != nil {
 			t.Fatal(err)
 		}
-		for i := range e.replicas {
-			e.opts[i].Step(e.replicas[i].Params, global)
-		}
-		e.clock.Advance(res.Stage)
 		it++
 	}
 	for i := 0; i < 60; i++ {

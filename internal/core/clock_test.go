@@ -82,26 +82,23 @@ type stubExecutor struct {
 	calls int
 }
 
-func (s *stubExecutor) RunIteration(targets []int32) (*IterResult, error) {
-	s.calls++
-	return &IterResult{
-		Stage: s.st, LossSum: 2 * float64(len(targets)),
-		Correct: float64(len(targets)), Targets: len(targets), Edges: 100,
-	}, nil
-}
-
-// prepare/compute satisfy StageExecutor for the pipelined loop; the stub
-// parks the targets on the slot and replays RunIteration at compute time.
+// prepare parks the targets and the stub's stage vector on the slot; compute
+// turns them into the iteration result.
 func (s *stubExecutor) prepare(sl *iterSlot, targets []int32) error {
 	if len(sl.shares) != 1 {
 		sl.shares = make([][]int32, 1)
 	}
-	sl.shares[0] = targets
+	sl.shares[0], sl.st = targets, s.st
 	return nil
 }
 
 func (s *stubExecutor) compute(sl *iterSlot) (*IterResult, error) {
-	return s.RunIteration(sl.shares[0])
+	s.calls++
+	n := len(sl.shares[0])
+	return &IterResult{
+		Stage: sl.st, LossSum: 2 * float64(n),
+		Correct: float64(n), Targets: n, Edges: 100,
+	}, nil
 }
 
 // failingSync mimics a dead multi-node ring: the epoch loop must surface

@@ -11,8 +11,8 @@
 //   - a virtual clock — each pipeline stage is charged the duration the
 //     device models (internal/hw, via internal/perfmodel's primitives) assign
 //     to the actually-sampled mini-batches. Every stage, propagation
-//     included, is priced in prepare from the sampled-set sizes and one
-//     task-mapping snapshot (paper §V: none of it depends on the weights),
+//     included, is priced in prepare from the sampled-set sizes and the
+//     task mapping (paper §V: none of it depends on the weights),
 //     and perfmodel.Pipeline — the max-plus pipeline recurrence the paper's
 //     Fig. 7 depicts, stated once for the runtime, the simulator and the
 //     serving price list — composes them. Epoch times and MTEPS reported by
@@ -20,7 +20,10 @@
 //
 // The Dynamic Resource Management engine (internal/drm) observes the
 // virtual stage times each iteration and re-balances work and threads,
-// exactly as in paper Algorithm 1.
+// exactly as in paper Algorithm 1. It reacts where its input is produced —
+// right after an iteration's prepare, before the next one is issued — so the
+// task mapping has one writer, never moves under a prepare, and the
+// execution schedule (Config.Pipeline) changes no number.
 //
 // The runtime is layered so one engine can drive one node or one shard of a
 // multi-node fleet (internal/cluster.MultiNode):
@@ -35,7 +38,10 @@
 //   - sync.go — the GradientSync boundary between the local all-reduce and
 //     the globally applied gradient, and the FeatureLocator that prices
 //     remote feature rows;
-//   - epoch.go — epoch orchestration tying the layers together.
+//   - epoch.go — epoch orchestration tying the layers together: the one
+//     iteration loop, prepare → Adjust → issue next → compute → consume;
+//   - pipeline.go — the schedule choice and the prefetch worker that loop
+//     hands prepares to.
 package core
 
 import (
@@ -78,8 +84,9 @@ type Config struct {
 	// (the zero value) runs prepare and compute back to back;
 	// PipelinePrefetch overlaps prepare(i+1) with compute(i) on a prefetch
 	// worker — the paper's Fig. 4/5 pipelined execution, executed rather
-	// than merely charged. The virtual clock and (with DRM off) the training
-	// trajectory are identical across modes; see pipeline.go.
+	// than merely charged. It is a wall-clock choice only: the virtual clock
+	// and the training trajectory are bit-identical across modes for every
+	// configuration, DRM included; see epoch.go.
 	Pipeline PipelineMode
 
 	Seed uint64

@@ -67,6 +67,11 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(cfg); err == nil {
 		t.Fatal("expected error for fanout/layer mismatch")
 	}
+	cfg = baseConfig(t)
+	cfg.Pipeline = PipelineMode(7)
+	if _, err := NewEngine(cfg); err == nil {
+		t.Fatal("expected error for a pipeline mode that is neither serial nor prefetch")
+	}
 }
 
 func TestRunEpochBasics(t *testing.T) {

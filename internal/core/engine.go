@@ -40,14 +40,14 @@ type Engine struct {
 	locator FeatureLocator
 
 	// slots is the iteration-scratch ring, created lazily: each entry holds
-	// everything one in-flight iteration needs (assignment snapshot, share
-	// slices, retained mini-batches SampleInto refills, feature-staging
-	// arenas, per-accelerator stage vectors, the result struct). Serial
-	// execution uses slot 0 only; the software-pipelined epoch loop uses a
-	// depth-2 ring so prepare(i+1) fills one slot while the trainers still
-	// read the other. Together with the per-trainer stepScratch the slots make
-	// the whole steady-state training iteration — sample, gather, price,
-	// propagate — allocation-free (gated by a test).
+	// everything one in-flight iteration needs (share slices, retained
+	// mini-batches SampleInto refills, feature-staging arenas,
+	// per-accelerator stage vectors, the result struct). Inline prepares use
+	// slot 0 only; the prefetch worker's schedule uses the depth-2 ring so
+	// prepare(i+1) fills one slot while the trainers still read the other.
+	// Together with the per-trainer stepScratch the slots make the whole
+	// steady-state training iteration — sample, gather, price, propagate —
+	// allocation-free (gated by a test).
 	slots [pipelineDepth]*iterSlot
 
 	// allreduce, trainerRes and trainers are the multi-trainer round's
@@ -58,8 +58,8 @@ type Engine struct {
 	trainerRes []trainerResult
 	trainers   sync.WaitGroup
 
-	// prefetch is the per-engine channel pair the pipelined epoch loop's
-	// prepare worker lives on, created on first pipelined epoch and reused
+	// prefetch is the per-engine channel pair the epoch loop's prepare
+	// worker lives on, created on the first worker-backed epoch and reused
 	// after (the worker itself is per-epoch so an idle engine holds no
 	// goroutine).
 	prefetch *prefetcher
@@ -94,6 +94,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("core: non-positive batch size %d", cfg.BatchSize)
+	}
+	if cfg.Pipeline != PipelineSerial && cfg.Pipeline != PipelinePrefetch {
+		return nil, fmt.Errorf("core: unknown pipeline mode %d", int(cfg.Pipeline))
 	}
 	if len(cfg.Model.Dims) < 2 {
 		return nil, fmt.Errorf("core: model needs at least 2 dims, got %v", cfg.Model.Dims)

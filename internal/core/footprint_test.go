@@ -32,15 +32,6 @@ func cycleDemand(fresh *tensor.Workspace) int64 {
 	return (fresh.Bytes() - 2*2*64) * 8 / 9
 }
 
-func (r *footprintRecorder) RunIteration(targets []int32) (*IterResult, error) {
-	s := r.e.slot(0)
-	r.e.assign.CloneInto(&s.assign)
-	if err := r.prepare(s, targets); err != nil {
-		return nil, err
-	}
-	return r.compute(s)
-}
-
 func (r *footprintRecorder) compute(s *iterSlot) (*IterResult, error) {
 	res, err := r.hybridExecutor.compute(s)
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,8 +14,8 @@ import (
 )
 
 // trainEpochs builds an engine from cfg and runs it for the given number of
-// epochs, returning the per-epoch stats and the final parameters.
-func trainEpochs(t *testing.T, cfg Config, epochs int) ([]*EpochStats, *gnn.Parameters) {
+// epochs, returning the per-epoch stats and the engine.
+func trainEpochs(t *testing.T, cfg Config, epochs int) ([]*EpochStats, *Engine) {
 	t.Helper()
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -28,12 +29,18 @@ func trainEpochs(t *testing.T, cfg Config, epochs int) ([]*EpochStats, *gnn.Para
 		}
 		stats = append(stats, st)
 	}
-	return stats, e.Params()
+	return stats, e
+}
+
+func sameAssignment(a, b perfmodel.Assignment) bool {
+	return a.CPUBatch == b.CPUBatch && slices.Equal(a.AccelBatch, b.AccelBatch) &&
+		a.SampThreads == b.SampThreads && a.LoadThreads == b.LoadThreads &&
+		a.TrainThreads == b.TrainThreads && a.AccelSampleFrac == b.AccelSampleFrac
 }
 
 // requireSameTrajectory asserts two runs produced bit-identical training:
-// per-epoch loss/accuracy and virtual-clock time compared exactly, and every
-// parameter matrix compared bitwise.
+// per-epoch loss/accuracy, virtual-clock time and task mapping compared
+// exactly, and every parameter matrix compared bitwise.
 func requireSameTrajectory(t *testing.T, label string,
 	sa, sb []*EpochStats, pa, pb *gnn.Parameters) {
 	t.Helper()
@@ -47,6 +54,10 @@ func requireSameTrajectory(t *testing.T, label string,
 			t.Fatalf("%s: epoch %d virtual clock diverged: %v vs %v sec",
 				label, i+1, a.VirtualSec, b.VirtualSec)
 		}
+		if !sameAssignment(a.Assignment, b.Assignment) {
+			t.Fatalf("%s: epoch %d task mapping diverged: %+v vs %+v",
+				label, i+1, a.Assignment, b.Assignment)
+		}
 	}
 	for l := range pa.Weights {
 		if !pa.Weights[l].Equal(pb.Weights[l]) || !pa.Biases[l].Equal(pb.Biases[l]) {
@@ -55,29 +66,32 @@ func requireSameTrajectory(t *testing.T, label string,
 	}
 }
 
-// With DRM off, prepare depends only on the batcher/RNG stream — never on
-// weights — so overlapping prepare(i+1) with compute(i) must not change a
-// single bit of the trajectory, at any GOMAXPROCS. 3 epochs × 5 iterations
-// = 15 steps, past the ≥10-step bar.
+// prepare depends only on the batcher/RNG stream and the task mapping —
+// never on weights — and the mapping moves only while no prepare is in
+// flight, so overlapping prepare(i+1) with compute(i) must not change a
+// single bit of the trajectory, DRM off or on, at any GOMAXPROCS. 3 epochs ×
+// 5 iterations = 15 steps, past the ≥10-step bar.
 func TestPipelinedBitwiseIdenticalToSerial(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)
-			base := func() Config {
-				cfg := baseConfig(t)
-				cfg.DRM = false
-				return cfg
+			for _, drm := range []bool{false, true} {
+				t.Run(fmt.Sprintf("DRM=%v", drm), func(t *testing.T) {
+					serial := baseConfig(t)
+					serial.DRM = drm
+					ss, es := trainEpochs(t, serial, 3)
+
+					prefetch := baseConfig(t)
+					prefetch.DRM, prefetch.Pipeline = drm, PipelinePrefetch
+					sp, ep := trainEpochs(t, prefetch, 3)
+
+					requireSameTrajectory(t, "serial vs prefetch", ss, sp, es.Params(), ep.Params())
+					if drm && ep.drmEng.MovesWork+ep.drmEng.MovesThread == 0 {
+						t.Fatal("DRM never moved the mapping: the DRM-on leg compared two static runs")
+					}
+				})
 			}
-			serial := base()
-			serial.Pipeline = PipelineSerial
-			ss, ps := trainEpochs(t, serial, 3)
-
-			prefetch := base()
-			prefetch.Pipeline = PipelinePrefetch
-			sp, pp := trainEpochs(t, prefetch, 3)
-
-			requireSameTrajectory(t, "serial vs prefetch", ss, sp, ps, pp)
 		})
 	}
 }
@@ -109,133 +123,60 @@ func TestPipelinedBitwiseIdenticalSingleTrainer(t *testing.T) {
 		t.Fatalf("a %d-target batch's output GEMM is below the fan-out grain; no ParallelRows worker would run", cfg.BatchSize)
 	}
 	serial := base()
-	ss, ps := trainEpochs(t, serial, 2)
+	ss, es := trainEpochs(t, serial, 2)
 	prefetch := base()
 	prefetch.Pipeline = PipelinePrefetch
-	sp, pp := trainEpochs(t, prefetch, 2)
-	requireSameTrajectory(t, "single-trainer serial vs prefetch", ss, sp, ps, pp)
+	sp, ep := trainEpochs(t, prefetch, 2)
+	requireSameTrajectory(t, "single-trainer serial vs prefetch", ss, sp, es.Params(), ep.Params())
 }
 
-// With DRM on, prepare(i+1) consumes the assignment one iteration late (the
-// snapshot is taken before DRM reacts to iteration i). That lag is pinned
-// bitwise against the serial oracle: the identical schedule run with no
-// worker goroutine. Again at GOMAXPROCS 1 and 4 — scheduling cannot perturb
-// which assignment a prepare sees.
-func TestPipelinedDRMLagMatchesSerialOracle(t *testing.T) {
-	for _, procs := range []int{1, 4} {
-		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
-			prev := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(prev)
-
-			cfg := baseConfig(t) // DRM on
-			cfg.Pipeline = PipelinePrefetch
-			sp, pp := trainEpochs(t, cfg, 3)
-
-			oracle, err := NewEngine(baseConfig(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			so := make([]*EpochStats, 0, 3)
-			for i := 0; i < 3; i++ {
-				st, err := oracle.runEpochOracle()
-				if err != nil {
-					t.Fatal(err)
-				}
-				so = append(so, st)
-			}
-			requireSameTrajectory(t, "prefetch vs lagged oracle", sp, so, pp, oracle.Params())
-
-			// The lag must also move the same assignment: DRM's final mapping
-			// agrees across the two schedules.
-			a, b := sp[2].Assignment, so[2].Assignment
-			if a.CPUBatch != b.CPUBatch || a.SampThreads != b.SampThreads ||
-				a.LoadThreads != b.LoadThreads || a.TrainThreads != b.TrainThreads ||
-				a.AccelSampleFrac != b.AccelSampleFrac {
-				t.Fatalf("DRM assignments diverged: %+v vs %+v", a, b)
-			}
-		})
-	}
-}
-
-// RunEpoch degenerates to the inline pipelined schedule at GOMAXPROCS=1, so
-// the worker hand-off is forced here explicitly: with DRM on and a single
+// RunEpoch runs a prefetch configuration's prepares inline at GOMAXPROCS=1,
+// so the worker hand-off is forced here explicitly: with DRM on and a single
 // proc — cooperative scheduling at its most adversarial — the worker-backed
-// epochs must still match the lagged serial oracle bit for bit.
+// epochs must still match a serial twin's plain RunEpoch bit for bit.
 func TestPipelinedWorkerForcedAtOneProc(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 
-	forced, err := NewEngine(func() Config {
-		cfg := baseConfig(t) // DRM on
-		cfg.Pipeline = PipelinePrefetch
-		return cfg
-	}())
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := NewEngine(baseConfig(t))
+	cfg := baseConfig(t) // DRM on
+	cfg.Pipeline = PipelinePrefetch
+	forced, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sf := make([]*EpochStats, 0, 3)
-	so := make([]*EpochStats, 0, 3)
 	for i := 0; i < 3; i++ {
-		stf, err := forced.runEpochAsync()
+		st, err := forced.runEpochAsync()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sto, err := oracle.runEpochOracle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sf = append(sf, stf)
-		so = append(so, sto)
+		sf = append(sf, st)
 	}
-	requireSameTrajectory(t, "forced worker vs lagged oracle", sf, so,
-		forced.Params(), oracle.Params())
+	ss, serial := trainEpochs(t, baseConfig(t), 3)
+	requireSameTrajectory(t, "forced worker vs serial", sf, ss, forced.Params(), serial.Params())
 }
 
-// The virtual clock is an accounting convention: execution mode must not
+// The virtual clock is an accounting convention: the schedule must not
 // change what an iteration is *charged*, only when its stages run in
-// wall-clock. With DRM off, per-epoch VirtualSec agrees exactly across
-// serial, prefetch, and oracle schedules (the serial/prefetch half is also
-// covered by requireSameTrajectory above; this pins the oracle too).
+// wall-clock. Per-epoch VirtualSec agrees exactly across a serial run, a
+// prefetch run as RunEpoch schedules it here, and the forced worker.
 func TestVirtualClockUnchangedByExecutionMode(t *testing.T) {
-	base := func() Config {
-		cfg := baseConfig(t)
-		cfg.DRM = false
-		return cfg
-	}
-	serial, err := NewEngine(base())
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := NewEngine(base())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgP := base()
+	cfgP := baseConfig(t)
 	cfgP.Pipeline = PipelinePrefetch
-	prefetch, err := NewEngine(cfgP)
+	ss, _ := trainEpochs(t, baseConfig(t), 2)
+	sp, _ := trainEpochs(t, cfgP, 2)
+	forced, err := NewEngine(cfgP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		ss, err := serial.RunEpoch()
+	for i := range ss {
+		sf, err := forced.runEpochAsync()
 		if err != nil {
 			t.Fatal(err)
 		}
-		so, err := oracle.runEpochOracle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp, err := prefetch.RunEpoch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ss.VirtualSec != so.VirtualSec || ss.VirtualSec != sp.VirtualSec {
-			t.Fatalf("epoch %d: VirtualSec differs by mode: serial %v oracle %v prefetch %v",
-				i+1, ss.VirtualSec, so.VirtualSec, sp.VirtualSec)
+		if ss[i].VirtualSec != sp[i].VirtualSec || ss[i].VirtualSec != sf.VirtualSec {
+			t.Fatalf("epoch %d: VirtualSec differs by schedule: serial %v prefetch %v forced worker %v",
+				i+1, ss[i].VirtualSec, sp[i].VirtualSec, sf.VirtualSec)
 		}
 	}
 }
@@ -253,20 +194,18 @@ func TestParsePipelineMode(t *testing.T) {
 	}
 }
 
-// snapshotRecorder wraps the hybrid executor on the pipelined schedule: at
-// prepare time it records what the CPU trainer's propagation must cost under
-// the snapshot that split the iteration's shares, and at compute time it
-// checks the iteration's stage vector against that. Entries are per slot, so
-// the prefetch worker and the orchestrating goroutine never share one.
-type snapshotRecorder struct {
+// mappingRecorder wraps the hybrid executor and watches the engine's task
+// mapping from both halves of every iteration. Entries are per slot, so the
+// prefetch worker and the orchestrating goroutine never share one.
+type mappingRecorder struct {
 	*hybridExecutor
-	wantSec     [pipelineDepth]float64
-	snapThreads [pipelineDepth]int
-	checked     int // iterations with a CPU share
-	moved       int // of those, snapshots a balance_thread move had outdated by compute time
+	atPrepare    [pipelineDepth]perfmodel.Assignment // the mapping the slot's prepare ran under
+	afterCompute perfmodel.Assignment                // the mapping the previous compute left
+	computes     int
+	moved        int // iterations whose DRM reaction changed the mapping
 }
 
-func (r *snapshotRecorder) slotIndex(s *iterSlot) int {
+func (r *mappingRecorder) slotIndex(s *iterSlot) int {
 	for k, sl := range r.e.slots {
 		if sl == s {
 			return k
@@ -275,67 +214,65 @@ func (r *snapshotRecorder) slotIndex(s *iterSlot) int {
 	return -1
 }
 
-func (r *snapshotRecorder) prepare(s *iterSlot, targets []int32) error {
+func (r *mappingRecorder) prepare(s *iterSlot, targets []int32) error {
+	entry := &r.atPrepare[r.slotIndex(s)]
+	r.e.assign.CloneInto(entry)
 	if err := r.hybridExecutor.prepare(s, targets); err != nil {
 		return err
 	}
-	if mb := s.batches[0]; mb != nil {
-		e, k := r.e, r.slotIndex(s)
-		var sz perfmodel.Sizes
-		share := float64(s.assign.TrainThreads) / float64(e.cfg.Plat.TotalCPUCores())
-		r.wantSec[k] = e.pm.PropWithOverheads(e.cfg.Plat.CPU, sizesInto(&sz, mb), share)
-		r.snapThreads[k] = s.assign.TrainThreads
+	if !sameAssignment(r.e.assign, *entry) {
+		// An error, not t.Fatal: this may be the worker's goroutine.
+		return fmt.Errorf("the mapping moved under a prepare: %+v at entry, %+v at exit", *entry, r.e.assign)
 	}
 	return nil
 }
 
-func (r *snapshotRecorder) compute(s *iterSlot) (*IterResult, error) {
+func (r *mappingRecorder) compute(s *iterSlot) (*IterResult, error) {
+	prepared := r.atPrepare[r.slotIndex(s)]
+	// This slot's prepare was issued after the previous iteration's DRM
+	// reaction; the previous compute and consume ran since, and neither may
+	// have written the mapping.
+	if r.computes > 0 && !sameAssignment(prepared, r.afterCompute) {
+		return nil, fmt.Errorf("iteration %d prepared under %+v, but the previous compute left %+v: the mapping moved outside the wait→issue window",
+			r.computes, prepared, r.afterCompute)
+	}
+	entry := r.e.assign.Clone()
+	if !sameAssignment(entry, prepared) {
+		r.moved++ // Adjust, between this slot's wait and the next issue
+	}
 	res, err := r.hybridExecutor.compute(s)
-	if err != nil || s.batches[0] == nil {
-		return res, err
+	if err != nil {
+		return nil, err
 	}
-	k := r.slotIndex(s)
-	r.checked++
-	if r.snapThreads[k] != r.e.assign.TrainThreads {
-		r.moved++
+	if !sameAssignment(r.e.assign, entry) {
+		return nil, fmt.Errorf("the mapping moved under compute %d: %+v at entry, %+v at exit", r.computes, entry, r.e.assign)
 	}
-	if got, want := res.Stage.TrainCPU, r.wantSec[k]; got != want {
-		// An error, not t.Fatal: the epoch loop must drain its worker.
-		return nil, fmt.Errorf("iteration %d: TrainCPU %x, but the snapshot that split its shares (%d train threads; live mapping now %d) prices it %x",
-			r.checked, got, r.snapThreads[k], r.e.assign.TrainThreads, want)
-	}
+	r.afterCompute = entry
+	r.computes++
 	return res, nil
 }
 
-// One iteration is priced under one mapping. On the lagged schedule the slot
-// snapshot is taken before DRM reacts to the previous iteration, so by the
-// time compute(i) runs the live mapping may have moved on; the CPU trainer's
-// Stage-4 price must still be the snapshot's — the mapping that split the
-// shares and priced sampling and loading of the same iteration — on the
-// worker-backed schedule and on its synchronous twin alike.
+// One iteration is priced under one mapping, and the mapping has one writer:
+// the live mapping is the same at a prepare's entry and exit, moves only
+// between that prepare's wait and the next issue (so it is still across
+// compute and consume, which the worker's next prepare overlaps) — inline
+// and on the worker-backed schedule alike.
 func TestPipelinedIterationPricedUnderOneSnapshot(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			cfg := baseConfig(t) // DRM on
-			cfg.Pipeline = PipelinePrefetch
-			e, err := NewEngine(cfg)
+			e, err := NewEngine(baseConfig(t)) // DRM on
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := &snapshotRecorder{hybridExecutor: e.exec.(*hybridExecutor)}
+			rec := &mappingRecorder{hybridExecutor: e.exec.(*hybridExecutor)}
 			e.exec = rec
-			run := e.runEpochOracle
-			if async {
-				run = e.runEpochAsync
-			}
 			for ep := 0; ep < 3; ep++ {
-				if _, err := run(); err != nil {
+				if _, err := e.runEpoch(async); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if e.drmEng.MovesThread == 0 || rec.moved == 0 {
-				t.Fatalf("no balance_thread move landed between a snapshot and its compute (%d thread moves, %d of %d iterations outdated): the test exercised nothing",
-					e.drmEng.MovesThread, rec.moved, rec.checked)
+			if rec.moved == 0 {
+				t.Fatalf("DRM never moved the mapping in %d iterations: the test exercised nothing", rec.computes)
 			}
 		})
 	}
@@ -358,7 +295,7 @@ func (p *panicExecutor) compute(s *iterSlot) (*IterResult, error) {
 
 // A panic inside compute on the worker-backed schedule must surface. At
 // iteration 1 the worker holds prepare(2)'s result and blocks handing it
-// back, so an unwinding runPipelined that just sent the stop sentinel would
+// back, so an unwinding runIterations that just sent the stop sentinel would
 // hang on it — and the panic with it. The deferred path settles the in-flight
 // prepare first. The worker is forced so the GOMAXPROCS=1 leg hands off too.
 func TestPipelinedComputePanicSurfaces(t *testing.T) {

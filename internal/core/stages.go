@@ -20,18 +20,15 @@ import (
 // prepare (sampling, feature gather/staging, and the price of every stage —
 // propagation included, since §V prices it from the sampled-set sizes and
 // the task mapping alone) depends only on the batcher/RNG stream and the
-// assignment snapshot in its slot — never on model weights — while compute
-// (Stage 4's numerics: propagation + local gradient reduction) consumes a
-// prepared slot and prices nothing. RunIteration is prepare followed
-// immediately by compute on one slot (serial execution); the
-// software-pipelined epoch loop (pipeline.go) instead runs prepare for
-// iteration i+1 while compute for iteration i is still in flight, over a
-// depth-2 ring of slots.
+// engine's task mapping — never on model weights — while compute (Stage 4's
+// numerics: propagation + local gradient reduction) consumes a prepared slot
+// and prices nothing. The epoch loop (epoch.go) runs prepare(i) then
+// compute(i) on one slot, or — on the prefetch schedule — prepare(i+1) on a
+// second slot while compute(i) is still in flight.
 type StageExecutor interface {
-	RunIteration(targets []int32) (*IterResult, error)
 	// prepare runs Stages 1–3 for one global mini-batch into the slot's
-	// retained scratch and prices the whole iteration, reading the
-	// assignment snapshot the slot carries.
+	// retained scratch and prices the whole iteration under the engine's
+	// task mapping, which the epoch loop holds still while a prepare runs.
 	prepare(s *iterSlot, targets []int32) error
 	// compute runs Stage 4 over a prepared slot and assembles the iteration
 	// result (owned by the slot, valid until its next prepare).
@@ -54,17 +51,11 @@ type IterResult struct {
 }
 
 // iterSlot is one ring entry of the iteration scratch: everything prepare
-// writes and compute reads for a single in-flight iteration. The serial path
-// uses one slot; the software-pipelined loop owns two, so prepare(i+1) can
+// writes and compute reads for a single in-flight iteration. Inline prepares
+// use one slot; the prefetch worker's schedule owns two, so prepare(i+1) can
 // fill one while the trainers still read the other, and the steady state
 // stays allocation-free (each slot's arenas grow to their roof once).
 type iterSlot struct {
-	// assign is the task-mapping snapshot prepare prices and splits against,
-	// copied in by the epoch loop *before* the slot is issued. Under DRM the
-	// pipelined loop snapshots before compute(i)'s DRM reaction, which is
-	// exactly the paper's one-iteration lag (Fig. 5): the engine reacts while
-	// the pipeline flows.
-	assign  perfmodel.Assignment
 	shares  [][]int32
 	batches []*sampler.MiniBatch // per-trainer view: nil for idle trainers
 	mbs     []*sampler.MiniBatch // retained storage SampleInto refills
@@ -75,8 +66,8 @@ type iterSlot struct {
 	sizes   perfmodel.Sizes
 	res     IterResult
 
-	// prepare's outputs, consumed by compute: the iteration's complete stage
-	// vector and FPGA dataflow account, priced under assign.
+	// prepare's outputs: the iteration's complete stage vector (DRM's input,
+	// then compute's) and FPGA dataflow account.
 	st         perfmodel.StageTimes
 	fpga       accel.ForwardStats
 	edges      float64
@@ -89,27 +80,14 @@ type hybridExecutor struct {
 	e *Engine
 }
 
-// RunIteration executes the pipeline stages for one global mini-batch,
-// serially: prepare then compute on slot 0, against the engine's current
-// assignment. The returned result is owned by the slot's scratch and valid
-// until its next prepare — the epoch loop consumes it within the iteration,
-// which keeps the whole steady-state iteration allocation-free.
-func (x *hybridExecutor) RunIteration(targets []int32) (*IterResult, error) {
-	s := x.e.slot(0)
-	x.e.assign.CloneInto(&s.assign)
-	if err := x.prepare(s, targets); err != nil {
-		return nil, err
-	}
-	return x.compute(s)
-}
-
 // prepare runs Stages 1–3 — sampling, feature gather/staging — into the slot
 // and prices every stage of the iteration, Stage 4 included, from the
-// mini-batches it just sampled and the slot's assignment snapshot. It touches
+// mini-batches it just sampled and the engine's task mapping. It touches
 // only the slot's scratch, the sampler/RNG stream and the FPGA backends'
 // accounting scratch (callers serialize prepares), and read-only engine
-// state (features, pricing model, locator); never the replicas or their
-// numeric scratch, which is what lets it overlap a sibling slot's compute.
+// state (features, pricing model, locator, the mapping); never the replicas
+// or their numeric scratch, which is what lets it overlap a sibling slot's
+// compute.
 func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 	e := x.e
 	s.st = perfmodel.StageTimes{}
@@ -157,15 +135,15 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 		}
 		edges := float64(batches[i].EdgesTraversed())
 		s.edges += edges
-		if i > 0 && s.assign.AccelSampleFrac > 0 {
-			sampEdgesAccel += edges * s.assign.AccelSampleFrac
-			sampEdgesCPU += edges * (1 - s.assign.AccelSampleFrac)
+		if i > 0 && e.assign.AccelSampleFrac > 0 {
+			sampEdgesAccel += edges * e.assign.AccelSampleFrac
+			sampEdgesCPU += edges * (1 - e.assign.AccelSampleFrac)
 		} else {
 			sampEdgesCPU += edges
 		}
 	}
 	st := perfmodel.StageTimes{
-		SampCPU:   e.pm.SampleTimeCPUEdges(sampEdgesCPU, s.assign.SampThreads),
+		SampCPU:   e.pm.SampleTimeCPUEdges(sampEdgesCPU, e.assign.SampThreads),
 		SampAccel: e.pm.SampleTimeAccelEdges(sampEdgesAccel / float64(max(1, len(e.cfg.Plat.Accels)))),
 		Sync:      e.pm.SyncTime(),
 	}
@@ -234,7 +212,7 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 			s.remoteRows += e.locator.RemoteRows(mb.InputNodes())
 		}
 	}
-	st.Load = e.pm.LoadTimeForDeviceRows(loadRows, s.assign.LoadThreads)
+	st.Load = e.pm.LoadTimeForDeviceRows(loadRows, e.assign.LoadThreads)
 	if e.locator != nil {
 		st.NetFetch = e.locator.FetchSec(s.remoteRows)
 	}
@@ -244,10 +222,11 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 
 // compute runs Stage 4's numerics — GNN propagation on all trainers
 // concurrently plus the local gradient all-reduce — over a prepared slot, and
-// assembles the iteration result. The stage vector and the FPGA account are
-// prepare's, passed through untouched: compute prices nothing and never
-// calls a backend, which the prefetch worker may be using for the next
-// iteration.
+// assembles the iteration result (owned by the slot, valid until its next
+// prepare — the epoch loop consumes it within the iteration). The stage
+// vector and the FPGA account are prepare's, passed through untouched:
+// compute prices nothing and never calls a backend, which the prefetch
+// worker may be using for the next iteration.
 func (x *hybridExecutor) compute(s *iterSlot) (*IterResult, error) {
 	e := x.e
 	out := &s.res
@@ -327,11 +306,11 @@ func (x *hybridExecutor) compute(s *iterSlot) (*IterResult, error) {
 	return out, nil
 }
 
-// deviceShareInto splits the global batch of targets according to the slot's
-// assignment snapshot. Index 0 is the CPU trainer (may be empty). The
+// deviceShareInto splits the global batch of targets according to the
+// engine's task mapping. Index 0 is the CPU trainer (may be empty). The
 // returned slice is the slot's scratch; shares are subslices of targets.
 func (e *Engine) deviceShareInto(s *iterSlot, targets []int32) [][]int32 {
-	total := s.assign.TotalBatch()
+	total := e.assign.TotalBatch()
 	nAcc := len(e.cfg.Plat.Accels)
 	if len(s.shares) != nAcc+1 {
 		s.shares = make([][]int32, nAcc+1)
@@ -353,13 +332,13 @@ func (e *Engine) deviceShareInto(s *iterSlot, targets []int32) [][]int32 {
 		cursor += n
 		return s
 	}
-	shares[0] = take(len(targets) * s.assign.CPUBatch / total)
+	shares[0] = take(len(targets) * e.assign.CPUBatch / total)
 	for i := 0; i < nAcc; i++ {
 		if i == nAcc-1 {
 			shares[i+1] = targets[cursor:]
 			cursor = len(targets)
 		} else {
-			shares[i+1] = take(len(targets) * s.assign.AccelBatch[i] / total)
+			shares[i+1] = take(len(targets) * e.assign.AccelBatch[i] / total)
 		}
 	}
 	if nAcc == 0 {

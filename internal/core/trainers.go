@@ -42,9 +42,9 @@ func (s *stepScratch) step(m *gnn.Model, mb *sampler.MiniBatch, x *tensor.Matrix
 }
 
 // propSec is the virtual propagation time of trainer i's step over mb (sz =
-// its sampled-set sizes) under the slot's mapping snapshot, device runtime
+// its sampled-set sizes) under the engine's task mapping, device runtime
 // overheads included. The CPU is priced by Eq. 10 on the thread slice the
-// snapshot grants its trainer, a generic accelerator (the paper's GPU path)
+// mapping grants its trainer, a generic accelerator (the paper's GPU path)
 // by Eq. 10 for the device. An FPGA is charged the §IV-C hardware dataflow
 // (Fig. 6) for the forward half: the scatter-gather engine's fetch and retire
 // cycles (source-sorted edges, O(|V0|) external traffic) and the systolic
@@ -59,7 +59,7 @@ func (e *Engine) propSec(s *iterSlot, i int, mb *sampler.MiniBatch, sz perfmodel
 	if i == 0 {
 		share := 1.0 // CPU-only platform fallback
 		if e.cfg.Hybrid {
-			share = float64(s.assign.TrainThreads) / float64(e.cfg.Plat.TotalCPUCores())
+			share = float64(e.assign.TrainThreads) / float64(e.cfg.Plat.TotalCPUCores())
 		}
 		return e.pm.PropWithOverheads(e.cfg.Plat.CPU, sz, share), nil
 	}

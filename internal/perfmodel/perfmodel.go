@@ -121,7 +121,7 @@ func (a Assignment) Clone() Assignment {
 
 // CloneInto deep-copies the assignment into dst, reusing dst's AccelBatch
 // backing when it is large enough — the allocation-free variant for hot
-// paths that re-snapshot every iteration (the pipelined epoch loop).
+// paths that copy one every iteration (drm.Engine.Adjust).
 func (a Assignment) CloneInto(dst *Assignment) {
 	acc := dst.AccelBatch
 	*dst = a

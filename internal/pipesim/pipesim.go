@@ -64,8 +64,7 @@ type Result struct {
 	FinalAssign perfmodel.Assignment
 	MTEPS       float64
 	// Trace holds the per-iteration stage times (after overheads/noise,
-	// before the pipeline's barriers), the raw series behind the figures;
-	// feed it to trace.Recorder for CSV.
+	// before the pipeline's barriers), the raw series behind the figures.
 	Trace []perfmodel.StageTimes
 }
 

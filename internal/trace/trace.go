@@ -1,22 +1,13 @@
-// Package trace records training-run telemetry — per-iteration stage times
-// and per-epoch statistics — and renders it as CSV, so runs of the runtime
-// or the simulators can be plotted and compared offline (the raw material
-// behind the paper's figures).
+// Package trace records training-run telemetry — per-epoch statistics —
+// and renders it as CSV, so runs can be plotted and compared offline, and
+// holds the CPU/heap profile helpers the commands share (profile.go).
 package trace
 
 import (
 	"fmt"
 	"io"
 	"strings"
-
-	"repro/internal/perfmodel"
 )
-
-// StageSample is one iteration's measured stage times.
-type StageSample struct {
-	Iter   int
-	Stages perfmodel.StageTimes
-}
 
 // EpochSample is one epoch's summary.
 type EpochSample struct {
@@ -31,38 +22,11 @@ type EpochSample struct {
 
 // Recorder accumulates samples. The zero value is ready to use.
 type Recorder struct {
-	stages []StageSample
 	epochs []EpochSample
-}
-
-// RecordStages appends an iteration's stage times.
-func (r *Recorder) RecordStages(iter int, st perfmodel.StageTimes) {
-	r.stages = append(r.stages, StageSample{Iter: iter, Stages: st})
 }
 
 // RecordEpoch appends an epoch summary.
 func (r *Recorder) RecordEpoch(s EpochSample) { r.epochs = append(r.epochs, s) }
-
-// Stages returns the recorded iteration samples.
-func (r *Recorder) Stages() []StageSample { return r.stages }
-
-// Epochs returns the recorded epoch samples.
-func (r *Recorder) Epochs() []EpochSample { return r.epochs }
-
-// WriteStagesCSV writes the per-iteration stage-time series.
-func (r *Recorder) WriteStagesCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "iter,samp_cpu,samp_accel,load,trans,train_cpu,train_accel,sync"); err != nil {
-		return err
-	}
-	for _, s := range r.stages {
-		if _, err := fmt.Fprintf(w, "%d,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f\n",
-			s.Iter, s.Stages.SampCPU, s.Stages.SampAccel, s.Stages.Load,
-			s.Stages.Trans, s.Stages.TrainCPU, s.Stages.TrainAcc, s.Stages.Sync); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // WriteEpochsCSV writes the per-epoch summary series.
 func (r *Recorder) WriteEpochsCSV(w io.Writer) error {
@@ -76,24 +40,6 @@ func (r *Recorder) WriteEpochsCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Adjust implements pipesim.Controller pass-through recording: wrap another
-// controller (or none) and capture the measured stage times it sees.
-type Adjust struct {
-	Rec  *Recorder
-	Next interface {
-		Adjust(int, perfmodel.StageTimes, perfmodel.Assignment) perfmodel.Assignment
-	}
-}
-
-// Adjust records and delegates.
-func (a *Adjust) Adjust(iter int, st perfmodel.StageTimes, as perfmodel.Assignment) perfmodel.Assignment {
-	a.Rec.RecordStages(iter, st)
-	if a.Next != nil {
-		return a.Next.Adjust(iter, st, as)
-	}
-	return as
 }
 
 // Summary renders a short human-readable digest of the recorded epochs.

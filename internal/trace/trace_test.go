@@ -3,34 +3,13 @@ package trace
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/datagen"
-	"repro/internal/drm"
-	"repro/internal/gnn"
-	"repro/internal/hw"
-	"repro/internal/perfmodel"
-	"repro/internal/pipesim"
 )
 
 func TestRecorderCSV(t *testing.T) {
 	var r Recorder
-	r.RecordStages(0, perfmodel.StageTimes{SampCPU: 0.001, Load: 0.002})
-	r.RecordStages(1, perfmodel.StageTimes{SampCPU: 0.0011, Load: 0.0021})
 	r.RecordEpoch(EpochSample{Epoch: 1, Loss: 2.5, Accuracy: 0.3, VirtualSec: 0.5, MTEPS: 100})
 
 	var sb strings.Builder
-	if err := r.WriteStagesCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "iter,samp_cpu") {
-		t.Fatalf("missing header: %q", out)
-	}
-	if strings.Count(out, "\n") != 3 {
-		t.Fatalf("want header+2 rows, got %q", out)
-	}
-
-	sb.Reset()
 	if err := r.WriteEpochsCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
@@ -49,46 +28,5 @@ func TestSummary(t *testing.T) {
 	s := r.Summary()
 	if !strings.Contains(s, "2.0000 -> 1.0000") {
 		t.Fatalf("summary: %q", s)
-	}
-}
-
-// The Adjust wrapper must capture every iteration the simulator runs while
-// delegating to the real DRM engine.
-func TestAdjustWrapsController(t *testing.T) {
-	m, err := perfmodel.New(hw.CPUFPGAPlatform(),
-		perfmodel.DefaultWorkload(datagen.OGBNProducts, gnn.GCN))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec Recorder
-	eng := drm.New(128)
-	ctrl := &Adjust{Rec: &rec, Next: eng}
-	_, err = pipesim.Run(pipesim.Config{
-		Model: m, Mode: pipesim.Mode{Hybrid: true, DRM: true, TFP: true},
-		Ctrl: ctrl, Seed: 1, Iterations: 25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Stages()) != 25 {
-		t.Fatalf("recorded %d iterations, want 25", len(rec.Stages()))
-	}
-	var sb strings.Builder
-	if err := rec.WriteStagesCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Count(sb.String(), "\n") != 26 {
-		t.Fatal("CSV row count wrong")
-	}
-}
-
-// A nil Next controller records without steering.
-func TestAdjustWithoutNext(t *testing.T) {
-	var rec Recorder
-	ctrl := &Adjust{Rec: &rec}
-	a := perfmodel.Assignment{CPUBatch: 10, AccelBatch: []int{20}}
-	out := ctrl.Adjust(0, perfmodel.StageTimes{SampCPU: 1}, a)
-	if out.CPUBatch != 10 || len(rec.Stages()) != 1 {
-		t.Fatal("pass-through recording broken")
 	}
 }
