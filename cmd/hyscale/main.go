@@ -19,8 +19,8 @@
 // p50/p99 latency, throughput, the per-device batch split, and the analytic
 // serving model's prediction for the same operating point. Combined with
 // -accels the serving pool is heterogeneous: "-accels gpu:2,fpga:1 -serve"
-// serves on 2 A5000 workers plus a U250 worker running the §IV-C dataflow
-// kernels, each priced per kind.
+// serves on 2 A5000 workers plus a U250 worker charged the §IV-C dataflow's
+// cycle account, each priced per kind.
 //
 // With -accels the accelerator fleet is overridden by an explicit —
 // possibly heterogeneous — device list (the paper's title configuration):

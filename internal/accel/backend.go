@@ -4,47 +4,34 @@ import (
 	"fmt"
 
 	"repro/internal/gnn"
-	"repro/internal/graph"
 	"repro/internal/sampler"
 	"repro/internal/tensor"
 )
 
-// Backend is the paper's hardware dataflow (Fig. 6) on one device: per layer,
-// the scatter-gather engine aggregates over source-sorted edges (Feature
-// Duplicator reuse), the systolic array applies the dense update, and the
-// intermediate result is forwarded on-chip to the next layer — only the final
-// output leaves the device. Account returns the dataflow's cycle/traffic
-// account from a mini-batch's structure alone — what the timing models and
-// the training clock need; Forward also executes the kernels, functionally
-// exact (same numbers as the reference gnn implementation, up to float
-// reassociation), for callers that use the logits.
+// Backend is the paper's hardware dataflow (Fig. 6) on one device, as an
+// account: per layer, the scatter-gather engine aggregates over source-sorted
+// edges (Feature Duplicator reuse), the systolic array applies the dense
+// update, and the intermediate result is forwarded on-chip to the next layer
+// — only the final output leaves the device. Account returns that dataflow's
+// cycle/traffic account from a mini-batch's structure alone, which is what
+// the training and serving clocks charge an FPGA. The numbers an FPGA worker
+// computes are the reference gnn forward's; Forward pairs the two for callers
+// that want both from one call.
 type Backend struct {
 	SG       ScatterGatherConfig
 	Systolic SystolicConfig
 
-	// Per-call scratch, the kernels' intermediates and the returned stats
-	// are owned by the Backend and reused, so a warm Account or Forward does
-	// not allocate. A Backend is therefore not safe for concurrent calls —
-	// each trainer and serving worker owns its own, as they already do for
-	// replicas and clocks.
+	// Per-call scratch, Forward's arena and the returned stats are owned by
+	// the Backend and reused, so a warm Account or Forward does not allocate.
+	// A Backend is therefore not safe for concurrent calls — each trainer and
+	// serving worker owns its own, as they already do for replicas and clocks.
 	sc    backendScratch
 	ws    *tensor.Workspace
 	stats ForwardStats
 }
 
 type backendScratch struct {
-	next  []int32 // per block source: out-degree, then the sort's write cursor
-	edges []graph.Edge
-	w     []float32
-	edgeW []float32
-	selfW []float32
-}
-
-func f32Buf(buf []float32, n int) []float32 {
-	if cap(buf) < n {
-		return make([]float32, n)
-	}
-	return buf[:n]
+	next []int32 // per block source: its out-degree
 }
 
 // degrees returns the out-degree of every source of b within the block: the
@@ -93,13 +80,13 @@ func (s *ForwardStats) Add(o ForwardStats) {
 	s.Sec += o.Sec
 }
 
-// Account returns the hardware accounting Forward reports for a mini-batch
-// without executing anything: every field is a function of the blocks'
-// structure and the layer widths. Per layer, each distinct source is one run
-// of the source-sorted stream, as long as the source's out-degree (§IV-C: one
-// fetch per distinct vertex), and the systolic array is charged for the
-// update's shape. The result is owned by the Backend and valid until its
-// next Account or Forward.
+// Account returns the dataflow's hardware accounting for a mini-batch without
+// executing anything: every field is a function of the blocks' structure and
+// the layer widths. Per layer, each distinct source is one run of the
+// source-sorted stream, as long as the source's out-degree (§IV-C: one fetch
+// per distinct vertex), and the systolic array is charged for the update's
+// shape. The result is owned by the Backend and valid until its next Account
+// or Forward.
 func (bk *Backend) Account(cfg gnn.Config, mb *sampler.MiniBatch) (*ForwardStats, error) {
 	L := cfg.Layers()
 	if len(mb.Blocks) != L {
@@ -142,98 +129,22 @@ func (bk *Backend) Account(cfg gnn.Config, mb *sampler.MiniBatch) (*ForwardStats
 	return stats, nil
 }
 
-// Forward runs the model's forward pass on a mini-batch through the
-// simulated hardware kernels. x holds gathered input features (|V0| × f0).
-// Aggregation weights are taken from the model (same coefficients as the
-// reference path). Returns the logits and the hardware statistics (Account's),
+// Forward is Account plus the model's reference inference over the same
+// mini-batch (m.InferMiniBatchWS on the Backend's arena). x holds gathered
+// input features (|V0| × f0). Returns the logits and the hardware statistics,
 // both owned by the Backend and valid until its next call.
 func (bk *Backend) Forward(m *gnn.Model, mb *sampler.MiniBatch, x *tensor.Matrix) (*tensor.Matrix, *ForwardStats, error) {
 	stats, err := bk.Account(m.Cfg, mb)
 	if err != nil {
 		return nil, nil, err
 	}
-	if x.Cols != m.Cfg.Dims[0] {
-		return nil, nil, fmt.Errorf("accel: features %d-dim, model expects %d", x.Cols, m.Cfg.Dims[0])
-	}
 	if bk.ws == nil {
 		bk.ws = tensor.NewWorkspace()
 	}
 	bk.ws.Reset()
-	h := x
-	for l, b := range mb.Blocks {
-		fin := m.Cfg.Dims[l]
-		nd := len(b.Dst)
-		// The update input: the aggregate, with GraphSAGE's self rows
-		// concatenated on its left.
-		off := 0
-		if m.Cfg.Kind == gnn.SAGE {
-			off = fin
-		}
-		dense := bk.ws.GetZero(nd, off+fin)
-		if off > 0 {
-			for d := 0; d < nd; d++ {
-				copy(dense.Row(d), h.Row(d))
-			}
-		}
-
-		// Aggregation on the scatter-gather engine: edges sorted by source
-		// so each feature row is fetched once (§IV-C). Self loops are extra
-		// "edges" from the dst-prefix rows (the duplicator holds them
-		// on-chip), accumulated after the stream.
-		edges, w, selfW := bk.sc.sortedWeightedEdges(m.Cfg, b)
-		sg := bk.SG
-		sg.FeatWidth = fin
-		scatterGather(sg, edges, w, h, dense.Data, dense.Cols, off)
-		for d := 0; d < nd; d++ {
-			if sw := selfW[d]; sw != 0 {
-				tensor.AxpyRow(dense.Row(d)[off:], h.Row(d), sw)
-			}
-		}
-
-		// Dense update on the systolic array.
-		z := bk.ws.Get(nd, m.Cfg.Dims[l+1])
-		if _, err := RunSystolic(bk.Systolic, z, dense, m.Params.Weights[l], m.Params.Biases[l]); err != nil {
-			return nil, nil, err
-		}
-		if l < len(mb.Blocks)-1 {
-			tensor.ReLUInto(z)
-		}
-		h = z
+	logits, err := m.InferMiniBatchWS(bk.ws, mb, x)
+	if err != nil {
+		return nil, nil, err
 	}
-	return h, stats, nil
-}
-
-// sortedWeightedEdges resolves the block's aggregation coefficients into the
-// scratch buffers and returns the source-sorted edge list with its aligned
-// per-edge weights plus the per-destination self weights. The sort is a
-// stable counting sort keyed by source: destinations are scanned in CSC
-// order and scattered through the prefix-summed out-degrees, which yields
-// (src, dst) order with duplicate pairs in the block's CSC order — the
-// reference path's pairing — in O(|E|).
-func (sc *backendScratch) sortedWeightedEdges(cfg gnn.Config, b *sampler.Block) ([]graph.Edge, []float32, []float32) {
-	ne := b.NumEdges()
-	nd := len(b.Dst)
-	sc.edgeW = f32Buf(sc.edgeW, ne)
-	sc.selfW = f32Buf(sc.selfW, nd)
-	edgeW, selfW := gnn.EdgeWeightsInto(cfg, b, sc.edgeW, sc.selfW)
-	if cap(sc.edges) < ne {
-		sc.edges = make([]graph.Edge, ne)
-	}
-	sc.edges = sc.edges[:ne]
-	sc.w = f32Buf(sc.w, ne)
-	next := sc.degrees(b)
-	pos := int32(0)
-	for s, deg := range next {
-		next[s] = pos
-		pos += deg
-	}
-	for d := 0; d < nd; d++ {
-		for e := b.RowPtr[d]; e < b.RowPtr[d+1]; e++ {
-			s := b.Col[e]
-			sc.edges[next[s]] = graph.Edge{Src: s, Dst: int32(d)}
-			sc.w[next[s]] = edgeW[e]
-			next[s]++
-		}
-	}
-	return sc.edges, sc.w, selfW
+	return logits, stats, nil
 }

@@ -6,11 +6,10 @@ import (
 	"repro/internal/gnn"
 )
 
-// EstimateForwardSec predicts the wall time Forward would measure for a
-// mini-batch of the given expected layer sizes, without executing anything —
-// the analytic mirror of the kernel simulators' cycle accounting that lets
-// the serving performance model price an FPGA worker the same way the worker
-// charges itself.
+// EstimateForwardSec predicts the seconds Account would charge for a
+// mini-batch of the given expected layer sizes — the analytic mirror of the
+// dataflow's cycle account that lets the serving performance model price an
+// FPGA worker the same way the worker charges itself.
 //
 // vl and el follow the perfmodel Sizes convention: vl[l] is the expected
 // node count of layer l (index 0 input-most, length L+1), el[l] the expected
@@ -18,7 +17,7 @@ import (
 // fetches each distinct source feature once (sorted-edge reuse, §IV-C) —
 // ~vl[l] fetches of ceil(4·f_l / BytesPerCycle) cycles — and retires edges
 // NumPEs per cycle; the systolic array streams |V_{l+1}|·f_in·f_out MACs at
-// NumMACs per cycle plus its fill cost. Like Forward, the two engines are
+// NumMACs per cycle plus its fill cost. Like Account, the two engines are
 // pipelined, so the estimate is the max of the two cycle totals at the
 // systolic clock.
 func (bk Backend) EstimateForwardSec(cfg gnn.Config, vl, el []float64) float64 {

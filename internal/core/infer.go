@@ -24,10 +24,11 @@ type InferConfig struct {
 	// Device selects the propagation device: 0 is the host CPU peer, i > 0
 	// is Plat.Accels[i-1] (features then cross that device's own host link,
 	// as in training). The worker is *bound* to this device: FPGA-kind
-	// devices execute the §IV-C dataflow kernels and charge their measured
-	// cycles, framework-driven devices (Device.LoaderGBs) gather features
-	// through their own loader stack, and every device carries its
-	// inference-stack overheads (perfmodel.ServingOverheads).
+	// devices charge the §IV-C dataflow's cycle account of each batch,
+	// framework-driven devices (Device.LoaderGBs) gather features through
+	// their own loader stack, and every device carries its inference-stack
+	// overheads (perfmodel.ServingOverheads). The logits are the reference
+	// forward's on every device.
 	Device int
 	// SampThreads/LoadThreads are the CPU threads charged for sampling and
 	// feature gathering; zero defaults to a quarter of the cores each, the
@@ -47,20 +48,20 @@ type InferResult struct {
 	Targets   []int32
 	Edges     float64 // edges traversed by fanout sampling
 	InputRows int     // feature rows gathered (|V0|)
-	// FPGA carries the dataflow kernels' hardware accounting when the batch
-	// executed on an FPGA-bound worker (nil otherwise).
+	// FPGA carries the dataflow's hardware account of the batch when it ran
+	// on an FPGA-bound worker (nil otherwise).
 	FPGA *accel.ForwardStats
 }
 
 // InferencePipeline is the serving-side counterpart of the training
 // StageExecutor: one worker's sample → gather → transfer → propagate
 // pipeline over the shared runtime layers, bound to one device the way a
-// training replica is. Real numeric propagation runs through the
-// same gnn layer kernels as training — or, on an FPGA-bound worker, through
-// the accel dataflow kernels, whose measured cycles are what the clock is
-// charged; virtual time is charged by the same perfmodel primitives and
-// composed by the same max-plus perfmodel.Pipeline, so serving latency and
-// training throughput are priced on one clock.
+// training replica is. Real numeric propagation runs through the same gnn
+// layer kernels as training on every device; virtual time is charged by the
+// same perfmodel primitives — on an FPGA-bound worker, the accel dataflow's
+// cycle account, as training's propSec charges — and composed by the same
+// max-plus perfmodel.Pipeline, so serving latency and training throughput
+// are priced on one clock.
 type InferencePipeline struct {
 	cfg     InferConfig
 	dev     hw.Device
@@ -224,25 +225,23 @@ func (p *InferencePipeline) RunBatch(targets []int32) (*InferResult, error) {
 	if p.cfg.Device > 0 && p.cfg.QuantizeTransfer {
 		tensor.QuantizeRoundTrip(x) // inject the real int8 loss
 	}
-	forwardSec := -1.0 // priced analytically unless the device times itself
+	logits, err := p.cfg.Model.InferMiniBatchWS(p.ws, mb, x)
+	if err != nil {
+		return nil, err
+	}
+	res.Logits = logits
+	forwardSec := -1.0 // priced analytically unless the device accounts itself
 	if p.backend != nil {
-		// FPGA worker: the forward executes through the scatter-gather +
-		// systolic dataflow and the kernels' cycle account — not the
-		// analytic Eq. 10 — is what the clock is charged (the account
-		// training's propSec charges too; serving has no backward half).
-		logits, stats, err := p.backend.Forward(p.cfg.Model, mb, x)
+		// FPGA worker: the clock is charged the scatter-gather + systolic
+		// dataflow's cycle account of this batch's blocks, not the analytic
+		// Eq. 10 — the account training's propSec charges too (serving has
+		// no backward half).
+		stats, err := p.backend.Account(p.cfg.Model.Cfg, mb)
 		if err != nil {
 			return nil, fmt.Errorf("core: fpga serving worker: %w", err)
 		}
 		forwardSec = stats.Sec
-		res.Logits = logits
 		res.FPGA = stats
-	} else {
-		logits, err := p.cfg.Model.InferMiniBatchWS(p.ws, mb, x)
-		if err != nil {
-			return nil, err
-		}
-		res.Logits = logits
 	}
 	res.Stage = p.pm.ServingStageFor(p.cfg.Device, sizesInto(&p.sizes, mb), res.Edges,
 		p.cfg.SampThreads, p.cfg.LoadThreads, forwardSec)

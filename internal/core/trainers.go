@@ -50,11 +50,10 @@ func (s *stepScratch) step(m *gnn.Model, mb *sampler.MiniBatch, x *tensor.Matrix
 // cycles (source-sorted edges, O(|V0|) external traffic) and the systolic
 // array's update cycles, accounted on the blocks this step really sampled
 // and added to the slot's FPGA account. The account is a function of the
-// blocks' structure alone, so no kernel executes: the numeric dataflow runs
-// where its output is used (the FPGA serving workers) and is pinned against
-// the reference forward in internal/accel's tests and, on this engine's own
-// replica, in core's. The backward half (which the dataflow kernel does not
-// implement) stays analytic Eq. 10.
+// blocks' structure alone, so no kernel executes — on this plane or the
+// serving one (InferencePipeline.RunBatch charges the same account): the
+// FPGA is a clock charge, its numbers are the reference step's. The backward
+// half (which the dataflow kernel does not implement) stays analytic Eq. 10.
 func (e *Engine) propSec(s *iterSlot, i int, mb *sampler.MiniBatch, sz perfmodel.Sizes) (float64, error) {
 	if i == 0 {
 		share := 1.0 // CPU-only platform fallback

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -67,7 +69,16 @@ func (d *Dataset) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadDataset reads a dataset written by Save.
+// maxFeatDim bounds every feature width a dataset file may declare, so the
+// feature matrix's element count cannot overflow.
+const maxFeatDim = 1 << 20
+
+// LoadDataset reads a dataset written by Save. Every header field is
+// validated before anything is allocated, every array grows only as the
+// stream delivers it, and the graph, the labels (against the class count)
+// and the train split (against |V|) are range-checked, so malformed input is
+// an error naming the field — never a panic, and never an allocation sized by
+// an unverified claim.
 func LoadDataset(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian
@@ -77,14 +88,21 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 			return nil, err
 		}
 	}
-	if magic != datasetMagic {
+	switch {
+	case magic != datasetMagic:
 		return nil, fmt.Errorf("datagen: not a dataset file (magic %#x)", magic)
-	}
-	if version != datasetVersion {
+	case version != datasetVersion:
 		return nil, fmt.Errorf("datagen: dataset version %d, want %d", version, datasetVersion)
-	}
-	if nv > 1<<34 || nDims > 64 || nameLen > 4096 {
-		return nil, fmt.Errorf("datagen: implausible header (V=%d dims=%d name=%d)", nv, nDims, nameLen)
+	case nv > 1<<34:
+		return nil, fmt.Errorf("datagen: implausible vertex count %d", nv)
+	case ne > 1<<40:
+		return nil, fmt.Errorf("datagen: implausible edge count %d", ne)
+	case train > nv:
+		return nil, fmt.Errorf("datagen: %d train nodes for %d vertices", train, nv)
+	case nDims < 2 || nDims > 64:
+		return nil, fmt.Errorf("datagen: implausible feature-dim count %d", nDims)
+	case nameLen > 4096:
+		return nil, fmt.Errorf("datagen: implausible name length %d", nameLen)
 	}
 	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, name); err != nil {
@@ -96,6 +114,9 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 		if err := binary.Read(br, le, &f); err != nil {
 			return nil, err
 		}
+		if f == 0 || f > maxFeatDim {
+			return nil, fmt.Errorf("datagen: feature dim %d is %d, want 1..%d", i, f, maxFeatDim)
+		}
 		dims[i] = int(f)
 	}
 	spec := Spec{Name: string(name), NumVertices: int64(nv), NumEdges: int64(ne),
@@ -105,28 +126,42 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 	if err := binary.Read(br, le, &gv); err != nil {
 		return nil, err
 	}
-	g := &graph.Graph{NumVertices: int(gv), RowPtr: make([]int64, gv+1)}
-	if err := binary.Read(br, le, g.RowPtr); err != nil {
+	if gv > math.MaxInt32 {
+		return nil, fmt.Errorf("datagen: graph vertex count %d exceeds the int32 vertex ids", gv)
+	}
+	n := int(gv)
+	rowPtr, err := readArray[int64](br, n+1)
+	if err != nil {
 		return nil, err
 	}
 	var nCol uint64
 	if err := binary.Read(br, le, &nCol); err != nil {
 		return nil, err
 	}
-	g.ColIdx = make([]int32, nCol)
-	if err := binary.Read(br, le, g.ColIdx); err != nil {
+	if nCol > 1<<40 || int64(nCol) != rowPtr[n] {
+		return nil, fmt.Errorf("datagen: %d column indices for a RowPtr ending at %d", nCol, rowPtr[n])
+	}
+	colIdx, err := readArray[int32](br, int(nCol))
+	if err != nil {
 		return nil, err
 	}
+	g := &graph.Graph{NumVertices: n, RowPtr: rowPtr, ColIdx: colIdx}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("datagen: corrupt graph in dataset: %w", err)
 	}
-	features := tensor.New(int(gv), dims[0])
-	if err := binary.Read(br, le, features.Data); err != nil {
+	feats, err := readArray[float32](br, n*dims[0])
+	if err != nil {
 		return nil, err
 	}
-	labels := make([]int32, gv)
-	if err := binary.Read(br, le, labels); err != nil {
+	labels, err := readArray[int32](br, n)
+	if err != nil {
 		return nil, err
+	}
+	classes := spec.NumClasses()
+	for v, c := range labels {
+		if c < 0 || int(c) >= classes {
+			return nil, fmt.Errorf("datagen: vertex %d labelled %d, outside [0,%d)", v, c, classes)
+		}
 	}
 	var nTrain uint64
 	if err := binary.Read(br, le, &nTrain); err != nil {
@@ -135,9 +170,31 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 	if nTrain > gv {
 		return nil, fmt.Errorf("datagen: %d train indices for %d vertices", nTrain, gv)
 	}
-	trainIdx := make([]int32, nTrain)
-	if err := binary.Read(br, le, trainIdx); err != nil {
+	trainIdx, err := readArray[int32](br, int(nTrain))
+	if err != nil {
 		return nil, err
 	}
-	return &Dataset{Spec: spec, Graph: g, Features: features, Labels: labels, TrainIdx: trainIdx}, nil
+	for i, v := range trainIdx {
+		if v < 0 || int(v) >= n {
+			return nil, fmt.Errorf("datagen: train index %d is vertex %d, outside [0,%d)", i, v, n)
+		}
+	}
+	return &Dataset{Spec: spec, Graph: g, Features: tensor.FromSlice(n, dims[0], feats),
+		Labels: labels, TrainIdx: trainIdx}, nil
+}
+
+// readArray reads n little-endian values in chunks, the buffer growing only
+// as the stream delivers them: a count that claims more than the stream holds
+// ends in an error at EOF, not in an allocation of the claim.
+func readArray[T int32 | int64 | float32](r io.Reader, n int) ([]T, error) {
+	const chunk = 1 << 16
+	out := make([]T, 0, min(n, chunk))
+	for len(out) < n {
+		k := min(n-len(out), chunk)
+		out = slices.Grow(out, k)[:len(out)+k]
+		if err := binary.Read(r, binary.LittleEndian, out[len(out)-k:]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

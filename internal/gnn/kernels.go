@@ -57,7 +57,7 @@ func (nb *Neighborhood) init(cfg Config, b *sampler.Block, ws *tensor.Workspace)
 	nb.Block, nb.ws = b, ws
 	nb.tPtr, nb.tDst, nb.tW = nil, nil, nil
 	if ws != nil {
-		nb.EdgeW, nb.SelfW = EdgeWeightsInto(cfg, b, ws.F32(b.NumEdges()), ws.F32(len(b.Dst)))
+		nb.EdgeW, nb.SelfW = edgeWeightsInto(cfg, b, ws.F32(b.NumEdges()), ws.F32(len(b.Dst)))
 	} else {
 		nb.EdgeW, nb.SelfW = EdgeWeights(cfg, b)
 	}

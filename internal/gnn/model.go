@@ -199,16 +199,25 @@ type Model struct {
 
 // NewModel builds a model with fresh parameters.
 func NewModel(cfg Config, rng *tensor.RNG) (*Model, error) {
-	if len(cfg.Dims) < 2 {
-		return nil, fmt.Errorf("gnn: need at least 2 dims, got %v", cfg.Dims)
-	}
-	for _, d := range cfg.Dims {
-		if d <= 0 {
-			return nil, fmt.Errorf("gnn: non-positive dim in %v", cfg.Dims)
-		}
-	}
-	if cfg.Kind != GCN && cfg.Kind != SAGE && cfg.Kind != GIN {
-		return nil, fmt.Errorf("gnn: unknown kind %d", cfg.Kind)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	return &Model{Cfg: cfg, Params: NewParameters(cfg, rng)}, nil
+}
+
+// validate checks what every model needs: a known kind and at least one
+// layer of positive widths.
+func (c Config) validate() error {
+	if len(c.Dims) < 2 {
+		return fmt.Errorf("gnn: need at least 2 dims, got %v", c.Dims)
+	}
+	for _, d := range c.Dims {
+		if d <= 0 {
+			return fmt.Errorf("gnn: non-positive dim in %v", c.Dims)
+		}
+	}
+	if c.Kind != GCN && c.Kind != SAGE && c.Kind != GIN {
+		return fmt.Errorf("gnn: unknown kind %d", c.Kind)
+	}
+	return nil
 }

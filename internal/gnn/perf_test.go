@@ -275,7 +275,7 @@ func TestEdgeWeightsIntoReuse(t *testing.T) {
 		for i := range selfW {
 			selfW[i] = 99
 		}
-		gotE, gotS := EdgeWeightsInto(cfg, b, edgeW, selfW)
+		gotE, gotS := edgeWeightsInto(cfg, b, edgeW, selfW)
 		for i := range wantE {
 			if gotE[i] != wantE[i] {
 				t.Fatalf("%v: edge weight %d differs", kind, i)

@@ -24,20 +24,20 @@ type ForwardState struct {
 }
 
 // EdgeWeights computes the aggregation coefficients a model configuration
-// assigns to a block's edges and self loops. Exported so alternative
-// execution backends (the accelerator kernel simulator) use the exact same
-// coefficients as the reference path.
+// assigns to a block's edges and self loops. Exported so an independent
+// re-implementation of the forward (accel's dataflow-order test oracle)
+// uses the exact same coefficients as the reference path.
 func EdgeWeights(cfg Config, b *sampler.Block) (edgeW []float32, selfW []float32) {
-	return EdgeWeightsInto(cfg, b, make([]float32, b.NumEdges()), make([]float32, len(b.Dst)))
+	return edgeWeightsInto(cfg, b, make([]float32, b.NumEdges()), make([]float32, len(b.Dst)))
 }
 
-// EdgeWeightsInto is EdgeWeights into caller-provided buffers (reused across
-// mini-batches by the training loop and the accelerator backend): edgeW must
-// have length NumEdges(), selfW length |Dst|. Every element is overwritten.
+// edgeWeightsInto is EdgeWeights into caller-provided buffers (reused across
+// mini-batches by the neighborhoods of the workspace paths): edgeW must have
+// length NumEdges(), selfW length |Dst|. Every element is overwritten.
 // Returns the filled slices.
-func EdgeWeightsInto(cfg Config, b *sampler.Block, edgeW, selfW []float32) ([]float32, []float32) {
+func edgeWeightsInto(cfg Config, b *sampler.Block, edgeW, selfW []float32) ([]float32, []float32) {
 	if len(edgeW) != b.NumEdges() || len(selfW) != len(b.Dst) {
-		panic(fmt.Sprintf("gnn: EdgeWeightsInto buffers %d/%d for %d edges, %d destinations",
+		panic(fmt.Sprintf("gnn: edgeWeightsInto buffers %d/%d for %d edges, %d destinations",
 			len(edgeW), len(selfW), b.NumEdges(), len(b.Dst)))
 	}
 	nd := len(b.Dst)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -45,9 +46,17 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
+// maxCheckpointDim bounds every layer width a checkpoint may declare, so a
+// header's shapes cannot overflow before they are checked against the stream.
+const maxCheckpointDim = 1 << 20
+
 // Load reads a checkpoint written by Save and reconstructs the model.
 // Degrees (GCN normalization) are not part of the checkpoint; re-attach
-// them to the returned Config if needed.
+// them to the returned Config if needed. Every header field is validated
+// before anything is allocated, each tensor's stream shape before the tensor
+// is read, and tensors grow only as the stream delivers their data, so
+// malformed input is an error naming the field — never a panic, and never an
+// allocation sized by an unverified claim.
 func Load(r io.Reader) (*Model, error) {
 	var magic, version, kind, nDims uint32
 	for _, p := range []*uint32{&magic, &version, &kind, &nDims} {
@@ -74,22 +83,27 @@ func Load(r io.Reader) (*Model, error) {
 		if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
 			return nil, err
 		}
+		if d > maxCheckpointDim {
+			return nil, fmt.Errorf("gnn: checkpoint dim %d is %d, above %d", i, d, maxCheckpointDim)
+		}
 		dims[i] = int(d)
 	}
 	cfg := Config{Kind: Kind(kind), Dims: dims, GINEps: eps}
-	m, err := NewModel(cfg, tensor.NewRNG(0))
-	if err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	for l := range m.Params.Weights {
-		if err := readMatrixInto(r, m.Params.Weights[l]); err != nil {
-			return nil, err
+	L := cfg.Layers()
+	p := &Parameters{Weights: make([]*tensor.Matrix, L), Biases: make([]*tensor.Matrix, L)}
+	for l := 0; l < L; l++ {
+		var err error
+		if p.Weights[l], err = readMatrix(r, cfg.inDim(l), cfg.Dims[l+1]); err != nil {
+			return nil, fmt.Errorf("gnn: layer %d weights: %w", l, err)
 		}
-		if err := readMatrixInto(r, m.Params.Biases[l]); err != nil {
-			return nil, err
+		if p.Biases[l], err = readMatrix(r, 1, cfg.Dims[l+1]); err != nil {
+			return nil, fmt.Errorf("gnn: layer %d biases: %w", l, err)
 		}
 	}
-	return m, nil
+	return &Model{Cfg: cfg, Params: p}, nil
 }
 
 func writeMatrix(w io.Writer, m *tensor.Matrix) error {
@@ -102,16 +116,26 @@ func writeMatrix(w io.Writer, m *tensor.Matrix) error {
 	return binary.Write(w, binary.LittleEndian, m.Data)
 }
 
-func readMatrixInto(r io.Reader, m *tensor.Matrix) error {
-	var rows, cols uint32
-	if err := binary.Read(r, binary.LittleEndian, &rows); err != nil {
-		return err
+// readMatrix reads one tensor the model expects to be rows×cols: the stream's
+// shape is checked first, then the data is read in chunks, the buffer growing
+// only as the stream delivers them.
+func readMatrix(r io.Reader, rows, cols int) (*tensor.Matrix, error) {
+	var shape [2]uint32
+	if err := binary.Read(r, binary.LittleEndian, &shape); err != nil {
+		return nil, err
 	}
-	if err := binary.Read(r, binary.LittleEndian, &cols); err != nil {
-		return err
+	if int(shape[0]) != rows || int(shape[1]) != cols {
+		return nil, fmt.Errorf("checkpoint tensor %dx%d, model expects %dx%d", shape[0], shape[1], rows, cols)
 	}
-	if int(rows) != m.Rows || int(cols) != m.Cols {
-		return fmt.Errorf("gnn: checkpoint tensor %dx%d, model expects %dx%d", rows, cols, m.Rows, m.Cols)
+	const chunk = 1 << 16
+	n := rows * cols
+	data := make([]float32, 0, min(n, chunk))
+	for len(data) < n {
+		k := min(n-len(data), chunk)
+		data = slices.Grow(data, k)[:len(data)+k]
+		if err := binary.Read(r, binary.LittleEndian, data[len(data)-k:]); err != nil {
+			return nil, err
+		}
 	}
-	return binary.Read(r, binary.LittleEndian, m.Data)
+	return tensor.FromSlice(rows, cols, data), nil
 }

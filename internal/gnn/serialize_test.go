@@ -2,6 +2,8 @@ package gnn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -83,4 +85,68 @@ func TestLoadedModelInfersIdentically(t *testing.T) {
 	if !got.Logits.Equal(ref.Logits) {
 		t.Fatal("loaded model produces different logits")
 	}
+}
+
+// hostileHeader is a checkpoint header (magic, version, GCN, two dims, ε)
+// declaring both widths as dims, followed by pad.
+func hostileHeader(dims [2]uint32, pad int) []byte {
+	var buf bytes.Buffer
+	for _, v := range []any{uint32(checkpointMagic), uint32(checkpointVersion), uint32(GCN), uint32(2), float64(0), dims} {
+		binary.Write(&buf, binary.LittleEndian, v)
+	}
+	buf.Write(make([]byte, pad))
+	return buf.Bytes()
+}
+
+// Headers that claim what the stream cannot hold are errors, not panics or
+// header-sized allocations: widths beyond the bound (2³¹−1 once overflowed
+// the weight shape), and in-bound widths whose tensors the stream lacks.
+func TestLoadRejectsHostileHeader(t *testing.T) {
+	if _, err := Load(bytes.NewReader(hostileHeader([2]uint32{1<<31 - 1, 1<<31 - 1}, 4))); err == nil {
+		t.Fatal("accepted 2³¹−1-wide layers")
+	}
+	huge := hostileHeader([2]uint32{1 << 20, 1 << 20}, 0)
+	huge = binary.LittleEndian.AppendUint32(huge, 1<<20) // the shape agrees,
+	huge = binary.LittleEndian.AppendUint32(huge, 1<<20) // the data is absent
+	if _, err := Load(bytes.NewReader(huge)); err == nil {
+		t.Fatal("accepted a 2⁴⁰-element weight tensor from a 40-byte stream")
+	}
+	bad := hostileHeader([2]uint32{4, 3}, 0)
+	bad = binary.LittleEndian.AppendUint32(bad, 3) // 3x3, model expects 4x3
+	bad = binary.LittleEndian.AppendUint32(bad, 3)
+	if _, err := Load(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "layer 0 weights") {
+		t.Fatalf("wrong tensor shape gave %v, want an error naming layer 0 weights", err)
+	}
+}
+
+// Load never panics, and any checkpoint it accepts re-saves to exactly the
+// bytes it consumed.
+func FuzzLoad(f *testing.F) {
+	for _, kind := range []Kind{GCN, SAGE, GIN} {
+		m, err := NewModel(Config{Kind: kind, Dims: []int{3, 2}, GINEps: 0.5}, tensor.NewRNG(5))
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()-3])
+	}
+	f.Add(hostileHeader([2]uint32{1<<31 - 1, 1<<31 - 1}, 4))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		m, err := Load(r)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(buf.Bytes(), consumed) {
+			t.Fatalf("accepted checkpoint re-saves to %d bytes, %d consumed", buf.Len(), len(consumed))
+		}
+	})
 }

@@ -400,16 +400,16 @@ func (m *Model) PropTimeFor(dev hw.Device, s Sizes, cpuShare float64) float64 {
 	return fwd + bwd
 }
 
-// PropForwardFor returns only the forward half of Eq. 10 — what the FPGA
-// dataflow backend executes and measures for itself.
+// PropForwardFor returns only the forward half of Eq. 10 — the half an FPGA
+// is charged its dataflow's cycle account for instead.
 func (m *Model) PropForwardFor(dev hw.Device, s Sizes, cpuShare float64) float64 {
 	fwd, _ := m.propFwdBwd(dev, s, cpuShare)
 	return fwd
 }
 
 // PropBackwardFor returns only the backward half of Eq. 10. The executing
-// runtime adds it to a measured forward time when the device backend reports
-// its own forward cycles (the dataflow kernel models forward only).
+// runtime adds it to an FPGA trainer's dataflow account, which covers the
+// forward half only.
 func (m *Model) PropBackwardFor(dev hw.Device, s Sizes, cpuShare float64) float64 {
 	_, bwd := m.propFwdBwd(dev, s, cpuShare)
 	return bwd

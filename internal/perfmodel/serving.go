@@ -19,8 +19,8 @@ import (
 // the device's *inference-stack* overheads (hw.Device.ServeOverheadMs plus
 // kernel launches and pipeline flush) instead of the training framework
 // cost, and FPGA devices are priced by the analytic mirror of the §IV-C
-// dataflow kernels' cycle accounting — the same accounting the executing
-// FPGA serving worker measures for itself.
+// dataflow's cycle account — the account an FPGA serving worker charges for
+// the blocks it actually sampled.
 //
 // The model is evaluated per worker *device*: each serving worker binds one
 // device (the host CPU peer, a GPU, or an FPGA), so a pool's prediction is
@@ -161,10 +161,11 @@ func (m *Model) ServingBatchStage(device, computed, sampThreads, loadThreads int
 // trainer's core share, no PCIe); device i > 0 is Plat.Accels[i-1], whose
 // features cross its own host link and, for framework-driven devices
 // (Device.LoaderGBs), load through that stack. forwardSec is the raw forward
-// time when the device timed its own kernels (the FPGA dataflow backend's
-// cycle account); negative prices the forward analytically — FPGA devices by
-// the dataflow kernels' cycle mirror, everything else by the forward half of
-// Eq. 10. All propagation carries ServingOverheads.
+// time when the worker accounted the batch it actually sampled (an FPGA
+// worker's accel.Backend.Account of its blocks); negative prices the forward
+// analytically — FPGA devices by the account's size-vector mirror
+// (EstimateForwardSec), everything else by the forward half of Eq. 10. All
+// propagation carries ServingOverheads.
 func (m *Model) ServingStageFor(device int, sz Sizes, edges float64, sampThreads, loadThreads int, forwardSec float64) StageTimes {
 	st := StageTimes{SampCPU: m.SampleTimeCPUEdges(edges, sampThreads)}
 	if device == 0 {

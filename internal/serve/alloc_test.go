@@ -16,50 +16,58 @@ import (
 // service-time memo, the hand-rolled completion heap), so any new
 // per-request or per-batch make/box anywhere in the loop fails it. It holds
 // with kernel parallelism available too: a MaxBatch-sized batch is far below
-// tensor's fan-out grain, so every kernel runs on the caller.
+// tensor's fan-out grain, so every kernel runs on the caller. The fpga-pool
+// leg serves on baseConfig's two FPGA workers instead of one CPU worker, so
+// the routed pool and each FPGA worker's dataflow account ride the gate too.
 func TestServingSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation gate is skipped under -race")
 	}
-	for _, par := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			prev := tensor.SetParallelism(par)
-			defer tensor.SetParallelism(prev)
-			ds, m := testSetup(t)
-			cfg := baseConfig(ds, m)
-			cfg.Plat.Accels = nil // one CPU worker: the serial fast path
-			cfg.NumRequests = 1 << 16
-			cfg.RatePerSec = 50000 // hot: batches close at MaxBatch, admission sheds some
-			cfg.CacheSize = 256
-			cfg.CacheShards = 4
-			s, err := newServer(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			next := 0
-			feed := func(n int) {
-				for _, r := range s.arrivals[next : next+n] {
-					if err := s.offer(r); err != nil {
-						t.Fatal(err)
-					}
+	gate := func(t *testing.T, fpgaPool bool) {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+				prev := tensor.SetParallelism(par)
+				defer tensor.SetParallelism(prev)
+				ds, m := testSetup(t)
+				cfg := baseConfig(ds, m)
+				if !fpgaPool {
+					cfg.Plat.Accels = nil // one CPU worker: the serial fast path
 				}
-				next += n
-			}
-			// Warm every arena to its roof: sampled neighborhood sizes vary
-			// batch to batch, so the workspace, batcher, and admission heap
-			// must all have seen their steady-state maxima before counting.
-			feed(4000)
-			batchesBefore, computedBefore := s.stats.Batches, s.stats.Computed
-			if a := testing.AllocsPerRun(20, func() { feed(50) }); a != 0 {
-				t.Fatalf("serving steady state allocated %.2f times per 50 requests, want 0", a)
-			}
-			// The gate must have exercised the full path, not just admission.
-			if s.stats.Batches == batchesBefore || s.stats.Computed == computedBefore {
-				t.Fatalf("gate did not reach dispatch: batches %d->%d computed %d->%d",
-					batchesBefore, s.stats.Batches, computedBefore, s.stats.Computed)
-			}
-		})
+				cfg.NumRequests = 1 << 16
+				cfg.RatePerSec = 50000 // hot: batches close at MaxBatch, admission sheds some
+				cfg.CacheSize = 256
+				cfg.CacheShards = 4
+				s, err := newServer(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				next := 0
+				feed := func(n int) {
+					for _, r := range s.arrivals[next : next+n] {
+						if err := s.offer(r); err != nil {
+							t.Fatal(err)
+						}
+					}
+					next += n
+				}
+				// Warm every arena to its roof: sampled neighborhood sizes vary
+				// batch to batch, so the workspace, batcher, and admission heap
+				// must all have seen their steady-state maxima before counting.
+				feed(4000)
+				batchesBefore, computedBefore := s.stats.Batches, s.stats.Computed
+				if a := testing.AllocsPerRun(20, func() { feed(50) }); a != 0 {
+					t.Fatalf("serving steady state allocated %.2f times per 50 requests, want 0", a)
+				}
+				// The gate must have exercised the full path, not just admission.
+				if s.stats.Batches == batchesBefore || s.stats.Computed == computedBefore {
+					t.Fatalf("gate did not reach dispatch: batches %d->%d computed %d->%d",
+						batchesBefore, s.stats.Batches, computedBefore, s.stats.Computed)
+				}
+			})
+		}
 	}
+	gate(t, false)
+	t.Run("fpga-pool", func(t *testing.T) { gate(t, true) })
 }
 
 // Satellite micro-benchmark for the dispatch memo change: the router

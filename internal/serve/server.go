@@ -3,8 +3,8 @@
 // batcher (size-or-deadline, with an optional per-kind split), a sharded
 // LRU embedding cache keyed by vertex and model version, and a fleet of
 // per-device workers — each core.InferencePipeline bound to one hw.Device
-// (the host CPU peer, a GPU, or an FPGA running the §IV-C dataflow kernels)
-// the way training's Trainer backends are. The router dispatches every closed
+// (the host CPU peer, a GPU, or an FPGA charged the §IV-C dataflow's cycle
+// account) the way training's trainers are. The router dispatches every closed
 // batch to the worker with the earliest predicted completion, using the
 // per-device perfmodel serving stage vectors, while charging sample → gather
 // → transfer → propagate on the same max-plus perfmodel.Pipeline and
