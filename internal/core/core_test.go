@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -71,6 +73,35 @@ func TestNewEngineValidation(t *testing.T) {
 	cfg.Pipeline = PipelineMode(7)
 	if _, err := NewEngine(cfg); err == nil {
 		t.Fatal("expected error for a pipeline mode that is neither serial nor prefetch")
+	}
+	cfg = baseConfig(t)
+	cfg.Data = shortFeatures(cfg.Data)
+	requireShortFeaturesError(t, cfg.Data, func() error { _, err := NewEngine(cfg); return err })
+}
+
+// shortFeatures returns a copy of ds whose feature table covers only half of
+// the graph's vertices.
+func shortFeatures(ds *datagen.Dataset) *datagen.Dataset {
+	short := *ds
+	short.Features = tensor.FromSlice(ds.Graph.NumVertices/2, ds.Features.Cols,
+		ds.Features.Data[:ds.Graph.NumVertices/2*ds.Features.Cols])
+	return &short
+}
+
+// requireShortFeaturesError requires build to reject ds's short feature table
+// with an error naming both the row and the vertex count: layer 0 reads the
+// table in place, so accepting it would panic mid-epoch on a trainer
+// goroutine.
+func requireShortFeaturesError(t *testing.T, ds *datagen.Dataset, build func() error) {
+	t.Helper()
+	err := build()
+	if err == nil {
+		t.Fatalf("a %d-row feature table for %d vertices was accepted", ds.Features.Rows, ds.Graph.NumVertices)
+	}
+	for _, n := range []int{ds.Features.Rows, ds.Graph.NumVertices} {
+		if !strings.Contains(err.Error(), strconv.Itoa(n)) {
+			t.Fatalf("error %q does not name %d", err, n)
+		}
 	}
 }
 

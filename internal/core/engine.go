@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/accel"
+	"repro/internal/datagen"
 	"repro/internal/drm"
 	"repro/internal/gnn"
 	"repro/internal/hw"
@@ -41,12 +42,13 @@ type Engine struct {
 
 	// slots is the iteration-scratch ring, created lazily: each entry holds
 	// everything one in-flight iteration needs (share slices, retained
-	// mini-batches SampleInto refills, feature-staging arenas,
-	// per-accelerator stage vectors, the result struct). Inline prepares use
-	// slot 0 only; the prefetch worker's schedule uses the depth-2 ring so
-	// prepare(i+1) fills one slot while the trainers still read the other.
-	// Together with the per-trainer stepScratch the slots make the whole
-	// steady-state training iteration — sample, gather, price, propagate —
+	// mini-batches SampleInto refills, each trainer's layer-0 input — the
+	// feature table read in place, or a quantized accelerator share's staging
+	// arena — per-accelerator stage vectors, the result struct). Inline
+	// prepares use slot 0 only; the prefetch worker's schedule uses the
+	// depth-2 ring so prepare(i+1) fills one slot while the trainers still
+	// read the other. Together with the per-trainer stepScratch the slots make
+	// the whole steady-state training iteration — sample, price, propagate —
 	// allocation-free (gated by a test).
 	slots [pipelineDepth]*iterSlot
 
@@ -101,9 +103,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if len(cfg.Model.Dims) < 2 {
 		return nil, fmt.Errorf("core: model needs at least 2 dims, got %v", cfg.Model.Dims)
 	}
-	if cfg.Data.Features.Cols != cfg.Model.Dims[0] {
-		return nil, fmt.Errorf("core: dataset features are %d-dim, model expects %d",
-			cfg.Data.Features.Cols, cfg.Model.Dims[0])
+	if err := checkFeatures(cfg.Data, cfg.Model.Dims[0]); err != nil {
+		return nil, err
 	}
 	numClasses := cfg.Model.Dims[len(cfg.Model.Dims)-1]
 	for _, l := range cfg.Data.Labels {
@@ -184,6 +185,22 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.drmEng.FusedPrefetch = !cfg.TFP
 	}
 	return e, nil
+}
+
+// checkFeatures validates a dataset's feature table against its graph and
+// the model's input width. Layer 0 reads the table in place at every sampled
+// vertex's row — on trainer goroutines and kernel fan-out workers, where an
+// index panic kills the process — so a table that does not cover the graph is
+// an error here, not a panic mid-epoch.
+func checkFeatures(d *datagen.Dataset, f0 int) error {
+	if d.Features.Rows != d.Graph.NumVertices {
+		return fmt.Errorf("core: dataset has %d feature rows for %d graph vertices",
+			d.Features.Rows, d.Graph.NumVertices)
+	}
+	if d.Features.Cols != f0 {
+		return fmt.Errorf("core: dataset features are %d-dim, model expects %d", d.Features.Cols, f0)
+	}
+	return nil
 }
 
 // Assignment returns the current task mapping (after any DRM moves).

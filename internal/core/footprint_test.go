@@ -11,10 +11,10 @@ import (
 
 // footprintRecorder wraps the hybrid executor and, after every compute,
 // records what each arena owner's cycle borrowed, keeping the largest per
-// owner: the slot's staging arena of every trainer with a share holds one
-// gathered feature block, whose size is its shape; the trainer's step arena is
-// measured by replaying the same step on a fresh arena (the replica is only
-// read, and the slot's feature block is live until its next prepare).
+// owner: a slot's staging arena — only a quantized accelerator share has one —
+// holds one gathered feature block, whose size is its shape; the trainer's
+// step arena is measured by replaying the same step on a fresh arena (the
+// replica is only read, and the slot's input is live until its next prepare).
 type footprintRecorder struct {
 	*hybridExecutor
 	stage [pipelineDepth][]int64 // per slot, per trainer
@@ -52,10 +52,12 @@ func (r *footprintRecorder) compute(s *iterSlot) (*IterResult, error) {
 		if mb == nil {
 			continue
 		}
-		x := s.feats[i]
-		r.stage[k][i] = max(r.stage[k][i], 4*int64(len(x.Data)))
+		in := s.inputs[i]
+		if in.rows == nil { // a staged block
+			r.stage[k][i] = max(r.stage[k][i], 4*int64(len(in.x.Data)))
+		}
 		fresh := tensor.NewWorkspace()
-		if _, _, err := r.e.replicas[i].TrainStepWS(fresh, &r.st, mb, x, r.grads); err != nil {
+		if _, _, err := r.e.replicas[i].TrainStepRowsWS(fresh, &r.st, mb, in.x, in.rows, r.grads); err != nil {
 			return nil, err
 		}
 		r.step[i] = max(r.step[i], cycleDemand(fresh))
@@ -65,18 +67,31 @@ func (r *footprintRecorder) compute(s *iterSlot) (*IterResult, error) {
 
 // TestWorkspaceFootprintBounded is the regression gate for "an arena holds a
 // buffer twice": after three epochs of the five-trainer fleet with DRM on —
-// serial, and on the worker-backed prefetch schedule with its second slot — every staging and every trainer arena retains at most
-// 1.25 × the largest demand a single one of its cycles made. (The power-of-two
-// bucket maps this replaced retained up to 3 ×: a buffer that jittered across
-// a class boundary was held at both sizes.)
+// serial, on the worker-backed prefetch schedule with its second slot, and
+// prefetch with QuantizeTransfer on — every staging and every trainer arena
+// retains at most 1.25 × the largest demand a single one of its cycles made.
+// (The power-of-two bucket maps this replaced retained up to 3 ×: a buffer
+// that jittered across a class boundary was held at both sizes.) Staging
+// arenas exist only where a copy is the device's bytes: the unquantized legs
+// have none, and the quantized one has one per accelerator share and slot but
+// none for the CPU trainer, which reads the feature table in place.
 func TestWorkspaceFootprintBounded(t *testing.T) {
 	prev := tensor.SetParallelism(1)
 	defer tensor.SetParallelism(prev)
-	for _, mode := range []PipelineMode{PipelineSerial, PipelinePrefetch} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, leg := range []struct {
+		name     string
+		mode     PipelineMode
+		quantize bool
+	}{
+		{"serial", PipelineSerial, false},
+		{"prefetch", PipelinePrefetch, false},
+		{"quantized", PipelinePrefetch, true},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
 			cfg := baseConfig(t) // DRM on
 			cfg.Plat = hw.CPUFPGAPlatform()
-			cfg.Pipeline = mode
+			cfg.Pipeline = leg.mode
+			cfg.QuantizeTransfer = leg.quantize
 			e, err := NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -84,7 +99,7 @@ func TestWorkspaceFootprintBounded(t *testing.T) {
 			rec := &footprintRecorder{hybridExecutor: e.exec.(*hybridExecutor)}
 			e.exec = rec
 			run := e.RunEpoch
-			if mode == PipelinePrefetch {
+			if leg.mode == PipelinePrefetch {
 				run = e.runEpochAsync
 			}
 			for ep := 0; ep < 3; ep++ {
@@ -104,18 +119,28 @@ func TestWorkspaceFootprintBounded(t *testing.T) {
 						owner, ws.Bytes(), demand, limit)
 				}
 			}
+			slots := 0
 			for k, s := range e.slots {
 				if s == nil {
 					continue
 				}
+				slots++
 				for i, ws := range s.ws {
+					if ws != nil && (i == 0 || !leg.quantize) {
+						t.Fatalf("slot %d trainer %d holds a %d B staging arena: only quantized accelerator shares stage features",
+							k, i, ws.Bytes())
+					}
 					check(fmt.Sprintf("slot %d trainer %d staging arena", k, i), ws, rec.stage[k][i])
 				}
 			}
 			for i := range e.scratch {
 				check(fmt.Sprintf("trainer %d step arena", i), e.scratch[i].ws, rec.step[i])
 			}
-			if want := (int(mode) + 2) * len(e.replicas); owners != want || retained == 0 {
+			want := len(e.replicas)
+			if leg.quantize {
+				want += slots * (len(e.replicas) - 1)
+			}
+			if owners != want || retained == 0 {
 				t.Fatalf("%d arena owners held %d B, want all %d: the gate exercised less than the fleet", owners, retained, want)
 			}
 			if e.drmEng.MovesWork+e.drmEng.MovesThread == 0 {

@@ -90,8 +90,7 @@ func TestFPGATrainerStepZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.New(len(mb.InputNodes()), e.cfg.Model.Dims[0])
-	tensor.GatherRows(x, e.cfg.Data.Features, mb.InputNodes())
+	in := stepInput{x: e.cfg.Data.Features, rows: mb.InputNodes()}
 	s := e.slot(0)
 	step := func() {
 		s.fpga = accel.ForwardStats{}
@@ -99,7 +98,7 @@ func TestFPGATrainerStepZeroAlloc(t *testing.T) {
 		if err != nil || sec <= 0 || s.fpga.AggCycles <= 0 {
 			t.Fatalf("propSec: %v sec, err %v, account %+v", sec, err, s.fpga)
 		}
-		if _, _, _, err := e.scratch[1].step(e.replicas[1], mb, x); err != nil {
+		if _, _, _, err := e.scratch[1].step(e.replicas[1], mb, in); err != nil {
 			t.Fatal(err)
 		}
 	}

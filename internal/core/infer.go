@@ -47,7 +47,7 @@ type InferResult struct {
 	Logits    *tensor.Matrix
 	Targets   []int32
 	Edges     float64 // edges traversed by fanout sampling
-	InputRows int     // feature rows gathered (|V0|)
+	InputRows int     // feature rows layer 0 reads (|V0|), staged or in place
 	// FPGA carries the dataflow's hardware account of the batch when it ran
 	// on an FPGA-bound worker (nil otherwise).
 	FPGA *accel.ForwardStats
@@ -70,10 +70,12 @@ type InferencePipeline struct {
 	smp     *sampler.Sampler
 	clock   perfmodel.Pipeline
 	rng     *tensor.RNG
-	// ws is the worker's numeric arena: the gathered feature block and every
-	// propagation intermediate of a batch borrow from it, and RunBatch resets
-	// it at batch entry — so the steady-state numeric path of a serving
-	// worker allocates nothing once the arena has grown to the largest batch.
+	// ws is the worker's numeric arena: every propagation intermediate of a
+	// batch borrows from it (and, on an accelerator under QuantizeTransfer,
+	// the staged int8 round trip of its feature rows — every other worker
+	// reads the feature table in place), and RunBatch resets it at batch
+	// entry — so the steady-state numeric path of a serving worker allocates
+	// nothing once the arena has grown to the largest batch.
 	ws *tensor.Workspace
 	// mb/sizes are RunBatch's retained sampling and pricing scratch, rebuilt
 	// in place per batch (the same reuse discipline as ws; results that
@@ -99,9 +101,8 @@ func NewInferencePipeline(cfg InferConfig) (*InferencePipeline, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("core: nil model")
 	}
-	if cfg.Data.Features.Cols != cfg.Model.Cfg.Dims[0] {
-		return nil, fmt.Errorf("core: dataset features are %d-dim, model expects %d",
-			cfg.Data.Features.Cols, cfg.Model.Cfg.Dims[0])
+	if err := checkFeatures(cfg.Data, cfg.Model.Cfg.Dims[0]); err != nil {
+		return nil, err
 	}
 	if len(cfg.Fanouts) != cfg.Model.Cfg.Layers() {
 		return nil, fmt.Errorf("core: %d fanouts for %d layers", len(cfg.Fanouts), cfg.Model.Cfg.Layers())
@@ -201,8 +202,10 @@ func (p *InferencePipeline) ServiceSec(computed int) (float64, error) {
 	return s, nil
 }
 
-// RunBatch samples the L-hop fanout of the target vertices, gathers their
-// input features, and propagates only that subgraph, returning the logits
+// RunBatch samples the L-hop fanout of the target vertices and propagates
+// only that subgraph, reading its input features from the dataset's table in
+// place (staging a quantized copy only on an accelerator under
+// QuantizeTransfer), returning the logits
 // and the virtual stage times of the batch. The returned Logits (and the
 // rest of the result's matrices) borrow the worker's arena, and Targets
 // borrows the worker's retained mini-batch: all of it is valid until this
@@ -214,18 +217,21 @@ func (p *InferencePipeline) RunBatch(targets []int32) (*InferResult, error) {
 		return nil, err
 	}
 	mb := &p.mb
-	x := p.ws.Get(len(mb.InputNodes()), p.cfg.Data.Features.Cols)
-	tensor.GatherRows(x, p.cfg.Data.Features, mb.InputNodes())
 	res := &p.res
 	*res = InferResult{
 		Targets:   mb.Targets,
 		Edges:     float64(mb.EdgesTraversed()),
 		InputRows: len(mb.InputNodes()),
 	}
+	x, rows := p.cfg.Data.Features, mb.InputNodes()
 	if p.cfg.Device > 0 && p.cfg.QuantizeTransfer {
+		// The device computes on the int8 round trip of its rows: stage them.
+		x = p.ws.Get(len(rows), x.Cols)
+		tensor.GatherRows(x, p.cfg.Data.Features, rows)
 		tensor.QuantizeRoundTrip(x) // inject the real int8 loss
+		rows = nil
 	}
-	logits, err := p.cfg.Model.InferMiniBatchWS(p.ws, mb, x)
+	logits, err := p.cfg.Model.InferMiniBatchRowsWS(p.ws, mb, x, rows)
 	if err != nil {
 		return nil, err
 	}

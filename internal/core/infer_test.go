@@ -26,6 +26,19 @@ func inferFixture(t *testing.T, plat hw.Platform, device int) (*InferencePipelin
 	return p, model
 }
 
+// A serving worker reads the feature table in place, so a table that does
+// not cover the graph is refused at construction, not discovered mid-batch.
+func TestNewInferencePipelineRejectsShortFeatures(t *testing.T) {
+	_, model := inferFixture(t, smallPlatform(), 0)
+	ds := shortFeatures(smallDataset(t, 3))
+	requireShortFeaturesError(t, ds, func() error {
+		_, err := NewInferencePipeline(InferConfig{
+			Plat: smallPlatform(), Data: ds, Model: model, Fanouts: []int{5, 5},
+		})
+		return err
+	})
+}
+
 // An FPGA-bound serving worker is an account: the batch carries the
 // dataflow's hardware accounting, the clock charge is that account (plus
 // serving overheads) rather than the analytic Eq. 10, and the logits are the

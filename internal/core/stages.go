@@ -17,12 +17,12 @@ import (
 // globally averaged gradient.
 //
 // The iteration splits into two halves along the paper's Fig. 4/5 boundary:
-// prepare (sampling, feature gather/staging, and the price of every stage —
-// propagation included, since §V prices it from the sampled-set sizes and
-// the task mapping alone) depends only on the batcher/RNG stream and the
-// engine's task mapping — never on model weights — while compute (Stage 4's
-// numerics: propagation + local gradient reduction) consumes a prepared slot
-// and prices nothing. The epoch loop (epoch.go) runs prepare(i) then
+// prepare (sampling, the trainers' layer-0 inputs, and the price of every
+// stage — propagation included, since §V prices it from the sampled-set
+// sizes and the task mapping alone) depends only on the batcher/RNG stream
+// and the engine's task mapping — never on model weights — while compute
+// (Stage 4's numerics: propagation + local gradient reduction) consumes a
+// prepared slot and prices nothing. The epoch loop (epoch.go) runs prepare(i) then
 // compute(i) on one slot, or — on the prefetch schedule — prepare(i+1) on a
 // second slot while compute(i) is still in flight.
 type StageExecutor interface {
@@ -59,12 +59,16 @@ type iterSlot struct {
 	shares  [][]int32
 	batches []*sampler.MiniBatch // per-trainer view: nil for idle trainers
 	mbs     []*sampler.MiniBatch // retained storage SampleInto refills
-	feats   []*tensor.Matrix
-	ws      []*tensor.Workspace // per-trainer feature-staging arenas
-	load    []float64
-	perAcc  []perfmodel.DeviceStage
-	sizes   perfmodel.Sizes
-	res     IterResult
+	inputs  []stepInput          // per-trainer layer-0 input
+	// ws holds the staging arenas of accelerator shares under
+	// QuantizeTransfer, the one case that copies features: the device trains
+	// on the int8 round trip of its rows. Every other share reads the
+	// feature table in place, and its entry stays nil.
+	ws     []*tensor.Workspace
+	load   []float64
+	perAcc []perfmodel.DeviceStage
+	sizes  perfmodel.Sizes
+	res    IterResult
 
 	// prepare's outputs: the iteration's complete stage vector (DRM's input,
 	// then compute's) and FPGA dataflow account.
@@ -80,14 +84,17 @@ type hybridExecutor struct {
 	e *Engine
 }
 
-// prepare runs Stages 1–3 — sampling, feature gather/staging — into the slot
-// and prices every stage of the iteration, Stage 4 included, from the
-// mini-batches it just sampled and the engine's task mapping. It touches
-// only the slot's scratch, the sampler/RNG stream and the FPGA backends'
-// accounting scratch (callers serialize prepares), and read-only engine
-// state (features, pricing model, locator, the mapping); never the replicas
-// or their numeric scratch, which is what lets it overlap a sibling slot's
-// compute.
+// prepare runs Stages 1–3 into the slot — sampling, and each trainer's
+// layer-0 input: the feature table plus the batch's input nodes, read in
+// place by the step, or for a quantized accelerator share its staged int8
+// round trip — and prices every stage of the iteration, Stage 4 included,
+// from the mini-batches it just sampled and the engine's task mapping. Load
+// and transfer are prices, not copies: they are charged whether or not a
+// block is staged. It touches only the slot's scratch, the sampler/RNG
+// stream and the FPGA backends' accounting scratch (callers serialize
+// prepares), and read-only engine state (features, pricing model, locator,
+// the mapping); never the replicas or their numeric scratch, which is what
+// lets it overlap a sibling slot's compute.
 func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 	e := x.e
 	s.st = perfmodel.StageTimes{}
@@ -103,7 +110,8 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 		for i := range s.mbs {
 			s.mbs[i] = &sampler.MiniBatch{}
 		}
-		s.feats = make([]*tensor.Matrix, len(shares))
+		s.inputs = make([]stepInput, len(shares))
+		s.ws = make([]*tensor.Workspace, len(shares))
 	}
 	batches := s.batches
 	for i := range batches {
@@ -154,10 +162,6 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 	// rows ride its stack's loader (framework vs native, overlapped — see
 	// perfmodel.LoadTimeForDeviceRows), and its propagation is propSec's.
 	nAcc := len(e.cfg.Plat.Accels)
-	feats := s.feats
-	for i := range feats {
-		feats[i] = nil
-	}
 	if s.load == nil {
 		s.load = make([]float64, nAcc)
 		s.perAcc = make([]perfmodel.DeviceStage, nAcc)
@@ -172,23 +176,12 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 		}
 		st.PerAccel = s.perAcc
 	}
-	if s.ws == nil {
-		s.ws = make([]*tensor.Workspace, len(shares))
-		for i := range s.ws {
-			s.ws[i] = tensor.NewWorkspace()
-		}
-	}
 	for i, mb := range batches {
 		if mb == nil {
+			s.inputs[i] = stepInput{}
 			continue
 		}
-		// Per-slot staging arena: the gathered feature block is reused across
-		// iterations (trainer i reads it until its step returns, within the
-		// slot's iteration — exactly the buffer's lifetime).
-		s.ws[i].Reset()
-		x := s.ws[i].Get(len(mb.InputNodes()), e.cfg.Model.Dims[0])
-		tensor.GatherRows(x, e.cfg.Data.Features, mb.InputNodes())
-		feats[i] = x
+		s.inputs[i] = stepInput{x: e.cfg.Data.Features, rows: mb.InputNodes()}
 		sz := sizesInto(&s.sizes, mb)
 		prop, err := e.propSec(s, i, mb, sz)
 		if err != nil {
@@ -198,7 +191,17 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 			st.TrainCPU = prop
 		} else { // accelerator share crosses DRAM + its host link
 			if e.cfg.QuantizeTransfer {
+				// The device trains on the int8 round trip of its rows, so
+				// this share stages them: the slot's arena holds the block
+				// until the slot's next prepare, past the step that reads it.
+				if s.ws[i] == nil {
+					s.ws[i] = tensor.NewWorkspace()
+				}
+				s.ws[i].Reset()
+				x := s.ws[i].Get(len(mb.InputNodes()), e.cfg.Model.Dims[0])
+				tensor.GatherRows(x, e.cfg.Data.Features, mb.InputNodes())
 				tensor.QuantizeRoundTrip(x) // inject the real int8 loss
+				s.inputs[i] = stepInput{x: x}
 			}
 			loadRows[i-1] = sz.VL[0]
 			tt := e.pm.TransferTimeDev(i-1, sz)
@@ -231,7 +234,7 @@ func (x *hybridExecutor) compute(s *iterSlot) (*IterResult, error) {
 	e := x.e
 	out := &s.res
 	*out = IterResult{Stage: s.st, FPGA: s.fpga, Edges: s.edges, RemoteRows: s.remoteRows}
-	batches, feats := s.batches, s.feats
+	batches, inputs := s.batches, s.inputs
 
 	// A single active trainer — the CPU-only shape — takes a serial fast
 	// path instead: the weighted all-reduce over one participant is the
@@ -244,7 +247,7 @@ func (x *hybridExecutor) compute(s *iterSlot) (*IterResult, error) {
 			if mb == nil {
 				continue
 			}
-			grads, loss, acc, err := e.scratch[i].step(e.replicas[i], mb, feats[i])
+			grads, loss, acc, err := e.scratch[i].step(e.replicas[i], mb, inputs[i])
 			if err != nil {
 				return nil, err
 			}
@@ -284,7 +287,7 @@ func (x *hybridExecutor) compute(s *iterSlot) (*IterResult, error) {
 			continue
 		}
 		e.trainers.Add(1)
-		go e.runTrainer(i, rank, mb, feats[i], totalTargets)
+		go e.runTrainer(i, rank, mb, inputs[i], totalTargets)
 		rank++
 	}
 	e.trainers.Wait()
@@ -379,10 +382,10 @@ func sizesInto(s *perfmodel.Sizes, mb *sampler.MiniBatch) perfmodel.Sizes {
 // trainer's dense index among this iteration's active trainers — the
 // all-reduce sums in rank order). The outcome lands in the trainer's result
 // slot.
-func (e *Engine) runTrainer(idx, rank int, mb *sampler.MiniBatch, x *tensor.Matrix, totalTargets int) {
+func (e *Engine) runTrainer(idx, rank int, mb *sampler.MiniBatch, in stepInput, totalTargets int) {
 	defer e.trainers.Done()
 	sync_, res := e.allreduce, &e.trainerRes[idx]
-	grads, loss, acc, err := e.scratch[idx].step(e.replicas[idx], mb, x)
+	grads, loss, acc, err := e.scratch[idx].step(e.replicas[idx], mb, in)
 	*res = trainerResult{loss: loss, acc: acc, err: err}
 	if err != nil {
 		// Keep the DONE/ACK protocol alive: the synchronizer was sized for

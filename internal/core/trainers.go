@@ -26,18 +26,26 @@ type stepScratch struct {
 	grads *gnn.Gradients
 }
 
+// stepInput is a trainer's layer-0 input in gnn.TrainStepRowsWS's form: the
+// feature table x read at rows (one per input node), or — rows nil — a block
+// staged over the input nodes.
+type stepInput struct {
+	x    *tensor.Matrix
+	rows []int32
+}
+
 // step runs one allocation-free training step of m over the scratch. The
 // returned gradients are m's mean gradient, unscaled, owned by the scratch
 // and valid until the next step: the coordinator consumes them within the
 // iteration (the weighted all-reduce reads them), which is exactly their
 // lifetime.
-func (s *stepScratch) step(m *gnn.Model, mb *sampler.MiniBatch, x *tensor.Matrix) (*gnn.Gradients, float64, float64, error) {
+func (s *stepScratch) step(m *gnn.Model, mb *sampler.MiniBatch, in stepInput) (*gnn.Gradients, float64, float64, error) {
 	if s.ws == nil {
 		s.ws = tensor.NewWorkspace()
 		s.grads = gnn.NewGradients(m.Params)
 	}
 	s.ws.Reset()
-	loss, acc, err := m.TrainStepWS(s.ws, &s.st, mb, x, s.grads)
+	loss, acc, err := m.TrainStepRowsWS(s.ws, &s.st, mb, in.x, in.rows, s.grads)
 	return s.grads, loss, acc, err
 }
 

@@ -49,9 +49,24 @@ func makeSizedFixture(t *testing.T, dims []int, batch int, seed uint64, sz fixtu
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.New(len(mb.InputNodes()), dims[0])
+	return newFixture(ds, mb)
+}
+
+// newFixture pairs a mini-batch over ds with its gathered features.
+func newFixture(ds *datagen.Dataset, mb *sampler.MiniBatch) *fixture {
+	x := tensor.New(len(mb.InputNodes()), ds.Features.Cols)
 	tensor.GatherRows(x, ds.Features, mb.InputNodes())
 	return &fixture{ds: ds, mb: mb, x: x}
+}
+
+// input returns the fixture's layer-0 input in either form the *RowsWS entry
+// points take: the dataset's feature table read at the input nodes
+// (inPlace), or the gathered block with no row map.
+func (fx *fixture) input(inPlace bool) (*tensor.Matrix, []int32) {
+	if inPlace {
+		return fx.ds.Features, fx.mb.InputNodes()
+	}
+	return fx.x, nil
 }
 
 // requireFansOut fails unless a kernel over rows rows of workPerRow

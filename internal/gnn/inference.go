@@ -48,24 +48,30 @@ func (m *Model) InferMiniBatch(mb *sampler.MiniBatch, x *tensor.Matrix) (*tensor
 	return m.InferMiniBatchWS(tensor.NewWorkspace(), mb, x)
 }
 
-// InferMiniBatchWS is InferMiniBatch with every intermediate (including the
-// returned logits) borrowed from ws — the zero-allocation serving form. The
+// InferMiniBatchWS is InferMiniBatchRowsWS over a gathered block x (rows
+// nil).
+func (m *Model) InferMiniBatchWS(ws *tensor.Workspace, mb *sampler.MiniBatch, x *tensor.Matrix) (*tensor.Matrix, error) {
+	return m.InferMiniBatchRowsWS(ws, mb, x, nil)
+}
+
+// InferMiniBatchRowsWS is InferMiniBatch with every intermediate (including
+// the returned logits) borrowed from ws — the zero-allocation serving form.
+// x and rows are TrainStepRowsWS's: the feature table and each input node's
+// row of it, or (rows nil) the block gathered over mb.InputNodes(). The
 // logits are valid until the owner's next ws.Reset; callers that outlive the
 // batch (the embedding cache does) must copy the rows they keep. The caller
 // resets ws at batch boundaries; this function only borrows.
-func (m *Model) InferMiniBatchWS(ws *tensor.Workspace, mb *sampler.MiniBatch, x *tensor.Matrix) (*tensor.Matrix, error) {
-	L := m.Cfg.Layers()
-	if len(mb.Blocks) != L {
-		return nil, fmt.Errorf("gnn: mini-batch has %d blocks, model has %d layers", len(mb.Blocks), L)
-	}
-	if x.Rows != len(mb.InputNodes()) || x.Cols != m.Cfg.Dims[0] {
-		return nil, fmt.Errorf("gnn: feature matrix %dx%d, want %dx%d",
-			x.Rows, x.Cols, len(mb.InputNodes()), m.Cfg.Dims[0])
+func (m *Model) InferMiniBatchRowsWS(ws *tensor.Workspace, mb *sampler.MiniBatch, x *tensor.Matrix, rows []int32) (*tensor.Matrix, error) {
+	if err := m.checkInput(mb, x, rows); err != nil {
+		return nil, err
 	}
 	h := x
 	var nb Neighborhood
-	for l := 0; l < L; l++ {
+	for l := 0; l < m.Cfg.Layers(); l++ {
 		nb.init(m.Cfg, mb.Blocks[l], ws)
+		if l == 0 {
+			nb.mapRows(rows)
+		}
 		z, _, err := m.propagateLayer(l, &nb, h, ws)
 		if err != nil {
 			return nil, err
@@ -76,10 +82,11 @@ func (m *Model) InferMiniBatchWS(ws *tensor.Workspace, mb *sampler.MiniBatch, x 
 }
 
 // InferVertices answers a per-request query: it samples the L-hop fanout of
-// the given target vertices, gathers their input features, and propagates
-// only that subgraph. Fanout 0 at every layer makes the result exact
-// (identical to the targets' rows of InferFullGraph); positive fanouts trade
-// accuracy for bounded work, converging to the exact logits as they grow.
+// the given target vertices and propagates only that subgraph, reading its
+// input features from the table x in place. Fanout 0 at every layer makes the
+// result exact (identical to the targets' rows of InferFullGraph); positive
+// fanouts trade accuracy for bounded work, converging to the exact logits as
+// they grow.
 func (m *Model) InferVertices(g *graph.Graph, x *tensor.Matrix, fanouts []int,
 	targets []int32, rng *tensor.RNG) (*tensor.Matrix, error) {
 	s, err := sampler.New(g, fanouts, nil)
@@ -90,9 +97,7 @@ func (m *Model) InferVertices(g *graph.Graph, x *tensor.Matrix, fanouts []int,
 	if err != nil {
 		return nil, err
 	}
-	feats := tensor.New(len(mb.InputNodes()), x.Cols)
-	tensor.GatherRows(feats, x, mb.InputNodes())
-	return m.InferMiniBatch(mb, feats)
+	return m.InferMiniBatchRowsWS(tensor.NewWorkspace(), mb, x, mb.InputNodes())
 }
 
 // Evaluate runs full-graph inference and returns the accuracy over the

@@ -18,17 +18,25 @@ import (
 // Neighborhood is one layer's message structure ready for propagation: a
 // bipartite edge set (CSC over destinations, Col holding local source
 // indices) plus the per-edge and per-destination-self coefficients the model
-// kind assigns. Destination d's self feature is source row d (Dst is a
-// prefix of Src in every Block, including the full-graph block).
+// kind assigns. Destination d's self feature is source d (Dst is a prefix of
+// Src in every Block, including the full-graph block).
 type Neighborhood struct {
 	Block *sampler.Block
 	EdgeW []float32 // aggregation coefficient per edge
 	SelfW []float32 // self-loop coefficient per destination (0 for SAGE)
 
+	// in maps local source s to the row of the layer input the aggregation
+	// reads for it; nil means row s. Layer 0 of the table form sets it to the
+	// mini-batch's input vertices, so the aggregation reads the feature table
+	// where it lives instead of a gathered copy. rows is in[Col[e]] per edge,
+	// built once per bind (mapRows); the aggregation walks Block.Col itself
+	// when in is nil (edgeRows).
+	in, rows []int32
+
 	// ws, when set, backs every scratch slice this neighborhood builds
-	// (the coefficients resolved by init, the backward transpose below), so
-	// re-initialising per iteration — ForwardWS does it per layer — costs no
-	// allocations.
+	// (the coefficients resolved by init, the mapped row list, the backward
+	// transpose below), so re-initialising per iteration — the forward pass
+	// does it per layer — costs no allocations.
 	ws *tensor.Workspace
 	// Transposed (CSR-over-sources) view of the scatter, built lazily by the
 	// parallel AggregateBackward: contribution t lands on source s for
@@ -55,12 +63,37 @@ func NewNeighborhood(cfg Config, b *sampler.Block) *Neighborhood {
 // allocating.
 func (nb *Neighborhood) init(cfg Config, b *sampler.Block, ws *tensor.Workspace) {
 	nb.Block, nb.ws = b, ws
+	nb.in, nb.rows = nil, nil
 	nb.tPtr, nb.tDst, nb.tW = nil, nil, nil
 	if ws != nil {
 		nb.EdgeW, nb.SelfW = edgeWeightsInto(cfg, b, ws.F32(b.NumEdges()), ws.F32(len(b.Dst)))
 	} else {
 		nb.EdgeW, nb.SelfW = EdgeWeights(cfg, b)
 	}
+}
+
+// mapRows makes the aggregation read source s from row in[s] of the layer
+// input (nil: row s), building the per-edge row list in[Col[e]] — O(|E|)
+// int32s from the workspace the neighborhood is bound to, which a mapped
+// neighborhood needs. in must have one entry per source; a row outside the
+// input panics in the tensor kernel that reads it.
+func (nb *Neighborhood) mapRows(in []int32) {
+	nb.in, nb.rows = in, nil
+	if in == nil {
+		return
+	}
+	nb.rows = nb.ws.I32(len(nb.Block.Col))
+	for e, s := range nb.Block.Col {
+		nb.rows[e] = in[s]
+	}
+}
+
+// edgeRows returns the per-edge row list the aggregation walks.
+func (nb *Neighborhood) edgeRows() []int32 {
+	if nb.in == nil {
+		return nb.Block.Col
+	}
+	return nb.rows
 }
 
 // NumDst returns the number of destination vertices.
@@ -76,8 +109,9 @@ func (nb *Neighborhood) Reset() {
 }
 
 // Aggregate computes the weighted neighbor sum for every destination:
-// out[d] = SelfW[d]·h[d] + Σ_e EdgeW[e]·h[Col[e]]. out is |Dst| × h.Cols.
-// Destinations are independent, so the loop is row-parallel.
+// out[d] = SelfW[d]·h[d] + Σ_e EdgeW[e]·h[Col[e]], each source read through
+// the row map (mapRows). out is |Dst| × h.Cols. Destinations are
+// independent, so the loop is row-parallel.
 func (nb *Neighborhood) Aggregate(out, h *tensor.Matrix) {
 	nb.aggregateInto(out, 0, h)
 }
@@ -87,17 +121,17 @@ func (nb *Neighborhood) Aggregate(out, h *tensor.Matrix) {
 // straight into the mean half of its [self ‖ mean] dense input instead of
 // paying a separate ConcatCols pass.
 func (nb *Neighborhood) aggregateInto(out *tensor.Matrix, colOff int, h *tensor.Matrix) {
-	rows := len(nb.Block.Dst)
-	work := nb.workPerRow(rows, h.Cols)
-	if tensor.FanOut(rows, work) <= 1 {
-		aggregateRange(nb.Block, nb.EdgeW, nb.SelfW, out, colOff, h, 0, rows)
+	n := len(nb.Block.Dst)
+	work := nb.workPerRow(n, h.Cols)
+	if tensor.FanOut(n, work) <= 1 {
+		aggregateRange(nb.Block.RowPtr, nb.in, nb.edgeRows(), nb.EdgeW, nb.SelfW, out, colOff, h, 0, n)
 		return
 	}
 	// The closure captures the neighborhood's fields, not the neighborhood
 	// itself, so stack-allocated Neighborhood values (the serving hot path)
 	// never escape.
-	b, edgeW, selfW := nb.Block, nb.EdgeW, nb.SelfW
-	tensor.ParallelRows(rows, work, func(lo, hi int) { aggregateRange(b, edgeW, selfW, out, colOff, h, lo, hi) })
+	rowPtr, in, rows, edgeW, selfW := nb.Block.RowPtr, nb.in, nb.edgeRows(), nb.EdgeW, nb.SelfW
+	tensor.ParallelRows(n, work, func(lo, hi int) { aggregateRange(rowPtr, in, rows, edgeW, selfW, out, colOff, h, lo, hi) })
 }
 
 // workPerRow is the fan-out work estimate both aggregation directions pass
@@ -110,14 +144,23 @@ func (nb *Neighborhood) workPerRow(rows, cols int) int {
 	return (nb.Block.NumEdges() + len(nb.Block.Dst)) * cols / rows
 }
 
-func aggregateRange(b *sampler.Block, edgeW, selfW []float32, out *tensor.Matrix, colOff int, h *tensor.Matrix, lo, hi int) {
+// aggregateRange aggregates destinations [lo, hi): the one aggregation
+// kernel, whichever table h is. Sources are read through the row map in
+// (nil: source s is row s) and the per-edge row list rows (Block.Col or its
+// mapped copy), so a gathered block and the feature table itself run the
+// same floats in the same order.
+func aggregateRange(rowPtr, in, rows []int32, edgeW, selfW []float32, out *tensor.Matrix, colOff int, h *tensor.Matrix, lo, hi int) {
 	cols := h.Cols
 	for d := lo; d < hi; d++ {
 		orow := out.Row(d)[colOff : colOff+cols]
 		if w := selfW[d]; w != 0 {
-			// Dst is a prefix of Src: local index d is the self row. The
+			// Dst is a prefix of Src: local index d is the self source. The
 			// scale-initialise pass rides the same SIMD dispatch as AxpyRow.
-			tensor.ScaleRowInto(orow, h.Row(d), w)
+			self := d
+			if in != nil {
+				self = int(in[d])
+			}
+			tensor.ScaleRowInto(orow, h.Row(self), w)
 		} else {
 			for j := range orow {
 				orow[j] = 0
@@ -125,8 +168,8 @@ func aggregateRange(b *sampler.Block, edgeW, selfW []float32, out *tensor.Matrix
 		}
 		// The destination's whole edge list in one call: the row stays in
 		// registers while its neighbours stream past (tensor.AggregateRow).
-		e0, e1 := b.RowPtr[d], b.RowPtr[d+1]
-		tensor.AggregateRow(orow, h.Data, cols, b.Col[e0:e1], edgeW[e0:e1])
+		e0, e1 := rowPtr[d], rowPtr[d+1]
+		tensor.AggregateRow(orow, h.Data, cols, rows[e0:e1], edgeW[e0:e1])
 	}
 }
 
@@ -237,7 +280,8 @@ func (nb *Neighborhood) buildTranspose() {
 
 // PropagateLayer runs layer l over a neighborhood: aggregation, SAGE's
 // self-concatenation when applicable, the dense update, and the hidden-layer
-// ReLU. h holds the layer input over the neighborhood's sources. It returns
+// ReLU. h holds the layer input over the neighborhood's sources (for a
+// row-mapped neighborhood, the table its row map indexes). It returns
 // the layer output z (|Dst| × Dims[l+1], post-ReLU for a hidden layer — which
 // is also the only record of the activation the backward pass needs) and the
 // dense-update input (retained by training for the backward pass). Buffers are
@@ -264,7 +308,7 @@ func (m *Model) propagateLayer(l int, nb *Neighborhood, h *tensor.Matrix,
 	if h.Cols != fin {
 		return nil, nil, fmt.Errorf("gnn: layer %d input %d-dim, want %d", l, h.Cols, fin)
 	}
-	if h.Rows != len(nb.Block.Src) {
+	if nb.in == nil && h.Rows != len(nb.Block.Src) {
 		return nil, nil, fmt.Errorf("gnn: layer %d input has %d rows for %d sources",
 			l, h.Rows, len(nb.Block.Src))
 	}
@@ -278,9 +322,12 @@ func (m *Model) propagateLayer(l int, nb *Neighborhood, h *tensor.Matrix,
 	if m.Cfg.Kind == SAGE {
 		dense = get(nd, 2*fin)
 		var self []int32
-		if ws != nil {
+		switch {
+		case nb.in != nil:
+			self = nb.in[:nd] // the destinations' rows of the mapped input
+		case ws != nil:
 			self = fillIdentity(ws.I32(nd))
-		} else {
+		default:
 			self = selfIdx(nd)
 		}
 		tensor.GatherRowsAt(dense, 0, h, self)

@@ -169,9 +169,11 @@ func TestWSPathsMatchLegacy(t *testing.T) {
 }
 
 // TestTrainStepWSZeroAllocs is the training-side allocation gate: once the
-// arena has grown, a steady-state TrainStepWS allocates nothing — at kernel
-// parallelism 1 and, the batch being far below the fan-out grain, at 4 too
-// (no goroutine, closure or transposed scatter list for kernels this small).
+// arena has grown, a steady-state step allocates nothing — over a gathered
+// block (TrainStepWS) and over the feature table in place (TrainStepRowsWS,
+// whose mapped row list comes from the arena), at kernel parallelism 1 and,
+// the batch being far below the fan-out grain, at 4 too (no goroutine,
+// closure or transposed scatter list for kernels this small).
 func TestTrainStepWSZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation bypasses sync.Pool; allocation counts are nondeterministic")
@@ -185,26 +187,31 @@ func TestTrainStepWSZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws := tensor.NewWorkspace()
-			st := &ForwardState{}
-			grads := NewGradients(m.Params)
-			step := func() {
-				ws.Reset()
-				if _, _, err := m.TrainStepWS(ws, st, fx.mb, fx.x, grads); err != nil {
-					t.Fatal(err)
+			for _, inPlace := range []bool{false, true} {
+				x, rows := fx.input(inPlace)
+				ws := tensor.NewWorkspace()
+				st := &ForwardState{}
+				grads := NewGradients(m.Params)
+				step := func() {
+					ws.Reset()
+					if _, _, err := m.TrainStepRowsWS(ws, st, fx.mb, x, rows, grads); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			step() // grow the arena
-			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-				t.Fatalf("%v par=%d: steady-state TrainStepWS allocated %v times per run", kind, par, allocs)
+				step() // grow the arena
+				if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+					t.Fatalf("%v par=%d in-place=%v: steady-state training step allocated %v times per run",
+						kind, par, inPlace, allocs)
+				}
 			}
 		}
 		tensor.SetParallelism(prev)
 	}
 }
 
-// TestInferMiniBatchWSZeroAllocs is the serving-side allocation gate, at
-// kernel parallelism 1 and 4 alike: a serving batch is below the grain.
+// TestInferMiniBatchWSZeroAllocs is the serving-side allocation gate, over
+// both input forms and at kernel parallelism 1 and 4 alike: a serving batch
+// is below the grain.
 func TestInferMiniBatchWSZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation bypasses sync.Pool; allocation counts are nondeterministic")
@@ -218,16 +225,20 @@ func TestInferMiniBatchWSZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws := tensor.NewWorkspace()
-			batch := func() {
-				ws.Reset()
-				if _, err := m.InferMiniBatchWS(ws, fx.mb, fx.x); err != nil {
-					t.Fatal(err)
+			for _, inPlace := range []bool{false, true} {
+				x, rows := fx.input(inPlace)
+				ws := tensor.NewWorkspace()
+				batch := func() {
+					ws.Reset()
+					if _, err := m.InferMiniBatchRowsWS(ws, fx.mb, x, rows); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			batch()
-			if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
-				t.Fatalf("%v par=%d: steady-state InferMiniBatchWS allocated %v times per run", kind, par, allocs)
+				batch()
+				if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
+					t.Fatalf("%v par=%d in-place=%v: steady-state inference batch allocated %v times per run",
+						kind, par, inPlace, allocs)
+				}
 			}
 		}
 		tensor.SetParallelism(prev)

@@ -16,7 +16,7 @@ import (
 // derivative is 1 exactly where that is > 0 (tensor.ReLUBackward).
 type ForwardState struct {
 	mb     *sampler.MiniBatch
-	inputs []*tensor.Matrix // H over Blocks[l].Src, layer input
+	inputs []*tensor.Matrix // H over Blocks[l].Src, layer input (layer 0: the table nbs[0] maps into)
 	aggs   []*tensor.Matrix // aggregated (GCN) / concatenated (SAGE) input to the dense update
 	nbs    []Neighborhood   // per-layer message structure, reused across iterations
 	view   tensor.Matrix    // scratch header for the SAGE dh-prefix view
@@ -104,19 +104,40 @@ func (m *Model) Forward(mb *sampler.MiniBatch, x *tensor.Matrix) (*ForwardState,
 }
 
 // ForwardWS is Forward with every intermediate borrowed from ws and the
-// layer bookkeeping reused from st: the zero-allocation form the trainer
-// backends and serving workers run. Buffers (including st.Logits) are valid
+// layer bookkeeping reused from st. Buffers (including st.Logits) are valid
 // until the owner's next ws.Reset; st must not be shared between concurrent
 // steps.
 func (m *Model) ForwardWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.MiniBatch, x *tensor.Matrix) error {
+	return m.forwardWS(ws, st, mb, x, nil)
+}
+
+// checkInput validates a layer-0 input: x is the gathered block over
+// mb.InputNodes() when rows is nil, and otherwise a feature table that rows —
+// one entry per input node — indexes.
+func (m *Model) checkInput(mb *sampler.MiniBatch, x *tensor.Matrix, rows []int32) error {
 	L := m.Cfg.Layers()
 	if len(mb.Blocks) != L {
 		return fmt.Errorf("gnn: mini-batch has %d blocks, model has %d layers", len(mb.Blocks), L)
 	}
-	if x.Rows != len(mb.InputNodes()) || x.Cols != m.Cfg.Dims[0] {
+	if rows != nil && len(rows) != len(mb.InputNodes()) {
+		return fmt.Errorf("gnn: %d input rows for %d input nodes", len(rows), len(mb.InputNodes()))
+	}
+	if (rows == nil && x.Rows != len(mb.InputNodes())) || x.Cols != m.Cfg.Dims[0] {
 		return fmt.Errorf("gnn: feature matrix %dx%d, want %dx%d",
 			x.Rows, x.Cols, len(mb.InputNodes()), m.Cfg.Dims[0])
 	}
+	return nil
+}
+
+// forwardWS is the training forward pass behind every entry point: the
+// zero-allocation one core's trainers run. Layer 0 reads source s from row
+// rows[s] of x (rows nil: row s), so a feature table is aggregated where it
+// lives; layers ≥ 1 read their input directly.
+func (m *Model) forwardWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.MiniBatch, x *tensor.Matrix, rows []int32) error {
+	if err := m.checkInput(mb, x, rows); err != nil {
+		return err
+	}
+	L := m.Cfg.Layers()
 	st.mb = mb
 	if len(st.inputs) != L {
 		st.inputs = make([]*tensor.Matrix, L)
@@ -128,6 +149,9 @@ func (m *Model) ForwardWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.Mi
 		st.inputs[l] = h
 		nb := &st.nbs[l]
 		nb.init(m.Cfg, mb.Blocks[l], ws)
+		if l == 0 {
+			nb.mapRows(rows)
+		}
 		z, dense, err := m.propagateLayer(l, nb, h, ws)
 		if err != nil {
 			return err
@@ -216,15 +240,25 @@ func (m *Model) TrainStep(mb *sampler.MiniBatch, x *tensor.Matrix) (*Gradients, 
 	return grads, loss, acc, nil
 }
 
-// TrainStepWS is TrainStep against caller-owned state: intermediates come
-// from ws, layer bookkeeping is reused from st, and the gradients are
-// written into grads (every element overwritten). With ws.Reset called at
-// each iteration boundary the steady-state step allocates nothing — the
-// property core's trainer backends rely on and the AllocsPerRun gates
-// enforce. The caller resets ws; this function only borrows.
+// TrainStepWS is TrainStepRowsWS over a gathered block x (rows nil).
 func (m *Model) TrainStepWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.MiniBatch,
 	x *tensor.Matrix, grads *Gradients) (float64, float64, error) {
-	if err := m.ForwardWS(ws, st, mb, x); err != nil {
+	return m.TrainStepRowsWS(ws, st, mb, x, nil, grads)
+}
+
+// TrainStepRowsWS is TrainStep against caller-owned state: intermediates
+// come from ws, layer bookkeeping is reused from st, and the gradients are
+// written into grads (every element overwritten). x is the feature table and
+// rows[s] its row for input node s — core's trainers pass the dataset's
+// table and mb.InputNodes(), so no feature block is staged; rows nil means x
+// is the block gathered over mb.InputNodes(). Both forms compute the same
+// bits. x is only read. With ws.Reset called at each iteration boundary the
+// steady-state step allocates nothing — the property core's trainer backends
+// rely on and the AllocsPerRun gates enforce. The caller resets ws; this
+// function only borrows.
+func (m *Model) TrainStepRowsWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.MiniBatch,
+	x *tensor.Matrix, rows []int32, grads *Gradients) (float64, float64, error) {
+	if err := m.forwardWS(ws, st, mb, x, rows); err != nil {
 		return 0, 0, err
 	}
 	if len(mb.Labels) != st.Logits.Rows {

@@ -340,8 +340,9 @@ const gatherWork = 4
 
 // GatherRows copies rows idx of src into dst (dst is len(idx)×src.Cols).
 // Rows split across ParallelRows workers, each one call into the gather
-// kernel for its range — the feature-staging gather is the largest memcpy in
-// the pipeline's Stage 2.
+// kernel for its range. The runtime stages features this way only where the
+// copy is what a device sees — an accelerator share under QuantizeTransfer;
+// every other layer 0 reads the feature table in place.
 func GatherRows(dst, src *Matrix, idx []int32) {
 	if dst.Rows != len(idx) || dst.Cols != src.Cols {
 		panic("tensor: GatherRows shape mismatch")
