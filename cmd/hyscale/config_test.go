@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -470,5 +471,21 @@ func TestRunMemProfile(t *testing.T) {
 	}
 	if left, _ := os.ReadDir(dir); len(left) != 0 {
 		t.Fatalf("a run without -memprofile left %v behind", left)
+	}
+}
+
+// Synchronous SGD is bit-exact, so the run's consistency check accepts no
+// divergence at all — not a rounding-sized one, not a NaN — on one node or
+// many.
+func TestInSyncDemandsExactEquality(t *testing.T) {
+	if err := inSync("replica", 0); err != nil {
+		t.Fatalf("zero divergence rejected: %v", err)
+	}
+	for _, d := range []float64{1e-7, math.Inf(1), math.NaN()} {
+		for _, what := range []string{"replica", "fleet"} {
+			if inSync(what, d) == nil {
+				t.Errorf("%s divergence %v accepted", what, d)
+			}
+		}
 	}
 }

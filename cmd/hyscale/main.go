@@ -199,11 +199,21 @@ func runSingleNode(r *runSpec, coreCfg core.Config, o options) (*gnn.Model, erro
 		fmt.Printf("FPGA dataflow kernels: %d aggregate cycles, %d update cycles, %.1f MB external traffic\n",
 			fpgaAgg, fpgaUpd, float64(fpgaTraffic)/1e6)
 	}
-	if d := engine.ReplicasInSync(); d > 1e-6 {
-		return nil, fmt.Errorf("replica divergence %g — synchronous SGD violated", d)
+	if err := inSync("replica", engine.ReplicasInSync()); err != nil {
+		return nil, err
 	}
 	fmt.Println("Replica consistency check: all trainers hold identical weights.")
 	return &gnn.Model{Cfg: coreCfg.Model, Params: engine.Params()}, nil
+}
+
+// inSync turns a replica divergence into the run's verdict. Synchronous SGD
+// is bit-exact — every replica applies the same rank-order average — so any
+// nonzero divergence, NaN included, is a protocol bug, on one node or many.
+func inSync(what string, d float64) error {
+	if d != 0 {
+		return fmt.Errorf("%s divergence %g — synchronous SGD violated", what, d)
+	}
+	return nil
 }
 
 // runServe drives the open-loop stream against the trained model.
@@ -343,8 +353,8 @@ func runMultiNode(coreCfg core.Config, r *runSpec, nodes, epochs int, traceOut s
 		fmt.Printf("%d node(s) fail-stopped mid-run; the survivors re-ringed, rescaled the gradient mean and continued.\n",
 			last.FailedNodes)
 	}
-	if d := m.ReplicasInSync(); d != 0 {
-		return fmt.Errorf("fleet divergence %g — cross-node synchronous SGD violated", d)
+	if err := inSync("fleet", m.ReplicasInSync()); err != nil {
+		return err
 	}
 	fmt.Println("Fleet consistency check: all shards hold identical weights after the ring all-reduce.")
 

@@ -330,7 +330,7 @@ func (m *MultiNode) DeadNodes() []bool { return m.dead }
 
 // ReplicasInSync reports the worst parameter divergence anywhere in the
 // surviving fleet: within each node's replica set and across nodes. Zero
-// means the two-level synchronous-SGD protocol (local DONE/ACK + cross-node
+// means the two-level synchronous-SGD protocol (local rank-order fold + cross-node
 // ring) is working. Fail-stopped nodes are excluded — their parameters froze
 // at the round they departed and no longer participate in the protocol.
 func (m *MultiNode) ReplicasInSync() float64 {

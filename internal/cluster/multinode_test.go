@@ -390,10 +390,8 @@ func TestOneNodeMatchesPlainEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Trainer-arrival order in the DONE/ACK synchronizer makes the
-		// float summation order (and so the last few bits of the loss)
-		// run-dependent; the virtual clock only takes maxima and is exact.
-		if math.Abs(ms.Loss-ps.Loss) > 1e-6 {
+		// The trainer pool folds in rank order, so the loss is exact too.
+		if ms.Loss != ps.Loss {
 			t.Fatalf("epoch %d: loss %v vs plain %v", i, ms.Loss, ps.Loss)
 		}
 		if ms.VirtualSec != ps.VirtualSec {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/hw"
@@ -12,14 +13,15 @@ import (
 // allocation-free once warm. This is the end-to-end gate over the reuse
 // discipline that is otherwise enforced piecewise (sampler.SampleInto,
 // gnn.TrainStepWS, the workspace arenas): any new per-iteration make/clone
-// anywhere in the loop fails it. A single trainer takes the serial fast path
-// and allocates nothing at all; the five-trainer fleet every benchmark
-// workload trains with (CPU + 4 accelerators, FPGA accounting included) runs
-// each share on a goroutine of its own, and those five spawns are all it may
-// allocate — synchronizer, broadcast gradient and result slots are retained.
-// With DRM on, drm.Engine.Adjust runs between prepare and compute and
-// rewrites the mapping in storage the engine owns: the bound is still the
-// five spawns.
+// anywhere in the loop fails it. compute runs the trainers with a share on
+// min(GOMAXPROCS, active) pool workers, the caller being the first, so the
+// P−1 spawns are all an iteration may allocate: a single trainer runs inline
+// and allocates nothing at all, and the five-trainer fleet every benchmark
+// workload trains with (CPU + 4 accelerators, FPGA accounting included)
+// spawns at most four — step arenas, gradients and fold scratch are
+// retained. With DRM on, drm.Engine.Adjust runs between prepare and compute
+// and rewrites the mapping in storage the engine owns: the bound is still
+// the spawns.
 func TestTrainingIterationZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation gate is skipped under -race")
@@ -29,10 +31,10 @@ func TestTrainingIterationZeroAlloc(t *testing.T) {
 	for _, leg := range []struct {
 		name   string
 		accels int
-		spawns float64 // goroutines an iteration starts
 		drm    bool
-	}{{"one trainer", 0, 0, false}, {"five trainers", 4, 5, false}, {"five trainers, DRM on", 4, 5, true}} {
+	}{{"one trainer", 0, false}, {"five trainers", 4, false}, {"five trainers, DRM on", 4, true}} {
 		t.Run(leg.name, func(t *testing.T) {
+			spawns := float64(min(runtime.GOMAXPROCS(0), leg.accels+1) - 1)
 			cfg := baseConfig(t)
 			cfg.Plat = hw.CPUFPGAPlatform()
 			cfg.Plat.Accels = cfg.Plat.Accels[:leg.accels]
@@ -68,11 +70,11 @@ func TestTrainingIterationZeroAlloc(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				iterate()
 			}
-			if n := countActive(e.slot(0).batches); n != leg.accels+1 {
+			if n := len(e.pool.active); n != leg.accels+1 {
 				t.Fatalf("%d trainers have a share, want %d", n, leg.accels+1)
 			}
-			if a := testing.AllocsPerRun(20, iterate); a > leg.spawns {
-				t.Fatalf("training iteration allocated %.1f times per run, want at most its %v goroutine spawns", a, leg.spawns)
+			if a := testing.AllocsPerRun(20, iterate); a > spawns {
+				t.Fatalf("training iteration allocated %.1f times per run, want at most its %v goroutine spawns", a, spawns)
 			}
 			if leg.drm && e.drmEng.MovesWork+e.drmEng.MovesThread == 0 {
 				t.Fatal("DRM never moved: the leg did not exercise Adjust's rewrite")
@@ -94,7 +96,7 @@ func TestTrainingIterationZeroAllocPipelined(t *testing.T) {
 	prev := tensor.SetParallelism(1)
 	defer tensor.SetParallelism(prev)
 	cfg := baseConfig(t)
-	cfg.Plat.Accels = nil // one CPU trainer: the serial fast path
+	cfg.Plat.Accels = nil // one CPU trainer: its step runs inline
 	cfg.DRM = false
 	cfg.Pipeline = PipelinePrefetch
 	e, err := NewEngine(cfg)
@@ -175,12 +177,9 @@ func TestEvaluateHeldOutScratch(t *testing.T) {
 	}
 }
 
-// The serial fast path must not change what an iteration computes: a
-// single-trainer fleet's epoch statistics and trained parameters stay
-// bitwise identical whether the share arrives alone (serial path) or the
-// batch is large enough that the concurrent path would have run — here we
-// pin serial-path results across two identically seeded engines to catch
-// nondeterminism sneaking into the scratch reuse.
+// A single-trainer fleet steps inline on the caller's one pool worker, whose
+// arena every iteration reuses: two identically seeded engines must agree
+// bit for bit, which catches nondeterminism sneaking into the scratch reuse.
 func TestSerialIterationDeterministic(t *testing.T) {
 	run := func() (*EpochStats, float32) {
 		cfg := baseConfig(t)
@@ -200,7 +199,7 @@ func TestSerialIterationDeterministic(t *testing.T) {
 	st1, w1 := run()
 	st2, w2 := run()
 	if st1.Loss != st2.Loss || st1.Accuracy != st2.Accuracy || w1 != w2 {
-		t.Fatalf("serial path nondeterministic: loss %v vs %v, acc %v vs %v, w %v vs %v",
+		t.Fatalf("single-trainer run nondeterministic: loss %v vs %v, acc %v vs %v, w %v vs %v",
 			st1.Loss, st2.Loss, st1.Accuracy, st2.Accuracy, w1, w2)
 	}
 }

@@ -2,11 +2,12 @@
 // §III. It couples
 //
 //   - real numeric execution — every trainer (the CPU trainer and each
-//     simulated accelerator trainer) is a goroutine running the actual GNN
-//     forward/backward (internal/gnn) on its own model replica, coordinated
-//     through the DONE/ACK protocol (paper Listing 1) via the gradient
-//     Synchronizer, so losses, accuracies and the synchronous-SGD
-//     equivalence are real, measured properties; with
+//     simulated accelerator trainer) runs the actual GNN forward/backward
+//     (internal/gnn) on its own model replica, on a pool of
+//     min(GOMAXPROCS, trainers) host workers that own the step arenas;
+//     paper Listing 1's DONE/ACK round is the pool's join followed by a
+//     rank-order weighted fold (optim.WeightedMean), so losses, accuracies
+//     and the synchronous-SGD equivalence are real, measured properties; with
 //
 //   - a virtual clock — each pipeline stage is charged the duration the
 //     device models (internal/hw, via internal/perfmodel's primitives) assign
@@ -31,10 +32,10 @@
 //   - engine.go — construction, validation, replica fleet, accessors;
 //   - stages.go — the StageExecutor interface and the hybrid pipeline
 //     executor: prepare (sampling, loading/transfer, the iteration's whole
-//     stage vector) and compute (concurrent trainers, DONE/ACK — numerics
-//     only);
-//   - trainers.go — what a trainer is beyond its replica: the step scratch
-//     and propSec, the one per-device-kind propagation price;
+//     stage vector) and compute (the trainer pool's round and the
+//     rank-order fold — numerics only);
+//   - trainers.go — what a trainer is beyond its replica: the trainer pool
+//     that steps it, and propSec, the one per-device-kind propagation price;
 //   - sync.go — the GradientSync boundary between the local all-reduce and
 //     the globally applied gradient, and the FeatureLocator that prices
 //     remote feature rows;

@@ -143,8 +143,27 @@ func TestReplicasStayInSync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d := e.ReplicasInSync(); d > 1e-6 {
+	if d := e.ReplicasInSync(); d != 0 {
 		t.Fatalf("replicas diverged by %v", d)
+	}
+}
+
+// A replica that went NaN where its peers did not has diverged without
+// bound; one where every replica holds the same NaN has not.
+func TestReplicasInSyncSeesNaN(t *testing.T) {
+	e, err := NewEngine(baseConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.replicas[1].Params.Weights[0].Data[3] = float32(math.NaN())
+	if d := e.ReplicasInSync(); !math.IsInf(d, 1) {
+		t.Fatalf("one NaN replica reads as divergence %v, want +Inf", d)
+	}
+	for _, r := range e.replicas {
+		r.Params.Weights[0].Data[3] = float32(math.NaN())
+	}
+	if d := e.ReplicasInSync(); d != 0 {
+		t.Fatalf("replicas NaN at the same position read as divergence %v, want 0", d)
 	}
 }
 
@@ -415,7 +434,7 @@ func TestQuantizedTransferConverges(t *testing.T) {
 	if last >= first*0.8 {
 		t.Fatalf("quantized training did not converge: %.4f -> %.4f", first, last)
 	}
-	if d := e.ReplicasInSync(); d > 1e-6 {
+	if d := e.ReplicasInSync(); d != 0 {
 		t.Fatalf("quantized training broke replica sync: %v", d)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/accel"
 	"repro/internal/datagen"
@@ -25,8 +24,7 @@ type Engine struct {
 	smp      *sampler.Sampler
 	saint    *sampler.SaintSampler // non-nil when Config.UseSaint
 	batcher  *sampler.Batcher
-	replicas []*gnn.Model  // replica 0 = CPU trainer, 1..n = accelerators
-	scratch  []stepScratch // per-trainer numeric scratch, aligned with replicas
+	replicas []*gnn.Model // replica 0 = CPU trainer, 1..n = accelerators
 	// backends is aligned with Plat.Accels: the §IV-C dataflow account of
 	// each FPGA-kind device, nil for every other kind. Only prepare calls it.
 	backends []*accel.Backend
@@ -47,18 +45,14 @@ type Engine struct {
 	// arena — per-accelerator stage vectors, the result struct). Inline
 	// prepares use slot 0 only; the prefetch worker's schedule uses the
 	// depth-2 ring so prepare(i+1) fills one slot while the trainers still
-	// read the other. Together with the per-trainer stepScratch the slots make
+	// read the other. Together with the trainer pool the slots make
 	// the whole steady-state training iteration — sample, price, propagate —
 	// allocation-free (gated by a test).
 	slots [pipelineDepth]*iterSlot
 
-	// allreduce, trainerRes and trainers are the multi-trainer round's
-	// scaffolding — the local all-reduce, the per-trainer result slots and
-	// the join — retained across iterations so a round allocates nothing but
-	// its goroutines. Only compute touches them, and computes never overlap.
-	allreduce  *optim.Synchronizer
-	trainerRes []trainerResult
-	trainers   sync.WaitGroup
+	// pool is compute's trainer pool: the step arenas (one per worker, not
+	// per trainer), each trainer's gradient and the fold's scratch.
+	pool trainerPool
 
 	// prefetch is the per-engine channel pair the epoch loop's prepare
 	// worker lives on, created on the first worker-backed epoch and reused
@@ -169,7 +163,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg: cfg, pm: pm, smp: smp, saint: saint, batcher: batcher,
-		replicas: replicas, scratch: make([]stepScratch, nTrainers), backends: backends,
+		replicas: replicas, pool: newTrainerPool(nTrainers, m0.Params), backends: backends,
 		opts: opts, rng: rng,
 		assign:  pm.InitialAssignment(cfg.Hybrid),
 		clock:   perfmodel.Pipeline{TFP: cfg.TFP, Networked: cfg.networked()},

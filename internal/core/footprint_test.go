@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/gnn"
@@ -12,13 +14,13 @@ import (
 // footprintRecorder wraps the hybrid executor and, after every compute,
 // records what each arena owner's cycle borrowed, keeping the largest per
 // owner: a slot's staging arena — only a quantized accelerator share has one —
-// holds one gathered feature block, whose size is its shape; the trainer's
-// step arena is measured by replaying the same step on a fresh arena (the
+// holds one gathered feature block, whose size is its shape; a trainer's
+// step demand is measured by replaying the same step on a fresh arena (the
 // replica is only read, and the slot's input is live until its next prepare).
 type footprintRecorder struct {
 	*hybridExecutor
 	stage [pipelineDepth][]int64 // per slot, per trainer
-	step  []int64                // per trainer
+	step  []int64                // per trainer, any worker
 	st    gnn.ForwardState
 	grads *gnn.Gradients
 }
@@ -68,8 +70,11 @@ func (r *footprintRecorder) compute(s *iterSlot) (*IterResult, error) {
 // TestWorkspaceFootprintBounded is the regression gate for "an arena holds a
 // buffer twice": after three epochs of the five-trainer fleet with DRM on —
 // serial, on the worker-backed prefetch schedule with its second slot, and
-// prefetch with QuantizeTransfer on — every staging and every trainer arena
-// retains at most 1.25 × the largest demand a single one of its cycles made.
+// prefetch with QuantizeTransfer on — every staging arena retains at most
+// 1.25 × the largest demand a single one of its cycles made, and every step
+// arena 1.25 × the largest single-step demand of any trainer. Step arenas
+// belong to the trainer pool's workers, so the engine holds at most
+// min(GOMAXPROCS, trainers) of them, whichever trainers each one ran.
 // (The power-of-two bucket maps this replaced retained up to 3 ×: a buffer
 // that jittered across a class boundary was held at both sizes.) Staging
 // arenas exist only where a copy is the device's bytes: the unquantized legs
@@ -133,15 +138,19 @@ func TestWorkspaceFootprintBounded(t *testing.T) {
 					check(fmt.Sprintf("slot %d trainer %d staging arena", k, i), ws, rec.stage[k][i])
 				}
 			}
-			for i := range e.scratch {
-				check(fmt.Sprintf("trainer %d step arena", i), e.scratch[i].ws, rec.step[i])
-			}
-			want := len(e.replicas)
+			want := 0
 			if leg.quantize {
-				want += slots * (len(e.replicas) - 1)
+				want = slots * (len(e.replicas) - 1)
 			}
-			if owners != want || retained == 0 {
-				t.Fatalf("%d arena owners held %d B, want all %d: the gate exercised less than the fleet", owners, retained, want)
+			if owners != want {
+				t.Fatalf("%d staging arenas, want %d", owners, want)
+			}
+			stepDemand := slices.Max(rec.step)
+			for k, w := range e.pool.workers {
+				check(fmt.Sprintf("worker %d step arena", k), w.ws, stepDemand)
+			}
+			if workers, limit := owners-want, min(runtime.GOMAXPROCS(0), len(e.replicas)); workers == 0 || workers > limit || retained == 0 {
+				t.Fatalf("%d step arenas held %d B in all, want 1..%d (min of GOMAXPROCS and the trainers)", workers, retained, limit)
 			}
 			if e.drmEng.MovesWork+e.drmEng.MovesThread == 0 {
 				t.Fatal("DRM never moved: the run did not exercise a mapping that changes under the arenas")

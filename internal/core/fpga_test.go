@@ -71,8 +71,8 @@ func TestFPGAGoldenEpochStats(t *testing.T) {
 }
 
 // A warm FPGA trainer step — propSec's structural account and pricing on the
-// slot, then the reference train step — runs on slot-, backend- and
-// trainer-owned scratch only.
+// slot, then the reference train step on a pool worker — runs on slot-,
+// backend- and pool-owned scratch only.
 func TestFPGATrainerStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation gate is skipped under -race")
@@ -98,8 +98,9 @@ func TestFPGATrainerStepZeroAlloc(t *testing.T) {
 		if err != nil || sec <= 0 || s.fpga.AggCycles <= 0 {
 			t.Fatalf("propSec: %v sec, err %v, account %+v", sec, err, s.fpga)
 		}
-		if _, _, _, err := e.scratch[1].step(e.replicas[1], mb, in); err != nil {
-			t.Fatal(err)
+		res := &e.pool.res[1]
+		if e.pool.workers[0].step(e.replicas[1], mb, in, res); res.err != nil {
+			t.Fatal(res.err)
 		}
 	}
 	step() // warm

@@ -96,8 +96,8 @@ func TestPipelinedBitwiseIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// The same invariant must hold on the CPU-only fleet (the serial fast path
-// inside compute) and with tensor parallelism enabled — the prefetch worker
+// The same invariant must hold on the CPU-only fleet (one trainer, stepped
+// inline by compute) and with tensor parallelism enabled — the prefetch worker
 // and ParallelRows workers coexist. The default test batch is far below
 // tensor's fan-out grain, so this one trains a model and batch big enough
 // that compute's GEMMs really split (asserted on the output layer's, whose

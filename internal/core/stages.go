@@ -223,89 +223,54 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 	return nil
 }
 
-// compute runs Stage 4's numerics — GNN propagation on all trainers
-// concurrently plus the local gradient all-reduce — over a prepared slot, and
-// assembles the iteration result (owned by the slot, valid until its next
-// prepare — the epoch loop consumes it within the iteration). The stage
-// vector and the FPGA account are prepare's, passed through untouched:
-// compute prices nothing and never calls a backend, which the prefetch
-// worker may be using for the next iteration.
+// compute runs Stage 4's numerics — GNN propagation on every trainer with a
+// share, on the trainer pool, then the local gradient all-reduce — over a
+// prepared slot, and assembles the iteration result (owned by the slot, valid
+// until its next prepare — the epoch loop consumes it within the iteration).
+// The stage vector and the FPGA account are prepare's, passed through
+// untouched: compute prices nothing and never calls a backend, which the
+// prefetch worker may be using for the next iteration.
+//
+// Paper Listing 1's DONE/ACK round maps onto the pool as: the join is the
+// DONE counter, the rank-order fold is the average. Everything after the
+// join folds in trainer-index order — loss and correct counts are
+// floating-point, so a scheduling-dependent order would make the trajectory
+// depend on it — and the first failed step in that order fails the round.
 func (x *hybridExecutor) compute(s *iterSlot) (*IterResult, error) {
-	e := x.e
+	p := &x.e.pool
 	out := &s.res
 	*out = IterResult{Stage: s.st, FPGA: s.fpga, Edges: s.edges, RemoteRows: s.remoteRows}
-	batches, inputs := s.batches, s.inputs
-
-	// A single active trainer — the CPU-only shape — takes a serial fast
-	// path instead: the weighted all-reduce over one participant is the
-	// identity (its weight is exactly 1), so the trainer's own mean gradient
-	// IS the round's broadcast average bit for bit, and skipping the
-	// goroutine + channel + DONE/ACK machinery leaves the whole iteration
-	// allocation-free.
-	if countActive(batches) == 1 {
-		for i, mb := range batches {
-			if mb == nil {
-				continue
-			}
-			grads, loss, acc, err := e.scratch[i].step(e.replicas[i], mb, inputs[i])
-			if err != nil {
-				return nil, err
-			}
-			out.LossSum += loss * float64(len(mb.Targets))
-			out.Correct += acc * float64(len(mb.Targets))
-			out.Targets += len(mb.Targets)
-			out.Grad = grads
-		}
-		return out, nil
-	}
-	// The round's scaffolding is the engine's, retained across iterations;
-	// the synchronizer is sized for the trainers with a share, which changes
-	// only when DRM empties or refills one.
-	if n := countActive(batches); e.allreduce == nil || e.allreduce.N() != n {
-		var err error
-		if e.allreduce, err = optim.NewSynchronizer(n); err != nil {
-			return nil, err
-		}
-	}
-	if len(e.trainerRes) != len(batches) {
-		e.trainerRes = make([]trainerResult, len(batches))
-	}
+	p.active = p.active[:0]
 	totalTargets := 0
-	for _, mb := range batches {
+	for i, mb := range s.batches {
 		if mb != nil {
+			p.active = append(p.active, i)
 			totalTargets += len(mb.Targets)
 		}
 	}
-	// Results land in a per-trainer slot and are folded in INDEX order
-	// below: loss/correct accumulation is floating-point, so folding in
-	// channel-arrival order would make the reported epoch statistics depend
-	// on goroutine scheduling (the all-reduce itself is rank-ordered inside
-	// the Synchronizer for the same reason).
-	rank := 0
-	for i, mb := range batches {
-		if mb == nil {
-			continue
-		}
-		e.trainers.Add(1)
-		go e.runTrainer(i, rank, mb, inputs[i], totalTargets)
-		rank++
+	if len(p.active) == 0 {
+		return out, nil
 	}
-	e.trainers.Wait()
+	p.run(x.e.replicas, s)
 
-	for i := range batches {
-		if batches[i] == nil {
-			continue
-		}
-		res := &e.trainerRes[i]
+	// Weighted averaging: each trainer's mean gradient enters the sum at a
+	// weight that makes the average the global-batch mean. The weight
+	// *update* is applied by the coordinator to every replica (even
+	// share-less ones) once the round's average is known.
+	n := len(p.active)
+	for r, i := range p.active {
+		res := &p.res[i]
 		if res.err != nil {
 			return nil, res.err
 		}
-		n := len(batches[i].Targets)
-		out.LossSum += res.loss * float64(n)
-		out.Correct += res.acc * float64(n)
-		out.Targets += n
-		out.Grad = res.avg
+		t := len(s.batches[i].Targets)
+		out.LossSum += res.loss * float64(t)
+		out.Correct += res.acc * float64(t)
+		out.Targets += t
+		p.grads[r], p.scales[r] = res.grads, float32(t)*float32(n)/float32(totalTargets)
 	}
+	optim.WeightedMean(p.avg, p.grads[:n], p.scales[:n])
+	out.Grad = p.avg
 	return out, nil
 }
 
@@ -350,13 +315,6 @@ func (e *Engine) deviceShareInto(s *iterSlot, targets []int32) [][]int32 {
 	return shares
 }
 
-// trainerResult carries one trainer's output back to the coordinator.
-type trainerResult struct {
-	avg       *gnn.Gradients // broadcast result of the all-reduce
-	loss, acc float64        // the share's mean loss and accuracy
-	err       error
-}
-
 // sizesInto converts a sampled mini-batch into perfmodel.Sizes over reused
 // backing arrays. The returned value shares the scratch's slices and is valid
 // until the next call with the same scratch.
@@ -374,41 +332,4 @@ func sizesInto(s *perfmodel.Sizes, mb *sampler.MiniBatch) perfmodel.Sizes {
 		s.EL[l] = float64(mb.Blocks[l].NumEdges())
 	}
 	return *s
-}
-
-// runTrainer executes one trainer's share on a goroutine of its own:
-// forward/backward on its replica, its weight in the weighted all-reduce,
-// and DONE/ACK via the engine's synchronizer (rank is the
-// trainer's dense index among this iteration's active trainers — the
-// all-reduce sums in rank order). The outcome lands in the trainer's result
-// slot.
-func (e *Engine) runTrainer(idx, rank int, mb *sampler.MiniBatch, in stepInput, totalTargets int) {
-	defer e.trainers.Done()
-	sync_, res := e.allreduce, &e.trainerRes[idx]
-	grads, loss, acc, err := e.scratch[idx].step(e.replicas[idx], mb, in)
-	*res = trainerResult{loss: loss, acc: acc, err: err}
-	if err != nil {
-		// Keep the DONE/ACK protocol alive: the synchronizer was sized for
-		// every active trainer, so a silent exit here would block the
-		// siblings forever. Submit a zero gradient; the coordinator sees
-		// res.err and discards the round.
-		sync_.Submit(rank, gnn.NewGradients(e.replicas[idx].Params), 0)
-		return
-	}
-	// Weighted averaging: each trainer's mean-gradient enters the sum at a
-	// weight that makes the synchronizer's average the global-batch mean.
-	// The weight *update* is applied by the coordinator to every replica
-	// (even share-less ones) once the round's average is known.
-	scale := float32(len(mb.Targets)) * float32(sync_.N()) / float32(totalTargets)
-	res.avg = sync_.Submit(rank, grads, scale) // blocks until all trainers are DONE
-}
-
-func countActive(batches []*sampler.MiniBatch) int {
-	n := 0
-	for _, mb := range batches {
-		if mb != nil {
-			n++
-		}
-	}
-	return n
 }

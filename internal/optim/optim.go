@@ -101,13 +101,7 @@ func (s *Synchronizer) Submit(rank int, g *gnn.Gradients, scale float32) *gnn.Gr
 		if s.avg == nil {
 			s.avg = s.slots[0].Clone()
 		}
-		for l := range s.avg.Weights {
-			for r, g := range s.slots {
-				accumulate(s.avg.Weights[l].Data, g.Weights[l].Data, s.scales[r], r == 0)
-				accumulate(s.avg.Biases[l].Data, g.Biases[l].Data, s.scales[r], r == 0)
-			}
-		}
-		s.avg.Scale(1 / float32(s.n))
+		WeightedMean(s.avg, s.slots, s.scales)
 		s.done = 0
 		s.round++
 		s.cond.Broadcast()
@@ -119,11 +113,26 @@ func (s *Synchronizer) Submit(rank int, g *gnn.Gradients, scale float32) *gnn.Gr
 	return s.avg
 }
 
+// WeightedMean writes (Σ_r scales[r]·grads[r])/len(grads) into dst, adding
+// the terms in RANK order (slice order) — floating-point addition is not
+// associative, so the fold's order is part of its result. Each product is
+// rounded to float32 before it is added: the explicit conversion forbids a
+// fused multiply-add on the architectures that have one, so the bits are
+// those of scaling each gradient in place, summing the scaled copies, then
+// scaling the sum by 1/n. With one term at scale 1 the result is that term,
+// bit for bit. dst must not alias an operand. Synchronizer.Submit and the
+// engine's trainer pool both reduce through it.
+func WeightedMean(dst *gnn.Gradients, grads []*gnn.Gradients, scales []float32) {
+	for l := range dst.Weights {
+		for r, g := range grads {
+			accumulate(dst.Weights[l].Data, g.Weights[l].Data, scales[r], r == 0)
+			accumulate(dst.Biases[l].Data, g.Biases[l].Data, scales[r], r == 0)
+		}
+	}
+	dst.Scale(1 / float32(len(grads)))
+}
+
 // accumulate adds scale·src into dst — or, for a sum's first term, stores it.
-// The product is rounded to float32 before it is added: the explicit
-// conversion forbids a fused multiply-add on the architectures that have one,
-// so the bits are those of scaling each trainer's gradient in place and then
-// summing the scaled copies, the three passes this replaces.
 func accumulate(dst, src []float32, scale float32, first bool) {
 	src = src[:len(dst)]
 	if first {

@@ -120,9 +120,10 @@ func TestSynchronizerMultipleRounds(t *testing.T) {
 	}
 }
 
-// TestSynchronizerWeightedSumBitwise pins Submit's fused weighting to what it
-// replaced — every trainer scaling its gradient in place, then the
-// synchronizer's copy / Axpy(1, ·) / Scale(1/n) — bit for bit (NaN payloads
+// TestSynchronizerWeightedSumBitwise pins the fused weighting, Submit's and
+// WeightedMean's called directly as the engine does, to what it replaced —
+// every trainer scaling its gradient in place, then the synchronizer's
+// copy / Axpy(1, ·) / Scale(1/n) — bit for bit (NaN payloads
 // included), for 1–5 ranks with unequal shares and gradients that carry −0,
 // NaN, ±Inf and denormals, over two rounds on one synchronizer (the second
 // reuses the broadcast buffer).
@@ -183,12 +184,17 @@ func TestSynchronizerWeightedSumBitwise(t *testing.T) {
 				}(r)
 			}
 			wg.Wait()
-			for l := range want.Weights {
-				for _, pair := range [][2]*tensor.Matrix{{got.Weights[l], want.Weights[l]}, {got.Biases[l], want.Biases[l]}} {
-					for i, v := range pair[0].Data {
-						if math.Float32bits(v) != math.Float32bits(pair[1].Data[i]) {
-							t.Fatalf("n=%d round %d layer %d element %d: %x, scale-then-submit gives %x",
-								n, round, l, i, math.Float32bits(v), math.Float32bits(pair[1].Data[i]))
+			// The engine's trainer pool folds with WeightedMean directly.
+			direct := gnn.NewGradients(m.Params)
+			WeightedMean(direct, grads, scales)
+			for caller, got := range map[string]*gnn.Gradients{"Submit": got, "WeightedMean": direct} {
+				for l := range want.Weights {
+					for _, pair := range [][2]*tensor.Matrix{{got.Weights[l], want.Weights[l]}, {got.Biases[l], want.Biases[l]}} {
+						for i, v := range pair[0].Data {
+							if math.Float32bits(v) != math.Float32bits(pair[1].Data[i]) {
+								t.Fatalf("%s n=%d round %d layer %d element %d: %x, scale-then-sum gives %x",
+									caller, n, round, l, i, math.Float32bits(v), math.Float32bits(pair[1].Data[i]))
+							}
 						}
 					}
 				}

@@ -119,14 +119,20 @@ func (m *Matrix) AllClose(other *Matrix, tol float64) bool {
 }
 
 // MaxAbsDiff returns the maximum absolute element-wise difference between m
-// and other, which must have the same shape.
+// and other, which must have the same shape. A NaN on exactly one side is an
+// infinite difference (|NaN − x| would compare below every running maximum
+// and read as agreement); a NaN at the same position on both sides is equal.
 func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
 		panic("tensor: MaxAbsDiff shape mismatch")
 	}
 	var max float64
 	for i, v := range m.Data {
-		d := math.Abs(float64(v) - float64(other.Data[i]))
+		a, b := float64(v), float64(other.Data[i])
+		if math.IsNaN(a) != math.IsNaN(b) {
+			return math.Inf(1)
+		}
+		d := math.Abs(a - b)
 		if d > max {
 			max = d
 		}

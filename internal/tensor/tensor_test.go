@@ -29,6 +29,23 @@ func TestFromSlicePanicsOnBadLen(t *testing.T) {
 	FromSlice(2, 2, []float32{1, 2, 3})
 }
 
+// A NaN on exactly one side is an unbounded difference — |NaN − x| compares
+// below any maximum, which read as agreement — while NaNs at the same
+// position on both sides are equal and leave the finite differences counted.
+func TestMaxAbsDiffNaN(t *testing.T) {
+	nan := float32(math.NaN())
+	a := FromSlice(1, 3, []float32{1, 2, 3})
+	if d := a.MaxAbsDiff(FromSlice(1, 3, []float32{1, nan, 3})); !math.IsInf(d, 1) {
+		t.Fatalf("NaN on the right: %v, want +Inf", d)
+	}
+	if d := FromSlice(1, 3, []float32{1, nan, 3}).MaxAbsDiff(a); !math.IsInf(d, 1) {
+		t.Fatalf("NaN on the left: %v, want +Inf", d)
+	}
+	if d := FromSlice(1, 3, []float32{nan, 2, 3}).MaxAbsDiff(FromSlice(1, 3, []float32{nan, 2, 3.5})); d != 0.5 {
+		t.Fatalf("NaN on both sides: %v, want the finite difference 0.5", d)
+	}
+}
+
 func TestCloneIndependent(t *testing.T) {
 	m := FromSlice(2, 2, []float32{1, 2, 3, 4})
 	c := m.Clone()
