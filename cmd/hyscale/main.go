@@ -86,7 +86,7 @@ func main() {
 	flag.IntVar(&o.serveQueue, "serve-queue", 1024, "serving: admission-control queue capacity")
 	flag.IntVar(&o.serveCache, "serve-cache", 4096, "serving: embedding-cache capacity in entries (0 disables)")
 	flag.Float64Var(&o.serveZipf, "serve-zipf", 1.1, "serving: Zipf exponent of vertex popularity (0 = uniform)")
-	flag.IntVar(&o.serveShards, "serve-shards", 1, "serving: embedding-cache lock-striped shards (rounded down to a power of two; 1 keeps the global-LRU eviction order)")
+	flag.IntVar(&o.serveShards, "serve-shards", 1, "serving: embedding-cache shards, hash-partitioned LRUs each holding its share of -serve-cache (rounded down to a power of two; 1 keeps the global-LRU eviction order)")
 	flag.BoolVar(&o.routeTrace, "route-trace", false, "serving: record a per-batch routing decision trace (chosen worker plus every counterfactual) and print the head of it")
 	flag.StringVar(&o.serveWorkload, "serve-workload", "", "serving: multi-cohort workload spec, e.g. 'web,rate=4000,class=interactive,zipf=1.1;etl,rate=1500,dist=weibull,shape=0.7,class=bulk' (replaces -serve-rate/-serve-zipf)")
 	flag.StringVar(&o.serveFormation, "serve-formation", "", "serving: batch-formation policy: fcfs (default) | priority | sjf")

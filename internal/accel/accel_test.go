@@ -5,7 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gnn"
 	"repro/internal/graph"
+	"repro/internal/sampler"
 	"repro/internal/tensor"
 )
 
@@ -22,205 +24,168 @@ func TestScatterGatherConfigValidate(t *testing.T) {
 	}
 }
 
-// Functional correctness: the kernel must produce the same aggregation as a
-// direct reference loop regardless of edge order.
-func TestScatterGatherFunctional(t *testing.T) {
-	rng := tensor.NewRNG(1)
-	nSrc, nDst := 20, 6
-	features := tensor.New(nSrc, 8)
-	tensor.NormalInit(features, 1, rng)
-	var edges []graph.Edge
-	var weights []float32
-	for i := 0; i < 50; i++ {
-		edges = append(edges, graph.Edge{Src: int32(rng.Intn(nSrc)), Dst: int32(rng.Intn(nDst))})
-		weights = append(weights, float32(rng.Float64()))
-	}
-	ref := tensor.New(nDst, 8)
-	for i, e := range edges {
-		for j := 0; j < 8; j++ {
-			ref.Data[int(e.Dst)*8+j] += weights[i] * features.At(int(e.Src), j)
+// blockEdges lists b's edges over block-local indices in CSR order
+// (destination-major): the stream an engine without source sorting sees.
+func blockEdges(b *sampler.Block) []graph.Edge {
+	edges := make([]graph.Edge, 0, b.NumEdges())
+	for d := 0; d+1 < len(b.RowPtr); d++ {
+		for e := b.RowPtr[d]; e < b.RowPtr[d+1]; e++ {
+			edges = append(edges, graph.Edge{Src: b.Col[e], Dst: int32(d)})
 		}
 	}
-	for _, sorted := range []bool{false, true} {
-		in := edges
-		w := weights
-		if sorted {
-			// Sort edges and weights together.
-			type ew struct {
-				e graph.Edge
-				w float32
-			}
-			pairs := make([]ew, len(edges))
-			for i := range edges {
-				pairs[i] = ew{edges[i], weights[i]}
-			}
-			sortedEdges := graph.SortEdgesBySource(edges)
-			// Rebuild weights to match sorted order via stable multimap.
-			used := make([]bool, len(pairs))
-			w = make([]float32, len(sortedEdges))
-			for i, se := range sortedEdges {
-				for k, p := range pairs {
-					if !used[k] && p.e == se {
-						w[i] = p.w
-						used[k] = true
-						break
-					}
-				}
-			}
-			in = sortedEdges
-		}
-		out := tensor.New(nDst, 8)
-		res, err := RunScatterGather(sgConfig(), in, w, features, out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.AllClose(ref, 1e-4) {
-			t.Fatalf("sorted=%v: kernel output differs from reference by %g", sorted, out.MaxAbsDiff(ref))
-		}
-		if res.EdgesProcessed != 50 {
-			t.Fatalf("EdgesProcessed = %d", res.EdgesProcessed)
-		}
-	}
+	return edges
 }
 
-// The paper's traffic claim (§IV-C): with source-sorted edges the kernel
-// fetches each distinct source once — traffic O(|V0|) — while unsorted
-// random order costs up to one fetch per edge — traffic O(|E1|).
+// chargeStream charges an edge stream as the scatter-gather engine executes
+// it: one chargeRun per run of consecutive edges sharing a source. Account
+// charges the source-sorted stream, whose runs are the sources' out-degrees.
+func chargeStream(sg ScatterGatherConfig, edges []graph.Edge) sgAccount {
+	var acc sgAccount
+	run := 0
+	for i, e := range edges {
+		if i > 0 && e.Src != edges[i-1].Src {
+			sg.chargeRun(&acc, run)
+			run = 0
+		}
+		run++
+	}
+	if run > 0 {
+		sg.chargeRun(&acc, run)
+	}
+	return acc
+}
+
+// distinctSources counts the sources b's edges read.
+func distinctSources(b *sampler.Block) int {
+	seen := map[int32]bool{}
+	for _, s := range b.Col {
+		seen[s] = true
+	}
+	return len(seen)
+}
+
+// sgBackend is the U250 design point with sgConfig's scatter-gather engine.
+func sgBackend() Backend {
+	bk := U250Backend(8)
+	bk.SG = sgConfig()
+	return bk
+}
+
+// The paper's traffic claim (§IV-C): Account charges the source-sorted
+// stream, which fetches each distinct source once — traffic O(|V0|) — while
+// the same block's edges in CSR order cost one fetch per source run, up to
+// one per edge — traffic O(|E1|).
 func TestScatterGatherTraffic(t *testing.T) {
-	rng := tensor.NewRNG(2)
-	nSrc := 10
-	features := tensor.New(nSrc, 8)
-	var edges []graph.Edge
-	for i := 0; i < 400; i++ {
-		edges = append(edges, graph.Edge{Src: int32(rng.Intn(nSrc)), Dst: int32(rng.Intn(16))})
+	const nSrc = 10
+	mb := genMiniBatch(tensor.NewRNG(2), []int{nSrc, nSrc}, 80, -1)
+	b := mb.Blocks[0]
+	if distinctSources(b) != nSrc {
+		t.Fatalf("fixture reads %d of %d sources", distinctSources(b), nSrc)
 	}
-	out := tensor.New(16, 8)
-	unsorted, err := RunScatterGather(sgConfig(), edges, nil, features, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.Zero()
-	sorted, err := RunScatterGather(sgConfig(), graph.SortEdgesBySource(edges), nil, features, out)
+	bk := sgBackend()
+	sorted, err := bk.Account(gnn.Config{Kind: gnn.GCN, Dims: []int{8, 4}}, mb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sorted.FeatureFetches != nSrc {
 		t.Fatalf("sorted fetches = %d, want %d distinct sources", sorted.FeatureFetches, nSrc)
 	}
-	if unsorted.FeatureFetches <= 2*sorted.FeatureFetches {
-		t.Fatalf("unsorted fetches %d should far exceed sorted %d", unsorted.FeatureFetches, sorted.FeatureFetches)
-	}
 	if sorted.TrafficBytes != int64(nSrc)*8*4 {
 		t.Fatalf("sorted traffic = %d bytes", sorted.TrafficBytes)
 	}
-	if sorted.ReuseFactor != 40 {
-		t.Fatalf("reuse factor = %v, want 400/10", sorted.ReuseFactor)
+	edges := blockEdges(b)
+	unsorted := chargeStream(bk.SG, edges)
+	if unsorted.fetches != graph.CountSourceRuns(edges) {
+		t.Fatalf("unsorted fetches = %d, want %d source runs", unsorted.fetches, graph.CountSourceRuns(edges))
 	}
-	if sorted.Cycles >= unsorted.Cycles {
-		t.Fatal("sorting should reduce cycles")
+	if unsorted.fetches <= 20*sorted.FeatureFetches {
+		t.Fatalf("unsorted fetches %d should far exceed sorted %d over %d edges",
+			unsorted.fetches, sorted.FeatureFetches, len(edges))
 	}
-}
-
-func TestScatterGatherValidation(t *testing.T) {
-	features := tensor.New(4, 8)
-	out := tensor.New(4, 8)
-	if _, err := RunScatterGather(sgConfig(), []graph.Edge{{Src: 0, Dst: 0}}, []float32{1, 2}, features, out); err == nil {
-		t.Fatal("expected weight-length error")
+	if unsorted.traffic != int64(unsorted.fetches)*8*4 {
+		t.Fatalf("unsorted traffic = %d bytes for %d fetches", unsorted.traffic, unsorted.fetches)
 	}
-	bad := tensor.New(4, 3)
-	if _, err := RunScatterGather(sgConfig(), nil, nil, bad, out); err == nil {
-		t.Fatal("expected width error")
+	if sorted.AggCycles >= unsorted.cycles {
+		t.Fatalf("sorting should reduce cycles: sorted %d, unsorted %d", sorted.AggCycles, unsorted.cycles)
 	}
 }
 
+// A batch without edges fetches nothing and keeps the aggregation engine
+// idle; only the systolic array's fill is charged.
 func TestScatterGatherEmpty(t *testing.T) {
-	features := tensor.New(4, 8)
-	out := tensor.New(4, 8)
-	res, err := RunScatterGather(sgConfig(), nil, nil, features, out)
+	mb := genMiniBatch(tensor.NewRNG(4), []int{30, 10, 3}, 0, -1)
+	bk := sgBackend()
+	stats, err := bk.Account(gnn.Config{Kind: gnn.GCN, Dims: []int{8, 6, 4}}, mb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FeatureFetches != 0 || res.Cycles != 0 || res.ReuseFactor != 0 {
-		t.Fatalf("empty run: %+v", res)
+	if stats.FeatureFetches != 0 || stats.TrafficBytes != 0 || stats.AggCycles != 0 {
+		t.Fatalf("edgeless batch: %+v", *stats)
+	}
+	if want := 2 * int64(bk.Systolic.FillCost); stats.UpdateCycles <= want {
+		t.Fatalf("update cycles %d, want more than two fills (%d)", stats.UpdateCycles, want)
+	}
+	if acc := chargeStream(bk.SG, nil); acc != (sgAccount{}) {
+		t.Fatalf("empty stream charged %+v", acc)
 	}
 }
 
-// Property: sorted fetches = distinct sources; unsorted fetches = source runs.
+// Property: on any batch, Account's per-layer charge is the source-sorted
+// stream's, whose fetches are the distinct sources; the CSR-order stream
+// fetches once per source run.
 func TestScatterGatherFetchProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := tensor.NewRNG(seed)
-		nSrc := 1 + rng.Intn(20)
-		edges := make([]graph.Edge, rng.Intn(100))
-		distinct := map[int32]bool{}
-		for i := range edges {
-			edges[i] = graph.Edge{Src: int32(rng.Intn(nSrc)), Dst: int32(rng.Intn(8))}
-			distinct[edges[i].Src] = true
+		sizes := []int{1 + rng.Intn(30)}
+		dims := []int{1 + rng.Intn(40)}
+		for l := rng.Intn(3); l >= 0; l-- {
+			sizes = append(sizes, 1+rng.Intn(sizes[len(sizes)-1]))
+			dims = append(dims, 1+rng.Intn(40))
 		}
-		features := tensor.New(nSrc, 8)
-		out := tensor.New(8, 8)
-		u, err := RunScatterGather(sgConfig(), edges, nil, features, out)
+		mb := genMiniBatch(rng, sizes, rng.Intn(8), -1)
+		bk := sgBackend()
+		stats, err := bk.Account(gnn.Config{Kind: gnn.GCN, Dims: dims}, mb)
 		if err != nil {
 			return false
 		}
-		out.Zero()
-		s, err := RunScatterGather(sgConfig(), graph.SortEdgesBySource(edges), nil, features, out)
-		if err != nil {
-			return false
+		var want sgAccount
+		var layer0Traffic int64
+		for l, b := range mb.Blocks {
+			sg := bk.SG
+			sg.FeatWidth = dims[l]
+			edges := blockEdges(b)
+			s := chargeStream(sg, graph.SortEdgesBySource(edges))
+			if s.fetches != distinctSources(b) || chargeStream(sg, edges).fetches != graph.CountSourceRuns(edges) {
+				return false
+			}
+			want.fetches += s.fetches
+			want.cycles += s.cycles
+			if l == 0 {
+				layer0Traffic = s.traffic
+			}
 		}
-		return u.FeatureFetches == graph.CountSourceRuns(edges) &&
-			(len(edges) == 0 || s.FeatureFetches == len(distinct))
+		return stats.FeatureFetches == want.fetches && stats.AggCycles == want.cycles &&
+			stats.TrafficBytes == layer0Traffic
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestSystolicFunctionalAndTiming(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	in := tensor.New(16, 32)
-	tensor.NormalInit(in, 1, rng)
-	w := tensor.New(32, 8)
-	tensor.NormalInit(w, 1, rng)
-	bias := tensor.New(1, 8)
-	bias.Fill(0.5)
-	out := tensor.New(16, 8)
-	cfg := SystolicConfig{NumMACs: 64, FreqGHz: 0.3, FillCost: 10}
-	res, err := RunSystolic(cfg, out, in, w, bias)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := tensor.New(16, 8)
-	tensor.MatMul(ref, in, w)
-	tensor.AddBias(ref, bias)
-	if !out.AllClose(ref, 1e-5) {
-		t.Fatal("systolic output differs from MatMul reference")
-	}
-	wantMACs := int64(16 * 32 * 8)
-	if res.MACs != wantMACs {
-		t.Fatalf("MACs = %d, want %d", res.MACs, wantMACs)
-	}
-	wantCycles := wantMACs/64 + 10
-	if res.Cycles != wantCycles {
-		t.Fatalf("Cycles = %d, want %d", res.Cycles, wantCycles)
-	}
-	if math.Abs(res.Sec-float64(wantCycles)/0.3e9) > 1e-12 {
-		t.Fatalf("Sec = %v", res.Sec)
-	}
-}
-
+// A systolic configuration without MACs, clock or with a negative fill is
+// rejected, by Validate and by Account.
 func TestSystolicValidation(t *testing.T) {
-	out := tensor.New(1, 1)
-	if _, err := RunSystolic(SystolicConfig{}, out, out, out, nil); err == nil {
-		t.Fatal("zero config should fail")
-	}
-}
-
-func TestUpdateTimeSecMatchesEq12(t *testing.T) {
-	// Eq. 12: |V|·f_in·f_out / (N·freq).
-	got := UpdateTimeSec(1024, 128, 256, 2048, 0.3)
-	want := 1024.0 * 128 * 256 / (2048 * 0.3e9)
-	if math.Abs(got-want) > 1e-15 {
-		t.Fatalf("UpdateTimeSec = %v, want %v", got, want)
+	mb := genMiniBatch(tensor.NewRNG(3), []int{10, 4}, 3, -1)
+	cfg := gnn.Config{Kind: gnn.GCN, Dims: []int{8, 4}}
+	for _, bad := range []SystolicConfig{{}, {NumMACs: 64, FillCost: 10}, {NumMACs: 64, FreqGHz: 0.3, FillCost: -1}} {
+		if bad.Validate() == nil {
+			t.Fatalf("%+v should fail validation", bad)
+		}
+		bk := sgBackend()
+		bk.Systolic = bad
+		if _, err := bk.Account(cfg, mb); err == nil {
+			t.Fatalf("Account accepted systolic config %+v", bad)
+		}
 	}
 }
 

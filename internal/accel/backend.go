@@ -103,18 +103,18 @@ func (bk *Backend) Account(cfg gnn.Config, mb *sampler.MiniBatch) (*ForwardStats
 		if err := sg.Validate(); err != nil {
 			return nil, err
 		}
-		var res ScatterGatherResult
+		var acc sgAccount
 		for _, deg := range bk.sc.degrees(b) {
 			if deg > 0 {
-				sg.chargeRun(&res, int(deg))
+				sg.chargeRun(&acc, int(deg))
 			}
 		}
-		stats.AggCycles += res.Cycles
-		stats.FeatureFetches += res.FeatureFetches
+		stats.AggCycles += acc.cycles
+		stats.FeatureFetches += acc.fetches
 		// Only layer 0 reads from external memory; deeper layers consume
 		// on-chip intermediates (the Fig. 6 datapath).
 		if l == 0 {
-			stats.TrafficBytes += res.TrafficBytes
+			stats.TrafficBytes += acc.traffic
 		}
 		fin := cfg.Dims[l]
 		if cfg.Kind == gnn.SAGE {

@@ -67,10 +67,9 @@ type Config struct {
 	// UseSaint switches mini-batch production from layered neighbor
 	// sampling to GraphSAINT random-walk subgraphs (the paper's reference
 	// [29]; §V models sampling per-algorithm by profiling, which is exactly
-	// how the virtual clock charges it here). SaintWalkLen is the walk
-	// length (default 3); each trainer's share size becomes its root count.
-	UseSaint     bool
-	SaintWalkLen int
+	// how the virtual clock charges it here). Walks are 3 steps long; each
+	// trainer's share size becomes its root count.
+	UseSaint bool
 
 	Hybrid bool // CPU trainer participates
 	TFP    bool // two-stage feature prefetching

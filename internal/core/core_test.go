@@ -468,7 +468,6 @@ func TestQuantizedTransferFasterClock(t *testing.T) {
 func TestSaintSamplingInRuntime(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.UseSaint = true
-	cfg.SaintWalkLen = 3
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -124,11 +124,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	var saint *sampler.SaintSampler
 	if cfg.UseSaint {
-		walk := cfg.SaintWalkLen
-		if walk <= 0 {
-			walk = 3
-		}
-		saint, err = sampler.NewSaint(cfg.Data.Graph, cfg.BatchSize, walk,
+		saint, err = sampler.NewSaint(cfg.Data.Graph, cfg.BatchSize, 3,
 			len(cfg.Model.Dims)-1, cfg.Data.Labels)
 		if err != nil {
 			return nil, err

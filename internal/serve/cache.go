@@ -1,9 +1,5 @@
 package serve
 
-import (
-	"sync"
-)
-
 // CacheKey identifies one cached embedding: the query vertex and the version
 // of the model that produced it. Bumping the version (after retraining or a
 // weight push) invalidates every older entry without an explicit flush.
@@ -37,13 +33,12 @@ type shardEntry struct {
 	next    int32
 }
 
-// cacheShard is one lock stripe: an intrusive doubly-linked LRU over a
+// cacheShard is one hash partition: an intrusive doubly-linked LRU over a
 // preallocated entry slab, embeddings in a flat arena, and an open-addressing
 // index (linear probing, backward-shift deletion) mapping keys to slab slots.
 // Everything is sized at construction; steady-state Get/Put perform zero
 // allocations and zero interface boxing.
 type cacheShard struct {
-	mu       sync.Mutex
 	capacity int32
 	length   int32
 	head     int32 // most recently used (-1 when empty)
@@ -60,12 +55,16 @@ type cacheShard struct {
 }
 
 // ShardedCache is the serving tier's embedding cache: hash(CacheKey)
-// lock-stripes entries over power-of-two shards, each an allocation-free LRU
-// (see cacheShard). A 1-shard cache reproduces the global-LRU oracle's
-// (cache_legacy_test.go) hit/miss/eviction counters and resident set exactly
-// on any trace — property-tested against it — and with N shards only the
-// *eviction victim* choice differs (per-shard rather than global LRU order),
-// so shard count never changes which keys are resident until evictions begin.
+// partitions entries over power-of-two shards, each an allocation-free LRU
+// holding its share of the capacity (see cacheShard). A 1-shard cache
+// reproduces the global-LRU oracle's (cache_legacy_test.go) hit/miss/eviction
+// counters and resident set exactly on any trace — property-tested against
+// it — and with N shards only the *eviction victim* choice differs
+// (per-shard rather than global LRU order), so shard count never changes
+// which keys are resident until evictions begin.
+//
+// The cache takes no locks: the serving event loop is its one goroutine, so
+// callers that share a cache across goroutines serialise access themselves.
 //
 // Ownership: Put and PutMany COPY the embedding into the shard arena
 // (truncated at the cache's stride); the caller keeps its buffer and may
@@ -80,8 +79,8 @@ type ShardedCache struct {
 }
 
 // NewShardedCache builds a cache holding up to capacity embeddings of at
-// most stride floats each, striped over the given shard count (rounded down
-// to a power of two, clamped to [1, capacity]; 0 picks 1). Capacity 0
+// most stride floats each, partitioned over the given shard count (rounded
+// down to a power of two, clamped to [1, capacity]; 0 picks 1). Capacity 0
 // disables caching: every Get misses and Put is a no-op, exactly like the
 // LRU oracle.
 func NewShardedCache(capacity, shards, stride int) *ShardedCache {
@@ -148,7 +147,7 @@ func (s *cacheShard) home(k CacheKey) uint32 {
 }
 
 // find probes for k: on a hit it returns the table slot and slab index; on a
-// miss it returns the first empty slot and -1. Callers hold the shard lock.
+// miss it returns the first empty slot and -1.
 func (s *cacheShard) find(k CacheKey) (slot uint32, idx int32) {
 	j := s.home(k)
 	for {
@@ -221,7 +220,7 @@ func (s *cacheShard) view(i int32, stride int) []float32 {
 	return s.arena[base : base+int(s.entries[i].embLen)]
 }
 
-// get is the locked lookup: counters and LRU touch exactly mirror the LRU
+// get is the shard's lookup: counters and LRU touch exactly mirror the LRU
 // oracle's Get.
 func (s *cacheShard) get(k CacheKey, stride int) (emb []float32, readyAt float64, ok bool) {
 	_, idx := s.find(k)
@@ -237,7 +236,7 @@ func (s *cacheShard) get(k CacheKey, stride int) (emb []float32, readyAt float64
 	return s.view(idx, stride), s.entries[idx].readyAt, true
 }
 
-// put is the locked insert/refresh: the embedding is copied into the arena
+// put is the shard's insert/refresh: the embedding is copied into the arena
 // (truncated at stride), and eviction picks the shard's LRU tail — for a
 // 1-shard cache, exactly the LRU oracle's policy.
 func (s *cacheShard) put(k CacheKey, emb []float32, readyAt float64, stride int) {
@@ -283,11 +282,7 @@ func (s *cacheShard) put(k CacheKey, emb []float32, readyAt float64, stride int)
 // on ShardedCache) and its ready time, marking the entry most-recently-used
 // on a hit.
 func (c *ShardedCache) Get(k CacheKey) (emb []float32, readyAt float64, ok bool) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	emb, readyAt, ok = s.get(k, c.stride)
-	s.mu.Unlock()
-	return emb, readyAt, ok
+	return c.shardFor(k).get(k, c.stride)
 }
 
 // Put inserts (or refreshes) an embedding, copying it into the shard arena
@@ -296,95 +291,28 @@ func (c *ShardedCache) Put(k CacheKey, emb []float32, readyAt float64) {
 	if c.capacity == 0 {
 		return
 	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	s.put(k, emb, readyAt, c.stride)
-	s.mu.Unlock()
+	c.shardFor(k).put(k, emb, readyAt, c.stride)
 }
 
 // GetMany looks up a batch: hit[i] reports whether keys[i] was resident,
 // ready[i] its ready time, and (when embs is non-nil) embs[i] the arena view.
-// Counters and LRU touches are per key, exactly as len(keys) sequential Get
-// calls in order would produce; duplicates in the batch are each counted.
-// Each shard's lock is taken once for the whole batch instead of once per
-// key — the point of sharding a batched hot path.
+// It is len(keys) sequential Gets in slice order: counters and LRU touches
+// are per key, and duplicates in the batch are each counted.
 func (c *ShardedCache) GetMany(keys []CacheKey, ready []float64, hit []bool, embs [][]float32) {
-	if len(c.shards) == 1 {
-		s := &c.shards[0]
-		s.mu.Lock()
-		for i, k := range keys {
-			e, r, ok := s.get(k, c.stride)
-			ready[i], hit[i] = r, ok
-			if embs != nil {
-				embs[i] = e
-			}
+	for i, k := range keys {
+		e, r, ok := c.Get(k)
+		ready[i], hit[i] = r, ok
+		if embs != nil {
+			embs[i] = e
 		}
-		s.mu.Unlock()
-		return
-	}
-	for si := range c.shards {
-		owned := false
-		for _, k := range keys {
-			if hashCacheKey(k)&c.shardMask == uint64(si) {
-				owned = true
-				break
-			}
-		}
-		if !owned {
-			continue
-		}
-		s := &c.shards[si]
-		s.mu.Lock()
-		for i, k := range keys {
-			if hashCacheKey(k)&c.shardMask != uint64(si) {
-				continue
-			}
-			e, r, ok := s.get(k, c.stride)
-			ready[i], hit[i] = r, ok
-			if embs != nil {
-				embs[i] = e
-			}
-		}
-		s.mu.Unlock()
 	}
 }
 
 // PutMany inserts a batch of embeddings sharing one ready time (a computed
-// batch completes as a unit), holding each shard's lock once. Within a
-// shard, keys land in slice order — identical to sequential Puts.
+// batch completes as a unit): len(keys) sequential Puts in slice order.
 func (c *ShardedCache) PutMany(keys []CacheKey, embs [][]float32, readyAt float64) {
-	if c.capacity == 0 {
-		return
-	}
-	if len(c.shards) == 1 {
-		s := &c.shards[0]
-		s.mu.Lock()
-		for i, k := range keys {
-			s.put(k, embs[i], readyAt, c.stride)
-		}
-		s.mu.Unlock()
-		return
-	}
-	for si := range c.shards {
-		owned := false
-		for _, k := range keys {
-			if hashCacheKey(k)&c.shardMask == uint64(si) {
-				owned = true
-				break
-			}
-		}
-		if !owned {
-			continue
-		}
-		s := &c.shards[si]
-		s.mu.Lock()
-		for i, k := range keys {
-			if hashCacheKey(k)&c.shardMask != uint64(si) {
-				continue
-			}
-			s.put(k, embs[i], readyAt, c.stride)
-		}
-		s.mu.Unlock()
+	for i, k := range keys {
+		c.Put(k, embs[i], readyAt)
 	}
 }
 
@@ -392,8 +320,6 @@ func (c *ShardedCache) PutMany(keys []CacheKey, embs [][]float32, readyAt float6
 // the hit/miss counters.
 func (c *ShardedCache) Peek(k CacheKey) (readyAt float64, ok bool) {
 	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	_, idx := s.find(k)
 	if idx < 0 {
 		return 0, false
@@ -405,10 +331,7 @@ func (c *ShardedCache) Peek(k CacheKey) (readyAt float64, ok bool) {
 func (c *ShardedCache) Len() int {
 	n := 0
 	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += int(s.length)
-		s.mu.Unlock()
+		n += int(c.shards[i].length)
 	}
 	return n
 }
@@ -417,11 +340,9 @@ func (c *ShardedCache) Len() int {
 func (c *ShardedCache) Stats() (hits, misses, evictions int64) {
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.Lock()
 		hits += s.hits
 		misses += s.misses
 		evictions += s.evictions
-		s.mu.Unlock()
 	}
 	return hits, misses, evictions
 }

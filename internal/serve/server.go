@@ -93,8 +93,9 @@ type Config struct {
 
 	QueueCap  int // admission control: max outstanding requests (0 → 1024)
 	CacheSize int // embedding-cache capacity in entries (0 disables)
-	// CacheShards lock-stripes the embedding cache (rounded down to a power
-	// of two, clamped to CacheSize; 0 → 1). A 1-shard cache evicts in
+	// CacheShards hash-partitions the embedding cache into that many LRUs,
+	// each holding its share of CacheSize (rounded down to a power of two,
+	// clamped to CacheSize; 0 → 1). A 1-shard cache evicts in
 	// exactly the legacy global-LRU order; more shards evict per-shard, so
 	// until evictions begin the shard count never changes which keys are
 	// resident (and run Stats are identical across shard counts).
@@ -421,11 +422,11 @@ func (s *server) dispatch(batch []Request, closeAt float64) error {
 	return nil
 }
 
-// lookup is the batch's cache pass, batched: one lock round-trip per touched
-// shard. Hits are answered when their entry is ready (an in-flight entry
-// behaves as a future); misses are coalesced per vertex via the generation
-// stamp into s.order, the targets the pool must compute. It returns the
-// per-request hit flags.
+// lookup is the batch's cache pass, one GetMany over its targets. Hits are
+// answered when their entry is ready (an in-flight entry behaves as a
+// future); misses are coalesced per vertex via the generation stamp into
+// s.order, the targets the pool must compute. It returns the per-request hit
+// flags.
 func (s *server) lookup(batch []Request, closeAt float64) []bool {
 	s.hitDone, s.compDone = s.hitDone[:0], s.compDone[:0]
 	s.gen++

@@ -2,7 +2,7 @@ package serve
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -120,6 +120,91 @@ func TestShardedCacheMatchesLegacyLRU(t *testing.T) {
 	}
 }
 
+// Batch operations are sequential operations at every shard count: GetMany
+// and PutMany must leave per-lookup results, counters, LRU order (observed
+// through later hits and eviction victims) and the resident set exactly
+// where a twin cache fed the same keys one at a time leaves them. Keys span
+// far more than the capacity, so eviction runs on nearly every put.
+func TestShardedCacheBatchOpsMatchSequential(t *testing.T) {
+	const stride = 5
+	const vertices = 48
+	for _, shards := range []int{2, 4, 8} {
+		for _, capacity := range []int{3, 17, 64} {
+			t.Run(fmt.Sprintf("shards%d/cap%d", shards, capacity), func(t *testing.T) {
+				rng := tensor.NewRNG(uint64(100*shards + capacity))
+				batched := NewShardedCache(capacity, shards, stride)
+				seq := NewShardedCache(capacity, shards, stride)
+				randKey := func() CacheKey {
+					return CacheKey{Vertex: int32(rng.Uint64() % vertices), Version: 1 + int(rng.Uint64()%2)}
+				}
+				checkResident := func(op int) {
+					t.Helper()
+					if batched.Len() != seq.Len() {
+						t.Fatalf("op %d: resident count %d batched, %d sequential", op, batched.Len(), seq.Len())
+					}
+					for v := int32(0); v < vertices; v++ {
+						for ver := 1; ver <= 2; ver++ {
+							k := CacheKey{Vertex: v, Version: ver}
+							br, bok := batched.Peek(k)
+							sr, sok := seq.Peek(k)
+							if bok != sok || br != sr {
+								t.Fatalf("op %d: resident set diverged at %v: batched (%v,%v) sequential (%v,%v)",
+									op, k, br, bok, sr, sok)
+							}
+						}
+					}
+				}
+				const maxBatch = 12
+				keys := make([]CacheKey, 0, maxBatch)
+				ready := make([]float64, maxBatch)
+				hit := make([]bool, maxBatch)
+				embs := make([][]float32, maxBatch)
+				for op := 0; op < 3000; op++ {
+					n := 1 + int(rng.Uint64()%maxBatch)
+					keys = keys[:0]
+					for i := 0; i < n; i++ {
+						keys = append(keys, randKey())
+					}
+					if rng.Uint64()%2 == 0 {
+						batched.GetMany(keys, ready, hit, embs)
+						for i, k := range keys {
+							se, sr, sok := seq.Get(k)
+							if sok != hit[i] || sr != ready[i] {
+								t.Fatalf("op %d: GetMany[%d]=%v batched (%v,%v) sequential (%v,%v)",
+									op, i, k, ready[i], hit[i], sr, sok)
+							}
+							if sok && !slices.Equal(se, embs[i]) {
+								t.Fatalf("op %d: GetMany[%d]=%v value %v, sequential %v", op, i, k, embs[i], se)
+							}
+						}
+					} else {
+						at := float64(op)
+						for i, k := range keys {
+							embs[i] = traceEmb(k, op, stride)
+						}
+						batched.PutMany(keys, embs[:n], at)
+						for i, k := range keys {
+							seq.Put(k, embs[i], at)
+						}
+					}
+					if op%250 == 0 {
+						checkResident(op)
+					}
+				}
+				bh, bm, be := batched.Stats()
+				sh, sm, se := seq.Stats()
+				if bh != sh || bm != sm || be != se {
+					t.Fatalf("counters diverged: batched h%d m%d e%d, sequential h%d m%d e%d", bh, bm, be, sh, sm, se)
+				}
+				if be == 0 {
+					t.Fatal("trace never evicted")
+				}
+				checkResident(-1)
+			})
+		}
+	}
+}
+
 // Shard-count plumbing: the constructor rounds shards down to a power of
 // two, clamps to capacity, spreads capacity with remainder, and a filled
 // cache reaches exactly its total capacity.
@@ -179,68 +264,6 @@ func TestShardedCachePutCopies(t *testing.T) {
 	emb, at, ok := c.Get(k)
 	if !ok || emb[1] != 8 || at != 2.0 {
 		t.Fatalf("refresh retained the caller's slice: got %v at %v", emb, at)
-	}
-}
-
-// The -race hammer, generalized over shard counts: concurrent mixed
-// single-key and batch traffic must stay structurally sound (bounded
-// residency, exact lookup accounting).
-func TestShardedCacheConcurrentAccess(t *testing.T) {
-	const (
-		goroutines = 8
-		opsPer     = 500
-		batch      = 6
-		stride     = 5
-		capacity   = 64
-	)
-	for _, shards := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			c := NewShardedCache(capacity, shards, stride)
-			var wg sync.WaitGroup
-			var lookups int64
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					rng := tensor.NewRNG(uint64(g) + 1)
-					keys := make([]CacheKey, batch)
-					ready := make([]float64, batch)
-					hit := make([]bool, batch)
-					embs := make([][]float32, batch)
-					emb := make([]float32, stride)
-					for op := 0; op < opsPer; op++ {
-						k := CacheKey{Vertex: int32(rng.Uint64() % 200), Version: 1}
-						switch op % 4 {
-						case 0:
-							c.Put(k, emb, float64(op))
-						case 1:
-							c.Get(k)
-						case 2:
-							for i := range keys {
-								keys[i] = CacheKey{Vertex: int32(rng.Uint64() % 200), Version: 1}
-							}
-							c.GetMany(keys, ready, hit, nil)
-						case 3:
-							for i := range keys {
-								keys[i] = CacheKey{Vertex: int32(rng.Uint64() % 200), Version: 1}
-								embs[i] = emb
-							}
-							c.PutMany(keys, embs, float64(op))
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			// Per goroutine: opsPer/4 single Gets + opsPer/4 GetMany batches.
-			lookups = goroutines * (opsPer/4 + opsPer/4*batch)
-			h, m, _ := c.Stats()
-			if h+m != lookups {
-				t.Fatalf("lookup accounting: %d hits + %d misses != %d lookups", h, m, lookups)
-			}
-			if c.Len() > capacity {
-				t.Fatalf("resident %d exceeds capacity %d", c.Len(), capacity)
-			}
-		})
 	}
 }
 
