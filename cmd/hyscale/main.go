@@ -66,7 +66,7 @@ func main() {
 	noHybrid := flag.Bool("no-hybrid", false, "disable hybrid CPU training")
 	noTFP := flag.Bool("no-tfp", false, "disable two-stage feature prefetching")
 	noDRM := flag.Bool("no-drm", false, "disable dynamic resource management")
-	flag.IntVar(&o.tensorPar, "tensor-par", 0, "upper bound on the goroutines one tensor kernel call (GEMM, aggregation, gather) fans out to — kernels below the work grain run on the caller; 0 = one per CPU")
+	flag.IntVar(&o.tensorPar, "tensor-par", 0, "upper bound on the goroutines one tensor kernel call (GEMM, aggregation, gather) or the dataset generator fans out to — work below the grain runs on the caller, and the dataset is bit-identical at any bound; 0 = one per CPU")
 	flag.StringVar(&o.simd, "simd", "auto", "SIMD dispatch level for the tensor kernels: auto | generic | sse | avx2 | avx512 (every level is bit-identical; avx512 widens the GEMM tile only; levels above the CPU's capability are rejected)")
 	flag.BoolVar(&o.quantize, "quantize", false, "int8-quantize features on the PCIe link (§VIII extension)")
 	flag.BoolVar(&o.saint, "saint", false, "use GraphSAINT random-walk sampling instead of neighbor sampling")
@@ -114,7 +114,7 @@ func run(o options) error {
 	if _, err := tensor.SetSIMDLevel(r.SIMD); err != nil {
 		return fmt.Errorf("-simd %q: %w", o.simd, err)
 	}
-	fmt.Printf("Materializing %s (scaled 1/%d: %d vertices, %d edges, f=%v; tensor kernels on up to %d goroutines, %s simd)...\n",
+	fmt.Printf("Materializing %s (scaled 1/%d: %d vertices, %d edges, f=%v; generation and tensor kernels on up to %d goroutines, %s simd)...\n",
 		o.dataset, o.scale, r.Spec.NumVertices, r.Spec.NumEdges, r.Spec.FeatDims,
 		tensor.Parallelism(), tensor.ActiveSIMDLevel())
 	ds, err := datagen.Materialize(r.Spec, 0.2, tensor.NewRNG(o.seed))

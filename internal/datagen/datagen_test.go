@@ -2,10 +2,12 @@ package datagen
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/graph"
 	"repro/internal/tensor"
 )
 
@@ -36,6 +38,9 @@ func TestGenerateRMATRejectsBadInput(t *testing.T) {
 	}
 	if _, err := GenerateRMAT(10, 10, RMATParams{}, rng); err == nil {
 		t.Fatal("expected error for zero probabilities")
+	}
+	if _, err := GenerateRMAT(10, 10, RMATParams{A: 0.8, B: -0.1, C: 0.2, D: 0.1}, rng); err == nil {
+		t.Fatal("expected error for a negative probability")
 	}
 }
 
@@ -78,6 +83,7 @@ func TestEnsureMinInDegree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := *rng
 	g2, err := EnsureMinInDegree(g, 2, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +95,25 @@ func TestEnsureMinInDegree(t *testing.T) {
 	}
 	if g2.NumEdges() < g.NumEdges() {
 		t.Fatal("EnsureMinInDegree dropped edges")
+	}
+
+	// The edge-list round trip it replaces: every edge in CSR order, the
+	// drawn sources appended in vertex order, regrouped by destination.
+	edges, in := g.EdgeList(), g.InDegrees()
+	for v := 0; v < g.NumVertices; v++ {
+		for d := int(in[v]); d < 2; d++ {
+			edges = append(edges, graph.Edge{Src: int32(ref.Intn(g.NumVertices)), Dst: int32(v)})
+		}
+	}
+	want, err := graph.FromEdges(g.NumVertices, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(g2.RowPtr, want.RowPtr) || !slices.Equal(g2.ColIdx, want.ColIdx) {
+		t.Fatal("EnsureMinInDegree differs from the edge-list round trip")
+	}
+	if *rng != ref {
+		t.Fatal("EnsureMinInDegree left the RNG at a different draw than the round trip")
 	}
 }
 

@@ -2,6 +2,7 @@ package datagen
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -97,9 +98,26 @@ type Dataset struct {
 // its features are the class centroid plus Gaussian noise, so GNN training
 // has real signal to learn (loss decreases, accuracy rises above chance).
 // trainFraction of vertices (at least 1) become training targets.
+//
+// The draws, in order: GenerateRMAT, EnsureMinInDegree(1), the centroids,
+// per vertex a class and f0 normal variates, then the train split's
+// permutation. The RMAT attempts and the feature rows are generated on up
+// to tensor.Parallelism() workers, each at its offset in rng's stream, so
+// the dataset and where rng is left are those of drawing in that order, at
+// any parallelism. Every check runs before the first draw: a rejected call
+// leaves rng untouched. Nothing is kept between calls.
 func Materialize(spec Spec, trainFraction float64, rng *tensor.RNG) (*Dataset, error) {
 	if spec.NumVertices > 10_000_000 {
 		return nil, fmt.Errorf("datagen: refusing to materialise %s (%d vertices); use Scaled", spec.Name, spec.NumVertices)
+	}
+	if spec.NumVertices <= 0 || spec.NumEdges < 0 {
+		return nil, fmt.Errorf("datagen: %s: bad sizes V=%d E=%d", spec.Name, spec.NumVertices, spec.NumEdges)
+	}
+	if len(spec.FeatDims) < 2 || spec.FeatDims[0] < 1 || spec.NumClasses() < 1 {
+		return nil, fmt.Errorf("datagen: %s: FeatDims %v needs an input width and a class count ≥ 1", spec.Name, spec.FeatDims)
+	}
+	if !(trainFraction > 0 && trainFraction <= 1) {
+		return nil, fmt.Errorf("datagen: trainFraction %v outside (0,1]", trainFraction)
 	}
 	n := int(spec.NumVertices)
 	g, err := GenerateRMAT(n, int(spec.NumEdges), DefaultRMAT, rng)
@@ -110,26 +128,13 @@ func Materialize(spec Spec, trainFraction float64, rng *tensor.RNG) (*Dataset, e
 	if err != nil {
 		return nil, err
 	}
-	numClasses := spec.NumClasses()
-	f0 := spec.FeatDims[0]
 
-	centroids := tensor.New(numClasses, f0)
+	centroids := tensor.New(spec.NumClasses(), spec.FeatDims[0])
 	tensor.NormalInit(centroids, 1.0, rng)
 	labels := make([]int32, n)
-	features := tensor.New(n, f0)
-	for v := 0; v < n; v++ {
-		cls := rng.Intn(numClasses)
-		labels[v] = int32(cls)
-		row := features.Row(v)
-		cen := centroids.Row(cls)
-		for j := range row {
-			row[j] = cen[j] + float32(rng.NormFloat64()*0.5)
-		}
-	}
+	features := tensor.New(n, spec.FeatDims[0])
+	drawFeatures(features, centroids, labels, rng)
 
-	if trainFraction <= 0 || trainFraction > 1 {
-		return nil, fmt.Errorf("datagen: trainFraction %v outside (0,1]", trainFraction)
-	}
 	numTrain := int(float64(n) * trainFraction)
 	if numTrain < 1 {
 		numTrain = 1
@@ -139,4 +144,46 @@ func Materialize(spec Spec, trainFraction float64, rng *tensor.RNG) (*Dataset, e
 	copy(trainIdx, perm[:numTrain])
 
 	return &Dataset{Spec: spec, Graph: g, Features: features, Labels: labels, TrainIdx: trainIdx}, nil
+}
+
+// drawFeatures fills labels and features one vertex at a time from rng: a
+// class draw, then one normal variate around the class centroid per column.
+// Vertex v's draws start v·(1+2·f0) past rng unless an earlier vertex's
+// Box–Muller u1 came out exactly 0 and was drawn again; row ranges run on
+// workers at those offsets, a worker that sees a vertex overrun its draws
+// stops there, and the vertices from the first overrun on are drawn again in
+// order. rng is left where drawing every vertex in order leaves it.
+func drawFeatures(features, centroids *tensor.Matrix, labels []int32, rng *tensor.RNG) {
+	n, stride := features.Rows, uint64(1+2*features.Cols)
+	vertex := func(v int, r *tensor.RNG) {
+		cls := r.Intn(centroids.Rows)
+		labels[v] = int32(cls)
+		row, cen := features.Row(v), centroids.Row(cls)
+		for j := range row {
+			row[j] = cen[j] + float32(r.NormFloat64()*0.5)
+		}
+	}
+	start := *rng
+	var mu sync.Mutex
+	redrawn := n // the first vertex whose draws overran its stride
+	tensor.ParallelRows(n, features.Cols*normalWork, func(lo, hi int) {
+		r := start
+		r.Skip(uint64(lo) * stride)
+		for v := lo; v < hi; v++ {
+			want := r
+			want.Skip(stride)
+			vertex(v, &r)
+			if r != want {
+				mu.Lock()
+				redrawn = min(redrawn, v)
+				mu.Unlock()
+				return
+			}
+		}
+	})
+	*rng = start
+	rng.Skip(uint64(redrawn) * stride)
+	for v := redrawn; v < n; v++ {
+		vertex(v, rng)
+	}
 }

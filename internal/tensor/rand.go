@@ -6,14 +6,28 @@ import "math"
 // (SplitMix64). Every stochastic component in the repository takes an
 // explicit *RNG so experiments are reproducible and trainers can hold
 // independent streams without locking.
+//
+// Its state is a Weyl counter: draw k is a fixed mixing function of
+// seed + (k+1)·γ, so Skip moves to any later draw in O(1) and one stream
+// can be cut into ranges that workers generate at once. An RNG is a plain
+// value: copying one forks the stream at its current draw, and two RNGs
+// compare equal exactly when all their later draws are the same.
 type RNG struct{ state uint64 }
 
+// gamma is SplitMix64's Weyl increment (2⁶⁴ divided by the golden ratio,
+// made odd).
+const gamma = 0x9E3779B97F4A7C15
+
 // NewRNG seeds a generator. Distinct seeds yield independent-looking streams.
-func NewRNG(seed uint64) *RNG { return &RNG{state: seed + 0x9E3779B97F4A7C15} }
+func NewRNG(seed uint64) *RNG { return &RNG{state: seed + gamma} }
+
+// Skip advances the generator past n draws as if Uint64 had been called n
+// times (modulo the 2⁶⁴ period), in constant time.
+func (r *RNG) Skip(n uint64) { r.state += n * gamma }
 
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9E3779B97F4A7C15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
@@ -33,7 +47,9 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// NormFloat64 returns a standard normal variate (Box–Muller).
+// NormFloat64 returns a standard normal variate (Box–Muller). It takes two
+// draws, or more when u1 is exactly 0 and is drawn again (probability 2⁻⁵³
+// per draw).
 func (r *RNG) NormFloat64() float64 {
 	u1 := r.Float64()
 	for u1 == 0 {

@@ -312,6 +312,28 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
+// Skip(n) is n Uint64 calls; the counter wraps with the 2⁶⁴ period, so
+// skipping 2⁶⁴−1 draws and then 2 more lands one draw on.
+func TestRNGSkipMatchesDraws(t *testing.T) {
+	for _, n := range []uint64{0, 1, 1000} {
+		skipped, drawn := NewRNG(17), NewRNG(17)
+		skipped.Skip(n)
+		for i := uint64(0); i < n; i++ {
+			drawn.Uint64()
+		}
+		if *skipped != *drawn || skipped.Uint64() != drawn.Uint64() {
+			t.Fatalf("Skip(%d) is not %d draws", n, n)
+		}
+	}
+	wrapped, drawn := NewRNG(17), NewRNG(17)
+	wrapped.Skip(^uint64(0))
+	wrapped.Skip(2)
+	drawn.Uint64()
+	if wrapped.Uint64() != drawn.Uint64() {
+		t.Fatal("Skip(2⁶⁴−1) then Skip(2) is not one draw")
+	}
+}
+
 func TestRNGPermIsPermutation(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := NewRNG(seed)
