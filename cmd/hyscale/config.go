@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -168,8 +169,8 @@ func buildConfig(o options) (*runSpec, error) {
 	if o.batch < 1 {
 		return nil, fmt.Errorf("-batch %d: need at least 1", o.batch)
 	}
-	if o.lr <= 0 {
-		return nil, fmt.Errorf("-lr %v: need a positive learning rate", o.lr)
+	if !finitePositive(o.lr) {
+		return nil, fmt.Errorf("-lr %v: need a finite positive learning rate", o.lr)
 	}
 	if o.nodes < 1 {
 		return nil, fmt.Errorf("-nodes %d: need at least 1", o.nodes)
@@ -197,8 +198,8 @@ func buildConfig(o options) (*runSpec, error) {
 		if o.nodes > 1 {
 			return nil, fmt.Errorf("-serve with -nodes %d: serving a partitioned fleet is not supported", o.nodes)
 		}
-		if o.serveRate <= 0 {
-			return nil, fmt.Errorf("-serve-rate %v: need a positive request rate", o.serveRate)
+		if !finitePositive(o.serveRate) {
+			return nil, fmt.Errorf("-serve-rate %v: need a finite positive request rate", o.serveRate)
 		}
 		if o.serveRequests < 1 {
 			return nil, fmt.Errorf("-serve-requests %d: need at least 1", o.serveRequests)
@@ -206,8 +207,8 @@ func buildConfig(o options) (*runSpec, error) {
 		if o.serveBatch < 1 {
 			return nil, fmt.Errorf("-serve-batch %d: need at least 1", o.serveBatch)
 		}
-		if o.serveWindowUs < 0 {
-			return nil, fmt.Errorf("-serve-window-us %v: negative", o.serveWindowUs)
+		if !finiteAtLeast(o.serveWindowUs, 0) {
+			return nil, fmt.Errorf("-serve-window-us %v: need a finite non-negative window", o.serveWindowUs)
 		}
 		if o.serveWorkers < 1 {
 			return nil, fmt.Errorf("-serve-workers %d: need at least 1", o.serveWorkers)
@@ -224,8 +225,8 @@ func buildConfig(o options) (*runSpec, error) {
 		if o.serveCache < 0 {
 			return nil, fmt.Errorf("-serve-cache %d: negative", o.serveCache)
 		}
-		if o.serveZipf < 0 {
-			return nil, fmt.Errorf("-serve-zipf %v: negative", o.serveZipf)
+		if !finiteAtLeast(o.serveZipf, 0) {
+			return nil, fmt.Errorf("-serve-zipf %v: need a finite non-negative exponent", o.serveZipf)
 		}
 		if o.serveShards < 0 {
 			return nil, fmt.Errorf("-serve-shards %d: negative", o.serveShards)
@@ -262,6 +263,13 @@ func buildConfig(o options) (*runSpec, error) {
 	}
 	return r, nil
 }
+
+// finiteAtLeast reports whether v is a finite number ≥ min, finitePositive
+// whether it is a finite number > 0 — NaN and ±Inf are neither, though a bare
+// comparison lets them through. serve's workload validation states the same
+// rule for the same numbers.
+func finiteAtLeast(v, min float64) bool { return v >= min && !math.IsInf(v, 1) }
+func finitePositive(v float64) bool     { return v > 0 && !math.IsInf(v, 1) }
 
 // maxAccels bounds the -accels fleet: paper Fig. 9 stops at 16 accelerators
 // (and saturates near 12), so 64 leaves what-if room while a typo

@@ -186,28 +186,36 @@ func TestBuildConfigRejectsBadValues(t *testing.T) {
 		mutate func(*options)
 		want   string // substring of the error
 	}{
-		"dataset":        {func(o *options) { o.dataset = "imagenet" }, "imagenet"},
-		"model":          {func(o *options) { o.model = "transformer" }, "model"},
-		"platform":       {func(o *options) { o.platform = "tpu-pod" }, "platform"},
-		"scale":          {func(o *options) { o.scale = 0 }, "-scale"},
-		"epochs":         {func(o *options) { o.epochs = -1 }, "-epochs"},
-		"no-training":    {func(o *options) { o.epochs = 0 }, "-epochs"},
-		"batch":          {func(o *options) { o.batch = 0 }, "-batch"},
-		"lr":             {func(o *options) { o.lr = 0 }, "-lr"},
-		"nodes":          {func(o *options) { o.nodes = 0 }, "-nodes"},
-		"serve+nodes":    {func(o *options) { o.serveMode = true; o.nodes = 4 }, "-serve"},
-		"serve-rate":     {func(o *options) { o.serveMode = true; o.serveRate = 0 }, "-serve-rate"},
-		"serve-requests": {func(o *options) { o.serveMode = true; o.serveRequests = 0 }, "-serve-requests"},
-		"serve-batch":    {func(o *options) { o.serveMode = true; o.serveBatch = 0 }, "-serve-batch"},
-		"serve-window":   {func(o *options) { o.serveMode = true; o.serveWindowUs = -1 }, "-serve-window-us"},
-		"serve-workers":  {func(o *options) { o.serveMode = true; o.serveWorkers = 0 }, "-serve-workers"},
-		"serve-queue":    {func(o *options) { o.serveMode = true; o.serveQueue = 0 }, "-serve-queue"},
-		"serve-cache":    {func(o *options) { o.serveMode = true; o.serveCache = -1 }, "-serve-cache"},
-		"serve-zipf":     {func(o *options) { o.serveMode = true; o.serveZipf = -0.5 }, "-serve-zipf"},
-		"serve-small":    {func(o *options) { o.serveMode = true; o.serveSmall = -1 }, "-serve-small"},
-		"serve-shards":   {func(o *options) { o.serveMode = true; o.serveShards = -1 }, "-serve-shards"},
-		"small-no-peer":  {func(o *options) { o.serveMode = true; o.serveSmall = 4 }, "-serve-cpu-peer"},
-		"multinode-0ep":  {func(o *options) { o.nodes = 2; o.epochs = 0 }, "multi-node"},
+		"dataset":          {func(o *options) { o.dataset = "imagenet" }, "imagenet"},
+		"model":            {func(o *options) { o.model = "transformer" }, "model"},
+		"platform":         {func(o *options) { o.platform = "tpu-pod" }, "platform"},
+		"scale":            {func(o *options) { o.scale = 0 }, "-scale"},
+		"epochs":           {func(o *options) { o.epochs = -1 }, "-epochs"},
+		"no-training":      {func(o *options) { o.epochs = 0 }, "-epochs"},
+		"batch":            {func(o *options) { o.batch = 0 }, "-batch"},
+		"lr":               {func(o *options) { o.lr = 0 }, "-lr"},
+		"lr-nan":           {func(o *options) { o.lr = math.NaN() }, "-lr"},
+		"lr-inf":           {func(o *options) { o.lr = math.Inf(1) }, "-lr"},
+		"nodes":            {func(o *options) { o.nodes = 0 }, "-nodes"},
+		"serve+nodes":      {func(o *options) { o.serveMode = true; o.nodes = 4 }, "-serve"},
+		"serve-rate":       {func(o *options) { o.serveMode = true; o.serveRate = 0 }, "-serve-rate"},
+		"serve-rate-nan":   {func(o *options) { o.serveMode = true; o.serveRate = math.NaN() }, "-serve-rate"},
+		"serve-rate-inf":   {func(o *options) { o.serveMode = true; o.serveRate = math.Inf(1) }, "-serve-rate"},
+		"serve-requests":   {func(o *options) { o.serveMode = true; o.serveRequests = 0 }, "-serve-requests"},
+		"serve-batch":      {func(o *options) { o.serveMode = true; o.serveBatch = 0 }, "-serve-batch"},
+		"serve-window":     {func(o *options) { o.serveMode = true; o.serveWindowUs = -1 }, "-serve-window-us"},
+		"serve-window-nan": {func(o *options) { o.serveMode = true; o.serveWindowUs = math.NaN() }, "-serve-window-us"},
+		"serve-window-inf": {func(o *options) { o.serveMode = true; o.serveWindowUs = math.Inf(1) }, "-serve-window-us"},
+		"serve-workers":    {func(o *options) { o.serveMode = true; o.serveWorkers = 0 }, "-serve-workers"},
+		"serve-queue":      {func(o *options) { o.serveMode = true; o.serveQueue = 0 }, "-serve-queue"},
+		"serve-cache":      {func(o *options) { o.serveMode = true; o.serveCache = -1 }, "-serve-cache"},
+		"serve-zipf":       {func(o *options) { o.serveMode = true; o.serveZipf = -0.5 }, "-serve-zipf"},
+		"serve-zipf-nan":   {func(o *options) { o.serveMode = true; o.serveZipf = math.NaN() }, "-serve-zipf"},
+		"serve-zipf-inf":   {func(o *options) { o.serveMode = true; o.serveZipf = math.Inf(1) }, "-serve-zipf"},
+		"serve-small":      {func(o *options) { o.serveMode = true; o.serveSmall = -1 }, "-serve-small"},
+		"serve-shards":     {func(o *options) { o.serveMode = true; o.serveShards = -1 }, "-serve-shards"},
+		"small-no-peer":    {func(o *options) { o.serveMode = true; o.serveSmall = 4 }, "-serve-cpu-peer"},
+		"multinode-0ep":    {func(o *options) { o.nodes = 2; o.epochs = 0 }, "multi-node"},
 	}
 	for name, tc := range cases {
 		o := validOptions()
@@ -474,18 +482,15 @@ func TestRunMemProfile(t *testing.T) {
 	}
 }
 
-// Synchronous SGD is bit-exact, so the run's consistency check accepts no
-// divergence at all — not a rounding-sized one, not a NaN — on one node or
-// many.
+// Synchronous SGD is bit-exact, so the fleet's consistency check accepts no
+// divergence at all — not a rounding-sized one, not a NaN.
 func TestInSyncDemandsExactEquality(t *testing.T) {
-	if err := inSync("replica", 0); err != nil {
+	if err := inSync(0); err != nil {
 		t.Fatalf("zero divergence rejected: %v", err)
 	}
 	for _, d := range []float64{1e-7, math.Inf(1), math.NaN()} {
-		for _, what := range []string{"replica", "fleet"} {
-			if inSync(what, d) == nil {
-				t.Errorf("%s divergence %v accepted", what, d)
-			}
+		if inSync(d) == nil {
+			t.Errorf("fleet divergence %v accepted", d)
 		}
 	}
 }

@@ -199,19 +199,15 @@ func runSingleNode(r *runSpec, coreCfg core.Config, o options) (*gnn.Model, erro
 		fmt.Printf("FPGA dataflow kernels: %d aggregate cycles, %d update cycles, %.1f MB external traffic\n",
 			fpgaAgg, fpgaUpd, float64(fpgaTraffic)/1e6)
 	}
-	if err := inSync("replica", engine.ReplicasInSync()); err != nil {
-		return nil, err
-	}
-	fmt.Println("Replica consistency check: all trainers hold identical weights.")
 	return &gnn.Model{Cfg: coreCfg.Model, Params: engine.Params()}, nil
 }
 
-// inSync turns a replica divergence into the run's verdict. Synchronous SGD
-// is bit-exact — every replica applies the same rank-order average — so any
-// nonzero divergence, NaN included, is a protocol bug, on one node or many.
-func inSync(what string, d float64) error {
+// inSync turns the fleet's cross-node divergence into the run's verdict.
+// Synchronous SGD is bit-exact — every node applies the same ring average —
+// so any nonzero divergence, NaN included, is a protocol bug.
+func inSync(d float64) error {
 	if d != 0 {
-		return fmt.Errorf("%s divergence %g — synchronous SGD violated", what, d)
+		return fmt.Errorf("fleet divergence %g — synchronous SGD violated", d)
 	}
 	return nil
 }
@@ -353,7 +349,7 @@ func runMultiNode(coreCfg core.Config, r *runSpec, nodes, epochs int, traceOut s
 		fmt.Printf("%d node(s) fail-stopped mid-run; the survivors re-ringed, rescaled the gradient mean and continued.\n",
 			last.FailedNodes)
 	}
-	if err := inSync("fleet", m.ReplicasInSync()); err != nil {
+	if err := inSync(m.ReplicasInSync()); err != nil {
 		return err
 	}
 	fmt.Println("Fleet consistency check: all shards hold identical weights after the ring all-reduce.")

@@ -17,13 +17,13 @@ import (
 // MultiNode executes the multi-node protocol the analytic Config only
 // prices: the graph is partitioned across nodes (internal/graph's greedy
 // METIS-style partitioner), each node runs a full core.Engine replica over
-// its shard's training vertices — with its own DRM instance, replica fleet
-// and virtual pipeline clock — and the nodes exchange real gradients every
-// iteration through a chunked ring all-reduce. Remote feature rows (input
-// vertices owned by other shards) and the all-reduce are charged on each
-// node's virtual clock via the same perfmodel network primitives the
-// analytic model uses, so EpochTime's predictions can be validated against
-// executed runs.
+// its shard's training vertices — with its own DRM instance, trainers,
+// parameter set and virtual pipeline clock — and the nodes exchange real
+// gradients every iteration through a chunked ring all-reduce. Remote
+// feature rows (input vertices owned by other shards) and the all-reduce are
+// charged on each node's virtual clock via the same perfmodel network
+// primitives the analytic model uses, so EpochTime's predictions can be
+// validated against executed runs.
 type MultiNode struct {
 	cfg        MultiNodeConfig
 	part       *graph.Partition
@@ -328,20 +328,18 @@ func (m *MultiNode) RunEpoch() (*MultiNodeStats, error) {
 // DeadNodes reports which ranks have fail-stopped so far.
 func (m *MultiNode) DeadNodes() []bool { return m.dead }
 
-// ReplicasInSync reports the worst parameter divergence anywhere in the
-// surviving fleet: within each node's replica set and across nodes. Zero
-// means the two-level synchronous-SGD protocol (local rank-order fold + cross-node
-// ring) is working. Fail-stopped nodes are excluded — their parameters froze
-// at the round they departed and no longer participate in the protocol.
+// ReplicasInSync reports the worst parameter divergence across the surviving
+// nodes (each node holds one parameter set, so there is nothing to compare
+// within one). Zero means the cross-node protocol — every node applying the
+// ring's global mean — is working; a NaN on one node and not another reads as
+// +Inf. Fail-stopped nodes are excluded: their parameters froze at the round
+// they departed and no longer participate in the protocol.
 func (m *MultiNode) ReplicasInSync() float64 {
 	var worst float64
 	var ref *gnn.Parameters
 	for i, e := range m.engines {
 		if m.dead[i] {
 			continue
-		}
-		if d := e.ReplicasInSync(); d > worst {
-			worst = d
 		}
 		p := e.Params()
 		if ref == nil {

@@ -259,9 +259,29 @@ func TestMultiNodeHeterogeneousNodes(t *testing.T) {
 	}
 }
 
+// A node that went NaN where its peers did not has diverged without bound;
+// nodes that all hold the same NaN have not.
+func TestFleetInSyncSeesNaN(t *testing.T) {
+	m, err := NewMultiNode(multiConfig(t, 3, multiDataset(t, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := float32(math.NaN())
+	m.Node(1).Params().Weights[0].Data[3] = nan
+	if d := m.ReplicasInSync(); !math.IsInf(d, 1) {
+		t.Fatalf("one NaN node reads as divergence %v, want +Inf", d)
+	}
+	for i := 0; i < m.cfg.Nodes; i++ {
+		m.Node(i).Params().Weights[0].Data[3] = nan
+	}
+	if d := m.ReplicasInSync(); d != 0 {
+		t.Fatalf("nodes NaN at the same position read as divergence %v, want 0", d)
+	}
+}
+
 // The headline protocol property: 4 executed shards with real gradient
-// exchange stay bit-identical across nodes AND inside each node's fleet,
-// converge, and pay real network charges on the virtual clock.
+// exchange stay bit-identical across nodes, converge, and pay real network
+// charges on the virtual clock.
 func TestMultiNodeExecutesAndStaysInSync(t *testing.T) {
 	m, err := NewMultiNode(multiConfig(t, 4, multiDataset(t, 2)))
 	if err != nil {

@@ -3,11 +3,14 @@
 //
 //   - real numeric execution — every trainer (the CPU trainer and each
 //     simulated accelerator trainer) runs the actual GNN forward/backward
-//     (internal/gnn) on its own model replica, on a pool of
+//     (internal/gnn) over its share of the batch, on a pool of
 //     min(GOMAXPROCS, trainers) host workers that own the step arenas;
 //     paper Listing 1's DONE/ACK round is the pool's join followed by a
-//     rank-order weighted fold (optim.WeightedMean), so losses, accuracies
-//     and the synchronous-SGD equivalence are real, measured properties; with
+//     rank-order weighted fold (optim.WeightedMean) and one SGD step on the
+//     engine's one parameter set — the accelerators are clock charges, so
+//     Listing 1's per-trainer replicas would be bit-identical copies — and
+//     losses, accuracies and the synchronous-SGD equivalence are real,
+//     measured properties; with
 //
 //   - a virtual clock — each pipeline stage is charged the duration the
 //     device models (internal/hw, via internal/perfmodel's primitives) assign
@@ -29,13 +32,13 @@
 // The runtime is layered so one engine can drive one node or one shard of a
 // multi-node fleet (internal/cluster.MultiNode):
 //
-//   - engine.go — construction, validation, replica fleet, accessors;
+//   - engine.go — construction, validation, the model, accessors;
 //   - stages.go — the StageExecutor interface and the hybrid pipeline
 //     executor: prepare (sampling, loading/transfer, the iteration's whole
 //     stage vector) and compute (the trainer pool's round and the
 //     rank-order fold — numerics only);
-//   - trainers.go — what a trainer is beyond its replica: the trainer pool
-//     that steps it, and propSec, the one per-device-kind propagation price;
+//   - trainers.go — what a trainer is: the trainer pool that steps its
+//     share, and propSec, the one per-device-kind propagation price;
 //   - sync.go — the GradientSync boundary between the local all-reduce and
 //     the globally applied gradient, and the FeatureLocator that prices
 //     remote feature rows;
@@ -55,11 +58,10 @@ import (
 
 // Config assembles a training run.
 type Config struct {
-	Plat     hw.Platform
-	Data     *datagen.Dataset
-	Model    gnn.Config
-	LR       float32
-	Momentum float32
+	Plat  hw.Platform
+	Data  *datagen.Dataset
+	Model gnn.Config
+	LR    float32 // a finite positive number
 
 	BatchSize int   // per-trainer mini-batch targets (paper: 1024)
 	Fanouts   []int // neighbor fanouts (paper: 25, 10)

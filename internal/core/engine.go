@@ -15,20 +15,25 @@ import (
 	"repro/internal/tensor"
 )
 
-// Engine is the runtime: the replica fleet and the composable layers that
-// drive it (clock, stage executor, gradient sync).
+// Engine is the runtime: the one parameter set every trainer steps, and the
+// composable layers that drive it (clock, stage executor, gradient sync).
 type Engine struct {
-	cfg      Config
-	pm       *perfmodel.Model
-	drmEng   *drm.Engine
-	smp      *sampler.Sampler
-	saint    *sampler.SaintSampler // non-nil when Config.UseSaint
-	batcher  *sampler.Batcher
-	replicas []*gnn.Model // replica 0 = CPU trainer, 1..n = accelerators
+	cfg     Config
+	pm      *perfmodel.Model
+	drmEng  *drm.Engine
+	smp     *sampler.Sampler
+	saint   *sampler.SaintSampler // non-nil when Config.UseSaint
+	batcher *sampler.Batcher
+	// model is the node's parameter set. Trainer 0 (the CPU) and trainers
+	// 1..n (the accelerators) all step it: the accelerators are clock charges
+	// whose numerics run on the host, so n bit-identical replicas would only
+	// be n copies to keep equal. The pool's workers read it concurrently
+	// during compute; consumeIteration writes it after the join.
+	model *gnn.Model
+	opt   *optim.SGD
 	// backends is aligned with Plat.Accels: the §IV-C dataflow account of
 	// each FPGA-kind device, nil for every other kind. Only prepare calls it.
 	backends []*accel.Backend
-	opts     []*optim.SGD
 	assign   perfmodel.Assignment
 	rng      *tensor.RNG
 	epoch    int
@@ -76,17 +81,18 @@ func (e *Engine) slot(i int) *iterSlot {
 	return e.slots[i]
 }
 
-// NewEngine validates the configuration and builds the runtime: one model
-// replica per trainer (identically initialised — synchronous SGD keeps them
-// in lock-step), the design-phase task mapping from the performance model,
-// the DRM engine when enabled, and the runtime layers (defaulting to the
-// single-node pipeline clock and identity gradient sync).
+// NewEngine validates the configuration and builds the runtime: the model
+// and its optimizer (NewSGD checks the learning rate), the design-phase task
+// mapping from the performance model, the DRM engine when enabled, and the
+// runtime layers (defaulting to the single-node pipeline clock and identity
+// gradient sync).
 func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Data == nil {
 		return nil, fmt.Errorf("core: nil dataset")
 	}
-	if cfg.LR <= 0 {
-		return nil, fmt.Errorf("core: non-positive learning rate %v", cfg.LR)
+	opt, err := optim.NewSGD(cfg.LR)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("core: non-positive batch size %d", cfg.BatchSize)
@@ -134,21 +140,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	nTrainers := 1 + len(cfg.Plat.Accels) // CPU replica always exists; unused if !Hybrid
-	replicas := make([]*gnn.Model, nTrainers)
-	opts := make([]*optim.SGD, nTrainers)
-	initRNG := rng.Split()
-	m0, err := gnn.NewModel(cfg.Model, initRNG)
+	nTrainers := 1 + len(cfg.Plat.Accels) // the CPU trainer always exists; idle if !Hybrid
+	model, err := gnn.NewModel(cfg.Model, rng.Split())
 	if err != nil {
 		return nil, err
-	}
-	for i := range replicas {
-		replicas[i] = &gnn.Model{Cfg: cfg.Model, Params: m0.Params.Clone()}
-		opt, err := optim.NewSGD(cfg.LR, cfg.Momentum)
-		if err != nil {
-			return nil, err
-		}
-		opts[i] = opt
 	}
 	backends := make([]*accel.Backend, len(cfg.Plat.Accels))
 	for i, dev := range cfg.Plat.Accels {
@@ -159,8 +154,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg: cfg, pm: pm, smp: smp, saint: saint, batcher: batcher,
-		replicas: replicas, pool: newTrainerPool(nTrainers, m0.Params), backends: backends,
-		opts: opts, rng: rng,
+		model: model, opt: opt, pool: newTrainerPool(nTrainers, model.Params),
+		backends: backends, rng: rng,
 		assign:  pm.InitialAssignment(cfg.Hybrid),
 		clock:   perfmodel.Pipeline{TFP: cfg.TFP, Networked: cfg.networked()},
 		gsync:   cfg.Sync,
@@ -196,9 +191,8 @@ func checkFeatures(d *datagen.Dataset, f0 int) error {
 // Assignment returns the current task mapping (after any DRM moves).
 func (e *Engine) Assignment() perfmodel.Assignment { return e.assign.Clone() }
 
-// Params returns trainer 0's parameters (all replicas are identical; the
-// invariant is checked by ReplicasInSync).
-func (e *Engine) Params() *gnn.Parameters { return e.replicas[0].Params }
+// Params returns the engine's parameters — every trainer's.
+func (e *Engine) Params() *gnn.Parameters { return e.model.Params }
 
 // Evaluate runs exact full-graph inference with the trained weights and
 // returns accuracy over idx (pass nil to evaluate every non-training
@@ -207,7 +201,7 @@ func (e *Engine) Evaluate(idx []int32) (float64, error) {
 	if idx == nil {
 		idx = e.heldOut()
 	}
-	return e.replicas[0].Evaluate(e.cfg.Data.Graph, e.cfg.Data.Features, e.cfg.Data.Labels, idx)
+	return e.model.Evaluate(e.cfg.Data.Graph, e.cfg.Data.Features, e.cfg.Data.Labels, idx)
 }
 
 // heldOut returns every non-training vertex, into scratch reused across
@@ -243,22 +237,10 @@ func (e *Engine) heldOut() []int32 {
 }
 
 // SaveModel writes a checkpoint of the trained weights.
-func (e *Engine) SaveModel(w io.Writer) error { return e.replicas[0].Save(w) }
+func (e *Engine) SaveModel(w io.Writer) error { return e.model.Save(w) }
 
-// ReplicasInSync reports the maximum parameter divergence across replicas —
-// zero when the synchronous-SGD protocol is working.
-func (e *Engine) ReplicasInSync() float64 {
-	var worst float64
-	ref := e.replicas[0].Params
-	for _, r := range e.replicas[1:] {
-		for l := range ref.Weights {
-			if d := ref.Weights[l].MaxAbsDiff(r.Params.Weights[l]); d > worst {
-				worst = d
-			}
-			if d := ref.Biases[l].MaxAbsDiff(r.Params.Biases[l]); d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
-}
+// ReplicasInSync reports the parameter divergence across the engine's
+// trainers: 0 by construction, since they all step one parameter set. Kept
+// for the benchmark's consistency check; the real check is across nodes
+// (cluster.MultiNode.ReplicasInSync).
+func (e *Engine) ReplicasInSync() float64 { return 0 }

@@ -5,8 +5,8 @@ import "runtime"
 // Epoch orchestration: the top layer of the runtime. RunEpoch owns the
 // iteration loop and nothing else — it asks the batcher for targets, the
 // StageExecutor for execution, lets DRM react, asks GradientSync for the
-// global gradient, applies the update to every replica and advances the
-// clock. Each of those layers is swappable without touching this loop.
+// global gradient, applies the update to the one parameter set and advances
+// the clock. Each of those layers is swappable without touching this loop.
 //
 // There is one loop for both schedules (Config.Pipeline):
 //
@@ -29,10 +29,12 @@ type epochAccum struct {
 }
 
 // consumeIteration applies one completed iteration to the training state:
-// global gradient reduction, the weight update on every replica, the virtual
-// clock charge and the epoch statistics — in iteration order, on the
-// orchestrating goroutine. It must not write e.assign: the prefetch worker
-// may be reading it for the next iteration.
+// global gradient reduction, the weight update, the virtual clock charge and
+// the epoch statistics — in iteration order, on the orchestrating goroutine,
+// after compute's join, so no trainer reads the parameters it writes. A
+// prefetch prepare may be running, but prepare never reads the parameters.
+// It must not write e.assign: the prefetch worker may be reading it for the
+// next iteration.
 func (e *Engine) consumeIteration(res *IterResult, stats *EpochStats, acc *epochAccum) error {
 	acc.lossSum += res.LossSum
 	acc.accSum += res.Correct
@@ -40,19 +42,15 @@ func (e *Engine) consumeIteration(res *IterResult, stats *EpochStats, acc *epoch
 	acc.edgeSum += res.Edges
 
 	// Weight update: the local average crosses GradientSync (identity on
-	// one node, ring all-reduce across shards), then EVERY replica
-	// applies the broadcast result — including trainers that had no
-	// share this iteration (the DRM can shrink a share to zero) — so the
-	// fleet stays in lock-step.
+	// one node, ring all-reduce across shards) and is applied once, to the
+	// parameters every trainer — share-less ones included — steps next.
 	if res.Grad != nil {
 		global, netSec, err := e.gsync.Reduce(res.Grad)
 		if err != nil {
 			return err
 		}
 		res.Stage.NetSync = netSec
-		for i := range e.replicas {
-			e.opts[i].Step(e.replicas[i].Params, global)
-		}
+		e.opt.Step(e.model.Params, global)
 	}
 
 	e.clock.Advance(res.Stage)

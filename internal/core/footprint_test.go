@@ -16,7 +16,7 @@ import (
 // owner: a slot's staging arena — only a quantized accelerator share has one —
 // holds one gathered feature block, whose size is its shape; a trainer's
 // step demand is measured by replaying the same step on a fresh arena (the
-// replica is only read, and the slot's input is live until its next prepare).
+// model is only read, and the slot's input is live until its next prepare).
 type footprintRecorder struct {
 	*hybridExecutor
 	stage [pipelineDepth][]int64 // per slot, per trainer
@@ -48,7 +48,7 @@ func (r *footprintRecorder) compute(s *iterSlot) (*IterResult, error) {
 		for i := range r.stage {
 			r.stage[i] = make([]int64, len(s.batches))
 		}
-		r.grads = gnn.NewGradients(r.e.replicas[0].Params)
+		r.grads = gnn.NewGradients(r.e.model.Params)
 	}
 	for i, mb := range s.batches {
 		if mb == nil {
@@ -59,7 +59,7 @@ func (r *footprintRecorder) compute(s *iterSlot) (*IterResult, error) {
 			r.stage[k][i] = max(r.stage[k][i], 4*int64(len(in.x.Data)))
 		}
 		fresh := tensor.NewWorkspace()
-		if _, _, err := r.e.replicas[i].TrainStepRowsWS(fresh, &r.st, mb, in.x, in.rows, r.grads); err != nil {
+		if _, _, err := r.e.model.TrainStepRowsWS(fresh, &r.st, mb, in.x, in.rows, r.grads); err != nil {
 			return nil, err
 		}
 		r.step[i] = max(r.step[i], cycleDemand(fresh))
@@ -140,7 +140,7 @@ func TestWorkspaceFootprintBounded(t *testing.T) {
 			}
 			want := 0
 			if leg.quantize {
-				want = slots * (len(e.replicas) - 1)
+				want = slots * (len(e.pool.res) - 1)
 			}
 			if owners != want {
 				t.Fatalf("%d staging arenas, want %d", owners, want)
@@ -149,7 +149,7 @@ func TestWorkspaceFootprintBounded(t *testing.T) {
 			for k, w := range e.pool.workers {
 				check(fmt.Sprintf("worker %d step arena", k), w.ws, stepDemand)
 			}
-			if workers, limit := owners-want, min(runtime.GOMAXPROCS(0), len(e.replicas)); workers == 0 || workers > limit || retained == 0 {
+			if workers, limit := owners-want, min(runtime.GOMAXPROCS(0), len(e.pool.res)); workers == 0 || workers > limit || retained == 0 {
 				t.Fatalf("%d step arenas held %d B in all, want 1..%d (min of GOMAXPROCS and the trainers)", workers, retained, limit)
 			}
 			if e.drmEng.MovesWork+e.drmEng.MovesThread == 0 {

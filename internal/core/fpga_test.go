@@ -99,7 +99,7 @@ func TestFPGATrainerStepZeroAlloc(t *testing.T) {
 			t.Fatalf("propSec: %v sec, err %v, account %+v", sec, err, s.fpga)
 		}
 		res := &e.pool.res[1]
-		if e.pool.workers[0].step(e.replicas[1], mb, in, res); res.err != nil {
+		if e.pool.workers[0].step(e.model, mb, in, res); res.err != nil {
 			t.Fatal(res.err)
 		}
 	}

@@ -56,7 +56,7 @@ type InferResult struct {
 // InferencePipeline is the serving-side counterpart of the training
 // StageExecutor: one worker's sample → gather → transfer → propagate
 // pipeline over the shared runtime layers, bound to one device the way a
-// training replica is. Real numeric propagation runs through the same gnn
+// trainer is. Real numeric propagation runs through the same gnn
 // layer kernels as training on every device; virtual time is charged by the
 // same perfmodel primitives — on an FPGA-bound worker, the accel dataflow's
 // cycle account, as training's propSec charges — and composed by the same

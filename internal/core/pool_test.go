@@ -12,8 +12,7 @@ import (
 
 // poolSig trains three epochs of the five-trainer CPU+FPGA fleet with DRM on
 // at the given GOMAXPROCS — the trainer pool's width — and renders per-epoch
-// loss, accuracy and virtual time as hex floats, then replica 0's parameter
-// digest.
+// loss, accuracy and virtual time as hex floats, then the parameter digest.
 func poolSig(t *testing.T, procs int) string {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(procs)
@@ -40,8 +39,10 @@ func poolSig(t *testing.T, procs int) string {
 }
 
 // goldenTrainerPool was recorded when every trainer still ran on a goroutine
-// of its own and averaged through optim.Synchronizer, and is held across the
-// move to a pool of min(GOMAXPROCS, trainers) workers folding in rank order.
+// of its own, stepped a replica of its own and averaged through a
+// mutex/condition-variable synchronizer, and is held across the move to a pool
+// of min(GOMAXPROCS, trainers) workers folding in rank order into one SGD
+// step on one parameter set.
 const goldenTrainerPool = "epoch1 loss=0x1.ab95d4e4f30cep+00 acc=0x1.40da740da740ep-02 vsec=0x1.1d11ca5ffd8efp-08\n" +
 	"epoch2 loss=0x1.c58ee7e83873cp-01 acc=0x1.86d3a06d3a06dp-01 vsec=0x1.041053afa1a65p-08\n" +
 	"epoch3 loss=0x1.168e6813c5dd8p-01 acc=0x1.c0da740da740ep-01 vsec=0x1.03fd125ab7bb4p-08\n" +
@@ -69,8 +70,8 @@ func (x labelCutter) prepare(s *iterSlot, targets []int32) error {
 // depend on how many workers share the fleet's steps — one (every step inline
 // on the caller), two (narrower than the fleet) or four — and equals the one
 // recorded before the pool. A failing step makes compute return the first
-// failing trainer's error in index order, after the round joins, with no
-// replica stepped.
+// failing trainer's error in index order, after the round joins, with the
+// parameters unstepped.
 func TestTrainerPoolBitIdentical(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
@@ -89,10 +90,7 @@ func TestTrainerPoolBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := make([]uint64, len(e.replicas))
-			for i, r := range e.replicas {
-				before[i] = paramsHash(r.Params)
-			}
+			before := paramsHash(e.Params())
 			x := labelCutter{e.exec.(*hybridExecutor), []int{2, 4}}
 			e.exec = x
 			done := make(chan error, 1)
@@ -109,10 +107,8 @@ func TestTrainerPoolBitIdentical(t *testing.T) {
 			if want := fmt.Sprintf("gnn: %d labels for %d targets", n-2, n); err == nil || err.Error() != want {
 				t.Fatalf("RunEpoch returned %v, want trainer 2's error %q", err, want)
 			}
-			for i, r := range e.replicas {
-				if paramsHash(r.Params) != before[i] {
-					t.Fatalf("replica %d was stepped by a failed round", i)
-				}
+			if paramsHash(e.Params()) != before {
+				t.Fatal("the parameters were stepped by a failed round")
 			}
 		})
 	}

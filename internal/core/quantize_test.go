@@ -22,7 +22,7 @@ func paramsHash(p *gnn.Parameters) uint64 {
 
 // quantizedSig runs two epochs of baseConfig with QuantizeTransfer on under
 // the given schedule and renders per-epoch loss, accuracy and virtual time as
-// hex floats, then replica 0's parameter digest.
+// hex floats, then the parameter digest.
 func quantizedSig(t *testing.T, mode PipelineMode) string {
 	t.Helper()
 	cfg := baseConfig(t)

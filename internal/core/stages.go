@@ -79,7 +79,7 @@ type iterSlot struct {
 }
 
 // hybridExecutor is the default StageExecutor: the paper's hybrid CPU +
-// accelerator pipeline over the engine's replica fleet.
+// accelerator pipeline over the engine's trainers.
 type hybridExecutor struct {
 	e *Engine
 }
@@ -93,8 +93,8 @@ type hybridExecutor struct {
 // block is staged. It touches only the slot's scratch, the sampler/RNG
 // stream and the FPGA backends' accounting scratch (callers serialize
 // prepares), and read-only engine state (features, pricing model, locator,
-// the mapping); never the replicas or their numeric scratch, which is what
-// lets it overlap a sibling slot's compute.
+// the mapping); never the parameters or the pool's numeric scratch, which is
+// what lets it overlap a sibling slot's compute.
 func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 	e := x.e
 	s.st = perfmodel.StageTimes{}
@@ -251,12 +251,11 @@ func (x *hybridExecutor) compute(s *iterSlot) (*IterResult, error) {
 	if len(p.active) == 0 {
 		return out, nil
 	}
-	p.run(x.e.replicas, s)
+	p.run(x.e.model, s)
 
 	// Weighted averaging: each trainer's mean gradient enters the sum at a
 	// weight that makes the average the global-batch mean. The weight
-	// *update* is applied by the coordinator to every replica (even
-	// share-less ones) once the round's average is known.
+	// *update* is the coordinator's, once the round's average is known.
 	n := len(p.active)
 	for r, i := range p.active {
 		res := &p.res[i]

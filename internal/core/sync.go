@@ -3,8 +3,8 @@ package core
 import "repro/internal/gnn"
 
 // GradientSync is the boundary between the engine's local all-reduce (the
-// trainer pool's rank-order fold over its own trainers) and the gradient every
-// replica finally applies. On a single node they are the same thing; in a
+// trainer pool's rank-order fold over its own trainers) and the gradient the
+// engine finally applies. On a single node they are the same thing; in a
 // multi-node run the coordinator injects an implementation that exchanges
 // the local average with the other shards (a ring all-reduce) and reports
 // the virtual network seconds the exchange cost.

@@ -12,10 +12,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// A trainer is a model replica, its mean gradient (compute's half) and the
-// price of its step on its device (prepare's half). Every replica runs the
-// same reference forward/backward — which is what keeps the fleet's
-// synchronous SGD bit-exact — so the device kinds differ only in propSec.
+// A trainer is a share of the iteration's batch, its mean gradient over the
+// engine's one parameter set (compute's half) and the price of its step on
+// its device (prepare's half). Every trainer runs the same reference
+// forward/backward, so the device kinds differ only in propSec.
 
 // trainerPool is compute's round state, retained across iterations so a
 // round allocates nothing but its spawns; only compute touches it, and
@@ -28,7 +28,7 @@ import (
 // parameter-sized gradient for the fold.
 type trainerPool struct {
 	workers []stepWorker    // the first P run a round
-	res     []trainerResult // per trainer, aligned with replicas
+	res     []trainerResult // per trainer, in rank order
 	active  []int           // the round's trainers with a share, in rank order
 	next    atomic.Int32    // cursor into active: the next rank a worker claims
 	join    sync.WaitGroup
@@ -78,31 +78,32 @@ func newTrainerPool(n int, params *gnn.Parameters) trainerPool {
 	}
 }
 
-// run steps every active trainer of the slot on its replica and returns once
-// all have finished.
-func (p *trainerPool) run(replicas []*gnn.Model, s *iterSlot) {
+// run steps every active trainer of the slot on m and returns once all have
+// finished. The workers only read m (a gnn.Model is its config and
+// parameters); each writes its own arena and its trainers' results.
+func (p *trainerPool) run(m *gnn.Model, s *iterSlot) {
 	width := min(runtime.GOMAXPROCS(0), len(p.active))
 	p.next.Store(0)
 	p.join.Add(width - 1)
 	for k := 1; k < width; k++ {
 		go func(w *stepWorker) {
 			defer p.join.Done()
-			p.drain(w, replicas, s)
+			p.drain(w, m, s)
 		}(&p.workers[k])
 	}
-	p.drain(&p.workers[0], replicas, s)
+	p.drain(&p.workers[0], m, s)
 	p.join.Wait()
 }
 
 // drain runs trainers on w until the cursor passes the last active one.
-func (p *trainerPool) drain(w *stepWorker, replicas []*gnn.Model, s *iterSlot) {
+func (p *trainerPool) drain(w *stepWorker, m *gnn.Model, s *iterSlot) {
 	for {
 		r := int(p.next.Add(1)) - 1
 		if r >= len(p.active) {
 			return
 		}
 		i := p.active[r]
-		w.step(replicas[i], s.batches[i], s.inputs[i], &p.res[i])
+		w.step(m, s.batches[i], s.inputs[i], &p.res[i])
 	}
 }
 

@@ -13,7 +13,10 @@
 // deliberately has no model of *why* a stage is slow — exactly like the
 // paper's engine, it reacts only to measured times, which is what lets it
 // absorb model error (framework overheads, contention) that the design-time
-// mapping cannot see.
+// mapping cannot see. Its step law — gain, share and thread floors, thread
+// step, hysteresis — is one set of package constants; a caller chooses only
+// the thread budget (Engine.Cores) and whether loading and transfer are one
+// fused stage (Engine.FusedPrefetch).
 package drm
 
 import (
@@ -54,23 +57,28 @@ func (s Stage) String() string {
 	}
 }
 
+// The engine's step law, the values used throughout the experiments.
+const (
+	// gain is the fraction of the measured imbalance corrected per step
+	// (1 = jump straight to the estimated optimum; smaller damps oscillation).
+	gain = 0.5
+	// minBatch is the smallest per-device mini-batch share (keeps every
+	// trainer participating so measurements stay available).
+	minBatch = 32
+	// minThreads is the floor for any CPU task's thread count.
+	minThreads = 4
+	// threadStep is how many threads one balance_thread move transfers.
+	threadStep = 4
+	// tolerance suppresses a move when the bottleneck exceeds what it is
+	// compared against (the runner-up stage; in the intra-fleet move, the
+	// fastest device) by less than this relative margin (hysteresis).
+	tolerance = 0.08
+)
+
 // Engine is the DRM controller. It implements pipesim.Controller.
 type Engine struct {
 	// Cores is the CPU thread budget balance_thread conserves.
 	Cores int
-	// Gain is the fraction of the measured imbalance corrected per step
-	// (1 = jump straight to the estimated optimum; smaller damps oscillation).
-	Gain float64
-	// MinBatch is the smallest per-device mini-batch share (keeps every
-	// trainer participating so measurements stay available).
-	MinBatch int
-	// MinThreads is the floor for any CPU task's thread count.
-	MinThreads int
-	// ThreadStep is how many threads one balance_thread move transfers.
-	ThreadStep int
-	// Tolerance suppresses adjustment when the bottleneck exceeds the
-	// fastest stage by less than this relative margin (hysteresis).
-	Tolerance float64
 	// FusedPrefetch tells the engine that Feature Loading and Data Transfer
 	// run as one fused pipeline stage (the pre-TFP configuration, §IV-B).
 	// The engine then optimizes the fused time Load+Trans as a unit and
@@ -91,13 +99,8 @@ type Engine struct {
 	weights, fracs []float64
 }
 
-// New returns an engine with the defaults used throughout the experiments.
-func New(cores int) *Engine {
-	return &Engine{
-		Cores: cores, Gain: 0.5, MinBatch: 32, MinThreads: 4,
-		ThreadStep: 4, Tolerance: 0.08,
-	}
-}
+// New returns an engine that balances a budget of cores CPU threads.
+func New(cores int) *Engine { return &Engine{Cores: cores} }
 
 // times extracts Algorithm 1's five inputs from the measured stage times.
 func times(st perfmodel.StageTimes) stageTimes {
@@ -181,7 +184,7 @@ func (e *Engine) adjustGlobal(out *perfmodel.Assignment, st perfmodel.StageTimes
 	// just swaps the two and the pipeline oscillates; the bottleneck time —
 	// which is what the pipeline clock follows — cannot drop below the
 	// runner-up anyway.
-	if ts[second] > 0 && ts[bottleneck] < ts[second]*(1+e.Tolerance) {
+	if ts[second] > 0 && ts[bottleneck] < ts[second]*(1+tolerance) {
 		return
 	}
 
@@ -243,14 +246,14 @@ func (e *Engine) balanceAccels(a *perfmodel.Assignment, per []perfmodel.DeviceSt
 		return
 	}
 	tSlow, tFast := per[slow].Busy(), per[fast].Busy()
-	if tSlow < tFast*(1+e.Tolerance) {
+	if tSlow < tFast*(1+tolerance) {
 		return // hysteresis: the fleet is balanced enough
 	}
 	cSlow := tSlow / float64(a.AccelBatch[slow])
 	cFast := tFast / float64(a.AccelBatch[fast])
-	move := int(e.Gain * (tSlow - tFast) / (cSlow + cFast))
-	if a.AccelBatch[slow]-move < e.MinBatch {
-		move = a.AccelBatch[slow] - e.MinBatch
+	move := int(gain * (tSlow - tFast) / (cSlow + cFast))
+	if a.AccelBatch[slow]-move < minBatch {
+		move = a.AccelBatch[slow] - minBatch
 	}
 	if move <= 0 {
 		return
@@ -289,7 +292,7 @@ func (e *Engine) balanceTraining(a *perfmodel.Assignment, ts *stageTimes, dir in
 	if cpuSide > 0 && accSide > 0 && a.CPUBatch > 0 && accTotal > 0 {
 		cCPU := cpuSide / float64(a.CPUBatch)
 		cAcc := accSide / float64(accTotal)
-		move = int(e.Gain * (accSide - cpuSide) / (cCPU + cAcc) * float64(-dir))
+		move = int(gain * (accSide - cpuSide) / (cCPU + cAcc) * float64(-dir))
 		if move < 0 {
 			move = -move
 		}
@@ -300,8 +303,8 @@ func (e *Engine) balanceTraining(a *perfmodel.Assignment, ts *stageTimes, dir in
 		return
 	}
 	if dir > 0 { // CPU → accelerators
-		if a.CPUBatch-move < e.MinBatch {
-			move = a.CPUBatch - e.MinBatch
+		if a.CPUBatch-move < minBatch {
+			move = a.CPUBatch - minBatch
 		}
 		if move <= 0 {
 			return
@@ -309,8 +312,8 @@ func (e *Engine) balanceTraining(a *perfmodel.Assignment, ts *stageTimes, dir in
 		a.CPUBatch -= move
 		e.distribute(a.AccelBatch, move)
 	} else { // accelerators → CPU
-		if accTotal-move < e.MinBatch*nAcc {
-			move = accTotal - e.MinBatch*nAcc
+		if accTotal-move < minBatch*nAcc {
+			move = accTotal - minBatch*nAcc
 		}
 		if move <= 0 {
 			return
@@ -324,7 +327,7 @@ func (e *Engine) balanceTraining(a *perfmodel.Assignment, ts *stageTimes, dir in
 // balanceSampling is balance_work over the sampling split.
 // dir = +1 moves sampling work CPU→accelerators, −1 the reverse.
 func (e *Engine) balanceSampling(a *perfmodel.Assignment, dir int) {
-	step := 0.1 * e.Gain * 2
+	step := 0.1 * gain * 2
 	frac := a.AccelSampleFrac + float64(dir)*step
 	if frac < 0 {
 		frac = 0
@@ -339,7 +342,7 @@ func (e *Engine) balanceSampling(a *perfmodel.Assignment, dir int) {
 	e.MovesWork++
 }
 
-// balanceThread moves ThreadStep CPU threads from one task to another.
+// balanceThread moves threadStep CPU threads from one task to another.
 func (e *Engine) balanceThread(a *perfmodel.Assignment, from, to Stage) {
 	if from == to {
 		return
@@ -360,9 +363,9 @@ func (e *Engine) balanceThread(a *perfmodel.Assignment, from, to Stage) {
 	if src == nil || dst == nil {
 		return
 	}
-	step := e.ThreadStep
-	if *src-step < e.MinThreads {
-		step = *src - e.MinThreads
+	step := threadStep
+	if *src-step < minThreads {
+		step = *src - minThreads
 	}
 	if step <= 0 {
 		return

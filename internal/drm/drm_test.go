@@ -188,15 +188,15 @@ func TestNoAccelNoWorkMove(t *testing.T) {
 func TestMinBatchFloorRespected(t *testing.T) {
 	e := New(128)
 	a := perfmodel.Assignment{
-		CPUBatch:    e.MinBatch,
+		CPUBatch:    minBatch,
 		AccelBatch:  []int{4000},
 		SampThreads: 32, LoadThreads: 32, TrainThreads: 64,
 	}
 	// CPU trainer bottleneck wants to shed work but is already at the floor.
 	st := perfmodel.StageTimes{SampCPU: 0.1, Load: 0.1, Trans: 0.1, TrainAcc: 0.2, TrainCPU: 5}
 	out := e.Adjust(0, st, a)
-	if out.CPUBatch < e.MinBatch {
-		t.Fatalf("CPU batch %d below floor %d", out.CPUBatch, e.MinBatch)
+	if out.CPUBatch < minBatch {
+		t.Fatalf("CPU batch %d below floor %d", out.CPUBatch, minBatch)
 	}
 	if out.TotalBatch() != a.TotalBatch() {
 		t.Fatal("total batch not conserved at floor")
@@ -206,10 +206,10 @@ func TestMinBatchFloorRespected(t *testing.T) {
 func TestThreadFloorRespected(t *testing.T) {
 	e := New(128)
 	a := baseAssign()
-	a.SampThreads = e.MinThreads // fastest task already at floor
+	a.SampThreads = minThreads // fastest task already at floor
 	st := perfmodel.StageTimes{SampCPU: 0.01, Load: 5, Trans: 1, TrainAcc: 1, TrainCPU: 1}
 	out := e.Adjust(0, st, a)
-	if out.SampThreads < e.MinThreads {
+	if out.SampThreads < minThreads {
 		t.Fatalf("sampler threads %d below floor", out.SampThreads)
 	}
 }
@@ -393,7 +393,7 @@ func TestDRMConvergesUnequalDevices(t *testing.T) {
 		t.Fatalf("DRM did not narrow the device imbalance: %v -> %v", start, end)
 	}
 	// Converged into (or near) the hysteresis band.
-	if end > 1+2*e.Tolerance {
+	if end > 1+2*tolerance {
 		t.Fatalf("unequal-device stage times did not converge: ratio %v", end)
 	}
 	if a.TotalBatch() != 3*1024 {

@@ -184,8 +184,8 @@ func NewDynamicBatcher(maxBatch int, window float64) (*DynamicBatcher, error) {
 	if maxBatch <= 0 {
 		return nil, fmt.Errorf("serve: non-positive max batch %d", maxBatch)
 	}
-	if window < 0 {
-		return nil, fmt.Errorf("serve: negative batch window %v", window)
+	if !finiteAtLeast(window, 0) {
+		return nil, fmt.Errorf("serve: batch window %v is not a finite non-negative number", window)
 	}
 	return &DynamicBatcher{maxBatch: maxBatch, window: window, formation: fcfsFormation{}}, nil
 }

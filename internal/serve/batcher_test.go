@@ -12,8 +12,10 @@ func TestBatcherValidation(t *testing.T) {
 	if _, err := NewDynamicBatcher(0, 1e-3); err == nil {
 		t.Fatal("expected error for zero max batch")
 	}
-	if _, err := NewDynamicBatcher(4, -1); err == nil {
-		t.Fatal("expected error for negative window")
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := NewDynamicBatcher(4, w); err == nil {
+			t.Fatalf("window %v accepted", w)
+		}
 	}
 }
 

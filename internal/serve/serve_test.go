@@ -198,6 +198,14 @@ func TestServeConfigValidation(t *testing.T) {
 		"zipf":     bad(func(c *Config) { c.ZipfExponent = -1 }),
 		"fanouts":  bad(func(c *Config) { c.Fanouts = []int{5} }),
 		"model":    bad(func(c *Config) { c.Model = nil }),
+		// A bare comparison lets NaN and +Inf through, and each ran to garbage:
+		// every request shed, capacity 0, or every request on one vertex.
+		"rate NaN":   bad(func(c *Config) { c.RatePerSec = math.NaN() }),
+		"rate +Inf":  bad(func(c *Config) { c.RatePerSec = math.Inf(1) }),
+		"window NaN": bad(func(c *Config) { c.WindowSec = math.NaN() }),
+		"window Inf": bad(func(c *Config) { c.WindowSec = math.Inf(1) }),
+		"zipf NaN":   bad(func(c *Config) { c.ZipfExponent = math.NaN() }),
+		"zipf +Inf":  bad(func(c *Config) { c.ZipfExponent = math.Inf(1) }),
 	}
 	for name, cfg := range cases {
 		if _, err := Run(cfg); err == nil {

@@ -148,25 +148,36 @@ func (w *WorkloadSpec) Validate() error {
 			return fmt.Errorf("serve: duplicate cohort name %q", c.Name)
 		}
 		seen[c.Name] = true
-		if !finitePositive(c.RatePerSec) {
-			return fmt.Errorf("serve: cohort %q: rate %v is not a finite positive number", c.Name, c.RatePerSec)
-		}
-		if !finiteAtLeast(c.Shape, 0) {
-			return fmt.Errorf("serve: cohort %q: shape %v is not a finite non-negative number", c.Name, c.Shape)
-		}
-		if !finiteAtLeast(c.Zipf, 0) {
-			return fmt.Errorf("serve: cohort %q: Zipf exponent %v is not a finite non-negative number", c.Name, c.Zipf)
+		if err := c.checkNumbers(); err != nil {
+			return err
 		}
 		if c.Class >= NumClasses {
 			return fmt.Errorf("serve: cohort %q: class %d out of range", c.Name, c.Class)
 		}
-		for j, p := range c.Phases {
-			if !finitePositive(p.DurationSec) {
-				return fmt.Errorf("serve: cohort %q phase %d: duration %v is not a finite positive number", c.Name, j, p.DurationSec)
-			}
-			if !finitePositive(p.Mult) {
-				return fmt.Errorf("serve: cohort %q phase %d: rate multiplier %v is not a finite positive number", c.Name, j, p.Mult)
-			}
+	}
+	return nil
+}
+
+// checkNumbers checks the cohort's numeric fields: a finite positive rate,
+// finite non-negative shape and Zipf exponent, and finite positive phase
+// durations and multipliers. Validate and the one-cohort Config stream both
+// apply it.
+func (c *Cohort) checkNumbers() error {
+	if !finitePositive(c.RatePerSec) {
+		return fmt.Errorf("serve: cohort %q: rate %v is not a finite positive number", c.Name, c.RatePerSec)
+	}
+	if !finiteAtLeast(c.Shape, 0) {
+		return fmt.Errorf("serve: cohort %q: shape %v is not a finite non-negative number", c.Name, c.Shape)
+	}
+	if !finiteAtLeast(c.Zipf, 0) {
+		return fmt.Errorf("serve: cohort %q: Zipf exponent %v is not a finite non-negative number", c.Name, c.Zipf)
+	}
+	for j, p := range c.Phases {
+		if !finitePositive(p.DurationSec) {
+			return fmt.Errorf("serve: cohort %q phase %d: duration %v is not a finite positive number", c.Name, j, p.DurationSec)
+		}
+		if !finitePositive(p.Mult) {
+			return fmt.Errorf("serve: cohort %q phase %d: rate multiplier %v is not a finite positive number", c.Name, j, p.Mult)
 		}
 	}
 	return nil
@@ -420,14 +431,12 @@ func newPoissonStream(numVertices int, ratePerSec, zipfExponent float64, rng arr
 	if numVertices <= 0 {
 		return nil, fmt.Errorf("serve: non-positive vertex count %d", numVertices)
 	}
-	if ratePerSec <= 0 {
-		return nil, fmt.Errorf("serve: non-positive request rate %v", ratePerSec)
-	}
-	if zipfExponent < 0 {
-		return nil, fmt.Errorf("serve: negative Zipf exponent %v", zipfExponent)
+	c := Cohort{Name: "poisson", Class: ClassStandard, RatePerSec: ratePerSec, Zipf: zipfExponent}
+	if err := c.checkNumbers(); err != nil {
+		return nil, err
 	}
 	w := &WorkloadStream{cohorts: make([]cohortStream, 1)}
-	w.cohorts[0].init(Cohort{Class: ClassStandard, RatePerSec: ratePerSec, Zipf: zipfExponent}, numVertices, rng)
+	w.cohorts[0].init(c, numVertices, rng)
 	return w, nil
 }
 

@@ -12,10 +12,10 @@ import (
 // / F32 / I32 — consecutive runs carved off the slab — and the owner calls
 // Reset at the cycle boundary.
 //
-// Ownership. A Workspace is NOT safe for concurrent use: every trainer, every
-// iteration slot's staging area per trainer, every serving worker and every
-// accelerator backend owns one, the way the fleet privatises replicas and
-// clocks.
+// Ownership. A Workspace is NOT safe for concurrent use: every trainer-pool
+// worker, every iteration slot's staging area per quantized accelerator
+// share, every serving worker and every accelerator backend owns one, the way
+// the fleet privatises clocks.
 //
 // Alignment. Every run starts on a 64-byte boundary and is padded to a whole
 // number of cache lines, so row-range workers writing neighbouring buffers
