@@ -222,6 +222,10 @@ func buildConfig(o options) (*runSpec, error) {
 		if o.serveQueue < 1 {
 			return nil, fmt.Errorf("-serve-queue %d: need at least 1", o.serveQueue)
 		}
+		if o.serveBatch > o.serveQueue {
+			return nil, fmt.Errorf("-serve-batch %d exceeds -serve-queue %d: admission holds at most the queue, so no batch can be larger",
+				o.serveBatch, o.serveQueue)
+		}
 		if o.serveCache < 0 {
 			return nil, fmt.Errorf("-serve-cache %d: negative", o.serveCache)
 		}

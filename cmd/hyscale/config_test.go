@@ -208,6 +208,7 @@ func TestBuildConfigRejectsBadValues(t *testing.T) {
 		"serve-window-inf": {func(o *options) { o.serveMode = true; o.serveWindowUs = math.Inf(1) }, "-serve-window-us"},
 		"serve-workers":    {func(o *options) { o.serveMode = true; o.serveWorkers = 0 }, "-serve-workers"},
 		"serve-queue":      {func(o *options) { o.serveMode = true; o.serveQueue = 0 }, "-serve-queue"},
+		"batch-over-queue": {func(o *options) { o.serveMode = true; o.serveBatch = 2048 }, "-serve-batch 2048 exceeds"},
 		"serve-cache":      {func(o *options) { o.serveMode = true; o.serveCache = -1 }, "-serve-cache"},
 		"serve-zipf":       {func(o *options) { o.serveMode = true; o.serveZipf = -0.5 }, "-serve-zipf"},
 		"serve-zipf-nan":   {func(o *options) { o.serveMode = true; o.serveZipf = math.NaN() }, "-serve-zipf"},

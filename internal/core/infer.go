@@ -40,14 +40,19 @@ type InferConfig struct {
 	Seed             uint64
 }
 
-// InferResult is one served batch: the computed logits (row i answers
-// targets[i]) and the virtual stage times the batch cost.
+// InferResult is one served batch: the virtual stage times the batch cost,
+// what its sample held, and — once Propagate has run — the computed logits
+// (row i answers targets[i]). Sample fills every field but Logits; Propagate
+// writes only Logits.
 type InferResult struct {
 	Stage     perfmodel.StageTimes
 	Logits    *tensor.Matrix
 	Targets   []int32
 	Edges     float64 // edges traversed by fanout sampling
 	InputRows int     // feature rows layer 0 reads (|V0|), staged or in place
+	// ForwardWork is the numeric forward's work in tensor.FanOut's
+	// element-operations (gnn.Model.ForwardWork of the sampled blocks).
+	ForwardWork int
 	// FPGA carries the dataflow's hardware account of the batch when it ran
 	// on an FPGA-bound worker (nil otherwise).
 	FPGA *accel.ForwardStats
@@ -62,6 +67,15 @@ type InferResult struct {
 // cycle account, as training's propSec charges — and composed by the same
 // max-plus perfmodel.Pipeline, so serving latency and training throughput
 // are priced on one clock.
+//
+// A batch runs in two halves: Sample (sampling, the FPGA account and the
+// pricing — everything the clock, the router and the serving Stats read)
+// and Propagate (the numeric forward into the worker's arena). The halves
+// share the retained mini-batch and result, so a caller may run Propagate
+// on another goroutine — meanwhile pricing and clocking this pipeline
+// (ServiceSec, AvailableAt, CompleteAfter) and sampling others — but must let
+// it finish before this pipeline's next Sample and before reading Logits.
+// RunBatch is the two back to back.
 type InferencePipeline struct {
 	cfg     InferConfig
 	dev     hw.Device
@@ -73,17 +87,17 @@ type InferencePipeline struct {
 	// ws is the worker's numeric arena: every propagation intermediate of a
 	// batch borrows from it (and, on an accelerator under QuantizeTransfer,
 	// the staged int8 round trip of its feature rows — every other worker
-	// reads the feature table in place), and RunBatch resets it at batch
-	// entry — so the steady-state numeric path of a serving worker allocates
-	// nothing once the arena has grown to the largest batch.
+	// reads the feature table in place), and Propagate resets it at entry —
+	// so the steady-state numeric path of a serving worker allocates nothing
+	// once the arena has grown to the largest batch. Sample never touches it.
 	ws *tensor.Workspace
-	// mb/sizes are RunBatch's retained sampling and pricing scratch, rebuilt
+	// mb/sizes are Sample's retained sampling and pricing scratch, rebuilt
 	// in place per batch (the same reuse discipline as ws; results that
-	// borrow them are valid until the next RunBatch).
+	// borrow them are valid until the next Sample).
 	mb    sampler.MiniBatch
 	sizes perfmodel.Sizes
-	// res is RunBatch's retained result (the contract already scopes a
-	// result's validity to the next RunBatch, so the header is reused too —
+	// res is Sample's retained result (the contract already scopes a
+	// result's validity to the next Sample, so the header is reused too —
 	// the serving loop's last per-batch allocation).
 	res InferResult
 	// svcSec memoizes ServiceSec by computed-target count (NaN = unfilled).
@@ -174,16 +188,17 @@ func (p *InferencePipeline) PredictBatchStage(computed int) (perfmodel.StageTime
 
 // ServiceSec returns the predicted serial service time of a batch of
 // `computed` cache-missing targets on this worker's device, memoized in a
-// dense slice. The first call per count prices the batch (which allocates
-// its stage rows); every later call is a bounds check and a load — callers
-// that prefill counts 1..MaxBatch at construction keep the dispatch hot
-// path allocation-free.
+// dense slice that grows by doubling, so prefilling counts 1..n copies O(n)
+// entries in O(log n) allocations. The first call per count prices the batch
+// (which allocates its stage rows); every later call is a bounds check and a
+// load — callers that prefill counts 1..MaxBatch at construction keep the
+// dispatch hot path allocation-free.
 func (p *InferencePipeline) ServiceSec(computed int) (float64, error) {
 	if computed < 0 {
 		return 0, fmt.Errorf("core: negative computed-target count %d", computed)
 	}
 	if computed >= len(p.svcSec) {
-		grown := make([]float64, computed+1)
+		grown := make([]float64, max(computed+1, 2*len(p.svcSec)))
 		copy(grown, p.svcSec)
 		for i := len(p.svcSec); i < len(grown); i++ {
 			grown[i] = math.NaN()
@@ -203,39 +218,40 @@ func (p *InferencePipeline) ServiceSec(computed int) (float64, error) {
 }
 
 // RunBatch samples the L-hop fanout of the target vertices and propagates
-// only that subgraph, reading its input features from the dataset's table in
-// place (staging a quantized copy only on an accelerator under
-// QuantizeTransfer), returning the logits
-// and the virtual stage times of the batch. The returned Logits (and the
-// rest of the result's matrices) borrow the worker's arena, and Targets
-// borrows the worker's retained mini-batch: all of it is valid until this
-// pipeline's next RunBatch, so callers that outlive the batch (the serving
-// cache does) copy the rows they keep.
+// only that subgraph — Sample then Propagate — returning the logits and the
+// virtual stage times of the batch. The returned Logits (and the rest of the
+// result's matrices) borrow the worker's arena, and Targets borrows the
+// worker's retained mini-batch: all of it is valid until this pipeline's
+// next Sample, so callers that outlive the batch (the serving cache does)
+// copy the rows they keep.
 func (p *InferencePipeline) RunBatch(targets []int32) (*InferResult, error) {
-	p.ws.Reset()
+	res, err := p.Sample(targets)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Propagate(res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Sample is a batch's first half: it samples the L-hop fanout of the target
+// vertices into the retained mini-batch, charges an FPGA-bound worker the
+// dataflow's account of its blocks, and prices the batch. The result carries
+// everything but Logits, which Propagate fills. It makes every RNG draw of
+// the batch and never touches the arena.
+func (p *InferencePipeline) Sample(targets []int32) (*InferResult, error) {
 	if err := p.smp.SampleInto(&p.mb, targets, p.rng); err != nil {
 		return nil, err
 	}
 	mb := &p.mb
 	res := &p.res
 	*res = InferResult{
-		Targets:   mb.Targets,
-		Edges:     float64(mb.EdgesTraversed()),
-		InputRows: len(mb.InputNodes()),
+		Targets:     mb.Targets,
+		Edges:       float64(mb.EdgesTraversed()),
+		InputRows:   len(mb.InputNodes()),
+		ForwardWork: p.cfg.Model.ForwardWork(mb),
 	}
-	x, rows := p.cfg.Data.Features, mb.InputNodes()
-	if p.cfg.Device > 0 && p.cfg.QuantizeTransfer {
-		// The device computes on the int8 round trip of its rows: stage them.
-		x = p.ws.Get(len(rows), x.Cols)
-		tensor.GatherRows(x, p.cfg.Data.Features, rows)
-		tensor.QuantizeRoundTrip(x) // inject the real int8 loss
-		rows = nil
-	}
-	logits, err := p.cfg.Model.InferMiniBatchRowsWS(p.ws, mb, x, rows)
-	if err != nil {
-		return nil, err
-	}
-	res.Logits = logits
 	forwardSec := -1.0 // priced analytically unless the device accounts itself
 	if p.backend != nil {
 		// FPGA worker: the clock is charged the scatter-gather + systolic
@@ -254,10 +270,38 @@ func (p *InferencePipeline) RunBatch(targets []int32) (*InferResult, error) {
 	return res, nil
 }
 
+// Propagate is a batch's second half: the numeric forward over the blocks
+// the last Sample drew, reading the input features from the dataset's table
+// in place (staging a quantized copy only on an accelerator under
+// QuantizeTransfer), into the worker's arena. res must be that Sample's
+// result; only its Logits are written. Propagate reads the shared model and
+// feature table and writes only this pipeline's arena, so pipelines may
+// propagate concurrently.
+func (p *InferencePipeline) Propagate(res *InferResult) error {
+	p.ws.Reset()
+	x, rows := p.cfg.Data.Features, p.mb.InputNodes()
+	if p.cfg.Device > 0 && p.cfg.QuantizeTransfer {
+		// The device computes on the int8 round trip of its rows: stage them.
+		x = p.ws.Get(len(rows), x.Cols)
+		tensor.GatherRows(x, p.cfg.Data.Features, rows)
+		tensor.QuantizeRoundTrip(x) // inject the real int8 loss
+		rows = nil
+	}
+	logits, err := p.cfg.Model.InferMiniBatchRowsWS(p.ws, &p.mb, x, rows)
+	if err != nil {
+		return err
+	}
+	res.Logits = logits
+	return nil
+}
+
 // CompleteAfter pushes a batch's stage times through the worker's pipeline
 // clock, starting no earlier than ready, and returns the virtual completion
 // time. Consecutive batches overlap stage-wise exactly as training
-// iterations do (sampling batch k+1 runs while batch k propagates).
+// iterations do (sampling batch k+1 runs while batch k propagates) — on the
+// virtual clock, and in the serving loop on the wall clock too, which runs a
+// large batch's Propagate on the worker's own goroutine while it samples the
+// next.
 func (p *InferencePipeline) CompleteAfter(ready float64, st perfmodel.StageTimes) float64 {
 	return p.clock.AdvanceAfter(ready, st)
 }

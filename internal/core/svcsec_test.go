@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+	"runtime"
 	"testing"
 
 	"repro/internal/perfmodel"
@@ -42,5 +44,43 @@ func TestServiceSecMemo(t *testing.T) {
 	lookup() // warm the slice to its roof
 	if a := testing.AllocsPerRun(20, lookup); a != 0 {
 		t.Fatalf("warm ServiceSec lookups allocated %.1f times per run, want 0", a)
+	}
+}
+
+// Prefilling the memo for counts 1..n — what the serving server does for
+// every worker up to its MaxBatch — grows the slice by doubling: beyond the
+// pricing of each count, O(log n) allocations, not one per count (which
+// also copied O(n²) floats: hours of set-up at a million).
+func TestServiceSecPrefillAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation counts are skipped under -race")
+	}
+	const n = 4096
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	priced, _ := inferFixture(t, smallPlatform(), 1)
+	pricing := mallocs(func() {
+		for c := 1; c <= n; c++ {
+			if _, err := priced.PredictBatchStage(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	memo, _ := inferFixture(t, smallPlatform(), 1)
+	prefill := mallocs(func() {
+		for c := 1; c <= n; c++ {
+			if _, err := memo.ServiceSec(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if limit := pricing + 2*uint64(bits.Len(n)); prefill > limit {
+		t.Fatalf("prefilling counts 1..%d allocated %d times, pricing alone %d: want at most %d",
+			n, prefill, pricing, limit)
 	}
 }

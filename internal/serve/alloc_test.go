@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/tensor"
@@ -15,32 +16,47 @@ import (
 // preallocated scratch, generation-stamped vertex dedup, the dense
 // service-time memo, the hand-rolled completion heap), so any new
 // per-request or per-batch make/box anywhere in the loop fails it. It holds
-// with kernel parallelism available too: a MaxBatch-sized batch is far below
-// tensor's fan-out grain, so every kernel runs on the caller. The fpga-pool
-// leg serves on baseConfig's two FPGA workers instead of one CPU worker, so
-// the routed pool and each FPGA worker's dataflow account ride the gate too.
+// with kernel parallelism available too: testSetup's batches are far below
+// tensor's fan-out grain, so every kernel runs on the caller (the
+// benchmark's gpu-lean is not: the README's fan-out scan ("Sizing kernel
+// fan-out by work") puts its serving layer-0 GEMM at 1–2 grains, so there a
+// kernel can split and allocate its closure). The fpga-pool leg serves on baseConfig's two FPGA workers
+// instead of one CPU worker, so the routed pool and each FPGA worker's
+// dataflow account ride the gate too. The hand-off leg serves grainSetup's
+// batches, whose forwards clear the grain, at GOMAXPROCS 2 with kernels on
+// the caller: forwards run on the workers' goroutines and settle into an
+// evicting cache, allocation-free.
 func TestServingSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation gate is skipped under -race")
 	}
-	gate := func(t *testing.T, fpgaPool bool) {
-		for _, par := range []int{1, 4} {
+	gate := func(t *testing.T, leg string) {
+		pars, setup := []int{1, 4}, testSetup
+		if leg == "handoff" {
+			pars, setup = []int{1}, grainSetup
+			prev := runtime.GOMAXPROCS(2)
+			defer runtime.GOMAXPROCS(prev)
+		}
+		for _, par := range pars {
 			t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
 				prev := tensor.SetParallelism(par)
 				defer tensor.SetParallelism(prev)
-				ds, m := testSetup(t)
-				cfg := baseConfig(ds, m)
-				if !fpgaPool {
+				cfg := baseConfig(setup(t))
+				if leg == "cpu" {
 					cfg.Plat.Accels = nil // one CPU worker: the serial fast path
 				}
 				cfg.NumRequests = 1 << 16
 				cfg.RatePerSec = 50000 // hot: batches close at MaxBatch, admission sheds some
 				cfg.CacheSize = 256
 				cfg.CacheShards = 4
+				if leg == "handoff" {
+					cfg.ZipfExponent = 0 // mostly misses: full batches clear the grain
+				}
 				s, err := newServer(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				defer s.stop()
 				next := 0
 				feed := func(n int) {
 					for _, r := range s.arrivals[next : next+n] {
@@ -54,7 +70,7 @@ func TestServingSteadyStateZeroAlloc(t *testing.T) {
 				// batch to batch, so the workspace, batcher, and admission heap
 				// must all have seen their steady-state maxima before counting.
 				feed(4000)
-				batchesBefore, computedBefore := s.stats.Batches, s.stats.Computed
+				batchesBefore, computedBefore, handoffsBefore := s.stats.Batches, s.stats.Computed, s.handoffs
 				if a := testing.AllocsPerRun(20, func() { feed(50) }); a != 0 {
 					t.Fatalf("serving steady state allocated %.2f times per 50 requests, want 0", a)
 				}
@@ -63,11 +79,15 @@ func TestServingSteadyStateZeroAlloc(t *testing.T) {
 					t.Fatalf("gate did not reach dispatch: batches %d->%d computed %d->%d",
 						batchesBefore, s.stats.Batches, computedBefore, s.stats.Computed)
 				}
+				if leg == "handoff" && s.handoffs == handoffsBefore {
+					t.Fatal("gate handed off no forward")
+				}
 			})
 		}
 	}
-	gate(t, false)
-	t.Run("fpga-pool", func(t *testing.T) { gate(t, true) })
+	gate(t, "cpu")
+	t.Run("fpga-pool", func(t *testing.T) { gate(t, "fpga-pool") })
+	t.Run("handoff", func(t *testing.T) { gate(t, "handoff") })
 }
 
 // Satellite micro-benchmark for the dispatch memo change: the router

@@ -70,7 +70,10 @@ type cacheShard struct {
 // (truncated at the cache's stride); the caller keeps its buffer and may
 // reuse it immediately. Get returns a view into the arena that is valid
 // until the entry is evicted or refreshed — callers that keep embeddings
-// across cache operations copy them out.
+// across cache operations copy them out. The serving loop inserts a batch
+// whose forward is still running with no embedding, and copies its rows in
+// (fill) when the batch settles, before the next insert; lookups read only
+// residency and ready times, so nothing observes the gap.
 type ShardedCache struct {
 	shards    []cacheShard
 	shardMask uint64
@@ -313,6 +316,18 @@ func (c *ShardedCache) GetMany(keys []CacheKey, ready []float64, hit []bool, emb
 func (c *ShardedCache) PutMany(keys []CacheKey, embs [][]float32, readyAt float64) {
 	for i, k := range keys {
 		c.Put(k, embs[i], readyAt)
+	}
+}
+
+// fill copies emb into k's resident entry (truncated at the stride) without
+// touching LRU order, the ready time or the counters: how an entry inserted
+// before its batch's forward finished gets its value. A key that is not
+// resident is a no-op.
+func (c *ShardedCache) fill(k CacheKey, emb []float32) {
+	s := c.shardFor(k)
+	if _, idx := s.find(k); idx >= 0 {
+		base := int(idx) * c.stride
+		s.entries[idx].embLen = int32(copy(s.arena[base:base+c.stride], emb))
 	}
 }
 

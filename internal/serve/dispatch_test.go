@@ -20,6 +20,7 @@ func TestDispatchHitsAttributedToHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.stop()
 	for _, w := range s.pool {
 		if w.pipe.Device().Kind != hw.FPGA {
 			t.Fatalf("fixture assumption broken: worker bound to %v, want an FPGA-only pool",

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -211,5 +212,25 @@ func TestServeConfigValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("%s: expected error", name)
 		}
+	}
+}
+
+// Admission holds at most QueueCap requests waiting or in flight, so a
+// MaxBatch above it could never fill: it is rejected — before the server
+// prices the service time of every batch size up to it.
+func TestServeRejectsBatchAboveQueue(t *testing.T) {
+	ds, m := testSetup(t)
+	for _, c := range []struct{ maxBatch, queueCap int }{{64, 32}, {2048, 0}} {
+		cfg := baseConfig(ds, m)
+		cfg.MaxBatch, cfg.QueueCap = c.maxBatch, c.queueCap
+		_, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), "exceeds QueueCap") {
+			t.Fatalf("MaxBatch %d, QueueCap %d: %v", c.maxBatch, c.queueCap, err)
+		}
+	}
+	cfg := baseConfig(ds, m)
+	cfg.MaxBatch, cfg.QueueCap = 64, 64
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("MaxBatch equal to QueueCap rejected: %v", err)
 	}
 }

@@ -13,16 +13,30 @@
 // completions are totally ordered in virtual time, so every run is
 // deterministic for a given seed.
 //
+// Every decision — lookup, placement, sampling, the clock charge, the cache
+// insert and the ledger — runs on the event loop's one goroutine. Only the
+// numeric forward (core.InferencePipeline.Propagate) may leave it: with
+// GOMAXPROCS > 1, a batch whose forward is at least one of tensor's fan-out
+// grains runs it on its worker's own goroutine while the loop carries on,
+// executing the "sampling batch k+1 runs while batch k propagates" overlap
+// the clock charges. No decision reads a forward's output, so the Stats are
+// the inline run's bit for bit. An outstanding batch *settles* — its forward
+// is waited for and its rows are copied into the cache entries its dispatch
+// inserted — before its worker samples again, before any insert into an
+// enabled cache, and before Run returns.
+//
 // The event loop is allocation-free in steady state (gated by
 // TestServingSteadyStateZeroAlloc): batches ping-pong between two retained
 // buffers, cache lookups and inserts run through batch APIs over
 // preallocated scratch, per-vertex dedup uses a generation-stamped array,
-// and the per-device service-time memo is a dense slice.
+// the per-device service-time memo is a dense slice, and a hand-off is one
+// send and one receive on the worker's channels.
 package serve
 
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
 	"repro/internal/core"
@@ -134,9 +148,49 @@ type Config struct {
 // counters. Predicted batch service times come from the pipeline's dense
 // ServiceSec memo (they depend only on the computed-target count, which the
 // size cap bounds; the server prefills 1..MaxBatch at construction).
+//
+// With GOMAXPROCS > 1 the worker also owns a goroutine that runs its
+// batches' Propagate: req hands it a sampled batch, done returns the
+// forward's error (and is closed when the goroutine exits). done holds one
+// result, so the goroutine is back on req by the time its batch settles and
+// a hand-off never waits for it to be scheduled. inflight is the batch whose
+// forward is outstanding, keys the cache entries its rows land in when it
+// settles. req is nil when every forward runs inline.
 type worker struct {
 	pipe  *core.InferencePipeline
 	stats DeviceStats
+
+	req      chan *core.InferResult
+	done     chan error
+	inflight *core.InferResult
+	keys     []CacheKey
+}
+
+// start launches the worker's forward goroutine.
+func (w *worker) start() {
+	w.req, w.done = make(chan *core.InferResult), make(chan error, 1)
+	go func() {
+		defer close(w.done)
+		for res := range w.req {
+			w.done <- w.pipe.Propagate(res)
+		}
+	}()
+}
+
+// stop waits out an outstanding forward, whatever its outcome, then stops
+// the goroutine and waits for it to exit. Stopping a stopped worker is a
+// no-op.
+func (w *worker) stop() {
+	if w.req == nil {
+		return
+	}
+	if w.inflight != nil {
+		<-w.done
+		w.inflight = nil
+	}
+	close(w.req)
+	<-w.done
+	w.req = nil
 }
 
 // workerBindings resolves the pool's device bindings in
@@ -192,6 +246,12 @@ type server struct {
 	sloTargets  [NumClasses]float64
 	haveSLO     bool
 
+	// handoff is set when the workers' goroutines run (GOMAXPROCS > 1, the
+	// rule RunEpoch applies to its prefetch worker); handoffs counts the
+	// forwards that ran on them.
+	handoff  bool
+	handoffs int
+
 	// Dispatch scratch, all MaxBatch-bounded and reused per batch.
 	keys    []CacheKey  // lookup keys, one per batch request
 	ready   []float64   // GetMany: per-request entry ready time
@@ -211,7 +271,8 @@ type server struct {
 }
 
 // newServer validates cfg and assembles a run (the entry point Run and the
-// benchmarks share).
+// benchmarks share). With GOMAXPROCS > 1 it starts one goroutine per worker;
+// every caller stops them with stop.
 func newServer(cfg Config) (*server, error) {
 	if cfg.NumRequests <= 0 {
 		return nil, fmt.Errorf("serve: non-positive request count %d", cfg.NumRequests)
@@ -253,13 +314,6 @@ func newServer(cfg Config) (*server, error) {
 		pool[i] = &worker{pipe: p, stats: DeviceStats{
 			Name: p.Device().Name, Kind: p.Device().Kind, Device: device,
 		}}
-		// Prefill the service-time memo for every batch size the router can
-		// ask about, so routing never allocates in steady state.
-		for c := 1; c <= cfg.MaxBatch; c++ {
-			if _, err := p.ServiceSec(c); err != nil {
-				return nil, err
-			}
-		}
 	}
 	var arrivals []Request
 	if cfg.Replay != nil {
@@ -307,6 +361,23 @@ func newServer(cfg Config) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
+	admission, err := NewAdmissionController(cfg.QueueCap)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.MaxBatch > cfg.QueueCap {
+		return nil, fmt.Errorf("serve: MaxBatch %d exceeds QueueCap %d: admission holds at most QueueCap requests, so no batch can be larger",
+			cfg.MaxBatch, cfg.QueueCap)
+	}
+	// Prefill the service-time memo for every batch size the router can ask
+	// about, so routing never allocates in steady state.
+	for _, w := range pool {
+		for c := 1; c <= cfg.MaxBatch; c++ {
+			if _, err := w.pipe.ServiceSec(c); err != nil {
+				return nil, err
+			}
+		}
+	}
 	if cfg.Formation != FormationFCFS {
 		// The sjf predictor is pool[0]'s dense service memo — prefilled
 		// above, so formation never allocates in steady state.
@@ -320,10 +391,6 @@ func newServer(cfg Config) (*server, error) {
 		if err := batcher.SetFormation(cfg.Formation, svc); err != nil {
 			return nil, err
 		}
-	}
-	admission, err := NewAdmissionController(cfg.QueueCap)
-	if err != nil {
-		return nil, err
 	}
 	setKindCaps(admission, pool, cfg.QueueCap)
 	for _, cr := range cfg.ClassRates {
@@ -351,6 +418,7 @@ func newServer(cfg Config) (*server, error) {
 		retryBudget: retryBudget,
 		sloTargets:  sloTargets,
 		haveSLO:     haveSLO,
+		handoff:     runtime.GOMAXPROCS(0) > 1,
 
 		keys:      make([]CacheKey, cfg.MaxBatch),
 		ready:     make([]float64, cfg.MaxBatch),
@@ -361,6 +429,12 @@ func newServer(cfg Config) (*server, error) {
 		hitDone:   make([]float64, 0, cfg.MaxBatch),
 		compDone:  make([]float64, 0, cfg.MaxBatch),
 		vertexGen: make([]uint32, cfg.Data.Graph.NumVertices),
+	}
+	if s.handoff {
+		for _, w := range pool {
+			w.keys = make([]CacheKey, 0, cfg.MaxBatch)
+			w.start()
+		}
 	}
 	return s, nil
 }
@@ -414,12 +488,11 @@ func (s *server) dispatch(batch []Request, closeAt float64) error {
 		s.shedBatch(batch, hit)
 		return nil
 	}
-	res, done, err := s.execute(p)
+	res, done, async, err := s.execute(p)
 	if err != nil {
 		return err
 	}
-	s.complete(batch, hit, p.worker, res, done, lost > 0)
-	return nil
+	return s.complete(batch, hit, p.worker, res, done, async, lost > 0)
 }
 
 // lookup is the batch's cache pass, one GetMany over its targets. Hits are
@@ -502,31 +575,60 @@ func (s *server) place(batch []Request, hit []bool, closeAt float64) (prediction
 // execute runs s.order on the placed worker and charges its clock, applying
 // the scripted stall/straggler windows exactly as routing predicted them: a
 // stalled start enters the pipeline past the window, a straggler's stages are
-// inflated. It returns the batch result and its virtual completion time.
-func (s *server) execute(p prediction) (*core.InferResult, float64, error) {
+// inflated. It returns the batch result and its virtual completion time, and
+// whether the batch's forward is left to the worker's goroutine (async; see
+// complete) rather than already run inline: it is when the goroutines run and
+// the forward is at least one of tensor's fan-out grains of work — below
+// that, the hand-off would cost about what it overlaps.
+func (s *server) execute(p prediction) (*core.InferResult, float64, bool, error) {
 	w := s.pool[p.worker]
-	res, err := w.pipe.RunBatch(s.order)
+	// Sample rebuilds the mini-batch the worker's last forward reads.
+	if err := s.settle(w); err != nil {
+		return nil, 0, false, err
+	}
+	res, err := w.pipe.Sample(s.order)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, false, err
+	}
+	async := s.handoff && tensor.FanOut(1, res.ForwardWork) == 1
+	if !async {
+		if err := w.pipe.Propagate(res); err != nil {
+			return nil, 0, false, err
+		}
 	}
 	res.Stage = res.Stage.Scaled(p.factor)
-	return res, w.pipe.CompleteAfter(p.ready, res.Stage), nil
+	return res, w.pipe.CompleteAfter(p.ready, res.Stage), async, nil
 }
 
 // complete publishes a batch worker wi executed: its embeddings enter the
 // cache, its computed requests are answered at done, and the run, device and
-// admission counters take its share.
-func (s *server) complete(batch []Request, hit []bool, wi int, res *core.InferResult, done float64, redispatched bool) {
+// admission counters take its share. An async batch's entries are inserted
+// here all the same — same keys, ready time and LRU position — with no value;
+// its forward is handed to the worker last, and its rows land when it
+// settles.
+func (s *server) complete(batch []Request, hit []bool, wi int, res *core.InferResult, done float64, async, redispatched bool) error {
 	if redispatched {
 		s.stats.Redispatched++
 		if done > s.recoveryEnd {
 			s.recoveryEnd = done
 		}
 	}
+	if s.cache.Capacity() > 0 {
+		// An insert may evict an entry whose rows have not landed, and a
+		// later batch may re-insert its key: settle first, so no stale row
+		// can land over a newer one.
+		if err := s.settleAll(); err != nil {
+			return err
+		}
+	}
 	s.putKeys, s.putEmbs = s.putKeys[:0], s.putEmbs[:0]
 	for i, v := range s.order {
 		s.putKeys = append(s.putKeys, CacheKey{Vertex: v, Version: s.cfg.ModelVersion})
-		s.putEmbs = append(s.putEmbs, res.Logits.Row(i))
+		var row []float32
+		if !async {
+			row = res.Logits.Row(i)
+		}
+		s.putEmbs = append(s.putEmbs, row)
 	}
 	// PutMany copies each row into the shard arena, so the views into
 	// the worker's workspace are not retained past this call.
@@ -550,6 +652,49 @@ func (s *server) complete(batch []Request, hit []bool, wi int, res *core.InferRe
 	w.stats.BusySec += svc
 	s.stats.Routes = append(s.stats.Routes, wi)
 	s.release(w.pipe.Device().Kind)
+	if async {
+		w.keys = append(w.keys[:0], s.putKeys...)
+		w.inflight = res
+		w.req <- res
+		s.handoffs++
+	}
+	return nil
+}
+
+// settle completes w's outstanding batch, if any: it waits for the forward
+// and copies the batch's rows into the cache entries complete inserted (a
+// no-op on a disabled cache).
+func (s *server) settle(w *worker) error {
+	res := w.inflight
+	if res == nil {
+		return nil
+	}
+	w.inflight = nil
+	if err := <-w.done; err != nil {
+		return fmt.Errorf("serve: forward on %s (device %d): %w", w.stats.Name, w.stats.Device, err)
+	}
+	for i, k := range w.keys {
+		s.cache.fill(k, res.Logits.Row(i))
+	}
+	return nil
+}
+
+// settleAll settles every worker's outstanding batch.
+func (s *server) settleAll() error {
+	for _, w := range s.pool {
+		if err := s.settle(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stop drains every outstanding forward and stops the workers' goroutines —
+// on every way out of a run, error or not.
+func (s *server) stop() {
+	for _, w := range s.pool {
+		w.stop()
+	}
 }
 
 // release moves the batch's answered requests from waiting to in-flight: the
@@ -679,12 +824,16 @@ func (s *server) offer(r Request) error {
 	return nil
 }
 
-// finish flushes the open batch and summarizes the run.
+// finish flushes the open batch, settles every outstanding one, and
+// summarizes the run.
 func (s *server) finish() (*Stats, error) {
 	if batch, closeAt := s.batcher.Flush(); batch != nil {
 		if err := s.dispatch(batch, closeAt); err != nil {
 			return nil, err
 		}
+	}
+	if err := s.settleAll(); err != nil {
+		return nil, err
 	}
 	stats := s.stats
 	stats.Served = len(s.latencies)
@@ -771,6 +920,13 @@ func Run(cfg Config) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.run()
+}
+
+// run replays the arrivals through an assembled server and stops its
+// workers on every way out.
+func (s *server) run() (*Stats, error) {
+	defer s.stop()
 	for _, r := range s.arrivals {
 		if err := s.offer(r); err != nil {
 			return nil, err
