@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/serve"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // validOptions mirrors the flag defaults.
@@ -296,10 +298,12 @@ func TestBuildConfigTensorPar(t *testing.T) {
 }
 
 func TestBuildConfigSIMD(t *testing.T) {
-	o := validOptions()
-	o.simd = "mmx"
-	if _, err := buildConfig(o); err == nil {
-		t.Fatal("expected error for unknown -simd level")
+	for _, bad := range []string{"mmx", "sse"} {
+		o := validOptions()
+		o.simd = bad
+		if _, err := buildConfig(o); err == nil {
+			t.Fatalf("expected error for unknown -simd level %q", bad)
+		}
 	}
 	// "auto" and "" both resolve to the detected ceiling; explicit levels
 	// resolve to themselves (capability is checked later, at apply time).
@@ -310,7 +314,6 @@ func TestBuildConfigSIMD(t *testing.T) {
 		{"auto", tensor.DetectedSIMDLevel()},
 		{"", tensor.DetectedSIMDLevel()},
 		{"generic", tensor.SIMDGeneric},
-		{"sse", tensor.SIMDSSE},
 		{"AVX2", tensor.SIMDAVX2},
 		{"avx512", tensor.SIMDAVX512},
 	} {
@@ -480,6 +483,37 @@ func TestRunMemProfile(t *testing.T) {
 	}
 	if left, _ := os.ReadDir(dir); len(left) != 0 {
 		t.Fatalf("a run without -memprofile left %v behind", left)
+	}
+}
+
+// -trace: an unwritable path fails the run before its first epoch, with an
+// error naming the flag, in single- and multi-node runs alike; a writable one
+// leaves the header and one row per epoch behind.
+func TestRunTraceCSV(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing", "epochs.csv")
+	ran := false
+	if err := withEpochCSV(missing, func(*trace.Recorder) error { ran = true; return nil }); err == nil || ran {
+		t.Fatalf("unwritable -trace path: err = %v, training ran = %v; want an error and no epoch", err, ran)
+	}
+	for _, nodes := range []int{1, 2} {
+		o := validOptions()
+		o.scale, o.epochs, o.nodes = 20000, 2, nodes
+		o.trace = missing
+		if err := run(o); err == nil || !strings.Contains(err.Error(), "-trace") {
+			t.Fatalf("%d node(s), unwritable -trace path: err = %v, want one naming the flag", nodes, err)
+		}
+		o.trace = filepath.Join(dir, fmt.Sprintf("epochs%d.csv", nodes))
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(o.trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines := strings.Count(string(data), "\n"); lines != 1+o.epochs {
+			t.Fatalf("%d node(s): CSV has %d lines, want a header and %d epochs:\n%s", nodes, lines, o.epochs, data)
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ func main() {
 	noTFP := flag.Bool("no-tfp", false, "disable two-stage feature prefetching")
 	noDRM := flag.Bool("no-drm", false, "disable dynamic resource management")
 	flag.IntVar(&o.tensorPar, "tensor-par", 0, "upper bound on the goroutines one tensor kernel call (GEMM, aggregation, gather) or the dataset generator fans out to — work below the grain runs on the caller, and the dataset is bit-identical at any bound; 0 = one per CPU")
-	flag.StringVar(&o.simd, "simd", "auto", "SIMD dispatch level for the tensor kernels: auto | generic | sse | avx2 | avx512 (every level is bit-identical; avx512 widens the GEMM tile only; levels above the CPU's capability are rejected)")
+	flag.StringVar(&o.simd, "simd", "auto", "SIMD dispatch level for the tensor kernels: auto | generic | avx2 | avx512 (every level is bit-identical; avx512 widens the GEMM tile only; levels above the CPU's capability are rejected)")
 	flag.BoolVar(&o.quantize, "quantize", false, "int8-quantize features on the PCIe link (§VIII extension)")
 	flag.BoolVar(&o.saint, "saint", false, "use GraphSAINT random-walk sampling instead of neighbor sampling")
 	flag.StringVar(&o.pipeline, "pipeline", "serial", "epoch execution schedule: serial | prefetch (prefetch overlaps iteration i+1's sampling/gather with iteration i's propagation; bit-identical trajectory)")
@@ -131,22 +131,56 @@ func run(o options) error {
 // training run (single- or multi-node) and, under -serve, the request stream.
 func runPlanes(o options, r *runSpec, ds *datagen.Dataset) error {
 	coreCfg := r.coreConfig(ds)
-	if o.nodes > 1 {
-		return runMultiNode(coreCfg, r, o.nodes, o.epochs, o.trace)
+	return withEpochCSV(o.trace, func(rec *trace.Recorder) error {
+		if o.nodes > 1 {
+			return runMultiNode(coreCfg, r, o.nodes, o.epochs, rec)
+		}
+		model, err := runSingleNode(r, coreCfg, o, rec)
+		if err != nil {
+			return err
+		}
+		if o.serveMode {
+			return runServe(r, ds, model)
+		}
+		return nil
+	})
+}
+
+// withEpochCSV runs fn, which records each training epoch into rec, and then
+// writes the recorded epochs as CSV to the file at path — the -trace flag, for
+// single- and multi-node runs alike. As with -memprofile
+// (trace.WithHeapProfile), the file is created before fn runs, so an
+// unwritable path fails the run before its first epoch. It returns fn's error,
+// or else the first of the write and close errors. An empty path writes
+// nothing.
+func withEpochCSV(path string, fn func(rec *trace.Recorder) error) error {
+	var rec trace.Recorder
+	if path == "" {
+		return fn(&rec)
 	}
-	model, err := runSingleNode(r, coreCfg, o)
+	f, err := os.Create(path)
 	if err != nil {
+		return fmt.Errorf("-trace: %w", err)
+	}
+	if err := fn(&rec); err != nil {
+		f.Close() // the run's error is the one to report
 		return err
 	}
-	if o.serveMode {
-		return runServe(r, ds, model)
+	err = rec.WriteEpochsCSV(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
+	if err != nil {
+		return fmt.Errorf("-trace %s: %w", path, err)
+	}
+	fmt.Printf("\nwrote %s\n", path)
 	return nil
 }
 
-// runSingleNode trains on one node and returns the trained model (a fresh
-// randomly initialised one when -epochs 0 under -serve).
-func runSingleNode(r *runSpec, coreCfg core.Config, o options) (*gnn.Model, error) {
+// runSingleNode trains on one node, recording each epoch into rec, and returns
+// the trained model (a fresh randomly initialised one when -epochs 0 under
+// -serve).
+func runSingleNode(r *runSpec, coreCfg core.Config, o options, rec *trace.Recorder) (*gnn.Model, error) {
 	if o.epochs == 0 {
 		fmt.Println("Skipping training (-epochs 0): serving an untrained model.")
 		return gnn.NewModel(coreCfg.Model, tensor.NewRNG(o.seed))
@@ -157,7 +191,6 @@ func runSingleNode(r *runSpec, coreCfg core.Config, o options) (*gnn.Model, erro
 	}
 	fmt.Printf("Training %s on %s (hybrid=%v tfp=%v drm=%v quantize=%v saint=%v pipeline=%s)\n\n",
 		r.Kind, r.Plat.Name, o.hybrid, o.tfp, o.drm, o.quantize, o.saint, r.Pipeline)
-	var rec trace.Recorder
 	var fpgaAgg, fpgaUpd, fpgaTraffic int64
 	fmt.Printf("%-6s %-10s %-10s %-14s %-10s\n", "epoch", "loss", "accuracy", "virtual-epoch", "MTEPS")
 	for ep := 0; ep < o.epochs; ep++ {
@@ -179,17 +212,6 @@ func runSingleNode(r *runSpec, coreCfg core.Config, o options) (*gnn.Model, erro
 			VirtualSec: st.VirtualSec, MTEPS: st.MTEPS,
 			CPUBatch: st.Assignment.CPUBatch, AccelBatch: accelShare,
 		})
-	}
-	if o.trace != "" {
-		f, err := os.Create(o.trace)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if err := rec.WriteEpochsCSV(f); err != nil {
-			return nil, err
-		}
-		fmt.Printf("\nwrote %s\n", o.trace)
 	}
 	a := engine.Assignment()
 	fmt.Printf("\nFinal task mapping: CPU batch %d, accel batches %v\n", a.CPUBatch, a.AccelBatch)
@@ -277,9 +299,9 @@ func runServe(r *runSpec, ds *datagen.Dataset, model *gnn.Model) error {
 	return nil
 }
 
-// runMultiNode executes the sharded multi-node protocol and closes with the
-// executed-vs-analytic slowdown comparison.
-func runMultiNode(coreCfg core.Config, r *runSpec, nodes, epochs int, traceOut string) error {
+// runMultiNode executes the sharded multi-node protocol, recording each epoch
+// into rec, and closes with the executed-vs-analytic slowdown comparison.
+func runMultiNode(coreCfg core.Config, r *runSpec, nodes, epochs int, rec *trace.Recorder) error {
 	// Single-node baseline (one fill epoch + one steady-state epoch) for the
 	// slowdown comparison.
 	base, err := core.NewEngine(coreCfg)
@@ -306,7 +328,6 @@ func runMultiNode(coreCfg core.Config, r *runSpec, nodes, epochs int, traceOut s
 		nodes, net.Name, m.EdgeCut(), m.Partition().Balance(), m.TrainPerNode())
 	fmt.Printf("%-6s %-10s %-10s %-14s %-10s %-12s %-12s\n",
 		"epoch", "loss", "accuracy", "virtual-epoch", "MTEPS", "net-fetch", "net-sync")
-	var rec trace.Recorder
 	var last *cluster.MultiNodeStats
 	for ep := 0; ep < epochs; ep++ {
 		st, err := m.RunEpoch()
@@ -327,17 +348,6 @@ func runMultiNode(coreCfg core.Config, r *runSpec, nodes, epochs int, traceOut s
 			VirtualSec: st.VirtualSec, MTEPS: st.MTEPS,
 			CPUBatch: a.CPUBatch, AccelBatch: accelShare,
 		})
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rec.WriteEpochsCSV(f); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", traceOut)
 	}
 	for i := 0; i < nodes; i++ {
 		a := m.Node(i).Assignment()

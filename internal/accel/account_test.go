@@ -68,8 +68,8 @@ func accountCases() []accountCase {
 var accountKinds = []gnn.Kind{gnn.GCN, gnn.SAGE, gnn.GIN}
 
 // forEachAccountCase runs fn over kinds × shapes × seeds with a fresh model,
-// mini-batch and feature matrix. Widths straddle the SIMD lane counts (16
-// for SSE, 8 for AVX2) so the vector bodies and their scalar tails both run.
+// mini-batch and feature matrix. Widths straddle the AVX2 lane count (8) so
+// the vector bodies and their scalar tails both run.
 func forEachAccountCase(t *testing.T, fn func(t *testing.T, m *gnn.Model, mb *sampler.MiniBatch, x *tensor.Matrix)) {
 	widths := []int{19, 33, 9, 6}
 	for _, kind := range accountKinds {

@@ -3,8 +3,8 @@ package tensor
 import "fmt"
 
 // Row-update primitives: "c += a·b" over contiguous float32 rows. On amd64
-// they dispatch through the runtime SIMD level (simd.go) to AVX2 (8 lanes) or
-// SSE (4 lanes, the architecture baseline) assembly.
+// from the avx2 level up they run AVX2 (8-lane) assembly (simd.go dispatches);
+// below it, and off amd64, they are the Go loops below.
 //
 // Who still loops over AxpyRow, and why. From AVX2 up the two hot consumers
 // have the loop inside their kernel instead: the GEMMs keep a C tile in
@@ -33,13 +33,9 @@ func AxpyRow(dst, src []float32, alpha float32) {
 	n := len(src)
 	dst = dst[:n]
 	q := 0
-	switch {
-	case haveAVX2Asm && n >= 8 && simdAtLeast(SIMDAVX2):
+	if haveAVX2Asm && n >= 8 && simdAtLeast(SIMDAVX2) {
 		q = n &^ 7
 		axpyRowAVX2Asm(dst[:q], src[:q], alpha)
-	case haveAxpyAsm && n >= 16 && simdAtLeast(SIMDSSE):
-		q = n &^ 15
-		axpyRowAsm(dst[:q], src[:q], alpha)
 	}
 	for j := q; j < n; j++ {
 		dst[j] += alpha * src[j]

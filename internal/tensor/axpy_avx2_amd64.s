@@ -1,5 +1,5 @@
-// AVX2 row-update and fused element-wise kernels. As in the SSE file,
-// multiply and add are deliberately separate instructions (VMULPS + VADDPS,
+// AVX2 row-update and fused element-wise kernels. Multiply and add are
+// deliberately separate instructions (VMULPS + VADDPS,
 // never FMA): a fused multiply-add rounds once where the reference kernels
 // round twice, and the exact-equality property tests require bit-identical
 // results across every dispatch level. Lanes span independent output

@@ -3,10 +3,9 @@
 // element-wise and fused operations, activations, loss functions, and the
 // Workspace arena behind the zero-allocation training/serving hot paths.
 //
-// Kernels are stdlib-only Go, with the innermost row updates in SIMD
-// assembly on amd64, dispatched at runtime between AVX2 (8 lanes) and the
-// SSE baseline (axpy_avx2_amd64.s, axpy_amd64.s; a pure-Go fallback serves
-// other architectures). Every dispatch level is bit-identical — see simd.go
+// Kernels are stdlib-only Go, with the innermost row updates in AVX2
+// assembly on amd64 CPUs that have it (axpy_avx2_amd64.s); the pure-Go loops
+// serve every other CPU. Every dispatch level is bit-identical — see simd.go
 // for detection and the SetSIMDLevel/TENSOR_SIMD overrides. Row-parallel
 // kernels size their fan-out by the work in the call (FanOut): a kernel below
 // the work grain runs on the caller, a larger one splits into contiguous row

@@ -39,7 +39,7 @@ func expInputs() []float32 {
 }
 
 // TestExpRowMatchesMathExpSIMD pins expRow to math.Exp bit for bit (NaN to
-// NaN by class). At the generic and sse levels, and on a CPU without FMA,
+// NaN by class). At the generic level, and on a CPU without FMA,
 // expRow *is* the math.Exp loop; from avx2 up it is expRowFMAAsm, a lane-wise
 // transcription of math's own amd64 routine. This test is what fails if a Go
 // release changes that routine (math/exp_amd64.s, archExp): the remedy is to

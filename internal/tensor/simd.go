@@ -1,8 +1,8 @@
 package tensor
 
-// Runtime SIMD dispatch. The kernels come in up to four forms — pure Go
-// ("generic"), 128-bit SSE, 256-bit AVX2 and 512-bit AVX-512 — selected once
-// per call through an atomic level variable. The top rung adds one thing:
+// Runtime SIMD dispatch. The kernels come in up to three forms — pure Go
+// ("generic"), 256-bit AVX2 and 512-bit AVX-512 — selected once per call
+// through an atomic level variable. The top rung adds one thing:
 // the GEMM register tile (gemm_amd64.s) runs on ZMM registers, 4×32 instead
 // of 4×16. Only the tile uses it — it is the one compute-bound kernel; the
 // row kernels (exp, aggregation, gather) and the fused element-wise kernels
@@ -36,10 +36,8 @@ import (
 type SIMDLevel int32
 
 const (
-	// SIMDGeneric runs the pure-Go kernels everywhere.
+	// SIMDGeneric runs the pure-Go kernels everywhere (every CPU's floor).
 	SIMDGeneric SIMDLevel = iota
-	// SIMDSSE uses the 128-bit SSE row-update kernels (amd64 baseline).
-	SIMDSSE
 	// SIMDAVX2 uses the 256-bit AVX2 kernels (amd64 with AVX2 + OS YMM
 	// state support).
 	SIMDAVX2
@@ -48,14 +46,11 @@ const (
 	SIMDAVX512
 )
 
-// String returns the level's flag spelling ("generic", "sse", "avx2",
-// "avx512").
+// String returns the level's flag spelling ("generic", "avx2", "avx512").
 func (l SIMDLevel) String() string {
 	switch l {
 	case SIMDGeneric:
 		return "generic"
-	case SIMDSSE:
-		return "sse"
 	case SIMDAVX2:
 		return "avx2"
 	case SIMDAVX512:
@@ -113,14 +108,12 @@ func ParseSIMDLevel(s string) (SIMDLevel, error) {
 		return detectedSIMD, nil
 	case "generic":
 		return SIMDGeneric, nil
-	case "sse":
-		return SIMDSSE, nil
 	case "avx2":
 		return SIMDAVX2, nil
 	case "avx512":
 		return SIMDAVX512, nil
 	}
-	return SIMDGeneric, fmt.Errorf("tensor: unknown SIMD level %q (want auto, generic, sse, avx2 or avx512)", s)
+	return SIMDGeneric, fmt.Errorf("tensor: unknown SIMD level %q (want auto, generic, avx2 or avx512)", s)
 }
 
 // simdAtLeast reports whether the active level includes l — the dispatch

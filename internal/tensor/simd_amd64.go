@@ -23,31 +23,31 @@ func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 // xgetbvAsm reads XCR0 (requires OSXSAVE, checked by the caller).
 func xgetbvAsm() (eax, edx uint32)
 
-// detectSIMD probes the CPU once at package init. SSE2 is part of the amd64
-// baseline, so SSE is the floor on this architecture. fma reports FMA3 (leaf 1
-// ECX bit 12) on a CPU that reached the AVX2 rung — with the AVX and OS-state
-// checks above it, the condition under which package math runs the FMA path
-// of its Exp, which is the path expRowFMAAsm reproduces.
+// detectSIMD probes the CPU once at package init. A CPU without AVX2 stays
+// at generic, the pure-Go loops — bit-identical, only slower. fma reports FMA3
+// (leaf 1 ECX bit 12) on a CPU that reached the AVX2 rung — with the AVX and
+// OS-state checks above it, the condition under which package math runs the
+// FMA path of its Exp, which is the path expRowFMAAsm reproduces.
 func detectSIMD() (level SIMDLevel, fma bool) {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
 	if maxLeaf < 7 {
-		return SIMDSSE, false
+		return SIMDGeneric, false
 	}
 	_, _, ecx1, _ := cpuidAsm(1, 0)
 	const osxsaveBit = 1 << 27
 	const avxBit = 1 << 28
 	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return SIMDSSE, false
+		return SIMDGeneric, false
 	}
 	xcr0, _ := xgetbvAsm()
 	const ymmState = 0x6 // XMM (bit 1) + YMM (bit 2) enabled by the OS
 	if xcr0&ymmState != ymmState {
-		return SIMDSSE, false
+		return SIMDGeneric, false
 	}
 	_, ebx7, _, _ := cpuidAsm(7, 0)
 	const avx2Bit = 1 << 5
 	if ebx7&avx2Bit == 0 {
-		return SIMDSSE, false
+		return SIMDGeneric, false
 	}
 	const fmaBit = 1 << 12
 	fma = ecx1&fmaBit != 0
@@ -61,7 +61,7 @@ func detectSIMD() (level SIMDLevel, fma bool) {
 
 // AVX2 kernels (axpy_avx2_amd64.s). All slice lengths are positive
 // multiples of 8, guaranteed by the wrappers; multiply and add stay unfused
-// for bit-identity with the scalar and SSE paths.
+// for bit-identity with the scalar paths.
 
 // axpyRowAVX2Asm computes dst[j] += alpha·src[j].
 //

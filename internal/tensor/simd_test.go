@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"os"
 	"testing"
 )
 
@@ -21,15 +22,15 @@ func withSIMD(t *testing.T, l SIMDLevel, fn func()) {
 // availableLevels returns every dispatch level this CPU can execute,
 // generic first.
 func availableLevels() []SIMDLevel {
-	out := []SIMDLevel{SIMDGeneric}
-	for l := SIMDSSE; l <= DetectedSIMDLevel(); l++ {
+	var out []SIMDLevel
+	for l := SIMDGeneric; l <= DetectedSIMDLevel(); l++ {
 		out = append(out, l)
 	}
 	return out
 }
 
 // ragged covers vector bodies plus scalar tails at every dispatch width:
-// below 8 (all-scalar everywhere), 8..15 (AVX2 body + SSE-scalar), exact
+// below 8 (all-scalar everywhere), 8..15 (AVX2 body + scalar tail), exact
 // multiples, and wide-with-tail.
 var raggedLens = []int{1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 64, 100, 128, 129, 255}
 
@@ -411,10 +412,10 @@ func TestParseSIMDLevel(t *testing.T) {
 		{"auto", DetectedSIMDLevel(), true},
 		{"", DetectedSIMDLevel(), true},
 		{"generic", SIMDGeneric, true},
-		{"SSE", SIMDSSE, true},
 		{" avx2 ", SIMDAVX2, true},
 		{"AVX512", SIMDAVX512, true},
 		{"fast", 0, false},
+		{"sse", 0, false},
 	}
 	for _, c := range cases {
 		got, err := ParseSIMDLevel(c.in)
@@ -425,10 +426,36 @@ func TestParseSIMDLevel(t *testing.T) {
 			t.Fatalf("ParseSIMDLevel(%q) should fail", c.in)
 		}
 	}
-	for _, l := range []SIMDLevel{SIMDGeneric, SIMDSSE, SIMDAVX2, SIMDAVX512} {
+	for _, l := range []SIMDLevel{SIMDGeneric, SIMDAVX2, SIMDAVX512} {
 		back, err := ParseSIMDLevel(l.String())
 		if err != nil || back != l {
 			t.Fatalf("round-trip %v: got %v, %v", l, back, err)
 		}
+	}
+}
+
+// startSIMD is the level the package dispatched on once init had read
+// TENSOR_SIMD, before any test could change it. It is set by an init, not a
+// variable initialiser: those run before every init, simd.go's included.
+var startSIMD SIMDLevel
+
+func init() { startSIMD = ActiveSIMDLevel() }
+
+// TestEnvSIMDApplied fails a run whose TENSOR_SIMD does not take effect:
+// init ignores a spelling it cannot parse, so without this check a stale
+// matrix leg would quietly re-test the detected ceiling. A set value must
+// parse, and the level at package start must be min(parsed, detected).
+func TestEnvSIMDApplied(t *testing.T) {
+	env := os.Getenv("TENSOR_SIMD")
+	if env == "" {
+		t.Skip("TENSOR_SIMD not set")
+	}
+	want, err := ParseSIMDLevel(env)
+	if err != nil {
+		t.Fatalf("TENSOR_SIMD=%q: %v", env, err)
+	}
+	want = min(want, DetectedSIMDLevel())
+	if startSIMD != want {
+		t.Fatalf("TENSOR_SIMD=%q started the package at %v, want %v (CPU ceiling %v)", env, startSIMD, want, DetectedSIMDLevel())
 	}
 }
