@@ -152,10 +152,10 @@ func TestAccountValidation(t *testing.T) {
 
 // Forward's logits are the reference inference's: at every SIMD level the
 // CPU has, across two passes through one Backend (its arena reused), they
-// must equal m.InferMiniBatch bit for bit, and stay within float
-// reassociation of the pre-split dataflow-order logits forwardOracle computes
-// — the source-sorted scatter order the account charges changes no number
-// beyond rounding.
+// must equal m.InferMiniBatchWS on a fresh arena bit for bit, and stay within
+// float reassociation of the pre-split dataflow-order logits forwardOracle
+// computes — the source-sorted scatter order the account charges changes no
+// number beyond rounding.
 func TestForwardOracleBitwise(t *testing.T) {
 	for lvl := tensor.SIMDGeneric; lvl <= tensor.DetectedSIMDLevel(); lvl++ {
 		t.Run(lvl.String(), func(t *testing.T) {
@@ -166,7 +166,7 @@ func TestForwardOracleBitwise(t *testing.T) {
 			defer tensor.SetSIMDLevel(prev)
 			shared := U250Backend(1)
 			forEachAccountCase(t, func(t *testing.T, m *gnn.Model, mb *sampler.MiniBatch, x *tensor.Matrix) {
-				want, err := m.InferMiniBatch(mb, x)
+				want, err := m.InferMiniBatchWS(tensor.NewWorkspace(), mb, x)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -52,7 +52,7 @@ func TestBackendMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := m.Forward(fx.mb, fx.x)
+			ref, err := m.InferMiniBatchWS(tensor.NewWorkspace(), fx.mb, fx.x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,8 +61,8 @@ func TestBackendMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !logits.Equal(ref.Logits) {
-				t.Fatalf("backend logits differ from reference by %g", logits.MaxAbsDiff(ref.Logits))
+			if !logits.Equal(ref) {
+				t.Fatalf("backend logits differ from reference by %g", logits.MaxAbsDiff(ref))
 			}
 			if stats.AggCycles <= 0 || stats.UpdateCycles <= 0 || stats.Sec <= 0 {
 				t.Fatalf("missing hardware accounting: %+v", stats)

@@ -55,30 +55,3 @@ func EstimateUtilization(p KernelParallelism, r FPGAResources) (Utilization, err
 	}
 	return u, nil
 }
-
-// Fits reports whether the design point fits on the device.
-func (u Utilization) Fits() bool {
-	return u.LUT <= 1 && u.DSP <= 1 && u.URAM <= 1 && u.BRAM <= 1
-}
-
-// MaxParallelism searches the largest m (power of two) that fits for a given
-// n — the design-space exploration a user would run for a new device.
-func MaxParallelism(n int, r FPGAResources) (KernelParallelism, Utilization, error) {
-	best := KernelParallelism{}
-	var bestU Utilization
-	for m := 64; m <= 1<<16; m *= 2 {
-		p := KernelParallelism{N: n, M: m}
-		u, err := EstimateUtilization(p, r)
-		if err != nil {
-			return best, bestU, err
-		}
-		if !u.Fits() {
-			break
-		}
-		best, bestU = p, u
-	}
-	if best.M == 0 {
-		return best, bestU, fmt.Errorf("accel: no design with n=%d fits", n)
-	}
-	return best, bestU, nil
-}

@@ -212,6 +212,13 @@ func TestSyncSGDGradientEquivalence(t *testing.T) {
 		tensor.GatherRows(x, ds.Features, mb.InputNodes())
 		return x
 	}
+	step := func(mb *sampler.MiniBatch) *gnn.Gradients {
+		g := gnn.NewGradients(model.Params)
+		if _, _, err := model.TrainStepWS(tensor.NewWorkspace(), &gnn.ForwardState{}, mb, gather(mb), g); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
 
 	// Union gradient: one batch over all targets.
 	rngU := tensor.NewRNG(99)
@@ -219,10 +226,7 @@ func TestSyncSGDGradientEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gU, _, _, err := model.TrainStep(mbU, gather(mbU))
-	if err != nil {
-		t.Fatal(err)
-	}
+	gU := step(mbU)
 
 	// Split gradients: same RNG stream consumed sequentially over the parts.
 	rngS := tensor.NewRNG(99)
@@ -234,14 +238,7 @@ func TestSyncSGDGradientEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, _, _, err := model.TrainStep(mb1, gather(mb1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, _, _, err := model.TrainStep(mb2, gather(mb2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g1, g2 := step(mb1), step(mb2)
 	// The trainer pool's weighting: n·b_r/B for n = 2 parts of B = 96 targets.
 	avg := gnn.NewGradients(model.Params)
 	optim.WeightedMean(avg, []*gnn.Gradients{g1, g2}, []float32{2 * 64.0 / 96, 2 * 32.0 / 96})
@@ -627,12 +624,12 @@ func TestFPGATrainerMatchesReferenceForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := e.model.Forward(mb, x)
+	ref, err := e.model.InferMiniBatchWS(tensor.NewWorkspace(), mb, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !logits.Equal(ref.Logits) {
-		t.Fatalf("backend logits differ from reference by %g", logits.MaxAbsDiff(ref.Logits))
+	if !logits.Equal(ref) {
+		t.Fatalf("backend logits differ from reference by %g", logits.MaxAbsDiff(ref))
 	}
 	if stats.Sec <= 0 || stats.AggCycles <= 0 {
 		t.Fatalf("backend reported no work: %+v", stats)

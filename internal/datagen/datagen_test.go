@@ -152,16 +152,6 @@ func TestSpecByName(t *testing.T) {
 	}
 }
 
-func TestFeatureBytesMAG240M(t *testing.T) {
-	// Paper §I: MAG240M is ~202 GB of features. 121.75M × 756 × 4B ≈ 368 GB
-	// for float32; the released dataset uses float16 (~184 GB). Check our
-	// float32 accounting is self-consistent.
-	want := MAG240MHomo.NumVertices * 756 * 4
-	if MAG240MHomo.FeatureBytes() != want {
-		t.Fatalf("FeatureBytes = %d, want %d", MAG240MHomo.FeatureBytes(), want)
-	}
-}
-
 func TestScaled(t *testing.T) {
 	s := OGBNPapers100M.Scaled(100_000)
 	if s.NumVertices <= 0 || s.NumEdges < s.NumVertices {

@@ -21,12 +21,6 @@ type Spec struct {
 	TrainNodes int64
 }
 
-// FeatureBytes returns the size of the full input feature matrix in bytes
-// assuming float32 features (Sfeat = 4, as in the paper).
-func (s Spec) FeatureBytes() int64 {
-	return s.NumVertices * int64(s.FeatDims[0]) * 4
-}
-
 // NumClasses returns the output dimension (last layer width).
 func (s Spec) NumClasses() int { return s.FeatDims[len(s.FeatDims)-1] }
 

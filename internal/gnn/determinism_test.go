@@ -24,7 +24,7 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 			requireStepFansOut(t, m.Cfg, fx.mb)
 		}
 		for i := 0; i < 3; i++ {
-			g, _, _, err := m.TrainStep(fx.mb, fx.x)
+			g, _, _, err := trainStep(m, fx.mb, fx.x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestDeterminismAcrossSIMDLevels(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			g, _, _, err := m.TrainStep(fx.mb, fx.x)
+			g, _, _, err := trainStep(m, fx.mb, fx.x)
 			if err != nil {
 				t.Fatal(err)
 			}

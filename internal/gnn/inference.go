@@ -40,27 +40,22 @@ func (m *Model) InferFullGraph(g *graph.Graph, x *tensor.Matrix) (*tensor.Matrix
 	return h, nil
 }
 
-// InferMiniBatch runs the forward-only pass over a sampled fanout and
-// returns the logits for mb's target vertices (|targets| × fL). It is the
-// serving-path counterpart of Forward: same kernels, no state retained for a
-// backward pass. x holds the gathered input features for mb.InputNodes().
-func (m *Model) InferMiniBatch(mb *sampler.MiniBatch, x *tensor.Matrix) (*tensor.Matrix, error) {
-	return m.InferMiniBatchWS(tensor.NewWorkspace(), mb, x)
-}
-
 // InferMiniBatchWS is InferMiniBatchRowsWS over a gathered block x (rows
 // nil).
 func (m *Model) InferMiniBatchWS(ws *tensor.Workspace, mb *sampler.MiniBatch, x *tensor.Matrix) (*tensor.Matrix, error) {
 	return m.InferMiniBatchRowsWS(ws, mb, x, nil)
 }
 
-// InferMiniBatchRowsWS is InferMiniBatch with every intermediate (including
-// the returned logits) borrowed from ws — the zero-allocation serving form.
-// x and rows are TrainStepRowsWS's: the feature table and each input node's
-// row of it, or (rows nil) the block gathered over mb.InputNodes(). The
-// logits are valid until the owner's next ws.Reset; callers that outlive the
-// batch (the embedding cache does) must copy the rows they keep. The caller
-// resets ws at batch boundaries; this function only borrows.
+// InferMiniBatchRowsWS runs the forward-only pass over a sampled fanout and
+// returns the logits for mb's target vertices (|targets| × fL): the serving
+// counterpart of TrainStepRowsWS's forward — same kernels, no state retained
+// for a backward pass — with every intermediate (the returned logits
+// included) borrowed from ws. x and rows are TrainStepRowsWS's: the feature
+// table and each input node's row of it, or (rows nil) the block gathered
+// over mb.InputNodes(). The logits are valid until the owner's next
+// ws.Reset; callers that outlive the batch (the embedding cache does) must
+// copy the rows they keep. The caller resets ws at batch boundaries; this
+// function only borrows.
 func (m *Model) InferMiniBatchRowsWS(ws *tensor.Workspace, mb *sampler.MiniBatch, x *tensor.Matrix, rows []int32) (*tensor.Matrix, error) {
 	if err := m.checkInput(mb, x, rows); err != nil {
 		return nil, err
@@ -96,25 +91,6 @@ func (m *Model) ForwardWork(mb *sampler.MiniBatch) int {
 		work += (b.NumEdges()+nd)*fin + nd*dense*m.Cfg.Dims[l+1]
 	}
 	return work
-}
-
-// InferVertices answers a per-request query: it samples the L-hop fanout of
-// the given target vertices and propagates only that subgraph, reading its
-// input features from the table x in place. Fanout 0 at every layer makes the
-// result exact (identical to the targets' rows of InferFullGraph); positive
-// fanouts trade accuracy for bounded work, converging to the exact logits as
-// they grow.
-func (m *Model) InferVertices(g *graph.Graph, x *tensor.Matrix, fanouts []int,
-	targets []int32, rng *tensor.RNG) (*tensor.Matrix, error) {
-	s, err := sampler.New(g, fanouts, nil)
-	if err != nil {
-		return nil, err
-	}
-	mb, err := s.Sample(targets, rng)
-	if err != nil {
-		return nil, err
-	}
-	return m.InferMiniBatchRowsWS(tensor.NewWorkspace(), mb, x, mb.InputNodes())
 }
 
 // Evaluate runs full-graph inference and returns the accuracy over the

@@ -58,7 +58,7 @@ func TestInferenceMatchesFullFanoutSampling(t *testing.T) {
 		}
 		x := tensor.New(len(mb.InputNodes()), 6)
 		tensor.GatherRows(x, ds.Features, mb.InputNodes())
-		st, err := m.Forward(mb, x)
+		st, err := forward(m, mb, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestEvaluateAfterTraining(t *testing.T) {
 		}
 		x := tensor.New(len(mb.InputNodes()), 16)
 		tensor.GatherRows(x, ds.Features, mb.InputNodes())
-		grads, _, _, err := m.TrainStep(mb, x)
+		grads, _, _, err := trainStep(m, mb, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,11 +199,18 @@ func TestInferMiniBatchConvergesToFullGraph(t *testing.T) {
 			targets[i] = int32(rng.Intn(ds.Graph.NumVertices))
 		}
 		meanErr := func(fanout int) float64 {
+			s, err := sampler.New(ds.Graph, []int{fanout, fanout}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mb sampler.MiniBatch
 			var sum float64
 			var n int
 			for seed := uint64(0); seed < 5; seed++ {
-				logits, err := m.InferVertices(ds.Graph, ds.Features,
-					[]int{fanout, fanout}, targets, tensor.NewRNG(100+seed))
+				if err := s.SampleInto(&mb, targets, tensor.NewRNG(100+seed)); err != nil {
+					t.Fatal(err)
+				}
+				logits, err := m.InferMiniBatchRowsWS(tensor.NewWorkspace(), &mb, ds.Features, mb.InputNodes())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,10 +1,10 @@
 // Layer-propagation kernels: the aggregate-over-neighbor-set and dense-update
 // primitives shared by every execution path in the system — sampled training
-// (ForwardWS/BackwardWS), exact full-graph inference (InferFullGraph), and
-// sampled mini-batch inference (InferMiniBatch). A Neighborhood captures the
-// message structure of one bipartite layer with its aggregation coefficients
-// pre-resolved for the model kind (GCN/SAGE/GIN), so callers compose layers
-// without re-implementing the aggregator.
+// (TrainStepRowsWS: forwardWS, then BackwardWS), sampled mini-batch inference
+// (InferMiniBatchRowsWS) and exact full-graph inference (InferFullGraph). A
+// Neighborhood captures the message structure of one bipartite layer with its
+// aggregation coefficients pre-resolved for the model kind (GCN/SAGE/GIN), so
+// callers compose layers without re-implementing the aggregator.
 
 package gnn
 
@@ -98,15 +98,6 @@ func (nb *Neighborhood) edgeRows() []int32 {
 
 // NumDst returns the number of destination vertices.
 func (nb *Neighborhood) NumDst() int { return len(nb.Block.Dst) }
-
-// Reset invalidates the lazily built transposed contribution list. init does
-// this on every (re-)bind, but a caller that mutates the *current* block in
-// place — serving paths that re-sample into retained Block storage across
-// epochs — must call Reset before the next AggregateBackward, or the
-// parallel gather would read a transpose of the previous graph.
-func (nb *Neighborhood) Reset() {
-	nb.tPtr, nb.tDst, nb.tW = nil, nil, nil
-}
 
 // Aggregate computes the weighted neighbor sum for every destination:
 // out[d] = SelfW[d]·h[d] + Σ_e EdgeW[e]·h[Col[e]], each source read through

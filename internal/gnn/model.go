@@ -87,40 +87,6 @@ func NewParameters(cfg Config, rng *tensor.RNG) *Parameters {
 	return p
 }
 
-// Clone deep-copies the parameters.
-func (p *Parameters) Clone() *Parameters {
-	out := &Parameters{
-		Weights: make([]*tensor.Matrix, len(p.Weights)),
-		Biases:  make([]*tensor.Matrix, len(p.Biases)),
-	}
-	for i := range p.Weights {
-		out.Weights[i] = p.Weights[i].Clone()
-		out.Biases[i] = p.Biases[i].Clone()
-	}
-	return out
-}
-
-// CopyFrom overwrites p with src (shapes must match).
-func (p *Parameters) CopyFrom(src *Parameters) {
-	for i := range p.Weights {
-		copy(p.Weights[i].Data, src.Weights[i].Data)
-		copy(p.Biases[i].Data, src.Biases[i].Data)
-	}
-}
-
-// NumParams returns the total number of scalar parameters.
-func (p *Parameters) NumParams() int {
-	n := 0
-	for i := range p.Weights {
-		n += len(p.Weights[i].Data) + len(p.Biases[i].Data)
-	}
-	return n
-}
-
-// ModelBytes returns the model size in bytes (Sfeat = 4), the numerator of
-// the paper's synchronization-cost model (Eq. 13).
-func (p *Parameters) ModelBytes() int64 { return int64(p.NumParams()) * 4 }
-
 // Gradients mirrors Parameters.
 type Gradients struct {
 	Weights []*tensor.Matrix
@@ -138,14 +104,6 @@ func NewGradients(p *Parameters) *Gradients {
 		g.Biases[i] = tensor.New(p.Biases[i].Rows, p.Biases[i].Cols)
 	}
 	return g
-}
-
-// Zero clears all gradient entries.
-func (g *Gradients) Zero() {
-	for i := range g.Weights {
-		g.Weights[i].Zero()
-		g.Biases[i].Zero()
-	}
 }
 
 // Axpy accumulates g += alpha·src.

@@ -77,7 +77,7 @@ func chainedBatch(rng *tensor.RNG, targets int, maxDeg []int, classes int) *samp
 func oracleStep(t *testing.T, m *Model, ws *tensor.Workspace, mb *sampler.MiniBatch, x *tensor.Matrix, grads *Gradients) {
 	t.Helper()
 	st := &ForwardState{}
-	if err := m.ForwardWS(ws, st, mb, x); err != nil {
+	if err := m.forwardWS(ws, st, mb, x, nil); err != nil {
 		t.Fatal(err)
 	}
 	dLogits := ws.Get(st.Logits.Rows, st.Logits.Cols)

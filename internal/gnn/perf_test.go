@@ -119,10 +119,10 @@ func TestAggregateBackwardSerialFallback(t *testing.T) {
 	}
 }
 
-// TestWSPathsMatchLegacy pins the workspace forms to the allocating ones:
-// same mini-batch, same parameters — forward activations, logits, losses,
-// and every gradient must be bit-identical across both code paths and
-// across workspace reuse (two consecutive iterations through one arena).
+// TestWSPathsMatchLegacy pins arena reuse to a fresh arena: same
+// mini-batch, same parameters — losses, every gradient and the inference
+// logits must be bit-identical between a step on a fresh arena and state and
+// two consecutive iterations through one reused arena and state.
 func TestWSPathsMatchLegacy(t *testing.T) {
 	for _, kind := range allKinds {
 		dims := []int{6, 8, 5}
@@ -131,7 +131,7 @@ func TestWSPathsMatchLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantGrads, wantLoss, wantAcc, err := m.TrainStep(fx.mb, fx.x)
+		wantGrads, wantLoss, wantAcc, err := trainStep(m, fx.mb, fx.x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,12 +148,12 @@ func TestWSPathsMatchLegacy(t *testing.T) {
 				t.Fatalf("%v iter %d: loss/acc %v/%v, want %v/%v", kind, iter, loss, acc, wantLoss, wantAcc)
 			}
 			if d := grads.MaxAbsDiff(wantGrads); d != 0 {
-				t.Fatalf("%v iter %d: WS gradients differ from legacy by %g", kind, iter, d)
+				t.Fatalf("%v iter %d: reused-arena gradients differ from a fresh arena's by %g", kind, iter, d)
 			}
 		}
 
-		// Inference forms agree with the forward pass too.
-		legacy, err := m.InferMiniBatch(fx.mb, fx.x)
+		// So does inference, on the arena the training steps used.
+		fresh, err := m.InferMiniBatchWS(tensor.NewWorkspace(), fx.mb, fx.x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,8 +162,8 @@ func TestWSPathsMatchLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !wsLogits.Equal(legacy) {
-			t.Fatalf("%v: InferMiniBatchWS differs from InferMiniBatch", kind)
+		if !wsLogits.Equal(fresh) {
+			t.Fatalf("%v: InferMiniBatchWS on a reused arena differs from a fresh one", kind)
 		}
 	}
 }
@@ -301,11 +301,10 @@ func TestEdgeWeightsIntoReuse(t *testing.T) {
 }
 
 // TestNeighborhoodResetInvalidatesTranspose pins the invalidation contract
-// of the cached transposed contribution list: a caller that mutates the
-// bound block in place (serving paths re-sampling into retained Block
-// storage) must get a fresh transpose after Reset — and init must invalidate
-// on every re-bind — or the parallel backward would gather through the
-// previous graph's index.
+// of the cached transposed contribution list: every re-bind through init —
+// to the same block mutated in place, or to another block, as ForwardState
+// does per layer and iteration — drops it, or the parallel backward would
+// gather through the previous graph's index.
 func TestNeighborhoodResetInvalidatesTranspose(t *testing.T) {
 	rng := tensor.NewRNG(41)
 	cfg := Config{Kind: GCN, Dims: []int{5, 3}}
@@ -320,8 +319,8 @@ func TestNeighborhoodResetInvalidatesTranspose(t *testing.T) {
 	defer tensor.SetParallelism(prev)
 
 	// First backward builds and caches the transpose — the serial scatter a
-	// small block takes never would, and the test would pass with Reset
-	// deleted.
+	// small block takes never would, and the test would pass with the
+	// invalidation deleted.
 	requireScatterFansOut(t, nb, cols)
 	got := tensor.New(len(b.Src), cols)
 	nb.AggregateBackward(got, dAgg)
@@ -337,22 +336,21 @@ func TestNeighborhoodResetInvalidatesTranspose(t *testing.T) {
 			b.Col[b.RowPtr[d]] = 0
 		}
 	}
-	// Coefficients depend only on shape for GCN's degree normalisation —
-	// recompute them the way a re-binding caller would.
-	nb.EdgeW, nb.SelfW = EdgeWeights(cfg, b)
-
-	nb.Reset()
+	// Re-binding to the same block pointer recomputes the coefficients and
+	// must rebuild the transpose.
+	nb.init(cfg, b, nil)
+	requireScatterFansOut(t, nb, cols)
 	got2 := tensor.New(len(b.Src), cols)
 	nb.AggregateBackward(got2, dAgg)
 
 	want := tensor.New(len(b.Src), cols)
 	NewNeighborhood(cfg, b).AggregateBackwardSerial(want, dAgg)
 	if !got2.Equal(want) {
-		t.Fatalf("after Reset the parallel backward still used the stale transpose (max diff %g)",
+		t.Fatalf("after re-binding the mutated block the parallel backward still used the stale transpose (max diff %g)",
 			got2.MaxAbsDiff(want))
 	}
 
-	// And init (the ForwardState re-bind path) must invalidate too.
+	// And re-binding to another block.
 	nb.AggregateBackward(tensor.New(len(b.Src), cols), dAgg) // re-cache
 	b2 := fanOutBlock(rng)
 	nb.init(cfg, b2, nil)

@@ -9,9 +9,12 @@ import (
 )
 
 // ForwardState retains per-layer activations needed by the backward pass.
-// A state is reusable: passing the same state to ForwardWS across iterations
-// reuses its layer slices and neighborhood structs, so steady-state training
-// holds it (together with a Workspace) to run allocation-free. No ReLU mask is
+// A state is reusable: passing the same state to TrainStepRowsWS across
+// iterations reuses its layer slices and neighborhood structs, so steady-state
+// training holds it (together with a Workspace) to run allocation-free. A
+// fresh &ForwardState{} is ready for use. Its buffers (Logits included) are
+// valid until the owner's next ws.Reset; a state must not be shared between
+// concurrent steps. No ReLU mask is
 // kept: hidden layer l's post-ReLU output is inputs[l+1], and the activation's
 // derivative is 1 exactly where that is > 0 (tensor.ReLUBackward).
 type ForwardState struct {
@@ -92,25 +95,6 @@ func edgeWeightsInto(cfg Config, b *sampler.Block, edgeW, selfW []float32) ([]fl
 	return edgeW, selfW
 }
 
-// Forward runs the L-layer forward pass. x holds the gathered input features
-// for mb.InputNodes() (|V0| × f0) and is not mutated. The returned state
-// feeds BackwardWS; state.Logits holds the output-layer pre-softmax scores.
-func (m *Model) Forward(mb *sampler.MiniBatch, x *tensor.Matrix) (*ForwardState, error) {
-	st := &ForwardState{}
-	if err := m.ForwardWS(tensor.NewWorkspace(), st, mb, x); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// ForwardWS is Forward with every intermediate borrowed from ws and the
-// layer bookkeeping reused from st. Buffers (including st.Logits) are valid
-// until the owner's next ws.Reset; st must not be shared between concurrent
-// steps.
-func (m *Model) ForwardWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.MiniBatch, x *tensor.Matrix) error {
-	return m.forwardWS(ws, st, mb, x, nil)
-}
-
 // checkInput validates a layer-0 input: x is the gathered block over
 // mb.InputNodes() when rows is nil, and otherwise a feature table that rows —
 // one entry per input node — indexes.
@@ -182,8 +166,8 @@ func fillIdentity(idx []int32) []int32 {
 // propagation in reverse, as the paper describes (§II-B), and ends at the
 // first layer's weights: ∂L/∂X of the input features has no consumer and is
 // never formed, so the input block's aggregate has no backward. st must come
-// from a matching ForwardWS whose buffers are still live; dLogits is not
-// mutated.
+// from the matching forward pass (TrainStepRowsWS runs it first) whose
+// buffers are still live; dLogits is not mutated.
 func (m *Model) BackwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tensor.Matrix, grads *Gradients) error {
 	L := m.Cfg.Layers()
 	if dLogits.Rows != st.Logits.Rows || dLogits.Cols != st.Logits.Cols {
@@ -229,29 +213,19 @@ func (m *Model) BackwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tens
 	return nil
 }
 
-// TrainStep runs forward, loss, and backward for one mini-batch, returning
-// the gradients (not yet applied), the mean loss, and the training accuracy.
-func (m *Model) TrainStep(mb *sampler.MiniBatch, x *tensor.Matrix) (*Gradients, float64, float64, error) {
-	grads := NewGradients(m.Params)
-	loss, acc, err := m.TrainStepWS(tensor.NewWorkspace(), &ForwardState{}, mb, x, grads)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return grads, loss, acc, nil
-}
-
 // TrainStepWS is TrainStepRowsWS over a gathered block x (rows nil).
 func (m *Model) TrainStepWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.MiniBatch,
 	x *tensor.Matrix, grads *Gradients) (float64, float64, error) {
 	return m.TrainStepRowsWS(ws, st, mb, x, nil, grads)
 }
 
-// TrainStepRowsWS is TrainStep against caller-owned state: intermediates
-// come from ws, layer bookkeeping is reused from st, and the gradients are
-// written into grads (every element overwritten). x is the feature table and
-// rows[s] its row for input node s — core's trainers pass the dataset's
-// table and mb.InputNodes(), so no feature block is staged; rows nil means x
-// is the block gathered over mb.InputNodes(). Both forms compute the same
+// TrainStepRowsWS runs forward, loss and backward for one mini-batch and
+// returns the mean loss and the training accuracy; the gradients (not yet
+// applied) are written into grads, every element overwritten. Intermediates
+// come from ws and layer bookkeeping is reused from st. x is the feature
+// table and rows[s] its row for input node s — core's trainers pass the
+// dataset's table and mb.InputNodes(), so no feature block is staged; rows
+// nil means x is the block gathered over mb.InputNodes(). Both forms compute the same
 // bits. x is only read. With ws.Reset called at each iteration boundary the
 // steady-state step allocates nothing — the property core's trainer backends
 // rely on and the AllocsPerRun gates enforce. The caller resets ws; this

@@ -66,7 +66,7 @@ func TestLoadedModelInfersIdentically(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	m, _ := NewModel(Config{Kind: SAGE, Dims: []int{6, 5, 3}}, rng)
 	fx := makeFixture(t, []int{6, 5, 3}, 4, 4)
-	ref, err := m.Forward(fx.mb, fx.x)
+	ref, err := forward(m, fx.mb, fx.x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestLoadedModelInfersIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m2.Forward(fx.mb, fx.x)
+	got, err := forward(m2, fx.mb, fx.x)
 	if err != nil {
 		t.Fatal(err)
 	}

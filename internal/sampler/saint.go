@@ -39,13 +39,9 @@ func NewSaint(g *graph.Graph, roots, walkLen, layers int, labels []int32) (*Sain
 	return &SaintSampler{G: g, Roots: roots, WalkLen: walkLen, Layers: layers, Labels: labels}, nil
 }
 
-// Sample draws one subgraph mini-batch with the configured root count.
-func (s *SaintSampler) Sample(rng *tensor.RNG) (*MiniBatch, error) {
-	return s.SampleN(s.Roots, rng)
-}
-
-// SampleN draws one subgraph mini-batch from `roots` random walks — used by
-// the runtime, whose DRM re-balances per-trainer root counts. Roots are
+// SampleN draws one subgraph mini-batch from `roots` random walks — the
+// runtime's DRM re-balances per-trainer root counts, so the count is an
+// argument, not the configured Roots. Roots are
 // drawn uniformly; walks follow uniformly-random in-neighbors and stop
 // early at sinks.
 func (s *SaintSampler) SampleN(roots int, rng *tensor.RNG) (*MiniBatch, error) {
@@ -98,12 +94,4 @@ func (s *SaintSampler) SampleN(roots int, rng *tensor.RNG) (*MiniBatch, error) {
 		}
 	}
 	return mb, nil
-}
-
-// ExpectedSubgraphSize estimates the number of distinct vertices a SAINT
-// batch touches (roots × (walk+1) draws with birthday collapse) — the
-// sampling-cost input the performance model needs for this algorithm.
-func (s *SaintSampler) ExpectedSubgraphSize() float64 {
-	draws := float64(s.Roots) * float64(s.WalkLen+1)
-	return distinctOf(draws, float64(s.G.NumVertices))
 }

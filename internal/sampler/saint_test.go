@@ -33,7 +33,7 @@ func TestSaintSampleStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := s.Sample(tensor.NewRNG(32))
+	mb, err := s.SampleN(s.Roots, tensor.NewRNG(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSaintSampleStructure(t *testing.T) {
 func TestSaintInducedEdgesAreReal(t *testing.T) {
 	g := testGraph(t, 300, 2400, 33)
 	s, _ := NewSaint(g, 12, 3, 1, nil)
-	mb, err := s.Sample(tensor.NewRNG(34))
+	mb, err := s.SampleN(s.Roots, tensor.NewRNG(34))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,8 @@ func TestSaintInducedEdgesAreReal(t *testing.T) {
 func TestSaintDeterministic(t *testing.T) {
 	g := testGraph(t, 200, 1600, 35)
 	s, _ := NewSaint(g, 8, 3, 2, nil)
-	a, _ := s.Sample(tensor.NewRNG(9))
-	b, _ := s.Sample(tensor.NewRNG(9))
+	a, _ := s.SampleN(s.Roots, tensor.NewRNG(9))
+	b, _ := s.SampleN(s.Roots, tensor.NewRNG(9))
 	if len(a.Targets) != len(b.Targets) {
 		t.Fatal("not deterministic")
 	}
@@ -111,30 +111,6 @@ func TestSaintDeterministic(t *testing.T) {
 		if a.Targets[i] != b.Targets[i] {
 			t.Fatal("targets differ")
 		}
-	}
-}
-
-func TestSaintExpectedSubgraphSize(t *testing.T) {
-	g := testGraph(t, 1000, 8000, 36)
-	s, _ := NewSaint(g, 50, 4, 2, nil)
-	exp := s.ExpectedSubgraphSize()
-	if exp <= 0 || exp > 250 {
-		t.Fatalf("expected size %v outside (0, roots*(walk+1)]", exp)
-	}
-	// Sample a few times; mean should be within 2x of the estimate.
-	rng := tensor.NewRNG(37)
-	var sum float64
-	const trials = 20
-	for i := 0; i < trials; i++ {
-		mb, err := s.Sample(rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += float64(len(mb.Targets))
-	}
-	mean := sum / trials
-	if mean < exp/2 || mean > exp*2 {
-		t.Fatalf("measured subgraph size %v far from estimate %v", mean, exp)
 	}
 }
 
@@ -149,7 +125,7 @@ func TestSaintTrainsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := s.Sample(tensor.NewRNG(39))
+	mb, err := s.SampleN(s.Roots, tensor.NewRNG(39))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -409,10 +409,12 @@ func newServer(cfg Config) (*server, error) {
 		cache:     NewShardedCache(cfg.CacheSize, cfg.CacheShards, dims[len(dims)-1]),
 		router:    router{pool: pool, admission: admission, health: health},
 
-		stats:      &Stats{Routes: make([]int, 0, cfg.NumRequests)},
-		latencies:  make([]float64, 0, cfg.NumRequests),
-		latClasses: make([]SLOClass, 0, cfg.NumRequests),
-		latDone:    make([]float64, 0, cfg.NumRequests),
+		// One entry per request served: a replay serves the trace's
+		// min(NumRequests, len) requests, not NumRequests.
+		stats:      &Stats{Routes: make([]int, 0, len(arrivals))},
+		latencies:  make([]float64, 0, len(arrivals)),
+		latClasses: make([]SLOClass, 0, len(arrivals)),
+		latDone:    make([]float64, 0, len(arrivals)),
 
 		health:      health,
 		retryBudget: retryBudget,

@@ -427,6 +427,31 @@ func TestReplayIgnoresRatePerSec(t *testing.T) {
 	}
 }
 
+// A replay serves min(NumRequests, len(trace)) requests, so a count far past
+// the trace's length is a valid run — its per-request ledgers sized by the
+// trace, not by the count — with the Stats of the exact count.
+func TestReplayCountPastTraceLength(t *testing.T) {
+	cfg := baseConfig(testSetup(t))
+	cfg.NumRequests = 10
+	tr, err := GenerateTrace(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Replay = tr
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.NumRequests = math.MaxInt
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("replay with NumRequests = MaxInt served %d routes, the exact count %d", len(got.Routes), len(want.Routes))
+	}
+}
+
 // End-to-end over three cohorts: the per-class ledger balances, all three
 // classes are active, and the fairness index is well-formed and printed.
 func TestWorkloadEndToEnd(t *testing.T) {

@@ -5,22 +5,6 @@ import (
 	"math"
 )
 
-// Add computes dst = a + b element-wise. Shapes must match.
-func Add(dst, a, b *Matrix) {
-	checkSameShape("Add", dst, a, b)
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-}
-
-// Sub computes dst = a − b element-wise.
-func Sub(dst, a, b *Matrix) {
-	checkSameShape("Sub", dst, a, b)
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-}
-
 // Scale multiplies every element of m by s in place.
 func Scale(m *Matrix, s float32) {
 	for i := range m.Data {
@@ -387,37 +371,5 @@ func gatherRange(dst *Matrix, dstCol int, src *Matrix, idx []int32, lo, hi int) 
 	}
 	for i := lo; i < hi; i++ {
 		copy(dst.Row(i)[dstCol:dstCol+w], src.Row(int(idx[i])))
-	}
-}
-
-// ScatterAddRows adds each row i of src into row idx[i] of dst.
-func ScatterAddRows(dst, src *Matrix, idx []int32) {
-	if src.Rows != len(idx) || dst.Cols != src.Cols {
-		panic("tensor: ScatterAddRows shape mismatch")
-	}
-	for i, to := range idx {
-		drow := dst.Row(int(to))
-		srow := src.Row(i)
-		for j, v := range srow {
-			drow[j] += v
-		}
-	}
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func FrobeniusNorm(m *Matrix) float64 {
-	var sum float64
-	for _, v := range m.Data {
-		sum += float64(v) * float64(v)
-	}
-	return math.Sqrt(sum)
-}
-
-func checkSameShape(op string, ms ...*Matrix) {
-	r, c := ms[0].Rows, ms[0].Cols
-	for _, m := range ms[1:] {
-		if m.Rows != r || m.Cols != c {
-			panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, r, c, m.Rows, m.Cols))
-		}
 	}
 }

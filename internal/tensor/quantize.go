@@ -14,11 +14,6 @@ type QuantizedMatrix struct {
 	Scales     []float32 // one per row
 }
 
-// Bytes returns the wire size of the quantized payload.
-func (q *QuantizedMatrix) Bytes() int64 {
-	return int64(len(q.Codes)) + int64(len(q.Scales))*4
-}
-
 // QuantizeINT8 quantizes m row-wise to int8 with symmetric per-row scales.
 func QuantizeINT8(m *Matrix) *QuantizedMatrix {
 	q := &QuantizedMatrix{

@@ -46,18 +46,6 @@ func TestQuantizeZeroRow(t *testing.T) {
 	}
 }
 
-func TestQuantizeBytes(t *testing.T) {
-	m := New(10, 16)
-	q := QuantizeINT8(m)
-	// 10×16 codes + 10 scales×4B = 200 bytes, vs 640 float32 bytes.
-	if q.Bytes() != 10*16+10*4 {
-		t.Fatalf("Bytes = %d", q.Bytes())
-	}
-	if q.Bytes()*3 >= int64(len(m.Data)*4) {
-		t.Fatal("quantization should shrink payload by ~4x")
-	}
-}
-
 func TestDequantizeShapeCheck(t *testing.T) {
 	q := QuantizeINT8(New(2, 2))
 	if err := q.Dequantize(New(3, 2)); err == nil {

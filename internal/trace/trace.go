@@ -6,7 +6,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"strings"
 )
 
 // EpochSample is one epoch's summary.
@@ -40,16 +39,4 @@ func (r *Recorder) WriteEpochsCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Summary renders a short human-readable digest of the recorded epochs.
-func (r *Recorder) Summary() string {
-	if len(r.epochs) == 0 {
-		return "trace: no epochs recorded"
-	}
-	first, last := r.epochs[0], r.epochs[len(r.epochs)-1]
-	var b strings.Builder
-	fmt.Fprintf(&b, "epochs %d..%d: loss %.4f -> %.4f, acc %.3f -> %.3f",
-		first.Epoch, last.Epoch, first.Loss, last.Loss, first.Accuracy, last.Accuracy)
-	return b.String()
 }
