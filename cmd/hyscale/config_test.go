@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/gnn"
 	"repro/internal/hw"
 	"repro/internal/serve"
@@ -514,6 +516,66 @@ func TestRunTraceCSV(t *testing.T) {
 		if lines := strings.Count(string(data), "\n"); lines != 1+o.epochs {
 			t.Fatalf("%d node(s): CSV has %d lines, want a header and %d epochs:\n%s", nodes, lines, o.epochs, data)
 		}
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected into a pipe and returns
+// what it printed along with f's error.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	printed := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r) // a read error shows up as missing output
+		printed <- string(b)
+	}()
+	prev := os.Stdout
+	os.Stdout = w
+	ferr := f()
+	os.Stdout = prev
+	w.Close()
+	return <-printed, ferr
+}
+
+// Single-node training ends with one line of held-out accuracy: the trained
+// engine's Evaluate(nil), exact full-graph inference over the vertices
+// outside the training split — the figure the same training, repeated by
+// hand, reports.
+func TestRunReportsHeldOutAccuracy(t *testing.T) {
+	o := validOptions()
+	o.scale, o.epochs = 20000, 2
+	out, err := captureStdout(t, func() error { return run(o) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := buildConfig(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := datagen.Materialize(r.Spec, 0.2, tensor.NewRNG(o.seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.NewEngine(r.coreConfig(ds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ep := 0; ep < o.epochs; ep++ {
+		if _, err := e.RunEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acc, err := e.Evaluate(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("Held-out accuracy (full-graph inference over the non-training vertices): %.3f\n", acc)
+	if n := strings.Count(out, "Held-out accuracy"); n != 1 || !strings.Contains(out, want) {
+		t.Fatalf("%d held-out lines, want one reading %q in:\n%s", n, want, out)
 	}
 }
 

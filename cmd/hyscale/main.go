@@ -1,7 +1,8 @@
 // Command hyscale trains a GNN with the HyScale-GNN hybrid runtime on a
 // synthetic dataset shaped like one of the paper's benchmarks, scaled down
 // to fit in memory. It reports per-epoch loss, accuracy, virtual-clock epoch
-// time and throughput, and the task mapping the DRM engine converged to.
+// time and throughput, the task mapping the DRM engine converged to, and the
+// trained model's held-out accuracy under exact full-graph inference.
 //
 // With -nodes N > 1 it executes the multi-node extension (paper §VIII
 // future work): the graph is partitioned across N sharded engine replicas
@@ -177,9 +178,9 @@ func withEpochCSV(path string, fn func(rec *trace.Recorder) error) error {
 	return nil
 }
 
-// runSingleNode trains on one node, recording each epoch into rec, and returns
-// the trained model (a fresh randomly initialised one when -epochs 0 under
-// -serve).
+// runSingleNode trains on one node, recording each epoch into rec, prints the
+// trained model's held-out accuracy, and returns the model (a fresh randomly
+// initialised one when -epochs 0 under -serve).
 func runSingleNode(r *runSpec, coreCfg core.Config, o options, rec *trace.Recorder) (*gnn.Model, error) {
 	if o.epochs == 0 {
 		fmt.Println("Skipping training (-epochs 0): serving an untrained model.")
@@ -221,6 +222,11 @@ func runSingleNode(r *runSpec, coreCfg core.Config, o options, rec *trace.Record
 		fmt.Printf("FPGA dataflow kernels: %d aggregate cycles, %d update cycles, %.1f MB external traffic\n",
 			fpgaAgg, fpgaUpd, float64(fpgaTraffic)/1e6)
 	}
+	acc, err := engine.Evaluate(nil)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("Held-out accuracy (full-graph inference over the non-training vertices): %.3f\n", acc)
 	return &gnn.Model{Cfg: coreCfg.Model, Params: engine.Params()}, nil
 }
 

@@ -44,6 +44,10 @@ type InferConfig struct {
 // what its sample held, and — once Propagate has run — the computed logits
 // (row i answers targets[i]). Sample fills every field but Logits; Propagate
 // writes only Logits.
+//
+// The result lives in one of its pipeline's two batch slots, beside the
+// mini-batch Targets borrows and the arena Logits borrows: all three are
+// valid until the pipeline's next-but-one Sample, which rebuilds the slot.
 type InferResult struct {
 	Stage     perfmodel.StageTimes
 	Logits    *tensor.Matrix
@@ -54,8 +58,17 @@ type InferResult struct {
 	// element-operations (gnn.Model.ForwardWork of the sampled blocks).
 	ForwardWork int
 	// FPGA carries the dataflow's hardware account of the batch when it ran
-	// on an FPGA-bound worker (nil otherwise).
+	// on an FPGA-bound worker (nil otherwise). It points into the worker's
+	// accel.Backend scratch, which the pipeline's next Sample overwrites.
 	FPGA *accel.ForwardStats
+}
+
+// inferSlot is one batch a pipeline holds: the mini-batch Sample draws into,
+// the result it fills, and the arena Propagate's forward borrows from.
+type inferSlot struct {
+	mb  sampler.MiniBatch
+	res InferResult
+	ws  *tensor.Workspace
 }
 
 // InferencePipeline is the serving-side counterpart of the training
@@ -70,12 +83,14 @@ type InferResult struct {
 //
 // A batch runs in two halves: Sample (sampling, the FPGA account and the
 // pricing — everything the clock, the router and the serving Stats read)
-// and Propagate (the numeric forward into the worker's arena). The halves
-// share the retained mini-batch and result, so a caller may run Propagate
-// on another goroutine — meanwhile pricing and clocking this pipeline
-// (ServiceSec, AvailableAt, CompleteAfter) and sampling others — but must let
-// it finish before this pipeline's next Sample and before reading Logits.
-// RunBatch is the two back to back.
+// and Propagate (the numeric forward into the batch's arena). The pipeline
+// holds two batches, each in its own slot — mini-batch, result and arena —
+// and Samples fill the slots in turn, the shape of training's iteration ring.
+// So a caller may run Propagate on another goroutine — meanwhile pricing and
+// clocking this pipeline (ServiceSec, AvailableAt, CompleteAfter), sampling
+// its next batch, even propagating that one — but must let it finish before
+// its slot is sampled again (the next-but-one Sample) and before reading
+// Logits. RunBatch is the two back to back.
 type InferencePipeline struct {
 	cfg     InferConfig
 	dev     hw.Device
@@ -84,22 +99,17 @@ type InferencePipeline struct {
 	smp     *sampler.Sampler
 	clock   perfmodel.Pipeline
 	rng     *tensor.RNG
-	// ws is the worker's numeric arena: every propagation intermediate of a
-	// batch borrows from it (and, on an accelerator under QuantizeTransfer,
-	// the staged int8 round trip of its feature rows — every other worker
-	// reads the feature table in place), and Propagate resets it at entry —
-	// so the steady-state numeric path of a serving worker allocates nothing
-	// once the arena has grown to the largest batch. Sample never touches it.
-	ws *tensor.Workspace
-	// mb/sizes are Sample's retained sampling and pricing scratch, rebuilt
-	// in place per batch (the same reuse discipline as ws; results that
-	// borrow them are valid until the next Sample).
-	mb    sampler.MiniBatch
+	// slots are the two batches, rebuilt in place in turn (next is the one
+	// the coming Sample fills), so the steady state allocates nothing once
+	// each slot has seen the largest batch. A slot's arena holds every
+	// propagation intermediate of its batch (and, on an accelerator under
+	// QuantizeTransfer, the staged int8 round trip of its feature rows —
+	// every other worker reads the feature table in place); Propagate resets
+	// it at entry and Sample never touches it.
+	slots [2]inferSlot
+	next  int
+	// sizes is Sample's retained pricing scratch.
 	sizes perfmodel.Sizes
-	// res is Sample's retained result (the contract already scopes a
-	// result's validity to the next Sample, so the header is reused too —
-	// the serving loop's last per-batch allocation).
-	res InferResult
 	// svcSec memoizes ServiceSec by computed-target count (NaN = unfilled).
 	// The count is bounded by the serving batcher's size cap, so a small
 	// dense slice replaces the map the serving router used to consult on
@@ -153,7 +163,9 @@ func NewInferencePipeline(cfg InferConfig) (*InferencePipeline, error) {
 		smp:   smp,
 		clock: perfmodel.Pipeline{TFP: true},
 		rng:   tensor.NewRNG(cfg.Seed),
-		ws:    tensor.NewWorkspace(),
+	}
+	for i := range p.slots {
+		p.slots[i].ws = tensor.NewWorkspace()
 	}
 	if cfg.Device > 0 {
 		p.dev = cfg.Plat.Accels[cfg.Device-1]
@@ -219,11 +231,11 @@ func (p *InferencePipeline) ServiceSec(computed int) (float64, error) {
 
 // RunBatch samples the L-hop fanout of the target vertices and propagates
 // only that subgraph — Sample then Propagate — returning the logits and the
-// virtual stage times of the batch. The returned Logits (and the rest of the
-// result's matrices) borrow the worker's arena, and Targets borrows the
-// worker's retained mini-batch: all of it is valid until this pipeline's
-// next Sample, so callers that outlive the batch (the serving cache does)
-// copy the rows they keep.
+// virtual stage times of the batch. The result, its Logits (which borrow
+// the batch's arena) and its Targets (which borrow the batch's mini-batch)
+// live in one of the pipeline's two slots: valid until this pipeline's
+// next-but-one Sample, so callers that outlive the batch (the serving cache
+// does) copy the rows they keep.
 func (p *InferencePipeline) RunBatch(targets []int32) (*InferResult, error) {
 	res, err := p.Sample(targets)
 	if err != nil {
@@ -236,16 +248,20 @@ func (p *InferencePipeline) RunBatch(targets []int32) (*InferResult, error) {
 }
 
 // Sample is a batch's first half: it samples the L-hop fanout of the target
-// vertices into the retained mini-batch, charges an FPGA-bound worker the
-// dataflow's account of its blocks, and prices the batch. The result carries
-// everything but Logits, which Propagate fills. It makes every RNG draw of
-// the batch and never touches the arena.
+// vertices into the next of the pipeline's two slots, charges an FPGA-bound
+// worker the dataflow's account of its blocks, and prices the batch. The
+// result carries everything but Logits, which Propagate fills. It makes
+// every RNG draw of the batch and never touches an arena. The slot it
+// rebuilds is the one the next-but-one previous Sample filled: that batch's
+// Propagate must have finished.
 func (p *InferencePipeline) Sample(targets []int32) (*InferResult, error) {
-	if err := p.smp.SampleInto(&p.mb, targets, p.rng); err != nil {
+	slot := &p.slots[p.next]
+	if err := p.smp.SampleInto(&slot.mb, targets, p.rng); err != nil {
 		return nil, err
 	}
-	mb := &p.mb
-	res := &p.res
+	p.next = 1 - p.next
+	mb := &slot.mb
+	res := &slot.res
 	*res = InferResult{
 		Targets:     mb.Targets,
 		Edges:       float64(mb.EdgesTraversed()),
@@ -271,27 +287,43 @@ func (p *InferencePipeline) Sample(targets []int32) (*InferResult, error) {
 }
 
 // Propagate is a batch's second half: the numeric forward over the blocks
-// the last Sample drew, reading the input features from the dataset's table
-// in place (staging a quantized copy only on an accelerator under
-// QuantizeTransfer), into the worker's arena. res must be that Sample's
-// result; only its Logits are written. Propagate reads the shared model and
-// feature table and writes only this pipeline's arena, so pipelines may
-// propagate concurrently.
+// the Sample that returned res drew, reading the input features from the
+// dataset's table in place (staging a quantized copy only on an accelerator
+// under QuantizeTransfer), into the arena of res's slot. res must be one of
+// this pipeline's two results — anything else is an error — and only its
+// Logits are written. Propagate reads the shared model and feature table
+// and writes only its slot's arena, so pipelines — and the two slots of one
+// pipeline — may propagate concurrently, beside this pipeline's Sample of
+// the other slot.
 func (p *InferencePipeline) Propagate(res *InferResult) error {
-	p.ws.Reset()
-	x, rows := p.cfg.Data.Features, p.mb.InputNodes()
+	slot := p.slotOf(res)
+	if slot == nil {
+		return fmt.Errorf("core: Propagate on a result this pipeline's Sample did not return")
+	}
+	slot.ws.Reset()
+	x, rows := p.cfg.Data.Features, slot.mb.InputNodes()
 	if p.cfg.Device > 0 && p.cfg.QuantizeTransfer {
 		// The device computes on the int8 round trip of its rows: stage them.
-		x = p.ws.Get(len(rows), x.Cols)
+		x = slot.ws.Get(len(rows), x.Cols)
 		tensor.GatherRows(x, p.cfg.Data.Features, rows)
 		tensor.QuantizeRoundTrip(x) // inject the real int8 loss
 		rows = nil
 	}
-	logits, err := p.cfg.Model.InferMiniBatchRowsWS(p.ws, &p.mb, x, rows)
+	logits, err := p.cfg.Model.InferMiniBatchRowsWS(slot.ws, &slot.mb, x, rows)
 	if err != nil {
 		return err
 	}
 	res.Logits = logits
+	return nil
+}
+
+// slotOf returns the slot whose result res is (nil: none of them).
+func (p *InferencePipeline) slotOf(res *InferResult) *inferSlot {
+	for i := range p.slots {
+		if res == &p.slots[i].res {
+			return &p.slots[i]
+		}
+	}
 	return nil
 }
 
@@ -301,7 +333,7 @@ func (p *InferencePipeline) Propagate(res *InferResult) error {
 // iterations do (sampling batch k+1 runs while batch k propagates) — on the
 // virtual clock, and in the serving loop on the wall clock too, which runs a
 // large batch's Propagate on the worker's own goroutine while it samples the
-// next.
+// worker's next batch into the other slot.
 func (p *InferencePipeline) CompleteAfter(ready float64, st perfmodel.StageTimes) float64 {
 	return p.clock.AdvanceAfter(ready, st)
 }

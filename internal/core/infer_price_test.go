@@ -97,7 +97,7 @@ func TestRunBatchPriceMatchesPreFoldOracle(t *testing.T) {
 					if (res.FPGA != nil) != (p.Device().Kind == hw.FPGA) {
 						t.Fatalf("kernel accounting present=%v on a %v worker", res.FPGA != nil, p.Device().Kind)
 					}
-					want := runBatchPriceOracle(p, &p.mb, res.FPGA)
+					want := runBatchPriceOracle(p, &p.slotOf(res).mb, res.FPGA)
 					got := res.Stage
 					for _, f := range []struct {
 						name      string

@@ -39,14 +39,6 @@ var allowed = map[string]string{
 	"gnn.readMatrix":           "checkpoint reader's per-matrix record",
 	"(*core.Engine).SaveModel": "the engine's checkpoint entry point",
 
-	// Exact full-graph inference: the oracle every sampled path converges to.
-	"(*gnn.Model).InferFullGraph": "exact inference the sampled-fanout tests converge to",
-	"(*gnn.Model).PropagateLayer": "InferFullGraph's allocating layer step",
-	"sampler.FullGraphBlock":      "the whole graph as one block, InferFullGraph's input",
-	"(*gnn.Model).Evaluate":       "held-out accuracy over InferFullGraph; ROADMAP: hyscale reports it, or it goes",
-	"(*core.Engine).Evaluate":     "the engine's held-out accuracy; ROADMAP: hyscale reports it, or it goes",
-	"(*core.Engine).heldOut":      "Engine.Evaluate's default vertex set",
-
 	// Gradient algebra the optimizer and sync tests build references with.
 	"(*gnn.Gradients).Axpy":       "accumulates reference gradients in tests",
 	"(*gnn.Gradients).Clone":      "copies reference gradients in tests",

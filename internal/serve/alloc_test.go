@@ -25,15 +25,16 @@ import (
 // dataflow account ride the gate too. The hand-off leg serves grainSetup's
 // batches, whose forwards clear the grain, at GOMAXPROCS 2 with kernels on
 // the caller: forwards run on the workers' goroutines and settle into an
-// evicting cache, allocation-free.
+// evicting cache, and, with the cache disabled, stay outstanding two per
+// worker — allocation-free either way.
 func TestServingSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation gate is skipped under -race")
 	}
 	gate := func(t *testing.T, leg string) {
-		pars, setup := []int{1, 4}, testSetup
+		pars, setup, caches := []int{1, 4}, testSetup, []int{256}
 		if leg == "handoff" {
-			pars, setup = []int{1}, grainSetup
+			pars, setup, caches = []int{1}, grainSetup, []int{256, 0}
 			prev := runtime.GOMAXPROCS(2)
 			defer runtime.GOMAXPROCS(prev)
 		}
@@ -41,46 +42,58 @@ func TestServingSteadyStateZeroAlloc(t *testing.T) {
 			t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
 				prev := tensor.SetParallelism(par)
 				defer tensor.SetParallelism(prev)
-				cfg := baseConfig(setup(t))
-				if leg == "cpu" {
-					cfg.Plat.Accels = nil // one CPU worker: the serial fast path
-				}
-				cfg.NumRequests = 1 << 16
-				cfg.RatePerSec = 50000 // hot: batches close at MaxBatch, admission sheds some
-				cfg.CacheSize = 256
-				cfg.CacheShards = 4
-				if leg == "handoff" {
-					cfg.ZipfExponent = 0 // mostly misses: full batches clear the grain
-				}
-				s, err := newServer(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.stop()
-				next := 0
-				feed := func(n int) {
-					for _, r := range s.arrivals[next : next+n] {
-						if err := s.offer(r); err != nil {
-							t.Fatal(err)
+				for _, cacheSize := range caches {
+					cfg := baseConfig(setup(t))
+					if leg == "cpu" {
+						cfg.Plat.Accels = nil // one CPU worker: the serial fast path
+					}
+					cfg.NumRequests = 1 << 16
+					cfg.RatePerSec = 50000 // hot: batches close at MaxBatch, admission sheds some
+					cfg.CacheSize = cacheSize
+					cfg.CacheShards = 4
+					if leg == "handoff" {
+						cfg.ZipfExponent = 0 // mostly misses: full batches clear the grain
+					}
+					s, err := newServer(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer s.stop()
+					next := 0
+					feed := func(n int) {
+						for _, r := range s.arrivals[next : next+n] {
+							if err := s.offer(r); err != nil {
+								t.Fatal(err)
+							}
+						}
+						next += n
+					}
+					// Warm every arena to its roof: sampled neighborhood sizes vary
+					// batch to batch, so the workspace, batcher, and admission heap
+					// must all have seen their steady-state maxima before counting.
+					feed(4000)
+					batchesBefore, computedBefore, handoffsBefore := s.stats.Batches, s.stats.Computed, s.handoffs
+					twoDeep := false
+					measure := func() {
+						feed(50)
+						for _, w := range s.pool {
+							twoDeep = twoDeep || outstanding(w) == 2
 						}
 					}
-					next += n
-				}
-				// Warm every arena to its roof: sampled neighborhood sizes vary
-				// batch to batch, so the workspace, batcher, and admission heap
-				// must all have seen their steady-state maxima before counting.
-				feed(4000)
-				batchesBefore, computedBefore, handoffsBefore := s.stats.Batches, s.stats.Computed, s.handoffs
-				if a := testing.AllocsPerRun(20, func() { feed(50) }); a != 0 {
-					t.Fatalf("serving steady state allocated %.2f times per 50 requests, want 0", a)
-				}
-				// The gate must have exercised the full path, not just admission.
-				if s.stats.Batches == batchesBefore || s.stats.Computed == computedBefore {
-					t.Fatalf("gate did not reach dispatch: batches %d->%d computed %d->%d",
-						batchesBefore, s.stats.Batches, computedBefore, s.stats.Computed)
-				}
-				if leg == "handoff" && s.handoffs == handoffsBefore {
-					t.Fatal("gate handed off no forward")
+					if a := testing.AllocsPerRun(20, measure); a != 0 {
+						t.Fatalf("cache %d: serving steady state allocated %.2f times per 50 requests, want 0", cacheSize, a)
+					}
+					// The gate must have exercised the full path, not just admission.
+					if s.stats.Batches == batchesBefore || s.stats.Computed == computedBefore {
+						t.Fatalf("cache %d: gate did not reach dispatch: batches %d->%d computed %d->%d",
+							cacheSize, batchesBefore, s.stats.Batches, computedBefore, s.stats.Computed)
+					}
+					if leg == "handoff" && s.handoffs == handoffsBefore {
+						t.Fatalf("cache %d: gate handed off no forward", cacheSize)
+					}
+					if leg == "handoff" && cacheSize == 0 && !twoDeep {
+						t.Fatal("cache 0: no worker held two forwards while the gate counted")
+					}
 				}
 			})
 		}

@@ -217,22 +217,94 @@ func breakForwards(ds *datagen.Dataset) {
 	ds.Features = tensor.New(ds.Features.Rows, ds.Features.Cols+1)
 }
 
-// A worker's outstanding batch settles before that worker samples again:
+// oneWorkerServer serves the grain fixture on one CPU worker with the cache
+// disabled, at GOMAXPROCS 2, over a view of the dataset the caller may break.
+func oneWorkerServer(t *testing.T, ds *datagen.Dataset, m *gnn.Model) *server {
+	t.Helper()
+	cfg := handoffConfig(t, ds, m)
+	cfg.Faults, cfg.CacheSize, cfg.Plat.Accels = nil, 0, nil
+	return handoffServer(t, cfg, 2)
+}
+
+// outstanding counts w's forwards in flight.
+func outstanding(w *worker) int {
+	n := 0
+	for _, h := range w.out {
+		if h.res != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// A worker's outstanding batch settles before its slot is sampled again:
 // with the cache disabled nothing else settles it, so a failed forward
-// surfaces exactly at the worker's next dispatch.
+// surfaces exactly at the dispatch that reuses its slot — the worker's
+// next-but-one — or where settleAll runs.
 func TestHandoffSettlesBeforeResample(t *testing.T) {
 	ds, m := grainSetup(t)
-	view := *ds
-	cfg := handoffConfig(t, &view, m)
-	cfg.Faults, cfg.CacheSize, cfg.Plat.Accels = nil, 0, nil // one CPU worker
-	s := handoffServer(t, cfg, 2)
-	breakForwards(&view)
-	if err := s.dispatch(fullBatch(0), 1e-3); err != nil {
-		t.Fatalf("a handed-off forward's error surfaced before its batch settled: %v", err)
+	broken := func(t *testing.T, dispatches int) *server {
+		view := *ds
+		s := oneWorkerServer(t, &view, m)
+		breakForwards(&view)
+		for i := 0; i < dispatches; i++ {
+			if err := s.dispatch(fullBatch(100*i), float64(i+1)*1e-3); err != nil {
+				t.Fatalf("dispatch %d: a handed-off forward's error surfaced before its slot was reused: %v", i, err)
+			}
+		}
+		return s
 	}
-	err := s.dispatch(fullBatch(100), 2e-3)
-	if err == nil || !strings.Contains(err.Error(), "feature matrix") {
-		t.Fatalf("the worker sampled again without settling its failed forward: %v", err)
+	t.Run("next-but-one", func(t *testing.T) {
+		s := broken(t, 2)
+		err := s.dispatch(fullBatch(200), 3e-3)
+		if err == nil || !strings.Contains(err.Error(), "feature matrix") {
+			t.Fatalf("the worker sampled into a slot without settling its failed forward: %v", err)
+		}
+	})
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("settleAll-after-%d", n), func(t *testing.T) {
+			s := broken(t, n)
+			if err := s.settleAll(); err == nil || !strings.Contains(err.Error(), "feature matrix") {
+				t.Fatalf("settleAll lost the failed forward: %v", err)
+			}
+		})
+	}
+}
+
+// A worker holds two batches: after two full batches both forwards are
+// outstanding, and a third dispatch settles exactly the first — its slot
+// then holds the third batch while the second still propagates.
+func TestHandoffTwoInFlight(t *testing.T) {
+	ds, m := grainSetup(t)
+	s := oneWorkerServer(t, ds, m)
+	w := s.pool[0]
+	// held returns the first target of each slot's outstanding batch (-1:
+	// none outstanding).
+	held := func() [2]int32 {
+		got := [2]int32{-1, -1}
+		for i, h := range w.out {
+			if h.res != nil {
+				got[i] = h.res.Targets[0]
+			}
+		}
+		return got
+	}
+	for i, want := range [][2]int32{{0, -1}, {0, 100}, {200, 100}} {
+		if err := s.dispatch(fullBatch(100*i), float64(i+1)*1e-3); err != nil {
+			t.Fatal(err)
+		}
+		if s.handoffs != i+1 {
+			t.Fatalf("%d hand-offs after %d full batches", s.handoffs, i+1)
+		}
+		if got := held(); got != want {
+			t.Fatalf("after batch %d the slots hold batches starting at %v, want %v", i, got, want)
+		}
+	}
+	if err := s.settleAll(); err != nil {
+		t.Fatal(err)
+	}
+	if n := outstanding(w); n != 0 {
+		t.Fatalf("%d forwards outstanding after settleAll", n)
 	}
 }
 
@@ -258,11 +330,11 @@ func TestHandoffSettlesAllBeforeCacheInsert(t *testing.T) {
 			if a == b {
 				t.Fatalf("both batches routed to worker %d; the test needs two", a)
 			}
-			if settled := s.pool[a].inflight == nil; settled != (cacheSize > 0) {
+			if settled := outstanding(s.pool[a]) == 0; settled != (cacheSize > 0) {
 				t.Fatalf("cache %d: worker %d's batch settled=%v when worker %d's batch was inserted",
 					cacheSize, a, settled, b)
 			}
-			if s.pool[b].inflight == nil {
+			if outstanding(s.pool[b]) != 1 {
 				t.Fatalf("worker %d's own batch settled at its dispatch", b)
 			}
 		})
@@ -297,8 +369,8 @@ func TestHandoffNoGoroutineLeak(t *testing.T) {
 		waitGoroutines(t, base, "success")
 
 		// Sampling fails once the graph the workers sample no longer holds
-		// the requested vertices: forwards are outstanding on the other
-		// workers by then.
+		// the requested vertices: by then a worker has two forwards
+		// outstanding.
 		graph := *ds.Graph
 		view := *ds
 		view.Graph = &graph
@@ -308,22 +380,25 @@ func TestHandoffNoGoroutineLeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range s.arrivals[:200] {
-			if err := s.offer(r); err != nil {
+		twoDeep := func() bool {
+			for _, w := range s.pool {
+				if outstanding(w) == 2 {
+					return true
+				}
+			}
+			return false
+		}
+		offered := 0
+		for ; offered < len(s.arrivals) && !twoDeep(); offered++ {
+			if err := s.offer(s.arrivals[offered]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		outstanding := 0
-		for _, w := range s.pool {
-			if w.inflight != nil {
-				outstanding++
-			}
-		}
-		if outstanding == 0 {
-			t.Fatal("no forward outstanding when sampling fails; the drain would test nothing")
+		if !twoDeep() {
+			t.Fatal("no worker ever held two forwards; the drain would test less than it claims")
 		}
 		graph.NumVertices = 1
-		s.arrivals = s.arrivals[200:]
+		s.arrivals = s.arrivals[offered:]
 		if _, err := s.run(); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Fatalf("sampling error lost its root cause: %v", err)
 		}

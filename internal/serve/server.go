@@ -19,11 +19,14 @@
 // GOMAXPROCS > 1, a batch whose forward is at least one of tensor's fan-out
 // grains runs it on its worker's own goroutine while the loop carries on,
 // executing the "sampling batch k+1 runs while batch k propagates" overlap
-// the clock charges. No decision reads a forward's output, so the Stats are
-// the inline run's bit for bit. An outstanding batch *settles* — its forward
-// is waited for and its rows are copied into the cache entries its dispatch
-// inserted — before its worker samples again, before any insert into an
-// enabled cache, and before Run returns.
+// the clock charges: a worker's pipeline holds two batches, so the loop
+// samples the worker's next batch into one slot while its last still
+// propagates in the other. No decision reads a forward's output, so the
+// Stats are the inline run's bit for bit. An outstanding batch *settles* —
+// its forward is waited for and its rows are copied into the cache entries
+// its dispatch inserted — before its slot is sampled again (the worker's
+// next-but-one dispatch), before any insert into an enabled cache, and
+// before Run returns.
 //
 // The event loop is allocation-free in steady state (gated by
 // TestServingSteadyStateZeroAlloc): batches ping-pong between two retained
@@ -150,25 +153,34 @@ type Config struct {
 // size cap bounds; the server prefills 1..MaxBatch at construction).
 //
 // With GOMAXPROCS > 1 the worker also owns a goroutine that runs its
-// batches' Propagate: req hands it a sampled batch, done returns the
-// forward's error (and is closed when the goroutine exits). done holds one
-// result, so the goroutine is back on req by the time its batch settles and
-// a hand-off never waits for it to be scheduled. inflight is the batch whose
-// forward is outstanding, keys the cache entries its rows land in when it
-// settles. req is nil when every forward runs inline.
+// batches' Propagate in hand-off order: req hands it a sampled batch, done
+// returns each forward's error in the same order (and is closed when the
+// goroutine exits). A worker keeps up to two forwards outstanding, one per
+// pipeline slot: req buffers one batch behind the forward running, and done
+// holds both results, so neither a hand-off nor a finished forward waits for
+// the other side to be scheduled. out[i] is the outstanding batch of the
+// slot the worker's Samples of parity i fill — its result and the cache
+// entries its rows land in when it settles; res nil when none. req is nil
+// when every forward runs inline.
 type worker struct {
 	pipe  *core.InferencePipeline
 	stats DeviceStats
 
-	req      chan *core.InferResult
-	done     chan error
-	inflight *core.InferResult
-	keys     []CacheKey
+	req     chan *core.InferResult
+	done    chan error
+	samples int // Samples run on pipe
+	out     [2]handoff
+}
+
+// handoff is one forward outstanding on a worker's goroutine.
+type handoff struct {
+	res  *core.InferResult
+	keys []CacheKey
 }
 
 // start launches the worker's forward goroutine.
 func (w *worker) start() {
-	w.req, w.done = make(chan *core.InferResult), make(chan error, 1)
+	w.req, w.done = make(chan *core.InferResult, 1), make(chan error, len(w.out))
 	go func() {
 		defer close(w.done)
 		for res := range w.req {
@@ -177,16 +189,18 @@ func (w *worker) start() {
 	}()
 }
 
-// stop waits out an outstanding forward, whatever its outcome, then stops
-// the goroutine and waits for it to exit. Stopping a stopped worker is a
-// no-op.
+// stop waits out the outstanding forwards, whatever their outcome, then
+// stops the goroutine and waits for it to exit. Stopping a stopped worker
+// is a no-op.
 func (w *worker) stop() {
 	if w.req == nil {
 		return
 	}
-	if w.inflight != nil {
-		<-w.done
-		w.inflight = nil
+	for i := range w.out {
+		if w.out[i].res != nil {
+			<-w.done
+			w.out[i].res = nil
+		}
 	}
 	close(w.req)
 	<-w.done
@@ -434,7 +448,9 @@ func newServer(cfg Config) (*server, error) {
 	}
 	if s.handoff {
 		for _, w := range pool {
-			w.keys = make([]CacheKey, 0, cfg.MaxBatch)
+			for i := range w.out {
+				w.out[i].keys = make([]CacheKey, 0, cfg.MaxBatch)
+			}
 			w.start()
 		}
 	}
@@ -584,14 +600,16 @@ func (s *server) place(batch []Request, hit []bool, closeAt float64) (prediction
 // that, the hand-off would cost about what it overlaps.
 func (s *server) execute(p prediction) (*core.InferResult, float64, bool, error) {
 	w := s.pool[p.worker]
-	// Sample rebuilds the mini-batch the worker's last forward reads.
-	if err := s.settle(w); err != nil {
+	// Sample rebuilds the slot of the worker's next-but-one previous batch:
+	// that forward must be done. The previous batch's may still run.
+	if err := s.settle(w, w.samples%2); err != nil {
 		return nil, 0, false, err
 	}
 	res, err := w.pipe.Sample(s.order)
 	if err != nil {
 		return nil, 0, false, err
 	}
+	w.samples++
 	async := s.handoff && tensor.FanOut(1, res.ForwardWork) == 1
 	if !async {
 		if err := w.pipe.Propagate(res); err != nil {
@@ -655,37 +673,42 @@ func (s *server) complete(batch []Request, hit []bool, wi int, res *core.InferRe
 	s.stats.Routes = append(s.stats.Routes, wi)
 	s.release(w.pipe.Device().Kind)
 	if async {
-		w.keys = append(w.keys[:0], s.putKeys...)
-		w.inflight = res
+		h := &w.out[(w.samples+1)%2] // the slot the batch was just sampled into
+		h.keys = append(h.keys[:0], s.putKeys...)
+		h.res = res
 		w.req <- res
 		s.handoffs++
 	}
 	return nil
 }
 
-// settle completes w's outstanding batch, if any: it waits for the forward
-// and copies the batch's rows into the cache entries complete inserted (a
-// no-op on a disabled cache).
-func (s *server) settle(w *worker) error {
-	res := w.inflight
-	if res == nil {
+// settle completes w's outstanding batch in slot i, if any: it waits for the
+// forward and copies the batch's rows into the cache entries complete
+// inserted (a no-op on a disabled cache). done returns the forwards in
+// hand-off order, so slot i must hold the worker's older outstanding batch.
+func (s *server) settle(w *worker, i int) error {
+	h := &w.out[i]
+	if h.res == nil {
 		return nil
 	}
-	w.inflight = nil
+	res := h.res
+	h.res = nil
 	if err := <-w.done; err != nil {
 		return fmt.Errorf("serve: forward on %s (device %d): %w", w.stats.Name, w.stats.Device, err)
 	}
-	for i, k := range w.keys {
-		s.cache.fill(k, res.Logits.Row(i))
+	for j, k := range h.keys {
+		s.cache.fill(k, res.Logits.Row(j))
 	}
 	return nil
 }
 
-// settleAll settles every worker's outstanding batch.
+// settleAll settles every worker's outstanding batches, older first.
 func (s *server) settleAll() error {
 	for _, w := range s.pool {
-		if err := s.settle(w); err != nil {
-			return err
+		for k := range w.out {
+			if err := s.settle(w, (w.samples+k)%2); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
