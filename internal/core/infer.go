@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/accel"
 	"repro/internal/datagen"
@@ -45,9 +46,10 @@ type InferConfig struct {
 // (row i answers targets[i]). Sample fills every field but Logits; Propagate
 // writes only Logits.
 //
-// The result lives in one of its pipeline's two batch slots, beside the
-// mini-batch Targets borrows and the arena Logits borrows: all three are
-// valid until the pipeline's next-but-one Sample, which rebuilds the slot.
+// The result lives in one of its pipeline's inferDepth batch slots, beside
+// the mini-batch Targets borrows and the logits buffer Logits borrows: all
+// three are valid until the pipeline's inferDepth-th next Sample, which
+// rebuilds the slot.
 type InferResult struct {
 	Stage     perfmodel.StageTimes
 	Logits    *tensor.Matrix
@@ -63,12 +65,26 @@ type InferResult struct {
 	FPGA *accel.ForwardStats
 }
 
+// inferDepth is how many batches a pipeline holds, one per slot. A serving
+// worker keeps up to inferDepth-2 forwards outstanding on its goroutine (see
+// serve's worker), so the event loop rarely waits on one or wakes an idle
+// goroutine. On the benchmark's fpga-hot (2-core Xeon), serving wall
+// throughput over the depth-2 ring read +44 % at depth 4, +66 % at 8 and
+// +77 % at 16, but sixteen slots do not all warm up within the serving
+// zero-allocation gate's warm-up, and eight do (README, "Forwards leave the
+// event loop whenever the worker has room").
+const inferDepth = 8
+
 // inferSlot is one batch a pipeline holds: the mini-batch Sample draws into,
-// the result it fills, and the arena Propagate's forward borrows from.
+// the result it fills, and the logits Propagate copies out of its arena.
+// reserved is the target count the mini-batch and logits are sized for, need
+// what the slot's last forward asked of its arena.
 type inferSlot struct {
-	mb  sampler.MiniBatch
-	res InferResult
-	ws  *tensor.Workspace
+	mb       sampler.MiniBatch
+	res      InferResult
+	logits   tensor.Matrix
+	reserved int
+	need     tensor.Demand
 }
 
 // InferencePipeline is the serving-side counterpart of the training
@@ -83,14 +99,15 @@ type inferSlot struct {
 //
 // A batch runs in two halves: Sample (sampling, the FPGA account and the
 // pricing — everything the clock, the router and the serving Stats read)
-// and Propagate (the numeric forward into the batch's arena). The pipeline
-// holds two batches, each in its own slot — mini-batch, result and arena —
-// and Samples fill the slots in turn, the shape of training's iteration ring.
-// So a caller may run Propagate on another goroutine — meanwhile pricing and
-// clocking this pipeline (ServiceSec, AvailableAt, CompleteAfter), sampling
-// its next batch, even propagating that one — but must let it finish before
-// its slot is sampled again (the next-but-one Sample) and before reading
-// Logits. RunBatch is the two back to back.
+// and Propagate (the numeric forward, in an arena its caller owns). The
+// pipeline holds inferDepth batches, each in its own slot — mini-batch,
+// result and logits — and Samples fill the slots in turn, the shape of
+// training's iteration ring. So a caller may run Propagate on another
+// goroutine, in that goroutine's arena — meanwhile pricing and clocking this
+// pipeline (ServiceSec, AvailableAt, CompleteAfter), sampling its next
+// batches, even propagating those in its own arena — but must let it finish
+// before its slot is sampled again (the inferDepth-th next Sample) and
+// before reading Logits. RunBatch is the two back to back.
 type InferencePipeline struct {
 	cfg     InferConfig
 	dev     hw.Device
@@ -99,15 +116,25 @@ type InferencePipeline struct {
 	smp     *sampler.Sampler
 	clock   perfmodel.Pipeline
 	rng     *tensor.RNG
-	// slots are the two batches, rebuilt in place in turn (next is the one
-	// the coming Sample fills), so the steady state allocates nothing once
-	// each slot has seen the largest batch. A slot's arena holds every
-	// propagation intermediate of its batch (and, on an accelerator under
-	// QuantizeTransfer, the staged int8 round trip of its feature rows —
-	// every other worker reads the feature table in place); Propagate resets
-	// it at entry and Sample never touches it.
-	slots [2]inferSlot
-	next  int
+	// slots are the held batches, rebuilt in place in turn (next is the one
+	// the coming Sample fills). Sample sizes a slot — the mini-batch by the
+	// fanout bound, the logits exactly — for capTargets: the most targets any
+	// Sample has drawn, rounded up to a power of two, so a batch size that
+	// creeps up regrows the ring a few times rather than once per target, no
+	// slot finds its own high-water mark one allocation at a time, and the
+	// steady state allocates nothing.
+	slots      [inferDepth]inferSlot
+	next       int
+	capTargets int
+	// ws is the arena of the goroutine that calls Sample (Arena). Propagate's
+	// caller brings an arena: a forward's intermediates live only until its
+	// logits are copied into the slot, so one arena per goroutine serves
+	// every slot. Another goroutine's arena may run most of the forwards, so
+	// Sample sizes ws for the largest forward any slot has run (roof, read
+	// from a slot only once its forward is finished, when Sample rebuilds
+	// it).
+	ws   *tensor.Workspace
+	roof tensor.Demand
 	// sizes is Sample's retained pricing scratch.
 	sizes perfmodel.Sizes
 	// svcSec memoizes ServiceSec by computed-target count (NaN = unfilled).
@@ -163,9 +190,7 @@ func NewInferencePipeline(cfg InferConfig) (*InferencePipeline, error) {
 		smp:   smp,
 		clock: perfmodel.Pipeline{TFP: true},
 		rng:   tensor.NewRNG(cfg.Seed),
-	}
-	for i := range p.slots {
-		p.slots[i].ws = tensor.NewWorkspace()
+		ws:    tensor.NewWorkspace(),
 	}
 	if cfg.Device > 0 {
 		p.dev = cfg.Plat.Accels[cfg.Device-1]
@@ -182,6 +207,15 @@ func (p *InferencePipeline) Model() *perfmodel.Model { return p.pm }
 
 // Device returns the hardware this worker is bound to.
 func (p *InferencePipeline) Device() hw.Device { return p.dev }
+
+// Depth returns how many batches the pipeline holds: a result stays valid
+// until the Depth()-th next Sample.
+func (p *InferencePipeline) Depth() int { return len(p.slots) }
+
+// Arena returns the pipeline's own arena, for Propagates on the goroutine
+// that calls Sample (RunBatch's). Sample keeps it sized for the largest
+// forward any of the pipeline's slots has run, in whichever arena.
+func (p *InferencePipeline) Arena() *tensor.Workspace { return p.ws }
 
 // DeviceIndex returns the binding in InferConfig.Device convention: 0 for
 // the CPU peer, i > 0 for Plat.Accels[i-1].
@@ -230,36 +264,46 @@ func (p *InferencePipeline) ServiceSec(computed int) (float64, error) {
 }
 
 // RunBatch samples the L-hop fanout of the target vertices and propagates
-// only that subgraph — Sample then Propagate — returning the logits and the
-// virtual stage times of the batch. The result, its Logits (which borrow
-// the batch's arena) and its Targets (which borrow the batch's mini-batch)
-// live in one of the pipeline's two slots: valid until this pipeline's
-// next-but-one Sample, so callers that outlive the batch (the serving cache
-// does) copy the rows they keep.
+// only that subgraph — Sample then Propagate, in the pipeline's own arena —
+// returning the logits and the virtual stage times of the batch. The result,
+// its Logits and its Targets live in one of the pipeline's Depth() slots:
+// valid until this pipeline's Depth()-th next Sample, so callers that
+// outlive the batch (the serving cache does) copy the rows they keep.
 func (p *InferencePipeline) RunBatch(targets []int32) (*InferResult, error) {
 	res, err := p.Sample(targets)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Propagate(res); err != nil {
+	if err := p.Propagate(p.Arena(), res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // Sample is a batch's first half: it samples the L-hop fanout of the target
-// vertices into the next of the pipeline's two slots, charges an FPGA-bound
-// worker the dataflow's account of its blocks, and prices the batch. The
-// result carries everything but Logits, which Propagate fills. It makes
-// every RNG draw of the batch and never touches an arena. The slot it
-// rebuilds is the one the next-but-one previous Sample filled: that batch's
+// vertices into the next of the pipeline's Depth() slots, charges an
+// FPGA-bound worker the dataflow's account of its blocks, and prices the
+// batch. The result carries everything but Logits, which Propagate fills. It
+// makes every RNG draw of the batch and never touches an arena. The slot it
+// rebuilds is the one the Depth()-th previous Sample filled: that batch's
 // Propagate must have finished.
 func (p *InferencePipeline) Sample(targets []int32) (*InferResult, error) {
 	slot := &p.slots[p.next]
+	if len(targets) > p.capTargets {
+		p.capTargets = 1 << bits.Len(uint(len(targets)-1))
+	}
+	if slot.reserved < p.capTargets {
+		p.smp.Reserve(&slot.mb, p.capTargets)
+		dims := p.cfg.Model.Cfg.Dims
+		slot.logits.Data = make([]float32, 0, p.capTargets*dims[len(dims)-1])
+		slot.reserved = p.capTargets
+	}
+	p.roof = tensor.Demand{F32: max(p.roof.F32, slot.need.F32), I32: max(p.roof.I32, slot.need.I32)}
+	p.ws.Expect(p.roof)
 	if err := p.smp.SampleInto(&slot.mb, targets, p.rng); err != nil {
 		return nil, err
 	}
-	p.next = 1 - p.next
+	p.next = (p.next + 1) % len(p.slots)
 	mb := &slot.mb
 	res := &slot.res
 	*res = InferResult{
@@ -289,31 +333,36 @@ func (p *InferencePipeline) Sample(targets []int32) (*InferResult, error) {
 // Propagate is a batch's second half: the numeric forward over the blocks
 // the Sample that returned res drew, reading the input features from the
 // dataset's table in place (staging a quantized copy only on an accelerator
-// under QuantizeTransfer), into the arena of res's slot. res must be one of
-// this pipeline's two results — anything else is an error — and only its
-// Logits are written. Propagate reads the shared model and feature table
-// and writes only its slot's arena, so pipelines — and the two slots of one
-// pipeline — may propagate concurrently, beside this pipeline's Sample of
-// the other slot.
-func (p *InferencePipeline) Propagate(res *InferResult) error {
+// under QuantizeTransfer), in the arena ws, which it resets at entry. The
+// logits are copied out of ws into res's slot, so ws is free again when
+// Propagate returns. res must be one of this pipeline's results — anything
+// else is an error — and only its Logits are written. Propagate reads the
+// shared model and feature table and writes only ws and res's slot, so
+// pipelines — and the slots of one pipeline — may propagate concurrently in
+// distinct arenas, beside this pipeline's Sample of another slot.
+func (p *InferencePipeline) Propagate(ws *tensor.Workspace, res *InferResult) error {
 	slot := p.slotOf(res)
 	if slot == nil {
 		return fmt.Errorf("core: Propagate on a result this pipeline's Sample did not return")
 	}
-	slot.ws.Reset()
+	ws.Reset()
 	x, rows := p.cfg.Data.Features, slot.mb.InputNodes()
 	if p.cfg.Device > 0 && p.cfg.QuantizeTransfer {
 		// The device computes on the int8 round trip of its rows: stage them.
-		x = slot.ws.Get(len(rows), x.Cols)
+		x = ws.Get(len(rows), x.Cols)
 		tensor.GatherRows(x, p.cfg.Data.Features, rows)
 		tensor.QuantizeRoundTrip(x) // inject the real int8 loss
 		rows = nil
 	}
-	logits, err := p.cfg.Model.InferMiniBatchRowsWS(slot.ws, &slot.mb, x, rows)
+	logits, err := p.cfg.Model.InferMiniBatchRowsWS(ws, &slot.mb, x, rows)
+	slot.need = ws.Demand()
 	if err != nil {
 		return err
 	}
-	res.Logits = logits
+	out := &slot.logits
+	out.Rows, out.Cols = logits.Rows, logits.Cols
+	out.Data = append(out.Data[:0], logits.Data...)
+	res.Logits = out
 	return nil
 }
 
@@ -332,8 +381,8 @@ func (p *InferencePipeline) slotOf(res *InferResult) *inferSlot {
 // time. Consecutive batches overlap stage-wise exactly as training
 // iterations do (sampling batch k+1 runs while batch k propagates) — on the
 // virtual clock, and in the serving loop on the wall clock too, which runs a
-// large batch's Propagate on the worker's own goroutine while it samples the
-// worker's next batch into the other slot.
+// batch's Propagate on the worker's own goroutine, whenever the worker has
+// room, while it samples the worker's next batches into the other slots.
 func (p *InferencePipeline) CompleteAfter(ready float64, st perfmodel.StageTimes) float64 {
 	return p.clock.AdvanceAfter(ready, st)
 }

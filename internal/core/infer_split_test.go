@@ -74,7 +74,7 @@ func TestRunBatchEqualsSampleThenPropagate(t *testing.T) {
 				if got.Logits != nil {
 					t.Fatalf("batch %d: Sample produced logits", b)
 				}
-				if err := split.Propagate(got); err != nil {
+				if err := split.Propagate(split.ws, got); err != nil {
 					t.Fatal(err)
 				}
 				if err := sameResult(want, got); err != nil {
@@ -109,10 +109,10 @@ func TestRunBatchEqualsSampleThenPropagate(t *testing.T) {
 				if ga == gb {
 					t.Fatalf("pair %d: two Samples returned one result", k)
 				}
-				if err := split.Propagate(gb); err != nil {
+				if err := split.Propagate(split.ws, gb); err != nil {
 					t.Fatal(err)
 				}
-				if err := split.Propagate(ga); err != nil {
+				if err := split.Propagate(split.ws, ga); err != nil {
 					t.Fatal(err)
 				}
 				if err := sameResult(wantB, gb); err != nil {
@@ -169,7 +169,7 @@ func TestPropagateRejectsForeignResult(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			logits := res.Logits
-			err := p.Propagate(res)
+			err := p.Propagate(p.ws, res)
 			if err == nil || !strings.Contains(err.Error(), "did not return") {
 				t.Fatalf("Propagate accepted a foreign result: %v", err)
 			}
@@ -178,7 +178,7 @@ func TestPropagateRejectsForeignResult(t *testing.T) {
 			}
 		})
 	}
-	if err := p.Propagate(own); err != nil {
+	if err := p.Propagate(p.ws, own); err != nil {
 		t.Fatal(err)
 	}
 	if err := sameResult(want, own); err != nil {

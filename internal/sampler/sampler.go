@@ -7,6 +7,7 @@ package sampler
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -191,6 +192,29 @@ func (s *Sampler) SampleInto(mb *MiniBatch, targets []int32, rng *tensor.RNG) er
 		}
 	}
 	return nil
+}
+
+// Reserve grows mb so that SampleInto never reallocates it for up to n
+// targets: a layer's destinations are the sources of the layer above, its
+// sources at most its destinations × (1 + fanout) and its edges at most
+// destinations × fanout. Layers under an exact (fanout 0) one have no such
+// bound and keep growing on demand.
+func (s *Sampler) Reserve(mb *MiniBatch, n int) {
+	for len(mb.Blocks) < len(s.Fanouts) {
+		mb.Blocks = append(mb.Blocks, &Block{})
+	}
+	mb.Targets = slices.Grow(mb.Targets[:0], n)
+	if s.Labels != nil {
+		mb.Labels = slices.Grow(mb.Labels[:0], n)
+	}
+	dst := n
+	for l := len(s.Fanouts) - 1; l >= 0 && s.Fanouts[l] > 0; l-- {
+		b := mb.Blocks[l]
+		b.RowPtr = slices.Grow(b.RowPtr[:0], dst+1)
+		b.Col = slices.Grow(b.Col[:0], dst*s.Fanouts[l])
+		dst *= 1 + s.Fanouts[l]
+		b.Src = slices.Grow(b.Src[:0], dst)
+	}
 }
 
 // ensureScratch lazily builds the O(|V|) lookup arrays and the subset-draw

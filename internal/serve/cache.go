@@ -22,12 +22,14 @@ func hashCacheKey(k CacheKey) uint64 {
 }
 
 // shardEntry is one slab slot: the key, the entry's virtual ready time, the
-// resident embedding length, and intrusive LRU links (slab indices, -1 = nil).
+// sequence number of the insert that last wrote it, the resident embedding
+// length, and intrusive LRU links (slab indices, -1 = nil).
 // The embedding payload lives at a fixed stride in the shard's arena, so an
 // entry never owns a heap object of its own.
 type shardEntry struct {
 	key     CacheKey
 	readyAt float64
+	seq     uint64
 	embLen  int32
 	prev    int32
 	next    int32
@@ -36,7 +38,7 @@ type shardEntry struct {
 // cacheShard is one hash partition: an intrusive doubly-linked LRU over a
 // preallocated entry slab, embeddings in a flat arena, and an open-addressing
 // index (linear probing, backward-shift deletion) mapping keys to slab slots.
-// Everything is sized at construction; steady-state Get/Put perform zero
+// Everything is sized at construction; steady-state get/put perform zero
 // allocations and zero interface boxing.
 type cacheShard struct {
 	capacity int32
@@ -66,25 +68,29 @@ type cacheShard struct {
 // The cache takes no locks: the serving event loop is its one goroutine, so
 // callers that share a cache across goroutines serialise access themselves.
 //
-// Ownership: Put and PutMany COPY the embedding into the shard arena
+// Ownership: PutMany COPIES each embedding into the shard arena
 // (truncated at the cache's stride); the caller keeps its buffer and may
 // reuse it immediately. Get returns a view into the arena that is valid
 // until the entry is evicted or refreshed — callers that keep embeddings
 // across cache operations copy them out. The serving loop inserts a batch
 // whose forward is still running with no embedding, and copies its rows in
-// (fill) when the batch settles, before the next insert; lookups read only
-// residency and ready times, so nothing observes the gap.
+// (fill) when the batch settles, which may be several inserts later. Every
+// insert stamps the entries it writes with its own sequence number, and fill
+// writes only into an entry that still carries the stamp of the insert it
+// completes, so a late row never lands over an entry a newer insert wrote;
+// lookups read only residency and ready times, so nothing observes the gap.
 type ShardedCache struct {
 	shards    []cacheShard
 	shardMask uint64
 	stride    int
 	capacity  int
+	seq       uint64 // the last insert's sequence number
 }
 
 // NewShardedCache builds a cache holding up to capacity embeddings of at
 // most stride floats each, partitioned over the given shard count (rounded
 // down to a power of two, clamped to [1, capacity]; 0 picks 1). Capacity 0
-// disables caching: every Get misses and Put is a no-op, exactly like the
+// disables caching: every Get misses and PutMany is a no-op, exactly like the
 // LRU oracle.
 func NewShardedCache(capacity, shards, stride int) *ShardedCache {
 	if capacity < 0 {
@@ -239,13 +245,14 @@ func (s *cacheShard) get(k CacheKey, stride int) (emb []float32, readyAt float64
 	return s.view(idx, stride), s.entries[idx].readyAt, true
 }
 
-// put is the shard's insert/refresh: the embedding is copied into the arena
-// (truncated at stride), and eviction picks the shard's LRU tail — for a
-// 1-shard cache, exactly the LRU oracle's policy.
-func (s *cacheShard) put(k CacheKey, emb []float32, readyAt float64, stride int) {
+// put is the shard's insert/refresh, stamped seq: the embedding is copied
+// into the arena (truncated at stride), and eviction picks the shard's LRU
+// tail — for a 1-shard cache, exactly the LRU oracle's policy.
+func (s *cacheShard) put(k CacheKey, emb []float32, readyAt float64, seq uint64, stride int) {
 	slot, idx := s.find(k)
 	if idx >= 0 { // refresh in place
 		s.entries[idx].readyAt = readyAt
+		s.entries[idx].seq = seq
 		base := int(idx) * stride
 		s.entries[idx].embLen = int32(copy(s.arena[base:base+stride], emb))
 		if s.head != idx {
@@ -274,6 +281,7 @@ func (s *cacheShard) put(k CacheKey, emb []float32, readyAt float64, stride int)
 	}
 	s.entries[idx].key = k
 	s.entries[idx].readyAt = readyAt
+	s.entries[idx].seq = seq
 	base := int(idx) * stride
 	s.entries[idx].embLen = int32(copy(s.arena[base:base+stride], emb))
 	s.table[slot] = idx + 1
@@ -286,15 +294,6 @@ func (s *cacheShard) put(k CacheKey, emb []float32, readyAt float64, stride int)
 // on a hit.
 func (c *ShardedCache) Get(k CacheKey) (emb []float32, readyAt float64, ok bool) {
 	return c.shardFor(k).get(k, c.stride)
-}
-
-// Put inserts (or refreshes) an embedding, copying it into the shard arena
-// and evicting the shard's least-recently-used entry when the shard is full.
-func (c *ShardedCache) Put(k CacheKey, emb []float32, readyAt float64) {
-	if c.capacity == 0 {
-		return
-	}
-	c.shardFor(k).put(k, emb, readyAt, c.stride)
 }
 
 // GetMany looks up a batch: hit[i] reports whether keys[i] was resident,
@@ -311,21 +310,30 @@ func (c *ShardedCache) GetMany(keys []CacheKey, ready []float64, hit []bool, emb
 	}
 }
 
-// PutMany inserts a batch of embeddings sharing one ready time (a computed
-// batch completes as a unit): len(keys) sequential Puts in slice order.
-func (c *ShardedCache) PutMany(keys []CacheKey, embs [][]float32, readyAt float64) {
-	for i, k := range keys {
-		c.Put(k, embs[i], readyAt)
+// PutMany inserts (or refreshes) a batch of embeddings sharing one ready time
+// (a computed batch completes as a unit), in slice order, copying each into
+// its shard's arena and evicting the shard's least-recently-used entry when
+// the shard is full. Every entry it writes is stamped with the insert's one
+// sequence number, which it returns for fill.
+func (c *ShardedCache) PutMany(keys []CacheKey, embs [][]float32, readyAt float64) uint64 {
+	if c.capacity == 0 {
+		return 0
 	}
+	c.seq++
+	for i, k := range keys {
+		c.shardFor(k).put(k, embs[i], readyAt, c.seq, c.stride)
+	}
+	return c.seq
 }
 
 // fill copies emb into k's resident entry (truncated at the stride) without
 // touching LRU order, the ready time or the counters: how an entry inserted
-// before its batch's forward finished gets its value. A key that is not
-// resident is a no-op.
-func (c *ShardedCache) fill(k CacheKey, emb []float32) {
+// before its batch's forward finished gets its value. seq is the number the
+// inserting PutMany returned; a key that is no longer resident, or that a
+// later insert has rewritten since, is left as it is.
+func (c *ShardedCache) fill(k CacheKey, seq uint64, emb []float32) {
 	s := c.shardFor(k)
-	if _, idx := s.find(k); idx >= 0 {
+	if _, idx := s.find(k); idx >= 0 && s.entries[idx].seq == seq {
 		base := int(idx) * c.stride
 		s.entries[idx].embLen = int32(copy(s.arena[base:base+c.stride], emb))
 	}
@@ -364,6 +372,3 @@ func (c *ShardedCache) Stats() (hits, misses, evictions int64) {
 
 // Shards returns the shard count the constructor settled on.
 func (c *ShardedCache) Shards() int { return len(c.shards) }
-
-// Capacity returns the total entry capacity.
-func (c *ShardedCache) Capacity() int { return c.capacity }

@@ -376,7 +376,7 @@ func TestJainFairnessAllClassesStarved(t *testing.T) {
 	st.PerClass[ClassInteractive].Offered = 5
 	st.PerClass[ClassStandard].Offered = 3
 	st.PerClass[ClassBulk].Offered = 7
-	st.summarizePerClass(nil, nil)
+	st.summarizeLatencies(nil, nil)
 	if st.ActiveClasses != 3 {
 		t.Fatalf("ActiveClasses %d, want 3", st.ActiveClasses)
 	}

@@ -16,17 +16,20 @@
 // Every decision — lookup, placement, sampling, the clock charge, the cache
 // insert and the ledger — runs on the event loop's one goroutine. Only the
 // numeric forward (core.InferencePipeline.Propagate) may leave it: with
-// GOMAXPROCS > 1, a batch whose forward is at least one of tensor's fan-out
-// grains runs it on its worker's own goroutine while the loop carries on,
-// executing the "sampling batch k+1 runs while batch k propagates" overlap
-// the clock charges: a worker's pipeline holds two batches, so the loop
-// samples the worker's next batch into one slot while its last still
-// propagates in the other. No decision reads a forward's output, so the
-// Stats are the inline run's bit for bit. An outstanding batch *settles* —
-// its forward is waited for and its rows are copied into the cache entries
-// its dispatch inserted — before its slot is sampled again (the worker's
-// next-but-one dispatch), before any insert into an enabled cache, and
-// before Run returns.
+// GOMAXPROCS > 1, a batch's forward runs on its worker's own goroutine
+// whenever the worker has room, while the loop carries on, executing the
+// "sampling batch k+1 runs while batch k propagates" overlap the clock
+// charges. A worker's pipeline holds Depth() batches, one per slot, and the
+// worker keeps up to Depth()-2 forwards outstanding; when it has no room the
+// loop runs the forward itself (caller runs). No decision reads a forward's
+// output, so the Stats are the inline run's bit for bit. An outstanding batch
+// *settles* — its forward's outcome is taken and its rows are copied into the
+// cache entries its dispatch inserted — at its worker's first dispatch that
+// finds the forward finished, and at the latest, waiting for it, before its
+// slot is sampled again (the worker's Depth()-th next dispatch) and before
+// Run returns. Between its insert and its settle other batches insert too:
+// the cache's sequence stamps keep a late row from landing over an entry a
+// newer insert wrote.
 //
 // The event loop is allocation-free in steady state (gated by
 // TestServingSteadyStateZeroAlloc): batches ping-pong between two retained
@@ -155,13 +158,12 @@ type Config struct {
 // With GOMAXPROCS > 1 the worker also owns a goroutine that runs its
 // batches' Propagate in hand-off order: req hands it a sampled batch, done
 // returns each forward's error in the same order (and is closed when the
-// goroutine exits). A worker keeps up to two forwards outstanding, one per
-// pipeline slot: req buffers one batch behind the forward running, and done
-// holds both results, so neither a hand-off nor a finished forward waits for
-// the other side to be scheduled. out[i] is the outstanding batch of the
-// slot the worker's Samples of parity i fill — its result and the cache
-// entries its rows land in when it settles; res nil when none. req is nil
-// when every forward runs inline.
+// goroutine exits). Both are buffered to the pipeline's depth, so neither a
+// hand-off nor a finished forward waits for the other side to be scheduled.
+// out has one entry per pipeline slot: out[i] is the outstanding batch of
+// slot i — its result, and the cache entries (and the insert's sequence
+// number) its rows land in when it settles; res nil when none. pending
+// counts the outstanding batches. req is nil when every forward runs inline.
 type worker struct {
 	pipe  *core.InferencePipeline
 	stats DeviceStats
@@ -169,22 +171,26 @@ type worker struct {
 	req     chan *core.InferResult
 	done    chan error
 	samples int // Samples run on pipe
-	out     [2]handoff
+	out     []handoff
+	pending int
 }
 
 // handoff is one forward outstanding on a worker's goroutine.
 type handoff struct {
 	res  *core.InferResult
 	keys []CacheKey
+	seq  uint64
 }
 
-// start launches the worker's forward goroutine.
+// start launches the worker's forward goroutine, which runs every forward
+// in one arena of its own.
 func (w *worker) start() {
-	w.req, w.done = make(chan *core.InferResult, 1), make(chan error, len(w.out))
+	w.req, w.done = make(chan *core.InferResult, len(w.out)), make(chan error, len(w.out))
 	go func() {
 		defer close(w.done)
+		ws := tensor.NewWorkspace()
 		for res := range w.req {
-			w.done <- w.pipe.Propagate(res)
+			w.done <- w.pipe.Propagate(ws, res)
 		}
 	}()
 }
@@ -196,11 +202,11 @@ func (w *worker) stop() {
 	if w.req == nil {
 		return
 	}
+	for ; w.pending > 0; w.pending-- {
+		<-w.done
+	}
 	for i := range w.out {
-		if w.out[i].res != nil {
-			<-w.done
-			w.out[i].res = nil
-		}
+		w.out[i].res = nil
 	}
 	close(w.req)
 	<-w.done
@@ -446,8 +452,9 @@ func newServer(cfg Config) (*server, error) {
 		compDone:  make([]float64, 0, cfg.MaxBatch),
 		vertexGen: make([]uint32, cfg.Data.Graph.NumVertices),
 	}
-	if s.handoff {
-		for _, w := range pool {
+	for _, w := range pool {
+		w.out = make([]handoff, w.pipe.Depth())
+		if s.handoff {
 			for i := range w.out {
 				w.out[i].keys = make([]CacheKey, 0, cfg.MaxBatch)
 			}
@@ -595,14 +602,17 @@ func (s *server) place(batch []Request, hit []bool, closeAt float64) (prediction
 // stalled start enters the pipeline past the window, a straggler's stages are
 // inflated. It returns the batch result and its virtual completion time, and
 // whether the batch's forward is left to the worker's goroutine (async; see
-// complete) rather than already run inline: it is when the goroutines run and
-// the forward is at least one of tensor's fan-out grains of work — below
-// that, the hand-off would cost about what it overlaps.
+// complete) rather than already run inline. Once the batch is sampled, the
+// loop settles, without waiting, every forward the worker has already
+// finished; the batch is then handed off when the goroutines run and the
+// worker has fewer than Depth()-2 forwards outstanding. With no room the
+// loop runs the forward itself rather than wait (caller runs), so the
+// worker's goroutine stays fed and the loop rarely parks on it.
 func (s *server) execute(p prediction) (*core.InferResult, float64, bool, error) {
 	w := s.pool[p.worker]
-	// Sample rebuilds the slot of the worker's next-but-one previous batch:
-	// that forward must be done. The previous batch's may still run.
-	if err := s.settle(w, w.samples%2); err != nil {
+	// Sample rebuilds the slot of the worker's Depth()-th previous batch:
+	// that forward must be done. Later batches' forwards may still run.
+	if _, err := s.settle(w, w.samples%len(w.out), true); err != nil {
 		return nil, 0, false, err
 	}
 	res, err := w.pipe.Sample(s.order)
@@ -610,9 +620,18 @@ func (s *server) execute(p prediction) (*core.InferResult, float64, bool, error)
 		return nil, 0, false, err
 	}
 	w.samples++
-	async := s.handoff && tensor.FanOut(1, res.ForwardWork) == 1
+	for k := 0; k < len(w.out) && w.pending > 0; k++ { // oldest first
+		settled, err := s.settle(w, (w.samples+k)%len(w.out), false)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		if !settled {
+			break
+		}
+	}
+	async := s.handoff && w.pending < len(w.out)-2
 	if !async {
-		if err := w.pipe.Propagate(res); err != nil {
+		if err := w.pipe.Propagate(w.pipe.Arena(), res); err != nil {
 			return nil, 0, false, err
 		}
 	}
@@ -625,20 +644,12 @@ func (s *server) execute(p prediction) (*core.InferResult, float64, bool, error)
 // admission counters take its share. An async batch's entries are inserted
 // here all the same — same keys, ready time and LRU position — with no value;
 // its forward is handed to the worker last, and its rows land when it
-// settles.
+// settles, unless a newer insert has rewritten the entry by then.
 func (s *server) complete(batch []Request, hit []bool, wi int, res *core.InferResult, done float64, async, redispatched bool) error {
 	if redispatched {
 		s.stats.Redispatched++
 		if done > s.recoveryEnd {
 			s.recoveryEnd = done
-		}
-	}
-	if s.cache.Capacity() > 0 {
-		// An insert may evict an entry whose rows have not landed, and a
-		// later batch may re-insert its key: settle first, so no stale row
-		// can land over a newer one.
-		if err := s.settleAll(); err != nil {
-			return err
 		}
 	}
 	s.putKeys, s.putEmbs = s.putKeys[:0], s.putEmbs[:0]
@@ -652,7 +663,7 @@ func (s *server) complete(batch []Request, hit []bool, wi int, res *core.InferRe
 	}
 	// PutMany copies each row into the shard arena, so the views into
 	// the worker's workspace are not retained past this call.
-	s.cache.PutMany(s.putKeys, s.putEmbs, done)
+	seq := s.cache.PutMany(s.putKeys, s.putEmbs, done)
 	served := 0
 	for i, r := range batch {
 		if hit[i] {
@@ -673,40 +684,54 @@ func (s *server) complete(batch []Request, hit []bool, wi int, res *core.InferRe
 	s.stats.Routes = append(s.stats.Routes, wi)
 	s.release(w.pipe.Device().Kind)
 	if async {
-		h := &w.out[(w.samples+1)%2] // the slot the batch was just sampled into
+		h := &w.out[(w.samples-1)%len(w.out)] // the slot the batch was just sampled into
 		h.keys = append(h.keys[:0], s.putKeys...)
-		h.res = res
+		h.res, h.seq = res, seq
+		w.pending++
 		w.req <- res
 		s.handoffs++
 	}
 	return nil
 }
 
-// settle completes w's outstanding batch in slot i, if any: it waits for the
-// forward and copies the batch's rows into the cache entries complete
-// inserted (a no-op on a disabled cache). done returns the forwards in
-// hand-off order, so slot i must hold the worker's older outstanding batch.
-func (s *server) settle(w *worker, i int) error {
+// settle completes w's outstanding batch in slot i, if any: it takes the
+// forward's outcome — waiting for it if wait, else only if the forward has
+// finished — and copies the batch's rows into the cache entries complete
+// inserted that no newer insert has rewritten (a no-op on a disabled cache).
+// It reports whether slot i is free. done returns the forwards in hand-off
+// order, so slot i must hold the worker's oldest outstanding batch.
+func (s *server) settle(w *worker, i int, wait bool) (bool, error) {
 	h := &w.out[i]
 	if h.res == nil {
-		return nil
+		return true, nil
+	}
+	var err error
+	if wait {
+		err = <-w.done
+	} else {
+		select {
+		case err = <-w.done:
+		default:
+			return false, nil
+		}
 	}
 	res := h.res
 	h.res = nil
-	if err := <-w.done; err != nil {
-		return fmt.Errorf("serve: forward on %s (device %d): %w", w.stats.Name, w.stats.Device, err)
+	w.pending--
+	if err != nil {
+		return true, fmt.Errorf("serve: forward on %s (device %d): %w", w.stats.Name, w.stats.Device, err)
 	}
 	for j, k := range h.keys {
-		s.cache.fill(k, res.Logits.Row(j))
+		s.cache.fill(k, h.seq, res.Logits.Row(j))
 	}
-	return nil
+	return true, nil
 }
 
-// settleAll settles every worker's outstanding batches, older first.
+// settleAll settles every worker's outstanding batches, oldest first.
 func (s *server) settleAll() error {
 	for _, w := range s.pool {
 		for k := range w.out {
-			if err := s.settle(w, (w.samples+k)%2); err != nil {
+			if _, err := s.settle(w, (w.samples+k)%len(w.out), true); err != nil {
 				return err
 			}
 		}
@@ -862,8 +887,7 @@ func (s *server) finish() (*Stats, error) {
 	}
 	stats := s.stats
 	stats.Served = len(s.latencies)
-	stats.summarizeLatencies(s.latencies)
-	stats.summarizePerClass(s.latencies, s.latClasses)
+	stats.summarizeLatencies(s.latencies, s.latClasses)
 	hits, _, evictions := s.cache.Stats()
 	stats.CacheHits = hits
 	stats.Evictions = evictions

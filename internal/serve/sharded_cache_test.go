@@ -8,6 +8,12 @@ import (
 	"repro/internal/tensor"
 )
 
+// Put inserts (or refreshes) one embedding: a PutMany of one key, the
+// single-key op the oracle tests drive.
+func (c *ShardedCache) Put(k CacheKey, emb []float32, readyAt float64) {
+	c.PutMany([]CacheKey{k}, [][]float32{emb}, readyAt)
+}
+
 // traceEmb builds a distinguishable embedding for a key at a given put
 // ordinal (fresh slice per call — the legacy cache retains it).
 func traceEmb(k CacheKey, op, stride int) []float32 {

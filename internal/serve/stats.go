@@ -273,60 +273,52 @@ func (s *Stats) TraceString(limit int) string {
 }
 
 // percentile returns the p-quantile (0 ≤ p ≤ 1) of sorted latencies by
-// nearest-rank: the ⌈p·n⌉-th smallest sample, clamped to the ends. The old
-// floor-biased rank int(p·(n-1)) truncated toward the optimistic side — the
-// "p95" of 10 samples was the rank-9 sample, i.e. the p88 — so every
-// small-sample tail read better than reality.
+// nearest-rank (see rank).
 func percentile(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(math.Ceil(p*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return sorted[i]
+	return sorted[rank(len(sorted), p)]
 }
 
-// summarizeLatencies fills the latency fields from the raw samples.
-func (s *Stats) summarizeLatencies(lat []float64) {
-	if len(lat) == 0 {
-		return
-	}
-	sorted := append([]float64(nil), lat...)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, v := range sorted {
-		sum += v
-	}
-	s.MeanSec = sum / float64(len(sorted))
-	s.P50Sec = percentile(sorted, 0.50)
-	s.P95Sec = percentile(sorted, 0.95)
-	s.P99Sec = percentile(sorted, 0.99)
-	s.MaxSec = sorted[len(sorted)-1]
+// rank is the index of the p-quantile in n sorted samples by nearest-rank:
+// the ⌈p·n⌉-th smallest sample, clamped to the ends. The old floor-biased
+// rank int(p·(n-1)) truncated toward the optimistic side — the "p95" of 10
+// samples was the rank-9 sample, i.e. the p88 — so every small-sample tail
+// read better than reality.
+func rank(n int, p float64) int {
+	return min(max(int(math.Ceil(p*float64(n)))-1, 0), n-1)
 }
 
-// summarizePerClass fills the per-class latency quantiles from the parallel
-// (latency, class) samples and computes the Jain fairness index over the
-// active classes' goodput attainment.
-func (s *Stats) summarizePerClass(lat []float64, classes []SLOClass) {
-	var buckets [NumClasses][]float64
-	for i, l := range lat {
-		if c := classes[i]; c < NumClasses {
-			buckets[c] = append(buckets[c], l)
-		}
-	}
+// floatLess is sort.Float64s's order: ascending, NaN first.
+func floatLess(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }
+
+// summarizeLatencies fills the run's and every class's latency figures from
+// the parallel (latency, class) samples, sorting them once, and computes the
+// Jain fairness index over the active classes' goodput attainment. Each
+// class's samples are sorted in a bucket of their own, sized from the class's
+// Served count; samples of an out-of-range class share one more bucket and
+// count only in the run's figures. The run's order is the buckets' k-way
+// merge, and its mean is summed in that order, so every figure is the one a
+// sort of all the samples gives, bit for bit.
+func (s *Stats) summarizeLatencies(lat []float64, classes []SLOClass) {
+	var buckets [NumClasses + 1][]float64
+	rest := len(lat)
 	for c := range s.PerClass {
-		cs := &s.PerClass[c]
-		b := buckets[c]
-		if len(b) == 0 {
+		buckets[c] = make([]float64, 0, s.PerClass[c].Served)
+		rest -= s.PerClass[c].Served
+	}
+	buckets[NumClasses] = make([]float64, 0, max(rest, 0))
+	for i, l := range lat {
+		c := min(classes[i], NumClasses)
+		buckets[c] = append(buckets[c], l)
+	}
+	for c, b := range buckets {
+		sort.Float64s(b)
+		if c == NumClasses || len(b) == 0 {
 			continue
 		}
-		sort.Float64s(b)
+		cs := &s.PerClass[c]
 		var sum float64
 		for _, v := range b {
 			sum += v
@@ -335,6 +327,34 @@ func (s *Stats) summarizePerClass(lat []float64, classes []SLOClass) {
 		cs.P50Sec = percentile(b, 0.50)
 		cs.P99Sec = percentile(b, 0.99)
 		cs.MaxSec = b[len(b)-1]
+	}
+	if n := len(lat); n > 0 {
+		r50, r95, r99 := rank(n, 0.50), rank(n, 0.95), rank(n, 0.99)
+		var next [NumClasses + 1]int
+		var sum float64
+		for i := 0; i < n; i++ {
+			// The smallest head, in sort.Float64s's order (NaN first).
+			k := -1
+			for c, b := range buckets {
+				if next[c] < len(b) && (k < 0 || floatLess(b[next[c]], buckets[k][next[k]])) {
+					k = c
+				}
+			}
+			v := buckets[k][next[k]]
+			next[k]++
+			sum += v
+			if i == r50 {
+				s.P50Sec = v
+			}
+			if i == r95 {
+				s.P95Sec = v
+			}
+			if i == r99 {
+				s.P99Sec = v
+			}
+			s.MaxSec = v
+		}
+		s.MeanSec = sum / float64(n)
 	}
 	var sumX, sumX2 float64
 	n := 0

@@ -1,10 +1,86 @@
 package serve
 
 import (
+	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/tensor"
 )
+
+// summarizeBySorts is the latency summary as two full sorts give it: the run's
+// figures from one sort of every sample, each class's from a sort of its own.
+func summarizeBySorts(lat []float64, classes []SLOClass) Stats {
+	var s Stats
+	sorted := append([]float64(nil), lat...)
+	sort.Float64s(sorted)
+	var sum float64
+	for _, v := range sorted {
+		sum += v
+	}
+	s.MeanSec = sum / float64(len(sorted))
+	s.P50Sec, s.P95Sec, s.P99Sec = percentile(sorted, 0.50), percentile(sorted, 0.95), percentile(sorted, 0.99)
+	s.MaxSec = sorted[len(sorted)-1]
+	for c := range s.PerClass {
+		var b []float64
+		for i, l := range lat {
+			if classes[i] == SLOClass(c) {
+				b = append(b, l)
+			}
+		}
+		if len(b) == 0 {
+			continue
+		}
+		sort.Float64s(b)
+		var sum float64
+		for _, v := range b {
+			sum += v
+		}
+		cs := &s.PerClass[c]
+		cs.MeanSec = sum / float64(len(b))
+		cs.P50Sec, cs.P99Sec, cs.MaxSec = percentile(b, 0.50), percentile(b, 0.99), b[len(b)-1]
+	}
+	return s
+}
+
+// The one-sort summary — per-class buckets merged into the run's order — is
+// the two-sort one bit for bit, on samples with ties, an empty class and an
+// out-of-range class, at sizes from one sample up.
+func TestSummarizeLatenciesMatchesTwoSorts(t *testing.T) {
+	rng := tensor.NewRNG(5)
+	for _, n := range []int{1, 2, 7, 100, 1013} {
+		lat := make([]float64, n)
+		classes := make([]SLOClass, n)
+		var served [NumClasses]int
+		for i := range lat {
+			lat[i] = float64(rng.Intn(50)) * 1e-4 * (1 + rng.Float64()*float64(i%2)) // ties on even i
+			classes[i] = []SLOClass{ClassInteractive, ClassBulk, NumClasses + 1}[rng.Intn(3)]
+			if classes[i] < NumClasses {
+				served[classes[i]]++
+			}
+		}
+		var got Stats
+		for c := range got.PerClass {
+			got.PerClass[c].Served = served[c]
+		}
+		got.summarizeLatencies(lat, classes)
+		want := summarizeBySorts(lat, classes)
+		bits := func(s *Stats) []uint64 {
+			out := []uint64{math.Float64bits(s.MeanSec), math.Float64bits(s.P50Sec), math.Float64bits(s.P95Sec),
+				math.Float64bits(s.P99Sec), math.Float64bits(s.MaxSec)}
+			for _, cs := range s.PerClass {
+				out = append(out, math.Float64bits(cs.MeanSec), math.Float64bits(cs.P50Sec),
+					math.Float64bits(cs.P99Sec), math.Float64bits(cs.MaxSec))
+			}
+			return out
+		}
+		if g, w := bits(&got), bits(&want); !reflect.DeepEqual(g, w) {
+			t.Fatalf("n=%d: one-sort summary %x, two-sort %x", n, g, w)
+		}
+	}
+}
 
 // Regression for the floor-biased percentile: the old rank int(p·(n-1))
 // truncated toward the optimistic side, so small-sample tails under-read —
@@ -57,7 +133,7 @@ func TestJainFairness(t *testing.T) {
 	var s Stats
 	s.PerClass[ClassInteractive] = ClassStats{Offered: 100, Served: 80}
 	s.PerClass[ClassStandard] = ClassStats{Offered: 200, Served: 160}
-	s.summarizePerClass(nil, nil)
+	s.summarizeLatencies(nil, nil)
 	if s.ActiveClasses != 2 {
 		t.Fatalf("active classes = %d, want 2", s.ActiveClasses)
 	}
@@ -67,7 +143,7 @@ func TestJainFairness(t *testing.T) {
 	var u Stats
 	u.PerClass[ClassInteractive] = ClassStats{Offered: 100, Served: 100}
 	u.PerClass[ClassBulk] = ClassStats{Offered: 100, Served: 0}
-	u.summarizePerClass(nil, nil)
+	u.summarizeLatencies(nil, nil)
 	if u.JainFairness != 0.5 {
 		t.Fatalf("one class starved of two: Jain = %v, want 0.5", u.JainFairness)
 	}

@@ -140,5 +140,22 @@ func (ws *Workspace) Reset() {
 	ws.used = 0
 }
 
+// Demand is what one cycle asks of a Workspace, in elements per slab,
+// requests that did not fit included.
+type Demand struct{ F32, I32 int }
+
+// Demand returns what the cycle since the last Reset has asked for.
+func (ws *Workspace) Demand() Demand { return Demand{ws.f32.need, ws.i32.need} }
+
+// Expect raises the current cycle's demand to at least d, so that the coming
+// Reset retains slabs for a cycle of d (plus the usual ⅛) even when this
+// cycle asked for less: how an arena that runs a few of a stream's cycles is
+// sized from what the arenas running the rest have needed, instead of
+// finding each high-water mark itself, one plain allocation at a time.
+func (ws *Workspace) Expect(d Demand) {
+	ws.f32.need = max(ws.f32.need, d.F32)
+	ws.i32.need = max(ws.i32.need, d.I32)
+}
+
 // Bytes reports the arena's retained footprint: its two slabs.
 func (ws *Workspace) Bytes() int64 { return ws.f32.bytes() + ws.i32.bytes() }
