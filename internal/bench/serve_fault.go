@@ -25,22 +25,20 @@ type ServeFaultVariant struct {
 	FailedWorkers  int
 	DeadlineMisses int
 	P99Ms          float64
-	// FaultWindow* cover requests completing at or after the first failure
-	// (zero in the fault-free replay).
-	FaultWindowServed int
-	FaultWindowP99Ms  float64
-	RecoveryMs        float64
+	// FaultWindowP99Ms covers requests completing at or after the first
+	// failure (zero in the fault-free replay).
+	FaultWindowP99Ms float64
+	RecoveryMs       float64
 }
 
 // ServeFaultReport is the fault-free vs faulted replay pair behind
 // ext-serve-fault.
 type ServeFaultReport struct {
-	CapacityRPS float64
-	OfferedRPS  float64
-	Requests    int
-	FaultSpec   string
-	FailAtSec   float64
-	SLOTargets  string
+	OfferedRPS float64
+	Requests   int
+	FaultSpec  string
+	FailAtSec  float64
+	SLOTargets string
 
 	Baseline ServeFaultVariant
 	Faulted  ServeFaultVariant
@@ -90,8 +88,7 @@ func ServeFault(seed uint64) (*ServeFaultReport, error) {
 		return nil, err
 	}
 	report := &ServeFaultReport{
-		CapacityRPS: pred.CapacityRPS, OfferedRPS: rate,
-		Requests: len(trace.Requests), SLOTargets: serveFaultSLO,
+		OfferedRPS: rate, Requests: len(trace.Requests), SLOTargets: serveFaultSLO,
 	}
 	cfg.Workload, cfg.Replay = nil, trace
 	cfg.RouteTrace = true // the fault-free replay's decisions place the failure
@@ -148,10 +145,9 @@ func serveFaultVariant(name string, st *serve.Stats) ServeFaultVariant {
 		Name: name, Served: st.Served, Rejected: st.Rejected, Shed: st.Shed,
 		Retries: st.Retries, Redispatched: st.Redispatched,
 		FailedWorkers: st.FailedWorkers, DeadlineMisses: st.DeadlineMisses,
-		P99Ms:             1e3 * st.P99Sec,
-		FaultWindowServed: st.FaultWindowServed,
-		FaultWindowP99Ms:  1e3 * st.FaultWindowP99Sec,
-		RecoveryMs:        1e3 * st.RecoverySec,
+		P99Ms:            1e3 * st.P99Sec,
+		FaultWindowP99Ms: 1e3 * st.FaultWindowP99Sec,
+		RecoveryMs:       1e3 * st.RecoverySec,
 	}
 }
 

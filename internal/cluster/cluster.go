@@ -52,11 +52,9 @@ func (c Config) Validate() error {
 
 // Breakdown reports the per-iteration cost components.
 type Breakdown struct {
-	LocalIter   float64 // single-node pipeline bottleneck (Eq. 6)
 	RemoteFetch float64 // cut-edge feature traffic over the NIC
 	GlobalSync  float64 // ring all-reduce across nodes
 	IterTime    float64
-	Iterations  int
 	EpochSec    float64
 }
 
@@ -71,7 +69,6 @@ func EpochTime(cfg Config) (*Breakdown, error) {
 	}
 	assign := m.InitialAssignment(true)
 	st := m.Stages(assign)
-	local := st.Bottleneck()
 
 	// Remote features: cut × (1 − 1/nodes) of every node's per-iteration
 	// input rows cross its NIC (both requests in and responses out share it;
@@ -103,9 +100,8 @@ func EpochTime(cfg Config) (*Breakdown, error) {
 	totalBatch := float64(assign.TotalBatch() * cfg.Nodes)
 	iters := int(math.Ceil(float64(cfg.Work.Spec.TrainNodes) / totalBatch))
 	return &Breakdown{
-		LocalIter: local, RemoteFetch: st.NetFetch, GlobalSync: st.NetSync,
-		IterTime: iter, Iterations: iters,
-		EpochSec: float64(iters) * iter,
+		RemoteFetch: st.NetFetch, GlobalSync: st.NetSync,
+		IterTime: iter, EpochSec: float64(iters) * iter,
 	}, nil
 }
 

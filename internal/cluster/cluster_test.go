@@ -50,7 +50,7 @@ func TestSingleNodeHasNoNetworkCost(t *testing.T) {
 	if b.RemoteFetch != 0 || b.GlobalSync != 0 {
 		t.Fatalf("single node paid network costs: %+v", b)
 	}
-	if b.EpochSec <= 0 || b.Iterations <= 0 {
+	if b.EpochSec <= 0 || b.IterTime <= 0 {
 		t.Fatalf("degenerate breakdown: %+v", b)
 	}
 }

@@ -42,19 +42,13 @@ type MultiNode struct {
 type MultiNodeConfig struct {
 	Nodes int
 	Net   hw.Link // inter-node link (per-node NIC)
-	// Node is the per-node engine template. Data must hold the FULL dataset;
-	// the coordinator partitions its training vertices across nodes. Sync
-	// and Locator must be nil — the coordinator owns that wiring. All nodes
-	// share Node.Seed so their replicas initialise identically (synchronous
-	// SGD keeps the whole fleet in lock-step from there).
+	// Node is the per-node engine template; every node runs its platform.
+	// Data must hold the FULL dataset; the coordinator partitions its
+	// training vertices across nodes. Sync and Locator must be nil — the
+	// coordinator owns that wiring. All nodes share Node.Seed so their
+	// replicas initialise identically (synchronous SGD keeps the whole
+	// fleet in lock-step from there).
 	Node core.Config
-	// Plats, when non-empty, gives each node its own platform (len must be
-	// Nodes): a heterogeneous cluster of heterogeneous nodes — e.g. one
-	// CPU+GPU node next to a CPU+FPGA node. Empty means every node runs the
-	// template's Node.Plat. The synchronous-SGD protocol is platform-blind
-	// (platforms change only the virtual clock), so mixed fleets stay in
-	// lock-step.
-	Plats []hw.Platform
 	// Faults scripts deterministic node failures and link degradation on the
 	// training plane, keyed by cumulative ring round (see fault.Parse):
 	// "fail,node=R,at=iter:K" leaves the ring gracefully before round K and
@@ -84,20 +78,6 @@ func (c MultiNodeConfig) Validate() error {
 	}
 	if mx := c.Faults.MaxNode(); mx >= c.Nodes {
 		return fmt.Errorf("cluster: fault schedule targets node %d, fleet has %d nodes", mx, c.Nodes)
-	}
-	if len(c.Plats) != 0 {
-		if len(c.Plats) != c.Nodes {
-			return fmt.Errorf("cluster: %d per-node platforms for %d nodes", len(c.Plats), c.Nodes)
-		}
-		// The ring all-reduce runs in lock-step, so every node must execute
-		// the same number of iterations per epoch — which the engine derives
-		// from its accelerator count (global batch = BatchSize × trainers).
-		for i, p := range c.Plats[1:] {
-			if len(p.Accels) != len(c.Plats[0].Accels) {
-				return fmt.Errorf("cluster: node %d has %d accelerators, node 0 has %d — "+
-					"unequal fleets would desynchronise the ring", i+1, len(p.Accels), len(c.Plats[0].Accels))
-			}
-		}
 	}
 	return nil
 }
@@ -164,9 +144,6 @@ func NewMultiNode(cfg MultiNodeConfig) (*MultiNode, error) {
 	syncs := make([]*nodeSync, cfg.Nodes)
 	for i := range engines {
 		nodeCfg := cfg.Node
-		if len(cfg.Plats) > 0 {
-			nodeCfg.Plat = cfg.Plats[i]
-		}
 		nodeCfg.Data = &datagen.Dataset{
 			Spec: data.Spec, Graph: data.Graph,
 			Features: data.Features, Labels: data.Labels,
@@ -361,9 +338,7 @@ func (m *MultiNode) ReplicasInSync() float64 {
 // Analytic returns the analytic cluster configuration matching this executed
 // run — same platform, workload and interconnect, with the partitioner's
 // measured edge cut as CutFraction — so EpochTime's predictions can be
-// compared against executed virtual-clock readings. Heterogeneous fleets
-// (MultiNodeConfig.Plats) are priced with the template Node.Plat; a
-// per-node-platform analytic model is an open item.
+// compared against executed virtual-clock readings.
 func (m *MultiNode) Analytic() Config {
 	// The engine clamps each node's global batch to its shard size; mirror
 	// that so the analytic assignment prices the batches actually executed.

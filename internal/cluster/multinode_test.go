@@ -204,59 +204,6 @@ func TestMultiNodeConfigValidation(t *testing.T) {
 	if _, err := NewMultiNode(cfg); err == nil {
 		t.Fatal("expected error for pre-wired locator")
 	}
-	cfg = multiConfig(t, 2, ds)
-	cfg.Plats = []hw.Platform{cfg.Node.Plat}
-	if _, err := NewMultiNode(cfg); err == nil {
-		t.Fatal("expected error for platform/node count mismatch")
-	}
-	cfg = multiConfig(t, 2, ds)
-	cfg.Plats = []hw.Platform{cfg.Node.Plat, hw.CPUFPGAPlatform()} // 2 vs 4 accels
-	if _, err := NewMultiNode(cfg); err == nil {
-		t.Fatal("expected error for unequal per-node accelerator counts")
-	}
-}
-
-// A heterogeneous cluster: one CPU+GPU+FPGA node next to a CPU+FPGA node.
-// The ring protocol is platform-blind, so the fleet must stay bit-identical
-// across nodes while each node's virtual clock prices its own hardware.
-func TestMultiNodeHeterogeneousNodes(t *testing.T) {
-	mixed, err := hw.HeteroPlatform(hw.GPU, hw.FPGA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	homog := hw.CPUFPGAPlatform()
-	homog.Accels = homog.Accels[:2]
-	cfg := multiConfig(t, 2, multiDataset(t, 9))
-	cfg.Plats = []hw.Platform{mixed, homog}
-	m, err := NewMultiNode(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last *MultiNodeStats
-	for i := 0; i < 2; i++ {
-		if last, err = m.RunEpoch(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := m.ReplicasInSync(); d != 0 {
-		t.Fatalf("heterogeneous fleet diverged by %v", d)
-	}
-	if last.Loss <= 0 || last.VirtualSec <= 0 {
-		t.Fatalf("implausible stats: %+v", last)
-	}
-	// Node 0 hosts the only FPGA-kind trainer driven through the dataflow
-	// backend on a GPU-sibling fleet; both nodes must have executed.
-	for i, st := range last.PerNode {
-		if st.Iterations != last.Iterations {
-			t.Fatalf("node %d ran %d iterations, fleet ran %d", i, st.Iterations, last.Iterations)
-		}
-	}
-	if last.PerNode[0].FPGA.AggCycles <= 0 {
-		t.Fatal("mixed node's FPGA dataflow backend did not execute")
-	}
-	if last.PerNode[1].FPGA.AggCycles <= 0 {
-		t.Fatal("homogeneous FPGA node's dataflow backend did not execute")
-	}
 }
 
 // A node that went NaN where its peers did not has diverged without bound;

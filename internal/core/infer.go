@@ -29,12 +29,9 @@ type InferConfig struct {
 	// framework-driven devices (Device.LoaderGBs) gather features through
 	// their own loader stack, and every device carries its inference-stack
 	// overheads (perfmodel.ServingOverheads). The logits are the reference
-	// forward's on every device.
+	// forward's on every device. Sampling and feature gathering are charged
+	// to a quarter of Plat's cores each (perfmodel.ServingStageFor).
 	Device int
-	// SampThreads/LoadThreads are the CPU threads charged for sampling and
-	// feature gathering; zero defaults to a quarter of the cores each, the
-	// training runtime's initial split.
-	SampThreads, LoadThreads int
 	// QuantizeTransfer int8-quantizes accelerator-bound features on the PCIe
 	// link, with the real rounding error injected (as in training).
 	QuantizeTransfer bool
@@ -51,14 +48,10 @@ type InferConfig struct {
 // three are valid until the pipeline's inferDepth-th next Sample, which
 // rebuilds the slot.
 type InferResult struct {
-	Stage     perfmodel.StageTimes
-	Logits    *tensor.Matrix
-	Targets   []int32
-	Edges     float64 // edges traversed by fanout sampling
-	InputRows int     // feature rows layer 0 reads (|V0|), staged or in place
-	// ForwardWork is the numeric forward's work in tensor.FanOut's
-	// element-operations (gnn.Model.ForwardWork of the sampled blocks).
-	ForwardWork int
+	Stage   perfmodel.StageTimes
+	Logits  *tensor.Matrix
+	Targets []int32
+	Edges   float64 // edges traversed by fanout sampling
 	// FPGA carries the dataflow's hardware account of the batch when it ran
 	// on an FPGA-bound worker (nil otherwise). It points into the worker's
 	// accel.Backend scratch, which the pipeline's next Sample overwrites.
@@ -161,13 +154,6 @@ func NewInferencePipeline(cfg InferConfig) (*InferencePipeline, error) {
 	if cfg.Device < 0 || cfg.Device > len(cfg.Plat.Accels) {
 		return nil, fmt.Errorf("core: device %d outside [0,%d]", cfg.Device, len(cfg.Plat.Accels))
 	}
-	quarter := cfg.Plat.TotalCPUCores() / 4
-	if cfg.SampThreads <= 0 {
-		cfg.SampThreads = max(1, quarter)
-	}
-	if cfg.LoadThreads <= 0 {
-		cfg.LoadThreads = max(1, quarter)
-	}
 	work := perfmodel.Workload{
 		Spec: cfg.Data.Spec, Model: cfg.Model.Cfg.Kind,
 		BatchSize: 1, Fanouts: cfg.Fanouts,
@@ -229,7 +215,7 @@ func (p *InferencePipeline) AvailableAt() float64 { return p.clock.Now() }
 // this worker's bound device — the stage vector the router turns into a
 // predicted completion time.
 func (p *InferencePipeline) PredictBatchStage(computed int) (perfmodel.StageTimes, error) {
-	return p.pm.ServingBatchStage(p.cfg.Device, computed, p.cfg.SampThreads, p.cfg.LoadThreads)
+	return p.pm.ServingBatchStage(p.cfg.Device, computed)
 }
 
 // ServiceSec returns the predicted serial service time of a batch of
@@ -306,12 +292,7 @@ func (p *InferencePipeline) Sample(targets []int32) (*InferResult, error) {
 	p.next = (p.next + 1) % len(p.slots)
 	mb := &slot.mb
 	res := &slot.res
-	*res = InferResult{
-		Targets:     mb.Targets,
-		Edges:       float64(mb.EdgesTraversed()),
-		InputRows:   len(mb.InputNodes()),
-		ForwardWork: p.cfg.Model.ForwardWork(mb),
-	}
+	*res = InferResult{Targets: mb.Targets, Edges: float64(mb.EdgesTraversed())}
 	forwardSec := -1.0 // priced analytically unless the device accounts itself
 	if p.backend != nil {
 		// FPGA worker: the clock is charged the scatter-gather + systolic
@@ -325,8 +306,7 @@ func (p *InferencePipeline) Sample(targets []int32) (*InferResult, error) {
 		forwardSec = stats.Sec
 		res.FPGA = stats
 	}
-	res.Stage = p.pm.ServingStageFor(p.cfg.Device, sizesInto(&p.sizes, mb), res.Edges,
-		p.cfg.SampThreads, p.cfg.LoadThreads, forwardSec)
+	res.Stage = p.pm.ServingStageFor(p.cfg.Device, sizesInto(&p.sizes, mb), res.Edges, forwardSec)
 	return res, nil
 }
 

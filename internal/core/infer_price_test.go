@@ -17,16 +17,20 @@ import (
 // it stood on commit 9094743, before the serving price list moved behind
 // perfmodel.ServingStageFor — verbatim, except that the FPGA forward's
 // measured seconds are read from the batch's result instead of the live
-// kernel call and the one-hot row vector is local instead of retained.
+// kernel call, the one-hot row vector is local instead of retained, and the
+// thread counts, once defaulted configuration fields, are derived here the
+// way the defaults were: a quarter of the cores each, at least one.
 func runBatchPriceOracle(p *InferencePipeline, mb *sampler.MiniBatch, fpga *accel.ForwardStats) perfmodel.StageTimes {
+	sampThreads := max(1, p.cfg.Plat.TotalCPUCores()/4)
+	loadThreads := sampThreads
 	sz := sizesInto(&perfmodel.Sizes{}, mb)
 	st := perfmodel.StageTimes{
-		SampCPU: p.pm.SampleTimeCPUEdges(float64(mb.EdgesTraversed()), p.cfg.SampThreads),
+		SampCPU: p.pm.SampleTimeCPUEdges(float64(mb.EdgesTraversed()), sampThreads),
 	}
 	if p.cfg.Device > 0 {
 		rows := make([]float64, len(p.cfg.Plat.Accels))
 		rows[p.cfg.Device-1] = sz.VL[0]
-		st.Load = p.pm.LoadTimeForDeviceRows(rows, p.cfg.LoadThreads)
+		st.Load = p.pm.LoadTimeForDeviceRows(rows, loadThreads)
 		st.Trans = p.pm.TransferTimeDev(p.cfg.Device-1, sz)
 		if p.backend != nil {
 			st.TrainAcc = perfmodel.ServingOverheads(p.dev, fpga.Sec)
@@ -34,9 +38,9 @@ func runBatchPriceOracle(p *InferencePipeline, mb *sampler.MiniBatch, fpga *acce
 			st.TrainAcc = perfmodel.ServingOverheads(p.dev, p.pm.PropForwardFor(p.dev, sz, 1))
 		}
 	} else {
-		st.Load = p.pm.LoadTimeForRows(sz.VL[0], p.cfg.LoadThreads)
+		st.Load = p.pm.LoadTimeForRows(sz.VL[0], loadThreads)
 		cores := p.cfg.Plat.TotalCPUCores()
-		share := float64(cores-p.cfg.SampThreads-p.cfg.LoadThreads) / float64(cores)
+		share := float64(cores-sampThreads-loadThreads) / float64(cores)
 		if share <= 0 {
 			share = 0.5
 		}
@@ -60,18 +64,20 @@ func TestRunBatchPriceMatchesPreFoldOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	starved := smallPlatform().TotalCPUCores() // Samp+Load threads ≥ cores: share ≤ 0
+	// One core: the sampling and gathering threads (one each) leave the
+	// forward no share of it, so the price falls back to half.
+	starved := smallPlatform()
+	starved.CPU.Cores, starved.Sockets = 1, 1
 	cases := []struct {
-		name    string
-		plat    hw.Platform
-		device  int
-		threads int
+		name   string
+		plat   hw.Platform
+		device int
 	}{
-		{"cpu-peer", smallPlatform(), 0, 0},
-		{"cpu-peer-starved", smallPlatform(), 0, starved},
-		{"fpga", smallPlatform(), 1, 0},
-		{"gpu", hetero, 1, 0},
-		{"fpga-own-link", hetero, 2, 0},
+		{"cpu-peer", smallPlatform(), 0},
+		{"cpu-peer-starved", starved, 0},
+		{"fpga", smallPlatform(), 1},
+		{"gpu", hetero, 1},
+		{"fpga-own-link", hetero, 2},
 	}
 	rng := tensor.NewRNG(11)
 	for _, c := range cases {
@@ -79,8 +85,7 @@ func TestRunBatchPriceMatchesPreFoldOracle(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/quantize=%v", c.name, quantize), func(t *testing.T) {
 				p, err := NewInferencePipeline(InferConfig{
 					Plat: c.plat, Data: ds, Model: model, Fanouts: []int{5, 5},
-					Device: c.device, SampThreads: c.threads, LoadThreads: c.threads,
-					QuantizeTransfer: quantize, Seed: 9,
+					Device: c.device, QuantizeTransfer: quantize, Seed: 9,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -15,8 +15,9 @@
 // absorb model error (framework overheads, contention) that the design-time
 // mapping cannot see. Its step law — gain, share and thread floors, thread
 // step, hysteresis — is one set of package constants; a caller chooses only
-// the thread budget (Engine.Cores) and whether loading and transfer are one
-// fused stage (Engine.FusedPrefetch).
+// whether loading and transfer are one fused stage (Engine.FusedPrefetch).
+// The thread budget is the initial assignment's: balance_thread moves
+// threads between CPU tasks, so it conserves their total by construction.
 package drm
 
 import (
@@ -77,7 +78,9 @@ const (
 
 // Engine is the DRM controller. It implements pipesim.Controller.
 type Engine struct {
-	// Cores is the CPU thread budget balance_thread conserves.
+	// Cores records the core count New was given. The engine never reads
+	// it: balance_thread conserves the thread total of the assignment it is
+	// handed.
 	Cores int
 	// FusedPrefetch tells the engine that Feature Loading and Data Transfer
 	// run as one fused pipeline stage (the pre-TFP configuration, §IV-B).
@@ -99,7 +102,7 @@ type Engine struct {
 	weights, fracs []float64
 }
 
-// New returns an engine that balances a budget of cores CPU threads.
+// New returns an engine for a node of cores CPU cores (see Engine.Cores).
 func New(cores int) *Engine { return &Engine{Cores: cores} }
 
 // times extracts Algorithm 1's five inputs from the measured stage times.

@@ -76,23 +76,6 @@ func (m *Model) InferMiniBatchRowsWS(ws *tensor.Workspace, mb *sampler.MiniBatch
 	return h, nil
 }
 
-// ForwardWork is the work of a forward pass over mb in tensor.FanOut's
-// float32 element-operations: per layer, the aggregation's row updates (one
-// fin-wide update per edge and per destination) plus the GEMM's
-// multiply-adds over the dense input (SAGE's [self ‖ mean] is 2·fin wide).
-func (m *Model) ForwardWork(mb *sampler.MiniBatch) int {
-	work := 0
-	for l, b := range mb.Blocks {
-		fin, nd := m.Cfg.Dims[l], len(b.Dst)
-		dense := fin
-		if m.Cfg.Kind == SAGE {
-			dense = 2 * fin
-		}
-		work += (b.NumEdges()+nd)*fin + nd*dense*m.Cfg.Dims[l+1]
-	}
-	return work
-}
-
 // Evaluate runs full-graph inference and returns the accuracy over the
 // given vertex set.
 func (m *Model) Evaluate(g *graph.Graph, x *tensor.Matrix, labels []int32, idx []int32) (float64, error) {

@@ -153,8 +153,6 @@ type Platform struct {
 	Sockets int
 	Accels  []Device
 	PCIe    Link // default per-accelerator link (used when AccelLinks is empty)
-	Xbus    Link // processor interconnect (xGMI / QPI)
-	DRAMGB  float64
 
 	// AccelLinks, when non-empty, gives accelerator i its own host link
 	// (mixed fleets put each device generation on its native PCIe slot).

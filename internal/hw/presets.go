@@ -57,15 +57,12 @@ func PCIe4x16() Link { return Link{Name: "PCIe 4.0 x16", PeakGBs: 31.5, Eff: 0.7
 // PCIe3x16 is the host link for the U250s.
 func PCIe3x16() Link { return Link{Name: "PCIe 3.0 x16", PeakGBs: 15.75, Eff: 0.85, LatencyUs: 10} }
 
-// XGMI is the EPYC socket interconnect.
-func XGMI() Link { return Link{Name: "xGMI", PeakGBs: 64, Eff: 0.80, LatencyUs: 2} }
-
 // CPUGPUPlatform is the paper's CPU-GPU setup: dual EPYC 7763 + 4× A5000.
 func CPUGPUPlatform() Platform {
 	return Platform{
 		Name: "2xEPYC7763 + 4xA5000", CPU: EPYC7763(), Sockets: 2,
 		Accels: []Device{A5000(), A5000(), A5000(), A5000()},
-		PCIe:   PCIe4x16(), Xbus: XGMI(), DRAMGB: 1024,
+		PCIe:   PCIe4x16(),
 	}
 }
 
@@ -74,7 +71,7 @@ func CPUFPGAPlatform() Platform {
 	return Platform{
 		Name: "2xEPYC7763 + 4xU250", CPU: EPYC7763(), Sockets: 2,
 		Accels: []Device{U250(), U250(), U250(), U250()},
-		PCIe:   PCIe3x16(), Xbus: XGMI(), DRAMGB: 1024,
+		PCIe:   PCIe3x16(),
 	}
 }
 
@@ -100,10 +97,7 @@ func HeteroPlatform(kinds ...Kind) (Platform, error) {
 	if len(kinds) == 0 {
 		return Platform{}, fmt.Errorf("hw: hetero platform needs at least one accelerator")
 	}
-	p := Platform{
-		Name: "2xEPYC7763", CPU: EPYC7763(), Sockets: 2,
-		Xbus: XGMI(), DRAMGB: 1024,
-	}
+	p := Platform{Name: "2xEPYC7763", CPU: EPYC7763(), Sockets: 2}
 	counts := map[Kind]int{}
 	for _, k := range kinds {
 		dev, link, err := AccelDevice(k)
@@ -198,7 +192,7 @@ func PaGraphNode() Platform {
 	}
 	return Platform{
 		Name: "PaGraph 2x8163+8xV100", CPU: Xeon8163(), Sockets: 2,
-		Accels: accels, PCIe: PCIe3x16(), Xbus: XGMI(), DRAMGB: 384,
+		Accels: accels, PCIe: PCIe3x16(),
 	}
 }
 
@@ -210,7 +204,7 @@ func P3Node() Platform {
 	}
 	return Platform{
 		Name: "P3 1xE5-2690+4xP100", CPU: XeonE52690(), Sockets: 1,
-		Accels: accels, PCIe: PCIe3x16(), Xbus: XGMI(), DRAMGB: 256,
+		Accels: accels, PCIe: PCIe3x16(),
 	}
 }
 
@@ -222,7 +216,7 @@ func DistDGLNode() Platform {
 	}
 	return Platform{
 		Name: "DistDGLv2 96vCPU+8xT4", CPU: VCPU96(), Sockets: 1,
-		Accels: accels, PCIe: PCIe3x16(), Xbus: XGMI(), DRAMGB: 384,
+		Accels: accels, PCIe: PCIe3x16(),
 	}
 }
 

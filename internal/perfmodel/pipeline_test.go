@@ -193,7 +193,7 @@ func TestPipelineLawServingPrices(t *testing.T) {
 	m := servingModel(t)
 	for dev := 0; dev <= len(m.Plat.Accels); dev++ {
 		for _, computed := range []int{1, 7, 32, 256} {
-			st, err := m.ServingBatchStage(dev, computed, 0, 0)
+			st, err := m.ServingBatchStage(dev, computed)
 			if err != nil {
 				t.Fatal(err)
 			}

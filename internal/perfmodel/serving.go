@@ -34,7 +34,8 @@ import (
 
 // ServingLoad describes an open-loop request stream hitting a serving
 // deployment: offered load, the dynamic batcher's knobs, the worker pool,
-// and the steady-state embedding-cache behavior.
+// and the steady-state embedding-cache behavior. A batch's sampling and
+// gathering each run on a quarter of the platform's cores (ServingStageFor).
 type ServingLoad struct {
 	RatePerSec float64 // offered load λ (accepted requests per second)
 	MaxBatch   int     // dynamic batcher's size cap
@@ -50,16 +51,12 @@ type ServingLoad struct {
 	// peer, i > 0 is Plat.Accels[i-1] (the core.InferConfig.Device
 	// convention).
 	Devices []int
-	// SampThreads/LoadThreads are the CPU threads charged for sampling and
-	// gathering; zero defaults to a quarter of the cores each.
-	SampThreads, LoadThreads int
 }
 
 // ServingDevicePrediction is one worker device's share of a pool prediction:
 // its own stage vector and the service/cadence/capacity it sustains.
 type ServingDevicePrediction struct {
-	Device int // 0 = CPU peer, i > 0 = Plat.Accels[i-1]
-	Stage  StageTimes
+	Stage StageTimes
 	// ServiceSec is one batch's latency through this worker's empty
 	// pipeline: the serial sum of its stages plus the runtime barriers.
 	ServiceSec float64
@@ -74,11 +71,8 @@ type ServingDevicePrediction struct {
 type ServingPrediction struct {
 	BatchSize float64 // expected requests per closed batch
 	Computed  float64 // expected cache-missing targets per batch
-	// Stage aggregates the pool the way StageTimes does for training: Trans
-	// and TrainAcc are maxima over the worker devices.
-	Stage StageTimes
-	// PerDevice resolves the prediction per worker device — the vectors the
-	// kind-aware router steers by. One entry per pool worker.
+	// PerDevice resolves the prediction per worker device, one entry per
+	// pool worker in ServingLoad.Devices order.
 	PerDevice []ServingDevicePrediction
 	// ServiceSec is one batch's latency through an empty pipeline: the
 	// capacity-weighted mean of the per-device service times (the share of
@@ -90,9 +84,6 @@ type ServingPrediction struct {
 	// CapacityRPS is the saturation throughput: Σ_d BatchSize/CycleSec_d.
 	CapacityRPS float64
 	Utilization float64 // offered load over capacity
-	// ThroughputRPS is the predicted served rate: the offered load, capped
-	// by capacity.
-	ThroughputRPS float64
 	// BatchWaitSec is the mean time a request spends in the batcher before
 	// its batch closes.
 	BatchWaitSec   float64
@@ -129,7 +120,7 @@ func servingCycleSec(st StageTimes) float64 { return Pipeline{TFP: true}.Steady(
 // stage vector of the kind-aware router and of PredictServing's pool
 // aggregation: ServingStageFor at the expected sampled-set sizes, with the
 // forward priced analytically.
-func (m *Model) ServingBatchStage(device, computed, sampThreads, loadThreads int) (StageTimes, error) {
+func (m *Model) ServingBatchStage(device, computed int) (StageTimes, error) {
 	if device < 0 || device > len(m.Plat.Accels) {
 		return StageTimes{}, fmt.Errorf("perfmodel: serving device %d outside [0,%d]",
 			device, len(m.Plat.Accels))
@@ -137,27 +128,25 @@ func (m *Model) ServingBatchStage(device, computed, sampThreads, loadThreads int
 	if computed <= 0 {
 		return StageTimes{}, nil
 	}
-	quarter := m.Plat.TotalCPUCores() / 4
-	if sampThreads <= 0 {
-		sampThreads = max(1, quarter)
-	}
-	if loadThreads <= 0 {
-		loadThreads = max(1, quarter)
-	}
 	sz := m.Work.SizesFor(computed)
 	var edges float64
 	for _, e := range sz.EL {
 		edges += e
 	}
-	return m.ServingStageFor(device, sz, edges, sampThreads, loadThreads, -1), nil
+	return m.ServingStageFor(device, sz, edges, -1), nil
 }
+
+// servingThreads is the CPU threads a serving batch charges for sampling,
+// and again for gathering: a quarter of the cores each, the training
+// runtime's initial split (InitialAssignment), and at least one.
+func (m *Model) servingThreads() int { return max(1, m.Plat.TotalCPUCores()/4) }
 
 // ServingStageFor is the serving price list: the stage vector of one batch
 // with sampled-set sizes sz and `edges` traversed sampling edges on a bound
-// worker device, charged to sampThreads/loadThreads CPU threads. The router
-// predicts with it at the expected sizes (ServingBatchStage) and the
-// executing worker charges it at the sizes it actually sampled, so the two
-// cannot drift apart. Device 0 is the host CPU peer (propagation on the
+// worker device, sampling and gathering each charged to a quarter of the
+// platform's cores (servingThreads). The router predicts with it at the
+// expected sizes (ServingBatchStage) and the executing worker charges it at
+// the sizes it actually sampled, so the two cannot drift apart. Device 0 is the host CPU peer (propagation on the
 // trainer's core share, no PCIe); device i > 0 is Plat.Accels[i-1], whose
 // features cross its own host link and, for framework-driven devices
 // (Device.LoaderGBs), load through that stack. forwardSec is the raw forward
@@ -166,12 +155,13 @@ func (m *Model) ServingBatchStage(device, computed, sampThreads, loadThreads int
 // analytically — FPGA devices by the account's size-vector mirror
 // (EstimateForwardSec), everything else by the forward half of Eq. 10. All
 // propagation carries ServingOverheads.
-func (m *Model) ServingStageFor(device int, sz Sizes, edges float64, sampThreads, loadThreads int, forwardSec float64) StageTimes {
-	st := StageTimes{SampCPU: m.SampleTimeCPUEdges(edges, sampThreads)}
+func (m *Model) ServingStageFor(device int, sz Sizes, edges, forwardSec float64) StageTimes {
+	threads := m.servingThreads()
+	st := StageTimes{SampCPU: m.SampleTimeCPUEdges(edges, threads)}
 	if device == 0 {
-		st.Load = m.LoadTimeForRows(sz.VL[0], loadThreads)
+		st.Load = m.LoadTimeForRows(sz.VL[0], threads)
 		cores := m.Plat.TotalCPUCores()
-		share := float64(cores-sampThreads-loadThreads) / float64(cores)
+		share := float64(cores-2*threads) / float64(cores)
 		if share <= 0 {
 			share = 0.5
 		}
@@ -179,7 +169,7 @@ func (m *Model) ServingStageFor(device int, sz Sizes, edges float64, sampThreads
 		return st
 	}
 	dev := m.Plat.Accels[device-1]
-	st.Load = m.loadTimeForDevice(device-1, sz.VL[0], loadThreads)
+	st.Load = m.loadTimeForDevice(device-1, sz.VL[0], threads)
 	st.Trans = m.TransferTimeDev(device-1, sz)
 	if forwardSec < 0 && dev.Kind == hw.FPGA {
 		// Like every other perfmodel equation, the estimate prices the
@@ -237,25 +227,17 @@ func (m *Model) PredictServing(l ServingLoad) (ServingPrediction, error) {
 
 	p.PerDevice = make([]ServingDevicePrediction, len(l.Devices))
 	for i, d := range l.Devices {
-		st, err := m.ServingBatchStage(d, computed, l.SampThreads, l.LoadThreads)
+		st, err := m.ServingBatchStage(d, computed)
 		if err != nil {
 			return ServingPrediction{}, err
 		}
 		dp := ServingDevicePrediction{
-			Device:     d,
 			Stage:      st,
 			ServiceSec: ServingServiceSec(st),
 			CycleSec:   servingCycleSec(st),
 		}
 		dp.CapacityRPS = p.BatchSize / dp.CycleSec
 		p.PerDevice[i] = dp
-
-		// Pool stage aggregate: maxima, the StageTimes convention.
-		p.Stage.SampCPU = math.Max(p.Stage.SampCPU, st.SampCPU)
-		p.Stage.Load = math.Max(p.Stage.Load, st.Load)
-		p.Stage.Trans = math.Max(p.Stage.Trans, st.Trans)
-		p.Stage.TrainCPU = math.Max(p.Stage.TrainCPU, st.TrainCPU)
-		p.Stage.TrainAcc = math.Max(p.Stage.TrainAcc, st.TrainAcc)
 		p.CapacityRPS += dp.CapacityRPS
 	}
 	// Pool service time: capacity-weighted mean of the per-device service
@@ -265,7 +247,6 @@ func (m *Model) PredictServing(l ServingLoad) (ServingPrediction, error) {
 	}
 	p.CycleSec = float64(len(l.Devices)) * p.BatchSize / p.CapacityRPS
 	p.Utilization = l.RatePerSec / p.CapacityRPS
-	p.ThroughputRPS = math.Min(l.RatePerSec, p.CapacityRPS)
 
 	// First-order latency: batcher wait + service, plus an M/D/c-style
 	// queueing term that diverges as utilization approaches 1.

@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/datagen"
@@ -90,10 +91,12 @@ func TestPredictServingMonotonicity(t *testing.T) {
 	if warm.ServiceSec >= cold.ServiceSec || warm.CapacityRPS <= cold.CapacityRPS {
 		t.Fatalf("cache relief missing: service %v vs %v", warm.ServiceSec, cold.ServiceSec)
 	}
-	// Fully cached: no pipeline work at all.
+	// Fully cached: no pipeline work at all, on any worker.
 	free := at(2e-3, 0)
-	if free.Stage.SampCPU != 0 || free.Stage.TrainAcc != 0 {
-		t.Fatalf("compute charged at 100%% hit rate: %+v", free.Stage)
+	for _, d := range free.PerDevice {
+		if d.Stage.SampCPU != 0 || d.Stage.TrainAcc != 0 {
+			t.Fatalf("compute charged at 100%% hit rate: %+v", d.Stage)
+		}
 	}
 }
 
@@ -164,14 +167,14 @@ func TestPredictServingMixedPool(t *testing.T) {
 // ServingBatchStage input validation and the empty-batch degenerate case.
 func TestServingBatchStageValidation(t *testing.T) {
 	m := servingModel(t)
-	if _, err := m.ServingBatchStage(99, 8, 0, 0); err == nil {
+	if _, err := m.ServingBatchStage(99, 8); err == nil {
 		t.Fatal("out-of-range device accepted")
 	}
 	if _, err := m.PredictServing(ServingLoad{RatePerSec: 1000, MaxBatch: 8,
 		ComputeFrac: 1, Devices: []int{7}}); err == nil {
 		t.Fatal("out-of-range binding accepted")
 	}
-	st, err := m.ServingBatchStage(1, 0, 0, 0)
+	st, err := m.ServingBatchStage(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +193,7 @@ func TestPredictServingOverloadDiverges(t *testing.T) {
 	if p.Utilization <= 1 {
 		t.Fatalf("utilization %v at absurd load", p.Utilization)
 	}
-	if p.ThroughputRPS != p.CapacityRPS {
-		t.Fatalf("overload throughput %v should cap at capacity %v", p.ThroughputRPS, p.CapacityRPS)
+	if !math.IsInf(p.P50Sec, 1) || !math.IsInf(p.P99Sec, 1) {
+		t.Fatalf("latency p50 %v / p99 %v finite past capacity", p.P50Sec, p.P99Sec)
 	}
 }

@@ -59,10 +59,9 @@ type Config struct {
 
 // Result reports a simulated epoch.
 type Result struct {
-	EpochSec    float64
-	IterSec     []float64 // completion-time deltas per iteration
-	FinalAssign perfmodel.Assignment
-	MTEPS       float64
+	EpochSec float64
+	IterSec  []float64 // completion-time deltas per iteration
+	MTEPS    float64
 	// Trace holds the per-iteration stage times (after overheads/noise,
 	// before the pipeline's barriers), the raw series behind the figures.
 	Trace []perfmodel.StageTimes
@@ -119,7 +118,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	res.EpochSec = pipe.Now()
-	res.FinalAssign = assign.Clone() // the controller may own assign's storage
 	if res.EpochSec > 0 {
 		res.MTEPS = totalEdges / res.EpochSec / 1e6
 	}

@@ -1,5 +1,9 @@
-// Package reach holds one test: every function the module ships is reached
-// from a program, or is on an allow-list that says why it stays.
+// Package reach holds two tests of what the module ships against what its
+// programs run: every function is reached from a program
+// (TestShippedCodeIsReached), and every struct field under internal/ that
+// program code reads is set by a program, and read if set
+// (TestShippedFieldsAreSet). Each has an allow-list that says why an
+// exception stays.
 //
 // The analysis type-checks every non-test package of the module under the
 // host's build constraints (go/build) and walks references from the roots:
@@ -126,9 +130,10 @@ func (m *module) load(path string) (*pkg, error) {
 		return nil, err
 	}
 	p := &pkg{info: &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
@@ -210,10 +215,44 @@ func (m *module) funcKey(f *types.Func) string {
 	return strings.ReplaceAll(name, m.path+"/", "")
 }
 
+// reachability is the result of the walk from the programs' roots.
+type reachability struct {
+	bodies  map[*types.Func]*ast.BlockStmt // every declared function; nil body: assembly
+	reached map[*types.Func]bool
+	// roots are the init functions and package-variable declarations of the
+	// packages programs import: code that runs without being named.
+	roots []ast.Node
+}
+
+// code returns every node that runs in some program: the roots and the
+// bodies of the reached functions.
+func (r *reachability) code() []ast.Node {
+	out := append([]ast.Node(nil), r.roots...)
+	for fn := range r.reached {
+		if body := r.bodies[fn]; body != nil {
+			out = append(out, body)
+		}
+	}
+	return out
+}
+
 // unreached returns the module's declared functions no root reaches, in
 // source order.
 func (m *module) unreached() []*types.Func {
-	bodies := map[*types.Func]*ast.BlockStmt{} // every declared function; nil body: assembly
+	r := m.reach()
+	var out []*types.Func
+	for fn := range r.bodies {
+		if !r.reached[fn] {
+			out = append(out, fn)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
+	return out
+}
+
+// reach walks references from the programs' roots.
+func (m *module) reach() *reachability {
+	bodies := map[*types.Func]*ast.BlockStmt{}
 	var roots []ast.Node
 	var rootFuncs []*types.Func
 	programs := map[*types.Package]bool{}
@@ -288,14 +327,7 @@ func (m *module) unreached() []*types.Func {
 			walk(body)
 		}
 	}
-	var out []*types.Func
-	for fn := range bodies {
-		if !reached[fn] {
-			out = append(out, fn)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
-	return out
+	return &reachability{bodies: bodies, reached: reached, roots: roots}
 }
 
 // closure returns the packages the programs import, directly or not, the
