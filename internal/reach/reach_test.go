@@ -51,7 +51,6 @@ var allowed = map[string]string{
 	// Graph invariant checkers and the oracles of the source-sorted scatter.
 	"(*graph.Graph).Validate":          "CSR invariant checker the generator and graph tests assert",
 	"(*graph.Partition).Validate":      "partition invariant checker the partition tests assert",
-	"(*graph.Graph).Degree":            "stored degree the sampler tests check take-all blocks against",
 	"(*graph.Graph).InDegrees":         "GCN's Eq. 3 degrees (Config.Degrees) in tests; ROADMAP schedules wiring it in",
 	"(*graph.Graph).OutDegrees":        "checked against Reverse().InDegrees in the graph tests",
 	"(*graph.Graph).SortNeighborLists": "canonical neighbor order for graph-equality tests",

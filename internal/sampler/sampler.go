@@ -118,7 +118,11 @@ type Sampler struct {
 	gen     uint32
 	visited []uint32
 	local   []int32
-	scratch []int32 // one destination's drawn neighbors then their positions, sized 2·max(Fanouts)
+	// The choose pass's output for one layer: the destinations whose degree
+	// exceeds the fan-out, in frontier order, and the neighbors each chose,
+	// the k-th's at [k·fanout, (k+1)·fanout).
+	drawn []int32
+	picks []int32
 }
 
 // New creates a sampler. Fanouts must be non-negative; 0 means "no sampling,
@@ -194,11 +198,12 @@ func (s *Sampler) SampleInto(mb *MiniBatch, targets []int32, rng *tensor.RNG) er
 	return nil
 }
 
-// Reserve grows mb so that SampleInto never reallocates it for up to n
-// targets: a layer's destinations are the sources of the layer above, its
-// sources at most its destinations × (1 + fanout) and its edges at most
-// destinations × fanout. Layers under an exact (fanout 0) one have no such
-// bound and keep growing on demand.
+// Reserve grows mb, and the sampler's choose buffers, so that SampleInto
+// never reallocates them for up to n targets: a layer's destinations are the
+// sources of the layer above, its sources at most its destinations ×
+// (1 + fanout) and its edges (and picks) at most destinations × fanout.
+// Layers under an exact (fanout 0) one have no such bound and keep growing
+// on demand.
 func (s *Sampler) Reserve(mb *MiniBatch, n int) {
 	for len(mb.Blocks) < len(s.Fanouts) {
 		mb.Blocks = append(mb.Blocks, &Block{})
@@ -207,40 +212,53 @@ func (s *Sampler) Reserve(mb *MiniBatch, n int) {
 	if s.Labels != nil {
 		mb.Labels = slices.Grow(mb.Labels[:0], n)
 	}
-	dst := n
+	dst, drawn, picks := n, 0, 0
 	for l := len(s.Fanouts) - 1; l >= 0 && s.Fanouts[l] > 0; l-- {
 		b := mb.Blocks[l]
 		b.RowPtr = slices.Grow(b.RowPtr[:0], dst+1)
 		b.Col = slices.Grow(b.Col[:0], dst*s.Fanouts[l])
+		drawn, picks = max(drawn, dst), max(picks, dst*s.Fanouts[l])
 		dst *= 1 + s.Fanouts[l]
 		b.Src = slices.Grow(b.Src[:0], dst)
 	}
+	s.drawn = slices.Grow(s.drawn[:0], drawn)
+	s.picks = slices.Grow(s.picks[:0], picks)
 }
 
-// ensureScratch lazily builds the O(|V|) lookup arrays and the subset-draw
-// buffer SampleInto needs.
+// ensureScratch lazily builds the O(|V|) lookup arrays SampleInto needs.
 func (s *Sampler) ensureScratch() {
 	if s.visited == nil {
 		s.visited = make([]uint32, s.G.NumVertices)
 		s.local = make([]int32, s.G.NumVertices)
 	}
-	maxF := 0
-	for _, f := range s.Fanouts {
-		if f > maxF {
-			maxF = f
-		}
-	}
-	if len(s.scratch) < 2*maxF {
-		s.scratch = make([]int32, 2*maxF)
-	}
 }
 
-// sampleLayerInto builds one block in reused storage: for each dst in
-// frontier, sample up to fanout in-neighbors, mapping global to local
-// indices through the sampler's generation-stamped arrays (last write wins
-// for duplicate destinations, first occurrence wins for shared sources).
+// chooseWork is one Floyd draw in tensor.FanOut's float32
+// element-operations, whose grain (2²¹) is ≈ 0.2 ms of single-core time,
+// ≈ 10 operations per ns. On a 2-core Xeon a draw with its linear search of
+// the positions already chosen (≈ 12 compares at fan-out 25) takes ≈ 15 ns
+// with the neighbor list in cache and ≈ 21 ns over an RMAT graph's lists.
+// Scanned on fpga-hot's training wall (3 runs each, rotated with the
+// one-goroutine sampler this replaced): 50, 200 and 800 read +7.6, +9.0 and
+// +5.9 %; 800 also splits the fan-out-10 layer, whose passes are ≈ 0.1 ms.
+// A serving batch (≤ 32 targets at fan-outs 10 and 5) stays far below the
+// grain.
+const chooseWork = 200
+
+// sampleLayerInto builds one block in reused storage in two passes. The
+// choose pass draws the neighbors of every destination whose degree exceeds
+// fanout into s.picks; above the fan-out grain it runs on
+// tensor.ParallelRows workers, each starting at its first destination's
+// offset in rng's stream, so the picks, and where rng is left, are those of
+// one sequential loop at any parallelism. The dedup pass then walks frontier
+// in order, mapping global to local indices through the sampler's
+// generation-stamped arrays (last write wins for duplicate destinations,
+// first occurrence wins for shared sources).
 func (s *Sampler) sampleLayerInto(blk *Block, frontier []int32, fanout int, rng *tensor.RNG) {
 	nDst := len(frontier)
+	if fanout > 0 {
+		s.choose(frontier, fanout, rng)
+	}
 	blk.Src = append(blk.Src[:0], frontier...)
 	s.gen++
 	if s.gen == 0 { // stamp wrap: clear and restart at 1
@@ -255,11 +273,11 @@ func (s *Sampler) sampleLayerInto(blk *Block, frontier []int32, fanout int, rng 
 	}
 	blk.RowPtr = append(blk.RowPtr[:0], 0)
 	blk.Col = blk.Col[:0]
+	picks := s.picks
 	for _, v := range frontier {
-		nbrs := s.G.Neighbors(v)
-		chosen := nbrs // fanout 0: exact neighborhood, no sampling
-		if fanout > 0 {
-			chosen = sampleWithoutReplacement(nbrs, fanout, s.scratch, rng)
+		chosen := s.G.Neighbors(v) // fanout 0 or degree ≤ fanout: take all
+		if fanout > 0 && len(chosen) > fanout {
+			chosen, picks = picks[:fanout], picks[fanout:]
 		}
 		for _, u := range chosen {
 			li := s.local[u]
@@ -278,34 +296,72 @@ func (s *Sampler) sampleLayerInto(blk *Block, frontier []int32, fanout int, rng 
 	blk.Dst = blk.Src[:nDst]
 }
 
-// sampleWithoutReplacement returns nbrs itself, consuming no rng draws, when
-// len(nbrs) ≤ k; otherwise a uniform k-subset of its *positions* by Floyd's
-// algorithm, in exactly k rng draws and O(k²) compares whatever the degree
-// (k is a fanout, ≤ 25 in this tree, so the chosen positions are searched
-// linearly). Positions, not values: a vertex listed m times (a multi-edge) is
-// m times as likely to be drawn, and may be drawn more than once. scratch
-// (len ≥ 2k) holds the result, valid until the next call, then the positions.
-func sampleWithoutReplacement(nbrs []int32, k int, scratch []int32, rng *tensor.RNG) []int32 {
-	n := len(nbrs)
+// choose fills s.drawn and s.picks for frontier. Only a destination whose
+// degree exceeds fanout draws: the k-th such destination reads draws
+// [k·fanout, (k+1)·fanout) past rng, and rng ends len(s.drawn)·fanout draws
+// past where it started. Splitting the drawing destinations, not the
+// frontier, gives every worker the same number of draws: the frontier's
+// first-seen sources are biased to high degree.
+func (s *Sampler) choose(frontier []int32, fanout int, rng *tensor.RNG) {
+	s.drawn = s.drawn[:0]
+	for _, v := range frontier {
+		if s.G.Degree(v) > fanout {
+			s.drawn = append(s.drawn, v)
+		}
+	}
+	n, work := len(s.drawn), fanout*chooseWork
+	s.picks = slices.Grow(s.picks[:0], n*fanout)[:n*fanout]
+	if tensor.FanOut(n, work) <= 1 {
+		s.chooseRange(s.drawn, fanout, s.picks, rng)
+		return
+	}
+	start := *rng
+	tensor.ParallelRows(n, work, func(lo, hi int) {
+		r := start
+		r.Skip(uint64(lo * fanout))
+		s.chooseRange(s.drawn[lo:hi], fanout, s.picks[lo*fanout:hi*fanout], &r)
+	})
+	rng.Skip(uint64(n * fanout))
+}
+
+// chooseRange draws the neighbors of each destination in drawn, in order,
+// into its fanout-wide stride of picks.
+func (s *Sampler) chooseRange(drawn []int32, fanout int, picks []int32, rng *tensor.RNG) {
+	for k, v := range drawn {
+		sampleWithoutReplacement(s.G.Neighbors(v), picks[k*fanout:(k+1)*fanout], rng)
+	}
+}
+
+// sampleWithoutReplacement returns nbrs itself, consuming no rng draws and
+// writing nothing, when len(nbrs) ≤ k = len(out); otherwise it fills out with
+// the neighbors at a uniform k-subset of nbrs's *positions*, drawn by Floyd's
+// algorithm in exactly k rng draws and O(k²) compares whatever the degree (k
+// is a fanout, ≤ 25 in this tree, so the chosen positions are searched
+// linearly), and returns out. Positions, not values: a vertex listed m times
+// (a multi-edge) is m times as likely to be drawn, and may be drawn more than
+// once. out holds the positions first, then their neighbors.
+func sampleWithoutReplacement(nbrs, out []int32, rng *tensor.RNG) []int32 {
+	n, k := len(nbrs), len(out)
 	if n <= k {
 		return nbrs
 	}
-	res, pos := scratch[:k], scratch[k:2*k]
-	for i := range res {
+	for i := range out {
 		// Position j = n−k+i enters the candidate range this round: draw t
 		// from [0, j] and, if t is already chosen, take j instead.
 		j := n - k + i
 		t := int32(rng.Intn(j + 1))
-		for _, p := range pos[:i] {
+		for _, p := range out[:i] {
 			if p == t {
 				t = int32(j)
 				break
 			}
 		}
-		pos[i] = t
-		res[i] = nbrs[t]
+		out[i] = t
 	}
-	return res
+	for i, p := range out {
+		out[i] = nbrs[p]
+	}
+	return out
 }
 
 // Batcher iterates epochs over a training set in shuffled fixed-size batches
@@ -365,8 +421,9 @@ func (b *Batcher) Next() []int32 {
 // fanouts, and average degree Ē = E/V. Duplicate-vertex collapse is modeled
 // with the birthday-collision expectation: k uniform draws from N vertices
 // yield N(1 − (1−1/N)^k) distinct. Layer index 0 is the input-most layer, as
-// in MiniBatch.Blocks. vl[l] is |Dst| of block l... vl has length L+1 with
-// vl[L] = batchSize (targets) and vl[0] = |V0| (input nodes).
+// in MiniBatch.Blocks. vl has length L+1: vl[l] is |Src| of block l, which
+// is |Dst| of block l−1, so vl[0] = |V0| (input nodes) and vl[L] = batchSize
+// (the targets, block L−1's Dst); el[l] is |E| of block l.
 func ExpectedSizes(numVertices, avgDegree float64, batchSize int, fanouts []int) (vl []float64, el []float64) {
 	L := len(fanouts)
 	vl = make([]float64, L+1)

@@ -1,7 +1,9 @@
 package sampler
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -430,12 +432,12 @@ func sampleLayerRef(s *Sampler, frontier []int32, fanout int, rng *tensor.RNG) *
 	}
 	rowPtr := make([]int32, len(dst)+1)
 	col := make([]int32, 0, len(dst)*max(fanout, 1))
-	scratch := make([]int32, 2*fanout)
+	out := make([]int32, fanout)
 	for i, v := range dst {
 		nbrs := s.G.Neighbors(v)
 		chosen := nbrs // fanout 0: exact neighborhood, no sampling
 		if fanout > 0 {
-			chosen = sampleWithoutReplacement(nbrs, fanout, scratch, rng)
+			chosen = sampleWithoutReplacement(nbrs, out, rng)
 		}
 		for _, u := range chosen {
 			li, ok := local[u]
@@ -556,6 +558,58 @@ func TestSampleIntoGenerationWrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	mbEqual(t, want, mb)
+}
+
+// TestSampleIntoDigestAcrossParallelism pins the blocks and where the
+// caller's rng is left to the digest the sequential sampler produced, at
+// every fan-out bound. Layer 0's drawing destinations are asserted to split
+// as many ways as the bound allows, so its choose pass runs on workers that
+// each start at their own offset in the stream.
+func TestSampleIntoDigestAcrossParallelism(t *testing.T) {
+	const want = 0x6aec223a85855d07
+	g := testGraph(t, 20000, 400000, 25)
+	s, err := New(g, []int{25, 10}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tensor.SetParallelism(tensor.Parallelism())
+	for _, par := range []int{1, 2, 4} {
+		tensor.SetParallelism(par)
+		rng := tensor.NewRNG(17)
+		mb := &MiniBatch{}
+		h := fnv.New64a()
+		var buf []byte
+		for round := 0; round < 2; round++ {
+			targets := make([]int32, 2048)
+			for i := range targets {
+				targets[i] = int32((i*37 + round*11) % g.NumVertices)
+			}
+			if err := s.SampleInto(mb, targets, rng); err != nil {
+				t.Fatal(err)
+			}
+			drawing := 0
+			for _, v := range mb.Blocks[0].Dst {
+				if g.Degree(v) > s.Fanouts[0] {
+					drawing++
+				}
+			}
+			if par > 1 && tensor.FanOut(drawing, s.Fanouts[0]*chooseWork) < par {
+				t.Fatalf("layer 0's %d drawing destinations split fewer than %d ways", drawing, par)
+			}
+			for _, b := range mb.Blocks {
+				for _, xs := range [][]int32{b.Src, b.RowPtr, b.Col} {
+					for _, x := range xs {
+						buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
+					}
+				}
+			}
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, rng.Uint64())
+		h.Write(buf)
+		if got := h.Sum64(); got != want {
+			t.Errorf("par %d: digest %#x, want %#x", par, got, uint64(want))
+		}
+	}
 }
 
 // A warm sampler + mini-batch pair must sample without allocating.

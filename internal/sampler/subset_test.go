@@ -96,9 +96,9 @@ func TestSampleUniformSubsets(t *testing.T) {
 		}
 		cells := len(index)
 		counts := make([]int, cells)
-		nbrs, scratch, rng := identity(n), make([]int32, 2*k), tensor.NewRNG(12)
+		nbrs, out, rng := identity(n), make([]int32, k), tensor.NewRNG(12)
 		for i := 0; i < cells*perCell; i++ {
-			got := sampleWithoutReplacement(nbrs, k, scratch, rng)
+			got := sampleWithoutReplacement(nbrs, out, rng)
 			key := [k]int32{got[0], got[1], got[2]}
 			slices.Sort(key[:])
 			cell, ok := index[key]
@@ -123,9 +123,9 @@ func TestSampleUniformSubsets(t *testing.T) {
 		{26, 25, 20000}, {50, 25, 20000}, {1000, 10, 200000},
 	} {
 		counts := make([]int, sh.n)
-		nbrs, scratch, rng := identity(sh.n), make([]int32, 2*sh.k), tensor.NewRNG(uint64(sh.n))
+		nbrs, out, rng := identity(sh.n), make([]int32, sh.k), tensor.NewRNG(uint64(sh.n))
 		for i := 0; i < sh.trials; i++ {
-			for _, p := range sampleWithoutReplacement(nbrs, sh.k, scratch, rng) {
+			for _, p := range sampleWithoutReplacement(nbrs, out, rng) {
 				counts[p]++
 			}
 		}
@@ -151,9 +151,9 @@ func TestSampleUniformByPositionNotValue(t *testing.T) {
 	mult := map[int32]int{7: 6, 3: 3, 9: 2, 5: 1}
 	seen := map[int32]int{}
 	repeated := false
-	scratch, rng := make([]int32, 2*k), tensor.NewRNG(5)
+	out, rng := make([]int32, k), tensor.NewRNG(5)
 	for i := 0; i < trials; i++ {
-		got := sampleWithoutReplacement(nbrs, k, scratch, rng)
+		got := sampleWithoutReplacement(nbrs, out, rng)
 		if len(got) != k {
 			t.Fatalf("drew %d of %d, want %d", len(got), n, k)
 		}
