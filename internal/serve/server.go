@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -251,9 +250,8 @@ type server struct {
 	router    router
 
 	stats           *Stats
-	latencies       []float64
-	latClasses      []SLOClass // class of latencies[i], for per-class quantiles
-	latDone         []float64  // completion time of latencies[i], for the fault window
+	latKeys         []uint64 // math.Float64bits of each answered request's latency
+	latTags         []uint8  // latKeys[i]'s class and fault-window tag (latencyTag)
 	lastCompletion  float64
 	batchReqSum     int
 	computedBatches int
@@ -431,10 +429,9 @@ func newServer(cfg Config) (*server, error) {
 
 		// One entry per request served: a replay serves the trace's
 		// min(NumRequests, len) requests, not NumRequests.
-		stats:      &Stats{Routes: make([]int, 0, len(arrivals))},
-		latencies:  make([]float64, 0, len(arrivals)),
-		latClasses: make([]SLOClass, 0, len(arrivals)),
-		latDone:    make([]float64, 0, len(arrivals)),
+		stats:   &Stats{Routes: make([]int, 0, len(arrivals))},
+		latKeys: make([]uint64, 0, len(arrivals)),
+		latTags: make([]uint8, 0, len(arrivals)),
 
 		health:      health,
 		retryBudget: retryBudget,
@@ -479,9 +476,8 @@ func streamRNG(cfg Config) *tensor.RNG {
 // computed says whether the routed worker answered it (false: the cache
 // did, and its completion belongs to the host).
 func (s *server) serveReq(r Request, done float64, computed bool) {
-	s.latencies = append(s.latencies, done-r.Arrival)
-	s.latClasses = append(s.latClasses, r.Class)
-	s.latDone = append(s.latDone, done)
+	s.latKeys = append(s.latKeys, math.Float64bits(done-r.Arrival))
+	s.latTags = append(s.latTags, latencyTag(r.Class, done >= s.health.firstFailSec))
 	if r.Class < NumClasses {
 		s.stats.PerClass[r.Class].Served++
 	}
@@ -886,8 +882,13 @@ func (s *server) finish() (*Stats, error) {
 		return nil, err
 	}
 	stats := s.stats
-	stats.Served = len(s.latencies)
-	stats.summarizeLatencies(s.latencies, s.latClasses)
+	stats.Served = len(s.latKeys)
+	for c := range stats.PerClass {
+		stats.PerClass[c].SLOSec = s.sloTargets[c]
+	}
+	if err := stats.summarizeLatencies(s.latKeys, s.latTags); err != nil {
+		return nil, err
+	}
 	hits, _, evictions := s.cache.Stats()
 	stats.CacheHits = hits
 	stats.Evictions = evictions
@@ -905,35 +906,8 @@ func (s *server) finish() (*Stats, error) {
 		stats.ThroughputRPS = float64(stats.Served) / stats.MakespanSec
 		stats.EdgesPerSec /= stats.MakespanSec
 	}
-	if s.haveSLO {
-		for i, l := range s.latencies {
-			c := s.latClasses[i]
-			if t := s.sloTargets[c]; t > 0 && l > t {
-				stats.DeadlineMisses++
-				stats.PerClass[c].DeadlineMisses++
-			}
-		}
-		for c := range stats.PerClass {
-			stats.PerClass[c].SLOSec = s.sloTargets[c]
-		}
-	}
-	if !math.IsInf(s.health.firstFailSec, 1) {
-		if s.recoveryEnd > s.health.firstFailSec {
-			stats.RecoverySec = s.recoveryEnd - s.health.firstFailSec
-		}
-		// Tail of the fault window: requests whose completions land at or
-		// after the first fail-stop.
-		var window []float64
-		for i, done := range s.latDone {
-			if done >= s.health.firstFailSec {
-				window = append(window, s.latencies[i])
-			}
-		}
-		stats.FaultWindowServed = len(window)
-		if len(window) > 0 {
-			sort.Float64s(window)
-			stats.FaultWindowP99Sec = percentile(window, 0.99)
-		}
+	if s.recoveryEnd > s.health.firstFailSec { // never with no fail-stop (+Inf)
+		stats.RecoverySec = s.recoveryEnd - s.health.firstFailSec
 	}
 	for _, w := range s.pool {
 		stats.PerDevice = append(stats.PerDevice, w.stats)

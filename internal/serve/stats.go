@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -272,15 +271,6 @@ func (s *Stats) TraceString(limit int) string {
 	return b.String()
 }
 
-// percentile returns the p-quantile (0 ≤ p ≤ 1) of sorted latencies by
-// nearest-rank (see rank).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[rank(len(sorted), p)]
-}
-
 // rank is the index of the p-quantile in n sorted samples by nearest-rank:
 // the ⌈p·n⌉-th smallest sample, clamped to the ends. The old floor-biased
 // rank int(p·(n-1)) truncated toward the optimistic side — the "p95" of 10
@@ -290,91 +280,172 @@ func rank(n int, p float64) int {
 	return min(max(int(math.Ceil(p*float64(n)))-1, 0), n-1)
 }
 
-// floatLess is sort.Float64s's order: ascending, NaN first.
-func floatLess(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }
+// A latency sample is a key, math.Float64bits of the latency, and a one-byte
+// tag: the request's class (NumClasses for any out-of-range class), plus
+// windowTag when it completed at or after the run's first fail-stop.
+const (
+	windowTag = 0x80
+	digitBits = 11 // radix digit
+	numDigits = 6  // ⌈64 / digitBits⌉ passes cover a key
+	digitMask = 1<<digitBits - 1
+)
 
-// summarizeLatencies fills the run's and every class's latency figures from
-// the parallel (latency, class) samples, sorting them once, and computes the
-// Jain fairness index over the active classes' goodput attainment. Each
-// class's samples are sorted in a bucket of their own, sized from the class's
-// Served count; samples of an out-of-range class share one more bucket and
-// count only in the run's figures. The run's order is the buckets' k-way
-// merge, and its mean is summed in that order, so every figure is the one a
-// sort of all the samples gives, bit for bit.
-func (s *Stats) summarizeLatencies(lat []float64, classes []SLOClass) {
-	var buckets [NumClasses + 1][]float64
-	rest := len(lat)
-	for c := range s.PerClass {
-		buckets[c] = make([]float64, 0, s.PerClass[c].Served)
-		rest -= s.PerClass[c].Served
+// latencyTag is the tag of a request of class c, completed inside the fault
+// window or not.
+func latencyTag(c SLOClass, inWindow bool) uint8 {
+	tag := uint8(min(c, NumClasses))
+	if inWindow {
+		tag |= windowTag
 	}
-	buckets[NumClasses] = make([]float64, 0, max(rest, 0))
-	for i, l := range lat {
-		c := min(classes[i], NumClasses)
-		buckets[c] = append(buckets[c], l)
+	return tag
+}
+
+// radixSort sorts keys ascending, stably, carrying each key's tag along, by
+// LSD passes over 11-bit digits; hist[d] is the histogram of digit d over
+// the keys, counted by the caller. A digit every key shares is skipped. It
+// returns the sorted pair: the inputs' storage or a buffer of its own.
+func radixSort(keys []uint64, tags []uint8, hist *[numDigits][1 << digitBits]int) ([]uint64, []uint8) {
+	if len(keys) == 0 {
+		return keys, tags
 	}
-	for c, b := range buckets {
-		sort.Float64s(b)
-		if c == NumClasses || len(b) == 0 {
+	keys2, tags2 := make([]uint64, len(keys)), make([]uint8, len(tags))
+	for d := range hist {
+		shift := d * digitBits
+		h := &hist[d]
+		if h[keys[0]>>shift&digitMask] == len(keys) {
 			continue
 		}
-		cs := &s.PerClass[c]
-		var sum float64
-		for _, v := range b {
-			sum += v
+		off := 0
+		for b, c := range h {
+			h[b] = off
+			off += c
 		}
-		cs.MeanSec = sum / float64(len(b))
-		cs.P50Sec = percentile(b, 0.50)
-		cs.P99Sec = percentile(b, 0.99)
-		cs.MaxSec = b[len(b)-1]
+		for i, k := range keys {
+			b := k >> shift & digitMask
+			j := h[b]
+			h[b]++
+			keys2[j], tags2[j] = k, tags[i]
+		}
+		keys, keys2 = keys2, keys
+		tags, tags2 = tags2, tags
 	}
-	if n := len(lat); n > 0 {
-		r50, r95, r99 := rank(n, 0.50), rank(n, 0.95), rank(n, 0.99)
-		var next [NumClasses + 1]int
-		var sum float64
-		for i := 0; i < n; i++ {
-			// The smallest head, in sort.Float64s's order (NaN first).
-			k := -1
-			for c, b := range buckets {
-				if next[c] < len(b) && (k < 0 || floatLess(b[next[c]], buckets[k][next[k]])) {
-					k = c
-				}
-			}
-			v := buckets[k][next[k]]
-			next[k]++
-			sum += v
-			if i == r50 {
-				s.P50Sec = v
-			}
-			if i == r95 {
-				s.P95Sec = v
-			}
-			if i == r99 {
-				s.P99Sec = v
-			}
-			s.MaxSec = v
+	return keys, tags
+}
+
+// summarizeLatencies fills the run's, every class's and the fault window's
+// latency figures and the deadline misses (against each class's SLOSec, which
+// the caller sets first) from the run's (key, tag) samples, and computes the
+// Jain fairness index over the active classes' goodput attainment. Samples of
+// an out-of-range class count only in the run's and the window's figures.
+//
+// It sorts the samples once, in linear time, reordering keys and tags: for
+// latencies ≥ +0 and not NaN, unsigned bit order is numeric order and equal
+// values share their bits, so the sorted sequence is sort.Float64s's bit for
+// bit. One ascending pass over it then yields every figure, and each mean is
+// summed in ascending order, as a sort of that subset alone would sum it. A
+// latency that is negative, −0 or NaN has no place in that order: it is an
+// error naming the answer (its index in keys) and its class.
+func (s *Stats) summarizeLatencies(keys []uint64, tags []uint8) error {
+	n := len(keys)
+	var hist [numDigits][1 << digitBits]int
+	var count [NumClasses + 1]int
+	windowN := 0
+	for i, k := range keys {
+		if k > math.Float64bits(math.Inf(1)) { // sign bit set, or NaN
+			return fmt.Errorf("serve: answer #%d (a %v request) has latency %v; a causal latency is ≥ +0 and not NaN",
+				i, SLOClass(tags[i]&^windowTag), math.Float64frombits(k))
 		}
+		count[tags[i]&^windowTag]++
+		if tags[i]&windowTag != 0 {
+			windowN++
+		}
+		// The six digits, written out: a loop over them costs this pass
+		// about twice the time.
+		hist[0][k&digitMask]++
+		hist[1][k>>(1*digitBits)&digitMask]++
+		hist[2][k>>(2*digitBits)&digitMask]++
+		hist[3][k>>(3*digitBits)&digitMask]++
+		hist[4][k>>(4*digitBits)&digitMask]++
+		hist[5][k>>(5*digitBits)&digitMask]++
+	}
+	keys, tags = radixSort(keys, tags, &hist)
+
+	r50, r95, r99, rWindow := rank(n, 0.50), rank(n, 0.95), rank(n, 0.99), rank(windowN, 0.99)
+	var c50, c99 [NumClasses]int
+	for c := range c50 {
+		c50[c], c99[c] = rank(count[c], 0.50), rank(count[c], 0.99)
+	}
+	var next [NumClasses]int
+	var sums [NumClasses]float64
+	var sum float64
+	nextWindow := 0
+	for i, k := range keys {
+		v := math.Float64frombits(k)
+		sum += v
+		if i == r50 {
+			s.P50Sec = v
+		}
+		if i == r95 {
+			s.P95Sec = v
+		}
+		if i == r99 {
+			s.P99Sec = v
+		}
+		tag := tags[i]
+		if c := tag &^ windowTag; c < NumClasses {
+			j := next[c]
+			next[c]++
+			sums[c] += v
+			cs := &s.PerClass[c]
+			if j == c50[c] {
+				cs.P50Sec = v
+			}
+			if j == c99[c] {
+				cs.P99Sec = v
+			}
+			cs.MaxSec = v
+			if cs.SLOSec > 0 && v > cs.SLOSec {
+				cs.DeadlineMisses++
+				s.DeadlineMisses++
+			}
+		}
+		if tag&windowTag != 0 {
+			if nextWindow == rWindow {
+				s.FaultWindowP99Sec = v
+			}
+			nextWindow++
+		}
+	}
+	if n > 0 {
 		s.MeanSec = sum / float64(n)
+		s.MaxSec = math.Float64frombits(keys[n-1])
 	}
+	for c, sum := range sums {
+		if count[c] > 0 {
+			s.PerClass[c].MeanSec = sum / float64(count[c])
+		}
+	}
+	s.FaultWindowServed = windowN
 	var sumX, sumX2 float64
-	n := 0
+	active := 0
 	for c := range s.PerClass {
 		cs := &s.PerClass[c]
 		if cs.Offered == 0 {
 			continue
 		}
-		n++
+		active++
 		x := float64(cs.Served) / float64(cs.Offered)
 		sumX += x
 		sumX2 += x * x
 	}
-	s.ActiveClasses = n
+	s.ActiveClasses = active
 	switch {
-	case n == 0:
+	case active == 0:
 		s.JainFairness = 0
 	case sumX2 == 0: // nothing served anywhere: equally (un)served
 		s.JainFairness = 1
 	default:
-		s.JainFairness = sumX * sumX / (float64(n) * sumX2)
+		s.JainFairness = sumX * sumX / (float64(active) * sumX2)
 	}
+	return nil
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"sort"
@@ -45,39 +47,159 @@ func summarizeBySorts(lat []float64, classes []SLOClass) Stats {
 	return s
 }
 
-// The one-sort summary — per-class buckets merged into the run's order — is
-// the two-sort one bit for bit, on samples with ties, an empty class and an
-// out-of-range class, at sizes from one sample up.
+// percentile returns the p-quantile (0 ≤ p ≤ 1) of sorted latencies by
+// nearest-rank (see rank).
+func percentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[rank(len(sorted), p)]
+}
+
+// checkSummaryMatchesSorts runs summarizeLatencies on the samples and fails
+// unless every latency figure is the two-sort oracle's bit for bit, the fault
+// window's count and p99 are those of a sort of the window's own samples
+// (completed at or after windowFrom), and the deadline misses are a count of
+// the samples over their class's target (interactive 2 ms, standard none,
+// bulk the first sample's latency).
+func checkSummaryMatchesSorts(t *testing.T, lat []float64, classes []SLOClass, done []float64, windowFrom float64) {
+	t.Helper()
+	var got Stats
+	slo := [NumClasses]float64{ClassInteractive: 2e-3, ClassBulk: lat[0]}
+	for c := range got.PerClass {
+		got.PerClass[c].SLOSec = slo[c]
+	}
+	keys, tags := make([]uint64, len(lat)), make([]uint8, len(lat))
+	for i, l := range lat {
+		keys[i], tags[i] = math.Float64bits(l), latencyTag(classes[i], done[i] >= windowFrom)
+	}
+	if err := got.summarizeLatencies(keys, tags); err != nil {
+		t.Fatal(err)
+	}
+	want := summarizeBySorts(lat, classes)
+	var window []float64
+	for i, d := range done {
+		if d >= windowFrom {
+			window = append(window, lat[i])
+		}
+	}
+	sort.Float64s(window)
+	want.FaultWindowServed = len(window)
+	want.FaultWindowP99Sec = percentile(window, 0.99)
+	for i, l := range lat {
+		if c := classes[i]; c < NumClasses && slo[c] > 0 && l > slo[c] {
+			want.DeadlineMisses++
+			want.PerClass[c].DeadlineMisses++
+		}
+	}
+	bits := func(s *Stats) []uint64 {
+		out := []uint64{math.Float64bits(s.MeanSec), math.Float64bits(s.P50Sec), math.Float64bits(s.P95Sec),
+			math.Float64bits(s.P99Sec), math.Float64bits(s.MaxSec),
+			uint64(s.FaultWindowServed), math.Float64bits(s.FaultWindowP99Sec), uint64(s.DeadlineMisses)}
+		for _, cs := range s.PerClass {
+			out = append(out, math.Float64bits(cs.MeanSec), math.Float64bits(cs.P50Sec),
+				math.Float64bits(cs.P99Sec), math.Float64bits(cs.MaxSec), uint64(cs.DeadlineMisses))
+		}
+		return out
+	}
+	if g, w := bits(&got), bits(&want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("n=%d: one-sort summary %x, two-sort %x", len(lat), g, w)
+	}
+}
+
+// The one-sort summary — one radix sort of the samples' bits, every figure
+// read off one ascending pass — is the two-sort one bit for bit, on samples
+// with ties, +0, subnormals and +Inf, an empty class and an out-of-range
+// class, at sizes from one sample past the 11-bit digit width to 100 000.
+// The first leg's latencies look like a run's (ties on every other sample).
+// In each other leg the latencies share every bit above their low `low`
+// bits, so the sort skips the digits above and must order the cluster by
+// the digits below alone: skipping the cluster's top digit scrambles it.
 func TestSummarizeLatenciesMatchesTwoSorts(t *testing.T) {
 	rng := tensor.NewRNG(5)
-	for _, n := range []int{1, 2, 7, 100, 1013} {
+	for _, low := range []int{0, 11, 22, 33, 44, 55, 63} {
+		mask := uint64(1)<<low - 1
+		base := math.Float64bits(1e-3) &^ mask
+		for _, n := range []int{1, 2, 7, 100, 1013, 2048, 2049, 20011, 100000} {
+			lat := make([]float64, n)
+			classes := make([]SLOClass, n)
+			done := make([]float64, n)
+			for i := range lat {
+				switch r := rng.Intn(20); {
+				case r == 0:
+					lat[i] = 0
+				case r == 1 && low > 0:
+					lat[i] = math.Inf(1)
+				case r == 2:
+					lat[i] = math.Float64frombits(rng.Uint64() & (1<<52 - 1)) // subnormal (or +0)
+				case low == 63:
+					lat[i] = math.Float64frombits(rng.Uint64() % math.Float64bits(math.Inf(1))) // any finite ≥ +0
+				case low > 0:
+					lat[i] = math.Float64frombits(base | rng.Uint64()&mask)
+				default:
+					lat[i] = float64(rng.Intn(50)) * 1e-4 * (1 + rng.Float64()*float64(i%2)) // ties on even i
+				}
+				classes[i] = []SLOClass{ClassInteractive, ClassBulk, NumClasses + 1}[rng.Intn(3)]
+				done[i] = float64(rng.Intn(8))
+			}
+			checkSummaryMatchesSorts(t, lat, classes, done, 5) // done 5, 6, 7: a quarter of the samples
+			checkSummaryMatchesSorts(t, lat, classes, done, math.Inf(1))
+		}
+	}
+}
+
+// FuzzSummarizeLatencies reads ten bytes per sample — the latency's bits
+// (folded to a finite value ≥ +0), its class (two in five out of range) and
+// its fault-window flag — and checks the summary against the two-sort oracle.
+func FuzzSummarizeLatencies(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0x50, 0x3f, 1, 1}, 3))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f, 4, 0,
+		0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const rec = 10
+		n := min(len(data)/rec, 4096)
+		if n == 0 {
+			return
+		}
 		lat := make([]float64, n)
 		classes := make([]SLOClass, n)
-		var served [NumClasses]int
+		done := make([]float64, n)
 		for i := range lat {
-			lat[i] = float64(rng.Intn(50)) * 1e-4 * (1 + rng.Float64()*float64(i%2)) // ties on even i
-			classes[i] = []SLOClass{ClassInteractive, ClassBulk, NumClasses + 1}[rng.Intn(3)]
-			if classes[i] < NumClasses {
-				served[classes[i]]++
-			}
+			b := data[i*rec : (i+1)*rec]
+			lat[i] = math.Float64frombits(binary.LittleEndian.Uint64(b) % math.Float64bits(math.Inf(1)))
+			classes[i] = SLOClass(b[8] % (NumClasses + 2))
+			done[i] = float64(b[9] & 1)
 		}
-		var got Stats
-		for c := range got.PerClass {
-			got.PerClass[c].Served = served[c]
+		checkSummaryMatchesSorts(t, lat, classes, done, 1)
+	})
+}
+
+// finish refuses a latency the radix keys cannot order — negative, −0 or
+// NaN — with an error naming the answer and its class, instead of
+// mis-sorting it.
+func TestFinishRejectsAcausalLatency(t *testing.T) {
+	ds, m := testSetup(t)
+	for _, c := range []struct {
+		name          string
+		arrival, done float64
+		wantLat       string
+	}{
+		{"negative", 2e-3, 1e-3, "latency -0.001"},
+		{"-0", 0, math.Copysign(0, -1), "latency -0;"},
+		{"NaN", math.NaN(), 1e-3, "latency NaN"},
+	} {
+		s, err := newServer(baseConfig(ds, m))
+		if err != nil {
+			t.Fatal(err)
 		}
-		got.summarizeLatencies(lat, classes)
-		want := summarizeBySorts(lat, classes)
-		bits := func(s *Stats) []uint64 {
-			out := []uint64{math.Float64bits(s.MeanSec), math.Float64bits(s.P50Sec), math.Float64bits(s.P95Sec),
-				math.Float64bits(s.P99Sec), math.Float64bits(s.MaxSec)}
-			for _, cs := range s.PerClass {
-				out = append(out, math.Float64bits(cs.MeanSec), math.Float64bits(cs.P50Sec),
-					math.Float64bits(cs.P99Sec), math.Float64bits(cs.MaxSec))
-			}
-			return out
-		}
-		if g, w := bits(&got), bits(&want); !reflect.DeepEqual(g, w) {
-			t.Fatalf("n=%d: one-sort summary %x, two-sort %x", n, g, w)
+		s.serveReq(Request{Arrival: 0, Class: ClassStandard}, 1e-3, false)
+		s.serveReq(Request{Arrival: c.arrival, Class: ClassBulk}, c.done, false)
+		_, err = s.finish()
+		s.stop()
+		want := "answer #1 (a bulk request) has " + c.wantLat
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: finish error %v, want one containing %q", c.name, err, want)
 		}
 	}
 }
