@@ -68,7 +68,6 @@ var allowed = map[string]string{
 	"(*serve.ShardedCache).Peek":                "reads an entry without touching recency (cache equivalence tests)",
 	"(*serve.ShardedCache).Len":                 "entry count the cache tests check",
 	"(*serve.ShardedCache).Shards":              "shard count the configuration tests check",
-	"(*serve.AdmissionController).Degraded":     "degraded-mode flag the admission and fault tests read",
 	"(*serve.AdmissionController).KindInflight": "per-kind in-flight count the admission tests read",
 	"(*serve.AdmissionController).Outstanding":  "outstanding count the admission tests read",
 

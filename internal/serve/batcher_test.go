@@ -166,8 +166,12 @@ func TestAdmissionDrainToZeroCycles(t *testing.T) {
 	}
 }
 
-// Dispatched with more completions than waiting requests (cache hits answer
-// several requests per batch slot) must clamp, not underflow.
+// DispatchedKind with more completions than waiting requests must clamp, not
+// underflow. A serving run never does this: every request is admitted in
+// offer before it can be dispatched. Only direct callers reach the clamp —
+// this test, TestDegradedAdmission's over-cancel and
+// TestDispatchHitsAttributedToHost, which dispatches requests it never
+// admitted.
 func TestAdmissionDispatchClamp(t *testing.T) {
 	a, err := NewAdmissionController(8)
 	if err != nil {

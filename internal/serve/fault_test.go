@@ -11,6 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gnn"
 	"repro/internal/hw"
+	"repro/internal/tensor"
 )
 
 // hexf renders a float64 exactly (hex mantissa), so two signatures match
@@ -50,9 +51,15 @@ func serveSig(st *Stats) string {
 	return b.String()
 }
 
+// faultSig is serveSig plus the fault counters.
+func faultSig(st *Stats) string {
+	return serveSig(st) + fmt.Sprintf("shed=%d retries=%d redisp=%d failed=%d recovery=%s fwp99=%s fwserved=%d",
+		st.Shed, st.Retries, st.Redispatched, st.FailedWorkers, hexf(st.RecoverySec), hexf(st.FaultWindowP99Sec), st.FaultWindowServed)
+}
+
 // goldenServeSig is serveSig of the golden config: a mixed FPGA+CPU-peer
-// pool under the three-cohort workload with class metering, priority
-// formation, cache evictions, and admission rejects all active. Any
+// pool under the three-cohort workload with priority formation and cache
+// evictions active. Any
 // fault-free arithmetic drift — a changed multiply, a reordered comparison,
 // a new code path taken with an empty schedule — shows up here as a bit
 // difference. First captured from the tree BEFORE the fault machinery existed
@@ -62,17 +69,23 @@ func serveSig(st *Stats) string {
 // likely) neighbours: the service times — and through them latencies, eps and
 // busy seconds — moved in the sixth significant digit, while every count,
 // the makespan, rps, batch formation, fairness and every routing decision
-// are what they were.
-const goldenServeSig = "offered=3000 served=2830 rejected=170 batches=490 computed=790 hits=2040 evict=276\n" +
-	"lat mean=0x1.b8d0b7bced357p-12 p50=0x1.13ba5d174e9p-12 p95=0x1.0899880695508p-10 p99=0x1.538a921fdc32p-10 max=0x1.992f7d55ae0cp-10\n" +
-	"makespan=0x1.fde59e65bc067p-03 rps=0x1.633582f141112p+13 eps=0x1.e84169cfb0477p+15 meanbatch=0x1.71a1f58d0fac7p+02 svc=0x1.287b8586d41c1p-11 jain=0x1.f970260df9ad2p-01\n" +
-	"class0 off=943 srv=943 rej=0 mean=0x1.3b2c21d2f2dc5p-12 p50=0x1.0624dd2f1aap-12 p99=0x1.b35dabb684cep-11 max=0x1.06e427f4ea08p-10\n" +
-	"class1 off=1297 srv=1297 rej=0 mean=0x1.d661b466ca342p-12 p50=0x1.8d214a50d1cp-12 p99=0x1.64dff3b5b07p-10 max=0x1.9884907898c8p-10\n" +
-	"class2 off=760 srv=590 rej=170 mean=0x1.20514c46a90d6p-11 p50=0x1.28b7ffa4abf8p-11 p99=0x1.6e6181313c54p-10 max=0x1.992f7d55ae0cp-10\n" +
+// are what they were. Re-recorded again when the per-class token buckets
+// left admission: class metering, and with it every admission reject, left
+// the golden (the bulk bucket rejected 170 requests; the 256-request queue
+// bound rejects none of this stream). The new value was recorded on commit
+// 9296d84, the last tree with the buckets, with only goldenServeConfig's
+// ClassRates line dropped, so deleting the buckets moved nothing else.
+// TestServeAdmissionShedsOverload pins queue-cap rejection.
+const goldenServeSig = "offered=3000 served=3000 rejected=0 batches=490 computed=843 hits=2157 evict=329\n" +
+	"lat mean=0x1.bc7c4eb841007p-12 p50=0x1.1e6682d15abp-12 p95=0x1.09af941c1674p-10 p99=0x1.5375983e22ap-10 max=0x1.99362e5034b8p-10\n" +
+	"makespan=0x1.fde59e65bc067p-03 rps=0x1.788bf2d62299dp+13 eps=0x1.02e43b2c6be83p+16 meanbatch=0x1.87d6343eb1a1fp+02 svc=0x1.286db85b967b7p-11 jain=0x1p+00\n" +
+	"class0 off=943 srv=943 rej=0 mean=0x1.38e07ae92c68ap-12 p50=0x1.0624dd2f1aap-12 p99=0x1.a9435a65e1ea8p-11 max=0x1.06e427f4ea08p-10\n" +
+	"class1 off=1297 srv=1297 rej=0 mean=0x1.d4928c60e87b9p-12 p50=0x1.874b668c459p-12 p99=0x1.64dea9178ea8p-10 max=0x1.9884907898c8p-10\n" +
+	"class2 off=760 srv=760 rej=0 mean=0x1.1b56cc372138fp-11 p50=0x1.16086a5305e8p-11 p99=0x1.6e6e4f110b9p-10 max=0x1.99362e5034b8p-10\n" +
 	"dev0 kind=FPGA batches=5 req=17 busy=0x1.ed25d368730c1p-09\n" +
-	"dev1 kind=FPGA batches=5 req=16 busy=0x1.ecf68e4f5454ap-09\n" +
-	"dev2 kind=CPU batches=356 req=757 busy=0x1.9878275fe4229p-03\n" +
-	"routes=222202222222222222222222222212222222222222222222222222222202222222222222212222222222220222212222222222222222222222222222222222222202222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222212222222222222222222222222222222222222222222222222222222222222222220222122222\n"
+	"dev1 kind=FPGA batches=5 req=17 busy=0x1.ecfa3fbe97734p-09\n" +
+	"dev2 kind=CPU batches=364 req=809 busy=0x1.a1a7cb0931ae6p-03\n" +
+	"routes=22220222222222222222222222221222222222222222222222222222220222222222222222122222222222022221222222222222222222222222222222222222222202222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222222221222222222222222222222222222222222222222222222222222222222222222222220222122222\n"
 
 // goldenServeConfig is the golden's exact configuration (do not retune:
 // goldenServeSig was captured against it).
@@ -82,7 +95,6 @@ func goldenServeConfig(ds *datagen.Dataset, m *gnn.Model) Config {
 		Fanouts: []int{8, 4}, NumRequests: 3000, RatePerSec: 12000,
 		MaxBatch: 24, WindowSec: 1e-3, Workers: 2, CPUPeer: true, SmallBatchCut: 2,
 		QueueCap: 256, CacheSize: 512, CacheShards: 2, Seed: 7, Formation: "priority",
-		ClassRates: []ClassRateLimit{{Class: ClassBulk, RatePerSec: 2500, Burst: 8}},
 		Workload: &WorkloadSpec{Cohorts: []Cohort{
 			{Name: "web", Class: ClassInteractive, Dist: DistPoisson, RatePerSec: 4000, Zipf: 1.1},
 			{Name: "api", Class: ClassStandard, Dist: DistGamma, Shape: 0.5, RatePerSec: 5000, Zipf: 1.0},
@@ -206,11 +218,7 @@ func TestScriptedFaultReplayDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigA := serveSig(a) + fmt.Sprintf("shed=%d retries=%d redisp=%d failed=%d recovery=%s fwp99=%s fwserved=%d",
-		a.Shed, a.Retries, a.Redispatched, a.FailedWorkers, hexf(a.RecoverySec), hexf(a.FaultWindowP99Sec), a.FaultWindowServed)
-	sigB := serveSig(b) + fmt.Sprintf("shed=%d retries=%d redisp=%d failed=%d recovery=%s fwp99=%s fwserved=%d",
-		b.Shed, b.Retries, b.Redispatched, b.FailedWorkers, hexf(b.RecoverySec), hexf(b.FaultWindowP99Sec), b.FaultWindowServed)
-	if sigA != sigB {
+	if sigA, sigB := faultSig(a), faultSig(b); sigA != sigB {
 		t.Fatalf("fault replay drifted:\n%s\nvs\n%s", sigA, sigB)
 	}
 }
@@ -385,5 +393,65 @@ func TestJainFairnessAllClassesStarved(t *testing.T) {
 	}
 	if st.JainFairness != 1 {
 		t.Fatalf("Jain fairness %v, want 1 for uniformly starved classes", st.JainFairness)
+	}
+}
+
+// TestGeneratedFaultSchedules runs the golden config under RNG-generated
+// serving schedules — two to six fail-stops, stalls and straggler windows
+// over workers 0–2, on whole milliseconds inside the golden's ≈ 0.249 s
+// makespan — at GOMAXPROCS 1 and 2. Every run must pass finish's ledger
+// check, replay bit for bit across the two proc counts, and keep its figures
+// ordered. (Interactive requests may shed here: shedBatch drops every
+// computed request once no worker lives.)
+func TestGeneratedFaultSchedules(t *testing.T) {
+	ds, m := testSetup(t)
+	const makespanMs = 249
+	for seed := uint64(1); seed <= 16; seed++ {
+		rng := tensor.NewRNG(seed)
+		var events []string
+		var failed [3]bool
+		for n := 2 + rng.Intn(5); len(events) < n; {
+			w := rng.Intn(3)
+			from := rng.Intn(makespanMs)
+			to := from + 1 + rng.Intn(makespanMs-from)
+			switch rng.Intn(3) {
+			case 0:
+				if failed[w] { // one fail-stop per worker
+					continue
+				}
+				failed[w] = true
+				events = append(events, fmt.Sprintf("fail,worker=%d,at=%g", w, float64(from)/1e3))
+			case 1:
+				events = append(events, fmt.Sprintf("stall,worker=%d,from=%g,to=%g", w, float64(from)/1e3, float64(to)/1e3))
+			default:
+				events = append(events, fmt.Sprintf("slow,worker=%d,from=%g,to=%g,factor=%d",
+					w, float64(from)/1e3, float64(to)/1e3, 2+rng.Intn(4)))
+			}
+		}
+		spec := strings.Join(events, ";")
+		sched, err := fault.Parse(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		cfg := goldenServeConfig(ds, m)
+		cfg.Faults = sched
+		var sigs [2]string
+		for i, procs := range []int{1, 2} {
+			var st *Stats
+			withProcs(procs, func() { st, err = Run(cfg) })
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", spec, procs, err)
+			}
+			if st.FaultWindowServed > st.Served {
+				t.Errorf("%s: fault window served %d of %d answered", spec, st.FaultWindowServed, st.Served)
+			}
+			if st.Served > 0 && !(st.P50Sec <= st.P99Sec && st.P99Sec <= st.MaxSec) {
+				t.Errorf("%s: p50 %v p99 %v max %v out of order", spec, st.P50Sec, st.P99Sec, st.MaxSec)
+			}
+			sigs[i] = faultSig(st)
+		}
+		if sigs[0] != sigs[1] {
+			t.Errorf("%s: GOMAXPROCS 2 drifted from 1:\n%s\nvs\n%s", spec, sigs[1], sigs[0])
+		}
 	}
 }

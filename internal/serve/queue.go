@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/hw"
 )
@@ -30,31 +29,10 @@ type AdmissionController struct {
 	waiting  int
 	inflight [hw.KindCount]completionHeap
 	caps     [hw.KindCount]int
-	// buckets meter admission per SLO class (dense array, no map on the
-	// admission hot path); inactive buckets admit freely.
-	buckets [NumClasses]classBucket
 	// degraded is the surviving-capacity fraction after worker fail-stops
-	// (1 = full fleet). It scales every token bucket's refill rate — the
-	// multiply by 1.0 is bit-exact, so a fault-free run's admission
-	// arithmetic is untouched — and drives ShedClass's bulk-before-
-	// interactive shedding order.
+	// (1 = full fleet); it drives ShedClass's bulk-before-interactive
+	// shedding order.
 	degraded float64
-}
-
-// ClassRateLimit meters one SLO class's admission with a token bucket on
-// the virtual clock: RatePerSec sustained refill, Burst tokens of depth.
-type ClassRateLimit struct {
-	Class      SLOClass
-	RatePerSec float64
-	Burst      int
-}
-
-// classBucket is one SLO class's token-bucket state.
-type classBucket struct {
-	rate, burst float64
-	tokens      float64
-	last        float64 // virtual time of the last refill
-	active      bool
 }
 
 // NewAdmissionController builds a controller; capacity must be positive.
@@ -65,34 +43,21 @@ func NewAdmissionController(capacity int) (*AdmissionController, error) {
 	return &AdmissionController{capacity: capacity, degraded: 1}, nil
 }
 
-// SetDegraded records the surviving-capacity fraction (clamped to [0, 1]):
-// class token buckets refill at rate × frac from the next AdmitClass on, and
-// ShedClass starts shedding the classes the surviving fleet can no longer
-// afford. Frac 1 restores healthy behavior exactly.
-func (a *AdmissionController) SetDegraded(frac float64) {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	a.degraded = frac
-}
-
-// Degraded returns the current surviving-capacity fraction.
-func (a *AdmissionController) Degraded() float64 { return a.degraded }
+// SetDegraded records the surviving-capacity fraction: ShedClass starts
+// shedding the classes the surviving fleet can no longer afford. Frac 1 (or
+// more) restores healthy behavior exactly; frac 0 (or less) sheds every class
+// but interactive.
+func (a *AdmissionController) SetDegraded(frac float64) { a.degraded = frac }
 
 // ShedClass reports whether degraded-mode admission sheds this class before
 // it reaches the queue: bulk is shed under any capacity loss, standard once
 // less than half the fleet survives, interactive never (the shedding order
 // that keeps the tightest SLOs alive on the surviving capacity).
 func (a *AdmissionController) ShedClass(class SLOClass) bool {
-	switch {
-	case a.degraded >= 1 || class >= NumClasses:
-		return false
-	case class == ClassBulk:
-		return true
-	case class == ClassStandard:
+	switch class {
+	case ClassBulk:
+		return a.degraded < 1
+	case ClassStandard:
 		return a.degraded < 0.5
 	}
 	return false
@@ -100,7 +65,10 @@ func (a *AdmissionController) ShedClass(class SLOClass) bool {
 
 // Cancel releases n waiting slots without completions — requests that were
 // admitted but then shed (their batch exhausted its retry budget with no
-// live worker), so admission capacity is not leaked to dead work.
+// live worker), so admission capacity is not leaked to dead work. A serving
+// run admits every request in offer before it can be dispatched or shed, so
+// it never cancels more than are waiting; the clamp at zero only guards
+// direct callers that do.
 func (a *AdmissionController) Cancel(n int) {
 	a.waiting -= n
 	if a.waiting < 0 {
@@ -115,50 +83,6 @@ func (a *AdmissionController) SetKindCap(kind hw.Kind, cap int) {
 		cap = 0
 	}
 	a.caps[kind] = cap
-}
-
-// SetClassRate meters an SLO class with a token bucket: sustained
-// ratePerSec refill and burst tokens of depth (burst < 1 clamps to 1). The
-// bucket starts full.
-func (a *AdmissionController) SetClassRate(class SLOClass, ratePerSec float64, burst int) error {
-	if class >= NumClasses {
-		return fmt.Errorf("serve: SLO class %d out of range", class)
-	}
-	if ratePerSec <= 0 {
-		return fmt.Errorf("serve: non-positive class rate %v for %s", ratePerSec, class)
-	}
-	if burst < 1 {
-		burst = 1
-	}
-	a.buckets[class] = classBucket{
-		rate: ratePerSec, burst: float64(burst), tokens: float64(burst), active: true,
-	}
-	return nil
-}
-
-// AdmitClass is Admit with per-class token-bucket metering: a request whose
-// class has exhausted its bucket is rejected without consuming queue
-// capacity, and a request the global bound rejects does not consume a
-// token. Arrivals must be offered in non-decreasing virtual time.
-func (a *AdmissionController) AdmitClass(now float64, class SLOClass) bool {
-	if class >= NumClasses { // defensive: unknown classes share the global bound only
-		return a.Admit(now)
-	}
-	b := &a.buckets[class]
-	if b.active {
-		b.tokens = math.Min(b.burst, b.tokens+(now-b.last)*b.rate*a.degraded)
-		b.last = now
-		if b.tokens < 1 {
-			return false
-		}
-	}
-	if !a.Admit(now) {
-		return false
-	}
-	if b.active {
-		b.tokens--
-	}
-	return true
 }
 
 // Admit reports whether a request arriving at virtual time now fits, and
@@ -179,6 +103,10 @@ func (a *AdmissionController) Admit(now float64) bool {
 
 // DispatchedKind moves len(completions) waiting requests to in-flight on the
 // given device kind with their virtual completion times (one per request).
+// A serving run admits every request in offer before it can be dispatched,
+// so it never moves more than are waiting; the clamp at zero only guards
+// direct callers that do (TestDispatchHitsAttributedToHost dispatches
+// requests it never admitted).
 func (a *AdmissionController) DispatchedKind(kind hw.Kind, completions []float64) {
 	a.waiting -= len(completions)
 	if a.waiting < 0 {

@@ -105,10 +105,6 @@ type Config struct {
 	// close deadlines, class-ordered batches), or "sjf"
 	// (predicted-service-aware deadlines). See ParseFormation.
 	Formation string
-	// ClassRates meters admission per SLO class with token buckets on the
-	// virtual clock, alongside the per-kind caps; classes without an entry
-	// are unmetered.
-	ClassRates []ClassRateLimit
 
 	QueueCap  int // admission control: max outstanding requests (0 → 1024)
 	CacheSize int // embedding-cache capacity in entries (0 disables)
@@ -336,11 +332,17 @@ func newServer(cfg Config) (*server, error) {
 	var arrivals []Request
 	if cfg.Replay != nil {
 		arrivals = cfg.Replay.Requests[:min(cfg.NumRequests, len(cfg.Replay.Requests))]
-		// A trace is outside input and ReadTrace cannot know the graph.
+		// A trace is outside input: ReadTrace cannot know the graph, and a
+		// Trace built in memory never passed ReadTrace's class check. Past
+		// this loop every request's class indexes the per-class arrays.
 		for _, r := range arrivals {
 			if r.Vertex < 0 || int(r.Vertex) >= cfg.Data.Graph.NumVertices {
 				return nil, fmt.Errorf("serve: replayed request %d asks for vertex %d, outside the graph's %d vertices",
 					r.ID, r.Vertex, cfg.Data.Graph.NumVertices)
+			}
+			if r.Class >= NumClasses {
+				return nil, fmt.Errorf("serve: replayed request %d has class %d, outside the %d SLO classes",
+					r.ID, r.Class, NumClasses)
 			}
 		}
 	} else {
@@ -411,11 +413,6 @@ func newServer(cfg Config) (*server, error) {
 		}
 	}
 	setKindCaps(admission, pool, cfg.QueueCap)
-	for _, cr := range cfg.ClassRates {
-		if err := admission.SetClassRate(cr.Class, cr.RatePerSec, cr.Burst); err != nil {
-			return nil, err
-		}
-	}
 	dims := cfg.Model.Cfg.Dims
 	s := &server{
 		cfg:       cfg,
@@ -478,9 +475,7 @@ func streamRNG(cfg Config) *tensor.RNG {
 func (s *server) serveReq(r Request, done float64, computed bool) {
 	s.latKeys = append(s.latKeys, math.Float64bits(done-r.Arrival))
 	s.latTags = append(s.latTags, latencyTag(r.Class, done >= s.health.firstFailSec))
-	if r.Class < NumClasses {
-		s.stats.PerClass[r.Class].Served++
-	}
+	s.stats.PerClass[r.Class].Served++
 	if computed {
 		s.compDone = append(s.compDone, done)
 	} else {
@@ -762,9 +757,7 @@ func (s *server) shedBatch(batch []Request, hit []bool) {
 		}
 		n++
 		s.stats.Shed++
-		if r.Class < NumClasses {
-			s.stats.PerClass[r.Class].Shed++
-		}
+		s.stats.PerClass[r.Class].Shed++
 	}
 	s.admission.Cancel(n)
 	s.release(hw.CPU)
@@ -802,8 +795,8 @@ func (s *server) retryBackoff(attempt int, batch []Request, hit []bool, failAt f
 
 // applyFailures applies every scripted fail-stop at or before now to the
 // admission plane: per-kind in-flight caps are re-split over the surviving
-// workers and class buckets retighten to the surviving-capacity fraction
-// (degraded-mode admission). Routing needs no application step — worker
+// workers, and the surviving-capacity fraction sets which classes
+// degraded-mode admission sheds. Routing needs no application step — worker
 // liveness is a pure function of virtual time.
 func (s *server) applyFailures(now float64) {
 	n := s.health.popFailures(now)
@@ -834,9 +827,7 @@ func (s *server) applyFailures(now float64) {
 func (s *server) offer(r Request) error {
 	s.applyFailures(r.Arrival)
 	s.stats.Offered++
-	if r.Class < NumClasses {
-		s.stats.PerClass[r.Class].Offered++
-	}
+	s.stats.PerClass[r.Class].Offered++
 	for {
 		batch, closeAt := s.batcher.CloseExpired(r.Arrival)
 		if batch == nil {
@@ -850,16 +841,12 @@ func (s *server) offer(r Request) error {
 		// Degraded-mode admission: shed the classes the surviving capacity
 		// can no longer afford, bulk before interactive.
 		s.stats.Shed++
-		if r.Class < NumClasses {
-			s.stats.PerClass[r.Class].Shed++
-		}
+		s.stats.PerClass[r.Class].Shed++
 		return nil
 	}
-	if !s.admission.AdmitClass(r.Arrival, r.Class) {
+	if !s.admission.Admit(r.Arrival) {
 		s.stats.Rejected++
-		if r.Class < NumClasses {
-			s.stats.PerClass[r.Class].Rejected++
-		}
+		s.stats.PerClass[r.Class].Rejected++
 		return nil
 	}
 	if batch, closeAt := s.batcher.Add(r); batch != nil {
@@ -888,6 +875,14 @@ func (s *server) finish() (*Stats, error) {
 	}
 	if err := stats.summarizeLatencies(s.latKeys, s.latTags); err != nil {
 		return nil, err
+	}
+	// Every offered request leaves exactly one way: answered, rejected at the
+	// door, or shed.
+	for c, cs := range stats.PerClass {
+		if cs.Offered != cs.Served+cs.Rejected+cs.Shed {
+			return nil, fmt.Errorf("serve: class %s ledger broken: offered %d != served %d + rejected %d + shed %d",
+				SLOClass(c), cs.Offered, cs.Served, cs.Rejected, cs.Shed)
+		}
 	}
 	hits, _, evictions := s.cache.Stats()
 	stats.CacheHits = hits

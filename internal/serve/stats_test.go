@@ -204,6 +204,27 @@ func TestFinishRejectsAcausalLatency(t *testing.T) {
 	}
 }
 
+// finish checks the request ledger on every run: a request answered through
+// serveReq without ever being offered breaks offered = served + rejected +
+// shed for its class, and the run fails naming the class and its counts.
+func TestFinishRejectsBrokenLedger(t *testing.T) {
+	ds, m := testSetup(t)
+	s, err := newServer(baseConfig(ds, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.stop()
+	if err := s.offer(Request{Arrival: 0, Class: ClassStandard}); err != nil {
+		t.Fatal(err)
+	}
+	s.serveReq(Request{Arrival: 0, Class: ClassBulk}, 1e-3, false)
+	_, err = s.finish()
+	want := "class bulk ledger broken: offered 0 != served 1 + rejected 0 + shed 0"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("finish error %v, want one containing %q", err, want)
+	}
+}
+
 // Regression for the floor-biased percentile: the old rank int(p·(n-1))
 // truncated toward the optimistic side, so small-sample tails under-read —
 // the "p95" of 10 samples was the rank-9 sample (the p88). Nearest-rank is

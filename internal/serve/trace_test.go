@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // A trace file is outside input: whatever is wrong with it must come back as
@@ -39,5 +42,38 @@ func TestMalformedTraceRejected(t *testing.T) {
 				t.Fatalf("error %v, want one mentioning %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// A Trace built in memory never passes ReadTrace's class check, so Run checks
+// each replayed request's class at the door. A class past the SLO classes
+// must come back as an error naming the request — not as an index panic once
+// a fail-stop re-routes it under SLO targets, nor as a run that quietly
+// leaves it out of every per-class figure and the fairness index.
+func TestReplayClassOutOfRangeRejected(t *testing.T) {
+	ds, m := testSetup(t)
+	failStop, err := fault.Parse("fail,worker=2,at=0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		sched *fault.Schedule
+	}{{"fail-stop", failStop}, {"fault-free", nil}} {
+		cfg := goldenServeConfig(ds, m)
+		tr, err := GenerateTrace(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tr.Requests {
+			tr.Requests[i].Class = NumClasses
+		}
+		cfg.Workload, cfg.Replay, cfg.Faults = nil, tr, c.sched
+		cfg.SLOTargets = []ClassSLO{{Class: ClassInteractive, TargetSec: 2e-3}}
+		_, err = Run(cfg)
+		want := fmt.Sprintf("request %d has class %d", tr.Requests[0].ID, NumClasses)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %v, want one mentioning %q", c.name, err, want)
+		}
 	}
 }

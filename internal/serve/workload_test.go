@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/hw"
 	"repro/internal/tensor"
 )
 
@@ -485,79 +484,5 @@ func TestWorkloadEndToEnd(t *testing.T) {
 	out := stats.String()
 	if !strings.Contains(out, "interactive") || !strings.Contains(out, "fairness") {
 		t.Errorf("Stats.String missing the per-class report:\n%s", out)
-	}
-}
-
-// Per-class token buckets meter admission without consuming queue capacity
-// on rejection or tokens on a global reject.
-func TestClassTokenBucket(t *testing.T) {
-	a, err := NewAdmissionController(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SetClassRate(ClassBulk, 10, 2); err != nil {
-		t.Fatal(err)
-	}
-	if a.SetClassRate(ClassBulk, -1, 1) == nil || a.SetClassRate(NumClasses, 10, 1) == nil {
-		t.Fatal("invalid class rate accepted")
-	}
-	// Burst 2: two immediate admits, then the bucket is dry.
-	if !a.AdmitClass(0, ClassBulk) || !a.AdmitClass(0, ClassBulk) {
-		t.Fatal("burst tokens not granted")
-	}
-	if a.AdmitClass(0, ClassBulk) {
-		t.Fatal("dry bucket admitted")
-	}
-	if a.Outstanding() != 2 {
-		t.Fatalf("bucket rejection consumed queue capacity: outstanding %d, want 2", a.Outstanding())
-	}
-	// Rate 10/s: 0.1s refills one token.
-	if !a.AdmitClass(0.1, ClassBulk) {
-		t.Fatal("refilled bucket rejected")
-	}
-	// Unmetered classes pass straight to the global bound.
-	if !a.AdmitClass(0.1, ClassInteractive) {
-		t.Fatal("unmetered class rejected")
-	}
-
-	// A global reject must not burn a token: with capacity 1 and a
-	// near-zero refill rate, the token survives the global reject and is
-	// still there once capacity frees up.
-	b, err := NewAdmissionController(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SetClassRate(ClassBulk, 1e-9, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !b.AdmitClass(0, ClassBulk) {
-		t.Fatal("first admit rejected")
-	}
-	if b.AdmitClass(0, ClassBulk) {
-		t.Fatal("admitted past global capacity")
-	}
-	b.DispatchedKind(hw.CPU, []float64{0.1}) // completes at t=0.1, freeing capacity
-	if !b.AdmitClass(0.2, ClassBulk) {
-		t.Fatal("token was consumed by the global reject")
-	}
-}
-
-// Class rates end to end: metering the bulk cohort sheds bulk traffic at a
-// far higher rate than the unmetered interactive cohort.
-func TestClassRatesEndToEnd(t *testing.T) {
-	cfg := workloadConfig(t)
-	cfg.ClassRates = []ClassRateLimit{{Class: ClassBulk, RatePerSec: 200, Burst: 4}}
-	stats, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bulk := stats.PerClass[ClassBulk]
-	inter := stats.PerClass[ClassInteractive]
-	if bulk.Rejected == 0 {
-		t.Fatal("metered bulk class was never rejected")
-	}
-	rejRate := func(cs ClassStats) float64 { return float64(cs.Rejected) / float64(cs.Offered) }
-	if rejRate(bulk) <= rejRate(inter) {
-		t.Fatalf("bulk rejection rate %.3f not above interactive's %.3f", rejRate(bulk), rejRate(inter))
 	}
 }
