@@ -204,7 +204,7 @@ func unmixSplitMix64(z uint64) uint64 {
 // parallel loop must still equal the sequential reference bitwise and leave
 // the RNG where it does.
 func TestFeatureRedrawMatchesSequential(t *testing.T) {
-	const n, f0, classes = 4000, 32, 6
+	const n, f0, classes = 8000, 32, 6
 	const gamma = 0x9E3779B97F4A7C15
 	stride := 1 + 2*f0
 	centroids := tensor.New(classes, f0)

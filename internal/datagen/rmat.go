@@ -24,12 +24,16 @@ import (
 )
 
 // Fan-out work in tensor.FanOut's float32 element-operations, whose grain
-// (2²¹) is ≈ 0.2 ms of single-core time, ≈ 10 operations per ns. On a 2-core
-// Xeon one RMAT level (a draw and three compares) takes ≈ 3.5 ns and one
-// Box–Muller variate ≈ 37 ns.
+// (2²¹) is ≈ 0.2 ms of single-core time, ≈ 10 operations per ns. One RMAT
+// level (a draw and three compares) is 36. On a 2-core Sapphire Rapids Xeon
+// a level takes ≈ 6.5 ns and a feature variate drawn by RNG.FillNormal's
+// AVX-512 kernel ≈ 9.5 ns (9 ns in 128-wide rows, 11 ns in 16-wide ones):
+// 1.5 levels. The scalar Box–Muller loop, which draws every row below avx512
+// or without AVX512DQ, takes ≈ 66 ns (10 levels); there feature rows are
+// undercounted and split later than they could.
 const (
 	rmatLevelWork = 36
-	normalWork    = 384
+	normalWork    = 54
 )
 
 // RMATParams configures the recursive-matrix (Kronecker) generator of

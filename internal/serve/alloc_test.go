@@ -26,7 +26,10 @@ import (
 // batches, whose forwards clear the grain, at GOMAXPROCS 2 with kernels on
 // the caller: forwards run on the workers' goroutines and settle into an
 // evicting cache, and, with the cache disabled, stay outstanding two per
-// worker — allocation-free either way.
+// worker — allocation-free either way. Wherever forwards can be handed off
+// (every leg above one proc), the warm-up ends with forwards pinned inline
+// until the loop's own arena has run one too: which forwards the loop keeps
+// depends on timing, and must not leave that arena cold for the count.
 func TestServingSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation gate is skipped under -race")
@@ -72,6 +75,22 @@ func TestServingSteadyStateZeroAlloc(t *testing.T) {
 					// batch to batch, so the workspace, batcher, and admission heap
 					// must all have seen their steady-state maxima before counting.
 					feed(4000)
+					// The warm-up may have handed every forward off, leaving
+					// the loop's own arena (pipe.Arena(), where the loop runs
+					// a forward its worker has no room for) unused: its slabs
+					// and matrix headers would then be made by its first
+					// inline forward, inside the counted window. So forwards
+					// run inline until every worker's loop arena has run one.
+					if s.handoff {
+						s.handoff = false
+						for round := 0; !loopArenasWarm(s); round++ {
+							if round == 40 {
+								t.Fatalf("cache %d: a worker ran no inline forward in 2000 requests", cacheSize)
+							}
+							feed(50)
+						}
+						s.handoff = true
+					}
 					batchesBefore, computedBefore, handoffsBefore := s.stats.Batches, s.stats.Computed, s.handoffs
 					twoDeep := false
 					measure := func() {
@@ -101,6 +120,17 @@ func TestServingSteadyStateZeroAlloc(t *testing.T) {
 	gate(t, "cpu")
 	t.Run("fpga-pool", func(t *testing.T) { gate(t, "fpga-pool") })
 	t.Run("handoff", func(t *testing.T) { gate(t, "handoff") })
+}
+
+// loopArenasWarm reports whether every worker's loop arena has run a
+// forward (an arena holds no slab before its first).
+func loopArenasWarm(s *server) bool {
+	for _, w := range s.pool {
+		if w.pipe.Arena().Bytes() == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Satellite micro-benchmark for the dispatch memo change: the router

@@ -59,6 +59,33 @@ func (r *RNG) NormFloat64() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
+// FillNormal sets dst[j] = mean[j] + float32(r.NormFloat64()*std) for j in
+// order, drawing exactly what that loop draws and leaving r where it leaves
+// it. At the avx512 level on a CPU with AVX512DQ a row none of whose u1 is 0
+// is drawn eight variates at a time by a kernel that reproduces the loop bit
+// for bit (normal_amd64.s); any other row runs the loop itself. mean must be
+// at least as long as dst.
+func (r *RNG) FillNormal(dst, mean []float32, std float64) {
+	if normalRow(dst, mean, std, r.state, gamma) {
+		r.Skip(2 * uint64(len(dst)))
+		return
+	}
+	for j := range dst {
+		dst[j] = mean[j] + float32(r.NormFloat64()*std)
+	}
+}
+
+// normalRow runs the Box–Muller row kernel on the counter states
+// state + k·step when this build, CPU and level have it, and reports whether
+// it filled dst (it declines a row with a u1 of 0, writing nothing).
+func normalRow(dst, mean []float32, std float64, state, step uint64) bool {
+	if !haveAVX2Asm || !cpuDQ || len(dst) == 0 || !simdAtLeast(SIMDAVX512) {
+		return false
+	}
+	_ = mean[len(dst)-1]
+	return normalRowAVX512Asm(dst, mean, std, state, step)
+}
+
 // Split derives a new independent generator from r.
 func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }
 

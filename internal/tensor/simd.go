@@ -2,18 +2,19 @@ package tensor
 
 // Runtime SIMD dispatch. The kernels come in up to three forms — pure Go
 // ("generic"), 256-bit AVX2 and 512-bit AVX-512 — selected once per call
-// through an atomic level variable. The top rung adds one thing:
-// the GEMM register tile (gemm_amd64.s) runs on ZMM registers, 4×32 instead
-// of 4×16. Only the tile uses it — it is the one compute-bound kernel; the
-// row kernels (exp, aggregation, gather) and the fused element-wise kernels
-// keep their AVX2 form at that level (the row kernels measured equal at both
-// widths). The CPU's capabilities are probed once at init
-// (CPUID on amd64; see simd_amd64.go) and fix the ceiling: SetSIMDLevel can
-// lower the active level (forcing the fallback paths for tests and the -simd
-// flag) but never raise it above what the hardware supports. The TENSOR_SIMD
-// environment variable applies the same override at process start, clamped to
-// the detected ceiling so a CI matrix can request "avx512" on any runner and
-// get "as wide as available".
+// through an atomic level variable. The top rung adds two things: the GEMM
+// register tile (gemm_amd64.s) runs on ZMM registers, 4×32 instead of 4×16,
+// and, where the CPU also has AVX512DQ, RNG.FillNormal draws eight
+// Box–Muller variates per pass (normal_amd64.s). Only those two use it — they
+// are the compute-bound kernels; the row kernels (exp, aggregation, gather)
+// and the fused element-wise kernels keep their AVX2 form at that level (the
+// row kernels measured equal at both widths). The CPU's capabilities are
+// probed once at init (CPUID on amd64; see simd_amd64.go) and fix the
+// ceiling: SetSIMDLevel can lower the active level (forcing the fallback
+// paths for tests and the -simd flag) but never raise it above what the
+// hardware supports. The TENSOR_SIMD environment variable applies the same
+// override at process start, clamped to the detected ceiling so a CI matrix
+// can request "avx512" on any runner and get "as wide as available".
 //
 // Every level computes bit-identical results: the vector kernels keep
 // multiply and add unfused (VMULPS + VADDPS, never FMA — fusing rounds once
@@ -42,7 +43,8 @@ const (
 	// state support).
 	SIMDAVX2
 	// SIMDAVX512 additionally runs the GEMM register tile on 512-bit
-	// registers (amd64 with AVX512F + OS opmask/ZMM state support).
+	// registers (amd64 with AVX512F + OS opmask/ZMM state support), and the
+	// Box–Muller row kernel where the CPU also has AVX512DQ.
 	SIMDAVX512
 )
 
@@ -61,8 +63,9 @@ func (l SIMDLevel) String() string {
 
 // detectedSIMD is the hardware ceiling, fixed at init by the per-arch probe;
 // cpuFMA says whether that CPU also fuses multiply-adds, which only the exp
-// kernel uses (expRow in ops.go).
-var detectedSIMD, cpuFMA = detectSIMD()
+// kernel uses (expRow in ops.go), and cpuDQ whether an AVX-512 CPU has the
+// DQ subset, which only the Box–Muller row kernel uses (RNG.FillNormal).
+var detectedSIMD, cpuFMA, cpuDQ = detectSIMD()
 
 // activeSIMD is the level the kernels dispatch on (atomic: hot paths read it
 // lock-free while tests and the CLI flip it).

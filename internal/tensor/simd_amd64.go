@@ -10,7 +10,9 @@ package tensor
 // three-step check. AVX-512 needs two more facts on top: the foundation
 // subset (leaf 7 EBX bit 16 — the 512-bit tile uses AVX512F instructions
 // only) and OS support for the opmask and both halves of the ZMM state (XCR0
-// bits 5–7).
+// bits 5–7). The doubleword/quadword subset (AVX512DQ, leaf 7 EBX bit 17) is
+// probed beside it: only the Box–Muller row kernel (normal_amd64.s) needs it,
+// for its 64-bit multiplies and int64↔float64 conversions.
 
 // haveAVX2Asm gates compilation of AVX2 call sites; whether the calls are
 // *taken* is the runtime level's job (the active level can only reach
@@ -27,36 +29,38 @@ func xgetbvAsm() (eax, edx uint32)
 // at generic, the pure-Go loops — bit-identical, only slower. fma reports FMA3
 // (leaf 1 ECX bit 12) on a CPU that reached the AVX2 rung — with the AVX and
 // OS-state checks above it, the condition under which package math runs the
-// FMA path of its Exp, which is the path expRowFMAAsm reproduces.
-func detectSIMD() (level SIMDLevel, fma bool) {
+// FMA path of its Exp, which is the path expRowFMAAsm reproduces. dq reports
+// AVX512DQ on a CPU that reached the AVX-512 rung.
+func detectSIMD() (level SIMDLevel, fma, dq bool) {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
 	if maxLeaf < 7 {
-		return SIMDGeneric, false
+		return SIMDGeneric, false, false
 	}
 	_, _, ecx1, _ := cpuidAsm(1, 0)
 	const osxsaveBit = 1 << 27
 	const avxBit = 1 << 28
 	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return SIMDGeneric, false
+		return SIMDGeneric, false, false
 	}
 	xcr0, _ := xgetbvAsm()
 	const ymmState = 0x6 // XMM (bit 1) + YMM (bit 2) enabled by the OS
 	if xcr0&ymmState != ymmState {
-		return SIMDGeneric, false
+		return SIMDGeneric, false, false
 	}
 	_, ebx7, _, _ := cpuidAsm(7, 0)
 	const avx2Bit = 1 << 5
 	if ebx7&avx2Bit == 0 {
-		return SIMDGeneric, false
+		return SIMDGeneric, false, false
 	}
 	const fmaBit = 1 << 12
 	fma = ecx1&fmaBit != 0
 	const avx512fBit = 1 << 16
 	const zmmState = 0xe0 // opmask (bit 5) + ZMM_Hi256 (bit 6) + Hi16_ZMM (bit 7)
 	if ebx7&avx512fBit == 0 || xcr0&zmmState != zmmState {
-		return SIMDAVX2, fma
+		return SIMDAVX2, fma, false
 	}
-	return SIMDAVX512, fma
+	const avx512dqBit = 1 << 17
+	return SIMDAVX512, fma, ebx7&avx512dqBit != 0
 }
 
 // AVX2 kernels (axpy_avx2_amd64.s). All slice lengths are positive
@@ -133,6 +137,15 @@ func aggregateRowAVX2Asm(out, h []float32, cols int, idx []int32, w []float32)
 //
 //go:noescape
 func gatherRowsAVX2Asm(dst []float32, dstStride int, src []float32, cols int, idx []int32)
+
+// normalRowAVX512Asm fills dst[j] = mean[j] + float32(n_j·std), n_j the
+// Box–Muller variate whose u1 and u2 come from counter states
+// state + (2j+1)·step and state + (2j+2)·step (normal_amd64.s). It returns
+// false, having written nothing, if any of those u1 is 0. len(dst) ≥ 1 and
+// len(mean) ≥ len(dst). It needs AVX512F and AVX512DQ.
+//
+//go:noescape
+func normalRowAVX512Asm(dst, mean []float32, std float64, state, step uint64) (ok bool)
 
 // The GEMM micro-kernel (gemm_amd64.s): each form adds
 // Σ_t a[r·ars + t·aks] · b[t·n + j] over t in [0, kc) into c[r·n + j] — or,

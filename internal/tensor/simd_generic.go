@@ -7,7 +7,7 @@ package tensor
 // call site).
 const haveAVX2Asm = false
 
-func detectSIMD() (SIMDLevel, bool) { return SIMDGeneric, false }
+func detectSIMD() (SIMDLevel, bool, bool) { return SIMDGeneric, false, false }
 
 func axpyRowAVX2Asm(dst, src []float32, alpha float32) {
 	panic("tensor: axpyRowAVX2Asm without assembly support")
@@ -59,4 +59,8 @@ func rowMaxAVX2Asm(src []float32) float32 {
 
 func subScalarAVX2Asm(dst, src []float32, s float32) {
 	panic("tensor: subScalarAVX2Asm without assembly support")
+}
+
+func normalRowAVX512Asm(dst, mean []float32, std float64, state, step uint64) bool {
+	panic("tensor: normalRowAVX512Asm without assembly support")
 }
