@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -28,19 +29,33 @@ func TestGenerateRMATBasic(t *testing.T) {
 	}
 }
 
+// A rejected call draws nothing. Non-finite probabilities, and finite ones
+// whose sum overflows, would leave the quadrant thresholds undefined: +Inf
+// used to send every attempt to one quadrant forever, and an overflowing sum
+// to return self-loops on one vertex.
 func TestGenerateRMATRejectsBadInput(t *testing.T) {
-	rng := tensor.NewRNG(1)
-	if _, err := GenerateRMAT(0, 10, DefaultRMAT, rng); err == nil {
-		t.Fatal("expected error for 0 vertices")
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name string
+		v, e int
+		p    RMATParams
+	}{
+		{"0 vertices", 0, 10, DefaultRMAT},
+		{"negative edges", 10, -1, DefaultRMAT},
+		{"zero probabilities", 10, 10, RMATParams{}},
+		{"a negative probability", 10, 10, RMATParams{A: 0.8, B: -0.1, C: 0.2, D: 0.1}},
+		{"+Inf", 1000, 5000, RMATParams{A: inf, B: .2, C: .2, D: .1}},
+		{"NaN", 1000, 5000, RMATParams{A: .5, B: nan, C: .2, D: .1}},
+		{"an overflowing sum", 1000, 5000, RMATParams{A: 1e308, B: 1e308}},
 	}
-	if _, err := GenerateRMAT(10, -1, DefaultRMAT, rng); err == nil {
-		t.Fatal("expected error for negative edges")
-	}
-	if _, err := GenerateRMAT(10, 10, RMATParams{}, rng); err == nil {
-		t.Fatal("expected error for zero probabilities")
-	}
-	if _, err := GenerateRMAT(10, 10, RMATParams{A: 0.8, B: -0.1, C: 0.2, D: 0.1}, rng); err == nil {
-		t.Fatal("expected error for a negative probability")
+	for _, c := range cases {
+		rng := tensor.NewRNG(1)
+		if _, err := GenerateRMAT(c.v, c.e, c.p, rng); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if *rng != *tensor.NewRNG(1) {
+			t.Errorf("%s: rejected call moved the RNG", c.name)
+		}
 	}
 }
 
@@ -280,5 +295,35 @@ func TestScaledProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fill allocates nothing: its quadrant buffers live on its stack.
+func TestRMATFillAllocatesNothing(t *testing.T) {
+	q := &rmatAttempt{t: [3]uint64{1 << 51, 1 << 52, 3 << 51}, levels: 10, perm: tensor.NewRNG(1).Perm(1 << 10), numVertices: 1000}
+	out := make([]graph.Edge, 1000)
+	if allocs := testing.AllocsPerRun(10, func() { q.fill(out, 3, *tensor.NewRNG(2)) }); allocs != 0 {
+		t.Fatalf("fill allocated %v times per call", allocs)
+	}
+}
+
+// BenchmarkRMATFill reports what one level of one attempt costs in fill,
+// the kernel (or the scalar loop below avx512) and the per-attempt
+// permutation lookup together, at the level counts of the benchmark's
+// graphs: rmatLevelWork is measured from it.
+func BenchmarkRMATFill(b *testing.B) {
+	for _, v := range []int{6000, 61_000, 111_000} {
+		levels := rmatLevels(v)
+		b.Run(fmt.Sprintf("levels=%d", levels), func(b *testing.B) {
+			rng := tensor.NewRNG(1)
+			q := &rmatAttempt{t: [3]uint64{5134103575202365, 6845471433603154, 8556839292003942}, levels: levels,
+				perm: rng.Perm(1 << levels), numVertices: int32(v)}
+			out := make([]graph.Edge, 4096)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.fill(out, i*len(out), *rng)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out)*levels), "ns/level")
+		})
 	}
 }

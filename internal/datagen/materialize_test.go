@@ -73,7 +73,7 @@ func withParallelism(t *testing.T, fn func(t *testing.T, par int)) {
 // a power of two (every attempt accepted).
 func TestMaterializeDigest(t *testing.T) {
 	tiny := Spec{Name: "tiny", NumVertices: 300, NumEdges: 1200, FeatDims: []int{16, 8, 5}}
-	grain := Spec{Name: "grain", NumVertices: 6000, NumEdges: 48000, FeatDims: []int{64, 16, 7}}
+	grain := Spec{Name: "grain", NumVertices: 6000, NumEdges: 128000, FeatDims: []int{64, 16, 7}}
 	datasets := []struct {
 		spec Spec
 		frac float64
@@ -81,7 +81,7 @@ func TestMaterializeDigest(t *testing.T) {
 		want uint64
 	}{
 		{tiny, 0.5, 5, 0x989643d18765b954},
-		{grain, 0.2, 11, 0x65d8d7010d6bb47d},
+		{grain, 0.2, 11, 0xf468938054efc116},
 	}
 	graphs := []struct {
 		v, e int

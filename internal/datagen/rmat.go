@@ -16,6 +16,7 @@ package datagen
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -23,21 +24,23 @@ import (
 	"repro/internal/tensor"
 )
 
-// Fan-out work in tensor.FanOut's float32 element-operations, whose grain
-// (2²¹) is ≈ 0.2 ms of single-core time, ≈ 10 operations per ns. One RMAT
-// level (a draw and three compares) is 36. On a 2-core Sapphire Rapids Xeon
-// a level takes ≈ 6.5 ns and a feature variate drawn by RNG.FillNormal's
-// AVX-512 kernel ≈ 9.5 ns (9 ns in 128-wide rows, 11 ns in 16-wide ones):
-// 1.5 levels. The scalar Box–Muller loop, which draws every row below avx512
-// or without AVX512DQ, takes ≈ 66 ns (10 levels); there feature rows are
-// undercounted and split later than they could.
+// Fan-out work in tensor.FanOut's units, whose grain is 2²¹. Both weights
+// are set at ≈ 5.5 units per ns of their cost on a 2-core Sapphire Rapids
+// Xeon with AVX-512 and DQ, so a grain is ≈ 0.4 ms of generation. One RMAT
+// level in rmatAttempt.fill (RNG.FillRMAT's AVX-512 kernel plus its share
+// of the permutation lookup) takes ≈ 1.05 ns: 6 units. A feature variate
+// drawn by RNG.FillNormal's AVX-512 kernel takes ≈ 9.5 ns (9 ns in 128-wide
+// rows, 11 ns in 16-wide ones): 54 units, nine levels. Below avx512 or
+// without AVX512DQ the scalar loops run, a level in ≈ 6 ns and a variate in
+// ≈ 66 ns; there both are undercounted and split later than they could.
 const (
-	rmatLevelWork = 36
+	rmatLevelWork = 6
 	normalWork    = 54
 )
 
 // RMATParams configures the recursive-matrix (Kronecker) generator of
-// Chakrabarti et al. Probabilities must be non-negative and sum to ~1.
+// Chakrabarti et al. Probabilities must be finite and non-negative, with a
+// positive, finite sum; they are normalised by it.
 type RMATParams struct {
 	A, B, C, D float64
 }
@@ -54,45 +57,45 @@ func rmatLevels(numVertices int) int { return bits.Len(uint(numVertices - 1)) }
 // picking a quadrant of the 2^levels adjacency matrix, then a shuffle of the
 // vertex IDs.
 type rmatAttempt struct {
-	a, ab, abc  float64 // cumulative quadrant thresholds A, A+B, A+B+C
+	t           [3]uint64 // cumulative quadrant thresholds A, A+B, A+B+C as ⌈t·2⁵³⌉
 	levels      int
 	perm        []int32
 	numVertices int32
 }
 
-// rejected marks an attempt that landed outside [0, numVertices).
+// rejected marks an attempt that landed outside [0, numVertices); fill
+// writes it as the attempt's endpoints OR −1.
 var rejected = graph.Edge{Src: -1, Dst: -1}
+
+// rmatChunk is how many attempts fill draws into its stack buffers at a time.
+const rmatChunk = 256
 
 // fill writes attempts [first, first+len(out)) to out, attempt k reading
 // draws [k·levels, (k+1)·levels) past rng.
 func (q *rmatAttempt) fill(out []graph.Edge, first int, rng tensor.RNG) {
 	rng.Skip(uint64(first) * uint64(q.levels))
-	for i := range out {
-		var src, dst int
-		for l := 0; l < q.levels; l++ {
-			// x < A: top-left; < A+B: top-right; < A+B+C: bottom-left;
-			// else bottom-right. The thresholds are ordered, so the column
-			// is the parity of the thresholds x has passed.
-			x := rng.Float64()
-			bottom := b2i(x >= q.ab)
-			src = src<<1 | bottom
-			dst = dst<<1 | (b2i(x >= q.a) ^ bottom ^ b2i(x >= q.abc))
+	perm, nv := q.perm, q.numVertices
+	var src, dst [rmatChunk]int32
+	for len(out) > 0 {
+		n := min(len(out), rmatChunk)
+		rng.FillRMAT(src[:n], dst[:n], q.levels, q.t)
+		for i := range out[:n] {
+			// m is −1 when the attempt landed outside [0, nv) and 0
+			// otherwise: s|m, d|m is the edge or rejected, without a
+			// branch to mispredict.
+			s, d := perm[src[i]], perm[dst[i]]
+			m := (nv - 1 - max(s, d)) >> 31
+			out[i] = graph.Edge{Src: s | m, Dst: d | m}
 		}
-		s, d := q.perm[src], q.perm[dst]
-		if s >= q.numVertices || d >= q.numVertices {
-			out[i] = rejected
-			continue
-		}
-		out[i] = graph.Edge{Src: s, Dst: d}
+		out = out[n:]
 	}
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
+// rmatThreshold returns ⌈t·2⁵³⌉ for a finite, non-negative t. Float64()
+// is u·2⁻⁵³ for the integer u = Uint64()>>11, and scaling by 2⁵³ is exact,
+// so Float64() ≥ t exactly when u ≥ rmatThreshold(t): the integer compares
+// FillRMAT makes pick the quadrants that comparing Float64 with t would.
+func rmatThreshold(t float64) uint64 { return uint64(math.Ceil(t * (1 << 53))) }
 
 // GenerateRMAT builds a directed graph with numVertices (rounded up to a
 // power of two internally, then mapped back) and numEdges edges drawn from
@@ -113,11 +116,15 @@ func GenerateRMAT(numVertices int, numEdges int, p RMATParams, rng *tensor.RNG) 
 		return nil, fmt.Errorf("datagen: RMAT probabilities %+v must be non-negative", p)
 	}
 	sum := p.A + p.B + p.C + p.D
-	if sum <= 0 {
-		return nil, fmt.Errorf("datagen: RMAT probabilities sum to %v", sum)
+	if !(sum > 0 && sum <= math.MaxFloat64) {
+		return nil, fmt.Errorf("datagen: RMAT probabilities %+v sum to %v", p, sum)
 	}
 	a, b, c := p.A/sum, p.B/sum, p.C/sum
-	q := &rmatAttempt{a: a, ab: a + b, abc: a + b + c, levels: rmatLevels(numVertices), numVertices: int32(numVertices)}
+	q := &rmatAttempt{
+		t:           [3]uint64{rmatThreshold(a), rmatThreshold(a + b), rmatThreshold(a + b + c)},
+		levels:      rmatLevels(numVertices),
+		numVertices: int32(numVertices),
+	}
 	q.perm = rng.Perm(1 << q.levels)
 	start := *rng
 

@@ -86,6 +86,54 @@ func normalRow(dst, mean []float32, std float64, state, step uint64) bool {
 	return normalRowAVX512Asm(dst, mean, std, state, step)
 }
 
+// FillRMAT draws len(src) RMAT attempts of levels quadrant choices each
+// and sets src[i] and dst[i] to attempt i's row and column bits, the first
+// level in the most significant bit. Attempt i reads draws
+// [i·levels, (i+1)·levels) past r, and r is left levels·len(src) draws on. A
+// draw u = Uint64()>>11 picks the top-left quadrant when u < t[0], the
+// top-right when u < t[1], the bottom-left when u < t[2] and else the
+// bottom-right; t must be ordered, t[0] ≤ t[1] ≤ t[2]. At the avx512 level on
+// a CPU with AVX512DQ an 8-lane kernel (rmat_amd64.s) draws the attempts,
+// bit for bit as the scalar loop does. len(dst) must be at least len(src).
+func (r *RNG) FillRMAT(src, dst []int32, levels int, t [3]uint64) {
+	if rmatRows(src, dst, levels, t, r.state) {
+		r.Skip(uint64(levels) * uint64(len(src)))
+		return
+	}
+	dst = dst[:len(src)]
+	for i := range src {
+		var s, d int32
+		for l := 0; l < levels; l++ {
+			// The thresholds are ordered, so the column is the parity of
+			// the thresholds u has passed.
+			u := r.Uint64() >> 11
+			bottom := b2i(u >= t[1])
+			s = s<<1 | bottom
+			d = d<<1 | (b2i(u >= t[0]) ^ bottom ^ b2i(u >= t[2]))
+		}
+		src[i], dst[i] = s, d
+	}
+}
+
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// rmatRows runs the RMAT attempt kernel on the draws past counter state
+// state when this build, CPU and level have it, and reports whether it
+// filled src and dst.
+func rmatRows(src, dst []int32, levels int, t [3]uint64, state uint64) bool {
+	if !haveAVX2Asm || !cpuDQ || len(src) == 0 || !simdAtLeast(SIMDAVX512) {
+		return false
+	}
+	_ = dst[len(src)-1]
+	rmatRowsAVX512Asm(src, dst, levels, t[0], t[1], t[2], state)
+	return true
+}
+
 // Split derives a new independent generator from r.
 func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }
 

@@ -2,11 +2,12 @@ package tensor
 
 // Runtime SIMD dispatch. The kernels come in up to three forms — pure Go
 // ("generic"), 256-bit AVX2 and 512-bit AVX-512 — selected once per call
-// through an atomic level variable. The top rung adds two things: the GEMM
+// through an atomic level variable. The top rung adds three things: the GEMM
 // register tile (gemm_amd64.s) runs on ZMM registers, 4×32 instead of 4×16,
 // and, where the CPU also has AVX512DQ, RNG.FillNormal draws eight
-// Box–Muller variates per pass (normal_amd64.s). Only those two use it — they
-// are the compute-bound kernels; the row kernels (exp, aggregation, gather)
+// Box–Muller variates per pass (normal_amd64.s) and RNG.FillRMAT eight RMAT
+// attempts (rmat_amd64.s). Only those three use it — they are the
+// compute-bound kernels; the row kernels (exp, aggregation, gather)
 // and the fused element-wise kernels keep their AVX2 form at that level (the
 // row kernels measured equal at both widths). The CPU's capabilities are
 // probed once at init (CPUID on amd64; see simd_amd64.go) and fix the
@@ -44,7 +45,8 @@ const (
 	SIMDAVX2
 	// SIMDAVX512 additionally runs the GEMM register tile on 512-bit
 	// registers (amd64 with AVX512F + OS opmask/ZMM state support), and the
-	// Box–Muller row kernel where the CPU also has AVX512DQ.
+	// Box–Muller row and RMAT attempt kernels where the CPU also has
+	// AVX512DQ.
 	SIMDAVX512
 )
 
@@ -64,7 +66,8 @@ func (l SIMDLevel) String() string {
 // detectedSIMD is the hardware ceiling, fixed at init by the per-arch probe;
 // cpuFMA says whether that CPU also fuses multiply-adds, which only the exp
 // kernel uses (expRow in ops.go), and cpuDQ whether an AVX-512 CPU has the
-// DQ subset, which only the Box–Muller row kernel uses (RNG.FillNormal).
+// DQ subset, which only the Box–Muller row and RMAT attempt kernels use
+// (RNG.FillNormal, RNG.FillRMAT).
 var detectedSIMD, cpuFMA, cpuDQ = detectSIMD()
 
 // activeSIMD is the level the kernels dispatch on (atomic: hot paths read it

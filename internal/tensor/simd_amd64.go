@@ -11,8 +11,9 @@ package tensor
 // subset (leaf 7 EBX bit 16 — the 512-bit tile uses AVX512F instructions
 // only) and OS support for the opmask and both halves of the ZMM state (XCR0
 // bits 5–7). The doubleword/quadword subset (AVX512DQ, leaf 7 EBX bit 17) is
-// probed beside it: only the Box–Muller row kernel (normal_amd64.s) needs it,
-// for its 64-bit multiplies and int64↔float64 conversions.
+// probed beside it: the Box–Muller row kernel (normal_amd64.s) needs it for its
+// 64-bit multiplies and int64↔float64 conversions, the RMAT attempt kernel
+// (rmat_amd64.s) for its 64-bit multiplies.
 
 // haveAVX2Asm gates compilation of AVX2 call sites; whether the calls are
 // *taken* is the runtime level's job (the active level can only reach
@@ -146,6 +147,14 @@ func gatherRowsAVX2Asm(dst []float32, dstStride int, src []float32, cols int, id
 //
 //go:noescape
 func normalRowAVX512Asm(dst, mean []float32, std float64, state, step uint64) (ok bool)
+
+// rmatRowsAVX512Asm sets src[i] and dst[i] to the row and column bits of
+// RMAT attempt i, whose level l reads counter state
+// state + (i·levels + l + 1)·γ (rmat_amd64.s). len(src) ≥ 1 and len(dst) ≥
+// len(src). It needs AVX512F and AVX512DQ.
+//
+//go:noescape
+func rmatRowsAVX512Asm(src, dst []int32, levels int, t0, t1, t2, state uint64)
 
 // The GEMM micro-kernel (gemm_amd64.s): each form adds
 // Σ_t a[r·ars + t·aks] · b[t·n + j] over t in [0, kc) into c[r·n + j] — or,

@@ -64,3 +64,7 @@ func subScalarAVX2Asm(dst, src []float32, s float32) {
 func normalRowAVX512Asm(dst, mean []float32, std float64, state, step uint64) bool {
 	panic("tensor: normalRowAVX512Asm without assembly support")
 }
+
+func rmatRowsAVX512Asm(src, dst []int32, levels int, t0, t1, t2, state uint64) {
+	panic("tensor: rmatRowsAVX512Asm without assembly support")
+}
