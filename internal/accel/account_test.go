@@ -65,7 +65,7 @@ func accountCases() []accountCase {
 	}
 }
 
-var accountKinds = []gnn.Kind{gnn.GCN, gnn.SAGE, gnn.GIN}
+var accountKinds = []gnn.Kind{gnn.GCN, gnn.SAGE}
 
 // forEachAccountCase runs fn over kinds × shapes × seeds with a fresh model,
 // mini-batch and feature matrix. Widths straddle the AVX2 lane count (8) so
@@ -78,7 +78,7 @@ func forEachAccountCase(t *testing.T, fn func(t *testing.T, m *gnn.Model, mb *sa
 				t.Run(fmt.Sprintf("%v/%s/seed%d", kind, c.name, seed), func(t *testing.T) {
 					rng := tensor.NewRNG(seed)
 					dims := widths[:len(c.sizes)]
-					m, err := gnn.NewModel(gnn.Config{Kind: kind, Dims: dims, GINEps: 0.3}, rng)
+					m, err := gnn.NewModel(gnn.Config{Kind: kind, Dims: dims}, rng)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -192,7 +192,6 @@ func TestGradientsFiniteDifference(t *testing.T) {
 		{"GCN-mean", GCN, false},
 		{"GCN-sym", GCN, true},
 		{"SAGE", SAGE, false},
-		{"GIN", GIN, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -201,9 +200,6 @@ func TestGradientsFiniteDifference(t *testing.T) {
 			cfg := Config{Kind: tc.kind, Dims: dims}
 			if tc.degrees {
 				cfg.Degrees = fx.ds.Graph.InDegrees()
-			}
-			if tc.kind == GIN {
-				cfg.GINEps = 0.5
 			}
 			m, err := NewModel(cfg, tensor.NewRNG(8))
 			if err != nil {
@@ -275,7 +271,7 @@ func TestGradientAccumulators(t *testing.T) {
 // Training must reduce loss on the planted-cluster task — the semantics
 // check behind the paper's convergence claims.
 func TestTrainingConverges(t *testing.T) {
-	for _, kind := range []Kind{GCN, SAGE, GIN} {
+	for _, kind := range []Kind{GCN, SAGE} {
 		rng := tensor.NewRNG(11)
 		spec := datagen.Spec{Name: "conv", NumVertices: 500, NumEdges: 3000, FeatDims: []int{16, 16, 4}}
 		ds, err := datagen.Materialize(spec, 1.0, rng)

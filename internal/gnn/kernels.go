@@ -3,7 +3,7 @@
 // (TrainStepRowsWS: forwardWS, then BackwardWS), sampled mini-batch inference
 // (InferMiniBatchRowsWS) and exact full-graph inference (InferFullGraph). A
 // Neighborhood captures the message structure of one bipartite layer with its
-// aggregation coefficients pre-resolved for the model kind (GCN/SAGE/GIN), so
+// aggregation coefficients pre-resolved for the model kind (GCN/SAGE), so
 // callers compose layers without re-implementing the aggregator.
 
 package gnn

@@ -22,11 +22,6 @@ const (
 	GCN Kind = iota
 	// SAGE: a_v = h_v ‖ mean(h_u), h_v = ReLU(a_v·W + b).
 	SAGE
-	// GIN (Xu et al., ICLR'19): a_v = (1+ε)·h_v + Σ_u h_u, h_v = ReLU(a_v·W + b).
-	// Not evaluated in the paper, but it follows the same aggregate-update
-	// paradigm (§II-A) the system claims to support generically — included
-	// as the generality check.
-	GIN
 )
 
 // String returns the paper's name for the model.
@@ -36,8 +31,6 @@ func (k Kind) String() string {
 		return "GCN"
 	case SAGE:
 		return "GraphSAGE"
-	case GIN:
-		return "GIN"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -53,8 +46,6 @@ type Config struct {
 	// When nil, GCN falls back to mean normalization over {v}∪N(v), which is
 	// also linear and converges equivalently on our synthetic tasks.
 	Degrees []int32
-	// GINEps is GIN's ε (self-feature emphasis); zero is the common default.
-	GINEps float64
 }
 
 // Layers returns L.
@@ -174,7 +165,7 @@ func (c Config) validate() error {
 			return fmt.Errorf("gnn: non-positive dim in %v", c.Dims)
 		}
 	}
-	if c.Kind != GCN && c.Kind != SAGE && c.Kind != GIN {
+	if c.Kind != GCN && c.Kind != SAGE {
 		return fmt.Errorf("gnn: unknown kind %d", c.Kind)
 	}
 	return nil

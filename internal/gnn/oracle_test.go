@@ -145,7 +145,7 @@ func TestBackwardOracleBitwise(t *testing.T) {
 					mb := chainedBatch(rng, sh.targets, sh.maxDeg, sh.dims[len(sh.dims)-1])
 					x := tensor.New(len(mb.InputNodes()), sh.dims[0])
 					tensor.NormalInit(x, 1, rng)
-					m, err := NewModel(Config{Kind: kind, Dims: sh.dims, GINEps: 0.1}, rng)
+					m, err := NewModel(Config{Kind: kind, Dims: sh.dims}, rng)
 					if err != nil {
 						t.Fatal(err)
 					}

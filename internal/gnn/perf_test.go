@@ -7,7 +7,7 @@ import (
 	"repro/internal/tensor"
 )
 
-var allKinds = []Kind{GCN, SAGE, GIN}
+var allKinds = []Kind{GCN, SAGE}
 
 // raggedBlock builds a deliberately irregular block: zero-degree
 // destinations, duplicate (src, dst) edges, self loops, and shared sources —
@@ -67,7 +67,7 @@ func TestAggregateBackwardParallelExactlyMatchesSerial(t *testing.T) {
 			if err := b.Validate(); err != nil {
 				t.Fatalf("%v trial %d: bad fixture: %v", kind, trial, err)
 			}
-			cfg := Config{Kind: kind, Dims: []int{5, 3}, GINEps: 0.3}
+			cfg := Config{Kind: kind, Dims: []int{5, 3}}
 			nb := NewNeighborhood(cfg, b)
 			cols := 250 + rng.Intn(9) // odd widths exercise the SIMD tails
 			dAgg := tensor.New(len(b.Dst), cols)
@@ -127,7 +127,7 @@ func TestWSPathsMatchLegacy(t *testing.T) {
 	for _, kind := range allKinds {
 		dims := []int{6, 8, 5}
 		fx := makeFixture(t, dims, 12, uint64(3+int(kind)))
-		m, err := NewModel(Config{Kind: kind, Dims: dims, GINEps: 0.1}, tensor.NewRNG(9))
+		m, err := NewModel(Config{Kind: kind, Dims: dims}, tensor.NewRNG(9))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func TestEdgeWeightsIntoReuse(t *testing.T) {
 	rng := tensor.NewRNG(31)
 	for _, kind := range allKinds {
 		b := raggedBlock(rng, 10, 6, 4)
-		cfg := Config{Kind: kind, Dims: []int{4, 2}, GINEps: 0.2}
+		cfg := Config{Kind: kind, Dims: []int{4, 2}}
 		wantE, wantS := EdgeWeights(cfg, b)
 		edgeW := make([]float32, b.NumEdges())
 		selfW := make([]float32, len(b.Dst))

@@ -82,15 +82,6 @@ func edgeWeightsInto(cfg Config, b *sampler.Block, edgeW, selfW []float32) ([]fl
 				edgeW[e] = inv
 			}
 		}
-	case GIN:
-		// Sum aggregation with emphasised self loop: (1+ε)·h_v + Σ h_u.
-		selfCoef := float32(1 + cfg.GINEps)
-		for d := 0; d < nd; d++ {
-			selfW[d] = selfCoef
-			for e := b.RowPtr[d]; e < b.RowPtr[d+1]; e++ {
-				edgeW[e] = 1
-			}
-		}
 	}
 	return edgeW, selfW
 }

@@ -14,21 +14,25 @@ import (
 // gob: the format is stable across Go versions, inspectable, and mirrors
 // what a C++/HLS consumer of the weights (the paper's FPGA toolchain) could
 // read directly.
+//
+// Load refuses every other version, version 1 included: it carried a float64
+// after the dim count that this layout does not have.
 const (
 	checkpointMagic   = 0x48594742 // "HYGB"
-	checkpointVersion = 1
+	checkpointVersion = 2
 )
 
-// Save serialises the model configuration and parameters.
+// Save serialises the model configuration and parameters. A model whose
+// header Load would refuse is an error before the first byte is written.
 func (m *Model) Save(w io.Writer) error {
+	if err := checkDims(len(m.Cfg.Dims), m.Cfg.Dims); err != nil {
+		return err
+	}
 	hdr := []uint32{checkpointMagic, checkpointVersion, uint32(m.Cfg.Kind), uint32(len(m.Cfg.Dims))}
 	for _, v := range hdr {
 		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
 			return err
 		}
-	}
-	if err := binary.Write(w, binary.LittleEndian, m.Cfg.GINEps); err != nil {
-		return err
 	}
 	for _, d := range m.Cfg.Dims {
 		if err := binary.Write(w, binary.LittleEndian, uint32(d)); err != nil {
@@ -46,9 +50,28 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// maxCheckpointDim bounds every layer width a checkpoint may declare, so a
-// header's shapes cannot overflow before they are checked against the stream.
-const maxCheckpointDim = 1 << 20
+// A checkpoint declares 2 to maxCheckpointDims layer widths, each at most
+// maxCheckpointDim, so a header's shapes cannot overflow before they are
+// checked against the stream.
+const (
+	maxCheckpointDims = 64
+	maxCheckpointDim  = 1 << 20
+)
+
+// checkDims holds the header bounds: n widths, and each of dims in range.
+// Save runs it before it writes, so every checkpoint it writes loads; Load
+// runs it on the declared count before it reads a width, then on the widths.
+func checkDims(n int, dims []int) error {
+	if n < 2 || n > maxCheckpointDims {
+		return fmt.Errorf("gnn: implausible dim count %d", n)
+	}
+	for i, d := range dims {
+		if d > maxCheckpointDim {
+			return fmt.Errorf("gnn: checkpoint dim %d is %d, above %d", i, d, maxCheckpointDim)
+		}
+	}
+	return nil
+}
 
 // Load reads a checkpoint written by Save and reconstructs the model.
 // Degrees (GCN normalization) are not part of the checkpoint; re-attach
@@ -70,11 +93,7 @@ func Load(r io.Reader) (*Model, error) {
 	if version != checkpointVersion {
 		return nil, fmt.Errorf("gnn: checkpoint version %d, want %d", version, checkpointVersion)
 	}
-	if nDims < 2 || nDims > 64 {
-		return nil, fmt.Errorf("gnn: implausible dim count %d", nDims)
-	}
-	var eps float64
-	if err := binary.Read(r, binary.LittleEndian, &eps); err != nil {
+	if err := checkDims(int(nDims), nil); err != nil {
 		return nil, err
 	}
 	dims := make([]int, nDims)
@@ -83,12 +102,12 @@ func Load(r io.Reader) (*Model, error) {
 		if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
 			return nil, err
 		}
-		if d > maxCheckpointDim {
-			return nil, fmt.Errorf("gnn: checkpoint dim %d is %d, above %d", i, d, maxCheckpointDim)
-		}
 		dims[i] = int(d)
 	}
-	cfg := Config{Kind: Kind(kind), Dims: dims, GINEps: eps}
+	if err := checkDims(len(dims), dims); err != nil {
+		return nil, err
+	}
+	cfg := Config{Kind: Kind(kind), Dims: dims}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}

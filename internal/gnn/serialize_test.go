@@ -3,6 +3,7 @@ package gnn
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	for _, kind := range []Kind{GCN, SAGE, GIN} {
-		m, err := NewModel(Config{Kind: kind, Dims: []int{12, 8, 5}, GINEps: 0.25}, tensor.NewRNG(1))
+	for _, kind := range []Kind{GCN, SAGE} {
+		m, err := NewModel(Config{Kind: kind, Dims: []int{12, 8, 5}}, tensor.NewRNG(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -23,7 +24,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m2.Cfg.Kind != kind || m2.Cfg.GINEps != 0.25 {
+		if m2.Cfg.Kind != kind {
 			t.Fatalf("config lost: %+v", m2.Cfg)
 		}
 		if len(m2.Cfg.Dims) != 3 || m2.Cfg.Dims[1] != 8 {
@@ -87,11 +88,11 @@ func TestLoadedModelInfersIdentically(t *testing.T) {
 	}
 }
 
-// hostileHeader is a checkpoint header (magic, version, GCN, two dims, ε)
+// hostileHeader is a checkpoint header (magic, version, GCN, two dims)
 // declaring both widths as dims, followed by pad.
 func hostileHeader(dims [2]uint32, pad int) []byte {
 	var buf bytes.Buffer
-	for _, v := range []any{uint32(checkpointMagic), uint32(checkpointVersion), uint32(GCN), uint32(2), float64(0), dims} {
+	for _, v := range []any{uint32(checkpointMagic), uint32(checkpointVersion), uint32(GCN), uint32(2), dims} {
 		binary.Write(&buf, binary.LittleEndian, v)
 	}
 	buf.Write(make([]byte, pad))
@@ -109,7 +110,7 @@ func TestLoadRejectsHostileHeader(t *testing.T) {
 	huge = binary.LittleEndian.AppendUint32(huge, 1<<20) // the shape agrees,
 	huge = binary.LittleEndian.AppendUint32(huge, 1<<20) // the data is absent
 	if _, err := Load(bytes.NewReader(huge)); err == nil {
-		t.Fatal("accepted a 2⁴⁰-element weight tensor from a 40-byte stream")
+		t.Fatal("accepted a 2⁴⁰-element weight tensor from a 32-byte stream")
 	}
 	bad := hostileHeader([2]uint32{4, 3}, 0)
 	bad = binary.LittleEndian.AppendUint32(bad, 3) // 3x3, model expects 4x3
@@ -119,11 +120,72 @@ func TestLoadRejectsHostileHeader(t *testing.T) {
 	}
 }
 
+// version1Checkpoint writes m in the version-1 layout: the version-2 header
+// with version 1 and a float64 (ε, zero here) after the dim count.
+func version1Checkpoint(t testing.TB, m *Model) []byte {
+	var v2 bytes.Buffer
+	if err := m.Save(&v2); err != nil {
+		t.Fatal(err)
+	}
+	b := v2.Bytes()
+	binary.LittleEndian.PutUint32(b[4:], 1)
+	return append(append(b[:16:16], make([]byte, 8)...), b[16:]...)
+}
+
+// A version-1 checkpoint, whole or cut short, is refused by its version.
+func TestLoadRejectsVersion1(t *testing.T) {
+	m, err := NewModel(Config{Kind: SAGE, Dims: []int{3, 2}}, tensor.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := version1Checkpoint(t, m)
+	for _, data := range [][]byte{v1, v1[:len(v1)-3]} {
+		if _, err := Load(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "checkpoint version 1, want 2") {
+			t.Fatalf("a %d-byte version-1 checkpoint gave %v, want the version error", len(data), err)
+		}
+	}
+}
+
+// Save refuses, before writing a byte, a model whose header Load would
+// refuse; a model at the bounds saves and loads.
+func TestSaveRefusesWhatLoadRefuses(t *testing.T) {
+	widths := func(n int) []int {
+		dims := make([]int, n)
+		for i := range dims {
+			dims[i] = 2
+		}
+		return dims
+	}
+	for _, dims := range [][]int{widths(maxCheckpointDims + 1), {maxCheckpointDim + 1, 1}} {
+		m, err := NewModel(Config{Kind: GCN, Dims: dims}, tensor.NewRNG(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err == nil || buf.Len() != 0 {
+			t.Fatalf("%d dims up to %d: Save gave %v after %d bytes, want an error before any", len(dims), slices.Max(dims), err, buf.Len())
+		}
+	}
+	for _, dims := range [][]int{widths(maxCheckpointDims), {maxCheckpointDim, 1}} {
+		m, err := NewModel(Config{Kind: GCN, Dims: dims}, tensor.NewRNG(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err != nil {
+			t.Fatalf("%d dims up to %d: Save wrote a checkpoint Load refuses: %v", len(dims), slices.Max(dims), err)
+		}
+	}
+}
+
 // Load never panics, and any checkpoint it accepts re-saves to exactly the
 // bytes it consumed.
 func FuzzLoad(f *testing.F) {
-	for _, kind := range []Kind{GCN, SAGE, GIN} {
-		m, err := NewModel(Config{Kind: kind, Dims: []int{3, 2}, GINEps: 0.5}, tensor.NewRNG(5))
+	for _, kind := range []Kind{GCN, SAGE} {
+		m, err := NewModel(Config{Kind: kind, Dims: []int{3, 2}}, tensor.NewRNG(5))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -134,6 +196,13 @@ func FuzzLoad(f *testing.F) {
 		f.Add(buf.Bytes())
 		f.Add(buf.Bytes()[:buf.Len()-3])
 	}
+	m, err := NewModel(Config{Kind: SAGE, Dims: []int{3, 2}}, tensor.NewRNG(5))
+	if err != nil {
+		f.Fatal(err)
+	}
+	v1 := version1Checkpoint(f, m)
+	f.Add(v1)
+	f.Add(v1[:len(v1)-3])
 	f.Add(hostileHeader([2]uint32{1<<31 - 1, 1<<31 - 1}, 4))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

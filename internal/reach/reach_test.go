@@ -41,6 +41,7 @@ var allowed = map[string]string{
 	"gnn.Load":                 "checkpoint reader, fuzzed by FuzzLoad",
 	"gnn.writeMatrix":          "checkpoint writer's per-matrix record",
 	"gnn.readMatrix":           "checkpoint reader's per-matrix record",
+	"gnn.checkDims":            "the header bounds the checkpoint writer and reader share",
 	"(*core.Engine).SaveModel": "the engine's checkpoint entry point",
 
 	// Gradient algebra the optimizer and sync tests build references with.
@@ -82,7 +83,6 @@ var allowed = map[string]string{
 	"(*tensor.Matrix).AllClose": "the tolerance comparison of the tensor and quantization tests",
 	"tensor.ConcatCols":         "oracle: the unfused SAGE concatenation",
 	"tensor.ReLUInto":           "oracle: the unfused ReLU of accel's dataflow-order forward",
-	"tensor.reluAVX2Asm":        "ReLUInto's AVX2 kernel",
 	"tensor.DetectedSIMDLevel":  "bounds the SIMD-level loops of the bitwise tests",
 	"(*tensor.Workspace).Bytes": "arena footprint the footprint and workspace tests read",
 	"(*tensor.slab[T]).bytes":   "Workspace.Bytes's per-slab term",

@@ -164,26 +164,6 @@ loop8:
 	VZEROUPPER
 	RET
 
-// func reluAVX2Asm(data []float32)
-// data[j] = relu(data[j]), by the masking scheme of addBiasReLUAVX2Asm.
-TEXT ·reluAVX2Asm(SB), NOSPLIT, $0-24
-	MOVQ data_base+0(FP), DI
-	MOVQ data_len+8(FP), CX
-
-	VXORPS Y0, Y0, Y0 // 0.0
-
-loop8:
-	VMOVUPS (DI), Y2
-	VCMPPS  $0x1E, Y0, Y2, Y3
-	VANDPS  Y3, Y2, Y2
-	VMOVUPS Y2, (DI)
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JG      loop8
-
-	VZEROUPPER
-	RET
-
 // func rowMaxAVX2Asm(src []float32) float32
 // Returns max(src). Selection, not arithmetic: the maximum *value* is
 // order-independent, and the Go wrapper canonicalises the returned bit

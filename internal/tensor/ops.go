@@ -59,18 +59,9 @@ func BiasGrad(grad, dy *Matrix) {
 // mask is a pure function of the output (out > 0 exactly where the input was
 // — a NaN or −0 input writes +0), and ReLUBackward reads it off that.
 func ReLUInto(m *Matrix) {
-	n := len(m.Data)
-	q := 0
-	if haveAVX2Asm && n >= 8 && simdAtLeast(SIMDAVX2) {
-		// The matrix is contiguous, so the whole tensor is one flat pass.
-		q = n &^ 7
-		reluAVX2Asm(m.Data[:q])
-	}
-	// The AVX2 kernel mirrors this branch exactly (compare, then AND):
-	// v = -0.0 and v = NaN write +0.0 on both paths.
-	for i, v := range m.Data[q:] {
+	for i, v := range m.Data {
 		if !(v > 0) {
-			m.Data[q+i] = 0
+			m.Data[i] = 0
 		}
 	}
 }

@@ -90,11 +90,6 @@ func reluBackwardAVX2Asm(dz, act []float32)
 //go:noescape
 func addBiasReLUAVX2Asm(row, bias []float32)
 
-// reluAVX2Asm computes data[j] = relu(data[j]) — the ReLUInto inner loop.
-//
-//go:noescape
-func reluAVX2Asm(data []float32)
-
 // rowMaxAVX2Asm returns the maximum element of src (len ≥ 8, multiple of 8).
 //
 //go:noescape

@@ -33,10 +33,6 @@ func addBiasReLUAVX2Asm(row, bias []float32) {
 	panic("tensor: addBiasReLUAVX2Asm without assembly support")
 }
 
-func reluAVX2Asm(data []float32) {
-	panic("tensor: reluAVX2Asm without assembly support")
-}
-
 func expRowFMAAsm(dst []float64, src []float32) bool {
 	panic("tensor: expRowFMAAsm without assembly support")
 }
