@@ -365,3 +365,56 @@ func TestNeighborhoodResetInvalidatesTranspose(t *testing.T) {
 		t.Fatal("init re-bind did not invalidate the cached transpose")
 	}
 }
+
+// BenchmarkAggregateTable times layer 0 of a gpu-lean step where it reads
+// the feature table in place: 1 024 targets with 25 sampled neighbours each,
+// f = 128, every source a random row of a papers ÷ 1000-sized table
+// (111 059 × 128 floats, 57 MB), one worker, at the avx2 and avx512 levels.
+// Consecutive iterations aggregate four blocks drawn apart, as consecutive
+// training steps do, so a block's rows are not left in cache by the one
+// before. The traced gnn.aggregate_* rows replay a gathered, cache-hot copy
+// and cannot show what a kernel's reads of the table cost; this can. It
+// reports ns per edge.
+func BenchmarkAggregateTable(b *testing.B) {
+	const rows, cols, targets, fanout, blocks = 111_059, 128, 1024, 25, 4
+	rng := tensor.NewRNG(1)
+	table := tensor.New(rows, cols)
+	tensor.NormalInit(table, 1, rng)
+	nSrc := targets * (1 + fanout)
+	blk := &sampler.Block{Src: make([]int32, nSrc), RowPtr: make([]int32, targets+1), Col: make([]int32, targets*fanout)}
+	for s := range blk.Src {
+		blk.Src[s] = int32(s)
+	}
+	blk.Dst = blk.Src[:targets]
+	for e := range blk.Col {
+		blk.Col[e] = int32(targets + e)
+	}
+	for d := range blk.Dst {
+		blk.RowPtr[d+1] = int32((d + 1) * fanout)
+	}
+	nbs := make([]*Neighborhood, blocks)
+	for i := range nbs {
+		in := make([]int32, nSrc)
+		for s := range in {
+			in[s] = int32(rng.Intn(rows))
+		}
+		nbs[i] = &Neighborhood{}
+		nbs[i].init(Config{Kind: GCN, Dims: []int{cols, cols}}, blk, tensor.NewWorkspace())
+		nbs[i].mapRows(in)
+	}
+	out := tensor.New(targets, cols)
+	defer tensor.SetParallelism(tensor.SetParallelism(1))
+	for _, l := range []tensor.SIMDLevel{tensor.SIMDAVX2, tensor.SIMDAVX512} {
+		b.Run(l.String(), func(b *testing.B) {
+			prev, err := tensor.SetSIMDLevel(l)
+			if err != nil {
+				b.Skip(err)
+			}
+			defer tensor.SetSIMDLevel(prev)
+			for i := 0; i < b.N; i++ {
+				nbs[i%blocks].Aggregate(out, table)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*targets*fanout), "ns/edge")
+		})
+	}
+}

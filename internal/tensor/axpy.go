@@ -65,10 +65,16 @@ func ScaleRowInto(dst, src []float32, s float32) {
 //	for e, s := range idx { AxpyRow(out[:cols], h[s·cols:][:cols], w[e]) }
 //
 // to which it is bit-identical at every level. From AVX2 up the loop over
-// edges runs inside aggregateRowAVX2Asm with the output row held in registers
-// (aggregate_amd64.s); below, and off amd64, it is that AxpyRow loop. h is a
-// row-major table of len(h)/cols rows; an index outside it, a w shorter than
-// idx or an out shorter than cols panics before anything is written.
+// edges runs inside the assembly with the output row held in registers
+// (aggregate_amd64.s): aggregateRowAVX2Asm at avx2, aggregateRowAVX512Asm
+// (up to 128 columns per sweep of the edge list) at avx512; below, and off
+// amd64, it is that AxpyRow loop. h is a row-major table of len(h)/cols
+// rows; an index outside it, a w shorter than idx or an out shorter than
+// cols panics before anything is written. The 512-bit kernel prefetches the
+// row eight edges ahead and reads that index up to cap(idx): a caller that
+// cuts one row's edges out of a longer list gets the next row's first
+// sources on their way. Entries past len(idx) only steer prefetches, so they
+// need not be valid rows.
 func AggregateRow(out, h []float32, cols int, idx []int32, w []float32) {
 	if cols <= 0 || len(out) < cols || len(w) < len(idx) {
 		panic(fmt.Sprintf("tensor: AggregateRow out %d for %d cols, %d weights for %d edges",
@@ -78,13 +84,25 @@ func AggregateRow(out, h []float32, cols int, idx []int32, w []float32) {
 	if len(idx) == 0 {
 		return
 	}
-	if haveAVX2Asm && simdAtLeast(SIMDAVX2) {
+	aggregateRow(out, h, cols, idx, w)
+}
+
+// aggregateRow is AggregateRow past its checks (len(idx) ≥ 1). It reports the
+// level of the kernel that ran, so the tests can tell that each level runs
+// its own.
+func aggregateRow(out, h []float32, cols int, idx []int32, w []float32) SIMDLevel {
+	switch {
+	case haveAVX2Asm && simdAtLeast(SIMDAVX512):
+		aggregateRowAVX512Asm(out, h, cols, idx, w)
+		return SIMDAVX512
+	case haveAVX2Asm && simdAtLeast(SIMDAVX2):
 		aggregateRowAVX2Asm(out, h, cols, idx, w)
-		return
+		return SIMDAVX2
 	}
 	for e, s := range idx {
 		AxpyRow(out, h[int(s)*cols:int(s)*cols+cols], w[e])
 	}
+	return SIMDGeneric
 }
 
 // checkRowIndices panics unless every index addresses one of rows rows: the

@@ -83,11 +83,13 @@ func TestExpRowMatchesMathExpSIMD(t *testing.T) {
 	})
 }
 
-// aggCols and aggDegrees span every column pass of the aggregation kernel
-// (64, 32, 8, masked tail, alone and combined) and edge lists from empty to
-// longer than any sampled fan-out.
+// aggCols and aggDegrees span every column pass of both aggregation kernels
+// — the 256-bit one's 64, 32, 8 and masked tail, the 512-bit one's 128-column
+// passes whose last vector runs under an opmask, alone and combined — and
+// edge lists from empty to longer than any sampled fan-out.
 var (
-	aggCols    = []int{1, 7, 8, 9, 31, 32, 33, 47, 64, 100, 128, 172, 256, 300}
+	aggCols = []int{1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 64, 100, 112, 127, 128, 129, 143, 144,
+		172, 192, 255, 256, 257, 300, 384, 385}
 	aggDegrees = []int{0, 1, 2, 10, 25, 200}
 )
 
@@ -129,7 +131,9 @@ func axpyRowLoop(out, h []float32, cols int, idx []int32, w []float32) []float32
 
 // TestAggregateRowMatchesAxpyRowLoopSIMD pins AggregateRow to the loop of
 // AxpyRow calls it replaces, bit for bit, on ordinary and on non-finite
-// inputs.
+// inputs. At each level the kernel of that level must be the one that runs:
+// on a CPU with AVX512F the test fails, rather than passes on the 256-bit
+// kernel, if the 512-bit one did not run at avx512.
 func TestAggregateRowMatchesAxpyRowLoopSIMD(t *testing.T) {
 	forEachLevelAndParallelism(t, func(l SIMDLevel, par int) {
 		rng := NewRNG(32)
@@ -145,6 +149,10 @@ func TestAggregateRowMatchesAxpyRowLoopSIMD(t *testing.T) {
 					}
 				}
 			}
+		}
+		out, h, idx, w := aggCase(rng, 100, 3, false)
+		if ran := aggregateRow(out, h, 100, idx, w); ran != l {
+			t.Fatalf("level %v: the %v aggregation kernel ran", l, ran)
 		}
 	})
 }
@@ -215,6 +223,65 @@ func TestAggregateRowPanicsOutOfRangeSIMD(t *testing.T) {
 				}()
 				AggregateRow(c.out, h, cols, c.idx, c.w)
 			}()
+		}
+	})
+}
+
+// FuzzAggregateRow pins AggregateRow to the AxpyRow loop, bit for bit (NaN
+// by class), at every level this CPU has, on rows 1–400 columns wide with
+// 0–64 edges: the fuzzer picks the width, the degree, how often an edge
+// repeats an earlier source, and where −0, ±Inf and NaN land in the table,
+// the weights and out (four bytes each: which slice, where, which value).
+// out sits in front of sentinels that must survive, and idx has nine spare
+// entries of any value past its length, where the look-ahead reads.
+func FuzzAggregateRow(f *testing.F) {
+	for i, cols := range []int{1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 112, 127, 128, 129,
+		143, 144, 192, 255, 256, 257, 384, 385, 400} {
+		f.Add(uint16(cols-1), uint8(i*5%65), uint8(i%4), uint64(i), []byte{byte(i), byte(i * 37), 0, byte(i)})
+	}
+	const pad = 16
+	guard := math.Float32frombits(0xdeadbeef)
+	f.Fuzz(func(t *testing.T, width uint16, degree, dup uint8, seed uint64, places []byte) {
+		cols, deg := int(width)%400+1, int(degree)%65
+		rng := NewRNG(seed)
+		const rows = 13
+		h, w, in := randSlice(rng, rows*cols), randSlice(rng, deg), randSlice(rng, cols)
+		idx := make([]int32, deg, deg+9)
+		for e := range idx {
+			idx[e] = int32(rng.Intn(rows))
+			if e > 0 && dup > 0 && rng.Intn(int(dup)+1) != 0 {
+				idx[e] = idx[rng.Intn(e)]
+			}
+		}
+		spare := idx[deg:cap(idx)]
+		for i := range spare {
+			spare[i] = int32(rng.Uint64())
+		}
+		for ; len(places) >= 4; places = places[4:] {
+			s := [][]float32{h, w, in}[int(places[0])%3]
+			if len(s) > 0 {
+				s[(int(places[1])|int(places[2])<<8)%len(s)] = specials[int(places[3])%len(specials)]
+			}
+		}
+		for _, l := range availableLevels() {
+			withSIMD(t, l, func() {
+				want := axpyRowLoop(in, h, cols, idx, w)
+				buf := make([]float32, cols+pad)
+				copy(buf, in)
+				for i := cols; i < len(buf); i++ {
+					buf[i] = guard
+				}
+				AggregateRow(buf[:cols:cols], h, cols, idx, w)
+				if j, ok := sameBits(buf[:cols], want); !ok {
+					t.Fatalf("level %v cols=%d degree=%d: out[%d] = %x, AxpyRow loop %x",
+						l, cols, deg, j, math.Float32bits(buf[j]), math.Float32bits(want[j]))
+				}
+				for i := cols; i < len(buf); i++ {
+					if math.Float32bits(buf[i]) != 0xdeadbeef {
+						t.Fatalf("level %v cols=%d degree=%d: wrote past the row at column %d", l, cols, deg, i)
+					}
+				}
+			})
 		}
 	})
 }

@@ -2,20 +2,24 @@ package tensor
 
 // Runtime SIMD dispatch. The kernels come in up to three forms — pure Go
 // ("generic"), 256-bit AVX2 and 512-bit AVX-512 — selected once per call
-// through an atomic level variable. The top rung adds three things: the GEMM
-// register tile (gemm_amd64.s) runs on ZMM registers, 4×32 instead of 4×16,
-// and, where the CPU also has AVX512DQ, RNG.FillNormal draws eight
+// through an atomic level variable. The top rung adds four things. The GEMM
+// register tile (gemm_amd64.s) runs on ZMM registers, 4×32 instead of 4×16.
+// The aggregation row kernel (aggregate_amd64.s) holds up to 128 output
+// columns in ZMM accumulators instead of 64 in YMM ones, so layer 0
+// (f = 100 or 128) sweeps each destination's edge list once, and it
+// prefetches the row eight edges ahead, past the end of the destination's
+// own list. Where the CPU also has AVX512DQ, RNG.FillNormal draws eight
 // Box–Muller variates per pass (normal_amd64.s) and RNG.FillRMAT eight RMAT
-// attempts (rmat_amd64.s). Only those three use it — they are the
-// compute-bound kernels; the row kernels (exp, aggregation, gather)
-// and the fused element-wise kernels keep their AVX2 form at that level (the
-// row kernels measured equal at both widths). The CPU's capabilities are
-// probed once at init (CPUID on amd64; see simd_amd64.go) and fix the
-// ceiling: SetSIMDLevel can lower the active level (forcing the fallback
-// paths for tests and the -simd flag) but never raise it above what the
-// hardware supports. The TENSOR_SIMD environment variable applies the same
-// override at process start, clamped to the detected ceiling so a CI matrix
-// can request "avx512" on any runner and get "as wide as available".
+// attempts (rmat_amd64.s). Only those four use it; the exp and gather row
+// kernels and the fused element-wise kernels keep their AVX2 form at that
+// level (the exp and gather kernels measured equal at both widths). The
+// CPU's capabilities are probed once at init (CPUID on amd64; see
+// simd_amd64.go) and fix the ceiling: SetSIMDLevel can lower the active level
+// (forcing the fallback paths for tests and the -simd flag) but never raise
+// it above what the hardware supports. The TENSOR_SIMD environment variable
+// applies the same override at process start, clamped to the detected
+// ceiling so a CI matrix can request "avx512" on any runner and get "as wide
+// as available".
 //
 // Every level computes bit-identical results: the vector kernels keep
 // multiply and add unfused (VMULPS + VADDPS, never FMA — fusing rounds once
@@ -43,10 +47,10 @@ const (
 	// SIMDAVX2 uses the 256-bit AVX2 kernels (amd64 with AVX2 + OS YMM
 	// state support).
 	SIMDAVX2
-	// SIMDAVX512 additionally runs the GEMM register tile on 512-bit
-	// registers (amd64 with AVX512F + OS opmask/ZMM state support), and the
-	// Box–Muller row and RMAT attempt kernels where the CPU also has
-	// AVX512DQ.
+	// SIMDAVX512 additionally runs the GEMM register tile and the
+	// aggregation row kernel on 512-bit registers (amd64 with AVX512F + OS
+	// opmask/ZMM state support), and the Box–Muller row and RMAT attempt
+	// kernels where the CPU also has AVX512DQ.
 	SIMDAVX512
 )
 

@@ -101,9 +101,10 @@ func rowMaxAVX2Asm(src []float32) float32
 func subScalarAVX2Asm(dst, src []float32, s float32)
 
 // The row kernels: each is a Go loop around a per-element kernel with the loop
-// moved inside the assembly. All three are 256-bit forms that run at the avx2
-// and avx512 rungs alike, and take no bounds on trust: the Go wrappers prove
-// every extent (and every index) before the call.
+// moved inside the assembly. The exp and gather kernels are 256-bit forms that
+// run at the avx2 and avx512 rungs alike; the aggregation kernel has a 512-bit
+// form at avx512. None takes bounds on trust: the Go wrappers prove every
+// extent (and every index) before the call.
 
 // expRowFMAAsm computes dst[j] = exp(float64(src[j])) four lanes at a time by
 // the FMA path of math.Exp (exp_amd64.s). len(src) is a positive multiple of
@@ -125,6 +126,14 @@ func softmaxGradAVX2Asm(grad []float32, exps []float64, sum float64, inv float32
 //
 //go:noescape
 func aggregateRowAVX2Asm(out, h []float32, cols int, idx []int32, w []float32)
+
+// aggregateRowAVX512Asm is aggregateRowAVX2Asm on ZMM registers, up to 128
+// columns per sweep of the edge list (aggregate_amd64.s), under the same
+// preconditions. To prefetch eight edges ahead it also reads idx up to
+// cap(idx); those entries need not be valid rows. It needs AVX512F.
+//
+//go:noescape
+func aggregateRowAVX512Asm(out, h []float32, cols int, idx []int32, w []float32)
 
 // gatherRowsAVX2Asm copies row idx[i] of src (cols floats per row, cols ≥ 8)
 // to dst[i·dstStride:][:cols] for every i (gather_amd64.s). len(idx) ≥ 1,

@@ -45,6 +45,10 @@ func aggregateRowAVX2Asm(out, h []float32, cols int, idx []int32, w []float32) {
 	panic("tensor: aggregateRowAVX2Asm without assembly support")
 }
 
+func aggregateRowAVX512Asm(out, h []float32, cols int, idx []int32, w []float32) {
+	panic("tensor: aggregateRowAVX512Asm without assembly support")
+}
+
 func gatherRowsAVX2Asm(dst []float32, dstStride int, src []float32, cols int, idx []int32) {
 	panic("tensor: gatherRowsAVX2Asm without assembly support")
 }
