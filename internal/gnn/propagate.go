@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -14,15 +15,19 @@ import (
 // training holds it (together with a Workspace) to run allocation-free. A
 // fresh &ForwardState{} is ready for use. Its buffers (Logits included) are
 // valid until the owner's next ws.Reset; a state must not be shared between
-// concurrent steps. No ReLU mask is
-// kept: hidden layer l's post-ReLU output is inputs[l+1], and the activation's
-// derivative is 1 exactly where that is > 0 (tensor.ReLUBackward).
+// concurrent steps. No ReLU mask is kept by the forward pass: hidden layer l's
+// post-ReLU output is inputs[l+1], and the activation's derivative is 1
+// exactly where that is > 0 (tensor.ReLUMask). A forward pass backpropagates
+// once: BackwardWS writes each hidden layer's input gradient over the
+// activation it consumes, so it refuses a state it has already run on until
+// the next forward pass re-arms it. Logits is never overwritten.
 type ForwardState struct {
 	mb     *sampler.MiniBatch
 	inputs []*tensor.Matrix // H over Blocks[l].Src, layer input (layer 0: the table nbs[0] maps into)
 	aggs   []*tensor.Matrix // aggregated (GCN) / concatenated (SAGE) input to the dense update
 	nbs    []Neighborhood   // per-layer message structure, reused across iterations
 	view   tensor.Matrix    // scratch header for the SAGE dh-prefix view
+	armed  bool             // the activations are intact: set by forwardWS, cleared by BackwardWS
 	Logits *tensor.Matrix   // |targets| × fL
 }
 
@@ -113,7 +118,7 @@ func (m *Model) forwardWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.Mi
 		return err
 	}
 	L := m.Cfg.Layers()
-	st.mb = mb
+	st.mb, st.armed = mb, false
 	if len(st.inputs) != L {
 		st.inputs = make([]*tensor.Matrix, L)
 		st.aggs = make([]*tensor.Matrix, L)
@@ -134,7 +139,7 @@ func (m *Model) forwardWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.Mi
 		st.aggs[l] = dense
 		h = z
 	}
-	st.Logits = h
+	st.Logits, st.armed = h, true
 	return nil
 }
 
@@ -158,20 +163,28 @@ func fillIdentity(idx []int32) []int32 {
 // first layer's weights: ∂L/∂X of the input features has no consumer and is
 // never formed, so the input block's aggregate has no backward. st must come
 // from the matching forward pass (TrainStepRowsWS runs it first) whose
-// buffers are still live; dLogits is not mutated.
+// buffers are still live. dLogits is not mutated, but the hidden activations
+// are: layer l ≥ 1 records its input's ReLU derivative as one bit per element
+// and accumulates its input gradient in that input's own buffer, so a state
+// backpropagates once — a second call errors until the next forward pass.
 func (m *Model) BackwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tensor.Matrix, grads *Gradients) error {
+	if !st.armed {
+		return errors.New("gnn: forward state has no intact activations: run the forward pass before each backward pass")
+	}
 	L := m.Cfg.Layers()
 	if dLogits.Rows != st.Logits.Rows || dLogits.Cols != st.Logits.Cols {
 		return fmt.Errorf("gnn: dLogits %dx%d, want %dx%d",
 			dLogits.Rows, dLogits.Cols, st.Logits.Rows, st.Logits.Cols)
 	}
-	dz := ws.Get(dLogits.Rows, dLogits.Cols)
-	copy(dz.Data, dLogits.Data)
+	st.armed = false
+	dz := dLogits // only read: the top layer has no ReLU
+	var mask []int32
 	for l := L - 1; l >= 0; l-- {
 		if l < L-1 {
-			// dz is the gradient at hidden layer l's post-ReLU output, which
-			// the forward pass retained as the next layer's input.
-			tensor.ReLUBackward(dz, st.inputs[l+1])
+			// dz is the gradient at hidden layer l's post-ReLU output, held in
+			// that output's buffer; mask is the output's derivative, recorded
+			// before the buffer was overwritten.
+			tensor.ReLUBackward(dz, mask)
 		}
 		// Dense update backward: z = dense·W + bias.
 		tensor.TMatMul(grads.Weights[l], st.aggs[l], dz)
@@ -180,23 +193,35 @@ func (m *Model) BackwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tens
 		if l == 0 {
 			break // nothing trainable below: no dDense GEMM, |V0|×f0 clear or scatter
 		}
-		dDense := ws.Get(dz.Rows, m.Cfg.inDim(l))
-		tensor.MatMulT(dDense, dz, m.Params.Weights[l])
 
-		// Aggregation backward into the layer input.
-		fin := m.Cfg.Dims[l]
-		dh := ws.GetZero(len(st.mb.Blocks[l].Src), fin)
+		// Aggregation backward into the layer input. Past its ReLU derivative
+		// nothing reads the input again, so its buffer becomes dh, cleared
+		// where the scatter adds into it in the pass that records the bits.
+		dh := st.inputs[l]
+		nd, fin := dz.Rows, dh.Cols
+		mask = ws.I32((dh.Rows*fin + 31) / 32)
 		nb := &st.nbs[l]
+		w := m.Params.Weights[l]
 		if m.Cfg.Kind == SAGE {
-			// The self half of dDense lands directly on the Dst-prefix rows
-			// of dh (they are zero, so the split's copy equals the scatter-add
-			// the unfused path performed); the mean half feeds the scatter.
+			// dDense = dz·Wᵀ is [dSelf | dMean], and column j of it reads only
+			// row j of W, so each half is the product with W's matching rows,
+			// bit for bit. The self half lands directly on the Dst-prefix rows
+			// of dh (which the scatter-add of the unfused path would have added
+			// to zero), the mean half feeds the scatter.
+			tensor.ReLUMask(mask, dh, nd)
+			fout := w.Cols
+			wSelf := tensor.Matrix{Rows: fin, Cols: fout, Data: w.Data[:fin*fout]}
+			wMean := tensor.Matrix{Rows: fin, Cols: fout, Data: w.Data[fin*fout:]}
 			dSelf := &st.view
-			dSelf.Rows, dSelf.Cols, dSelf.Data = dz.Rows, fin, dh.Data[:dz.Rows*fin]
-			dMean := ws.Get(dz.Rows, fin)
-			tensor.SplitCols(dSelf, dMean, dDense)
+			dSelf.Rows, dSelf.Cols, dSelf.Data = nd, fin, dh.Data[:nd*fin]
+			tensor.MatMulT(dSelf, dz, &wSelf)
+			dMean := ws.Get(nd, fin)
+			tensor.MatMulT(dMean, dz, &wMean)
 			nb.AggregateBackward(dh, dMean)
 		} else {
+			tensor.ReLUMask(mask, dh, 0)
+			dDense := ws.Get(nd, fin)
+			tensor.MatMulT(dDense, dz, w)
 			nb.AggregateBackward(dh, dDense)
 		}
 		dz = dh
@@ -220,7 +245,9 @@ func (m *Model) TrainStepWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.
 // bits. x is only read. With ws.Reset called at each iteration boundary the
 // steady-state step allocates nothing — the property core's trainer backends
 // rely on and the AllocsPerRun gates enforce. The caller resets ws; this
-// function only borrows.
+// function only borrows. The backward pass consumes the hidden activations it
+// reads (see BackwardWS): after the step st holds intact Logits only, and
+// the dLogits it passes to BackwardWS is not mutated.
 func (m *Model) TrainStepRowsWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.MiniBatch,
 	x *tensor.Matrix, rows []int32, grads *Gradients) (float64, float64, error) {
 	if err := m.forwardWS(ws, st, mb, x, rows); err != nil {

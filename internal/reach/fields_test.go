@@ -35,6 +35,7 @@ var allowedFields = map[string]string{
 	"perfmodel.ServingDevicePrediction.Stage": "the per-device stage vector the serving-model tests check",
 	"bench.ServeFaultVariant.Redispatched":    "the fault drill's test asserts the failover re-dispatched a batch",
 	"pipesim.Result.IterSec":                  "per-iteration times the simulator tests check; the simulator leaves in ROADMAP item 10",
+	"gnn.ForwardState.mb":                     "gnn's backward oracle reads the blocks through it; BackwardWS reads them from the neighborhoods",
 }
 
 // fieldUse is what the code that runs in some program does with one field.

@@ -77,15 +77,16 @@ var allowed = map[string]string{
 	"(*bench.Table).Lookup":          "cell lookup the experiment-table tests read through",
 
 	// tensor: test fixtures, comparisons and unfused oracles.
-	"tensor.FromSlice":          "builds fixture matrices from literals",
-	"(*tensor.Matrix).Set":      "finite-difference tests perturb one entry",
-	"(*tensor.Matrix).Equal":    "the bitwise comparison of every exact-equality test",
-	"(*tensor.Matrix).AllClose": "the tolerance comparison of the tensor and quantization tests",
-	"tensor.ConcatCols":         "oracle: the unfused SAGE concatenation",
-	"tensor.ReLUInto":           "oracle: the unfused ReLU of accel's dataflow-order forward",
-	"tensor.DetectedSIMDLevel":  "bounds the SIMD-level loops of the bitwise tests",
-	"(*tensor.Workspace).Bytes": "arena footprint the footprint and workspace tests read",
-	"(*tensor.slab[T]).bytes":   "Workspace.Bytes's per-slab term",
+	"tensor.FromSlice":            "builds fixture matrices from literals",
+	"(*tensor.Matrix).Equal":      "the bitwise comparison of every exact-equality test",
+	"(*tensor.Matrix).AllClose":   "the tolerance comparison of the tensor and quantization tests",
+	"tensor.ConcatCols":           "oracle: the unfused SAGE concatenation",
+	"tensor.SplitCols":            "oracle: the full-width SAGE dDense split of gnn's backward oracle",
+	"tensor.ReLUInto":             "oracle: the unfused ReLU of accel's dataflow-order forward",
+	"tensor.DetectedSIMDLevel":    "bounds the SIMD-level loops of the bitwise tests",
+	"(*tensor.Workspace).Bytes":   "arena footprint the footprint and workspace tests read",
+	"(*tensor.Workspace).GetZero": "oracle: the zeroed input gradient of gnn's backward oracle",
+	"(*tensor.slab[T]).bytes":     "Workspace.Bytes's per-slab term",
 }
 
 // module is the loaded, type-checked module.

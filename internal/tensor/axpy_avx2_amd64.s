@@ -82,60 +82,115 @@ loop8:
 	VZEROUPPER
 	RET
 
-// func reluBackwardAVX2Asm(dz, act []float32)
-// dz[j] *= act[j] > 0 ? 1 : 0: the ReLU backward pass against the layer's
-// post-activation output. The 0/1 factor is formed in-register — VCMPPS
-// (ordered greater-than) AND'ed with a broadcast 1.0 — and multiplied in by
-// the VMULPS, dz as the first source operand like the scalar loop's MULSS, so
-// -0, ±Inf and NaN gradients give the bits a product with a stored mask gave.
-TEXT ·reluBackwardAVX2Asm(SB), NOSPLIT, $0-48
-	MOVQ dz_base+0(FP), DI
+// func reluMaskAVX2Asm(mask []int32, act []float32, zero int)
+// Bit b of mask[w] = act[32w+b] > 0: the ReLU derivative of a post-activation
+// output, one bit per element. VCMPPS (ordered less-than, 0 < act, so NaN
+// gives 0) and VMOVMSKPS pack eight lanes at a time, four of them per word.
+// With zero ≠ 0 the pass also stores +0 over every act element it has read.
+TEXT ·reluMaskAVX2Asm(SB), NOSPLIT, $0-56
+	MOVQ mask_base+0(FP), DI
 	MOVQ act_base+24(FP), SI
 	MOVQ act_len+32(FP), CX
+	MOVQ zero+48(FP), DX
 
-	VXORPS   Y0, Y0, Y0  // 0.0
-	VPCMPEQD Y1, Y1, Y1  // all ones →
-	VPSRLD   $25, Y1, Y1 // 0x0000007F per lane →
-	VPSLLD   $23, Y1, Y1 // 0x3F800000 = 1.0f per lane
+	VXORPS Y0, Y0, Y0 // 0.0
 
-	CMPQ CX, $16
-	JL   loop8
+loop32:
+	VCMPPS    $0x11, (SI), Y0, Y1 // 0 < act (LT_OQ)
+	VCMPPS    $0x11, 32(SI), Y0, Y2
+	VCMPPS    $0x11, 64(SI), Y0, Y3
+	VCMPPS    $0x11, 96(SI), Y0, Y4
+	VMOVMSKPS Y1, AX
+	VMOVMSKPS Y2, BX
+	VMOVMSKPS Y3, R8
+	VMOVMSKPS Y4, R9
+	SHLL      $8, BX
+	SHLL      $16, R8
+	SHLL      $24, R9
+	ORL       BX, AX
+	ORL       R8, AX
+	ORL       R9, AX
+	MOVL      AX, (DI)
+	TESTQ     DX, DX
+	JZ        next
+	VMOVUPS   Y0, (SI)
+	VMOVUPS   Y0, 32(SI)
+	VMOVUPS   Y0, 64(SI)
+	VMOVUPS   Y0, 96(SI)
 
-loop16:
-	VMOVUPS (SI), Y2
-	VMOVUPS 32(SI), Y3
-	VCMPPS  $0x1E, Y0, Y2, Y2 // act > 0 (GT_OQ)
-	VCMPPS  $0x1E, Y0, Y3, Y3
-	VANDPS  Y1, Y2, Y2        // 1.0 where positive, else 0.0
-	VANDPS  Y1, Y3, Y3
-	VMOVUPS (DI), Y4
-	VMOVUPS 32(DI), Y5
-	VMULPS  Y2, Y4, Y4
-	VMULPS  Y3, Y5, Y5
-	VMOVUPS Y4, (DI)
-	VMOVUPS Y5, 32(DI)
-	ADDQ    $64, SI
-	ADDQ    $64, DI
-	SUBQ    $16, CX
-	CMPQ    CX, $16
-	JGE     loop16
+next:
+	ADDQ $128, SI
+	ADDQ $4, DI
+	SUBQ $32, CX
+	JG   loop32
 
-	TESTQ CX, CX
-	JZ    done
+	VZEROUPPER
+	RET
 
-loop8:
-	VMOVUPS (SI), Y2
-	VCMPPS  $0x1E, Y0, Y2, Y2
-	VANDPS  Y1, Y2, Y2
-	VMOVUPS (DI), Y4
-	VMULPS  Y2, Y4, Y4
-	VMOVUPS Y4, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JG      loop8
+// reluBit holds 1<<k in lane k: a word broadcast to every lane and AND'ed
+// with it (shifted left by 8·g for the word's group g of eight elements)
+// equals it exactly in the lanes whose bit is set.
+DATA reluBit<>+0(SB)/4, $1
+DATA reluBit<>+4(SB)/4, $2
+DATA reluBit<>+8(SB)/4, $4
+DATA reluBit<>+12(SB)/4, $8
+DATA reluBit<>+16(SB)/4, $16
+DATA reluBit<>+20(SB)/4, $32
+DATA reluBit<>+24(SB)/4, $64
+DATA reluBit<>+28(SB)/4, $128
+GLOBL reluBit<>(SB), RODATA|NOPTR, $32
 
-done:
+// func reluBackwardMaskAVX2Asm(dz []float32, mask []int32)
+// dz[j] *= bit j of mask ? 1 : 0: the ReLU backward pass against the bits
+// reluMaskAVX2Asm recorded. Each word is broadcast and expanded to a 0/1
+// factor per lane (VPAND + VPCMPEQD against the lane's bit, AND'ed with a
+// broadcast 1.0), multiplied in by the VMULPS with dz as the first source
+// operand like the scalar loop's MULSS, so −0, ±Inf and NaN gradients give
+// the bits a product with a stored 0/1 mask gave.
+TEXT ·reluBackwardMaskAVX2Asm(SB), NOSPLIT, $0-48
+	MOVQ dz_base+0(FP), DI
+	MOVQ dz_len+8(FP), CX
+	MOVQ mask_base+24(FP), SI
+
+	VMOVDQU  reluBit<>(SB), Y8 // elements 0–7 of a word
+	VPSLLD   $8, Y8, Y9        // 8–15
+	VPSLLD   $16, Y8, Y10      // 16–23
+	VPSLLD   $24, Y8, Y11      // 24–31
+	VPCMPEQD Y1, Y1, Y1        // all ones →
+	VPSRLD   $25, Y1, Y1       // 0x0000007F per lane →
+	VPSLLD   $23, Y1, Y1       // 0x3F800000 = 1.0f per lane
+
+loop32:
+	VPBROADCASTD (SI), Y0
+	VPAND        Y8, Y0, Y2
+	VPAND        Y9, Y0, Y3
+	VPAND        Y10, Y0, Y4
+	VPAND        Y11, Y0, Y5
+	VPCMPEQD     Y8, Y2, Y2
+	VPCMPEQD     Y9, Y3, Y3
+	VPCMPEQD     Y10, Y4, Y4
+	VPCMPEQD     Y11, Y5, Y5
+	VPAND        Y1, Y2, Y2 // 1.0 where the bit is set, else 0.0
+	VPAND        Y1, Y3, Y3
+	VPAND        Y1, Y4, Y4
+	VPAND        Y1, Y5, Y5
+	VMOVUPS      (DI), Y6
+	VMOVUPS      32(DI), Y7
+	VMOVUPS      64(DI), Y12
+	VMOVUPS      96(DI), Y13
+	VMULPS       Y2, Y6, Y6
+	VMULPS       Y3, Y7, Y7
+	VMULPS       Y4, Y12, Y12
+	VMULPS       Y5, Y13, Y13
+	VMOVUPS      Y6, (DI)
+	VMOVUPS      Y7, 32(DI)
+	VMOVUPS      Y12, 64(DI)
+	VMOVUPS      Y13, 96(DI)
+	ADDQ         $128, DI
+	ADDQ         $4, SI
+	SUBQ         $32, CX
+	JG           loop32
+
 	VZEROUPPER
 	RET
 

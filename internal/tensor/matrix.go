@@ -70,9 +70,6 @@ func (m *Matrix) Clone() *Matrix {
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
 // Row returns a view (no copy) of row i.
 func (m *Matrix) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 

@@ -57,7 +57,7 @@ func BiasGrad(grad, dy *Matrix) {
 
 // ReLUInto applies max(0, x) to m in place. It keeps no backward mask: the
 // mask is a pure function of the output (out > 0 exactly where the input was
-// — a NaN or −0 input writes +0), and ReLUBackward reads it off that.
+// — a NaN or −0 input writes +0), and ReLUMask reads it off that.
 func ReLUInto(m *Matrix) {
 	for i, v := range m.Data {
 		if !(v > 0) {
@@ -103,29 +103,87 @@ func addBiasReLURange(m, bias *Matrix, lo, hi int) {
 	}
 }
 
-// ReLUBackward multiplies dz in place by the ReLU derivative at act, the
-// layer's post-activation output: dz[i] *= 1 where act[i] > 0, else 0. The
-// factor is the value the forward pass used to store as a mask, so −0, ±Inf
-// and NaN gradients give the same product bits (−x·0 = −0, ±Inf·0 = NaN).
-func ReLUBackward(dz, act *Matrix) {
-	if dz.Rows != act.Rows || dz.Cols != act.Cols {
-		panic("tensor: ReLUBackward shape mismatch")
+// ReLUMask records the ReLU derivative at act, a layer's post-activation
+// output, as one bit per element — bit b of mask[w] is set exactly where
+// element 32w+b of act is > 0, which is where the forward pass's input was —
+// and, in the same pass, stores +0 over act's rows from zeroRow on. That is
+// how a backward pass reuses an activation nothing else reads as the buffer
+// its input gradient is accumulated in: the rows a scatter adds into start
+// from zero, the rest are overwritten by the caller. mask needs
+// ⌈Rows·Cols/32⌉ words; every one of them is written.
+func ReLUMask(mask []int32, act *Matrix, zeroRow int) {
+	n := act.Rows * act.Cols
+	if len(mask) < (n+31)/32 || zeroRow < 0 || zeroRow > act.Rows {
+		panic(fmt.Sprintf("tensor: ReLUMask %d words for %dx%d, zeroing from row %d",
+			len(mask), act.Rows, act.Cols, zeroRow))
 	}
-	// The matrices are contiguous, so the whole tensor is one flat pass; an
-	// IEEE product is the same at any vector width.
-	d, a := dz.Data, act.Data[:len(dz.Data)]
-	q := 0
-	if haveAVX2Asm && len(d) >= 8 && simdAtLeast(SIMDAVX2) {
-		q = len(d) &^ 7
-		reluBackwardAVX2Asm(d[:q], a[:q])
+	reluMask(mask, act.Data[:n], zeroRow*act.Cols)
+}
+
+// reluMask is ReLUMask on flat slices, zeroing act from element zeroFrom. It
+// reports the level of the kernel that ran, so the tests can tell that the
+// vector one did. The kernel takes whole words; it zeroes from the first word
+// that lies wholly at or past zeroFrom, and the elements of the word before
+// are cleared here.
+func reluMask(mask []int32, act []float32, zeroFrom int) SIMDLevel {
+	q, z, level := 0, 0, SIMDGeneric
+	if haveAVX2Asm && len(act) >= 32 && simdAtLeast(SIMDAVX2) {
+		q = len(act) &^ 31
+		z = min((zeroFrom+31)&^31, q)
+		if z > 0 {
+			reluMaskAVX2Asm(mask, act[:z], 0)
+		}
+		if z < q {
+			reluMaskAVX2Asm(mask[z/32:], act[z:q], 1)
+		}
+		level = SIMDAVX2
+	}
+	for w := q / 32; w < (len(act)+31)/32; w++ {
+		var bits uint32
+		for b, v := range act[32*w : min(32*w+32, len(act))] {
+			if v > 0 {
+				bits |= 1 << b
+			}
+		}
+		mask[w] = int32(bits)
+	}
+	if zeroFrom < z {
+		clear(act[zeroFrom:z])
+	}
+	clear(act[max(zeroFrom, q):])
+	return level
+}
+
+// ReLUBackward multiplies dz in place by the ReLU derivative ReLUMask
+// recorded: dz[i] *= 1 where bit i of mask is set, else 0. The factor is the
+// value the forward pass used to store as a float mask, so −0, ±Inf and NaN
+// gradients give the same product bits (−x·0 = −0, ±Inf·0 = NaN).
+func ReLUBackward(dz *Matrix, mask []int32) {
+	n := dz.Rows * dz.Cols
+	if len(mask) < (n+31)/32 {
+		panic(fmt.Sprintf("tensor: ReLUBackward %d mask words for %dx%d", len(mask), dz.Rows, dz.Cols))
+	}
+	reluBackward(dz.Data[:n], mask)
+}
+
+// reluBackward is ReLUBackward on a flat slice; it reports the level of the
+// kernel that ran. The matrices are contiguous, so the whole tensor is one
+// flat pass; an IEEE product is the same at any vector width.
+func reluBackward(d []float32, mask []int32) SIMDLevel {
+	q, level := 0, SIMDGeneric
+	if haveAVX2Asm && len(d) >= 32 && simdAtLeast(SIMDAVX2) {
+		q = len(d) &^ 31
+		reluBackwardMaskAVX2Asm(d[:q], mask)
+		level = SIMDAVX2
 	}
 	for i := q; i < len(d); i++ {
-		var mask float32
-		if a[i] > 0 {
-			mask = 1
+		var f float32
+		if uint32(mask[i/32])>>(i%32)&1 != 0 {
+			f = 1
 		}
-		d[i] *= mask
+		d[i] *= f
 	}
+	return level
 }
 
 // softmaxStage is the widest logits row SoftmaxCrossEntropy stages on its

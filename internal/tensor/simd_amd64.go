@@ -78,11 +78,19 @@ func axpyRowAVX2Asm(dst, src []float32, alpha float32)
 //go:noescape
 func scaleRowAVX2Asm(dst, src []float32, s float32)
 
-// reluBackwardAVX2Asm computes dz[j] *= 1 where act[j] > 0, else 0 — the
-// ReLUBackward inner loop.
+// reluMaskAVX2Asm sets bit b of mask[w] where act[32w+b] > 0 and clears it
+// elsewhere, and with zero ≠ 0 stores +0 over act — the ReLUMask pass.
+// len(act) is a positive multiple of 32 and len(mask) ≥ len(act)/32.
 //
 //go:noescape
-func reluBackwardAVX2Asm(dz, act []float32)
+func reluMaskAVX2Asm(mask []int32, act []float32, zero int)
+
+// reluBackwardMaskAVX2Asm computes dz[j] *= 1 where bit j of mask is set,
+// else 0 — the ReLUBackward pass. len(dz) is a positive multiple of 32 and
+// len(mask) ≥ len(dz)/32.
+//
+//go:noescape
+func reluBackwardMaskAVX2Asm(dz []float32, mask []int32)
 
 // addBiasReLUAVX2Asm computes row[j] = relu(row[j]+bias[j]) — the fused
 // AddBiasReLU inner loop.

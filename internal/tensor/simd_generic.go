@@ -25,8 +25,12 @@ func scaleRowAVX2Asm(dst, src []float32, s float32) {
 	panic("tensor: scaleRowAVX2Asm without assembly support")
 }
 
-func reluBackwardAVX2Asm(dz, act []float32) {
-	panic("tensor: reluBackwardAVX2Asm without assembly support")
+func reluMaskAVX2Asm(mask []int32, act []float32, zero int) {
+	panic("tensor: reluMaskAVX2Asm without assembly support")
+}
+
+func reluBackwardMaskAVX2Asm(dz []float32, mask []int32) {
+	panic("tensor: reluBackwardMaskAVX2Asm without assembly support")
 }
 
 func addBiasReLUAVX2Asm(row, bias []float32) {

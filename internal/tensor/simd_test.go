@@ -176,13 +176,14 @@ func specialValues(rng *RNG, n int) []float32 {
 	return s
 }
 
-// TestReLUBackwardExactAcrossSIMDLevels pins the mask-free backward pass to
-// the product with a stored mask it replaced, strictly bit for bit (NaN
-// payloads and the sign of a zero product included): the activation is what
-// the forward pass leaves (the clamp of a pre-activation drawn from a pool
-// with ±0, ±Inf, NaN and denormals — its mask is the oracle's) and, second,
-// raw pool values no forward pass produces, whose mask is act > 0 by
-// definition. Lengths cover every vector body and tail.
+// TestReLUBackwardExactAcrossSIMDLevels pins the bit-mask backward pass —
+// ReLUMask off the activation, then ReLUBackward — to the product with a
+// stored float mask it replaced, strictly bit for bit (NaN payloads and the
+// sign of a zero product included): the activation is what the forward pass
+// leaves (the clamp of a pre-activation drawn from a pool with ±0, ±Inf, NaN
+// and denormals — its mask is the oracle's) and, second, raw pool values no
+// forward pass produces, whose mask is act > 0 by definition. Lengths cover
+// every vector body and tail.
 func TestReLUBackwardExactAcrossSIMDLevels(t *testing.T) {
 	denorm := math.Float32frombits(1)
 	pool := append([]float32{denorm, -denorm, math.Float32frombits(0x007fffff), 1, -1, 3e38, -3e38}, specials...)
@@ -214,8 +215,9 @@ func TestReLUBackwardExactAcrossSIMDLevels(t *testing.T) {
 				want[i] = dz0.Data[i] * mask.Data[i]
 			}
 			forEachLevelAndParallelism(t, func(l SIMDLevel, par int) {
-				dz := dz0.Clone()
-				ReLUBackward(dz, act)
+				dz, bits := dz0.Clone(), make([]int32, (n+31)/32)
+				ReLUMask(bits, act, act.Rows) // zeroes no row
+				ReLUBackward(dz, bits)
 				for i := range want {
 					if math.Float32bits(dz.Data[i]) != math.Float32bits(want[i]) {
 						t.Fatalf("ReLUBackward n=%d clamped=%v level=%v par=%d: dz=%x act=%x gives %x, dz·mask is %x",

@@ -6,6 +6,10 @@ import (
 	"testing/quick"
 )
 
+// Set assigns element (i, j): the fixture and finite-difference tests'
+// writer; no shipped code writes single elements.
+func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
+
 func TestNewAndAccessors(t *testing.T) {
 	m := New(3, 4)
 	if m.Rows != 3 || m.Cols != 4 || len(m.Data) != 12 {
@@ -195,7 +199,9 @@ func TestReLUAndBackward(t *testing.T) {
 		}
 	}
 	dy := FromSlice(1, 4, []float32{5, 5, 5, 5})
-	ReLUBackward(dy, m)
+	bits := make([]int32, 1)
+	ReLUMask(bits, m, m.Rows)
+	ReLUBackward(dy, bits)
 	wantDy := []float32{0, 0, 5, 0}
 	for i, v := range wantDy {
 		if dy.Data[i] != v {
