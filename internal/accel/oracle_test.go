@@ -17,7 +17,7 @@ import (
 // stable sort became slices.SortStableFunc — a stable order is unique): a
 // comparison sort of (edge, weight) records by (src, dst), the scatter-gather
 // engine's scalar per-edge loop with its run-by-run cycle count, freshly
-// allocated intermediates, and GraphSAGE's copy → self → ConcatCols.
+// allocated intermediates, and GraphSAGE's copy → self → concatCols.
 func forwardOracle(bk *Backend, m *gnn.Model, mb *sampler.MiniBatch, x *tensor.Matrix) (*tensor.Matrix, ForwardStats, error) {
 	L := m.Cfg.Layers()
 	if len(mb.Blocks) != L {
@@ -102,7 +102,7 @@ func forwardOracle(bk *Backend, m *gnn.Model, mb *sampler.MiniBatch, x *tensor.M
 				copy(self.Row(d), h.Row(d))
 			}
 			dense = tensor.New(nd, 2*fin)
-			tensor.ConcatCols(dense, self, agg)
+			concatCols(dense, self, agg)
 		}
 
 		// Systolic array.
@@ -127,4 +127,15 @@ func forwardOracle(bk *Backend, m *gnn.Model, mb *sampler.MiniBatch, x *tensor.M
 	updSec := float64(stats.UpdateCycles) / (bk.Systolic.FreqGHz * 1e9)
 	stats.Sec = math.Max(aggSec, updSec)
 	return h, stats, nil
+}
+
+// concatCols writes [a | b] into dst, which must be r×(a.Cols+b.Cols).
+func concatCols(dst, a, b *tensor.Matrix) {
+	if a.Rows != b.Rows || dst.Rows != a.Rows || dst.Cols != a.Cols+b.Cols {
+		panic("accel: concatCols shape mismatch")
+	}
+	for i := 0; i < a.Rows; i++ {
+		copy(dst.Row(i)[:a.Cols], a.Row(i))
+		copy(dst.Row(i)[a.Cols:], b.Row(i))
+	}
 }

@@ -19,6 +19,11 @@ import (
 // the whole benchmark:
 //
 //	go test -run '^$' -bench TrainStepFootprint -benchtime 20x ./internal/core/
+//
+// On a 2-core Xeon with AVX-512 (|V0| = 14 905, |V1| = 3 614) it reads
+// arena_MB 8.72 and demand_MB 7.75: z0 (|V1|×256, 3.53 MiB) is the largest
+// buffer, then the two aggregates (|V1|×100 and |Dst|×256; SAGE's self half
+// is read in place, never copied beside them) and dMean (|Dst|×256).
 func BenchmarkTrainStepFootprint(b *testing.B) {
 	const targets = 962
 	spec := datagen.OGBNProducts.Scaled(40)

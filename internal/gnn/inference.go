@@ -31,7 +31,7 @@ func (m *Model) InferFullGraph(g *graph.Graph, x *tensor.Matrix) (*tensor.Matrix
 	nb := NewNeighborhood(m.Cfg, blk)
 	h := x
 	for l := 0; l < m.Cfg.Layers(); l++ {
-		z, _, err := m.PropagateLayer(l, nb, h)
+		z, err := m.PropagateLayer(l, nb, h)
 		if err != nil {
 			return nil, err
 		}

@@ -104,25 +104,28 @@ func (nb *Neighborhood) NumDst() int { return len(nb.Block.Dst) }
 // the row map (mapRows). out is |Dst| × h.Cols. Destinations are
 // independent, so the loop is row-parallel.
 func (nb *Neighborhood) Aggregate(out, h *tensor.Matrix) {
-	nb.aggregateInto(out, 0, h)
-}
-
-// aggregateInto writes the aggregate into the column band
-// [colOff, colOff+h.Cols) of out — the fused form that lets SAGE aggregate
-// straight into the mean half of its [self ‖ mean] dense input instead of
-// paying a separate ConcatCols pass.
-func (nb *Neighborhood) aggregateInto(out *tensor.Matrix, colOff int, h *tensor.Matrix) {
 	n := len(nb.Block.Dst)
 	work := nb.workPerRow(n, h.Cols)
 	if tensor.FanOut(n, work) <= 1 {
-		aggregateRange(nb.Block.RowPtr, nb.in, nb.edgeRows(), nb.EdgeW, nb.SelfW, out, colOff, h, 0, n)
+		aggregateRange(nb.Block.RowPtr, nb.in, nb.edgeRows(), nb.EdgeW, nb.SelfW, out, h, 0, n)
 		return
 	}
 	// The closure captures the neighborhood's fields, not the neighborhood
 	// itself, so stack-allocated Neighborhood values (the serving hot path)
 	// never escape.
 	rowPtr, in, rows, edgeW, selfW := nb.Block.RowPtr, nb.in, nb.edgeRows(), nb.EdgeW, nb.SelfW
-	tensor.ParallelRows(n, work, func(lo, hi int) { aggregateRange(rowPtr, in, rows, edgeW, selfW, out, colOff, h, lo, hi) })
+	tensor.ParallelRows(n, work, func(lo, hi int) { aggregateRange(rowPtr, in, rows, edgeW, selfW, out, h, lo, hi) })
+}
+
+// selfRows returns the rows of the layer input that hold the destinations'
+// own features — the self operand of SAGE's dense update: the row map's first
+// |Dst| entries, or nil (the input's first |Dst| rows, as Dst is a prefix of
+// Src) when the neighborhood reads its input unmapped.
+func (nb *Neighborhood) selfRows() []int32 {
+	if nb.in == nil {
+		return nil
+	}
+	return nb.in[:nb.NumDst()]
 }
 
 // workPerRow is the fan-out work estimate both aggregation directions pass
@@ -140,10 +143,10 @@ func (nb *Neighborhood) workPerRow(rows, cols int) int {
 // (nil: source s is row s) and the per-edge row list rows (Block.Col or its
 // mapped copy), so a gathered block and the feature table itself run the
 // same floats in the same order.
-func aggregateRange(rowPtr, in, rows []int32, edgeW, selfW []float32, out *tensor.Matrix, colOff int, h *tensor.Matrix, lo, hi int) {
+func aggregateRange(rowPtr, in, rows []int32, edgeW, selfW []float32, out, h *tensor.Matrix, lo, hi int) {
 	cols := h.Cols
 	for d := lo; d < hi; d++ {
-		orow := out.Row(d)[colOff : colOff+cols]
+		orow := out.Row(d)
 		if w := selfW[d]; w != 0 {
 			// Dst is a prefix of Src: local index d is the self source. The
 			// scale-initialise pass rides the same SIMD dispatch as AxpyRow.
@@ -269,28 +272,28 @@ func (nb *Neighborhood) buildTranspose() {
 	nb.tPtr, nb.tDst, nb.tW = tPtr, tDst, tW
 }
 
-// PropagateLayer runs layer l over a neighborhood: aggregation, SAGE's
-// self-concatenation when applicable, the dense update, and the hidden-layer
-// ReLU. h holds the layer input over the neighborhood's sources (for a
-// row-mapped neighborhood, the table its row map indexes). It returns
-// the layer output z (|Dst| × Dims[l+1], post-ReLU for a hidden layer — which
-// is also the only record of the activation the backward pass needs) and the
-// dense-update input (retained by training for the backward pass). Buffers are
-// freshly allocated; the zero-allocation paths use the workspace-backed
-// propagateLayer directly.
-func (m *Model) PropagateLayer(l int, nb *Neighborhood, h *tensor.Matrix) (z, dense *tensor.Matrix, err error) {
-	return m.propagateLayer(l, nb, h, nil)
+// PropagateLayer runs layer l over a neighborhood: aggregation, the dense
+// update (SAGE's over [self ‖ mean]) and the hidden-layer ReLU. h holds the
+// layer input over the neighborhood's sources (for a row-mapped neighborhood,
+// the table its row map indexes). It returns the layer output z (|Dst| ×
+// Dims[l+1], post-ReLU for a hidden layer). Buffers are freshly allocated; the
+// zero-allocation paths use the workspace-backed propagateLayer directly.
+func (m *Model) PropagateLayer(l int, nb *Neighborhood, h *tensor.Matrix) (*tensor.Matrix, error) {
+	z, _, err := m.propagateLayer(l, nb, h, nil)
+	return z, err
 }
 
 // propagateLayer is PropagateLayer with buffers borrowed from ws when it is
 // non-nil (contents may be dirty — every kernel below fully overwrites its
 // output; ws is plumbed directly rather than through allocator closures,
-// which the zero-allocation gates would count). The layer makes one pass per
-// memory touch: SAGE aggregates directly into the mean half of the dense
-// input and gathers self features into the other, and bias + ReLU are fused
-// into a single sweep of the dense-update output.
+// which the zero-allocation gates would count). It also returns the
+// aggregate, which training retains for the backward pass. The layer makes
+// one pass per memory touch: SAGE's self half is never copied —
+// tensor.MatMulCat reads it from h where it lives (through the row map at
+// layer 0) beside the aggregate — and bias + ReLU are fused into a single
+// sweep of the dense-update output.
 func (m *Model) propagateLayer(l int, nb *Neighborhood, h *tensor.Matrix,
-	ws *tensor.Workspace) (z, dense *tensor.Matrix, err error) {
+	ws *tensor.Workspace) (z, agg *tensor.Matrix, err error) {
 	L := m.Cfg.Layers()
 	if l < 0 || l >= L {
 		return nil, nil, fmt.Errorf("gnn: layer %d outside [0,%d)", l, L)
@@ -310,29 +313,18 @@ func (m *Model) propagateLayer(l int, nb *Neighborhood, h *tensor.Matrix,
 		return tensor.New(r, c)
 	}
 	nd := nb.NumDst()
-	if m.Cfg.Kind == SAGE {
-		dense = get(nd, 2*fin)
-		var self []int32
-		switch {
-		case nb.in != nil:
-			self = nb.in[:nd] // the destinations' rows of the mapped input
-		case ws != nil:
-			self = fillIdentity(ws.I32(nd))
-		default:
-			self = selfIdx(nd)
-		}
-		tensor.GatherRowsAt(dense, 0, h, self)
-		nb.aggregateInto(dense, fin, h)
-	} else {
-		dense = get(nd, fin)
-		nb.Aggregate(dense, h)
-	}
+	agg = get(nd, fin)
+	nb.Aggregate(agg, h)
 	z = get(nd, m.Cfg.Dims[l+1])
-	tensor.MatMul(z, dense, m.Params.Weights[l])
+	if m.Cfg.Kind == SAGE {
+		tensor.MatMulCat(z, h, nb.selfRows(), agg, m.Params.Weights[l])
+	} else {
+		tensor.MatMul(z, agg, m.Params.Weights[l])
+	}
 	if l < L-1 {
 		tensor.AddBiasReLU(z, m.Params.Biases[l])
 	} else {
 		tensor.AddBias(z, m.Params.Biases[l])
 	}
-	return z, dense, nil
+	return z, agg, nil
 }

@@ -16,7 +16,9 @@ import (
 // also computes ∂L/∂X of the input features that nothing consumes. Its ReLU
 // backward is the one the forward pass used to feed with a stored mask: the
 // 0/1 matrix is rebuilt here from the retained activation and multiplied in
-// element by element, which is what tensor.ReLUBackward must equal.
+// element by element, which is what tensor.ReLUBackward must equal. SAGE's
+// dense input, which the forward pass no longer forms, is rebuilt here as
+// [self ‖ mean] (denseInput).
 func backwardOracle(m *Model, ws *tensor.Workspace, st *ForwardState, dLogits *tensor.Matrix, grads *Gradients) {
 	L := m.Cfg.Layers()
 	dz := ws.Get(dLogits.Rows, dLogits.Cols)
@@ -32,7 +34,7 @@ func backwardOracle(m *Model, ws *tensor.Workspace, st *ForwardState, dLogits *t
 				dz.Data[i] *= mask
 			}
 		}
-		tensor.TMatMul(grads.Weights[l], st.aggs[l], dz)
+		tensor.TMatMul(grads.Weights[l], denseInput(m, st, l), dz)
 		grads.Biases[l].Zero()
 		tensor.BiasGrad(grads.Biases[l], dz)
 		dDense := ws.Get(dz.Rows, m.Cfg.inDim(l))
@@ -52,6 +54,29 @@ func backwardOracle(m *Model, ws *tensor.Workspace, st *ForwardState, dLogits *t
 		}
 		dz = dh
 	}
+}
+
+// denseInput is layer l's dense-update input as the forward pass used to
+// store it: the aggregate for GCN and, for SAGE, [self ‖ mean] — each
+// destination's row of the layer input (through layer 0's row map) beside
+// its aggregate — in freshly allocated memory, so the oracle's arena is what
+// it was.
+func denseInput(m *Model, st *ForwardState, l int) *tensor.Matrix {
+	agg := st.aggs[l]
+	if m.Cfg.Kind != SAGE {
+		return agg
+	}
+	in, fin := st.nbs[l].in, agg.Cols
+	dense := tensor.New(agg.Rows, 2*fin)
+	for d := 0; d < agg.Rows; d++ {
+		self := d
+		if in != nil {
+			self = int(in[d])
+		}
+		copy(dense.Row(d), st.inputs[l].Row(self))
+		copy(dense.Row(d)[fin:], agg.Row(d))
+	}
+	return dense
 }
 
 // chainedBatch generates an L-layer mini-batch of ragged blocks (zero-degree
@@ -244,22 +269,22 @@ func requireMaskedNonFinite(t *testing.T, name string, m *Model, mb *sampler.Min
 
 // stepBorrows lists what one training step borrows from its arena, as
 // element counts per slab: the shipped step's when oracle is false, and
-// backwardOracle's when it is true. Both run the same forward pass and borrow
-// dLogits. The oracle then copies dLogits into dz and, at every layer —
-// layer 0 included — borrows dDense, a zeroed |Src|×fin dh and, for SAGE,
-// dMean beside dDense. The shipped pass stops above layer 0 and at each
-// hidden layer l ≥ 1 borrows only the ReLU bits of its input (⌈|Src|·fin/32⌉
-// int32 words; dh is the input's own buffer) and one |Dst|×fin matrix: GCN's
-// dDense, or SAGE's dMean (the self half of dDense is written into dh).
+// backwardOracle's when it is true. Both run the same forward pass — per
+// layer the coefficients, the |Dst|×fin aggregate and the output; SAGE's self
+// half is read from the layer input, so no [self ‖ mean] buffer and no self
+// index list — and borrow dLogits. The oracle then copies dLogits into dz
+// and, at every layer — layer 0 included — borrows dDense, a zeroed
+// |Src|×fin dh and, for SAGE, dMean beside dDense. The shipped pass stops
+// above layer 0 and at each hidden layer l ≥ 1 borrows only the ReLU bits of
+// its input (⌈|Src|·fin/32⌉ int32 words; dh is the input's own buffer) and
+// one |Dst|×fin matrix: GCN's dDense, or SAGE's dMean (the self half of
+// dDense is written into dh).
 func stepBorrows(m *Model, mb *sampler.MiniBatch, oracle bool) (f32, i32 []int) {
 	L := m.Cfg.Layers()
 	for l := 0; l < L; l++ {
 		b := mb.Blocks[l]
 		nd := len(b.Dst)
-		f32 = append(f32, b.NumEdges(), nd, nd*m.Cfg.inDim(l), nd*m.Cfg.Dims[l+1]) // EdgeW, SelfW, dense, z
-		if m.Cfg.Kind == SAGE {
-			i32 = append(i32, nd) // self indices
-		}
+		f32 = append(f32, b.NumEdges(), nd, nd*m.Cfg.Dims[l], nd*m.Cfg.Dims[l+1]) // EdgeW, SelfW, agg, z
 	}
 	logits := len(mb.Targets) * m.Cfg.Dims[L]
 	f32 = append(f32, logits) // dLogits

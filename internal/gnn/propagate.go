@@ -20,11 +20,16 @@ import (
 // exactly where that is > 0 (tensor.ReLUMask). A forward pass backpropagates
 // once: BackwardWS writes each hidden layer's input gradient over the
 // activation it consumes, so it refuses a state it has already run on until
-// the next forward pass re-arms it. Logits is never overwritten.
+// the next forward pass re-arms it. Logits is never overwritten. SAGE's dense
+// input [self ‖ mean] is never formed: the mean half is aggs[l], and the self
+// half is read where it lives, from inputs[l] — the feature table through
+// nbs[0]'s row map at layer 0, the previous layer's output (its Dst-prefix
+// rows) above it — so the backward pass must take the weight gradient from
+// those rows before it overwrites them.
 type ForwardState struct {
 	mb     *sampler.MiniBatch
 	inputs []*tensor.Matrix // H over Blocks[l].Src, layer input (layer 0: the table nbs[0] maps into)
-	aggs   []*tensor.Matrix // aggregated (GCN) / concatenated (SAGE) input to the dense update
+	aggs   []*tensor.Matrix // |Dst|×f aggregate: GCN's dense input, SAGE's mean half (its self half is inputs[l])
 	nbs    []Neighborhood   // per-layer message structure, reused across iterations
 	view   tensor.Matrix    // scratch header for the SAGE dh-prefix view
 	armed  bool             // the activations are intact: set by forwardWS, cleared by BackwardWS
@@ -132,27 +137,15 @@ func (m *Model) forwardWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.Mi
 		if l == 0 {
 			nb.mapRows(rows)
 		}
-		z, dense, err := m.propagateLayer(l, nb, h, ws)
+		z, agg, err := m.propagateLayer(l, nb, h, ws)
 		if err != nil {
 			return err
 		}
-		st.aggs[l] = dense
+		st.aggs[l] = agg
 		h = z
 	}
 	st.Logits, st.armed = h, true
 	return nil
-}
-
-// selfIdx returns [0, 1, ..., n-1] as int32 (the Dst-prefix rows of Src).
-func selfIdx(n int) []int32 {
-	return fillIdentity(make([]int32, n))
-}
-
-func fillIdentity(idx []int32) []int32 {
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	return idx
 }
 
 // BackwardWS computes the parameter gradients — every layer's weights and
@@ -167,6 +160,9 @@ func fillIdentity(idx []int32) []int32 {
 // are: layer l ≥ 1 records its input's ReLU derivative as one bit per element
 // and accumulates its input gradient in that input's own buffer, so a state
 // backpropagates once — a second call errors until the next forward pass.
+// SAGE's weight gradient reads its self half from the rows of inputs[l] the
+// forward pass read (tensor.TMatMulCat), so at each layer it is formed before
+// ReLUMask and the self half of dDense overwrite that buffer.
 func (m *Model) BackwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tensor.Matrix, grads *Gradients) error {
 	if !st.armed {
 		return errors.New("gnn: forward state has no intact activations: run the forward pass before each backward pass")
@@ -186,8 +182,14 @@ func (m *Model) BackwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tens
 			// before the buffer was overwritten.
 			tensor.ReLUBackward(dz, mask)
 		}
-		// Dense update backward: z = dense·W + bias.
-		tensor.TMatMul(grads.Weights[l], st.aggs[l], dz)
+		// Dense update backward: z = dense·W + bias, dense = [self ‖ mean] for
+		// SAGE. This reads inputs[l], so it runs before the buffer is reused.
+		nb := &st.nbs[l]
+		if m.Cfg.Kind == SAGE {
+			tensor.TMatMulCat(grads.Weights[l], st.inputs[l], nb.selfRows(), st.aggs[l], dz)
+		} else {
+			tensor.TMatMul(grads.Weights[l], st.aggs[l], dz)
+		}
 		grads.Biases[l].Zero()
 		tensor.BiasGrad(grads.Biases[l], dz)
 		if l == 0 {
@@ -200,7 +202,6 @@ func (m *Model) BackwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tens
 		dh := st.inputs[l]
 		nd, fin := dz.Rows, dh.Cols
 		mask = ws.I32((dh.Rows*fin + 31) / 32)
-		nb := &st.nbs[l]
 		w := m.Params.Weights[l]
 		if m.Cfg.Kind == SAGE {
 			// dDense = dz·Wᵀ is [dSelf | dMean], and column j of it reads only

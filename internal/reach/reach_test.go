@@ -80,7 +80,6 @@ var allowed = map[string]string{
 	"tensor.FromSlice":            "builds fixture matrices from literals",
 	"(*tensor.Matrix).Equal":      "the bitwise comparison of every exact-equality test",
 	"(*tensor.Matrix).AllClose":   "the tolerance comparison of the tensor and quantization tests",
-	"tensor.ConcatCols":           "oracle: the unfused SAGE concatenation",
 	"tensor.SplitCols":            "oracle: the full-width SAGE dDense split of gnn's backward oracle",
 	"tensor.ReLUInto":             "oracle: the unfused ReLU of accel's dataflow-order forward",
 	"tensor.DetectedSIMDLevel":    "bounds the SIMD-level loops of the bitwise tests",

@@ -12,15 +12,19 @@ import (
 
 // DeviceStats is one serving worker's share of a run: which device it is
 // bound to and how much of the pool's work it absorbed — the per-kind
-// utilization counters the heterogeneous bench tables print, mirroring
+// load counters the heterogeneous bench tables print, mirroring
 // training's EpochStats.FPGA accounting.
 type DeviceStats struct {
 	Name     string
 	Kind     hw.Kind
-	Device   int     // binding in InferConfig.Device convention
-	Batches  int     // computed batches routed to this worker
-	Requests int     // computed requests answered by this worker
-	BusySec  float64 // Σ per-batch serial service time on this worker
+	Device   int // binding in InferConfig.Device convention
+	Batches  int // computed batches routed to this worker
+	Requests int // computed requests answered by this worker
+	// BusySec sums each batch's serial service time (its stage times added
+	// up) on this worker. The worker pipelines those stages across batches,
+	// so this is stage time, not wall occupancy: it can exceed the makespan,
+	// and BusySec / MakespanSec is not a utilisation bounded by 1.
+	BusySec float64
 }
 
 // ClassStats is one SLO class's share of a serving run.
@@ -210,12 +214,12 @@ func (s *Stats) String() string {
 		}
 	}
 	for i, d := range s.PerDevice {
-		util := 0.0
+		stage := 0.0
 		if s.MakespanSec > 0 {
-			util = d.BusySec / s.MakespanSec
+			stage = d.BusySec / s.MakespanSec
 		}
-		b.WriteString(fmt.Sprintf("\nworker %d [%s %s]: %d batches, %d req, busy %.4fs (%.0f%% of makespan)",
-			i, d.Kind, d.Name, d.Batches, d.Requests, d.BusySec, 100*util))
+		b.WriteString(fmt.Sprintf("\nworker %d [%s %s]: %d batches, %d req, summed stage time %.4fs (%.2f× makespan; stages overlap)",
+			i, d.Kind, d.Name, d.Batches, d.Requests, d.BusySec, stage))
 	}
 	return b.String()
 }

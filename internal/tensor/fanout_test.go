@@ -183,7 +183,9 @@ func TestSmallKernelZeroAlloc(t *testing.T) {
 	bt, at := Transpose(b), Transpose(a)
 	c := New(32, 47)
 	bias := randomMatrix(1, 47, rng)
-	src, dst, pad, dstAt := randomMatrix(500, 100, rng), New(64, 100), New(64, 20), New(64, 120)
+	src, dst := randomMatrix(500, 100, rng), New(64, 100)
+	mean, w, dz, dw := randomMatrix(64, 100, rng), randomMatrix(200, 47, rng), randomMatrix(64, 47, rng), New(200, 47)
+	z := New(64, 47)
 	idx := make([]int32, 64)
 	for i := range idx {
 		idx[i] = int32(rng.Intn(src.Rows))
@@ -198,10 +200,10 @@ func TestSmallKernelZeroAlloc(t *testing.T) {
 		{"AddBias 32x47", func() { AddBias(c, bias) }},
 		{"AddBiasReLU 32x47", func() { AddBiasReLU(c, bias) }},
 		{"GatherRows 64x100", func() { GatherRows(dst, src, idx) }},
-		{"GatherRowsAt 64x100", func() { GatherRowsAt(dstAt, 20, src, idx) }},
-		{"ConcatCols 64x100|20", func() { ConcatCols(dstAt, dst, pad) }},
+		{"MatMulCat 64x(100|100)x47", func() { MatMulCat(z, src, idx, mean, w) }},
+		{"TMatMulCat (64x(100|100))Tx47", func() { TMatMulCat(dw, src, idx, mean, dz) }},
 	} {
-		kc.fn() // warm MatMulT's pack pool
+		kc.fn() // warm the pack pool (MatMulT's Bᵀ, the Cat kernels' panels)
 		if allocs := testing.AllocsPerRun(20, kc.fn); allocs != 0 {
 			t.Errorf("%s at parallelism 4 allocated %v times per call", kc.name, allocs)
 		}

@@ -11,26 +11,23 @@
 // a row is moved in 128- and 32-byte blocks and then, if cols is not a
 // multiple of 8, one more 32-byte move that ends exactly on the row's last
 // float (it overlaps the block before it; cols ≥ 8 guarantees it starts inside
-// the row). Nothing before the first or past the last column of a destination
-// row is written, so the kernel can fill a column band of a wider matrix, and
-// nothing outside a source row is read. A prefetch cannot fault, and the
+// the row). Nothing outside the destination rows is written and nothing
+// outside a source row is read. A prefetch cannot fault, and the
 // look-ahead index is only read when i+8 < len(idx). gatherRange (ops.go)
-// checks every index against the row count and both matrices' extents before
+// checks every index against the row count and cuts both slices to size before
 // the call.
 
 #include "textflag.h"
 
-// func gatherRowsAVX2Asm(dst []float32, dstStride int, src []float32, cols int, idx []int32)
-// Registers: DI = destination row, R8 = its stride in bytes, SI = src, R9 =
-// row bytes, R10 = idx, R11 = len(idx), CX = i; AX BX DX are per-row cursors.
-TEXT ·gatherRowsAVX2Asm(SB), NOSPLIT, $0-88
+// func gatherRowsAVX2Asm(dst, src []float32, cols int, idx []int32)
+// Registers: DI = destination row, SI = src, R9 = row bytes (the stride of
+// both), R10 = idx, R11 = len(idx), CX = i; AX BX DX are per-row cursors.
+TEXT ·gatherRowsAVX2Asm(SB), NOSPLIT, $0-80
 	MOVQ dst_base+0(FP), DI
-	MOVQ dstStride+24(FP), R8
-	MOVQ src_base+32(FP), SI
-	MOVQ cols+56(FP), R9
-	MOVQ idx_base+64(FP), R10
-	MOVQ idx_len+72(FP), R11
-	SHLQ $2, R8
+	MOVQ src_base+24(FP), SI
+	MOVQ cols+48(FP), R9
+	MOVQ idx_base+56(FP), R10
+	MOVQ idx_len+64(FP), R11
 	SHLQ $2, R9
 	XORQ CX, CX
 
@@ -93,7 +90,7 @@ last:
 	VMOVUPS Y0, -32(BX)(DX*1)
 
 next:
-	ADDQ R8, DI
+	ADDQ R9, DI
 	INCQ CX
 	CMPQ CX, R11
 	JLT  row

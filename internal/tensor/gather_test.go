@@ -2,7 +2,7 @@ package tensor
 
 import "testing"
 
-// The parallel GatherRows and GatherRowsAt must be bitwise the serial oracle
+// The parallel GatherRows must be bitwise the serial oracle
 // at every worker count and SIMD level: destination rows are disjoint, so
 // neither the ParallelRows split nor the copyRow kernel may change a bit.
 // Widths include non-multiples of the 8-lane SIMD stride so remainder
@@ -34,17 +34,10 @@ func TestGatherRowsMatchesSerialOracle(t *testing.T) {
 			}
 			for _, l := range availableLevels() {
 				withSIMD(t, l, func() {
-					for _, at := range []bool{false, true} {
-						dst.Zero()
-						if at {
-							GatherRowsAt(dst, 0, src, idx)
-						} else {
-							GatherRows(dst, src, idx)
-						}
-						if !dst.Equal(want) {
-							t.Fatalf("gather (at=%v) cols=%d par=%d level=%v diverges from serial oracle",
-								at, cols, par, l)
-						}
+					dst.Zero()
+					GatherRows(dst, src, idx)
+					if !dst.Equal(want) {
+						t.Fatalf("gather cols=%d par=%d level=%v diverges from serial oracle", cols, par, l)
 					}
 				})
 			}

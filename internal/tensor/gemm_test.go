@@ -124,7 +124,7 @@ func TestGemmRangeChunksAndRaggedRanges(t *testing.T) {
 					lo, hi := r[0], r[1]
 					got := New(m, n)
 					got.Fill(5)
-					gemmRange(got, a.Data, 1, m, b.Data, R, tmKC, lo, hi)
+					gemmRange(got.Data, n, a.Data, 1, m, b.Data, R, tmKC, false, lo, hi)
 					for i := 0; i < m; i++ {
 						row, ref := got.Row(i), want.Row(i)
 						if i < lo || i >= hi {
@@ -204,9 +204,9 @@ func TestGemmWritesOnlyItsRows(t *testing.T) {
 								}
 								c.Fill(outside)
 								if tr {
-									gemmRange(c, at.Data, 1, m, b.Data, k, tmKC, lo, hi)
+									gemmRange(c.Data, n, at.Data, 1, m, b.Data, k, tmKC, false, lo, hi)
 								} else {
-									gemmRange(c, a.Data, k, 1, b.Data, k, mmKC, lo, hi)
+									gemmRange(c.Data, n, a.Data, k, 1, b.Data, k, mmKC, false, lo, hi)
 								}
 								for i, v := range buf {
 									wantV := guard

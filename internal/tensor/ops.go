@@ -341,19 +341,8 @@ func subScalarInto(dst, src []float32, s float32) {
 	}
 }
 
-// ConcatCols writes [a | b] into dst. dst must be r×(a.Cols+b.Cols).
-func ConcatCols(dst, a, b *Matrix) {
-	if a.Rows != b.Rows || dst.Rows != a.Rows || dst.Cols != a.Cols+b.Cols {
-		panic("tensor: ConcatCols shape mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		copy(dst.Row(i)[:a.Cols], a.Row(i))
-		copy(dst.Row(i)[a.Cols:], b.Row(i))
-	}
-}
-
-// SplitCols splits dst = [a | b] back into its halves (inverse of ConcatCols),
-// copying columns [0,a.Cols) of src into a and the rest into b.
+// SplitCols splits src = [a | b] into its halves, copying columns
+// [0,a.Cols) of src into a and the rest into b.
 func SplitCols(a, b, src *Matrix) {
 	if a.Rows != b.Rows || src.Rows != a.Rows || src.Cols != a.Cols+b.Cols {
 		panic("tensor: SplitCols shape mismatch")
@@ -380,45 +369,36 @@ func GatherRows(dst, src *Matrix, idx []int32) {
 	if dst.Rows != len(idx) || dst.Cols != src.Cols {
 		panic("tensor: GatherRows shape mismatch")
 	}
-	if FanOut(len(idx), gatherWork*src.Cols) <= 1 {
-		gatherRange(dst, 0, src, idx, 0, len(idx))
-		return
-	}
-	ParallelRows(len(idx), gatherWork*src.Cols, func(lo, hi int) { gatherRange(dst, 0, src, idx, lo, hi) })
+	gatherRows(dst.Data, src, idx)
 }
 
-// GatherRowsAt copies rows idx of src into the column band
-// [dstCol, dstCol+src.Cols) of dst — the fused gather-into-concat the SAGE
-// layer uses to build its [self ‖ mean] dense input without a separate self
-// matrix and ConcatCols pass.
-func GatherRowsAt(dst *Matrix, dstCol int, src *Matrix, idx []int32) {
-	if dst.Rows != len(idx) || dstCol < 0 || dstCol+src.Cols > dst.Cols {
-		panic("tensor: GatherRowsAt shape mismatch")
-	}
+// gatherRows is GatherRows into the len(idx)×src.Cols rows at dst — a slice,
+// so TMatMulCat's panel needs no matrix header the fan-out closure would
+// move to the heap.
+func gatherRows(dst []float32, src *Matrix, idx []int32) {
 	if FanOut(len(idx), gatherWork*src.Cols) <= 1 {
-		gatherRange(dst, dstCol, src, idx, 0, len(idx))
+		gatherRange(dst, src, idx, 0, len(idx))
 		return
 	}
-	ParallelRows(len(idx), gatherWork*src.Cols, func(lo, hi int) { gatherRange(dst, dstCol, src, idx, lo, hi) })
+	ParallelRows(len(idx), gatherWork*src.Cols, func(lo, hi int) { gatherRange(dst, src, idx, lo, hi) })
 }
 
-// gatherRange copies rows idx[lo:hi] of src into the column band
-// [dstCol, dstCol+src.Cols) of rows [lo, hi) of dst. From AVX2 up it is one
-// call into gatherRowsAVX2Asm, which walks the index list itself and
-// prefetches eight rows ahead of the one it copies (gather_amd64.s); the
-// kernel trusts its extents, so every index is checked against src.Rows and
-// both matrices are re-sliced to what it will touch first. Rows narrower than
-// one vector, the lower levels and other architectures copy row by row.
-func gatherRange(dst *Matrix, dstCol int, src *Matrix, idx []int32, lo, hi int) {
+// gatherRange copies rows idx[lo:hi] of src into rows [lo, hi) of dst, whose
+// rows are src.Cols wide. From AVX2 up it is one call into gatherRowsAVX2Asm,
+// which walks the index list itself and prefetches eight rows ahead of the
+// one it copies (gather_amd64.s); the kernel trusts its extents, so every
+// index is checked against src.Rows and both slices are cut to what it will
+// touch first. Rows narrower than one vector, the lower levels and other
+// architectures copy row by row.
+func gatherRange(dst []float32, src *Matrix, idx []int32, lo, hi int) {
 	w := src.Cols
 	if haveAVX2Asm && w >= 8 && lo < hi && simdAtLeast(SIMDAVX2) {
 		part := idx[lo:hi]
 		checkRowIndices("gather", part, src.Rows)
-		band := dst.Data[lo*dst.Cols+dstCol : (hi-1)*dst.Cols+dstCol+w]
-		gatherRowsAVX2Asm(band, dst.Cols, src.Data[:src.Rows*w], w, part)
+		gatherRowsAVX2Asm(dst[lo*w:hi*w], src.Data[:src.Rows*w], w, part)
 		return
 	}
 	for i := lo; i < hi; i++ {
-		copy(dst.Row(i)[dstCol:dstCol+w], src.Row(int(idx[i])))
+		copy(dst[i*w:(i+1)*w], src.Row(int(idx[i])))
 	}
 }

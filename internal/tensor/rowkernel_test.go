@@ -287,12 +287,12 @@ func FuzzAggregateRow(f *testing.F) {
 }
 
 // TestGatherKernelMatchesCopyLoopSIMD pins the gather kernel to a loop of row
-// copies through every entry point that reaches it: whole gathers and column
-// bands (dstCol ≠ 0, sentinel columns either side of the band), one-row
+// copies through every entry point that reaches it: whole gathers, one-row
 // ranges, and ranges that end within 8 of the index list's end, where the
-// prefetch look-ahead must stop reading idx.
+// prefetch look-ahead must stop reading idx. The destination sits between
+// sentinels, and rows outside the range must keep theirs.
 func TestGatherKernelMatchesCopyLoopSIMD(t *testing.T) {
-	const srcRows, n, left, right = 37, 29, 3, 5
+	const srcRows, n, pad = 37, 29, 5
 	guard := math.Float32frombits(0xdeadbeef)
 	forEachLevelAndParallelism(t, func(l SIMDLevel, par int) {
 		rng := NewRNG(34)
@@ -303,21 +303,22 @@ func TestGatherKernelMatchesCopyLoopSIMD(t *testing.T) {
 				idx[i] = int32(rng.Intn(srcRows))
 			}
 			idx[n-1], idx[n-2] = srcRows-1, 0 // the table's last and first rows
-			dst := New(n, left+cols+right)
+			buf := make([]float32, pad+n*cols+pad)
+			dst := buf[pad : pad+n*cols]
 			for _, r := range [][2]int{{0, n}, {0, 1}, {n - 1, n}, {4, 5}, {2, n - 8}, {3, n - 7}, {0, n - 1}, {n - 9, n}, {6, 6}} {
 				lo, hi := r[0], r[1]
-				dst.Fill(guard)
-				gatherRange(dst, left, src, idx, lo, hi)
-				for i := 0; i < n; i++ {
-					for j, v := range dst.Row(i) {
-						wantV := guard
-						if i >= lo && i < hi && j >= left && j < left+cols {
-							wantV = src.At(int(idx[i]), j-left)
-						}
-						if math.Float32bits(v) != math.Float32bits(wantV) {
-							t.Fatalf("level %v cols=%d rows [%d,%d): dst(%d,%d) = %x, want %x",
-								l, cols, lo, hi, i, j, math.Float32bits(v), math.Float32bits(wantV))
-						}
+				for i := range buf {
+					buf[i] = guard
+				}
+				gatherRange(dst, src, idx, lo, hi)
+				for i, v := range buf {
+					wantV, row := guard, (i-pad)/cols
+					if i >= pad && row >= lo && row < hi && i < pad+n*cols {
+						wantV = src.At(int(idx[row]), (i-pad)%cols)
+					}
+					if math.Float32bits(v) != math.Float32bits(wantV) {
+						t.Fatalf("level %v cols=%d rows [%d,%d): buffer[%d] (dst offset %d) = %x, want %x",
+							l, cols, lo, hi, i, i-pad, math.Float32bits(v), math.Float32bits(wantV))
 					}
 				}
 			}

@@ -144,12 +144,11 @@ func aggregateRowAVX2Asm(out, h []float32, cols int, idx []int32, w []float32)
 func aggregateRowAVX512Asm(out, h []float32, cols int, idx []int32, w []float32)
 
 // gatherRowsAVX2Asm copies row idx[i] of src (cols floats per row, cols ≥ 8)
-// to dst[i·dstStride:][:cols] for every i (gather_amd64.s). len(idx) ≥ 1,
-// every idx[i]·cols + cols ≤ len(src) and (len(idx)−1)·dstStride + cols ≤
-// len(dst).
+// to dst[i·cols:][:cols] for every i (gather_amd64.s). len(idx) ≥ 1,
+// every idx[i]·cols + cols ≤ len(src) and len(idx)·cols ≤ len(dst).
 //
 //go:noescape
-func gatherRowsAVX2Asm(dst []float32, dstStride int, src []float32, cols int, idx []int32)
+func gatherRowsAVX2Asm(dst, src []float32, cols int, idx []int32)
 
 // normalRowAVX512Asm fills dst[j] = mean[j] + float32(n_j·std), n_j the
 // Box–Muller variate whose u1 and u2 come from counter states

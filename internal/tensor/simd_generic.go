@@ -53,7 +53,7 @@ func aggregateRowAVX512Asm(out, h []float32, cols int, idx []int32, w []float32)
 	panic("tensor: aggregateRowAVX512Asm without assembly support")
 }
 
-func gatherRowsAVX2Asm(dst []float32, dstStride int, src []float32, cols int, idx []int32) {
+func gatherRowsAVX2Asm(dst, src []float32, cols int, idx []int32) {
 	panic("tensor: gatherRowsAVX2Asm without assembly support")
 }
 

@@ -258,30 +258,6 @@ func TestBiasGradExactAcrossSIMDLevels(t *testing.T) {
 	}
 }
 
-func TestGatherRowsAtExactAcrossSIMDLevels(t *testing.T) {
-	prevPar := SetParallelism(1)
-	defer SetParallelism(prevPar)
-	rng := NewRNG(17)
-	for _, n := range []int{1, 7, 8, 47, 100, 129} {
-		src := FromSlice(6, n, randSlice(rng, 6*n))
-		idx := []int32{5, 0, 3, 3, 1}
-		var want *Matrix
-		for _, l := range availableLevels() {
-			withSIMD(t, l, func() {
-				dst := New(len(idx), n+3)
-				GatherRowsAt(dst, 2, src, idx)
-				if want == nil {
-					want = dst
-					return
-				}
-				if !dst.Equal(want) {
-					t.Fatalf("GatherRowsAt n=%d level=%v diverges from generic", n, l)
-				}
-			})
-		}
-	}
-}
-
 func TestSoftmaxCrossEntropyExactAcrossSIMDLevels(t *testing.T) {
 	prevPar := SetParallelism(1)
 	defer SetParallelism(prevPar)

@@ -272,8 +272,7 @@ func TestConcatSplitRoundTrip(t *testing.T) {
 	rng := NewRNG(9)
 	a := randomMatrix(4, 3, rng)
 	b := randomMatrix(4, 5, rng)
-	dst := New(4, 8)
-	ConcatCols(dst, a, b)
+	dst := catMaterialised(a, nil, b)
 	a2, b2 := New(4, 3), New(4, 5)
 	SplitCols(a2, b2, dst)
 	if !a.Equal(a2) || !b.Equal(b2) {
