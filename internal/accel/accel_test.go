@@ -16,10 +16,10 @@ func sgConfig() ScatterGatherConfig {
 }
 
 func TestScatterGatherConfigValidate(t *testing.T) {
-	if (ScatterGatherConfig{}).Validate() == nil {
+	if (ScatterGatherConfig{}).validate() == nil {
 		t.Fatal("zero config should fail")
 	}
-	if sgConfig().Validate() != nil {
+	if sgConfig().validate() != nil {
 		t.Fatal("valid config rejected")
 	}
 }
@@ -173,12 +173,12 @@ func TestScatterGatherFetchProperty(t *testing.T) {
 }
 
 // A systolic configuration without MACs, clock or with a negative fill is
-// rejected, by Validate and by Account.
+// rejected, by validate and by Account.
 func TestSystolicValidation(t *testing.T) {
 	mb := genMiniBatch(tensor.NewRNG(3), []int{10, 4}, 3, -1)
 	cfg := gnn.Config{Kind: gnn.GCN, Dims: []int{8, 4}}
 	for _, bad := range []SystolicConfig{{}, {NumMACs: 64, FillCost: 10}, {NumMACs: 64, FreqGHz: 0.3, FillCost: -1}} {
-		if bad.Validate() == nil {
+		if bad.validate() == nil {
 			t.Fatalf("%+v should fail validation", bad)
 		}
 		bk := sgBackend()

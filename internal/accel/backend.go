@@ -92,7 +92,7 @@ func (bk *Backend) Account(cfg gnn.Config, mb *sampler.MiniBatch) (*ForwardStats
 	if len(mb.Blocks) != L {
 		return nil, fmt.Errorf("accel: %d blocks for %d layers", len(mb.Blocks), L)
 	}
-	if err := bk.Systolic.Validate(); err != nil {
+	if err := bk.Systolic.validate(); err != nil {
 		return nil, err
 	}
 	stats := &bk.stats
@@ -100,7 +100,7 @@ func (bk *Backend) Account(cfg gnn.Config, mb *sampler.MiniBatch) (*ForwardStats
 	for l, b := range mb.Blocks {
 		sg := bk.SG
 		sg.FeatWidth = cfg.Dims[l]
-		if err := sg.Validate(); err != nil {
+		if err := sg.validate(); err != nil {
 			return nil, err
 		}
 		var acc sgAccount

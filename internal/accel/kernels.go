@@ -24,8 +24,8 @@ type ScatterGatherConfig struct {
 	FetchLatency  int // cycles from issuing a feature fetch to availability
 }
 
-// Validate checks the configuration.
-func (c ScatterGatherConfig) Validate() error {
+// validate checks the configuration.
+func (c ScatterGatherConfig) validate() error {
 	if c.NumPEs <= 0 || c.FeatWidth <= 0 || c.BytesPerCycle <= 0 || c.FetchLatency < 0 {
 		return fmt.Errorf("accel: bad scatter-gather config %+v", c)
 	}
@@ -69,8 +69,8 @@ type SystolicConfig struct {
 	FillCost int     // pipeline fill/drain cycles per invocation
 }
 
-// Validate checks the configuration.
-func (c SystolicConfig) Validate() error {
+// validate checks the configuration.
+func (c SystolicConfig) validate() error {
 	if c.NumMACs <= 0 || c.FreqGHz <= 0 || c.FillCost < 0 {
 		return fmt.Errorf("accel: bad systolic config %+v", c)
 	}

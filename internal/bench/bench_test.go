@@ -7,7 +7,7 @@ import (
 
 func TestTableRendering(t *testing.T) {
 	tb := &Table{Title: "T", Header: []string{"a", "bb"}}
-	tb.AddRow(Txt("x"), Num(1.5, "%.2f"))
+	tb.addRow(txt("x"), num(1.5, "%.2f"))
 	s := tb.String()
 	if !strings.Contains(s, "== T ==") || !strings.Contains(s, "1.50") {
 		t.Fatalf("render: %q", s)
@@ -16,19 +16,19 @@ func TestTableRendering(t *testing.T) {
 
 func TestTableLookup(t *testing.T) {
 	tb := &Table{Title: "T", Header: []string{"k", "v"}}
-	tb.AddRow(Txt("a"), Num(7, "%.0f"))
-	tb.AddRow(Txt("b"), Num(9, "%.0f"))
-	if v, ok := tb.Lookup(1, "b"); !ok || v != 9 {
+	tb.addRow(txt("a"), num(7, "%.0f"))
+	tb.addRow(txt("b"), num(9, "%.0f"))
+	if v, ok := tb.lookup(1, "b"); !ok || v != 9 {
 		t.Fatalf("Lookup = %v %v", v, ok)
 	}
-	if _, ok := tb.Lookup(1, "zzz"); ok {
+	if _, ok := tb.lookup(1, "zzz"); ok {
 		t.Fatal("Lookup matched missing row")
 	}
 }
 
 func TestTableCSV(t *testing.T) {
 	tb := &Table{Title: "T", Header: []string{"a", "b"}}
-	tb.AddRow(Txt("x,y"), Num(2, "%.1f"))
+	tb.addRow(txt("x,y"), num(2, "%.1f"))
 	csv := tb.CSV()
 	if csv != "a,b\nx;y,2.0\n" {
 		t.Fatalf("CSV = %q", csv)
@@ -36,7 +36,7 @@ func TestTableCSV(t *testing.T) {
 }
 
 func TestThroughputPositiveAndFPGAWins(t *testing.T) {
-	tb, err := Throughput(1)
+	tb, err := throughput(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,30 +91,30 @@ func TestAllRunsEveryRegisteredExperiment(t *testing.T) {
 }
 
 func TestTable2MatchesPaper(t *testing.T) {
-	tb := Table2()
+	tb := table2()
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
-	if v, ok := tb.Lookup(2, "NVIDIA RTX A5000"); !ok || v != 27.8 {
+	if v, ok := tb.lookup(2, "NVIDIA RTX A5000"); !ok || v != 27.8 {
 		t.Fatalf("A5000 peak = %v", v)
 	}
-	if v, ok := tb.Lookup(4, "Xilinx Alveo U250"); !ok || v != 77 {
+	if v, ok := tb.lookup(4, "Xilinx Alveo U250"); !ok || v != 77 {
 		t.Fatalf("U250 BW = %v", v)
 	}
 }
 
 func TestTable3MatchesPaper(t *testing.T) {
-	tb := Table3()
-	if v, ok := tb.Lookup(2, "ogbn-papers100M"); !ok || v != 1_615_685_872 {
+	tb := table3()
+	if v, ok := tb.lookup(2, "ogbn-papers100M"); !ok || v != 1_615_685_872 {
 		t.Fatalf("papers100M edges = %v", v)
 	}
-	if v, ok := tb.Lookup(3, "MAG240M(homo)"); !ok || v != 756 {
+	if v, ok := tb.lookup(3, "MAG240M(homo)"); !ok || v != 756 {
 		t.Fatalf("MAG240M f0 = %v", v)
 	}
 }
 
 func TestTable4InPaperBand(t *testing.T) {
-	tb, err := Table4()
+	tb, err := table4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestTable4InPaperBand(t *testing.T) {
 // wider band (2–20%) per design-point since our overhead constants are
 // calibrated, not measured.
 func TestFig8ErrorBand(t *testing.T) {
-	tb, err := Fig8(1)
+	tb, err := fig8(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFig8ErrorBand(t *testing.T) {
 // Fig. 9: near-linear to 8 accelerators, saturated by 16 (the paper's CPU
 // memory-bandwidth knee at ~12).
 func TestFig9Shape(t *testing.T) {
-	tb, err := Fig9()
+	tb, err := fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestFig9Shape(t *testing.T) {
 // Fig. 10: CPU+GPU speedup in the 1.2–4x band (paper: 1.45–2.08), CPU+FPGA
 // in the 6–30x band (paper: 8.87–12.6), FPGA always fastest.
 func TestFig10Shape(t *testing.T) {
-	tb, err := Fig10(1)
+	tb, err := fig10(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestFig10Shape(t *testing.T) {
 // Table VI: HyScale beats PaGraph and P3, loses to DistDGLv2 (paper: 1.76x,
 // 4.57x, 0.45x geomeans).
 func TestTable6Geomeans(t *testing.T) {
-	tb, err := Table6(1)
+	tb, err := table6(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestTable6Geomeans(t *testing.T) {
 // Table VII: after TFLOPS normalization HyScale wins every row (paper:
 // 21–71x geomeans).
 func TestTable7AllWins(t *testing.T) {
-	tb, err := Table7(1)
+	tb, err := table7(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestTable7AllWins(t *testing.T) {
 // transfer-bound workload, and must be a no-op where propagation dominates —
 // the exact selectivity the paper's §VIII limitation analysis predicts.
 func TestExtQuantSelectivity(t *testing.T) {
-	tb, err := ExtQuant(1)
+	tb, err := extQuant(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestExtQuantSelectivity(t *testing.T) {
 
 // Extension: multi-node scaling must be monotone and sub-linear.
 func TestExtClusterShape(t *testing.T) {
-	tb, err := ExtCluster()
+	tb, err := extCluster()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestExtClusterShape(t *testing.T) {
 // beat every homogeneous configuration of the same budget, and DRM must
 // narrow the per-device busy-time imbalance from a naive uniform split.
 func TestExtHeteroHybridWins(t *testing.T) {
-	tb, err := ExtHetero(1)
+	tb, err := extHetero(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,9 +310,9 @@ func TestExtHeteroHybridWins(t *testing.T) {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 	for _, model := range []string{"GCN", "GraphSAGE"} {
-		allG, ok1 := tb.Lookup(2, model, "16xGPU")
-		allF, ok2 := tb.Lookup(2, model, "16xFPGA")
-		hybrid, ok3 := tb.Lookup(2, model, "1xGPU+15xFPGA")
+		allG, ok1 := tb.lookup(2, model, "16xGPU")
+		allF, ok2 := tb.lookup(2, model, "16xFPGA")
+		hybrid, ok3 := tb.lookup(2, model, "1xGPU+15xFPGA")
 		if !ok1 || !ok2 || !ok3 {
 			t.Fatalf("%s: missing fleet rows", model)
 		}
@@ -323,8 +323,8 @@ func TestExtHeteroHybridWins(t *testing.T) {
 		// The mixed fleet starts heavily imbalanced under a uniform split
 		// (a GPU and an FPGA are nothing alike) and DRM must close most of
 		// the gap.
-		start, _ := tb.Lookup(4, model, "1xGPU+15xFPGA")
-		end, _ := tb.Lookup(5, model, "1xGPU+15xFPGA")
+		start, _ := tb.lookup(4, model, "1xGPU+15xFPGA")
+		end, _ := tb.lookup(5, model, "1xGPU+15xFPGA")
 		if start < 1.2 {
 			t.Fatalf("%s: uniform split starts balanced (ratio %.2f) — premise broken", model, start)
 		}
@@ -340,7 +340,7 @@ func TestExtHeteroHybridWins(t *testing.T) {
 // Fig. 11: each optimization must add on top of the previous one, and the
 // magnitudes must stay in the paper's regime (hybrid ≤ ~1.3, full ≤ ~2.2).
 func TestFig11Ordering(t *testing.T) {
-	tb, err := Fig11(1)
+	tb, err := fig11(1)
 	if err != nil {
 		t.Fatal(err)
 	}

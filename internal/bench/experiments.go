@@ -17,36 +17,36 @@ import (
 // bothModels is the evaluation's model set.
 var bothModels = []gnn.Kind{gnn.GCN, gnn.SAGE}
 
-// Table2 reproduces the platform-specification table.
-func Table2() *Table {
+// table2 reproduces the platform-specification table.
+func table2() *Table {
 	t := &Table{
 		Title:  "Table II: Specifications of the platforms",
 		Header: []string{"Platform", "Frequency(GHz)", "Peak(TFLOPS)", "On-chip(MB)", "MemBW(GB/s)"},
 	}
 	for _, d := range []hw.Device{hw.EPYC7763(), hw.A5000(), hw.U250()} {
-		t.AddRow(Txt(d.Name), Num(d.FreqGHz, "%.2f"), Num(d.PeakTFLOPS, "%.1f"),
-			Num(d.OnChipMB, "%.0f"), Num(d.MemBWGBs, "%.0f"))
+		t.addRow(txt(d.Name), num(d.FreqGHz, "%.2f"), num(d.PeakTFLOPS, "%.1f"),
+			num(d.OnChipMB, "%.0f"), num(d.MemBWGBs, "%.0f"))
 	}
 	return t
 }
 
-// Table3 reproduces the dataset-statistics table.
-func Table3() *Table {
+// table3 reproduces the dataset-statistics table.
+func table3() *Table {
 	t := &Table{
 		Title:  "Table III: Statistics of the datasets and GNN-layer dimensions",
 		Header: []string{"Dataset", "#Vertices", "#Edges", "f0", "f1", "f2", "TrainNodes"},
 	}
 	for _, s := range datagen.PaperSpecs() {
-		t.AddRow(Txt(s.Name), Num(float64(s.NumVertices), "%.0f"), Num(float64(s.NumEdges), "%.0f"),
-			Num(float64(s.FeatDims[0]), "%.0f"), Num(float64(s.FeatDims[1]), "%.0f"),
-			Num(float64(s.FeatDims[2]), "%.0f"), Num(float64(s.TrainNodes), "%.0f"))
+		t.addRow(txt(s.Name), num(float64(s.NumVertices), "%.0f"), num(float64(s.NumEdges), "%.0f"),
+			num(float64(s.FeatDims[0]), "%.0f"), num(float64(s.FeatDims[1]), "%.0f"),
+			num(float64(s.FeatDims[2]), "%.0f"), num(float64(s.TrainNodes), "%.0f"))
 	}
 	return t
 }
 
-// Table4 reproduces the FPGA resource-utilization table for the published
+// table4 reproduces the FPGA resource-utilization table for the published
 // (n=8, m=2048) design point.
-func Table4() (*Table, error) {
+func table4() (*Table, error) {
 	u, err := accel.EstimateUtilization(accel.KernelParallelism{N: 8, M: 2048}, accel.U250Resources())
 	if err != nil {
 		return nil, err
@@ -55,16 +55,16 @@ func Table4() (*Table, error) {
 		Title:  "Table IV: Hardware parameters and resource utilization (n=8, m=2048)",
 		Header: []string{"LUTs", "DSPs", "URAM", "BRAM"},
 	}
-	t.AddRow(Num(u.LUT*100, "%.0f%%"), Num(u.DSP*100, "%.0f%%"),
-		Num(u.URAM*100, "%.0f%%"), Num(u.BRAM*100, "%.0f%%"))
+	t.addRow(num(u.LUT*100, "%.0f%%"), num(u.DSP*100, "%.0f%%"),
+		num(u.URAM*100, "%.0f%%"), num(u.BRAM*100, "%.0f%%"))
 	return t, nil
 }
 
-// Fig8 reproduces the predicted-vs-actual epoch-time comparison on
+// fig8 reproduces the predicted-vs-actual epoch-time comparison on
 // MAG240M (homo) for both models, sweeping 1–4 FPGAs. "Predicted" is the
 // analytic model (§V); "Actual" is the pipeline simulator, which charges the
 // kernel-launch and pipeline-flush overheads §VI-C names as error sources.
-func Fig8(seed uint64) (*Table, error) {
+func fig8(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "Fig. 8: Predicted vs actual epoch time, MAG240M (homo)",
 		Header: []string{"Model", "FPGAs", "Predicted(s)", "Actual(s)", "Error(%)"},
@@ -84,24 +84,24 @@ func Fig8(seed uint64) (*Table, error) {
 				return nil, err
 			}
 			errPct := math.Abs(res.EpochSec-predicted) / res.EpochSec * 100
-			t.AddRow(Txt(kind.String()), Num(float64(n), "%.0f"),
-				Num(predicted, "%.3f"), Num(res.EpochSec, "%.3f"), Num(errPct, "%.1f"))
+			t.addRow(txt(kind.String()), num(float64(n), "%.0f"),
+				num(predicted, "%.3f"), num(res.EpochSec, "%.3f"), num(errPct, "%.1f"))
 		}
 	}
 	return t, nil
 }
 
-// Fig9 reproduces the scalability study: normalized throughput speedup for
+// fig9 reproduces the scalability study: normalized throughput speedup for
 // 1–16 accelerators on the CPU-FPGA platform, per dataset and model,
 // evaluated with the performance model exactly as the paper does (§VI-D).
-func Fig9() (*Table, error) {
+func fig9() (*Table, error) {
 	t := &Table{
 		Title:  "Fig. 9: Scalability (normalized speedup vs 1 accelerator)",
 		Header: []string{"Dataset", "Model", "x1", "x2", "x4", "x8", "x16"},
 	}
 	for _, spec := range datagen.PaperSpecs() {
 		for _, kind := range bothModels {
-			row := []Cell{Txt(spec.Name), Txt(kind.String())}
+			row := []Cell{txt(spec.Name), txt(kind.String())}
 			var base float64
 			for _, n := range []int{1, 2, 4, 8, 16} {
 				plat := hw.CPUFPGAPlatform().WithAccelCount(n)
@@ -117,7 +117,7 @@ func Fig9() (*Table, error) {
 				if n == 1 {
 					base = mteps
 				}
-				row = append(row, Num(mteps/base, "%.2f"))
+				row = append(row, num(mteps/base, "%.2f"))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -125,10 +125,10 @@ func Fig9() (*Table, error) {
 	return t, nil
 }
 
-// Fig10 reproduces the cross-platform comparison: epoch time of the
+// fig10 reproduces the cross-platform comparison: epoch time of the
 // multi-GPU PyG baseline, HyScale CPU-GPU, and HyScale CPU-FPGA, with
 // speedups normalized to the baseline.
-func Fig10(seed uint64) (*Table, error) {
+func fig10(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "Fig. 10: Cross-platform comparison (epoch seconds; speedup vs multi-GPU)",
 		Header: []string{"Dataset", "Model", "Multi-GPU(s)", "CPU+GPU(s)", "CPU+GPU(x)", "CPU+FPGA(s)", "CPU+FPGA(x)"},
@@ -150,9 +150,9 @@ func Fig10(seed uint64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(Txt(spec.Name), Txt(kind.String()),
-				Num(base, "%.2f"), Num(gpu, "%.2f"), Num(base/gpu, "%.2fx"),
-				Num(fpga, "%.2f"), Num(base/fpga, "%.2fx"))
+			t.addRow(txt(spec.Name), txt(kind.String()),
+				num(base, "%.2f"), num(gpu, "%.2f"), num(base/gpu, "%.2fx"),
+				num(fpga, "%.2f"), num(base/fpga, "%.2fx"))
 		}
 	}
 	return t, nil
@@ -179,10 +179,10 @@ func comparators() []comparator {
 // table6Specs are the datasets of Table VI.
 var table6Specs = []datagen.Spec{datagen.OGBNProducts, datagen.OGBNPapers100M}
 
-// Table6 reproduces the epoch-time comparison with the state of the art:
+// table6 reproduces the epoch-time comparison with the state of the art:
 // for every comparator, HyScale (4 FPGAs, one node) runs the comparator's
 // own configuration.
-func Table6(seed uint64) (*Table, error) {
+func table6(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "Table VI: Epoch time (sec) comparison with state-of-the-art",
 		Header: []string{"System", "Dataset", "Model", "Theirs(s)", "ThisWork(s)", "Speedup", "GeoMean"},
@@ -217,20 +217,20 @@ func Table6(seed uint64) (*Table, error) {
 		}
 		geo := geomean(ratios)
 		for i, l := range lines {
-			geoCell := Txt("")
+			geoCell := txt("")
 			if i == len(lines)-1 {
-				geoCell = Num(geo, "%.2fx")
+				geoCell = num(geo, "%.2fx")
 			}
-			t.AddRow(Txt(c.Name), Txt(l.spec.Name), Txt(l.kind.String()),
-				Num(l.them, "%.2f"), Num(l.ours, "%.2f"), Num(l.them/l.ours, "%.2fx"), geoCell)
+			t.addRow(txt(c.Name), txt(l.spec.Name), txt(l.kind.String()),
+				num(l.them, "%.2f"), num(l.ours, "%.2f"), num(l.them/l.ours, "%.2fx"), geoCell)
 		}
 	}
 	return t, nil
 }
 
-// Table7 is Table VI normalized by platform peak TFLOPS (sec × TFLOPS),
+// table7 is Table VI normalized by platform peak TFLOPS (sec × TFLOPS),
 // the paper's system-efficiency comparison.
-func Table7(seed uint64) (*Table, error) {
+func table7(seed uint64) (*Table, error) {
 	ours := hw.CPUFPGAPlatform().TotalTFLOPS()
 	t := &Table{
 		Title:  "Table VII: Normalized epoch time (sec x TFLOPS) comparison",
@@ -254,19 +254,19 @@ func Table7(seed uint64) (*Table, error) {
 				}
 				themN := them * c.TFLOPS
 				ourN := our * ours
-				t.AddRow(Txt(c.Name), Txt(spec.Name), Txt(kind.String()),
-					Num(themN, "%.1f"), Num(ourN, "%.1f"), Num(themN/ourN, "%.1fx"))
+				t.addRow(txt(c.Name), txt(spec.Name), txt(kind.String()),
+					num(themN, "%.1f"), num(ourN, "%.1f"), num(themN/ourN, "%.1fx"))
 			}
 		}
 	}
 	return t, nil
 }
 
-// Fig11 reproduces the ablation study on the CPU-FPGA platform: Baseline
+// fig11 reproduces the ablation study on the CPU-FPGA platform: Baseline
 // (accelerator-only, fused prefetch), Hybrid with the static design-time
 // mapping, Hybrid+DRM, and Hybrid+DRM+TFP. Values are speedups normalized
 // to the baseline.
-func Fig11(seed uint64) (*Table, error) {
+func fig11(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "Fig. 11: Impact of optimizations (speedup vs baseline)",
 		Header: []string{"Dataset", "Model", "Baseline", "Hybrid(Static)", "Hybrid+DRM", "Hybrid+DRM+TFP"},
@@ -307,8 +307,8 @@ func Fig11(seed uint64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(Txt(spec.Name), Txt(kind.String()), Num(1.0, "%.2fx"),
-				Num(base/static, "%.2fx"), Num(base/withDRM, "%.2fx"), Num(base/full, "%.2fx"))
+			t.addRow(txt(spec.Name), txt(kind.String()), num(1.0, "%.2fx"),
+				num(base/static, "%.2fx"), num(base/withDRM, "%.2fx"), num(base/full, "%.2fx"))
 		}
 	}
 	return t, nil
@@ -328,24 +328,24 @@ var experiments = []struct {
 	name string
 	run  func(seed uint64) (*Table, error)
 }{
-	{"table2", func(uint64) (*Table, error) { return Table2(), nil }},
-	{"table3", func(uint64) (*Table, error) { return Table3(), nil }},
-	{"table4", func(uint64) (*Table, error) { return Table4() }},
-	{"fig8", Fig8},
-	{"fig9", func(uint64) (*Table, error) { return Fig9() }},
-	{"fig10", Fig10},
-	{"table6", Table6},
-	{"table7", Table7},
-	{"fig11", Fig11},
-	{"throughput", Throughput},
-	{"ext-quant", ExtQuant},
-	{"ext-cluster", func(uint64) (*Table, error) { return ExtCluster() }},
-	{"ext-multinode", ExtMultiNodeExec},
-	{"ext-hetero", ExtHetero},
-	{"ext-serve", ExtServe},
-	{"ext-serve-hetero", ExtServeHetero},
-	{"ext-serve-slo", ExtServeSLO},
-	{"ext-serve-fault", ExtServeFault},
+	{"table2", func(uint64) (*Table, error) { return table2(), nil }},
+	{"table3", func(uint64) (*Table, error) { return table3(), nil }},
+	{"table4", func(uint64) (*Table, error) { return table4() }},
+	{"fig8", fig8},
+	{"fig9", func(uint64) (*Table, error) { return fig9() }},
+	{"fig10", fig10},
+	{"table6", table6},
+	{"table7", table7},
+	{"fig11", fig11},
+	{"throughput", throughput},
+	{"ext-quant", extQuant},
+	{"ext-cluster", func(uint64) (*Table, error) { return extCluster() }},
+	{"ext-multinode", extMultiNodeExec},
+	{"ext-hetero", extHetero},
+	{"ext-serve", extServe},
+	{"ext-serve-hetero", extServeHetero},
+	{"ext-serve-slo", extServeSLO},
+	{"ext-serve-fault", extServeFault},
 }
 
 // All runs every experiment and returns the tables in Names() order.

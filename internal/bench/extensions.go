@@ -14,14 +14,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// ExtQuant evaluates the paper's §VIII extension — int8 feature
+// extQuant evaluates the paper's §VIII extension — int8 feature
 // quantization on the PCIe link — on the CPU-FPGA platform. The paper
 // identifies the Data Transfer stage as the one bottleneck its DRM cannot
 // fix ("HyScale-GNN did not provide an effective solution if the
 // performance is bottlenecked by the Data Transfer stage"); quantization
 // attacks exactly that stage, so the gain should concentrate on the
 // transfer-bound workloads (wide-feature MAG240M) and vanish elsewhere.
-func ExtQuant(seed uint64) (*Table, error) {
+func extQuant(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "Extension: int8 PCIe feature quantization (CPU-FPGA, all optimizations on)",
 		Header: []string{"Dataset", "Model", "fp32 epoch(s)", "int8 epoch(s)", "Speedup"},
@@ -54,24 +54,24 @@ func ExtQuant(seed uint64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(Txt(spec.Name), Txt(kind.String()),
-				Num(fp32, "%.2f"), Num(int8t, "%.2f"), Num(fp32/int8t, "%.2fx"))
+			t.addRow(txt(spec.Name), txt(kind.String()),
+				num(fp32, "%.2f"), num(int8t, "%.2f"), num(fp32/int8t, "%.2fx"))
 		}
 	}
 	return t, nil
 }
 
-// Throughput reports the paper's primary metric (Eq. 5, MTEPS — million
+// throughput reports the paper's primary metric (Eq. 5, MTEPS — million
 // traversed edges per second) for the full system on both heterogeneous
 // platforms across all datasets and models.
-func Throughput(seed uint64) (*Table, error) {
+func throughput(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "Throughput (Eq. 5): million traversed edges per second",
 		Header: []string{"Dataset", "Model", "CPU+GPU MTEPS", "CPU+FPGA MTEPS"},
 	}
 	for _, spec := range datagen.PaperSpecs() {
 		for _, kind := range bothModels {
-			row := []Cell{Txt(spec.Name), Txt(kind.String())}
+			row := []Cell{txt(spec.Name), txt(kind.String())}
 			for _, pc := range []struct {
 				plat    hw.Platform
 				profile perfmodel.SoftwareProfile
@@ -92,7 +92,7 @@ func Throughput(seed uint64) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, Num(res.MTEPS, "%.0f"))
+				row = append(row, num(res.MTEPS, "%.0f"))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -100,10 +100,10 @@ func Throughput(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// ExtCluster evaluates the multi-node extension (§VIII future work):
+// extCluster evaluates the multi-node extension (§VIII future work):
 // strong scaling of HyScale CPU-FPGA nodes over 100 GbE with a 25% METIS
 // edge cut, on papers100M.
-func ExtCluster() (*Table, error) {
+func extCluster() (*Table, error) {
 	t := &Table{
 		Title:  "Extension: multi-node strong scaling (CPU-FPGA nodes, 100GbE, 25% edge cut)",
 		Header: []string{"Dataset", "Nodes", "Epoch(s)", "Speedup", "Efficiency", "Net share"},
@@ -125,10 +125,10 @@ func ExtCluster() (*Table, error) {
 		for i, b := range res {
 			netShare := (b.RemoteFetch + b.GlobalSync) / b.IterTime
 			speedup := base / b.EpochSec
-			t.AddRow(Txt(spec.Name), Num(float64(counts[i]), "%.0f"),
-				Num(b.EpochSec, "%.3f"), Num(speedup, "%.2fx"),
-				Num(speedup/float64(counts[i])*100, "%.0f%%"),
-				Num(netShare*100, "%.0f%%"))
+			t.addRow(txt(spec.Name), num(float64(counts[i]), "%.0f"),
+				num(b.EpochSec, "%.3f"), num(speedup, "%.2fx"),
+				num(speedup/float64(counts[i])*100, "%.0f%%"),
+				num(netShare*100, "%.0f%%"))
 		}
 	}
 	return t, nil
@@ -161,7 +161,7 @@ func fleetRatio(st perfmodel.StageTimes) float64 {
 	return hi / lo
 }
 
-// ExtHetero executes the Fig. 11-style heterogeneous-fleet ablation the
+// extHetero executes the Fig. 11-style heterogeneous-fleet ablation the
 // paper's title implies but never measures: with a fixed device budget, a
 // hybrid CPU+GPU+FPGA fleet against every homogeneous configuration of the
 // same budget. The mechanism under test is real in both directions: a pure
@@ -173,7 +173,7 @@ func fleetRatio(st perfmodel.StageTimes) float64 {
 // (throughput-proportional mapping + DRM, 240 simulated iterations) and the
 // DRM engine's per-device imbalance ratio when started from a naive uniform
 // split — the max/min busy-time ratio must narrow toward 1.
-func ExtHetero(seed uint64) (*Table, error) {
+func extHetero(seed uint64) (*Table, error) {
 	t := &Table{
 		Title: "Extension: heterogeneous fleet ablation (ogbn-products, 16-device budget, hybrid + DRM + TFP)",
 		Header: []string{"Model", "Fleet", "Epoch(s)", "vs best homog.",
@@ -254,21 +254,21 @@ func ExtHetero(seed uint64) (*Table, error) {
 			bestHomog = results[1].epoch
 		}
 		for _, r := range results {
-			t.AddRow(Txt(kind.String()), Txt(r.name),
-				Num(r.epoch, "%.3f"), Num(bestHomog/r.epoch, "%.3fx"),
-				Num(r.start, "%.2f"), Num(r.end, "%.2f"))
+			t.addRow(txt(kind.String()), txt(r.name),
+				num(r.epoch, "%.3f"), num(bestHomog/r.epoch, "%.3fx"),
+				num(r.start, "%.2f"), num(r.end, "%.2f"))
 		}
 	}
 	return t, nil
 }
 
-// ExtMultiNodeExec executes the multi-node extension rather than pricing it:
+// extMultiNodeExec executes the multi-node extension rather than pricing it:
 // a products-shaped instance is partitioned across 1–4 sharded engines that
 // train with real gradient exchange (ring all-reduce over 100 GbE), and each
 // row reports the executed strong-scaling point next to the analytic
-// model's predicted per-iteration slowdown — the validation ExtCluster's
+// model's predicted per-iteration slowdown — the validation extCluster's
 // purely analytic table cannot provide.
-func ExtMultiNodeExec(seed uint64) (*Table, error) {
+func extMultiNodeExec(seed uint64) (*Table, error) {
 	t := &Table{
 		Title:  "Extension: executed multi-node scaling (sharded engines, ring all-reduce, 100GbE)",
 		Header: []string{"Nodes", "Cut", "Epoch(s)", "Speedup", "Net/iter(s)", "Exec slowdown", "Analytic slowdown"},
@@ -326,11 +326,11 @@ func ExtMultiNodeExec(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(Num(float64(n), "%.0f"), Num(p.cut, "%.2f"),
-			Num(p.epochSec, "%.4f"), Num(base.epochSec/p.epochSec, "%.2fx"),
-			Num(p.netPerIter, "%.2g"),
-			Num(p.perIter/base.perIter, "%.3fx"),
-			Num(cluster.PredictedSlowdown(pred, base.perIter), "%.3fx"))
+		t.addRow(num(float64(n), "%.0f"), num(p.cut, "%.2f"),
+			num(p.epochSec, "%.4f"), num(base.epochSec/p.epochSec, "%.2fx"),
+			num(p.netPerIter, "%.2g"),
+			num(p.perIter/base.perIter, "%.3fx"),
+			num(cluster.PredictedSlowdown(pred, base.perIter), "%.3fx"))
 	}
 	return t, nil
 }

@@ -14,8 +14,8 @@ import (
 	"repro/internal/serve"
 )
 
-// ServeFaultVariant is one replay of the recorded trace.
-type ServeFaultVariant struct {
+// faultVariant is one replay of the recorded trace.
+type faultVariant struct {
 	Name           string
 	Served         int
 	Rejected       int
@@ -31,26 +31,26 @@ type ServeFaultVariant struct {
 	RecoveryMs       float64
 }
 
-// ServeFaultReport is the fault-free vs faulted replay pair behind
+// serveFaultReport is the fault-free vs faulted replay pair behind
 // ext-serve-fault.
-type ServeFaultReport struct {
+type serveFaultReport struct {
 	OfferedRPS float64
 	Requests   int
 	FaultSpec  string
 	FailAtSec  float64
 	SLOTargets string
 
-	Baseline ServeFaultVariant
-	Faulted  ServeFaultVariant
+	Baseline faultVariant
+	Faulted  faultVariant
 }
 
 // serveFaultSLO is the per-class deadline spec both replays account against.
 const serveFaultSLO = "interactive=2,standard=10,bulk=50"
 
-// ServeFault replays one recorded trace fault-free and with a mid-run worker
+// serveFault replays one recorded trace fault-free and with a mid-run worker
 // loss. The ledger invariant offered = served + rejected + shed is enforced:
 // the fleet may degrade under a fault, but it must not lose requests.
-func ServeFault(seed uint64) (*ServeFaultReport, error) {
+func serveFault(seed uint64) (*serveFaultReport, error) {
 	ds, model, err := serveFixture(seed)
 	if err != nil {
 		return nil, err
@@ -87,7 +87,7 @@ func ServeFault(seed uint64) (*ServeFaultReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	report := &ServeFaultReport{
+	report := &serveFaultReport{
 		OfferedRPS: rate, Requests: len(trace.Requests), SLOTargets: serveFaultSLO,
 	}
 	cfg.Workload, cfg.Replay = nil, trace
@@ -126,7 +126,7 @@ func ServeFault(seed uint64) (*ServeFaultReport, error) {
 	}
 	report.Baseline = serveFaultVariant("baseline", baseline)
 	report.Faulted = serveFaultVariant("faulted", faulted)
-	for _, v := range []ServeFaultVariant{report.Baseline, report.Faulted} {
+	for _, v := range []faultVariant{report.Baseline, report.Faulted} {
 		if report.Requests != v.Served+v.Rejected+v.Shed {
 			return nil, fmt.Errorf(
 				"bench: %s replay lost requests: offered %d != served %d + rejected %d + shed %d",
@@ -140,8 +140,8 @@ func ServeFault(seed uint64) (*ServeFaultReport, error) {
 	return report, nil
 }
 
-func serveFaultVariant(name string, st *serve.Stats) ServeFaultVariant {
-	return ServeFaultVariant{
+func serveFaultVariant(name string, st *serve.Stats) faultVariant {
+	return faultVariant{
 		Name: name, Served: st.Served, Rejected: st.Rejected, Shed: st.Shed,
 		Retries: st.Retries, Redispatched: st.Redispatched,
 		FailedWorkers: st.FailedWorkers, DeadlineMisses: st.DeadlineMisses,
@@ -151,9 +151,9 @@ func serveFaultVariant(name string, st *serve.Stats) ServeFaultVariant {
 	}
 }
 
-// ExtServeFault renders the fault-injection comparison as a table.
-func ExtServeFault(seed uint64) (*Table, error) {
-	report, err := ServeFault(seed)
+// extServeFault renders the fault-injection comparison as a table.
+func extServeFault(seed uint64) (*Table, error) {
+	report, err := serveFault(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -165,13 +165,13 @@ func ExtServeFault(seed uint64) (*Table, error) {
 		Header: []string{"Variant", "Served", "Rejected", "Shed", "Retries",
 			"Miss", "p99(ms)", "fault-p99(ms)", "recovery(ms)"},
 	}
-	for _, v := range []ServeFaultVariant{report.Baseline, report.Faulted} {
-		t.AddRow(Txt(v.Name),
-			Num(float64(v.Served), "%.0f"), Num(float64(v.Rejected), "%.0f"),
-			Num(float64(v.Shed), "%.0f"), Num(float64(v.Retries), "%.0f"),
-			Num(float64(v.DeadlineMisses), "%.0f"),
-			Num(v.P99Ms, "%.3f"), Num(v.FaultWindowP99Ms, "%.3f"),
-			Num(v.RecoveryMs, "%.3f"))
+	for _, v := range []faultVariant{report.Baseline, report.Faulted} {
+		t.addRow(txt(v.Name),
+			num(float64(v.Served), "%.0f"), num(float64(v.Rejected), "%.0f"),
+			num(float64(v.Shed), "%.0f"), num(float64(v.Retries), "%.0f"),
+			num(float64(v.DeadlineMisses), "%.0f"),
+			num(v.P99Ms, "%.3f"), num(v.FaultWindowP99Ms, "%.3f"),
+			num(v.RecoveryMs, "%.3f"))
 	}
 	return t, nil
 }

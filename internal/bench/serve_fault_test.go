@@ -7,7 +7,7 @@ import "testing"
 // heal: at least one retry, a re-dispatched batch, a positive recovery time —
 // and, like the baseline, a closed request ledger.
 func TestExtServeFaultRedispatches(t *testing.T) {
-	report, err := ServeFault(1)
+	report, err := serveFault(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func TestExtServeFaultRedispatches(t *testing.T) {
 	if f.FailedWorkers != 1 || f.Retries < 1 || f.Redispatched < 1 || f.RecoveryMs <= 0 {
 		t.Fatalf("faulted replay did not re-dispatch (fail at %.6fs): %+v", report.FailAtSec, f)
 	}
-	for _, v := range []ServeFaultVariant{b, f} {
+	for _, v := range []faultVariant{b, f} {
 		if v.Served+v.Rejected+v.Shed != report.Requests {
 			t.Fatalf("%s ledger open: served %d + rejected %d + shed %d != %d requests",
 				v.Name, v.Served, v.Rejected, v.Shed, report.Requests)

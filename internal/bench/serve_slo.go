@@ -12,8 +12,8 @@ import (
 	"repro/internal/serve"
 )
 
-// ServeSLORow is one (formation, class) cell of the replayed comparison.
-type ServeSLORow struct {
+// serveSLORow is one (formation, class) cell of the replayed comparison.
+type serveSLORow struct {
 	Formation string
 	Class     string
 	Offered   int
@@ -23,13 +23,13 @@ type ServeSLORow struct {
 	P99Ms     float64
 }
 
-// ServeSLOReport is the replayed per-class comparison behind ext-serve-slo.
-type ServeSLOReport struct {
+// serveSLOReport is the replayed per-class comparison behind ext-serve-slo.
+type serveSLOReport struct {
 	CapacityRPS float64 // analytic all-miss capacity
 	OfferedRPS  float64 // Σ cohort base rates (0.6 × capacity)
 	Requests    int     // trace length replayed per formation
 
-	Rows []ServeSLORow
+	Rows []serveSLORow
 	Jain map[string]float64 // Jain fairness index by formation
 
 	// InteractiveP99DeltaMs is the fcfs interactive p99 minus the
@@ -42,8 +42,8 @@ type ServeSLOReport struct {
 // sloFormations is the comparison order (fcfs first: it is the baseline).
 var sloFormations = []string{serve.FormationFCFS, serve.FormationPriority, serve.FormationSJF}
 
-// ServeSLO runs the SLO-class workload comparison.
-func ServeSLO(seed uint64) (*ServeSLOReport, error) {
+// serveSLO runs the SLO-class workload comparison.
+func serveSLO(seed uint64) (*serveSLOReport, error) {
 	ds, model, err := serveFixture(seed)
 	if err != nil {
 		return nil, err
@@ -78,7 +78,7 @@ func ServeSLO(seed uint64) (*ServeSLOReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	report := &ServeSLOReport{
+	report := &serveSLOReport{
 		CapacityRPS: pred.CapacityRPS, OfferedRPS: rate,
 		Requests: len(trace.Requests), Jain: map[string]float64{},
 	}
@@ -98,7 +98,7 @@ func ServeSLO(seed uint64) (*ServeSLOReport, error) {
 			if cs.Offered == 0 {
 				continue
 			}
-			report.Rows = append(report.Rows, ServeSLORow{
+			report.Rows = append(report.Rows, serveSLORow{
 				Formation: formation, Class: serve.SLOClass(c).String(),
 				Offered: cs.Offered, Served: cs.Served, Rejected: cs.Rejected,
 				P50Ms: 1e3 * cs.P50Sec, P99Ms: 1e3 * cs.P99Sec,
@@ -115,9 +115,9 @@ func ServeSLO(seed uint64) (*ServeSLOReport, error) {
 	return report, nil
 }
 
-// ExtServeSLO renders the SLO-class comparison as a table.
-func ExtServeSLO(seed uint64) (*Table, error) {
-	report, err := ServeSLO(seed)
+// extServeSLO renders the SLO-class comparison as a table.
+func extServeSLO(seed uint64) (*Table, error) {
+	report, err := serveSLO(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -130,15 +130,15 @@ func ExtServeSLO(seed uint64) (*Table, error) {
 	}
 	prev := ""
 	for _, r := range report.Rows {
-		jain := Txt("")
+		jain := txt("")
 		if r.Formation != prev {
-			jain = Num(report.Jain[r.Formation], "%.4f")
+			jain = num(report.Jain[r.Formation], "%.4f")
 			prev = r.Formation
 		}
-		t.AddRow(Txt(r.Formation), Txt(r.Class),
-			Num(float64(r.Offered), "%.0f"), Num(float64(r.Served), "%.0f"),
-			Num(float64(r.Rejected), "%.0f"),
-			Num(r.P50Ms, "%.3f"), Num(r.P99Ms, "%.3f"), jain)
+		t.addRow(txt(r.Formation), txt(r.Class),
+			num(float64(r.Offered), "%.0f"), num(float64(r.Served), "%.0f"),
+			num(float64(r.Rejected), "%.0f"),
+			num(r.P50Ms, "%.3f"), num(r.P99Ms, "%.3f"), jain)
 	}
 	return t, nil
 }

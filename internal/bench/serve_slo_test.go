@@ -12,7 +12,7 @@ import (
 // index. The interactive-tail delta is recorded whichever way it lands — the
 // shape test checks structure, not sign.
 func TestExtServeSLOShape(t *testing.T) {
-	report, err := ServeSLO(1)
+	report, err := serveSLO(1)
 	if err != nil {
 		t.Fatal(err)
 	}

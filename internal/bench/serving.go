@@ -28,7 +28,7 @@ func serveFixture(seed uint64) (*datagen.Dataset, *gnn.Model, error) {
 	return ds, model, nil
 }
 
-// ExtServe exercises the online-serving extension end to end: an open-loop
+// extServe exercises the online-serving extension end to end: an open-loop
 // Zipf request stream against the serving stack (admission → dynamic batcher
 // → embedding cache → accelerator worker pool), executed on the virtual
 // clock. Two sweeps bracket the design space:
@@ -38,7 +38,7 @@ func serveFixture(seed uint64) (*datagen.Dataset, *gnn.Model, error) {
 //     service time within its ±35% band;
 //   - cache size at ~3x overload with no batching window — the hit rate and
 //     served throughput must rise with capacity while the p99 tail falls.
-func ExtServe(seed uint64) (*Table, error) {
+func extServe(seed uint64) (*Table, error) {
 	t := &Table{
 		Title: "Extension: online serving (CPU-FPGA pool, open-loop Zipf stream; " +
 			"analytic service time within ±35% of executed)",
@@ -56,11 +56,11 @@ func ExtServe(seed uint64) (*Table, error) {
 	}
 	addRow := func(sweep string, st *serve.Stats, cfg serve.Config) {
 		errPct := 100 * math.Abs(st.MeanServiceSec-st.Prediction.ServiceSec) / st.MeanServiceSec
-		t.AddRow(Txt(sweep), Num(cfg.RatePerSec, "%.0f"), Num(1e3*cfg.WindowSec, "%.2f"),
-			Num(float64(cfg.CacheSize), "%.0f"), Num(st.MeanBatch, "%.1f"),
-			Num(100*st.HitRate, "%.0f"), Num(1e3*st.P50Sec, "%.3f"), Num(1e3*st.P99Sec, "%.3f"),
-			Num(st.ThroughputRPS, "%.0f"), Num(1e3*st.MeanServiceSec, "%.3f"),
-			Num(1e3*st.Prediction.ServiceSec, "%.3f"), Num(errPct, "%.0f%%"))
+		t.addRow(txt(sweep), num(cfg.RatePerSec, "%.0f"), num(1e3*cfg.WindowSec, "%.2f"),
+			num(float64(cfg.CacheSize), "%.0f"), num(st.MeanBatch, "%.1f"),
+			num(100*st.HitRate, "%.0f"), num(1e3*st.P50Sec, "%.3f"), num(1e3*st.P99Sec, "%.3f"),
+			num(st.ThroughputRPS, "%.0f"), num(1e3*st.MeanServiceSec, "%.3f"),
+			num(1e3*st.Prediction.ServiceSec, "%.3f"), num(errPct, "%.0f%%"))
 	}
 
 	withRate := func(c serve.Config, r float64) serve.Config { c.RatePerSec = r; return c }
@@ -96,7 +96,7 @@ func ExtServe(seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// ExtServeHetero is the serving counterpart of the ext-hetero training
+// extServeHetero is the serving counterpart of the ext-hetero training
 // ablation: with a fixed budget of three serving devices, a mixed
 // CPU+GPU+FPGA fleet — the kind-aware router steering each closed batch to
 // the device with the earliest predicted completion, cache-hot small batches
@@ -108,7 +108,7 @@ func ExtServe(seed uint64) (*Table, error) {
 // row reports the executed latency profile next to the per-device analytic
 // prediction (±35% band), plus the per-kind batch split that shows the
 // routing is genuinely heterogeneous.
-func ExtServeHetero(seed uint64) (*Table, error) {
+func extServeHetero(seed uint64) (*Table, error) {
 	t := &Table{
 		Title: "Extension: kind-aware heterogeneous serving (equal 3-device budget, " +
 			"open-loop Zipf stream; analytic per-device service within ±35%)",
@@ -184,12 +184,12 @@ func ExtServeHetero(seed uint64) (*Table, error) {
 				split[d.Kind] += d.Batches
 			}
 			errPct := 100 * math.Abs(st.MeanServiceSec-st.Prediction.ServiceSec) / st.MeanServiceSec
-			t.AddRow(Txt(load.name), Txt(p.name), Num(cfg.RatePerSec, "%.0f"),
-				Num(100*st.HitRate, "%.0f"), Num(1e3*st.MeanSec, "%.3f"),
-				Num(1e3*st.P50Sec, "%.3f"), Num(1e3*st.P99Sec, "%.3f"),
-				Num(st.ThroughputRPS, "%.0f"), Num(1e3*st.MeanServiceSec, "%.3f"),
-				Num(1e3*st.Prediction.ServiceSec, "%.3f"), Num(errPct, "%.0f%%"),
-				Txt(fmt.Sprintf("%d/%d/%d", split[hw.CPU], split[hw.GPU], split[hw.FPGA])))
+			t.addRow(txt(load.name), txt(p.name), num(cfg.RatePerSec, "%.0f"),
+				num(100*st.HitRate, "%.0f"), num(1e3*st.MeanSec, "%.3f"),
+				num(1e3*st.P50Sec, "%.3f"), num(1e3*st.P99Sec, "%.3f"),
+				num(st.ThroughputRPS, "%.0f"), num(1e3*st.MeanServiceSec, "%.3f"),
+				num(1e3*st.Prediction.ServiceSec, "%.3f"), num(errPct, "%.0f%%"),
+				txt(fmt.Sprintf("%d/%d/%d", split[hw.CPU], split[hw.GPU], split[hw.FPGA])))
 		}
 	}
 	return t, nil

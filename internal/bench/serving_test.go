@@ -9,7 +9,7 @@ import (
 // knob, throughput and tail latency to the cache-size knob, and the analytic
 // serving model must hold its stated ±35% service-time band on every row.
 func TestExtServeShape(t *testing.T) {
-	tb, err := ExtServe(1)
+	tb, err := extServe(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestExtServeShape(t *testing.T) {
 // every row, and the mixed pool's routing must be genuinely heterogeneous —
 // every device kind takes batches under overload.
 func TestExtServeHeteroShape(t *testing.T) {
-	tb, err := ExtServeHetero(1)
+	tb, err := extServeHetero(1)
 	if err != nil {
 		t.Fatal(err)
 	}

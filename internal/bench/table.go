@@ -18,11 +18,11 @@ type Cell struct {
 	Fmt   string // e.g. "%.2f"; empty means Text is used
 }
 
-// Num makes a numeric cell.
-func Num(v float64, format string) Cell { return Cell{Value: v, Fmt: format} }
+// num makes a numeric cell.
+func num(v float64, format string) Cell { return Cell{Value: v, Fmt: format} }
 
-// Txt makes a text cell.
-func Txt(s string) Cell { return Cell{Text: s} }
+// txt makes a text cell.
+func txt(s string) Cell { return Cell{Text: s} }
 
 func (c Cell) render() string {
 	if c.Fmt != "" {
@@ -38,8 +38,8 @@ type Table struct {
 	Rows   [][]Cell
 }
 
-// AddRow appends a row.
-func (t *Table) AddRow(cells ...Cell) { t.Rows = append(t.Rows, cells) }
+// addRow appends a row.
+func (t *Table) addRow(cells ...Cell) { t.Rows = append(t.Rows, cells) }
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
@@ -100,9 +100,9 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// Lookup returns the first numeric cell in the row whose leading text cells
+// lookup returns the first numeric cell in the row whose leading text cells
 // match the given labels (helper for tests asserting on table content).
-func (t *Table) Lookup(col int, labels ...string) (float64, bool) {
+func (t *Table) lookup(col int, labels ...string) (float64, bool) {
 	for _, row := range t.Rows {
 		match := true
 		for i, l := range labels {

@@ -36,8 +36,8 @@ type Config struct {
 	CutFraction float64
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
+// validate checks the configuration.
+func (c Config) validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("cluster: %d nodes", c.Nodes)
 	}
@@ -60,7 +60,7 @@ type Breakdown struct {
 
 // EpochTime evaluates one epoch on the cluster.
 func EpochTime(cfg Config) (*Breakdown, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	m, err := perfmodel.New(cfg.Plat, cfg.Work)

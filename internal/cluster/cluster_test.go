@@ -24,18 +24,18 @@ func baseCfg() Config {
 func TestValidate(t *testing.T) {
 	c := baseCfg()
 	c.Nodes = 0
-	if c.Validate() == nil {
+	if c.validate() == nil {
 		t.Fatal("expected error for 0 nodes")
 	}
 	c = baseCfg()
 	c.CutFraction = 1.5
-	if c.Validate() == nil {
+	if c.validate() == nil {
 		t.Fatal("expected error for cut > 1")
 	}
 	c = baseCfg()
 	c.Nodes = 4
 	c.Net = hw.Link{}
-	if c.Validate() == nil {
+	if c.validate() == nil {
 		t.Fatal("expected error for missing network")
 	}
 }

@@ -59,8 +59,8 @@ type MultiNodeConfig struct {
 	Faults *fault.Schedule
 }
 
-// Validate checks the configuration.
-func (c MultiNodeConfig) Validate() error {
+// validate checks the configuration.
+func (c MultiNodeConfig) validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("cluster: %d nodes", c.Nodes)
 	}
@@ -113,7 +113,7 @@ func (l *shardLocator) FetchSec(n int) float64 {
 // iterations per epoch — the ring all-reduce requires all nodes to
 // participate in every round.
 func NewMultiNode(cfg MultiNodeConfig) (*MultiNode, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	data := cfg.Node.Data
@@ -302,8 +302,8 @@ func (m *MultiNode) RunEpoch() (*MultiNodeStats, error) {
 	return out, nil
 }
 
-// DeadNodes reports which ranks have fail-stopped so far.
-func (m *MultiNode) DeadNodes() []bool { return m.dead }
+// deadNodes reports which ranks have fail-stopped so far.
+func (m *MultiNode) deadNodes() []bool { return m.dead }
 
 // ReplicasInSync reports the worst parameter divergence across the surviving
 // nodes (each node holds one parameter set, so there is nothing to compare

@@ -92,10 +92,10 @@ func (s *stubExecutor) prepare(sl *iterSlot, targets []int32) error {
 	return nil
 }
 
-func (s *stubExecutor) compute(sl *iterSlot) (*IterResult, error) {
+func (s *stubExecutor) compute(sl *iterSlot) (*iterResult, error) {
 	s.calls++
 	n := len(sl.shares[0])
-	return &IterResult{
+	return &iterResult{
 		Stage: sl.st, LossSum: 2 * float64(n),
 		Correct: float64(n), Targets: n, Edges: 100,
 	}, nil

@@ -33,7 +33,7 @@
 // multi-node fleet (internal/cluster.MultiNode):
 //
 //   - engine.go — construction, validation, the model, accessors;
-//   - stages.go — the StageExecutor interface and the hybrid pipeline
+//   - stages.go — the stageExecutor interface and the hybrid pipeline
 //     executor: prepare (sampling, loading/transfer, the iteration's whole
 //     stage vector) and compute (the trainer pool's round and the
 //     rank-order fold — numerics only);

@@ -469,7 +469,7 @@ func TestEvaluateAndCheckpoint(t *testing.T) {
 		t.Fatalf("held-out accuracy %.3f not above chance", acc)
 	}
 	var buf bytes.Buffer
-	if err := e.SaveModel(&buf); err != nil {
+	if err := e.saveModel(&buf); err != nil {
 		t.Fatal(err)
 	}
 	m, err := gnn.Load(&buf)

@@ -39,7 +39,7 @@ type Engine struct {
 	epoch    int
 
 	clock   perfmodel.Pipeline
-	exec    StageExecutor
+	exec    stageExecutor
 	gsync   GradientSync
 	locator FeatureLocator
 
@@ -236,8 +236,8 @@ func (e *Engine) heldOut() []int32 {
 	return idx
 }
 
-// SaveModel writes a checkpoint of the trained weights.
-func (e *Engine) SaveModel(w io.Writer) error { return e.model.Save(w) }
+// saveModel writes a checkpoint of the trained weights.
+func (e *Engine) saveModel(w io.Writer) error { return e.model.Save(w) }
 
 // ReplicasInSync reports the parameter divergence across the engine's
 // trainers: 0 by construction, since they all step one parameter set. Kept

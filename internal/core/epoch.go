@@ -4,7 +4,7 @@ import "runtime"
 
 // Epoch orchestration: the top layer of the runtime. RunEpoch owns the
 // iteration loop and nothing else — it asks the batcher for targets, the
-// StageExecutor for execution, lets DRM react, asks GradientSync for the
+// stageExecutor for execution, lets DRM react, asks GradientSync for the
 // global gradient, applies the update to the one parameter set and advances
 // the clock. Each of those layers is swappable without touching this loop.
 //
@@ -35,7 +35,7 @@ type epochAccum struct {
 // prefetch prepare may be running, but prepare never reads the parameters.
 // It must not write e.assign: the prefetch worker may be reading it for the
 // next iteration.
-func (e *Engine) consumeIteration(res *IterResult, stats *EpochStats, acc *epochAccum) error {
+func (e *Engine) consumeIteration(res *iterResult, stats *EpochStats, acc *epochAccum) error {
 	acc.lossSum += res.LossSum
 	acc.accSum += res.Correct
 	acc.targetSum += res.Targets

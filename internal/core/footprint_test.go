@@ -34,7 +34,7 @@ func cycleDemand(fresh *tensor.Workspace) int64 {
 	return (fresh.Bytes() - 2*2*64) * 8 / 9
 }
 
-func (r *footprintRecorder) compute(s *iterSlot) (*IterResult, error) {
+func (r *footprintRecorder) compute(s *iterSlot) (*iterResult, error) {
 	res, err := r.hybridExecutor.compute(s)
 	if err != nil {
 		return nil, err

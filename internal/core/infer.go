@@ -81,7 +81,7 @@ type inferSlot struct {
 }
 
 // InferencePipeline is the serving-side counterpart of the training
-// StageExecutor: one worker's sample → gather → transfer → propagate
+// stageExecutor: one worker's sample → gather → transfer → propagate
 // pipeline over the shared runtime layers, bound to one device the way a
 // trainer is. Real numeric propagation runs through the same gnn
 // layer kernels as training on every device; virtual time is charged by the
@@ -211,10 +211,10 @@ func (p *InferencePipeline) DeviceIndex() int { return p.cfg.Device }
 // (0 when idle since start) — the dispatcher's load signal.
 func (p *InferencePipeline) AvailableAt() float64 { return p.clock.Now() }
 
-// PredictBatchStage prices a batch of `computed` cache-missing targets on
+// predictBatchStage prices a batch of `computed` cache-missing targets on
 // this worker's bound device — the stage vector the router turns into a
 // predicted completion time.
-func (p *InferencePipeline) PredictBatchStage(computed int) (perfmodel.StageTimes, error) {
+func (p *InferencePipeline) predictBatchStage(computed int) (perfmodel.StageTimes, error) {
 	return p.pm.ServingBatchStage(p.cfg.Device, computed)
 }
 
@@ -240,7 +240,7 @@ func (p *InferencePipeline) ServiceSec(computed int) (float64, error) {
 	if s := p.svcSec[computed]; !math.IsNaN(s) {
 		return s, nil
 	}
-	st, err := p.PredictBatchStage(computed)
+	st, err := p.predictBatchStage(computed)
 	if err != nil {
 		return 0, err
 	}

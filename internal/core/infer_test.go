@@ -118,11 +118,11 @@ func TestInferDeviceBindings(t *testing.T) {
 		t.Fatal("kernel accounting attached to the wrong worker")
 	}
 	// The router's per-device prediction API must price the same bindings.
-	gSt, err := gpu.PredictBatchStage(len(targets))
+	gSt, err := gpu.predictBatchStage(len(targets))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fSt, err := fpga.PredictBatchStage(len(targets))
+	fSt, err := fpga.predictBatchStage(len(targets))
 	if err != nil {
 		t.Fatal(err)
 	}

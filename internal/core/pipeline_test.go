@@ -227,7 +227,7 @@ func (r *mappingRecorder) prepare(s *iterSlot, targets []int32) error {
 	return nil
 }
 
-func (r *mappingRecorder) compute(s *iterSlot) (*IterResult, error) {
+func (r *mappingRecorder) compute(s *iterSlot) (*iterResult, error) {
 	prepared := r.atPrepare[r.slotIndex(s)]
 	// This slot's prepare was issued after the previous iteration's DRM
 	// reaction; the previous compute and consume ran since, and neither may
@@ -285,7 +285,7 @@ type panicExecutor struct {
 	at, iter int
 }
 
-func (p *panicExecutor) compute(s *iterSlot) (*IterResult, error) {
+func (p *panicExecutor) compute(s *iterSlot) (*iterResult, error) {
 	if p.iter == p.at {
 		panic("compute failed")
 	}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// StageExecutor is the trainer-execution layer: it runs one iteration's
+// stageExecutor is the trainer-execution layer: it runs one iteration's
 // pipeline stages — mini-batch sampling, feature loading and transfer, and
 // concurrent propagation on every trainer — and reports the measured virtual
 // stage times together with the training results. It does NOT apply weight
@@ -25,19 +25,19 @@ import (
 // prepared slot and prices nothing. The epoch loop (epoch.go) runs prepare(i) then
 // compute(i) on one slot, or — on the prefetch schedule — prepare(i+1) on a
 // second slot while compute(i) is still in flight.
-type StageExecutor interface {
+type stageExecutor interface {
 	// prepare runs Stages 1–3 for one global mini-batch into the slot's
 	// retained scratch and prices the whole iteration under the engine's
 	// task mapping, which the epoch loop holds still while a prepare runs.
 	prepare(s *iterSlot, targets []int32) error
 	// compute runs Stage 4 over a prepared slot and assembles the iteration
 	// result (owned by the slot, valid until its next prepare).
-	compute(s *iterSlot) (*IterResult, error)
+	compute(s *iterSlot) (*iterResult, error)
 }
 
-// IterResult is one iteration's output: measured stage times, the locally
+// iterResult is one iteration's output: measured stage times, the locally
 // averaged gradient awaiting global reduction, and training statistics.
-type IterResult struct {
+type iterResult struct {
 	Stage      perfmodel.StageTimes
 	Grad       *gnn.Gradients // local all-reduce result (nil if no trainer ran)
 	LossSum    float64        // Σ loss × targets
@@ -68,7 +68,7 @@ type iterSlot struct {
 	load   []float64
 	perAcc []perfmodel.DeviceStage
 	sizes  perfmodel.Sizes
-	res    IterResult
+	res    iterResult
 
 	// prepare's outputs: the iteration's complete stage vector (DRM's input,
 	// then compute's) and FPGA dataflow account.
@@ -78,7 +78,7 @@ type iterSlot struct {
 	remoteRows int
 }
 
-// hybridExecutor is the default StageExecutor: the paper's hybrid CPU +
+// hybridExecutor is the default stageExecutor: the paper's hybrid CPU +
 // accelerator pipeline over the engine's trainers.
 type hybridExecutor struct {
 	e *Engine
@@ -236,10 +236,10 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 // join folds in trainer-index order — loss and correct counts are
 // floating-point, so a scheduling-dependent order would make the trajectory
 // depend on it — and the first failed step in that order fails the round.
-func (x *hybridExecutor) compute(s *iterSlot) (*IterResult, error) {
+func (x *hybridExecutor) compute(s *iterSlot) (*iterResult, error) {
 	p := &x.e.pool
 	out := &s.res
-	*out = IterResult{Stage: s.st, FPGA: s.fpga, Edges: s.edges, RemoteRows: s.remoteRows}
+	*out = iterResult{Stage: s.st, FPGA: s.fpga, Edges: s.edges, RemoteRows: s.remoteRows}
 	p.active = p.active[:0]
 	totalTargets := 0
 	for i, mb := range s.batches {

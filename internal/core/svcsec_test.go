@@ -15,7 +15,7 @@ import (
 func TestServiceSecMemo(t *testing.T) {
 	p, _ := inferFixture(t, smallPlatform(), 1)
 	for _, c := range []int{1, 2, 7, 32, 3, 32, 1} { // repeats exercise the memo
-		st, err := p.PredictBatchStage(c)
+		st, err := p.predictBatchStage(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestServiceSecPrefillAllocs(t *testing.T) {
 	priced, _ := inferFixture(t, smallPlatform(), 1)
 	pricing := mallocs(func() {
 		for c := 1; c <= n; c++ {
-			if _, err := priced.PredictBatchStage(c); err != nil {
+			if _, err := priced.predictBatchStage(c); err != nil {
 				t.Fatal(err)
 			}
 		}

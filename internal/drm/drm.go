@@ -24,34 +24,34 @@ import (
 	"repro/internal/perfmodel"
 )
 
-// Stage identifies one of Algorithm 1's five candidate bottlenecks.
-type Stage int
+// stage identifies one of Algorithm 1's five candidate bottlenecks.
+type stage int
 
 const (
-	SampCPU   Stage = iota // T_SC
-	SampAccel              // T_SA
-	Load                   // T_Load
-	TrainCPU               // T_TC
-	Accel                  // T_Accel = max(T_Tran, T_TA), bundled per Algorithm 1 line 1
+	sampCPU   stage = iota // T_SC
+	sampAccel              // T_SA
+	load                   // T_Load
+	trainCPU               // T_TC
+	accel                  // T_Accel = max(T_Tran, T_TA), bundled per Algorithm 1 line 1
 
 	numStages = iota
 )
 
-// stageTimes holds Algorithm 1's five inputs, indexed by Stage.
+// stageTimes holds Algorithm 1's five inputs, indexed by stage.
 type stageTimes [numStages]float64
 
 // String names the stage.
-func (s Stage) String() string {
+func (s stage) String() string {
 	switch s {
-	case SampCPU:
+	case sampCPU:
 		return "T_SC"
-	case SampAccel:
+	case sampAccel:
 		return "T_SA"
-	case Load:
+	case load:
 		return "T_Load"
-	case TrainCPU:
+	case trainCPU:
 		return "T_TC"
-	case Accel:
+	case accel:
 		return "T_Accel"
 	default:
 		return "?"
@@ -112,19 +112,19 @@ func times(st perfmodel.StageTimes) stageTimes {
 		tAccel = st.TrainAcc
 	}
 	return stageTimes{
-		SampCPU:   st.SampCPU,
-		SampAccel: st.SampAccel,
-		Load:      st.Load,
-		TrainCPU:  st.TrainCPU,
-		Accel:     tAccel,
+		sampCPU:   st.SampCPU,
+		sampAccel: st.SampAccel,
+		load:      st.Load,
+		trainCPU:  st.TrainCPU,
+		accel:     tAccel,
 	}
 }
 
 // rank returns the *present* (non-zero) stages ordered slowest-first in
 // order[:n], and the fastest present CPU task. Absent stages (e.g. T_SA when
 // accelerators do not sample) never appear as bottleneck or fastest.
-func rank(ts *stageTimes) (order [numStages]Stage, n int, fastestCPU Stage) {
-	for s := Stage(0); s < numStages; s++ {
+func rank(ts *stageTimes) (order [numStages]stage, n int, fastestCPU stage) {
+	for s := stage(0); s < numStages; s++ {
 		if ts[s] > 0 {
 			order[n] = s
 			n++
@@ -136,9 +136,9 @@ func rank(ts *stageTimes) (order [numStages]Stage, n int, fastestCPU Stage) {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-	fastestCPU = SampCPU
+	fastestCPU = sampCPU
 	best := -1.0
-	for _, s := range [...]Stage{SampCPU, Load, TrainCPU} {
+	for _, s := range [...]stage{sampCPU, load, trainCPU} {
 		t := ts[s]
 		if t <= 0 {
 			continue
@@ -163,8 +163,8 @@ func rank(ts *stageTimes) (order [numStages]Stage, n int, fastestCPU Stage) {
 func (e *Engine) Adjust(_ int, st perfmodel.StageTimes, a perfmodel.Assignment) perfmodel.Assignment {
 	ts := times(st)
 	if e.FusedPrefetch {
-		ts[Load] = st.Load + st.Trans
-		ts[Accel] = st.TrainAcc
+		ts[load] = st.Load + st.Trans
+		ts[accel] = st.TrainAcc
 	}
 	a.CloneInto(&e.next)
 	e.adjustGlobal(&e.next, st, &ts)
@@ -192,30 +192,30 @@ func (e *Engine) adjustGlobal(out *perfmodel.Assignment, st perfmodel.StageTimes
 	}
 
 	switch bottleneck {
-	case SampAccel: // line 11: shift sampling work back toward the CPU
+	case sampAccel: // line 11: shift sampling work back toward the CPU
 		e.balanceSampling(out, -1)
-	case Accel: // line 13: shift training work toward the CPU
+	case accel: // line 13: shift training work toward the CPU
 		e.balanceTraining(out, ts, -1)
-	case Load: // line 15
+	case load: // line 15
 		if e.FusedPrefetch && st.Trans > st.Load {
 			// The fused prefetch stage is transfer-dominated: shedding
 			// accelerator work shrinks both halves; more loader threads
 			// would not help the PCIe half.
 			e.balanceTraining(out, ts, -1)
 		} else {
-			e.balanceThread(out, fastestCPU, Load)
+			e.balanceThread(out, fastestCPU, load)
 		}
-	case SampCPU: // lines 17–24
-		if fastest == SampAccel || (fastest == Accel && second == SampAccel) {
+	case sampCPU: // lines 17–24
+		if fastest == sampAccel || (fastest == accel && second == sampAccel) {
 			e.balanceSampling(out, +1)
 		} else {
-			e.balanceThread(out, fastestCPU, SampCPU)
+			e.balanceThread(out, fastestCPU, sampCPU)
 		}
-	case TrainCPU: // lines 25–32
-		if fastest == Accel || (fastest == SampAccel && second == Accel) {
+	case trainCPU: // lines 25–32
+		if fastest == accel || (fastest == sampAccel && second == accel) {
 			e.balanceTraining(out, ts, +1)
 		} else {
-			e.balanceThread(out, fastestCPU, TrainCPU)
+			e.balanceThread(out, fastestCPU, trainCPU)
 		}
 	}
 }
@@ -286,10 +286,10 @@ func (e *Engine) balanceTraining(a *perfmodel.Assignment, ts *stageTimes, dir in
 		accTotal += b
 	}
 	total := a.CPUBatch + accTotal
-	cpuSide := ts[TrainCPU]
-	accSide := ts[Accel]
-	if ts[Load] > accSide {
-		accSide = ts[Load]
+	cpuSide := ts[trainCPU]
+	accSide := ts[accel]
+	if ts[load] > accSide {
+		accSide = ts[load]
 	}
 	var move int
 	if cpuSide > 0 && accSide > 0 && a.CPUBatch > 0 && accTotal > 0 {
@@ -346,17 +346,17 @@ func (e *Engine) balanceSampling(a *perfmodel.Assignment, dir int) {
 }
 
 // balanceThread moves threadStep CPU threads from one task to another.
-func (e *Engine) balanceThread(a *perfmodel.Assignment, from, to Stage) {
+func (e *Engine) balanceThread(a *perfmodel.Assignment, from, to stage) {
 	if from == to {
 		return
 	}
-	get := func(s Stage) *int {
+	get := func(s stage) *int {
 		switch s {
-		case SampCPU:
+		case sampCPU:
 			return &a.SampThreads
-		case Load:
+		case load:
 			return &a.LoadThreads
-		case TrainCPU:
+		case trainCPU:
 			return &a.TrainThreads
 		default:
 			return nil

@@ -22,8 +22,8 @@ func baseAssign() perfmodel.Assignment {
 }
 
 func TestStageString(t *testing.T) {
-	for s, want := range map[Stage]string{
-		SampCPU: "T_SC", SampAccel: "T_SA", Load: "T_Load", TrainCPU: "T_TC", Accel: "T_Accel",
+	for s, want := range map[stage]string{
+		sampCPU: "T_SC", sampAccel: "T_SA", load: "T_Load", trainCPU: "T_TC", accel: "T_Accel",
 	} {
 		if s.String() != want {
 			t.Fatalf("%v != %s", s, want)
@@ -34,12 +34,12 @@ func TestStageString(t *testing.T) {
 func TestAccelBundling(t *testing.T) {
 	// Algorithm 1 line 1: T_Accel = max(T_Tran, T_TA).
 	ts := times(perfmodel.StageTimes{Trans: 3, TrainAcc: 5})
-	if ts[Accel] != 5 {
-		t.Fatalf("T_Accel = %v, want max(3,5)", ts[Accel])
+	if ts[accel] != 5 {
+		t.Fatalf("T_Accel = %v, want max(3,5)", ts[accel])
 	}
 	ts = times(perfmodel.StageTimes{Trans: 7, TrainAcc: 5})
-	if ts[Accel] != 7 {
-		t.Fatalf("T_Accel = %v, want max(7,5)", ts[Accel])
+	if ts[accel] != 7 {
+		t.Fatalf("T_Accel = %v, want max(7,5)", ts[accel])
 	}
 }
 
@@ -151,7 +151,7 @@ func TestAccelSamplerBottleneckPullsSamplingBack(t *testing.T) {
 func TestCPUSamplerBottleneckAccelFastestPath(t *testing.T) {
 	e := New(128)
 	a := baseAssign()
-	// Order (desc): SampCPU 3 > TrainCPU 1 > Load 0.9 > SampAccel 0.3 > Accel 0.1.
+	// Order (desc): sampCPU 3 > trainCPU 1 > load 0.9 > sampAccel 0.3 > accel 0.1.
 	st := perfmodel.StageTimes{SampCPU: 3, SampAccel: 0.3, Load: 0.9, Trans: 0.05, TrainAcc: 0.1, TrainCPU: 1}
 	out := e.Adjust(0, st, a)
 	if out.AccelSampleFrac <= a.AccelSampleFrac {
@@ -166,7 +166,7 @@ func TestCPUTrainerBottleneckAccelSamplerFastestPath(t *testing.T) {
 	e := New(128)
 	a := baseAssign()
 	a.AccelSampleFrac = 0.3
-	// Order (desc): TrainCPU 3 > SampCPU 1 > Load 0.9 > Accel 0.2 > SampAccel 0.1.
+	// Order (desc): trainCPU 3 > sampCPU 1 > load 0.9 > accel 0.2 > sampAccel 0.1.
 	st := perfmodel.StageTimes{SampCPU: 1, SampAccel: 0.1, Load: 0.9, Trans: 0.05, TrainAcc: 0.2, TrainCPU: 3}
 	out := e.Adjust(0, st, a)
 	if out.CPUBatch >= a.CPUBatch {

@@ -28,19 +28,19 @@ const (
 	// virtual seconds, or a training node before ring round AtIter. The
 	// survivors re-form and continue.
 	FailStop Kind = iota
-	// Crash is the training-only hard failure: the node's engine errors out
+	// crash is the training-only hard failure: the node's engine errors out
 	// at iteration AtIter and the ring aborts — the terminal path, scripted
 	// so the abort/error-aggregation machinery stays tested.
-	Crash
+	crash
 	// Stall freezes a serving worker over [FromSec, ToSec): batches that
 	// would start inside the window start at its end instead.
 	Stall
 	// Slow inflates a serving worker's service time by Factor for batches
 	// starting inside [FromSec, ToSec) — the scripted straggler.
 	Slow
-	// LinkDegrade divides the training ring link's effective bandwidth by
+	// linkDegrade divides the training ring link's effective bandwidth by
 	// Factor for iterations in [FromIter, ToIter).
-	LinkDegrade
+	linkDegrade
 )
 
 // String names the kind the way the spec grammar spells it.
@@ -48,20 +48,20 @@ func (k Kind) String() string {
 	switch k {
 	case FailStop:
 		return "fail"
-	case Crash:
+	case crash:
 		return "crash"
 	case Stall:
 		return "stall"
 	case Slow:
 		return "slow"
-	case LinkDegrade:
+	case linkDegrade:
 		return "degrade"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
 // Event is one scripted fault. Exactly one of Worker/Node is set (≥ 0) for
-// targeted events; LinkDegrade targets the ring link and sets neither.
+// targeted events; linkDegrade targets the ring link and sets neither.
 // Serving events are timed in virtual seconds (AtSec / FromSec..ToSec);
 // training events in cumulative ring-iteration indices (AtIter /
 // FromIter..ToIter; iteration counting does not reset between epochs).
@@ -71,10 +71,10 @@ type Event struct {
 	Node   int // training node rank, -1 when not a node event
 
 	AtSec            float64 // FailStop (serving)
-	AtIter           int     // FailStop/Crash (training), -1 unset
+	AtIter           int     // FailStop/crash (training), -1 unset
 	FromSec, ToSec   float64 // Stall/Slow window (serving)
-	FromIter, ToIter int     // LinkDegrade window (training), -1 unset
-	Factor           float64 // Slow/LinkDegrade inflation, ≥ 1
+	FromIter, ToIter int     // linkDegrade window (training), -1 unset
+	Factor           float64 // Slow/linkDegrade inflation, ≥ 1
 }
 
 // Schedule is an ordered set of scripted events. The zero value and nil are
@@ -83,8 +83,8 @@ type Schedule struct {
 	Events []Event
 }
 
-// Empty reports whether the schedule carries no events (nil-safe).
-func (s *Schedule) Empty() bool { return s == nil || len(s.Events) == 0 }
+// empty reports whether the schedule carries no events (nil-safe).
+func (s *Schedule) empty() bool { return s == nil || len(s.Events) == 0 }
 
 // HasServing reports whether any event targets a serving worker.
 func (s *Schedule) HasServing() bool {
@@ -106,7 +106,7 @@ func (s *Schedule) HasCluster() bool {
 		return false
 	}
 	for _, e := range s.Events {
-		if e.Node >= 0 || e.Kind == LinkDegrade {
+		if e.Node >= 0 || e.Kind == linkDegrade {
 			return true
 		}
 	}
@@ -161,7 +161,7 @@ func (s *Schedule) NodeCrashIter(rank int) int {
 		return -1
 	}
 	for _, e := range s.Events {
-		if e.Kind == Crash && e.Node == rank {
+		if e.Kind == crash && e.Node == rank {
 			return e.AtIter
 		}
 	}
@@ -177,7 +177,7 @@ func (s *Schedule) LinkFactor(iter int) float64 {
 		return f
 	}
 	for _, e := range s.Events {
-		if e.Kind == LinkDegrade && iter >= e.FromIter && iter < e.ToIter {
+		if e.Kind == linkDegrade && iter >= e.FromIter && iter < e.ToIter {
 			f *= e.Factor
 		}
 	}
@@ -227,7 +227,7 @@ func (s *Schedule) Validate() error {
 			default:
 				return fmt.Errorf("fault: event %d: fail needs worker= or node=", i)
 			}
-		case Crash:
+		case crash:
 			if e.Node < 0 || e.Worker >= 0 {
 				return fmt.Errorf("fault: event %d: crash targets training nodes (node=)", i)
 			}
@@ -253,7 +253,7 @@ func (s *Schedule) Validate() error {
 			if e.Kind == Slow && !finiteAtLeast(e.Factor, 1) {
 				return fmt.Errorf("fault: event %d: slow factor %v < 1 or not finite", i, e.Factor)
 			}
-		case LinkDegrade:
+		case linkDegrade:
 			if e.Worker >= 0 || e.Node >= 0 {
 				return fmt.Errorf("fault: event %d: degrade targets the ring link, not worker=/node=", i)
 			}
@@ -274,7 +274,7 @@ func (s *Schedule) Validate() error {
 // String renders the schedule back in the spec grammar (a parse of the
 // result yields an equal schedule).
 func (s *Schedule) String() string {
-	if s.Empty() {
+	if s.empty() {
 		return ""
 	}
 	parts := make([]string, 0, len(s.Events))
@@ -296,13 +296,13 @@ func (s *Schedule) String() string {
 			} else {
 				fmt.Fprintf(&b, ",at=iter:%d", e.AtIter)
 			}
-		case Crash:
+		case crash:
 			fmt.Fprintf(&b, ",at=iter:%d", e.AtIter)
 		case Stall:
 			fmt.Fprintf(&b, ",from=%g,to=%g", e.FromSec, e.ToSec)
 		case Slow:
 			fmt.Fprintf(&b, ",from=%g,to=%g,factor=%g", e.FromSec, e.ToSec, e.Factor)
-		case LinkDegrade:
+		case linkDegrade:
 			fmt.Fprintf(&b, ",from=iter:%d,to=iter:%d,factor=%g", e.FromIter, e.ToIter, e.Factor)
 		}
 		parts = append(parts, b.String())
@@ -342,13 +342,13 @@ func Parse(spec string) (*Schedule, error) {
 		case "fail":
 			e.Kind = FailStop
 		case "crash":
-			e.Kind = Crash
+			e.Kind = crash
 		case "stall":
 			e.Kind = Stall
 		case "slow":
 			e.Kind = Slow
 		case "degrade":
-			e.Kind = LinkDegrade
+			e.Kind = linkDegrade
 		default:
 			return nil, fmt.Errorf("fault: %q: unknown event kind %q (want fail, crash, stall, slow, or degrade)",
 				entry, fields[0])
@@ -356,7 +356,7 @@ func Parse(spec string) (*Schedule, error) {
 		seen := map[string]bool{}
 		for _, f := range fields[1:] {
 			f = strings.TrimSpace(f)
-			if f == "link" && e.Kind == LinkDegrade { // bare target marker
+			if f == "link" && e.Kind == linkDegrade { // bare target marker
 				continue
 			}
 			key, val, ok := strings.Cut(f, "=")
@@ -407,10 +407,10 @@ func Parse(spec string) (*Schedule, error) {
 // kind's events carry, all required. Validate owns which target a kind takes.
 var kindFields = [...][]string{
 	FailStop:    {"at"},
-	Crash:       {"at"},
+	crash:       {"at"},
 	Stall:       {"from", "to"},
 	Slow:        {"from", "to", "factor"},
-	LinkDegrade: {"from", "to", "factor"},
+	linkDegrade: {"from", "to", "factor"},
 }
 
 // parseIndex parses a non-negative target index.

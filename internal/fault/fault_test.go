@@ -23,13 +23,13 @@ func TestParseFullGrammar(t *testing.T) {
 		{Kind: Stall, Worker: 0, Node: -1, FromSec: 0.02, ToSec: 0.04, AtIter: -1, FromIter: -1, ToIter: -1, Factor: 1},
 		{Kind: Slow, Worker: 2, Node: -1, FromSec: 0, ToSec: 0.1, AtIter: -1, FromIter: -1, ToIter: -1, Factor: 3},
 		{Kind: FailStop, Worker: -1, Node: 2, AtIter: 5, FromIter: -1, ToIter: -1, Factor: 1},
-		{Kind: Crash, Worker: -1, Node: 1, AtIter: 3, FromIter: -1, ToIter: -1, Factor: 1},
-		{Kind: LinkDegrade, Worker: -1, Node: -1, AtIter: -1, FromIter: 2, ToIter: 6, Factor: 4},
+		{Kind: crash, Worker: -1, Node: 1, AtIter: 3, FromIter: -1, ToIter: -1, Factor: 1},
+		{Kind: linkDegrade, Worker: -1, Node: -1, AtIter: -1, FromIter: 2, ToIter: 6, Factor: 4},
 	}
 	if !reflect.DeepEqual(s.Events, want) {
 		t.Fatalf("parsed %+v\nwant %+v", s.Events, want)
 	}
-	if s.Empty() {
+	if s.empty() {
 		t.Fatal("non-empty schedule reports Empty")
 	}
 	if !s.HasServing() || !s.HasCluster() {
@@ -64,11 +64,11 @@ func TestParseEmptyAndNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Empty() {
+	if !s.empty() {
 		t.Fatal("blank spec should be empty")
 	}
 	var nilSched *Schedule
-	if !nilSched.Empty() || nilSched.HasServing() || nilSched.HasCluster() {
+	if !nilSched.empty() || nilSched.HasServing() || nilSched.HasCluster() {
 		t.Fatal("nil schedule must behave as empty")
 	}
 	if nilSched.NodeFailIter(0) != -1 || nilSched.NodeCrashIter(0) != -1 {

@@ -8,14 +8,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// InferFullGraph computes embeddings for every vertex with exact (unsampled)
+// inferFullGraph computes embeddings for every vertex with exact (unsampled)
 // layer-wise propagation over the whole graph — the standard way trained
 // sampling-based models are evaluated (GraphSAGE §3.1). It runs the same
 // layer-propagation kernels as the sampled paths, over the full-graph block,
 // with the per-vertex aggregation loop row-parallel across CPU workers.
 // Memory is O(|V|·maxDim); intended for the scaled datasets of this
 // repository. Returns the final-layer logits (|V| × fL).
-func (m *Model) InferFullGraph(g *graph.Graph, x *tensor.Matrix) (*tensor.Matrix, error) {
+func (m *Model) inferFullGraph(g *graph.Graph, x *tensor.Matrix) (*tensor.Matrix, error) {
 	if g.NumVertices != x.Rows {
 		return nil, fmt.Errorf("gnn: %d feature rows for %d vertices", x.Rows, g.NumVertices)
 	}
@@ -31,7 +31,7 @@ func (m *Model) InferFullGraph(g *graph.Graph, x *tensor.Matrix) (*tensor.Matrix
 	nb := NewNeighborhood(m.Cfg, blk)
 	h := x
 	for l := 0; l < m.Cfg.Layers(); l++ {
-		z, err := m.PropagateLayer(l, nb, h)
+		z, _, err := m.propagateLayer(l, nb, h, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +79,7 @@ func (m *Model) InferMiniBatchRowsWS(ws *tensor.Workspace, mb *sampler.MiniBatch
 // Evaluate runs full-graph inference and returns the accuracy over the
 // given vertex set.
 func (m *Model) Evaluate(g *graph.Graph, x *tensor.Matrix, labels []int32, idx []int32) (float64, error) {
-	logits, err := m.InferFullGraph(g, x)
+	logits, err := m.inferFullGraph(g, x)
 	if err != nil {
 		return 0, err
 	}

@@ -17,7 +17,7 @@ func TestInferFullGraphShapesAndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := NewModel(Config{Kind: GCN, Dims: spec.FeatDims}, rng)
-	logits, err := m.InferFullGraph(ds.Graph, ds.Features)
+	logits, err := m.inferFullGraph(ds.Graph, ds.Features)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,11 +25,11 @@ func TestInferFullGraphShapesAndValidation(t *testing.T) {
 		t.Fatalf("logits %dx%d", logits.Rows, logits.Cols)
 	}
 	bad := tensor.New(100, 8)
-	if _, err := m.InferFullGraph(ds.Graph, bad); err == nil {
+	if _, err := m.inferFullGraph(ds.Graph, bad); err == nil {
 		t.Fatal("expected row-count error")
 	}
 	bad2 := tensor.New(200, 5)
-	if _, err := m.InferFullGraph(ds.Graph, bad2); err == nil {
+	if _, err := m.inferFullGraph(ds.Graph, bad2); err == nil {
 		t.Fatal("expected width error")
 	}
 }
@@ -45,7 +45,7 @@ func TestInferenceMatchesFullFanoutSampling(t *testing.T) {
 			t.Fatal(err)
 		}
 		m, _ := NewModel(Config{Kind: kind, Dims: spec.FeatDims}, rng)
-		full, err := m.InferFullGraph(ds.Graph, ds.Features)
+		full, err := m.inferFullGraph(ds.Graph, ds.Features)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestInferFullGraphParallelMatchesSerial(t *testing.T) {
 	for _, kind := range []Kind{GCN, SAGE} {
 		m, _ := NewModel(Config{Kind: kind, Dims: spec.FeatDims}, rng)
 		prev := tensor.SetParallelism(1)
-		serial, err := m.InferFullGraph(ds.Graph, ds.Features)
+		serial, err := m.inferFullGraph(ds.Graph, ds.Features)
 		tensor.SetParallelism(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -165,7 +165,7 @@ func TestInferFullGraphParallelMatchesSerial(t *testing.T) {
 				rows := len(blk.Dst)
 				requireFansOut(t, fmt.Sprintf("%v layer %d aggregation", kind, l), rows, nb.workPerRow(rows, m.Cfg.Dims[l]))
 			}
-			parallel, err := m.InferFullGraph(ds.Graph, ds.Features)
+			parallel, err := m.inferFullGraph(ds.Graph, ds.Features)
 			tensor.SetParallelism(prev)
 			if err != nil {
 				t.Fatal(err)
@@ -190,7 +190,7 @@ func TestInferMiniBatchConvergesToFullGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		m, _ := NewModel(Config{Kind: kind, Dims: spec.FeatDims}, rng)
-		full, err := m.InferFullGraph(ds.Graph, ds.Features)
+		full, err := m.inferFullGraph(ds.Graph, ds.Features)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,14 +256,14 @@ func BenchmarkInferFullGraph(b *testing.B) {
 		prev := tensor.SetParallelism(1)
 		defer tensor.SetParallelism(prev)
 		for i := 0; i < b.N; i++ {
-			if _, err := m.InferFullGraph(ds.Graph, ds.Features); err != nil {
+			if _, err := m.inferFullGraph(ds.Graph, ds.Features); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("parallel-after", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := m.InferFullGraph(ds.Graph, ds.Features); err != nil {
+			if _, err := m.inferFullGraph(ds.Graph, ds.Features); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,7 +1,7 @@
 // Layer-propagation kernels: the aggregate-over-neighbor-set and dense-update
 // primitives shared by every execution path in the system — sampled training
-// (TrainStepRowsWS: forwardWS, then BackwardWS), sampled mini-batch inference
-// (InferMiniBatchRowsWS) and exact full-graph inference (InferFullGraph). A
+// (TrainStepRowsWS: forwardWS, then backwardWS), sampled mini-batch inference
+// (InferMiniBatchRowsWS) and exact full-graph inference (inferFullGraph). A
 // Neighborhood captures the message structure of one bipartite layer with its
 // aggregation coefficients pre-resolved for the model kind (GCN/SAGE), so
 // callers compose layers without re-implementing the aggregator.
@@ -96,8 +96,8 @@ func (nb *Neighborhood) edgeRows() []int32 {
 	return nb.rows
 }
 
-// NumDst returns the number of destination vertices.
-func (nb *Neighborhood) NumDst() int { return len(nb.Block.Dst) }
+// numDst returns the number of destination vertices.
+func (nb *Neighborhood) numDst() int { return len(nb.Block.Dst) }
 
 // Aggregate computes the weighted neighbor sum for every destination:
 // out[d] = SelfW[d]·h[d] + Σ_e EdgeW[e]·h[Col[e]], each source read through
@@ -125,7 +125,7 @@ func (nb *Neighborhood) selfRows() []int32 {
 	if nb.in == nil {
 		return nil
 	}
-	return nb.in[:nb.NumDst()]
+	return nb.in[:nb.numDst()]
 }
 
 // workPerRow is the fan-out work estimate both aggregation directions pass
@@ -175,7 +175,7 @@ func aggregateRange(rowPtr, in, rows []int32, edgeW, selfW []float32, out, h *te
 // list, giving every ParallelRows worker an owned range of dh rows and no
 // write races. Because the transpose stores each source's contributions in
 // exactly the serial scatter's order, the result is bit-identical to
-// AggregateBackwardSerial at any worker count — the property the gnn test
+// aggregateBackwardSerial at any worker count — the property the gnn test
 // suite pins with exact equality. (The alternative — destination-range
 // workers with privatized dh partials merged afterwards — cannot be exact:
 // merging partial sums reassociates float32 addition.) A scatter too small
@@ -184,7 +184,7 @@ func (nb *Neighborhood) AggregateBackward(dh, dAgg *tensor.Matrix) {
 	rows, cols := len(nb.Block.Src), dh.Cols
 	work := nb.workPerRow(rows, cols)
 	if tensor.FanOut(rows, work) <= 1 {
-		nb.AggregateBackwardSerial(dh, dAgg)
+		nb.aggregateBackwardSerial(dh, dAgg)
 		return
 	}
 	nb.buildTranspose()
@@ -198,12 +198,12 @@ func (nb *Neighborhood) AggregateBackward(dh, dAgg *tensor.Matrix) {
 	})
 }
 
-// AggregateBackwardSerial is the destination-major serial scatter — the
+// aggregateBackwardSerial is the destination-major serial scatter — the
 // pre-parallelisation kernel, retained as the exact-equality oracle and the
 // below-the-grain fast path (it needs no transpose build). A scatter has no
 // stationary row — consecutive edges write different dh rows — so it stays a
 // loop of AxpyRow calls.
-func (nb *Neighborhood) AggregateBackwardSerial(dh, dAgg *tensor.Matrix) {
+func (nb *Neighborhood) aggregateBackwardSerial(dh, dAgg *tensor.Matrix) {
 	b := nb.Block
 	cols := dh.Cols
 	for d := 0; d < len(b.Dst); d++ {
@@ -272,26 +272,19 @@ func (nb *Neighborhood) buildTranspose() {
 	nb.tPtr, nb.tDst, nb.tW = tPtr, tDst, tW
 }
 
-// PropagateLayer runs layer l over a neighborhood: aggregation, the dense
+// propagateLayer runs layer l over a neighborhood: aggregation, the dense
 // update (SAGE's over [self ‖ mean]) and the hidden-layer ReLU. h holds the
 // layer input over the neighborhood's sources (for a row-mapped neighborhood,
 // the table its row map indexes). It returns the layer output z (|Dst| ×
-// Dims[l+1], post-ReLU for a hidden layer). Buffers are freshly allocated; the
-// zero-allocation paths use the workspace-backed propagateLayer directly.
-func (m *Model) PropagateLayer(l int, nb *Neighborhood, h *tensor.Matrix) (*tensor.Matrix, error) {
-	z, _, err := m.propagateLayer(l, nb, h, nil)
-	return z, err
-}
-
-// propagateLayer is PropagateLayer with buffers borrowed from ws when it is
+// Dims[l+1], post-ReLU for a hidden layer) and the aggregate, which training
+// retains for the backward pass. Buffers are borrowed from ws when it is
 // non-nil (contents may be dirty — every kernel below fully overwrites its
 // output; ws is plumbed directly rather than through allocator closures,
-// which the zero-allocation gates would count). It also returns the
-// aggregate, which training retains for the backward pass. The layer makes
-// one pass per memory touch: SAGE's self half is never copied —
-// tensor.MatMulCat reads it from h where it lives (through the row map at
-// layer 0) beside the aggregate — and bias + ReLU are fused into a single
-// sweep of the dense-update output.
+// which the zero-allocation gates would count) and freshly allocated
+// otherwise. The layer makes one pass per memory touch: SAGE's self half is
+// never copied — tensor.MatMulCat reads it from h where it lives (through the
+// row map at layer 0) beside the aggregate — and bias + ReLU are fused into a
+// single sweep of the dense-update output.
 func (m *Model) propagateLayer(l int, nb *Neighborhood, h *tensor.Matrix,
 	ws *tensor.Workspace) (z, agg *tensor.Matrix, err error) {
 	L := m.Cfg.Layers()
@@ -312,7 +305,7 @@ func (m *Model) propagateLayer(l int, nb *Neighborhood, h *tensor.Matrix,
 		}
 		return tensor.New(r, c)
 	}
-	nd := nb.NumDst()
+	nd := nb.numDst()
 	agg = get(nd, fin)
 	nb.Aggregate(agg, h)
 	z = get(nd, m.Cfg.Dims[l+1])

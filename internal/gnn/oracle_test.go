@@ -9,7 +9,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// backwardOracle is BackwardWS as it stood before the backward pass was cut
+// backwardOracle is backwardWS as it stood before the backward pass was cut
 // off at the first layer's weights, kept verbatim as the reference the
 // shipped pass is pinned against: at every layer — including l == 0 — it
 // forms dDense, clears a |Src|×fin dh, and scatters through the block, so it
@@ -98,7 +98,7 @@ func chainedBatch(rng *tensor.RNG, targets int, maxDeg []int, classes int) *samp
 	return mb
 }
 
-// oracleStep is TrainStepWS with backwardOracle in place of BackwardWS.
+// oracleStep is TrainStepWS with backwardOracle in place of backwardWS.
 func oracleStep(t *testing.T, m *Model, ws *tensor.Workspace, mb *sampler.MiniBatch, x *tensor.Matrix, grads *Gradients) {
 	t.Helper()
 	st := &ForwardState{}
@@ -239,7 +239,7 @@ func plantNonFinite(rng *tensor.RNG, x *tensor.Matrix, w []*tensor.Matrix) {
 
 // requireMaskedNonFinite requires the planted leg to have multiplied a NaN
 // and a negative gradient by a masked-out 0 at the first hidden layer. After
-// BackwardWS, st.inputs[1] holds that layer's gradient past its ReLU (the
+// backwardWS, st.inputs[1] holds that layer's gradient past its ReLU (the
 // activation's buffer is where it was accumulated); a fresh forward pass
 // gives the activation whose mask selected the lanes. A NaN there on a
 // masked lane is NaN·0, and −0 can only be a negative gradient times 0.
@@ -385,7 +385,7 @@ func TestBackwardOracleWorkspaceFootprint(t *testing.T) {
 }
 
 // TestBackwardWSConsumesForwardState pins the once-only contract of a forward
-// state: BackwardWS overwrites the hidden activations it reads, so a second
+// state: backwardWS overwrites the hidden activations it reads, so a second
 // call on the same state — or a call on a state no forward pass filled —
 // must fail instead of computing gradients from masks that are gone, and a
 // new forward pass re-arms the state to reproduce the first gradients bit for
@@ -399,7 +399,7 @@ func TestBackwardWSConsumesForwardState(t *testing.T) {
 				t.Fatal(err)
 			}
 			ws, st := tensor.NewWorkspace(), &ForwardState{}
-			if err := m.BackwardWS(ws, st, tensor.New(16, dims[len(dims)-1]), NewGradients(m.Params)); err == nil {
+			if err := m.backwardWS(ws, st, tensor.New(16, dims[len(dims)-1]), NewGradients(m.Params)); err == nil {
 				t.Fatalf("%v %v: BackwardWS on a state no forward pass filled succeeded", kind, dims)
 			}
 			first, again := NewGradients(m.Params), NewGradients(m.Params)
@@ -409,17 +409,17 @@ func TestBackwardWSConsumesForwardState(t *testing.T) {
 			dLogits := ws.Get(st.Logits.Rows, st.Logits.Cols)
 			tensor.SoftmaxCrossEntropy(dLogits, st.Logits, fx.mb.Labels)
 			saved := dLogits.Clone()
-			if err := m.BackwardWS(ws, st, dLogits, first); err != nil {
+			if err := m.backwardWS(ws, st, dLogits, first); err != nil {
 				t.Fatal(err)
 			}
 			requireBitwise(t, fmt.Sprintf("%v %v: dLogits after BackwardWS", kind, dims), dLogits, saved)
-			if err := m.BackwardWS(ws, st, dLogits, again); err == nil {
+			if err := m.backwardWS(ws, st, dLogits, again); err == nil {
 				t.Fatalf("%v %v: a second BackwardWS on a consumed state succeeded", kind, dims)
 			}
 			if err := m.forwardWS(ws, st, fx.mb, fx.x, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.BackwardWS(ws, st, dLogits, again); err != nil {
+			if err := m.backwardWS(ws, st, dLogits, again); err != nil {
 				t.Fatalf("%v %v: BackwardWS after a new forward pass: %v", kind, dims, err)
 			}
 			for l := range first.Weights {

@@ -74,7 +74,7 @@ func TestAggregateBackwardParallelExactlyMatchesSerial(t *testing.T) {
 			tensor.NormalInit(dAgg, 1, rng)
 
 			want := tensor.New(len(b.Src), cols)
-			nb.AggregateBackwardSerial(want, dAgg)
+			nb.aggregateBackwardSerial(want, dAgg)
 
 			for _, par := range []int{2, 3, 4, 64} {
 				prev := tensor.SetParallelism(par)
@@ -109,7 +109,7 @@ func TestAggregateBackwardSerialFallback(t *testing.T) {
 		nb.AggregateBackward(got, dAgg)
 		tensor.SetParallelism(prev)
 		want := tensor.New(len(b.Src), 4)
-		nb.AggregateBackwardSerial(want, dAgg)
+		nb.aggregateBackwardSerial(want, dAgg)
 		if !got.Equal(want) {
 			t.Fatalf("par=%d: below-the-grain AggregateBackward must equal the serial scatter", par)
 		}
@@ -344,7 +344,7 @@ func TestNeighborhoodResetInvalidatesTranspose(t *testing.T) {
 	nb.AggregateBackward(got2, dAgg)
 
 	want := tensor.New(len(b.Src), cols)
-	NewNeighborhood(cfg, b).AggregateBackwardSerial(want, dAgg)
+	NewNeighborhood(cfg, b).aggregateBackwardSerial(want, dAgg)
 	if !got2.Equal(want) {
 		t.Fatalf("after re-binding the mutated block the parallel backward still used the stale transpose (max diff %g)",
 			got2.MaxAbsDiff(want))
@@ -360,7 +360,7 @@ func TestNeighborhoodResetInvalidatesTranspose(t *testing.T) {
 	got3 := tensor.New(len(b2.Src), cols)
 	nb.AggregateBackward(got3, dAgg2)
 	want3 := tensor.New(len(b2.Src), cols)
-	NewNeighborhood(cfg, b2).AggregateBackwardSerial(want3, dAgg2)
+	NewNeighborhood(cfg, b2).aggregateBackwardSerial(want3, dAgg2)
 	if !got3.Equal(want3) {
 		t.Fatal("init re-bind did not invalidate the cached transpose")
 	}

@@ -18,7 +18,7 @@ import (
 // concurrent steps. No ReLU mask is kept by the forward pass: hidden layer l's
 // post-ReLU output is inputs[l+1], and the activation's derivative is 1
 // exactly where that is > 0 (tensor.ReLUMask). A forward pass backpropagates
-// once: BackwardWS writes each hidden layer's input gradient over the
+// once: backwardWS writes each hidden layer's input gradient over the
 // activation it consumes, so it refuses a state it has already run on until
 // the next forward pass re-arms it. Logits is never overwritten. SAGE's dense
 // input [self ‖ mean] is never formed: the mean half is aggs[l], and the self
@@ -32,7 +32,7 @@ type ForwardState struct {
 	aggs   []*tensor.Matrix // |Dst|×f aggregate: GCN's dense input, SAGE's mean half (its self half is inputs[l])
 	nbs    []Neighborhood   // per-layer message structure, reused across iterations
 	view   tensor.Matrix    // scratch header for the SAGE dh-prefix view
-	armed  bool             // the activations are intact: set by forwardWS, cleared by BackwardWS
+	armed  bool             // the activations are intact: set by forwardWS, cleared by backwardWS
 	Logits *tensor.Matrix   // |targets| × fL
 }
 
@@ -148,7 +148,7 @@ func (m *Model) forwardWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.Mi
 	return nil
 }
 
-// BackwardWS computes the parameter gradients — every layer's weights and
+// backwardWS computes the parameter gradients — every layer's weights and
 // biases — for dLogits (gradient of the loss w.r.t. the logits) into
 // caller-owned grads (every element overwritten), with all intermediates
 // borrowed from ws — the zero-allocation form. It mirrors forward
@@ -163,7 +163,7 @@ func (m *Model) forwardWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.Mi
 // SAGE's weight gradient reads its self half from the rows of inputs[l] the
 // forward pass read (tensor.TMatMulCat), so at each layer it is formed before
 // ReLUMask and the self half of dDense overwrite that buffer.
-func (m *Model) BackwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tensor.Matrix, grads *Gradients) error {
+func (m *Model) backwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tensor.Matrix, grads *Gradients) error {
 	if !st.armed {
 		return errors.New("gnn: forward state has no intact activations: run the forward pass before each backward pass")
 	}
@@ -247,8 +247,8 @@ func (m *Model) TrainStepWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.
 // steady-state step allocates nothing — the property core's trainer backends
 // rely on and the AllocsPerRun gates enforce. The caller resets ws; this
 // function only borrows. The backward pass consumes the hidden activations it
-// reads (see BackwardWS): after the step st holds intact Logits only, and
-// the dLogits it passes to BackwardWS is not mutated.
+// reads (see backwardWS): after the step st holds intact Logits only, and
+// the dLogits it passes to backwardWS is not mutated.
 func (m *Model) TrainStepRowsWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.MiniBatch,
 	x *tensor.Matrix, rows []int32, grads *Gradients) (float64, float64, error) {
 	if err := m.forwardWS(ws, st, mb, x, rows); err != nil {
@@ -259,7 +259,7 @@ func (m *Model) TrainStepRowsWS(ws *tensor.Workspace, st *ForwardState, mb *samp
 	}
 	dLogits := ws.Get(st.Logits.Rows, st.Logits.Cols)
 	loss, correct := tensor.SoftmaxCrossEntropy(dLogits, st.Logits, mb.Labels)
-	if err := m.BackwardWS(ws, st, dLogits, grads); err != nil {
+	if err := m.backwardWS(ws, st, dLogits, grads); err != nil {
 		return 0, 0, err
 	}
 	return loss, float64(correct) / float64(len(mb.Labels)), nil

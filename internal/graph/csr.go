@@ -62,9 +62,9 @@ func FromEdges(numVertices int, edges []Edge) (*Graph, error) {
 	return &Graph{NumVertices: numVertices, RowPtr: rowPtr, ColIdx: colIdx}, nil
 }
 
-// Reverse returns the graph with all edges flipped (in-neighbors become
+// reverse returns the graph with all edges flipped (in-neighbors become
 // out-neighbors). Used to compute out-degrees for the feature-reuse analysis.
-func (g *Graph) Reverse() *Graph {
+func (g *Graph) reverse() *Graph {
 	n := g.NumVertices
 	rowPtr := make([]int64, n+1)
 	for _, src := range g.ColIdx {
@@ -85,9 +85,9 @@ func (g *Graph) Reverse() *Graph {
 	return &Graph{NumVertices: n, RowPtr: rowPtr, ColIdx: colIdx}
 }
 
-// OutDegrees returns the out-degree of every vertex (number of edges whose
+// outDegrees returns the out-degree of every vertex (number of edges whose
 // source is v), computed in one pass over ColIdx.
-func (g *Graph) OutDegrees() []int32 {
+func (g *Graph) outDegrees() []int32 {
 	deg := make([]int32, g.NumVertices)
 	for _, src := range g.ColIdx {
 		deg[src]++
@@ -129,9 +129,9 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// SortNeighborLists sorts each vertex's neighbor list ascending in place.
+// sortNeighborLists sorts each vertex's neighbor list ascending in place.
 // Deterministic layout for tests and better locality for sequential access.
-func (g *Graph) SortNeighborLists() {
+func (g *Graph) sortNeighborLists() {
 	for v := 0; v < g.NumVertices; v++ {
 		nb := g.ColIdx[g.RowPtr[v]:g.RowPtr[v+1]]
 		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })

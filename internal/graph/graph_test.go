@@ -26,7 +26,7 @@ func TestFromEdgesBasic(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	g.SortNeighborLists()
+	g.sortNeighborLists()
 	if got := g.Neighbors(2); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
 		t.Fatalf("Neighbors(2) = %v", got)
 	}
@@ -59,9 +59,9 @@ func TestFromEdgesEmpty(t *testing.T) {
 
 func TestReverseIsInvolution(t *testing.T) {
 	g := smallGraph(t)
-	rr := g.Reverse().Reverse()
-	rr.SortNeighborLists()
-	g.SortNeighborLists()
+	rr := g.reverse().reverse()
+	rr.sortNeighborLists()
+	g.sortNeighborLists()
 	if rr.NumEdges() != g.NumEdges() {
 		t.Fatalf("edge count changed: %d vs %d", rr.NumEdges(), g.NumEdges())
 	}
@@ -81,7 +81,7 @@ func TestReverseIsInvolution(t *testing.T) {
 func TestDegreesConsistent(t *testing.T) {
 	g := smallGraph(t)
 	in := g.InDegrees()
-	out := g.OutDegrees()
+	out := g.outDegrees()
 	var inSum, outSum int64
 	for i := range in {
 		inSum += int64(in[i])
@@ -94,7 +94,7 @@ func TestDegreesConsistent(t *testing.T) {
 	if out[0] != 2 {
 		t.Fatalf("OutDegree(0) = %d, want 2", out[0])
 	}
-	rev := g.Reverse()
+	rev := g.reverse()
 	revIn := rev.InDegrees()
 	for i := range out {
 		if out[i] != revIn[i] {
@@ -110,8 +110,8 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SortNeighborLists()
-	g2.SortNeighborLists()
+	g.sortNeighborLists()
+	g2.sortNeighborLists()
 	for v := int32(0); int(v) < g.NumVertices; v++ {
 		a, b := g.Neighbors(v), g2.Neighbors(v)
 		if len(a) != len(b) {

@@ -36,7 +36,7 @@ func PartitionGreedyBFS(g *Graph, k int) (*Partition, error) {
 	}
 	sizes := make([]int64, k)
 	// Undirected adjacency view: in-neighbors plus out-neighbors.
-	rev := g.Reverse()
+	rev := g.reverse()
 
 	frontiers := make([][]int32, k)
 	for p := 0; p < k; p++ {
@@ -135,8 +135,8 @@ func (p *Partition) Balance() float64 {
 	return float64(max) / ideal
 }
 
-// Validate checks the partition invariants.
-func (p *Partition) Validate() error {
+// validate checks the partition invariants.
+func (p *Partition) validate() error {
 	var total int64
 	counts := make([]int64, p.K)
 	for _, a := range p.Assign {

@@ -38,7 +38,7 @@ func TestPartitionCoversAllVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		t.Fatal(err)
 	}
 	var total int64
@@ -143,7 +143,7 @@ func TestPartitionProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return p.Validate() == nil
+		return p.validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestEdgelessGraphPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if cut := p.EdgeCutFraction(g); cut != 0 {
@@ -193,7 +193,7 @@ func TestIsolatedVerticesPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		t.Fatal(err)
 	}
 	cut := p.EdgeCutFraction(g)
@@ -210,7 +210,7 @@ func TestOneVertexPerPart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if b := p.Balance(); b != 1 {
@@ -234,7 +234,7 @@ func TestEmptyPartMetricsFinite(t *testing.T) {
 		assign[i] = 1
 	}
 	p := &Partition{K: 3, Assign: assign, Sizes: sizes}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		t.Fatal(err)
 	}
 	cut := p.EdgeCutFraction(g)

@@ -96,8 +96,8 @@ func (d Device) GatherGBs() float64 { return d.MemBWGBs * d.GatherEff }
 // StreamGBs returns the achievable streaming bandwidth.
 func (d Device) StreamGBs() float64 { return d.MemBWGBs * d.StreamEff }
 
-// Validate checks that a device's parameters are physically meaningful.
-func (d Device) Validate() error {
+// validate checks that a device's parameters are physically meaningful.
+func (d Device) validate() error {
 	if d.PeakTFLOPS <= 0 || d.MemBWGBs <= 0 || d.FreqGHz <= 0 {
 		return fmt.Errorf("hw: %s has non-positive peak specs", d.Name)
 	}
@@ -169,8 +169,8 @@ func (p Platform) AccelLink(i int) Link {
 	return p.PCIe
 }
 
-// TotalCPUTFLOPS returns the combined CPU peak across sockets.
-func (p Platform) TotalCPUTFLOPS() float64 { return p.CPU.PeakTFLOPS * float64(p.Sockets) }
+// totalCPUTFLOPS returns the combined CPU peak across sockets.
+func (p Platform) totalCPUTFLOPS() float64 { return p.CPU.PeakTFLOPS * float64(p.Sockets) }
 
 // TotalCPUCores returns the combined core count across sockets.
 func (p Platform) TotalCPUCores() int { return p.CPU.Cores * p.Sockets }
@@ -181,7 +181,7 @@ func (p Platform) CPUMemBWGBs() float64 { return p.CPU.MemBWGBs * float64(p.Sock
 // TotalTFLOPS returns platform peak (CPU + accelerators) — the
 // normalization denominator of the paper's Table VII.
 func (p Platform) TotalTFLOPS() float64 {
-	total := p.TotalCPUTFLOPS()
+	total := p.totalCPUTFLOPS()
 	for _, a := range p.Accels {
 		total += a.PeakTFLOPS
 	}
@@ -193,11 +193,11 @@ func (p Platform) Validate() error {
 	if p.Sockets <= 0 {
 		return fmt.Errorf("hw: platform %s has %d sockets", p.Name, p.Sockets)
 	}
-	if err := p.CPU.Validate(); err != nil {
+	if err := p.CPU.validate(); err != nil {
 		return err
 	}
 	for _, a := range p.Accels {
-		if err := a.Validate(); err != nil {
+		if err := a.validate(); err != nil {
 			return err
 		}
 		if a.Kind == CPU {

@@ -12,8 +12,8 @@ func TestKindString(t *testing.T) {
 }
 
 func TestPresetsValidate(t *testing.T) {
-	for _, d := range []Device{EPYC7763(), A5000(), U250(), Xeon8163(), V100(), XeonE52690(), P100(), T4(), VCPU96()} {
-		if err := d.Validate(); err != nil {
+	for _, d := range []Device{EPYC7763(), A5000(), U250(), xeon8163(), v100(), xeonE52690(), p100(), t4(), vcpu96()} {
+		if err := d.validate(); err != nil {
 			t.Errorf("%s: %v", d.Name, err)
 		}
 	}
@@ -54,17 +54,17 @@ func TestDeviceDerivedRates(t *testing.T) {
 func TestDeviceValidateCatchesBadValues(t *testing.T) {
 	bad := EPYC7763()
 	bad.MLPEff = 1.5
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Fatal("expected error for efficiency > 1")
 	}
 	bad2 := EPYC7763()
 	bad2.Cores = 0
-	if bad2.Validate() == nil {
+	if bad2.validate() == nil {
 		t.Fatal("expected error for CPU without cores")
 	}
 	bad3 := A5000()
 	bad3.PeakTFLOPS = 0
-	if bad3.Validate() == nil {
+	if bad3.validate() == nil {
 		t.Fatal("expected error for zero peak")
 	}
 }
@@ -86,7 +86,7 @@ func TestLinkTransfer(t *testing.T) {
 
 func TestPlatformAggregates(t *testing.T) {
 	p := CPUFPGAPlatform()
-	if got := p.TotalCPUTFLOPS(); math.Abs(got-7.2) > 1e-9 {
+	if got := p.totalCPUTFLOPS(); math.Abs(got-7.2) > 1e-9 {
 		t.Fatalf("TotalCPUTFLOPS = %v, want 7.2 (paper §I)", got)
 	}
 	if p.TotalCPUCores() != 128 {
@@ -125,7 +125,7 @@ func TestComparatorPlatformTFLOPS(t *testing.T) {
 func TestIntroSpeedupClaim(t *testing.T) {
 	// Paper §I: dual 7763 (7.2) + one A5000 (27.8) ⇒ potential 1.26×.
 	p := CPUGPUPlatform()
-	potential := (p.TotalCPUTFLOPS() + A5000().PeakTFLOPS) / A5000().PeakTFLOPS
+	potential := (p.totalCPUTFLOPS() + A5000().PeakTFLOPS) / A5000().PeakTFLOPS
 	if math.Abs(potential-1.26) > 0.01 {
 		t.Fatalf("potential hybrid speedup = %v, want 1.26", potential)
 	}
@@ -170,7 +170,7 @@ func TestWithAccelCountRoundRobinsMixedFleet(t *testing.T) {
 	if len(q.AccelLinks) != 5 {
 		t.Fatalf("links = %d", len(q.AccelLinks))
 	}
-	if q.AccelLink(1).Name != PCIe3x16().Name || q.AccelLink(2).Name != PCIe4x16().Name {
+	if q.AccelLink(1).Name != pcie3x16().Name || q.AccelLink(2).Name != pcie4x16().Name {
 		t.Fatal("links did not round-robin with their devices")
 	}
 	if err := q.Validate(); err != nil {
@@ -190,11 +190,11 @@ func TestHeteroPlatform(t *testing.T) {
 		t.Fatalf("fleet composition wrong: %+v", p.Accels)
 	}
 	// Per-device links: GPUs on PCIe4, the FPGA on PCIe3.
-	if p.AccelLink(0).Name != PCIe4x16().Name || p.AccelLink(2).Name != PCIe3x16().Name {
+	if p.AccelLink(0).Name != pcie4x16().Name || p.AccelLink(2).Name != pcie3x16().Name {
 		t.Fatalf("links: %v / %v", p.AccelLink(0).Name, p.AccelLink(2).Name)
 	}
 	// The default link is the slowest of the fleet (conservative fallback).
-	if p.PCIe.Name != PCIe3x16().Name {
+	if p.PCIe.Name != pcie3x16().Name {
 		t.Fatalf("default PCIe = %v", p.PCIe.Name)
 	}
 	if _, err := HeteroPlatform(); err == nil {
@@ -217,7 +217,7 @@ func TestValidateAccelLinks(t *testing.T) {
 		t.Fatal("mismatched link count accepted")
 	}
 	bad2 := p
-	bad2.AccelLinks = []Link{PCIe4x16(), {}}
+	bad2.AccelLinks = []Link{pcie4x16(), {}}
 	if bad2.Validate() == nil {
 		t.Fatal("zero-bandwidth per-device link accepted")
 	}

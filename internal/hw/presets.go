@@ -51,18 +51,18 @@ func U250() Device {
 	}
 }
 
-// PCIe4x16 is the host link for the A5000s (effective burst bandwidth).
-func PCIe4x16() Link { return Link{Name: "PCIe 4.0 x16", PeakGBs: 31.5, Eff: 0.70, LatencyUs: 10} }
+// pcie4x16 is the host link for the A5000s (effective burst bandwidth).
+func pcie4x16() Link { return Link{Name: "PCIe 4.0 x16", PeakGBs: 31.5, Eff: 0.70, LatencyUs: 10} }
 
-// PCIe3x16 is the host link for the U250s.
-func PCIe3x16() Link { return Link{Name: "PCIe 3.0 x16", PeakGBs: 15.75, Eff: 0.85, LatencyUs: 10} }
+// pcie3x16 is the host link for the U250s.
+func pcie3x16() Link { return Link{Name: "PCIe 3.0 x16", PeakGBs: 15.75, Eff: 0.85, LatencyUs: 10} }
 
 // CPUGPUPlatform is the paper's CPU-GPU setup: dual EPYC 7763 + 4× A5000.
 func CPUGPUPlatform() Platform {
 	return Platform{
 		Name: "2xEPYC7763 + 4xA5000", CPU: EPYC7763(), Sockets: 2,
 		Accels: []Device{A5000(), A5000(), A5000(), A5000()},
-		PCIe:   PCIe4x16(),
+		PCIe:   pcie4x16(),
 	}
 }
 
@@ -71,18 +71,18 @@ func CPUFPGAPlatform() Platform {
 	return Platform{
 		Name: "2xEPYC7763 + 4xU250", CPU: EPYC7763(), Sockets: 2,
 		Accels: []Device{U250(), U250(), U250(), U250()},
-		PCIe:   PCIe3x16(),
+		PCIe:   pcie3x16(),
 	}
 }
 
-// AccelDevice returns the preset accelerator and host link for a device
+// accelDevice returns the preset accelerator and host link for a device
 // kind: GPUs are A5000s behind PCIe 4.0, FPGAs are U250s behind PCIe 3.0.
-func AccelDevice(k Kind) (Device, Link, error) {
+func accelDevice(k Kind) (Device, Link, error) {
 	switch k {
 	case GPU:
-		return A5000(), PCIe4x16(), nil
+		return A5000(), pcie4x16(), nil
 	case FPGA:
-		return U250(), PCIe3x16(), nil
+		return U250(), pcie3x16(), nil
 	default:
 		return Device{}, Link{}, fmt.Errorf("hw: %v is not an accelerator kind", k)
 	}
@@ -100,7 +100,7 @@ func HeteroPlatform(kinds ...Kind) (Platform, error) {
 	p := Platform{Name: "2xEPYC7763", CPU: EPYC7763(), Sockets: 2}
 	counts := map[Kind]int{}
 	for _, k := range kinds {
-		dev, link, err := AccelDevice(k)
+		dev, link, err := accelDevice(k)
 		if err != nil {
 			return Platform{}, err
 		}
@@ -124,8 +124,8 @@ func HeteroPlatform(kinds ...Kind) (Platform, error) {
 // (sec × TFLOPS): PaGraph ≈ 114.5, P3 ≈ 148.8 (4 nodes), DistDGLv2 ≈ 544
 // (8 nodes), This Work ≈ 9.6.
 
-// Xeon8163 models one Xeon Platinum 8163 socket (PaGraph's host).
-func Xeon8163() Device {
+// xeon8163 models one Xeon Platinum 8163 socket (PaGraph's host).
+func xeon8163() Device {
 	return Device{
 		Name: "Xeon Platinum 8163", Kind: CPU,
 		PeakTFLOPS: 1.25, FreqGHz: 2.5, MemBWGBs: 119, OnChipMB: 33, Cores: 24,
@@ -133,8 +133,8 @@ func Xeon8163() Device {
 	}
 }
 
-// V100 models an NVIDIA V100 (PaGraph's accelerator), DGL/PyTorch-driven.
-func V100() Device {
+// v100 models an NVIDIA v100 (PaGraph's accelerator), DGL/PyTorch-driven.
+func v100() Device {
 	return Device{
 		Name: "NVIDIA V100", Kind: GPU,
 		PeakTFLOPS: 14.0, FreqGHz: 1.53, MemBWGBs: 900, OnChipMB: 6,
@@ -144,8 +144,8 @@ func V100() Device {
 	}
 }
 
-// XeonE52690 models the Xeon E5-2690 (P3's host CPU).
-func XeonE52690() Device {
+// xeonE52690 models the Xeon E5-2690 (P3's host CPU).
+func xeonE52690() Device {
 	return Device{
 		Name: "Xeon E5-2690", Kind: CPU,
 		PeakTFLOPS: 0.37, FreqGHz: 2.9, MemBWGBs: 68, OnChipMB: 35, Cores: 14,
@@ -153,8 +153,8 @@ func XeonE52690() Device {
 	}
 }
 
-// P100 models an NVIDIA P100 (2016) as used by P3.
-func P100() Device {
+// p100 models an NVIDIA p100 (2016) as used by P3.
+func p100() Device {
 	return Device{
 		Name: "NVIDIA P100", Kind: GPU,
 		PeakTFLOPS: 9.3, FreqGHz: 1.3, MemBWGBs: 732, OnChipMB: 4,
@@ -164,8 +164,8 @@ func P100() Device {
 	}
 }
 
-// T4 models an NVIDIA T4 (DistDGLv2's accelerator).
-func T4() Device {
+// t4 models an NVIDIA t4 (DistDGLv2's accelerator).
+func t4() Device {
 	return Device{
 		Name: "NVIDIA T4", Kind: GPU,
 		PeakTFLOPS: 8.1, FreqGHz: 1.59, MemBWGBs: 320, OnChipMB: 4,
@@ -175,8 +175,8 @@ func T4() Device {
 	}
 }
 
-// VCPU96 models DistDGLv2's 96-vCPU host as a single logical CPU device.
-func VCPU96() Device {
+// vcpu96 models DistDGLv2's 96-vCPU host as a single logical CPU device.
+func vcpu96() Device {
 	return Device{
 		Name: "96 vCPU", Kind: CPU,
 		PeakTFLOPS: 3.2, FreqGHz: 2.5, MemBWGBs: 180, OnChipMB: 48, Cores: 96,
@@ -188,11 +188,11 @@ func VCPU96() Device {
 func PaGraphNode() Platform {
 	accels := make([]Device, 8)
 	for i := range accels {
-		accels[i] = V100()
+		accels[i] = v100()
 	}
 	return Platform{
-		Name: "PaGraph 2x8163+8xV100", CPU: Xeon8163(), Sockets: 2,
-		Accels: accels, PCIe: PCIe3x16(),
+		Name: "PaGraph 2x8163+8xV100", CPU: xeon8163(), Sockets: 2,
+		Accels: accels, PCIe: pcie3x16(),
 	}
 }
 
@@ -200,11 +200,11 @@ func PaGraphNode() Platform {
 func P3Node() Platform {
 	accels := make([]Device, 4)
 	for i := range accels {
-		accels[i] = P100()
+		accels[i] = p100()
 	}
 	return Platform{
-		Name: "P3 1xE5-2690+4xP100", CPU: XeonE52690(), Sockets: 1,
-		Accels: accels, PCIe: PCIe3x16(),
+		Name: "P3 1xE5-2690+4xP100", CPU: xeonE52690(), Sockets: 1,
+		Accels: accels, PCIe: pcie3x16(),
 	}
 }
 
@@ -212,11 +212,11 @@ func P3Node() Platform {
 func DistDGLNode() Platform {
 	accels := make([]Device, 8)
 	for i := range accels {
-		accels[i] = T4()
+		accels[i] = t4()
 	}
 	return Platform{
-		Name: "DistDGLv2 96vCPU+8xT4", CPU: VCPU96(), Sockets: 1,
-		Accels: accels, PCIe: PCIe3x16(),
+		Name: "DistDGLv2 96vCPU+8xT4", CPU: vcpu96(), Sockets: 1,
+		Accels: accels, PCIe: pcie3x16(),
 	}
 }
 

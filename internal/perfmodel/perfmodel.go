@@ -468,10 +468,10 @@ func (m *Model) propFwdBwd(dev hw.Device, s Sizes, cpuShare float64) (float64, f
 // host-side framework cost). Exported so the runtime (internal/core) and the
 // analytic serving model price them identically.
 const (
-	// FlushFraction is the pipeline-flush overhead of an accelerator batch.
-	FlushFraction = 0.06
-	// KernelsPerIteration is how many device kernels one batch launches.
-	KernelsPerIteration = 4
+	// flushFraction is the pipeline-flush overhead of an accelerator batch.
+	flushFraction = 0.06
+	// kernelsPerIteration is how many device kernels one batch launches.
+	kernelsPerIteration = 4
 	// RuntimeBarrierSec is the host-side synchronization barrier between
 	// pipeline stages.
 	RuntimeBarrierSec = 120e-6
@@ -493,8 +493,8 @@ func DeviceOverheads(dev hw.Device, t float64) float64 {
 	if dev.Kind == hw.CPU {
 		return t + dev.FrameworkOverheadMs*1e-3
 	}
-	return t*(1+FlushFraction) + dev.FrameworkOverheadMs*1e-3 +
-		KernelsPerIteration*dev.KernelLaunchUs*1e-6
+	return t*(1+flushFraction) + dev.FrameworkOverheadMs*1e-3 +
+		kernelsPerIteration*dev.KernelLaunchUs*1e-6
 }
 
 // SyncTime returns T_sync (Eq. 13): the model crosses the host link twice.
@@ -606,13 +606,13 @@ func (m *Model) ThroughputMTEPS(a Assignment) float64 {
 	return edges / t / 1e6
 }
 
-// DeviceRate returns accelerator i's predicted sustainable training rate in
+// deviceRate returns accelerator i's predicted sustainable training rate in
 // targets/second: its per-iteration pipeline constraint is whichever is
 // slower of propagation (Eq. 10) and its own-link transfer (Eq. 8),
 // evaluated at the workload's reference batch. This is Eqs. 5–13 applied to
 // each device individually — the basis of the heterogeneous design-phase
 // mapping.
-func (m *Model) DeviceRate(i int) float64 {
+func (m *Model) deviceRate(i int) float64 {
 	b := m.Work.BatchSize
 	s := m.Work.SizesFor(b)
 	t := math.Max(m.PropTimeFor(m.Plat.Accels[i], s, 1), m.TransferTimeDev(i, s))
@@ -622,17 +622,17 @@ func (m *Model) DeviceRate(i int) float64 {
 	return float64(b) / t
 }
 
-// Apportion splits total into len(weights) integer shares proportional to
+// apportion splits total into len(weights) integer shares proportional to
 // the weights (largest-remainder rounding, ties to the first index; uniform
 // when all weights are zero). The shares always sum to total; weights is
 // never modified. Shared by the design-phase mapping and the DRM engine's
 // heterogeneous work moves.
-func Apportion(total int, weights []float64) []int {
+func apportion(total int, weights []float64) []int {
 	n := len(weights)
 	return ApportionInto(make([]int, n), make([]float64, n), total, weights)
 }
 
-// ApportionInto is Apportion into caller-owned storage, for callers that
+// ApportionInto is apportion into caller-owned storage, for callers that
 // apportion every iteration: the shares land in out[:len(weights)], which is
 // returned, and fracs (as long) is scratch. Both are fully overwritten.
 func ApportionInto(out []int, fracs []float64, total int, weights []float64) []int {
@@ -683,7 +683,7 @@ func ApportionInto(out []int, fracs []float64, total int, weights []float64) []i
 // matches the accelerator-only baseline) and scans the CPU share, picking
 // the split with the lowest predicted iteration time. The accelerator share
 // is split proportionally to each device's predicted throughput
-// (DeviceRate), so unequal devices start near their equilibrium instead of
+// (deviceRate), so unequal devices start near their equilibrium instead of
 // all inheriting the busiest clone's share. CPU threads start with a fixed
 // sampler/loader/trainer split of the available cores.
 func (m *Model) InitialAssignment(hybrid bool) Assignment {
@@ -702,7 +702,7 @@ func (m *Model) InitialAssignment(hybrid bool) Assignment {
 	}
 	rates := make([]float64, nAcc)
 	for i := range rates {
-		rates[i] = m.DeviceRate(i)
+		rates[i] = m.deviceRate(i)
 	}
 	// The design-phase mapping is deliberately coarse (the paper: "derive a
 	// coarse-grained task mapping ... during the design phase"); the DRM
@@ -734,7 +734,7 @@ func (m *Model) InitialAssignment(hybrid bool) Assignment {
 				cand.TrainThreads = 0
 			}
 			cand.CPUBatch = total * cpuPct / 100
-			cand.AccelBatch = Apportion(total-cand.CPUBatch, rates)
+			cand.AccelBatch = apportion(total-cand.CPUBatch, rates)
 			t := m.IterTime(cand)
 			if t < bestT {
 				bestT = t

@@ -457,7 +457,7 @@ func TestInitialAssignmentProportionalShares(t *testing.T) {
 	if a.AccelBatch[0] != a.AccelBatch[1] {
 		t.Fatalf("equal GPUs got unequal shares: %v", a.AccelBatch)
 	}
-	rGPU, rFPGA := m.DeviceRate(0), m.DeviceRate(2)
+	rGPU, rFPGA := m.deviceRate(0), m.deviceRate(2)
 	if rGPU == rFPGA {
 		t.Fatal("test premise broken: devices predict identical rates")
 	}
@@ -489,7 +489,7 @@ func TestApportion(t *testing.T) {
 	}
 	for _, c := range cases {
 		orig := append([]float64(nil), c.weights...)
-		got := Apportion(c.total, c.weights)
+		got := apportion(c.total, c.weights)
 		sum := 0
 		for i, g := range got {
 			if g != c.want[i] {

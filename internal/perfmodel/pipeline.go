@@ -116,9 +116,9 @@ func (p Pipeline) Serial(st StageTimes) float64 {
 	return sum + float64(barriers)*RuntimeBarrierSec + q.tail
 }
 
-// Steady is the slowest stage: the sustained per-unit cadence of a pipeline
+// steady is the slowest stage: the sustained per-unit cadence of a pipeline
 // fed the same stage vector back-to-back (Eq. 6 with the barriers in).
-func (p Pipeline) Steady(st StageTimes) float64 {
+func (p Pipeline) steady(st StageTimes) float64 {
 	q := p.stages(st)
 	var worst float64
 	for s := 0; s < q.n; s++ {

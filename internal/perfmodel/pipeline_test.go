@@ -112,8 +112,8 @@ func TestPipelineLawMatchesClockOracle(t *testing.T) {
 	}
 }
 
-// Serial, Steady and the recurrence are three readings of one stage
-// sequence. Serial and Steady add the barriers in a different order than the
+// Serial, steady and the recurrence are three readings of one stage
+// sequence. Serial and steady add the barriers in a different order than the
 // recurrence accumulates them, so "equal" below is equal as real numbers:
 // within a few ulps, not bit for bit.
 func TestPipelineLawProperties(t *testing.T) {
@@ -123,7 +123,7 @@ func TestPipelineLawProperties(t *testing.T) {
 	for _, shape := range allShapes {
 		for trial := 0; trial < 200; trial++ {
 			st := genStage(rng, false)
-			serial, steady := shape.Serial(st), shape.Steady(st)
+			serial, steady := shape.Serial(st), shape.steady(st)
 			if steady > serial {
 				t.Fatalf("shape %+v: slowest stage %v exceeds the stage sum %v", shape, steady, serial)
 			}
@@ -132,13 +132,13 @@ func TestPipelineLawProperties(t *testing.T) {
 			if first := p.AdvanceAfter(0, st); !near(first, serial) {
 				t.Fatalf("shape %+v: first unit completes at %v, Serial says %v", shape, first, serial)
 			}
-			// Fed the same vector back-to-back, every later unit costs Steady.
+			// Fed the same vector back-to-back, every later unit costs steady.
 			const n = 12
 			for unit := 2; unit <= n; unit++ {
 				before := p.Now()
 				p.Advance(st)
 				if d := p.Now() - before; math.Abs(d-steady) > relTol*p.Now() {
-					t.Fatalf("shape %+v unit %d: delta %v, Steady says %v", shape, unit, d, steady)
+					t.Fatalf("shape %+v unit %d: delta %v, steady says %v", shape, unit, d, steady)
 				}
 			}
 			// Overlap never beats the slowest stage nor loses to no overlap.
@@ -209,7 +209,7 @@ func TestPipelineLawZeroAlloc(t *testing.T) {
 		p := shape
 		var sink float64
 		if n := testing.AllocsPerRun(100, func() {
-			sink += p.AdvanceAfter(p.Now()+1e-3, st) + p.Serial(st) + p.Steady(st)
+			sink += p.AdvanceAfter(p.Now()+1e-3, st) + p.Serial(st) + p.steady(st)
 		}); n != 0 {
 			t.Fatalf("shape %+v: %v allocs per advance, want 0", shape, n)
 		}

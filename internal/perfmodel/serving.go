@@ -100,8 +100,8 @@ func ServingOverheads(dev hw.Device, t float64) float64 {
 	if dev.Kind == hw.CPU {
 		return t + dev.ServeOverheadMs*1e-3
 	}
-	return t*(1+FlushFraction) + dev.ServeOverheadMs*1e-3 +
-		KernelsPerIteration*dev.KernelLaunchUs*1e-6
+	return t*(1+flushFraction) + dev.ServeOverheadMs*1e-3 +
+		kernelsPerIteration*dev.KernelLaunchUs*1e-6
 }
 
 // ServingServiceSec is the serial service time of one batch's stage vector:
@@ -113,7 +113,7 @@ func ServingServiceSec(st StageTimes) float64 { return Pipeline{TFP: true}.Seria
 
 // servingCycleSec is one worker's steady-state batch cadence: its slowest
 // stage.
-func servingCycleSec(st StageTimes) float64 { return Pipeline{TFP: true}.Steady(st) }
+func servingCycleSec(st StageTimes) float64 { return Pipeline{TFP: true}.steady(st) }
 
 // ServingBatchStage prices one closed serving batch of `computed`
 // cache-missing targets on a single bound worker device — the per-device

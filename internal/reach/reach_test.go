@@ -1,9 +1,10 @@
-// Package reach holds two tests of what the module ships against what its
+// Package reach holds three tests of what the module ships against what its
 // programs run: every function is reached from a program
-// (TestShippedCodeIsReached), and every struct field under internal/ that
+// (TestShippedCodeIsReached), every struct field under internal/ that
 // program code reads is set by a program, and read if set
-// (TestShippedFieldsAreSet). Each has an allow-list that says why an
-// exception stays.
+// (TestShippedFieldsAreSet), and every exported name under internal/ is
+// used by another package (TestExportedNamesAreUsed). Each has an
+// allow-list that says why an exception stays.
 //
 // The analysis type-checks every non-test package of the module under the
 // host's build constraints (go/build) and walks references from the roots:
@@ -42,7 +43,7 @@ var allowed = map[string]string{
 	"gnn.writeMatrix":          "checkpoint writer's per-matrix record",
 	"gnn.readMatrix":           "checkpoint reader's per-matrix record",
 	"gnn.checkDims":            "the header bounds the checkpoint writer and reader share",
-	"(*core.Engine).SaveModel": "the engine's checkpoint entry point",
+	"(*core.Engine).saveModel": "the engine's checkpoint entry point",
 
 	// Gradient algebra the optimizer and sync tests build references with.
 	"(*gnn.Gradients).Axpy":       "accumulates reference gradients in tests",
@@ -51,10 +52,10 @@ var allowed = map[string]string{
 
 	// Graph invariant checkers and the oracles of the source-sorted scatter.
 	"(*graph.Graph).Validate":          "CSR invariant checker the generator and graph tests assert",
-	"(*graph.Partition).Validate":      "partition invariant checker the partition tests assert",
+	"(*graph.Partition).validate":      "partition invariant checker the partition tests assert",
 	"(*graph.Graph).InDegrees":         "GCN's Eq. 3 degrees (Config.Degrees) in tests; ROADMAP schedules wiring it in",
-	"(*graph.Graph).OutDegrees":        "checked against Reverse().InDegrees in the graph tests",
-	"(*graph.Graph).SortNeighborLists": "canonical neighbor order for graph-equality tests",
+	"(*graph.Graph).outDegrees":        "checked against Reverse().InDegrees in the graph tests",
+	"(*graph.Graph).sortNeighborLists": "canonical neighbor order for graph-equality tests",
 	"(*graph.Graph).EdgeList":          "coordinate form the generator and graph tests inspect",
 	"graph.SortEdgesBySource":          "oracle layout for the scatter-gather fetch count (accel tests)",
 	"graph.CountSourceRuns":            "oracle fetch count for the scatter-gather kernel (accel tests)",
@@ -64,22 +65,23 @@ var allowed = map[string]string{
 	"(*sampler.Block).Validate": "block invariant checker the sampler and accel tests assert",
 
 	// serve's introspection accessors, which tests read state through.
-	"(*serve.DynamicBatcher).Formation":         "batch-formation policy a test reads back",
-	"(*serve.DynamicBatcher).Pending":           "queued requests the batcher tests count",
-	"(*serve.ShardedCache).Peek":                "reads an entry without touching recency (cache equivalence tests)",
-	"(*serve.ShardedCache).Len":                 "entry count the cache tests check",
-	"(*serve.ShardedCache).Shards":              "shard count the configuration tests check",
-	"(*serve.AdmissionController).KindInflight": "per-kind in-flight count the admission tests read",
-	"(*serve.AdmissionController).Outstanding":  "outstanding count the admission tests read",
+	"(*serve.DynamicBatcher).formationName":     "batch-formation policy a test reads back",
+	"(*serve.DynamicBatcher).pendingLen":        "queued requests the batcher tests count",
+	"(*serve.ShardedCache).peek":                "reads an entry without touching recency (cache equivalence tests)",
+	"(*serve.ShardedCache).count":               "entry count the cache tests check",
+	"(*serve.ShardedCache).shardCount":          "shard count the configuration tests check",
+	"(*serve.admissionController).kindInflight": "per-kind in-flight count the admission tests read",
+	"(*serve.admissionController).outstanding":  "outstanding count the admission tests read",
 
 	// Other state and fixtures tests read through.
-	"(*cluster.MultiNode).DeadNodes": "fail-stopped ranks the fault tests read",
-	"(*bench.Table).Lookup":          "cell lookup the experiment-table tests read through",
+	"(*cluster.MultiNode).deadNodes": "fail-stopped ranks the fault tests read",
+	"(*bench.Table).lookup":          "cell lookup the experiment-table tests read through",
 
 	// tensor: test fixtures, comparisons and unfused oracles.
 	"tensor.FromSlice":            "builds fixture matrices from literals",
+	"(*tensor.Matrix).Clone":      "copies fixtures and references before an in-place kernel overwrites them",
 	"(*tensor.Matrix).Equal":      "the bitwise comparison of every exact-equality test",
-	"(*tensor.Matrix).AllClose":   "the tolerance comparison of the tensor and quantization tests",
+	"(*tensor.Matrix).allClose":   "the tolerance comparison of the tensor and quantization tests",
 	"tensor.SplitCols":            "oracle: the full-width SAGE dDense split of gnn's backward oracle",
 	"tensor.ReLUInto":             "oracle: the unfused ReLU of accel's dataflow-order forward",
 	"tensor.DetectedSIMDLevel":    "bounds the SIMD-level loops of the bitwise tests",
@@ -122,29 +124,44 @@ func (m *module) load(path string) (*pkg, error) {
 		return p, nil
 	}
 	m.pkgs[path] = nil
-	dir := filepath.Join(moduleRoot, strings.TrimPrefix(strings.TrimPrefix(path, m.path), "/"))
-	bp, err := build.ImportDir(dir, 0)
+	bp, err := build.ImportDir(m.dir(path), 0)
 	if err != nil {
 		return nil, err
 	}
+	p, err := m.check(path, bp.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = p
+	return p, nil
+}
+
+// dir returns the directory of the module package at path.
+func (m *module) dir(path string) string {
+	return filepath.Join(moduleRoot, strings.TrimPrefix(strings.TrimPrefix(path, m.path), "/"))
+}
+
+// check parses the named files of path's directory and type-checks them as
+// the package path.
+func (m *module) check(path string, names []string) (*pkg, error) {
 	p := &pkg{info: &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}}
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+	for _, name := range names {
+		f, err := parser.ParseFile(m.fset, filepath.Join(m.dir(path), name), nil, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		p.files = append(p.files, f)
 	}
 	conf := types.Config{Importer: m}
+	var err error
 	if p.types, err = conf.Check(path, m.fset, p.files, p.info); err != nil {
 		return nil, err
 	}
-	m.pkgs[path] = p
 	return p, nil
 }
 

@@ -36,14 +36,14 @@ func ParseFormation(name string) (string, error) {
 	return "", fmt.Errorf("serve: unknown formation policy %q (want fcfs, priority, or sjf)", name)
 }
 
-// FormationPolicy shapes batch formation behind the batcher's
+// formationPolicy shapes batch formation behind the batcher's
 // size-or-deadline contract: it prices the open pool's close deadline
 // incrementally as members join — never later than the oldest arrival plus
 // the window — and arranges a closed batch's dispatch order. The batcher
 // clamps the deadline to the newest member's arrival, so a policy that
 // pulls the deadline in can never close a batch before a request it
 // contains arrived.
-type FormationPolicy interface {
+type formationPolicy interface {
 	Name() string
 	// PoolDeadline updates the open pool's close deadline after r joined:
 	// prev is the deadline before r (+Inf for a fresh pool) and size the
@@ -168,7 +168,7 @@ type DynamicBatcher struct {
 	maxBatch  int
 	window    float64
 	smallCut  int
-	formation FormationPolicy
+	formation formationPolicy
 	// deadline is the open pool's close deadline under the formation policy,
 	// maintained incrementally by Add (undefined while pending is empty).
 	deadline float64
@@ -179,30 +179,21 @@ type DynamicBatcher struct {
 	spare []Request
 }
 
-// NewDynamicBatcher validates the knobs.
-func NewDynamicBatcher(maxBatch int, window float64) (*DynamicBatcher, error) {
+// NewSplitBatcher validates the knobs and builds an FCFS batcher whose closed
+// batches are additionally classified by the per-kind split cut: batches
+// with at most smallCut computed targets count as small. A cut of 0
+// disables the split.
+func NewSplitBatcher(maxBatch int, window float64, smallCut int) (*DynamicBatcher, error) {
+	if smallCut < 0 {
+		return nil, fmt.Errorf("serve: negative small-batch cut %d", smallCut)
+	}
 	if maxBatch <= 0 {
 		return nil, fmt.Errorf("serve: non-positive max batch %d", maxBatch)
 	}
 	if !finiteAtLeast(window, 0) {
 		return nil, fmt.Errorf("serve: batch window %v is not a finite non-negative number", window)
 	}
-	return &DynamicBatcher{maxBatch: maxBatch, window: window, formation: fcfsFormation{}}, nil
-}
-
-// NewSplitBatcher builds a batcher whose closed batches are additionally
-// classified by the per-kind split cut: batches with at most smallCut
-// computed targets count as Small. A cut of 0 disables the split.
-func NewSplitBatcher(maxBatch int, window float64, smallCut int) (*DynamicBatcher, error) {
-	if smallCut < 0 {
-		return nil, fmt.Errorf("serve: negative small-batch cut %d", smallCut)
-	}
-	b, err := NewDynamicBatcher(maxBatch, window)
-	if err != nil {
-		return nil, err
-	}
-	b.smallCut = smallCut
-	return b, nil
+	return &DynamicBatcher{maxBatch: maxBatch, window: window, smallCut: smallCut, formation: fcfsFormation{}}, nil
 }
 
 // SetFormation selects the batch-formation policy by name; the sjf policy
@@ -231,23 +222,23 @@ func (b *DynamicBatcher) SetFormation(name string, svc func(size int) float64) e
 	return nil
 }
 
-// Formation returns the active formation policy's name.
-func (b *DynamicBatcher) Formation() string { return b.formation.Name() }
+// formationName returns the active formation policy's name.
+func (b *DynamicBatcher) formationName() string { return b.formation.Name() }
 
-// Small reports whether a closed batch with `computed` cache-missing targets
+// small reports whether a closed batch with `computed` cache-missing targets
 // falls under the per-kind split cut.
-func (b *DynamicBatcher) Small(computed int) bool {
+func (b *DynamicBatcher) small(computed int) bool {
 	return b.smallCut > 0 && computed <= b.smallCut
 }
 
-// Pending returns the number of requests waiting in the open batch.
-func (b *DynamicBatcher) Pending() int { return len(b.pending) }
+// pendingLen returns the number of requests waiting in the open batch.
+func (b *DynamicBatcher) pendingLen() int { return len(b.pending) }
 
-// Deadline returns the close deadline of the open batch, or false when no
+// closeDeadline returns the close deadline of the open batch, or false when no
 // batch is open. The policy deadline is clamped to the newest member's
 // arrival: a policy that pulls the deadline in as the pool grows (sjf) must
 // never close a batch before a request it contains arrived.
-func (b *DynamicBatcher) Deadline() (float64, bool) {
+func (b *DynamicBatcher) closeDeadline() (float64, bool) {
 	if len(b.pending) == 0 {
 		return 0, false
 	}
@@ -279,7 +270,7 @@ func (b *DynamicBatcher) Add(r Request) (batch []Request, closeAt float64) {
 // with the deadline as the close time; otherwise nil. Call repeatedly until
 // it returns nil (each admitted request can open a new batch).
 func (b *DynamicBatcher) CloseExpired(now float64) (batch []Request, closeAt float64) {
-	dl, open := b.Deadline()
+	dl, open := b.closeDeadline()
 	if !open || dl > now {
 		return nil, 0
 	}
@@ -289,7 +280,7 @@ func (b *DynamicBatcher) CloseExpired(now float64) (batch []Request, closeAt flo
 // Flush closes the open batch at its deadline regardless of current time
 // (end of stream: the window will expire with no further arrivals).
 func (b *DynamicBatcher) Flush() (batch []Request, closeAt float64) {
-	dl, open := b.Deadline()
+	dl, open := b.closeDeadline()
 	if !open {
 		return nil, 0
 	}

@@ -9,18 +9,18 @@ import (
 )
 
 func TestBatcherValidation(t *testing.T) {
-	if _, err := NewDynamicBatcher(0, 1e-3); err == nil {
+	if _, err := NewSplitBatcher(0, 1e-3, 0); err == nil {
 		t.Fatal("expected error for zero max batch")
 	}
 	for _, w := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if _, err := NewDynamicBatcher(4, w); err == nil {
+		if _, err := NewSplitBatcher(4, w, 0); err == nil {
 			t.Fatalf("window %v accepted", w)
 		}
 	}
 }
 
 func TestBatcherClosesBySize(t *testing.T) {
-	b, _ := NewDynamicBatcher(3, 1.0)
+	b, _ := NewSplitBatcher(3, 1.0, 0)
 	for i := 0; i < 2; i++ {
 		if batch, _ := b.Add(Request{ID: i, Arrival: float64(i) * 1e-3}); batch != nil {
 			t.Fatal("closed before reaching max batch")
@@ -30,13 +30,13 @@ func TestBatcherClosesBySize(t *testing.T) {
 	if len(batch) != 3 || closeAt != 2e-3 {
 		t.Fatalf("size close: %d requests at %v", len(batch), closeAt)
 	}
-	if b.Pending() != 0 {
+	if b.pendingLen() != 0 {
 		t.Fatal("pending not drained by size close")
 	}
 }
 
 func TestBatcherClosesByDeadline(t *testing.T) {
-	b, _ := NewDynamicBatcher(100, 5e-3)
+	b, _ := NewSplitBatcher(100, 5e-3, 0)
 	b.Add(Request{ID: 0, Arrival: 1e-3})
 	b.Add(Request{ID: 1, Arrival: 2e-3})
 	if batch, _ := b.CloseExpired(3e-3); batch != nil {
@@ -52,7 +52,7 @@ func TestBatcherClosesByDeadline(t *testing.T) {
 }
 
 func TestBatcherFlush(t *testing.T) {
-	b, _ := NewDynamicBatcher(100, 2e-3)
+	b, _ := NewSplitBatcher(100, 2e-3, 0)
 	if batch, _ := b.Flush(); batch != nil {
 		t.Fatal("flushed an empty batcher")
 	}
@@ -64,59 +64,59 @@ func TestBatcherFlush(t *testing.T) {
 }
 
 func TestAdmissionControllerBounds(t *testing.T) {
-	a, err := NewAdmissionController(2)
+	a, err := newAdmissionController(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewAdmissionController(0); err == nil {
+	if _, err := newAdmissionController(0); err == nil {
 		t.Fatal("expected error for zero capacity")
 	}
-	if !a.Admit(0) || !a.Admit(0) {
+	if !a.admit(0) || !a.admit(0) {
 		t.Fatal("admissions below capacity rejected")
 	}
-	if a.Admit(0) {
+	if a.admit(0) {
 		t.Fatal("admission above capacity accepted")
 	}
 	// Both waiting requests dispatch, completing at t=1 and t=2.
-	a.DispatchedKind(hw.CPU, []float64{1, 2})
-	if a.Admit(0.5) {
+	a.dispatchedKind(hw.CPU, []float64{1, 2})
+	if a.admit(0.5) {
 		t.Fatal("admitted while both still in flight")
 	}
-	if !a.Admit(1.5) {
+	if !a.admit(1.5) {
 		t.Fatal("slot not freed by completion at t=1")
 	}
 }
 
 // Out-of-order completion times: Dispatched pushes completions in arbitrary
-// order; Admit must free slots strictly by the virtual clock (the min-heap
+// order; admit must free slots strictly by the virtual clock (the min-heap
 // path), not insertion order.
 func TestAdmissionOutOfOrderCompletions(t *testing.T) {
-	a, err := NewAdmissionController(3)
+	a, err := newAdmissionController(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if !a.Admit(0) {
+		if !a.admit(0) {
 			t.Fatal("admission below capacity rejected")
 		}
 	}
 	// Completions pushed out of order: 5, 1, 3.
-	a.DispatchedKind(hw.CPU, []float64{5, 1, 3})
-	if a.Outstanding() != 3 {
-		t.Fatalf("outstanding %d after dispatch, want 3", a.Outstanding())
+	a.dispatchedKind(hw.CPU, []float64{5, 1, 3})
+	if a.outstanding() != 3 {
+		t.Fatalf("outstanding %d after dispatch, want 3", a.outstanding())
 	}
-	if a.Admit(0.5) {
+	if a.admit(0.5) {
 		t.Fatal("admitted with all three still in flight")
 	}
-	if !a.Admit(2) { // t=2: only the completion at t=1 has freed
+	if !a.admit(2) { // t=2: only the completion at t=1 has freed
 		t.Fatal("slot from the earliest completion not freed")
 	}
-	if a.Admit(2.5) {
+	if a.admit(2.5) {
 		t.Fatal("two slots freed when only one completion passed")
 	}
 	// t=10: everything in flight has completed; only the two waiting remain.
-	if !a.Admit(10) {
-		t.Fatalf("outstanding %d at t=10, expected room", a.Outstanding())
+	if !a.admit(10) {
+		t.Fatalf("outstanding %d at t=10, expected room", a.outstanding())
 	}
 }
 
@@ -125,14 +125,14 @@ func TestAdmissionOutOfOrderCompletions(t *testing.T) {
 // back to empty each cycle with no leaked slots.
 func TestAdmissionDrainToZeroCycles(t *testing.T) {
 	const capacity = 4
-	a, err := NewAdmissionController(capacity)
+	a, err := newAdmissionController(capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	now := 0.0
 	for cycle := 0; cycle < 3; cycle++ {
 		admitted := 0
-		for a.Admit(now) {
+		for a.admit(now) {
 			admitted++
 		}
 		if admitted != capacity {
@@ -143,46 +143,46 @@ func TestAdmissionDrainToZeroCycles(t *testing.T) {
 		for i := range completions {
 			completions[i] = now + float64(capacity-i)
 		}
-		a.DispatchedKind(hw.CPU, completions)
-		if a.Outstanding() != capacity {
-			t.Fatalf("cycle %d: outstanding %d after dispatch", cycle, a.Outstanding())
+		a.dispatchedKind(hw.CPU, completions)
+		if a.outstanding() != capacity {
+			t.Fatalf("cycle %d: outstanding %d after dispatch", cycle, a.outstanding())
 		}
 		// Step past each completion: one slot frees at a time.
 		for k := 1; k <= capacity; k++ {
-			if !a.Admit(now + float64(k) + 0.5) {
+			if !a.admit(now + float64(k) + 0.5) {
 				t.Fatalf("cycle %d: completion %d did not free a slot", cycle, k)
 			}
-			a.DispatchedKind(hw.CPU, []float64{now + float64(k) + 0.6}) // drain immediately
+			a.dispatchedKind(hw.CPU, []float64{now + float64(k) + 0.6}) // drain immediately
 		}
 		now += float64(capacity) + 10 // everything completes; back to zero
-		if !a.Admit(now) {
+		if !a.admit(now) {
 			t.Fatalf("cycle %d: queue did not drain to zero", cycle)
 		}
-		if got := a.Outstanding(); got != 1 { // only the probe admit remains
+		if got := a.outstanding(); got != 1 { // only the probe admit remains
 			t.Fatalf("cycle %d: outstanding %d after drain, want 1", cycle, got)
 		}
-		a.DispatchedKind(hw.CPU, []float64{now}) // probe completes instantly
-		now++                                    // next cycle's Admit pops it
+		a.dispatchedKind(hw.CPU, []float64{now}) // probe completes instantly
+		now++                                    // next cycle's admit pops it
 	}
 }
 
-// DispatchedKind with more completions than waiting requests must clamp, not
+// dispatchedKind with more completions than waiting requests must clamp, not
 // underflow. A serving run never does this: every request is admitted in
 // offer before it can be dispatched. Only direct callers reach the clamp —
 // this test, TestDegradedAdmission's over-cancel and
 // TestDispatchHitsAttributedToHost, which dispatches requests it never
 // admitted.
 func TestAdmissionDispatchClamp(t *testing.T) {
-	a, err := NewAdmissionController(8)
+	a, err := newAdmissionController(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Admit(0)
-	a.DispatchedKind(hw.CPU, []float64{1, 2, 3}) // 3 completions, 1 waiting
-	if a.Outstanding() != 3 {
-		t.Fatalf("outstanding %d, want the 3 in-flight", a.Outstanding())
+	a.admit(0)
+	a.dispatchedKind(hw.CPU, []float64{1, 2, 3}) // 3 completions, 1 waiting
+	if a.outstanding() != 3 {
+		t.Fatalf("outstanding %d, want the 3 in-flight", a.outstanding())
 	}
-	if got := a.KindInflight(hw.CPU); got != 3 {
+	if got := a.kindInflight(hw.CPU); got != 3 {
 		t.Fatalf("dispatch landed on %d CPU in-flight, want 3", got)
 	}
 }
@@ -207,7 +207,7 @@ func TestRequestStreamOrderingAndSkew(t *testing.T) {
 	const n = 4000
 	var last float64
 	for i := 0; i < n; i++ {
-		r := s.Next()
+		r := s.next()
 		if r.Arrival <= prev {
 			t.Fatal("arrivals not strictly increasing")
 		}

@@ -70,7 +70,7 @@ type cacheShard struct {
 //
 // Ownership: PutMany COPIES each embedding into the shard arena
 // (truncated at the cache's stride); the caller keeps its buffer and may
-// reuse it immediately. Get returns a view into the arena that is valid
+// reuse it immediately. get returns a view into the arena that is valid
 // until the entry is evicted or refreshed — callers that keep embeddings
 // across cache operations copy them out. The serving loop inserts a batch
 // whose forward is still running with no embedding, and copies its rows in
@@ -90,7 +90,7 @@ type ShardedCache struct {
 // NewShardedCache builds a cache holding up to capacity embeddings of at
 // most stride floats each, partitioned over the given shard count (rounded
 // down to a power of two, clamped to [1, capacity]; 0 picks 1). Capacity 0
-// disables caching: every Get misses and PutMany is a no-op, exactly like the
+// disables caching: every get misses and PutMany is a no-op, exactly like the
 // LRU oracle.
 func NewShardedCache(capacity, shards, stride int) *ShardedCache {
 	if capacity < 0 {
@@ -289,10 +289,10 @@ func (s *cacheShard) put(k CacheKey, emb []float32, readyAt float64, seq uint64,
 	s.length++
 }
 
-// Get returns the cached embedding (an arena view — see the ownership note
+// get returns the cached embedding (an arena view — see the ownership note
 // on ShardedCache) and its ready time, marking the entry most-recently-used
 // on a hit.
-func (c *ShardedCache) Get(k CacheKey) (emb []float32, readyAt float64, ok bool) {
+func (c *ShardedCache) get(k CacheKey) (emb []float32, readyAt float64, ok bool) {
 	return c.shardFor(k).get(k, c.stride)
 }
 
@@ -302,7 +302,7 @@ func (c *ShardedCache) Get(k CacheKey) (emb []float32, readyAt float64, ok bool)
 // are per key, and duplicates in the batch are each counted.
 func (c *ShardedCache) GetMany(keys []CacheKey, ready []float64, hit []bool, embs [][]float32) {
 	for i, k := range keys {
-		e, r, ok := c.Get(k)
+		e, r, ok := c.get(k)
 		ready[i], hit[i] = r, ok
 		if embs != nil {
 			embs[i] = e
@@ -339,9 +339,9 @@ func (c *ShardedCache) fill(k CacheKey, seq uint64, emb []float32) {
 	}
 }
 
-// Peek reports residency and the ready time without touching LRU order or
+// peek reports residency and the ready time without touching LRU order or
 // the hit/miss counters.
-func (c *ShardedCache) Peek(k CacheKey) (readyAt float64, ok bool) {
+func (c *ShardedCache) peek(k CacheKey) (readyAt float64, ok bool) {
 	s := c.shardFor(k)
 	_, idx := s.find(k)
 	if idx < 0 {
@@ -350,8 +350,8 @@ func (c *ShardedCache) Peek(k CacheKey) (readyAt float64, ok bool) {
 	return s.entries[idx].readyAt, true
 }
 
-// Len returns the number of resident entries across all shards.
-func (c *ShardedCache) Len() int {
+// count returns the number of resident entries across all shards.
+func (c *ShardedCache) count() int {
 	n := 0
 	for i := range c.shards {
 		n += int(c.shards[i].length)
@@ -359,8 +359,8 @@ func (c *ShardedCache) Len() int {
 	return n
 }
 
-// Stats returns cumulative hit, miss, and eviction counts across all shards.
-func (c *ShardedCache) Stats() (hits, misses, evictions int64) {
+// stats returns cumulative hit, miss, and eviction counts across all shards.
+func (c *ShardedCache) stats() (hits, misses, evictions int64) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		hits += s.hits
@@ -370,5 +370,5 @@ func (c *ShardedCache) Stats() (hits, misses, evictions int64) {
 	return hits, misses, evictions
 }
 
-// Shards returns the shard count the constructor settled on.
-func (c *ShardedCache) Shards() int { return len(c.shards) }
+// shardCount returns the shard count the constructor settled on.
+func (c *ShardedCache) shardCount() int { return len(c.shards) }

@@ -76,7 +76,7 @@ func TestFormationFCFSByteIdentical(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		maxBatch := 1 + rng.Intn(16)
 		window := float64(rng.Intn(4)) * 0.5e-3
-		nb, err := NewDynamicBatcher(maxBatch, window)
+		nb, err := NewSplitBatcher(maxBatch, window, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestFormationFCFSByteIdentical(t *testing.T) {
 // and priority batches dispatch in (class, arrival, ID) order.
 func driveFormationBatcher(t *testing.T, maxBatch int, window float64, formation string, ops []byte) {
 	t.Helper()
-	b, err := NewDynamicBatcher(maxBatch, window)
+	b, err := NewSplitBatcher(maxBatch, window, 0)
 	if err != nil {
 		t.Skip("invalid batcher config")
 	}
@@ -190,8 +190,8 @@ func driveFormationBatcher(t *testing.T, maxBatch int, window float64, formation
 	if closed != added {
 		t.Fatalf("conservation violated: added %d, closed %d", added, closed)
 	}
-	if b.Pending() != 0 {
-		t.Fatalf("%d requests stranded after flush", b.Pending())
+	if b.pendingLen() != 0 {
+		t.Fatalf("%d requests stranded after flush", b.pendingLen())
 	}
 }
 
@@ -239,7 +239,7 @@ func TestFormationInvariantsRandomized(t *testing.T) {
 // interactive-first.
 func TestPriorityFormationPullsDeadline(t *testing.T) {
 	const window = 1e-3
-	b, err := NewDynamicBatcher(10, window)
+	b, err := NewSplitBatcher(10, window, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,12 +247,12 @@ func TestPriorityFormationPullsDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Add(Request{ID: 0, Arrival: 0, Class: ClassStandard})
-	if dl, _ := b.Deadline(); dl != window {
+	if dl, _ := b.closeDeadline(); dl != window {
 		t.Fatalf("standard-only pool deadline = %v, want full window %v", dl, window)
 	}
 	b.Add(Request{ID: 1, Arrival: 1e-4, Class: ClassInteractive})
 	wantDL := 1e-4 + 0.25*window
-	if dl, _ := b.Deadline(); dl != wantDL {
+	if dl, _ := b.closeDeadline(); dl != wantDL {
 		t.Fatalf("mixed pool deadline = %v, want interactive-weighted %v", dl, wantDL)
 	}
 	batch, closeAt := b.CloseExpired(wantDL)
@@ -269,7 +269,7 @@ func TestPriorityFormationPullsDeadline(t *testing.T) {
 // predicted service of the pool as a batch, floored at zero.
 func TestSJFFormationShrinksWindow(t *testing.T) {
 	const window = 1e-3
-	b, err := NewDynamicBatcher(10, window)
+	b, err := NewSplitBatcher(10, window, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,26 +281,26 @@ func TestSJFFormationShrinksWindow(t *testing.T) {
 	// performs (untyped constant folding would differ in the last ulp).
 	w := window
 	b.Add(Request{ID: 0, Arrival: 0})
-	if dl, _ := b.Deadline(); dl != w-svc(1) {
+	if dl, _ := b.closeDeadline(); dl != w-svc(1) {
 		t.Fatalf("size-1 pool deadline = %v, want %v", dl, w-svc(1))
 	}
 	b.Add(Request{ID: 1, Arrival: 1e-4})
 	// svc(2) = 0.8ms leaves 0.2ms of window; 0 + 0.2ms is past the newest
 	// arrival 0.1ms, so the clamp does not engage.
-	if dl, _ := b.Deadline(); dl != w-svc(2) {
+	if dl, _ := b.closeDeadline(); dl != w-svc(2) {
 		t.Fatalf("size-2 pool deadline = %v, want %v", dl, w-svc(2))
 	}
 	b.Add(Request{ID: 2, Arrival: 1.5e-4})
 	// svc(3) = 1.2ms exceeds the window: remaining floor 0 puts the deadline
 	// at the first arrival, then the clamp lifts it to the newest arrival.
-	if dl, _ := b.Deadline(); dl != 1.5e-4 {
+	if dl, _ := b.closeDeadline(); dl != 1.5e-4 {
 		t.Fatalf("over-budget pool deadline = %v, want newest arrival clamp 1.5e-4", dl)
 	}
 }
 
 // TestSetFormationErrors pins the wiring contract.
 func TestSetFormationErrors(t *testing.T) {
-	b, err := NewDynamicBatcher(4, 1e-3)
+	b, err := NewSplitBatcher(4, 1e-3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestSetFormationErrors(t *testing.T) {
 	if err := b.SetFormation(FormationSJF, nil); err == nil {
 		t.Fatal("sjf without a service predictor accepted")
 	}
-	if got := b.Formation(); got != FormationFCFS {
+	if got := b.formationName(); got != FormationFCFS {
 		t.Fatalf("failed SetFormation mutated the policy to %q", got)
 	}
 	b.Add(Request{ID: 0})

@@ -20,7 +20,7 @@ import (
 //   - close-time sanity: a batch never closes before its first request.
 func driveBatcher(t *testing.T, maxBatch int, window float64, ops []byte) {
 	t.Helper()
-	b, err := NewDynamicBatcher(maxBatch, window)
+	b, err := NewSplitBatcher(maxBatch, window, 0)
 	if err != nil {
 		t.Skip("invalid knobs")
 	}
@@ -78,14 +78,14 @@ func driveBatcher(t *testing.T, maxBatch int, window float64, ops []byte) {
 				consume(batch, closeAt, "expire")
 			}
 		}
-		if b.Pending() != pending {
-			t.Fatalf("pending drifted: batcher says %d, ledger says %d", b.Pending(), pending)
+		if b.pendingLen() != pending {
+			t.Fatalf("pending drifted: batcher says %d, ledger says %d", b.pendingLen(), pending)
 		}
 	}
 	batch, closeAt := b.Flush()
 	consume(batch, closeAt, "flush")
-	if b.Pending() != 0 || pending != 0 {
-		t.Fatalf("flush left %d requests pending", b.Pending())
+	if b.pendingLen() != 0 || pending != 0 {
+		t.Fatalf("flush left %d requests pending", b.pendingLen())
 	}
 	if len(seen) != added {
 		t.Fatalf("lost requests: added %d, got back %d", added, len(seen))
@@ -155,7 +155,7 @@ func FuzzParseWorkloadSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := spec.Validate(); err != nil {
+		if err := spec.validate(); err != nil {
 			t.Fatalf("ParseWorkloadSpec(%q) accepted a spec Validate rejects: %v", s, err)
 		}
 		for _, c := range spec.Cohorts {

@@ -6,7 +6,7 @@ import (
 	"repro/internal/hw"
 )
 
-// AdmissionController bounds the number of outstanding requests (waiting in
+// admissionController bounds the number of outstanding requests (waiting in
 // the batcher or dispatched but not yet complete in virtual time). A request
 // arriving while the system holds Capacity outstanding requests is rejected
 // — open-loop overload then surfaces as a rejection rate instead of an
@@ -16,44 +16,44 @@ import (
 // *per device kind*: requests dispatched to a slow kind occupy queue
 // capacity until their (late) virtual completions, and without a per-kind
 // bound one slow device kind can fill the whole queue and starve arrivals
-// that faster kinds could have served. SetKindCap bounds each kind's
-// in-flight share; the router consults KindSaturated to steer batches away
+// that faster kinds could have served. setKindCap bounds each kind's
+// in-flight share; the router consults kindSaturated to steer batches away
 // from a kind that has exhausted its share.
 //
 // Kind state lives in dense arrays indexed by hw.Kind (no map lookups on
 // the admission hot path), and the completion heaps are hand-rolled over
 // []float64 — container/heap would box every completion time through
 // interface{}, one allocation per dispatched request.
-type AdmissionController struct {
+type admissionController struct {
 	capacity int
 	waiting  int
 	inflight [hw.KindCount]completionHeap
 	caps     [hw.KindCount]int
 	// degraded is the surviving-capacity fraction after worker fail-stops
-	// (1 = full fleet); it drives ShedClass's bulk-before-interactive
+	// (1 = full fleet); it drives shedClass's bulk-before-interactive
 	// shedding order.
 	degraded float64
 }
 
-// NewAdmissionController builds a controller; capacity must be positive.
-func NewAdmissionController(capacity int) (*AdmissionController, error) {
+// newAdmissionController builds a controller; capacity must be positive.
+func newAdmissionController(capacity int) (*admissionController, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("serve: non-positive queue capacity %d", capacity)
 	}
-	return &AdmissionController{capacity: capacity, degraded: 1}, nil
+	return &admissionController{capacity: capacity, degraded: 1}, nil
 }
 
-// SetDegraded records the surviving-capacity fraction: ShedClass starts
+// setDegraded records the surviving-capacity fraction: shedClass starts
 // shedding the classes the surviving fleet can no longer afford. Frac 1 (or
 // more) restores healthy behavior exactly; frac 0 (or less) sheds every class
 // but interactive.
-func (a *AdmissionController) SetDegraded(frac float64) { a.degraded = frac }
+func (a *admissionController) setDegraded(frac float64) { a.degraded = frac }
 
-// ShedClass reports whether degraded-mode admission sheds this class before
+// shedClass reports whether degraded-mode admission sheds this class before
 // it reaches the queue: bulk is shed under any capacity loss, standard once
 // less than half the fleet survives, interactive never (the shedding order
 // that keeps the tightest SLOs alive on the surviving capacity).
-func (a *AdmissionController) ShedClass(class SLOClass) bool {
+func (a *admissionController) shedClass(class SLOClass) bool {
 	switch class {
 	case ClassBulk:
 		return a.degraded < 1
@@ -63,31 +63,31 @@ func (a *AdmissionController) ShedClass(class SLOClass) bool {
 	return false
 }
 
-// Cancel releases n waiting slots without completions — requests that were
+// cancel releases n waiting slots without completions — requests that were
 // admitted but then shed (their batch exhausted its retry budget with no
 // live worker), so admission capacity is not leaked to dead work. A serving
 // run admits every request in offer before it can be dispatched or shed, so
 // it never cancels more than are waiting; the clamp at zero only guards
 // direct callers that do.
-func (a *AdmissionController) Cancel(n int) {
+func (a *admissionController) cancel(n int) {
 	a.waiting -= n
 	if a.waiting < 0 {
 		a.waiting = 0
 	}
 }
 
-// SetKindCap bounds one device kind's in-flight requests (0 removes the
+// setKindCap bounds one device kind's in-flight requests (0 removes the
 // bound). Kinds without a cap share only the global capacity.
-func (a *AdmissionController) SetKindCap(kind hw.Kind, cap int) {
+func (a *admissionController) setKindCap(kind hw.Kind, cap int) {
 	if cap < 0 {
 		cap = 0
 	}
 	a.caps[kind] = cap
 }
 
-// Admit reports whether a request arriving at virtual time now fits, and
+// admit reports whether a request arriving at virtual time now fits, and
 // records it as waiting if so.
-func (a *AdmissionController) Admit(now float64) bool {
+func (a *admissionController) admit(now float64) bool {
 	total := a.waiting
 	for k := range a.inflight {
 		h := &a.inflight[k]
@@ -101,13 +101,13 @@ func (a *AdmissionController) Admit(now float64) bool {
 	return true
 }
 
-// DispatchedKind moves len(completions) waiting requests to in-flight on the
+// dispatchedKind moves len(completions) waiting requests to in-flight on the
 // given device kind with their virtual completion times (one per request).
 // A serving run admits every request in offer before it can be dispatched,
 // so it never moves more than are waiting; the clamp at zero only guards
 // direct callers that do (TestDispatchHitsAttributedToHost dispatches
 // requests it never admitted).
-func (a *AdmissionController) DispatchedKind(kind hw.Kind, completions []float64) {
+func (a *admissionController) dispatchedKind(kind hw.Kind, completions []float64) {
 	a.waiting -= len(completions)
 	if a.waiting < 0 {
 		a.waiting = 0
@@ -118,9 +118,9 @@ func (a *AdmissionController) DispatchedKind(kind hw.Kind, completions []float64
 	}
 }
 
-// KindSaturated reports whether a kind has exhausted its in-flight share as
+// kindSaturated reports whether a kind has exhausted its in-flight share as
 // of virtual time now. Kinds without a cap are never saturated.
-func (a *AdmissionController) KindSaturated(kind hw.Kind, now float64) bool {
+func (a *admissionController) kindSaturated(kind hw.Kind, now float64) bool {
 	cap := a.caps[kind]
 	if cap <= 0 {
 		return false
@@ -130,14 +130,14 @@ func (a *AdmissionController) KindSaturated(kind hw.Kind, now float64) bool {
 	return len(*h) >= cap
 }
 
-// KindInflight returns a kind's current in-flight count (tests, telemetry).
-func (a *AdmissionController) KindInflight(kind hw.Kind) int {
+// kindInflight returns a kind's current in-flight count (tests, telemetry).
+func (a *admissionController) kindInflight(kind hw.Kind) int {
 	return len(a.inflight[kind])
 }
 
-// Outstanding returns the current waiting + in-flight count as of the last
-// Admit call (for tests and telemetry).
-func (a *AdmissionController) Outstanding() int {
+// outstanding returns the current waiting + in-flight count as of the last
+// admit call (for tests and telemetry).
+func (a *admissionController) outstanding() int {
 	total := a.waiting
 	for k := range a.inflight {
 		total += len(a.inflight[k])

@@ -43,7 +43,7 @@ type RouteDecision struct {
 // picks the same worker — and does not allocate unless it fills a trace row.
 type router struct {
 	pool      []*worker
-	admission *AdmissionController
+	admission *admissionController
 	// health is the fault schedule's per-worker liveness/stall/straggler
 	// view: fail-stopped workers are never candidates, and predictions are
 	// fault-adjusted.
@@ -91,7 +91,7 @@ func (r *router) peerIndex(at float64, small bool) int {
 	}
 	for i, w := range r.pool {
 		if w.pipe.DeviceIndex() == 0 && r.health.alive(i, at) &&
-			!r.admission.KindSaturated(hw.CPU, at) {
+			!r.admission.kindSaturated(hw.CPU, at) {
 			return i
 		}
 	}
@@ -107,7 +107,7 @@ func (r *router) earliest(computed int, at float64, skipSaturated bool) (predict
 		if !r.health.alive(i, at) {
 			continue
 		}
-		if skipSaturated && r.admission.KindSaturated(w.pipe.Device().Kind, at) {
+		if skipSaturated && r.admission.kindSaturated(w.pipe.Device().Kind, at) {
 			continue
 		}
 		p, err := r.predict(i, computed, at)
@@ -165,7 +165,7 @@ func (r *router) alternatives(dec *RouteDecision, computed int, at float64) erro
 			Worker:           i,
 			Kind:             w.pipe.Device().Kind.String(),
 			PredictedDoneSec: p.done,
-			Saturated:        r.admission.KindSaturated(w.pipe.Device().Kind, at),
+			Saturated:        r.admission.kindSaturated(w.pipe.Device().Kind, at),
 			Failed:           !r.health.alive(i, at),
 		}
 	}

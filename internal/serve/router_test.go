@@ -189,33 +189,33 @@ func TestSmallCutRequiresPeer(t *testing.T) {
 // while another kind has room — the slow-FPGA-starves-GPU scenario. Build a
 // controller by hand and drive the saturation check directly.
 func TestKindSaturationSteering(t *testing.T) {
-	a, err := NewAdmissionController(8)
+	a, err := newAdmissionController(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.SetKindCap(hw.FPGA, 2)
-	a.SetKindCap(hw.GPU, 2)
+	a.setKindCap(hw.FPGA, 2)
+	a.setKindCap(hw.GPU, 2)
 	// Two FPGA batches in flight with far-future completions: saturated.
-	a.Admit(0)
-	a.Admit(0)
-	a.DispatchedKind(hw.FPGA, []float64{100, 200})
-	if !a.KindSaturated(hw.FPGA, 1) {
+	a.admit(0)
+	a.admit(0)
+	a.dispatchedKind(hw.FPGA, []float64{100, 200})
+	if !a.kindSaturated(hw.FPGA, 1) {
 		t.Fatal("FPGA not saturated at its cap")
 	}
-	if a.KindSaturated(hw.GPU, 1) {
+	if a.kindSaturated(hw.GPU, 1) {
 		t.Fatal("GPU saturated without in-flight work")
 	}
 	// The GPU keeps serving and draining while the FPGA stays pinned.
-	a.Admit(1)
-	a.DispatchedKind(hw.GPU, []float64{2})
-	if a.KindSaturated(hw.GPU, 3) {
+	a.admit(1)
+	a.dispatchedKind(hw.GPU, []float64{2})
+	if a.kindSaturated(hw.GPU, 3) {
 		t.Fatal("GPU saturation not cleared by completion")
 	}
-	if !a.KindSaturated(hw.FPGA, 3) {
+	if !a.kindSaturated(hw.FPGA, 3) {
 		t.Fatal("FPGA saturation cleared early")
 	}
 	// Uncapped kinds are never saturated.
-	if a.KindSaturated(hw.CPU, math.Inf(1)) {
+	if a.kindSaturated(hw.CPU, math.Inf(1)) {
 		t.Fatal("uncapped kind reported saturated")
 	}
 }

@@ -241,7 +241,7 @@ type server struct {
 	bindings  []int
 	arrivals  []Request // the run's requests: the replayed or just-generated trace
 	batcher   *DynamicBatcher
-	admission *AdmissionController
+	admission *admissionController
 	cache     *ShardedCache
 	router    router
 
@@ -275,7 +275,7 @@ type server struct {
 	putEmbs [][]float32 // PutMany values (arena-copied by the cache)
 	// Completion times are split by who answered: cache hits are served by
 	// the host, computed requests by the routed worker — the split is what
-	// keeps hit completions off an accelerator's in-flight (SetKindCap) share.
+	// keeps hit completions off an accelerator's in-flight (setKindCap) share.
 	hitDone  []float64
 	compDone []float64
 	// vertexGen dedups a batch's missing vertices without a map: slot v
@@ -381,7 +381,7 @@ func newServer(cfg Config) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	admission, err := NewAdmissionController(cfg.QueueCap)
+	admission, err := newAdmissionController(cfg.QueueCap)
 	if err != nil {
 		return nil, err
 	}
@@ -558,7 +558,7 @@ func (s *server) place(batch []Request, hit []bool, closeAt float64) (prediction
 		s.stats.RouteTrace = append(s.stats.RouteTrace, RouteDecision{Batch: len(s.stats.Routes)})
 		dec = &s.stats.RouteTrace[len(s.stats.RouteTrace)-1]
 	}
-	small := s.batcher.Small(len(s.order))
+	small := s.batcher.small(len(s.order))
 	routeAt := closeAt
 	lost := 0
 	for {
@@ -741,8 +741,8 @@ func (s *server) stop() {
 // release moves the batch's answered requests from waiting to in-flight: the
 // cache hits on the host, the computed requests on the kind that ran them.
 func (s *server) release(kind hw.Kind) {
-	s.admission.DispatchedKind(hw.CPU, s.hitDone)
-	s.admission.DispatchedKind(kind, s.compDone)
+	s.admission.dispatchedKind(hw.CPU, s.hitDone)
+	s.admission.dispatchedKind(kind, s.compDone)
 }
 
 // shedBatch abandons a batch's cache-missing requests (no live worker, or
@@ -759,7 +759,7 @@ func (s *server) shedBatch(batch []Request, hit []bool) {
 		s.stats.Shed++
 		s.stats.PerClass[r.Class].Shed++
 	}
-	s.admission.Cancel(n)
+	s.admission.cancel(n)
 	s.release(hw.CPU)
 }
 
@@ -805,7 +805,7 @@ func (s *server) applyFailures(now float64) {
 	}
 	s.stats.FailedWorkers += n
 	alive := s.health.aliveCount(now)
-	s.admission.SetDegraded(float64(alive) / float64(len(s.pool)))
+	s.admission.setDegraded(float64(alive) / float64(len(s.pool)))
 	if alive == 0 {
 		return
 	}
@@ -817,7 +817,7 @@ func (s *server) applyFailures(now float64) {
 	}
 	for kind, c := range counts {
 		if c > 0 {
-			s.admission.SetKindCap(hw.Kind(kind), max(1, s.cfg.QueueCap*c/alive))
+			s.admission.setKindCap(hw.Kind(kind), max(1, s.cfg.QueueCap*c/alive))
 		}
 	}
 }
@@ -837,14 +837,14 @@ func (s *server) offer(r Request) error {
 			return err
 		}
 	}
-	if s.admission.ShedClass(r.Class) {
+	if s.admission.shedClass(r.Class) {
 		// Degraded-mode admission: shed the classes the surviving capacity
 		// can no longer afford, bulk before interactive.
 		s.stats.Shed++
 		s.stats.PerClass[r.Class].Shed++
 		return nil
 	}
-	if !s.admission.Admit(r.Arrival) {
+	if !s.admission.admit(r.Arrival) {
 		s.stats.Rejected++
 		s.stats.PerClass[r.Class].Rejected++
 		return nil
@@ -884,7 +884,7 @@ func (s *server) finish() (*Stats, error) {
 				SLOClass(c), cs.Offered, cs.Served, cs.Rejected, cs.Shed)
 		}
 	}
-	hits, _, evictions := s.cache.Stats()
+	hits, _, evictions := s.cache.stats()
 	stats.CacheHits = hits
 	stats.Evictions = evictions
 	if stats.Served > 0 {
@@ -957,7 +957,7 @@ func (s *server) run() (*Stats, error) {
 // pools: capacity split proportionally to the kind's worker count, so one
 // slow kind's late completions cannot occupy the whole queue and starve the
 // kinds that are keeping up. Single-kind pools keep the plain global bound.
-func setKindCaps(a *AdmissionController, pool []*worker, queueCap int) {
+func setKindCaps(a *admissionController, pool []*worker, queueCap int) {
 	var counts [hw.KindCount]int
 	kinds := 0
 	for _, w := range pool {
@@ -971,7 +971,7 @@ func setKindCaps(a *AdmissionController, pool []*worker, queueCap int) {
 	}
 	for kind, n := range counts {
 		if n > 0 {
-			a.SetKindCap(hw.Kind(kind), max(1, queueCap*n/len(pool)))
+			a.setKindCap(hw.Kind(kind), max(1, queueCap*n/len(pool)))
 		}
 	}
 }

@@ -38,7 +38,7 @@ func TestShardedCacheMatchesLegacyLRU(t *testing.T) {
 			rng := tensor.NewRNG(uint64(1000 + capacity))
 			legacy := NewEmbeddingCache(capacity)
 			sharded := NewShardedCache(capacity, 1, stride)
-			if got := sharded.Shards(); got != 1 {
+			if got := sharded.shardCount(); got != 1 {
 				t.Fatalf("asked for 1 shard, got %d", got)
 			}
 			randKey := func() CacheKey {
@@ -61,7 +61,7 @@ func TestShardedCacheMatchesLegacyLRU(t *testing.T) {
 				case 1, 2: // Get
 					k := randKey()
 					le, lr, lok := legacy.Get(k)
-					se, sr, sok := sharded.Get(k)
+					se, sr, sok := sharded.get(k)
 					if lok != sok || lr != sr {
 						t.Fatalf("op %d: Get(%v) legacy (%v,%v) sharded (%v,%v)", op, k, lr, lok, sr, sok)
 					}
@@ -103,12 +103,12 @@ func TestShardedCacheMatchesLegacyLRU(t *testing.T) {
 				}
 			}
 			lh, lm, le := legacy.Stats()
-			sh, sm, se := sharded.Stats()
+			sh, sm, se := sharded.stats()
 			if lh != sh || lm != sm || le != se {
 				t.Fatalf("counters diverged: legacy h%d m%d e%d, sharded h%d m%d e%d", lh, lm, le, sh, sm, se)
 			}
-			if legacy.Len() != sharded.Len() {
-				t.Fatalf("resident count diverged: %d vs %d", legacy.Len(), sharded.Len())
+			if legacy.Len() != sharded.count() {
+				t.Fatalf("resident count diverged: %d vs %d", legacy.Len(), sharded.count())
 			}
 			// Resident sets must match key for key (Peek leaves counters and
 			// LRU order untouched on both sides).
@@ -116,7 +116,7 @@ func TestShardedCacheMatchesLegacyLRU(t *testing.T) {
 				for ver := 1; ver <= 2; ver++ {
 					k := CacheKey{Vertex: v, Version: ver}
 					lr, lok := legacy.Peek(k)
-					sr, sok := sharded.Peek(k)
+					sr, sok := sharded.peek(k)
 					if lok != sok || lr != sr {
 						t.Fatalf("resident set diverged at %v: legacy (%v,%v) sharded (%v,%v)", k, lr, lok, sr, sok)
 					}
@@ -145,14 +145,14 @@ func TestShardedCacheBatchOpsMatchSequential(t *testing.T) {
 				}
 				checkResident := func(op int) {
 					t.Helper()
-					if batched.Len() != seq.Len() {
-						t.Fatalf("op %d: resident count %d batched, %d sequential", op, batched.Len(), seq.Len())
+					if batched.count() != seq.count() {
+						t.Fatalf("op %d: resident count %d batched, %d sequential", op, batched.count(), seq.count())
 					}
 					for v := int32(0); v < vertices; v++ {
 						for ver := 1; ver <= 2; ver++ {
 							k := CacheKey{Vertex: v, Version: ver}
-							br, bok := batched.Peek(k)
-							sr, sok := seq.Peek(k)
+							br, bok := batched.peek(k)
+							sr, sok := seq.peek(k)
 							if bok != sok || br != sr {
 								t.Fatalf("op %d: resident set diverged at %v: batched (%v,%v) sequential (%v,%v)",
 									op, k, br, bok, sr, sok)
@@ -174,7 +174,7 @@ func TestShardedCacheBatchOpsMatchSequential(t *testing.T) {
 					if rng.Uint64()%2 == 0 {
 						batched.GetMany(keys, ready, hit, embs)
 						for i, k := range keys {
-							se, sr, sok := seq.Get(k)
+							se, sr, sok := seq.get(k)
 							if sok != hit[i] || sr != ready[i] {
 								t.Fatalf("op %d: GetMany[%d]=%v batched (%v,%v) sequential (%v,%v)",
 									op, i, k, ready[i], hit[i], sr, sok)
@@ -197,8 +197,8 @@ func TestShardedCacheBatchOpsMatchSequential(t *testing.T) {
 						checkResident(op)
 					}
 				}
-				bh, bm, be := batched.Stats()
-				sh, sm, se := seq.Stats()
+				bh, bm, be := batched.stats()
+				sh, sm, se := seq.stats()
 				if bh != sh || bm != sm || be != se {
 					t.Fatalf("counters diverged: batched h%d m%d e%d, sequential h%d m%d e%d", bh, bm, be, sh, sm, se)
 				}
@@ -223,7 +223,7 @@ func TestShardedCacheShardClamp(t *testing.T) {
 		{3, -2, 1},
 	}
 	for _, c := range cases {
-		got := NewShardedCache(c.capacity, c.shards, 4).Shards()
+		got := NewShardedCache(c.capacity, c.shards, 4).shardCount()
 		if got != c.want {
 			t.Fatalf("NewShardedCache(cap=%d, shards=%d) settled on %d shards, want %d",
 				c.capacity, c.shards, got, c.want)
@@ -234,19 +234,19 @@ func TestShardedCacheShardClamp(t *testing.T) {
 	for v := int32(0); v < 1000; v++ {
 		c.Put(CacheKey{Vertex: v, Version: 1}, []float32{1, 2, 3, 4}, 0)
 	}
-	if c.Len() != 10 {
-		t.Fatalf("capacity-10 cache holds %d entries after 1000 puts", c.Len())
+	if c.count() != 10 {
+		t.Fatalf("capacity-10 cache holds %d entries after 1000 puts", c.count())
 	}
 	// Disabled cache: every Get misses, Put is a no-op.
 	off := NewShardedCache(0, 4, 4)
 	off.Put(CacheKey{Vertex: 1, Version: 1}, []float32{1}, 0)
-	if _, _, ok := off.Get(CacheKey{Vertex: 1, Version: 1}); ok {
+	if _, _, ok := off.get(CacheKey{Vertex: 1, Version: 1}); ok {
 		t.Fatal("disabled cache returned a hit")
 	}
-	if h, m, _ := off.Stats(); h != 0 || m != 1 {
+	if h, m, _ := off.stats(); h != 0 || m != 1 {
 		t.Fatalf("disabled cache counters h%d m%d, want h0 m1", h, m)
 	}
-	if off.Len() != 0 {
+	if off.count() != 0 {
 		t.Fatal("disabled cache holds entries")
 	}
 }
@@ -261,13 +261,13 @@ func TestShardedCachePutCopies(t *testing.T) {
 	buf := []float32{1, 2, 3, 4}
 	c.Put(k, buf, 1.0)
 	buf[0] = -99 // caller reuses its buffer
-	if emb, _, ok := c.Get(k); !ok || emb[0] != 1 {
+	if emb, _, ok := c.get(k); !ok || emb[0] != 1 {
 		t.Fatalf("insert retained the caller's slice: got %v", emb)
 	}
 	buf2 := []float32{9, 8, 7, 6}
 	c.Put(k, buf2, 2.0) // refresh
 	buf2[1] = -99
-	emb, at, ok := c.Get(k)
+	emb, at, ok := c.get(k)
 	if !ok || emb[1] != 8 || at != 2.0 {
 		t.Fatalf("refresh retained the caller's slice: got %v at %v", emb, at)
 	}
@@ -295,7 +295,7 @@ func TestShardedCacheZeroAlloc(t *testing.T) {
 		for _, k := range keys {
 			c.Put(k, emb, 1.0)
 		}
-		c.Get(keys[0])
+		c.get(keys[0])
 	}
 	for i := 0; i < 50; i++ {
 		iterate()

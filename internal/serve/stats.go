@@ -53,7 +53,7 @@ type ClassSLO struct {
 
 // ParseSLOTargets parses a per-class latency-target spec of the form
 // "interactive=2,standard=10,bulk=50" — values in milliseconds, classes named
-// as in ParseClass, each at most once. An empty spec returns nil (no deadline
+// as in parseClass, each at most once. An empty spec returns nil (no deadline
 // accounting).
 func ParseSLOTargets(spec string) ([]ClassSLO, error) {
 	spec = strings.TrimSpace(spec)
@@ -67,7 +67,7 @@ func ParseSLOTargets(spec string) ([]ClassSLO, error) {
 		if !ok {
 			return nil, fmt.Errorf("serve: SLO target %q is not class=millis", part)
 		}
-		class, err := ParseClass(strings.TrimSpace(key))
+		class, err := parseClass(strings.TrimSpace(key))
 		if err != nil {
 			return nil, err
 		}

@@ -45,11 +45,11 @@ func GenerateTrace(cfg Config) (*Trace, error) {
 // stream: the multi-cohort workload when Workload is set, the single Poisson
 // stream otherwise.
 func generateArrivals(cfg Config) ([]Request, error) {
-	var w *WorkloadStream
+	var w *workloadStream
 	var err error
 	numVertices, rng := cfg.Data.Graph.NumVertices, streamRNG(cfg)
 	if cfg.Workload != nil {
-		w, err = NewWorkloadStream(cfg.Workload, numVertices, rng)
+		w, err = newWorkloadStream(cfg.Workload, numVertices, rng)
 	} else {
 		w, err = newPoissonStream(numVertices, cfg.RatePerSec, cfg.ZipfExponent, rng)
 	}
@@ -58,7 +58,7 @@ func generateArrivals(cfg Config) ([]Request, error) {
 	}
 	reqs := make([]Request, cfg.NumRequests)
 	for i := range reqs {
-		reqs[i] = w.Next()
+		reqs[i] = w.next()
 	}
 	return reqs, nil
 }

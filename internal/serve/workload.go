@@ -39,8 +39,8 @@ func (c SLOClass) String() string {
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
-// ParseClass resolves a class name.
-func ParseClass(name string) (SLOClass, error) {
+// parseClass resolves a class name.
+func parseClass(name string) (SLOClass, error) {
 	switch name {
 	case "interactive":
 		return ClassInteractive, nil
@@ -81,8 +81,8 @@ func (d ArrivalDist) String() string {
 	return fmt.Sprintf("dist(%d)", uint8(d))
 }
 
-// ParseDist resolves a distribution name.
-func ParseDist(name string) (ArrivalDist, error) {
+// parseDist resolves a distribution name.
+func parseDist(name string) (ArrivalDist, error) {
 	switch name {
 	case "poisson":
 		return DistPoisson, nil
@@ -131,8 +131,8 @@ type WorkloadSpec struct {
 func finiteAtLeast(v, min float64) bool { return v >= min && !math.IsInf(v, 1) }
 func finitePositive(v float64) bool     { return v > 0 && !math.IsInf(v, 1) }
 
-// Validate checks the spec.
-func (w *WorkloadSpec) Validate() error {
+// validate checks the spec.
+func (w *WorkloadSpec) validate() error {
 	if len(w.Cohorts) == 0 {
 		return fmt.Errorf("serve: workload spec has no cohorts")
 	}
@@ -160,7 +160,7 @@ func (w *WorkloadSpec) Validate() error {
 
 // checkNumbers checks the cohort's numeric fields: a finite positive rate,
 // finite non-negative shape and Zipf exponent, and finite positive phase
-// durations and multipliers. Validate and the one-cohort Config stream both
+// durations and multipliers. validate and the one-cohort Config stream both
 // apply it.
 func (c *Cohort) checkNumbers() error {
 	if !finitePositive(c.RatePerSec) {
@@ -222,9 +222,9 @@ func ParseWorkloadSpec(s string) (*WorkloadSpec, error) {
 			var err error
 			switch key {
 			case "class":
-				c.Class, err = ParseClass(val)
+				c.Class, err = parseClass(val)
 			case "dist":
-				c.Dist, err = ParseDist(val)
+				c.Dist, err = parseDist(val)
 			case "rate":
 				c.RatePerSec, err = strconv.ParseFloat(val, 64)
 			case "shape":
@@ -242,7 +242,7 @@ func ParseWorkloadSpec(s string) (*WorkloadSpec, error) {
 		}
 		spec.Cohorts = append(spec.Cohorts, c)
 	}
-	if err := spec.Validate(); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	return spec, nil
@@ -397,25 +397,25 @@ func (cs *cohortStream) advance() {
 	cs.nextV = int32(v)
 }
 
-// WorkloadStream merges the cohorts of a WorkloadSpec into one deterministic
+// workloadStream merges the cohorts of a WorkloadSpec into one deterministic
 // arrival stream: each cohort samples on its own split RNG stream, and the
 // merge always yields the earliest pending arrival (ties broken by cohort
 // index), so the sequence is a pure function of (spec, numVertices, seed).
-type WorkloadStream struct {
+type workloadStream struct {
 	cohorts []cohortStream
 	nextID  int
 }
 
-// NewWorkloadStream builds the merged stream over numVertices vertices. The
+// newWorkloadStream builds the merged stream over numVertices vertices. The
 // rng is consumed to split one independent stream per cohort.
-func NewWorkloadStream(spec *WorkloadSpec, numVertices int, rng *tensor.RNG) (*WorkloadStream, error) {
-	if err := spec.Validate(); err != nil {
+func newWorkloadStream(spec *WorkloadSpec, numVertices int, rng *tensor.RNG) (*workloadStream, error) {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	if numVertices <= 0 {
 		return nil, fmt.Errorf("serve: non-positive vertex count %d", numVertices)
 	}
-	w := &WorkloadStream{cohorts: make([]cohortStream, len(spec.Cohorts))}
+	w := &workloadStream{cohorts: make([]cohortStream, len(spec.Cohorts))}
 	for i, c := range spec.Cohorts {
 		w.cohorts[i].init(c, numVertices, rng.Split())
 	}
@@ -425,9 +425,9 @@ func NewWorkloadStream(spec *WorkloadSpec, numVertices int, rng *tensor.RNG) (*W
 // newPoissonStream builds the Config.RatePerSec/ZipfExponent stream — the
 // synthetic open-loop workload: Poisson arrivals over vertices drawn from a
 // Zipf popularity distribution (exponent 0 is uniform), the skew that makes
-// an embedding cache earn its keep. It is a one-cohort WorkloadStream (class
+// an embedding cache earn its keep. It is a one-cohort workloadStream (class
 // standard, cohort 0) that draws from rng directly instead of a split.
-func newPoissonStream(numVertices int, ratePerSec, zipfExponent float64, rng arrivalRNG) (*WorkloadStream, error) {
+func newPoissonStream(numVertices int, ratePerSec, zipfExponent float64, rng arrivalRNG) (*workloadStream, error) {
 	if numVertices <= 0 {
 		return nil, fmt.Errorf("serve: non-positive vertex count %d", numVertices)
 	}
@@ -435,13 +435,13 @@ func newPoissonStream(numVertices int, ratePerSec, zipfExponent float64, rng arr
 	if err := c.checkNumbers(); err != nil {
 		return nil, err
 	}
-	w := &WorkloadStream{cohorts: make([]cohortStream, 1)}
+	w := &workloadStream{cohorts: make([]cohortStream, 1)}
 	w.cohorts[0].init(c, numVertices, rng)
 	return w, nil
 }
 
-// Next returns the next merged arrival (the stream is unbounded).
-func (w *WorkloadStream) Next() Request {
+// next returns the next merged arrival (the stream is unbounded).
+func (w *workloadStream) next() Request {
 	best := 0
 	for i := 1; i < len(w.cohorts); i++ {
 		if w.cohorts[i].nextAt < w.cohorts[best].nextAt {

@@ -42,7 +42,7 @@ func TestRequestStreamRedrawsZeroUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := s.Next()
+	r := s.next()
 	if r.Arrival <= 0 {
 		t.Fatalf("first arrival %v not strictly positive: the u == 0 draw was not redrawn", r.Arrival)
 	}
@@ -54,7 +54,7 @@ func TestRequestStreamRedrawsZeroUniform(t *testing.T) {
 	}
 	prev := r.Arrival
 	for i := 0; i < 100; i++ {
-		r = s.Next()
+		r = s.next()
 		if r.Arrival <= prev {
 			t.Fatalf("arrivals not strictly increasing: %v after %v", r.Arrival, prev)
 		}
@@ -78,7 +78,7 @@ func arrivalSig(reqs []Request) string {
 // goldenTraceArrivals is the first 16 of GenerateTrace on the golden serve
 // config with no Workload (12000 req/s, Zipf 1.1). Both were recorded from
 // the stand-alone RequestStream type at c72ae29, before the single-stream
-// path became a one-cohort WorkloadStream: that fold must not move a bit.
+// path became a one-cohort workloadStream: that fold must not move a bit.
 const goldenStreamArrivals = "0 13 0x1.3bdeefeca4051p-09 1 0\n" +
 	"1 0 0x1.4fb441e303c4fp-09 1 0\n" +
 	"2 0 0x1.2c64c8ef64b8ap-08 1 0\n" +
@@ -120,7 +120,7 @@ func TestSingleStreamArrivalGolden(t *testing.T) {
 	}
 	reqs := make([]Request, 16)
 	for i := range reqs {
-		reqs[i] = s.Next()
+		reqs[i] = s.next()
 	}
 	if got := arrivalSig(reqs); got != goldenStreamArrivals {
 		t.Errorf("stream arrivals drifted:\ngot:\n%swant:\n%s", got, goldenStreamArrivals)
@@ -208,18 +208,18 @@ func TestWorkloadStreamDeterministicAndOrdered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewWorkloadStream(spec, 500, tensor.NewRNG(9))
+	a, err := newWorkloadStream(spec, 500, tensor.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewWorkloadStream(spec, 500, tensor.NewRNG(9))
+	b, err := newWorkloadStream(spec, 500, tensor.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := 0.0
 	cohortPrev := make([]float64, len(spec.Cohorts))
 	for i := 0; i < 3000; i++ {
-		ra, rb := a.Next(), b.Next()
+		ra, rb := a.next(), b.next()
 		if ra != rb {
 			t.Fatalf("request %d diverged across same-seed streams: %+v vs %+v", i, ra, rb)
 		}
@@ -287,13 +287,13 @@ func TestDiurnalPhaseEnvelope(t *testing.T) {
 		Name: "diurnal", RatePerSec: 2000, Shape: 1,
 		Phases: []RatePhase{{0.5, 4}, {0.5, 0.2}},
 	}}}
-	w, err := NewWorkloadStream(spec, 100, tensor.NewRNG(5))
+	w, err := newWorkloadStream(spec, 100, tensor.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	hot, cold := 0, 0
 	for i := 0; i < 6000; i++ {
-		r := w.Next()
+		r := w.next()
 		if math.Mod(r.Arrival, 1.0) < 0.5 {
 			hot++
 		} else {

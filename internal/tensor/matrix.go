@@ -100,9 +100,9 @@ func (m *Matrix) Equal(other *Matrix) bool {
 	return true
 }
 
-// AllClose reports whether m and other have identical shape and all elements
+// allClose reports whether m and other have identical shape and all elements
 // within tol of each other (absolute difference).
-func (m *Matrix) AllClose(other *Matrix, tol float64) bool {
+func (m *Matrix) allClose(other *Matrix, tol float64) bool {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
 		return false
 	}

@@ -93,7 +93,7 @@ func TestMatMulMatchesNaive(t *testing.T) {
 		c := New(dims[0], dims[2])
 		MatMul(c, a, b)
 		want := naiveMatMul(a, b)
-		if !c.AllClose(want, 1e-3) {
+		if !c.allClose(want, 1e-3) {
 			t.Fatalf("MatMul mismatch at dims %v: maxdiff %g", dims, c.MaxAbsDiff(want))
 		}
 	}
@@ -124,7 +124,7 @@ func TestMatMulT(t *testing.T) {
 	c := New(7, 9)
 	MatMulT(c, a, b)
 	want := naiveMatMul(a, Transpose(b))
-	if !c.AllClose(want, 1e-3) {
+	if !c.allClose(want, 1e-3) {
 		t.Fatalf("MatMulT mismatch: %g", c.MaxAbsDiff(want))
 	}
 }
@@ -136,7 +136,7 @@ func TestTMatMul(t *testing.T) {
 	c := New(8, 3)
 	TMatMul(c, a, b)
 	want := naiveMatMul(Transpose(a), b)
-	if !c.AllClose(want, 1e-3) {
+	if !c.allClose(want, 1e-3) {
 		t.Fatalf("TMatMul mismatch: %g", c.MaxAbsDiff(want))
 	}
 }
