@@ -360,8 +360,8 @@ func (p *InferencePipeline) slotOf(res *InferResult) *inferSlot {
 // clock, starting no earlier than ready, and returns the virtual completion
 // time. Consecutive batches overlap stage-wise exactly as training
 // iterations do (sampling batch k+1 runs while batch k propagates) — on the
-// virtual clock, and in the serving loop on the wall clock too, which runs a
-// batch's Propagate on the worker's own goroutine, whenever the worker has
+// virtual clock, and in the serving loop on the wall clock too, which hands
+// a batch's Propagate to one of its executor goroutines, whenever there is
 // room, while it samples the worker's next batches into the other slots.
 func (p *InferencePipeline) CompleteAfter(ready float64, st perfmodel.StageTimes) float64 {
 	return p.clock.AdvanceAfter(ready, st)

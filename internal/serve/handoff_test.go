@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/fault"
 	"repro/internal/gnn"
@@ -161,44 +160,65 @@ func fullBatch(first int) []Request {
 	return batch
 }
 
-// gate replaces a worker's forward goroutine with one that runs each
-// handed-off forward only when the test lets it, so a test decides which
-// forwards have finished when the loop looks.
+// gate replaces an executor's goroutine with one that runs each handed-off
+// forward only when the test lets it, so a test decides which forwards have
+// finished when the loop looks.
 type gate struct {
 	release chan struct{}
-	ran     chan struct{}
+	ran     chan forward
 }
 
-// gateWorker swaps w's goroutine, with no forward outstanding, for a gated
-// one running the same Propagate; the gate opens when the test ends.
+// gates holds each gated executor's gate, so workers sharing an executor
+// share its gate.
+var gates = map[*executor]*gate{}
+
+// gateWorker gates w's executor, with no forward in flight: its goroutine is
+// swapped for one that runs each forward through the same executor.run once
+// the gate lets it. Workers sharing an executor share its gate, which opens
+// when the test ends.
 func gateWorker(t *testing.T, w *worker) *gate {
 	t.Helper()
-	if w.req == nil || w.pending != 0 {
+	e := w.exec
+	if e == nil || w.pending != 0 || e.inflight.Load() != 0 {
 		t.Fatal("gateWorker needs an idle worker with hand-offs live")
 	}
-	w.stop()
-	g := &gate{release: make(chan struct{}), ran: make(chan struct{}, len(w.out))}
-	w.req, w.done = make(chan *core.InferResult, len(w.out)), make(chan error, len(w.out))
+	if g := gates[e]; g != nil {
+		return g
+	}
+	depth := cap(e.req)
+	e.stop()
+	g := &gate{release: make(chan struct{}), ran: make(chan forward, depth)}
+	e.req, e.ws, e.exited = make(chan forward, depth), tensor.NewWorkspace(), make(chan struct{})
 	go func() {
-		defer close(w.done)
-		ws := tensor.NewWorkspace()
-		for res := range w.req {
+		defer close(e.exited)
+		for f := range e.req {
 			<-g.release
-			w.done <- w.pipe.Propagate(ws, res)
-			g.ran <- struct{}{}
+			e.run(f)
+			g.ran <- f
 		}
+		e.ws = nil
 	}()
-	t.Cleanup(func() { close(g.release) })
+	gates[e] = g
+	t.Cleanup(func() {
+		delete(gates, e)
+		close(g.release)
+	})
 	return g
 }
 
-// run lets the worker's next n handed-off forwards run and waits until they
-// have.
+// run lets the executor's next n handed-off forwards run and waits until
+// they have.
 func (g *gate) run(n int) {
 	for i := 0; i < n; i++ {
-		g.release <- struct{}{}
-		<-g.ran
+		g.next()
 	}
+}
+
+// next lets the executor's next handed-off forward run and returns it once
+// it has.
+func (g *gate) next() forward {
+	g.release <- struct{}{}
+	return <-g.ran
 }
 
 // dispatchAll dispatches the full batch from first on, closing at closeAt,
@@ -490,8 +510,8 @@ func TestHandoffOutstandingAcrossInsert(t *testing.T) {
 }
 
 // waitGoroutines waits up to a second for the goroutine count to fall back
-// to base: a stopped worker's goroutine has closed its channel and returns
-// right after.
+// to base: a stopped executor's goroutine has closed its exit channel and
+// returns right after.
 func waitGoroutines(t *testing.T, base int, what string) {
 	t.Helper()
 	deadline := time.Now().Add(time.Second)
@@ -503,16 +523,58 @@ func waitGoroutines(t *testing.T, base int, what string) {
 	}
 }
 
+// joined checks that the run's stop joined its executors: by the time it
+// returned, each one's goroutine had dropped its arena and signalled its exit.
+func joined(t *testing.T, s *server, what string) {
+	t.Helper()
+	if len(s.execs) == 0 {
+		t.Fatalf("%s: the run had no executors", what)
+	}
+	for i, e := range s.execs {
+		select {
+		case <-e.exited:
+		default:
+			t.Fatalf("%s: stop returned before executor %d's goroutine exited", what, i)
+		}
+		if e.req != nil || e.ws != nil {
+			t.Fatalf("%s: executor %d still holds its channel or its arena", what, i)
+		}
+	}
+}
+
 // Every return of a run — success, a sampling error, a handed-off
-// forward's error — drains the outstanding forwards and stops the workers'
-// goroutines; an error surfaces with its root cause and never hangs.
+// forward's error — drains the outstanding forwards and joins the
+// executors, whose arenas are then garbage (so a heap reading taken after a
+// run never counts them); an error surfaces with its root cause and never
+// hangs.
 func TestHandoffNoGoroutineLeak(t *testing.T) {
 	ds, m := grainSetup(t)
 	withProcs(4, func() {
 		base := runtime.NumGoroutine()
 		cfg := handoffConfig(t, ds, m)
-		if _, err := Run(cfg); err != nil {
+		s, err := newServer(cfg)
+		if err != nil {
 			t.Fatal(err)
+		}
+		collected := make(chan struct{}, len(s.execs))
+		for _, e := range s.execs {
+			runtime.SetFinalizer(e.ws, func(*tensor.Workspace) { collected <- struct{}{} })
+		}
+		if _, err := s.run(); err != nil {
+			t.Fatal(err)
+		}
+		joined(t, s, "success")
+		deadline := time.Now().Add(time.Second)
+		for n := 0; n < len(s.execs); {
+			runtime.GC()
+			select {
+			case <-collected:
+				n++
+			case <-time.After(time.Millisecond):
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d executor arenas still reachable after the run", len(s.execs)-n, len(s.execs))
+				}
+			}
 		}
 		waitGoroutines(t, base, "success")
 
@@ -524,8 +586,7 @@ func TestHandoffNoGoroutineLeak(t *testing.T) {
 		view.Graph = &graph
 		cfg = handoffConfig(t, &view, m)
 		cfg.Faults, cfg.CacheSize = nil, 0
-		s, err := newServer(cfg)
-		if err != nil {
+		if s, err = newServer(cfg); err != nil {
 			t.Fatal(err)
 		}
 		twoDeep := func() bool {
@@ -550,6 +611,7 @@ func TestHandoffNoGoroutineLeak(t *testing.T) {
 		if _, err := s.run(); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Fatalf("sampling error lost its root cause: %v", err)
 		}
+		joined(t, s, "sampling error")
 		waitGoroutines(t, base, "sampling error")
 
 		// A handed-off forward fails: the error surfaces where its batch
@@ -567,6 +629,168 @@ func TestHandoffNoGoroutineLeak(t *testing.T) {
 		if s.handoffs == 0 {
 			t.Fatal("no forward was handed off before the error")
 		}
+		joined(t, s, "forward error")
 		waitGoroutines(t, base, "forward error")
 	})
+}
+
+// fleetConfig serves the grain fixture on four FPGA workers and the CPU
+// peer (a pool of five) with the cache disabled, so that at GOMAXPROCS 2
+// and 4 some executor serves more than one worker.
+func fleetConfig(t *testing.T, ds *datagen.Dataset, m *gnn.Model) Config {
+	t.Helper()
+	cfg := handoffConfig(t, ds, m)
+	cfg.Faults, cfg.Workers, cfg.CacheSize = nil, 4, 0
+	return cfg
+}
+
+// There are min(GOMAXPROCS-1, len(pool)) executors, none at one proc, and
+// worker i hands its forwards to executor i mod n.
+func TestHandoffExecutorBinding(t *testing.T) {
+	ds, m := grainSetup(t)
+	pools := map[string]func(*Config){
+		"cpu":        func(cfg *Config) { cfg.Plat.Accels, cfg.CPUPeer = nil, false },
+		"fpga+peer":  func(cfg *Config) { cfg.Workers = 1 },
+		"4fpga+peer": func(cfg *Config) {},
+	}
+	for _, procs := range []int{1, 2, 4} {
+		for _, name := range []string{"cpu", "fpga+peer", "4fpga+peer"} {
+			t.Run(fmt.Sprintf("GOMAXPROCS=%d/%s", procs, name), func(t *testing.T) {
+				cfg := fleetConfig(t, ds, m)
+				pools[name](&cfg)
+				s := handoffServer(t, cfg, procs)
+				n := min(procs-1, len(s.pool))
+				if len(s.execs) != n || s.handoff != (n > 0) {
+					t.Fatalf("pool of %d: %d executors (hand-off %v), want %d", len(s.pool), len(s.execs), s.handoff, n)
+				}
+				for i, w := range s.pool {
+					var want *executor
+					if n > 0 {
+						want = s.execs[i%n]
+					}
+					if w.exec != want {
+						t.Fatalf("worker %d is bound to the wrong executor", i)
+					}
+				}
+			})
+		}
+	}
+}
+
+// gatedFleet serves fleetConfig at procs with every executor gated, and its
+// inline twin at one proc with the cache enabled on both. It dispatches the
+// same full batches to both, all closing at the same instant so the router
+// spreads them over the pool, until a worker has sampled into each of its
+// slots once (one more could wait on a held forward). After each dispatch
+// it calls check with the batch's worker and whether it was handed off.
+func gatedFleet(t *testing.T, ds *datagen.Dataset, m *gnn.Model, procs int, check func(s *server, wi int, handed bool)) (*server, *server) {
+	t.Helper()
+	cfg := fleetConfig(t, ds, m)
+	cfg.CacheSize = 4096
+	s, inline := handoffServer(t, cfg, procs), handoffServer(t, cfg, 1)
+	for _, w := range s.pool {
+		gateWorker(t, w)
+	}
+	depth := len(s.pool[0].out)
+	for i := 0; ; i++ {
+		for _, w := range s.pool {
+			if w.samples == depth {
+				return s, inline
+			}
+		}
+		before := s.handoffs
+		dispatchAll(t, 100*i, 1e-3, s, inline)
+		check(s, s.stats.Routes[len(s.stats.Routes)-1], s.handoffs > before)
+	}
+}
+
+// A gated executor never holds more than Depth()-2 forwards in flight
+// across its workers: once it does, a further batch for any of them runs
+// inline even though its own worker has room.
+func TestHandoffExecutorBound(t *testing.T) {
+	ds, m := grainSetup(t)
+	for _, procs := range []int{2, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			full, bounded := 0, 0
+			check := func(s *server, wi int, handed bool) {
+				room := len(s.pool[0].out) - 2
+				for i, e := range s.execs {
+					held, holders := 0, 0
+					for _, w := range s.pool {
+						if w.exec == e && outstanding(w) > 0 {
+							held += outstanding(w)
+							holders++
+						}
+					}
+					if in := int(e.inflight.Load()); in != held || in > room {
+						t.Fatalf("executor %d: %d in flight, its workers hold %d, bound %d", i, in, held, room)
+					}
+					if held == room && holders > 1 {
+						full++
+					}
+				}
+				if !handed && outstanding(s.pool[wi]) < room {
+					bounded++
+				}
+			}
+			gatedFleet(t, ds, m, procs, check)
+			t.Logf("%d dispatches found an executor full across its workers, %d ran inline at the bound", full, bounded)
+			if full == 0 || bounded == 0 {
+				t.Fatalf("no executor reached its bound across two workers (%d) or no batch ran inline at it (%d)", full, bounded)
+			}
+		})
+	}
+}
+
+// Each worker's forwards settle in hand-off order, whichever of the
+// executor's workers handed them off: the executor runs them first in,
+// first out, and the forward that has just run is its worker's oldest
+// outstanding batch, which settles without waiting. Settled, the cache is
+// the inline run's bit for bit.
+func TestHandoffSettlesInHandoffOrder(t *testing.T) {
+	ds, m := grainSetup(t)
+	for _, procs := range []int{2, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			queued := map[*executor][]forward{}
+			check := func(s *server, wi int, handed bool) {
+				if w := s.pool[wi]; handed {
+					queued[w.exec] = append(queued[w.exec], forward{w: w, res: w.out[(w.samples-1)%len(w.out)].res})
+				}
+			}
+			s, inline := gatedFleet(t, ds, m, procs, check)
+			shared := false
+			for e, fs := range queued {
+				g := gates[e]
+				for _, want := range fs {
+					shared = shared || want.w != fs[0].w
+					if got := g.next(); got != want {
+						t.Fatal("the executor ran a forward out of hand-off order")
+					}
+					w := want.w
+					oldest := -1
+					for k := range w.out {
+						if i := (w.samples + k) % len(w.out); w.out[i].res != nil {
+							oldest = i
+							break
+						}
+					}
+					if w.out[oldest].res != want.res {
+						t.Fatal("the forward that ran is not its worker's oldest outstanding batch")
+					}
+					if settled, err := s.settle(w, oldest, false); err != nil || !settled {
+						t.Fatalf("the forward that ran did not settle without waiting (settled %v, error %v)", settled, err)
+					}
+				}
+			}
+			if !shared {
+				t.Fatal("no executor ran forwards of two workers: the order would test less than it claims")
+			}
+			if err := s.settleAll(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(cacheDump(s.cache), cacheDump(inline.cache)) {
+				t.Fatal("final cache differs from the inline run's")
+			}
+		})
+	}
 }

@@ -15,34 +15,38 @@
 //
 // Every decision — lookup, placement, sampling, the clock charge, the cache
 // insert and the ledger — runs on the event loop's one goroutine. Only the
-// numeric forward (core.InferencePipeline.Propagate) may leave it: with
-// GOMAXPROCS > 1, a batch's forward runs on its worker's own goroutine
-// whenever the worker has room, while the loop carries on, executing the
-// "sampling batch k+1 runs while batch k propagates" overlap the clock
-// charges. A worker's pipeline holds Depth() batches, one per slot, and the
-// worker keeps up to Depth()-2 forwards outstanding; when it has no room the
-// loop runs the forward itself (caller runs). No decision reads a forward's
-// output, so the Stats are the inline run's bit for bit. An outstanding batch
-// *settles* — its forward's outcome is taken and its rows are copied into the
-// cache entries its dispatch inserted — at its worker's first dispatch that
-// finds the forward finished, and at the latest, waiting for it, before its
-// slot is sampled again (the worker's Depth()-th next dispatch) and before
-// Run returns. Between its insert and its settle other batches insert too:
-// the cache's sequence stamps keep a late row from landing over an entry a
-// newer insert wrote.
+// numeric forward (core.InferencePipeline.Propagate) may leave it, for one
+// of the run's executors: min(GOMAXPROCS-1, len(pool)) goroutines, none at
+// one proc, so the loop keeps a processor of its own and never queues behind
+// the forwards it hands off. Worker i hands its forwards to executor i mod n,
+// which runs them one at a time in hand-off order, while the loop carries on,
+// executing the "sampling batch k+1 runs while batch k propagates" overlap
+// the clock charges. A worker's pipeline holds Depth() batches, one per slot;
+// the loop hands a forward off while its worker has fewer than Depth()-2
+// outstanding and its executor fewer than Depth()-2 in flight, and otherwise
+// runs the forward itself (caller runs). No decision reads a forward's
+// output, so the Stats are the inline run's bit for bit. An outstanding
+// batch *settles* — its forward's outcome is taken and its rows are copied
+// into the cache entries its dispatch inserted — at its worker's first
+// dispatch that finds the forward finished, and at the latest, waiting for
+// it, before its slot is sampled again (the worker's Depth()-th next
+// dispatch) and before Run returns. Between its insert and its settle other
+// batches insert too: the cache's sequence stamps keep a late row from
+// landing over an entry a newer insert wrote.
 //
 // The event loop is allocation-free in steady state (gated by
 // TestServingSteadyStateZeroAlloc): batches ping-pong between two retained
 // buffers, cache lookups and inserts run through batch APIs over
 // preallocated scratch, per-vertex dedup uses a generation-stamped array,
 // the per-device service-time memo is a dense slice, and a hand-off is one
-// send and one receive on the worker's channels.
+// send on the executor's channel and one receive on the worker's.
 package serve
 
 import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -150,62 +154,80 @@ type Config struct {
 // ServiceSec memo (they depend only on the computed-target count, which the
 // size cap bounds; the server prefills 1..MaxBatch at construction).
 //
-// With GOMAXPROCS > 1 the worker also owns a goroutine that runs its
-// batches' Propagate in hand-off order: req hands it a sampled batch, done
-// returns each forward's error in the same order (and is closed when the
-// goroutine exits). Both are buffered to the pipeline's depth, so neither a
-// hand-off nor a finished forward waits for the other side to be scheduled.
-// out has one entry per pipeline slot: out[i] is the outstanding batch of
-// slot i — its result, and the cache entries (and the insert's sequence
-// number) its rows land in when it settles; res nil when none. pending
-// counts the outstanding batches. req is nil when every forward runs inline.
+// With GOMAXPROCS > 1 the worker hands its forwards to exec, which returns
+// each forward's error on done in hand-off order; done is buffered to the
+// pipeline's depth, so a finished forward never waits for the loop. out has
+// one entry per pipeline slot: out[i] is the outstanding batch of slot i —
+// its result, and the cache entries (and the insert's sequence number) its
+// rows land in when it settles; res nil when none. pending counts the
+// outstanding batches. exec is nil when every forward runs inline.
 type worker struct {
 	pipe  *core.InferencePipeline
 	stats DeviceStats
 
-	req     chan *core.InferResult
+	exec    *executor
 	done    chan error
 	samples int // Samples run on pipe
 	out     []handoff
 	pending int
 }
 
-// handoff is one forward outstanding on a worker's goroutine.
+// handoff is one forward outstanding on a worker's executor.
 type handoff struct {
 	res  *core.InferResult
 	keys []CacheKey
 	seq  uint64
 }
 
-// start launches the worker's forward goroutine, which runs every forward
-// in one arena of its own.
-func (w *worker) start() {
-	w.req, w.done = make(chan *core.InferResult, len(w.out)), make(chan error, len(w.out))
+// forward is one hand-off: the batch res that worker w sampled.
+type forward struct {
+	w   *worker
+	res *core.InferResult
+}
+
+// executor is a goroutine that runs the forwards its workers hand off, one
+// at a time in hand-off order, in one arena of its own. req is buffered to
+// its workers' total depth, so a hand-off never waits; inflight counts the
+// forwards handed off whose Propagate has not returned. exited is closed
+// once the goroutine has dropped its arena.
+type executor struct {
+	req      chan forward
+	inflight atomic.Int32
+	ws       *tensor.Workspace
+	exited   chan struct{}
+}
+
+// start launches the executor's goroutine over a fresh arena.
+func (e *executor) start() {
+	e.ws, e.exited = tensor.NewWorkspace(), make(chan struct{})
 	go func() {
-		defer close(w.done)
-		ws := tensor.NewWorkspace()
-		for res := range w.req {
-			w.done <- w.pipe.Propagate(ws, res)
+		defer close(e.exited)
+		for f := range e.req {
+			e.run(f)
 		}
+		e.ws = nil
 	}()
 }
 
-// stop waits out the outstanding forwards, whatever their outcome, then
-// stops the goroutine and waits for it to exit. Stopping a stopped worker
-// is a no-op.
-func (w *worker) stop() {
-	if w.req == nil {
+// run propagates one handed-off forward and returns its error to its worker.
+// The in-flight count drops before the worker hears, so the loop never sees
+// a settled forward still in flight.
+func (e *executor) run(f forward) {
+	err := f.w.pipe.Propagate(e.ws, f.res)
+	e.inflight.Add(-1)
+	f.w.done <- err
+}
+
+// stop lets the executor run what it was handed, then waits until its
+// goroutine has dropped its arena and is exiting. Stopping a stopped
+// executor is a no-op.
+func (e *executor) stop() {
+	if e.req == nil {
 		return
 	}
-	for ; w.pending > 0; w.pending-- {
-		<-w.done
-	}
-	for i := range w.out {
-		w.out[i].res = nil
-	}
-	close(w.req)
-	<-w.done
-	w.req = nil
+	close(e.req)
+	<-e.exited
+	e.req = nil
 }
 
 // workerBindings resolves the pool's device bindings in
@@ -260,9 +282,11 @@ type server struct {
 	sloTargets  [NumClasses]float64
 	haveSLO     bool
 
-	// handoff is set when the workers' goroutines run (GOMAXPROCS > 1, the
-	// rule RunEpoch applies to its prefetch worker); handoffs counts the
-	// forwards that ran on them.
+	// execs are the run's executors, min(GOMAXPROCS-1, len(pool)) of them;
+	// handoff is set when there are any (GOMAXPROCS > 1, the rule RunEpoch
+	// applies to its prefetch worker), and handoffs counts the forwards
+	// that ran on them.
+	execs    []*executor
 	handoff  bool
 	handoffs int
 
@@ -285,8 +309,8 @@ type server struct {
 }
 
 // newServer validates cfg and assembles a run (the entry point Run and the
-// benchmarks share). With GOMAXPROCS > 1 it starts one goroutine per worker;
-// every caller stops them with stop.
+// benchmarks share). With GOMAXPROCS > 1 it starts the executors; every
+// caller stops them with stop.
 func newServer(cfg Config) (*server, error) {
 	if cfg.NumRequests <= 0 {
 		return nil, fmt.Errorf("serve: non-positive request count %d", cfg.NumRequests)
@@ -434,7 +458,6 @@ func newServer(cfg Config) (*server, error) {
 		retryBudget: retryBudget,
 		sloTargets:  sloTargets,
 		haveSLO:     haveSLO,
-		handoff:     runtime.GOMAXPROCS(0) > 1,
 
 		keys:      make([]CacheKey, cfg.MaxBatch),
 		ready:     make([]float64, cfg.MaxBatch),
@@ -448,14 +471,35 @@ func newServer(cfg Config) (*server, error) {
 	}
 	for _, w := range pool {
 		w.out = make([]handoff, w.pipe.Depth())
-		if s.handoff {
-			for i := range w.out {
-				w.out[i].keys = make([]CacheKey, 0, cfg.MaxBatch)
-			}
-			w.start()
-		}
 	}
+	s.startExecutors(min(runtime.GOMAXPROCS(0)-1, len(pool)))
 	return s, nil
+}
+
+// startExecutors starts n executors, none when n < 1 (every forward then
+// runs inline), and binds worker i to executor i mod n.
+func (s *server) startExecutors(n int) {
+	if n < 1 {
+		return
+	}
+	s.handoff = true
+	s.execs = make([]*executor, n)
+	depth := make([]int, n)
+	for i, w := range s.pool {
+		depth[i%n] += len(w.out)
+	}
+	for i := range s.execs {
+		s.execs[i] = &executor{req: make(chan forward, depth[i])}
+	}
+	for i, w := range s.pool {
+		for j := range w.out {
+			w.out[j].keys = make([]CacheKey, 0, s.cfg.MaxBatch)
+		}
+		w.exec, w.done = s.execs[i%n], make(chan error, len(w.out))
+	}
+	for _, e := range s.execs {
+		e.start()
+	}
 }
 
 // streamRNG derives the arrival stream's RNG from cfg.Seed: the seed stream
@@ -592,13 +636,14 @@ func (s *server) place(batch []Request, hit []bool, closeAt float64) (prediction
 // the scripted stall/straggler windows exactly as routing predicted them: a
 // stalled start enters the pipeline past the window, a straggler's stages are
 // inflated. It returns the batch result and its virtual completion time, and
-// whether the batch's forward is left to the worker's goroutine (async; see
+// whether the batch's forward is left to the worker's executor (async; see
 // complete) rather than already run inline. Once the batch is sampled, the
 // loop settles, without waiting, every forward the worker has already
-// finished; the batch is then handed off when the goroutines run and the
-// worker has fewer than Depth()-2 forwards outstanding. With no room the
-// loop runs the forward itself rather than wait (caller runs), so the
-// worker's goroutine stays fed and the loop rarely parks on it.
+// finished; the batch is then handed off when executors run, the worker has
+// fewer than Depth()-2 forwards outstanding and its executor fewer than
+// Depth()-2 in flight. With no room the loop runs the forward itself rather
+// than wait (caller runs): a forward queued behind a long FIFO would hold
+// the slot the loop's next Sample on that worker must rebuild.
 func (s *server) execute(p prediction) (*core.InferResult, float64, bool, error) {
 	w := s.pool[p.worker]
 	// Sample rebuilds the slot of the worker's Depth()-th previous batch:
@@ -620,7 +665,8 @@ func (s *server) execute(p prediction) (*core.InferResult, float64, bool, error)
 			break
 		}
 	}
-	async := s.handoff && w.pending < len(w.out)-2
+	room := len(w.out) - 2
+	async := s.handoff && w.pending < room && w.exec.inflight.Load() < int32(room)
 	if !async {
 		if err := w.pipe.Propagate(w.pipe.Arena(), res); err != nil {
 			return nil, 0, false, err
@@ -634,8 +680,8 @@ func (s *server) execute(p prediction) (*core.InferResult, float64, bool, error)
 // cache, its computed requests are answered at done, and the run, device and
 // admission counters take its share. An async batch's entries are inserted
 // here all the same — same keys, ready time and LRU position — with no value;
-// its forward is handed to the worker last, and its rows land when it
-// settles, unless a newer insert has rewritten the entry by then.
+// its forward is handed to the worker's executor last, and its rows land
+// when it settles, unless a newer insert has rewritten the entry by then.
 func (s *server) complete(batch []Request, hit []bool, wi int, res *core.InferResult, done float64, async, redispatched bool) error {
 	if redispatched {
 		s.stats.Redispatched++
@@ -679,7 +725,8 @@ func (s *server) complete(batch []Request, hit []bool, wi int, res *core.InferRe
 		h.keys = append(h.keys[:0], s.putKeys...)
 		h.res, h.seq = res, seq
 		w.pending++
-		w.req <- res
+		w.exec.inflight.Add(1)
+		w.exec.req <- forward{w: w, res: res}
 		s.handoffs++
 	}
 	return nil
@@ -730,11 +777,20 @@ func (s *server) settleAll() error {
 	return nil
 }
 
-// stop drains every outstanding forward and stops the workers' goroutines —
-// on every way out of a run, error or not.
+// stop waits out every outstanding forward, whatever its outcome, and joins
+// the executors — on every way out of a run, error or not — so once it
+// returns no executor holds its arena. Stopping a stopped server is a no-op.
 func (s *server) stop() {
 	for _, w := range s.pool {
-		w.stop()
+		for ; w.pending > 0; w.pending-- {
+			<-w.done
+		}
+		for i := range w.out {
+			w.out[i].res = nil
+		}
+	}
+	for _, e := range s.execs {
+		e.stop()
 	}
 }
 
