@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"math"
+	"os"
 	"strconv"
 	"strings"
 
@@ -81,39 +81,35 @@ type options struct {
 	serveSLO string
 }
 
-// runSpec is a fully validated run: the scaled dataset spec, resolved model
-// kind and platform, and constructors for the runtime configs that only
-// need the materialized dataset.
+// runSpec is a fully validated run: the scaled dataset spec, the training
+// and serving configs the runtime packages validated, and the rest of the
+// flags that only cmd/hyscale interprets.
 type runSpec struct {
-	Spec    datagen.Spec
-	Kind    gnn.Kind
-	Plat    hw.Platform
-	Fanouts []int
+	Spec datagen.Spec
+	// Core is the training config and Serve the serving one (zero without
+	// -serve). Both lack only the dataset and, for Serve, the model, which
+	// the run fills in once they exist.
+	Core  core.Config
+	Serve serve.Config
 	// SIMD is the parsed -simd dispatch level ("auto" resolves to the
 	// detected ceiling here; asking for a level the CPU lacks fails later,
 	// at SetSIMDLevel time, so syntax and capability errors stay distinct).
 	SIMD tensor.SIMDLevel
-	// Pipeline is the parsed -pipeline epoch schedule (serial|prefetch).
-	Pipeline core.PipelineMode
-	// Workload is the parsed -serve-workload cohort spec (nil = the
-	// one-cohort -serve-rate/-serve-zipf stream).
-	Workload *serve.WorkloadSpec
-	// Formation is the normalized -serve-formation policy name.
-	Formation string
 	// TraceMode/TracePath are the parsed -serve-trace directive
-	// ("record" or "replay"; empty = no trace).
+	// ("record" or "replay"; empty = no trace). A replayed trace is read
+	// here, into Serve.Replay.
 	TraceMode string
 	TracePath string
 	// Faults is the parsed -faults schedule (nil = fault-free).
 	Faults *fault.Schedule
-	// SLOTargets is the parsed -serve-slo per-class deadline spec.
-	SLOTargets []serve.ClassSLO
-	opts       options
+	opts   options
 }
 
 // buildConfig resolves and validates every flag. Bad values return errors
-// (never panics): unknown names, non-positive counts, and incompatible mode
-// combinations are all rejected here, before any work starts.
+// (never panics), before any work starts: cmd/hyscale checks the flags no
+// runtime package owns — names, -scale, -tensor-par, the epoch and node
+// counts, the -faults plane against the mode and the -serve-trace directive
+// — and core.Config.Validate and serve.Config.Validate check the rest.
 func buildConfig(o options) (*runSpec, error) {
 	spec, err := datagen.SpecByName(o.dataset)
 	if err != nil {
@@ -122,20 +118,22 @@ func buildConfig(o options) (*runSpec, error) {
 	if o.scale < 1 {
 		return nil, fmt.Errorf("-scale %d: need at least 1", o.scale)
 	}
-	r := &runSpec{Spec: spec.Scaled(o.scale), Fanouts: []int{25, 10}, opts: o}
+	r := &runSpec{Spec: spec.Scaled(o.scale), opts: o}
+	var kind gnn.Kind
 	switch strings.ToLower(o.model) {
 	case "gcn":
-		r.Kind = gnn.GCN
+		kind = gnn.GCN
 	case "sage", "graphsage":
-		r.Kind = gnn.SAGE
+		kind = gnn.SAGE
 	default:
 		return nil, fmt.Errorf("unknown model %q", o.model)
 	}
+	var plat hw.Platform
 	switch o.platform {
 	case "cpu-gpu":
-		r.Plat = hw.CPUGPUPlatform()
+		plat = hw.CPUGPUPlatform()
 	case "cpu-fpga":
-		r.Plat = hw.CPUFPGAPlatform()
+		plat = hw.CPUFPGAPlatform()
 	default:
 		return nil, fmt.Errorf("unknown platform %q", o.platform)
 	}
@@ -144,11 +142,9 @@ func buildConfig(o options) (*runSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		plat, err := hw.HeteroPlatform(kinds...)
-		if err != nil {
+		if plat, err = hw.HeteroPlatform(kinds...); err != nil {
 			return nil, fmt.Errorf("-accels %q: %w", o.accels, err)
 		}
-		r.Plat = plat
 	}
 	if o.epochs < 0 {
 		return nil, fmt.Errorf("-epochs %d: negative", o.epochs)
@@ -156,21 +152,12 @@ func buildConfig(o options) (*runSpec, error) {
 	if o.tensorPar < 0 {
 		return nil, fmt.Errorf("-tensor-par %d: negative (0 means up to one goroutine per CPU)", o.tensorPar)
 	}
-	lvl, err := tensor.ParseSIMDLevel(o.simd)
-	if err != nil {
+	if r.SIMD, err = tensor.ParseSIMDLevel(o.simd); err != nil {
 		return nil, fmt.Errorf("-simd %q: %w", o.simd, err)
 	}
-	r.SIMD = lvl
 	pipe, err := core.ParsePipelineMode(o.pipeline)
 	if err != nil {
 		return nil, fmt.Errorf("-pipeline %q: %w", o.pipeline, err)
-	}
-	r.Pipeline = pipe
-	if o.batch < 1 {
-		return nil, fmt.Errorf("-batch %d: need at least 1", o.batch)
-	}
-	if !finitePositive(o.lr) {
-		return nil, fmt.Errorf("-lr %v: need a finite positive learning rate", o.lr)
 	}
 	if o.nodes < 1 {
 		return nil, fmt.Errorf("-nodes %d: need at least 1", o.nodes)
@@ -194,86 +181,89 @@ func buildConfig(o options) (*runSpec, error) {
 		}
 		r.Faults = sched
 	}
-	if o.serveMode {
-		if o.nodes > 1 {
-			return nil, fmt.Errorf("-serve with -nodes %d: serving a partitioned fleet is not supported", o.nodes)
+	fanouts := []int{25, 10}
+	r.Core = core.Config{
+		Plat:             plat,
+		Model:            gnn.Config{Kind: kind, Dims: r.Spec.FeatDims},
+		LR:               float32(o.lr),
+		BatchSize:        o.batch,
+		Fanouts:          fanouts,
+		Hybrid:           o.hybrid,
+		TFP:              o.tfp,
+		DRM:              o.drm,
+		QuantizeTransfer: o.quantize,
+		UseSaint:         o.saint,
+		Pipeline:         pipe,
+		Seed:             o.seed,
+	}
+	if err := r.Core.Validate(); err != nil {
+		return nil, err
+	}
+	if !o.serveMode {
+		return r, nil
+	}
+	if o.nodes > 1 {
+		return nil, fmt.Errorf("-serve with -nodes %d: serving a partitioned fleet is not supported", o.nodes)
+	}
+	r.Serve = serve.Config{
+		Plat:             plat,
+		Fanouts:          fanouts,
+		NumRequests:      o.serveRequests,
+		RatePerSec:       o.serveRate,
+		ZipfExponent:     o.serveZipf,
+		MaxBatch:         o.serveBatch,
+		WindowSec:        o.serveWindowUs * 1e-6,
+		Workers:          o.serveWorkers,
+		CPUPeer:          o.servePeer,
+		SmallBatchCut:    o.serveSmall,
+		Formation:        o.serveFormation,
+		QueueCap:         o.serveQueue,
+		CacheSize:        o.serveCache,
+		CacheShards:      o.serveShards,
+		RouteTrace:       o.routeTrace,
+		QuantizeTransfer: o.quantize,
+		Seed:             o.seed,
+		Faults:           r.Faults,
+		RetryBudget:      o.retryBudget,
+	}
+	if o.serveWorkload != "" {
+		if r.Serve.Workload, err = serve.ParseWorkloadSpec(o.serveWorkload); err != nil {
+			return nil, fmt.Errorf("-serve-workload: %w", err)
 		}
-		if !finitePositive(o.serveRate) {
-			return nil, fmt.Errorf("-serve-rate %v: need a finite positive request rate", o.serveRate)
+	}
+	if o.serveSLO != "" {
+		if r.Serve.SLOTargets, err = serve.ParseSLOTargets(o.serveSLO); err != nil {
+			return nil, fmt.Errorf("-serve-slo: %w", err)
 		}
-		if o.serveRequests < 1 {
-			return nil, fmt.Errorf("-serve-requests %d: need at least 1", o.serveRequests)
+	}
+	if o.serveTrace != "" {
+		mode, path, ok := strings.Cut(o.serveTrace, "=")
+		if !ok || path == "" || (mode != "record" && mode != "replay") {
+			return nil, fmt.Errorf("-serve-trace %q: want record=PATH or replay=PATH", o.serveTrace)
 		}
-		if o.serveBatch < 1 {
-			return nil, fmt.Errorf("-serve-batch %d: need at least 1", o.serveBatch)
-		}
-		if !finiteAtLeast(o.serveWindowUs, 0) {
-			return nil, fmt.Errorf("-serve-window-us %v: need a finite non-negative window", o.serveWindowUs)
-		}
-		if o.serveWorkers < 1 {
-			return nil, fmt.Errorf("-serve-workers %d: need at least 1", o.serveWorkers)
-		}
-		if o.serveSmall < 0 {
-			return nil, fmt.Errorf("-serve-small %d: negative", o.serveSmall)
-		}
-		if o.serveSmall > 0 && !o.servePeer && len(r.Plat.Accels) > 0 {
-			return nil, fmt.Errorf("-serve-small %d: the small-batch split needs -serve-cpu-peer", o.serveSmall)
-		}
-		if o.serveQueue < 1 {
-			return nil, fmt.Errorf("-serve-queue %d: need at least 1", o.serveQueue)
-		}
-		if o.serveBatch > o.serveQueue {
-			return nil, fmt.Errorf("-serve-batch %d exceeds -serve-queue %d: admission holds at most the queue, so no batch can be larger",
-				o.serveBatch, o.serveQueue)
-		}
-		if o.serveCache < 0 {
-			return nil, fmt.Errorf("-serve-cache %d: negative", o.serveCache)
-		}
-		if !finiteAtLeast(o.serveZipf, 0) {
-			return nil, fmt.Errorf("-serve-zipf %v: need a finite non-negative exponent", o.serveZipf)
-		}
-		if o.serveShards < 0 {
-			return nil, fmt.Errorf("-serve-shards %d: negative", o.serveShards)
-		}
-		formation, err := serve.ParseFormation(o.serveFormation)
-		if err != nil {
-			return nil, fmt.Errorf("-serve-formation %q: %w", o.serveFormation, err)
-		}
-		r.Formation = formation
-		if o.serveWorkload != "" {
-			spec, err := serve.ParseWorkloadSpec(o.serveWorkload)
-			if err != nil {
-				return nil, fmt.Errorf("-serve-workload: %w", err)
+		r.TraceMode, r.TracePath = mode, path
+		if mode == "replay" {
+			if r.Serve.Replay, err = readTrace(path); err != nil {
+				return nil, fmt.Errorf("-serve-trace %q: %w", o.serveTrace, err)
 			}
-			r.Workload = spec
+			r.Serve.NumRequests = min(r.Serve.NumRequests, len(r.Serve.Replay.Requests))
 		}
-		if o.serveSLO != "" {
-			targets, err := serve.ParseSLOTargets(o.serveSLO)
-			if err != nil {
-				return nil, fmt.Errorf("-serve-slo: %w", err)
-			}
-			r.SLOTargets = targets
-		}
-		if o.serveTrace != "" {
-			mode, path, ok := strings.Cut(o.serveTrace, "=")
-			if !ok || path == "" || (mode != "record" && mode != "replay") {
-				return nil, fmt.Errorf("-serve-trace %q: want record=PATH or replay=PATH", o.serveTrace)
-			}
-			if mode == "replay" && r.Workload != nil {
-				return nil, fmt.Errorf("-serve-trace replay with -serve-workload: a replayed trace already pins the arrival stream")
-			}
-			r.TraceMode, r.TracePath = mode, path
-		}
+	}
+	if err := r.Serve.Validate(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// finiteAtLeast reports whether v is a finite number ≥ min, finitePositive
-// whether it is a finite number > 0 — NaN and ±Inf are neither, though a bare
-// comparison lets them through. serve's workload validation states the same
-// rule for the same numbers.
-func finiteAtLeast(v, min float64) bool { return v >= min && !math.IsInf(v, 1) }
-func finitePositive(v float64) bool     { return v > 0 && !math.IsInf(v, 1) }
+// readTrace reads the serving trace recorded at path.
+func readTrace(path string) (*serve.Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return serve.ReadTrace(f)
+}
 
 // maxAccels bounds the -accels fleet: paper Fig. 9 stops at 16 accelerators
 // (and saturates near 12), so 64 leaves what-if room while a typo
@@ -317,55 +307,4 @@ func parseAccelSpec(s string) ([]hw.Kind, error) {
 		}
 	}
 	return kinds, nil
-}
-
-// coreConfig assembles the training runtime config for a materialized
-// dataset.
-func (r *runSpec) coreConfig(ds *datagen.Dataset) core.Config {
-	return core.Config{
-		Plat:             r.Plat,
-		Data:             ds,
-		Model:            gnn.Config{Kind: r.Kind, Dims: r.Spec.FeatDims},
-		LR:               float32(r.opts.lr),
-		BatchSize:        r.opts.batch,
-		Fanouts:          r.Fanouts,
-		Hybrid:           r.opts.hybrid,
-		TFP:              r.opts.tfp,
-		DRM:              r.opts.drm,
-		QuantizeTransfer: r.opts.quantize,
-		UseSaint:         r.opts.saint,
-		Pipeline:         r.Pipeline,
-		Seed:             r.opts.seed,
-	}
-}
-
-// serveConfig assembles the serving config for a materialized dataset and a
-// trained model.
-func (r *runSpec) serveConfig(ds *datagen.Dataset, model *gnn.Model) serve.Config {
-	return serve.Config{
-		Plat:             r.Plat,
-		Data:             ds,
-		Model:            model,
-		Fanouts:          r.Fanouts,
-		ModelVersion:     1 + r.opts.epochs, // version advances with training
-		NumRequests:      r.opts.serveRequests,
-		RatePerSec:       r.opts.serveRate,
-		ZipfExponent:     r.opts.serveZipf,
-		MaxBatch:         r.opts.serveBatch,
-		WindowSec:        r.opts.serveWindowUs * 1e-6,
-		Workers:          r.opts.serveWorkers,
-		CPUPeer:          r.opts.servePeer,
-		SmallBatchCut:    r.opts.serveSmall,
-		Workload:         r.Workload,
-		Formation:        r.Formation,
-		QueueCap:         r.opts.serveQueue,
-		CacheSize:        r.opts.serveCache,
-		CacheShards:      r.opts.serveShards,
-		RouteTrace:       r.opts.routeTrace,
-		QuantizeTransfer: r.opts.quantize,
-		Seed:             r.opts.seed,
-		Faults:           r.Faults,
-		RetryBudget:      r.opts.retryBudget,
-		SLOTargets:       r.SLOTargets,
-	}
 }

@@ -35,17 +35,17 @@ func TestBuildConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Kind != gnn.SAGE {
-		t.Fatalf("kind = %v", r.Kind)
+	if r.Core.Model.Kind != gnn.SAGE {
+		t.Fatalf("kind = %v", r.Core.Model.Kind)
 	}
-	if r.Plat.Name == "" || len(r.Plat.Accels) == 0 {
-		t.Fatalf("platform not resolved: %+v", r.Plat)
+	if r.Core.Plat.Name == "" || len(r.Core.Plat.Accels) == 0 {
+		t.Fatalf("platform not resolved: %+v", r.Core.Plat)
 	}
 	if r.Spec.NumVertices <= 0 || r.Spec.NumVertices >= 2_449_029 {
 		t.Fatalf("spec not scaled: %d vertices", r.Spec.NumVertices)
 	}
-	if len(r.Fanouts) != r.Spec.Layers() {
-		t.Fatalf("%d fanouts for %d layers", len(r.Fanouts), r.Spec.Layers())
+	if len(r.Core.Fanouts) != r.Spec.Layers() {
+		t.Fatalf("%d fanouts for %d layers", len(r.Core.Fanouts), r.Spec.Layers())
 	}
 }
 
@@ -58,11 +58,8 @@ func TestBuildConfigPipelineMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Pipeline != core.PipelinePrefetch {
-		t.Fatalf("pipeline = %v, want prefetch", r.Pipeline)
-	}
-	if got := r.coreConfig(nil).Pipeline; got != core.PipelinePrefetch {
-		t.Fatalf("coreConfig pipeline = %v, want prefetch", got)
+	if r.Core.Pipeline != core.PipelinePrefetch {
+		t.Fatalf("pipeline = %v, want prefetch", r.Core.Pipeline)
 	}
 	o.pipeline = "overlapped"
 	if _, err := buildConfig(o); err == nil || !strings.Contains(err.Error(), "pipeline") {
@@ -81,8 +78,8 @@ func TestBuildConfigResolvesAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Kind != gnn.GCN {
-		t.Fatalf("kind = %v, want GCN", r.Kind)
+	if r.Core.Model.Kind != gnn.GCN {
+		t.Fatalf("kind = %v, want GCN", r.Core.Model.Kind)
 	}
 }
 
@@ -96,19 +93,19 @@ func TestBuildConfigAccelsSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Plat.Accels) != 3 {
-		t.Fatalf("fleet size %d, want 3", len(r.Plat.Accels))
+	if len(r.Core.Plat.Accels) != 3 {
+		t.Fatalf("fleet size %d, want 3", len(r.Core.Plat.Accels))
 	}
 	wantKinds := []hw.Kind{hw.GPU, hw.GPU, hw.FPGA}
 	for i, k := range wantKinds {
-		if r.Plat.Accels[i].Kind != k {
-			t.Fatalf("device %d kind %v, want %v", i, r.Plat.Accels[i].Kind, k)
+		if r.Core.Plat.Accels[i].Kind != k {
+			t.Fatalf("device %d kind %v, want %v", i, r.Core.Plat.Accels[i].Kind, k)
 		}
 	}
-	if len(r.Plat.AccelLinks) != 3 {
-		t.Fatalf("per-device links missing: %v", r.Plat.AccelLinks)
+	if len(r.Core.Plat.AccelLinks) != 3 {
+		t.Fatalf("per-device links missing: %v", r.Core.Plat.AccelLinks)
 	}
-	if r.Plat.AccelLink(0).Name == r.Plat.AccelLink(2).Name {
+	if r.Core.Plat.AccelLink(0).Name == r.Core.Plat.AccelLink(2).Name {
 		t.Fatal("GPU and FPGA should sit on different links")
 	}
 
@@ -117,8 +114,8 @@ func TestBuildConfigAccelsSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Plat.Accels) != 1 || r.Plat.Accels[0].Kind != hw.FPGA {
-		t.Fatalf("bare-kind spec: %+v", r.Plat.Accels)
+	if len(r.Core.Plat.Accels) != 1 || r.Core.Plat.Accels[0].Kind != hw.FPGA {
+		t.Fatalf("bare-kind spec: %+v", r.Core.Plat.Accels)
 	}
 
 	o.accels = "" // no override: the -platform preset stands
@@ -126,8 +123,8 @@ func TestBuildConfigAccelsSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Plat.Accels) != 4 {
-		t.Fatalf("platform preset lost: %d accels", len(r.Plat.Accels))
+	if len(r.Core.Plat.Accels) != 4 {
+		t.Fatalf("platform preset lost: %d accels", len(r.Core.Plat.Accels))
 	}
 }
 
@@ -184,7 +181,9 @@ func FuzzParseAccelSpec(f *testing.F) {
 }
 
 // Every bad value must come back as an error mentioning the culprit — never
-// a panic, never a silent default.
+// a panic, never a silent default. The training and serving values are
+// rejected by core.Config.Validate and serve.Config.Validate, so their
+// errors name the Config field or the rule, not the flag.
 func TestBuildConfigRejectsBadValues(t *testing.T) {
 	cases := map[string]struct {
 		mutate func(*options)
@@ -196,30 +195,30 @@ func TestBuildConfigRejectsBadValues(t *testing.T) {
 		"scale":            {func(o *options) { o.scale = 0 }, "-scale"},
 		"epochs":           {func(o *options) { o.epochs = -1 }, "-epochs"},
 		"no-training":      {func(o *options) { o.epochs = 0 }, "-epochs"},
-		"batch":            {func(o *options) { o.batch = 0 }, "-batch"},
-		"lr":               {func(o *options) { o.lr = 0 }, "-lr"},
-		"lr-nan":           {func(o *options) { o.lr = math.NaN() }, "-lr"},
-		"lr-inf":           {func(o *options) { o.lr = math.Inf(1) }, "-lr"},
+		"batch":            {func(o *options) { o.batch = 0 }, "batch size 0"},
+		"lr":               {func(o *options) { o.lr = 0 }, "learning rate 0"},
+		"lr-nan":           {func(o *options) { o.lr = math.NaN() }, "learning rate NaN"},
+		"lr-inf":           {func(o *options) { o.lr = math.Inf(1) }, "learning rate +Inf"},
 		"nodes":            {func(o *options) { o.nodes = 0 }, "-nodes"},
 		"serve+nodes":      {func(o *options) { o.serveMode = true; o.nodes = 4 }, "-serve"},
-		"serve-rate":       {func(o *options) { o.serveMode = true; o.serveRate = 0 }, "-serve-rate"},
-		"serve-rate-nan":   {func(o *options) { o.serveMode = true; o.serveRate = math.NaN() }, "-serve-rate"},
-		"serve-rate-inf":   {func(o *options) { o.serveMode = true; o.serveRate = math.Inf(1) }, "-serve-rate"},
-		"serve-requests":   {func(o *options) { o.serveMode = true; o.serveRequests = 0 }, "-serve-requests"},
-		"serve-batch":      {func(o *options) { o.serveMode = true; o.serveBatch = 0 }, "-serve-batch"},
-		"serve-window":     {func(o *options) { o.serveMode = true; o.serveWindowUs = -1 }, "-serve-window-us"},
-		"serve-window-nan": {func(o *options) { o.serveMode = true; o.serveWindowUs = math.NaN() }, "-serve-window-us"},
-		"serve-window-inf": {func(o *options) { o.serveMode = true; o.serveWindowUs = math.Inf(1) }, "-serve-window-us"},
-		"serve-workers":    {func(o *options) { o.serveMode = true; o.serveWorkers = 0 }, "-serve-workers"},
-		"serve-queue":      {func(o *options) { o.serveMode = true; o.serveQueue = 0 }, "-serve-queue"},
-		"batch-over-queue": {func(o *options) { o.serveMode = true; o.serveBatch = 2048 }, "-serve-batch 2048 exceeds"},
-		"serve-cache":      {func(o *options) { o.serveMode = true; o.serveCache = -1 }, "-serve-cache"},
-		"serve-zipf":       {func(o *options) { o.serveMode = true; o.serveZipf = -0.5 }, "-serve-zipf"},
-		"serve-zipf-nan":   {func(o *options) { o.serveMode = true; o.serveZipf = math.NaN() }, "-serve-zipf"},
-		"serve-zipf-inf":   {func(o *options) { o.serveMode = true; o.serveZipf = math.Inf(1) }, "-serve-zipf"},
-		"serve-small":      {func(o *options) { o.serveMode = true; o.serveSmall = -1 }, "-serve-small"},
-		"serve-shards":     {func(o *options) { o.serveMode = true; o.serveShards = -1 }, "-serve-shards"},
-		"small-no-peer":    {func(o *options) { o.serveMode = true; o.serveSmall = 4 }, "-serve-cpu-peer"},
+		"serve-rate":       {func(o *options) { o.serveMode = true; o.serveRate = 0 }, "rate 0"},
+		"serve-rate-nan":   {func(o *options) { o.serveMode = true; o.serveRate = math.NaN() }, "rate NaN"},
+		"serve-rate-inf":   {func(o *options) { o.serveMode = true; o.serveRate = math.Inf(1) }, "rate +Inf"},
+		"serve-requests":   {func(o *options) { o.serveMode = true; o.serveRequests = 0 }, "NumRequests 0"},
+		"serve-batch":      {func(o *options) { o.serveMode = true; o.serveBatch = 0 }, "max batch 0"},
+		"serve-window":     {func(o *options) { o.serveMode = true; o.serveWindowUs = -1 }, "batch window -1e-06"},
+		"serve-window-nan": {func(o *options) { o.serveMode = true; o.serveWindowUs = math.NaN() }, "batch window NaN"},
+		"serve-window-inf": {func(o *options) { o.serveMode = true; o.serveWindowUs = math.Inf(1) }, "batch window +Inf"},
+		"serve-workers":    {func(o *options) { o.serveMode = true; o.serveWorkers = -1 }, "Workers -1"},
+		"serve-queue":      {func(o *options) { o.serveMode = true; o.serveQueue = -1 }, "QueueCap -1"},
+		"batch-over-queue": {func(o *options) { o.serveMode = true; o.serveBatch = 2048 }, "MaxBatch 2048 exceeds"},
+		"serve-cache":      {func(o *options) { o.serveMode = true; o.serveCache = -1 }, "CacheSize -1"},
+		"serve-zipf":       {func(o *options) { o.serveMode = true; o.serveZipf = -0.5 }, "Zipf exponent -0.5"},
+		"serve-zipf-nan":   {func(o *options) { o.serveMode = true; o.serveZipf = math.NaN() }, "Zipf exponent NaN"},
+		"serve-zipf-inf":   {func(o *options) { o.serveMode = true; o.serveZipf = math.Inf(1) }, "Zipf exponent +Inf"},
+		"serve-small":      {func(o *options) { o.serveMode = true; o.serveSmall = -1 }, "small-batch cut -1"},
+		"serve-shards":     {func(o *options) { o.serveMode = true; o.serveShards = -1 }, "CacheShards -1"},
+		"small-no-peer":    {func(o *options) { o.serveMode = true; o.serveSmall = 4 }, "SmallBatchCut 4 needs the CPU peer"},
 		"multinode-0ep":    {func(o *options) { o.nodes = 2; o.epochs = 0 }, "multi-node"},
 	}
 	for name, tc := range cases {
@@ -232,6 +231,36 @@ func TestBuildConfigRejectsBadValues(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %q does not name %q", name, err, tc.want)
 		}
+	}
+}
+
+// -serve-workers 0 and -serve-queue 0 mean what serve.Config says they mean
+// (every accelerator, and the default queue bound), so the CLI accepts them.
+func TestBuildConfigServeZeroMeansDefault(t *testing.T) {
+	o := validOptions()
+	o.serveMode = true
+	o.serveWorkers, o.serveQueue = 0, 0
+	r, err := buildConfig(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Serve.Workers != 0 || r.Serve.QueueCap != 0 {
+		t.Fatalf("zero knobs rewritten: workers %d, queue %d", r.Serve.Workers, r.Serve.QueueCap)
+	}
+}
+
+// A value the serving plane rejects fails the run before the dataset is
+// materialized: the error comes back and "Materializing" is never printed.
+func TestRunRejectsBeforeMaterializing(t *testing.T) {
+	o := validOptions()
+	o.serveMode = true
+	o.serveCache = -1
+	out, err := captureStdout(t, func() error { return run(o) })
+	if err == nil || !strings.Contains(err.Error(), "CacheSize -1") {
+		t.Fatalf("err = %v, want one naming CacheSize -1", err)
+	}
+	if strings.Contains(out, "Materializing") {
+		t.Fatalf("the run materialized before rejecting its config:\n%s", out)
 	}
 }
 
@@ -257,14 +286,14 @@ func TestConfigConstructors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := r.coreConfig(nil) // dataset wired by the caller; translation only
+	cc := r.Core // dataset wired by the caller; translation only
 	if cc.BatchSize != 256 || cc.LR != 0.3 || !cc.Hybrid || !cc.TFP || !cc.DRM {
 		t.Fatalf("core config lost flags: %+v", cc)
 	}
 	if len(cc.Fanouts) != 2 || cc.Fanouts[0] != 25 {
 		t.Fatalf("fanouts = %v", cc.Fanouts)
 	}
-	sc := r.serveConfig(nil, nil)
+	sc := r.Serve
 	if sc.MaxBatch != 32 || sc.WindowSec != 500e-6 || sc.CacheSize != 4096 ||
 		sc.RatePerSec != 5000 || sc.QueueCap != 1024 {
 		t.Fatalf("serve config lost flags: %+v", sc)
@@ -274,9 +303,6 @@ func TestConfigConstructors(t *testing.T) {
 	}
 	if sc.CacheShards != 4 || !sc.RouteTrace {
 		t.Fatalf("serve data-plane flags lost: %+v", sc)
-	}
-	if sc.ModelVersion != 1+o.epochs {
-		t.Fatalf("model version %d", sc.ModelVersion)
 	}
 }
 
@@ -331,8 +357,9 @@ func TestBuildConfigSIMD(t *testing.T) {
 	}
 }
 
-// The serving workload, formation, and trace flags parse and normalize, and
-// bad directives are rejected before any work starts.
+// The serving workload, formation, and trace flags parse and reach the
+// serving config, a replayed trace is read up front, and bad directives are
+// rejected before any work starts.
 func TestBuildConfigServeWorkloadFlags(t *testing.T) {
 	o := validOptions()
 	o.serveMode = true
@@ -343,18 +370,37 @@ func TestBuildConfigServeWorkloadFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Workload == nil || len(r.Workload.Cohorts) != 2 {
-		t.Fatalf("workload spec not parsed: %+v", r.Workload)
+	if r.Serve.Workload == nil || len(r.Serve.Workload.Cohorts) != 2 {
+		t.Fatalf("workload spec not parsed: %+v", r.Serve.Workload)
 	}
-	if r.Formation != serve.FormationPriority {
-		t.Fatalf("formation = %q, want normalized %q", r.Formation, serve.FormationPriority)
+	if r.Serve.Formation != "priority-fcfs" {
+		t.Fatalf("formation = %q, want the flag's %q", r.Serve.Formation, "priority-fcfs")
 	}
 	if r.TraceMode != "record" || r.TracePath != "/tmp/hyscale-trace.txt" {
 		t.Fatalf("trace directive parsed to (%q, %q)", r.TraceMode, r.TracePath)
 	}
-	cfg := r.serveConfig(nil, nil)
-	if cfg.Workload != r.Workload || cfg.Formation != serve.FormationPriority {
-		t.Fatalf("serveConfig did not wire workload/formation: %+v", cfg)
+
+	// A replayed trace is read here, and serves at most its own length.
+	replay := filepath.Join(t.TempDir(), "trace.txt")
+	f, err := os.Create(replay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &serve.Trace{Requests: []serve.Request{{ID: 0, Vertex: 1, Arrival: 1e-3}, {ID: 1, Vertex: 2, Arrival: 2e-3}}}
+	if err := serve.WriteTrace(f, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	o = validOptions()
+	o.serveMode = true
+	o.serveTrace = "replay=" + replay
+	if r, err = buildConfig(o); err != nil {
+		t.Fatal(err)
+	}
+	if r.Serve.Replay == nil || len(r.Serve.Replay.Requests) != 2 || r.Serve.NumRequests != 2 {
+		t.Fatalf("replayed trace not read: %+v requests %d", r.Serve.Replay, r.Serve.NumRequests)
 	}
 
 	bad := []func(*options){
@@ -364,8 +410,9 @@ func TestBuildConfigServeWorkloadFlags(t *testing.T) {
 		func(o *options) { o.serveTrace = "record=" },
 		func(o *options) { // replay contradicts a generated workload
 			o.serveWorkload = "web,rate=100"
-			o.serveTrace = "replay=/tmp/x"
+			o.serveTrace = "replay=" + replay
 		},
+		func(o *options) { o.serveTrace = "replay=" + filepath.Join(t.TempDir(), "missing") },
 	}
 	for i, mutate := range bad {
 		b := validOptions()
@@ -392,10 +439,10 @@ func TestBuildConfigFaultFlags(t *testing.T) {
 	if r.Faults == nil || len(r.Faults.Events) != 2 {
 		t.Fatalf("fault schedule not parsed: %+v", r.Faults)
 	}
-	if len(r.SLOTargets) != 3 {
-		t.Fatalf("SLO targets not parsed: %+v", r.SLOTargets)
+	cfg := r.Serve
+	if len(cfg.SLOTargets) != 3 {
+		t.Fatalf("SLO targets not parsed: %+v", cfg.SLOTargets)
 	}
-	cfg := r.serveConfig(nil, nil)
 	if cfg.Faults != r.Faults || cfg.RetryBudget != 3 || len(cfg.SLOTargets) != 3 {
 		t.Fatalf("serveConfig did not wire the fault plane: %+v", cfg)
 	}
@@ -560,7 +607,9 @@ func TestRunReportsHeldOutAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := core.NewEngine(r.coreConfig(ds))
+	cfg := r.Core
+	cfg.Data = ds
+	e, err := core.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

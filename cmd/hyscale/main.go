@@ -81,16 +81,16 @@ func main() {
 	flag.IntVar(&o.serveRequests, "serve-requests", 20000, "serving: requests in the open-loop stream")
 	flag.IntVar(&o.serveBatch, "serve-batch", 32, "serving: dynamic batcher's max batch size")
 	flag.Float64Var(&o.serveWindowUs, "serve-window-us", 500, "serving: dynamic batcher's max-wait deadline (µs)")
-	flag.IntVar(&o.serveWorkers, "serve-workers", 2, "serving: accelerator workers (capped at the platform's accelerators; each binds one device)")
+	flag.IntVar(&o.serveWorkers, "serve-workers", 2, "serving: accelerator workers (capped at the platform's accelerators; each binds one device; 0 = every accelerator)")
 	flag.BoolVar(&o.servePeer, "serve-cpu-peer", false, "serving: add a host-CPU worker to the pool (kind-aware routing's landing spot for small batches)")
 	flag.IntVar(&o.serveSmall, "serve-small", 0, "serving: route batches with at most this many cache-missing targets to the CPU peer (0 disables; needs -serve-cpu-peer)")
-	flag.IntVar(&o.serveQueue, "serve-queue", 1024, "serving: admission-control queue capacity")
+	flag.IntVar(&o.serveQueue, "serve-queue", 1024, "serving: admission-control queue capacity (0 = the default of 1024)")
 	flag.IntVar(&o.serveCache, "serve-cache", 4096, "serving: embedding-cache capacity in entries (0 disables)")
 	flag.Float64Var(&o.serveZipf, "serve-zipf", 1.1, "serving: Zipf exponent of vertex popularity (0 = uniform)")
 	flag.IntVar(&o.serveShards, "serve-shards", 1, "serving: embedding-cache shards, hash-partitioned LRUs each holding its share of -serve-cache (rounded down to a power of two; 1 keeps the global-LRU eviction order)")
 	flag.BoolVar(&o.routeTrace, "route-trace", false, "serving: record a per-batch routing decision trace (chosen worker plus every counterfactual) and print the head of it")
 	flag.StringVar(&o.serveWorkload, "serve-workload", "", "serving: multi-cohort workload spec, e.g. 'web,rate=4000,class=interactive,zipf=1.1;etl,rate=1500,dist=weibull,shape=0.7,class=bulk' (replaces -serve-rate/-serve-zipf)")
-	flag.StringVar(&o.serveFormation, "serve-formation", "", "serving: batch-formation policy: fcfs (default) | priority | sjf")
+	flag.StringVar(&o.serveFormation, "serve-formation", "fcfs", "serving: batch-formation policy: fcfs | priority | sjf")
 	flag.StringVar(&o.serveTrace, "serve-trace", "", "serving: record=PATH records the arrival stream to PATH and replays it in-run; replay=PATH serves a recorded trace")
 	flag.StringVar(&o.faults, "faults", "", "deterministic fault schedule: serving events like 'fail,worker=1,at=0.05;slow,worker=0,from=0.02,to=0.04,factor=3' (needs -serve) or cluster events like 'fail,node=2,at=iter:5;degrade,link,from=iter:2,to=iter:6,factor=4' (needs -nodes > 1); empty runs fault-free")
 	flag.IntVar(&o.retryBudget, "retry-budget", 0, "serving: re-dispatch attempts per batch after a worker failure (0 = default of 2, negative = no retries)")
@@ -131,7 +131,8 @@ func run(o options) error {
 // part whose end -memprofile records: the
 // training run (single- or multi-node) and, under -serve, the request stream.
 func runPlanes(o options, r *runSpec, ds *datagen.Dataset) error {
-	coreCfg := r.coreConfig(ds)
+	coreCfg := r.Core
+	coreCfg.Data = ds
 	return withEpochCSV(o.trace, func(rec *trace.Recorder) error {
 		if o.nodes > 1 {
 			return runMultiNode(coreCfg, r, o.nodes, o.epochs, rec)
@@ -191,7 +192,7 @@ func runSingleNode(r *runSpec, coreCfg core.Config, o options, rec *trace.Record
 		return nil, err
 	}
 	fmt.Printf("Training %s on %s (hybrid=%v tfp=%v drm=%v quantize=%v saint=%v pipeline=%s)\n\n",
-		r.Kind, r.Plat.Name, o.hybrid, o.tfp, o.drm, o.quantize, o.saint, r.Pipeline)
+		coreCfg.Model.Kind, coreCfg.Plat.Name, o.hybrid, o.tfp, o.drm, o.quantize, o.saint, coreCfg.Pipeline)
 	var fpgaAgg, fpgaUpd, fpgaTraffic int64
 	fmt.Printf("%-6s %-10s %-10s %-14s %-10s\n", "epoch", "loss", "accuracy", "virtual-epoch", "MTEPS")
 	for ep := 0; ep < o.epochs; ep++ {
@@ -242,7 +243,8 @@ func inSync(d float64) error {
 
 // runServe drives the open-loop stream against the trained model.
 func runServe(r *runSpec, ds *datagen.Dataset, model *gnn.Model) error {
-	cfg := r.serveConfig(ds, model)
+	cfg := r.Serve
+	cfg.Data, cfg.Model = ds, model
 	switch r.TraceMode {
 	case "record":
 		// Record the configured stream once, persist it, and replay it in-run
@@ -265,24 +267,7 @@ func runServe(r *runSpec, ds *datagen.Dataset, model *gnn.Model) error {
 		fmt.Printf("\nrecorded %d arrivals to %s\n", len(tr.Requests), r.TracePath)
 		cfg.Workload, cfg.Replay = nil, tr
 	case "replay":
-		f, err := os.Open(r.TracePath)
-		if err != nil {
-			return err
-		}
-		tr, err := serve.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\nreplaying %d recorded arrivals from %s\n", len(tr.Requests), r.TracePath)
-		cfg.Replay = tr
-		if cfg.NumRequests > len(tr.Requests) {
-			cfg.NumRequests = len(tr.Requests)
-		}
-	}
-	peer := ""
-	if cfg.CPUPeer {
-		peer = " + CPU peer"
+		fmt.Printf("\nreplaying %d recorded arrivals from %s\n", len(cfg.Replay.Requests), r.TracePath)
 	}
 	stream := fmt.Sprintf("at %.0f req/s (Zipf %.2f)", cfg.RatePerSec, cfg.ZipfExponent)
 	if cfg.Workload != nil {
@@ -290,9 +275,8 @@ func runServe(r *runSpec, ds *datagen.Dataset, model *gnn.Model) error {
 	} else if cfg.Replay != nil {
 		stream = "from the recorded trace"
 	}
-	fmt.Printf("\nServing %d requests %s (batch ≤%d, window %.0fµs, formation %s, cache %d, %d workers%s)\n\n",
-		cfg.NumRequests, stream, cfg.MaxBatch,
-		cfg.WindowSec*1e6, cfg.Formation, cfg.CacheSize, cfg.Workers, peer)
+	fmt.Printf("\nServing %d requests %s (batch ≤%d, window %.0fµs, formation %s, cache %d)\n\n",
+		cfg.NumRequests, stream, cfg.MaxBatch, cfg.WindowSec*1e6, cfg.Formation, cfg.CacheSize)
 	st, err := serve.Run(cfg)
 	if err != nil {
 		return err

@@ -81,27 +81,39 @@ func (e *Engine) slot(i int) *iterSlot {
 	return e.slots[i]
 }
 
-// NewEngine validates the configuration and builds the runtime: the model
-// and its optimizer (NewSGD checks the learning rate), the design-phase task
-// mapping from the performance model, the DRM engine when enabled, and the
-// runtime layers (defaulting to the single-node pipeline clock and identity
-// gradient sync).
+// Validate checks every rule of c that needs no dataset — the learning rate
+// (optim.NewSGD's rule), the batch size, the pipeline mode and the model's
+// shape (gnn.Config.Validate) — and names the rejected value in its error.
+// NewEngine calls it first; a front end calls it to reject a bad
+// configuration before it materializes a dataset.
+func (c Config) Validate() error {
+	if _, err := optim.NewSGD(c.LR); err != nil {
+		return err
+	}
+	if c.BatchSize <= 0 {
+		return fmt.Errorf("core: non-positive batch size %d", c.BatchSize)
+	}
+	if c.Pipeline != PipelineSerial && c.Pipeline != PipelinePrefetch {
+		return fmt.Errorf("core: unknown pipeline mode %d", int(c.Pipeline))
+	}
+	return c.Model.Validate()
+}
+
+// NewEngine validates the configuration (Config.Validate, then the dataset
+// against the model) and builds the runtime: the model and its optimizer,
+// the design-phase task mapping from the performance model, the DRM engine
+// when enabled, and the runtime layers (defaulting to the single-node
+// pipeline clock and identity gradient sync).
 func NewEngine(cfg Config) (*Engine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Data == nil {
 		return nil, fmt.Errorf("core: nil dataset")
 	}
 	opt, err := optim.NewSGD(cfg.LR)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.BatchSize <= 0 {
-		return nil, fmt.Errorf("core: non-positive batch size %d", cfg.BatchSize)
-	}
-	if cfg.Pipeline != PipelineSerial && cfg.Pipeline != PipelinePrefetch {
-		return nil, fmt.Errorf("core: unknown pipeline mode %d", int(cfg.Pipeline))
-	}
-	if len(cfg.Model.Dims) < 2 {
-		return nil, fmt.Errorf("core: model needs at least 2 dims, got %v", cfg.Model.Dims)
 	}
 	if err := checkFeatures(cfg.Data, cfg.Model.Dims[0]); err != nil {
 		return nil, err

@@ -148,15 +148,15 @@ type Model struct {
 
 // NewModel builds a model with fresh parameters.
 func NewModel(cfg Config, rng *tensor.RNG) (*Model, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Model{Cfg: cfg, Params: NewParameters(cfg, rng)}, nil
 }
 
-// validate checks what every model needs: a known kind and at least one
+// Validate checks what every model needs: a known kind and at least one
 // layer of positive widths.
-func (c Config) validate() error {
+func (c Config) Validate() error {
 	if len(c.Dims) < 2 {
 		return fmt.Errorf("gnn: need at least 2 dims, got %v", c.Dims)
 	}

@@ -108,7 +108,7 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, err
 	}
 	cfg := Config{Kind: Kind(kind), Dims: dims}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	L := cfg.Layers()

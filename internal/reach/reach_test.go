@@ -65,7 +65,6 @@ var allowed = map[string]string{
 	"(*sampler.Block).Validate": "block invariant checker the sampler and accel tests assert",
 
 	// serve's introspection accessors, which tests read state through.
-	"(*serve.DynamicBatcher).formationName":     "batch-formation policy a test reads back",
 	"(*serve.DynamicBatcher).pendingLen":        "queued requests the batcher tests count",
 	"(*serve.ShardedCache).peek":                "reads an entry without touching recency (cache equivalence tests)",
 	"(*serve.ShardedCache).count":               "entry count the cache tests check",

@@ -13,10 +13,7 @@ import (
 // TestSetKindCapEdgeCases: cap 0 removes the bound even while the kind holds
 // in-flight work; a negative cap clamps to 0 (removed), not to a tiny bound.
 func TestSetKindCapEdgeCases(t *testing.T) {
-	a, err := newAdmissionController(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newAdmissionController(8)
 	a.setKindCap(hw.FPGA, 2)
 	for i := 0; i < 2; i++ {
 		if !a.admit(0) {
@@ -57,10 +54,7 @@ func TestSetKindCapEdgeCases(t *testing.T) {
 // follows the bulk → standard → never-interactive order as the degraded
 // fraction falls, and cancel releases waiting slots.
 func TestDegradedAdmission(t *testing.T) {
-	a, err := newAdmissionController(16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newAdmissionController(16)
 	if a.shedClass(ClassBulk) || a.shedClass(ClassStandard) || a.shedClass(ClassInteractive) {
 		t.Fatal("healthy fleet sheds")
 	}
@@ -91,7 +85,7 @@ func TestDegradedAdmission(t *testing.T) {
 	// cancel releases waiting slots and clamps at zero. A serving run never
 	// over-cancels (every request is admitted in offer before it can be
 	// shed); the clamp guards direct callers only.
-	b, _ := newAdmissionController(2)
+	b := newAdmissionController(2)
 	if !b.admit(0) || !b.admit(0) {
 		t.Fatal("fill refused")
 	}

@@ -23,8 +23,8 @@ const (
 	FormationSJF      = "sjf"
 )
 
-// ParseFormation normalizes a batch-formation policy name ("" → fcfs).
-func ParseFormation(name string) (string, error) {
+// parseFormation normalizes a batch-formation policy name ("" → fcfs).
+func parseFormation(name string) (string, error) {
 	switch name {
 	case "", FormationFCFS:
 		return FormationFCFS, nil
@@ -36,39 +36,6 @@ func ParseFormation(name string) (string, error) {
 	return "", fmt.Errorf("serve: unknown formation policy %q (want fcfs, priority, or sjf)", name)
 }
 
-// formationPolicy shapes batch formation behind the batcher's
-// size-or-deadline contract: it prices the open pool's close deadline
-// incrementally as members join — never later than the oldest arrival plus
-// the window — and arranges a closed batch's dispatch order. The batcher
-// clamps the deadline to the newest member's arrival, so a policy that
-// pulls the deadline in can never close a batch before a request it
-// contains arrived.
-type formationPolicy interface {
-	Name() string
-	// PoolDeadline updates the open pool's close deadline after r joined:
-	// prev is the deadline before r (+Inf for a fresh pool) and size the
-	// pool size including r.
-	PoolDeadline(prev float64, r Request, size int, window float64) float64
-	// Order arranges a closed batch into dispatch order, in place.
-	Order(batch []Request)
-}
-
-// fcfsFormation is the default policy and the pre-formation batcher's exact
-// behavior: the pool closes when its oldest member has waited the full
-// window, in arrival order.
-type fcfsFormation struct{}
-
-func (fcfsFormation) Name() string { return FormationFCFS }
-
-func (fcfsFormation) PoolDeadline(prev float64, r Request, size int, window float64) float64 {
-	if size == 1 {
-		return r.Arrival + window
-	}
-	return prev
-}
-
-func (fcfsFormation) Order([]Request) {}
-
 // classWindowWeight scales the batching window per SLO class: interactive
 // requests tolerate only a quarter of the window, so their presence pulls a
 // mixed batch's close forward; standard and bulk wait the full window. All
@@ -79,24 +46,6 @@ func classWindowWeight(c SLOClass) float64 {
 	}
 	return 1
 }
-
-// priorityFormation is priority-FCFS: each member prices its own
-// class-weighted deadline and the pool closes at the earliest one, so an
-// interactive arrival cuts a mixed batch's batching delay to a quarter of
-// the window; members dispatch in (class, arrival) order.
-type priorityFormation struct{}
-
-func (priorityFormation) Name() string { return FormationPriority }
-
-func (priorityFormation) PoolDeadline(prev float64, r Request, size int, window float64) float64 {
-	d := r.Arrival + window*classWindowWeight(r.Class)
-	if size == 1 || d < prev {
-		return d
-	}
-	return prev
-}
-
-func (priorityFormation) Order(batch []Request) { sortByClass(batch) }
 
 // sortByClass insertion-sorts a batch by (class, arrival, ID). Batches are
 // MaxBatch-bounded and arrive nearly sorted, and sort.Slice would allocate
@@ -123,40 +72,24 @@ func classLess(a, b Request) bool {
 	return a.ID < b.ID
 }
 
-// sjfFormation is shortest-job-first by predicted service: the pool's close
-// deadline is the oldest arrival plus whatever window remains after the
-// predicted service time of the pool as a batch. Cheap pools wait the full
-// window to fill; a pool already predicted expensive stops accumulating
-// work, trading mean batch size for tail latency.
-type sjfFormation struct {
-	svc   func(size int) float64 // predicted batch service for `size` targets
-	first float64                // oldest arrival of the open pool
-}
-
-func (f *sjfFormation) Name() string { return FormationSJF }
-
-func (f *sjfFormation) PoolDeadline(prev float64, r Request, size int, window float64) float64 {
-	if size == 1 {
-		f.first = r.Arrival
-	}
-	d := window - f.svc(size)
-	if d < 0 {
-		d = 0
-	}
-	return f.first + d
-}
-
-func (f *sjfFormation) Order([]Request) {}
-
 // DynamicBatcher groups admitted requests into batches: a batch closes when
 // it reaches MaxBatch requests or when its formation deadline passes,
 // whichever comes first — the standard size-or-deadline policy of online
-// inference servers. Under the default FCFS formation the deadline is the
-// oldest request's arrival plus WindowSec; other formation policies may
-// pull the deadline in (never push it out), so WindowSec stays the
-// worst-case batching delay. A window of 0 closes every batch immediately
-// (no batching delay, batch size 1 unless requests arrive at the same
-// instant).
+// inference servers. The formation prices the deadline, never later than
+// the oldest request's arrival plus WindowSec, so WindowSec stays the
+// worst-case batching delay:
+//   - fcfs (the default): the oldest arrival plus WindowSec; the batch
+//     dispatches in arrival order.
+//   - priority: the earliest of the members' class-weighted deadlines, so an
+//     interactive arrival cuts a mixed batch's batching delay to a quarter
+//     of the window; the batch dispatches in (class, arrival) order.
+//   - sjf: the oldest arrival plus whatever window remains after the
+//     predicted service of the open batch. Cheap batches wait the full
+//     window to fill; one already predicted expensive stops accumulating
+//     work, trading mean batch size for tail latency.
+//
+// A window of 0 closes every batch immediately (no batching delay, batch
+// size 1 unless requests arrive at the same instant).
 //
 // The batcher optionally carries a per-kind split cut for heterogeneous
 // pools: a closed batch whose compute demand is at or under the cut is
@@ -165,12 +98,17 @@ func (f *sjfFormation) Order([]Request) {}
 // which pays no transfer or kernel-launch cost, keeping the accelerators
 // free for the batches that amortize their fixed overheads.
 type DynamicBatcher struct {
-	maxBatch  int
-	window    float64
-	smallCut  int
-	formation formationPolicy
-	// deadline is the open pool's close deadline under the formation policy,
-	// maintained incrementally by Add (undefined while pending is empty).
+	maxBatch int
+	window   float64
+	smallCut int
+	// formation is the parsed policy name; svc is sjf's predicted service
+	// of a batch of `size` targets.
+	formation string
+	svc       func(size int) float64
+	// first is the open batch's oldest arrival and deadline its close
+	// deadline, maintained incrementally by Add (both undefined while
+	// pending is empty).
+	first    float64
 	deadline float64
 	pending  []Request
 	// spare is the other half of take()'s ping-pong: closed batches and the
@@ -193,7 +131,7 @@ func NewSplitBatcher(maxBatch int, window float64, smallCut int) (*DynamicBatche
 	if !finiteAtLeast(window, 0) {
 		return nil, fmt.Errorf("serve: batch window %v is not a finite non-negative number", window)
 	}
-	return &DynamicBatcher{maxBatch: maxBatch, window: window, smallCut: smallCut, formation: fcfsFormation{}}, nil
+	return &DynamicBatcher{maxBatch: maxBatch, window: window, smallCut: smallCut, formation: FormationFCFS}, nil
 }
 
 // SetFormation selects the batch-formation policy by name; the sjf policy
@@ -201,29 +139,19 @@ func NewSplitBatcher(maxBatch int, window float64, smallCut int) (*DynamicBatche
 // the pool's dense ServiceSec memo). Must be called before any request is
 // added.
 func (b *DynamicBatcher) SetFormation(name string, svc func(size int) float64) error {
-	parsed, err := ParseFormation(name)
+	parsed, err := parseFormation(name)
 	if err != nil {
 		return err
 	}
 	if len(b.pending) > 0 {
 		return fmt.Errorf("serve: cannot change formation with a batch open")
 	}
-	switch parsed {
-	case FormationPriority:
-		b.formation = priorityFormation{}
-	case FormationSJF:
-		if svc == nil {
-			return fmt.Errorf("serve: sjf formation needs a service predictor")
-		}
-		b.formation = &sjfFormation{svc: svc}
-	default:
-		b.formation = fcfsFormation{}
+	if parsed == FormationSJF && svc == nil {
+		return fmt.Errorf("serve: sjf formation needs a service predictor")
 	}
+	b.formation, b.svc = parsed, svc
 	return nil
 }
-
-// formationName returns the active formation policy's name.
-func (b *DynamicBatcher) formationName() string { return b.formation.Name() }
 
 // small reports whether a closed batch with `computed` cache-missing targets
 // falls under the per-kind split cut.
@@ -235,8 +163,8 @@ func (b *DynamicBatcher) small(computed int) bool {
 func (b *DynamicBatcher) pendingLen() int { return len(b.pending) }
 
 // closeDeadline returns the close deadline of the open batch, or false when no
-// batch is open. The policy deadline is clamped to the newest member's
-// arrival: a policy that pulls the deadline in as the pool grows (sjf) must
+// batch is open. The formation's deadline is clamped to the newest member's
+// arrival: a formation that pulls the deadline in as the batch grows (sjf) must
 // never close a batch before a request it contains arrived.
 func (b *DynamicBatcher) closeDeadline() (float64, bool) {
 	if len(b.pending) == 0 {
@@ -249,17 +177,30 @@ func (b *DynamicBatcher) closeDeadline() (float64, bool) {
 	return dl, true
 }
 
-// Add appends a request (arrivals must be non-decreasing). If r fills the
-// batch to MaxBatch, the batch closes immediately at r's arrival time and is
-// returned; otherwise it returns nil. Callers must drain CloseExpired up to
-// r's arrival before adding.
+// Add appends a request (arrivals must be non-decreasing) and re-prices the
+// open batch's close deadline under the formation. If r fills the batch to
+// MaxBatch, the batch closes immediately at r's arrival time and is returned;
+// otherwise it returns nil. Callers must drain CloseExpired up to r's arrival
+// before adding.
 func (b *DynamicBatcher) Add(r Request) (batch []Request, closeAt float64) {
-	prev := b.deadline
-	if len(b.pending) == 0 {
-		prev = math.Inf(1)
-	}
 	b.pending = append(b.pending, r)
-	b.deadline = b.formation.PoolDeadline(prev, r, len(b.pending), b.window)
+	if len(b.pending) == 1 {
+		b.first, b.deadline = r.Arrival, math.Inf(1)
+	}
+	switch b.formation {
+	case FormationPriority:
+		if d := r.Arrival + b.window*classWindowWeight(r.Class); d < b.deadline {
+			b.deadline = d
+		}
+	case FormationSJF:
+		d := b.window - b.svc(len(b.pending))
+		if d < 0 {
+			d = 0
+		}
+		b.deadline = b.first + d
+	default:
+		b.deadline = b.first + b.window
+	}
 	if len(b.pending) >= b.maxBatch {
 		return b.take(), r.Arrival
 	}
@@ -296,6 +237,8 @@ func (b *DynamicBatcher) take() []Request {
 	batch := b.pending
 	b.pending = b.spare[:0]
 	b.spare = batch
-	b.formation.Order(batch)
+	if b.formation == FormationPriority {
+		sortByClass(batch)
+	}
 	return batch
 }

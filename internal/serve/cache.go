@@ -1,8 +1,9 @@
 package serve
 
 // CacheKey identifies one cached embedding: the query vertex and the version
-// of the model that produced it. Bumping the version (after retraining or a
-// weight push) invalidates every older entry without an explicit flush.
+// of the model that produced it. A serving run's cache lives for that run
+// over one read-only model, so the server keys every entry at version 1; the
+// version enters the hash, and so decides shard placement.
 type CacheKey struct {
 	Vertex  int32
 	Version int

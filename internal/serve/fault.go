@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/fault"
@@ -30,11 +29,9 @@ type fleetHealth struct {
 	nextFail int
 }
 
-// newFleetHealth builds the health view for a pool of `workers` workers.
-func newFleetHealth(sched *fault.Schedule, workers int) (*fleetHealth, error) {
-	if m := sched.MaxWorker(); m >= workers {
-		return nil, fmt.Errorf("serve: fault schedule targets worker %d, pool has %d workers", m, workers)
-	}
+// newFleetHealth builds the health view for a pool of `workers` workers,
+// which Config.Validate has checked the schedule against.
+func newFleetHealth(sched *fault.Schedule, workers int) *fleetHealth {
 	h := &fleetHealth{
 		failAt:       make([]float64, workers),
 		stalls:       make([][]faultWindow, workers),
@@ -45,7 +42,7 @@ func newFleetHealth(sched *fault.Schedule, workers int) (*fleetHealth, error) {
 		h.failAt[i] = math.Inf(1)
 	}
 	if sched == nil {
-		return h, nil
+		return h
 	}
 	for _, e := range sched.Events {
 		if e.Worker < 0 {
@@ -68,7 +65,7 @@ func newFleetHealth(sched *fault.Schedule, workers int) (*fleetHealth, error) {
 			h.fails[j], h.fails[j-1] = h.fails[j-1], h.fails[j]
 		}
 	}
-	return h, nil
+	return h
 }
 
 // alive reports whether worker wi is still up at virtual time t (a worker is

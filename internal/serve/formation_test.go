@@ -310,7 +310,7 @@ func TestSetFormationErrors(t *testing.T) {
 	if err := b.SetFormation(FormationSJF, nil); err == nil {
 		t.Fatal("sjf without a service predictor accepted")
 	}
-	if got := b.formationName(); got != FormationFCFS {
+	if got := b.formation; got != FormationFCFS {
 		t.Fatalf("failed SetFormation mutated the policy to %q", got)
 	}
 	b.Add(Request{ID: 0})

@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"fmt"
-
-	"repro/internal/hw"
-)
+import "repro/internal/hw"
 
 // admissionController bounds the number of outstanding requests (waiting in
 // the batcher or dispatched but not yet complete in virtual time). A request
@@ -35,12 +31,10 @@ type admissionController struct {
 	degraded float64
 }
 
-// newAdmissionController builds a controller; capacity must be positive.
-func newAdmissionController(capacity int) (*admissionController, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("serve: non-positive queue capacity %d", capacity)
-	}
-	return &admissionController{capacity: capacity, degraded: 1}, nil
+// newAdmissionController builds a controller over a positive capacity (the
+// Config's queueCap).
+func newAdmissionController(capacity int) *admissionController {
+	return &admissionController{capacity: capacity, degraded: 1}
 }
 
 // setDegraded records the surviving-capacity fraction: shedClass starts

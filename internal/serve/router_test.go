@@ -189,10 +189,7 @@ func TestSmallCutRequiresPeer(t *testing.T) {
 // while another kind has room — the slow-FPGA-starves-GPU scenario. Build a
 // controller by hand and drive the saturation check directly.
 func TestKindSaturationSteering(t *testing.T) {
-	a, err := newAdmissionController(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newAdmissionController(8)
 	a.setKindCap(hw.FPGA, 2)
 	a.setKindCap(hw.GPU, 2)
 	// Two FPGA batches in flight with far-future completions: saturated.

@@ -1,7 +1,7 @@
 // Package serve is the online-serving subsystem grown on the shared HyScale
 // runtime: a request queue with kind-aware admission control, a dynamic
 // batcher (size-or-deadline, with an optional per-kind split), a sharded
-// LRU embedding cache keyed by vertex and model version, and a fleet of
+// LRU embedding cache keyed by vertex, and a fleet of
 // per-device workers — each core.InferencePipeline bound to one hw.Device
 // (the host CPU peer, a GPU, or an FPGA charged the §IV-C dataflow's cycle
 // account) the way training's trainers are. The router dispatches every closed
@@ -64,9 +64,6 @@ type Config struct {
 	// Model is the trained model to serve (read-only during the run).
 	Model   *gnn.Model
 	Fanouts []int
-	// ModelVersion tags cache entries; bump it after a weight push to
-	// invalidate stale embeddings. Zero means version 1.
-	ModelVersion int
 
 	// Open-loop stream: NumRequests arrivals at RatePerSec with Zipf(θ)
 	// vertex popularity (θ=0 is uniform).
@@ -91,8 +88,8 @@ type Config struct {
 	MaxBatch  int     // dynamic batcher's size cap
 	WindowSec float64 // dynamic batcher's max-wait deadline
 	// Workers is the accelerator worker count. With accelerators present,
-	// worker i binds Plat.Accels[i] (capped at the fleet size); without
-	// accelerators one CPU worker serves.
+	// worker i binds Plat.Accels[i] (capped at the fleet size; 0 binds every
+	// accelerator); without accelerators one CPU worker serves.
 	Workers int
 	// CPUPeer adds a host-CPU-bound worker alongside the accelerator
 	// workers — training's hybrid CPU trainer applied to serving. The peer
@@ -107,10 +104,10 @@ type Config struct {
 	// Formation names the batch-formation policy: "fcfs" (default, the
 	// pre-formation batcher's exact behavior), "priority" (class-weighted
 	// close deadlines, class-ordered batches), or "sjf"
-	// (predicted-service-aware deadlines). See ParseFormation.
+	// (predicted-service-aware deadlines). See DynamicBatcher.
 	Formation string
 
-	QueueCap  int // admission control: max outstanding requests (0 → 1024)
+	QueueCap  int // admission control: max outstanding requests (0 → defaultQueueCap)
 	CacheSize int // embedding-cache capacity in entries (0 disables)
 	// CacheShards hash-partitions the embedding cache into that many LRUs,
 	// each holding its share of CacheSize (rounded down to a power of two,
@@ -147,6 +144,100 @@ type Config struct {
 
 	QuantizeTransfer bool // int8 feature transfer for accelerator workers
 	Seed             uint64
+}
+
+// defaultQueueCap is the admission bound of a Config that sets no QueueCap.
+const defaultQueueCap = 1024
+
+// queueCap is the run's admission bound: QueueCap, or defaultQueueCap for 0.
+func (c Config) queueCap() int {
+	if c.QueueCap == 0 {
+		return defaultQueueCap
+	}
+	return c.QueueCap
+}
+
+// Validate checks every rule of c that needs no dataset or model — the
+// stream, the batcher, admission, the cache and pool sizes, the formation,
+// the fault schedule against the pool and the SLO targets — and names the
+// rejected value in its error. Run, GenerateTrace and Predict call it first;
+// a front end calls it to reject a bad configuration before any work starts.
+func (c Config) Validate() error {
+	if c.NumRequests <= 0 {
+		return fmt.Errorf("serve: NumRequests %d: need at least 1", c.NumRequests)
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("serve: Workers %d: negative (0 binds every accelerator)", c.Workers)
+	}
+	if c.QueueCap < 0 {
+		return fmt.Errorf("serve: QueueCap %d: negative (0 means %d)", c.QueueCap, defaultQueueCap)
+	}
+	if c.CacheSize < 0 {
+		return fmt.Errorf("serve: CacheSize %d: negative (0 disables the cache)", c.CacheSize)
+	}
+	if c.CacheShards < 0 {
+		return fmt.Errorf("serve: CacheShards %d: negative (0 means 1)", c.CacheShards)
+	}
+	if _, err := NewSplitBatcher(c.MaxBatch, c.WindowSec, c.SmallBatchCut); err != nil {
+		return err
+	}
+	if c.MaxBatch > c.queueCap() {
+		return fmt.Errorf("serve: MaxBatch %d exceeds QueueCap %d: admission holds at most QueueCap requests, so no batch can be larger",
+			c.MaxBatch, c.queueCap())
+	}
+	if c.SmallBatchCut > 0 && !c.CPUPeer && len(c.Plat.Accels) > 0 {
+		return fmt.Errorf("serve: SmallBatchCut %d needs the CPU peer (set CPUPeer)", c.SmallBatchCut)
+	}
+	if _, err := parseFormation(c.Formation); err != nil {
+		return err
+	}
+	if c.Policy != "" && c.Policy != PolicyEarliest {
+		return fmt.Errorf("serve: Config.Policy %q: the one router is %q (\"affinity\" and \"least-loaded\" were removed)",
+			c.Policy, PolicyEarliest)
+	}
+	switch {
+	case c.Workload != nil && c.Replay != nil:
+		return fmt.Errorf("serve: Workload and Replay are mutually exclusive")
+	case c.Workload != nil:
+		if err := c.Workload.validate(); err != nil {
+			return err
+		}
+	case c.Replay != nil:
+		// A Trace built in memory never passed ReadTrace's class check. Past
+		// this loop every request's class indexes the per-class arrays.
+		for _, r := range c.replayed() {
+			if r.Class >= NumClasses {
+				return fmt.Errorf("serve: replayed request %d has class %d, outside the %d SLO classes",
+					r.ID, r.Class, NumClasses)
+			}
+		}
+	default:
+		single := poissonCohort(c.RatePerSec, c.ZipfExponent)
+		if err := single.checkNumbers(); err != nil {
+			return err
+		}
+	}
+	if err := c.Faults.Validate(); err != nil {
+		return err
+	}
+	if m, n := c.Faults.MaxWorker(), len(workerBindings(c)); m >= n {
+		return fmt.Errorf("serve: fault schedule targets worker %d, pool has %d workers", m, n)
+	}
+	for _, t := range c.SLOTargets {
+		if t.Class >= NumClasses {
+			return fmt.Errorf("serve: SLO target class %d out of range", t.Class)
+		}
+		if !finitePositive(t.TargetSec) {
+			return fmt.Errorf("serve: SLO target %v for %s is not a finite positive number", t.TargetSec, t.Class)
+		}
+	}
+	return nil
+}
+
+// replayed is the part of Replay a run serves: its first NumRequests
+// requests.
+func (c Config) replayed() []Request {
+	return c.Replay.Requests[:min(c.NumRequests, len(c.Replay.Requests))]
 }
 
 // worker is one pool member: a pipeline bound to a device plus its share
@@ -240,7 +331,7 @@ func workerBindings(cfg Config) []int {
 		return []int{0}
 	}
 	k := cfg.Workers
-	if k <= 0 || k > nAccel {
+	if k == 0 || k > nAccel {
 		k = nAccel
 	}
 	b := make([]int, 0, k+1)
@@ -312,30 +403,10 @@ type server struct {
 // benchmarks share). With GOMAXPROCS > 1 it starts the executors; every
 // caller stops them with stop.
 func newServer(cfg Config) (*server, error) {
-	if cfg.NumRequests <= 0 {
-		return nil, fmt.Errorf("serve: non-positive request count %d", cfg.NumRequests)
-	}
-	if cfg.ModelVersion == 0 {
-		cfg.ModelVersion = 1
-	}
-	if cfg.QueueCap == 0 {
-		cfg.QueueCap = 1024
-	}
-	if cfg.SmallBatchCut > 0 && !cfg.CPUPeer && len(cfg.Plat.Accels) > 0 {
-		return nil, fmt.Errorf("serve: SmallBatchCut %d needs the CPU peer (set CPUPeer)", cfg.SmallBatchCut)
-	}
-	if cfg.Workload != nil && cfg.Replay != nil {
-		return nil, fmt.Errorf("serve: Workload and Replay are mutually exclusive")
-	}
-	if cfg.Policy != "" && cfg.Policy != PolicyEarliest {
-		return nil, fmt.Errorf("serve: Config.Policy %q: the one router is %q (\"affinity\" and \"least-loaded\" were removed)",
-			cfg.Policy, PolicyEarliest)
-	}
-	formation, err := ParseFormation(cfg.Formation)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.Formation = formation
+	cfg.QueueCap = cfg.queueCap()
 	bindings := workerBindings(cfg)
 	rng := tensor.NewRNG(cfg.Seed)
 	pool := make([]*worker, len(bindings))
@@ -355,33 +426,21 @@ func newServer(cfg Config) (*server, error) {
 	}
 	var arrivals []Request
 	if cfg.Replay != nil {
-		arrivals = cfg.Replay.Requests[:min(cfg.NumRequests, len(cfg.Replay.Requests))]
-		// A trace is outside input: ReadTrace cannot know the graph, and a
-		// Trace built in memory never passed ReadTrace's class check. Past
-		// this loop every request's class indexes the per-class arrays.
+		// A trace is outside input, and ReadTrace cannot know the graph.
+		arrivals = cfg.replayed()
 		for _, r := range arrivals {
 			if r.Vertex < 0 || int(r.Vertex) >= cfg.Data.Graph.NumVertices {
 				return nil, fmt.Errorf("serve: replayed request %d asks for vertex %d, outside the graph's %d vertices",
 					r.ID, r.Vertex, cfg.Data.Graph.NumVertices)
 			}
-			if r.Class >= NumClasses {
-				return nil, fmt.Errorf("serve: replayed request %d has class %d, outside the %d SLO classes",
-					r.ID, r.Class, NumClasses)
-			}
 		}
 	} else {
-		arrivals, err = generateArrivals(cfg)
-		if err != nil {
+		var err error
+		if arrivals, err = generateArrivals(cfg); err != nil {
 			return nil, err
 		}
 	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return nil, err
-	}
-	health, err := newFleetHealth(cfg.Faults, len(pool))
-	if err != nil {
-		return nil, err
-	}
+	health := newFleetHealth(cfg.Faults, len(pool))
 	retryBudget := cfg.RetryBudget
 	switch {
 	case retryBudget == 0:
@@ -390,29 +449,14 @@ func newServer(cfg Config) (*server, error) {
 		retryBudget = 0
 	}
 	var sloTargets [NumClasses]float64
-	haveSLO := false
 	for _, t := range cfg.SLOTargets {
-		if t.Class >= NumClasses {
-			return nil, fmt.Errorf("serve: SLO target class %d out of range", t.Class)
-		}
-		if t.TargetSec <= 0 {
-			return nil, fmt.Errorf("serve: non-positive SLO target %v for %s", t.TargetSec, t.Class)
-		}
 		sloTargets[t.Class] = t.TargetSec
-		haveSLO = true
 	}
 	batcher, err := NewSplitBatcher(cfg.MaxBatch, cfg.WindowSec, cfg.SmallBatchCut)
 	if err != nil {
 		return nil, err
 	}
-	admission, err := newAdmissionController(cfg.QueueCap)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.MaxBatch > cfg.QueueCap {
-		return nil, fmt.Errorf("serve: MaxBatch %d exceeds QueueCap %d: admission holds at most QueueCap requests, so no batch can be larger",
-			cfg.MaxBatch, cfg.QueueCap)
-	}
+	admission := newAdmissionController(cfg.QueueCap)
 	// Prefill the service-time memo for every batch size the router can ask
 	// about, so routing never allocates in steady state.
 	for _, w := range pool {
@@ -422,19 +466,17 @@ func newServer(cfg Config) (*server, error) {
 			}
 		}
 	}
-	if cfg.Formation != FormationFCFS {
-		// The sjf predictor is pool[0]'s dense service memo — prefilled
-		// above, so formation never allocates in steady state.
-		svc := func(size int) float64 {
-			v, err := pool[0].pipe.ServiceSec(size)
-			if err != nil {
-				return 0
-			}
-			return v
+	// The sjf predictor is pool[0]'s dense service memo — prefilled above,
+	// so formation never allocates in steady state.
+	svc := func(size int) float64 {
+		v, err := pool[0].pipe.ServiceSec(size)
+		if err != nil {
+			return 0
 		}
-		if err := batcher.SetFormation(cfg.Formation, svc); err != nil {
-			return nil, err
-		}
+		return v
+	}
+	if err := batcher.SetFormation(cfg.Formation, svc); err != nil {
+		return nil, err
 	}
 	setKindCaps(admission, pool, cfg.QueueCap)
 	dims := cfg.Model.Cfg.Dims
@@ -457,7 +499,7 @@ func newServer(cfg Config) (*server, error) {
 		health:      health,
 		retryBudget: retryBudget,
 		sloTargets:  sloTargets,
-		haveSLO:     haveSLO,
+		haveSLO:     len(cfg.SLOTargets) > 0,
 
 		keys:      make([]CacheKey, cfg.MaxBatch),
 		ready:     make([]float64, cfg.MaxBatch),
@@ -571,7 +613,7 @@ func (s *server) lookup(batch []Request, closeAt float64) []bool {
 	}
 	keys, ready, hit := s.keys[:len(batch)], s.ready[:len(batch)], s.hit[:len(batch)]
 	for i, r := range batch {
-		keys[i] = CacheKey{Vertex: r.Vertex, Version: s.cfg.ModelVersion}
+		keys[i] = CacheKey{Vertex: r.Vertex, Version: 1}
 	}
 	s.cache.GetMany(keys, ready, hit, nil)
 	s.order = s.order[:0]
@@ -691,7 +733,7 @@ func (s *server) complete(batch []Request, hit []bool, wi int, res *core.InferRe
 	}
 	s.putKeys, s.putEmbs = s.putKeys[:0], s.putEmbs[:0]
 	for i, v := range s.order {
-		s.putKeys = append(s.putKeys, CacheKey{Vertex: v, Version: s.cfg.ModelVersion})
+		s.putKeys = append(s.putKeys, CacheKey{Vertex: v, Version: 1})
 		var row []float32
 		if !async {
 			row = res.Logits.Row(i)
@@ -1049,6 +1091,9 @@ func servingLoad(cfg Config, bindings []int, ratePerSec, computeFrac float64) pe
 // cheap way to size a deployment or anchor a load sweep on predicted
 // capacity.
 func Predict(cfg Config, computeFrac float64) (perfmodel.ServingPrediction, error) {
+	if err := cfg.Validate(); err != nil {
+		return perfmodel.ServingPrediction{}, err
+	}
 	bindings := workerBindings(cfg)
 	p, err := core.NewInferencePipeline(core.InferConfig{
 		Plat: cfg.Plat, Data: cfg.Data, Model: cfg.Model,

@@ -28,8 +28,8 @@ const traceHeader = "hyscale-serve-trace v1"
 // generateArrivals — so serving cfg directly and replaying its generated
 // trace are the same run.
 func GenerateTrace(cfg Config) (*Trace, error) {
-	if cfg.NumRequests <= 0 {
-		return nil, fmt.Errorf("serve: non-positive request count %d", cfg.NumRequests)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Replay != nil {
 		return nil, fmt.Errorf("serve: GenerateTrace on a replay config")

@@ -406,12 +406,10 @@ type workloadStream struct {
 	nextID  int
 }
 
-// newWorkloadStream builds the merged stream over numVertices vertices. The
-// rng is consumed to split one independent stream per cohort.
+// newWorkloadStream builds the merged stream over numVertices vertices from a
+// spec Config.Validate has checked. The rng is consumed to split one
+// independent stream per cohort.
 func newWorkloadStream(spec *WorkloadSpec, numVertices int, rng *tensor.RNG) (*workloadStream, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
 	if numVertices <= 0 {
 		return nil, fmt.Errorf("serve: non-positive vertex count %d", numVertices)
 	}
@@ -426,18 +424,21 @@ func newWorkloadStream(spec *WorkloadSpec, numVertices int, rng *tensor.RNG) (*w
 // synthetic open-loop workload: Poisson arrivals over vertices drawn from a
 // Zipf popularity distribution (exponent 0 is uniform), the skew that makes
 // an embedding cache earn its keep. It is a one-cohort workloadStream (class
-// standard, cohort 0) that draws from rng directly instead of a split.
+// standard, cohort 0) that draws from rng directly instead of a split. The
+// rate and exponent are the ones Config.Validate checked.
 func newPoissonStream(numVertices int, ratePerSec, zipfExponent float64, rng arrivalRNG) (*workloadStream, error) {
 	if numVertices <= 0 {
 		return nil, fmt.Errorf("serve: non-positive vertex count %d", numVertices)
 	}
-	c := Cohort{Name: "poisson", Class: ClassStandard, RatePerSec: ratePerSec, Zipf: zipfExponent}
-	if err := c.checkNumbers(); err != nil {
-		return nil, err
-	}
 	w := &workloadStream{cohorts: make([]cohortStream, 1)}
-	w.cohorts[0].init(c, numVertices, rng)
+	w.cohorts[0].init(poissonCohort(ratePerSec, zipfExponent), numVertices, rng)
 	return w, nil
+}
+
+// poissonCohort is the one cohort of the Config.RatePerSec/ZipfExponent
+// stream.
+func poissonCohort(ratePerSec, zipfExponent float64) Cohort {
+	return Cohort{Name: "poisson", Class: ClassStandard, RatePerSec: ratePerSec, Zipf: zipfExponent}
 }
 
 // next returns the next merged arrival (the stream is unbounded).
