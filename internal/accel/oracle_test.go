@@ -14,9 +14,11 @@ import (
 // forwardOracle is Backend.Forward as it stood before the split into Account
 // (structure-only stats) and the arena-backed numeric kernels, kept verbatim
 // as the reference both halves are pinned against (only its reflection-based
-// stable sort became slices.SortStableFunc — a stable order is unique): a
-// comparison sort of (edge, weight) records by (src, dst), the scatter-gather
-// engine's scalar per-edge loop with its run-by-run cycle count, freshly
+// stable sort became slices.SortStableFunc — a stable order is unique — and
+// its per-edge multiply-add loops became AxpyRow, the fused step every
+// kernel takes): a comparison sort of (edge, weight) records by (src, dst),
+// the scatter-gather engine's per-edge row update with its run-by-run cycle
+// count, freshly
 // allocated intermediates, and GraphSAGE's copy → self → concatCols.
 func forwardOracle(bk *Backend, m *gnn.Model, mb *sampler.MiniBatch, x *tensor.Matrix) (*tensor.Matrix, ForwardStats, error) {
 	L := m.Cfg.Layers()
@@ -73,11 +75,7 @@ func forwardOracle(bk *Backend, m *gnn.Model, mb *sampler.MiniBatch, x *tensor.M
 				resident = we.src
 			}
 			run++
-			src := h.Row(int(we.src))
-			dst := agg.Row(int(we.dst))
-			for j, v := range src {
-				dst[j] += we.w * v
-			}
+			tensor.AxpyRow(agg.Row(int(we.dst)), h.Row(int(we.src)), we.w)
 		}
 		flushRun()
 		stats.AggCycles += cycles
@@ -87,11 +85,7 @@ func forwardOracle(bk *Backend, m *gnn.Model, mb *sampler.MiniBatch, x *tensor.M
 		}
 		for d := 0; d < nd; d++ {
 			if w := selfW[d]; w != 0 {
-				src := h.Row(d)
-				dst := agg.Row(d)
-				for j, v := range src {
-					dst[j] += w * v
-				}
+				tensor.AxpyRow(agg.Row(d), h.Row(d), w)
 			}
 		}
 

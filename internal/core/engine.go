@@ -82,8 +82,10 @@ func (e *Engine) slot(i int) *iterSlot {
 }
 
 // Validate checks every rule of c that needs no dataset — the learning rate
-// (optim.NewSGD's rule), the batch size, the pipeline mode and the model's
-// shape (gnn.Config.Validate) — and names the rejected value in its error.
+// (optim.NewSGD's rule), the batch size, the pipeline mode, the model's
+// shape (gnn.Config.Validate) and one fan-out per layer of it, each
+// non-negative (sampler.New's rule) — and names the rejected value in its
+// error.
 // NewEngine calls it first; a front end calls it to reject a bad
 // configuration before it materializes a dataset.
 func (c Config) Validate() error {
@@ -96,7 +98,16 @@ func (c Config) Validate() error {
 	if c.Pipeline != PipelineSerial && c.Pipeline != PipelinePrefetch {
 		return fmt.Errorf("core: unknown pipeline mode %d", int(c.Pipeline))
 	}
-	return c.Model.Validate()
+	if err := c.Model.Validate(); err != nil {
+		return err
+	}
+	if len(c.Fanouts) != c.Model.Layers() {
+		return fmt.Errorf("core: Fanouts %v: %d fan-outs for a %d-layer model", c.Fanouts, len(c.Fanouts), c.Model.Layers())
+	}
+	if _, err := sampler.New(nil, c.Fanouts, nil); err != nil {
+		return fmt.Errorf("core: Fanouts %v: %w", c.Fanouts, err)
+	}
+	return nil
 }
 
 // NewEngine validates the configuration (Config.Validate, then the dataset

@@ -45,14 +45,16 @@ func fpgaEpochSig(t *testing.T, plat hw.Platform) string {
 // alone) and held across that change; re-recorded in PR 13 (on 4a91e8d)
 // because the sampler now draws its uniform k-subsets with Floyd's algorithm
 // instead of Algorithm R, so every mini-batch holds different (equally
-// likely) neighbours — out= (|targets|·classes) did not move.
+// likely) neighbours — out= (|targets|·classes) did not move. Re-recorded
+// when every c += a·b became one fused multiply-add at every SIMD level: only
+// loss= moved.
 const (
-	goldenFPGASmall = "epoch1 loss=0x1.56bb08f2ef52p+00 vsec=0x1.ca1bcf7e45698p-08 mteps=0x1.18a3f37f6ccb4p+00 agg=5229 upd=5342 fetches=2288 traffic=112640 out=4880 sec=0x1.35343f4cc7031p-16\n" +
-		"epoch2 loss=0x1.13b0ce28ddc48p-01 vsec=0x1.b14dfa7ba7d88p-08 mteps=0x1.26936903b7e43p+00 agg=5263 upd=5343 fetches=2302 traffic=113024 out=4880 sec=0x1.3965fd34f47e6p-16\n" +
-		"epoch3 loss=0x1.0ba0a4437eec2p-02 vsec=0x1.b148de225f968p-08 mteps=0x1.2412913cfbc68p+00 agg=5298 upd=5344 fetches=2322 traffic=114496 out=4880 sec=0x1.3839576495d6cp-16\n"
-	goldenFPGAMixed = "epoch1 loss=0x1.5652468b5fc1fp+00 vsec=0x1.7aa741588d736p-05 mteps=0x1.52111fd53ff38p-03 agg=2476 upd=2660 fetches=1075 traffic=52864 out=2260 sec=0x1.308ff9153884cp-17\n" +
-		"epoch2 loss=0x1.1239293fc3db5p-01 vsec=0x1.778f05b05096p-05 mteps=0x1.53832ed973bd5p-03 agg=2448 upd=2659 fetches=1062 traffic=52544 out=2260 sec=0x1.2f71a44ec5fd7p-17\n" +
-		"epoch3 loss=0x1.071f96e7b56fbp-02 vsec=0x1.778f2f4a51ee2p-05 mteps=0x1.5383093da777dp-03 agg=2387 upd=2659 fetches=1031 traffic=50560 out=2260 sec=0x1.2ba41dac0d64ap-17\n"
+	goldenFPGASmall = "epoch1 loss=0x1.56bb08f52d11ep+00 vsec=0x1.ca1bcf7e45698p-08 mteps=0x1.18a3f37f6ccb4p+00 agg=5229 upd=5342 fetches=2288 traffic=112640 out=4880 sec=0x1.35343f4cc7031p-16\n" +
+		"epoch2 loss=0x1.13b0ce3302042p-01 vsec=0x1.b14dfa7ba7d88p-08 mteps=0x1.26936903b7e43p+00 agg=5263 upd=5343 fetches=2302 traffic=113024 out=4880 sec=0x1.3965fd34f47e6p-16\n" +
+		"epoch3 loss=0x1.0ba0a4e5f2cecp-02 vsec=0x1.b148de225f968p-08 mteps=0x1.2412913cfbc68p+00 agg=5298 upd=5344 fetches=2322 traffic=114496 out=4880 sec=0x1.3839576495d6cp-16\n"
+	goldenFPGAMixed = "epoch1 loss=0x1.56524697d0f47p+00 vsec=0x1.7aa741588d736p-05 mteps=0x1.52111fd53ff38p-03 agg=2476 upd=2660 fetches=1075 traffic=52864 out=2260 sec=0x1.308ff9153884cp-17\n" +
+		"epoch2 loss=0x1.123929b1d0d24p-01 vsec=0x1.778f05b05096p-05 mteps=0x1.53832ed973bd5p-03 agg=2448 upd=2659 fetches=1062 traffic=52544 out=2260 sec=0x1.2f71a44ec5fd7p-17\n" +
+		"epoch3 loss=0x1.071f970d3613ap-02 vsec=0x1.778f2f4a51ee2p-05 mteps=0x1.5383093da777dp-03 agg=2387 upd=2659 fetches=1031 traffic=50560 out=2260 sec=0x1.2ba41dac0d64ap-17\n"
 )
 
 func TestFPGAGoldenEpochStats(t *testing.T) {

@@ -42,11 +42,12 @@ func poolSig(t *testing.T, procs int) string {
 // of its own, stepped a replica of its own and averaged through a
 // mutex/condition-variable synchronizer, and is held across the move to a pool
 // of min(GOMAXPROCS, trainers) workers folding in rank order into one SGD
-// step on one parameter set.
-const goldenTrainerPool = "epoch1 loss=0x1.ab95d4e4f30cep+00 acc=0x1.40da740da740ep-02 vsec=0x1.1d11ca5ffd8efp-08\n" +
-	"epoch2 loss=0x1.c58ee7e83873cp-01 acc=0x1.86d3a06d3a06dp-01 vsec=0x1.041053afa1a65p-08\n" +
-	"epoch3 loss=0x1.168e6813c5dd8p-01 acc=0x1.c0da740da740ep-01 vsec=0x1.03fd125ab7bb4p-08\n" +
-	"params=718160d2c0f9bf70\n"
+// step on one parameter set. Re-recorded when every c += a·b became one
+// fused multiply-add at every SIMD level: only loss= and params= moved.
+const goldenTrainerPool = "epoch1 loss=0x1.ab95d4da36bcep+00 acc=0x1.40da740da740ep-02 vsec=0x1.1d11ca5ffd8efp-08\n" +
+	"epoch2 loss=0x1.c58ee81b36bp-01 acc=0x1.86d3a06d3a06dp-01 vsec=0x1.041053afa1a65p-08\n" +
+	"epoch3 loss=0x1.168e683b699edp-01 acc=0x1.c0da740da740ep-01 vsec=0x1.03fd125ab7bb4p-08\n" +
+	"params=1a59bd7a84bdfbc5\n"
 
 // labelCutter truncates the labels of the victims' mini-batches after
 // prepare, so exactly those trainers' steps fail (victim i loses i labels).

@@ -39,6 +39,11 @@ func TestConfigValidate(t *testing.T) {
 		{"one dim", func(c *Config) { c.Model.Dims = []int{16} }, "[16]"},
 		{"zero dim", func(c *Config) { c.Model.Dims = []int{16, 0, 5} }, "[16 0 5]"},
 		{"model kind", func(c *Config) { c.Model.Kind = gnn.Kind(9) }, "kind 9"},
+		{"negative fan-out", func(c *Config) { c.Fanouts = []int{-1, 4} }, "Fanouts [-1 4]: sampler: negative fanout -1"},
+		{"too few fan-outs", func(c *Config) { c.Fanouts = []int{25} }, "Fanouts [25]: 1 fan-outs for a 2-layer model"},
+		{"too many fan-outs", func(c *Config) { c.Fanouts = []int{25, 10, 5} }, "Fanouts [25 10 5]: 3 fan-outs"},
+		{"no fan-outs", func(c *Config) { c.Fanouts = []int{} }, "Fanouts []: 0 fan-outs"},
+		{"nil fan-outs", func(c *Config) { c.Fanouts = nil }, "Fanouts []: 0 fan-outs"},
 	} {
 		cfg := valid()
 		tc.mutate(&cfg)

@@ -125,8 +125,10 @@ type Sampler struct {
 	picks []int32
 }
 
-// New creates a sampler. Fanouts must be non-negative; 0 means "no sampling,
-// take all neighbors" for that layer.
+// New creates a sampler. Fanouts must be non-empty and non-negative; 0 means
+// "no sampling, take all neighbors" for that layer. The fan-outs are checked
+// before g is read, so New(nil, fanouts, nil) states the rule on its own: the
+// training and serving configurations' Validate call it that way.
 func New(g *graph.Graph, fanouts []int, labels []int32) (*Sampler, error) {
 	if len(fanouts) == 0 {
 		return nil, fmt.Errorf("sampler: no fanouts")

@@ -54,6 +54,7 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/hw"
 	"repro/internal/perfmodel"
+	"repro/internal/sampler"
 	"repro/internal/tensor"
 )
 
@@ -158,13 +159,18 @@ func (c Config) queueCap() int {
 }
 
 // Validate checks every rule of c that needs no dataset or model — the
-// stream, the batcher, admission, the cache and pool sizes, the formation,
-// the fault schedule against the pool and the SLO targets — and names the
-// rejected value in its error. Run, GenerateTrace and Predict call it first;
-// a front end calls it to reject a bad configuration before any work starts.
+// fan-outs (sampler.New's rule; their count against the model's layers is
+// checked where the model is), the stream, the batcher, admission, the cache
+// and pool sizes, the formation, the fault schedule against the pool and the
+// SLO targets — and names the rejected value in its error. Run, GenerateTrace
+// and Predict call it first; a front end calls it to reject a bad
+// configuration before any work starts.
 func (c Config) Validate() error {
 	if c.NumRequests <= 0 {
 		return fmt.Errorf("serve: NumRequests %d: need at least 1", c.NumRequests)
+	}
+	if _, err := sampler.New(nil, c.Fanouts, nil); err != nil {
+		return fmt.Errorf("serve: Fanouts %v: %w", c.Fanouts, err)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("serve: Workers %d: negative (0 binds every accelerator)", c.Workers)

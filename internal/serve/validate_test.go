@@ -34,6 +34,8 @@ func TestConfigValidate(t *testing.T) {
 		want   string
 	}{
 		{"requests", func(c *Config) { c.NumRequests = 0 }, "NumRequests 0"},
+		{"negative fan-out", func(c *Config) { c.Fanouts = []int{8, -4} }, "Fanouts [8 -4]: sampler: negative fanout -4"},
+		{"no fan-outs", func(c *Config) { c.Fanouts = nil }, "Fanouts []: sampler: no fanouts"},
 		{"workers", func(c *Config) { c.Workers = -1 }, "Workers -1"},
 		{"queue", func(c *Config) { c.QueueCap = -1 }, "QueueCap -1"},
 		{"cache size", func(c *Config) { c.CacheSize = -5 }, "CacheSize -5"},

@@ -4,8 +4,8 @@
 // "keep C in registers" (gemm_amd64.s). A Go loop of AxpyRow calls loads and
 // stores the output row once per edge and pays a dispatch, a call and a
 // scalar tail each time; here the row is loaded once, every edge costs one
-// index load, one weight broadcast and a multiply + add per vector, and the
-// row is stored once.
+// index load, one weight broadcast and a fused multiply-add per vector, and
+// the row is stored once.
 //
 // Two forms, one per register file. Each column pass walks the full edge
 // list. The 256-bit form holds at most 64 columns in its 16 YMM registers
@@ -17,12 +17,12 @@
 // comes from.
 //
 // Exactness. out[j] receives w[e]·h[idx[e]·cols + j] for e = 0, 1, … in edge
-// order, each step a VMULPS and a separate VADDPS (never FMA) with the operands
-// in axpyRowAVX2Asm's order — product = row × weight, sum = product + out —
-// so every element sees the arithmetic, the two roundings per edge and the
-// NaN propagation of the AxpyRow loop it replaces. Lanes are independent
-// output columns, so the column passes reorder nothing: each pass walks the
-// full edge list for its own columns. Masked-out lanes are neither loaded
+// order, each step one VFMADD231PS (out = row × weight + out, rounded once),
+// so every element sees the arithmetic and the one rounding per edge of the
+// AxpyRow loop it replaces (fmaProduct in Go, a VFMADD213PS in
+// axpyRowAVX2Asm); NaNs agree by class. Lanes are independent output
+// columns, so the column passes reorder nothing: each pass walks the full
+// edge list for its own columns. Masked-out lanes are neither loaded
 // from nor stored to memory, so nothing past column cols is touched in out
 // or in any h row.
 //
@@ -54,11 +54,8 @@ GLOBL aggMask<>(SB), RODATA|NOPTR, $64
 	ADDQ         R12, AX; \
 	VBROADCASTSS (R10)(CX*4), Y8
 
-// acc += row[off:]·Y8, unfused, operands as in axpyRowAVX2Asm.
-#define MAC(off, acc, tmp) \
-	VMOVUPS off(AX), tmp; \
-	VMULPS  Y8, tmp, tmp; \
-	VADDPS  acc, tmp, acc
+// acc = row[off:]·Y8 + acc, rounded once, the row read straight from memory.
+#define MAC(off, acc) VFMADD231PS off(AX), Y8, acc
 
 #define NEXT(label) \
 	INCQ CX; \
@@ -91,14 +88,14 @@ pass64:
 
 edge64:
 	EDGE
-	MAC(0, Y0, Y9)
-	MAC(32, Y1, Y10)
-	MAC(64, Y2, Y11)
-	MAC(96, Y3, Y12)
-	MAC(128, Y4, Y13)
-	MAC(160, Y5, Y14)
-	MAC(192, Y6, Y15)
-	MAC(224, Y7, Y9)
+	MAC(0, Y0)
+	MAC(32, Y1)
+	MAC(64, Y2)
+	MAC(96, Y3)
+	MAC(128, Y4)
+	MAC(160, Y5)
+	MAC(192, Y6)
+	MAC(224, Y7)
 	NEXT(edge64)
 	VMOVUPS Y0, 0(DI)
 	VMOVUPS Y1, 32(DI)
@@ -124,10 +121,10 @@ pass32:
 
 edge32:
 	EDGE
-	MAC(0, Y0, Y9)
-	MAC(32, Y1, Y10)
-	MAC(64, Y2, Y11)
-	MAC(96, Y3, Y12)
+	MAC(0, Y0)
+	MAC(32, Y1)
+	MAC(64, Y2)
+	MAC(96, Y3)
 	NEXT(edge32)
 	VMOVUPS Y0, 0(DI)
 	VMOVUPS Y1, 32(DI)
@@ -145,7 +142,7 @@ pass8:
 
 edge8:
 	EDGE
-	MAC(0, Y0, Y9)
+	MAC(0, Y0)
 	NEXT(edge8)
 	VMOVUPS Y0, 0(DI)
 	ADDQ    $32, DI
@@ -165,9 +162,8 @@ tail:
 
 edgeTail:
 	EDGE
-	VMASKMOVPS (AX), Y15, Y9
-	VMULPS     Y8, Y9, Y9
-	VADDPS     Y0, Y9, Y0
+	VMASKMOVPS  (AX), Y15, Y9
+	VFMADD231PS Y9, Y8, Y0
 	NEXT(edgeTail)
 	VMASKMOVPS Y0, Y15, (DI)
 
@@ -214,19 +210,16 @@ done:
 	ADDQ         R12, AX; \
 	VBROADCASTSS (R10)(CX*4), Z8
 
-// One accumulator's share of a pass — its load, its step per edge (unfused,
-// operands as in MAC) and its store — full width, then under K1.
+// One accumulator's share of a pass — its load, its step per edge (one
+// VFMADD231PS, as in MAC) and its store — full width, then under K1, where
+// the row is loaded first so its dead lanes are neither read nor faulted on.
 #define ZLD(off, acc, tmp) VMOVUPS off(DI), acc
-#define ZMAC(off, acc, tmp) \
-	VMOVUPS off(AX), tmp; \
-	VMULPS  Z8, tmp, tmp; \
-	VADDPS  acc, tmp, acc
+#define ZMAC(off, acc, tmp) VFMADD231PS off(AX), Z8, acc
 #define ZST(off, acc, tmp) VMOVUPS acc, off(DI)
 #define ZLDM(off, acc, tmp) VMOVUPS.Z off(DI), K1, acc
 #define ZMACM(off, acc, tmp) \
-	VMOVUPS.Z off(AX), K1, tmp; \
-	VMULPS    Z8, tmp, tmp; \
-	VADDPS    acc, tmp, acc
+	VMOVUPS.Z   off(AX), K1, tmp; \
+	VFMADD231PS tmp, Z8, acc
 #define ZSTM(off, acc, tmp) VMOVUPS acc, K1, off(DI)
 
 // The full vectors in front of the masked one: FULLn(OP) applies OP to

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Row-update primitives: "c += a·b" over contiguous float32 rows. On amd64
 // from the avx2 level up they run AVX2 (8-lane) assembly (simd.go dispatches);
@@ -20,15 +23,42 @@ import "fmt"
 //   - BiasGrad's column sum and accel's per-destination self term (one call
 //     per row, nothing to amortise).
 //
-// Why no FMA, here and in the GEMM tile: multiply and add stay separate
-// instructions because fusing them would round once where the reference
-// kernels round twice, and break the bit-exact equivalence the property tests
-// pin down. Vectorising across the row (j) never reorders the per-element
-// accumulation over k, so SIMD here is exactness-preserving at every level.
+// One fused multiply-add per product, at every level. Each c += a·b is
+// rounded once, as a·b + c computed exactly: a VFMADD lane in the kernels
+// (gemm_amd64.s, aggregate_amd64.s, axpy_avx2_amd64.s), fmaProduct in the
+// Go loops. So every level is one arithmetic, and vectorising across the row (j)
+// never reorders the per-element accumulation over k.
 
-// AxpyRow computes dst[j] += alpha·src[j] over len(src) elements (dst must
-// be at least as long); exported so the propagation layers share its SIMD
-// forms.
+// fmaProduct returns p + c rounded once to float32 (to nearest, ties to
+// even), for p the float64 product of two float32s, which is exact (48
+// significant bits at most): with p = float64(a)·float64(b) it is the scalar
+// twin of one VFMADD231PS lane, for every input. It takes the product rather
+// than a and b so that a row loop converts its shared factor once. The
+// float64 sum s is the only rounding before the narrowing — and rounding
+// twice differs from rounding once exactly when that first rounding lands s
+// on a midpoint of the float32 grid, which is why float32(math.FMA(…)) is not
+// this step. So s is rounded to odd instead: when the sum was inexact (its
+// error, by Knuth's TwoSum, is nonzero), s is truncated toward zero and its
+// last bit set. Rounding to odd at 53 bits and then to nearest at 24 or fewer
+// (float32's subnormals included) is rounding once (Boldo & Melquiond, IEEE
+// Trans. Computers 57(4), 2008). e is the error times s: the error is a
+// multiple of 2⁻²⁹⁸ and s is nonzero when it is, so e cannot underflow, and
+// its sign says whether s was rounded away from zero. A NaN or infinite s
+// makes e NaN and narrows as it is.
+func fmaProduct(p float64, c float32) float32 {
+	s := p + float64(c)
+	d := s - p
+	e := ((p - (s - d)) + (float64(c) - d)) * s
+	bits := math.Float64bits(s)
+	if e != 0 && e == e {
+		bits = (bits - math.Float64bits(e)>>63) | 1
+	}
+	return float32(math.Float64frombits(bits))
+}
+
+// AxpyRow computes dst[j] += alpha·src[j], fused, over len(src) elements
+// (dst must be at least as long); exported so the propagation layers share
+// its SIMD forms.
 func AxpyRow(dst, src []float32, alpha float32) {
 	n := len(src)
 	dst = dst[:n]
@@ -37,8 +67,9 @@ func AxpyRow(dst, src []float32, alpha float32) {
 		q = n &^ 7
 		axpyRowAVX2Asm(dst[:q], src[:q], alpha)
 	}
+	a := float64(alpha)
 	for j := q; j < n; j++ {
-		dst[j] += alpha * src[j]
+		dst[j] = fmaProduct(float64(src[j])*a, dst[j])
 	}
 }
 

@@ -1,18 +1,17 @@
-// AVX2 row-update and fused element-wise kernels. Multiply and add are
-// deliberately separate instructions (VMULPS + VADDPS,
-// never FMA): a fused multiply-add rounds once where the reference kernels
-// round twice, and the exact-equality property tests require bit-identical
-// results across every dispatch level. Lanes span independent output
-// elements only, so no element's accumulation order changes. Every routine
-// ends with VZEROUPPER to avoid AVX→SSE transition stalls in the scalar
-// tails that follow.
+// AVX2 row-update and fused element-wise kernels. The row update is one
+// fused multiply-add per element (VFMADD213PS, one rounding), the step
+// fmaProduct takes in the Go loops (axpy.go), so every dispatch level gives
+// the same bits; the element-wise kernels reproduce their Go expressions
+// operation by operation. Lanes span independent output elements only, so no
+// element's accumulation order changes. Every routine ends with VZEROUPPER to
+// avoid AVX→SSE transition stalls in the scalar tails that follow.
 //
 // All lengths are positive multiples of 8, guaranteed by the Go wrappers.
 
 #include "textflag.h"
 
 // func axpyRowAVX2Asm(dst, src []float32, alpha float32)
-// dst[j] += alpha*src[j].
+// dst[j] = src[j]·alpha + dst[j], rounded once.
 TEXT ·axpyRowAVX2Asm(SB), NOSPLIT, $0-52
 	MOVQ         dst_base+0(FP), DI
 	MOVQ         src_base+24(FP), SI
@@ -27,36 +26,31 @@ loop32:
 	VMOVUPS 32(SI), Y2
 	VMOVUPS 64(SI), Y3
 	VMOVUPS 96(SI), Y4
-	VMULPS  Y0, Y1, Y1
-	VMULPS  Y0, Y2, Y2
-	VMULPS  Y0, Y3, Y3
-	VMULPS  Y0, Y4, Y4
-	VADDPS  (DI), Y1, Y1
-	VMOVUPS Y1, (DI)
-	VADDPS  32(DI), Y2, Y2
-	VMOVUPS Y2, 32(DI)
-	VADDPS  64(DI), Y3, Y3
-	VMOVUPS Y3, 64(DI)
-	VADDPS  96(DI), Y4, Y4
-	VMOVUPS Y4, 96(DI)
-	ADDQ    $128, SI
-	ADDQ    $128, DI
-	SUBQ    $32, CX
-	CMPQ    CX, $32
-	JGE     loop32
+	VFMADD213PS (DI), Y0, Y1
+	VMOVUPS     Y1, (DI)
+	VFMADD213PS 32(DI), Y0, Y2
+	VMOVUPS     Y2, 32(DI)
+	VFMADD213PS 64(DI), Y0, Y3
+	VMOVUPS     Y3, 64(DI)
+	VFMADD213PS 96(DI), Y0, Y4
+	VMOVUPS     Y4, 96(DI)
+	ADDQ        $128, SI
+	ADDQ        $128, DI
+	SUBQ        $32, CX
+	CMPQ        CX, $32
+	JGE         loop32
 
 	TESTQ CX, CX
 	JZ    done
 
 loop8:
-	VMOVUPS (SI), Y1
-	VMULPS  Y0, Y1, Y1
-	VADDPS  (DI), Y1, Y1
-	VMOVUPS Y1, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JG      loop8
+	VMOVUPS     (SI), Y1
+	VFMADD213PS (DI), Y0, Y1
+	VMOVUPS     Y1, (DI)
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	SUBQ        $8, CX
+	JG          loop8
 
 done:
 	VZEROUPPER

@@ -26,9 +26,9 @@
 // outside [1, 2046] (the denormal and overflow exits). For x in [−708, 709],
 // k+1023 is in [2, 2046], so none of those exits is taken; a lane outside that
 // interval (or NaN) clears the returned flag and the Go caller recomputes it
-// with math.Exp. The FMAs here are the FMAs math.Exp already executes, which
-// is why this is the one kernel in the package allowed to fuse — and why it
-// runs only where math takes that path (AVX + FMA, cpuFMA in simd.go). If a Go
+// with math.Exp. The FMAs here are the FMAs math.Exp already executes, and
+// the kernel runs only where math takes that path (AVX + FMA, which the avx2
+// rung requires: simd_amd64.go). If a Go
 // release changes archExp, TestExpRowMatchesMathExpSIMD fails; the remedy is
 // to re-derive or drop this kernel, never to re-record a golden.
 //

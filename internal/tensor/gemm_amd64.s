@@ -4,7 +4,7 @@
 // write-only there and nobody clears it beforehand: "+0, then ascending k"
 // either way — runs all kc steps inside the loop below — per step one row of
 // the B panel is loaded and each C row's A element is broadcast and
-// multiplied in — and stores the tile once, so C traffic is paid per chunk
+// multiply-added in — and stores the tile once, so C traffic is paid per chunk
 // instead of per k step (the output-stationary order of the paper's update
 // unit, §IV-C).
 //
@@ -14,7 +14,7 @@
 // dimension n.
 //
 // One body, two register files, three widths each. TILE names its vectors
-// V0..V11, their byte width VB, the zeroing idiom ZERO and the masked
+// V0..V10, their byte width VB, the zeroing idiom ZERO and the masked
 // load/store LDM/STM; the assembler expands a macro body where it is used, so
 // binding those names to YMM (AVX2) and then to ZMM (AVX-512F) registers
 // instantiates the same text twice. Per register file the widths are two
@@ -26,9 +26,12 @@
 // accumulators that are never stored — and their C rows neither loaded nor
 // stored.
 //
-// Multiply and add stay separate instructions at both widths, as
-// axpy_avx2_amd64.s explains: every C element accumulates a·b products over
-// ascending k with two roundings per step, exactly like the reference loops.
+// Each step is one fused multiply-add at both widths (VFMADD231PS, one
+// rounding): every C element accumulates a·b products over ascending k,
+// exactly like the reference loops, whose steps are fmaProduct (axpy.go).
+// That makes the tile latency-bound rather than port-bound: two FMA ports at
+// a four-cycle latency need eight independent chains in flight, and the tile
+// has exactly its eight accumulators, so any stall shows.
 
 #include "textflag.h"
 
@@ -39,10 +42,8 @@
 #define WIDE(x) x
 #define NARROW(x)
 
-// acc += V10·bv, unfused.
-#define MAC(bv, acc) \
-	VMULPS bv, V10, V11; \
-	VADDPS V11, acc, acc
+// acc = V10·bv + acc, rounded once.
+#define MAC(bv, acc) VFMADD231PS bv, V10, acc
 
 // One tile row's share of a k step: broadcast its A element, accumulate.
 #define ROWSTEP(ap, lo, hi, HI) \
@@ -52,7 +53,7 @@
 
 // Registers: DI R8 R9 R10 = C rows 0..3, AX BX CX DX = A rows 0..3, SI = B,
 // R11 = aks bytes, R12 = n bytes, R13 = rows, then the k counter.
-// V0..V7 = the tile (row r in V2r, V2r+1), V8 V9 = B, V10 V11 = scratch.
+// V0..V7 = the tile (row r in V2r, V2r+1), V8 V9 = B, V10 = the A broadcast.
 #define TILE(LD, ST, HI) \
 	MOVQ c_base+0(FP), DI; \
 	MOVQ a_base+24(FP), AX; \
@@ -150,7 +151,6 @@ done: \
 #define V8 Y8
 #define V9 Y9
 #define V10 Y10
-#define V11 Y11
 #define VB 32
 #define ZERO(v) VXORPS v, v, v
 // Lane mask in Y15.
@@ -198,7 +198,6 @@ TEXT ·gemmTileMaskAVX2Asm(SB), NOSPLIT, $0-128
 #undef V8
 #undef V9
 #undef V10
-#undef V11
 #undef VB
 #undef ZERO
 #undef LDM
@@ -222,7 +221,6 @@ TEXT ·gemmTileMaskAVX2Asm(SB), NOSPLIT, $0-128
 #define V8 Z8
 #define V9 Z9
 #define V10 Z10
-#define V11 Z11
 #define VB 64
 #define ZERO(v) VPXORD v, v, v
 #define LDM(m, v) VMOVUPS.Z m, K1, v

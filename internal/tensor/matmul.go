@@ -32,15 +32,17 @@
 // C — which is what lets MatMulCat and TMatMulCat read a left operand in two
 // pieces: each piece is one more chunk. SIMD lanes span the
 // row (j) dimension, which never reorders a single element's accumulation,
-// and multiply and add are never fused (see axpy.go).
+// and each step is one fused multiply-add at every level, the reference
+// loops' included (fmaProduct, axpy.go).
 //
-// No level skips zeros of A. It would change nothing for finite B — an
-// accumulator that starts at +0 can never become −0 under round-to-nearest,
-// so adding a·b = ±0 leaves it as it was — and for a non-finite B element
-// 0·b is NaN in the reference loops, so only the kernel that does not skip
-// equals them on every input. Nor would a skip pay: at row granularity it
-// measured 6–15 % on a half-zero post-ReLU A, against 2–4× from keeping the
-// tile in registers, whose k loop has no room for a branch.
+// No level skips zeros of A. Adding a·b = ±0 leaves a nonzero accumulator
+// as it was, but not a −0 one — which a fused step can produce from +0, when
+// a negative product too small for float32 rounds to −0 in one go — and for
+// a non-finite B element 0·b is NaN in the reference loops, so only the
+// kernel that does not skip equals them on every input. Nor would a skip
+// pay: at row granularity it measured 6–15 % on a half-zero post-ReLU A,
+// against 2–4× from keeping the tile in registers, whose k loop has no room
+// for a branch.
 package tensor
 
 import (

@@ -121,7 +121,7 @@ func TestAxpyRowMatchesScalar(t *testing.T) {
 		alpha := float32(rng.NormFloat64())
 		AxpyRow(dst, src, alpha)
 		for i := 0; i < n; i++ {
-			want[i] += alpha * src[i]
+			want[i] = fma32(src[i], alpha, want[i])
 			if dst[i] != want[i] {
 				t.Fatalf("n=%d: AxpyRow[%d]=%v, scalar %v", n, i, dst[i], want[i])
 			}

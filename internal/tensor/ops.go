@@ -261,14 +261,14 @@ const (
 )
 
 // expRow computes dst[j] = math.Exp(float64(src[j])) over len(src) elements,
-// bit for bit at every level: from AVX2 up, on a CPU with FMA — where
-// math.Exp itself is the fused routine — expRowFMAAsm runs the same routine
-// four lanes at a time; everywhere else this is the scalar loop.
+// bit for bit at every level: from AVX2 up — a rung that requires FMA3, so
+// math.Exp itself is the fused routine there — expRowFMAAsm runs the same
+// routine four lanes at a time; below it this is the scalar loop.
 func expRow(dst []float64, src []float32) {
 	n := len(src)
 	dst = dst[:n]
 	q := 0
-	if haveAVX2Asm && cpuFMA && n >= 4 && simdAtLeast(SIMDAVX2) {
+	if haveAVX2Asm && n >= 4 && simdAtLeast(SIMDAVX2) {
 		q = n &^ 3
 		if !expRowFMAAsm(dst[:q], src[:q]) {
 			for j, v := range src[:q] {

@@ -24,7 +24,8 @@ func reluMaskOracle(m *Matrix) *Matrix {
 }
 
 // MatMulRef is the reference C = A·B: the naive (i, k, j) triple loop with
-// no blocking, no SIMD and no sparsity skip.
+// no blocking, no SIMD and no sparsity skip. Each step of every reference
+// product is the scalar fused step fma32, as in the shipped kernels.
 func MatMulRef(c, a, b *Matrix) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulRef shapes %dx%d · %dx%d -> %dx%d",
@@ -41,7 +42,7 @@ func MatMulRef(c, a, b *Matrix) {
 			for kk, av := range ai {
 				bk := b.Data[kk*n : (kk+1)*n]
 				for j, bv := range bk {
-					ci[j] += av * bv
+					ci[j] = fma32(av, bv, ci[j])
 				}
 			}
 		}
@@ -63,7 +64,7 @@ func MatMulTRef(c, a, b *Matrix) {
 				bj := b.Data[j*k : (j+1)*k]
 				var sum float32
 				for t, av := range ai {
-					sum += av * bj[t]
+					sum = fma32(av, bj[t], sum)
 				}
 				ci[j] = sum
 			}
@@ -89,7 +90,7 @@ func TMatMulRef(c, a, b *Matrix) {
 				av := a.Data[kk*a.Cols+i]
 				bk := b.Data[kk*n : (kk+1)*n]
 				for j, bv := range bk {
-					ci[j] += av * bv
+					ci[j] = fma32(av, bv, ci[j])
 				}
 			}
 		}

@@ -21,12 +21,13 @@ package tensor
 // ceiling so a CI matrix can request "avx512" on any runner and get "as wide
 // as available".
 //
-// Every level computes bit-identical results: the vector kernels keep
-// multiply and add unfused (VMULPS + VADDPS, never FMA — fusing rounds once
-// where the scalar reference rounds twice) and vectorise only across
-// independent output elements, so no element's accumulation order changes.
-// The one kernel that fuses is the exp under the loss, which reproduces the
-// FMAs math.Exp itself executes (exp_amd64.s).
+// Every level computes bit-identical results: every c += a·b is one fused
+// multiply-add, rounded once — a VFMADD lane in the GEMM tile, the
+// aggregation row and the row update, fmaProduct in the Go loops they stand
+// in for (axpy.go) — and the kernels vectorise only across independent output
+// elements, so no element's accumulation order changes. The exp under the
+// loss fuses where math.Exp itself does (exp_amd64.s), and the other
+// element-wise kernels reproduce their Go expressions operation by operation.
 // The property tests in simd_test.go pin exact equality across all levels.
 
 import (
@@ -44,8 +45,8 @@ type SIMDLevel int32
 const (
 	// SIMDGeneric runs the pure-Go kernels everywhere (every CPU's floor).
 	SIMDGeneric SIMDLevel = iota
-	// SIMDAVX2 uses the 256-bit AVX2 kernels (amd64 with AVX2 + OS YMM
-	// state support).
+	// SIMDAVX2 uses the 256-bit AVX2 kernels (amd64 with AVX2, FMA3 and OS
+	// YMM state support).
 	SIMDAVX2
 	// SIMDAVX512 additionally runs the GEMM register tile and the
 	// aggregation row kernel on 512-bit registers (amd64 with AVX512F + OS
@@ -67,12 +68,11 @@ func (l SIMDLevel) String() string {
 	return fmt.Sprintf("SIMDLevel(%d)", int32(l))
 }
 
-// detectedSIMD is the hardware ceiling, fixed at init by the per-arch probe;
-// cpuFMA says whether that CPU also fuses multiply-adds, which only the exp
-// kernel uses (expRow in ops.go), and cpuDQ whether an AVX-512 CPU has the
-// DQ subset, which only the Box–Muller row and RMAT attempt kernels use
-// (RNG.FillNormal, RNG.FillRMAT).
-var detectedSIMD, cpuFMA, cpuDQ = detectSIMD()
+// detectedSIMD is the hardware ceiling, fixed at init by the per-arch probe,
+// and cpuDQ whether an AVX-512 CPU has the DQ subset, which only the
+// Box–Muller row and RMAT attempt kernels use (RNG.FillNormal,
+// RNG.FillRMAT).
+var detectedSIMD, cpuDQ = detectSIMD()
 
 // activeSIMD is the level the kernels dispatch on (atomic: hot paths read it
 // lock-free while tests and the CLI flip it).

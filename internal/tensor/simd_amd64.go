@@ -7,10 +7,12 @@ package tensor
 // dependency: AVX2 is usable only when the CPU advertises it (leaf 7 EBX bit
 // 5), the AVX foundation is present (leaf 1 ECX bit 28), and the OS has
 // enabled XMM+YMM state saving (OSXSAVE + XCR0 bits 1–2) — the standard
-// three-step check. AVX-512 needs two more facts on top: the foundation
-// subset (leaf 7 EBX bit 16 — the 512-bit tile uses AVX512F instructions
-// only) and OS support for the opmask and both halves of the ZMM state (XCR0
-// bits 5–7). The doubleword/quadword subset (AVX512DQ, leaf 7 EBX bit 17) is
+// three-step check. The avx2 rung also needs FMA3 (leaf 1 ECX bit 12): every
+// kernel's c += a·b is a VFMADD, and the exp kernel runs the FMA path of
+// math.Exp, which package math takes under exactly these conditions. AVX-512
+// needs two more facts on top: the foundation subset (leaf 7 EBX bit 16 — the
+// 512-bit tile uses AVX512F instructions only) and OS support for the opmask
+// and both halves of the ZMM state (XCR0 bits 5–7). The doubleword/quadword subset (AVX512DQ, leaf 7 EBX bit 17) is
 // probed beside it: the Box–Muller row kernel (normal_amd64.s) needs it for its
 // 64-bit multiplies and int64↔float64 conversions, the RMAT attempt kernel
 // (rmat_amd64.s) for its 64-bit multiplies.
@@ -26,47 +28,43 @@ func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 // xgetbvAsm reads XCR0 (requires OSXSAVE, checked by the caller).
 func xgetbvAsm() (eax, edx uint32)
 
-// detectSIMD probes the CPU once at package init. A CPU without AVX2 stays
-// at generic, the pure-Go loops — bit-identical, only slower. fma reports FMA3
-// (leaf 1 ECX bit 12) on a CPU that reached the AVX2 rung — with the AVX and
-// OS-state checks above it, the condition under which package math runs the
-// FMA path of its Exp, which is the path expRowFMAAsm reproduces. dq reports
-// AVX512DQ on a CPU that reached the AVX-512 rung.
-func detectSIMD() (level SIMDLevel, fma, dq bool) {
+// detectSIMD probes the CPU once at package init. A CPU without AVX2 or
+// without FMA3 stays at generic, the pure-Go loops — bit-identical, only
+// slower. dq reports AVX512DQ on a CPU that reached the AVX-512 rung.
+func detectSIMD() (level SIMDLevel, dq bool) {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
 	if maxLeaf < 7 {
-		return SIMDGeneric, false, false
+		return SIMDGeneric, false
 	}
 	_, _, ecx1, _ := cpuidAsm(1, 0)
+	const fmaBit = 1 << 12
 	const osxsaveBit = 1 << 27
 	const avxBit = 1 << 28
-	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return SIMDGeneric, false, false
+	if ecx1&fmaBit == 0 || ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
+		return SIMDGeneric, false
 	}
 	xcr0, _ := xgetbvAsm()
 	const ymmState = 0x6 // XMM (bit 1) + YMM (bit 2) enabled by the OS
 	if xcr0&ymmState != ymmState {
-		return SIMDGeneric, false, false
+		return SIMDGeneric, false
 	}
 	_, ebx7, _, _ := cpuidAsm(7, 0)
 	const avx2Bit = 1 << 5
 	if ebx7&avx2Bit == 0 {
-		return SIMDGeneric, false, false
+		return SIMDGeneric, false
 	}
-	const fmaBit = 1 << 12
-	fma = ecx1&fmaBit != 0
 	const avx512fBit = 1 << 16
 	const zmmState = 0xe0 // opmask (bit 5) + ZMM_Hi256 (bit 6) + Hi16_ZMM (bit 7)
 	if ebx7&avx512fBit == 0 || xcr0&zmmState != zmmState {
-		return SIMDAVX2, fma, false
+		return SIMDAVX2, false
 	}
 	const avx512dqBit = 1 << 17
-	return SIMDAVX512, fma, ebx7&avx512dqBit != 0
+	return SIMDAVX512, ebx7&avx512dqBit != 0
 }
 
 // AVX2 kernels (axpy_avx2_amd64.s). All slice lengths are positive
-// multiples of 8, guaranteed by the wrappers; multiply and add stay unfused
-// for bit-identity with the scalar paths.
+// multiples of 8, guaranteed by the wrappers; the row update is one fused
+// multiply-add per element, as fmaProduct is in the scalar paths.
 
 // axpyRowAVX2Asm computes dst[j] += alpha·src[j].
 //

@@ -7,7 +7,7 @@ package tensor
 // call site).
 const haveAVX2Asm = false
 
-func detectSIMD() (SIMDLevel, bool, bool) { return SIMDGeneric, false, false }
+func detectSIMD() (SIMDLevel, bool) { return SIMDGeneric, false }
 
 func axpyRowAVX2Asm(dst, src []float32, alpha float32) {
 	panic("tensor: axpyRowAVX2Asm without assembly support")

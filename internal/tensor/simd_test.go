@@ -52,7 +52,7 @@ func TestAxpyRowExactAcrossSIMDLevels(t *testing.T) {
 		alpha := float32(rng.NormFloat64())
 		want := append([]float32(nil), dst0...)
 		for j := range want {
-			want[j] += alpha * src[j]
+			want[j] = fma32(src[j], alpha, want[j])
 		}
 		for _, l := range availableLevels() {
 			withSIMD(t, l, func() {
@@ -115,7 +115,7 @@ func reluEdgeValues(rng *RNG, n int) []float32 {
 	return s
 }
 
-func negZero() float64 { return -0.0 * 1.0 } // dodge constant folding to +0
+func negZero() float64 { return math.Copysign(0, -1) } // a constant −0.0 is +0 in Go
 
 func TestReLUIntoExactAcrossSIMDLevels(t *testing.T) {
 	prevPar := SetParallelism(1)

@@ -390,13 +390,40 @@ func TestSetParallelismClamps(t *testing.T) {
 	SetParallelism(old)
 }
 
-func BenchmarkMatMul256(b *testing.B) {
-	rng := NewRNG(1)
-	a := randomMatrix(256, 256, rng)
-	c := randomMatrix(256, 256, rng)
-	out := New(256, 256)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MatMul(out, a, c)
+// BenchmarkMatMul reports MatMul's single-core rate (SetParallelism(1);
+// GFLOP/s at two flops per multiply-add) at each level this CPU has, on the
+// workloads' GEMM shapes: a serving batch's layer 0, a training batch's layer
+// 0 and its layer 1 (products ÷ 40, batch 1024, f = 200 / 256 / 47 before
+// SAGE's concatenation doubles the input width). README's kernel table is
+// read with
+//
+//	go test -run '^$' -bench MatMul ./internal/tensor/
+func BenchmarkMatMul(b *testing.B) {
+	defer SetParallelism(SetParallelism(1))
+	shapes := []struct {
+		name    string
+		m, k, n int
+	}{
+		{"serve-l0-192x200x128", 192, 200, 128},
+		{"train-l0-10000x200x256", 10000, 200, 256},
+		{"train-l1-1024x512x47", 1024, 512, 47},
+	}
+	for _, l := range availableLevels() {
+		for _, sh := range shapes {
+			rng := NewRNG(1)
+			a, w, out := randomMatrix(sh.m, sh.k, rng), randomMatrix(sh.k, sh.n, rng), New(sh.m, sh.n)
+			b.Run(l.String()+"/"+sh.name, func(b *testing.B) {
+				prev, err := SetSIMDLevel(l)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer SetSIMDLevel(prev)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					MatMul(out, a, w)
+				}
+				b.ReportMetric(2*float64(sh.m*sh.k*sh.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }
