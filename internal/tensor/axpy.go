@@ -14,7 +14,7 @@ import (
 // registers across k (gemm_amd64.s) and gnn's aggregation keeps a destination
 // row in registers across its edge list (AggregateRow below). AxpyRow remains
 // the inner loop of
-//   - both of those below AVX2 and off amd64 (gemmStrip in matmul.go, the
+//   - both of those below AVX2 and off amd64 (gemmStrips in matmul.go, the
 //     fallback of AggregateRow) — which is what makes every level one
 //     arithmetic;
 //   - the scatters, at every level: gnn's serial AggregateBackwardSerial and

@@ -61,13 +61,14 @@ func catOperands(rng *RNG, cc catCase) (a1 *Matrix, rows1 []int32, a2 *Matrix) {
 }
 
 // catCases is the shape table both kernel tests run: row counts on both
-// sides of the 4-row strip and the 32-row panel, every column tail form of
+// sides of the 6-row strip and of the catPanel-row block (the block after one
+// and after two full blocks ends in a short strip), every column tail form of
 // both tile widths, an empty left or right half, a half longer than a
 // MatMul k-chunk, planted specials, with rows1 nil and mapped.
 func catCases() []catCase {
-	rowCounts, ns := []int{1, 5, 33, 70}, []int{1, 15, 47, 172, 256}
+	rowCounts, ns := []int{1, 5, catPanel + 3, 2*catPanel + 5}, []int{1, 15, 47, 172, 256}
 	if raceEnabled { // the instrumented reference loops are the cost
-		rowCounts, ns = []int{5, 33}, []int{15, 47, 256}
+		rowCounts, ns = []int{5, catPanel + 3}, []int{15, 47, 256}
 	}
 	var cases []catCase
 	for _, rows := range rowCounts {
@@ -139,17 +140,30 @@ func checkTMatMulCat(t *testing.T, what string, a1 *Matrix, rows1 []int32, a2, b
 
 // TestMatMulCatMatchesMaterialisedSIMD pins MatMulCat to MatMul over the
 // [A1′ | A2] it never forms, bit for bit, at every dispatch level and kernel
-// parallelism 1, 3 and 4, over catCases and one shape above the fan-out grain
+// parallelism 1, 3 and 4, over catCases, one shape above the fan-out grain
 // (asserted) whose row count is a multiple of neither the strip nor the
-// panel, so workers start and end blocks mid-panel.
+// panel, so workers start and end blocks mid-panel (and at parallelism 1 the
+// one range packs B), and one that fans out and packs B in every range
+// (asserted), with a 26-column last panel.
 func TestMatMulCatMatchesMaterialisedSIMD(t *testing.T) {
 	cases := append(catCases(), catCase{1027, 1100, 100, 100, 47, false, false},
 		catCase{1027, 1100, 100, 100, 47, true, false})
+	const packedRows = 4*packMinRows + 5
+	for _, mapped := range []bool{false, true} {
+		cases = append(cases, catCase{packedRows, packedRows + 9, 3, 2, 250, mapped, false})
+	}
 	forEachLevelAndCatParallelism(t, func(l SIMDLevel, par int) {
 		rng := NewRNG(47)
 		for _, cc := range cases {
-			if cc.rows > 1000 { // the two shapes above the grain
+			if cc.rows == 1027 { // the two shapes above the grain
 				requireFanOut(t, "MatMulCat", cc.rows, (cc.k1+cc.k2)*cc.n)
+			}
+			if cc.rows == packedRows { // fanned out, every range still packs
+				strips, work := (cc.rows+gemmRows-1)/gemmRows, gemmRows*(cc.k1+cc.k2)*cc.n
+				requireFanOut(t, "packed MatMulCat", strips, work)
+				if !packs(cc.n, cc.rows/max(1, FanOut(strips, work))-gemmRows) {
+					t.Fatalf("par %d: %v does not pack B in every range", par, cc)
+				}
 			}
 			a1, rows1, a2 := catOperands(rng, cc)
 			b := randomMatrix(cc.k1+cc.k2, cc.n, rng)

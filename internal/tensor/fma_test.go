@@ -245,48 +245,57 @@ func TestAggregateRowLanesAreFMA32(t *testing.T) {
 	}
 }
 
-// TestGemmTileLanesAreFMA32: the level's GEMM tile (gemmStrip at that level,
+// TestGemmTileLanesAreFMA32: the level's GEMM tile (gemmStrips at that level,
 // which takes the level as given) equals a loop of fma32 steps over k, lane
-// for lane, for 1–4 rows, every column form and both entries — onto C and
+// for lane, for 1–6 rows, every column form and both entries — onto C and
 // from +0 — with step 0's sums on tie cases: B's row 0 and every row's A
 // element at step 0 are tieCases' x and w, and each C row is its c with the
-// low mantissa bits redrawn, which keeps every lane a tie case.
+// low mantissa bits redrawn, which keeps every lane a tie case. B is read at
+// its own leading dimension: n (row-major) or wider, the columns past n NaN,
+// so a tile that read B at C's stride or past its w columns shows.
 func TestGemmTileLanesAreFMA32(t *testing.T) {
 	for _, l := range fusedLevels(t) {
 		rng := NewRNG(54)
 		for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 64, 100} {
-			for rows := 1; rows <= 4; rows++ {
-				for zero := 0; zero <= 1; zero++ {
-					const kc = 6
-					a, b := randSlice(rng, rows*kc), randSlice(rng, kc*n)
-					c := make([]float32, rows*n)
-					w := tieCases(rng, b[:n], c[:n])
-					for r := 0; r < rows; r++ {
-						a[r*kc] = w
-						cr := c[r*n : r*n+n]
-						for j := range cr {
-							cr[j] = math.Float32frombits(math.Float32bits(c[j]) ^ uint32(rng.Intn(1<<20)))
-						}
-						if n >= 8 {
-							requireDiscriminates(t, b[:n], cr, w)
-						}
-					}
-					want := append([]float32(nil), c...)
-					for r := 0; r < rows; r++ {
-						cr := want[r*n : r*n+n]
-						if zero != 0 {
-							clear(cr)
-						}
+			for _, ldb := range []int{n, n + 3} {
+				for rows := 1; rows <= gemmRows; rows++ {
+					for zero := 0; zero <= 1; zero++ {
+						const kc = 6
+						a, b := randSlice(rng, rows*kc), randSlice(rng, kc*ldb)
 						for s := 0; s < kc; s++ {
-							for j := range cr {
-								cr[j] = fma32(a[r*kc+s], b[s*n+j], cr[j])
+							for j := n; j < ldb; j++ {
+								b[s*ldb+j] = float32(math.NaN())
 							}
 						}
-					}
-					gemmStrip(l, c, a, b, n, kc, 1, kc, rows, zero)
-					if i, ok := sameBits(c, want); !ok {
-						t.Fatalf("level %v n=%d rows=%d zero=%d: C(%d,%d) = %#x, fma32 %#x",
-							l, n, rows, zero, i/n, i%n, math.Float32bits(c[i]), math.Float32bits(want[i]))
+						c := make([]float32, rows*n)
+						w := tieCases(rng, b[:n], c[:n])
+						for r := 0; r < rows; r++ {
+							a[r*kc] = w
+							cr := c[r*n : r*n+n]
+							for j := range cr {
+								cr[j] = math.Float32frombits(math.Float32bits(c[j]) ^ uint32(rng.Intn(1<<20)))
+							}
+							if n >= 8 {
+								requireDiscriminates(t, b[:n], cr, w)
+							}
+						}
+						want := append([]float32(nil), c...)
+						for r := 0; r < rows; r++ {
+							cr := want[r*n : r*n+n]
+							if zero != 0 {
+								clear(cr)
+							}
+							for s := 0; s < kc; s++ {
+								for j := range cr {
+									cr[j] = fma32(a[r*kc+s], b[s*ldb+j], cr[j])
+								}
+							}
+						}
+						gemmStrips(l, c, a, b, n, ldb, n, kc, 1, kc, rows, zero)
+						if i, ok := sameBits(c, want); !ok {
+							t.Fatalf("level %v n=%d ldb=%d rows=%d zero=%d: C(%d,%d) = %#x, fma32 %#x",
+								l, n, ldb, rows, zero, i/n, i%n, math.Float32bits(c[i]), math.Float32bits(want[i]))
+						}
 					}
 				}
 			}

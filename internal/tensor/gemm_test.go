@@ -69,11 +69,13 @@ func gemmCheck(a, b *Matrix) func(t *testing.T, what string) {
 }
 
 // TestGemmTileEdgesExact walks every edge of the register tile — each row
-// remainder, each column form (two vectors, one vector, masked — 16 / 8 / ≤ 8
-// columns on YMM, 32 / 16 / ≤ 16 on ZMM) alone and combined, and k spanning
-// none, one, two and three chunks of every kernel (on both sides of the first
-// boundary) — at every dispatch level, plus shapes large enough that
-// parallelism 4 really splits the rows.
+// remainder after a full strip (m from 6 to 13), each column form (two
+// vectors, one vector, masked — 16 / 8 / ≤ 8 columns on YMM, 32 / 16 / ≤ 16
+// on ZMM) alone and combined, and k spanning none, one, two and three chunks
+// of every kernel (on both sides of the first boundary) — at every dispatch
+// level, plus shapes large enough that parallelism 4 really splits the rows,
+// and shapes whose ranges pack B (packs): n on both sides of one panel, a
+// narrow last panel, and one that packs in every fanned-out range.
 func TestGemmTileEdgesExact(t *testing.T) {
 	ns := []int{1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 47, 48, 49, 63, 64, 65, 100, 128, 172, 256}
 	ks := []int{0, 1, 3, tmKC + 1, 2*tmKC + 1, mmKC - 1, mmKC, mmKC + 5, 2*mmKC + 1}
@@ -82,7 +84,7 @@ func TestGemmTileEdgesExact(t *testing.T) {
 		ks = []int{0, 3, 2*tmKC + 1, mmKC + 5, 2*mmKC + 1}
 	}
 	var shapes [][3]int
-	for m := 4; m < 8; m++ {
+	for m := gemmRows; m < 2*gemmRows+2; m++ {
 		for _, n := range ns {
 			for _, k := range ks {
 				shapes = append(shapes, [3]int{m, k, n})
@@ -90,10 +92,19 @@ func TestGemmTileEdgesExact(t *testing.T) {
 		}
 	}
 	// Above the fan-out grain: chunk boundaries fall wherever rows/degree puts
-	// them, so strips of fewer than four rows end up in the middle of C.
+	// them, so strips of fewer than six rows end up in the middle of C.
 	fanned := [][3]int{{131, mmKC + 5, 47}, {47, 3*tmKC + 7, 256}, {256, 2 * tmKC, 47}}
+	// At packMinRows rows and up MatMul and MatMulT run on packed panels of B
+	// (n = 32 stays row-major: it already is one panel). The last shape fans
+	// out at parallelism 4 into two ranges that each pack. (Packed ranges
+	// across k-chunks: TestGemmWritesOnlyItsRows.)
+	packed := [][3]int{{packMinRows + 7, 7, 32}, {packMinRows + 7, 7, 47}, {packMinRows + 7, 7, 172},
+		{packMinRows + 7, 7, 256}, {4*packMinRows + 7, 5, 256}}
+	if raceEnabled {
+		packed = packed[1:2]
+	}
 	rng := NewRNG(20)
-	for i, sh := range append(fanned, shapes...) {
+	for i, sh := range append(append(fanned, packed...), shapes...) {
 		check := gemmCheck(randomMatrix(sh[0], sh[1], rng), randomMatrix(sh[1], sh[2], rng))
 		forEachLevelAndParallelism(t, func(l SIMDLevel, par int) {
 			if i < len(fanned) {
@@ -101,6 +112,10 @@ func TestGemmTileEdgesExact(t *testing.T) {
 			}
 			check(t, "level "+l.String())
 		})
+	}
+	defer SetParallelism(SetParallelism(4))
+	if m := 4*packMinRows + 7; FanOut((m+gemmRows-1)/gemmRows, gemmRows*5*256) != 2 || !packs(256, m/2) {
+		t.Fatal("the last packed shape no longer splits into two ranges that pack")
 	}
 }
 
@@ -124,7 +139,7 @@ func TestGemmRangeChunksAndRaggedRanges(t *testing.T) {
 					lo, hi := r[0], r[1]
 					got := New(m, n)
 					got.Fill(5)
-					gemmRange(got.Data, n, a.Data, 1, m, b.Data, R, tmKC, false, lo, hi)
+					gemmRange(got.Data, n, a.Data, 1, m, b.Data, n, R, tmKC, false, lo, hi)
 					for i := 0; i < m; i++ {
 						row, ref := got.Row(i), want.Row(i)
 						if i < lo || i >= hi {
@@ -175,57 +190,83 @@ func TestGemmNonFiniteMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGemmWritesOnlyItsRows is the out-of-bounds canary for the two places
-// the micro-kernel could write where it must not: the masked store of the
-// last columns (n mod 8 on YMM, n mod 16 on ZMM — from one live lane to all
-// but one, alone and after each full-width form) and the strip of fewer than
-// four rows, whose missing rows are computed (on row 0's A) but must never be
-// stored. C sits inside a larger buffer of sentinels, A and B end exactly at
-// their capacity, and the rows of C outside [lo, hi) hold a second sentinel.
+// TestGemmWritesOnlyItsRows is the out-of-bounds canary for the places the
+// micro-kernel could write where it must not: the masked store of the last
+// columns (n mod 8 on YMM, n mod 16 on ZMM — from one live lane to all but
+// one, alone and after each full-width form), the strip of fewer than six
+// rows, whose missing rows are computed (on row 0's A) but must never be
+// stored, and a packed B's narrow last panel, in ranges of several k-chunks.
+// C sits inside a larger buffer of sentinels, A and B end exactly at their
+// capacity, and the rows of C outside [lo, hi) hold a second sentinel.
 func TestGemmWritesOnlyItsRows(t *testing.T) {
 	const pad = 64
 	guard, outside := math.Float32frombits(0xdeadbeef), math.Float32frombits(0xfeedface)
+	// check runs gemmRange over rows [lo, hi) of an m×k·k×n product in
+	// k-chunks of chunk, MatMul's addressing or (tr) TMatMul's, into the
+	// guarded C.
+	check := func(t *testing.T, l SIMDLevel, a, at, b, want *Matrix, chunk, lo, hi int, tr bool) {
+		t.Helper()
+		m, k, n := a.Rows, a.Cols, b.Cols
+		buf := make([]float32, pad+m*n+pad)
+		c := &Matrix{Rows: m, Cols: n, Data: buf[pad : pad+m*n : pad+m*n]}
+		for i := range buf {
+			buf[i] = guard
+		}
+		c.Fill(outside)
+		if tr {
+			gemmRange(c.Data, n, at.Data, 1, m, b.Data, n, k, chunk, false, lo, hi)
+		} else {
+			gemmRange(c.Data, n, a.Data, k, 1, b.Data, n, k, chunk, false, lo, hi)
+		}
+		for i, v := range buf {
+			wantV := guard
+			if r := (i - pad) / n; i >= pad && i < pad+m*n {
+				wantV = outside
+				if r >= lo && r < hi {
+					wantV = want.Data[i-pad]
+				}
+			}
+			if math.Float32bits(v) != math.Float32bits(wantV) {
+				t.Fatalf("level %v %dx%dx%d rows [%d,%d) transposed=%v: buffer[%d] (C offset %d) = %x, want %x",
+					l, m, k, n, lo, hi, tr, i, i-pad, math.Float32bits(v), math.Float32bits(wantV))
+			}
+		}
+	}
+	operands := func(rng *RNG, m, k, n int) (a, at, b, want *Matrix) {
+		a, b = randomMatrix(m, k, rng), randomMatrix(k, n, rng)
+		want = New(m, n)
+		MatMulRef(want, a, b)
+		return a, Transpose(a), b, want
+	}
 	forEachLevelAndParallelism(t, func(l SIMDLevel, par int) {
 		rng := NewRNG(23)
-		for _, m := range []int{1, 2, 3, 5, 6, 7} {
+		for _, m := range []int{1, 2, 3, 5, 6, 7, 11, 12, 13} {
 			for _, n := range []int{1, 7, 9, 15, 17, 23, 31, 33, 47, 48, 49, 63} {
 				for _, k := range []int{1, 5} {
-					a, b := randomMatrix(m, k, rng), randomMatrix(k, n, rng)
-					at := Transpose(a)
-					want := New(m, n)
-					MatMulRef(want, a, b)
-					buf := make([]float32, pad+m*n+pad)
-					c := &Matrix{Rows: m, Cols: n, Data: buf[pad : pad+m*n : pad+m*n]}
+					a, at, b, want := operands(rng, m, k, n)
 					for lo := 0; lo < m; lo++ {
 						for hi := lo + 1; hi <= m; hi++ {
 							for _, tr := range []bool{false, true} {
-								for i := range buf {
-									buf[i] = guard
-								}
-								c.Fill(outside)
+								chunk := mmKC
 								if tr {
-									gemmRange(c.Data, n, at.Data, 1, m, b.Data, k, tmKC, false, lo, hi)
-								} else {
-									gemmRange(c.Data, n, a.Data, k, 1, b.Data, k, mmKC, false, lo, hi)
+									chunk = tmKC
 								}
-								for i, v := range buf {
-									wantV := guard
-									if r := (i - pad) / n; i >= pad && i < pad+m*n {
-										wantV = outside
-										if r >= lo && r < hi {
-											wantV = want.Data[i-pad]
-										}
-									}
-									if math.Float32bits(v) != math.Float32bits(wantV) {
-										t.Fatalf("level %v %dx%dx%d rows [%d,%d) transposed=%v: buffer[%d] (C offset %d) = %x, want %x",
-											l, m, k, n, lo, hi, tr, i, i-pad, math.Float32bits(v), math.Float32bits(wantV))
-									}
-								}
+								check(t, l, a, at, b, want, chunk, lo, hi, tr)
 							}
 						}
 					}
 				}
 			}
+		}
+		// Ranges that pack B (n = 47: a 15-column last panel), starting and
+		// ending mid-strip, over k-chunks of 2, 2 and 1 steps.
+		const m = packMinRows + 9
+		a, at, b, want := operands(rng, m, 5, 47)
+		for _, r := range [][2]int{{0, m}, {1, m}, {3, m - 2}, {7, packMinRows + 8}} {
+			if !packs(47, r[1]-r[0]) {
+				t.Fatalf("rows [%d,%d) do not pack", r[0], r[1])
+			}
+			check(t, l, a, at, b, want, 2, r[0], r[1], false)
 		}
 	})
 }

@@ -12,13 +12,16 @@ func Scale(m *Matrix, s float32) {
 	}
 }
 
-// Axpy computes y += alpha·x element-wise (shapes must match).
+// Axpy computes y += alpha·x element-wise (shapes must match), rounding the
+// product and then the sum, on every architecture: the explicit conversion
+// keeps the arm64 compiler from fusing the two into one FMADDS, which amd64
+// never does.
 func Axpy(y *Matrix, alpha float32, x *Matrix) {
 	if y.Rows != x.Rows || y.Cols != x.Cols {
 		panic("tensor: Axpy shape mismatch")
 	}
 	for i, v := range x.Data {
-		y.Data[i] += alpha * v
+		y.Data[i] += float32(alpha * v)
 	}
 }
 

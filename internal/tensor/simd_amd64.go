@@ -166,71 +166,77 @@ func normalRowAVX512Asm(dst, mean []float32, std float64, state, step uint64) (o
 func rmatRowsAVX512Asm(src, dst []int32, levels int, t0, t1, t2, state uint64)
 
 // The GEMM micro-kernel (gemm_amd64.s): each form adds
-// Σ_t a[r·ars + t·aks] · b[t·n + j] over t in [0, kc) into c[r·n + j] — or,
+// Σ_t a[r·ars + t·aks] · b[t·ldb + j] over t in [0, kc) into c[r·n + j] — or,
 // with zero ≠ 0, stores that sum started from +0 without reading c, which is
-// how a product's first k-chunk spares C a clearing pass — for the rows ≤ 4
+// how a product's first k-chunk spares C a clearing pass — for the rows ≤ 6
 // rows and its columns of the tile that starts at c[0]: 16, 8 or w ≤ 8 of
 // them in YMM registers, 32, 16 or w ≤ 16 in ZMM registers, holding the tile
 // in registers throughout. They take no lengths: the caller proves the
 // extents.
 //
 //go:noescape
-func gemmTile16AVX2Asm(c, a, b []float32, n, ars, aks, kc, rows, zero int)
+func gemmTile16AVX2Asm(c, a, b []float32, n, ldb, ars, aks, kc, rows, zero int)
 
 //go:noescape
-func gemmTile8AVX2Asm(c, a, b []float32, n, ars, aks, kc, rows, zero int)
+func gemmTile8AVX2Asm(c, a, b []float32, n, ldb, ars, aks, kc, rows, zero int)
 
 //go:noescape
-func gemmTileMaskAVX2Asm(c, a, b []float32, n, ars, aks, kc, rows, zero, w int)
+func gemmTileMaskAVX2Asm(c, a, b []float32, n, ldb, ars, aks, kc, rows, zero, w int)
 
 //go:noescape
-func gemmTile32AVX512Asm(c, a, b []float32, n, ars, aks, kc, rows, zero int)
+func gemmTile32AVX512Asm(c, a, b []float32, n, ldb, ars, aks, kc, rows, zero int)
 
 //go:noescape
-func gemmTile16AVX512Asm(c, a, b []float32, n, ars, aks, kc, rows, zero int)
+func gemmTile16AVX512Asm(c, a, b []float32, n, ldb, ars, aks, kc, rows, zero int)
 
 //go:noescape
-func gemmTileMaskAVX512Asm(c, a, b []float32, n, ars, aks, kc, rows, zero, w int)
+func gemmTileMaskAVX512Asm(c, a, b []float32, n, ldb, ars, aks, kc, rows, zero, w int)
 
-// gemmStripAVX2 is gemmStrip in register tiles: the strip's n columns are
-// covered by 16-wide tiles, then an 8-wide one, then a masked one for the
-// last n mod 8 (47 = 16 + 16 + 8 + 7), so no tile reads or writes a column
-// past n. The three index expressions are the last elements any tile of the
-// strip touches: an extent that does not fit its slice panics here, in Go,
-// before the assembly runs.
-func gemmStripAVX2(c, a, b []float32, n, ars, aks, kc, rows, zero int) {
-	_ = c[rows*n-1]
+// gemmStripsAVX2 is gemmStrips in register tiles: the rows are swept
+// gemmRows at a time, and each strip's w columns are covered by 16-wide
+// tiles, then an 8-wide one, then a masked one for the last w mod 8
+// (47 = 16 + 16 + 8 + 7), so no tile reads or writes a column past w. The
+// three index expressions are the last elements any tile touches: an extent
+// that does not fit its slice panics here, in Go, before the assembly runs.
+func gemmStripsAVX2(c, a, b []float32, n, ldb, w, ars, aks, kc, rows, zero int) {
+	_ = c[(rows-1)*n+w-1]
 	_ = a[(rows-1)*ars+(kc-1)*aks]
-	_ = b[kc*n-1]
-	j := 0
-	for ; j+16 <= n; j += 16 {
-		gemmTile16AVX2Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, zero)
-	}
-	if j+8 <= n {
-		gemmTile8AVX2Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, zero)
-		j += 8
-	}
-	if j < n {
-		gemmTileMaskAVX2Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, zero, n-j)
+	_ = b[(kc-1)*ldb+w-1]
+	for i := 0; i < rows; i += gemmRows {
+		r, ci, ai := min(gemmRows, rows-i), c[i*n:], a[i*ars:]
+		j := 0
+		for ; j+16 <= w; j += 16 {
+			gemmTile16AVX2Asm(ci[j:], ai, b[j:], n, ldb, ars, aks, kc, r, zero)
+		}
+		if j+8 <= w {
+			gemmTile8AVX2Asm(ci[j:], ai, b[j:], n, ldb, ars, aks, kc, r, zero)
+			j += 8
+		}
+		if j < w {
+			gemmTileMaskAVX2Asm(ci[j:], ai, b[j:], n, ldb, ars, aks, kc, r, zero, w-j)
+		}
 	}
 }
 
-// gemmStripAVX512 is gemmStripAVX2 at twice the width: 32-wide tiles, then a
-// 16-wide one, then one of the last n mod 16 columns under an opmask
+// gemmStripsAVX512 is gemmStripsAVX2 at twice the width: 32-wide tiles, then
+// a 16-wide one, then one of the last w mod 16 columns under an opmask
 // (47 = 32 + 15, 172 = 5·32 + 12), behind the same three extent proofs.
-func gemmStripAVX512(c, a, b []float32, n, ars, aks, kc, rows, zero int) {
-	_ = c[rows*n-1]
+func gemmStripsAVX512(c, a, b []float32, n, ldb, w, ars, aks, kc, rows, zero int) {
+	_ = c[(rows-1)*n+w-1]
 	_ = a[(rows-1)*ars+(kc-1)*aks]
-	_ = b[kc*n-1]
-	j := 0
-	for ; j+32 <= n; j += 32 {
-		gemmTile32AVX512Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, zero)
-	}
-	if j+16 <= n {
-		gemmTile16AVX512Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, zero)
-		j += 16
-	}
-	if j < n {
-		gemmTileMaskAVX512Asm(c[j:], a, b[j:], n, ars, aks, kc, rows, zero, n-j)
+	_ = b[(kc-1)*ldb+w-1]
+	for i := 0; i < rows; i += gemmRows {
+		r, ci, ai := min(gemmRows, rows-i), c[i*n:], a[i*ars:]
+		j := 0
+		for ; j+32 <= w; j += 32 {
+			gemmTile32AVX512Asm(ci[j:], ai, b[j:], n, ldb, ars, aks, kc, r, zero)
+		}
+		if j+16 <= w {
+			gemmTile16AVX512Asm(ci[j:], ai, b[j:], n, ldb, ars, aks, kc, r, zero)
+			j += 16
+		}
+		if j < w {
+			gemmTileMaskAVX512Asm(ci[j:], ai, b[j:], n, ldb, ars, aks, kc, r, zero, w-j)
+		}
 	}
 }

@@ -13,12 +13,12 @@ func axpyRowAVX2Asm(dst, src []float32, alpha float32) {
 	panic("tensor: axpyRowAVX2Asm without assembly support")
 }
 
-func gemmStripAVX2(c, a, b []float32, n, ars, aks, kc, rows, zero int) {
-	panic("tensor: gemmStripAVX2 without assembly support")
+func gemmStripsAVX2(c, a, b []float32, n, ldb, w, ars, aks, kc, rows, zero int) {
+	panic("tensor: gemmStripsAVX2 without assembly support")
 }
 
-func gemmStripAVX512(c, a, b []float32, n, ars, aks, kc, rows, zero int) {
-	panic("tensor: gemmStripAVX512 without assembly support")
+func gemmStripsAVX512(c, a, b []float32, n, ldb, w, ars, aks, kc, rows, zero int) {
+	panic("tensor: gemmStripsAVX512 without assembly support")
 }
 
 func scaleRowAVX2Asm(dst, src []float32, s float32) {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -390,40 +391,63 @@ func TestSetParallelismClamps(t *testing.T) {
 	SetParallelism(old)
 }
 
-// BenchmarkMatMul reports MatMul's single-core rate (SetParallelism(1);
-// GFLOP/s at two flops per multiply-add) at each level this CPU has, on the
-// workloads' GEMM shapes: a serving batch's layer 0, a training batch's layer
-// 0 and its layer 1 (products ÷ 40, batch 1024, f = 200 / 256 / 47 before
-// SAGE's concatenation doubles the input width). README's kernel table is
-// read with
+// BenchmarkMatMul reports the GEMM kernels' rate (GFLOP/s at two flops per
+// multiply-add) at each level this CPU has, at SetParallelism 1 and 2, on the
+// workloads' GEMM shapes (products ÷ 40): MatMul on a serving batch's layer 0,
+// a training batch's layer 0 and its layer 1 (f = 200 / 256 / 47 before
+// SAGE's concatenation doubles the input width); SAGE's training layer 0 as
+// it runs — the forward MatMulCat (self half through a row map), the
+// weight-gradient TMatMulCat and the input-gradient MatMulT; GCN's two
+// layers; and a serving batch's last layer. README's kernel tables are read
+// with
 //
 //	go test -run '^$' -bench MatMul ./internal/tensor/
 func BenchmarkMatMul(b *testing.B) {
-	defer SetParallelism(SetParallelism(1))
+	defer SetParallelism(Parallelism())
+	rng := NewRNG(1)
+	rows := make([]int32, 9000)
+	for i := range rows {
+		rows[i] = int32(rng.Intn(20000))
+	}
+	self, agg, dz := randomMatrix(20000, 100, rng), randomMatrix(9000, 100, rng), randomMatrix(9000, 256, rng)
+	w, z, dw, dx := randomMatrix(200, 256, rng), New(9000, 256), New(200, 256), New(9000, 200)
+	// matMul runs MatMul on fresh m×k·k×n operands.
+	matMul := func(m, k, n int) func() {
+		a, w, out := randomMatrix(m, k, rng), randomMatrix(k, n, rng), New(m, n)
+		return func() { MatMul(out, a, w) }
+	}
 	shapes := []struct {
 		name    string
 		m, k, n int
+		run     func()
 	}{
-		{"serve-l0-192x200x128", 192, 200, 128},
-		{"train-l0-10000x200x256", 10000, 200, 256},
-		{"train-l1-1024x512x47", 1024, 512, 47},
+		{"serve-l0-192x200x128", 192, 200, 128, matMul(192, 200, 128)},
+		{"train-l0-10000x200x256", 10000, 200, 256, matMul(10000, 200, 256)},
+		{"train-l1-1024x512x47", 1024, 512, 47, matMul(1024, 512, 47)},
+		{"sage-fwd-cat-9000x200x256", 9000, 200, 256, func() { MatMulCat(z, self, rows, agg, w) }},
+		{"sage-dw-tcat-9000x200x256", 9000, 200, 256, func() { TMatMulCat(dw, self, rows, agg, dz) }},
+		{"sage-dx-t-9000x256x200", 9000, 256, 200, func() { MatMulT(dx, dz, w) }},
+		{"gcn-l0-9000x128x32", 9000, 128, 32, matMul(9000, 128, 32)},
+		{"gcn-l1-1016x32x172", 1016, 32, 172, matMul(1016, 32, 172)},
+		{"serve-l1-16x512x47", 16, 512, 47, matMul(16, 512, 47)},
 	}
 	for _, l := range availableLevels() {
-		for _, sh := range shapes {
-			rng := NewRNG(1)
-			a, w, out := randomMatrix(sh.m, sh.k, rng), randomMatrix(sh.k, sh.n, rng), New(sh.m, sh.n)
-			b.Run(l.String()+"/"+sh.name, func(b *testing.B) {
-				prev, err := SetSIMDLevel(l)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer SetSIMDLevel(prev)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					MatMul(out, a, w)
-				}
-				b.ReportMetric(2*float64(sh.m*sh.k*sh.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
+		for _, par := range []int{1, 2} {
+			for _, sh := range shapes {
+				b.Run(fmt.Sprintf("%v/par%d/%s", l, par, sh.name), func(b *testing.B) {
+					prev, err := SetSIMDLevel(l)
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer SetSIMDLevel(prev)
+					SetParallelism(par)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						sh.run()
+					}
+					b.ReportMetric(2*float64(sh.m*sh.k*sh.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
 		}
 	}
 }
