@@ -33,7 +33,6 @@ type options struct {
 	drm       bool
 	tensorPar int
 	simd      string
-	quantize  bool
 	saint     bool
 	pipeline  string
 	nodes     int
@@ -183,18 +182,17 @@ func buildConfig(o options) (*runSpec, error) {
 	}
 	fanouts := []int{25, 10}
 	r.Core = core.Config{
-		Plat:             plat,
-		Model:            gnn.Config{Kind: kind, Dims: r.Spec.FeatDims},
-		LR:               float32(o.lr),
-		BatchSize:        o.batch,
-		Fanouts:          fanouts,
-		Hybrid:           o.hybrid,
-		TFP:              o.tfp,
-		DRM:              o.drm,
-		QuantizeTransfer: o.quantize,
-		UseSaint:         o.saint,
-		Pipeline:         pipe,
-		Seed:             o.seed,
+		Plat:      plat,
+		Model:     gnn.Config{Kind: kind, Dims: r.Spec.FeatDims},
+		LR:        float32(o.lr),
+		BatchSize: o.batch,
+		Fanouts:   fanouts,
+		Hybrid:    o.hybrid,
+		TFP:       o.tfp,
+		DRM:       o.drm,
+		UseSaint:  o.saint,
+		Pipeline:  pipe,
+		Seed:      o.seed,
 	}
 	if err := r.Core.Validate(); err != nil {
 		return nil, err
@@ -206,25 +204,24 @@ func buildConfig(o options) (*runSpec, error) {
 		return nil, fmt.Errorf("-serve with -nodes %d: serving a partitioned fleet is not supported", o.nodes)
 	}
 	r.Serve = serve.Config{
-		Plat:             plat,
-		Fanouts:          fanouts,
-		NumRequests:      o.serveRequests,
-		RatePerSec:       o.serveRate,
-		ZipfExponent:     o.serveZipf,
-		MaxBatch:         o.serveBatch,
-		WindowSec:        o.serveWindowUs * 1e-6,
-		Workers:          o.serveWorkers,
-		CPUPeer:          o.servePeer,
-		SmallBatchCut:    o.serveSmall,
-		Formation:        o.serveFormation,
-		QueueCap:         o.serveQueue,
-		CacheSize:        o.serveCache,
-		CacheShards:      o.serveShards,
-		RouteTrace:       o.routeTrace,
-		QuantizeTransfer: o.quantize,
-		Seed:             o.seed,
-		Faults:           r.Faults,
-		RetryBudget:      o.retryBudget,
+		Plat:          plat,
+		Fanouts:       fanouts,
+		NumRequests:   o.serveRequests,
+		RatePerSec:    o.serveRate,
+		ZipfExponent:  o.serveZipf,
+		MaxBatch:      o.serveBatch,
+		WindowSec:     o.serveWindowUs * 1e-6,
+		Workers:       o.serveWorkers,
+		CPUPeer:       o.servePeer,
+		SmallBatchCut: o.serveSmall,
+		Formation:     o.serveFormation,
+		QueueCap:      o.serveQueue,
+		CacheSize:     o.serveCache,
+		CacheShards:   o.serveShards,
+		RouteTrace:    o.routeTrace,
+		Seed:          o.seed,
+		Faults:        r.Faults,
+		RetryBudget:   o.retryBudget,
 	}
 	if o.serveWorkload != "" {
 		if r.Serve.Workload, err = serve.ParseWorkloadSpec(o.serveWorkload); err != nil {

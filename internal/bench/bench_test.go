@@ -244,35 +244,6 @@ func TestTable7AllWins(t *testing.T) {
 	}
 }
 
-// Extension: quantization must never hurt, must clearly help at least one
-// transfer-bound workload, and must be a no-op where propagation dominates —
-// the exact selectivity the paper's §VIII limitation analysis predicts.
-func TestExtQuantSelectivity(t *testing.T) {
-	tb, err := extQuant(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var maxGain, minGain = 0.0, 99.0
-	for _, row := range tb.Rows {
-		g := row[4].Value
-		if g < 0.97 {
-			t.Fatalf("%s/%s: quantization hurt (%vx)", row[0].render(), row[1].render(), g)
-		}
-		if g > maxGain {
-			maxGain = g
-		}
-		if g < minGain {
-			minGain = g
-		}
-	}
-	if maxGain < 1.3 {
-		t.Fatalf("no transfer-bound workload benefited (max %vx)", maxGain)
-	}
-	if minGain > 1.15 {
-		t.Fatalf("quantization helped everywhere (min %vx) — selectivity lost", minGain)
-	}
-}
-
 // Extension: multi-node scaling must be monotone and sub-linear.
 func TestExtClusterShape(t *testing.T) {
 	tb, err := extCluster()

@@ -338,7 +338,6 @@ var experiments = []struct {
 	{"table7", table7},
 	{"fig11", fig11},
 	{"throughput", throughput},
-	{"ext-quant", extQuant},
 	{"ext-cluster", func(uint64) (*Table, error) { return extCluster() }},
 	{"ext-multinode", extMultiNodeExec},
 	{"ext-hetero", extHetero},

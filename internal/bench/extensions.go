@@ -14,53 +14,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// extQuant evaluates the paper's §VIII extension — int8 feature
-// quantization on the PCIe link — on the CPU-FPGA platform. The paper
-// identifies the Data Transfer stage as the one bottleneck its DRM cannot
-// fix ("HyScale-GNN did not provide an effective solution if the
-// performance is bottlenecked by the Data Transfer stage"); quantization
-// attacks exactly that stage, so the gain should concentrate on the
-// transfer-bound workloads (wide-feature MAG240M) and vanish elsewhere.
-func extQuant(seed uint64) (*Table, error) {
-	t := &Table{
-		Title:  "Extension: int8 PCIe feature quantization (CPU-FPGA, all optimizations on)",
-		Header: []string{"Dataset", "Model", "fp32 epoch(s)", "int8 epoch(s)", "Speedup"},
-	}
-	plat := hw.CPUFPGAPlatform()
-	for _, spec := range datagen.PaperSpecs() {
-		for _, kind := range bothModels {
-			run := func(bytesPerFeat float64) (float64, error) {
-				w := perfmodel.DefaultWorkload(spec, kind)
-				w.TransferBytesPerFeat = bytesPerFeat
-				m, err := perfmodel.New(plat, w)
-				if err != nil {
-					return 0, err
-				}
-				eng := drm.New(plat.TotalCPUCores())
-				res, err := pipesim.Run(pipesim.Config{
-					Model: m, Mode: pipesim.Mode{Hybrid: true, TFP: true, DRM: true},
-					Ctrl: eng, Seed: seed,
-				})
-				if err != nil {
-					return 0, err
-				}
-				return res.EpochSec, nil
-			}
-			fp32, err := run(4)
-			if err != nil {
-				return nil, err
-			}
-			int8t, err := run(1)
-			if err != nil {
-				return nil, err
-			}
-			t.addRow(txt(spec.Name), txt(kind.String()),
-				num(fp32, "%.2f"), num(int8t, "%.2f"), num(fp32/int8t, "%.2fx"))
-		}
-	}
-	return t, nil
-}
-
 // throughput reports the paper's primary metric (Eq. 5, MTEPS — million
 // traversed edges per second) for the full system on both heterogeneous
 // platforms across all datasets and models.

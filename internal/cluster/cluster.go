@@ -84,11 +84,8 @@ func EpochTime(cfg Config) (*Breakdown, error) {
 			}
 		}
 		frac := cfg.CutFraction * (1 - 1/float64(cfg.Nodes))
-		// The NIC carries the same wire format as PCIe (int8 when the
-		// quantized-transfer extension is on); RemoteFetchSec defaults to
-		// float32 when the workload leaves TransferBytesPerFeat zero.
-		st.NetFetch = perfmodel.RemoteFetchSec(cfg.Net, rows*frac,
-			cfg.Work.Spec.FeatDims[0], cfg.Work.TransferBytesPerFeat)
+		// The NIC carries the same float32 rows as PCIe.
+		st.NetFetch = perfmodel.RemoteFetchSec(cfg.Net, rows*frac, cfg.Work.Spec.FeatDims[0])
 	}
 
 	// Global sync: ring all-reduce moves 2×(n−1)/n of the model per node.

@@ -85,11 +85,10 @@ func (c MultiNodeConfig) validate() error {
 // shardLocator is the core.FeatureLocator of one shard: rows whose vertices
 // are assigned to another partition cross the NIC.
 type shardLocator struct {
-	rank     int32
-	assign   []int32
-	link     hw.Link
-	featDim  int
-	featByte float64
+	rank    int32
+	assign  []int32
+	link    hw.Link
+	featDim int
 }
 
 func (l *shardLocator) RemoteRows(nodes []int32) int {
@@ -103,7 +102,7 @@ func (l *shardLocator) RemoteRows(nodes []int32) int {
 }
 
 func (l *shardLocator) FetchSec(n int) float64 {
-	return perfmodel.RemoteFetchSec(l.link, float64(n), l.featDim, l.featByte)
+	return perfmodel.RemoteFetchSec(l.link, float64(n), l.featDim)
 }
 
 // NewMultiNode partitions the dataset and builds one engine per node.
@@ -153,13 +152,9 @@ func NewMultiNode(cfg MultiNodeConfig) (*MultiNode, error) {
 			failIter: cfg.Faults.NodeFailIter(i), crashIter: cfg.Faults.NodeCrashIter(i)}
 		syncs[i] = sync
 		nodeCfg.Sync = sync
-		featByte := 4.0
-		if cfg.Node.QuantizeTransfer {
-			featByte = 1
-		}
 		nodeCfg.Locator = &shardLocator{
 			rank: int32(i), assign: part.Assign, link: cfg.Net,
-			featDim: data.Spec.FeatDims[0], featByte: featByte,
+			featDim: data.Spec.FeatDims[0],
 		}
 		eng, err := core.NewEngine(nodeCfg)
 		if err != nil {
@@ -352,9 +347,6 @@ func (m *MultiNode) Analytic() Config {
 		Model:     m.cfg.Node.Model.Kind,
 		BatchSize: max(1, total/nTrainers),
 		Fanouts:   m.cfg.Node.Fanouts,
-	}
-	if m.cfg.Node.QuantizeTransfer {
-		work.TransferBytesPerFeat = 1
 	}
 	return Config{
 		Nodes: m.cfg.Nodes, Plat: m.cfg.Node.Plat, Work: work,

@@ -8,7 +8,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// The whole training iteration — sampling, feature staging, pricing,
+// The whole training iteration — sampling, pricing,
 // propagation, gradient reduction, weight update, clock advance — must run
 // allocation-free once warm. This is the end-to-end gate over the reuse
 // discipline that is otherwise enforced piecewise (sampler.SampleInto,
@@ -19,11 +19,9 @@ import (
 // and allocates nothing at all, and the five-trainer fleet every benchmark
 // workload trains with (CPU + 4 accelerators, FPGA accounting included)
 // spawns at most four — step arenas, gradients and fold scratch are
-// retained. With quantized transfer, each accelerator share stages its rows
-// in its slot arena and round-trips them through int8 in place. With DRM
-// on, drm.Engine.Adjust runs between prepare and compute and rewrites the
-// mapping in storage the engine owns. Either way the bound is still the
-// spawns.
+// retained. With DRM on, drm.Engine.Adjust runs between prepare and
+// compute and rewrites the mapping in storage the engine owns; the bound is
+// still the spawns.
 func TestTrainingIterationZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation gate is skipped under -race")
@@ -31,15 +29,13 @@ func TestTrainingIterationZeroAlloc(t *testing.T) {
 	prev := tensor.SetParallelism(1)
 	defer tensor.SetParallelism(prev)
 	for _, leg := range []struct {
-		name     string
-		accels   int
-		drm      bool
-		quantize bool
+		name   string
+		accels int
+		drm    bool
 	}{
-		{"one trainer", 0, false, false},
-		{"five trainers", 4, false, false},
-		{"five trainers, DRM on", 4, true, false},
-		{"five trainers, quantized transfer", 4, false, true},
+		{"one trainer", 0, false},
+		{"five trainers", 4, false},
+		{"five trainers, DRM on", 4, true},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
 			spawns := float64(min(runtime.GOMAXPROCS(0), leg.accels+1) - 1)
@@ -47,7 +43,6 @@ func TestTrainingIterationZeroAlloc(t *testing.T) {
 			cfg.Plat = hw.CPUFPGAPlatform()
 			cfg.Plat.Accels = cfg.Plat.Accels[:leg.accels]
 			cfg.DRM = leg.drm
-			cfg.QuantizeTransfer = leg.quantize
 			e, err := NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -76,11 +76,6 @@ type Config struct {
 	Hybrid bool // CPU trainer participates
 	TFP    bool // two-stage feature prefetching
 	DRM    bool // dynamic resource management
-	// QuantizeTransfer sends accelerator-bound features across PCIe as
-	// per-row int8 (the paper's §VIII extension): the virtual clock charges
-	// 1 byte/element and the numeric path injects the real quantization
-	// error, so its effect on convergence is measured, not assumed.
-	QuantizeTransfer bool
 
 	// Pipeline selects the epoch loop's execution schedule: PipelineSerial
 	// (the zero value) runs prepare and compute back to back;

@@ -371,55 +371,6 @@ func TestEngineRejectsCorruptInputs(t *testing.T) {
 	}
 }
 
-// The quantized-transfer extension must still converge: int8 feature noise
-// is tiny relative to the planted class structure.
-func TestQuantizedTransferConverges(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.QuantizeTransfer = true
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first, last float64
-	for i := 0; i < 6; i++ {
-		st, err := e.RunEpoch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			first = st.Loss
-		}
-		last = st.Loss
-	}
-	if last >= first*0.8 {
-		t.Fatalf("quantized training did not converge: %.4f -> %.4f", first, last)
-	}
-}
-
-// Quantized transfer must shrink the virtual transfer time on a
-// transfer-heavy (accel-only) configuration.
-func TestQuantizedTransferFasterClock(t *testing.T) {
-	run := func(quant bool) float64 {
-		cfg := baseConfig(t)
-		cfg.Data = smallDataset(t, 41)
-		cfg.Hybrid = false
-		cfg.DRM = false
-		cfg.QuantizeTransfer = quant
-		e, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := e.RunEpoch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.VirtualSec
-	}
-	if q, f := run(true), run(false); q >= f {
-		t.Fatalf("int8 transfer (%v) not faster than fp32 (%v)", q, f)
-	}
-}
-
 // GraphSAINT mini-batches must train end-to-end through the hybrid runtime
 // and converge.
 func TestSaintSamplingInRuntime(t *testing.T) {

@@ -45,9 +45,9 @@ type Engine struct {
 
 	// slots is the iteration-scratch ring, created lazily: each entry holds
 	// everything one in-flight iteration needs (share slices, retained
-	// mini-batches SampleInto refills, each trainer's layer-0 input — the
-	// feature table read in place, or a quantized accelerator share's staging
-	// arena — per-accelerator stage vectors, the result struct). Inline
+	// mini-batches SampleInto refills, per-accelerator stage vectors, the
+	// result struct; every trainer reads its layer-0 input from the feature
+	// table in place, so no slot stages features). Inline
 	// prepares use slot 0 only; the prefetch worker's schedule uses the
 	// depth-2 ring so prepare(i+1) fills one slot while the trainers still
 	// read the other. Together with the trainer pool the slots make
@@ -135,14 +135,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("core: label %d outside model's %d classes", l, numClasses)
 		}
 	}
-	work := perfmodel.Workload{
+	pm, err := perfmodel.New(cfg.Plat, perfmodel.Workload{
 		Spec: cfg.Data.Spec, Model: cfg.Model.Kind,
 		BatchSize: cfg.BatchSize, Fanouts: cfg.Fanouts,
-	}
-	if cfg.QuantizeTransfer {
-		work.TransferBytesPerFeat = 1
-	}
-	pm, err := perfmodel.New(cfg.Plat, work)
+	})
 	if err != nil {
 		return nil, err
 	}

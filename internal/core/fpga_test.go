@@ -92,7 +92,6 @@ func TestFPGATrainerStepZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := stepInput{x: e.cfg.Data.Features, rows: mb.InputNodes()}
 	s := e.slot(0)
 	step := func() {
 		s.fpga = accel.ForwardStats{}
@@ -101,7 +100,7 @@ func TestFPGATrainerStepZeroAlloc(t *testing.T) {
 			t.Fatalf("propSec: %v sec, err %v, account %+v", sec, err, s.fpga)
 		}
 		res := &e.pool.res[1]
-		if e.pool.workers[0].step(e.model, mb, in, res); res.err != nil {
+		if e.pool.workers[0].step(e.model, mb, e.cfg.Data.Features, res); res.err != nil {
 			t.Fatal(res.err)
 		}
 	}

@@ -32,10 +32,7 @@ type InferConfig struct {
 	// forward's on every device. Sampling and feature gathering are charged
 	// to a quarter of Plat's cores each (perfmodel.ServingStageFor).
 	Device int
-	// QuantizeTransfer int8-quantizes accelerator-bound features on the PCIe
-	// link, with the real rounding error injected (as in training).
-	QuantizeTransfer bool
-	Seed             uint64
+	Seed   uint64
 }
 
 // InferResult is one served batch: the virtual stage times the batch cost,
@@ -154,14 +151,10 @@ func NewInferencePipeline(cfg InferConfig) (*InferencePipeline, error) {
 	if cfg.Device < 0 || cfg.Device > len(cfg.Plat.Accels) {
 		return nil, fmt.Errorf("core: device %d outside [0,%d]", cfg.Device, len(cfg.Plat.Accels))
 	}
-	work := perfmodel.Workload{
+	pm, err := perfmodel.New(cfg.Plat, perfmodel.Workload{
 		Spec: cfg.Data.Spec, Model: cfg.Model.Cfg.Kind,
 		BatchSize: 1, Fanouts: cfg.Fanouts,
-	}
-	if cfg.QuantizeTransfer {
-		work.TransferBytesPerFeat = 1
-	}
-	pm, err := perfmodel.New(cfg.Plat, work)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -312,8 +305,7 @@ func (p *InferencePipeline) Sample(targets []int32) (*InferResult, error) {
 
 // Propagate is a batch's second half: the numeric forward over the blocks
 // the Sample that returned res drew, reading the input features from the
-// dataset's table in place (staging a quantized copy only on an accelerator
-// under QuantizeTransfer), in the arena ws, which it resets at entry. The
+// dataset's table in place, in the arena ws, which it resets at entry. The
 // logits are copied out of ws into res's slot, so ws is free again when
 // Propagate returns. res must be one of this pipeline's results — anything
 // else is an error — and only its Logits are written. Propagate reads the
@@ -326,15 +318,7 @@ func (p *InferencePipeline) Propagate(ws *tensor.Workspace, res *InferResult) er
 		return fmt.Errorf("core: Propagate on a result this pipeline's Sample did not return")
 	}
 	ws.Reset()
-	x, rows := p.cfg.Data.Features, slot.mb.InputNodes()
-	if p.cfg.Device > 0 && p.cfg.QuantizeTransfer {
-		// The device computes on the int8 round trip of its rows: stage them.
-		x = ws.Get(len(rows), x.Cols)
-		tensor.GatherRows(x, p.cfg.Data.Features, rows)
-		tensor.QuantizeRoundTrip(x) // inject the real int8 loss
-		rows = nil
-	}
-	logits, err := p.cfg.Model.InferMiniBatchRowsWS(ws, &slot.mb, x, rows)
+	logits, err := p.cfg.Model.InferMiniBatchRowsWS(ws, &slot.mb, p.cfg.Data.Features, slot.mb.InputNodes())
 	slot.need = ws.Demand()
 	if err != nil {
 		return err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -53,7 +52,7 @@ func runBatchPriceOracle(p *InferencePipeline, mb *sampler.MiniBatch, fpga *acce
 // price list; it must equal, bit for bit, what RunBatch's own pricing block
 // computed before the fold — on a CPU peer (with and without the
 // thread-starved share fallback), a framework-loaded GPU and a native-loaded
-// FPGA on their own host links, with and without int8 transfer.
+// FPGA on their own host links.
 func TestRunBatchPriceMatchesPreFoldOracle(t *testing.T) {
 	hetero, err := hw.HeteroPlatform(hw.GPU, hw.FPGA)
 	if err != nil {
@@ -81,48 +80,46 @@ func TestRunBatchPriceMatchesPreFoldOracle(t *testing.T) {
 	}
 	rng := tensor.NewRNG(11)
 	for _, c := range cases {
-		for _, quantize := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/quantize=%v", c.name, quantize), func(t *testing.T) {
-				p, err := NewInferencePipeline(InferConfig{
-					Plat: c.plat, Data: ds, Model: model, Fanouts: []int{5, 5},
-					Device: c.device, QuantizeTransfer: quantize, Seed: 9,
-				})
+		t.Run(c.name, func(t *testing.T) {
+			p, err := NewInferencePipeline(InferConfig{
+				Plat: c.plat, Data: ds, Model: model, Fanouts: []int{5, 5},
+				Device: c.device, Seed: 9,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{1, 2, 5, 16, 32, 3} {
+				targets := make([]int32, n)
+				for i := range targets {
+					targets[i] = int32(rng.Intn(ds.Graph.NumVertices))
+				}
+				res, err := p.RunBatch(targets)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, n := range []int{1, 2, 5, 16, 32, 3} {
-					targets := make([]int32, n)
-					for i := range targets {
-						targets[i] = int32(rng.Intn(ds.Graph.NumVertices))
-					}
-					res, err := p.RunBatch(targets)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if (res.FPGA != nil) != (p.Device().Kind == hw.FPGA) {
-						t.Fatalf("kernel accounting present=%v on a %v worker", res.FPGA != nil, p.Device().Kind)
-					}
-					want := runBatchPriceOracle(p, &p.slotOf(res).mb, res.FPGA)
-					got := res.Stage
-					for _, f := range []struct {
-						name      string
-						got, want float64
-					}{
-						{"SampCPU", got.SampCPU, want.SampCPU}, {"SampAccel", got.SampAccel, want.SampAccel},
-						{"Load", got.Load, want.Load}, {"Trans", got.Trans, want.Trans},
-						{"TrainCPU", got.TrainCPU, want.TrainCPU}, {"TrainAcc", got.TrainAcc, want.TrainAcc},
-						{"Sync", got.Sync, want.Sync}, {"NetFetch", got.NetFetch, want.NetFetch},
-						{"NetSync", got.NetSync, want.NetSync},
-					} {
-						if math.Float64bits(f.got) != math.Float64bits(f.want) {
-							t.Fatalf("%d targets: %s = %x, pre-fold oracle %x", n, f.name, f.got, f.want)
-						}
-					}
-					if perfmodel.ServingServiceSec(got) <= 0 || len(got.PerAccel) != 0 {
-						t.Fatalf("%d targets: malformed stage vector %+v", n, got)
+				if (res.FPGA != nil) != (p.Device().Kind == hw.FPGA) {
+					t.Fatalf("kernel accounting present=%v on a %v worker", res.FPGA != nil, p.Device().Kind)
+				}
+				want := runBatchPriceOracle(p, &p.slotOf(res).mb, res.FPGA)
+				got := res.Stage
+				for _, f := range []struct {
+					name      string
+					got, want float64
+				}{
+					{"SampCPU", got.SampCPU, want.SampCPU}, {"SampAccel", got.SampAccel, want.SampAccel},
+					{"Load", got.Load, want.Load}, {"Trans", got.Trans, want.Trans},
+					{"TrainCPU", got.TrainCPU, want.TrainCPU}, {"TrainAcc", got.TrainAcc, want.TrainAcc},
+					{"Sync", got.Sync, want.Sync}, {"NetFetch", got.NetFetch, want.NetFetch},
+					{"NetSync", got.NetSync, want.NetSync},
+				} {
+					if math.Float64bits(f.got) != math.Float64bits(f.want) {
+						t.Fatalf("%d targets: %s = %x, pre-fold oracle %x", n, f.name, f.got, f.want)
 					}
 				}
-			})
-		}
+				if perfmodel.ServingServiceSec(got) <= 0 || len(got.PerAccel) != 0 {
+					t.Fatalf("%d targets: malformed stage vector %+v", n, got)
+				}
+			}
+		})
 	}
 }

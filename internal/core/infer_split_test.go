@@ -16,7 +16,7 @@ import (
 // seed, one running RunBatch and one the two halves, agree on every bit of
 // every batch — logits, stage vector, edges, input rows, forward work and
 // the FPGA account — and leave their RNGs at the same next draw, on a CPU
-// peer, a GPU, an FPGA and quantized accelerators. The interleaved leg holds
+// peer, a GPU and an FPGA. The interleaved leg holds
 // two batches at once, as a serving worker does: Sample a, Sample b,
 // Propagate b, Propagate a equals RunBatch a, RunBatch b.
 func TestRunBatchEqualsSampleThenPropagate(t *testing.T) {
@@ -30,22 +30,19 @@ func TestRunBatchEqualsSampleThenPropagate(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name     string
-		device   int
-		quantize bool
+		name   string
+		device int
 	}{
-		{"cpu-peer", 0, false},
-		{"gpu", 1, false},
-		{"fpga", 2, false},
-		{"gpu-quantized", 1, true},
-		{"fpga-quantized", 2, true},
+		{"cpu-peer", 0},
+		{"gpu", 1},
+		{"fpga", 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			build := func() *InferencePipeline {
 				p, err := NewInferencePipeline(InferConfig{
 					Plat: hetero, Data: ds, Model: model, Fanouts: []int{5, 5},
-					Device: c.device, QuantizeTransfer: c.quantize, Seed: 9,
+					Device: c.device, Seed: 9,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -3,9 +3,8 @@ package core
 import "fmt"
 
 // Software-pipelined epoch execution (paper Fig. 4/5, §IV-B): a prefetch
-// worker runs prepare for iteration i+1 — sampling, the trainers' layer-0
-// inputs (staging only a quantized accelerator share's features), the
-// iteration's prices — while the trainer fleet computes iteration i, over
+// worker runs prepare for iteration i+1 — sampling and the iteration's
+// prices — while the trainer fleet computes iteration i, over
 // a depth-2 ring of iteration slots. This turns the two-stage feature
 // prefetching the virtual pipeline clock has always *charged* into executed
 // behavior: the wall-clock iteration tends to max(prepare, compute) instead

@@ -1,14 +1,27 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/gnn"
 	"repro/internal/hw"
 )
+
+// paramsHash is an FNV-1a digest of every parameter's little-endian bits.
+func paramsHash(p *gnn.Parameters) uint64 {
+	h := fnv.New64a()
+	for l := range p.Weights {
+		binary.Write(h, binary.LittleEndian, p.Weights[l].Data)
+		binary.Write(h, binary.LittleEndian, p.Biases[l].Data)
+	}
+	return h.Sum64()
+}
 
 // poolSig trains three epochs of the five-trainer CPU+FPGA fleet with DRM on
 // at the given GOMAXPROCS — the trainer pool's width — and renders per-epoch

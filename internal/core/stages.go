@@ -6,7 +6,6 @@ import (
 	"repro/internal/optim"
 	"repro/internal/perfmodel"
 	"repro/internal/sampler"
-	"repro/internal/tensor"
 )
 
 // stageExecutor is the trainer-execution layer: it runs one iteration's
@@ -17,17 +16,17 @@ import (
 // globally averaged gradient.
 //
 // The iteration splits into two halves along the paper's Fig. 4/5 boundary:
-// prepare (sampling, the trainers' layer-0 inputs, and the price of every
-// stage — propagation included, since §V prices it from the sampled-set
-// sizes and the task mapping alone) depends only on the batcher/RNG stream
-// and the engine's task mapping — never on model weights — while compute
-// (Stage 4's numerics: propagation + local gradient reduction) consumes a
-// prepared slot and prices nothing. The epoch loop (epoch.go) runs prepare(i) then
-// compute(i) on one slot, or — on the prefetch schedule — prepare(i+1) on a
-// second slot while compute(i) is still in flight.
+// prepare (sampling and the price of every stage — propagation included,
+// since §V prices it from the sampled-set sizes and the task mapping alone)
+// depends only on the batcher/RNG stream and the engine's task mapping —
+// never on model weights — while compute (Stage 4's numerics: propagation +
+// local gradient reduction) consumes a prepared slot and prices nothing. The
+// epoch loop (epoch.go) runs prepare(i) then compute(i) on one slot, or — on
+// the prefetch schedule — prepare(i+1) on a second slot while compute(i) is
+// still in flight.
 type stageExecutor interface {
-	// prepare runs Stages 1–3 for one global mini-batch into the slot's
-	// retained scratch and prices the whole iteration under the engine's
+	// prepare samples one global mini-batch into the slot's retained
+	// scratch and prices the whole iteration under the engine's
 	// task mapping, which the epoch loop holds still while a prepare runs.
 	prepare(s *iterSlot, targets []int32) error
 	// compute runs Stage 4 over a prepared slot and assembles the iteration
@@ -54,21 +53,15 @@ type iterResult struct {
 // writes and compute reads for a single in-flight iteration. Inline prepares
 // use one slot; the prefetch worker's schedule owns two, so prepare(i+1) can
 // fill one while the trainers still read the other, and the steady state
-// stays allocation-free (each slot's arenas grow to their roof once).
+// stays allocation-free (each slot's slices grow to their roof once).
 type iterSlot struct {
 	shares  [][]int32
 	batches []*sampler.MiniBatch // per-trainer view: nil for idle trainers
 	mbs     []*sampler.MiniBatch // retained storage SampleInto refills
-	inputs  []stepInput          // per-trainer layer-0 input
-	// ws holds the staging arenas of accelerator shares under
-	// QuantizeTransfer, the one case that copies features: the device trains
-	// on the int8 round trip of its rows. Every other share reads the
-	// feature table in place, and its entry stays nil.
-	ws     []*tensor.Workspace
-	load   []float64
-	perAcc []perfmodel.DeviceStage
-	sizes  perfmodel.Sizes
-	res    iterResult
+	load    []float64
+	perAcc  []perfmodel.DeviceStage
+	sizes   perfmodel.Sizes
+	res     iterResult
 
 	// prepare's outputs: the iteration's complete stage vector (DRM's input,
 	// then compute's) and FPGA dataflow account.
@@ -84,17 +77,15 @@ type hybridExecutor struct {
 	e *Engine
 }
 
-// prepare runs Stages 1–3 into the slot — sampling, and each trainer's
-// layer-0 input: the feature table plus the batch's input nodes, read in
-// place by the step, or for a quantized accelerator share its staged int8
-// round trip — and prices every stage of the iteration, Stage 4 included,
-// from the mini-batches it just sampled and the engine's task mapping. Load
-// and transfer are prices, not copies: they are charged whether or not a
-// block is staged. It touches only the slot's scratch, the sampler/RNG
-// stream and the FPGA backends' accounting scratch (callers serialize
-// prepares), and read-only engine state (features, pricing model, locator,
-// the mapping); never the parameters or the pool's numeric scratch, which is
-// what lets it overlap a sibling slot's compute.
+// prepare runs Stage 1 into the slot — sampling — and prices every stage of
+// the iteration, Stage 4 included, from the mini-batches it just sampled and
+// the engine's task mapping. Load and transfer are prices, not copies: every
+// trainer's step reads the feature table in place at its batch's input
+// nodes. It touches only the slot's scratch, the sampler/RNG stream and the
+// FPGA backends' accounting scratch (callers serialize prepares), and
+// read-only engine state (pricing model, locator, the mapping); never the
+// parameters or the pool's numeric scratch, which is what lets it overlap a
+// sibling slot's compute.
 func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 	e := x.e
 	s.st = perfmodel.StageTimes{}
@@ -110,8 +101,6 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 		for i := range s.mbs {
 			s.mbs[i] = &sampler.MiniBatch{}
 		}
-		s.inputs = make([]stepInput, len(shares))
-		s.ws = make([]*tensor.Workspace, len(shares))
 	}
 	batches := s.batches
 	for i := range batches {
@@ -178,10 +167,8 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 	}
 	for i, mb := range batches {
 		if mb == nil {
-			s.inputs[i] = stepInput{}
 			continue
 		}
-		s.inputs[i] = stepInput{x: e.cfg.Data.Features, rows: mb.InputNodes()}
 		sz := sizesInto(&s.sizes, mb)
 		prop, err := e.propSec(s, i, mb, sz)
 		if err != nil {
@@ -190,19 +177,6 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 		if i == 0 {
 			st.TrainCPU = prop
 		} else { // accelerator share crosses DRAM + its host link
-			if e.cfg.QuantizeTransfer {
-				// The device trains on the int8 round trip of its rows, so
-				// this share stages them: the slot's arena holds the block
-				// until the slot's next prepare, past the step that reads it.
-				if s.ws[i] == nil {
-					s.ws[i] = tensor.NewWorkspace()
-				}
-				s.ws[i].Reset()
-				x := s.ws[i].Get(len(mb.InputNodes()), e.cfg.Model.Dims[0])
-				tensor.GatherRows(x, e.cfg.Data.Features, mb.InputNodes())
-				tensor.QuantizeRoundTrip(x) // inject the real int8 loss
-				s.inputs[i] = stepInput{x: x}
-			}
 			loadRows[i-1] = sz.VL[0]
 			tt := e.pm.TransferTimeDev(i-1, sz)
 			st.PerAccel[i-1] = perfmodel.DeviceStage{Trans: tt, Train: prop}
@@ -251,7 +225,7 @@ func (x *hybridExecutor) compute(s *iterSlot) (*iterResult, error) {
 	if len(p.active) == 0 {
 		return out, nil
 	}
-	p.run(x.e.model, s)
+	p.run(x.e.model, x.e.cfg.Data.Features, s)
 
 	// Weighted averaging: each trainer's mean gradient enters the sum at a
 	// weight that makes the average the global-batch mean. The weight

@@ -56,14 +56,6 @@ type trainerResult struct {
 	err       error
 }
 
-// stepInput is a trainer's layer-0 input in gnn.TrainStepRowsWS's form: the
-// feature table x read at rows (one per input node), or — rows nil — a block
-// staged over the input nodes.
-type stepInput struct {
-	x    *tensor.Matrix
-	rows []int32
-}
-
 // newTrainerPool sizes the round state for n trainers of a model shaped like
 // params.
 func newTrainerPool(n int, params *gnn.Parameters) trainerPool {
@@ -78,43 +70,45 @@ func newTrainerPool(n int, params *gnn.Parameters) trainerPool {
 	}
 }
 
-// run steps every active trainer of the slot on m and returns once all have
+// run steps every active trainer of the slot on m, each reading its layer-0
+// input from the feature table x in place, and returns once all have
 // finished. The workers only read m (a gnn.Model is its config and
-// parameters); each writes its own arena and its trainers' results.
-func (p *trainerPool) run(m *gnn.Model, s *iterSlot) {
+// parameters) and x; each writes its own arena and its trainers' results.
+func (p *trainerPool) run(m *gnn.Model, x *tensor.Matrix, s *iterSlot) {
 	width := min(runtime.GOMAXPROCS(0), len(p.active))
 	p.next.Store(0)
 	p.join.Add(width - 1)
 	for k := 1; k < width; k++ {
 		go func(w *stepWorker) {
 			defer p.join.Done()
-			p.drain(w, m, s)
+			p.drain(w, m, x, s)
 		}(&p.workers[k])
 	}
-	p.drain(&p.workers[0], m, s)
+	p.drain(&p.workers[0], m, x, s)
 	p.join.Wait()
 }
 
 // drain runs trainers on w until the cursor passes the last active one.
-func (p *trainerPool) drain(w *stepWorker, m *gnn.Model, s *iterSlot) {
+func (p *trainerPool) drain(w *stepWorker, m *gnn.Model, x *tensor.Matrix, s *iterSlot) {
 	for {
 		r := int(p.next.Add(1)) - 1
 		if r >= len(p.active) {
 			return
 		}
 		i := p.active[r]
-		w.step(m, s.batches[i], s.inputs[i], &p.res[i])
+		w.step(m, s.batches[i], x, &p.res[i])
 	}
 }
 
-// step runs one allocation-free training step of m over the worker's
-// scratch into res.
-func (w *stepWorker) step(m *gnn.Model, mb *sampler.MiniBatch, in stepInput, res *trainerResult) {
+// step runs one allocation-free training step of m over mb, reading the
+// feature table x at the batch's input nodes, in the worker's scratch into
+// res.
+func (w *stepWorker) step(m *gnn.Model, mb *sampler.MiniBatch, x *tensor.Matrix, res *trainerResult) {
 	if w.ws == nil {
 		w.ws = tensor.NewWorkspace()
 	}
 	w.ws.Reset()
-	res.loss, res.acc, res.err = m.TrainStepRowsWS(w.ws, &w.st, mb, in.x, in.rows, res.grads)
+	res.loss, res.acc, res.err = m.TrainStepRowsWS(w.ws, &w.st, mb, x, mb.InputNodes(), res.grads)
 }
 
 // propSec is the virtual propagation time of trainer i's step over mb (sz =

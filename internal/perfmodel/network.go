@@ -23,14 +23,11 @@ func RingAllReduceSec(link hw.Link, bytes float64, n int) float64 {
 }
 
 // RemoteFetchSec returns the time to pull `rows` remote feature rows of
-// width featDim over the link. bytesPerFeat is the wire size of one feature
-// element (≤ 0 defaults to 4, float32 — the paper's Sfeat).
-func RemoteFetchSec(link hw.Link, rows float64, featDim int, bytesPerFeat float64) float64 {
+// width featDim over the link, 4 bytes (float32, the paper's Sfeat) a
+// feature.
+func RemoteFetchSec(link hw.Link, rows float64, featDim int) float64 {
 	if rows <= 0 || featDim <= 0 {
 		return 0
 	}
-	if bytesPerFeat <= 0 {
-		bytesPerFeat = 4
-	}
-	return link.TransferSec(rows * float64(featDim) * bytesPerFeat)
+	return link.TransferSec(rows * float64(featDim) * 4)
 }

@@ -25,11 +25,6 @@ type Workload struct {
 	Model     gnn.Kind
 	BatchSize int   // mini-batch size per trainer before re-balancing (paper: 1024)
 	Fanouts   []int // neighbor-sampling sizes (paper: 25, 10)
-	// TransferBytesPerFeat is the wire size of one feature element on the
-	// PCIe link: 4 (float32, the paper's Sfeat — the default when zero),
-	// 2 (fp16) or 1 (int8 quantization, the paper's §VIII extension).
-	// Storage and compute stay float32; only the link payload shrinks.
-	TransferBytesPerFeat float64
 }
 
 // DefaultWorkload returns the paper's standard configuration for a dataset.
@@ -366,14 +361,7 @@ func (m *Model) TransferTimeDev(i int, s Sizes) float64 {
 }
 
 func (m *Model) transferSec(link hw.Link, s Sizes) float64 {
-	sfeat := m.Work.TransferBytesPerFeat
-	if sfeat <= 0 {
-		sfeat = 4
-	}
-	bytes := s.VL[0] * float64(m.Work.Spec.FeatDims[0]) * sfeat
-	if sfeat < 4 {
-		bytes += s.VL[0] * 4 // per-row quantization scales ride along
-	}
+	bytes := s.VL[0] * float64(m.Work.Spec.FeatDims[0]) * 4 // float32 rows (Sfeat)
 	for _, e := range s.EL {
 		bytes += e * 8 // topology: (src,dst) int32 pairs
 	}

@@ -306,26 +306,6 @@ func TestSoftwareProfiles(t *testing.T) {
 	}
 }
 
-// The §VIII quantization knob: int8 transfer must shrink Eq. 8 by close to
-// 4x on feature-dominated payloads, and never change loading or compute.
-func TestQuantizedTransferTime(t *testing.T) {
-	m := fpgaModel(t, datagen.MAG240MHomo, gnn.GCN) // 756-dim: features dominate
-	s := m.Work.SizesFor(1024)
-	fp32 := m.TransferTimeFor(s)
-	m.Work.TransferBytesPerFeat = 1
-	int8t := m.TransferTimeFor(s)
-	ratio := fp32 / int8t
-	if ratio < 2.5 || ratio > 4 {
-		t.Fatalf("int8 transfer ratio %v, want ~3-4x on wide features", ratio)
-	}
-	if m.LoadTimeForRows(1000, 32) != func() float64 {
-		m2 := fpgaModel(t, datagen.MAG240MHomo, gnn.GCN)
-		return m2.LoadTimeForRows(1000, 32)
-	}() {
-		t.Fatal("quantization must not change DRAM loading")
-	}
-}
-
 // Property: stage times are non-negative and monotone in batch size.
 func TestStageMonotonicity(t *testing.T) {
 	m := fpgaModel(t, datagen.OGBNPapers100M, gnn.GCN)

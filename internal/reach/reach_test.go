@@ -80,7 +80,7 @@ var allowed = map[string]string{
 	"tensor.FromSlice":            "builds fixture matrices from literals",
 	"(*tensor.Matrix).Clone":      "copies fixtures and references before an in-place kernel overwrites them",
 	"(*tensor.Matrix).Equal":      "the bitwise comparison of every exact-equality test",
-	"(*tensor.Matrix).allClose":   "the tolerance comparison of the tensor and quantization tests",
+	"(*tensor.Matrix).allClose":   "the tolerance comparison of the tensor tests",
 	"tensor.SplitCols":            "oracle: the full-width SAGE dDense split of gnn's backward oracle",
 	"tensor.ReLUInto":             "oracle: the unfused ReLU of accel's dataflow-order forward",
 	"tensor.DetectedSIMDLevel":    "bounds the SIMD-level loops of the bitwise tests",

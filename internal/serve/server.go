@@ -143,8 +143,7 @@ type Config struct {
 	// accounting; empty disables it (and leaves Stats byte-identical).
 	SLOTargets []ClassSLO
 
-	QuantizeTransfer bool // int8 feature transfer for accelerator workers
-	Seed             uint64
+	Seed uint64
 }
 
 // defaultQueueCap is the admission bound of a Config that sets no QueueCap.
@@ -419,9 +418,7 @@ func newServer(cfg Config) (*server, error) {
 	for i, device := range bindings {
 		p, err := core.NewInferencePipeline(core.InferConfig{
 			Plat: cfg.Plat, Data: cfg.Data, Model: cfg.Model,
-			Fanouts: cfg.Fanouts, Device: device,
-			QuantizeTransfer: cfg.QuantizeTransfer,
-			Seed:             rng.Uint64(),
+			Fanouts: cfg.Fanouts, Device: device, Seed: rng.Uint64(),
 		})
 		if err != nil {
 			return nil, err
@@ -1104,7 +1101,6 @@ func Predict(cfg Config, computeFrac float64) (perfmodel.ServingPrediction, erro
 	p, err := core.NewInferencePipeline(core.InferConfig{
 		Plat: cfg.Plat, Data: cfg.Data, Model: cfg.Model,
 		Fanouts: cfg.Fanouts, Device: bindings[0],
-		QuantizeTransfer: cfg.QuantizeTransfer,
 	})
 	if err != nil {
 		return perfmodel.ServingPrediction{}, err

@@ -190,7 +190,6 @@ func TestSmallKernelZeroAlloc(t *testing.T) {
 	for i := range idx {
 		idx[i] = int32(rng.Intn(src.Rows))
 	}
-	feats := randomMatrix(64, 100, rng)
 	for _, kc := range []struct {
 		name string
 		fn   func()
@@ -203,7 +202,6 @@ func TestSmallKernelZeroAlloc(t *testing.T) {
 		{"GatherRows 64x100", func() { GatherRows(dst, src, idx) }},
 		{"MatMulCat 64x(100|100)x47", func() { MatMulCat(z, src, idx, mean, w) }},
 		{"TMatMulCat (64x(100|100))Tx47", func() { TMatMulCat(dw, src, idx, mean, dz) }},
-		{"QuantizeRoundTrip 64x100", func() { QuantizeRoundTrip(feats) }},
 	} {
 		kc.fn() // warm the pack pool (MatMulT's Bᵀ, the Cat kernels' panels)
 		if allocs := testing.AllocsPerRun(20, kc.fn); allocs != 0 {

@@ -365,9 +365,10 @@ const gatherWork = 4
 
 // GatherRows copies rows idx of src into dst (dst is len(idx)×src.Cols).
 // Rows split across ParallelRows workers, each one call into the gather
-// kernel for its range. The runtime stages features this way only where the
-// copy is what a device sees — an accelerator share under QuantizeTransfer;
-// every other layer 0 reads the feature table in place.
+// kernel for its range. The runtime never stages features — every layer 0
+// reads the feature table in place — so its callers are the benchmark's
+// gather replay and the tests that build a gathered block for gnn's
+// block-input entry points.
 func GatherRows(dst, src *Matrix, idx []int32) {
 	if dst.Rows != len(idx) || dst.Cols != src.Cols {
 		panic("tensor: GatherRows shape mismatch")

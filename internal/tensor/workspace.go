@@ -13,9 +13,8 @@ import (
 // Reset at the cycle boundary.
 //
 // Ownership. A Workspace is NOT safe for concurrent use: every trainer-pool
-// worker, every iteration slot's staging area per quantized accelerator
-// share, every serving worker and every accelerator backend owns one, the way
-// the fleet privatises clocks.
+// worker, every serving worker (and serving executor) and every accelerator
+// backend owns one, the way the fleet privatises clocks.
 //
 // Alignment. Every run starts on a 64-byte boundary and is padded to a whole
 // number of cache lines, so row-range workers writing neighbouring buffers
