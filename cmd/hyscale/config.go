@@ -33,7 +33,6 @@ type options struct {
 	drm       bool
 	tensorPar int
 	simd      string
-	saint     bool
 	pipeline  string
 	nodes     int
 	trace     string
@@ -190,7 +189,6 @@ func buildConfig(o options) (*runSpec, error) {
 		Hybrid:    o.hybrid,
 		TFP:       o.tfp,
 		DRM:       o.drm,
-		UseSaint:  o.saint,
 		Pipeline:  pipe,
 		Seed:      o.seed,
 	}

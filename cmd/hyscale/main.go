@@ -69,7 +69,6 @@ func main() {
 	noDRM := flag.Bool("no-drm", false, "disable dynamic resource management")
 	flag.IntVar(&o.tensorPar, "tensor-par", 0, "upper bound on the goroutines one tensor kernel call (GEMM, aggregation, gather), the sampler's choose pass or the dataset generator fans out to — work below the grain runs on the caller, and the dataset and every sampled mini-batch are bit-identical at any bound; 0 = one per CPU")
 	flag.StringVar(&o.simd, "simd", "auto", "SIMD dispatch level for the tensor kernels: auto | generic | avx2 | avx512 (every level is bit-identical, one fused multiply-add per product; avx2 needs AVX2 and FMA3, and a CPU without both runs generic; avx512 widens the GEMM tile and the aggregation row kernel (up to 128 columns per sweep of a destination's edges, prefetching eight edges ahead) and, with AVX512DQ, draws feature rows and RMAT attempts eight lanes at a time; levels above the CPU's capability are rejected)")
-	flag.BoolVar(&o.saint, "saint", false, "use GraphSAINT random-walk sampling instead of neighbor sampling")
 	flag.StringVar(&o.pipeline, "pipeline", "serial", "epoch execution schedule: serial | prefetch (prefetch overlaps iteration i+1's sampling/gather with iteration i's propagation; bit-identical trajectory)")
 	flag.IntVar(&o.nodes, "nodes", 1, "execute a multi-node run with this many partitioned shards")
 	flag.StringVar(&o.trace, "trace", "", "write per-epoch CSV telemetry to this file")
@@ -190,8 +189,8 @@ func runSingleNode(r *runSpec, coreCfg core.Config, o options, rec *trace.Record
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("Training %s on %s (hybrid=%v tfp=%v drm=%v saint=%v pipeline=%s)\n\n",
-		coreCfg.Model.Kind, coreCfg.Plat.Name, o.hybrid, o.tfp, o.drm, o.saint, coreCfg.Pipeline)
+	fmt.Printf("Training %s on %s (hybrid=%v tfp=%v drm=%v pipeline=%s)\n\n",
+		coreCfg.Model.Kind, coreCfg.Plat.Name, o.hybrid, o.tfp, o.drm, coreCfg.Pipeline)
 	var fpgaAgg, fpgaUpd, fpgaTraffic int64
 	fmt.Printf("%-6s %-10s %-10s %-14s %-10s\n", "epoch", "loss", "accuracy", "virtual-epoch", "MTEPS")
 	for ep := 0; ep < o.epochs; ep++ {

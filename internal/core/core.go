@@ -66,13 +66,6 @@ type Config struct {
 	BatchSize int   // per-trainer mini-batch targets (paper: 1024)
 	Fanouts   []int // neighbor fanouts (paper: 25, 10)
 
-	// UseSaint switches mini-batch production from layered neighbor
-	// sampling to GraphSAINT random-walk subgraphs (the paper's reference
-	// [29]; §V models sampling per-algorithm by profiling, which is exactly
-	// how the virtual clock charges it here). Walks are 3 steps long; each
-	// trainer's share size becomes its root count.
-	UseSaint bool
-
 	Hybrid bool // CPU trainer participates
 	TFP    bool // two-stage feature prefetching
 	DRM    bool // dynamic resource management

@@ -371,34 +371,6 @@ func TestEngineRejectsCorruptInputs(t *testing.T) {
 	}
 }
 
-// GraphSAINT mini-batches must train end-to-end through the hybrid runtime
-// and converge.
-func TestSaintSamplingInRuntime(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.UseSaint = true
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first, last float64
-	for i := 0; i < 6; i++ {
-		st, err := e.RunEpoch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			first = st.Loss
-		}
-		last = st.Loss
-		if st.VirtualSec <= 0 {
-			t.Fatal("virtual clock stalled under SAINT")
-		}
-	}
-	if last >= first*0.9 {
-		t.Fatalf("SAINT training did not converge: %.4f -> %.4f", first, last)
-	}
-}
-
 // Train, evaluate held-out accuracy, checkpoint, reload, re-evaluate: the
 // full production loop.
 func TestEvaluateAndCheckpoint(t *testing.T) {

@@ -22,7 +22,6 @@ type Engine struct {
 	pm      *perfmodel.Model
 	drmEng  *drm.Engine
 	smp     *sampler.Sampler
-	saint   *sampler.SaintSampler // non-nil when Config.UseSaint
 	batcher *sampler.Batcher
 	// model is the node's parameter set. Trainer 0 (the CPU) and trainers
 	// 1..n (the accelerators) all step it: the accelerators are clock charges
@@ -147,14 +146,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var saint *sampler.SaintSampler
-	if cfg.UseSaint {
-		saint, err = sampler.NewSaint(cfg.Data.Graph, cfg.BatchSize, 3,
-			len(cfg.Model.Dims)-1, cfg.Data.Labels)
-		if err != nil {
-			return nil, err
-		}
-	}
 	batcher, err := sampler.NewBatcher(cfg.Data.TrainIdx, effectiveTotalBatch(cfg), rng.Split())
 	if err != nil {
 		return nil, err
@@ -172,7 +163,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 	}
 	e := &Engine{
-		cfg: cfg, pm: pm, smp: smp, saint: saint, batcher: batcher,
+		cfg: cfg, pm: pm, smp: smp, batcher: batcher,
 		model: model, opt: opt, pool: newTrainerPool(nTrainers, model.Params),
 		backends: backends, rng: rng,
 		assign:  pm.InitialAssignment(cfg.Hybrid),

@@ -36,11 +36,11 @@ func (r *footprintRecorder) compute(s *iterSlot) (*iterResult, error) {
 		return nil, err
 	}
 	if r.step == nil {
-		r.step = make([]int64, len(s.batches))
+		r.step = make([]int64, len(s.mbs))
 		r.grads = gnn.NewGradients(r.e.model.Params)
 	}
-	for i, mb := range s.batches {
-		if mb == nil {
+	for i, mb := range s.mbs {
+		if len(s.shares[i]) == 0 {
 			continue
 		}
 		fresh := tensor.NewWorkspace()

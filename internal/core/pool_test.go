@@ -74,7 +74,7 @@ func (x labelCutter) prepare(s *iterSlot, targets []int32) error {
 		return err
 	}
 	for _, i := range x.victims {
-		mb := s.batches[i]
+		mb := s.mbs[i]
 		mb.Labels = mb.Labels[:len(mb.Labels)-i]
 	}
 	return nil
@@ -117,7 +117,7 @@ func TestTrainerPoolBitIdentical(t *testing.T) {
 			case <-time.After(time.Minute):
 				t.Fatal("RunEpoch hung on a failing trainer")
 			}
-			n := len(e.slot(0).batches[2].Targets)
+			n := len(e.slot(0).mbs[2].Targets)
 			if want := fmt.Sprintf("gnn: %d labels for %d targets", n-2, n); err == nil || err.Error() != want {
 				t.Fatalf("RunEpoch returned %v, want trainer 2's error %q", err, want)
 			}

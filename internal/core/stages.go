@@ -55,13 +55,15 @@ type iterResult struct {
 // fill one while the trainers still read the other, and the steady state
 // stays allocation-free (each slot's slices grow to their roof once).
 type iterSlot struct {
-	shares  [][]int32
-	batches []*sampler.MiniBatch // per-trainer view: nil for idle trainers
-	mbs     []*sampler.MiniBatch // retained storage SampleInto refills
-	load    []float64
-	perAcc  []perfmodel.DeviceStage
-	sizes   perfmodel.Sizes
-	res     iterResult
+	shares [][]int32
+	// mbs[i] is trainer i's mini-batch, refilled in place by SampleInto; it
+	// is this iteration's only when shares[i] is non-empty (an empty share
+	// is an idle trainer).
+	mbs    []*sampler.MiniBatch
+	load   []float64
+	perAcc []perfmodel.DeviceStage
+	sizes  perfmodel.Sizes
+	res    iterResult
 
 	// prepare's outputs: the iteration's complete stage vector (DRM's input,
 	// then compute's) and FPGA dataflow account.
@@ -95,42 +97,24 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 	shares := e.deviceShareInto(s, targets)
 
 	// --- Stage 1: Mini-batch Sampling (real work + virtual charge).
-	if len(s.batches) != len(shares) {
-		s.batches = make([]*sampler.MiniBatch, len(shares))
+	if len(s.mbs) != len(shares) {
 		s.mbs = make([]*sampler.MiniBatch, len(shares))
 		for i := range s.mbs {
 			s.mbs[i] = &sampler.MiniBatch{}
 		}
-	}
-	batches := s.batches
-	for i := range batches {
-		batches[i] = nil
 	}
 	var sampEdgesCPU, sampEdgesAccel float64
 	for i, share := range shares {
 		if len(share) == 0 {
 			continue
 		}
-		if e.saint != nil {
-			// GraphSAINT: the share size becomes this trainer's root
-			// count; targets from the batcher only size the shares. (This
-			// path keeps the allocating sampler: subgraph induction is
-			// shaped around per-call node sets.)
-			mb, err := e.saint.SampleN(len(share), e.rng)
-			if err != nil {
-				return err
-			}
-			batches[i] = mb
-		} else {
-			// Slot-retained mini-batch, rebuilt in place: trainer i reads
-			// it until its step returns, within the slot's iteration —
-			// exactly the storage's lifetime.
-			if err := e.smp.SampleInto(s.mbs[i], share, e.rng); err != nil {
-				return err
-			}
-			batches[i] = s.mbs[i]
+		// Slot-retained mini-batch, rebuilt in place: trainer i reads it
+		// until its step returns, within the slot's iteration — exactly the
+		// storage's lifetime.
+		if err := e.smp.SampleInto(s.mbs[i], share, e.rng); err != nil {
+			return err
 		}
-		edges := float64(batches[i].EdgesTraversed())
+		edges := float64(s.mbs[i].EdgesTraversed())
 		s.edges += edges
 		if i > 0 && e.assign.AccelSampleFrac > 0 {
 			sampEdgesAccel += edges * e.assign.AccelSampleFrac
@@ -165,10 +149,11 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 		}
 		st.PerAccel = s.perAcc
 	}
-	for i, mb := range batches {
-		if mb == nil {
+	for i, share := range shares {
+		if len(share) == 0 {
 			continue
 		}
+		mb := s.mbs[i]
 		sz := sizesInto(&s.sizes, mb)
 		prop, err := e.propSec(s, i, mb, sz)
 		if err != nil {
@@ -216,10 +201,10 @@ func (x *hybridExecutor) compute(s *iterSlot) (*iterResult, error) {
 	*out = iterResult{Stage: s.st, FPGA: s.fpga, Edges: s.edges, RemoteRows: s.remoteRows}
 	p.active = p.active[:0]
 	totalTargets := 0
-	for i, mb := range s.batches {
-		if mb != nil {
+	for i, share := range s.shares {
+		if len(share) > 0 {
 			p.active = append(p.active, i)
-			totalTargets += len(mb.Targets)
+			totalTargets += len(share)
 		}
 	}
 	if len(p.active) == 0 {
@@ -236,7 +221,7 @@ func (x *hybridExecutor) compute(s *iterSlot) (*iterResult, error) {
 		if res.err != nil {
 			return nil, res.err
 		}
-		t := len(s.batches[i].Targets)
+		t := len(s.shares[i])
 		out.LossSum += res.loss * float64(t)
 		out.Correct += res.acc * float64(t)
 		out.Targets += t

@@ -96,7 +96,7 @@ func (p *trainerPool) drain(w *stepWorker, m *gnn.Model, x *tensor.Matrix, s *it
 			return
 		}
 		i := p.active[r]
-		w.step(m, s.batches[i], x, &p.res[i])
+		w.step(m, s.mbs[i], x, &p.res[i])
 	}
 }
 

@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/gnn"
+	"repro/internal/hw"
+	"repro/internal/tensor"
 )
 
 // Config.Validate checks what needs no dataset, names the rejected value in
@@ -55,4 +58,56 @@ func TestConfigValidate(t *testing.T) {
 			t.Fatalf("%s: NewEngine error %v, want Validate's %v", tc.name, eerr, err)
 		}
 	}
+}
+
+// FuzzCoreConfig generates configurations from bounded inputs — any learning
+// rate bits, a batch size from an int8, zero to three fan-outs in −2…25, the
+// three feature switches, a pipeline mode from an int8 (invalid ones
+// included) and one of three fleets — over one small dataset that the
+// model's widths match, and checks Validate's contract with NewEngine: a
+// configuration Validate accepts builds an engine that runs an epoch without
+// an error or a panic, and one it rejects fails NewEngine with the same
+// error. The seeds are four fan-out lists Validate once accepted.
+func FuzzCoreConfig(f *testing.F) {
+	spec := datagen.Spec{Name: "fuzz", NumVertices: 300, NumEdges: 1500, FeatDims: []int{8, 8, 4}}
+	ds, err := datagen.Materialize(spec, 0.25, tensor.NewRNG(5))
+	if err != nil {
+		f.Fatal(err)
+	}
+	hetero, err := hw.HeteroPlatform(hw.GPU, hw.FPGA)
+	if err != nil {
+		f.Fatal(err)
+	}
+	plats := []hw.Platform{hw.CPUFPGAPlatform(), hw.CPUGPUPlatform(), hetero}
+	// A fan-out byte b decodes to b mod 28 − 2, so enc(v) = v + 2.
+	for _, fan := range [][]byte{{1, 6}, {27}, {27, 12, 7}, {}} {
+		f.Add(math.Float32bits(0.3), int8(16), fan, true, true, true, int8(0), uint8(0))
+	}
+	f.Add(math.Float32bits(0.3), int8(8), []byte{7, 7}, true, false, true, int8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, lrBits uint32, batch int8, fan []byte, hybrid, tfp, drm bool, pipeline int8, plat uint8) {
+		fanouts := make([]int, min(len(fan), 3))
+		for i := range fanouts {
+			fanouts[i] = int(fan[i]%28) - 2
+		}
+		cfg := Config{
+			Plat: plats[int(plat)%len(plats)], Data: ds,
+			Model: gnn.Config{Kind: gnn.SAGE, Dims: spec.FeatDims},
+			LR:    math.Float32frombits(lrBits), BatchSize: int(batch), Fanouts: fanouts,
+			Hybrid: hybrid, TFP: tfp, DRM: drm, Pipeline: PipelineMode(pipeline), Seed: 3,
+		}
+		verr := cfg.Validate()
+		e, err := NewEngine(cfg)
+		if verr != nil {
+			if err == nil || err.Error() != verr.Error() {
+				t.Fatalf("Validate rejected %+v with %v, NewEngine with %v", cfg, verr, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Validate accepted, NewEngine failed: %v", err)
+		}
+		if _, err := e.RunEpoch(); err != nil {
+			t.Fatalf("Validate accepted, RunEpoch failed: %v", err)
+		}
+	})
 }

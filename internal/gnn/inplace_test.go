@@ -31,8 +31,10 @@ type namedFixture struct {
 
 // inPlaceBatches returns the mini-batches the equivalence test runs: a
 // uniform-fanout batch, one whose targets repeat (repeated destinations share
-// their sources' rows), a GraphSAINT batch, and one sized above the fan-out
-// grain so the parallel legs split layer 0's aggregation.
+// their sources' rows), a subgraph-induced batch ("saint": the whole graph's
+// block at every layer, Src and Dst the same set, every vertex a target), and
+// one sized above the fan-out grain so the parallel legs split layer 0's
+// aggregation.
 func inPlaceBatches(t *testing.T) []namedFixture {
 	t.Helper()
 	base := makeFixture(t, []int{6, 8, 5}, 16, 41)
@@ -44,19 +46,16 @@ func inPlaceBatches(t *testing.T) []namedFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	saint, err := sampler.NewSaint(base.ds.Graph, 24, 3, 2, base.ds.Labels)
+	full, err := sampler.FullGraphBlock(base.ds.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	smb, err := saint.SampleN(24, tensor.NewRNG(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	saint := &sampler.MiniBatch{Blocks: []*sampler.Block{full, full}, Targets: full.Dst, Labels: base.ds.Labels}
 	small, wide := []int{6, 8, 5}, []int{96, 144, 16}
 	return []namedFixture{
 		{"sampled", base, small},
 		{"duplicate-targets", newFixture(base.ds, dup), small},
-		{"saint", newFixture(base.ds, smb), small},
+		{"saint", newFixture(base.ds, saint), small},
 		{"fan-out", makeSizedFixture(t, wide, 2048, 77,
 			fixtureSize{vertices: 4500, edges: 300000, fanout: 40, stride: 1}), wide},
 	}
