@@ -67,7 +67,7 @@ type options struct {
 	// serve.ParseWorkloadSpec); empty keeps the single Poisson/Zipf stream.
 	serveWorkload string
 	// serveFormation is the -serve-formation batch-formation policy
-	// (fcfs | priority | sjf; empty = fcfs).
+	// (fcfs | priority; empty = fcfs).
 	serveFormation string
 	// serveTrace is the -serve-trace directive: "record=PATH" records the
 	// run's arrival stream to PATH and replays it in-run; "replay=PATH"

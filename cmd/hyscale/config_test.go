@@ -364,7 +364,7 @@ func TestBuildConfigServeWorkloadFlags(t *testing.T) {
 	o := validOptions()
 	o.serveMode = true
 	o.serveWorkload = "web,rate=4000,class=interactive,zipf=1.1;etl,rate=1500,dist=weibull,shape=0.7,class=bulk"
-	o.serveFormation = "priority-fcfs"
+	o.serveFormation = "priority"
 	o.serveTrace = "record=/tmp/hyscale-trace.txt"
 	r, err := buildConfig(o)
 	if err != nil {
@@ -373,8 +373,8 @@ func TestBuildConfigServeWorkloadFlags(t *testing.T) {
 	if r.Serve.Workload == nil || len(r.Serve.Workload.Cohorts) != 2 {
 		t.Fatalf("workload spec not parsed: %+v", r.Serve.Workload)
 	}
-	if r.Serve.Formation != "priority-fcfs" {
-		t.Fatalf("formation = %q, want the flag's %q", r.Serve.Formation, "priority-fcfs")
+	if r.Serve.Formation != "priority" {
+		t.Fatalf("formation = %q, want the flag's %q", r.Serve.Formation, "priority")
 	}
 	if r.TraceMode != "record" || r.TracePath != "/tmp/hyscale-trace.txt" {
 		t.Fatalf("trace directive parsed to (%q, %q)", r.TraceMode, r.TracePath)
@@ -625,6 +625,23 @@ func TestRunReportsHeldOutAccuracy(t *testing.T) {
 	want := fmt.Sprintf("Held-out accuracy (full-graph inference over the non-training vertices): %.3f\n", acc)
 	if n := strings.Count(out, "Held-out accuracy"); n != 1 || !strings.Contains(out, want) {
 		t.Fatalf("%d held-out lines, want one reading %q in:\n%s", n, want, out)
+	}
+}
+
+// A diverged run is an error, so hyscale exits non-zero (main exits 1 on any
+// error run returns), single- and multi-node alike, and reports no result.
+func TestRunFailsOnDivergence(t *testing.T) {
+	for _, nodes := range []int{1, 2} {
+		o := validOptions()
+		o.scale, o.epochs, o.nodes = 20000, 2, nodes
+		o.lr = math.MaxFloat32
+		out, err := captureStdout(t, func() error { return run(o) })
+		if err == nil || !strings.Contains(err.Error(), "training diverged") {
+			t.Fatalf("%d node(s): err = %v, want the divergence error", nodes, err)
+		}
+		if strings.Contains(out, "Final task mapping") {
+			t.Fatalf("%d node(s): the diverged run reported a result:\n%s", nodes, out)
+		}
 	}
 }
 

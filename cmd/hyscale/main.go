@@ -88,7 +88,7 @@ func main() {
 	flag.IntVar(&o.serveShards, "serve-shards", 1, "serving: embedding-cache shards, hash-partitioned LRUs each holding its share of -serve-cache (rounded down to a power of two; 1 keeps the global-LRU eviction order)")
 	flag.BoolVar(&o.routeTrace, "route-trace", false, "serving: record a per-batch routing decision trace (chosen worker plus every counterfactual) and print the head of it")
 	flag.StringVar(&o.serveWorkload, "serve-workload", "", "serving: multi-cohort workload spec, e.g. 'web,rate=4000,class=interactive,zipf=1.1;etl,rate=1500,dist=weibull,shape=0.7,class=bulk' (replaces -serve-rate/-serve-zipf)")
-	flag.StringVar(&o.serveFormation, "serve-formation", "fcfs", "serving: batch-formation policy: fcfs | priority | sjf")
+	flag.StringVar(&o.serveFormation, "serve-formation", "fcfs", "serving: batch-formation policy: fcfs | priority")
 	flag.StringVar(&o.serveTrace, "serve-trace", "", "serving: record=PATH records the arrival stream to PATH and replays it in-run; replay=PATH serves a recorded trace")
 	flag.StringVar(&o.faults, "faults", "", "deterministic fault schedule: serving events like 'fail,worker=1,at=0.05;slow,worker=0,from=0.02,to=0.04,factor=3' (needs -serve) or cluster events like 'fail,node=2,at=iter:5;degrade,link,from=iter:2,to=iter:6,factor=4' (needs -nodes > 1); empty runs fault-free")
 	flag.IntVar(&o.retryBudget, "retry-budget", 0, "serving: re-dispatch attempts per batch after a worker failure (0 = default of 2, negative = no retries)")

@@ -33,14 +33,14 @@ type serveSLOReport struct {
 	Jain map[string]float64 // Jain fairness index by formation
 
 	// InteractiveP99DeltaMs is the fcfs interactive p99 minus the
-	// priority-fcfs interactive p99 on the identical trace — positive means
+	// priority interactive p99 on the identical trace — positive means
 	// the class-weighted windows improved the latency-sensitive class's
 	// tail. Recorded whichever way it lands.
 	InteractiveP99DeltaMs float64
 }
 
 // sloFormations is the comparison order (fcfs first: it is the baseline).
-var sloFormations = []string{serve.FormationFCFS, serve.FormationPriority, serve.FormationSJF}
+var sloFormations = []string{serve.FormationFCFS, serve.FormationPriority}
 
 // serveSLO runs the SLO-class workload comparison.
 func serveSLO(seed uint64) (*serveSLOReport, error) {

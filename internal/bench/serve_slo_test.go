@@ -18,7 +18,7 @@ func TestExtServeSLOShape(t *testing.T) {
 	}
 	wantRows := len(sloFormations) * serve.NumClasses
 	if len(report.Rows) != wantRows {
-		t.Fatalf("got %d rows, want %d (3 formations x 3 active classes)", len(report.Rows), wantRows)
+		t.Fatalf("got %d rows, want %d (2 formations x 3 active classes)", len(report.Rows), wantRows)
 	}
 	offered := map[string]int{}
 	for _, r := range report.Rows {

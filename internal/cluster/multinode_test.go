@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -223,6 +224,28 @@ func TestFleetInSyncSeesNaN(t *testing.T) {
 	}
 	if d := m.ReplicasInSync(); d != 0 {
 		t.Fatalf("nodes NaN at the same position read as divergence %v, want 0", d)
+	}
+}
+
+// A diverged node fails the fleet's epoch with core's divergence error, not
+// with the aborted-ring errors its peers report: a learning rate of
+// MaxFloat32 on core's 300-vertex fuzz dataset, as in core's own test.
+func TestMultiNodeFailsOnDivergence(t *testing.T) {
+	spec := datagen.Spec{Name: "fuzz", NumVertices: 300, NumEdges: 1500, FeatDims: []int{8, 8, 4}}
+	ds, err := datagen.Materialize(spec, 0.25, tensor.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := multiConfig(t, 2, ds)
+	cfg.Node.Plat = hw.CPUFPGAPlatform()
+	cfg.Node.Model.Dims = spec.FeatDims
+	cfg.Node.LR, cfg.Node.BatchSize = math.MaxFloat32, 8
+	m, err := NewMultiNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunEpoch(); err == nil || !strings.Contains(err.Error(), "training diverged (non-finite loss): epoch 1, iteration ") {
+		t.Fatalf("RunEpoch = %v, want core's divergence error in epoch 1", err)
 	}
 }
 

@@ -64,7 +64,7 @@ func TestTrainingIterationZeroAlloc(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := e.consumeIteration(res, &stats, &acc); err != nil {
+				if err := e.consumeIteration(it, res, &stats, &acc); err != nil {
 					t.Fatal(err)
 				}
 				it++
@@ -126,7 +126,7 @@ func TestTrainingIterationZeroAllocPipelined(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.consumeIteration(res, &stats, &acc); err != nil {
+		if err := e.consumeIteration(it, res, &stats, &acc); err != nil {
 			t.Fatal(err)
 		}
 		it++

@@ -303,6 +303,42 @@ func TestDRMAdjustsAssignment(t *testing.T) {
 	}
 }
 
+// With Hybrid off the CPU trainer gets no targets, whatever DRM and TFP do:
+// the design phase grants it no threads, and DRM moves no training work to a
+// thread-less CPU trainer. DRM never shrinks a CPU share below its 32-target
+// floor, so once the CPU has targets it keeps some, and the mapping after each
+// epoch shows any leak. With
+// Hybrid and DRM on, the same shape does move work to the CPU, so the table
+// exercises the move it forbids.
+func TestNoHybridKeepsCPUShareZero(t *testing.T) {
+	for _, hybrid := range []bool{false, true} {
+		for _, drm := range []bool{false, true} {
+			for _, tfp := range []bool{false, true} {
+				cfg := baseConfig(t)
+				cfg.Hybrid, cfg.DRM, cfg.TFP = hybrid, drm, tfp
+				e, err := NewEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cpu := 0
+				for ep := 0; ep < 3; ep++ {
+					st, err := e.RunEpoch()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cpu = st.Assignment.CPUBatch
+					if !hybrid && cpu != 0 {
+						t.Fatalf("hybrid off, drm=%v tfp=%v: epoch %d maps %d targets to the CPU", drm, tfp, st.Epoch, cpu)
+					}
+				}
+				if hybrid && drm && cpu == 0 {
+					t.Fatalf("hybrid and drm on, tfp=%v: DRM moved no work to the CPU, so the table tests nothing", tfp)
+				}
+			}
+		}
+	}
+}
+
 // A trainer whose share shrinks to zero for an iteration (the DRM can do
 // this) sits the round out: the others train, and the update they produce
 // moves the one parameter set the idle trainer steps next.

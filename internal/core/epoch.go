@@ -1,6 +1,11 @@
 package core
 
-import "runtime"
+import (
+	"errors"
+	"fmt"
+	"math"
+	"runtime"
+)
 
 // Epoch orchestration: the top layer of the runtime. RunEpoch owns the
 // iteration loop and nothing else — it asks the batcher for targets, the
@@ -28,14 +33,22 @@ type epochAccum struct {
 	edgeSum   float64
 }
 
+// errDiverged is the error a training run returns at its first iteration
+// whose loss is not finite: from there every step only spreads NaN.
+var errDiverged = errors.New("core: training diverged (non-finite loss)")
+
 // consumeIteration applies one completed iteration to the training state:
 // global gradient reduction, the weight update, the virtual clock charge and
 // the epoch statistics — in iteration order, on the orchestrating goroutine,
 // after compute's join, so no trainer reads the parameters it writes. A
 // prefetch prepare may be running, but prepare never reads the parameters.
 // It must not write e.assign: the prefetch worker may be reading it for the
-// next iteration.
-func (e *Engine) consumeIteration(res *iterResult, stats *EpochStats, acc *epochAccum) error {
+// next iteration. A non-finite loss fails the run (errDiverged) before the
+// update it would poison.
+func (e *Engine) consumeIteration(it int, res *iterResult, stats *EpochStats, acc *epochAccum) error {
+	if !(math.Abs(res.LossSum) <= math.MaxFloat64) { // NaN or ±Inf
+		return fmt.Errorf("%w: epoch %d, iteration %d", errDiverged, stats.Epoch, it)
+	}
 	acc.lossSum += res.LossSum
 	acc.accSum += res.Correct
 	acc.targetSum += res.Targets
@@ -125,7 +138,7 @@ func (e *Engine) runIterations(iters int, stats *EpochStats, acc *epochAccum, wo
 		if err != nil {
 			return err
 		}
-		if err := e.consumeIteration(res, stats, acc); err != nil {
+		if err := e.consumeIteration(it, res, stats, acc); err != nil {
 			return err
 		}
 	}

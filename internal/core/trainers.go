@@ -126,7 +126,10 @@ func (w *stepWorker) step(m *gnn.Model, mb *sampler.MiniBatch, x *tensor.Matrix,
 // half (which the dataflow kernel does not implement) stays analytic Eq. 10.
 func (e *Engine) propSec(s *iterSlot, i int, mb *sampler.MiniBatch, sz perfmodel.Sizes) (float64, error) {
 	if i == 0 {
-		share := 1.0 // CPU-only platform fallback
+		// Without Hybrid the CPU trainer gets targets only on a platform with
+		// no accelerators (DRM moves none to a thread-less CPU trainer), and
+		// there it has the whole CPU.
+		share := 1.0
 		if e.cfg.Hybrid {
 			share = float64(e.assign.TrainThreads) / float64(e.cfg.Plat.TotalCPUCores())
 		}

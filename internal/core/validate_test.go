@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -69,11 +70,7 @@ func TestConfigValidate(t *testing.T) {
 // an error or a panic, and one it rejects fails NewEngine with the same
 // error. The seeds are four fan-out lists Validate once accepted.
 func FuzzCoreConfig(f *testing.F) {
-	spec := datagen.Spec{Name: "fuzz", NumVertices: 300, NumEdges: 1500, FeatDims: []int{8, 8, 4}}
-	ds, err := datagen.Materialize(spec, 0.25, tensor.NewRNG(5))
-	if err != nil {
-		f.Fatal(err)
-	}
+	spec, ds := fuzzDataset(f)
 	hetero, err := hw.HeteroPlatform(hw.GPU, hw.FPGA)
 	if err != nil {
 		f.Fatal(err)
@@ -84,6 +81,8 @@ func FuzzCoreConfig(f *testing.F) {
 		f.Add(math.Float32bits(0.3), int8(16), fan, true, true, true, int8(0), uint8(0))
 	}
 	f.Add(math.Float32bits(0.3), int8(8), []byte{7, 7}, true, false, true, int8(1), uint8(2))
+	f.Add(math.Float32bits(0.3), int8(16), []byte{7, 7}, false, true, true, int8(0), uint8(1))
+	f.Add(math.Float32bits(math.MaxFloat32), int8(8), []byte{7, 7}, true, true, true, int8(1), uint8(0))
 	f.Fuzz(func(t *testing.T, lrBits uint32, batch int8, fan []byte, hybrid, tfp, drm bool, pipeline int8, plat uint8) {
 		fanouts := make([]int, min(len(fan), 3))
 		for i := range fanouts {
@@ -106,8 +105,42 @@ func FuzzCoreConfig(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Validate accepted, NewEngine failed: %v", err)
 		}
-		if _, err := e.RunEpoch(); err != nil {
+		if _, err := e.RunEpoch(); err != nil && !errors.Is(err, errDiverged) {
 			t.Fatalf("Validate accepted, RunEpoch failed: %v", err)
 		}
+		if a := e.Assignment(); !hybrid && len(cfg.Plat.Accels) > 0 && a.CPUBatch != 0 {
+			t.Fatalf("hybrid off on %s, yet the CPU trains %d targets", cfg.Plat.Name, a.CPUBatch)
+		}
 	})
+}
+
+// fuzzDataset is FuzzCoreConfig's 300-vertex dataset.
+func fuzzDataset(tb testing.TB) (datagen.Spec, *datagen.Dataset) {
+	spec := datagen.Spec{Name: "fuzz", NumVertices: 300, NumEdges: 1500, FeatDims: []int{8, 8, 4}}
+	ds, err := datagen.Materialize(spec, 0.25, tensor.NewRNG(5))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return spec, ds
+}
+
+// A learning rate of MaxFloat32 blows the weights up on the first update, so
+// a later iteration's loss is not finite: RunEpoch fails there, naming the
+// epoch and the iteration, under either schedule, instead of training on NaN.
+func TestRunEpochFailsOnDivergence(t *testing.T) {
+	spec, ds := fuzzDataset(t)
+	for _, pipe := range []PipelineMode{PipelineSerial, PipelinePrefetch} {
+		e, err := NewEngine(Config{
+			Plat: hw.CPUFPGAPlatform(), Data: ds, Model: gnn.Config{Kind: gnn.SAGE, Dims: spec.FeatDims},
+			LR: math.MaxFloat32, BatchSize: 8, Fanouts: []int{5, 5},
+			Hybrid: true, TFP: true, DRM: true, Pipeline: pipe, Seed: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.RunEpoch()
+		if !errors.Is(err, errDiverged) || !strings.Contains(err.Error(), "epoch 1, iteration ") {
+			t.Fatalf("pipeline %v: RunEpoch = %v, want the divergence error in epoch 1", pipe, err)
+		}
+	}
 }

@@ -276,9 +276,12 @@ func (e *Engine) balanceAccels(a *perfmodel.Assignment, per []perfmodel.DeviceSt
 // accelerator share. Solving  t_cpu − Δ·c_cpu = t_acc + Δ·c_acc  for Δ lands
 // at the crossover instead of hopping over it, so the engine settles rather
 // than oscillates.
+//
+// A mapping that grants the CPU trainer no threads (the design phase's
+// non-hybrid mapping) never receives training work.
 func (e *Engine) balanceTraining(a *perfmodel.Assignment, ts *stageTimes, dir int) {
 	nAcc := len(a.AccelBatch)
-	if nAcc == 0 {
+	if nAcc == 0 || (dir < 0 && a.TrainThreads == 0) {
 		return
 	}
 	accTotal := 0

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Request is one inference query in the open-loop stream: which vertex to
 // classify, when it arrived (virtual seconds), its SLO class, and the
@@ -20,7 +17,6 @@ type Request struct {
 const (
 	FormationFCFS     = "fcfs"
 	FormationPriority = "priority"
-	FormationSJF      = "sjf"
 )
 
 // parseFormation normalizes a batch-formation policy name ("" → fcfs).
@@ -28,12 +24,10 @@ func parseFormation(name string) (string, error) {
 	switch name {
 	case "", FormationFCFS:
 		return FormationFCFS, nil
-	case FormationPriority, "priority-fcfs":
+	case FormationPriority:
 		return FormationPriority, nil
-	case FormationSJF, "sjf-predicted":
-		return FormationSJF, nil
 	}
-	return "", fmt.Errorf("serve: unknown formation policy %q (want fcfs, priority, or sjf)", name)
+	return "", fmt.Errorf("serve: unknown formation policy %q (want fcfs or priority)", name)
 }
 
 // classWindowWeight scales the batching window per SLO class: interactive
@@ -75,18 +69,15 @@ func classLess(a, b Request) bool {
 // DynamicBatcher groups admitted requests into batches: a batch closes when
 // it reaches MaxBatch requests or when its formation deadline passes,
 // whichever comes first — the standard size-or-deadline policy of online
-// inference servers. The formation prices the deadline, never later than
-// the oldest request's arrival plus WindowSec, so WindowSec stays the
-// worst-case batching delay:
-//   - fcfs (the default): the oldest arrival plus WindowSec; the batch
-//     dispatches in arrival order.
-//   - priority: the earliest of the members' class-weighted deadlines, so an
-//     interactive arrival cuts a mixed batch's batching delay to a quarter
-//     of the window; the batch dispatches in (class, arrival) order.
-//   - sjf: the oldest arrival plus whatever window remains after the
-//     predicted service of the open batch. Cheap batches wait the full
-//     window to fill; one already predicted expensive stops accumulating
-//     work, trading mean batch size for tail latency.
+// inference servers. The deadline is the minimum over the batch's members
+// of arrival + WindowSec·weight, with every weight ≤ 1, so WindowSec stays
+// the worst-case batching delay. The formations differ only in the weight
+// and the dispatch order:
+//   - fcfs (the default): weight 1, so the deadline is the oldest arrival
+//     plus WindowSec; the batch dispatches in arrival order.
+//   - priority: the class weight (classWindowWeight), so an interactive
+//     arrival cuts a mixed batch's batching delay to a quarter of the
+//     window; the batch dispatches in (class, arrival) order.
 //
 // A window of 0 closes every batch immediately (no batching delay, batch
 // size 1 unless requests arrive at the same instant).
@@ -101,14 +92,10 @@ type DynamicBatcher struct {
 	maxBatch int
 	window   float64
 	smallCut int
-	// formation is the parsed policy name; svc is sjf's predicted service
-	// of a batch of `size` targets.
+	// formation is the parsed policy name.
 	formation string
-	svc       func(size int) float64
-	// first is the open batch's oldest arrival and deadline its close
-	// deadline, maintained incrementally by Add (both undefined while
-	// pending is empty).
-	first    float64
+	// deadline is the open batch's close deadline, maintained incrementally
+	// by Add (undefined while pending is empty).
 	deadline float64
 	pending  []Request
 	// spare is the other half of take()'s ping-pong: closed batches and the
@@ -134,11 +121,10 @@ func NewSplitBatcher(maxBatch int, window float64, smallCut int) (*DynamicBatche
 	return &DynamicBatcher{maxBatch: maxBatch, window: window, smallCut: smallCut, formation: FormationFCFS}, nil
 }
 
-// SetFormation selects the batch-formation policy by name; the sjf policy
-// needs a predicted-service function over the batch size (the server wires
-// the pool's dense ServiceSec memo). Must be called before any request is
-// added.
-func (b *DynamicBatcher) SetFormation(name string, svc func(size int) float64) error {
+// SetFormation selects the batch-formation policy by name. Must be called
+// before any request is added. The second parameter is unused; it stays
+// until the benchmark's call site stops passing it.
+func (b *DynamicBatcher) SetFormation(name string, _ func(size int) float64) error {
 	parsed, err := parseFormation(name)
 	if err != nil {
 		return err
@@ -146,10 +132,7 @@ func (b *DynamicBatcher) SetFormation(name string, svc func(size int) float64) e
 	if len(b.pending) > 0 {
 		return fmt.Errorf("serve: cannot change formation with a batch open")
 	}
-	if parsed == FormationSJF && svc == nil {
-		return fmt.Errorf("serve: sjf formation needs a service predictor")
-	}
-	b.formation, b.svc = parsed, svc
+	b.formation = parsed
 	return nil
 }
 
@@ -163,18 +146,14 @@ func (b *DynamicBatcher) small(computed int) bool {
 func (b *DynamicBatcher) pendingLen() int { return len(b.pending) }
 
 // closeDeadline returns the close deadline of the open batch, or false when no
-// batch is open. The formation's deadline is clamped to the newest member's
-// arrival: a formation that pulls the deadline in as the batch grows (sjf) must
-// never close a batch before a request it contains arrived.
+// batch is open. It is never before a member's arrival: each member's own
+// term is at least its arrival, and a request arriving after the deadline
+// finds the batch already closed by CloseExpired.
 func (b *DynamicBatcher) closeDeadline() (float64, bool) {
 	if len(b.pending) == 0 {
 		return 0, false
 	}
-	dl := b.deadline
-	if last := b.pending[len(b.pending)-1].Arrival; dl < last {
-		dl = last
-	}
-	return dl, true
+	return b.deadline, true
 }
 
 // Add appends a request (arrivals must be non-decreasing) and re-prices the
@@ -183,23 +162,14 @@ func (b *DynamicBatcher) closeDeadline() (float64, bool) {
 // otherwise it returns nil. Callers must drain CloseExpired up to r's arrival
 // before adding.
 func (b *DynamicBatcher) Add(r Request) (batch []Request, closeAt float64) {
-	b.pending = append(b.pending, r)
-	if len(b.pending) == 1 {
-		b.first, b.deadline = r.Arrival, math.Inf(1)
+	w := 1.0
+	if b.formation == FormationPriority {
+		w = classWindowWeight(r.Class)
 	}
-	switch b.formation {
-	case FormationPriority:
-		if d := r.Arrival + b.window*classWindowWeight(r.Class); d < b.deadline {
-			b.deadline = d
-		}
-	case FormationSJF:
-		d := b.window - b.svc(len(b.pending))
-		if d < 0 {
-			d = 0
-		}
-		b.deadline = b.first + d
-	default:
-		b.deadline = b.first + b.window
+	d := r.Arrival + b.window*w
+	b.pending = append(b.pending, r)
+	if len(b.pending) == 1 || d < b.deadline {
+		b.deadline = d
 	}
 	if len(b.pending) >= b.maxBatch {
 		return b.take(), r.Arrival

@@ -109,19 +109,18 @@ func TestFormationFCFSByteIdentical(t *testing.T) {
 	}
 }
 
-// driveFormationBatcher is driveBatcher's counterpart for the non-default
-// formation policies: same conservation, size-cap, and monotone-close
-// invariants, plus the formation contract — a batch never closes before a
-// member arrived nor later than its oldest member's arrival plus the window,
-// and priority batches dispatch in (class, arrival, ID) order.
+// driveFormationBatcher is driveBatcher's counterpart for the formation
+// policies: same conservation, size-cap, and monotone-close invariants, plus
+// the formation contract — a batch never closes before a member arrived nor
+// later than its oldest member's arrival plus the window, and priority
+// batches dispatch in (class, arrival, ID) order.
 func driveFormationBatcher(t *testing.T, maxBatch int, window float64, formation string, ops []byte) {
 	t.Helper()
 	b, err := NewSplitBatcher(maxBatch, window, 0)
 	if err != nil {
 		t.Skip("invalid batcher config")
 	}
-	svc := func(size int) float64 { return float64(size) * window / 8 }
-	if err := b.SetFormation(formation, svc); err != nil {
+	if err := b.SetFormation(formation, nil); err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[int]bool)
@@ -195,7 +194,7 @@ func driveFormationBatcher(t *testing.T, maxBatch int, window float64, formation
 	}
 }
 
-// FuzzFormationBatcher fuzzes the priority and sjf formations under the same
+// FuzzFormationBatcher fuzzes the fcfs and priority formations under the same
 // invariant harness as FuzzDynamicBatcher.
 func FuzzFormationBatcher(f *testing.F) {
 	f.Add(uint8(8), 0.5e-3, uint8(0), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -206,9 +205,9 @@ func FuzzFormationBatcher(f *testing.F) {
 		if maxBatch == 0 || window < 0 || window > 10 || math.IsNaN(window) || len(ops) > 4096 {
 			t.Skip()
 		}
-		formation := FormationPriority
+		formation := FormationFCFS
 		if pol%2 == 1 {
-			formation = FormationSJF
+			formation = FormationPriority
 		}
 		driveFormationBatcher(t, int(maxBatch), window, formation, ops)
 	})
@@ -221,9 +220,9 @@ func TestFormationInvariantsRandomized(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		maxBatch := 1 + rng.Intn(40)
 		window := float64(rng.Intn(4)) * 0.5e-3
-		formation := FormationPriority
+		formation := FormationFCFS
 		if trial%2 == 1 {
-			formation = FormationSJF
+			formation = FormationPriority
 		}
 		ops := make([]byte, 1+rng.Intn(300))
 		for i := range ops {
@@ -264,40 +263,6 @@ func TestPriorityFormationPullsDeadline(t *testing.T) {
 	}
 }
 
-// TestSJFFormationShrinksWindow pins the sjf policy's mechanism: the pool's
-// close deadline is the first arrival plus the window left after the
-// predicted service of the pool as a batch, floored at zero.
-func TestSJFFormationShrinksWindow(t *testing.T) {
-	const window = 1e-3
-	b, err := NewSplitBatcher(10, window, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := func(size int) float64 { return float64(size) * 0.4e-3 }
-	if err := b.SetFormation(FormationSJF, svc); err != nil {
-		t.Fatal(err)
-	}
-	// Expectations go through the same runtime float subtraction the policy
-	// performs (untyped constant folding would differ in the last ulp).
-	w := window
-	b.Add(Request{ID: 0, Arrival: 0})
-	if dl, _ := b.closeDeadline(); dl != w-svc(1) {
-		t.Fatalf("size-1 pool deadline = %v, want %v", dl, w-svc(1))
-	}
-	b.Add(Request{ID: 1, Arrival: 1e-4})
-	// svc(2) = 0.8ms leaves 0.2ms of window; 0 + 0.2ms is past the newest
-	// arrival 0.1ms, so the clamp does not engage.
-	if dl, _ := b.closeDeadline(); dl != w-svc(2) {
-		t.Fatalf("size-2 pool deadline = %v, want %v", dl, w-svc(2))
-	}
-	b.Add(Request{ID: 2, Arrival: 1.5e-4})
-	// svc(3) = 1.2ms exceeds the window: remaining floor 0 puts the deadline
-	// at the first arrival, then the clamp lifts it to the newest arrival.
-	if dl, _ := b.closeDeadline(); dl != 1.5e-4 {
-		t.Fatalf("over-budget pool deadline = %v, want newest arrival clamp 1.5e-4", dl)
-	}
-}
-
 // TestSetFormationErrors pins the wiring contract.
 func TestSetFormationErrors(t *testing.T) {
 	b, err := NewSplitBatcher(4, 1e-3, 0)
@@ -307,8 +272,10 @@ func TestSetFormationErrors(t *testing.T) {
 	if err := b.SetFormation("speculative", nil); err == nil {
 		t.Fatal("unknown formation accepted")
 	}
-	if err := b.SetFormation(FormationSJF, nil); err == nil {
-		t.Fatal("sjf without a service predictor accepted")
+	for _, name := range []string{"sjf", "priority-fcfs"} {
+		if err := b.SetFormation(name, nil); err == nil {
+			t.Fatalf("formation %q accepted", name)
+		}
 	}
 	if got := b.formation; got != FormationFCFS {
 		t.Fatalf("failed SetFormation mutated the policy to %q", got)

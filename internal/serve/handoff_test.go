@@ -20,7 +20,7 @@ import (
 // GEMM alone is about two of tensor's fan-out grains, as on the benchmark's
 // gpu-lean, so a forward costs more than the loop's work around it and a
 // worker's hand-offs pile up behind the one it is running.
-func grainSetup(t *testing.T) (*datagen.Dataset, *gnn.Model) {
+func grainSetup(t testing.TB) (*datagen.Dataset, *gnn.Model) {
 	t.Helper()
 	rng := tensor.NewRNG(3)
 	spec := datagen.Spec{Name: "serve-grain-test", NumVertices: 3000, NumEdges: 30000,

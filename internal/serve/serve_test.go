@@ -13,7 +13,7 @@ import (
 
 // testSetup materializes a small dataset and an (untrained) model — serving
 // cost does not depend on the weights.
-func testSetup(t *testing.T) (*datagen.Dataset, *gnn.Model) {
+func testSetup(t testing.TB) (*datagen.Dataset, *gnn.Model) {
 	t.Helper()
 	rng := tensor.NewRNG(1)
 	spec := datagen.Spec{Name: "serve-test", NumVertices: 1500, NumEdges: 12000,

@@ -103,9 +103,8 @@ type Config struct {
 	// on platforms with accelerators.
 	SmallBatchCut int
 	// Formation names the batch-formation policy: "fcfs" (default, the
-	// pre-formation batcher's exact behavior), "priority" (class-weighted
-	// close deadlines, class-ordered batches), or "sjf"
-	// (predicted-service-aware deadlines). See DynamicBatcher.
+	// pre-formation batcher's exact behavior) or "priority" (class-weighted
+	// close deadlines, class-ordered batches). See DynamicBatcher.
 	Formation string
 
 	QueueCap  int // admission control: max outstanding requests (0 → defaultQueueCap)
@@ -157,19 +156,22 @@ func (c Config) queueCap() int {
 	return c.QueueCap
 }
 
-// Validate checks every rule of c that needs no dataset or model — the
-// fan-outs (sampler.New's rule; their count against the model's layers is
-// checked where the model is), the stream, the batcher, admission, the cache
-// and pool sizes, the formation, the fault schedule against the pool and the
-// SLO targets — and names the rejected value in its error. Run, GenerateTrace
-// and Predict call it first; a front end calls it to reject a bad
-// configuration before any work starts.
+// Validate checks every rule of c that needs no dataset — the fan-outs
+// (sampler.New's rule, and their count against the model's layers once Model
+// is set), the stream, the batcher, admission, the cache and pool sizes, the
+// formation, the fault schedule against the pool and the SLO targets — and
+// names the rejected value in its error. Run, GenerateTrace and Predict call
+// it first; a front end calls it to reject a bad configuration before any
+// work starts.
 func (c Config) Validate() error {
 	if c.NumRequests <= 0 {
 		return fmt.Errorf("serve: NumRequests %d: need at least 1", c.NumRequests)
 	}
 	if _, err := sampler.New(nil, c.Fanouts, nil); err != nil {
 		return fmt.Errorf("serve: Fanouts %v: %w", c.Fanouts, err)
+	}
+	if c.Model != nil && len(c.Fanouts) != c.Model.Cfg.Layers() {
+		return fmt.Errorf("serve: Fanouts %v: %d fan-outs for a %d-layer model", c.Fanouts, len(c.Fanouts), c.Model.Cfg.Layers())
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("serve: Workers %d: negative (0 binds every accelerator)", c.Workers)
@@ -469,16 +471,7 @@ func newServer(cfg Config) (*server, error) {
 			}
 		}
 	}
-	// The sjf predictor is pool[0]'s dense service memo — prefilled above,
-	// so formation never allocates in steady state.
-	svc := func(size int) float64 {
-		v, err := pool[0].pipe.ServiceSec(size)
-		if err != nil {
-			return 0
-		}
-		return v
-	}
-	if err := batcher.SetFormation(cfg.Formation, svc); err != nil {
+	if err := batcher.SetFormation(cfg.Formation, nil); err != nil {
 		return nil, err
 	}
 	setKindCaps(admission, pool, cfg.QueueCap)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/hw"
 )
 
 // Config.Validate checks what needs no dataset or model and names the
@@ -36,6 +37,7 @@ func TestConfigValidate(t *testing.T) {
 		{"requests", func(c *Config) { c.NumRequests = 0 }, "NumRequests 0"},
 		{"negative fan-out", func(c *Config) { c.Fanouts = []int{8, -4} }, "Fanouts [8 -4]: sampler: negative fanout -4"},
 		{"no fan-outs", func(c *Config) { c.Fanouts = nil }, "Fanouts []: sampler: no fanouts"},
+		{"fan-outs for the model", func(c *Config) { c.Fanouts = []int{8} }, "Fanouts [8]: 1 fan-outs for a 2-layer model"},
 		{"workers", func(c *Config) { c.Workers = -1 }, "Workers -1"},
 		{"queue", func(c *Config) { c.QueueCap = -1 }, "QueueCap -1"},
 		{"cache size", func(c *Config) { c.CacheSize = -5 }, "CacheSize -5"},
@@ -78,4 +80,97 @@ func TestConfigValidate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzServeConfig holds Config.Validate to its contract over the numeric
+// knobs: an accepted config serves (Run returns nil, and every class's
+// offered requests are served, rejected or shed), and a rejected one fails
+// Run, GenerateTrace and Predict with Validate's error. Every count decodes
+// from a byte and NumRequests stays ≤ 200, so one execution takes
+// milliseconds.
+func FuzzServeConfig(f *testing.F) {
+	ds, m := testSetup(f)
+	formations := []string{"", FormationFCFS, FormationPriority, "sjf", "speculative"}
+	// A fan-out byte b decodes to b mod 15 − 2, so enc(v) = v + 2; the
+	// defaults mirror baseConfig.
+	type seed struct {
+		maxBatch, queue, cache, shards, workers, cut, retry int8
+		requests                                            uint8
+		fan                                                 []byte
+		window, rate, zipf                                  float32
+		peer                                                bool
+		formation                                           uint8
+	}
+	base := seed{32, 127, 0, 0, 2, 0, 0, 200, []byte{10, 6}, 0.5e-3, 2000, 1.1, false, 0}
+	add := func(mutate func(*seed)) {
+		s := base
+		mutate(&s)
+		f.Add(s.maxBatch, s.queue, s.cache, s.shards, s.workers, s.cut, s.retry, s.requests, s.fan,
+			math.Float32bits(s.window), math.Float32bits(s.rate), math.Float32bits(s.zipf), s.peer, s.formation)
+	}
+	// One seed per TestConfigValidate row the decoded knobs can express
+	// (Policy, Workload, Replay, Faults and SLOTargets are not decoded),
+	// then accepted ones.
+	for _, mutate := range []func(*seed){
+		func(s *seed) { s.requests = 0 },
+		func(s *seed) { s.fan = []byte{10, 0} },
+		func(s *seed) { s.fan = nil },
+		func(s *seed) { s.fan = []byte{10} },
+		func(s *seed) { s.workers = -1 },
+		func(s *seed) { s.queue = -1 },
+		func(s *seed) { s.cache = -5 },
+		func(s *seed) { s.shards = -2 },
+		func(s *seed) { s.maxBatch = 0 },
+		func(s *seed) { s.window = float32(math.NaN()) },
+		func(s *seed) { s.cut = -1 },
+		func(s *seed) { s.queue = 16 },
+		func(s *seed) { s.cut = 4 },
+		func(s *seed) { s.formation = 4 },
+		func(s *seed) { s.rate = 0 },
+		func(s *seed) { s.rate = float32(math.Inf(1)) },
+		func(s *seed) { s.zipf = -1 },
+		func(s *seed) {},
+		func(s *seed) { s.formation, s.cache, s.shards, s.queue = 2, 64, 4, 0 },
+		func(s *seed) { s.peer, s.cut, s.workers, s.window = true, 4, 0, 0 },
+	} {
+		add(mutate)
+	}
+	f.Fuzz(func(t *testing.T, maxBatch, queue, cache, shards, workers, cut, retry int8, requests uint8,
+		fan []byte, windowBits, rateBits, zipfBits uint32, peer bool, formation uint8) {
+		fanouts := make([]int, min(len(fan), 3))
+		for i := range fanouts {
+			fanouts[i] = int(fan[i]%15) - 2
+		}
+		cfg := Config{
+			Plat: hw.CPUFPGAPlatform(), Data: ds, Model: m, Fanouts: fanouts,
+			NumRequests: int(requests % 201), RatePerSec: float64(math.Float32frombits(rateBits)),
+			ZipfExponent: float64(math.Float32frombits(zipfBits)),
+			MaxBatch:     int(maxBatch), WindowSec: float64(math.Float32frombits(windowBits)),
+			Workers: int(workers), CPUPeer: peer, SmallBatchCut: int(cut),
+			Formation: formations[int(formation)%len(formations)],
+			QueueCap:  int(queue), CacheSize: int(cache), CacheShards: int(shards),
+			RetryBudget: int(retry), Seed: 7,
+		}
+		verr := cfg.Validate()
+		st, rerr := Run(cfg)
+		if verr != nil {
+			_, gerr := GenerateTrace(cfg)
+			_, perr := Predict(cfg, 1)
+			for entry, e := range map[string]error{"Run": rerr, "GenerateTrace": gerr, "Predict": perr} {
+				if e == nil || e.Error() != verr.Error() {
+					t.Fatalf("Validate rejected %+v with %v, %s with %v", cfg, verr, entry, e)
+				}
+			}
+			return
+		}
+		if rerr != nil {
+			t.Fatalf("Validate accepted %+v, Run failed: %v", cfg, rerr)
+		}
+		for c, cs := range st.PerClass {
+			if cs.Offered != cs.Served+cs.Rejected+cs.Shed {
+				t.Fatalf("class %d: offered %d != served %d + rejected %d + shed %d",
+					c, cs.Offered, cs.Served, cs.Rejected, cs.Shed)
+			}
+		}
+	})
 }
