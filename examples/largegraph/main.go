@@ -3,10 +3,12 @@
 // float32 features), so HyScale-GNN keeps the graph in CPU DRAM and streams
 // mini-batches to the accelerators with two-stage prefetching.
 //
-// This example runs the full-scale *timing* path (performance model +
+// This example prints the full-scale *timing* path (performance model +
 // pipeline simulator — nothing is materialised) for all three paper
-// datasets on both heterogeneous platforms, and then trains a 1/20,000-scale
-// papers100M-shaped instance for real to show the numeric path converging.
+// datasets on both heterogeneous platforms against the multi-GPU baseline,
+// as Fig. 10 of cmd/experiments, and then trains a 1/20,000-scale
+// papers100M-shaped instance for real to show the numeric path converging,
+// first on one node and then sharded across four.
 //
 //	go run ./examples/largegraph
 package main
@@ -15,43 +17,22 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/baselines"
+	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/drm"
 	"repro/internal/gnn"
 	"repro/internal/hw"
-	"repro/internal/perfmodel"
 	"repro/internal/tensor"
 )
 
 func main() {
 	fmt.Println("--- Full-scale epoch-time projection (virtual, nothing materialised) ---")
-	fmt.Printf("%-17s %-10s %-12s %-12s %-12s\n", "dataset", "model", "multi-GPU", "CPU+GPU", "CPU+FPGA")
-	for _, spec := range datagen.PaperSpecs() {
-		for _, kind := range []gnn.Kind{gnn.GCN, gnn.SAGE} {
-			w := perfmodel.DefaultWorkload(spec, kind)
-			base, err := baselines.PyGMultiGPU(hw.CPUGPUPlatform(), w, 1)
-			if err != nil {
-				log.Fatal(err)
-			}
-			gpu, err := baselines.HyScale(hw.CPUGPUPlatform(), w, perfmodel.TorchProfile(),
-				drm.New(128), 1)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fpga, err := baselines.HyScale(hw.CPUFPGAPlatform(), w, perfmodel.NativeProfile(),
-				drm.New(128), 1)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("%-17s %-10s %-12s %-12s %-12s\n", spec.Name, kind,
-				fmt.Sprintf("%.2fs", base),
-				fmt.Sprintf("%.2fs (%.1fx)", gpu, base/gpu),
-				fmt.Sprintf("%.2fs (%.1fx)", fpga, base/fpga))
-		}
+	fig10, err := bench.ByName("fig10", 1)
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Print(fig10)
 
 	fmt.Println("\n--- Real training on a 1/20,000-scale papers100M-shaped instance ---")
 	scaled := datagen.OGBNPapers100M.Scaled(20000)

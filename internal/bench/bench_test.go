@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -64,7 +65,10 @@ func TestByNameAndNames(t *testing.T) {
 }
 
 // TestAllRunsEveryRegisteredExperiment pins All to the registry: one table
-// per Names() entry, in that order, none of them a duplicate or untitled.
+// per Names() entry, in that order, none of them a duplicate or untitled,
+// and the tables as cmd/experiments prints them at seed 1 to
+// testdata/all_seed1.golden, byte for byte. A change that moves a number
+// on purpose rewrites the golden, and its diff lists what moved.
 func TestAllRunsEveryRegisteredExperiment(t *testing.T) {
 	names := Names()
 	tables, err := All(1)
@@ -87,6 +91,23 @@ func TestAllRunsEveryRegisteredExperiment(t *testing.T) {
 			t.Fatalf("%s and %s share the title %q", prev, names[i], tb.Title)
 		}
 		seen[tb.Title] = names[i]
+	}
+	var got strings.Builder
+	for _, tb := range tables {
+		got.WriteString(tb.String() + "\n")
+	}
+	want, err := os.ReadFile("testdata/all_seed1.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < min(len(gl), len(wl)); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("All(1) differs from the golden at line %d:\n got %q\nwant %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("All(1) has %d lines, the golden %d", len(gl), len(wl))
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package baselines models the systems the paper compares against:
+// The systems the paper compares against:
 //
 //   - the multi-GPU PyTorch-Geometric baseline of Fig. 10 (§VI-E1): four GPU
 //     trainers behind a synchronous Python dataloader, no hybrid training,
@@ -14,8 +14,9 @@
 // system slow on large graphs (the mechanisms §VI-E2 discusses), using the
 // same device models and analytic primitives as the rest of the repository.
 // Constants documented inline are calibrated against the magnitudes of
-// paper Tables V–VII; EXPERIMENTS.md records paper-vs-measured.
-package baselines
+// paper Tables V–VII.
+
+package bench
 
 import (
 	"fmt"
@@ -25,17 +26,16 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/hw"
 	"repro/internal/perfmodel"
-	"repro/internal/pipesim"
 )
 
-// PyGMultiGPU simulates the paper's multi-GPU baseline on the given
+// pygMultiGPU simulates the paper's multi-GPU baseline on the given
 // platform: accelerator-only training behind a synchronous PyG DataLoader.
 // The DataLoader's worker processes do prefetch (sampling + collation
 // overlap with training), but the H2D copy and the training step itself run
 // synchronously in the main loop — so one iteration is
 // max(sample+collate, transfer+train) + all-reduce. No hybrid CPU training,
 // no DRM, no native loader.
-func PyGMultiGPU(plat hw.Platform, work perfmodel.Workload, _ uint64) (float64, error) {
+func pygMultiGPU(plat hw.Platform, work perfmodel.Workload) (float64, error) {
 	m, err := perfmodel.New(plat, work)
 	if err != nil {
 		return 0, err
@@ -43,7 +43,7 @@ func PyGMultiGPU(plat hw.Platform, work perfmodel.Workload, _ uint64) (float64, 
 	m.Profile = perfmodel.PyGBaselineProfile()
 	nGPU := len(plat.Accels)
 	if nGPU == 0 {
-		return 0, fmt.Errorf("baselines: PyG baseline needs accelerators")
+		return 0, fmt.Errorf("bench: PyG baseline needs accelerators")
 	}
 	batch := work.BatchSize
 	s := work.SizesFor(batch)
@@ -91,10 +91,10 @@ func cacheHitRate(cached, total float64) float64 {
 	return math.Pow(cached/total, 1-zipfS)
 }
 
-// PaGraph simulates PaGraph's epoch: 8 V100 trainers on one node, DGL
+// paGraph simulates PaGraph's epoch: 8 V100 trainers on one node, DGL
 // sampling on the host, and a per-GPU static feature cache. Hits read from
 // device memory; misses cross PCIe. No hybrid CPU training.
-func PaGraph(work perfmodel.Workload) (float64, error) {
+func paGraph(work perfmodel.Workload) (float64, error) {
 	plat := hw.PaGraphNode()
 	m, err := perfmodel.New(plat, work)
 	if err != nil {
@@ -131,12 +131,12 @@ func PaGraph(work perfmodel.Workload) (float64, error) {
 // p3Nodes is P3's cluster size (Table V).
 const p3Nodes = 4
 
-// P3 simulates P3's epoch: intra-layer model parallelism for the first
+// p3 simulates P3's epoch: intra-layer model parallelism for the first
 // layer (features sharded across machines; partial activations are
 // all-to-all'ed every iteration), data parallelism above, pipelined
 // push-pull. Graph and features never cross PCIe in bulk, but activations
 // cross the network.
-func P3(work perfmodel.Workload) (float64, error) {
+func p3(work perfmodel.Workload) (float64, error) {
 	plat := hw.P3Node()
 	m, err := perfmodel.New(plat, work)
 	if err != nil {
@@ -181,10 +181,10 @@ const distDGLNodes = 8
 // partition after METIS partitioning of a power-law graph.
 const edgeCutFraction = 0.25
 
-// DistDGLv2 simulates DistDGLv2's epoch: 8 nodes × 8 T4, graph partitioned
+// distDGLv2 simulates DistDGLv2's epoch: 8 nodes × 8 T4, graph partitioned
 // across nodes, hybrid CPU/GPU training with a static task mapping. Remote
 // neighbors fetch features over the network.
-func DistDGLv2(work perfmodel.Workload) (float64, error) {
+func distDGLv2(work perfmodel.Workload) (float64, error) {
 	plat := hw.DistDGLNode()
 	m, err := perfmodel.New(plat, work)
 	if err != nil {
@@ -214,33 +214,11 @@ func DistDGLv2(work perfmodel.Workload) (float64, error) {
 	return iters * iter, nil
 }
 
-// HyScale runs the paper's system (pipesim with all optimizations) on the
-// given platform and returns the epoch time. profile selects the software
-// stack (TorchProfile for the CPU-GPU design, NativeProfile for CPU-FPGA).
-func HyScale(plat hw.Platform, work perfmodel.Workload, profile perfmodel.SoftwareProfile,
-	ctrl pipesim.Controller, seed uint64) (float64, error) {
-	m, err := perfmodel.New(plat, work)
-	if err != nil {
-		return 0, err
-	}
-	m.Profile = profile
-	res, err := pipesim.Run(pipesim.Config{
-		Model: m,
-		Mode:  pipesim.Mode{Hybrid: true, TFP: true, DRM: ctrl != nil},
-		Ctrl:  ctrl,
-		Seed:  seed,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return res.EpochSec, nil
-}
-
-// ComparatorWorkload builds the workload matching a comparator's published
+// comparatorWorkload builds the workload matching a comparator's published
 // configuration (Table V): its sample sizes and hidden dimension.
-func ComparatorWorkload(spec datagen.Spec, kind gnn.Kind, fanouts []int, hidden int) (perfmodel.Workload, error) {
+func comparatorWorkload(spec datagen.Spec, kind gnn.Kind, fanouts []int, hidden int) (perfmodel.Workload, error) {
 	if hidden <= 0 || len(fanouts) == 0 {
-		return perfmodel.Workload{}, fmt.Errorf("baselines: bad comparator config")
+		return perfmodel.Workload{}, fmt.Errorf("bench: bad comparator config")
 	}
 	dims := make([]int, len(fanouts)+1)
 	dims[0] = spec.FeatDims[0]
@@ -250,4 +228,23 @@ func ComparatorWorkload(spec datagen.Spec, kind gnn.Kind, fanouts []int, hidden 
 	dims[len(fanouts)] = spec.NumClasses()
 	spec.FeatDims = dims
 	return perfmodel.Workload{Spec: spec, Model: kind, BatchSize: 1024, Fanouts: fanouts}, nil
+}
+
+// comparator is one Table V system with its published configuration.
+type comparator struct {
+	Name    string
+	Fanouts []int
+	Hidden  int
+	Models  []gnn.Kind
+	Epoch   func(perfmodel.Workload) (float64, error)
+	TFLOPS  float64 // full-cluster peak for Table VII normalization
+}
+
+// comparators lists the Table V systems.
+func comparators() []comparator {
+	return []comparator{
+		{"PaGraph", []int{25, 10}, 256, bothModels, paGraph, hw.PaGraphNode().TotalTFLOPS()},
+		{"P3", []int{25, 10}, 32, bothModels, p3, hw.P3Node().TotalTFLOPS() * p3Nodes},
+		{"DistDGLv2", []int{15, 10, 5}, 256, []gnn.Kind{gnn.SAGE}, distDGLv2, hw.DistDGLNode().TotalTFLOPS() * distDGLNodes},
+	}
 }

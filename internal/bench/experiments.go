@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/accel"
-	"repro/internal/baselines"
 	"repro/internal/datagen"
 	"repro/internal/drm"
 	"repro/internal/gnn"
@@ -125,6 +124,22 @@ func fig9() (*Table, error) {
 	return t, nil
 }
 
+// hyscaleEpoch runs HyScale's simulated epoch with every optimization on —
+// hybrid training, TFP and DRM — on a platform under a software profile
+// (TorchProfile for the CPU-GPU design, NativeProfile for CPU-FPGA).
+func hyscaleEpoch(plat hw.Platform, work perfmodel.Workload, profile perfmodel.SoftwareProfile,
+	seed uint64) (*pipesim.Result, error) {
+	m, err := perfmodel.New(plat, work)
+	if err != nil {
+		return nil, err
+	}
+	m.Profile = profile
+	return pipesim.Run(pipesim.Config{
+		Model: m, Mode: pipesim.Mode{Hybrid: true, TFP: true, DRM: true},
+		Ctrl: drm.New(plat.TotalCPUCores()), Seed: seed,
+	})
+}
+
 // fig10 reproduces the cross-platform comparison: epoch time of the
 // multi-GPU PyG baseline, HyScale CPU-GPU, and HyScale CPU-FPGA, with
 // speedups normalized to the baseline.
@@ -136,93 +151,89 @@ func fig10(seed uint64) (*Table, error) {
 	for _, spec := range datagen.PaperSpecs() {
 		for _, kind := range bothModels {
 			w := perfmodel.DefaultWorkload(spec, kind)
-			base, err := baselines.PyGMultiGPU(hw.CPUGPUPlatform(), w, seed)
+			base, err := pygMultiGPU(hw.CPUGPUPlatform(), w)
 			if err != nil {
 				return nil, err
 			}
-			gpu, err := baselines.HyScale(hw.CPUGPUPlatform(), w, perfmodel.TorchProfile(),
-				drm.New(hw.CPUGPUPlatform().TotalCPUCores()), seed)
+			gpu, err := hyscaleEpoch(hw.CPUGPUPlatform(), w, perfmodel.TorchProfile(), seed)
 			if err != nil {
 				return nil, err
 			}
-			fpga, err := baselines.HyScale(hw.CPUFPGAPlatform(), w, perfmodel.NativeProfile(),
-				drm.New(hw.CPUFPGAPlatform().TotalCPUCores()), seed)
+			fpga, err := hyscaleEpoch(hw.CPUFPGAPlatform(), w, perfmodel.NativeProfile(), seed)
 			if err != nil {
 				return nil, err
 			}
 			t.addRow(txt(spec.Name), txt(kind.String()),
-				num(base, "%.2f"), num(gpu, "%.2f"), num(base/gpu, "%.2fx"),
-				num(fpga, "%.2f"), num(base/fpga, "%.2fx"))
+				num(base, "%.2f"), num(gpu.EpochSec, "%.2f"), num(base/gpu.EpochSec, "%.2fx"),
+				num(fpga.EpochSec, "%.2f"), num(base/fpga.EpochSec, "%.2fx"))
 		}
 	}
 	return t, nil
 }
 
-// comparators lists the Table V systems with their published configurations.
-type comparator struct {
-	Name    string
-	Fanouts []int
-	Hidden  int
-	Models  []gnn.Kind
-	Epoch   func(perfmodel.Workload) (float64, error)
-	TFLOPS  float64 // full-cluster peak for Table VII normalization
-}
-
-func comparators() []comparator {
-	return []comparator{
-		{"PaGraph", []int{25, 10}, 256, bothModels, baselines.PaGraph, hw.PaGraphNode().TotalTFLOPS()},
-		{"P3", []int{25, 10}, 32, bothModels, baselines.P3, hw.P3Node().TotalTFLOPS() * 4},
-		{"DistDGLv2", []int{15, 10, 5}, 256, []gnn.Kind{gnn.SAGE}, baselines.DistDGLv2, hw.DistDGLNode().TotalTFLOPS() * 8},
-	}
-}
-
 // table6Specs are the datasets of Table VI.
 var table6Specs = []datagen.Spec{datagen.OGBNProducts, datagen.OGBNPapers100M}
 
-// table6 reproduces the epoch-time comparison with the state of the art:
-// for every comparator, HyScale (4 FPGAs, one node) runs the comparator's
-// own configuration.
+// comparison is one row of Tables VI and VII: a comparator's epoch and
+// HyScale's (4 FPGAs, one node) on the comparator's own configuration.
+type comparison struct {
+	spec         datagen.Spec
+	kind         gnn.Kind
+	theirs, ours float64
+}
+
+// comparisons runs every Table VI row, one slice per comparator in
+// comparators() order.
+func comparisons(seed uint64) ([][]comparison, error) {
+	var out [][]comparison
+	for _, c := range comparators() {
+		var rows []comparison
+		for _, spec := range table6Specs {
+			for _, kind := range c.Models {
+				w, err := comparatorWorkload(spec, kind, c.Fanouts, c.Hidden)
+				if err != nil {
+					return nil, err
+				}
+				theirs, err := c.Epoch(w)
+				if err != nil {
+					return nil, err
+				}
+				ours, err := hyscaleEpoch(hw.CPUFPGAPlatform(), w, perfmodel.NativeProfile(), seed)
+				if err != nil {
+					return nil, err
+				}
+				rows = append(rows, comparison{spec, kind, theirs, ours.EpochSec})
+			}
+		}
+		out = append(out, rows)
+	}
+	return out, nil
+}
+
+// table6 reproduces the epoch-time comparison with the state of the art,
+// with each comparator's geomean speedup on its last row.
 func table6(seed uint64) (*Table, error) {
+	all, err := comparisons(seed)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:  "Table VI: Epoch time (sec) comparison with state-of-the-art",
 		Header: []string{"System", "Dataset", "Model", "Theirs(s)", "ThisWork(s)", "Speedup", "GeoMean"},
 	}
-	for _, c := range comparators() {
-		var ratios []float64
-		type line struct {
-			spec datagen.Spec
-			kind gnn.Kind
-			them float64
-			ours float64
+	for ci, c := range comparators() {
+		rows := all[ci]
+		ratios := make([]float64, len(rows))
+		for i, r := range rows {
+			ratios[i] = r.theirs / r.ours
 		}
-		var lines []line
-		for _, spec := range table6Specs {
-			for _, kind := range c.Models {
-				w, err := baselines.ComparatorWorkload(spec, kind, c.Fanouts, c.Hidden)
-				if err != nil {
-					return nil, err
-				}
-				them, err := c.Epoch(w)
-				if err != nil {
-					return nil, err
-				}
-				ours, err := baselines.HyScale(hw.CPUFPGAPlatform(), w, perfmodel.NativeProfile(),
-					drm.New(hw.CPUFPGAPlatform().TotalCPUCores()), seed)
-				if err != nil {
-					return nil, err
-				}
-				lines = append(lines, line{spec, kind, them, ours})
-				ratios = append(ratios, them/ours)
-			}
-		}
-		geo := geomean(ratios)
-		for i, l := range lines {
+		for i, r := range rows {
 			geoCell := txt("")
-			if i == len(lines)-1 {
-				geoCell = num(geo, "%.2fx")
+			if i == len(rows)-1 {
+				geoCell = num(geomean(ratios), "%.2fx")
 			}
-			t.addRow(txt(c.Name), txt(l.spec.Name), txt(l.kind.String()),
-				num(l.them, "%.2f"), num(l.ours, "%.2f"), num(l.them/l.ours, "%.2fx"), geoCell)
+			t.addRow(txt(c.Name), txt(r.spec.Name), txt(r.kind.String()),
+				num(r.theirs, "%.2f"), num(r.ours, "%.2f"), num(ratios[i], "%.2fx"), geoCell)
 		}
 	}
 	return t, nil
@@ -231,32 +242,20 @@ func table6(seed uint64) (*Table, error) {
 // table7 is Table VI normalized by platform peak TFLOPS (sec × TFLOPS),
 // the paper's system-efficiency comparison.
 func table7(seed uint64) (*Table, error) {
-	ours := hw.CPUFPGAPlatform().TotalTFLOPS()
+	all, err := comparisons(seed)
+	if err != nil {
+		return nil, err
+	}
+	oursTFLOPS := hw.CPUFPGAPlatform().TotalTFLOPS()
 	t := &Table{
 		Title:  "Table VII: Normalized epoch time (sec x TFLOPS) comparison",
 		Header: []string{"System", "Dataset", "Model", "Theirs", "ThisWork", "Speedup"},
 	}
-	for _, c := range comparators() {
-		for _, spec := range table6Specs {
-			for _, kind := range c.Models {
-				w, err := baselines.ComparatorWorkload(spec, kind, c.Fanouts, c.Hidden)
-				if err != nil {
-					return nil, err
-				}
-				them, err := c.Epoch(w)
-				if err != nil {
-					return nil, err
-				}
-				our, err := baselines.HyScale(hw.CPUFPGAPlatform(), w, perfmodel.NativeProfile(),
-					drm.New(hw.CPUFPGAPlatform().TotalCPUCores()), seed)
-				if err != nil {
-					return nil, err
-				}
-				themN := them * c.TFLOPS
-				ourN := our * ours
-				t.addRow(txt(c.Name), txt(spec.Name), txt(kind.String()),
-					num(themN, "%.1f"), num(ourN, "%.1f"), num(themN/ourN, "%.1fx"))
-			}
+	for ci, c := range comparators() {
+		for _, r := range all[ci] {
+			theirs, ours := r.theirs*c.TFLOPS, r.ours*oursTFLOPS
+			t.addRow(txt(c.Name), txt(r.spec.Name), txt(r.kind.String()),
+				num(theirs, "%.1f"), num(ours, "%.1f"), num(theirs/ours, "%.1fx"))
 		}
 	}
 	return t, nil

@@ -2,8 +2,10 @@
 // evaluation (§VI) from the models and simulators in this repository. Each
 // experiment returns a Table whose rows mirror what the paper reports —
 // epoch times, speedups, utilizations, prediction errors — so the output
-// can be compared against the published artifact line by line
-// (EXPERIMENTS.md records that comparison).
+// can be compared against the published artifact line by line (PAPER.md's
+// "Results reproduced here" records that comparison). The analytic models
+// of the systems the paper compares against live here too
+// (comparators.go).
 package bench
 
 import (

@@ -118,22 +118,3 @@ func PredictedSlowdown(b *Breakdown, localIterSec float64) float64 {
 	st := perfmodel.StageTimes{TrainCPU: localIterSec, NetFetch: b.RemoteFetch, NetSync: b.GlobalSync}
 	return st.Bottleneck() / localIterSec
 }
-
-// Scaling sweeps node counts and returns epoch times, for the
-// strong-scaling study of the extension.
-func Scaling(cfg Config, counts []int) ([]*Breakdown, error) {
-	out := make([]*Breakdown, 0, len(counts))
-	for _, n := range counts {
-		c := cfg
-		c.Nodes = n
-		if n == 1 {
-			c.CutFraction = 0
-		}
-		b, err := EpochTime(c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-	return out, nil
-}

@@ -70,11 +70,16 @@ func TestMultiNodePaysCommunication(t *testing.T) {
 // Strong scaling: more nodes reduce epoch time, but sub-linearly — the
 // communication erosion that justifies the paper's single-node thesis.
 func TestScalingSublinear(t *testing.T) {
-	c := baseCfg()
 	counts := []int{1, 2, 4, 8}
-	res, err := Scaling(c, counts)
-	if err != nil {
-		t.Fatal(err)
+	var res []*Breakdown
+	for _, n := range counts {
+		c := baseCfg()
+		c.Nodes = n
+		b, err := EpochTime(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res = append(res, b)
 	}
 	for i := 1; i < len(res); i++ {
 		if res[i].EpochSec >= res[i-1].EpochSec {

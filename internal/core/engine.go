@@ -81,18 +81,16 @@ func (e *Engine) slot(i int) *iterSlot {
 }
 
 // Validate checks every rule of c that needs no dataset — the learning rate
-// (optim.NewSGD's rule), the batch size, the pipeline mode, the model's
-// shape (gnn.Config.Validate) and one fan-out per layer of it, each
-// non-negative (sampler.New's rule) — and names the rejected value in its
-// error.
+// (optim.NewSGD's rule), the pipeline mode, the model's shape
+// (gnn.Config.Validate), the workload it describes (perfmodel's rule: a
+// positive batch size and one fan-out per layer of the model) and each
+// fan-out non-negative (sampler.New's rule) — and names the rejected value
+// in its error.
 // NewEngine calls it first; a front end calls it to reject a bad
 // configuration before it materializes a dataset.
 func (c Config) Validate() error {
 	if _, err := optim.NewSGD(c.LR); err != nil {
 		return err
-	}
-	if c.BatchSize <= 0 {
-		return fmt.Errorf("core: non-positive batch size %d", c.BatchSize)
 	}
 	if c.Pipeline != PipelineSerial && c.Pipeline != PipelinePrefetch {
 		return fmt.Errorf("core: unknown pipeline mode %d", int(c.Pipeline))
@@ -100,8 +98,12 @@ func (c Config) Validate() error {
 	if err := c.Model.Validate(); err != nil {
 		return err
 	}
-	if len(c.Fanouts) != c.Model.Layers() {
-		return fmt.Errorf("core: Fanouts %v: %d fan-outs for a %d-layer model", c.Fanouts, len(c.Fanouts), c.Model.Layers())
+	work := perfmodel.Workload{
+		Spec: datagen.Spec{FeatDims: c.Model.Dims}, Model: c.Model.Kind,
+		BatchSize: c.BatchSize, Fanouts: c.Fanouts,
+	}
+	if err := work.Validate(); err != nil {
+		return err
 	}
 	if _, err := sampler.New(nil, c.Fanouts, nil); err != nil {
 		return fmt.Errorf("core: Fanouts %v: %w", c.Fanouts, err)

@@ -64,13 +64,25 @@ func TestConfigValidate(t *testing.T) {
 // FuzzCoreConfig generates configurations from bounded inputs — any learning
 // rate bits, a batch size from an int8, zero to three fan-outs in −2…25, the
 // three feature switches, a pipeline mode from an int8 (invalid ones
-// included) and one of three fleets — over one small dataset that the
-// model's widths match, and checks Validate's contract with NewEngine: a
+// included), one of three fleets and one of two datasets that the model's
+// widths match — and checks Validate's contract with NewEngine: a
 // configuration Validate accepts builds an engine that runs an epoch without
 // an error or a panic, and one it rejects fails NewEngine with the same
 // error. The seeds are four fan-out lists Validate once accepted.
+//
+// DRM moves a target only while every accelerator keeps 32 or more, so it
+// acts only at batch sizes above 32. On the 300-vertex dataset (≈ 75
+// training vertices) such a batch is the whole epoch, one iteration, so a
+// share DRM moves is never trained; the 2 000-vertex one (≈ 500) runs
+// further iterations on the mapping DRM moved. The last seed is such a run,
+// with DRM moving work.
 func FuzzCoreConfig(f *testing.F) {
-	spec, ds := fuzzDataset(f)
+	spec, small := fuzzDataset(f)
+	bigSpec := datagen.Spec{Name: "fuzz-drm", NumVertices: 2000, NumEdges: 10000, FeatDims: spec.FeatDims}
+	big, err := datagen.Materialize(bigSpec, 0.25, tensor.NewRNG(5))
+	if err != nil {
+		f.Fatal(err)
+	}
 	hetero, err := hw.HeteroPlatform(hw.GPU, hw.FPGA)
 	if err != nil {
 		f.Fatal(err)
@@ -78,15 +90,20 @@ func FuzzCoreConfig(f *testing.F) {
 	plats := []hw.Platform{hw.CPUFPGAPlatform(), hw.CPUGPUPlatform(), hetero}
 	// A fan-out byte b decodes to b mod 28 − 2, so enc(v) = v + 2.
 	for _, fan := range [][]byte{{1, 6}, {27}, {27, 12, 7}, {}} {
-		f.Add(math.Float32bits(0.3), int8(16), fan, true, true, true, int8(0), uint8(0))
+		f.Add(math.Float32bits(0.3), int8(16), fan, true, true, true, int8(0), uint8(0), false)
 	}
-	f.Add(math.Float32bits(0.3), int8(8), []byte{7, 7}, true, false, true, int8(1), uint8(2))
-	f.Add(math.Float32bits(0.3), int8(16), []byte{7, 7}, false, true, true, int8(0), uint8(1))
-	f.Add(math.Float32bits(math.MaxFloat32), int8(8), []byte{7, 7}, true, true, true, int8(1), uint8(0))
-	f.Fuzz(func(t *testing.T, lrBits uint32, batch int8, fan []byte, hybrid, tfp, drm bool, pipeline int8, plat uint8) {
+	f.Add(math.Float32bits(0.3), int8(8), []byte{7, 7}, true, false, true, int8(1), uint8(2), false)
+	f.Add(math.Float32bits(0.3), int8(16), []byte{7, 7}, false, true, true, int8(0), uint8(1), false)
+	f.Add(math.Float32bits(math.MaxFloat32), int8(8), []byte{7, 7}, true, true, true, int8(1), uint8(0), false)
+	f.Add(math.Float32bits(0.3), int8(40), []byte{7, 7}, false, true, true, int8(0), uint8(0), true)
+	f.Fuzz(func(t *testing.T, lrBits uint32, batch int8, fan []byte, hybrid, tfp, drm bool, pipeline int8, plat uint8, roomForDRM bool) {
 		fanouts := make([]int, min(len(fan), 3))
 		for i := range fanouts {
 			fanouts[i] = int(fan[i]%28) - 2
+		}
+		ds := small
+		if roomForDRM {
+			ds = big
 		}
 		cfg := Config{
 			Plat: plats[int(plat)%len(plats)], Data: ds,

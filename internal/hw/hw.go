@@ -7,8 +7,7 @@
 // peak FLOPS, frequency, memory bandwidth, on-chip memory — plus the
 // empirical efficiency factors (gather efficiency, framework overhead,
 // kernel-launch latency) that the paper measures implicitly through its
-// baselines. All constants are documented where defined; EXPERIMENTS.md
-// records how they were calibrated against the paper's reported ratios.
+// baselines. All constants are documented where defined.
 package hw
 
 import "fmt"

@@ -4,7 +4,7 @@ import "fmt"
 
 // Device presets. Peak numbers come from the paper's Table II; efficiency
 // factors and overheads are calibration constants chosen to reproduce the
-// paper's measured *ratios* (see EXPERIMENTS.md "Calibration"). The decisive
+// paper's measured *ratios*. The decisive
 // qualitative differences the paper leans on are encoded here:
 //
 //   - GPU trainers are driven by Python/PyTorch (paper §VI-A implements both

@@ -32,13 +32,15 @@ func DefaultWorkload(spec datagen.Spec, model gnn.Kind) Workload {
 	return Workload{Spec: spec, Model: model, BatchSize: 1024, Fanouts: []int{25, 10}}
 }
 
-// Validate checks the workload.
+// Validate checks the workload: a positive batch size and one fan-out per
+// layer. It is the one statement of both rules; core.Config.Validate applies
+// it to the workload a training configuration describes.
 func (w Workload) Validate() error {
 	if w.BatchSize <= 0 {
-		return fmt.Errorf("perfmodel: batch size %d", w.BatchSize)
+		return fmt.Errorf("perfmodel: non-positive batch size %d", w.BatchSize)
 	}
 	if len(w.Fanouts) != w.Spec.Layers() {
-		return fmt.Errorf("perfmodel: %d fanouts for %d layers", len(w.Fanouts), w.Spec.Layers())
+		return fmt.Errorf("perfmodel: Fanouts %v: %d fan-outs for a %d-layer model", w.Fanouts, len(w.Fanouts), w.Spec.Layers())
 	}
 	return nil
 }

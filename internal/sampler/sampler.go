@@ -376,7 +376,10 @@ type Batcher struct {
 	cursor    int
 }
 
-// NewBatcher creates a batcher over trainIdx with the given batch size.
+// NewBatcher creates a batcher over trainIdx with the given batch size. It
+// keeps its own positive-batch-size guard: perfmodel.Workload.Validate states
+// that rule for a training configuration, but perfmodel sits above this
+// package, and the benchmark builds batchers directly.
 func NewBatcher(trainIdx []int32, batchSize int, rng *tensor.RNG) (*Batcher, error) {
 	if len(trainIdx) == 0 {
 		return nil, fmt.Errorf("sampler: empty training set")
