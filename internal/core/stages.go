@@ -56,9 +56,9 @@ type iterResult struct {
 // stays allocation-free (each slot's slices grow to their roof once).
 type iterSlot struct {
 	shares [][]int32
-	// mbs[i] is trainer i's mini-batch, refilled in place by SampleInto; it
-	// is this iteration's only when shares[i] is non-empty (an empty share
-	// is an idle trainer).
+	// mbs[i] is trainer i's mini-batch, refilled in place by
+	// SampleSharesInto; it is this iteration's only when shares[i] is
+	// non-empty (an empty share is an idle trainer).
 	mbs    []*sampler.MiniBatch
 	load   []float64
 	perAcc []perfmodel.DeviceStage
@@ -81,7 +81,11 @@ type hybridExecutor struct {
 
 // prepare runs Stage 1 into the slot — sampling — and prices every stage of
 // the iteration, Stage 4 included, from the mini-batches it just sampled and
-// the engine's task mapping. Load and transfer are prices, not copies: every
+// the engine's task mapping. Sampling is one SampleSharesInto call: the
+// layers above the input one share by share on this goroutine, then every
+// share's input layer at once on the sampler's own workers, bit for bit the
+// share-by-share draws, so the trainers' batches do not depend on the
+// fan-out. Load and transfer are prices, not copies: every
 // trainer's step reads the feature table in place at its batch's input
 // nodes. It touches only the slot's scratch, the sampler/RNG stream and the
 // FPGA backends' accounting scratch (callers serialize prepares), and
@@ -103,16 +107,18 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 			s.mbs[i] = &sampler.MiniBatch{}
 		}
 	}
+	// Slot-retained mini-batches, rebuilt in place: trainer i reads its own
+	// until its step returns, within the slot's iteration — exactly the
+	// storage's lifetime. One call samples every share, the input layers of
+	// all of them at once, with every draw where share-by-share SampleInto
+	// calls would take it from e.rng.
+	if err := e.smp.SampleSharesInto(s.mbs, shares, e.rng); err != nil {
+		return err
+	}
 	var sampEdgesCPU, sampEdgesAccel float64
 	for i, share := range shares {
 		if len(share) == 0 {
 			continue
-		}
-		// Slot-retained mini-batch, rebuilt in place: trainer i reads it
-		// until its step returns, within the slot's iteration — exactly the
-		// storage's lifetime.
-		if err := e.smp.SampleInto(s.mbs[i], share, e.rng); err != nil {
-			return err
 		}
 		edges := float64(s.mbs[i].EdgesTraversed())
 		s.edges += edges

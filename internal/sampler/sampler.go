@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -103,26 +105,55 @@ func (mb *MiniBatch) EdgesTraversed() int64 {
 // batch size 1024. A fanout of 0 disables sampling for that layer: every
 // neighbor is taken, making propagation over the batch exact (the limit the
 // sampled estimate converges to as fanouts grow).
+//
+// A Sampler is NOT safe for concurrent sampling: one Sampler per goroutine,
+// mirroring the Workspace arena's ownership discipline. The caller's
+// goroutine samples in the embedded layerScratch; the workers a
+// SampleSharesInto call spawns each own a scratch of their own, retained in
+// the Sampler, and are joined before the call returns.
 type Sampler struct {
 	G       *graph.Graph
 	Fanouts []int
 	Labels  []int32
 
-	// Reusable lookup state (built lazily on first use). The global→local
-	// vertex map is a pair of O(|V|) arrays stamped with a per-layer
-	// generation: visited[v] == gen marks v as present in the current layer
-	// with local index local[v]. Bumping gen invalidates every entry in
-	// O(1); on the (once per 4 billion layers) wrap the stamps are cleared.
-	// A Sampler is therefore NOT safe for concurrent sampling: one Sampler
-	// per goroutine, mirroring the Workspace arena's ownership discipline.
+	layerScratch
+	input inputPass
+}
+
+// layerScratch is one goroutine's state for sampling a layer, built lazily
+// on first use. The global→local vertex map is a pair of O(|V|) arrays
+// stamped with a per-layer generation: visited[v] == gen marks v as present
+// in the current layer with local index local[v]. Bumping gen invalidates
+// every entry in O(1); on the (once per 4 billion layers) wrap the stamps are
+// cleared. The choose pass's output for one layer is the destinations whose
+// degree exceeds the fan-out, in frontier order, and the neighbors each
+// chose, the k-th's at [k·fanout, (k+1)·fanout).
+type layerScratch struct {
 	gen     uint32
 	visited []uint32
 	local   []int32
-	// The choose pass's output for one layer: the destinations whose degree
-	// exceeds the fan-out, in frontier order, and the neighbors each chose,
-	// the k-th's at [k·fanout, (k+1)·fanout).
-	drawn []int32
-	picks []int32
+	drawn   []int32
+	picks   []int32
+}
+
+// inputPass is SampleSharesInto's retained state for sampling the input-most
+// layer of every share at once: the layers still to sample, in share order,
+// the extra workers' scratch, and the cursor the workers claim layers from
+// (DRM makes shares unequal, so the split is dynamic, as in the trainer
+// pool).
+type inputPass struct {
+	layers  []inputLayer
+	workers []layerScratch // worker k+1's scratch; the caller is worker 0
+	next    atomic.Int32
+	join    sync.WaitGroup
+}
+
+// inputLayer is one share's input-most layer as the layers above it leave
+// it: the block to build, its frontier, and the stream at its first draw.
+type inputLayer struct {
+	blk      *Block
+	frontier []int32
+	rng      tensor.RNG
 }
 
 // New creates a sampler. Fanouts must be non-empty and non-negative; 0 means
@@ -163,17 +194,74 @@ func (s *Sampler) Sample(targets []int32, rng *tensor.RNG) (*MiniBatch, error) {
 // otherwise a uniform `fanout`-subset is drawn with `fanout` rng draws,
 // whatever the degree. Deterministic given rng state. mb must not be in use
 // elsewhere (the serving pipeline and the training engine each retain their
-// own). Not safe for concurrent use; see the Sampler field docs.
+// own). It is SampleSharesInto's one-share case. Not safe for concurrent
+// use; see Sampler.
 func (s *Sampler) SampleInto(mb *MiniBatch, targets []int32, rng *tensor.RNG) error {
 	if len(targets) == 0 {
 		return fmt.Errorf("sampler: empty target set")
 	}
-	for _, v := range targets {
-		if v < 0 || int(v) >= s.G.NumVertices {
-			return fmt.Errorf("sampler: target %d out of range", v)
+	return s.SampleSharesInto([]*MiniBatch{mb}, [][]int32{targets}, rng)
+}
+
+// SampleSharesInto draws mbs[i] for targets shares[i], for every non-empty
+// share, and equals SampleInto(mbs[i], shares[i], rng) over those shares in
+// index order, bit for bit: the same blocks, targets and labels, and rng left
+// where the last call would leave it. An empty share's mini-batch is not
+// touched. Every share is checked before the first draw, so on an error
+// nothing is sampled and rng has not moved. The mini-batches must be
+// distinct, and no share may alias another share's mini-batch.
+//
+// It samples in two phases. First, in share order on the caller, every
+// share's layers above the input-most one are sampled as SampleInto samples
+// them; then the input layer's drawing destinations are counted (the choose
+// pass's filter), the stream position is recorded as that layer's start, and
+// rng skips the draws the layer will take. Second, the input layers of all
+// shares — the largest layers, each a choose pass and a sequential dedup —
+// are sampled at once from their recorded starts, on tensor.FanOut workers
+// sized by the counted draws. So every draw keeps its place in the stream at
+// any parallelism.
+func (s *Sampler) SampleSharesInto(mbs []*MiniBatch, shares [][]int32, rng *tensor.RNG) error {
+	if len(mbs) != len(shares) {
+		return fmt.Errorf("sampler: %d mini-batches for %d shares", len(mbs), len(shares))
+	}
+	for _, targets := range shares {
+		for _, v := range targets {
+			if v < 0 || int(v) >= s.G.NumVertices {
+				return fmt.Errorf("sampler: target %d out of range", v)
+			}
 		}
 	}
-	s.ensureScratch()
+	s.ensure(s.G.NumVertices)
+	p := &s.input
+	p.layers = p.layers[:0]
+	draws := 0
+	for i, targets := range shares {
+		if len(targets) > 0 {
+			draws += s.sampleAboveInput(mbs[i], targets, rng)
+		}
+	}
+	width := 1 // the caller alone below the fan-out grain
+	if n := len(p.layers); n > 1 {
+		width = max(1, tensor.FanOut(n, draws*chooseWork/n))
+	}
+	for len(p.workers) < width-1 {
+		p.workers = append(p.workers, layerScratch{})
+	}
+	p.next.Store(0)
+	p.join.Add(width)
+	for k := 0; k < width-1; k++ {
+		go s.drainInputs(&p.workers[k])
+	}
+	s.drainInputs(&s.layerScratch)
+	p.join.Wait()
+	return nil
+}
+
+// sampleAboveInput is the first phase for one share: it rebuilds mb's
+// targets and labels, samples its layers L−1…1 from rng, queues its input
+// layer at rng's position, and moves rng past that layer's draws, which it
+// returns.
+func (s *Sampler) sampleAboveInput(mb *MiniBatch, targets []int32, rng *tensor.RNG) int {
 	L := len(s.Fanouts)
 	for len(mb.Blocks) < L {
 		mb.Blocks = append(mb.Blocks, &Block{})
@@ -186,18 +274,44 @@ func (s *Sampler) SampleInto(mb *MiniBatch, targets []int32, rng *tensor.RNG) er
 	}
 	// Self-append is safe here even when targets aliases mb.Targets.
 	mb.Targets = append(mb.Targets[:0], targets...)
-	frontier := mb.Targets
-	for l := L - 1; l >= 0; l-- {
-		s.sampleLayerInto(mb.Blocks[l], frontier, s.Fanouts[l], rng)
-		frontier = mb.Blocks[l].Src
-	}
 	mb.Labels = mb.Labels[:0]
 	if s.Labels != nil {
-		for _, v := range targets {
+		for _, v := range mb.Targets {
 			mb.Labels = append(mb.Labels, s.Labels[v])
 		}
 	}
-	return nil
+	frontier := mb.Targets
+	for l := L - 1; l >= 1; l-- {
+		s.sampleLayerInto(s.G, mb.Blocks[l], frontier, s.Fanouts[l], rng)
+		frontier = mb.Blocks[l].Src
+	}
+	s.input.layers = append(s.input.layers, inputLayer{blk: mb.Blocks[0], frontier: frontier, rng: *rng})
+	f, draws := s.Fanouts[0], 0
+	if f > 0 {
+		for _, v := range frontier {
+			if s.G.Degree(v) > f {
+				draws += f
+			}
+		}
+	}
+	rng.Skip(uint64(draws))
+	return draws
+}
+
+// drainInputs samples queued input layers in w until the cursor passes the
+// last one, then marks its worker done.
+func (s *Sampler) drainInputs(w *layerScratch) {
+	p := &s.input
+	defer p.join.Done()
+	w.ensure(s.G.NumVertices)
+	for {
+		k := int(p.next.Add(1)) - 1
+		if k >= len(p.layers) {
+			return
+		}
+		in := &p.layers[k]
+		w.sampleLayerInto(s.G, in.blk, in.frontier, s.Fanouts[0], &in.rng)
+	}
 }
 
 // Reserve grows mb, and the sampler's choose buffers, so that SampleInto
@@ -227,11 +341,11 @@ func (s *Sampler) Reserve(mb *MiniBatch, n int) {
 	s.picks = slices.Grow(s.picks[:0], picks)
 }
 
-// ensureScratch lazily builds the O(|V|) lookup arrays SampleInto needs.
-func (s *Sampler) ensureScratch() {
-	if s.visited == nil {
-		s.visited = make([]uint32, s.G.NumVertices)
-		s.local = make([]int32, s.G.NumVertices)
+// ensure lazily builds the O(|V|) lookup arrays of a graph with n vertices.
+func (w *layerScratch) ensure(n int) {
+	if w.visited == nil {
+		w.visited = make([]uint32, n)
+		w.local = make([]int32, n)
 	}
 }
 
@@ -247,47 +361,45 @@ func (s *Sampler) ensureScratch() {
 // grain.
 const chooseWork = 200
 
-// sampleLayerInto builds one block in reused storage in two passes. The
+// sampleLayerInto builds one block of g in reused storage in two passes. The
 // choose pass draws the neighbors of every destination whose degree exceeds
-// fanout into s.picks; above the fan-out grain it runs on
+// fanout into w.picks; above the fan-out grain it runs on
 // tensor.ParallelRows workers, each starting at its first destination's
 // offset in rng's stream, so the picks, and where rng is left, are those of
 // one sequential loop at any parallelism. The dedup pass then walks frontier
-// in order, mapping global to local indices through the sampler's
-// generation-stamped arrays (last write wins for duplicate destinations,
-// first occurrence wins for shared sources).
-func (s *Sampler) sampleLayerInto(blk *Block, frontier []int32, fanout int, rng *tensor.RNG) {
+// in order, mapping global to local indices through w's generation-stamped
+// arrays (last write wins for duplicate destinations, first occurrence wins
+// for shared sources).
+func (w *layerScratch) sampleLayerInto(g *graph.Graph, blk *Block, frontier []int32, fanout int, rng *tensor.RNG) {
 	nDst := len(frontier)
 	if fanout > 0 {
-		s.choose(frontier, fanout, rng)
+		w.choose(g, frontier, fanout, rng)
 	}
 	blk.Src = append(blk.Src[:0], frontier...)
-	s.gen++
-	if s.gen == 0 { // stamp wrap: clear and restart at 1
-		for i := range s.visited {
-			s.visited[i] = 0
-		}
-		s.gen = 1
+	w.gen++
+	if w.gen == 0 { // stamp wrap: clear and restart at 1
+		clear(w.visited)
+		w.gen = 1
 	}
 	for i, v := range frontier {
-		s.visited[v] = s.gen
-		s.local[v] = int32(i)
+		w.visited[v] = w.gen
+		w.local[v] = int32(i)
 	}
 	blk.RowPtr = append(blk.RowPtr[:0], 0)
 	blk.Col = blk.Col[:0]
-	picks := s.picks
+	picks := w.picks
 	for _, v := range frontier {
-		chosen := s.G.Neighbors(v) // fanout 0 or degree ≤ fanout: take all
+		chosen := g.Neighbors(v) // fanout 0 or degree ≤ fanout: take all
 		if fanout > 0 && len(chosen) > fanout {
 			chosen, picks = picks[:fanout], picks[fanout:]
 		}
 		for _, u := range chosen {
-			li := s.local[u]
-			if s.visited[u] != s.gen {
+			li := w.local[u]
+			if w.visited[u] != w.gen {
 				li = int32(len(blk.Src))
 				blk.Src = append(blk.Src, u)
-				s.visited[u] = s.gen
-				s.local[u] = li
+				w.visited[u] = w.gen
+				w.local[u] = li
 			}
 			blk.Col = append(blk.Col, li)
 		}
@@ -298,39 +410,39 @@ func (s *Sampler) sampleLayerInto(blk *Block, frontier []int32, fanout int, rng 
 	blk.Dst = blk.Src[:nDst]
 }
 
-// choose fills s.drawn and s.picks for frontier. Only a destination whose
+// choose fills w.drawn and w.picks for frontier. Only a destination whose
 // degree exceeds fanout draws: the k-th such destination reads draws
-// [k·fanout, (k+1)·fanout) past rng, and rng ends len(s.drawn)·fanout draws
+// [k·fanout, (k+1)·fanout) past rng, and rng ends len(w.drawn)·fanout draws
 // past where it started. Splitting the drawing destinations, not the
 // frontier, gives every worker the same number of draws: the frontier's
 // first-seen sources are biased to high degree.
-func (s *Sampler) choose(frontier []int32, fanout int, rng *tensor.RNG) {
-	s.drawn = s.drawn[:0]
+func (w *layerScratch) choose(g *graph.Graph, frontier []int32, fanout int, rng *tensor.RNG) {
+	w.drawn = w.drawn[:0]
 	for _, v := range frontier {
-		if s.G.Degree(v) > fanout {
-			s.drawn = append(s.drawn, v)
+		if g.Degree(v) > fanout {
+			w.drawn = append(w.drawn, v)
 		}
 	}
-	n, work := len(s.drawn), fanout*chooseWork
-	s.picks = slices.Grow(s.picks[:0], n*fanout)[:n*fanout]
+	n, work := len(w.drawn), fanout*chooseWork
+	w.picks = slices.Grow(w.picks[:0], n*fanout)[:n*fanout]
 	if tensor.FanOut(n, work) <= 1 {
-		s.chooseRange(s.drawn, fanout, s.picks, rng)
+		chooseRange(g, w.drawn, fanout, w.picks, rng)
 		return
 	}
 	start := *rng
 	tensor.ParallelRows(n, work, func(lo, hi int) {
 		r := start
 		r.Skip(uint64(lo * fanout))
-		s.chooseRange(s.drawn[lo:hi], fanout, s.picks[lo*fanout:hi*fanout], &r)
+		chooseRange(g, w.drawn[lo:hi], fanout, w.picks[lo*fanout:hi*fanout], &r)
 	})
 	rng.Skip(uint64(n * fanout))
 }
 
 // chooseRange draws the neighbors of each destination in drawn, in order,
 // into its fanout-wide stride of picks.
-func (s *Sampler) chooseRange(drawn []int32, fanout int, picks []int32, rng *tensor.RNG) {
+func chooseRange(g *graph.Graph, drawn []int32, fanout int, picks []int32, rng *tensor.RNG) {
 	for k, v := range drawn {
-		sampleWithoutReplacement(s.G.Neighbors(v), picks[k*fanout:(k+1)*fanout], rng)
+		sampleWithoutReplacement(g.Neighbors(v), picks[k*fanout:(k+1)*fanout], rng)
 	}
 }
 

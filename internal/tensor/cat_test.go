@@ -178,8 +178,10 @@ func TestMatMulCatMatchesMaterialisedSIMD(t *testing.T) {
 // TestTMatMulCatMatchesMaterialisedSIMD pins TMatMulCat to TMatMul over the
 // [A1′ | A2] it never forms, bit for bit, at every dispatch level and kernel
 // parallelism 1, 3 and 4, over catCases, batches on both sides of one and two
-// gather rounds, and one shape above the fan-out grain (asserted for a single
-// round of the mapped half) whose batch ends mid-round.
+// gather rounds, and one shape above the fan-out grain (asserted for the
+// call's one fan-out over C's strips) whose batch ends mid-round; at
+// parallelism 3 and 4 its workers' ranges start and end inside A1's columns,
+// so the mapped rows are gathered a column range at a time.
 func TestTMatMulCatMatchesMaterialisedSIMD(t *testing.T) {
 	cases := catCases()
 	rounds := []int{catRound - 1, catRound, catRound + 3, 2*catRound + 7}
@@ -197,7 +199,7 @@ func TestTMatMulCatMatchesMaterialisedSIMD(t *testing.T) {
 		rng := NewRNG(48)
 		for _, cc := range cases {
 			if cc.k1 == 64 { // the two shapes above the grain
-				requireFanOut(t, "TMatMulCat round", cc.k1, catRound*cc.n)
+				requireFanOut(t, "TMatMulCat", (cc.k1+cc.k2+gemmRows-1)/gemmRows, gemmRows*cc.rows*cc.n)
 			}
 			a1, rows1, a2 := catOperands(rng, cc)
 			b := randomMatrix(cc.rows, cc.n, rng)

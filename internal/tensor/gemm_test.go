@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -283,4 +284,31 @@ func TestGemmWritesOnlyItsRows(t *testing.T) {
 			check(t, l, a, at, b, want, 2, r[0], r[1], false)
 		}
 	})
+}
+
+// BenchmarkGemmTile reports the strip kernel's rate alone (GFLOP/s at two
+// flops per multiply-add) at each level this CPU has: one gemmStrips call
+// over one packed panel (gemmPanel columns, k rows back to back), 6 rows (one
+// tile) and 48 (one gemmBlock) of A in MatMul's addressing, at k = 100, 200
+// and 512. The operands are warmed by the first call and stay cache-resident
+// (the panel is 12.8 / 25.6 / 64 KiB), so what it measures is the tile and
+// the Go call around it, not packing, staging or memory. README sets it
+// beside this core's fused-multiply-add roof and BenchmarkMatMul's shapes:
+//
+//	go test -run '^$' -bench GemmTile ./internal/tensor/
+func BenchmarkGemmTile(b *testing.B) {
+	rng := NewRNG(2)
+	for _, l := range availableLevels() {
+		for _, k := range []int{100, 200, 512} {
+			for _, rows := range []int{gemmRows, gemmBlock} {
+				a, panel, c := randomMatrix(rows, k, rng), randomMatrix(k, gemmPanel, rng), New(rows, gemmPanel)
+				b.Run(fmt.Sprintf("%v/k%d/rows%d", l, k, rows), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						gemmStrips(l, c.Data, a.Data, panel.Data, gemmPanel, gemmPanel, gemmPanel, k, 1, k, rows, 1)
+					}
+					b.ReportMetric(2*float64(rows*k*gemmPanel)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
+		}
+	}
 }

@@ -147,9 +147,10 @@ func TMatMul(c, a, b *Matrix) {
 // exposed.
 const catPanel = gemmBlock
 
-// catRound is the rows of A1′ TMatMulCat gathers per round when rows1 maps
-// them: two of its tmKC chunks, so a round is where a chunk boundary already
-// was, and a panel of at most 512 KiB (f = 256) whatever the batch.
+// catRound is the rows of A1′ a TMatMulCat worker gathers per round when
+// rows1 maps them: two of its tmKC chunks, so a round is where a chunk
+// boundary already was, and a panel of at most 512 KiB (all of f = 256
+// columns) whatever the batch.
 const catRound = 2 * tmKC
 
 // MatMulCat computes C = [A1′ | A2]·B without forming the concatenation: A1′
@@ -237,27 +238,66 @@ func matMulCatRange(c, a1 *Matrix, rows1 []int32, a2, b *Matrix, lo, hi int) {
 // A1′ is rows rows1 of A1 (rows1 nil: A1's first R rows), A2 is R×k2, B is
 // R×n and C is (k1+k2)×n, overwritten. Row r of C reads only column r of the
 // left operand, so C's first k1 rows are A1′ᵀ·B and the rest A2ᵀ·B, each a
-// TMatMul bit for bit. Mapped rows are gathered catRound at a time, and each
-// round's product is added onto the one before.
+// TMatMul bit for bit. The call fans out once, over C's strips, and each
+// worker walks the whole batch for its own rows (tMatMulCatRange).
 func TMatMulCat(c, a1 *Matrix, rows1 []int32, a2, b *Matrix) {
 	R, n, k1, k2 := b.Rows, b.Cols, a1.Cols, a2.Cols
 	if c.Rows != k1+k2 || c.Cols != n || a2.Rows != R || !catRowsFit(a1, rows1, R) {
 		panic(fmt.Sprintf("tensor: TMatMulCat shapes [%dx%d (%d mapped) | %dx%d]T · %dx%d -> %dx%d",
 			a1.Rows, k1, len(rows1), a2.Rows, k2, b.Rows, n, c.Rows, c.Cols))
 	}
-	top := c.Data[:k1*n]
-	gemm(c.Data[k1*n:(k1+k2)*n], k2, n, a2.Data, 1, k2, b.Data, n, R, tmKC, false)
-	if rows1 == nil || R == 0 { // an empty batch gathers no round; this clears C's top rows
-		gemm(top, k1, n, a1.Data, 1, k1, b.Data, n, R, tmKC, false)
+	m := k1 + k2
+	strips, work := (m+gemmRows-1)/gemmRows, gemmRows*R*n
+	if FanOut(strips, work) <= 1 {
+		tMatMulCatRange(c, a1, rows1, a2, b, 0, m)
 		return
 	}
-	pp, panel := getPack(min(catRound, R) * k1)
+	ParallelRows(strips, work, func(lo, hi int) {
+		tMatMulCatRange(c, a1, rows1, a2, b, lo*gemmRows, min(hi*gemmRows, m))
+	})
+}
+
+// tMatMulCatRange computes rows [lo, hi) of TMatMulCat's C. Rows from k1 on
+// read A2 in place, as do A1′'s rows when rows1 is nil. Mapped rows are
+// gathered catRound at a time into a panel of only the range's columns of
+// A1, and each round's product is added onto the one before.
+func tMatMulCatRange(c, a1 *Matrix, rows1 []int32, a2, b *Matrix, lo, hi int) {
+	R, n, k1, k2 := b.Rows, b.Cols, a1.Cols, a2.Cols
+	if hi > k1 {
+		gemmPanels(c.Data[k1*n:], n, a2.Data, 1, k2, b.Data, n, R, tmKC, false, max(lo, k1)-k1, hi-k1)
+		hi = k1
+	}
+	if lo >= hi {
+		return
+	}
+	if rows1 == nil || R == 0 { // an empty batch gathers no round; this clears the rows
+		gemmPanels(c.Data, n, a1.Data, 1, k1, b.Data, n, R, tmKC, false, lo, hi)
+		return
+	}
+	w := hi - lo
+	pp, panel := getPack(min(catRound, R) * w)
 	for r0 := 0; r0 < R; r0 += catRound {
 		rr := min(catRound, R-r0)
-		gatherRows(panel[:rr*k1], a1, rows1[r0:r0+rr])
-		gemm(top, k1, n, panel, 1, k1, b.Data[r0*n:(r0+rr)*n], n, rr, tmKC, r0 > 0)
+		gatherCols(panel[:rr*w], a1, rows1[r0:r0+rr], lo, hi)
+		gemmPanels(c.Data[lo*n:], n, panel, 1, w, b.Data[r0*n:], n, rr, tmKC, r0 > 0, 0, w)
 	}
 	packPool.Put(pp)
+}
+
+// gatherCols copies columns [lo, hi) of rows idx of src into the
+// len(idx)×(hi−lo) rows at dst: the gather kernel when that is every column,
+// a row-slice copy per row otherwise.
+func gatherCols(dst []float32, src *Matrix, idx []int32, lo, hi int) {
+	if lo == 0 && hi == src.Cols {
+		gatherRange(dst, src, idx, 0, len(idx))
+		return
+	}
+	checkRowIndices("gather", idx, src.Rows)
+	w := hi - lo
+	for i, r := range idx {
+		row := int(r) * src.Cols
+		copy(dst[i*w:(i+1)*w], src.Data[row+lo:row+hi])
+	}
 }
 
 // gemm computes C[i][j] = Σ_t a[i·ars + t·aks] · b(t, j) over t in [0, k)

@@ -373,18 +373,11 @@ func GatherRows(dst, src *Matrix, idx []int32) {
 	if dst.Rows != len(idx) || dst.Cols != src.Cols {
 		panic("tensor: GatherRows shape mismatch")
 	}
-	gatherRows(dst.Data, src, idx)
-}
-
-// gatherRows is GatherRows into the len(idx)×src.Cols rows at dst — a slice,
-// so TMatMulCat's panel needs no matrix header the fan-out closure would
-// move to the heap.
-func gatherRows(dst []float32, src *Matrix, idx []int32) {
 	if FanOut(len(idx), gatherWork*src.Cols) <= 1 {
-		gatherRange(dst, src, idx, 0, len(idx))
+		gatherRange(dst.Data, src, idx, 0, len(idx))
 		return
 	}
-	ParallelRows(len(idx), gatherWork*src.Cols, func(lo, hi int) { gatherRange(dst, src, idx, lo, hi) })
+	ParallelRows(len(idx), gatherWork*src.Cols, func(lo, hi int) { gatherRange(dst.Data, src, idx, lo, hi) })
 }
 
 // gatherRange copies rows idx[lo:hi] of src into rows [lo, hi) of dst, whose
