@@ -33,7 +33,6 @@ type options struct {
 	drm       bool
 	tensorPar int
 	simd      string
-	pipeline  string
 	nodes     int
 	trace     string
 	// cpuProfile is the -cpuprofile path; run profiles everything after the
@@ -153,10 +152,6 @@ func buildConfig(o options) (*runSpec, error) {
 	if r.SIMD, err = tensor.ParseSIMDLevel(o.simd); err != nil {
 		return nil, fmt.Errorf("-simd %q: %w", o.simd, err)
 	}
-	pipe, err := core.ParsePipelineMode(o.pipeline)
-	if err != nil {
-		return nil, fmt.Errorf("-pipeline %q: %w", o.pipeline, err)
-	}
 	if o.nodes < 1 {
 		return nil, fmt.Errorf("-nodes %d: need at least 1", o.nodes)
 	}
@@ -189,7 +184,6 @@ func buildConfig(o options) (*runSpec, error) {
 		Hybrid:    o.hybrid,
 		TFP:       o.tfp,
 		DRM:       o.drm,
-		Pipeline:  pipe,
 		Seed:      o.seed,
 	}
 	if err := r.Core.Validate(); err != nil {

@@ -23,7 +23,7 @@ func validOptions() options {
 	return options{
 		dataset: "ogbn-products", model: "sage", platform: "cpu-fpga",
 		scale: 2000, epochs: 5, batch: 256, lr: 0.3, seed: 1,
-		hybrid: true, tfp: true, drm: true, pipeline: "serial", nodes: 1,
+		hybrid: true, tfp: true, drm: true, nodes: 1,
 		serveRate: 5000, serveRequests: 20000, serveBatch: 32,
 		serveWindowUs: 500, serveWorkers: 2, serveQueue: 1024,
 		serveCache: 4096, serveZipf: 1.1, serveShards: 1,
@@ -46,24 +46,6 @@ func TestBuildConfigDefaults(t *testing.T) {
 	}
 	if len(r.Core.Fanouts) != r.Spec.Layers() {
 		t.Fatalf("%d fanouts for %d layers", len(r.Core.Fanouts), r.Spec.Layers())
-	}
-}
-
-// -pipeline resolves to the core mode, reaches the training config, and
-// rejects unknown schedules.
-func TestBuildConfigPipelineMode(t *testing.T) {
-	o := validOptions()
-	o.pipeline = "prefetch"
-	r, err := buildConfig(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Core.Pipeline != core.PipelinePrefetch {
-		t.Fatalf("pipeline = %v, want prefetch", r.Core.Pipeline)
-	}
-	o.pipeline = "overlapped"
-	if _, err := buildConfig(o); err == nil || !strings.Contains(err.Error(), "pipeline") {
-		t.Fatalf("unknown pipeline mode accepted (err=%v)", err)
 	}
 }
 

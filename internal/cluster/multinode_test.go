@@ -294,54 +294,66 @@ func TestMultiNodeExecutesAndStaysInSync(t *testing.T) {
 	}
 }
 
-// The schedule is a wall-clock choice on a fleet too: two 2-node runs with DRM
-// on, one per Config.Pipeline value, must agree on every node's per-epoch
-// loss, accuracy, virtual clock and task mapping and on every parameter, bit
-// for bit — each node's prefetch worker reads a mapping that node's DRM
-// moves only while the worker is idle.
+// The schedule is a wall-clock matter on a fleet too. At GOMAXPROCS=1 every
+// node runs its prepares inline; above it every node hands them to its own
+// prefetch worker, beside its siblings. A 2-node run with DRM on must agree
+// across the two on every node's per-epoch loss, accuracy, virtual clock and
+// task mapping and on every parameter, bit for bit — each node's worker
+// reads a mapping that node's DRM moves only while the worker is idle. The
+// GOMAXPROCS=1 leg is the inline reference the GOMAXPROCS=4 leg is held to.
 func TestMultiNodeScheduleChangesNoNumber(t *testing.T) {
+	type fleetRun struct {
+		m     *MultiNode
+		stats []*MultiNodeStats
+	}
+	runAt := func(t *testing.T, procs int) *fleetRun {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		m, err := NewMultiNode(multiConfig(t, 2, multiDataset(t, 5))) // DRM on
+		if err != nil {
+			t.Fatal(err)
+		}
+		initial := fmt.Sprintf("%+v", m.Node(0).Assignment()) // every node starts from the same design-phase mapping
+		r := &fleetRun{m: m, stats: make([]*MultiNodeStats, 3)}
+		moved := false
+		for i := range r.stats {
+			if r.stats[i], err = m.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range r.stats[i].PerNode {
+				moved = moved || fmt.Sprintf("%+v", st.Assignment) != initial
+			}
+		}
+		if !moved {
+			t.Fatal("DRM never moved a node's mapping: the case compared two static runs")
+		}
+		return r
+	}
+	var inline *fleetRun
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
-			prev := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(prev)
-			var initial string // every node starts from the same design-phase mapping
-			run := func(mode core.PipelineMode) (*MultiNode, []*MultiNodeStats) {
-				cfg := multiConfig(t, 2, multiDataset(t, 5)) // DRM on
-				cfg.Node.Pipeline = mode
-				m, err := NewMultiNode(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				initial = fmt.Sprintf("%+v", m.Node(0).Assignment())
-				stats := make([]*MultiNodeStats, 3)
-				for i := range stats {
-					if stats[i], err = m.RunEpoch(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return m, stats
+			got := runAt(t, procs)
+			if procs == 1 {
+				inline = got
+				return
 			}
-			ms, ss := run(core.PipelineSerial)
-			mp, sp := run(core.PipelinePrefetch)
-			moved := false
-			for ep := range ss {
-				for n, a := range ss[ep].PerNode {
-					b := sp[ep].PerNode[n]
+			if inline == nil { // the GOMAXPROCS=1 leg was filtered out
+				inline = runAt(t, 1)
+			}
+			for ep := range inline.stats {
+				for n, a := range inline.stats[ep].PerNode {
+					b := got.stats[ep].PerNode[n]
 					if a.Loss != b.Loss || a.Accuracy != b.Accuracy || a.VirtualSec != b.VirtualSec || a.MTEPS != b.MTEPS {
-						t.Fatalf("epoch %d node %d: serial %+v, prefetch %+v", ep+1, n, a, b)
+						t.Fatalf("epoch %d node %d: inline %+v, prefetch worker %+v", ep+1, n, a, b)
 					}
 					sa, sb := fmt.Sprintf("%+v", a.Assignment), fmt.Sprintf("%+v", b.Assignment)
 					if sa != sb {
-						t.Fatalf("epoch %d node %d: task mapping %s under serial, %s under prefetch", ep+1, n, sa, sb)
+						t.Fatalf("epoch %d node %d: task mapping %s inline, %s on the prefetch worker", ep+1, n, sa, sb)
 					}
-					moved = moved || sa != initial
 				}
 			}
-			if !moved {
-				t.Fatal("DRM never moved a node's mapping: the case compared two static runs")
-			}
 			for n := 0; n < 2; n++ {
-				pa, pb := ms.Node(n).Params(), mp.Node(n).Params()
+				pa, pb := inline.m.Node(n).Params(), got.m.Node(n).Params()
 				for l := range pa.Weights {
 					if !pa.Weights[l].Equal(pb.Weights[l]) || !pa.Biases[l].Equal(pb.Biases[l]) {
 						t.Fatalf("node %d layer %d parameters diverged bitwise", n, l)

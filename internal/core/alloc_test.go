@@ -102,7 +102,6 @@ func TestTrainingIterationZeroAllocPipelined(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Plat.Accels = nil // one CPU trainer: its step runs inline
 	cfg.DRM = false
-	cfg.Pipeline = PipelinePrefetch
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

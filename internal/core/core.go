@@ -26,8 +26,8 @@
 // virtual stage times each iteration and re-balances work and threads,
 // exactly as in paper Algorithm 1. It reacts where its input is produced —
 // right after an iteration's prepare, before the next one is issued — so the
-// task mapping has one writer, never moves under a prepare, and the
-// execution schedule (Config.Pipeline) changes no number.
+// task mapping has one writer, never moves under a prepare, and whether a
+// prepare runs on the prefetch worker or inline changes no number.
 //
 // The runtime is layered so one engine can drive one node or one shard of a
 // multi-node fleet (internal/cluster.MultiNode):
@@ -44,8 +44,8 @@
 //     remote feature rows;
 //   - epoch.go — epoch orchestration tying the layers together: the one
 //     iteration loop, prepare → Adjust → issue next → compute → consume;
-//   - pipeline.go — the schedule choice and the prefetch worker that loop
-//     hands prepares to.
+//   - pipeline.go — the prefetch worker that loop hands prepares to
+//     whenever GOMAXPROCS > 1 (paper Fig. 4/5's pipelined execution).
 package core
 
 import (
@@ -70,13 +70,12 @@ type Config struct {
 	TFP    bool // two-stage feature prefetching
 	DRM    bool // dynamic resource management
 
-	// Pipeline selects the epoch loop's execution schedule: PipelineSerial
-	// (the zero value) runs prepare and compute back to back;
-	// PipelinePrefetch overlaps prepare(i+1) with compute(i) on a prefetch
-	// worker — the paper's Fig. 4/5 pipelined execution, executed rather
-	// than merely charged. It is a wall-clock choice only: the virtual clock
-	// and the training trajectory are bit-identical across modes for every
-	// configuration, DRM included; see epoch.go.
+	// Pipeline is vestigial: there is one schedule, the paper's Fig. 4/5
+	// pipelined execution, in which prepare(i+1) overlaps compute(i) on a
+	// prefetch worker whenever GOMAXPROCS > 1 (epoch.go). The field accepts
+	// only PipelineSerial and PipelinePrefetch (anything else is an error)
+	// and changes nothing. It stays until a benchmark PR drops the lines of
+	// benchmark/ that set and read it.
 	Pipeline PipelineMode
 
 	Seed uint64

@@ -47,7 +47,7 @@ type Engine struct {
 	// mini-batches SampleInto refills, per-accelerator stage vectors, the
 	// result struct; every trainer reads its layer-0 input from the feature
 	// table in place, so no slot stages features). Inline
-	// prepares use slot 0 only; the prefetch worker's schedule uses the
+	// prepares use slot 0 only; the prefetch worker uses the
 	// depth-2 ring so prepare(i+1) fills one slot while the trainers still
 	// read the other. Together with the trainer pool the slots make
 	// the whole steady-state training iteration — sample, price, propagate —

@@ -13,7 +13,8 @@ import (
 // global gradient, applies the update to the one parameter set and advances
 // the clock. Each of those layers is swappable without touching this loop.
 //
-// There is one loop for both schedules (Config.Pipeline):
+// There is one loop, whether its prepares run on the prefetch worker
+// (GOMAXPROCS > 1) or inline:
 //
 //	prepare(i) → Adjust(i) → issue(i+1) → compute(i) → consume(i)
 //
@@ -147,12 +148,12 @@ func (e *Engine) runIterations(iters int, stats *EpochStats, acc *epochAccum, wo
 
 // RunEpoch trains one full epoch and returns its statistics.
 //
-// The prefetch worker only pays off when another processor can actually run
-// it: at GOMAXPROCS=1 the hand-off would merely time-slice prepare against
-// compute (and thrash the two slots' cache working sets), so a prefetch
-// configuration runs its prepares inline there — same numbers, as always.
+// Its prepares run on the prefetch worker exactly when another processor can
+// run it: at GOMAXPROCS=1 the hand-off would merely time-slice prepare
+// against compute (and thrash the two slots' cache working sets), so there
+// they run inline — same numbers, either way.
 func (e *Engine) RunEpoch() (*EpochStats, error) {
-	return e.runEpoch(e.cfg.Pipeline == PipelinePrefetch && runtime.GOMAXPROCS(0) > 1)
+	return e.runEpoch(runtime.GOMAXPROCS(0) > 1)
 }
 
 // runEpoch wraps the iteration loop with the epoch's bookkeeping: batcher

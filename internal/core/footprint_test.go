@@ -54,7 +54,7 @@ func (r *footprintRecorder) compute(s *iterSlot) (*iterResult, error) {
 
 // TestWorkspaceFootprintBounded is the regression gate for "an arena holds a
 // buffer twice": after three epochs of the five-trainer fleet with DRM on —
-// serial, and on the worker-backed prefetch schedule with its second slot —
+// inline ("serial"), and on the prefetch worker with its second slot —
 // every step arena retains at most 1.25 × the largest single-step demand of
 // any trainer. Step arenas belong to the trainer pool's workers, so the
 // engine holds at most min(GOMAXPROCS, trainers) of them, whichever trainers
@@ -66,27 +66,22 @@ func TestWorkspaceFootprintBounded(t *testing.T) {
 	defer tensor.SetParallelism(prev)
 	for _, leg := range []struct {
 		name string
-		mode PipelineMode
+		run  epochRunner
 	}{
-		{"serial", PipelineSerial},
-		{"prefetch", PipelinePrefetch},
+		{"serial", runInline},
+		{"prefetch", runWorker},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
 			cfg := baseConfig(t) // DRM on
 			cfg.Plat = hw.CPUFPGAPlatform()
-			cfg.Pipeline = leg.mode
 			e, err := NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rec := &footprintRecorder{hybridExecutor: e.exec.(*hybridExecutor)}
 			e.exec = rec
-			run := e.RunEpoch
-			if leg.mode == PipelinePrefetch {
-				run = e.runEpochAsync
-			}
 			for ep := 0; ep < 3; ep++ {
-				if _, err := run(); err != nil {
+				if _, err := leg.run(e); err != nil {
 					t.Fatal(err)
 				}
 			}

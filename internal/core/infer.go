@@ -145,8 +145,9 @@ func NewInferencePipeline(cfg InferConfig) (*InferencePipeline, error) {
 	if err := checkFeatures(cfg.Data, cfg.Model.Cfg.Dims[0]); err != nil {
 		return nil, err
 	}
-	if len(cfg.Fanouts) != cfg.Model.Cfg.Layers() {
-		return nil, fmt.Errorf("core: %d fanouts for %d layers", len(cfg.Fanouts), cfg.Model.Cfg.Layers())
+	work := perfmodel.Workload{Spec: datagen.Spec{FeatDims: cfg.Model.Cfg.Dims}, BatchSize: 1, Fanouts: cfg.Fanouts}
+	if err := work.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Device < 0 || cfg.Device > len(cfg.Plat.Accels) {
 		return nil, fmt.Errorf("core: device %d outside [0,%d]", cfg.Device, len(cfg.Plat.Accels))

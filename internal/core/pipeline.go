@@ -1,60 +1,39 @@
 package core
 
-import "fmt"
-
-// Software-pipelined epoch execution (paper Fig. 4/5, §IV-B): a prefetch
-// worker runs prepare for iteration i+1 — sampling and the iteration's
-// prices — while the trainer fleet computes iteration i, over
-// a depth-2 ring of iteration slots. This turns the two-stage feature
+// Software-pipelined epoch execution (paper Fig. 4/5, §IV-B), the runtime's
+// one schedule: whenever a second processor exists (GOMAXPROCS > 1), a
+// prefetch worker runs prepare for iteration i+1 — sampling and the
+// iteration's prices — while the trainer fleet computes iteration i, over a
+// depth-2 ring of iteration slots. This turns the two-stage feature
 // prefetching the virtual pipeline clock has always *charged* into executed
 // behavior: the wall-clock iteration tends to max(prepare, compute) instead
-// of their sum.
+// of their sum. On one processor the worker could only time-slice prepare
+// against compute, so there each prepare runs inline, right before its
+// compute.
 //
-// Why the trajectory is bitwise the serial one, DRM on or off: prepare
-// depends only on the batcher/RNG stream and the task mapping — never on
-// model weights — and compute consumes no randomness. A single worker
-// serializes the prepares, targets are drawn from the batcher on the
+// Why the worker's trajectory is bitwise the inline one, DRM on or off:
+// prepare depends only on the batcher/RNG stream and the task mapping —
+// never on model weights — and compute consumes no randomness. A single
+// worker serializes the prepares, targets are drawn from the batcher on the
 // orchestrating goroutine at issue time, and the mapping moves only while the
 // worker is idle (epoch.go), so every prepare sees exactly the inputs the
-// serial schedule would hand it; compute and the weight updates run in
+// inline path would hand it; compute and the weight updates run in
 // iteration order on the orchestrating goroutine.
 
 // pipelineDepth is the iteration-slot ring size: one slot being computed,
 // one being prepared.
 const pipelineDepth = 2
 
-// PipelineMode selects how the epoch loop schedules prepare against
-// compute. The zero value is the serial mode, so existing configurations
-// are unchanged.
+// PipelineMode is vestigial: it names the two values Config.Pipeline
+// accepts, and neither changes the schedule (see Config.Pipeline).
 type PipelineMode int
 
 const (
-	// PipelineSerial runs each iteration start-to-finish: prepare(i) then
-	// compute(i) on the calling goroutine.
+	// PipelineSerial is the zero value.
 	PipelineSerial PipelineMode = iota
-	// PipelinePrefetch overlaps prepare(i+1) with compute(i) on a prefetch
-	// worker (the paper's pipelined execution).
+	// PipelinePrefetch is the other value Validate accepts.
 	PipelinePrefetch
 )
-
-// ParsePipelineMode parses the -pipeline flag values. The empty string maps
-// to the serial default, mirroring the Config zero value.
-func ParsePipelineMode(s string) (PipelineMode, error) {
-	switch s {
-	case "", "serial":
-		return PipelineSerial, nil
-	case "prefetch":
-		return PipelinePrefetch, nil
-	}
-	return PipelineSerial, fmt.Errorf("core: unknown pipeline mode %q (want serial|prefetch)", s)
-}
-
-func (m PipelineMode) String() string {
-	if m == PipelinePrefetch {
-		return "prefetch"
-	}
-	return "serial"
-}
 
 // prepReq is one issued prepare: the slot it fills and the targets it
 // samples from. On the worker's channel a nil slot is the stop sentinel.

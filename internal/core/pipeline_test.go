@@ -13,9 +13,18 @@ import (
 	"repro/internal/tensor"
 )
 
+// epochRunner is one way to run an epoch on an engine: RunEpoch, or one of
+// the seams that force the inline path or the prefetch worker.
+type epochRunner func(*Engine) (*EpochStats, error)
+
+var (
+	runInline epochRunner = (*Engine).runEpochInline
+	runWorker epochRunner = (*Engine).runEpochAsync
+)
+
 // trainEpochs builds an engine from cfg and runs it for the given number of
-// epochs, returning the per-epoch stats and the engine.
-func trainEpochs(t *testing.T, cfg Config, epochs int) ([]*EpochStats, *Engine) {
+// epochs with run, returning the per-epoch stats and the engine.
+func trainEpochs(t *testing.T, cfg Config, epochs int, run epochRunner) ([]*EpochStats, *Engine) {
 	t.Helper()
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -23,7 +32,7 @@ func trainEpochs(t *testing.T, cfg Config, epochs int) ([]*EpochStats, *Engine) 
 	}
 	stats := make([]*EpochStats, 0, epochs)
 	for i := 0; i < epochs; i++ {
-		st, err := e.RunEpoch()
+		st, err := run(e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,9 +77,10 @@ func requireSameTrajectory(t *testing.T, label string,
 
 // prepare depends only on the batcher/RNG stream and the task mapping —
 // never on weights — and the mapping moves only while no prepare is in
-// flight, so overlapping prepare(i+1) with compute(i) must not change a
-// single bit of the trajectory, DRM off or on, at any GOMAXPROCS. 3 epochs ×
-// 5 iterations = 15 steps, past the ≥10-step bar.
+// flight, so overlapping prepare(i+1) with compute(i) on the prefetch worker
+// must not change a single bit of the inline path's trajectory, DRM off or
+// on, at any GOMAXPROCS. 3 epochs × 5 iterations = 15 steps, past the
+// ≥10-step bar.
 func TestPipelinedBitwiseIdenticalToSerial(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
@@ -78,16 +88,12 @@ func TestPipelinedBitwiseIdenticalToSerial(t *testing.T) {
 			defer runtime.GOMAXPROCS(prev)
 			for _, drm := range []bool{false, true} {
 				t.Run(fmt.Sprintf("DRM=%v", drm), func(t *testing.T) {
-					serial := baseConfig(t)
-					serial.DRM = drm
-					ss, es := trainEpochs(t, serial, 3)
-
-					prefetch := baseConfig(t)
-					prefetch.DRM, prefetch.Pipeline = drm, PipelinePrefetch
-					sp, ep := trainEpochs(t, prefetch, 3)
-
-					requireSameTrajectory(t, "serial vs prefetch", ss, sp, es.Params(), ep.Params())
-					if drm && ep.drmEng.MovesWork+ep.drmEng.MovesThread == 0 {
+					cfg := baseConfig(t)
+					cfg.DRM = drm
+					si, ei := trainEpochs(t, cfg, 3, runInline)
+					sw, ew := trainEpochs(t, cfg, 3, runWorker)
+					requireSameTrajectory(t, "inline vs worker", si, sw, ei.Params(), ew.Params())
+					if drm && ew.drmEng.MovesWork+ew.drmEng.MovesThread == 0 {
 						t.Fatal("DRM never moved the mapping: the DRM-on leg compared two static runs")
 					}
 				})
@@ -111,86 +117,73 @@ func TestPipelinedBitwiseIdenticalSingleTrainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := func() Config {
-		cfg := baseConfig(t)
-		cfg.Plat.Accels = nil
-		cfg.DRM = false
-		cfg.Data, cfg.Model.Dims = ds, dims
-		cfg.BatchSize, cfg.Fanouts = 2048, []int{40, 40}
-		return cfg
-	}
-	if cfg := base(); tensor.FanOut(cfg.BatchSize, 2*dims[1]*dims[2]) <= 1 {
+	cfg := baseConfig(t)
+	cfg.Plat.Accels = nil
+	cfg.DRM = false
+	cfg.Data, cfg.Model.Dims = ds, dims
+	cfg.BatchSize, cfg.Fanouts = 2048, []int{40, 40}
+	if tensor.FanOut(cfg.BatchSize, 2*dims[1]*dims[2]) <= 1 {
 		t.Fatalf("a %d-target batch's output GEMM is below the fan-out grain; no ParallelRows worker would run", cfg.BatchSize)
 	}
-	serial := base()
-	ss, es := trainEpochs(t, serial, 2)
-	prefetch := base()
-	prefetch.Pipeline = PipelinePrefetch
-	sp, ep := trainEpochs(t, prefetch, 2)
-	requireSameTrajectory(t, "single-trainer serial vs prefetch", ss, sp, es.Params(), ep.Params())
+	si, ei := trainEpochs(t, cfg, 2, runInline)
+	sw, ew := trainEpochs(t, cfg, 2, runWorker)
+	requireSameTrajectory(t, "single-trainer inline vs worker", si, sw, ei.Params(), ew.Params())
 }
 
-// RunEpoch runs a prefetch configuration's prepares inline at GOMAXPROCS=1,
-// so the worker hand-off is forced here explicitly: with DRM on and a single
-// proc — cooperative scheduling at its most adversarial — the worker-backed
-// epochs must still match a serial twin's plain RunEpoch bit for bit.
+// RunEpoch runs every prepare inline at GOMAXPROCS=1, so the worker hand-off
+// is forced here explicitly: with DRM on and a single proc — cooperative
+// scheduling at its most adversarial — the worker-backed epochs must still
+// match a twin's plain RunEpoch bit for bit.
 func TestPipelinedWorkerForcedAtOneProc(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 
 	cfg := baseConfig(t) // DRM on
-	cfg.Pipeline = PipelinePrefetch
-	forced, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
+	sf, forced := trainEpochs(t, cfg, 3, runWorker)
+	ss, plain := trainEpochs(t, cfg, 3, (*Engine).RunEpoch)
+	if plain.prefetch != nil {
+		t.Fatal("RunEpoch started the prefetch worker at GOMAXPROCS=1: the twin compared the worker with itself")
 	}
-	sf := make([]*EpochStats, 0, 3)
-	for i := 0; i < 3; i++ {
-		st, err := forced.runEpochAsync()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sf = append(sf, st)
-	}
-	ss, serial := trainEpochs(t, baseConfig(t), 3)
-	requireSameTrajectory(t, "forced worker vs serial", sf, ss, forced.Params(), serial.Params())
+	requireSameTrajectory(t, "forced worker vs RunEpoch", sf, ss, forced.Params(), plain.Params())
 }
 
 // The virtual clock is an accounting convention: the schedule must not
 // change what an iteration is *charged*, only when its stages run in
-// wall-clock. Per-epoch VirtualSec agrees exactly across a serial run, a
-// prefetch run as RunEpoch schedules it here, and the forced worker.
+// wall-clock. Per-epoch VirtualSec agrees exactly across the inline path,
+// RunEpoch as it schedules at this GOMAXPROCS, and the forced worker.
 func TestVirtualClockUnchangedByExecutionMode(t *testing.T) {
-	cfgP := baseConfig(t)
-	cfgP.Pipeline = PipelinePrefetch
-	ss, _ := trainEpochs(t, baseConfig(t), 2)
-	sp, _ := trainEpochs(t, cfgP, 2)
-	forced, err := NewEngine(cfgP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ss {
-		sf, err := forced.runEpochAsync()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ss[i].VirtualSec != sp[i].VirtualSec || ss[i].VirtualSec != sf.VirtualSec {
-			t.Fatalf("epoch %d: VirtualSec differs by schedule: serial %v prefetch %v forced worker %v",
-				i+1, ss[i].VirtualSec, sp[i].VirtualSec, sf.VirtualSec)
+	si, _ := trainEpochs(t, baseConfig(t), 2, runInline)
+	sr, _ := trainEpochs(t, baseConfig(t), 2, (*Engine).RunEpoch)
+	sw, _ := trainEpochs(t, baseConfig(t), 2, runWorker)
+	for i := range si {
+		if si[i].VirtualSec != sr[i].VirtualSec || si[i].VirtualSec != sw[i].VirtualSec {
+			t.Fatalf("epoch %d: VirtualSec differs by schedule: inline %v RunEpoch %v worker %v",
+				i+1, si[i].VirtualSec, sr[i].VirtualSec, sw[i].VirtualSec)
 		}
 	}
 }
 
-// ParsePipelineMode round-trips the flag values and rejects junk.
-func TestParsePipelineMode(t *testing.T) {
-	for _, want := range []PipelineMode{PipelineSerial, PipelinePrefetch} {
-		got, err := ParsePipelineMode(want.String())
-		if err != nil || got != want {
-			t.Fatalf("round trip %v: got %v, err %v", want, got, err)
-		}
-	}
-	if _, err := ParsePipelineMode("overlapped"); err == nil {
-		t.Fatal("expected error for unknown mode")
+// RunEpoch's one rule: the prefetch worker runs exactly when a second
+// processor exists, whatever the vestigial Config.Pipeline says.
+func TestRunEpochWorkerFollowsProcessors(t *testing.T) {
+	for _, tc := range []struct {
+		procs  int
+		mode   PipelineMode
+		worker bool
+	}{
+		{2, PipelineSerial, true},
+		{1, PipelinePrefetch, false},
+	} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", tc.procs), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(tc.procs)
+			defer runtime.GOMAXPROCS(prev)
+			cfg := baseConfig(t)
+			cfg.Pipeline = tc.mode
+			_, e := trainEpochs(t, cfg, 1, (*Engine).RunEpoch)
+			if started := e.prefetch != nil; started != tc.worker {
+				t.Fatalf("Pipeline %d: prefetch worker started = %v, want %v", tc.mode, started, tc.worker)
+			}
+		})
 	}
 }
 
@@ -256,7 +249,7 @@ func (r *mappingRecorder) compute(s *iterSlot) (*iterResult, error) {
 // the live mapping is the same at a prepare's entry and exit, moves only
 // between that prepare's wait and the next issue (so it is still across
 // compute and consume, which the worker's next prepare overlaps) — inline
-// and on the worker-backed schedule alike.
+// and on the prefetch worker alike.
 func TestPipelinedIterationPricedUnderOneSnapshot(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
@@ -293,15 +286,13 @@ func (p *panicExecutor) compute(s *iterSlot) (*iterResult, error) {
 	return p.hybridExecutor.compute(s)
 }
 
-// A panic inside compute on the worker-backed schedule must surface. At
+// A panic inside compute on the prefetch worker's schedule must surface. At
 // iteration 1 the worker holds prepare(2)'s result and blocks handing it
 // back, so an unwinding runIterations that just sent the stop sentinel would
 // hang on it — and the panic with it. The deferred path settles the in-flight
 // prepare first. The worker is forced so the GOMAXPROCS=1 leg hands off too.
 func TestPipelinedComputePanicSurfaces(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Pipeline = PipelinePrefetch
-	e, err := NewEngine(cfg)
+	e, err := NewEngine(baseConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}

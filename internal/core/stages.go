@@ -21,9 +21,9 @@ import (
 // depends only on the batcher/RNG stream and the engine's task mapping —
 // never on model weights — while compute (Stage 4's numerics: propagation +
 // local gradient reduction) consumes a prepared slot and prices nothing. The
-// epoch loop (epoch.go) runs prepare(i) then compute(i) on one slot, or — on
-// the prefetch schedule — prepare(i+1) on a second slot while compute(i) is
-// still in flight.
+// epoch loop (epoch.go) runs prepare(i+1) on a second slot while compute(i)
+// is still in flight, or — at GOMAXPROCS=1 — prepare(i) then compute(i) on
+// one slot.
 type stageExecutor interface {
 	// prepare samples one global mini-batch into the slot's retained
 	// scratch and prices the whole iteration under the engine's

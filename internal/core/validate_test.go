@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -68,14 +69,19 @@ func TestConfigValidate(t *testing.T) {
 // widths match — and checks Validate's contract with NewEngine: a
 // configuration Validate accepts builds an engine that runs an epoch without
 // an error or a panic, and one it rejects fails NewEngine with the same
-// error. The seeds are four fan-out lists Validate once accepted.
+// error. An accepted configuration's epoch on the prefetch worker also equals
+// its inline epoch: the same error, the same EpochStats and the same
+// parameters, bit for bit. The first seeds are four fan-out lists Validate
+// once accepted.
 //
 // DRM moves a target only while every accelerator keeps 32 or more, so it
 // acts only at batch sizes above 32. On the 300-vertex dataset (≈ 75
 // training vertices) such a batch is the whole epoch, one iteration, so a
 // share DRM moves is never trained; the 2 000-vertex one (≈ 500) runs
-// further iterations on the mapping DRM moved. The last seed is such a run,
-// with DRM moving work.
+// further iterations on the mapping DRM moved. The last three seeds run on
+// it; in the last two DRM moves the mapping in the first epoch — work across
+// the mixed fleet, then threads on the CPU+FPGA node with the CPU training —
+// so the worker ≡ inline property also covers a mapping that moves.
 func FuzzCoreConfig(f *testing.F) {
 	spec, small := fuzzDataset(f)
 	bigSpec := datagen.Spec{Name: "fuzz-drm", NumVertices: 2000, NumEdges: 10000, FeatDims: spec.FeatDims}
@@ -96,6 +102,8 @@ func FuzzCoreConfig(f *testing.F) {
 	f.Add(math.Float32bits(0.3), int8(16), []byte{7, 7}, false, true, true, int8(0), uint8(1), false)
 	f.Add(math.Float32bits(math.MaxFloat32), int8(8), []byte{7, 7}, true, true, true, int8(1), uint8(0), false)
 	f.Add(math.Float32bits(0.3), int8(40), []byte{7, 7}, false, true, true, int8(0), uint8(0), true)
+	f.Add(math.Float32bits(0.3), int8(40), []byte{7, 7}, false, true, true, int8(0), uint8(2), true)
+	f.Add(math.Float32bits(0.3), int8(40), []byte{7, 7}, true, true, true, int8(0), uint8(0), true)
 	f.Fuzz(func(t *testing.T, lrBits uint32, batch int8, fan []byte, hybrid, tfp, drm bool, pipeline int8, plat uint8, roomForDRM bool) {
 		fanouts := make([]int, min(len(fan), 3))
 		for i := range fanouts {
@@ -122,13 +130,42 @@ func FuzzCoreConfig(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Validate accepted, NewEngine failed: %v", err)
 		}
-		if _, err := e.RunEpoch(); err != nil && !errors.Is(err, errDiverged) {
-			t.Fatalf("Validate accepted, RunEpoch failed: %v", err)
+		si, err := e.runEpochInline()
+		if err != nil && !errors.Is(err, errDiverged) {
+			t.Fatalf("Validate accepted, the inline epoch failed: %v", err)
+		}
+		w, werr := NewEngine(cfg)
+		if werr != nil {
+			t.Fatalf("a second NewEngine failed: %v", werr)
+		}
+		sw, werr := w.runEpochAsync()
+		if fmt.Sprint(werr) != fmt.Sprint(err) || fmt.Sprintf("%#v", sw) != fmt.Sprintf("%#v", si) {
+			t.Fatalf("the worker's epoch differs from the inline one:\n worker %#v (%v)\n inline %#v (%v)", sw, werr, si, err)
+		}
+		pi, pw := e.Params(), w.Params()
+		for l := range pi.Weights {
+			if !sameBits(pi.Weights[l], pw.Weights[l]) || !sameBits(pi.Biases[l], pw.Biases[l]) {
+				t.Fatalf("layer %d: the worker's parameters differ bitwise from the inline ones", l)
+			}
 		}
 		if a := e.Assignment(); !hybrid && len(cfg.Plat.Accels) > 0 && a.CPUBatch != 0 {
 			t.Fatalf("hybrid off on %s, yet the CPU trains %d targets", cfg.Plat.Name, a.CPUBatch)
 		}
 	})
+}
+
+// sameBits reports whether a and b hold the same shape and the same bits (a
+// diverged run's NaN parameters included).
+func sameBits(a, b *tensor.Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float32bits(v) != math.Float32bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // fuzzDataset is FuzzCoreConfig's 300-vertex dataset.
@@ -142,22 +179,23 @@ func fuzzDataset(tb testing.TB) (datagen.Spec, *datagen.Dataset) {
 }
 
 // A learning rate of MaxFloat32 blows the weights up on the first update, so
-// a later iteration's loss is not finite: RunEpoch fails there, naming the
-// epoch and the iteration, under either schedule, instead of training on NaN.
+// a later iteration's loss is not finite: an epoch fails there, naming the
+// epoch and the iteration, inline or on the prefetch worker, instead of
+// training on NaN.
 func TestRunEpochFailsOnDivergence(t *testing.T) {
 	spec, ds := fuzzDataset(t)
-	for _, pipe := range []PipelineMode{PipelineSerial, PipelinePrefetch} {
+	for name, run := range map[string]epochRunner{"inline": runInline, "worker": runWorker} {
 		e, err := NewEngine(Config{
 			Plat: hw.CPUFPGAPlatform(), Data: ds, Model: gnn.Config{Kind: gnn.SAGE, Dims: spec.FeatDims},
 			LR: math.MaxFloat32, BatchSize: 8, Fanouts: []int{5, 5},
-			Hybrid: true, TFP: true, DRM: true, Pipeline: pipe, Seed: 3,
+			Hybrid: true, TFP: true, DRM: true, Seed: 3,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = e.RunEpoch()
+		_, err = run(e)
 		if !errors.Is(err, errDiverged) || !strings.Contains(err.Error(), "epoch 1, iteration ") {
-			t.Fatalf("pipeline %v: RunEpoch = %v, want the divergence error in epoch 1", pipe, err)
+			t.Fatalf("%s: epoch = %v, want the divergence error in epoch 1", name, err)
 		}
 	}
 }

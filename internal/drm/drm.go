@@ -78,10 +78,6 @@ const (
 
 // Engine is the DRM controller. It implements pipesim.Controller.
 type Engine struct {
-	// Cores records the core count New was given. The engine never reads
-	// it: balance_thread conserves the thread total of the assignment it is
-	// handed.
-	Cores int
 	// FusedPrefetch tells the engine that Feature Loading and Data Transfer
 	// run as one fused pipeline stage (the pre-TFP configuration, §IV-B).
 	// The engine then optimizes the fused time Load+Trans as a unit and
@@ -102,8 +98,11 @@ type Engine struct {
 	weights, fracs []float64
 }
 
-// New returns an engine for a node of cores CPU cores (see Engine.Cores).
-func New(cores int) *Engine { return &Engine{Cores: cores} }
+// New returns an engine. cores, the node's CPU core count, is unused:
+// balance_thread conserves the thread total of the assignment it is handed.
+// The parameter stays until a benchmark PR drops the argument
+// benchmark/trace_train.go passes.
+func New(cores int) *Engine { return &Engine{} }
 
 // times extracts Algorithm 1's five inputs from the measured stage times.
 func times(st perfmodel.StageTimes) stageTimes {

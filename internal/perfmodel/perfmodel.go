@@ -34,7 +34,9 @@ func DefaultWorkload(spec datagen.Spec, model gnn.Kind) Workload {
 
 // Validate checks the workload: a positive batch size and one fan-out per
 // layer. It is the one statement of both rules; core.Config.Validate applies
-// it to the workload a training configuration describes.
+// it to the workload a training configuration describes, and
+// core.NewInferencePipeline and serve.Config.Validate to a serving model's
+// fan-outs (at batch size 1).
 func (w Workload) Validate() error {
 	if w.BatchSize <= 0 {
 		return fmt.Errorf("perfmodel: non-positive batch size %d", w.BatchSize)

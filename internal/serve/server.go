@@ -157,12 +157,12 @@ func (c Config) queueCap() int {
 }
 
 // Validate checks every rule of c that needs no dataset — the fan-outs
-// (sampler.New's rule, and their count against the model's layers once Model
-// is set), the stream, the batcher, admission, the cache and pool sizes, the
-// formation, the fault schedule against the pool and the SLO targets — and
-// names the rejected value in its error. Run, GenerateTrace and Predict call
-// it first; a front end calls it to reject a bad configuration before any
-// work starts.
+// (sampler.New's rule, and once Model is set perfmodel.Workload.Validate's
+// one fan-out per layer of the model), the stream, the batcher, admission,
+// the cache and pool sizes, the formation, the fault schedule against the
+// pool and the SLO targets — and names the rejected value in its error. Run,
+// GenerateTrace and Predict call it first; a front end calls it to reject a
+// bad configuration before any work starts.
 func (c Config) Validate() error {
 	if c.NumRequests <= 0 {
 		return fmt.Errorf("serve: NumRequests %d: need at least 1", c.NumRequests)
@@ -170,8 +170,11 @@ func (c Config) Validate() error {
 	if _, err := sampler.New(nil, c.Fanouts, nil); err != nil {
 		return fmt.Errorf("serve: Fanouts %v: %w", c.Fanouts, err)
 	}
-	if c.Model != nil && len(c.Fanouts) != c.Model.Cfg.Layers() {
-		return fmt.Errorf("serve: Fanouts %v: %d fan-outs for a %d-layer model", c.Fanouts, len(c.Fanouts), c.Model.Cfg.Layers())
+	if c.Model != nil {
+		work := perfmodel.Workload{Spec: datagen.Spec{FeatDims: c.Model.Cfg.Dims}, BatchSize: 1, Fanouts: c.Fanouts}
+		if err := work.Validate(); err != nil {
+			return err
+		}
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("serve: Workers %d: negative (0 binds every accelerator)", c.Workers)
