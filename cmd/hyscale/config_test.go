@@ -1,11 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -15,7 +17,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/serve"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 )
 
 // validOptions mirrors the flag defaults.
@@ -519,31 +520,70 @@ func TestRunMemProfile(t *testing.T) {
 
 // -trace: an unwritable path fails the run before its first epoch, with an
 // error naming the flag, in single- and multi-node runs alike; a writable one
-// leaves the header and one row per epoch behind.
-func TestRunTraceCSV(t *testing.T) {
+// holds, inside every epoch span, one prepare and one compute span per
+// iteration (the prepare on the epoch's lane or the prefetch worker's, the
+// next one).
+func TestRunTraceSpans(t *testing.T) {
 	dir := t.TempDir()
-	missing := filepath.Join(dir, "missing", "epochs.csv")
-	ran := false
-	if err := withEpochCSV(missing, func(*trace.Recorder) error { ran = true; return nil }); err == nil || ran {
-		t.Fatalf("unwritable -trace path: err = %v, training ran = %v; want an error and no epoch", err, ran)
-	}
 	for _, nodes := range []int{1, 2} {
 		o := validOptions()
-		o.scale, o.epochs, o.nodes = 20000, 2, nodes
-		o.trace = missing
-		if err := run(o); err == nil || !strings.Contains(err.Error(), "-trace") {
-			t.Fatalf("%d node(s), unwritable -trace path: err = %v, want one naming the flag", nodes, err)
+		o.scale, o.epochs, o.nodes, o.batch = 20000, 2, nodes, 1 // six iterations an epoch on one node
+		o.trace = filepath.Join(dir, "missing", "spans.jsonl")
+		out, err := captureStdout(t, func() error { return run(o) })
+		if err == nil || !strings.Contains(err.Error(), "-trace") || strings.Contains(out, "epoch") {
+			t.Fatalf("%d node(s), unwritable -trace path: err = %v, want one naming the flag before any epoch:\n%s", nodes, err, out)
 		}
-		o.trace = filepath.Join(dir, fmt.Sprintf("epochs%d.csv", nodes))
-		if err := run(o); err != nil {
+		o.trace = filepath.Join(dir, fmt.Sprintf("spans%d.jsonl", nodes))
+		if _, err := captureStdout(t, func() error { return run(o) }); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(o.trace)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lines := strings.Count(string(data), "\n"); lines != 1+o.epochs {
-			t.Fatalf("%d node(s): CSV has %d lines, want a header and %d epochs:\n%s", nodes, lines, o.epochs, data)
+		type span struct {
+			Lane       int
+			Kind       string
+			Index      int
+			Start, End int64
+		}
+		var spans []span
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			var s span
+			if err := json.Unmarshal([]byte(line), &s); err != nil {
+				t.Fatalf("span line %q: %v", line, err)
+			}
+			spans = append(spans, s)
+		}
+		// The baseline engine of a multi-node run trains two epochs too.
+		epochs := 0
+		for _, ep := range spans {
+			if ep.Kind != "epoch" {
+				continue
+			}
+			epochs++
+			per := map[string][]int{}
+			for _, s := range spans {
+				inside := s.Start >= ep.Start && s.End <= ep.End
+				if inside && (s.Kind == "compute" && s.Lane == ep.Lane || s.Kind == "prepare" && (s.Lane == ep.Lane || s.Lane == ep.Lane+1)) {
+					per[s.Kind] = append(per[s.Kind], s.Index)
+				}
+			}
+			n := len(per["compute"])
+			for _, kind := range []string{"prepare", "compute"} {
+				sort.Ints(per[kind])
+				ok := n > 0 && len(per[kind]) == n
+				for i, it := range per[kind] {
+					ok = ok && it == i
+				}
+				if !ok {
+					t.Fatalf("%d node(s), epoch %d on lane %d: %s spans of iterations %v, want one per iteration 0..%d",
+						nodes, ep.Index, ep.Lane, kind, per[kind], n-1)
+				}
+			}
+		}
+		if want := map[int]int{1: 2, 2: 6}[nodes]; epochs != want {
+			t.Fatalf("%d node(s): %d epoch spans, want %d", nodes, epochs, want)
 		}
 	}
 }

@@ -29,11 +29,16 @@
 // device behind its kind-native link, with FPGA shares charged the §IV-C
 // dataflow kernels' cycle account.
 //
+// With -trace FILE the run (training and serving) is recorded as wall-clock
+// spans — each epoch, iteration step, trainer step and layer, and each
+// serving batch's stages, per goroutine — written to FILE as JSON lines
+// (internal/trace).
+//
 // Usage:
 //
 //	hyscale -dataset ogbn-products -model sage -platform cpu-fpga \
 //	        -scale 2000 -epochs 5 -batch 256 [-nodes 4] \
-//	        [-accels gpu:2,fpga:1] \
+//	        [-accels gpu:2,fpga:1] [-trace spans.jsonl] \
 //	        [-serve -serve-rate 5000 -serve-requests 20000 \
 //	         -serve-batch 32 -serve-window-us 500 -serve-cache 4096]
 package main
@@ -48,6 +53,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/gnn"
 	"repro/internal/hw"
+	"repro/internal/perfmodel"
 	"repro/internal/serve"
 	"repro/internal/tensor"
 	"repro/internal/trace"
@@ -70,7 +76,7 @@ func main() {
 	flag.IntVar(&o.tensorPar, "tensor-par", 0, "upper bound on the goroutines one tensor kernel call (GEMM, aggregation, gather), the sampler's choose pass or the dataset generator fans out to — work below the grain runs on the caller, and the dataset and every sampled mini-batch are bit-identical at any bound; 0 = one per CPU")
 	flag.StringVar(&o.simd, "simd", "auto", "SIMD dispatch level for the tensor kernels: auto | generic | avx2 | avx512 (every level is bit-identical, one fused multiply-add per product; avx2 needs AVX2 and FMA3, and a CPU without both runs generic; avx512 widens the GEMM tile and the aggregation row kernel (up to 128 columns per sweep of a destination's edges, prefetching eight edges ahead) and, with AVX512DQ, draws feature rows and RMAT attempts eight lanes at a time; levels above the CPU's capability are rejected)")
 	flag.IntVar(&o.nodes, "nodes", 1, "execute a multi-node run with this many partitioned shards")
-	flag.StringVar(&o.trace, "trace", "", "write per-epoch CSV telemetry to this file")
+	flag.StringVar(&o.trace, "trace", "", "record the run's wall-clock spans (each training and serving step, per goroutine lane) and write them to this file as JSON lines")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile, taken when the run ends (go tool pprof -sample_index=alloc_space attributes everything it allocated), to this file")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run (training and serving, after the dataset is materialized) to this file, for go tool pprof")
 	flag.BoolVar(&o.serveMode, "serve", false, "after training, serve an open-loop request stream with the trained model")
@@ -125,16 +131,17 @@ func run(o options) error {
 }
 
 // runPlanes is everything after set-up — the part -cpuprofile covers, and the
-// part whose end -memprofile records: the
-// training run (single- or multi-node) and, under -serve, the request stream.
+// part whose end -memprofile records: the training run (single- or
+// multi-node) and, under -serve, the request stream — all of it under -trace's
+// span recording.
 func runPlanes(o options, r *runSpec, ds *datagen.Dataset) error {
 	coreCfg := r.Core
 	coreCfg.Data = ds
-	return withEpochCSV(o.trace, func(rec *trace.Recorder) error {
+	err := trace.WithSpans(o.trace, func() error {
 		if o.nodes > 1 {
-			return runMultiNode(coreCfg, r, o.nodes, o.epochs, rec)
+			return runMultiNode(coreCfg, r, o.nodes, o.epochs)
 		}
-		model, err := runSingleNode(r, coreCfg, o, rec)
+		model, err := runSingleNode(r, coreCfg, o)
 		if err != nil {
 			return err
 		}
@@ -143,43 +150,47 @@ func runPlanes(o options, r *runSpec, ds *datagen.Dataset) error {
 		}
 		return nil
 	})
+	if err == nil && o.trace != "" {
+		fmt.Printf("\nwrote %s\n", o.trace)
+	}
+	return err
 }
 
-// withEpochCSV runs fn, which records each training epoch into rec, and then
-// writes the recorded epochs as CSV to the file at path — the -trace flag, for
-// single- and multi-node runs alike. As with -memprofile
-// (trace.WithHeapProfile), the file is created before fn runs, so an
-// unwritable path fails the run before its first epoch. It returns fn's error,
-// or else the first of the write and close errors. An empty path writes
-// nothing.
-func withEpochCSV(path string, fn func(rec *trace.Recorder) error) error {
-	var rec trace.Recorder
-	if path == "" {
-		return fn(&rec)
+// epochTable prints a training run's per-epoch rows, single- and multi-node
+// alike: loss, accuracy, virtual epoch time, MTEPS and the task mapping the
+// epoch ended on (the CPU trainer's batch and the first accelerator's; DRM
+// keeps the accelerators balanced), plus the network charges of a
+// multi-node run.
+type epochTable struct{ net bool }
+
+// header prints the column names.
+func (t epochTable) header() {
+	fmt.Printf("%-6s %-10s %-10s %-14s %-10s %-10s %-12s", "epoch", "loss", "accuracy", "virtual-epoch", "MTEPS", "cpu-batch", "accel-batch")
+	if t.net {
+		fmt.Printf(" %-12s %-12s", "net-fetch", "net-sync")
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("-trace: %w", err)
-	}
-	if err := fn(&rec); err != nil {
-		f.Close() // the run's error is the one to report
-		return err
-	}
-	err = rec.WriteEpochsCSV(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("-trace %s: %w", path, err)
-	}
-	fmt.Printf("\nwrote %s\n", path)
-	return nil
+	fmt.Println()
 }
 
-// runSingleNode trains on one node, recording each epoch into rec, prints the
-// trained model's held-out accuracy, and returns the model (a fresh randomly
-// initialised one when -epochs 0 under -serve).
-func runSingleNode(r *runSpec, coreCfg core.Config, o options, rec *trace.Recorder) (*gnn.Model, error) {
+// row prints one epoch; a is the mapping it ended on (node 0's on a
+// multi-node run).
+func (t epochTable) row(st *core.EpochStats, a perfmodel.Assignment) {
+	accel := 0
+	if len(a.AccelBatch) > 0 {
+		accel = a.AccelBatch[0]
+	}
+	fmt.Printf("%-6d %-10.4f %-10.3f %-14s %-10.1f %-10d %-12d",
+		st.Epoch, st.Loss, st.Accuracy, fmt.Sprintf("%.4fs", st.VirtualSec), st.MTEPS, a.CPUBatch, accel)
+	if t.net {
+		fmt.Printf(" %-12s %-12s", fmt.Sprintf("%.4fs", st.NetFetchSec), fmt.Sprintf("%.4fs", st.NetSyncSec))
+	}
+	fmt.Println()
+}
+
+// runSingleNode trains on one node, prints the trained model's held-out
+// accuracy, and returns the model (a fresh randomly initialised one when
+// -epochs 0 under -serve).
+func runSingleNode(r *runSpec, coreCfg core.Config, o options) (*gnn.Model, error) {
 	if o.epochs == 0 {
 		fmt.Println("Skipping training (-epochs 0): serving an untrained model.")
 		return gnn.NewModel(coreCfg.Model, tensor.NewRNG(o.seed))
@@ -191,7 +202,8 @@ func runSingleNode(r *runSpec, coreCfg core.Config, o options, rec *trace.Record
 	fmt.Printf("Training %s on %s (hybrid=%v tfp=%v drm=%v)\n\n",
 		coreCfg.Model.Kind, coreCfg.Plat.Name, o.hybrid, o.tfp, o.drm)
 	var fpgaAgg, fpgaUpd, fpgaTraffic int64
-	fmt.Printf("%-6s %-10s %-10s %-14s %-10s\n", "epoch", "loss", "accuracy", "virtual-epoch", "MTEPS")
+	var table epochTable
+	table.header()
 	for ep := 0; ep < o.epochs; ep++ {
 		st, err := engine.RunEpoch()
 		if err != nil {
@@ -200,17 +212,7 @@ func runSingleNode(r *runSpec, coreCfg core.Config, o options, rec *trace.Record
 		fpgaAgg += st.FPGA.AggCycles
 		fpgaUpd += st.FPGA.UpdateCycles
 		fpgaTraffic += st.FPGA.TrafficBytes
-		fmt.Printf("%-6d %-10.4f %-10.3f %-14s %-10.1f\n",
-			st.Epoch, st.Loss, st.Accuracy, fmt.Sprintf("%.4fs", st.VirtualSec), st.MTEPS)
-		accelShare := 0
-		if len(st.Assignment.AccelBatch) > 0 {
-			accelShare = st.Assignment.AccelBatch[0]
-		}
-		rec.RecordEpoch(trace.EpochSample{
-			Epoch: st.Epoch, Loss: st.Loss, Accuracy: st.Accuracy,
-			VirtualSec: st.VirtualSec, MTEPS: st.MTEPS,
-			CPUBatch: st.Assignment.CPUBatch, AccelBatch: accelShare,
-		})
+		table.row(st, st.Assignment)
 	}
 	a := engine.Assignment()
 	fmt.Printf("\nFinal task mapping: CPU batch %d, accel batches %v\n", a.CPUBatch, a.AccelBatch)
@@ -286,9 +288,9 @@ func runServe(r *runSpec, ds *datagen.Dataset, model *gnn.Model) error {
 	return nil
 }
 
-// runMultiNode executes the sharded multi-node protocol, recording each epoch
-// into rec, and closes with the executed-vs-analytic slowdown comparison.
-func runMultiNode(coreCfg core.Config, r *runSpec, nodes, epochs int, rec *trace.Recorder) error {
+// runMultiNode executes the sharded multi-node protocol and closes with the
+// executed-vs-analytic slowdown comparison.
+func runMultiNode(coreCfg core.Config, r *runSpec, nodes, epochs int) error {
 	// Single-node baseline (one fill epoch + one steady-state epoch) for the
 	// slowdown comparison.
 	base, err := core.NewEngine(coreCfg)
@@ -313,8 +315,8 @@ func runMultiNode(coreCfg core.Config, r *runSpec, nodes, epochs int, rec *trace
 	}
 	fmt.Printf("Training on %d nodes over %s (edge cut %.2f, balance %.2f, %d train vertices/node)\n\n",
 		nodes, net.Name, m.EdgeCut(), m.Partition().Balance(), m.TrainPerNode())
-	fmt.Printf("%-6s %-10s %-10s %-14s %-10s %-12s %-12s\n",
-		"epoch", "loss", "accuracy", "virtual-epoch", "MTEPS", "net-fetch", "net-sync")
+	table := epochTable{net: true}
+	table.header()
 	var last *cluster.MultiNodeStats
 	for ep := 0; ep < epochs; ep++ {
 		st, err := m.RunEpoch()
@@ -322,19 +324,10 @@ func runMultiNode(coreCfg core.Config, r *runSpec, nodes, epochs int, rec *trace
 			return err
 		}
 		last = st
-		fmt.Printf("%-6d %-10.4f %-10.3f %-14s %-10.1f %-12s %-12s\n",
-			st.Epoch, st.Loss, st.Accuracy, fmt.Sprintf("%.4fs", st.VirtualSec),
-			st.MTEPS, fmt.Sprintf("%.4fs", st.NetFetchSec), fmt.Sprintf("%.4fs", st.NetSyncSec))
-		a := m.Node(0).Assignment()
-		accelShare := 0
-		if len(a.AccelBatch) > 0 {
-			accelShare = a.AccelBatch[0]
-		}
-		rec.RecordEpoch(trace.EpochSample{
-			Epoch: st.Epoch, Loss: st.Loss, Accuracy: st.Accuracy,
-			VirtualSec: st.VirtualSec, MTEPS: st.MTEPS,
-			CPUBatch: a.CPUBatch, AccelBatch: accelShare,
-		})
+		table.row(&core.EpochStats{
+			Epoch: st.Epoch, Loss: st.Loss, Accuracy: st.Accuracy, VirtualSec: st.VirtualSec,
+			MTEPS: st.MTEPS, NetFetchSec: st.NetFetchSec, NetSyncSec: st.NetSyncSec,
+		}, m.Node(0).Assignment())
 	}
 	for i := 0; i < nodes; i++ {
 		a := m.Node(i).Assignment()

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"repro/internal/hw"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // The whole training iteration — sampling, pricing,
@@ -21,7 +23,9 @@ import (
 // spawns at most four — step arenas, gradients and fold scratch are
 // retained. With DRM on, drm.Engine.Adjust runs between prepare and
 // compute and rewrites the mapping in storage the engine owns; the bound is
-// still the spawns.
+// still the spawns. The spans-on leg runs the same gate inside a span
+// recording, so its engine holds lanes and every step records: a span costs
+// no allocation either.
 func TestTrainingIterationZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation gate is skipped under -race")
@@ -32,58 +36,80 @@ func TestTrainingIterationZeroAlloc(t *testing.T) {
 		name   string
 		accels int
 		drm    bool
+		spans  bool
 	}{
-		{"one trainer", 0, false},
-		{"five trainers", 4, false},
-		{"five trainers, DRM on", 4, true},
+		{"one trainer", 0, false, false},
+		{"five trainers", 4, false, false},
+		{"five trainers, DRM on", 4, true, false},
+		{"five trainers, DRM on, spans on", 4, true, true},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
-			spawns := float64(min(runtime.GOMAXPROCS(0), leg.accels+1) - 1)
-			cfg := baseConfig(t)
-			cfg.Plat = hw.CPUFPGAPlatform()
-			cfg.Plat.Accels = cfg.Plat.Accels[:leg.accels]
-			cfg.DRM = leg.drm
-			e, err := NewEngine(cfg)
+			path := ""
+			if leg.spans {
+				path = filepath.Join(t.TempDir(), "spans.jsonl")
+			}
+			err := trace.WithSpans(path, func() error {
+				gateTrainingIteration(t, leg.accels, leg.drm, leg.spans)
+				return nil
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			targets := e.batcher.Next()
-			var stats EpochStats
-			var acc epochAccum
-			it := 0
-			// The epoch loop's inline iteration, on fixed targets.
-			iterate := func() {
-				s := e.slot(0)
-				if err := e.exec.prepare(s, targets); err != nil {
-					t.Fatal(err)
-				}
-				if e.drmEng != nil {
-					e.assign = e.drmEng.Adjust(it, s.st, e.assign)
-				}
-				res, err := e.exec.compute(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := e.consumeIteration(it, res, &stats, &acc); err != nil {
-					t.Fatal(err)
-				}
-				it++
-			}
-			// Warm every arena to steady state: the rng advances each iteration, so
-			// sampled sizes vary and the retained storage must grow to its roof.
-			for i := 0; i < 60; i++ {
-				iterate()
-			}
-			if n := len(e.pool.active); n != leg.accels+1 {
-				t.Fatalf("%d trainers have a share, want %d", n, leg.accels+1)
-			}
-			if a := testing.AllocsPerRun(20, iterate); a > spawns {
-				t.Fatalf("training iteration allocated %.1f times per run, want at most its %v goroutine spawns", a, spawns)
-			}
-			if leg.drm && e.drmEng.MovesWork+e.drmEng.MovesThread == 0 {
-				t.Fatal("DRM never moved: the leg did not exercise Adjust's rewrite")
-			}
 		})
+	}
+}
+
+// gateTrainingIteration is TestTrainingIterationZeroAlloc's gate over a CPU
+// + accels FPGA fleet; spans says whether its engine must hold lanes.
+func gateTrainingIteration(t *testing.T, accels int, drm, spans bool) {
+	spawns := float64(min(runtime.GOMAXPROCS(0), accels+1) - 1)
+	cfg := baseConfig(t)
+	cfg.Plat = hw.CPUFPGAPlatform()
+	cfg.Plat.Accels = cfg.Plat.Accels[:accels]
+	cfg.DRM = drm
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (e.lane != 0) != spans {
+		t.Fatalf("engine lane %d inside a recording = %v", e.lane, spans)
+	}
+	targets := e.batcher.Next()
+	var stats EpochStats
+	var acc epochAccum
+	it := 0
+	// The epoch loop's inline iteration, on fixed targets.
+	iterate := func() {
+		s := e.slot(0)
+		s.it, s.lane = it, e.lane
+		if err := e.prepare(prepReq{s, targets}); err != nil {
+			t.Fatal(err)
+		}
+		if e.drmEng != nil {
+			e.assign = e.drmEng.Adjust(it, s.st, e.assign)
+		}
+		res, err := e.exec.compute(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.consumeIteration(it, res, &stats, &acc); err != nil {
+			t.Fatal(err)
+		}
+		it++
+	}
+	// Warm every arena to steady state: the rng advances each iteration, so
+	// sampled sizes vary and the retained storage must grow to its roof.
+	for i := 0; i < 60; i++ {
+		iterate()
+	}
+	if n := len(e.pool.active); n != accels+1 {
+		t.Fatalf("%d trainers have a share, want %d", n, accels+1)
+	}
+	if a := testing.AllocsPerRun(20, iterate); a > spawns {
+		t.Fatalf("training iteration allocated %.1f times per run, want at most its %v goroutine spawns", a, spawns)
+	}
+	if drm && e.drmEng.MovesWork+e.drmEng.MovesThread == 0 {
+		t.Fatal("DRM never moved: the leg did not exercise Adjust's rewrite")
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/sampler"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // Engine is the runtime: the one parameter set every trainer steps, and the
@@ -53,6 +54,10 @@ type Engine struct {
 	// the whole steady-state training iteration — sample, price, propagate —
 	// allocation-free (gated by a test).
 	slots [pipelineDepth]*iterSlot
+
+	// lane is the first of the engine's span lanes (see laneAt), 0 when it
+	// was built outside a span recording.
+	lane int
 
 	// pool is compute's trainer pool: the step arenas (one per worker, not
 	// per trainer), each trainer's gradient and the fold's scratch.
@@ -165,7 +170,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 	}
 	e := &Engine{
-		cfg: cfg, pm: pm, smp: smp, batcher: batcher,
+		cfg: cfg, pm: pm, smp: smp, batcher: batcher, lane: trace.Lanes(nTrainers + 1),
 		model: model, opt: opt, pool: newTrainerPool(nTrainers, model.Params),
 		backends: backends, rng: rng,
 		assign:  pm.InitialAssignment(cfg.Hybrid),
@@ -176,6 +181,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if e.gsync == nil {
 		e.gsync = localSync{}
 	}
+	for k := 1; k < len(e.pool.workers); k++ { // worker 0 is the epoch goroutine
+		e.pool.workers[k].st.Lane = e.laneAt(lanePrefetch + k)
+	}
+	e.pool.workers[0].st.Lane = e.lane
 	e.exec = &hybridExecutor{e: e}
 	if cfg.DRM {
 		e.drmEng = drm.New(cfg.Plat.TotalCPUCores())

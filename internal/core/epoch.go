@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+
+	"repro/internal/trace"
 )
 
 // Epoch orchestration: the top layer of the runtime. RunEpoch owns the
@@ -59,12 +61,16 @@ func (e *Engine) consumeIteration(it int, res *iterResult, stats *EpochStats, ac
 	// one node, ring all-reduce across shards) and is applied once, to the
 	// parameters every trainer — share-less ones included — steps next.
 	if res.Grad != nil {
+		start := trace.Begin(e.lane)
 		global, netSec, err := e.gsync.Reduce(res.Grad)
+		trace.End(e.lane, "reduce", it, start)
 		if err != nil {
 			return err
 		}
 		res.Stage.NetSync = netSec
+		start = trace.Begin(e.lane)
 		e.opt.Step(e.model.Params, global)
+		trace.End(e.lane, "optimizer", it, start)
 	}
 
 	e.clock.Advance(res.Stage)
@@ -86,9 +92,9 @@ func (e *Engine) runIterations(iters int, stats *EpochStats, acc *epochAccum, wo
 		return nil
 	}
 	var p *prefetcher
-	depth, inflight := 1, false
+	depth, inflight, lane := 1, false, e.lane
 	if worker {
-		p, depth = e.startPrefetch(), pipelineDepth
+		p, depth, lane = e.startPrefetch(), pipelineDepth, e.laneAt(lanePrefetch)
 		// Settle an in-flight prepare before stopping the worker, on every
 		// way out — error return or a panic unwinding through compute: the
 		// worker blocks handing its result back, and a stop sent to it then
@@ -104,7 +110,10 @@ func (e *Engine) runIterations(iters int, stats *EpochStats, acc *epochAccum, wo
 	// issue draws iteration it's targets and, with a worker, starts its
 	// prepare.
 	issue := func(it int) {
+		start := trace.Begin(e.lane)
 		next = prepReq{e.slot(it % depth), e.batcher.Next()}
+		trace.End(e.lane, "batch", it, start)
+		next.slot.it, next.slot.lane = it, lane
 		if worker {
 			p.issue(next)
 			inflight = true
@@ -113,10 +122,13 @@ func (e *Engine) runIterations(iters int, stats *EpochStats, acc *epochAccum, wo
 	// wait returns once the issued prepare has run.
 	wait := func() error {
 		if !worker {
-			return e.exec.prepare(next.slot, next.targets)
+			return e.prepare(next)
 		}
 		inflight = false
-		return p.wait()
+		start := trace.Begin(e.lane)
+		err := p.wait()
+		trace.End(e.lane, "wait", next.slot.it, start)
+		return err
 	}
 
 	issue(0)
@@ -128,14 +140,18 @@ func (e *Engine) runIterations(iters int, stats *EpochStats, acc *epochAccum, wo
 		// The worker is idle here, so nothing reads the mapping while it
 		// moves.
 		if e.drmEng != nil {
+			start := trace.Begin(e.lane)
 			e.assign = e.drmEng.Adjust(it, cur.st, e.assign)
+			trace.End(e.lane, "drm", it, start)
 		}
 		// The slot prepare(i+1) fills is the one iteration i-1 computed in;
 		// its result was fully consumed last time around.
 		if it+1 < iters {
 			issue(it + 1)
 		}
+		start := trace.Begin(e.lane)
 		res, err := e.exec.compute(cur)
+		trace.End(e.lane, "compute", it, start)
 		if err != nil {
 			return err
 		}
@@ -164,7 +180,10 @@ func (e *Engine) runEpoch(worker bool) (*EpochStats, error) {
 	stats := &EpochStats{Epoch: e.epoch, Iterations: iters}
 	epochStart := e.clock.Now()
 	var acc epochAccum
-	if err := e.runIterations(iters, stats, &acc, worker); err != nil {
+	start := trace.Begin(e.lane)
+	err := e.runIterations(iters, stats, &acc, worker)
+	trace.End(e.lane, "epoch", e.epoch, start)
+	if err != nil {
 		return nil, err
 	}
 

@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/trace"
+
 // Software-pipelined epoch execution (paper Fig. 4/5, §IV-B), the runtime's
 // one schedule: whenever a second processor exists (GOMAXPROCS > 1), a
 // prefetch worker runs prepare for iteration i+1 — sampling and the
@@ -23,6 +25,33 @@ package core
 // pipelineDepth is the iteration-slot ring size: one slot being computed,
 // one being prepared.
 const pipelineDepth = 2
+
+// Span lanes. An engine reserves trainers+1 lanes of a running span
+// recording (internal/trace) at construction, starting at e.lane (0, off,
+// when nothing records): the epoch goroutine, which is also trainer-pool
+// worker 0, at offset 0; the prefetch worker at lanePrefetch; pool worker
+// k ≥ 1 at lanePrefetch+k. The epoch lane holds the loop's steps — epoch,
+// batch, wait, drm, compute (with worker 0's steps and the fold inside it),
+// reduce and optimizer — and an inline prepare; the prefetch lane holds the
+// worker's prepares; each prepare holds its sample and price spans, and each
+// step its per-layer aggregate, update and backward spans and its loss.
+const lanePrefetch = 1
+
+// laneAt is the engine's lane at offset k, 0 when the engine records none.
+func (e *Engine) laneAt(k int) int {
+	if e.lane == 0 {
+		return 0
+	}
+	return e.lane + k
+}
+
+// prepare runs the issued prepare under a span on its slot's lane.
+func (e *Engine) prepare(r prepReq) error {
+	start := trace.Begin(r.slot.lane)
+	err := e.exec.prepare(r.slot, r.targets)
+	trace.End(r.slot.lane, "prepare", r.slot.it, start)
+	return err
+}
 
 // PipelineMode is vestigial: it names the two values Config.Pipeline
 // accepts, and neither changes the schedule (see Config.Pipeline).
@@ -66,7 +95,7 @@ func (e *Engine) startPrefetch() *prefetcher {
 			if r.slot == nil {
 				return
 			}
-			p.done <- e.exec.prepare(r.slot, r.targets)
+			p.done <- e.prepare(r)
 		}
 	}()
 	return p

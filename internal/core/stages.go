@@ -6,6 +6,7 @@ import (
 	"repro/internal/optim"
 	"repro/internal/perfmodel"
 	"repro/internal/sampler"
+	"repro/internal/trace"
 )
 
 // stageExecutor is the trainer-execution layer: it runs one iteration's
@@ -64,6 +65,9 @@ type iterSlot struct {
 	perAcc []perfmodel.DeviceStage
 	sizes  perfmodel.Sizes
 	res    iterResult
+	// it and lane are the iteration the slot holds and the span lane its
+	// prepare runs on, set by the epoch loop when it issues the prepare.
+	it, lane int
 
 	// prepare's outputs: the iteration's complete stage vector (DRM's input,
 	// then compute's) and FPGA dataflow account.
@@ -112,9 +116,14 @@ func (x *hybridExecutor) prepare(s *iterSlot, targets []int32) error {
 	// storage's lifetime. One call samples every share, the input layers of
 	// all of them at once, with every draw where share-by-share SampleInto
 	// calls would take it from e.rng.
-	if err := e.smp.SampleSharesInto(s.mbs, shares, e.rng); err != nil {
+	start := trace.Begin(s.lane)
+	err := e.smp.SampleSharesInto(s.mbs, shares, e.rng)
+	trace.End(s.lane, "sample", s.it, start)
+	if err != nil {
 		return err
 	}
+	start = trace.Begin(s.lane)
+	defer func() { trace.End(s.lane, "price", s.it, start) }()
 	var sampEdgesCPU, sampEdgesAccel float64
 	for i, share := range shares {
 		if len(share) == 0 {
@@ -217,6 +226,8 @@ func (x *hybridExecutor) compute(s *iterSlot) (*iterResult, error) {
 		return out, nil
 	}
 	p.run(x.e.model, x.e.cfg.Data.Features, s)
+	start := trace.Begin(x.e.lane)
+	defer func() { trace.End(x.e.lane, "fold", s.it, start) }()
 
 	// Weighted averaging: each trainer's mean gradient enters the sum at a
 	// weight that makes the average the global-batch mean. The weight

@@ -10,6 +10,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/sampler"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // A trainer is a share of the iteration's batch, its mean gradient over the
@@ -96,7 +97,9 @@ func (p *trainerPool) drain(w *stepWorker, m *gnn.Model, x *tensor.Matrix, s *it
 			return
 		}
 		i := p.active[r]
+		start := trace.Begin(w.st.Lane)
 		w.step(m, s.mbs[i], x, &p.res[i])
+		trace.End(w.st.Lane, "step", i, start)
 	}
 }
 
@@ -133,11 +136,11 @@ func (e *Engine) propSec(s *iterSlot, i int, mb *sampler.MiniBatch, sz perfmodel
 		if e.cfg.Hybrid {
 			share = float64(e.assign.TrainThreads) / float64(e.cfg.Plat.TotalCPUCores())
 		}
-		return e.pm.PropWithOverheads(e.cfg.Plat.CPU, sz, share), nil
+		return perfmodel.DeviceOverheads(e.cfg.Plat.CPU, e.pm.PropTimeFor(e.cfg.Plat.CPU, sz, share)), nil
 	}
 	dev := e.cfg.Plat.Accels[i-1]
 	if e.backends[i-1] == nil {
-		return e.pm.PropWithOverheads(dev, sz, 1), nil
+		return perfmodel.DeviceOverheads(dev, e.pm.PropTimeFor(dev, sz, 1)), nil
 	}
 	stats, err := e.backends[i-1].Account(e.cfg.Model, mb)
 	if err != nil {

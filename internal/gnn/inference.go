@@ -31,7 +31,7 @@ func (m *Model) inferFullGraph(g *graph.Graph, x *tensor.Matrix) (*tensor.Matrix
 	nb := NewNeighborhood(m.Cfg, blk)
 	h := x
 	for l := 0; l < m.Cfg.Layers(); l++ {
-		z, _, err := m.propagateLayer(l, nb, h, nil)
+		z, _, err := m.propagateLayer(l, nb, h, nil, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -67,7 +67,7 @@ func (m *Model) InferMiniBatchRowsWS(ws *tensor.Workspace, mb *sampler.MiniBatch
 		if l == 0 {
 			nb.mapRows(rows)
 		}
-		z, _, err := m.propagateLayer(l, &nb, h, ws)
+		z, _, err := m.propagateLayer(l, &nb, h, ws, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/sampler"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // Neighborhood is one layer's message structure ready for propagation: a
@@ -284,9 +285,10 @@ func (nb *Neighborhood) buildTranspose() {
 // otherwise. The layer makes one pass per memory touch: SAGE's self half is
 // never copied — tensor.MatMulCat reads it from h where it lives (through the
 // row map at layer 0) beside the aggregate — and bias + ReLU are fused into a
-// single sweep of the dense-update output.
+// single sweep of the dense-update output. The aggregation and the dense
+// update each run under a span on lane (0: none; internal/trace).
 func (m *Model) propagateLayer(l int, nb *Neighborhood, h *tensor.Matrix,
-	ws *tensor.Workspace) (z, agg *tensor.Matrix, err error) {
+	ws *tensor.Workspace, lane int) (z, agg *tensor.Matrix, err error) {
 	L := m.Cfg.Layers()
 	if l < 0 || l >= L {
 		return nil, nil, fmt.Errorf("gnn: layer %d outside [0,%d)", l, L)
@@ -306,8 +308,11 @@ func (m *Model) propagateLayer(l int, nb *Neighborhood, h *tensor.Matrix,
 		return tensor.New(r, c)
 	}
 	nd := nb.numDst()
+	start := trace.Begin(lane)
 	agg = get(nd, fin)
 	nb.Aggregate(agg, h)
+	trace.End(lane, "aggregate", l, start)
+	start = trace.Begin(lane)
 	z = get(nd, m.Cfg.Dims[l+1])
 	if m.Cfg.Kind == SAGE {
 		tensor.MatMulCat(z, h, nb.selfRows(), agg, m.Params.Weights[l])
@@ -319,5 +324,6 @@ func (m *Model) propagateLayer(l int, nb *Neighborhood, h *tensor.Matrix,
 	} else {
 		tensor.AddBias(z, m.Params.Biases[l])
 	}
+	trace.End(lane, "update", l, start)
 	return z, agg, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/sampler"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // ForwardState retains per-layer activations needed by the backward pass.
@@ -34,6 +35,10 @@ type ForwardState struct {
 	view   tensor.Matrix    // scratch header for the SAGE dh-prefix view
 	armed  bool             // the activations are intact: set by forwardWS, cleared by backwardWS
 	Logits *tensor.Matrix   // |targets| × fL
+	// Lane is the span lane (internal/trace) the steps on this state record
+	// their per-layer aggregate, update and backward spans and their loss
+	// on; 0, the zero value, records none.
+	Lane int
 }
 
 // EdgeWeights computes the aggregation coefficients a model configuration
@@ -137,7 +142,7 @@ func (m *Model) forwardWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.Mi
 		if l == 0 {
 			nb.mapRows(rows)
 		}
-		z, agg, err := m.propagateLayer(l, nb, h, ws)
+		z, agg, err := m.propagateLayer(l, nb, h, ws, st.Lane)
 		if err != nil {
 			return err
 		}
@@ -176,6 +181,7 @@ func (m *Model) backwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tens
 	dz := dLogits // only read: the top layer has no ReLU
 	var mask []int32
 	for l := L - 1; l >= 0; l-- {
+		start := trace.Begin(st.Lane)
 		if l < L-1 {
 			// dz is the gradient at hidden layer l's post-ReLU output, held in
 			// that output's buffer; mask is the output's derivative, recorded
@@ -193,6 +199,7 @@ func (m *Model) backwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tens
 		grads.Biases[l].Zero()
 		tensor.BiasGrad(grads.Biases[l], dz)
 		if l == 0 {
+			trace.End(st.Lane, "backward", l, start)
 			break // nothing trainable below: no dDense GEMM, |V0|×f0 clear or scatter
 		}
 
@@ -226,6 +233,7 @@ func (m *Model) backwardWS(ws *tensor.Workspace, st *ForwardState, dLogits *tens
 			nb.AggregateBackward(dh, dDense)
 		}
 		dz = dh
+		trace.End(st.Lane, "backward", l, start)
 	}
 	return nil
 }
@@ -257,8 +265,10 @@ func (m *Model) TrainStepRowsWS(ws *tensor.Workspace, st *ForwardState, mb *samp
 	if len(mb.Labels) != st.Logits.Rows {
 		return 0, 0, fmt.Errorf("gnn: %d labels for %d targets", len(mb.Labels), st.Logits.Rows)
 	}
+	start := trace.Begin(st.Lane)
 	dLogits := ws.Get(st.Logits.Rows, st.Logits.Cols)
 	loss, correct := tensor.SoftmaxCrossEntropy(dLogits, st.Logits, mb.Labels)
+	trace.End(st.Lane, "loss", len(mb.Blocks)-1, start)
 	if err := m.backwardWS(ws, st, dLogits, grads); err != nil {
 		return 0, 0, err
 	}

@@ -469,18 +469,11 @@ const (
 	RuntimeBarrierSec = 120e-6
 )
 
-// PropWithOverheads returns PropTimeFor plus the per-batch device overheads
-// the executing runtime charges: framework overhead on every device, and
-// pipeline flush + kernel launches on accelerators.
-func (m *Model) PropWithOverheads(dev hw.Device, s Sizes, cpuShare float64) float64 {
-	return DeviceOverheads(dev, m.PropTimeFor(dev, s, cpuShare))
-}
-
 // DeviceOverheads applies the per-batch runtime overheads to a raw
 // propagation time t on dev: framework overhead on every device, pipeline
-// flush + kernel launches on accelerators. Exported so a trainer backend
-// that *measures* its propagation time (the FPGA dataflow kernel) charges
-// the same overheads as the analytically priced devices.
+// flush + kernel launches on accelerators. The runtime charges every trainer
+// through it, whether its propagation time is analytic (PropTimeFor) or
+// accounted (the FPGA dataflow kernel).
 func DeviceOverheads(dev hw.Device, t float64) float64 {
 	if dev.Kind == hw.CPU {
 		return t + dev.FrameworkOverheadMs*1e-3

@@ -2,10 +2,14 @@ package serve
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // The serving steady state — arrival → deadline expiry → admission →
@@ -120,6 +124,23 @@ func TestServingSteadyStateZeroAlloc(t *testing.T) {
 	gate(t, "cpu")
 	t.Run("fpga-pool", func(t *testing.T) { gate(t, "fpga-pool") })
 	t.Run("handoff", func(t *testing.T) { gate(t, "handoff") })
+	// The hand-off leg again inside a span recording: the loop and the
+	// executors record every batch, allocation-free.
+	t.Run("handoff, spans on", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "spans.jsonl")
+		if err := trace.WithSpans(path, func() error { gate(t, "handoff"); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []string{`"kind":"dispatch"`, `"kind":"propagate"`} {
+			if !strings.Contains(string(data), kind) {
+				t.Fatalf("the recorded gate wrote no %s span", kind)
+			}
+		}
+	})
 }
 
 // loopArenasWarm reports whether every worker's loop arena has run a

@@ -1,5 +1,7 @@
 package serve
 
+import "fmt"
+
 // CacheKey identifies one cached embedding: the query vertex and the version
 // of the model that produced it. A serving run's cache lives for that run
 // over one read-only model, so the server keys every entry at version 1; the
@@ -90,17 +92,19 @@ type ShardedCache struct {
 
 // NewShardedCache builds a cache holding up to capacity embeddings of at
 // most stride floats each, partitioned over the given shard count (rounded
-// down to a power of two, clamped to [1, capacity]; 0 picks 1). Capacity 0
+// down to a power of two, clamped to capacity; 0 picks 1). Capacity 0
 // disables caching: every get misses and PutMany is a no-op, exactly like the
-// LRU oracle.
+// LRU oracle. A negative capacity, shard count or stride is a caller's bug —
+// Config.Validate rejects the first two by the same rule (checkCacheSizes) —
+// and panics with the rule it broke.
 func NewShardedCache(capacity, shards, stride int) *ShardedCache {
-	if capacity < 0 {
-		capacity = 0
+	if err := checkCacheSizes(capacity, shards); err != nil {
+		panic(err.Error())
 	}
 	if stride < 0 {
-		stride = 0
+		panic(fmt.Sprintf("serve: cache stride %d: negative", stride))
 	}
-	if shards < 1 {
+	if shards == 0 {
 		shards = 1
 	}
 	if capacity > 0 && shards > capacity {
@@ -125,6 +129,18 @@ func NewShardedCache(capacity, shards, stride int) *ShardedCache {
 		c.shards[i].init(int32(cap), stride)
 	}
 	return c
+}
+
+// checkCacheSizes is the rule for a cache's capacity and shard count, as
+// Config's CacheSize and CacheShards state them.
+func checkCacheSizes(capacity, shards int) error {
+	if capacity < 0 {
+		return fmt.Errorf("serve: CacheSize %d: negative (0 disables the cache)", capacity)
+	}
+	if shards < 0 {
+		return fmt.Errorf("serve: CacheShards %d: negative (0 means 1)", shards)
+	}
+	return nil
 }
 
 func (s *cacheShard) init(capacity int32, stride int) {

@@ -754,7 +754,7 @@ func TestHandoffSettlesInHandoffOrder(t *testing.T) {
 			queued := map[*executor][]forward{}
 			check := func(s *server, wi int, handed bool) {
 				if w := s.pool[wi]; handed {
-					queued[w.exec] = append(queued[w.exec], forward{w: w, res: w.out[(w.samples-1)%len(w.out)].res})
+					queued[w.exec] = append(queued[w.exec], forward{w: w, res: w.out[(w.samples-1)%len(w.out)].res, batch: s.stats.Batches - 1})
 				}
 			}
 			s, inline := gatedFleet(t, ds, m, procs, check)

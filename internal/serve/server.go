@@ -56,6 +56,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/sampler"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // Config assembles a serving run.
@@ -182,11 +183,8 @@ func (c Config) Validate() error {
 	if c.QueueCap < 0 {
 		return fmt.Errorf("serve: QueueCap %d: negative (0 means %d)", c.QueueCap, defaultQueueCap)
 	}
-	if c.CacheSize < 0 {
-		return fmt.Errorf("serve: CacheSize %d: negative (0 disables the cache)", c.CacheSize)
-	}
-	if c.CacheShards < 0 {
-		return fmt.Errorf("serve: CacheShards %d: negative (0 means 1)", c.CacheShards)
+	if err := checkCacheSizes(c.CacheSize, c.CacheShards); err != nil {
+		return err
 	}
 	if _, err := NewSplitBatcher(c.MaxBatch, c.WindowSec, c.SmallBatchCut); err != nil {
 		return err
@@ -280,22 +278,25 @@ type handoff struct {
 	seq  uint64
 }
 
-// forward is one hand-off: the batch res that worker w sampled.
+// forward is one hand-off: the batch res that worker w sampled, the run's
+// batch number batch.
 type forward struct {
-	w   *worker
-	res *core.InferResult
+	w     *worker
+	res   *core.InferResult
+	batch int
 }
 
 // executor is a goroutine that runs the forwards its workers hand off, one
 // at a time in hand-off order, in one arena of its own. req is buffered to
 // its workers' total depth, so a hand-off never waits; inflight counts the
 // forwards handed off whose Propagate has not returned. exited is closed
-// once the goroutine has dropped its arena.
+// once the goroutine has dropped its arena. lane is its span lane (0: none).
 type executor struct {
 	req      chan forward
 	inflight atomic.Int32
 	ws       *tensor.Workspace
 	exited   chan struct{}
+	lane     int
 }
 
 // start launches the executor's goroutine over a fresh arena.
@@ -314,7 +315,9 @@ func (e *executor) start() {
 // The in-flight count drops before the worker hears, so the loop never sees
 // a settled forward still in flight.
 func (e *executor) run(f forward) {
+	start := trace.Begin(e.lane)
 	err := f.w.pipe.Propagate(e.ws, f.res)
+	trace.End(e.lane, "propagate", f.batch, start)
 	e.inflight.Add(-1)
 	f.w.done <- err
 }
@@ -390,6 +393,13 @@ type server struct {
 	execs    []*executor
 	handoff  bool
 	handoffs int
+
+	// lane is the event loop's span lane, and executor i's is lane+1+i
+	// (internal/trace; 0 when the run was assembled outside a recording).
+	// The loop records per batch, never per request: dispatch, with lookup,
+	// route, settle, sample and an inline propagate (its kind names why the
+	// forward stayed on the loop) inside it, and the run's finish.
+	lane int
 
 	// Dispatch scratch, all MaxBatch-bounded and reused per batch.
 	keys    []CacheKey  // lookup keys, one per batch request
@@ -513,7 +523,9 @@ func newServer(cfg Config) (*server, error) {
 	for _, w := range pool {
 		w.out = make([]handoff, w.pipe.Depth())
 	}
-	s.startExecutors(min(runtime.GOMAXPROCS(0)-1, len(pool)))
+	nExec := min(runtime.GOMAXPROCS(0)-1, len(pool))
+	s.lane = trace.Lanes(1 + max(nExec, 0))
+	s.startExecutors(nExec)
 	return s, nil
 }
 
@@ -531,6 +543,9 @@ func (s *server) startExecutors(n int) {
 	}
 	for i := range s.execs {
 		s.execs[i] = &executor{req: make(chan forward, depth[i])}
+		if s.lane != 0 {
+			s.execs[i].lane = s.lane + 1 + i
+		}
 	}
 	for i, w := range s.pool {
 		for j := range w.out {
@@ -574,14 +589,21 @@ func (s *server) serveReq(r Request, done float64, computed bool) {
 // dispatch runs one closed batch through its stages: lookup → place → execute
 // → complete.
 func (s *server) dispatch(batch []Request, closeAt float64) error {
+	b := s.stats.Batches
 	s.stats.Batches++
 	s.batchReqSum += len(batch)
+	start := trace.Begin(s.lane)
+	defer func() { trace.End(s.lane, "dispatch", b, start) }()
+	span := trace.Begin(s.lane)
 	hit := s.lookup(batch, closeAt)
+	trace.End(s.lane, "lookup", b, span)
 	if len(s.order) == 0 { // the cache answered every request
 		s.release(hw.CPU)
 		return nil
 	}
+	span = trace.Begin(s.lane)
 	p, lost, err := s.place(batch, hit, closeAt)
+	trace.End(s.lane, "route", b, span)
 	if err != nil {
 		return err
 	}
@@ -687,29 +709,41 @@ func (s *server) place(batch []Request, hit []bool, closeAt float64) (prediction
 // the slot the loop's next Sample on that worker must rebuild.
 func (s *server) execute(p prediction) (*core.InferResult, float64, bool, error) {
 	w := s.pool[p.worker]
+	b := s.stats.Batches - 1
 	// Sample rebuilds the slot of the worker's Depth()-th previous batch:
 	// that forward must be done. Later batches' forwards may still run.
-	if _, err := s.settle(w, w.samples%len(w.out), true); err != nil {
+	start := trace.Begin(s.lane)
+	_, err := s.settle(w, w.samples%len(w.out), true)
+	trace.End(s.lane, "settle", b, start)
+	if err != nil {
 		return nil, 0, false, err
 	}
+	start = trace.Begin(s.lane)
 	res, err := w.pipe.Sample(s.order)
+	trace.End(s.lane, "sample", b, start)
 	if err != nil {
 		return nil, 0, false, err
 	}
 	w.samples++
-	for k := 0; k < len(w.out) && w.pending > 0; k++ { // oldest first
-		settled, err := s.settle(w, (w.samples+k)%len(w.out), false)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		if !settled {
-			break
-		}
+	if err := s.settleFinished(w, b); err != nil {
+		return nil, 0, false, err
 	}
-	room := len(w.out) - 2
-	async := s.handoff && w.pending < room && w.exec.inflight.Load() < int32(room)
+	// inline names why the forward stays on the loop; "" hands it off.
+	room, inline := len(w.out)-2, ""
+	switch {
+	case !s.handoff:
+		inline = "propagate/no-executor"
+	case w.pending >= room:
+		inline = "propagate/worker-full"
+	case w.exec.inflight.Load() >= int32(room):
+		inline = "propagate/executor-bound"
+	}
+	async := inline == ""
 	if !async {
-		if err := w.pipe.Propagate(w.pipe.Arena(), res); err != nil {
+		start = trace.Begin(s.lane)
+		err := w.pipe.Propagate(w.pipe.Arena(), res)
+		trace.End(s.lane, inline, b, start)
+		if err != nil {
 			return nil, 0, false, err
 		}
 	}
@@ -767,7 +801,7 @@ func (s *server) complete(batch []Request, hit []bool, wi int, res *core.InferRe
 		h.res, h.seq = res, seq
 		w.pending++
 		w.exec.inflight.Add(1)
-		w.exec.req <- forward{w: w, res: res}
+		w.exec.req <- forward{w: w, res: res, batch: s.stats.Batches - 1}
 		s.handoffs++
 	}
 	return nil
@@ -804,6 +838,20 @@ func (s *server) settle(w *worker, i int, wait bool) (bool, error) {
 		s.cache.fill(k, h.seq, res.Logits.Row(j))
 	}
 	return true, nil
+}
+
+// settleFinished settles, without waiting, w's outstanding batches whose
+// forwards have finished, oldest first, under a settle span of batch b.
+func (s *server) settleFinished(w *worker, b int) error {
+	start := trace.Begin(s.lane)
+	defer func() { trace.End(s.lane, "settle", b, start) }()
+	for k := 0; k < len(w.out) && w.pending > 0; k++ { // oldest first
+		settled, err := s.settle(w, (w.samples+k)%len(w.out), false)
+		if err != nil || !settled {
+			return err
+		}
+	}
+	return nil
 }
 
 // settleAll settles every worker's outstanding batches, oldest first.
@@ -957,6 +1005,8 @@ func (s *server) offer(r Request) error {
 // finish flushes the open batch, settles every outstanding one, and
 // summarizes the run.
 func (s *server) finish() (*Stats, error) {
+	start := trace.Begin(s.lane)
+	defer func() { trace.End(s.lane, "finish", s.stats.Batches, start) }()
 	if batch, closeAt := s.batcher.Flush(); batch != nil {
 		if err := s.dispatch(batch, closeAt); err != nil {
 			return nil, err

@@ -220,7 +220,6 @@ func TestShardedCacheShardClamp(t *testing.T) {
 		{4, 3, 2},
 		{100, 4, 4},
 		{7, 0, 1}, // 0 picks 1
-		{3, -2, 1},
 	}
 	for _, c := range cases {
 		got := NewShardedCache(c.capacity, c.shards, 4).shardCount()
@@ -228,6 +227,25 @@ func TestShardedCacheShardClamp(t *testing.T) {
 			t.Fatalf("NewShardedCache(cap=%d, shards=%d) settled on %d shards, want %d",
 				c.capacity, c.shards, got, c.want)
 		}
+	}
+	// A negative size is a bug, not a value to clamp: it panics quoting the
+	// rule Config.Validate states.
+	for _, c := range []struct {
+		capacity, shards, stride int
+		want                     string
+	}{
+		{3, -2, 4, "serve: CacheShards -2: negative (0 means 1)"},
+		{-1, 1, 4, "serve: CacheSize -1: negative (0 disables the cache)"},
+		{3, 1, -4, "serve: cache stride -4: negative"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != c.want {
+					t.Fatalf("NewShardedCache(%d, %d, %d) panicked with %v, want %q", c.capacity, c.shards, c.stride, r, c.want)
+				}
+			}()
+			NewShardedCache(c.capacity, c.shards, c.stride)
+		}()
 	}
 	// Remainder spread: capacity 10 over 8 shards still holds 10 entries.
 	c := NewShardedCache(10, 8, 4)
