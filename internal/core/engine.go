@@ -169,8 +169,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 			backends[i] = &bk
 		}
 	}
+	lanes := poolLanes(nTrainers)
 	e := &Engine{
-		cfg: cfg, pm: pm, smp: smp, batcher: batcher, lane: trace.Lanes(nTrainers + 1),
+		cfg: cfg, pm: pm, smp: smp, batcher: batcher, lane: trace.Lanes(lanes),
 		model: model, opt: opt, pool: newTrainerPool(nTrainers, model.Params),
 		backends: backends, rng: rng,
 		assign:  pm.InitialAssignment(cfg.Hybrid),
@@ -181,7 +182,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if e.gsync == nil {
 		e.gsync = localSync{}
 	}
-	for k := 1; k < len(e.pool.workers); k++ { // worker 0 is the epoch goroutine
+	for k := 1; k < lanes-lanePrefetch; k++ { // worker 0 is the epoch goroutine; workers past the lanes record on lane 0
 		e.pool.workers[k].st.Lane = e.laneAt(lanePrefetch + k)
 	}
 	e.pool.workers[0].st.Lane = e.lane

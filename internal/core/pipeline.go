@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/trace"
+import (
+	"runtime"
+
+	"repro/internal/trace"
+)
 
 // Software-pipelined epoch execution (paper Fig. 4/5, §IV-B), the runtime's
 // one schedule: whenever a second processor exists (GOMAXPROCS > 1), a
@@ -26,16 +30,25 @@ import "repro/internal/trace"
 // one being prepared.
 const pipelineDepth = 2
 
-// Span lanes. An engine reserves trainers+1 lanes of a running span
+// Span lanes. An engine reserves poolLanes lanes of a running span
 // recording (internal/trace) at construction, starting at e.lane (0, off,
 // when nothing records): the epoch goroutine, which is also trainer-pool
 // worker 0, at offset 0; the prefetch worker at lanePrefetch; pool worker
-// k ≥ 1 at lanePrefetch+k. The epoch lane holds the loop's steps — epoch,
+// k ≥ 1 at lanePrefetch+k, for the min(GOMAXPROCS, trainers) workers the pool
+// runs then. A worker past those (GOMAXPROCS raised later) records on lane 0,
+// off. The epoch lane holds the loop's steps — epoch,
 // batch, wait, drm, compute (with worker 0's steps and the fold inside it),
 // reduce and optimizer — and an inline prepare; the prefetch lane holds the
 // worker's prepares; each prepare holds its sample and price spans, and each
 // step its per-layer aggregate, update and backward spans and its loss.
 const lanePrefetch = 1
+
+// poolLanes is how many lanes an engine of n trainers reserves: the epoch
+// and prefetch lanes, and one for each pool worker past worker 0 of the
+// min(GOMAXPROCS, n) the pool runs.
+func poolLanes(n int) int {
+	return lanePrefetch + min(runtime.GOMAXPROCS(0), n)
+}
 
 // laneAt is the engine's lane at offset k, 0 when the engine records none.
 func (e *Engine) laneAt(k int) int {

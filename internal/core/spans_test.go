@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datagen"
+	"repro/internal/hw"
+	"repro/internal/tensor"
 	"repro/internal/trace"
 )
 
@@ -113,4 +116,60 @@ func TestSpansPrepareOnPrefetchLane(t *testing.T) {
 			}
 		}
 	}
+}
+
+// An engine reserves lanes for the pool it runs, not for every trainer: at
+// GOMAXPROCS 2 a five-trainer fleet gets the epoch lane, the prefetch lane
+// and one pool worker's lane, and each of the three records spans.
+func TestSpanLanesSizedToPool(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	cfg := baseConfig(t)
+	cfg.Plat = hw.CPUFPGAPlatform() // five trainers
+	cfg.Data = lanesDataset(t)
+	var e *Engine
+	spans := recordSpans(t, func() error {
+		var err error
+		if e, err = NewEngine(cfg); err != nil {
+			return err
+		}
+		for ep := 0; ep < 2; ep++ {
+			if _, err := e.RunEpoch(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if got := len(e.pool.workers); got != 5 {
+		t.Fatalf("%d pool workers, want one per trainer (5)", got)
+	}
+	const reserved = 3 // epoch, prefetch, pool worker 1
+	perLane := map[int]int{}
+	for _, s := range spans {
+		if s.Lane < e.lane || s.Lane >= e.lane+reserved {
+			t.Fatalf("%s span on lane %d, outside the engine's lanes [%d, %d)", s.Kind, s.Lane, e.lane, e.lane+reserved)
+		}
+		perLane[s.Lane]++
+	}
+	for k := 0; k < reserved; k++ {
+		if perLane[e.lane+k] == 0 {
+			t.Errorf("reserved lane %d (offset %d) holds no span", e.lane+k, k)
+		}
+	}
+	for k, w := range e.pool.workers[2:] {
+		if w.st.Lane != 0 {
+			t.Errorf("pool worker %d has lane %d past the reserved ones, want 0 (off)", k+2, w.st.Lane)
+		}
+	}
+}
+
+func lanesDataset(t *testing.T) *datagen.Dataset {
+	t.Helper()
+	spec := datagen.Spec{Name: "lanes", NumVertices: 20000, NumEdges: 200000,
+		FeatDims: []int{16, 16, 5}, TrainNodes: 8000}
+	ds, err := datagen.Materialize(spec, 0.4, tensor.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
 }

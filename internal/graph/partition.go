@@ -2,8 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
-	"container/heap"
+	"repro/internal/tensor"
 )
 
 // Partition assigns every vertex to one of k parts. It is the substrate the
@@ -38,6 +39,11 @@ func PartitionGreedyBFS(g *Graph, k int) (*Partition, error) {
 	// Undirected adjacency view: in-neighbors plus out-neighbors.
 	rev := g.reverse()
 
+	// A vertex pushes only neighbors that are still unassigned, so an edge
+	// is pushed at most once, from whichever end is assigned first: the
+	// frontiers together push at most |E|. Each starts at a quarter more
+	// than an even share of that, so a frontier seldom regrows.
+	frontierCap := int(g.NumEdges()/int64(k))*5/4 + 1
 	frontiers := make([][]int32, k)
 	for p := 0; p < k; p++ {
 		seed := int32(p * (n / k))
@@ -46,22 +52,20 @@ func PartitionGreedyBFS(g *Graph, k int) (*Partition, error) {
 		}
 		assign[seed] = int32(p)
 		sizes[p]++
-		frontiers[p] = []int32{seed}
+		frontiers[p] = make([]int32, 1, frontierCap)
+		frontiers[p][0] = seed
 	}
-	// Grow the smallest part first (min-heap by size).
-	pq := &partHeap{}
+	// Grow the smallest part first (min-heap by size). The heap holds one
+	// entry per part, and only the popped part grows before it is pushed
+	// back, so every entry is current.
+	pq := make(partHeap, 0, k)
 	for p := 0; p < k; p++ {
-		heap.Push(pq, partEntry{part: p, size: sizes[p]})
+		pq.push(partEntry{part: p, size: sizes[p]})
 	}
 	assigned := int64(k)
 	cursor := int32(0)
 	for assigned < int64(n) {
-		e := heap.Pop(pq).(partEntry)
-		p := e.part
-		if e.size != sizes[p] { // stale heap entry
-			heap.Push(pq, partEntry{part: p, size: sizes[p]})
-			continue
-		}
+		p := pq.pop().part
 		v := popUnassigned(&frontiers[p], assign)
 		if v == -1 {
 			// Frontier exhausted: steal the next unassigned vertex.
@@ -73,19 +77,28 @@ func PartitionGreedyBFS(g *Graph, k int) (*Partition, error) {
 		assign[v] = int32(p)
 		sizes[p]++
 		assigned++
-		for _, u := range g.Neighbors(v) {
-			if assign[u] == -1 {
-				frontiers[p] = append(frontiers[p], u)
-			}
-		}
-		for _, u := range rev.Neighbors(v) {
-			if assign[u] == -1 {
-				frontiers[p] = append(frontiers[p], u)
-			}
-		}
-		heap.Push(pq, partEntry{part: p, size: sizes[p]})
+		frontiers[p] = pushUnassigned(frontiers[p], assign, g.Neighbors(v), rev.Neighbors(v))
+		pq.push(partEntry{part: p, size: sizes[p]})
 	}
 	return &Partition{K: k, Assign: assign, Sizes: sizes}, nil
+}
+
+// pushUnassigned appends to frontier, in order, the vertices of in and then
+// of out that are still unassigned. Each is written past the frontier's end
+// and kept by advancing the end by the sign bit of its assignment (−1 while
+// unassigned), so no branch on the assignment is mispredicted.
+func pushUnassigned(frontier, assign, in, out []int32) []int32 {
+	frontier = slices.Grow(frontier, len(in)+len(out))
+	n, buf := len(frontier), frontier[:cap(frontier)]
+	for _, u := range in {
+		buf[n] = u
+		n += int(uint32(assign[u]) >> 31)
+	}
+	for _, u := range out {
+		buf[n] = u
+		n += int(uint32(assign[u]) >> 31)
+	}
+	return buf[:n]
 }
 
 // popUnassigned pops frontier entries until an unassigned vertex appears.
@@ -104,22 +117,37 @@ func popUnassigned(frontier *[]int32, assign []int32) int32 {
 }
 
 // EdgeCutFraction returns the fraction of edges whose endpoints live in
-// different parts — the CutFraction input of the cluster model.
+// different parts — the CutFraction input of the cluster model. Edge ranges
+// are counted on tensor.ParallelRows workers and the integer counts summed.
 func (p *Partition) EdgeCutFraction(g *Graph) float64 {
-	if g.NumEdges() == 0 {
+	m := int(g.NumEdges())
+	if m == 0 {
 		return 0
 	}
-	var cut int64
-	for dst := int32(0); int(dst) < g.NumVertices; dst++ {
-		pd := p.Assign[dst]
-		for _, src := range g.Neighbors(dst) {
-			if p.Assign[src] != pd {
-				cut++
+	chunks := max(1, tensor.FanOut(m, cutWork))
+	cuts := make([]int64, chunks)
+	eachChunk(m, chunks, func(c, lo, hi int) {
+		var cut int64
+		for dst, i := g.rowOf(lo), lo; i < hi; dst++ {
+			pd := p.Assign[dst]
+			for end := min(int(g.RowPtr[dst+1]), hi); i < end; i++ {
+				if p.Assign[g.ColIdx[i]] != pd {
+					cut++
+				}
 			}
 		}
+		cuts[c] = cut
+	})
+	var cut int64
+	for _, c := range cuts {
+		cut += c
 	}
-	return float64(cut) / float64(g.NumEdges())
+	return float64(cut) / float64(m)
 }
+
+// cutWork is one edge of EdgeCutFraction in tensor.FanOut's units: a
+// random read of the source's part, ≈ 2 ns on a 2-core Sapphire Rapids Xeon.
+const cutWork = 11
 
 // Balance returns max(part size) / ideal size; 1.0 is perfectly balanced.
 func (p *Partition) Balance() float64 {
@@ -157,21 +185,54 @@ func (p *Partition) validate() error {
 	return nil
 }
 
-// partHeap is a min-heap of parts by current size.
+// partHeap is a min-heap of parts by current size. push and pop are
+// container/heap's Push and Pop with its up and down sifts, typed, so ties
+// fall as they do there and no entry is boxed.
 type partEntry struct {
 	part int
 	size int64
 }
 type partHeap []partEntry
 
-func (h partHeap) Len() int            { return len(h) }
-func (h partHeap) Less(i, j int) bool  { return h[i].size < h[j].size }
-func (h partHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *partHeap) Push(x interface{}) { *h = append(*h, x.(partEntry)) }
-func (h *partHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *partHeap) push(e partEntry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+func (h *partHeap) pop() partEntry {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	h.down(0, n)
+	*h = q[:n]
+	return q[n]
+}
+
+func (h partHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].size < h[i].size) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h partHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].size < h[j1].size {
+			j = j2 // right child
+		}
+		if !(h[j].size < h[i].size) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }

@@ -347,11 +347,11 @@ type cohortStream struct {
 
 // init binds the stream to its cohort, popularity CDF and RNG, and draws the
 // first arrival.
-func (cs *cohortStream) init(c Cohort, numVertices int, rng arrivalRNG) {
+func (cs *cohortStream) init(c Cohort, cdf []float64, rng arrivalRNG) {
 	if c.Shape == 0 {
 		c.Shape = 1
 	}
-	cs.c, cs.rng, cs.cdf = c, rng, zipfCDF(numVertices, c.Zipf)
+	cs.c, cs.rng, cs.cdf = c, rng, cdf
 	for _, p := range c.Phases {
 		cs.period += p.DurationSec
 	}
@@ -414,8 +414,14 @@ func newWorkloadStream(spec *WorkloadSpec, numVertices int, rng *tensor.RNG) (*w
 		return nil, fmt.Errorf("serve: non-positive vertex count %d", numVertices)
 	}
 	w := &workloadStream{cohorts: make([]cohortStream, len(spec.Cohorts))}
+	cdfs := map[float64][]float64{} // one read-only CDF per distinct exponent
 	for i, c := range spec.Cohorts {
-		w.cohorts[i].init(c, numVertices, rng.Split())
+		cdf, ok := cdfs[c.Zipf]
+		if !ok {
+			cdf = zipfCDF(numVertices, c.Zipf)
+			cdfs[c.Zipf] = cdf
+		}
+		w.cohorts[i].init(c, cdf, rng.Split())
 	}
 	return w, nil
 }
@@ -431,7 +437,7 @@ func newPoissonStream(numVertices int, ratePerSec, zipfExponent float64, rng arr
 		return nil, fmt.Errorf("serve: non-positive vertex count %d", numVertices)
 	}
 	w := &workloadStream{cohorts: make([]cohortStream, 1)}
-	w.cohorts[0].init(poissonCohort(ratePerSec, zipfExponent), numVertices, rng)
+	w.cohorts[0].init(poissonCohort(ratePerSec, zipfExponent), zipfCDF(numVertices, zipfExponent), rng)
 	return w, nil
 }
 
@@ -463,12 +469,19 @@ func (w *workloadStream) next() Request {
 }
 
 // zipfCDF builds the cumulative Zipf(θ) popularity over vertex IDs
-// (θ = 0 degenerates to uniform).
+// (θ = 0 degenerates to uniform). The terms 1/(v+1)^θ are computed on
+// tensor.ParallelRows workers; the running sum and the division stay one
+// sequential pass, so every float is that of a sequential loop.
 func zipfCDF(numVertices int, exponent float64) []float64 {
 	cdf := make([]float64, numVertices)
+	tensor.ParallelRows(numVertices, powWork, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			cdf[v] = 1 / math.Pow(float64(v+1), exponent)
+		}
+	})
 	sum := 0.0
-	for v := 0; v < numVertices; v++ {
-		sum += 1 / math.Pow(float64(v+1), exponent)
+	for v, term := range cdf {
+		sum += term
 		cdf[v] = sum
 	}
 	for v := range cdf {
@@ -476,3 +489,7 @@ func zipfCDF(numVertices int, exponent float64) []float64 {
 	}
 	return cdf
 }
+
+// powWork is one zipfCDF term in tensor.FanOut's units (≈ 5.5 per ns): a
+// math.Pow and a division, ≈ 90 ns on a 2-core Sapphire Rapids Xeon.
+const powWork = 500
