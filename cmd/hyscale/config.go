@@ -32,7 +32,6 @@ type options struct {
 	tfp       bool
 	drm       bool
 	tensorPar int
-	simd      string
 	nodes     int
 	trace     string
 	// cpuProfile is the -cpuprofile path; run profiles everything after the
@@ -46,11 +45,10 @@ type options struct {
 	// plane).
 	faults string
 	// retryBudget is -retry-budget: serving re-dispatch attempts per batch
-	// after a worker failure (0 = runtime default, negative = no retries).
+	// after a worker failure (0 = none).
 	retryBudget int
 
 	serveMode     bool
-	serveRate     float64
 	serveRequests int
 	serveBatch    int
 	serveWindowUs float64
@@ -59,11 +57,10 @@ type options struct {
 	serveSmall    int
 	serveQueue    int
 	serveCache    int
-	serveZipf     float64
 	serveShards   int
 	routeTrace    bool
 	// serveWorkload is the -serve-workload cohort spec (see
-	// serve.ParseWorkloadSpec); empty keeps the single Poisson/Zipf stream.
+	// serve.ParseWorkloadSpec); it describes every generated stream.
 	serveWorkload string
 	// serveFormation is the -serve-formation batch-formation policy
 	// (fcfs | priority; empty = fcfs).
@@ -88,10 +85,6 @@ type runSpec struct {
 	// the run fills in once they exist.
 	Core  core.Config
 	Serve serve.Config
-	// SIMD is the parsed -simd dispatch level ("auto" resolves to the
-	// detected ceiling here; asking for a level the CPU lacks fails later,
-	// at SetSIMDLevel time, so syntax and capability errors stay distinct).
-	SIMD tensor.SIMDLevel
 	// TraceMode/TracePath are the parsed -serve-trace directive
 	// ("record" or "replay"; empty = no trace). A replayed trace is read
 	// here, into Serve.Replay.
@@ -102,11 +95,16 @@ type runSpec struct {
 	opts   options
 }
 
-// buildConfig resolves and validates every flag. Bad values return errors
-// (never panics), before any work starts: cmd/hyscale checks the flags no
-// runtime package owns — names, -scale, -tensor-par, the epoch and node
-// counts, the -faults plane against the mode and the -serve-trace directive
-// — and core.Config.Validate and serve.Config.Validate check the rest.
+// defaultServeWorkload is -serve-workload's default: one Poisson cohort of
+// class standard, 5000 requests a second over Zipf(1.1) vertex popularity.
+const defaultServeWorkload = "poisson,rate=5000,zipf=1.1"
+
+// buildConfig resolves and validates every flag and TENSOR_SIMD. Bad values
+// return errors (never panics), before any work starts: cmd/hyscale checks
+// what no runtime package owns — names, -scale, -tensor-par, TENSOR_SIMD,
+// the epoch and node counts, -retry-budget, the -faults plane against the
+// mode and the -serve-trace directive — and core.Config.Validate and
+// serve.Config.Validate check the rest.
 func buildConfig(o options) (*runSpec, error) {
 	spec, err := datagen.SpecByName(o.dataset)
 	if err != nil {
@@ -149,8 +147,9 @@ func buildConfig(o options) (*runSpec, error) {
 	if o.tensorPar < 0 {
 		return nil, fmt.Errorf("-tensor-par %d: negative (0 means up to one goroutine per CPU)", o.tensorPar)
 	}
-	if r.SIMD, err = tensor.ParseSIMDLevel(o.simd); err != nil {
-		return nil, fmt.Errorf("-simd %q: %w", o.simd, err)
+	// The tensor package applied TENSOR_SIMD at start, but skips a misspelling.
+	if _, err := tensor.ParseSIMDLevel(os.Getenv("TENSOR_SIMD")); err != nil {
+		return nil, fmt.Errorf("TENSOR_SIMD: %w", err)
 	}
 	if o.nodes < 1 {
 		return nil, fmt.Errorf("-nodes %d: need at least 1", o.nodes)
@@ -195,12 +194,17 @@ func buildConfig(o options) (*runSpec, error) {
 	if o.nodes > 1 {
 		return nil, fmt.Errorf("-serve with -nodes %d: serving a partitioned fleet is not supported", o.nodes)
 	}
+	if o.retryBudget < 0 {
+		return nil, fmt.Errorf("-retry-budget %d: negative (0 means no retries)", o.retryBudget)
+	}
+	retries := o.retryBudget
+	if retries == 0 {
+		retries = -1 // serve.Config reads 0 as its default of 2
+	}
 	r.Serve = serve.Config{
 		Plat:          plat,
 		Fanouts:       fanouts,
 		NumRequests:   o.serveRequests,
-		RatePerSec:    o.serveRate,
-		ZipfExponent:  o.serveZipf,
 		MaxBatch:      o.serveBatch,
 		WindowSec:     o.serveWindowUs * 1e-6,
 		Workers:       o.serveWorkers,
@@ -213,12 +217,10 @@ func buildConfig(o options) (*runSpec, error) {
 		RouteTrace:    o.routeTrace,
 		Seed:          o.seed,
 		Faults:        r.Faults,
-		RetryBudget:   o.retryBudget,
+		RetryBudget:   retries,
 	}
-	if o.serveWorkload != "" {
-		if r.Serve.Workload, err = serve.ParseWorkloadSpec(o.serveWorkload); err != nil {
-			return nil, fmt.Errorf("-serve-workload: %w", err)
-		}
+	if r.Serve.Workload, err = serve.ParseWorkloadSpec(o.serveWorkload); err != nil {
+		return nil, fmt.Errorf("-serve-workload: %w", err)
 	}
 	if o.serveSLO != "" {
 		if r.Serve.SLOTargets, err = serve.ParseSLOTargets(o.serveSLO); err != nil {
@@ -232,6 +234,9 @@ func buildConfig(o options) (*runSpec, error) {
 		}
 		r.TraceMode, r.TracePath = mode, path
 		if mode == "replay" {
+			if o.serveWorkload == defaultServeWorkload {
+				r.Serve.Workload = nil // any other workload contradicts the trace: Validate rejects the pair
+			}
 			if r.Serve.Replay, err = readTrace(path); err != nil {
 				return nil, fmt.Errorf("-serve-trace %q: %w", o.serveTrace, err)
 			}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -24,10 +25,10 @@ func validOptions() options {
 	return options{
 		dataset: "ogbn-products", model: "sage", platform: "cpu-fpga",
 		scale: 2000, epochs: 5, batch: 256, lr: 0.3, seed: 1,
-		hybrid: true, tfp: true, drm: true, nodes: 1,
-		serveRate: 5000, serveRequests: 20000, serveBatch: 32,
+		hybrid: true, tfp: true, drm: true, nodes: 1, retryBudget: 2,
+		serveRequests: 20000, serveBatch: 32,
 		serveWindowUs: 500, serveWorkers: 2, serveQueue: 1024,
-		serveCache: 4096, serveZipf: 1.1, serveShards: 1,
+		serveCache: 4096, serveShards: 1, serveWorkload: defaultServeWorkload,
 	}
 }
 
@@ -172,37 +173,37 @@ func TestBuildConfigRejectsBadValues(t *testing.T) {
 		mutate func(*options)
 		want   string // substring of the error
 	}{
-		"dataset":          {func(o *options) { o.dataset = "imagenet" }, "imagenet"},
-		"model":            {func(o *options) { o.model = "transformer" }, "model"},
-		"platform":         {func(o *options) { o.platform = "tpu-pod" }, "platform"},
-		"scale":            {func(o *options) { o.scale = 0 }, "-scale"},
-		"epochs":           {func(o *options) { o.epochs = -1 }, "-epochs"},
-		"no-training":      {func(o *options) { o.epochs = 0 }, "-epochs"},
-		"batch":            {func(o *options) { o.batch = 0 }, "batch size 0"},
-		"lr":               {func(o *options) { o.lr = 0 }, "learning rate 0"},
-		"lr-nan":           {func(o *options) { o.lr = math.NaN() }, "learning rate NaN"},
-		"lr-inf":           {func(o *options) { o.lr = math.Inf(1) }, "learning rate +Inf"},
-		"nodes":            {func(o *options) { o.nodes = 0 }, "-nodes"},
-		"serve+nodes":      {func(o *options) { o.serveMode = true; o.nodes = 4 }, "-serve"},
-		"serve-rate":       {func(o *options) { o.serveMode = true; o.serveRate = 0 }, "rate 0"},
-		"serve-rate-nan":   {func(o *options) { o.serveMode = true; o.serveRate = math.NaN() }, "rate NaN"},
-		"serve-rate-inf":   {func(o *options) { o.serveMode = true; o.serveRate = math.Inf(1) }, "rate +Inf"},
-		"serve-requests":   {func(o *options) { o.serveMode = true; o.serveRequests = 0 }, "NumRequests 0"},
-		"serve-batch":      {func(o *options) { o.serveMode = true; o.serveBatch = 0 }, "max batch 0"},
-		"serve-window":     {func(o *options) { o.serveMode = true; o.serveWindowUs = -1 }, "batch window -1e-06"},
-		"serve-window-nan": {func(o *options) { o.serveMode = true; o.serveWindowUs = math.NaN() }, "batch window NaN"},
-		"serve-window-inf": {func(o *options) { o.serveMode = true; o.serveWindowUs = math.Inf(1) }, "batch window +Inf"},
-		"serve-workers":    {func(o *options) { o.serveMode = true; o.serveWorkers = -1 }, "Workers -1"},
-		"serve-queue":      {func(o *options) { o.serveMode = true; o.serveQueue = -1 }, "QueueCap -1"},
-		"batch-over-queue": {func(o *options) { o.serveMode = true; o.serveBatch = 2048 }, "MaxBatch 2048 exceeds"},
-		"serve-cache":      {func(o *options) { o.serveMode = true; o.serveCache = -1 }, "CacheSize -1"},
-		"serve-zipf":       {func(o *options) { o.serveMode = true; o.serveZipf = -0.5 }, "Zipf exponent -0.5"},
-		"serve-zipf-nan":   {func(o *options) { o.serveMode = true; o.serveZipf = math.NaN() }, "Zipf exponent NaN"},
-		"serve-zipf-inf":   {func(o *options) { o.serveMode = true; o.serveZipf = math.Inf(1) }, "Zipf exponent +Inf"},
-		"serve-small":      {func(o *options) { o.serveMode = true; o.serveSmall = -1 }, "small-batch cut -1"},
-		"serve-shards":     {func(o *options) { o.serveMode = true; o.serveShards = -1 }, "CacheShards -1"},
-		"small-no-peer":    {func(o *options) { o.serveMode = true; o.serveSmall = 4 }, "SmallBatchCut 4 needs the CPU peer"},
-		"multinode-0ep":    {func(o *options) { o.nodes = 2; o.epochs = 0 }, "multi-node"},
+		"dataset":           {func(o *options) { o.dataset = "imagenet" }, "imagenet"},
+		"model":             {func(o *options) { o.model = "transformer" }, "model"},
+		"platform":          {func(o *options) { o.platform = "tpu-pod" }, "platform"},
+		"scale":             {func(o *options) { o.scale = 0 }, "-scale"},
+		"epochs":            {func(o *options) { o.epochs = -1 }, "-epochs"},
+		"no-training":       {func(o *options) { o.epochs = 0 }, "-epochs"},
+		"batch":             {func(o *options) { o.batch = 0 }, "batch size 0"},
+		"lr":                {func(o *options) { o.lr = 0 }, "learning rate 0"},
+		"lr-nan":            {func(o *options) { o.lr = math.NaN() }, "learning rate NaN"},
+		"lr-inf":            {func(o *options) { o.lr = math.Inf(1) }, "learning rate +Inf"},
+		"nodes":             {func(o *options) { o.nodes = 0 }, "-nodes"},
+		"serve+nodes":       {func(o *options) { o.serveMode = true; o.nodes = 4 }, "-serve"},
+		"workload-rate":     {func(o *options) { o.serveMode = true; o.serveWorkload = "poisson,rate=0" }, "rate 0"},
+		"workload-rate-nan": {func(o *options) { o.serveMode = true; o.serveWorkload = "poisson,rate=NaN" }, "rate NaN"},
+		"workload-rate-inf": {func(o *options) { o.serveMode = true; o.serveWorkload = "poisson,rate=+Inf" }, "rate +Inf"},
+		"serve-requests":    {func(o *options) { o.serveMode = true; o.serveRequests = 0 }, "NumRequests 0"},
+		"serve-batch":       {func(o *options) { o.serveMode = true; o.serveBatch = 0 }, "max batch 0"},
+		"serve-window":      {func(o *options) { o.serveMode = true; o.serveWindowUs = -1 }, "batch window -1e-06"},
+		"serve-window-nan":  {func(o *options) { o.serveMode = true; o.serveWindowUs = math.NaN() }, "batch window NaN"},
+		"serve-window-inf":  {func(o *options) { o.serveMode = true; o.serveWindowUs = math.Inf(1) }, "batch window +Inf"},
+		"serve-workers":     {func(o *options) { o.serveMode = true; o.serveWorkers = -1 }, "Workers -1"},
+		"serve-queue":       {func(o *options) { o.serveMode = true; o.serveQueue = -1 }, "QueueCap -1"},
+		"batch-over-queue":  {func(o *options) { o.serveMode = true; o.serveBatch = 2048 }, "MaxBatch 2048 exceeds"},
+		"serve-cache":       {func(o *options) { o.serveMode = true; o.serveCache = -1 }, "CacheSize -1"},
+		"workload-zipf":     {func(o *options) { o.serveMode = true; o.serveWorkload = "poisson,rate=5000,zipf=-0.5" }, "Zipf exponent -0.5"},
+		"workload-zipf-nan": {func(o *options) { o.serveMode = true; o.serveWorkload = "poisson,rate=5000,zipf=NaN" }, "Zipf exponent NaN"},
+		"workload-zipf-inf": {func(o *options) { o.serveMode = true; o.serveWorkload = "poisson,rate=5000,zipf=+Inf" }, "Zipf exponent +Inf"},
+		"serve-small":       {func(o *options) { o.serveMode = true; o.serveSmall = -1 }, "small-batch cut -1"},
+		"serve-shards":      {func(o *options) { o.serveMode = true; o.serveShards = -1 }, "CacheShards -1"},
+		"small-no-peer":     {func(o *options) { o.serveMode = true; o.serveSmall = 4 }, "SmallBatchCut 4 needs the CPU peer"},
+		"multinode-0ep":     {func(o *options) { o.nodes = 2; o.epochs = 0 }, "multi-node"},
 	}
 	for name, tc := range cases {
 		o := validOptions()
@@ -217,33 +218,50 @@ func TestBuildConfigRejectsBadValues(t *testing.T) {
 	}
 }
 
-// -serve-workers 0 and -serve-queue 0 mean what serve.Config says they mean
-// (every accelerator, and the default queue bound), so the CLI accepts them.
+// -serve-workers 0 means what serve.Config says it means (every
+// accelerator), so the CLI accepts it; -serve-queue 0 has no second meaning
+// and is rejected.
 func TestBuildConfigServeZeroMeansDefault(t *testing.T) {
 	o := validOptions()
 	o.serveMode = true
-	o.serveWorkers, o.serveQueue = 0, 0
+	o.serveWorkers = 0
 	r, err := buildConfig(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Serve.Workers != 0 || r.Serve.QueueCap != 0 {
-		t.Fatalf("zero knobs rewritten: workers %d, queue %d", r.Serve.Workers, r.Serve.QueueCap)
+	if r.Serve.Workers != 0 {
+		t.Fatalf("zero worker count rewritten: workers %d", r.Serve.Workers)
+	}
+	o.serveQueue = 0
+	if _, err := buildConfig(o); err == nil || !strings.Contains(err.Error(), "QueueCap 0") {
+		t.Fatalf("-serve-queue 0: err = %v, want one naming QueueCap 0", err)
 	}
 }
 
-// A value the serving plane rejects fails the run before the dataset is
-// materialized: the error comes back and "Materializing" is never printed.
+// A value the serving plane rejects, or a TENSOR_SIMD spelling the tensor
+// package cannot parse, fails the run before the dataset is materialized: the
+// error comes back and "Materializing" is never printed.
 func TestRunRejectsBeforeMaterializing(t *testing.T) {
-	o := validOptions()
-	o.serveMode = true
-	o.serveCache = -1
-	out, err := captureStdout(t, func() error { return run(o) })
-	if err == nil || !strings.Contains(err.Error(), "CacheSize -1") {
-		t.Fatalf("err = %v, want one naming CacheSize -1", err)
-	}
-	if strings.Contains(out, "Materializing") {
-		t.Fatalf("the run materialized before rejecting its config:\n%s", out)
+	for _, tc := range []struct {
+		env  string
+		want string
+	}{
+		{"", "CacheSize -1"},
+		{"avx9", `TENSOR_SIMD: tensor: unknown SIMD level "avx9"`},
+	} {
+		t.Setenv("TENSOR_SIMD", tc.env)
+		o := validOptions()
+		o.serveMode = true
+		if tc.env == "" {
+			o.serveCache = -1
+		}
+		out, err := captureStdout(t, func() error { return run(o) })
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("err = %v, want one naming %s", err, tc.want)
+		}
+		if strings.Contains(out, "Materializing") {
+			t.Fatalf("the run materialized before rejecting its config:\n%s", out)
+		}
 	}
 }
 
@@ -278,8 +296,13 @@ func TestConfigConstructors(t *testing.T) {
 	}
 	sc := r.Serve
 	if sc.MaxBatch != 32 || sc.WindowSec != 500e-6 || sc.CacheSize != 4096 ||
-		sc.RatePerSec != 5000 || sc.QueueCap != 1024 {
+		sc.QueueCap != 1024 || sc.RetryBudget != 2 {
 		t.Fatalf("serve config lost flags: %+v", sc)
+	}
+	// The default stream is the one Poisson cohort of class standard.
+	want := serve.Cohort{Name: "poisson", Class: serve.ClassStandard, Dist: serve.DistPoisson, RatePerSec: 5000, Shape: 1, Zipf: 1.1}
+	if sc.Workload == nil || len(sc.Workload.Cohorts) != 1 || !reflect.DeepEqual(sc.Workload.Cohorts[0], want) {
+		t.Fatalf("default workload = %+v, want the one cohort %+v", sc.Workload, want)
 	}
 	if !sc.CPUPeer || sc.SmallBatchCut != 4 {
 		t.Fatalf("serve fleet flags lost: %+v", sc)
@@ -308,34 +331,21 @@ func TestBuildConfigTensorPar(t *testing.T) {
 	}
 }
 
+// TENSOR_SIMD is the one way to set the SIMD level, and buildConfig rejects
+// a spelling the tensor package cannot parse instead of running at the
+// detected ceiling.
 func TestBuildConfigSIMD(t *testing.T) {
-	for _, bad := range []string{"mmx", "sse"} {
-		o := validOptions()
-		o.simd = bad
-		if _, err := buildConfig(o); err == nil {
-			t.Fatalf("expected error for unknown -simd level %q", bad)
+	for _, bad := range []string{"avx9", "sse"} {
+		t.Setenv("TENSOR_SIMD", bad)
+		_, err := buildConfig(validOptions())
+		if err == nil || !strings.Contains(err.Error(), "TENSOR_SIMD") || !strings.Contains(err.Error(), bad) {
+			t.Fatalf("TENSOR_SIMD=%s: err = %v, want one naming the variable and its value", bad, err)
 		}
 	}
-	// "auto" and "" both resolve to the detected ceiling; explicit levels
-	// resolve to themselves (capability is checked later, at apply time).
-	for _, tc := range []struct {
-		in   string
-		want tensor.SIMDLevel
-	}{
-		{"auto", tensor.DetectedSIMDLevel()},
-		{"", tensor.DetectedSIMDLevel()},
-		{"generic", tensor.SIMDGeneric},
-		{"AVX2", tensor.SIMDAVX2},
-		{"avx512", tensor.SIMDAVX512},
-	} {
-		o := validOptions()
-		o.simd = tc.in
-		r, err := buildConfig(o)
-		if err != nil {
-			t.Fatalf("-simd %q rejected: %v", tc.in, err)
-		}
-		if r.SIMD != tc.want {
-			t.Fatalf("-simd %q resolved to %v, want %v", tc.in, r.SIMD, tc.want)
+	for _, ok := range []string{"", "auto", "generic", "AVX2", "avx512"} {
+		t.Setenv("TENSOR_SIMD", ok)
+		if _, err := buildConfig(validOptions()); err != nil {
+			t.Fatalf("TENSOR_SIMD=%q rejected: %v", ok, err)
 		}
 	}
 }
@@ -376,14 +386,15 @@ func TestBuildConfigServeWorkloadFlags(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// -serve-workload at its default steps aside for the trace.
 	o = validOptions()
 	o.serveMode = true
 	o.serveTrace = "replay=" + replay
 	if r, err = buildConfig(o); err != nil {
 		t.Fatal(err)
 	}
-	if r.Serve.Replay == nil || len(r.Serve.Replay.Requests) != 2 || r.Serve.NumRequests != 2 {
-		t.Fatalf("replayed trace not read: %+v requests %d", r.Serve.Replay, r.Serve.NumRequests)
+	if r.Serve.Replay == nil || len(r.Serve.Replay.Requests) != 2 || r.Serve.NumRequests != 2 || r.Serve.Workload != nil {
+		t.Fatalf("replayed trace not read: %+v requests %d, workload %+v", r.Serve.Replay, r.Serve.NumRequests, r.Serve.Workload)
 	}
 
 	bad := []func(*options){
@@ -393,6 +404,10 @@ func TestBuildConfigServeWorkloadFlags(t *testing.T) {
 		func(o *options) { o.serveTrace = "record=" },
 		func(o *options) { // replay contradicts a generated workload
 			o.serveWorkload = "web,rate=100"
+			o.serveTrace = "replay=" + replay
+		},
+		func(o *options) { // even the default stream at another rate
+			o.serveWorkload = "poisson,rate=4000,zipf=1.1"
 			o.serveTrace = "replay=" + replay
 		},
 		func(o *options) { o.serveTrace = "replay=" + filepath.Join(t.TempDir(), "missing") },
@@ -409,6 +424,8 @@ func TestBuildConfigServeWorkloadFlags(t *testing.T) {
 
 // -faults, -retry-budget and -serve-slo parse, reach the runtime configs,
 // and are rejected when the schedule's plane does not match the run mode.
+// -retry-budget N ≥ 0 is N re-dispatch attempts, 0 none (serve.Config's
+// negative budget, since its 0 means its default), and below 0 an error.
 func TestBuildConfigFaultFlags(t *testing.T) {
 	o := validOptions()
 	o.serveMode = true
@@ -428,6 +445,21 @@ func TestBuildConfigFaultFlags(t *testing.T) {
 	}
 	if cfg.Faults != r.Faults || cfg.RetryBudget != 3 || len(cfg.SLOTargets) != 3 {
 		t.Fatalf("serveConfig did not wire the fault plane: %+v", cfg)
+	}
+	for _, tc := range []struct{ flag, want int }{{0, -1}, {2, 2}} {
+		o := validOptions()
+		o.serveMode = true
+		o.retryBudget = tc.flag
+		if r, err = buildConfig(o); err != nil {
+			t.Fatalf("-retry-budget %d rejected: %v", tc.flag, err)
+		}
+		if r.Serve.RetryBudget != tc.want {
+			t.Fatalf("-retry-budget %d: serve.Config.RetryBudget %d, want %d", tc.flag, r.Serve.RetryBudget, tc.want)
+		}
+	}
+	o.retryBudget = -1
+	if _, err := buildConfig(o); err == nil || !strings.Contains(err.Error(), "-retry-budget -1") {
+		t.Fatalf("-retry-budget -1: err = %v, want one naming it", err)
 	}
 
 	// Cluster events route to multi-node runs and are accepted there.

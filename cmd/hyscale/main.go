@@ -39,14 +39,19 @@
 //	hyscale -dataset ogbn-products -model sage -platform cpu-fpga \
 //	        -scale 2000 -epochs 5 -batch 256 [-nodes 4] \
 //	        [-accels gpu:2,fpga:1] [-trace spans.jsonl] \
-//	        [-serve -serve-rate 5000 -serve-requests 20000 \
-//	         -serve-batch 32 -serve-window-us 500 -serve-cache 4096]
+//	        [-serve -serve-workload poisson,rate=5000,zipf=1.1 \
+//	         -serve-requests 20000 -serve-batch 32 -serve-window-us 500 \
+//	         -serve-cache 4096]
+//
+// TENSOR_SIMD=auto|generic|avx2|avx512 sets the tensor kernels' SIMD level
+// (clamped to the CPU's ceiling; every level is bit-identical).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -74,29 +79,26 @@ func main() {
 	noTFP := flag.Bool("no-tfp", false, "disable two-stage feature prefetching")
 	noDRM := flag.Bool("no-drm", false, "disable dynamic resource management")
 	flag.IntVar(&o.tensorPar, "tensor-par", 0, "upper bound on the goroutines one tensor kernel call (GEMM, aggregation, gather), the sampler's choose pass or the dataset generator fans out to — work below the grain runs on the caller, and the dataset and every sampled mini-batch are bit-identical at any bound; 0 = one per CPU")
-	flag.StringVar(&o.simd, "simd", "auto", "SIMD dispatch level for the tensor kernels: auto | generic | avx2 | avx512 (every level is bit-identical, one fused multiply-add per product; avx2 needs AVX2 and FMA3, and a CPU without both runs generic; avx512 widens the GEMM tile and the aggregation row kernel (up to 128 columns per sweep of a destination's edges, prefetching eight edges ahead) and, with AVX512DQ, draws feature rows and RMAT attempts eight lanes at a time; levels above the CPU's capability are rejected)")
 	flag.IntVar(&o.nodes, "nodes", 1, "execute a multi-node run with this many partitioned shards")
 	flag.StringVar(&o.trace, "trace", "", "record the run's wall-clock spans (each training and serving step, per goroutine lane) and write them to this file as JSON lines")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile, taken when the run ends (go tool pprof -sample_index=alloc_space attributes everything it allocated), to this file")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run (training and serving, after the dataset is materialized) to this file, for go tool pprof")
 	flag.BoolVar(&o.serveMode, "serve", false, "after training, serve an open-loop request stream with the trained model")
-	flag.Float64Var(&o.serveRate, "serve-rate", 5000, "serving: offered load in requests/second")
 	flag.IntVar(&o.serveRequests, "serve-requests", 20000, "serving: requests in the open-loop stream")
 	flag.IntVar(&o.serveBatch, "serve-batch", 32, "serving: dynamic batcher's max batch size")
 	flag.Float64Var(&o.serveWindowUs, "serve-window-us", 500, "serving: dynamic batcher's max-wait deadline (µs)")
 	flag.IntVar(&o.serveWorkers, "serve-workers", 2, "serving: accelerator workers (capped at the platform's accelerators; each binds one device; 0 = every accelerator)")
 	flag.BoolVar(&o.servePeer, "serve-cpu-peer", false, "serving: add a host-CPU worker to the pool (kind-aware routing's landing spot for small batches)")
 	flag.IntVar(&o.serveSmall, "serve-small", 0, "serving: route batches with at most this many cache-missing targets to the CPU peer (0 disables; needs -serve-cpu-peer)")
-	flag.IntVar(&o.serveQueue, "serve-queue", 1024, "serving: admission-control queue capacity (0 = the default of 1024)")
+	flag.IntVar(&o.serveQueue, "serve-queue", 1024, "serving: admission-control bound on requests waiting or in flight (at least 1)")
 	flag.IntVar(&o.serveCache, "serve-cache", 4096, "serving: embedding-cache capacity in entries (0 disables)")
-	flag.Float64Var(&o.serveZipf, "serve-zipf", 1.1, "serving: Zipf exponent of vertex popularity (0 = uniform)")
 	flag.IntVar(&o.serveShards, "serve-shards", 1, "serving: embedding-cache shards, hash-partitioned LRUs each holding its share of -serve-cache (rounded down to a power of two; 1 keeps the global-LRU eviction order)")
 	flag.BoolVar(&o.routeTrace, "route-trace", false, "serving: record a per-batch routing decision trace (chosen worker plus every counterfactual) and print the head of it")
-	flag.StringVar(&o.serveWorkload, "serve-workload", "", "serving: multi-cohort workload spec, e.g. 'web,rate=4000,class=interactive,zipf=1.1;etl,rate=1500,dist=weibull,shape=0.7,class=bulk' (replaces -serve-rate/-serve-zipf)")
+	flag.StringVar(&o.serveWorkload, "serve-workload", defaultServeWorkload, "serving: the generated request stream, one or more cohorts, e.g. 'web,rate=4000,class=interactive,zipf=1.1;etl,rate=1500,dist=weibull,shape=0.7,class=bulk' (rate in requests/second; zipf is vertex popularity, 0 = uniform)")
 	flag.StringVar(&o.serveFormation, "serve-formation", "fcfs", "serving: batch-formation policy: fcfs | priority")
 	flag.StringVar(&o.serveTrace, "serve-trace", "", "serving: record=PATH records the arrival stream to PATH and replays it in-run; replay=PATH serves a recorded trace")
 	flag.StringVar(&o.faults, "faults", "", "deterministic fault schedule: serving events like 'fail,worker=1,at=0.05;slow,worker=0,from=0.02,to=0.04,factor=3' (needs -serve) or cluster events like 'fail,node=2,at=iter:5;degrade,link,from=iter:2,to=iter:6,factor=4' (needs -nodes > 1); empty runs fault-free")
-	flag.IntVar(&o.retryBudget, "retry-budget", 0, "serving: re-dispatch attempts per batch after a worker failure (0 = default of 2, negative = no retries)")
+	flag.IntVar(&o.retryBudget, "retry-budget", 2, "serving: re-dispatch attempts per batch after a worker failure (0 = none)")
 	flag.StringVar(&o.serveSLO, "serve-slo", "", "serving: per-class latency SLO targets in milliseconds, e.g. 'interactive=2,standard=10,bulk=50' (enables deadline-miss accounting)")
 	flag.Parse()
 	o.hybrid, o.tfp, o.drm = !*noHybrid, !*noTFP, !*noDRM
@@ -114,9 +116,6 @@ func run(o options) error {
 	}
 	if o.tensorPar > 0 {
 		tensor.SetParallelism(o.tensorPar)
-	}
-	if _, err := tensor.SetSIMDLevel(r.SIMD); err != nil {
-		return fmt.Errorf("-simd %q: %w", o.simd, err)
 	}
 	fmt.Printf("Materializing %s (scaled 1/%d: %d vertices, %d edges, f=%v; generation and tensor kernels on up to %d goroutines, %s simd)...\n",
 		o.dataset, o.scale, r.Spec.NumVertices, r.Spec.NumEdges, r.Spec.FeatDims,
@@ -268,11 +267,13 @@ func runServe(r *runSpec, ds *datagen.Dataset, model *gnn.Model) error {
 	case "replay":
 		fmt.Printf("\nreplaying %d recorded arrivals from %s\n", len(cfg.Replay.Requests), r.TracePath)
 	}
-	stream := fmt.Sprintf("at %.0f req/s (Zipf %.2f)", cfg.RatePerSec, cfg.ZipfExponent)
+	stream := "from the recorded trace"
 	if cfg.Workload != nil {
-		stream = fmt.Sprintf("from %d cohorts", len(cfg.Workload.Cohorts))
-	} else if cfg.Replay != nil {
-		stream = "from the recorded trace"
+		cohorts := make([]string, len(cfg.Workload.Cohorts))
+		for i, c := range cfg.Workload.Cohorts {
+			cohorts[i] = fmt.Sprintf("%s at %.0f req/s (Zipf %.2f)", c.Name, c.RatePerSec, c.Zipf)
+		}
+		stream = "from " + strings.Join(cohorts, ", ")
 	}
 	fmt.Printf("\nServing %d requests %s (batch ≤%d, window %.0fµs, formation %s, cache %d)\n\n",
 		cfg.NumRequests, stream, cfg.MaxBatch, cfg.WindowSec*1e6, cfg.Formation, cfg.CacheSize)

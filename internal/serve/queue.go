@@ -32,7 +32,7 @@ type admissionController struct {
 }
 
 // newAdmissionController builds a controller over a positive capacity (the
-// Config's queueCap).
+// Config's QueueCap).
 func newAdmissionController(capacity int) *admissionController {
 	return &admissionController{capacity: capacity, degraded: 1}
 }

@@ -220,7 +220,7 @@ func TestServeConfigValidation(t *testing.T) {
 // prices the service time of every batch size up to it.
 func TestServeRejectsBatchAboveQueue(t *testing.T) {
 	ds, m := testSetup(t)
-	for _, c := range []struct{ maxBatch, queueCap int }{{64, 32}, {2048, 0}} {
+	for _, c := range []struct{ maxBatch, queueCap int }{{64, 32}, {2048, 1024}} {
 		cfg := baseConfig(ds, m)
 		cfg.MaxBatch, cfg.QueueCap = c.maxBatch, c.queueCap
 		_, err := Run(cfg)

@@ -108,7 +108,7 @@ type Config struct {
 	// close deadlines, class-ordered batches). See DynamicBatcher.
 	Formation string
 
-	QueueCap  int // admission control: max outstanding requests (0 → defaultQueueCap)
+	QueueCap  int // admission control: max outstanding requests (at least 1)
 	CacheSize int // embedding-cache capacity in entries (0 disables)
 	// CacheShards hash-partitions the embedding cache into that many LRUs,
 	// each holding its share of CacheSize (rounded down to a power of two,
@@ -146,17 +146,6 @@ type Config struct {
 	Seed uint64
 }
 
-// defaultQueueCap is the admission bound of a Config that sets no QueueCap.
-const defaultQueueCap = 1024
-
-// queueCap is the run's admission bound: QueueCap, or defaultQueueCap for 0.
-func (c Config) queueCap() int {
-	if c.QueueCap == 0 {
-		return defaultQueueCap
-	}
-	return c.QueueCap
-}
-
 // Validate checks every rule of c that needs no dataset — the fan-outs
 // (sampler.New's rule, and once Model is set perfmodel.Workload.Validate's
 // one fan-out per layer of the model), the stream, the batcher, admission,
@@ -180,8 +169,8 @@ func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("serve: Workers %d: negative (0 binds every accelerator)", c.Workers)
 	}
-	if c.QueueCap < 0 {
-		return fmt.Errorf("serve: QueueCap %d: negative (0 means %d)", c.QueueCap, defaultQueueCap)
+	if c.QueueCap < 1 {
+		return fmt.Errorf("serve: QueueCap %d: need at least 1", c.QueueCap)
 	}
 	if err := checkCacheSizes(c.CacheSize, c.CacheShards); err != nil {
 		return err
@@ -189,9 +178,9 @@ func (c Config) Validate() error {
 	if _, err := NewSplitBatcher(c.MaxBatch, c.WindowSec, c.SmallBatchCut); err != nil {
 		return err
 	}
-	if c.MaxBatch > c.queueCap() {
+	if c.MaxBatch > c.QueueCap {
 		return fmt.Errorf("serve: MaxBatch %d exceeds QueueCap %d: admission holds at most QueueCap requests, so no batch can be larger",
-			c.MaxBatch, c.queueCap())
+			c.MaxBatch, c.QueueCap)
 	}
 	if c.SmallBatchCut > 0 && !c.CPUPeer && len(c.Plat.Accels) > 0 {
 		return fmt.Errorf("serve: SmallBatchCut %d needs the CPU peer (set CPUPeer)", c.SmallBatchCut)
@@ -426,7 +415,6 @@ func newServer(cfg Config) (*server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.QueueCap = cfg.queueCap()
 	bindings := workerBindings(cfg)
 	rng := tensor.NewRNG(cfg.Seed)
 	pool := make([]*worker, len(bindings))

@@ -20,9 +20,13 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("a config without a dataset or model is rejected: %v", err)
 	}
 	zero := bare
-	zero.Workers, zero.QueueCap, zero.CacheShards = 0, 0, 0
+	zero.Workers, zero.CacheShards = 0, 0
 	if err := zero.Validate(); err != nil {
-		t.Fatalf("zero Workers / QueueCap / CacheShards (the defaults) rejected: %v", err)
+		t.Fatalf("zero Workers / CacheShards (the defaults) rejected: %v", err)
+	}
+	zero.QueueCap = 0
+	if err := zero.Validate(); err == nil || !strings.Contains(err.Error(), "QueueCap 0") {
+		t.Fatalf("zero QueueCap: Validate error %v, want one naming QueueCap 0", err)
 	}
 	badWorker, err := fault.Parse("fail,worker=9,at=0.01")
 	if err != nil {
@@ -45,7 +49,7 @@ func TestConfigValidate(t *testing.T) {
 		{"max batch", func(c *Config) { c.MaxBatch = 0 }, "max batch 0"},
 		{"window", func(c *Config) { c.WindowSec = math.NaN() }, "batch window NaN"},
 		{"small cut", func(c *Config) { c.SmallBatchCut = -1 }, "small-batch cut -1"},
-		{"batch over default queue", func(c *Config) { c.MaxBatch, c.QueueCap = 2048, 0 }, "MaxBatch 2048 exceeds QueueCap 1024"},
+		{"batch over queue", func(c *Config) { c.MaxBatch, c.QueueCap = 2048, 1024 }, "MaxBatch 2048 exceeds QueueCap 1024"},
 		{"small cut without peer", func(c *Config) { c.SmallBatchCut = 4 }, "SmallBatchCut 4"},
 		{"formation", func(c *Config) { c.Formation = "speculative" }, `"speculative"`},
 		{"policy", func(c *Config) { c.Policy = "affinity" }, `Config.Policy "affinity"`},

@@ -15,11 +15,11 @@ package tensor
 // level (the exp and gather kernels measured equal at both widths). The
 // CPU's capabilities are probed once at init (CPUID on amd64; see
 // simd_amd64.go) and fix the ceiling: SetSIMDLevel can lower the active level
-// (forcing the fallback paths for tests and the -simd flag) but never raise
-// it above what the hardware supports. The TENSOR_SIMD environment variable
-// applies the same override at process start, clamped to the detected
-// ceiling so a CI matrix can request "avx512" on any runner and get "as wide
-// as available".
+// (forcing the fallback paths for tests) but never raise it above what the
+// hardware supports. The TENSOR_SIMD environment variable is the one way a
+// program sets the level: init applies it at process start, clamped to the
+// detected ceiling so a CI matrix can request "avx512" on any runner and get
+// "as wide as available".
 //
 // Every level computes bit-identical results: every c += a·b is one fused
 // multiply-add, rounded once — a VFMADD lane in the GEMM tile, the
@@ -55,7 +55,7 @@ const (
 	SIMDAVX512
 )
 
-// String returns the level's flag spelling ("generic", "avx2", "avx512").
+// String returns the level's TENSOR_SIMD spelling.
 func (l SIMDLevel) String() string {
 	switch l {
 	case SIMDGeneric:
@@ -75,19 +75,15 @@ func (l SIMDLevel) String() string {
 var detectedSIMD, cpuDQ = detectSIMD()
 
 // activeSIMD is the level the kernels dispatch on (atomic: hot paths read it
-// lock-free while tests and the CLI flip it).
+// lock-free while tests flip it).
 var activeSIMD int32 = int32(detectedSIMD)
 
 func init() {
-	if env := os.Getenv("TENSOR_SIMD"); env != "" {
-		if l, err := ParseSIMDLevel(env); err == nil {
-			if l > detectedSIMD {
-				l = detectedSIMD // clamp: "as wide as available"
-			}
-			atomic.StoreInt32(&activeSIMD, int32(l))
-		}
-		// Unknown values are ignored rather than fatal: a misspelled env var
-		// must not take down training; the -simd flag is the checked path.
+	// A spelling ParseSIMDLevel rejects leaves the detected ceiling: init
+	// cannot fail, so a program checks the variable itself (hyscale does,
+	// before any work starts) and a test matrix runs TestEnvSIMDApplied.
+	if l, err := ParseSIMDLevel(os.Getenv("TENSOR_SIMD")); err == nil {
+		SetSIMDLevel(min(l, detectedSIMD)) // clamp: "as wide as available"
 	}
 }
 
@@ -110,8 +106,8 @@ func SetSIMDLevel(l SIMDLevel) (SIMDLevel, error) {
 	return SIMDLevel(atomic.SwapInt32(&activeSIMD, int32(l))), nil
 }
 
-// ParseSIMDLevel parses a level name as spelled on the -simd flag and the
-// TENSOR_SIMD environment variable. "auto" means the detected ceiling.
+// ParseSIMDLevel parses a level name as spelled in the TENSOR_SIMD
+// environment variable. "auto" and "" mean the detected ceiling.
 func ParseSIMDLevel(s string) (SIMDLevel, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "auto", "":
