@@ -25,7 +25,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run (see -list) or 'all'")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	list := flag.Bool("list", false, "list experiment names and exit")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiments run to this file, for go tool pprof")
 	memProfile := flag.String("memprofile", "", "write a heap profile, taken when the experiments run ends, to this file, for go tool pprof")
 	flag.Parse()
@@ -37,7 +36,7 @@ func main() {
 		return
 	}
 	err := trace.WithCPUProfile(*cpuProfile, func() error {
-		return trace.WithHeapProfile(*memProfile, func() error { return run(*exp, *seed, *csv) })
+		return trace.WithHeapProfile(*memProfile, func() error { return run(*exp, *seed) })
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -46,7 +45,7 @@ func main() {
 }
 
 // run regenerates one experiment, or all of them, and prints the tables.
-func run(exp string, seed uint64, csv bool) error {
+func run(exp string, seed uint64) error {
 	var tables []*bench.Table
 	if exp == "all" {
 		all, err := bench.All(seed)
@@ -62,11 +61,7 @@ func run(exp string, seed uint64, csv bool) error {
 		tables = []*bench.Table{t}
 	}
 	for _, t := range tables {
-		if csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Println(t)
-		}
+		fmt.Println(t)
 	}
 	return nil
 }

@@ -27,15 +27,6 @@ func TestTableLookup(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := &Table{Title: "T", Header: []string{"a", "b"}}
-	tb.addRow(txt("x,y"), num(2, "%.1f"))
-	csv := tb.CSV()
-	if csv != "a,b\nx;y,2.0\n" {
-		t.Fatalf("CSV = %q", csv)
-	}
-}
-
 func TestThroughputPositiveAndFPGAWins(t *testing.T) {
 	tb, err := throughput(1)
 	if err != nil {

@@ -67,7 +67,8 @@ func serveFault(seed uint64) (*serveFaultReport, error) {
 		return nil, err
 	}
 	// Same operating point as the SLO benchmark: 0.6× the analytic all-miss
-	// capacity. (The probe rate is a placeholder — CapacityRPS ignores it.)
+	// capacity, probed at 1 req/s: the capacity of ≈1-request batches, as
+	// the predicted batch is min(MaxBatch, 1 + rate·window).
 	cfg.RatePerSec = 1
 	pred, err := serve.Predict(cfg, 1)
 	if err != nil {

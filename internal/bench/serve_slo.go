@@ -57,7 +57,9 @@ func serveSLO(seed uint64) (*serveSLOReport, error) {
 	// Anchor the offered load on the analytic all-miss capacity: 0.6× keeps
 	// the pool busy enough that batching delay dominates the tail (where
 	// formation policy acts) without collapsing into admission shedding.
-	// (The probe rate is a placeholder — CapacityRPS does not depend on it.)
+	// The probe rate of 1 req/s sizes the predicted batch at ≈1 request
+	// (min(MaxBatch, 1 + rate·window)), so the anchor is the capacity of
+	// ≈1-request batches, not of the batches the offered load forms.
 	cfg.RatePerSec = 1
 	pred, err := serve.Predict(cfg, 1)
 	if err != nil {

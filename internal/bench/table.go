@@ -79,29 +79,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// CSV renders the table as comma-separated values (header + rows), for
-// plotting pipelines.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	for i, h := range t.Header {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(h)
-	}
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strings.ReplaceAll(c.render(), ",", ";"))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // lookup returns the first numeric cell in the row whose leading text cells
 // match the given labels (helper for tests asserting on table content).
 func (t *Table) lookup(col int, labels ...string) (float64, bool) {

@@ -74,6 +74,7 @@ func gateTrainingIteration(t *testing.T, accels int, drm, spans bool) {
 	if (e.lane != 0) != spans {
 		t.Fatalf("engine lane %d inside a recording = %v", e.lane, spans)
 	}
+	start := e.Assignment()
 	targets := e.batcher.Next()
 	var stats EpochStats
 	var acc epochAccum
@@ -108,7 +109,7 @@ func gateTrainingIteration(t *testing.T, accels int, drm, spans bool) {
 	if a := testing.AllocsPerRun(20, iterate); a > spawns {
 		t.Fatalf("training iteration allocated %.1f times per run, want at most its %v goroutine spawns", a, spawns)
 	}
-	if drm && e.drmEng.MovesWork+e.drmEng.MovesThread == 0 {
+	if drm && sameAssignment(e.Assignment(), start) {
 		t.Fatal("DRM never moved: the leg did not exercise Adjust's rewrite")
 	}
 }

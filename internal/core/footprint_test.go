@@ -80,6 +80,7 @@ func TestWorkspaceFootprintBounded(t *testing.T) {
 			}
 			rec := &footprintRecorder{hybridExecutor: e.exec.(*hybridExecutor)}
 			e.exec = rec
+			start := e.Assignment()
 			for ep := 0; ep < 3; ep++ {
 				if _, err := leg.run(e); err != nil {
 					t.Fatal(err)
@@ -101,7 +102,7 @@ func TestWorkspaceFootprintBounded(t *testing.T) {
 			if limit := min(runtime.GOMAXPROCS(0), len(e.pool.res)); workers == 0 || workers > limit || retained == 0 {
 				t.Fatalf("%d step arenas held %d B in all, want 1..%d (min of GOMAXPROCS and the trainers)", workers, retained, limit)
 			}
-			if e.drmEng.MovesWork+e.drmEng.MovesThread == 0 {
+			if sameAssignment(e.Assignment(), start) {
 				t.Fatal("DRM never moved: the run did not exercise a mapping that changes under the arenas")
 			}
 		})

@@ -93,7 +93,7 @@ func TestPipelinedBitwiseIdenticalToSerial(t *testing.T) {
 					si, ei := trainEpochs(t, cfg, 3, runInline)
 					sw, ew := trainEpochs(t, cfg, 3, runWorker)
 					requireSameTrajectory(t, "inline vs worker", si, sw, ei.Params(), ew.Params())
-					if drm && ew.drmEng.MovesWork+ew.drmEng.MovesThread == 0 {
+					if drm && sameAssignment(ew.Assignment(), ew.pm.InitialAssignment(cfg.Hybrid)) {
 						t.Fatal("DRM never moved the mapping: the DRM-on leg compared two static runs")
 					}
 				})

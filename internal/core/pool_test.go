@@ -36,6 +36,7 @@ func poolSig(t *testing.T, procs int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	start := e.Assignment()
 	var b strings.Builder
 	for ep := 1; ep <= 3; ep++ {
 		st, err := e.RunEpoch()
@@ -44,7 +45,7 @@ func poolSig(t *testing.T, procs int) string {
 		}
 		fmt.Fprintf(&b, "epoch%d loss=%s acc=%s vsec=%s\n", ep, hexf(st.Loss), hexf(st.Accuracy), hexf(st.VirtualSec))
 	}
-	if e.drmEng.MovesWork+e.drmEng.MovesThread == 0 {
+	if sameAssignment(e.Assignment(), start) {
 		t.Fatal("DRM never moved: the shares the pool balances stayed equal")
 	}
 	fmt.Fprintf(&b, "params=%016x\n", paramsHash(e.Params()))

@@ -86,10 +86,6 @@ type Engine struct {
 	// T_Accel = max(T_Tran, T_TA) applies.
 	FusedPrefetch bool
 
-	// Moves counts applied adjustments, by kind, for introspection.
-	MovesWork   int
-	MovesThread int
-
 	// next is the storage of the assignment Adjust returns, and parts /
 	// weights / fracs the scratch of a work move's apportioning, so a
 	// steady-state Adjust allocates nothing.
@@ -262,7 +258,6 @@ func (e *Engine) balanceAccels(a *perfmodel.Assignment, per []perfmodel.DeviceSt
 	}
 	a.AccelBatch[slow] -= move
 	a.AccelBatch[fast] += move
-	e.MovesWork++
 }
 
 // balanceTraining is balance_work over trainer mini-batch shares.
@@ -326,7 +321,6 @@ func (e *Engine) balanceTraining(a *perfmodel.Assignment, ts *stageTimes, dir in
 		a.CPUBatch += move
 		e.distribute(a.AccelBatch, -move)
 	}
-	e.MovesWork++
 }
 
 // balanceSampling is balance_work over the sampling split.
@@ -344,7 +338,6 @@ func (e *Engine) balanceSampling(a *perfmodel.Assignment, dir int) {
 		return
 	}
 	a.AccelSampleFrac = frac
-	e.MovesWork++
 }
 
 // balanceThread moves threadStep CPU threads from one task to another.
@@ -377,7 +370,6 @@ func (e *Engine) balanceThread(a *perfmodel.Assignment, from, to stage) {
 	}
 	*src -= step
 	*dst += step
-	e.MovesThread++
 }
 
 // distribute spreads delta targets across the accelerator shares in

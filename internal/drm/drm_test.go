@@ -3,6 +3,7 @@ package drm
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -43,16 +44,19 @@ func TestAccelBundling(t *testing.T) {
 	}
 }
 
+// A bottleneck within tolerance of the runner-up leaves the mapping as it
+// is; the same bottleneck past the tolerance moves it.
 func TestHysteresisNoChangeWhenBalanced(t *testing.T) {
-	e := New(128)
 	a := baseAssign()
-	st := perfmodel.StageTimes{SampCPU: 1, Load: 1, Trans: 1, TrainCPU: 1, TrainAcc: 1}
-	out := e.Adjust(0, st, a)
-	if out.CPUBatch != a.CPUBatch || out.SampThreads != a.SampThreads {
-		t.Fatal("balanced pipeline was adjusted")
-	}
-	if e.MovesWork+e.MovesThread != 0 {
-		t.Fatal("moves counted for no-op")
+	for _, tc := range []struct {
+		accel float64
+		moves bool
+	}{{1, false}, {1 + tolerance/2, false}, {1 + 2*tolerance, true}} {
+		st := perfmodel.StageTimes{SampCPU: 1, Load: 1, Trans: 1, TrainCPU: 1, TrainAcc: tc.accel}
+		out := New(128).Adjust(0, st, a)
+		if moved := !reflect.DeepEqual(out, a); moved != tc.moves {
+			t.Fatalf("T_Accel %v: moved = %v, want %v (%+v -> %+v)", tc.accel, moved, tc.moves, a, out)
+		}
 	}
 }
 
@@ -68,8 +72,10 @@ func TestAccelBottleneckShiftsWorkToCPU(t *testing.T) {
 	if out.TotalBatch() != a.TotalBatch() {
 		t.Fatalf("total batch changed: %d -> %d", a.TotalBatch(), out.TotalBatch())
 	}
-	if e.MovesWork != 1 {
-		t.Fatalf("MovesWork = %d", e.MovesWork)
+	// One work move: the thread split and the sampling split stay.
+	if out.SampThreads != a.SampThreads || out.LoadThreads != a.LoadThreads ||
+		out.TrainThreads != a.TrainThreads || out.AccelSampleFrac != a.AccelSampleFrac {
+		t.Fatalf("a work move changed more than the batch shares: %+v -> %+v", a, out)
 	}
 }
 
@@ -104,8 +110,12 @@ func TestLoadBottleneckMovesThreads(t *testing.T) {
 	if totalBefore != totalAfter {
 		t.Fatalf("thread count changed: %d -> %d", totalBefore, totalAfter)
 	}
-	if e.MovesThread != 1 {
-		t.Fatalf("MovesThread = %d", e.MovesThread)
+	// One thread move: threadStep threads, and the batch shares stay.
+	if out.LoadThreads != a.LoadThreads+threadStep {
+		t.Fatalf("loader threads %d -> %d, want one step of %d", a.LoadThreads, out.LoadThreads, threadStep)
+	}
+	if out.CPUBatch != a.CPUBatch || !slices.Equal(out.AccelBatch, a.AccelBatch) {
+		t.Fatalf("a thread move changed the batch shares: %+v -> %+v", a, out)
 	}
 }
 
@@ -467,21 +477,21 @@ func TestDRMRecoversFromBadMapping(t *testing.T) {
 func TestAdjustSteadyStateZeroAlloc(t *testing.T) {
 	a := baseAssign()
 	for _, tc := range []struct {
-		name     string
-		st       perfmodel.StageTimes
-		workMove bool
+		name  string
+		st    perfmodel.StageTimes
+		moves bool
 	}{
 		{"balanced", perfmodel.StageTimes{SampCPU: 1, Load: 1, Trans: 1, TrainCPU: 1, TrainAcc: 1}, false},
-		{"thread-move", perfmodel.StageTimes{SampCPU: 0.5, Load: 3, Trans: 1, TrainAcc: 1, TrainCPU: 1}, false},
-		{"sampling-move", perfmodel.StageTimes{SampCPU: 3, SampAccel: 0.1, Load: 1, Trans: 0.5, TrainAcc: 0.8, TrainCPU: 1}, false},
+		{"thread-move", perfmodel.StageTimes{SampCPU: 0.5, Load: 3, Trans: 1, TrainAcc: 1, TrainCPU: 1}, true},
+		{"sampling-move", perfmodel.StageTimes{SampCPU: 3, SampAccel: 0.1, Load: 1, Trans: 0.5, TrainAcc: 0.8, TrainCPU: 1}, true},
 		{"work-move", perfmodel.StageTimes{SampCPU: 0.5, Load: 1, Trans: 1, TrainAcc: 3, TrainCPU: 1}, true},
 	} {
 		e := New(128)
 		if got := testing.AllocsPerRun(100, func() { e.Adjust(0, tc.st, a) }); got != 0 {
 			t.Errorf("%s: Adjust allocated %.0f times per call, want 0", tc.name, got)
 		}
-		if tc.workMove && e.MovesWork == 0 {
-			t.Errorf("%s: no work move happened", tc.name)
+		if moved := !reflect.DeepEqual(e.Adjust(0, tc.st, a), a); moved != tc.moves {
+			t.Errorf("%s: moved = %v, want %v", tc.name, moved, tc.moves)
 		}
 	}
 }
@@ -498,13 +508,21 @@ func TestAdjustResultAliasing(t *testing.T) {
 	if !reflect.DeepEqual(a, before) {
 		t.Fatalf("Adjust modified its input: %+v, was %+v", a, before)
 	}
+	moves := 0
+	if x.CPUBatch != a.CPUBatch || !slices.Equal(x.AccelBatch, a.AccelBatch) {
+		moves++
+	}
 	for i := 1; i < 20; i++ {
+		prev := y // a private copy: the fed-back x is rewritten in place
 		x, y = fed.Adjust(i, st, x), cloned.Adjust(i, st, y).Clone()
 		if !reflect.DeepEqual(x, y) {
 			t.Fatalf("iteration %d: fed-back result %+v, private copy %+v", i, x, y)
 		}
+		if x.CPUBatch != prev.CPUBatch || !slices.Equal(x.AccelBatch, prev.AccelBatch) {
+			moves++
+		}
 	}
-	if fed.MovesWork < 2 {
-		t.Fatalf("only %d work moves: the aliased path was not exercised", fed.MovesWork)
+	if moves < 2 {
+		t.Fatalf("the work shares changed in only %d iterations: the aliased path was not exercised", moves)
 	}
 }
