@@ -58,7 +58,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/gnn"
 	"repro/internal/hw"
-	"repro/internal/perfmodel"
 	"repro/internal/serve"
 	"repro/internal/tensor"
 	"repro/internal/trace"
@@ -171,9 +170,10 @@ func (t epochTable) header() {
 	fmt.Println()
 }
 
-// row prints one epoch; a is the mapping it ended on (node 0's on a
+// row prints one epoch and the mapping it ended on (node 0's on a
 // multi-node run).
-func (t epochTable) row(st *core.EpochStats, a perfmodel.Assignment) {
+func (t epochTable) row(st *core.EpochStats) {
+	a := st.Assignment
 	accel := 0
 	if len(a.AccelBatch) > 0 {
 		accel = a.AccelBatch[0]
@@ -211,7 +211,7 @@ func runSingleNode(r *runSpec, coreCfg core.Config, o options) (*gnn.Model, erro
 		fpgaAgg += st.FPGA.AggCycles
 		fpgaUpd += st.FPGA.UpdateCycles
 		fpgaTraffic += st.FPGA.TrafficBytes
-		table.row(st, st.Assignment)
+		table.row(st)
 	}
 	a := engine.Assignment()
 	fmt.Printf("\nFinal task mapping: CPU batch %d, accel batches %v\n", a.CPUBatch, a.AccelBatch)
@@ -325,10 +325,7 @@ func runMultiNode(coreCfg core.Config, r *runSpec, nodes, epochs int) error {
 			return err
 		}
 		last = st
-		table.row(&core.EpochStats{
-			Epoch: st.Epoch, Loss: st.Loss, Accuracy: st.Accuracy, VirtualSec: st.VirtualSec,
-			MTEPS: st.MTEPS, NetFetchSec: st.NetFetchSec, NetSyncSec: st.NetSyncSec,
-		}, m.Node(0).Assignment())
+		table.row(&st.EpochStats)
 	}
 	for i := 0; i < nodes; i++ {
 		a := m.Node(i).Assignment()

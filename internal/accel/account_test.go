@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/gnn"
+	"repro/internal/graph"
 	"repro/internal/sampler"
 	"repro/internal/tensor"
 )
@@ -38,6 +39,23 @@ func genMiniBatch(rng *tensor.RNG, sizes []int, maxDeg, hub int) *sampler.MiniBa
 		mb.Blocks = append(mb.Blocks, b)
 	}
 	mb.Targets = ids[:sizes[len(sizes)-1]]
+	// GCN's Eq. 3 reads degrees from the graph a block was drawn from: here
+	// one graph whose edges are every block's.
+	var edges []graph.Edge
+	for _, b := range mb.Blocks {
+		for d := range b.Dst {
+			for e := b.RowPtr[d]; e < b.RowPtr[d+1]; e++ {
+				edges = append(edges, graph.Edge{Src: b.Src[b.Col[e]], Dst: b.Dst[d]})
+			}
+		}
+	}
+	g, err := graph.FromEdges(1000+3*len(ids), edges)
+	if err != nil {
+		panic(err)
+	}
+	for _, b := range mb.Blocks {
+		b.Graph = g
+	}
 	return mb
 }
 

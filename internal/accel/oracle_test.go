@@ -36,7 +36,8 @@ func forwardOracle(bk *Backend, m *gnn.Model, mb *sampler.MiniBatch, x *tensor.M
 			src, dst int32
 			w        float32
 		}
-		edgeW, selfW := gnn.EdgeWeights(m.Cfg, b)
+		nb := gnn.NewNeighborhood(m.Cfg, b)
+		edgeW, selfW := nb.EdgeW, nb.SelfW
 		wedges := make([]weightedEdge, b.NumEdges())
 		for d := 0; d < nd; d++ {
 			for e := b.RowPtr[d]; e < b.RowPtr[d+1]; e++ {

@@ -69,13 +69,11 @@ func serveFault(seed uint64) (*serveFaultReport, error) {
 	// Same operating point as the SLO benchmark: 0.6× the analytic all-miss
 	// capacity, probed at 1 req/s: the capacity of ≈1-request batches, as
 	// the predicted batch is min(MaxBatch, 1 + rate·window).
-	cfg.RatePerSec = 1
-	pred, err := serve.Predict(cfg, 1)
+	pred, err := serve.Predict(cfg, 1, 1)
 	if err != nil {
 		return nil, err
 	}
 	rate := 0.6 * pred.CapacityRPS
-	cfg.RatePerSec = rate
 	cfg.Workload = &serve.WorkloadSpec{Cohorts: []serve.Cohort{
 		{Name: "web", Class: serve.ClassInteractive, Dist: serve.DistPoisson,
 			RatePerSec: 0.25 * rate, Zipf: 1.1},

@@ -60,13 +60,11 @@ func serveSLO(seed uint64) (*serveSLOReport, error) {
 	// The probe rate of 1 req/s sizes the predicted batch at ≈1 request
 	// (min(MaxBatch, 1 + rate·window)), so the anchor is the capacity of
 	// ≈1-request batches, not of the batches the offered load forms.
-	cfg.RatePerSec = 1
-	pred, err := serve.Predict(cfg, 1)
+	pred, err := serve.Predict(cfg, 1, 1)
 	if err != nil {
 		return nil, err
 	}
 	rate := 0.6 * pred.CapacityRPS
-	cfg.RatePerSec = rate // the analytic prediction's operating point
 	cfg.Workload = &serve.WorkloadSpec{Cohorts: []serve.Cohort{
 		{Name: "web", Class: serve.ClassInteractive, Dist: serve.DistPoisson,
 			RatePerSec: 0.25 * rate, Zipf: 1.1,

@@ -67,7 +67,7 @@ func extServe(seed uint64) (*Table, error) {
 
 	// Anchor the two load regimes on the analytic capacity of a
 	// single-request batch (cold cache) rather than magic numbers.
-	probe, err := serve.Predict(withRate(base, 1000), 1)
+	probe, err := serve.Predict(base, 1000, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -157,8 +157,7 @@ func extServeHetero(seed uint64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	mixedCfg.RatePerSec = 1e6
-	probe, err := serve.Predict(mixedCfg, 1)
+	probe, err := serve.Predict(mixedCfg, 1e6, 1)
 	if err != nil {
 		return nil, err
 	}

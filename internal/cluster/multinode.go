@@ -184,18 +184,14 @@ func (m *MultiNode) Partition() *graph.Partition { return m.part }
 // Node returns node i's engine (for per-shard inspection).
 func (m *MultiNode) Node(i int) *core.Engine { return m.engines[i] }
 
-// MultiNodeStats aggregates one epoch across the fleet.
+// MultiNodeStats aggregates one epoch across the fleet. Its EpochStats are
+// the fleet's: Loss, Accuracy, NetFetchSec and NetSyncSec the mean over live
+// nodes (equal shard sizes → equal weights), VirtualSec the slowest node's,
+// MTEPS the fleet-wide traversed edges over that clock, Iterations per node,
+// RemoteRows and FPGA the sums over live nodes, and Assignment node 0's
+// mapping.
 type MultiNodeStats struct {
-	Epoch      int
-	Loss       float64 // mean across nodes (equal shard sizes → equal weights)
-	Accuracy   float64
-	VirtualSec float64 // slowest node's virtual epoch time
-	MTEPS      float64 // fleet-wide traversed edges over the slowest clock
-	Iterations int     // per node
-
-	NetFetchSec float64 // mean per-node remote-fetch seconds
-	NetSyncSec  float64 // mean per-node all-reduce seconds
-	RemoteRows  int     // total feature rows fetched across the NIC
+	core.EpochStats
 
 	// FailedNodes is the cumulative count of nodes that fail-stopped (this
 	// epoch or earlier). PerNode entries of dead nodes are nil — a node that
@@ -261,7 +257,8 @@ func (m *MultiNode) RunEpoch() (*MultiNodeStats, error) {
 		return nil, firstErr
 	}
 
-	out := &MultiNodeStats{Epoch: m.epoch, PerNode: perNode}
+	out := &MultiNodeStats{PerNode: perNode}
+	out.Epoch, out.Assignment = m.epoch, m.engines[0].Assignment()
 	var edges float64
 	live := 0
 	for _, st := range perNode {
@@ -275,6 +272,7 @@ func (m *MultiNode) RunEpoch() (*MultiNodeStats, error) {
 		out.NetFetchSec += st.NetFetchSec
 		out.NetSyncSec += st.NetSyncSec
 		out.RemoteRows += st.RemoteRows
+		out.FPGA.Add(st.FPGA)
 		edges += st.MTEPS * st.VirtualSec * 1e6
 		out.VirtualSec = math.Max(out.VirtualSec, st.VirtualSec)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/gnn"
@@ -286,11 +287,19 @@ func TestMultiNodeExecutesAndStaysInSync(t *testing.T) {
 	if last.VirtualSec <= 0 || last.MTEPS <= 0 {
 		t.Fatalf("virtual clock stalled: %+v", last)
 	}
+	var fpga accel.ForwardStats
 	for i, st := range last.PerNode {
 		if st.Iterations != last.Iterations {
 			t.Fatalf("node %d ran %d iterations, fleet %d — ring would deadlock",
 				i, st.Iterations, last.Iterations)
 		}
+		fpga.Add(st.FPGA)
+	}
+	if last.FPGA != fpga || fpga.AggCycles == 0 {
+		t.Fatalf("fleet FPGA account %+v, want the nodes' sum %+v (non-zero: the nodes train on FPGAs)", last.FPGA, fpga)
+	}
+	if got, want := fmt.Sprint(last.Assignment), fmt.Sprint(m.Node(0).Assignment()); got != want {
+		t.Fatalf("fleet mapping %s, want node 0's %s", got, want)
 	}
 }
 

@@ -78,9 +78,10 @@ func TestRMATIsSkewed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deg := g.InDegrees()
-	sorted := make([]int32, len(deg))
-	copy(sorted, deg)
+	sorted := make([]int, g.NumVertices)
+	for v := range sorted {
+		sorted[v] = g.Degree(int32(v))
+	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
 	top := int64(0)
 	for _, d := range sorted[:41] { // top 1%
@@ -103,8 +104,8 @@ func TestEnsureMinInDegree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range g2.InDegrees() {
-		if d < 2 {
+	for v := 0; v < g2.NumVertices; v++ {
+		if d := g2.Degree(int32(v)); d < 2 {
 			t.Fatalf("vertex with in-degree %d after EnsureMinInDegree(2)", d)
 		}
 	}
@@ -114,9 +115,9 @@ func TestEnsureMinInDegree(t *testing.T) {
 
 	// The edge-list round trip it replaces: every edge in CSR order, the
 	// drawn sources appended in vertex order, regrouped by destination.
-	edges, in := g.EdgeList(), g.InDegrees()
+	edges := g.EdgeList()
 	for v := 0; v < g.NumVertices; v++ {
-		for d := int(in[v]); d < 2; d++ {
+		for d := g.Degree(int32(v)); d < 2; d++ {
 			edges = append(edges, graph.Edge{Src: int32(ref.Intn(g.NumVertices)), Dst: int32(v)})
 		}
 	}
@@ -215,8 +216,8 @@ func TestMaterializeSmall(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	for _, d := range ds.Graph.InDegrees() {
-		if d < 1 {
+	for v := 0; v < ds.Graph.NumVertices; v++ {
+		if ds.Graph.Degree(int32(v)) < 1 {
 			t.Fatal("materialised graph has isolated vertex")
 		}
 	}

@@ -3,9 +3,12 @@ package gnn
 import (
 	"fmt"
 	"math"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/graph"
 	"repro/internal/sampler"
 	"repro/internal/tensor"
 )
@@ -57,6 +60,56 @@ func newFixture(ds *datagen.Dataset, mb *sampler.MiniBatch) *fixture {
 	x := tensor.New(len(mb.InputNodes()), ds.Features.Cols)
 	tensor.GatherRows(x, ds.Features, mb.InputNodes())
 	return &fixture{ds: ds, mb: mb, x: x}
+}
+
+// requireEq3 sets WeightsTap to hold every coefficient a neighborhood
+// resolves until the returned function runs to the paper's Eq. 3 over g's
+// degrees: edge (u → v) weighs 1/√((D(v)+1)(D(u)+1)) and v's self loop
+// 1/(D(v)+1), each as the float32 product of the two ends' factors
+// float32(1/√(D+1)), bit for bit. The returned function clears the tap and
+// fails the test if a coefficient differed or no block was seen.
+func requireEq3(t *testing.T, g *graph.Graph) func() {
+	t.Helper()
+	var mu sync.Mutex
+	var blocks int
+	var bad string
+	WeightsTap = func(b *sampler.Block, edgeW, selfW []float32) {
+		mu.Lock()
+		defer mu.Unlock()
+		blocks++
+		if bad == "" {
+			bad = eq3Mismatch(g, b, edgeW, selfW)
+		}
+	}
+	return func() {
+		t.Helper()
+		WeightsTap = nil
+		if bad != "" {
+			t.Fatal(bad)
+		}
+		if blocks == 0 {
+			t.Fatal("no block's coefficients were resolved")
+		}
+	}
+}
+
+// eq3Mismatch names the first coefficient of a block that is not Eq. 3 over
+// g's degrees, or returns "".
+func eq3Mismatch(g *graph.Graph, b *sampler.Block, edgeW, selfW []float32) string {
+	norm := func(v int32) float32 { return float32(1 / math.Sqrt(float64(g.Degree(v))+1)) }
+	for d, v := range b.Dst {
+		nv := norm(v)
+		if math.Float32bits(selfW[d]) != math.Float32bits(nv*nv) {
+			return fmt.Sprintf("self weight of vertex %d is %v, Eq. 3 gives %v", v, selfW[d], nv*nv)
+		}
+		for e := b.RowPtr[d]; e < b.RowPtr[d+1]; e++ {
+			u := b.Src[b.Col[e]]
+			if want := nv * norm(u); math.Float32bits(edgeW[e]) != math.Float32bits(want) {
+				return fmt.Sprintf("edge %d→%d weighs %v, Eq. 3 gives %v", u, v, edgeW[e], want)
+			}
+		}
+	}
+	return ""
 }
 
 // input returns the fixture's layer-0 input in either form the *RowsWS entry
@@ -181,27 +234,21 @@ func TestForwardRejectsBadShapes(t *testing.T) {
 	}
 }
 
-// Finite-difference check of all parameter gradients for both architectures,
-// with and without GCN degree normalization.
+// Finite-difference check of all parameter gradients for both architectures
+// (GCN's symmetric Eq. 3 normalisation, SAGE's mean).
 func TestGradientsFiniteDifference(t *testing.T) {
 	cases := []struct {
-		name    string
-		kind    Kind
-		degrees bool
+		name string
+		kind Kind
 	}{
-		{"GCN-mean", GCN, false},
-		{"GCN-sym", GCN, true},
-		{"SAGE", SAGE, false},
+		{"GCN-sym", GCN},
+		{"SAGE", SAGE},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dims := []int{5, 4, 3}
 			fx := makeFixture(t, dims, 3, 7)
-			cfg := Config{Kind: tc.kind, Dims: dims}
-			if tc.degrees {
-				cfg.Degrees = fx.ds.Graph.InDegrees()
-			}
-			m, err := NewModel(cfg, tensor.NewRNG(8))
+			m, err := NewModel(Config{Kind: tc.kind, Dims: dims}, tensor.NewRNG(8))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -364,5 +411,45 @@ func TestAggregationLinearity(t *testing.T) {
 				t.Fatalf("aggregation not linear at (%d,%d): %v vs %v", i, j, got, want)
 			}
 		}
+	}
+}
+
+// A GCN block that carries no graph has no degrees for Eq. 3: the training
+// step and inference return an error saying so (NewNeighborhood panics with
+// it), while SAGE, which reads no degrees, runs on the same blocks.
+func TestGCNBlockWithoutGraphFails(t *testing.T) {
+	dims := []int{6, 5, 3}
+	fx := makeFixture(t, dims, 4, 9)
+	bare := &sampler.MiniBatch{Targets: fx.mb.Targets, Labels: fx.mb.Labels}
+	for _, b := range fx.mb.Blocks {
+		c := *b
+		c.Graph = nil
+		bare.Blocks = append(bare.Blocks, &c)
+	}
+	const want = "GCN block carries no graph"
+	gcn, err := NewModel(Config{Kind: GCN, Dims: dims}, tensor.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := trainStep(gcn, bare, fx.x); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("training step on a graph-less GCN block: error %v, want one containing %q", err, want)
+	}
+	if _, err := gcn.InferMiniBatchWS(tensor.NewWorkspace(), bare, fx.x); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("inference on a graph-less GCN block: error %v, want one containing %q", err, want)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+				t.Fatalf("NewNeighborhood on a graph-less GCN block: panic %v, want one containing %q", r, want)
+			}
+		}()
+		NewNeighborhood(gcn.Cfg, bare.Blocks[0])
+	}()
+	sage, err := NewModel(Config{Kind: SAGE, Dims: dims}, tensor.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := trainStep(sage, bare, fx.x); err != nil {
+		t.Fatalf("SAGE reads no degrees, yet its step on graph-less blocks failed: %v", err)
 	}
 }

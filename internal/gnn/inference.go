@@ -27,11 +27,12 @@ func (m *Model) inferFullGraph(g *graph.Graph, x *tensor.Matrix) (*tensor.Matrix
 		return nil, err
 	}
 	// The coefficients depend only on the topology and the model kind, so one
-	// neighborhood serves every layer.
+	// neighborhood serves every layer; each layer's buffers come from a fresh
+	// arena, so its aggregate is garbage once the next layer runs.
 	nb := NewNeighborhood(m.Cfg, blk)
 	h := x
 	for l := 0; l < m.Cfg.Layers(); l++ {
-		z, _, err := m.propagateLayer(l, nb, h, nil, 0)
+		z, _, err := m.propagateLayer(l, nb, h, tensor.NewWorkspace(), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +64,9 @@ func (m *Model) InferMiniBatchRowsWS(ws *tensor.Workspace, mb *sampler.MiniBatch
 	h := x
 	var nb Neighborhood
 	for l := 0; l < m.Cfg.Layers(); l++ {
-		nb.init(m.Cfg, mb.Blocks[l], ws)
+		if err := nb.init(m.Cfg, mb.Blocks[l], ws); err != nil {
+			return nil, err
+		}
 		if l == 0 {
 			nb.mapRows(rows)
 		}

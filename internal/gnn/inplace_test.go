@@ -65,24 +65,29 @@ func inPlaceBatches(t *testing.T) []namedFixture {
 // feature table read through the input nodes' rows, what core's trainers and
 // serving workers run — to the gathered form bit for bit: loss, accuracy and
 // every gradient element of a training step, and the logits of inference,
-// for GCN (Degrees nil and set) and SAGE at kernel parallelism 1 and 4.
-// The two forms read the same floats in the same order, so nothing may
-// differ.
+// for GCN and SAGE at kernel parallelism 1 and 4. The two forms read the
+// same floats in the same order, so nothing may differ. GCN runs twice: the
+// "GCN-degrees" run also holds every coefficient either form resolves to
+// Eq. 3 over the dataset graph's degrees (requireEq3).
 func TestInPlaceInputMatchesGathered(t *testing.T) {
 	for _, b := range inPlaceBatches(t) {
 		fx := b.fx
 		for _, c := range []struct {
 			name string
 			cfg  Config
+			eq3  bool
 		}{
-			{"GCN", Config{Kind: GCN, Dims: b.dims}},
-			{"GCN-degrees", Config{Kind: GCN, Dims: b.dims, Degrees: fx.ds.Graph.InDegrees()}},
-			{"SAGE", Config{Kind: SAGE, Dims: b.dims}},
+			{"GCN", Config{Kind: GCN, Dims: b.dims}, false},
+			{"GCN-degrees", Config{Kind: GCN, Dims: b.dims}, true},
+			{"SAGE", Config{Kind: SAGE, Dims: b.dims}, false},
 		} {
 			for _, par := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/par%d", b.name, c.name, par), func(t *testing.T) {
 					prev := tensor.SetParallelism(par)
 					defer tensor.SetParallelism(prev)
+					if c.eq3 {
+						defer requireEq3(t, fx.ds.Graph)()
+					}
 					m, err := NewModel(c.cfg, tensor.NewRNG(6))
 					if err != nil {
 						t.Fatal(err)

@@ -34,8 +34,8 @@ type Neighborhood struct {
 	// when in is nil (edgeRows).
 	in, rows []int32
 
-	// ws, when set, backs every scratch slice this neighborhood builds
-	// (the coefficients resolved by init, the mapped row list, the backward
+	// ws backs every scratch slice this neighborhood builds (the
+	// coefficients resolved by init, the mapped row list, the backward
 	// transpose below), so re-initialising per iteration — the forward pass
 	// does it per layer — costs no allocations.
 	ws *tensor.Workspace
@@ -51,27 +51,43 @@ type Neighborhood struct {
 	tW   []float32
 }
 
-// NewNeighborhood resolves cfg's aggregation coefficients for a block.
+// NewNeighborhood resolves cfg's aggregation coefficients for a block, on an
+// arena of its own. It panics on a GCN block that carries no graph; the
+// forward passes return that as an error instead.
 func NewNeighborhood(cfg Config, b *sampler.Block) *Neighborhood {
 	nb := &Neighborhood{}
-	nb.init(cfg, b, nil)
+	if err := nb.init(cfg, b, tensor.NewWorkspace()); err != nil {
+		panic(err)
+	}
 	return nb
 }
 
 // init (re-)binds the neighborhood to a block, resolving coefficients into
-// ws-backed slices when ws is non-nil. Reused by ForwardState across
-// iterations so steady-state training rebuilds neighborhoods without
-// allocating.
-func (nb *Neighborhood) init(cfg Config, b *sampler.Block, ws *tensor.Workspace) {
+// ws-backed slices (an empty arena hands out plain allocations). Reused by
+// ForwardState across iterations so steady-state training rebuilds
+// neighborhoods without allocating.
+func (nb *Neighborhood) init(cfg Config, b *sampler.Block, ws *tensor.Workspace) error {
 	nb.Block, nb.ws = b, ws
 	nb.in, nb.rows = nil, nil
 	nb.tPtr, nb.tDst, nb.tW = nil, nil, nil
-	if ws != nil {
-		nb.EdgeW, nb.SelfW = edgeWeightsInto(cfg, b, ws.F32(b.NumEdges()), ws.F32(len(b.Dst)))
-	} else {
-		nb.EdgeW, nb.SelfW = EdgeWeights(cfg, b)
+	nb.EdgeW, nb.SelfW = ws.F32(b.NumEdges()), ws.F32(len(b.Dst))
+	var norm []float32 // GCN's per-source factors, dead once the weights are resolved
+	if cfg.Kind == GCN {
+		norm = ws.F32Temp(len(b.Src))
 	}
+	if err := edgeWeightsInto(cfg, b, nb.EdgeW, nb.SelfW, norm); err != nil {
+		return err
+	}
+	if WeightsTap != nil {
+		WeightsTap(b, nb.EdgeW, nb.SelfW)
+	}
+	return nil
 }
+
+// WeightsTap, when set, sees every block's coefficients as they are
+// resolved: a test seam that holds every program path to GCN's Eq. 3. Set
+// it only while no model runs.
+var WeightsTap func(b *sampler.Block, edgeW, selfW []float32)
 
 // mapRows makes the aggregation read source s from row in[s] of the layer
 // input (nil: row s), building the per-edge row list in[Col[e]] — O(|E|)
@@ -235,15 +251,8 @@ func (nb *Neighborhood) buildTranspose() {
 			total++
 		}
 	}
-	var tPtr, tDst, cur []int32
-	var tW []float32
-	if nb.ws != nil {
-		tPtr, tDst, cur = nb.ws.I32(nS+1), nb.ws.I32(total), nb.ws.I32(nS)
-		tW = nb.ws.F32(total)
-	} else {
-		tPtr, tDst, cur = make([]int32, nS+1), make([]int32, total), make([]int32, nS)
-		tW = make([]float32, total)
-	}
+	tPtr, tDst, cur := nb.ws.I32(nS+1), nb.ws.I32(total), nb.ws.I32(nS)
+	tW := nb.ws.F32(total)
 	for s := range tPtr {
 		tPtr[s] = 0
 	}
@@ -278,11 +287,10 @@ func (nb *Neighborhood) buildTranspose() {
 // layer input over the neighborhood's sources (for a row-mapped neighborhood,
 // the table its row map indexes). It returns the layer output z (|Dst| ×
 // Dims[l+1], post-ReLU for a hidden layer) and the aggregate, which training
-// retains for the backward pass. Buffers are borrowed from ws when it is
-// non-nil (contents may be dirty — every kernel below fully overwrites its
-// output; ws is plumbed directly rather than through allocator closures,
-// which the zero-allocation gates would count) and freshly allocated
-// otherwise. The layer makes one pass per memory touch: SAGE's self half is
+// retains for the backward pass. Buffers are borrowed from ws (contents may
+// be dirty — every kernel below fully overwrites its output; an empty arena
+// hands out plain allocations). The layer makes one pass per memory touch:
+// SAGE's self half is
 // never copied — tensor.MatMulCat reads it from h where it lives (through the
 // row map at layer 0) beside the aggregate — and bias + ReLU are fused into a
 // single sweep of the dense-update output. The aggregation and the dense
@@ -301,19 +309,13 @@ func (m *Model) propagateLayer(l int, nb *Neighborhood, h *tensor.Matrix,
 		return nil, nil, fmt.Errorf("gnn: layer %d input has %d rows for %d sources",
 			l, h.Rows, len(nb.Block.Src))
 	}
-	get := func(r, c int) *tensor.Matrix {
-		if ws != nil {
-			return ws.Get(r, c)
-		}
-		return tensor.New(r, c)
-	}
 	nd := nb.numDst()
 	start := trace.Begin(lane)
-	agg = get(nd, fin)
+	agg = ws.Get(nd, fin)
 	nb.Aggregate(agg, h)
 	trace.End(lane, "aggregate", l, start)
 	start = trace.Begin(lane)
-	z = get(nd, m.Cfg.Dims[l+1])
+	z = ws.Get(nd, m.Cfg.Dims[l+1])
 	if m.Cfg.Kind == SAGE {
 		tensor.MatMulCat(z, h, nb.selfRows(), agg, m.Params.Weights[l])
 	} else {

@@ -18,7 +18,9 @@ import (
 type Kind int
 
 const (
-	// GCN: a_v = Σ_u norm(v,u)·h_u (self loop included), h_v = ReLU(a_v·W + b).
+	// GCN: a_v = Σ_u norm(v,u)·h_u (self loop included), h_v = ReLU(a_v·W + b),
+	// with norm(v,u) = 1/√((D(v)+1)(D(u)+1)) over the degrees of the graph
+	// a block was sampled from (paper Eq. 3).
 	GCN Kind = iota
 	// SAGE: a_v = h_v ‖ mean(h_u), h_v = ReLU(a_v·W + b).
 	SAGE
@@ -41,11 +43,6 @@ func (k Kind) String() string {
 type Config struct {
 	Kind Kind
 	Dims []int
-	// Degrees optionally supplies global vertex degrees for GCN's symmetric
-	// normalization 1/√(D(v)·D(u)) (paper Eq. 3, with +1 self-loop smoothing).
-	// When nil, GCN falls back to mean normalization over {v}∪N(v), which is
-	// also linear and converges equivalently on our synthetic tasks.
-	Degrees []int32
 }
 
 // Layers returns L.

@@ -270,7 +270,8 @@ func requireMaskedNonFinite(t *testing.T, name string, m *Model, mb *sampler.Min
 // stepBorrows lists what one training step borrows from its arena, as
 // element counts per slab: the shipped step's when oracle is false, and
 // backwardOracle's when it is true. Both run the same forward pass — per
-// layer the coefficients, the |Dst|×fin aggregate and the output; SAGE's self
+// layer the coefficients (GCN's Eq. 3 factors are a transient borrow, never
+// the cycle's peak here), the |Dst|×fin aggregate and the output; SAGE's self
 // half is read from the layer input, so no [self ‖ mean] buffer and no self
 // index list — and borrow dLogits. The oracle then copies dLogits into dz
 // and, at every layer — layer 0 included — borrows dDense, a zeroed

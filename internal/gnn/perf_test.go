@@ -1,8 +1,10 @@
 package gnn
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/sampler"
 	"repro/internal/tensor"
 )
@@ -33,6 +35,27 @@ func raggedBlock(rng *tensor.RNG, nDst, extraSrc, maxDeg int) *sampler.Block {
 		}
 		b.RowPtr[d+1] = int32(len(b.Col))
 	}
+	return withGraph(b)
+}
+
+// withGraph gives a hand-built block the graph GCN's Eq. 3 reads degrees
+// from: one whose edges are the block's own, over vertices 0…max(Src).
+func withGraph(b *sampler.Block) *sampler.Block {
+	edges := make([]graph.Edge, 0, b.NumEdges())
+	for d := range b.Dst {
+		for e := b.RowPtr[d]; e < b.RowPtr[d+1]; e++ {
+			edges = append(edges, graph.Edge{Src: b.Src[b.Col[e]], Dst: b.Dst[d]})
+		}
+	}
+	n := 0
+	if len(b.Src) > 0 {
+		n = int(slices.Max(b.Src)) + 1
+	}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		panic(err)
+	}
+	b.Graph = g
 	return b
 }
 
@@ -277,23 +300,25 @@ func TestEdgeWeightsIntoReuse(t *testing.T) {
 	for _, kind := range allKinds {
 		b := raggedBlock(rng, 10, 6, 4)
 		cfg := Config{Kind: kind, Dims: []int{4, 2}}
-		wantE, wantS := EdgeWeights(cfg, b)
+		want := NewNeighborhood(cfg, b)
 		edgeW := make([]float32, b.NumEdges())
 		selfW := make([]float32, len(b.Dst))
-		for i := range edgeW {
-			edgeW[i] = 99
+		norm := make([]float32, len(b.Src))
+		for _, buf := range [][]float32{edgeW, selfW, norm} {
+			for i := range buf {
+				buf[i] = 99
+			}
 		}
-		for i := range selfW {
-			selfW[i] = 99
+		if err := edgeWeightsInto(cfg, b, edgeW, selfW, norm); err != nil {
+			t.Fatal(err)
 		}
-		gotE, gotS := edgeWeightsInto(cfg, b, edgeW, selfW)
-		for i := range wantE {
-			if gotE[i] != wantE[i] {
+		for i := range want.EdgeW {
+			if edgeW[i] != want.EdgeW[i] {
 				t.Fatalf("%v: edge weight %d differs", kind, i)
 			}
 		}
-		for i := range wantS {
-			if gotS[i] != wantS[i] {
+		for i := range want.SelfW {
+			if selfW[i] != want.SelfW[i] {
 				t.Fatalf("%v: self weight %d differs", kind, i)
 			}
 		}
@@ -338,7 +363,9 @@ func TestNeighborhoodResetInvalidatesTranspose(t *testing.T) {
 	}
 	// Re-binding to the same block pointer recomputes the coefficients and
 	// must rebuild the transpose.
-	nb.init(cfg, b, nil)
+	if err := nb.init(cfg, b, tensor.NewWorkspace()); err != nil {
+		t.Fatal(err)
+	}
 	requireScatterFansOut(t, nb, cols)
 	got2 := tensor.New(len(b.Src), cols)
 	nb.AggregateBackward(got2, dAgg)
@@ -353,7 +380,9 @@ func TestNeighborhoodResetInvalidatesTranspose(t *testing.T) {
 	// And re-binding to another block.
 	nb.AggregateBackward(tensor.New(len(b.Src), cols), dAgg) // re-cache
 	b2 := fanOutBlock(rng)
-	nb.init(cfg, b2, nil)
+	if err := nb.init(cfg, b2, tensor.NewWorkspace()); err != nil {
+		t.Fatal(err)
+	}
 	requireScatterFansOut(t, nb, cols)
 	dAgg2 := tensor.New(len(b2.Dst), cols)
 	tensor.NormalInit(dAgg2, 1, rng)
@@ -392,6 +421,7 @@ func BenchmarkAggregateTable(b *testing.B) {
 	for d := range blk.Dst {
 		blk.RowPtr[d+1] = int32((d + 1) * fanout)
 	}
+	withGraph(blk)
 	nbs := make([]*Neighborhood, blocks)
 	for i := range nbs {
 		in := make([]int32, nSrc)
@@ -399,7 +429,9 @@ func BenchmarkAggregateTable(b *testing.B) {
 			in[s] = int32(rng.Intn(rows))
 		}
 		nbs[i] = &Neighborhood{}
-		nbs[i].init(Config{Kind: GCN, Dims: []int{cols, cols}}, blk, tensor.NewWorkspace())
+		if err := nbs[i].init(Config{Kind: GCN, Dims: []int{cols, cols}}, blk, tensor.NewWorkspace()); err != nil {
+			b.Fatal(err)
+		}
 		nbs[i].mapRows(in)
 	}
 	out := tensor.New(targets, cols)

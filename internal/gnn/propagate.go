@@ -41,19 +41,12 @@ type ForwardState struct {
 	Lane int
 }
 
-// EdgeWeights computes the aggregation coefficients a model configuration
-// assigns to a block's edges and self loops. Exported so an independent
-// re-implementation of the forward (accel's dataflow-order test oracle)
-// uses the exact same coefficients as the reference path.
-func EdgeWeights(cfg Config, b *sampler.Block) (edgeW []float32, selfW []float32) {
-	return edgeWeightsInto(cfg, b, make([]float32, b.NumEdges()), make([]float32, len(b.Dst)))
-}
-
-// edgeWeightsInto is EdgeWeights into caller-provided buffers (reused across
-// mini-batches by the neighborhoods of the workspace paths): edgeW must have
-// length NumEdges(), selfW length |Dst|. Every element is overwritten.
-// Returns the filled slices.
-func edgeWeightsInto(cfg Config, b *sampler.Block, edgeW, selfW []float32) ([]float32, []float32) {
+// edgeWeightsInto overwrites edgeW (length NumEdges()) and selfW (length
+// |Dst|) with the coefficients the model kind assigns a block's edges and
+// self loops; GCN also takes norm (length |Src|) as scratch. GCN's are the
+// paper's Eq. 3 over the degrees of the graph the block was drawn from, so a
+// GCN block that carries no graph is an error.
+func edgeWeightsInto(cfg Config, b *sampler.Block, edgeW, selfW, norm []float32) error {
 	if len(edgeW) != b.NumEdges() || len(selfW) != len(b.Dst) {
 		panic(fmt.Sprintf("gnn: edgeWeightsInto buffers %d/%d for %d edges, %d destinations",
 			len(edgeW), len(selfW), b.NumEdges(), len(b.Dst)))
@@ -61,26 +54,19 @@ func edgeWeightsInto(cfg Config, b *sampler.Block, edgeW, selfW []float32) ([]fl
 	nd := len(b.Dst)
 	switch cfg.Kind {
 	case GCN:
-		if cfg.Degrees != nil {
-			// Paper Eq. 3: 1/√(D(v)·D(u)), smoothed with +1 self loops.
-			norm := func(v int32) float32 {
-				return float32(1 / math.Sqrt(float64(cfg.Degrees[v])+1))
-			}
-			for d := 0; d < nd; d++ {
-				nv := norm(b.Dst[d])
-				selfW[d] = nv * nv
-				for e := b.RowPtr[d]; e < b.RowPtr[d+1]; e++ {
-					edgeW[e] = nv * norm(b.Src[b.Col[e]])
-				}
-			}
-			return edgeW, selfW
+		// Paper Eq. 3: 1/√(D(v)·D(u)), smoothed with +1 self loops. Each
+		// source's factor is taken once; an edge multiplies its two ends'.
+		if b.Graph == nil {
+			return errors.New("gnn: GCN block carries no graph: Eq. 3 reads the degrees of the graph a block was sampled from")
 		}
-		// Mean over {v} ∪ N(v): linear, degree-robust fallback.
+		for s, v := range b.Src {
+			norm[s] = float32(1 / math.Sqrt(float64(b.Graph.Degree(v))+1))
+		}
 		for d := 0; d < nd; d++ {
-			inv := float32(1) / float32(b.RowPtr[d+1]-b.RowPtr[d]+1)
-			selfW[d] = inv
+			nv := norm[d] // Dst is a prefix of Src
+			selfW[d] = nv * nv
 			for e := b.RowPtr[d]; e < b.RowPtr[d+1]; e++ {
-				edgeW[e] = inv
+				edgeW[e] = nv * norm[b.Col[e]]
 			}
 		}
 	case SAGE:
@@ -98,7 +84,7 @@ func edgeWeightsInto(cfg Config, b *sampler.Block, edgeW, selfW []float32) ([]fl
 			}
 		}
 	}
-	return edgeW, selfW
+	return nil
 }
 
 // checkInput validates a layer-0 input: x is the gathered block over
@@ -138,7 +124,9 @@ func (m *Model) forwardWS(ws *tensor.Workspace, st *ForwardState, mb *sampler.Mi
 	for l := 0; l < L; l++ {
 		st.inputs[l] = h
 		nb := &st.nbs[l]
-		nb.init(m.Cfg, mb.Blocks[l], ws)
+		if err := nb.init(m.Cfg, mb.Blocks[l], ws); err != nil {
+			return err
+		}
 		if l == 0 {
 			nb.mapRows(rows)
 		}

@@ -73,13 +73,12 @@ func checkDims(n int, dims []int) error {
 	return nil
 }
 
-// Load reads a checkpoint written by Save and reconstructs the model.
-// Degrees (GCN normalization) are not part of the checkpoint; re-attach
-// them to the returned Config if needed. Every header field is validated
-// before anything is allocated, each tensor's stream shape before the tensor
-// is read, and tensors grow only as the stream delivers their data, so
-// malformed input is an error naming the field — never a panic, and never an
-// allocation sized by an unverified claim.
+// Load reads a checkpoint written by Save and reconstructs the model. Every
+// header field is validated before anything is allocated, each tensor's
+// stream shape before the tensor is read, and tensors grow only as the
+// stream delivers their data, so malformed input is an error naming the
+// field — never a panic, and never an allocation sized by an unverified
+// claim.
 func Load(r io.Reader) (*Model, error) {
 	var magic, version, kind, nDims uint32
 	for _, p := range []*uint32{&magic, &version, &kind, &nDims} {

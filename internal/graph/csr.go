@@ -175,15 +175,6 @@ func eachChunk(m, p int, fn func(c, lo, hi int)) {
 	})
 }
 
-// InDegrees returns the in-degree (stored degree) of every vertex.
-func (g *Graph) InDegrees() []int32 {
-	deg := make([]int32, g.NumVertices)
-	for v := 0; v < g.NumVertices; v++ {
-		deg[v] = int32(g.RowPtr[v+1] - g.RowPtr[v])
-	}
-	return deg
-}
-
 // Validate checks structural invariants: RowPtr is monotone, starts at 0,
 // ends at len(ColIdx), and every column index is in range.
 func (g *Graph) Validate() error {

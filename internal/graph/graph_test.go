@@ -80,10 +80,12 @@ func TestReverseIsInvolution(t *testing.T) {
 
 func TestDegreesConsistent(t *testing.T) {
 	g := smallGraph(t)
-	in := g.InDegrees()
-	out := g.reverse().InDegrees()
+	rev := g.reverse()
+	in := make([]int, g.NumVertices)
+	out := make([]int, g.NumVertices)
 	var inSum, outSum int64
 	for i := range in {
+		in[i], out[i] = g.Degree(int32(i)), rev.Degree(int32(i))
 		inSum += int64(in[i])
 		outSum += int64(out[i])
 	}
@@ -94,13 +96,13 @@ func TestDegreesConsistent(t *testing.T) {
 	if out[0] != 2 {
 		t.Fatalf("OutDegree(0) = %d, want 2", out[0])
 	}
-	count := make([]int32, g.NumVertices) // sources counted over ColIdx
+	count := make([]int, g.NumVertices) // sources counted over ColIdx
 	for _, src := range g.ColIdx {
 		count[src]++
 	}
 	for i := range out {
 		if out[i] != count[i] {
-			t.Fatalf("reverse().InDegrees()[%d] = %d, want %d sources", i, out[i], count[i])
+			t.Fatalf("reverse().Degree(%d) = %d, want %d sources", i, out[i], count[i])
 		}
 	}
 }

@@ -53,7 +53,6 @@ var allowed = map[string]string{
 	// Graph invariant checkers and the oracles of the source-sorted scatter.
 	"(*graph.Graph).Validate":          "CSR invariant checker the generator and graph tests assert",
 	"(*graph.Partition).validate":      "partition invariant checker the partition tests assert",
-	"(*graph.Graph).InDegrees":         "GCN's Eq. 3 degrees (Config.Degrees) in tests; ROADMAP schedules wiring it in",
 	"(*graph.Graph).sortNeighborLists": "canonical neighbor order for graph-equality tests",
 	"(*graph.Graph).EdgeList":          "coordinate form the generator and graph tests inspect",
 	"graph.SortEdgesBySource":          "oracle layout for the scatter-gather fetch count (accel tests)",

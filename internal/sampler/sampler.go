@@ -19,12 +19,14 @@ import (
 // vertex set to the Dst vertex set. Dst is always a prefix of Src (every
 // destination also appears as a source so self-features are available for
 // GraphSAGE's concat and GCN's self loop). Edges are stored CSC-style over
-// destinations; Col holds *local* indices into Src.
+// destinations; Col holds *local* indices into Src. Graph is the graph the
+// block was drawn from: GCN's normalisation (paper Eq. 3) reads its degrees.
 type Block struct {
 	Src    []int32 // global vertex IDs; Src[:len(Dst)] == Dst
 	Dst    []int32 // global vertex IDs of this layer's targets
 	RowPtr []int32 // len(Dst)+1
 	Col    []int32 // local src indices, len == NumEdges()
+	Graph  *graph.Graph
 }
 
 // NumEdges returns the number of sampled edges in the block.
@@ -75,7 +77,7 @@ func FullGraphBlock(g *graph.Graph) (*Block, error) {
 		ids[v] = int32(v)
 		rowPtr[v+1] = int32(g.RowPtr[v+1])
 	}
-	return &Block{Src: ids, Dst: ids, RowPtr: rowPtr, Col: g.ColIdx}, nil
+	return &Block{Src: ids, Dst: ids, RowPtr: rowPtr, Col: g.ColIdx, Graph: g}, nil
 }
 
 // MiniBatch is an L-layer computational graph. Blocks[0] is the input-most
@@ -375,6 +377,7 @@ func (w *layerScratch) sampleLayerInto(g *graph.Graph, blk *Block, frontier []in
 	if fanout > 0 {
 		w.choose(g, frontier, fanout, rng)
 	}
+	blk.Graph = g
 	blk.Src = append(blk.Src[:0], frontier...)
 	w.gen++
 	if w.gen == 0 { // stamp wrap: clear and restart at 1

@@ -124,7 +124,8 @@ func TestServeLatencyMonotoneInWindow(t *testing.T) {
 // throughput; the p99 tail must not grow.
 func TestServeCacheMonotone(t *testing.T) {
 	ds, m := testSetup(t)
-	probe, err := Predict(baseConfig(ds, m), 1)
+	base := baseConfig(ds, m)
+	probe, err := Predict(base, base.RatePerSec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +160,11 @@ func TestServeCacheMonotone(t *testing.T) {
 // rather than growing latency unboundedly.
 func TestServeAdmissionShedsOverload(t *testing.T) {
 	ds, m := testSetup(t)
-	probe, err := Predict(baseConfig(ds, m), 1)
+	cfg := baseConfig(ds, m)
+	probe, err := Predict(cfg, cfg.RatePerSec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := baseConfig(ds, m)
 	cfg.RatePerSec = 4 * probe.CapacityRPS
 	cfg.WindowSec = 0
 	cfg.QueueCap = 64

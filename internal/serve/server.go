@@ -1123,11 +1123,14 @@ func servingLoad(cfg Config, bindings []int, ratePerSec, computeFrac float64) pe
 	}
 }
 
-// Predict evaluates the analytic serving model for cfg at the given compute
-// fraction (1 − expected cache hit rate) without executing a run — the
-// cheap way to size a deployment or anchor a load sweep on predicted
-// capacity.
-func Predict(cfg Config, computeFrac float64) (perfmodel.ServingPrediction, error) {
+// Predict evaluates the analytic serving model for cfg at the offered rate
+// ratePerSec and the given compute fraction (1 − expected cache hit rate)
+// without executing a run — the cheap way to size a deployment or anchor a
+// load sweep on predicted capacity. It reads no arrival stream, so cfg's is
+// ignored: cfg is validated as if it offered one Poisson cohort at
+// ratePerSec.
+func Predict(cfg Config, ratePerSec, computeFrac float64) (perfmodel.ServingPrediction, error) {
+	cfg.Workload, cfg.Replay, cfg.RatePerSec, cfg.ZipfExponent = nil, nil, ratePerSec, 0
 	if err := cfg.Validate(); err != nil {
 		return perfmodel.ServingPrediction{}, err
 	}
@@ -1139,5 +1142,5 @@ func Predict(cfg Config, computeFrac float64) (perfmodel.ServingPrediction, erro
 	if err != nil {
 		return perfmodel.ServingPrediction{}, err
 	}
-	return p.Model().PredictServing(servingLoad(cfg, bindings, cfg.RatePerSec, computeFrac))
+	return p.Model().PredictServing(servingLoad(cfg, bindings, ratePerSec, computeFrac))
 }

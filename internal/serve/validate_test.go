@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,9 +12,12 @@ import (
 )
 
 // Config.Validate checks what needs no dataset or model and names the
-// rejected value in its error; Run, GenerateTrace and Predict reject exactly
-// what it rejects, with its error. A negative cache, shard or worker count is
-// an error, not a quietly disabled cache or a pool bound to every accelerator.
+// rejected value in its error; Run and GenerateTrace reject exactly what it
+// rejects, with its error, and so does Predict, except for the arrival
+// stream, which it does not read: it accepts a config whose only fault is
+// the stream, and rejects a rate of its own that is not finite and positive.
+// A negative cache, shard or worker count is an error, not a quietly
+// disabled cache or a pool bound to every accelerator.
 func TestConfigValidate(t *testing.T) {
 	ds, m := testSetup(t)
 	bare := baseConfig(nil, nil)
@@ -33,6 +38,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay := &Trace{Requests: []Request{{ID: 0, Vertex: 1, Arrival: 1e-3}, {ID: 1, Vertex: 2, Arrival: 2e-3, Class: NumClasses}}}
+	// The arrival stream's rules, which Predict does not read.
+	streamRules := map[string]bool{"rate": true, "rate +Inf": true, "zipf": true,
+		"workload": true, "workload and replay": true, "replayed class": true}
 	for _, tc := range []struct {
 		name   string
 		mutate func(*Config)
@@ -77,12 +85,49 @@ func TestConfigValidate(t *testing.T) {
 		}
 		_, rerr := Run(cfg)
 		_, gerr := GenerateTrace(cfg)
-		_, perr := Predict(cfg, 1)
-		for entry, e := range map[string]error{"Run": rerr, "GenerateTrace": gerr, "Predict": perr} {
+		_, perr := Predict(cfg, 1000, 1)
+		entries := map[string]error{"Run": rerr, "GenerateTrace": gerr, "Predict": perr}
+		if streamRules[tc.name] {
+			if perr != nil {
+				t.Fatalf("%s: Predict reads no stream, yet failed: %v", tc.name, perr)
+			}
+			delete(entries, "Predict")
+		}
+		for entry, e := range entries {
 			if e == nil || e.Error() != err.Error() {
 				t.Fatalf("%s: %s error %v, want Validate's %v", tc.name, entry, e, err)
 			}
 		}
+	}
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		want := fmt.Sprintf("rate %v is not a finite positive number", rate)
+		if _, err := Predict(baseConfig(ds, m), rate, 1); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Predict at rate %v: error %v, want one naming %q", rate, err, want)
+		}
+	}
+}
+
+// A front end's config carries its stream as a Workload and leaves
+// RatePerSec 0, as hyscale's does: Predict prices the rate it is given,
+// reads neither, and predicts what it predicts for the one-cohort stream.
+func TestPredictTakesItsRate(t *testing.T) {
+	ds, m := testSetup(t)
+	cfg := baseConfig(ds, m)
+	cfg.RatePerSec, cfg.ZipfExponent = 0, 0
+	var err error
+	if cfg.Workload, err = ParseWorkloadSpec("poisson,rate=5000,zipf=1.1"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Predict(cfg, 2000, 1)
+	if err != nil {
+		t.Fatalf("a Workload config with RatePerSec 0 failed Predict: %v", err)
+	}
+	want, err := Predict(baseConfig(ds, m), 2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Predict read the stream: %+v with a Workload, %+v without", got, want)
 	}
 }
 
@@ -157,10 +202,17 @@ func FuzzServeConfig(f *testing.F) {
 		}
 		verr := cfg.Validate()
 		st, rerr := Run(cfg)
+		// Predict reads no stream: it rejects what Validate rejects once the
+		// stream is a valid one.
+		valid := cfg
+		valid.RatePerSec, valid.ZipfExponent = 1, 0
+		serr := valid.Validate()
+		if _, perr := Predict(cfg, 1, 1); (perr == nil) != (serr == nil) || perr != nil && perr.Error() != serr.Error() {
+			t.Fatalf("Validate rejected %+v with a valid stream with %v, Predict with %v", cfg, serr, perr)
+		}
 		if verr != nil {
 			_, gerr := GenerateTrace(cfg)
-			_, perr := Predict(cfg, 1)
-			for entry, e := range map[string]error{"Run": rerr, "GenerateTrace": gerr, "Predict": perr} {
+			for entry, e := range map[string]error{"Run": rerr, "GenerateTrace": gerr} {
 				if e == nil || e.Error() != verr.Error() {
 					t.Fatalf("Validate rejected %+v with %v, %s with %v", cfg, verr, entry, e)
 				}

@@ -58,6 +58,7 @@ type slab[T float32 | int32] struct {
 	buf  []T // the retained run, line-aligned
 	off  int // cursor into buf
 	need int // this cycle's demand in elements, requests that did not fit included
+	peak int // this cycle's largest need plus a transient run (F32Temp)
 }
 
 // alignedMake returns n elements (n a multiple of lineElems) that start on a
@@ -79,16 +80,30 @@ func (s *slab[T]) take(n int) []T {
 	return p
 }
 
+// temp is take without moving the cursor: the run it returns is the next
+// take's.
+func (s *slab[T]) temp(n int) []T {
+	run := wholeLines(n)
+	s.peak = max(s.peak, s.need+run)
+	if s.off+run > len(s.buf) {
+		return alignedMake[T](run)[:n:n]
+	}
+	return s.buf[s.off : s.off+n : s.off+n]
+}
+
+// demand is the cycle's high-water mark, transient runs included.
+func (s *slab[T]) demand() int { return max(s.need, s.peak) }
+
 func (s *slab[T]) reset(poison T) {
 	if poisonOnReset {
 		for i := range s.buf {
 			s.buf[i] = poison
 		}
 	}
-	if s.need > len(s.buf) {
-		s.buf = alignedMake[T](wholeLines(s.need + s.need/8))
+	if d := s.demand(); d > len(s.buf) {
+		s.buf = alignedMake[T](wholeLines(d + d/8))
 	}
-	s.off, s.need = 0, 0
+	s.off, s.need, s.peak = 0, 0, 0
 }
 
 // bytes is the retained allocation, alignment slack included.
@@ -130,6 +145,12 @@ func (ws *Workspace) F32(n int) []float32 { return ws.f32.take(n) }
 // Contents are not cleared.
 func (ws *Workspace) I32(n int) []int32 { return ws.i32.take(n) }
 
+// F32Temp borrows a float32 scratch slice of length n valid only until the
+// next float32 borrow or Reset, which hands the same run out again: a table
+// dropped before the next borrow adds to the cycle's demand only as a peak.
+// Contents are not cleared.
+func (ws *Workspace) F32Temp(n int) []float32 { return ws.f32.temp(n) }
+
 // Reset ends the cycle: every borrowed buffer is free again and a slab the
 // cycle outgrew is replaced (see Growth above). Previously returned matrices
 // and slices must not be used afterwards.
@@ -144,7 +165,7 @@ func (ws *Workspace) Reset() {
 type Demand struct{ F32, I32 int }
 
 // Demand returns what the cycle since the last Reset has asked for.
-func (ws *Workspace) Demand() Demand { return Demand{ws.f32.need, ws.i32.need} }
+func (ws *Workspace) Demand() Demand { return Demand{ws.f32.demand(), ws.i32.demand()} }
 
 // Expect raises the current cycle's demand to at least d, so that the coming
 // Reset retains slabs for a cycle of d (plus the usual ⅛) even when this

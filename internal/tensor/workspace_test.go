@@ -273,6 +273,42 @@ func TestWorkspaceHighWater(t *testing.T) {
 	}
 }
 
+// TestWorkspaceTempIsTheNextRun pins F32Temp: on a warm slab it returns the
+// run the next float32 borrow returns, without allocating; a temporary run
+// below the cycle's other borrows leaves the retained footprint where it
+// was, and one that is the cycle's peak sizes the slab (plus ⅛) like any
+// other demand.
+func TestWorkspaceTempIsTheNextRun(t *testing.T) {
+	const line = lineElems
+	ws := NewWorkspace()
+	cycle(ws, []int{64 * line}, nil)
+	held := ws.Bytes()
+	var tmp, next []float32
+	if allocs := testing.AllocsPerRun(5, func() {
+		ws.F32(8 * line)
+		tmp = ws.F32Temp(16 * line)
+		next = ws.F32(16 * line)
+		ws.Reset()
+	}); allocs != 0 {
+		t.Fatalf("a warm cycle with a temporary run allocated %v times", allocs)
+	}
+	if addrOf(tmp) != addrOf(next) {
+		t.Fatal("the temporary run is not the next borrow's")
+	}
+	if ws.Bytes() != held {
+		t.Fatalf("a temporary run below the cycle's peak moved Bytes() %d -> %d", held, ws.Bytes())
+	}
+	ws.F32(32 * line)
+	ws.F32Temp(64 * line)
+	if got, want := ws.Demand().F32, 96*line; got != want {
+		t.Fatalf("demand with a temporary peak is %d, want %d", got, want)
+	}
+	ws.Reset()
+	if want := 4 * int64(96*line+96*line/8+line-1); ws.Bytes() != want {
+		t.Fatalf("after a temporary peak of 96 lines Bytes() = %d, want %d", ws.Bytes(), want)
+	}
+}
+
 // TestWorkspaceResetPoisons pins the hook the goldens of every package run
 // under (poisonOnReset is on in any test binary): after Reset a buffer kept
 // from the finished cycle reads NaN / −1, so a stale reader cannot pass a
