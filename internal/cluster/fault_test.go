@@ -185,7 +185,7 @@ func TestSurvivorReRingOracle(t *testing.T) {
 	if d := m.ReplicasInSync(); d != 0 {
 		t.Fatalf("surviving fleet diverged by %v after the re-ring", d)
 	}
-	dead := m.deadNodes()
+	dead := m.dead
 	if !dead[3] || dead[0] || dead[1] || dead[2] {
 		t.Fatalf("dead mask %v, want only rank 3", dead)
 	}

@@ -18,12 +18,13 @@ import (
 // prices: the graph is partitioned across nodes (internal/graph's greedy
 // METIS-style partitioner), each node runs a full core.Engine replica over
 // its shard's training vertices — with its own DRM instance, trainers,
-// parameter set and virtual pipeline clock — and the nodes exchange real
-// gradients every iteration through a chunked ring all-reduce. Remote
-// feature rows (input vertices owned by other shards) and the all-reduce are
-// charged on each node's virtual clock via the same perfmodel network
-// primitives the analytic model uses, so EpochTime's predictions can be
-// validated against executed runs.
+// parameter set and virtual pipeline clock — and the nodes average real
+// gradients every iteration through a chunked ring all-reduce (ring.go).
+// Remote feature rows (input vertices owned by other shards) are charged on
+// each node's virtual clock through perfmodel.RemoteFetchSec, the all-reduce
+// chunk by chunk through hw.Link.TransferSec, whose equal-chunk sum is
+// perfmodel.RingAllReduceSec: the laws the analytic model prices with, so
+// EpochTime's predictions can be validated against executed runs.
 type MultiNode struct {
 	cfg        MultiNodeConfig
 	part       *graph.Partition
@@ -59,13 +60,17 @@ type MultiNodeConfig struct {
 	Faults *fault.Schedule
 }
 
-// validate checks the configuration.
+// validate checks everything the configuration can be judged on before the
+// partitioner runs, the per-node engine template included.
 func (c MultiNodeConfig) validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("cluster: %d nodes", c.Nodes)
 	}
 	if c.Node.Data == nil {
 		return fmt.Errorf("cluster: nil dataset")
+	}
+	if err := c.Node.Validate(); err != nil {
+		return err
 	}
 	if c.Nodes > 1 && c.Net.EffGBs() <= 0 {
 		return fmt.Errorf("cluster: multi-node needs a network link")
@@ -294,9 +299,6 @@ func (m *MultiNode) RunEpoch() (*MultiNodeStats, error) {
 	}
 	return out, nil
 }
-
-// deadNodes reports which ranks have fail-stopped so far.
-func (m *MultiNode) deadNodes() []bool { return m.dead }
 
 // ReplicasInSync reports the worst parameter divergence across the surviving
 // nodes (each node holds one parameter set, so there is nothing to compare

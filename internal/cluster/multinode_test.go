@@ -13,13 +13,17 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/gnn"
 	"repro/internal/hw"
+	"repro/internal/perfmodel"
 	"repro/internal/tensor"
 )
 
 // The ring all-reduce must compute the exact element-wise average, for any
 // node count and vector length (including vectors shorter than the ring),
-// and match the sequential ring oracle bit for bit.
+// and match the sequential ring oracle bit for bit. Each rank's charge is its
+// 2·(n−1) chunk sends; when n divides the length every chunk is equal and the
+// charge is perfmodel.RingAllReduceSec's closed form.
 func TestRingAllReduceAverages(t *testing.T) {
+	link := hw.Ethernet100G()
 	for _, n := range []int{1, 2, 3, 4, 5, 7} {
 		view := make([]int, n)
 		for r := range view {
@@ -36,7 +40,7 @@ func TestRingAllReduceAverages(t *testing.T) {
 				}
 			}
 			oracle := simulateRing(vecs, view)
-			rg := newRing(n, hw.Ethernet100G(), nil)
+			rg := newRing(n, link, nil)
 			var wg sync.WaitGroup
 			secs := make([]float64, n)
 			for r := 0; r < n; r++ {
@@ -68,16 +72,19 @@ func TestRingAllReduceAverages(t *testing.T) {
 				if n == 1 && secs[r] != 0 {
 					t.Fatalf("single rank charged %v", secs[r])
 				}
+				if want := perfmodel.RingAllReduceSec(link, 4*float64(m), n); m%n == 0 && math.Abs(secs[r]-want) > 1e-12*want {
+					t.Fatalf("n=%d m=%d rank %d charged %v, closed form %v", n, m, r, secs[r], want)
+				}
 			}
 		}
 	}
 }
 
 // A ring round reuses its wire format: each rank's flat gradient vector stays
-// on its nodeSync and consumed chunks go back to the senders through the
-// ring's free list, so once the first round has sized them a round allocates
-// nothing. The second rank lives on one goroutine for the whole test, so the
-// count is the round's own (AllocsPerRun counts every goroutine's mallocs).
+// on its nodeSync and the round reduces those vectors in place, so once the
+// first round has sized them a round allocates nothing. The second rank lives
+// on one goroutine for the whole test, so the count is the round's own
+// (AllocsPerRun counts every goroutine's mallocs).
 func TestRingWarmRoundZeroAlloc(t *testing.T) {
 	rg := newRing(2, hw.Ethernet100G(), nil)
 	params := gnn.NewParameters(gnn.Config{Kind: gnn.SAGE, Dims: []int{16, 16, 5}}, tensor.NewRNG(3))
@@ -106,7 +113,7 @@ func TestRingWarmRoundZeroAlloc(t *testing.T) {
 		reduce(0)
 		<-done
 	}
-	round() // sizes the flat vectors and the message buffers
+	round() // sizes the flat vectors
 	if got, want := grads[0].Weights[0].Data[0], float32(1.5); got != want {
 		t.Fatalf("two-rank mean of 1 and 2 = %v, want %v", got, want)
 	}
@@ -117,44 +124,32 @@ func TestRingWarmRoundZeroAlloc(t *testing.T) {
 
 // A dead peer must unblock the survivors with errRingAborted instead of
 // deadlocking them — the failure mode of a fleet whose node dies mid-epoch.
-// Survivors can be parked in either of two places: the membership barrier
-// (the peer never entered the round) or a chunk receive (the peer entered,
-// then died before sending).
+// The membership barrier is the ring's only place to wait: the peer never
+// enters the round, so the survivors are parked there when it fails.
 func TestRingAbortReleasesSurvivors(t *testing.T) {
-	const n = 4
-	cases := map[string]func(rg *ring){
-		"in-barrier": func(rg *ring) { rg.fail() },
-		"mid-round": func(rg *ring) {
-			if _, err := rg.enter(); err != nil {
-				t.Errorf("rank 0 entering the round: %v", err)
+	t.Run("in-barrier", func(t *testing.T) {
+		const n = 4
+		rg := newRing(n, hw.Ethernet100G(), nil)
+		errs := make(chan error, n-1)
+		for r := 1; r < n; r++ {
+			go func(r int) {
+				vec := make([]float32, 64)
+				_, err := rg.allReduce(r, 0, vec)
+				errs <- err
+			}(r)
+		}
+		for parked := 0; parked < n-1; runtime.Gosched() {
+			rg.mu.Lock()
+			parked = rg.entered
+			rg.mu.Unlock()
+		}
+		rg.fail() // rank 0 dies instead of reducing
+		for i := 0; i < n-1; i++ {
+			if err := <-errs; err != errRingAborted {
+				t.Errorf("survivor got %v, want errRingAborted", err)
 			}
-			rg.fail()
-		},
-	}
-	for name, rank0 := range cases {
-		t.Run(name, func(t *testing.T) {
-			rg := newRing(n, hw.Ethernet100G(), nil)
-			errs := make(chan error, n-1)
-			for r := 1; r < n; r++ {
-				go func(r int) {
-					vec := make([]float32, 64)
-					_, err := rg.allReduce(r, 0, vec)
-					errs <- err
-				}(r)
-			}
-			done := make(chan struct{})
-			go func() { // rank 0 dies instead of reducing
-				defer close(done)
-				rank0(rg)
-			}()
-			for i := 0; i < n-1; i++ {
-				if err := <-errs; err != errRingAborted {
-					t.Errorf("survivor got %v, want errRingAborted", err)
-				}
-			}
-			<-done
-		})
-	}
+		}
+	})
 }
 
 func multiDataset(t *testing.T, seed uint64) *datagen.Dataset {
@@ -232,11 +227,7 @@ func TestFleetInSyncSeesNaN(t *testing.T) {
 // with the aborted-ring errors its peers report: a learning rate of
 // MaxFloat32 on core's 300-vertex fuzz dataset, as in core's own test.
 func TestMultiNodeFailsOnDivergence(t *testing.T) {
-	spec := datagen.Spec{Name: "fuzz", NumVertices: 300, NumEdges: 1500, FeatDims: []int{8, 8, 4}}
-	ds, err := datagen.Materialize(spec, 0.25, tensor.NewRNG(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec, ds := fuzzDataset(t)
 	cfg := multiConfig(t, 2, ds)
 	cfg.Node.Plat = hw.CPUFPGAPlatform()
 	cfg.Node.Model.Dims = spec.FeatDims

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/fault"
@@ -11,34 +12,24 @@ import (
 )
 
 // ring is the executed counterpart of perfmodel.RingAllReduceSec: a chunked
-// ring all-reduce over in-process channels. Each node goroutine calls
-// allReduce once per training iteration; the 2·(m−1) message steps move real
-// gradient chunks between neighbours, and each step charges the inter-node
-// link's transfer time on the caller's virtual clock.
+// ring all-reduce whose ranks are node goroutines of one process. Each calls
+// allReduce once per training iteration and publishes its flat gradient
+// vector at the round's membership barrier. The rank that completes the
+// barrier reduces every published vector in the order the chunked ring
+// (Patarasuk & Yuan, JPDC 2009) folds them and writes the mean back into
+// each; every rank then charges its own 2·(m−1) chunk sends over the
+// inter-node link on its virtual clock. The ring is a reduction order and a
+// clock charge, not a message transport.
 //
-// Membership can shrink (survivor re-ring). Ranks synchronise on a round
-// barrier: a rank that fail-stops leaves at a round boundary, the survivors
-// rebuild the ring over the live ranks and continue. The barrier is exact —
-// a round advances iff every live rank has entered it — so a departure can
-// never strand a message in an inbox: every message sent in round k is
-// consumed in round k. A fault-free fleet is the same ring with a view that
-// never shrinks.
+// Membership can shrink (survivor re-ring). A rank that fail-stops leaves at
+// a round boundary, the survivors rebuild the ring over the live ranks and
+// continue. The barrier is exact — a round completes iff every live rank has
+// entered it — so a round reduces exactly the vectors of its members. A
+// fault-free fleet is the same ring with a view that never shrinks.
 type ring struct {
-	link  hw.Link
-	inbox []chan []float32 // inbox[r] receives from its predecessor in the view
-	// free recycles message buffers: a receiver hands a chunk back once it has
-	// folded or copied it, a sender takes one before it allocates. A rank
-	// alternates take and hand-back, so at most one buffer per rank is out at
-	// any time and a list of that many slots never drops one in steady state.
-	free chan []float32
+	link hw.Link
 	// faults scripts link degradation by ring round (nil-safe: never degraded).
 	faults *fault.Schedule
-
-	// abort unblocks every rank when one node dies mid-epoch: without it a
-	// single failure would leave the survivors waiting forever on a message
-	// that never comes. A failed ring stays failed — the fleet is done.
-	abort     chan struct{}
-	abortOnce sync.Once
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -46,7 +37,11 @@ type ring struct {
 	liveN   int
 	entered int
 	round   int
-	view    []int // live ranks, ascending — the round's ring order
+	vecs    [][]float32 // vecs[rank]: the vector rank published this round
+	view    []int       // live ranks, ascending — the last completed round's ring order
+	// aborted unblocks every rank when one node dies mid-epoch: without it a
+	// single failure would leave the survivors waiting forever on a round
+	// that never completes. A failed ring stays failed — the fleet is done.
 	aborted bool
 }
 
@@ -54,79 +49,68 @@ type ring struct {
 var errRingAborted = errors.New("cluster: ring all-reduce aborted (a peer node failed)")
 
 func newRing(n int, link hw.Link, faults *fault.Schedule) *ring {
-	r := &ring{link: link, faults: faults,
-		inbox: make([]chan []float32, n), free: make(chan []float32, n), abort: make(chan struct{}),
-		alive: make([]bool, n), liveN: n, view: make([]int, 0, n)}
+	r := &ring{link: link, faults: faults, alive: make([]bool, n), liveN: n,
+		vecs: make([][]float32, n), view: make([]int, 0, n)}
 	r.cond = sync.NewCond(&r.mu)
-	for i := range r.inbox {
-		r.inbox[i] = make(chan []float32, 1)
+	for i := range r.alive {
 		r.alive[i] = true
 	}
-	r.rebuildView()
 	return r
 }
 
-// fail permanently aborts the ring, releasing every blocked rank — those
-// waiting on a chunk and those waiting on the membership barrier.
+// fail permanently aborts the ring, releasing every rank parked on the
+// membership barrier.
 func (r *ring) fail() {
-	r.abortOnce.Do(func() {
-		close(r.abort)
-		r.mu.Lock()
-		r.aborted = true
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
+	r.mu.Lock()
+	r.aborted = true
+	r.cond.Broadcast()
+	r.mu.Unlock()
 }
 
-// rebuildView recomputes the live-rank ring order (callers hold mu).
-func (r *ring) rebuildView() {
+// completeLocked completes the round: every live rank has published its
+// vector, so it fixes the round's view (the live ranks, ascending), reduces,
+// resets the barrier and wakes every waiter (callers hold mu).
+//
+// Chunk c of m is folded as the ring folds it: position c's copy first, then
+// each later position around the ring adds its own copy to the running sum;
+// the sum is scaled by 1/m — the survivor rescale after a fail-stop — and
+// written into every position's vector.
+func (r *ring) completeLocked() {
 	r.view = r.view[:0]
 	for i, a := range r.alive {
 		if a {
 			r.view = append(r.view, i)
 		}
 	}
-}
-
-// advanceLocked starts the next round: resets the barrier, rebuilds the live
-// view, and wakes every waiter (callers hold mu).
-func (r *ring) advanceLocked() {
+	if m := len(r.view); m > 1 {
+		n := len(r.vecs[r.view[0]])
+		inv := 1 / float32(m)
+		for c := 0; c < m; c++ {
+			lo, hi := chunkBounds(n, m, c)
+			sum := r.vecs[r.view[c]][lo:hi]
+			for k := 1; k < m; k++ {
+				own := r.vecs[r.view[(c+k)%m]][lo:hi]
+				for i := range sum {
+					sum[i] = own[i] + sum[i]
+				}
+			}
+			for i := range sum {
+				sum[i] *= inv
+			}
+			for k := 1; k < m; k++ {
+				copy(r.vecs[r.view[(c+k)%m]][lo:hi], sum)
+			}
+		}
+	}
 	r.entered = 0
 	r.round++
-	r.rebuildView()
 	r.cond.Broadcast()
-}
-
-// enter blocks until every live rank has entered the current round, then
-// returns the round's membership view. The returned slice is shared, not
-// copied — safe because the next round cannot advance (and so the view
-// cannot be rebuilt) until every rank that read it has re-entered the
-// barrier, which happens only after it finished using the view.
-func (r *ring) enter() ([]int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.aborted {
-		return nil, errRingAborted
-	}
-	myRound := r.round
-	r.entered++
-	if r.entered == r.liveN {
-		r.advanceLocked()
-	} else {
-		for r.round == myRound && !r.aborted {
-			r.cond.Wait()
-		}
-		if r.aborted {
-			return nil, errRingAborted
-		}
-	}
-	return r.view, nil
 }
 
 // leave removes a rank from the membership at a round boundary (the rank
 // must not have entered the round it is skipping). If every other live rank
 // is already waiting on the barrier, the departure is what completes it —
-// advance on the leaver's behalf so the survivors are not stranded.
+// complete it on the leaver's behalf so the survivors are not stranded.
 func (r *ring) leave(rank int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -136,7 +120,7 @@ func (r *ring) leave(rank int) {
 	r.alive[rank] = false
 	r.liveN--
 	if r.liveN > 0 && r.entered == r.liveN {
-		r.advanceLocked()
+		r.completeLocked()
 	}
 }
 
@@ -148,111 +132,50 @@ func chunkBounds(m, n, c int) (int, int) {
 
 func mod(a, n int) int { return ((a % n) + n) % n }
 
-// takeMsg returns a message buffer of length n: a recycled one when the free
-// list has one that fits, else a fresh one with room for the round's largest
-// chunk (so it fits every chunk of this view once recycled).
-func (r *ring) takeMsg(n, maxChunk int) []float32 {
-	select {
-	case buf := <-r.free:
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	default:
-	}
-	return make([]float32, n, maxChunk)
-}
-
-// giveMsg hands a consumed message back to the senders.
-func (r *ring) giveMsg(buf []float32) {
-	select {
-	case r.free <- buf:
-	default:
-	}
-}
-
 // allReduce averages vec element-wise across the live ranks, in place, and
 // returns the virtual network seconds this rank spent. Every live rank must
 // call it concurrently, once per round, with equal-length vectors. iter is
 // the global ring round, consulted for scripted link degradation.
 //
-// The round's membership view fixes the geometry: m = live ranks, chunks and
-// neighbours by position in the view. Scatter-reduce: at step s, position p
-// sends chunk (p−s) mod m to position p+1 and folds the received chunk
-// (p−s−1) mod m into its own copy; after m−1 steps position p owns the fully
-// reduced chunk (p+1) mod m. All-gather: m−1 more steps circulate the
-// reduced chunks until every rank holds all of them. The final scale 1/m is
-// exactly the survivor rescale: after a fail-stop the mean is taken over the
-// m nodes that actually contributed gradients.
+// The round's membership view fixes the geometry: m = live ranks, chunks by
+// position in the view. The charge is the ring's send schedule at position
+// p: chunk (p−s) mod m at scatter-reduce step s, then chunk (p−s+1) mod m at
+// all-gather step s, each over the round's (possibly degraded) link.
 func (r *ring) allReduce(rank, iter int, vec []float32) (float64, error) {
-	view, err := r.enter()
-	if err != nil {
-		return 0, err
+	r.mu.Lock()
+	if r.aborted {
+		r.mu.Unlock()
+		return 0, errRingAborted
 	}
-	m := len(view)
+	r.vecs[rank] = vec
+	myRound := r.round
+	r.entered++
+	if r.entered == r.liveN {
+		r.completeLocked()
+	}
+	for r.round == myRound && !r.aborted {
+		r.cond.Wait()
+	}
+	// The view is stable until this rank enters the next round.
+	aborted, m, pos := r.aborted, len(r.view), slices.Index(r.view, rank)
+	r.mu.Unlock()
+	if aborted {
+		return 0, errRingAborted
+	}
 	if m <= 1 {
 		return 0, nil
 	}
-	pos := 0
-	for i, rk := range view {
-		if rk == rank {
-			pos = i
-			break
-		}
-	}
 	link := r.link.Degraded(r.faults.LinkFactor(iter))
-	next := r.inbox[view[mod(pos+1, m)]]
-	self := r.inbox[rank]
-	maxChunk := (len(vec) + m - 1) / m
-	var sec float64
-	send := func(c int) error {
+	chunkSec := func(c int) float64 {
 		lo, hi := chunkBounds(len(vec), m, c)
-		msg := r.takeMsg(hi-lo, maxChunk)
-		copy(msg, vec[lo:hi])
-		select {
-		case next <- msg:
-		case <-r.abort:
-			return errRingAborted
-		}
-		sec += link.TransferSec(float64(len(msg)) * 4)
-		return nil
+		return link.TransferSec(float64(hi-lo) * 4)
 	}
-	recv := func() ([]float32, error) {
-		select {
-		case got := <-self:
-			return got, nil
-		case <-r.abort:
-			return nil, errRingAborted
-		}
-	}
+	var sec float64
 	for step := 0; step < m-1; step++ { // scatter-reduce
-		if err := send(mod(pos-step, m)); err != nil {
-			return sec, err
-		}
-		got, err := recv()
-		if err != nil {
-			return sec, err
-		}
-		lo, _ := chunkBounds(len(vec), m, mod(pos-step-1, m))
-		for i, v := range got {
-			vec[lo+i] += v
-		}
-		r.giveMsg(got)
+		sec += chunkSec(mod(pos-step, m))
 	}
 	for step := 0; step < m-1; step++ { // all-gather
-		if err := send(mod(pos-step+1, m)); err != nil {
-			return sec, err
-		}
-		got, err := recv()
-		if err != nil {
-			return sec, err
-		}
-		lo, _ := chunkBounds(len(vec), m, mod(pos-step, m))
-		copy(vec[lo:], got)
-		r.giveMsg(got)
-	}
-	inv := 1 / float32(m)
-	for i := range vec {
-		vec[i] *= inv
+		sec += chunkSec(mod(pos-step+1, m))
 	}
 	return sec, nil
 }

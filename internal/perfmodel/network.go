@@ -6,10 +6,12 @@ import "repro/internal/hw"
 // future work). They price the two communication patterns distributed GNN
 // training pays — remote feature fetches across the partition edge cut and
 // the global gradient all-reduce — in the same analytic style as the
-// intra-node equations (§V). Both the analytic cluster model
-// (internal/cluster.EpochTime) and the executing multi-node coordinator
-// (internal/cluster.MultiNode) charge network time through these functions,
-// which is what makes the two comparable.
+// intra-node equations (§V). The analytic cluster model
+// (internal/cluster.EpochTime) prices both through these functions. The
+// executing multi-node coordinator (internal/cluster.MultiNode) charges its
+// remote fetches through RemoteFetchSec; its ring charges each chunk a rank
+// sends through hw.Link.TransferSec, a sum whose equal-chunk closed form is
+// RingAllReduceSec. That shared law is what makes the two comparable.
 
 // RingAllReduceSec returns the time for a ring all-reduce of `bytes` payload
 // across n nodes over the given link: 2·(n−1) steps, each moving a 1/n chunk

@@ -71,8 +71,7 @@ var allowed = map[string]string{
 	"(*serve.admissionController).outstanding":  "outstanding count the admission tests read",
 
 	// Other state and fixtures tests read through.
-	"(*cluster.MultiNode).deadNodes": "fail-stopped ranks the fault tests read",
-	"(*bench.Table).lookup":          "cell lookup the experiment-table tests read through",
+	"(*bench.Table).lookup": "cell lookup the experiment-table tests read through",
 
 	// tensor: test fixtures, comparisons and unfused oracles.
 	"tensor.FromSlice":            "builds fixture matrices from literals",

@@ -360,12 +360,11 @@ type server struct {
 	cache     *ShardedCache
 	router    router
 
-	stats           *Stats
-	latKeys         []uint64 // math.Float64bits of each answered request's latency
-	latTags         []uint8  // latKeys[i]'s class and fault-window tag (latencyTag)
-	lastCompletion  float64
-	batchReqSum     int
-	computedBatches int
+	stats          *Stats
+	latKeys        []uint64 // math.Float64bits of each answered request's latency
+	latTags        []uint8  // latKeys[i]'s class and fault-window tag (latencyTag)
+	lastCompletion float64
+	batchReqSum    int
 
 	// Fault-injection state: health is the schedule's per-worker view (no
 	// windows and no fail times when nothing is scripted).
@@ -775,7 +774,6 @@ func (s *server) complete(batch []Request, hit []bool, wi int, res *core.InferRe
 	}
 	svc := perfmodel.ServingServiceSec(res.Stage)
 	s.stats.MeanServiceSec += svc
-	s.computedBatches++
 	s.stats.EdgesPerSec += res.Edges // normalized by makespan in finish
 	w := s.pool[wi]
 	w.stats.Batches++
@@ -1028,8 +1026,8 @@ func (s *server) finish() (*Stats, error) {
 	if stats.Batches > 0 {
 		stats.MeanBatch = float64(s.batchReqSum) / float64(stats.Batches)
 	}
-	if s.computedBatches > 0 {
-		stats.MeanServiceSec /= float64(s.computedBatches)
+	if n := len(stats.Routes); n > 0 {
+		stats.MeanServiceSec /= float64(n)
 	}
 	stats.MakespanSec = s.lastCompletion
 	if stats.MakespanSec > 0 {

@@ -83,8 +83,8 @@ func TestServeSpansPerBatch(t *testing.T) {
 				t.Fatalf("%d dispatch spans for %d batches", count["dispatch"], st.Batches)
 			case count["propagate"] != s.handoffs:
 				t.Fatalf("%d executor propagate spans for %d hand-offs", count["propagate"], s.handoffs)
-			case count["propagate"]+inline != s.computedBatches:
-				t.Fatalf("%d propagate spans for %d computed batches (%v)", count["propagate"]+inline, s.computedBatches, count)
+			case count["propagate"]+inline != len(st.Routes):
+				t.Fatalf("%d propagate spans for %d computed batches (%v)", count["propagate"]+inline, len(st.Routes), count)
 			case count["finish"] != 1:
 				t.Fatalf("%d finish spans", count["finish"])
 			case (count["propagate/no-executor"] > 0) != (procs == 1):
