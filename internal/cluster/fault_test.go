@@ -318,11 +318,19 @@ func TestLinkDegradeWindow(t *testing.T) {
 	}
 }
 
-// Schedules referencing ranks outside the fleet are rejected up front.
+// Schedules referencing ranks outside the fleet, or leaving no rank alive, are
+// rejected up front.
 func TestClusterFaultScheduleValidated(t *testing.T) {
 	cfg := multiConfig(t, 2, multiDataset(t, 7))
 	cfg.Faults = mustParse(t, "fail,node=5,at=iter:1")
 	if _, err := NewMultiNode(cfg); err == nil || !strings.Contains(err.Error(), "node 5") {
 		t.Fatalf("out-of-range fault target accepted: %v", err)
+	}
+	// A schedule that fail-stops every node leaves no survivor to train.
+	const noSurvivor = "fail,node=0,at=iter:0;fail,node=1,at=iter:0"
+	cfg.Faults = mustParse(t, noSurvivor)
+	if _, err := NewMultiNode(cfg); err == nil || !strings.Contains(err.Error(), noSurvivor) ||
+		!strings.Contains(err.Error(), "no survivor") {
+		t.Fatalf("a schedule with no survivor accepted or not named: %v", err)
 	}
 }

@@ -84,6 +84,15 @@ func (c MultiNodeConfig) validate() error {
 	if mx := c.Faults.MaxNode(); mx >= c.Nodes {
 		return fmt.Errorf("cluster: fault schedule targets node %d, fleet has %d nodes", mx, c.Nodes)
 	}
+	survivors := c.Nodes
+	for rank := 0; rank < c.Nodes; rank++ {
+		if c.Faults.NodeFailIter(rank) >= 0 {
+			survivors--
+		}
+	}
+	if survivors == 0 {
+		return fmt.Errorf("cluster: fault schedule %q fail-stops all %d nodes: no survivor is left to train", c.Faults, c.Nodes)
+	}
 	return nil
 }
 

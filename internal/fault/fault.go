@@ -191,7 +191,9 @@ func finiteAtLeast(v, min float64) bool { return v >= min && !math.IsInf(v, 1) }
 // Validate checks every event's shape: exactly the target its kind takes,
 // times in the unit of its plane (virtual seconds for serving workers,
 // iterations for training), windows ordered, every number finite, factors
-// ≥ 1, and at most one fail-stop or crash per target.
+// ≥ 1, and at most one fail-stop or crash per target. Rules that need the
+// fleet's size are its consumer's: a training schedule that fail-stops every
+// node, leaving no survivor, is rejected by the cluster's configuration check.
 func (s *Schedule) Validate() error {
 	if s == nil {
 		return nil

@@ -6,98 +6,101 @@ import (
 	"repro/internal/hw"
 )
 
-// Pin the admissionController's edge cases — cap zero and negative
-// handling, re-setting caps mid-run with work outstanding — plus degraded-mode
-// admission.
-
-// TestSetKindCapEdgeCases: cap 0 removes the bound even while the kind holds
-// in-flight work; a negative cap clamps to 0 (removed), not to a tiny bound.
-func TestSetKindCapEdgeCases(t *testing.T) {
-	a := newAdmissionController(8)
-	a.setKindCap(hw.FPGA, 2)
-	for i := 0; i < 2; i++ {
-		if !a.admit(0) {
-			t.Fatalf("admit %d refused under empty queue", i)
+// TestRefitLaw pins admission's one law over the live fleet: each kind with
+// 0 < live < Σlive gets max(1, ⌊QueueCap·live/Σlive⌋) in-flight slots, a kind
+// that is the whole live fleet or has no live worker gets none, bulk is shed
+// once any worker is lost and standard once fewer than half survive. The rows
+// refit one controller in turn, so each also checks that refit rewrites every
+// cap (a kind that died keeps no old cap). The caps then bind as the router
+// reads them: a kind at its cap is saturated while the others are not, and a
+// refit that lifts or tightens a cap acts at once on the work in flight.
+func TestRefitLaw(t *testing.T) {
+	type live = [hw.KindCount]int
+	const queueCap = 8
+	a := newAdmissionController(queueCap)
+	for _, c := range []struct {
+		name         string
+		live         live
+		pool         int
+		caps         live
+		bulk, stdShd bool
+	}{
+		{"mixed pool", live{hw.FPGA: 2, hw.CPU: 1}, 3, live{hw.FPGA: 5, hw.CPU: 2}, false, false},
+		{"dead kind", live{hw.FPGA: 2}, 3, live{}, true, false},
+		{"sole live kind", live{hw.GPU: 4}, 4, live{}, false, false},
+		{"floor of one", live{hw.GPU: 1, hw.FPGA: 20}, 21, live{hw.GPU: 1, hw.FPGA: 7}, false, false},
+		{"half survive", live{hw.GPU: 1, hw.CPU: 1}, 4, live{hw.GPU: 4, hw.CPU: 4}, true, false},
+		{"under half survive", live{hw.GPU: 1, hw.CPU: 1}, 5, live{hw.GPU: 4, hw.CPU: 4}, true, true},
+		{"none survive", live{}, 3, live{}, true, true},
+	} {
+		a.refit(c.live, c.pool)
+		if a.caps != c.caps {
+			t.Errorf("%s: caps %v, want %v", c.name, a.caps, c.caps)
+		}
+		if a.shedClass(ClassBulk) != c.bulk || a.shedClass(ClassStandard) != c.stdShd {
+			t.Errorf("%s: sheds bulk %v, standard %v; want %v, %v", c.name,
+				a.shedClass(ClassBulk), a.shedClass(ClassStandard), c.bulk, c.stdShd)
+		}
+		if a.shedClass(ClassInteractive) {
+			t.Errorf("%s: interactive shed", c.name)
 		}
 	}
-	a.dispatchedKind(hw.FPGA, []float64{10, 11}) // in flight far in the future
+
+	// FPGA and GPU each hold half of a queue of 4; the CPU has no live worker.
+	a = newAdmissionController(4)
+	a.refit(live{hw.FPGA: 1, hw.GPU: 1}, 3)
+	a.admit(0)
+	a.admit(0)
+	a.dispatchedKind(hw.FPGA, []float64{10, 11})
 	if !a.kindSaturated(hw.FPGA, 1) {
 		t.Fatal("FPGA not saturated at its cap of 2")
 	}
-	// Removing the cap mid-run with outstanding in-flight must lift the
-	// bound immediately; the in-flight entries stay until their completions.
-	a.setKindCap(hw.FPGA, 0)
-	if a.kindSaturated(hw.FPGA, 1) {
-		t.Fatal("cap 0 did not remove the bound")
+	if a.kindSaturated(hw.GPU, 1) {
+		t.Fatal("GPU saturated without in-flight work")
 	}
-	if a.kindInflight(hw.FPGA) != 2 {
-		t.Fatalf("in-flight count %d changed by a cap update", a.kindInflight(hw.FPGA))
+	a.admit(1)
+	a.dispatchedKind(hw.GPU, []float64{2})
+	if a.kindSaturated(hw.GPU, 3) || !a.kindSaturated(hw.FPGA, 3) {
+		t.Fatal("the GPU's completion did not clear its share, or cleared the FPGA's")
 	}
-	// Negative caps clamp to 0 (removed), not to a 0-slot bound that would
-	// saturate forever.
-	a.setKindCap(hw.FPGA, -3)
-	if a.kindSaturated(hw.FPGA, 1) {
-		t.Fatal("negative cap behaved as a real bound")
+	if a.kindSaturated(hw.CPU, 1) {
+		t.Fatal("a kind with no live worker reported saturated")
 	}
-	// Tightening below the current in-flight count saturates immediately and
-	// releases once completions drain past the horizon.
-	a.setKindCap(hw.FPGA, 1)
+	if a.kindSaturated(hw.FPGA, 11) { // both completions (10, 11) are done by 11
+		t.Fatal("saturated after every completion passed")
+	}
+	// The FPGA becomes the sole live kind: its cap lifts at once, and its
+	// in-flight entries stay until their completions.
+	a.refit(live{hw.FPGA: 1}, 3)
+	if a.kindSaturated(hw.FPGA, 1) || a.kindInflight(hw.FPGA) != 2 {
+		t.Fatalf("sole live kind saturated %v with %d in flight, want free with 2",
+			a.kindSaturated(hw.FPGA, 1), a.kindInflight(hw.FPGA))
+	}
+	// A refit that tightens below the in-flight count saturates at once.
+	a.refit(live{hw.FPGA: 1, hw.GPU: 3}, 4)
 	if !a.kindSaturated(hw.FPGA, 1) {
-		t.Fatal("cap 1 under 2 in-flight not saturated")
-	}
-	if a.kindSaturated(hw.FPGA, 12) { // both completions (10, 11) have drained
-		t.Fatal("saturated after every completion drained")
+		t.Fatal("cap 1 under 2 in flight not saturated")
 	}
 }
 
-// TestDegradedAdmission pins the fault plane's admission additions: shedClass
-// follows the bulk → standard → never-interactive order as the degraded
-// fraction falls, and cancel releases waiting slots.
-func TestDegradedAdmission(t *testing.T) {
-	a := newAdmissionController(16)
-	if a.shedClass(ClassBulk) || a.shedClass(ClassStandard) || a.shedClass(ClassInteractive) {
-		t.Fatal("healthy fleet sheds")
-	}
-	a.setDegraded(0.75)
-	if !a.shedClass(ClassBulk) {
-		t.Fatal("bulk survives at 75% capacity")
-	}
-	if a.shedClass(ClassStandard) || a.shedClass(ClassInteractive) {
-		t.Fatal("standard/interactive shed at 75% capacity")
-	}
-	a.setDegraded(0.25)
-	if !a.shedClass(ClassStandard) {
-		t.Fatal("standard survives at 25% capacity")
-	}
-	if a.shedClass(ClassInteractive) {
-		t.Fatal("interactive must never shed")
-	}
-	// Fractions outside [0, 1] behave as the nearest bound.
-	a.setDegraded(-1)
-	if !a.shedClass(ClassBulk) || !a.shedClass(ClassStandard) || a.shedClass(ClassInteractive) {
-		t.Fatal("a negative fraction does not shed as a dead fleet")
-	}
-	a.setDegraded(2)
-	if a.shedClass(ClassBulk) || a.shedClass(ClassStandard) || a.shedClass(ClassInteractive) {
-		t.Fatal("a fraction above 1 sheds")
-	}
-
-	// cancel releases waiting slots and clamps at zero. A serving run never
-	// over-cancels (every request is admitted in offer before it can be
-	// shed); the clamp guards direct callers only.
-	b := newAdmissionController(2)
-	if !b.admit(0) || !b.admit(0) {
+// TestSaturationCheckOnlyReads: the router may check a kind's share at a time
+// ahead of the event loop (a retried batch routes at its backoff time). The
+// check must leave admission as it was: the completions it looks past are
+// still in flight for the next admit, which runs at the loop's own clock.
+func TestSaturationCheckOnlyReads(t *testing.T) {
+	a := newAdmissionController(2)
+	a.caps[hw.FPGA] = 1
+	if !a.admit(0) || !a.admit(0) {
 		t.Fatal("fill refused")
 	}
-	if b.admit(0) {
-		t.Fatal("admit above capacity")
+	a.dispatchedKind(hw.FPGA, []float64{1, 2})
+	if a.kindSaturated(hw.FPGA, 5) {
+		t.Fatal("saturated at a time after every completion")
 	}
-	b.cancel(1)
-	if !b.admit(0) {
-		t.Fatal("cancelled slot not released")
+	if got := a.outstanding(); got != 2 {
+		t.Fatalf("outstanding %d after a saturation check at t=5, want 2", got)
 	}
-	b.cancel(100)
-	if b.outstanding() != 0 {
-		t.Fatalf("outstanding %d after over-cancel, want 0", b.outstanding())
+	if a.admit(0.5) {
+		t.Fatal("admitted at t=0.5 with both requests still in flight")
 	}
 }

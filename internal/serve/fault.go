@@ -11,22 +11,16 @@ type faultWindow struct{ from, to, factor float64 }
 
 // fleetHealth is the serving fleet's per-worker health view of a fault
 // schedule: pure lookups in virtual time (a worker's liveness, stall and
-// straggler adjustments are functions of (worker, time), so routing needs no
-// event ordering), plus the ordered fail-stop list the server applies to the
-// admission plane as arrivals pass each fail time. Every server carries one:
-// a nil, empty or training-only schedule yields no windows and fail times of
-// +Inf, and the fault-free run is that view flowing through the same code.
+// straggler adjustments are functions of (worker, time), so neither routing
+// nor admission needs an event list). Every server carries one: a nil, empty
+// or training-only schedule yields no windows and fail times of +Inf, and the
+// fault-free run is that view flowing through the same code.
 type fleetHealth struct {
 	failAt []float64 // per pool worker: fail-stop time, +Inf when never
 	stalls [][]faultWindow
 	slows  [][]faultWindow
 
 	firstFailSec float64 // earliest fail-stop (+Inf none): the recovery anchor
-
-	// fails is the fail-stop (worker, time) list in time order; nextFail
-	// tracks how many the admission plane has applied.
-	fails    []faultWindow // from = fail time, factor = worker index
-	nextFail int
 }
 
 // newFleetHealth builds the health view for a pool of `workers` workers,
@@ -52,17 +46,10 @@ func newFleetHealth(sched *fault.Schedule, workers int) *fleetHealth {
 		case fault.FailStop:
 			h.failAt[e.Worker] = e.AtSec
 			h.firstFailSec = math.Min(h.firstFailSec, e.AtSec)
-			h.fails = append(h.fails, faultWindow{from: e.AtSec, factor: float64(e.Worker)})
 		case fault.Stall:
 			h.stalls[e.Worker] = append(h.stalls[e.Worker], faultWindow{from: e.FromSec, to: e.ToSec, factor: 1})
 		case fault.Slow:
 			h.slows[e.Worker] = append(h.slows[e.Worker], faultWindow{from: e.FromSec, to: e.ToSec, factor: e.Factor})
-		}
-	}
-	// Apply fail-stops in time order regardless of spec order.
-	for i := 1; i < len(h.fails); i++ {
-		for j := i; j > 0 && h.fails[j].from < h.fails[j-1].from; j-- {
-			h.fails[j], h.fails[j-1] = h.fails[j-1], h.fails[j]
 		}
 	}
 	return h
@@ -91,27 +78,4 @@ func (h *fleetHealth) adjust(wi int, start float64) (float64, float64) {
 		}
 	}
 	return start, f
-}
-
-// popFailures advances the applied-failure cursor past every fail-stop at or
-// before now, returning how many newly applied (the server reacts by
-// retightening admission to the surviving capacity).
-func (h *fleetHealth) popFailures(now float64) int {
-	n := 0
-	for h.nextFail < len(h.fails) && h.fails[h.nextFail].from <= now {
-		h.nextFail++
-		n++
-	}
-	return n
-}
-
-// aliveCount returns how many workers are up at virtual time t.
-func (h *fleetHealth) aliveCount(t float64) int {
-	n := 0
-	for wi := range h.failAt {
-		if h.alive(wi, t) {
-			n++
-		}
-	}
-	return n
 }

@@ -275,6 +275,60 @@ func TestWorkerFailStopFailover(t *testing.T) {
 	}
 }
 
+// overloadServeConfig is the golden config at eight times its load with a
+// queue bound of 48, under faultServeConfig's drill with its times divided by
+// eight so that it still fires inside the shorter run: admission rejects,
+// sheds and retries all bind.
+func overloadServeConfig(t *testing.T, ds *datagen.Dataset, m *gnn.Model) Config {
+	t.Helper()
+	sched, err := fault.Parse("fail,worker=2,at=0.0125;slow,worker=0,from=0.0025,to=0.00625,factor=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := goldenServeConfig(ds, m)
+	cfg.QueueCap, cfg.Faults = 48, sched
+	cohorts := append([]Cohort(nil), cfg.Workload.Cohorts...)
+	for i := range cohorts {
+		cohorts[i].RatePerSec *= 8
+	}
+	cfg.Workload = &WorkloadSpec{Cohorts: cohorts}
+	return cfg
+}
+
+// overloadSig is faultSig of overloadServeConfig. It guards the admission
+// plane where it binds, which goldenServeSig (rejected=0, no fault) cannot:
+// the queue bound, the per-kind caps the refit law sets before and after the
+// CPU peer's fail-stop, the bulk-first shedding order and the retry budget.
+// A saturation check that retired completions up to a retry's backoff time,
+// ahead of the event loop, would admit 4 requests more here and retry once
+// more: the next arrival would count fewer requests in flight than there are.
+const overloadSig = "offered=3000 served=2425 rejected=122 batches=120 computed=668 hits=1757 evict=142\n" +
+	"lat mean=0x1.6b2cd4c6e1df4p-12 p50=0x1.7d2b7246f2fcp-13 p95=0x1.01f443ad7cafep-10 p99=0x1.ed19a1d2a4788p-10 max=0x1.3ebf62f2ff78cp-09\n" +
+	"makespan=0x1.049d634d9c7e4p-05 rps=0x1.29c1e8f021c74p+16 eps=0x1.7f1819392d0aep+18 meanbatch=0x1.4355555555555p+04 svc=0x1.73c395f689fdp-11 jain=0x1.c48245ce538ep-01\n" +
+	"class0 off=943 srv=903 rej=40 mean=0x1.33653e164f18ep-12 p50=0x1.5a6d3b1255308p-13 p99=0x1.8e7e398fe3698p-10 max=0x1.3ebf62f2ff78cp-09\n" +
+	"class1 off=1297 srv=1240 rej=57 mean=0x1.71aa2598e261bp-12 p50=0x1.8262a82b0cbp-13 p99=0x1.fd547f6924ff8p-10 max=0x1.3b280706ad144p-09\n" +
+	"class2 off=760 srv=282 rej=25 mean=0x1.00a0690df17ecp-11 p50=0x1.2ff0a037ab41p-11 p99=0x1.2e462ab64e78cp-09 max=0x1.3d995cd859ep-09\n" +
+	"dev0 kind=FPGA batches=44 req=205 busy=0x1.0f43d4063cc65p-05\n" +
+	"dev1 kind=FPGA batches=48 req=225 busy=0x1.27ee73a0fc716p-05\n" +
+	"dev2 kind=CPU batches=27 req=238 busy=0x1.f0358cbcbd6c3p-07\n" +
+	"routes=20212021221221221221221220212021202120212021202101010101010101010101010101010101010101010101010101010101010101010101010\n" +
+	"shed=453 retries=2 redisp=2 failed=1 recovery=0x1.cb7d75be51318p-10 fwp99=0x1.1705823cc29d8p-09 fwserved=1354"
+
+// TestOverloadGolden replays overloadServeConfig bit for bit.
+func TestOverloadGolden(t *testing.T) {
+	ds, m := testSetup(t)
+	st, err := Run(overloadServeConfig(t, ds, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rejected == 0 || st.Shed == 0 || st.Retries == 0 {
+		t.Fatalf("overload drill does not bind: rejected %d, shed %d, retries %d", st.Rejected, st.Shed, st.Retries)
+	}
+	if got := faultSig(st); got != overloadSig {
+		t.Fatalf("overload run drifted from its golden:\ngot:\n%s\nwant:\n%s", got, overloadSig)
+	}
+}
+
 // TestRouteTraceRowsMatchRoutes: the route trace holds exactly one row per
 // executed batch — the decision that stuck — also when placing a batch took
 // several attempts (a predicted mid-service loss re-routes it) or failed (a

@@ -12,9 +12,9 @@ import "repro/internal/hw"
 // *per device kind*: requests dispatched to a slow kind occupy queue
 // capacity until their (late) virtual completions, and without a per-kind
 // bound one slow device kind can fill the whole queue and starve arrivals
-// that faster kinds could have served. setKindCap bounds each kind's
-// in-flight share; the router consults kindSaturated to steer batches away
-// from a kind that has exhausted its share.
+// that faster kinds could have served. refit sets each kind's in-flight
+// share from the live fleet; the router consults kindSaturated to steer
+// batches away from a kind that has exhausted its share.
 //
 // Kind state lives in dense arrays indexed by hw.Kind (no map lookups on
 // the admission hot path), and the completion heaps are hand-rolled over
@@ -24,63 +24,54 @@ type admissionController struct {
 	capacity int
 	waiting  int
 	inflight [hw.KindCount]completionHeap
-	caps     [hw.KindCount]int
-	// degraded is the surviving-capacity fraction after worker fail-stops
-	// (1 = full fleet); it drives shedClass's bulk-before-interactive
-	// shedding order.
-	degraded float64
+	// caps and shed are refit's law over the live fleet: caps[k] bounds kind
+	// k's in-flight requests (0: only the queue bound applies), and shed[c]
+	// turns class c away before it reaches the queue.
+	caps [hw.KindCount]int
+	shed [NumClasses]bool
 }
 
 // newAdmissionController builds a controller over a positive capacity (the
 // Config's QueueCap).
 func newAdmissionController(capacity int) *admissionController {
-	return &admissionController{capacity: capacity, degraded: 1}
+	return &admissionController{capacity: capacity}
 }
 
-// setDegraded records the surviving-capacity fraction: shedClass starts
-// shedding the classes the surviving fleet can no longer afford. Frac 1 (or
-// more) restores healthy behavior exactly; frac 0 (or less) sheds every class
-// but interactive.
-func (a *admissionController) setDegraded(frac float64) { a.degraded = frac }
+// refit sets every per-kind cap and the shedding order from the live fleet:
+// live[k] workers of kind k are up, out of pool workers in all. A kind with
+// 0 < live[k] < Σlive gets max(1, ⌊capacity·live[k]/Σlive⌋) of the queue, so
+// one slow kind's late completions cannot occupy it and starve the kinds that
+// keep up. A kind that is the whole live fleet, or has no live worker, gets
+// no cap: only the queue bound applies to it. Bulk is shed once any worker is
+// lost, standard once fewer than half survive, and interactive never — the
+// order that keeps the tightest SLOs alive on the surviving capacity.
+func (a *admissionController) refit(live [hw.KindCount]int, pool int) {
+	up := 0
+	for _, n := range live {
+		up += n
+	}
+	for k, n := range live {
+		a.caps[k] = 0
+		if n > 0 && n < up {
+			a.caps[k] = max(1, a.capacity*n/up)
+		}
+	}
+	a.shed[ClassBulk] = up < pool
+	a.shed[ClassStandard] = 2*up < pool
+}
 
 // shedClass reports whether degraded-mode admission sheds this class before
-// it reaches the queue: bulk is shed under any capacity loss, standard once
-// less than half the fleet survives, interactive never (the shedding order
-// that keeps the tightest SLOs alive on the surviving capacity).
-func (a *admissionController) shedClass(class SLOClass) bool {
-	switch class {
-	case ClassBulk:
-		return a.degraded < 1
-	case ClassStandard:
-		return a.degraded < 0.5
-	}
-	return false
-}
+// it reaches the queue (refit sets the order).
+func (a *admissionController) shedClass(class SLOClass) bool { return a.shed[class] }
 
 // cancel releases n waiting slots without completions — requests that were
 // admitted but then shed (their batch exhausted its retry budget with no
-// live worker), so admission capacity is not leaked to dead work. A serving
-// run admits every request in offer before it can be dispatched or shed, so
-// it never cancels more than are waiting; the clamp at zero only guards
-// direct callers that do.
-func (a *admissionController) cancel(n int) {
-	a.waiting -= n
-	if a.waiting < 0 {
-		a.waiting = 0
-	}
-}
-
-// setKindCap bounds one device kind's in-flight requests (0 removes the
-// bound). Kinds without a cap share only the global capacity.
-func (a *admissionController) setKindCap(kind hw.Kind, cap int) {
-	if cap < 0 {
-		cap = 0
-	}
-	a.caps[kind] = cap
-}
+// live worker), so admission capacity is not leaked to dead work.
+func (a *admissionController) cancel(n int) { a.waiting -= n }
 
 // admit reports whether a request arriving at virtual time now fits, and
-// records it as waiting if so.
+// records it as waiting if so. It is the one place completions retire: every
+// kind's heap drains up to now, the event loop's own clock.
 func (a *admissionController) admit(now float64) bool {
 	total := a.waiting
 	for k := range a.inflight {
@@ -97,31 +88,27 @@ func (a *admissionController) admit(now float64) bool {
 
 // dispatchedKind moves len(completions) waiting requests to in-flight on the
 // given device kind with their virtual completion times (one per request).
-// A serving run admits every request in offer before it can be dispatched,
-// so it never moves more than are waiting; the clamp at zero only guards
-// direct callers that do (TestDispatchHitsAttributedToHost dispatches
-// requests it never admitted).
 func (a *admissionController) dispatchedKind(kind hw.Kind, completions []float64) {
 	a.waiting -= len(completions)
-	if a.waiting < 0 {
-		a.waiting = 0
-	}
 	h := &a.inflight[kind]
 	for _, c := range completions {
 		h.push(c)
 	}
 }
 
-// kindSaturated reports whether a kind has exhausted its in-flight share as
-// of virtual time now. Kinds without a cap are never saturated.
-func (a *admissionController) kindSaturated(kind hw.Kind, now float64) bool {
+// kindSaturated reports whether a kind has exhausted its in-flight share at
+// virtual time at: whether at least its cap of completions lie after at.
+// Kinds without a cap are never saturated. It only reads: at may lie ahead of
+// the event loop (a retried batch routes at its backoff time), and retiring
+// completions up to it would let the next admit count fewer requests in
+// flight than there are.
+func (a *admissionController) kindSaturated(kind hw.Kind, at float64) bool {
 	cap := a.caps[kind]
-	if cap <= 0 {
+	if cap == 0 {
 		return false
 	}
-	h := &a.inflight[kind]
-	h.drain(now)
-	return len(*h) >= cap
+	h := a.inflight[kind]
+	return len(h)-h.countAtOrBefore(0, at) >= cap
 }
 
 // kindInflight returns a kind's current in-flight count (tests, telemetry).
@@ -192,4 +179,14 @@ func (h *completionHeap) drain(now float64) {
 	for len(*h) > 0 && (*h)[0] <= now {
 		h.popMin()
 	}
+}
+
+// countAtOrBefore counts the completions at or before t in the subtree rooted
+// at i. Heap order makes them a subtree hanging from the root, so the walk
+// stops at the first later entry on every path.
+func (h completionHeap) countAtOrBefore(i int, t float64) int {
+	if i >= len(h) || h[i] > t {
+		return 0
+	}
+	return 1 + h.countAtOrBefore(2*i+1, t) + h.countAtOrBefore(2*i+2, t)
 }

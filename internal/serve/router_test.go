@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -182,37 +181,5 @@ func TestSmallCutRequiresPeer(t *testing.T) {
 	cfg.CPUPeer = true
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Kind-aware admission: a saturated kind must not absorb further batches
-// while another kind has room — the slow-FPGA-starves-GPU scenario. Build a
-// controller by hand and drive the saturation check directly.
-func TestKindSaturationSteering(t *testing.T) {
-	a := newAdmissionController(8)
-	a.setKindCap(hw.FPGA, 2)
-	a.setKindCap(hw.GPU, 2)
-	// Two FPGA batches in flight with far-future completions: saturated.
-	a.admit(0)
-	a.admit(0)
-	a.dispatchedKind(hw.FPGA, []float64{100, 200})
-	if !a.kindSaturated(hw.FPGA, 1) {
-		t.Fatal("FPGA not saturated at its cap")
-	}
-	if a.kindSaturated(hw.GPU, 1) {
-		t.Fatal("GPU saturated without in-flight work")
-	}
-	// The GPU keeps serving and draining while the FPGA stays pinned.
-	a.admit(1)
-	a.dispatchedKind(hw.GPU, []float64{2})
-	if a.kindSaturated(hw.GPU, 3) {
-		t.Fatal("GPU saturation not cleared by completion")
-	}
-	if !a.kindSaturated(hw.FPGA, 3) {
-		t.Fatal("FPGA saturation cleared early")
-	}
-	// Uncapped kinds are never saturated.
-	if a.kindSaturated(hw.CPU, math.Inf(1)) {
-		t.Fatal("uncapped kind reported saturated")
 	}
 }

@@ -129,9 +129,9 @@ type Config struct {
 	RouteTrace bool
 
 	// Faults scripts deterministic worker failures on the virtual clock (see
-	// fault.Parse): fail-stops drain and exclude workers and retighten
-	// admission to the surviving capacity, stall windows delay batch starts,
-	// and straggler windows inflate service times. Nil or a schedule with no
+	// fault.Parse): fail-stops drain and exclude workers and refit
+	// admission to the live fleet, stall windows delay batch starts, and
+	// straggler windows inflate service times. Nil or a schedule with no
 	// serving events is the fault-free run: the same code with no windows and
 	// no fail times.
 	Faults *fault.Schedule
@@ -369,6 +369,7 @@ type server struct {
 	// Fault-injection state: health is the schedule's per-worker view (no
 	// windows and no fail times when nothing is scripted).
 	health      *fleetHealth
+	nextFailSec float64 // earliest fail-stop admission has not applied (+Inf: none left)
 	retryBudget int
 	recoveryEnd float64 // latest re-dispatched completion (recovery metric)
 	sloTargets  [NumClasses]float64
@@ -398,7 +399,7 @@ type server struct {
 	putEmbs [][]float32 // PutMany values (arena-copied by the cache)
 	// Completion times are split by who answered: cache hits are served by
 	// the host, computed requests by the routed worker — the split is what
-	// keeps hit completions off an accelerator's in-flight (setKindCap) share.
+	// keeps hit completions off an accelerator's in-flight (refit cap) share.
 	hitDone  []float64
 	compDone []float64
 	// vertexGen dedups a batch's missing vertices without a map: slot v
@@ -474,7 +475,6 @@ func newServer(cfg Config) (*server, error) {
 	if err := batcher.SetFormation(cfg.Formation, nil); err != nil {
 		return nil, err
 	}
-	setKindCaps(admission, pool, cfg.QueueCap)
 	dims := cfg.Model.Cfg.Dims
 	s := &server{
 		cfg:       cfg,
@@ -493,6 +493,7 @@ func newServer(cfg Config) (*server, error) {
 		latTags: make([]uint8, 0, len(arrivals)),
 
 		health:      health,
+		nextFailSec: math.Inf(-1),
 		retryBudget: retryBudget,
 		sloTargets:  sloTargets,
 		haveSLO:     len(cfg.SLOTargets) > 0,
@@ -510,6 +511,7 @@ func newServer(cfg Config) (*server, error) {
 	for _, w := range pool {
 		w.out = make([]handoff, w.pipe.Depth())
 	}
+	s.applyFailures(math.Inf(-1)) // before any fail time: admission fits the whole pool
 	nExec := min(runtime.GOMAXPROCS(0)-1, len(pool))
 	s.lane = trace.Lanes(1 + max(nExec, 0))
 	s.startExecutors(nExec)
@@ -924,33 +926,27 @@ func (s *server) retryBackoff(attempt int, batch []Request, hit []bool, failAt f
 	return d
 }
 
-// applyFailures applies every scripted fail-stop at or before now to the
-// admission plane: per-kind in-flight caps are re-split over the surviving
-// workers, and the surviving-capacity fraction sets which classes
-// degraded-mode admission sheds. Routing needs no application step — worker
-// liveness is a pure function of virtual time.
+// applyFailures refits admission to the fleet alive at now once now reaches
+// the earliest fail-stop not yet applied (one comparison per arrival
+// otherwise): refit re-splits the per-kind caps over the surviving workers and
+// sets which classes degraded-mode admission sheds. Routing needs no
+// application step — worker liveness is a pure function of virtual time.
 func (s *server) applyFailures(now float64) {
-	n := s.health.popFailures(now)
-	if n == 0 {
+	if now < s.nextFailSec {
 		return
 	}
-	s.stats.FailedWorkers += n
-	alive := s.health.aliveCount(now)
-	s.admission.setDegraded(float64(alive) / float64(len(s.pool)))
-	if alive == 0 {
-		return
-	}
-	var counts [hw.KindCount]int
+	var live [hw.KindCount]int
+	up := 0
+	s.nextFailSec = math.Inf(1)
 	for i, w := range s.pool {
 		if s.health.alive(i, now) {
-			counts[w.pipe.Device().Kind]++
+			live[w.pipe.Device().Kind]++
+			up++
+			s.nextFailSec = math.Min(s.nextFailSec, s.health.failAt[i])
 		}
 	}
-	for kind, c := range counts {
-		if c > 0 {
-			s.admission.setKindCap(hw.Kind(kind), max(1, s.cfg.QueueCap*c/alive))
-		}
-	}
+	s.admission.refit(live, len(s.pool))
+	s.stats.FailedWorkers = len(s.pool) - up
 }
 
 // offer feeds one arrival through deadline-expiry, admission, and batching —
@@ -1084,29 +1080,6 @@ func (s *server) run() (*Stats, error) {
 		}
 	}
 	return s.finish()
-}
-
-// setKindCaps bounds each device kind's in-flight admission share on mixed
-// pools: capacity split proportionally to the kind's worker count, so one
-// slow kind's late completions cannot occupy the whole queue and starve the
-// kinds that are keeping up. Single-kind pools keep the plain global bound.
-func setKindCaps(a *admissionController, pool []*worker, queueCap int) {
-	var counts [hw.KindCount]int
-	kinds := 0
-	for _, w := range pool {
-		if counts[w.pipe.Device().Kind] == 0 {
-			kinds++
-		}
-		counts[w.pipe.Device().Kind]++
-	}
-	if kinds < 2 {
-		return
-	}
-	for kind, n := range counts {
-		if n > 0 {
-			a.setKindCap(hw.Kind(kind), max(1, queueCap*n/len(pool)))
-		}
-	}
 }
 
 // servingLoad maps a Config onto the analytic model's load description at the

@@ -115,9 +115,29 @@ func TestGemmTileEdgesExact(t *testing.T) {
 	if raceEnabled {
 		packed = packed[1:2]
 	}
-	rng := NewRNG(20)
-	for i, sh := range append(append(fanned, packed...), shapes...) {
-		check := gemmCheck(randomMatrix(sh[0], sh[1], rng), randomMatrix(sh[1], sh[2], rng))
+	all := append(append(fanned, packed...), shapes...)
+	// The legs below set process-wide state (SetParallelism, withSIMD), so
+	// they run one at a time. Building a shape's inputs and reference
+	// products sets none (the references read the parallelism bound only to
+	// split rows, which moves no bit), so a second goroutine builds shape
+	// i+1's while shape i's legs run. It draws every input from one RNG in
+	// shape order, as a serial loop would.
+	checks := make(chan func(*testing.T, string))
+	stop, done := make(chan struct{}), make(chan struct{})
+	defer func() { close(stop); <-done }()
+	go func() {
+		defer close(done)
+		rng := NewRNG(20)
+		for _, sh := range all {
+			select {
+			case checks <- gemmCheck(randomMatrix(sh[0], sh[1], rng), randomMatrix(sh[1], sh[2], rng)):
+			case <-stop:
+				return
+			}
+		}
+	}()
+	for i, sh := range all {
+		check := <-checks
 		forEachLevelAndParallelism(t, func(l SIMDLevel, par int) {
 			if par > 1 && i >= len(fanned)+len(packed) && !gemmFansOut(sh[0], sh[1], sh[2]) {
 				return
