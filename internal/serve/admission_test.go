@@ -6,80 +6,91 @@ import (
 	"repro/internal/hw"
 )
 
-// TestRefitLaw pins admission's one law over the live fleet: each kind with
-// 0 < live < Σlive gets max(1, ⌊QueueCap·live/Σlive⌋) in-flight slots, a kind
-// that is the whole live fleet or has no live worker gets none, bulk is shed
-// once any worker is lost and standard once fewer than half survive. The rows
-// refit one controller in turn, so each also checks that refit rewrites every
-// cap (a kind that died keeps no old cap). The caps then bind as the router
-// reads them: a kind at its cap is saturated while the others are not, and a
-// refit that lifts or tightens a cap acts at once on the work in flight.
+// TestRefitLaw pins the caps of admission's one law over the live fleet:
+// each kind with 0 < live < Σlive gets max(1, ⌊QueueCap·live/Σlive⌋)
+// in-flight slots, and a kind that is the whole live fleet or has no live
+// worker gets none. The rows refit one controller in turn, so each also checks
+// that refit rewrites every cap (a kind that died keeps no old cap).
 func TestRefitLaw(t *testing.T) {
 	type live = [hw.KindCount]int
 	const queueCap = 8
 	a := newAdmissionController(queueCap)
 	for _, c := range []struct {
-		name         string
-		live         live
-		pool         int
-		caps         live
-		bulk, stdShd bool
+		name string
+		live live
+		pool int
+		caps live
 	}{
-		{"mixed pool", live{hw.FPGA: 2, hw.CPU: 1}, 3, live{hw.FPGA: 5, hw.CPU: 2}, false, false},
-		{"dead kind", live{hw.FPGA: 2}, 3, live{}, true, false},
-		{"sole live kind", live{hw.GPU: 4}, 4, live{}, false, false},
-		{"floor of one", live{hw.GPU: 1, hw.FPGA: 20}, 21, live{hw.GPU: 1, hw.FPGA: 7}, false, false},
-		{"half survive", live{hw.GPU: 1, hw.CPU: 1}, 4, live{hw.GPU: 4, hw.CPU: 4}, true, false},
-		{"under half survive", live{hw.GPU: 1, hw.CPU: 1}, 5, live{hw.GPU: 4, hw.CPU: 4}, true, true},
-		{"none survive", live{}, 3, live{}, true, true},
+		{"mixed pool", live{hw.FPGA: 2, hw.CPU: 1}, 3, live{hw.FPGA: 5, hw.CPU: 2}},
+		{"dead kind", live{hw.FPGA: 2}, 3, live{}},
+		{"sole live kind", live{hw.GPU: 4}, 4, live{}},
+		{"floor of one", live{hw.GPU: 1, hw.FPGA: 20}, 21, live{hw.GPU: 1, hw.FPGA: 7}},
+		{"half survive", live{hw.GPU: 1, hw.CPU: 1}, 4, live{hw.GPU: 4, hw.CPU: 4}},
+		{"none survive", live{}, 3, live{}},
 	} {
 		a.refit(c.live, c.pool)
 		if a.caps != c.caps {
 			t.Errorf("%s: caps %v, want %v", c.name, a.caps, c.caps)
 		}
+	}
+}
+
+// TestDegradedAdmission pins refit's shedding order as a pool of 4 loses its
+// workers one by one: bulk is shed once any worker is lost, standard once
+// fewer than half survive (2 of 4 is not fewer), and interactive never.
+func TestDegradedAdmission(t *testing.T) {
+	const pool = 4
+	a := newAdmissionController(16)
+	for _, c := range []struct {
+		live         int
+		bulk, stdShd bool
+	}{
+		{4, false, false},
+		{3, true, false},
+		{2, true, false},
+		{1, true, true},
+		{0, true, true},
+	} {
+		a.refit([hw.KindCount]int{hw.GPU: c.live}, pool)
 		if a.shedClass(ClassBulk) != c.bulk || a.shedClass(ClassStandard) != c.stdShd {
-			t.Errorf("%s: sheds bulk %v, standard %v; want %v, %v", c.name,
+			t.Errorf("%d of %d live: sheds bulk %v, standard %v; want %v, %v", c.live, pool,
 				a.shedClass(ClassBulk), a.shedClass(ClassStandard), c.bulk, c.stdShd)
 		}
 		if a.shedClass(ClassInteractive) {
-			t.Errorf("%s: interactive shed", c.name)
+			t.Errorf("%d of %d live: interactive shed", c.live, pool)
 		}
 	}
+}
 
-	// FPGA and GPU each hold half of a queue of 4; the CPU has no live worker.
-	a = newAdmissionController(4)
-	a.refit(live{hw.FPGA: 1, hw.GPU: 1}, 3)
-	a.admit(0)
-	a.admit(0)
-	a.dispatchedKind(hw.FPGA, []float64{10, 11})
+// TestSetKindCapEdgeCases: a refit that changes a kind's cap while the kind
+// holds in-flight work acts at once. Lifting the cap (the kind becomes the
+// sole live kind) frees the kind without touching its in-flight entries;
+// tightening below the in-flight count saturates it until completions pass.
+func TestSetKindCapEdgeCases(t *testing.T) {
+	a := newAdmissionController(4)
+	a.refit([hw.KindCount]int{hw.FPGA: 1, hw.GPU: 1}, 2) // FPGA cap 2
+	for i := 0; i < 2; i++ {
+		if !a.admit(0) {
+			t.Fatalf("admit %d refused under empty queue", i)
+		}
+	}
+	a.dispatchedKind(hw.FPGA, []float64{10, 11}) // in flight far in the future
 	if !a.kindSaturated(hw.FPGA, 1) {
 		t.Fatal("FPGA not saturated at its cap of 2")
 	}
-	if a.kindSaturated(hw.GPU, 1) {
-		t.Fatal("GPU saturated without in-flight work")
+	a.refit([hw.KindCount]int{hw.FPGA: 1}, 2)
+	if a.kindSaturated(hw.FPGA, 1) {
+		t.Fatal("sole live kind still bounded")
 	}
-	a.admit(1)
-	a.dispatchedKind(hw.GPU, []float64{2})
-	if a.kindSaturated(hw.GPU, 3) || !a.kindSaturated(hw.FPGA, 3) {
-		t.Fatal("the GPU's completion did not clear its share, or cleared the FPGA's")
+	if a.kindInflight(hw.FPGA) != 2 {
+		t.Fatalf("in-flight count %d changed by a refit", a.kindInflight(hw.FPGA))
 	}
-	if a.kindSaturated(hw.CPU, 1) {
-		t.Fatal("a kind with no live worker reported saturated")
+	a.refit([hw.KindCount]int{hw.FPGA: 1, hw.GPU: 3}, 4) // FPGA cap 1
+	if !a.kindSaturated(hw.FPGA, 1) {
+		t.Fatal("cap 1 under 2 in flight not saturated")
 	}
 	if a.kindSaturated(hw.FPGA, 11) { // both completions (10, 11) are done by 11
 		t.Fatal("saturated after every completion passed")
-	}
-	// The FPGA becomes the sole live kind: its cap lifts at once, and its
-	// in-flight entries stay until their completions.
-	a.refit(live{hw.FPGA: 1}, 3)
-	if a.kindSaturated(hw.FPGA, 1) || a.kindInflight(hw.FPGA) != 2 {
-		t.Fatalf("sole live kind saturated %v with %d in flight, want free with 2",
-			a.kindSaturated(hw.FPGA, 1), a.kindInflight(hw.FPGA))
-	}
-	// A refit that tightens below the in-flight count saturates at once.
-	a.refit(live{hw.FPGA: 1, hw.GPU: 3}, 4)
-	if !a.kindSaturated(hw.FPGA, 1) {
-		t.Fatal("cap 1 under 2 in flight not saturated")
 	}
 }
 

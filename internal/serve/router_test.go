@@ -183,3 +183,35 @@ func TestSmallCutRequiresPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Kind-aware admission: a saturated kind must not absorb further batches
+// while another kind has room — the slow-FPGA-starves-GPU scenario. Refit a
+// controller by hand and drive the saturation check directly.
+func TestKindSaturationSteering(t *testing.T) {
+	// FPGA and GPU each hold half of a queue of 4; the CPU has no live worker.
+	a := newAdmissionController(4)
+	a.refit([hw.KindCount]int{hw.FPGA: 1, hw.GPU: 1}, 3)
+	// Two FPGA batches in flight with far-future completions: saturated.
+	a.admit(0)
+	a.admit(0)
+	a.dispatchedKind(hw.FPGA, []float64{100, 200})
+	if !a.kindSaturated(hw.FPGA, 1) {
+		t.Fatal("FPGA not saturated at its cap")
+	}
+	if a.kindSaturated(hw.GPU, 1) {
+		t.Fatal("GPU saturated without in-flight work")
+	}
+	// The GPU keeps serving and draining while the FPGA stays pinned.
+	a.admit(1)
+	a.dispatchedKind(hw.GPU, []float64{2})
+	if a.kindSaturated(hw.GPU, 3) {
+		t.Fatal("GPU saturation not cleared by completion")
+	}
+	if !a.kindSaturated(hw.FPGA, 3) {
+		t.Fatal("FPGA saturation cleared early")
+	}
+	// A kind with no live worker is uncapped, so never saturated.
+	if a.kindSaturated(hw.CPU, 1) {
+		t.Fatal("uncapped kind reported saturated")
+	}
+}
