@@ -56,7 +56,7 @@ type InferResult struct {
 }
 
 // inferDepth is how many batches a pipeline holds, one per slot. A serving
-// worker keeps up to inferDepth-2 forwards outstanding on its goroutine (see
+// worker keeps up to inferDepth forwards outstanding on its executor (see
 // serve's worker), so the event loop rarely waits on one or wakes an idle
 // goroutine. On the benchmark's fpga-hot (2-core Xeon), serving wall
 // throughput over the depth-2 ring read +44 % at depth 4, +66 % at 8 and

@@ -160,26 +160,37 @@ func fullBatch(first int) []Request {
 	return batch
 }
 
-// gate replaces an executor's goroutine with one that runs each handed-off
-// forward only when the test lets it, so a test decides which forwards have
-// finished when the loop looks.
+// gate replaces an executor's goroutine with one that takes each queued
+// forward only when the test lets it, so a gated forward stays queued — and
+// the loop may claim it — until the test releases it. A released message
+// whose forward is still queued is claimed and run, or held running until
+// the test resumes it; one the loop took is skipped.
 type gate struct {
-	release chan struct{}
-	ran     chan forward
+	release chan bool // lets the next message be taken; true holds its forward once claimed
+	resume  chan struct{}
+	ran     chan taken
+	opened  chan struct{} // closed when the test ends: every message then goes through
+}
+
+// taken is what a gated executor did with one message: claimed reports
+// whether it took the forward (false: the loop or stop had).
+type taken struct {
+	f       forward
+	claimed bool
 }
 
 // gates holds each gated executor's gate, so workers sharing an executor
 // share its gate.
 var gates = map[*executor]*gate{}
 
-// gateWorker gates w's executor, with no forward in flight: its goroutine is
-// swapped for one that runs each forward through the same executor.run once
-// the gate lets it. Workers sharing an executor share its gate, which opens
-// when the test ends.
+// gateWorker gates w's executor, with no forward outstanding: its goroutine
+// is swapped for one that claims each message's forward once the gate lets
+// it and runs it through the same executor.run. Workers sharing an executor
+// share its gate, which opens when the test ends.
 func gateWorker(t *testing.T, w *worker) *gate {
 	t.Helper()
 	e := w.exec
-	if e == nil || w.pending != 0 || e.inflight.Load() != 0 {
+	if e == nil || outstanding(w) != 0 || len(e.req) != 0 {
 		t.Fatal("gateWorker needs an idle worker with hand-offs live")
 	}
 	if g := gates[e]; g != nil {
@@ -187,37 +198,72 @@ func gateWorker(t *testing.T, w *worker) *gate {
 	}
 	depth := cap(e.req)
 	e.stop()
-	g := &gate{release: make(chan struct{}), ran: make(chan forward, depth)}
+	g := &gate{release: make(chan bool), resume: make(chan struct{}), ran: make(chan taken, 1), opened: make(chan struct{})}
 	e.req, e.ws, e.exited = make(chan forward, depth), tensor.NewWorkspace(), make(chan struct{})
 	go func() {
 		defer close(e.exited)
 		for f := range e.req {
-			<-g.release
-			e.run(f)
-			g.ran <- f
+			hold := false
+			select {
+			case hold = <-g.release:
+			case <-g.opened:
+			}
+			claimed := f.h.claim(f.gen)
+			if claimed && hold {
+				g.report(taken{f, true})
+				select {
+				case <-g.resume:
+				case <-g.opened:
+				}
+			}
+			if claimed {
+				e.run(f)
+			}
+			if !claimed || !hold {
+				g.report(taken{f, claimed})
+			}
 		}
 		e.ws = nil
 	}()
 	gates[e] = g
 	t.Cleanup(func() {
 		delete(gates, e)
-		close(g.release)
+		close(g.opened)
 	})
 	return g
 }
 
-// run lets the executor's next n handed-off forwards run and waits until
-// they have.
-func (g *gate) run(n int) {
-	for i := 0; i < n; i++ {
-		g.next()
+// report hands the test what the executor did with a message, unless the
+// test has ended.
+func (g *gate) report(x taken) {
+	select {
+	case g.ran <- x:
+	case <-g.opened:
 	}
 }
 
-// next lets the executor's next handed-off forward run and returns it once
-// it has.
-func (g *gate) next() forward {
-	g.release <- struct{}{}
+// run lets the executor take its next n messages and waits until it has,
+// failing if the loop had claimed any of their forwards.
+func (g *gate) run(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if x := g.next(); !x.claimed {
+			t.Fatalf("the executor found batch %d's forward taken", x.f.h.batch)
+		}
+	}
+}
+
+// next lets the executor take its next message and returns what it did
+// once it has: ran the forward, or skipped it.
+func (g *gate) next() taken {
+	g.release <- false
+	return <-g.ran
+}
+
+// hold lets the executor take its next message and, if it claims the
+// forward, hold it running until resume.
+func (g *gate) hold() taken {
+	g.release <- true
 	return <-g.ran
 }
 
@@ -273,12 +319,12 @@ func TestHandoffFillsOnSettle(t *testing.T) {
 	}
 	unfilled("after the next insert")
 	// Its forward finishes: the worker's next dispatch settles it.
-	g.run(1)
+	g.run(t, 1)
 	dispatchAll(t, 200, 3e-3, async, inline)
 	if got, want := firstRows(async), firstRows(inline); !reflect.DeepEqual(got, want) {
 		t.Fatalf("settled entries differ from the inline run's (%d vs %d resident)", len(got), len(want))
 	}
-	g.run(2)
+	g.run(t, 2)
 	if err := async.settleAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -287,42 +333,38 @@ func TestHandoffFillsOnSettle(t *testing.T) {
 	}
 }
 
-// A late row never lands over a newer one. Batch A is outstanding while the
-// next batch evicts its entries and, the worker's ring full, a third batch
-// re-inserts A's keys and computes them inline. When A then settles, the
-// resident rows are still the newer batch's: the cache is the inline run's
-// bit for bit.
+// A late row never lands over a newer one. Batch A is queued while the
+// next batch evicts its entries and a third batch re-inserts A's keys. The
+// loop claims the third batch's forward and settles it first; when A then
+// settles, its fill is dropped and the resident rows are still the newer
+// batch's: the cache is the inline run's bit for bit.
 func TestHandoffStaleFillDropped(t *testing.T) {
 	ds, m := grainSetup(t)
 	cfg := handoffConfig(t, ds, m)
 	cfg.Faults, cfg.Plat.Accels, cfg.CacheSize, cfg.CacheShards = nil, nil, 32, 1
 	async, inline := handoffServer(t, cfg, 2), handoffServer(t, cfg, 1)
 	w := async.pool[0]
-	g := gateWorker(t, w)
-	depth := len(w.out)
-	// A, depth-3 batches that keep A outstanding (the first evicts it), then
-	// A's vertices again.
-	firsts := []int{0}
-	for i := 1; i <= depth-3; i++ {
-		firsts = append(firsts, 100*i)
-	}
-	firsts = append(firsts, 0)
+	gateWorker(t, w)
 	var stale []cacheRow
-	for i, first := range firsts {
+	for i, first := range []int{0, 100, 0} { // A, a batch that evicts A, A's vertices again
 		dispatchAll(t, first, float64(i+1)*1e-3, async, inline)
 		if i == 0 {
 			stale = firstRows(inline)
 		}
 	}
-	if async.handoffs != depth-2 || outstanding(w) != depth-2 {
-		t.Fatalf("%d hand-offs, %d outstanding, want %d each: the re-insert did not run inline",
-			async.handoffs, outstanding(w), depth-2)
+	if async.handoffs != 3 || outstanding(w) != 3 {
+		t.Fatalf("%d hand-offs, %d outstanding, want 3 each", async.handoffs, outstanding(w))
 	}
 	fresh := firstRows(inline)
 	if len(fresh) != 32 || reflect.DeepEqual(fresh, stale) {
 		t.Fatal("the re-inserted rows equal the evicted ones: the test would not see a stale fill")
 	}
-	g.run(depth - 2)
+	if _, err := async.settle(w, 2, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := firstRows(async); !reflect.DeepEqual(got, fresh) {
+		t.Fatal("the re-insert's claimed forward did not fill its rows")
+	}
 	if err := async.settleAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -350,22 +392,23 @@ func oneWorkerServer(t *testing.T, ds *datagen.Dataset, m *gnn.Model, cacheSize,
 	return handoffServer(t, cfg, procs)
 }
 
-// outstanding counts w's forwards in flight.
+// outstanding counts w's outstanding batches.
 func outstanding(w *worker) int {
 	n := 0
-	for _, h := range w.out {
-		if h.res != nil {
+	for i := range w.out {
+		if w.out[i].res != nil {
 			n++
 		}
 	}
 	return n
 }
 
-// An outstanding batch settles before its slot is sampled again, waiting
-// for its forward if it must (ring-wrap); one whose forward has finished
-// settles at the worker's next dispatch, its error surfacing there (reap);
-// settleAll settles the rest (settleAll-after-n). The cache is disabled, so
-// nothing else settles a batch.
+// An outstanding batch settles before its slot is sampled again: if its
+// forward is running, the loop runs every queued forward itself and then
+// waits for it (ring-wrap); one whose forward has finished settles at the
+// worker's next dispatch, its error surfacing there (reap); settleAll
+// settles the rest (settleAll-after-n). The cache is disabled, so nothing
+// else settles a batch.
 func TestHandoffSettlesBeforeResample(t *testing.T) {
 	ds, m := grainSetup(t)
 	t.Run("ring-wrap", func(t *testing.T) {
@@ -376,6 +419,9 @@ func TestHandoffSettlesBeforeResample(t *testing.T) {
 		for i := 0; i < depth; i++ {
 			dispatchAll(t, 100*i, float64(i+1)*1e-3, s)
 		}
+		if x := g.hold(); !x.claimed || x.f.h != &w.out[0] {
+			t.Fatal("the executor did not hold batch 0's forward")
+		}
 		returned := make(chan error, 1)
 		go func() { returned <- s.dispatch(fullBatch(100*depth), float64(depth+1)*1e-3) }()
 		select {
@@ -383,15 +429,20 @@ func TestHandoffSettlesBeforeResample(t *testing.T) {
 			t.Fatalf("the worker sampled over batch 0's slot while its forward was held (error %v)", err)
 		case <-time.After(20 * time.Millisecond):
 		}
-		g.run(1)
+		g.resume <- struct{}{}
 		if err := <-returned; err != nil {
 			t.Fatal(err)
 		}
 		if h := w.out[0].res; h == nil || h.Targets[0] != int32(100*depth) {
 			t.Fatalf("slot 0 holds %v, want the batch just dispatched", h)
 		}
-		if outstanding(w) != depth-2 {
-			t.Fatalf("%d forwards outstanding, want %d", outstanding(w), depth-2)
+		if outstanding(w) != 1 {
+			t.Fatalf("%d forwards outstanding, want 1: the loop left a queued forward", outstanding(w))
+		}
+		for i := 1; i < depth; i++ {
+			if x := g.next(); x.claimed || x.f.h != &w.out[i] {
+				t.Fatalf("the executor ran batch %d's forward (claimed %v), which the loop had taken", i, x.claimed)
+			}
 		}
 	})
 	// broken dispatches n full batches whose forwards fail, held at the gate.
@@ -409,7 +460,7 @@ func TestHandoffSettlesBeforeResample(t *testing.T) {
 	}
 	t.Run("reap", func(t *testing.T) {
 		s, g := broken(t, 1)
-		g.run(1)
+		g.run(t, 1)
 		err := s.dispatch(fullBatch(100), 2e-3)
 		if err == nil || !strings.Contains(err.Error(), "feature matrix") {
 			t.Fatalf("the worker's next dispatch did not settle its failed forward: %v", err)
@@ -418,7 +469,7 @@ func TestHandoffSettlesBeforeResample(t *testing.T) {
 	for _, n := range []int{1, 2} {
 		t.Run(fmt.Sprintf("settleAll-after-%d", n), func(t *testing.T) {
 			s, g := broken(t, n)
-			g.run(n)
+			g.run(t, n)
 			if err := s.settleAll(); err == nil || !strings.Contains(err.Error(), "feature matrix") {
 				t.Fatalf("settleAll lost the failed forward: %v", err)
 			}
@@ -426,10 +477,10 @@ func TestHandoffSettlesBeforeResample(t *testing.T) {
 	}
 }
 
-// A worker holds Depth() batches. Hand-offs fill all but two of its slots;
-// while they are outstanding the loop runs each further forward itself
-// (caller runs). A forward that has finished frees its slot at the worker's
-// next dispatch, which hands off again.
+// A worker holds Depth() batches, and every forward is handed off: with the
+// executor gated, each dispatch queues one more until every slot holds an
+// outstanding batch. A forward that has finished frees its slot at the
+// worker's next dispatch, which hands off again.
 func TestHandoffRingDepth(t *testing.T) {
 	ds, m := grainSetup(t)
 	s := oneWorkerServer(t, ds, m, 0, 2)
@@ -440,40 +491,35 @@ func TestHandoffRingDepth(t *testing.T) {
 	// none outstanding).
 	held := func() []int32 {
 		got := make([]int32, depth)
-		for i, h := range w.out {
+		for i := range w.out {
 			got[i] = -1
-			if h.res != nil {
-				got[i] = h.res.Targets[0]
+			if h := w.out[i].res; h != nil {
+				got[i] = h.Targets[0]
 			}
 		}
 		return got
 	}
 	want := make([]int32, depth)
-	for i := range want {
-		want[i] = -1
-	}
 	for i := 0; i < depth; i++ {
 		dispatchAll(t, 100*i, float64(i+1)*1e-3, s)
-		if n := min(i+1, depth-2); s.handoffs != n || outstanding(w) != n {
+		if s.handoffs != i+1 || outstanding(w) != i+1 {
 			t.Fatalf("after %d full batches: %d hand-offs, %d outstanding, want %d each",
-				i+1, s.handoffs, outstanding(w), n)
+				i+1, s.handoffs, outstanding(w), i+1)
 		}
-		if i < depth-2 {
-			want[i] = int32(100 * i)
-		}
+		want[i] = int32(100 * i)
 	}
 	if got := held(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("the slots hold batches starting at %v, want %v", got, want)
 	}
 	// Batches 0 and 1 finish: the next dispatch settles both, reuses slot 0
 	// and hands off.
-	g.run(2)
+	g.run(t, 2)
 	dispatchAll(t, 100*depth, float64(depth+1)*1e-3, s)
 	want[0], want[1] = int32(100*depth), -1
-	if got := held(); !reflect.DeepEqual(got, want) || s.handoffs != depth-1 {
-		t.Fatalf("after the finished forwards: slots %v, %d hand-offs; want %v, %d", got, s.handoffs, want, depth-1)
+	if got := held(); !reflect.DeepEqual(got, want) || s.handoffs != depth+1 {
+		t.Fatalf("after the finished forwards: slots %v, %d hand-offs; want %v, %d", got, s.handoffs, want, depth+1)
 	}
-	g.run(outstanding(w))
+	g.run(t, outstanding(w))
 	if err := s.settleAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -681,7 +727,8 @@ func TestHandoffExecutorBinding(t *testing.T) {
 // inline twin at one proc with the cache enabled on both. It dispatches the
 // same full batches to both, all closing at the same instant so the router
 // spreads them over the pool, until a worker has sampled into each of its
-// slots once (one more could wait on a held forward). After each dispatch
+// slots once (one more would rebuild a slot whose forward is queued, which
+// the loop would claim). After each dispatch
 // it calls check with the batch's worker and whether it was handed off.
 func gatedFleet(t *testing.T, ds *datagen.Dataset, m *gnn.Model, procs int, check func(s *server, wi int, handed bool)) (*server, *server) {
 	t.Helper()
@@ -704,80 +751,34 @@ func gatedFleet(t *testing.T, ds *datagen.Dataset, m *gnn.Model, procs int, chec
 	}
 }
 
-// A gated executor never holds more than Depth()-2 forwards in flight
-// across its workers: once it does, a further batch for any of them runs
-// inline even though its own worker has room.
-func TestHandoffExecutorBound(t *testing.T) {
-	ds, m := grainSetup(t)
-	for _, procs := range []int{2, 4} {
-		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
-			full, bounded := 0, 0
-			check := func(s *server, wi int, handed bool) {
-				room := len(s.pool[0].out) - 2
-				for i, e := range s.execs {
-					held, holders := 0, 0
-					for _, w := range s.pool {
-						if w.exec == e && outstanding(w) > 0 {
-							held += outstanding(w)
-							holders++
-						}
-					}
-					if in := int(e.inflight.Load()); in != held || in > room {
-						t.Fatalf("executor %d: %d in flight, its workers hold %d, bound %d", i, in, held, room)
-					}
-					if held == room && holders > 1 {
-						full++
-					}
-				}
-				if !handed && outstanding(s.pool[wi]) < room {
-					bounded++
-				}
-			}
-			gatedFleet(t, ds, m, procs, check)
-			t.Logf("%d dispatches found an executor full across its workers, %d ran inline at the bound", full, bounded)
-			if full == 0 || bounded == 0 {
-				t.Fatalf("no executor reached its bound across two workers (%d) or no batch ran inline at it (%d)", full, bounded)
-			}
-		})
-	}
-}
-
-// Each worker's forwards settle in hand-off order, whichever of the
-// executor's workers handed them off: the executor runs them first in,
-// first out, and the forward that has just run is its worker's oldest
-// outstanding batch, which settles without waiting. Settled, the cache is
-// the inline run's bit for bit.
+// An executor takes its forwards in hand-off order, whichever of its
+// workers handed them off, and a forward it has run settles without
+// waiting, whichever slot of its worker it holds. Settled, the cache is the
+// inline run's bit for bit.
 func TestHandoffSettlesInHandoffOrder(t *testing.T) {
 	ds, m := grainSetup(t)
 	for _, procs := range []int{2, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
-			queued := map[*executor][]forward{}
+			type slot struct {
+				w *worker
+				i int
+			}
+			queued := map[*executor][]slot{}
 			check := func(s *server, wi int, handed bool) {
 				if w := s.pool[wi]; handed {
-					queued[w.exec] = append(queued[w.exec], forward{w: w, res: w.out[(w.samples-1)%len(w.out)].res, batch: s.stats.Batches - 1})
+					queued[w.exec] = append(queued[w.exec], slot{w, (w.samples - 1) % len(w.out)})
 				}
 			}
 			s, inline := gatedFleet(t, ds, m, procs, check)
 			shared := false
-			for e, fs := range queued {
+			for e, slots := range queued {
 				g := gates[e]
-				for _, want := range fs {
-					shared = shared || want.w != fs[0].w
-					if got := g.next(); got != want {
-						t.Fatal("the executor ran a forward out of hand-off order")
+				for _, want := range slots {
+					shared = shared || want.w != slots[0].w
+					if x := g.next(); !x.claimed || x.f.w != want.w || x.f.h != &want.w.out[want.i] {
+						t.Fatal("the executor took a forward out of hand-off order")
 					}
-					w := want.w
-					oldest := -1
-					for k := range w.out {
-						if i := (w.samples + k) % len(w.out); w.out[i].res != nil {
-							oldest = i
-							break
-						}
-					}
-					if w.out[oldest].res != want.res {
-						t.Fatal("the forward that ran is not its worker's oldest outstanding batch")
-					}
-					if settled, err := s.settle(w, oldest, false); err != nil || !settled {
+					if settled, err := s.settle(want.w, want.i, false); err != nil || !settled {
 						t.Fatalf("the forward that ran did not settle without waiting (settled %v, error %v)", settled, err)
 					}
 				}
@@ -788,9 +789,164 @@ func TestHandoffSettlesInHandoffOrder(t *testing.T) {
 			if err := s.settleAll(); err != nil {
 				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(*s.stats, *inline.stats) {
+				t.Fatal("Stats differ from the inline run's")
+			}
 			if !reflect.DeepEqual(cacheDump(s.cache), cacheDump(inline.cache)) {
 				t.Fatal("final cache differs from the inline run's")
 			}
 		})
 	}
+}
+
+// sameAsInline fails unless the hand-off server's Stats and cache are the
+// inline twin's, bit for bit; with values false the cache's embedding rows
+// are left out (keys, LRU order and ready times still compared).
+func sameAsInline(t *testing.T, s, inline *server, values bool) {
+	t.Helper()
+	if !reflect.DeepEqual(*s.stats, *inline.stats) {
+		t.Fatalf("Stats differ from the inline run's:\ngot  %+v\nwant %+v", *s.stats, *inline.stats)
+	}
+	got, want := cacheDump(s.cache), cacheDump(inline.cache)
+	if !values {
+		for _, dump := range [][][]cacheRow{got, want} {
+			for _, shard := range dump {
+				for i := range shard {
+					shard[i].Emb = nil
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("cache differs from the inline run's")
+	}
+}
+
+// claimedServers serves the grain fixture on one gated CPU worker at two
+// procs, with its inline twin at one, and dispatches n full batches to both.
+func claimedServers(t *testing.T, n int) (s, inline *server, g *gate) {
+	t.Helper()
+	ds, m := grainSetup(t)
+	s, inline = oneWorkerServer(t, ds, m, 1024, 2), oneWorkerServer(t, ds, m, 1024, 1)
+	g = gateWorker(t, s.pool[0])
+	for i := 0; i < n; i++ {
+		dispatchAll(t, 100*i, float64(i+1)*1e-3, s, inline)
+	}
+	return s, inline, g
+}
+
+// eventually polls cond for up to a second and reports whether it held.
+func eventually(cond func() bool) bool {
+	for deadline := time.Now().Add(time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// The slot the loop must rebuild holds a queued forward: the loop claims and
+// runs it rather than wait, the executor skips its message when it reaches
+// it, and exactly one outcome settles.
+func TestHandoffClaimQueued(t *testing.T) {
+	s, inline, g := claimedServers(t, 0)
+	w := s.pool[0]
+	depth, slot0 := len(w.out), &w.out[0]
+	for i := 0; i < depth; i++ {
+		dispatchAll(t, 100*i, float64(i+1)*1e-3, s, inline)
+	}
+	gen := slot0.gen.Load()
+	dispatchAll(t, 100*depth, float64(depth+1)*1e-3, s, inline) // the gate stays shut
+	if h := slot0.res; h == nil || h.Targets[0] != int32(100*depth) {
+		t.Fatalf("slot 0 holds %v, want the batch just dispatched", h)
+	}
+	if x := g.next(); x.claimed || x.f.h != slot0 || x.f.gen != gen {
+		t.Fatalf("the executor's first message: slot %p generation %d claimed %v; want slot 0's stale generation %d",
+			x.f.h, x.f.gen, x.claimed, gen)
+	}
+	if len(slot0.done) != 0 || slot0.gen.Load() != gen+2 {
+		t.Fatalf("slot 0: %d outcomes waiting, generation %d; want none and %d (queued again)",
+			len(slot0.done), slot0.gen.Load(), gen+2)
+	}
+	g.run(t, depth) // batches 1..depth-1 and the new batch 0
+	if err := s.settleAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := inline.settleAll(); err != nil {
+		t.Fatal(err)
+	}
+	sameAsInline(t, s, inline, true)
+}
+
+// The slot the loop must settle holds a running forward (held after its
+// claim) and another forward is queued behind it: the loop runs the queued
+// one itself, then waits for the running one and takes its outcome.
+func TestHandoffClaimHelpsWhileRunning(t *testing.T) {
+	s, inline, g := claimedServers(t, 2)
+	w := s.pool[0]
+	if x := g.hold(); !x.claimed || x.f.h != &w.out[0] {
+		t.Fatal("the executor did not hold batch 0's forward")
+	}
+	queued := &w.out[1]
+	returned := make(chan error, 1)
+	go func() { returned <- s.settleAll() }()
+	if !eventually(func() bool { return queued.gen.Load()&1 == 0 && len(queued.done) == 1 }) {
+		g.resume <- struct{}{}
+		<-returned
+		t.Fatal("the loop waited on the running forward without running the queued one")
+	}
+	select {
+	case err := <-returned:
+		t.Fatalf("settleAll returned while batch 0's forward was held (error %v)", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	g.resume <- struct{}{}
+	if err := <-returned; err != nil {
+		t.Fatal(err)
+	}
+	if x := g.next(); x.claimed || x.f.h != queued {
+		t.Fatal("the executor ran the forward the loop had taken")
+	}
+	if n := outstanding(w); n != 0 {
+		t.Fatalf("%d batches outstanding after settleAll", n)
+	}
+	sameAsInline(t, s, inline, true)
+}
+
+// stop with one queued and one running forward claims the queued one
+// without running it, waits for the running one, joins the executor and
+// leaks no goroutine.
+func TestHandoffStopClaimsQueued(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, inline, g := claimedServers(t, 2)
+	w := s.pool[0]
+	if x := g.hold(); !x.claimed || x.f.h != &w.out[0] {
+		t.Fatal("the executor did not hold batch 0's forward")
+	}
+	queued := &w.out[1]
+	stopped := make(chan struct{})
+	go func() { s.stop(); close(stopped) }()
+	if !eventually(func() bool { return queued.gen.Load()&1 == 0 }) {
+		g.resume <- struct{}{}
+		g.next()
+		<-stopped
+		t.Fatal("stop did not claim the queued forward before waiting on the running one")
+	}
+	select {
+	case <-stopped:
+		t.Fatal("stop returned while a forward was running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	g.resume <- struct{}{}
+	if x := g.next(); x.claimed || x.f.h != queued {
+		t.Fatal("the executor ran the forward stop had claimed")
+	}
+	<-stopped
+	if len(queued.done) != 0 {
+		t.Fatal("the forward stop claimed ran")
+	}
+	joined(t, s, "stop")
+	waitGoroutines(t, base, "stop")
+	// stop drops the outcomes, so the two batches' rows never land.
+	sameAsInline(t, s, inline, false)
 }

@@ -18,28 +18,31 @@
 // numeric forward (core.InferencePipeline.Propagate) may leave it, for one
 // of the run's executors: min(GOMAXPROCS-1, len(pool)) goroutines, none at
 // one proc, so the loop keeps a processor of its own and never queues behind
-// the forwards it hands off. Worker i hands its forwards to executor i mod n,
-// which runs them one at a time in hand-off order, while the loop carries on,
-// executing the "sampling batch k+1 runs while batch k propagates" overlap
-// the clock charges. A worker's pipeline holds Depth() batches, one per slot;
-// the loop hands a forward off while its worker has fewer than Depth()-2
-// outstanding and its executor fewer than Depth()-2 in flight, and otherwise
-// runs the forward itself (caller runs). No decision reads a forward's
-// output, so the Stats are the inline run's bit for bit. An outstanding
-// batch *settles* — its forward's outcome is taken and its rows are copied
-// into the cache entries its dispatch inserted — at its worker's first
-// dispatch that finds the forward finished, and at the latest, waiting for
-// it, before its slot is sampled again (the worker's Depth()-th next
-// dispatch) and before Run returns. Between its insert and its settle other
-// batches insert too: the cache's sequence stamps keep a late row from
-// landing over an entry a newer insert wrote.
+// the forwards it hands off. With executors, every forward is handed off:
+// worker i queues it on executor i mod n, which takes its queue first in,
+// first out, while the loop carries on, executing the "sampling batch k+1
+// runs while batch k propagates" overlap the clock charges. A queued forward
+// runs on whichever goroutine claims it first — one compare-and-swap on its
+// slot's generation — so the executor skips a queued forward the loop has
+// already taken. A worker's pipeline holds Depth() batches, one per slot. An
+// outstanding batch *settles* — its forward's outcome is taken and its rows
+// are copied into the cache entries its dispatch inserted — at its worker's
+// first dispatch that finds the forward finished, and at the latest before
+// its slot is sampled again (the worker's Depth()-th next dispatch) and
+// before Run returns. There the loop does not wait on a queued forward: it
+// runs it itself, and while the forward runs on an executor it runs the
+// newest other queued forward in the pool, waiting only when nothing is
+// queued (work conserving). No decision reads a forward's output, so the
+// Stats are the inline run's bit for bit. Between a batch's insert and its
+// settle other batches insert too: the cache's sequence stamps keep a late
+// row from landing over an entry a newer insert wrote.
 //
 // The event loop is allocation-free in steady state (gated by
 // TestServingSteadyStateZeroAlloc): batches ping-pong between two retained
 // buffers, cache lookups and inserts run through batch APIs over
 // preallocated scratch, per-vertex dedup uses a generation-stamped array,
 // the per-device service-time memo is a dense slice, and a hand-off is one
-// send on the executor's channel and one receive on the worker's.
+// send on the executor's channel and one receive on the slot's.
 package serve
 
 import (
@@ -242,50 +245,58 @@ func (c Config) replayed() []Request {
 // ServiceSec memo (they depend only on the computed-target count, which the
 // size cap bounds; the server prefills 1..MaxBatch at construction).
 //
-// With GOMAXPROCS > 1 the worker hands its forwards to exec, which returns
-// each forward's error on done in hand-off order; done is buffered to the
-// pipeline's depth, so a finished forward never waits for the loop. out has
-// one entry per pipeline slot: out[i] is the outstanding batch of slot i —
-// its result, and the cache entries (and the insert's sequence number) its
-// rows land in when it settles; res nil when none. pending counts the
-// outstanding batches. exec is nil when every forward runs inline.
+// With GOMAXPROCS > 1 the worker queues each forward on exec. out has one
+// entry per pipeline slot: out[i] is the outstanding batch of slot i, res
+// nil when none. exec is nil when every forward runs inline.
 type worker struct {
 	pipe  *core.InferencePipeline
 	stats DeviceStats
 
 	exec    *executor
-	done    chan error
 	samples int // Samples run on pipe
 	out     []handoff
-	pending int
 }
 
-// handoff is one forward outstanding on a worker's executor.
+// handoff is one slot's outstanding batch: its result, the run's batch
+// number, and the cache entries (and the insert's sequence number) its rows
+// land in when it settles. gen is odd while the forward is queued: a hand-off
+// makes it odd, and whoever claims the forward — the executor or the loop —
+// makes it even with one compare-and-swap, runs it, and sends its error on
+// done, buffered to one, so a finished forward never waits for the loop.
 type handoff struct {
-	res  *core.InferResult
-	keys []CacheKey
-	seq  uint64
-}
-
-// forward is one hand-off: the batch res that worker w sampled, the run's
-// batch number batch.
-type forward struct {
-	w     *worker
 	res   *core.InferResult
 	batch int
+	keys  []CacheKey
+	seq   uint64
+	gen   atomic.Uint64
+	done  chan error
 }
 
-// executor is a goroutine that runs the forwards its workers hand off, one
-// at a time in hand-off order, in one arena of its own. req is buffered to
-// its workers' total depth, so a hand-off never waits; inflight counts the
-// forwards handed off whose Propagate has not returned. exited is closed
-// once the goroutine has dropped its arena. lane is its span lane (0: none).
+// claim takes h's forward if it is still queued as generation gen.
+func (h *handoff) claim(gen uint64) bool {
+	return gen&1 == 1 && h.gen.CompareAndSwap(gen, gen+1)
+}
+
+// forward is one hand-off message: worker w's slot h, queued as generation
+// gen. Once the slot is claimed the message is stale.
+type forward struct {
+	w   *worker
+	h   *handoff
+	gen uint64
+}
+
+// executor is a goroutine that takes the forwards its workers queue, first
+// in, first out, and runs each one it claims in one arena of its own. req is
+// buffered to twice its workers' total depth: one live message per slot,
+// and as many stale ones (forwards the loop took), which the executor drops
+// as it reaches them; a full queue only makes a hand-off wait for the
+// executor. exited is closed once the goroutine has dropped its arena. lane
+// is its span lane (0: none).
 type executor struct {
-	req      chan forward
-	inflight atomic.Int32
-	ws       *tensor.Workspace
-	exited   chan struct{}
-	lane     int
+	req    chan forward
+	ws     *tensor.Workspace
+	exited chan struct{}
+	lane   int
 }
 
 // start launches the executor's goroutine over a fresh arena.
@@ -294,26 +305,26 @@ func (e *executor) start() {
 	go func() {
 		defer close(e.exited)
 		for f := range e.req {
-			e.run(f)
+			if f.h.claim(f.gen) {
+				e.run(f)
+			}
 		}
 		e.ws = nil
 	}()
 }
 
-// run propagates one handed-off forward and returns its error to its worker.
-// The in-flight count drops before the worker hears, so the loop never sees
-// a settled forward still in flight.
+// run propagates a forward the executor claimed and returns its error on
+// its slot's done.
 func (e *executor) run(f forward) {
 	start := trace.Begin(e.lane)
-	err := f.w.pipe.Propagate(e.ws, f.res)
-	trace.End(e.lane, "propagate", f.batch, start)
-	e.inflight.Add(-1)
-	f.w.done <- err
+	err := f.w.pipe.Propagate(e.ws, f.h.res)
+	trace.End(e.lane, "propagate", f.h.batch, start)
+	f.h.done <- err
 }
 
-// stop lets the executor run what it was handed, then waits until its
-// goroutine has dropped its arena and is exiting. Stopping a stopped
-// executor is a no-op.
+// stop lets the executor drain its queue, then waits until its goroutine
+// has dropped its arena and is exiting. Stopping a stopped executor is a
+// no-op.
 func (e *executor) stop() {
 	if e.req == nil {
 		return
@@ -378,7 +389,7 @@ type server struct {
 	// execs are the run's executors, min(GOMAXPROCS-1, len(pool)) of them;
 	// handoff is set when there are any (GOMAXPROCS > 1, the rule RunEpoch
 	// applies to its prefetch worker), and handoffs counts the forwards
-	// that ran on them.
+	// queued on them.
 	execs    []*executor
 	handoff  bool
 	handoffs int
@@ -386,8 +397,9 @@ type server struct {
 	// lane is the event loop's span lane, and executor i's is lane+1+i
 	// (internal/trace; 0 when the run was assembled outside a recording).
 	// The loop records per batch, never per request: dispatch, with lookup,
-	// route, settle, sample and an inline propagate (its kind names why the
-	// forward stayed on the loop) inside it, and the run's finish.
+	// route, settle, sample and the forwards the loop runs inside it
+	// (propagate/no-executor at one proc, propagate/claimed for a queued
+	// forward it took), and the run's finish.
 	lane int
 
 	// Dispatch scratch, all MaxBatch-bounded and reused per batch.
@@ -528,7 +540,7 @@ func (s *server) startExecutors(n int) {
 	s.execs = make([]*executor, n)
 	depth := make([]int, n)
 	for i, w := range s.pool {
-		depth[i%n] += len(w.out)
+		depth[i%n] += 2 * len(w.out)
 	}
 	for i := range s.execs {
 		s.execs[i] = &executor{req: make(chan forward, depth[i])}
@@ -539,8 +551,9 @@ func (s *server) startExecutors(n int) {
 	for i, w := range s.pool {
 		for j := range w.out {
 			w.out[j].keys = make([]CacheKey, 0, s.cfg.MaxBatch)
+			w.out[j].done = make(chan error, 1)
 		}
-		w.exec, w.done = s.execs[i%n], make(chan error, len(w.out))
+		w.exec = s.execs[i%n]
 	}
 	for _, e := range s.execs {
 		e.start()
@@ -689,13 +702,9 @@ func (s *server) place(batch []Request, hit []bool, closeAt float64) (prediction
 // stalled start enters the pipeline past the window, a straggler's stages are
 // inflated. It returns the batch result and its virtual completion time, and
 // whether the batch's forward is left to the worker's executor (async; see
-// complete) rather than already run inline. Once the batch is sampled, the
-// loop settles, without waiting, every forward the worker has already
-// finished; the batch is then handed off when executors run, the worker has
-// fewer than Depth()-2 forwards outstanding and its executor fewer than
-// Depth()-2 in flight. With no room the loop runs the forward itself rather
-// than wait (caller runs): a forward queued behind a long FIFO would hold
-// the slot the loop's next Sample on that worker must rebuild.
+// complete) rather than already run inline — async whenever executors run.
+// Once the batch is sampled, the loop settles, without waiting, every
+// forward the worker has already finished.
 func (s *server) execute(p prediction) (*core.InferResult, float64, bool, error) {
 	w := s.pool[p.worker]
 	b := s.stats.Batches - 1
@@ -717,27 +726,16 @@ func (s *server) execute(p prediction) (*core.InferResult, float64, bool, error)
 	if err := s.settleFinished(w, b); err != nil {
 		return nil, 0, false, err
 	}
-	// inline names why the forward stays on the loop; "" hands it off.
-	room, inline := len(w.out)-2, ""
-	switch {
-	case !s.handoff:
-		inline = "propagate/no-executor"
-	case w.pending >= room:
-		inline = "propagate/worker-full"
-	case w.exec.inflight.Load() >= int32(room):
-		inline = "propagate/executor-bound"
-	}
-	async := inline == ""
-	if !async {
+	if !s.handoff {
 		start = trace.Begin(s.lane)
 		err := w.pipe.Propagate(w.pipe.Arena(), res)
-		trace.End(s.lane, inline, b, start)
+		trace.End(s.lane, "propagate/no-executor", b, start)
 		if err != nil {
 			return nil, 0, false, err
 		}
 	}
 	res.Stage = res.Stage.Scaled(p.factor)
-	return res, w.pipe.CompleteAfter(p.ready, res.Stage), async, nil
+	return res, w.pipe.CompleteAfter(p.ready, res.Stage), s.handoff, nil
 }
 
 // complete publishes a batch worker wi executed: its embeddings enter the
@@ -786,21 +784,19 @@ func (s *server) complete(batch []Request, hit []bool, wi int, res *core.InferRe
 	if async {
 		h := &w.out[(w.samples-1)%len(w.out)] // the slot the batch was just sampled into
 		h.keys = append(h.keys[:0], s.putKeys...)
-		h.res, h.seq = res, seq
-		w.pending++
-		w.exec.inflight.Add(1)
-		w.exec.req <- forward{w: w, res: res, batch: s.stats.Batches - 1}
+		h.res, h.batch, h.seq = res, s.stats.Batches-1, seq
+		w.exec.req <- forward{w: w, h: h, gen: h.gen.Add(1)}
 		s.handoffs++
 	}
 	return nil
 }
 
 // settle completes w's outstanding batch in slot i, if any: it takes the
-// forward's outcome — waiting for it if wait, else only if the forward has
-// finished — and copies the batch's rows into the cache entries complete
-// inserted that no newer insert has rewritten (a no-op on a disabled cache).
-// It reports whether slot i is free. done returns the forwards in hand-off
-// order, so slot i must hold the worker's oldest outstanding batch.
+// forward's outcome — if wait, running the forward itself when it is still
+// queued (see await), else only if the forward has finished — and copies the
+// batch's rows into the cache entries complete inserted that no newer insert
+// has rewritten (a no-op on a disabled cache). It reports whether slot i is
+// free.
 func (s *server) settle(w *worker, i int, wait bool) (bool, error) {
 	h := &w.out[i]
 	if h.res == nil {
@@ -808,17 +804,16 @@ func (s *server) settle(w *worker, i int, wait bool) (bool, error) {
 	}
 	var err error
 	if wait {
-		err = <-w.done
+		err = s.await(w, h)
 	} else {
 		select {
-		case err = <-w.done:
+		case err = <-h.done:
 		default:
 			return false, nil
 		}
 	}
 	res := h.res
 	h.res = nil
-	w.pending--
 	if err != nil {
 		return true, fmt.Errorf("serve: forward on %s (device %d): %w", w.stats.Name, w.stats.Device, err)
 	}
@@ -828,12 +823,53 @@ func (s *server) settle(w *worker, i int, wait bool) (bool, error) {
 	return true, nil
 }
 
+// await returns the outcome of w's forward in slot h without idling while
+// any forward is queued: it claims and runs h's forward if it is still
+// queued; while an executor runs it, it claims and runs the newest other
+// queued forward in the pool; it waits only when nothing is queued.
+func (s *server) await(w *worker, h *handoff) error {
+	s.runClaimed(w, h)
+	for {
+		select {
+		case err := <-h.done:
+			return err
+		default:
+		}
+		var vw *worker
+		var v *handoff
+		for _, x := range s.pool {
+			for i := range x.out {
+				if o := &x.out[i]; o.res != nil && o.gen.Load()&1 == 1 && (v == nil || o.batch > v.batch) {
+					vw, v = x, o
+				}
+			}
+		}
+		if v == nil {
+			return <-h.done
+		}
+		s.runClaimed(vw, v)
+	}
+}
+
+// runClaimed runs w's forward in slot h on the loop, in w's arena, if the
+// loop claims it (the forward is still queued), and returns its error on
+// h.done as an executor would.
+func (s *server) runClaimed(w *worker, h *handoff) {
+	if !h.claim(h.gen.Load()) {
+		return
+	}
+	start := trace.Begin(s.lane)
+	err := w.pipe.Propagate(w.pipe.Arena(), h.res)
+	trace.End(s.lane, "propagate/claimed", h.batch, start)
+	h.done <- err
+}
+
 // settleFinished settles, without waiting, w's outstanding batches whose
 // forwards have finished, oldest first, under a settle span of batch b.
 func (s *server) settleFinished(w *worker, b int) error {
 	start := trace.Begin(s.lane)
 	defer func() { trace.End(s.lane, "settle", b, start) }()
-	for k := 0; k < len(w.out) && w.pending > 0; k++ { // oldest first
+	for k := range w.out { // oldest first
 		settled, err := s.settle(w, (w.samples+k)%len(w.out), false)
 		if err != nil || !settled {
 			return err
@@ -854,16 +890,24 @@ func (s *server) settleAll() error {
 	return nil
 }
 
-// stop waits out every outstanding forward, whatever its outcome, and joins
-// the executors — on every way out of a run, error or not — so once it
-// returns no executor holds its arena. Stopping a stopped server is a no-op.
+// stop claims every queued forward without running it, waits out every
+// running one, whatever its outcome, and joins the executors — on every way
+// out of a run, error or not — so once it returns no executor holds its
+// arena. Stopping a stopped server is a no-op.
 func (s *server) stop() {
 	for _, w := range s.pool {
-		for ; w.pending > 0; w.pending-- {
-			<-w.done
-		}
 		for i := range w.out {
-			w.out[i].res = nil
+			if h := &w.out[i]; h.res != nil && h.claim(h.gen.Load()) {
+				h.res = nil
+			}
+		}
+	}
+	for _, w := range s.pool {
+		for i := range w.out {
+			if h := &w.out[i]; h.res != nil {
+				<-h.done
+				h.res = nil
+			}
 		}
 	}
 	for _, e := range s.execs {

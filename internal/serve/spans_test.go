@@ -48,8 +48,9 @@ func recordSpans(t *testing.T, fn func() error) []spanLine {
 
 // A recorded run is the golden run bit for bit, at one proc and above it, and
 // its loop records per batch: one dispatch span per batch, one propagate span
-// per computed batch — on an executor's lane when the forward was handed off,
-// on the loop's under a kind naming why when it was not — and one finish.
+// per computed batch — on an executor's lane when an executor ran the
+// forward, on the loop's as propagate/claimed when the loop took a queued
+// one and as propagate/no-executor at one proc — and one finish.
 func TestServeSpansPerBatch(t *testing.T) {
 	ds, m := testSetup(t)
 	for _, procs := range []int{1, 2, 4} {
@@ -77,14 +78,14 @@ func TestServeSpansPerBatch(t *testing.T) {
 				}
 				count[sp.Kind]++
 			}
-			inline := count["propagate/no-executor"] + count["propagate/worker-full"] + count["propagate/executor-bound"]
+			claimed, inline := count["propagate/claimed"], count["propagate/no-executor"]
 			switch {
 			case count["dispatch"] != st.Batches:
 				t.Fatalf("%d dispatch spans for %d batches", count["dispatch"], st.Batches)
-			case count["propagate"] != s.handoffs:
-				t.Fatalf("%d executor propagate spans for %d hand-offs", count["propagate"], s.handoffs)
-			case count["propagate"]+inline != len(st.Routes):
-				t.Fatalf("%d propagate spans for %d computed batches (%v)", count["propagate"]+inline, len(st.Routes), count)
+			case count["propagate"]+claimed != s.handoffs:
+				t.Fatalf("%d executor propagate spans and %d claimed by the loop for %d hand-offs", count["propagate"], claimed, s.handoffs)
+			case count["propagate"]+claimed+inline != len(st.Routes):
+				t.Fatalf("%d propagate spans for %d computed batches (%v)", count["propagate"]+claimed+inline, len(st.Routes), count)
 			case count["finish"] != 1:
 				t.Fatalf("%d finish spans", count["finish"])
 			case (count["propagate/no-executor"] > 0) != (procs == 1):
